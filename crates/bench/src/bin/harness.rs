@@ -395,7 +395,7 @@ fn figure(id: &str) {
             .expect("F1 parses");
             let db = gql_wglog::instance::Instance::from_document(&doc);
             let out = gql_wglog::eval::run(&program, &db).expect("F1 runs");
-            let l = out.objects_of_type("rest-list")[0];
+            let l = out.objects_of_type("rest-list").next().unwrap();
             println!(
                 "F1 on city-guide(40): one rest-list, {} members",
                 out.out_edges(l).count()

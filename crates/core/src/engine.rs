@@ -54,8 +54,9 @@ pub struct RunOutcome {
     pub plan: String,
 }
 
-/// A [`DocIndex`] pinned to one resident document, fingerprinted by the
-/// document's address, node count AND a shallow content fingerprint. The
+/// Everything preloaded for one resident document — the [`DocIndex`], the
+/// structural summary and the WG-Log instance — under one identity check:
+/// the document's address, node count AND a shallow content fingerprint. The
 /// address is stored as a plain `usize` and never dereferenced — but an
 /// allocator can hand a *different* document the recycled address of a
 /// dropped one, and node counts collide easily, so address+count alone can
@@ -68,7 +69,7 @@ pub struct RunOutcome {
 /// verified against node kinds at use, so this is a cache-effectiveness
 /// bound, not a correctness cliff.
 #[derive(Debug)]
-struct ResidentIndex {
+struct Resident {
     doc_addr: usize,
     node_count: usize,
     fingerprint: u64,
@@ -76,16 +77,18 @@ struct ResidentIndex {
     /// The structural summary (DataGuide with per-path counts) inferred
     /// from the same document, cached for the static-analysis phase.
     summary: Summary,
+    /// The WG-Log instance graph of the same document. Every run clones
+    /// it, which shares its frozen base and copies nothing.
+    instance: Instance,
 }
 
 /// The unified runner.
 #[derive(Debug)]
 pub struct Engine {
-    /// A pre-loaded WG-Log instance, reused across runs when set.
-    resident_instance: Option<Instance>,
-    /// A pre-built document index for the tree-native engines (XML-GL and
-    /// XPath), reused across runs when the queried document matches.
-    resident_index: Option<ResidentIndex>,
+    /// The preloaded document's index (XML-GL and XPath), summary and
+    /// WG-Log instance, reused across runs when the queried document
+    /// matches.
+    resident: Option<Resident>,
     /// Cached planning outcomes keyed by (canonical query, document
     /// fingerprint, budget class): on a hit the analyze/plan phases are
     /// served from the cache and the run goes parse → execution.
@@ -101,8 +104,7 @@ impl Default for Engine {
         let plan_cache = PlanCache::default();
         let plan_stats = plan_cache.stats_cell();
         Engine {
-            resident_instance: None,
-            resident_index: None,
+            resident: None,
             plan_cache: Mutex::new(plan_cache),
             plan_stats,
         }
@@ -119,23 +121,23 @@ impl Engine {
     /// and the per-query index build (the "resident database"
     /// configuration).
     pub fn preload(&mut self, doc: &Document) {
-        self.resident_instance = Some(Instance::from_document(doc));
         let index = DocIndex::build(doc);
         let summary = Summary::from_index(doc, &index);
-        self.resident_index = Some(ResidentIndex {
+        self.resident = Some(Resident {
             doc_addr: std::ptr::from_ref(doc) as usize,
             node_count: doc.node_count(),
             fingerprint: shallow_fingerprint(doc),
             index,
             summary,
+            instance: Instance::from_document(doc),
         });
     }
 
     /// The resident cache entry, if it was built for exactly this document
     /// in its current shape — address, node count and shallow content
-    /// fingerprint must all agree (see [`ResidentIndex`]).
-    fn resident_for(&self, doc: &Document) -> Option<&ResidentIndex> {
-        self.resident_index.as_ref().filter(|r| {
+    /// fingerprint must all agree (see [`Resident`]).
+    fn resident_for(&self, doc: &Document) -> Option<&Resident> {
+        self.resident.as_ref().filter(|r| {
             r.doc_addr == std::ptr::from_ref(doc) as usize
                 && r.node_count == doc.node_count()
                 && r.fingerprint == shallow_fingerprint(doc)
@@ -154,12 +156,13 @@ impl Engine {
         self.resident_for(doc).map(|r| &r.summary)
     }
 
-    /// Cache-probe outcome for the index phase, distinguishing "no resident
-    /// index at all" from "resident index built for a different document".
-    fn index_cache_state(&self, doc: &Document) -> &'static str {
-        match &self.resident_index {
+    /// Name a [`resident_for`](Engine::resident_for) probe's outcome for
+    /// the index and load spans, distinguishing "nothing preloaded" from
+    /// "preloaded for a different document".
+    fn cache_state(&self, hit: bool) -> &'static str {
+        match &self.resident {
             None => "cold",
-            Some(_) if self.resident_index_for(doc).is_some() => "hit",
+            Some(_) if hit => "hit",
             Some(_) => "miss",
         }
     }
@@ -528,7 +531,7 @@ impl Engine {
                 let mut built = None;
                 let span = trace.span("index");
                 guard.set_phase("index");
-                trace.note("cache", self.index_cache_state(doc));
+                trace.note("cache", self.cache_state(self.resident_for(doc).is_some()));
                 let idx = self.resolve_index(doc, trace, &mut built);
                 if let (true, Some(idx)) = (trace.is_enabled(), idx) {
                     record_index_stats(trace, idx);
@@ -565,22 +568,19 @@ impl Engine {
                 })
             }
             QueryKind::WgLog(program) => {
-                // Borrow the resident instance; only cold runs pay a load.
-                #[allow(unused_assignments)]
-                // `None` placeholder keeps the borrow alive past the match
-                let mut loaded = None;
+                // Borrow the resident instance when it was preloaded for this
+                // document; only cold runs and misses pay a load.
+                let loaded;
                 let span = trace.span("load");
                 guard.set_phase("load");
-                let (instance, load_time): (&Instance, Duration) = match &self.resident_instance {
-                    Some(db) => {
-                        trace.note("cache", "hit");
-                        (db, Duration::ZERO)
-                    }
+                let resident = self.resident_for(doc);
+                trace.note("cache", self.cache_state(resident.is_some()));
+                let (instance, load_time): (&Instance, Duration) = match resident {
+                    Some(resident) => (&resident.instance, Duration::ZERO),
                     None => {
-                        trace.note("cache", "cold");
                         let start = Instant::now();
-                        loaded = Some(Instance::from_document(doc));
-                        (loaded.as_ref().expect("just loaded"), start.elapsed())
+                        loaded = Instance::from_document(doc);
+                        (&loaded, start.elapsed())
                     }
                 };
                 if trace.is_enabled() {
@@ -607,18 +607,18 @@ impl Engine {
                 let span = trace.span("construct");
                 guard.set_phase("construct");
                 let goal = program.goal.clone().unwrap_or_else(|| "answer".to_string());
-                let goal_objects = result.objects_of_type(&goal);
+                let goal_objects = result.objects_of_type(&goal).count();
                 let output = result.to_document("answer", &goal, 2);
                 if trace.is_enabled() {
-                    trace.count("goal_objects", goal_objects.len() as u64);
+                    trace.count("goal_objects", goal_objects as u64);
                     trace.count("nodes_built", output.node_count() as u64);
                 }
                 drop(span);
                 guard.checkpoint().map_err(CoreError::Budget)?;
-                trace.count("results", goal_objects.len() as u64);
+                trace.count("results", goal_objects as u64);
                 Ok(RunOutcome {
                     output,
-                    result_count: goal_objects.len(),
+                    result_count: goal_objects,
                     eval_time,
                     load_time,
                     profile: None,
@@ -635,7 +635,7 @@ impl Engine {
                 let start = Instant::now();
                 let span = trace.span("index");
                 guard.set_phase("index");
-                trace.note("cache", self.index_cache_state(doc));
+                trace.note("cache", self.cache_state(self.resident_for(doc).is_some()));
                 // The XPath evaluator builds its own index lazily on the cold
                 // path, so the fault seam must force scan *mode* (which also
                 // suppresses the lazy build), not just withhold the resident
@@ -826,13 +826,24 @@ mod tests {
             assert_eq!(&warm.output.to_xml_string(), expect, "{q:?}");
         }
         // A different document (same lifetime, different address/shape) must
-        // not be served from the resident index.
-        let other = Document::parse_str("<guide><restaurant><menu/></restaurant></guide>").unwrap();
+        // not be served from the resident index or the resident instance.
+        let other = Document::parse_str(
+            "<guide><restaurant><name>Z</name><menu><price>5</price></menu></restaurant></guide>",
+        )
+        .unwrap();
         assert!(engine.resident_index_for(&other).is_none());
         let outcome = engine
             .run(&QueryKind::XPath("//restaurant[menu]".to_string()), &other)
             .unwrap();
         assert_eq!(outcome.result_count, 1);
+        let outcome = engine.run_profiled(&queries[1], &other).unwrap();
+        let xml = outcome.output.to_xml_string();
+        assert!(xml.contains("<name>Z</name>"), "{xml}");
+        assert!(!xml.contains("<name>A</name>"), "answered from `d`: {xml}");
+        assert!(outcome.load_time > Duration::ZERO);
+        let profile = outcome.profile.unwrap();
+        let load = profile.find("run").unwrap().find("load").unwrap();
+        assert_eq!(load.note("cache"), Some("miss"));
     }
 
     #[test]
@@ -924,7 +935,7 @@ mod tests {
         let mut engine = Engine::new();
         engine.preload(&a);
         // Simulate address recycling: force the cached identity onto `b`.
-        let resident = engine.resident_index.as_mut().unwrap();
+        let resident = engine.resident.as_mut().unwrap();
         resident.doc_addr = std::ptr::from_ref(&b) as usize;
         resident.node_count = b.node_count();
         // The first two checks now agree, so only the fingerprint stands
@@ -933,7 +944,10 @@ mod tests {
             engine.resident_index_for(&b).is_none(),
             "stale index served for a recycled address"
         );
-        assert_eq!(engine.index_cache_state(&b), "miss");
+        assert_eq!(
+            engine.cache_state(engine.resident_for(&b).is_some()),
+            "miss"
+        );
         // And the query path falls back to a correct cold evaluation: `a`'s
         // index has a `menu` posting that `b` does not have.
         let outcome = engine

@@ -643,7 +643,7 @@ mod tests {
         assert_eq!(program.goal.as_deref(), Some("rest-list"));
         let db = Instance::from_document(&doc);
         let out = gql_wglog::eval::run(&program, &db).unwrap();
-        let lists = out.objects_of_type("rest-list");
+        let lists: Vec<_> = out.objects_of_type("rest-list").collect();
         assert_eq!(lists.len(), 1);
         assert_eq!(out.out_edges(lists[0]).count(), direct_count);
         assert_eq!(direct_count, 2);
@@ -666,7 +666,7 @@ mod tests {
         // Runs and selects the italian restaurants.
         let db = Instance::from_document(&guide_doc());
         let out = gql_wglog::eval::run(&program, &db).unwrap();
-        let l = out.objects_of_type("out")[0];
+        let l = out.objects_of_type("out").next().unwrap();
         assert_eq!(out.out_edges(l).count(), 2);
     }
 

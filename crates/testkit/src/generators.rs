@@ -244,10 +244,17 @@ pub fn gen_xmlgl(rng: &mut Rng) -> String {
 /// the instance mapping (child tags become edge labels, attributes come
 /// from the shared pools).
 pub fn gen_wglog(rng: &mut Rng) -> String {
+    gen_wglog_over(rng, TAGS, TAGS)
+}
+
+/// [`gen_wglog`] over a caller's vocabulary: object `types` and edge
+/// `labels`, for documents (such as `gql_ssdm::generator::webgraph`'s)
+/// whose tags are not the shared pool's.
+pub fn gen_wglog_over(rng: &mut Rng, types: &[&str], labels: &[&str]) -> String {
     let n = rng.gen_range(1..4usize);
     let mut query = String::new();
     for i in 0..n {
-        query.push_str(&format!("$q{i}: {}", pick(rng, TAGS)));
+        query.push_str(&format!("$q{i}: {}", pick(rng, types)));
         if rng.gen_bool(0.15) {
             let attr = if rng.gen_bool(0.5) {
                 "text"
@@ -266,11 +273,11 @@ pub fn gen_wglog(rng: &mut Rng) -> String {
         }
         let edge = match rng.gen_range(0..10) {
             // Regular path over two labels (the GraphLog dashed edge).
-            0 => format!("-({}|{})+->", pick(rng, TAGS), pick(rng, TAGS)),
-            1 => format!("-({})+->", pick(rng, TAGS)),
+            0 => format!("-({}|{})+->", pick(rng, labels), pick(rng, labels)),
+            1 => format!("-({})+->", pick(rng, labels)),
             // Any-label edge.
             2 => "-*->".to_string(),
-            _ => format!("-{}->", pick(rng, TAGS)),
+            _ => format!("-{}->", pick(rng, labels)),
         };
         query.push_str(&format!("$q{a} {edge} $q{b}  "));
     }

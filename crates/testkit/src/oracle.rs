@@ -94,7 +94,6 @@ pub fn instance_fingerprint(db: &Instance) -> (Vec<u64>, Vec<(u64, u64, u64)>) {
     objs.sort_unstable();
     let mut edges: Vec<(u64, u64, u64)> = db
         .edges()
-        .iter()
         .map(|e| (fnv(&e.label), sig[e.from.index()], sig[e.to.index()]))
         .collect();
     edges.sort_unstable();
@@ -420,6 +419,80 @@ pub fn check_xmlgl_case(doc: &Document, src: &str) -> Result<(), String> {
 // WG-Log: fixpoint modes and loader invariance
 // ----------------------------------------------------------------------
 
+/// A flat private copy of an instance: the same ids in the same insertion
+/// order, everything owned, nothing shared.
+fn rebuild_flat(db: &Instance) -> Instance {
+    let mut flat = Instance::new();
+    for (_, o) in db.objects() {
+        flat.add_object(o.clone());
+    }
+    for e in db.edges() {
+        flat.add_edge(e.from, &e.label, e.to);
+    }
+    flat
+}
+
+/// The layering oracle: evaluating over a loaded instance (its graph a
+/// frozen base that every result shares) and over a flat private rebuild
+/// of it must be indistinguishable in both fixpoint modes — equal stats,
+/// the same objects and edges in the same order, byte-identical goal
+/// documents — and must leave the loaded instance exactly as it was.
+pub fn check_wglog_layering(
+    db: &Instance,
+    program: &gql_wglog::rule::Program,
+) -> Result<(), String> {
+    let observe = |db: &Instance| {
+        (
+            db.object_count(),
+            db.edge_count(),
+            db.delta_counts(),
+            db.base_holders(),
+        )
+    };
+    let flat = rebuild_flat(db);
+    let before = observe(db);
+    let goal = program.goal.as_deref().unwrap_or("answer");
+    for mode in [FixpointMode::Naive, FixpointMode::SemiNaive] {
+        let shared = gql_wglog::eval::run_with(program, db, mode);
+        let private = gql_wglog::eval::run_with(program, &flat, mode);
+        let ((shared, shared_stats), (private, private_stats)) = match (shared, private) {
+            (Ok(s), Ok(p)) => (s, p),
+            (Err(_), Err(_)) => continue, // both reject alike
+            (s, p) => {
+                return Err(format!(
+                    "layering ({mode:?}): one instance errored, the other did not \
+                     (shared ok: {}, flat ok: {})",
+                    s.is_ok(),
+                    p.is_ok()
+                ))
+            }
+        };
+        if shared_stats != private_stats {
+            return Err(format!(
+                "layering ({mode:?}): stats diverged\nshared: {shared_stats:?}\nflat:   {private_stats:?}"
+            ));
+        }
+        if shared.base_holders() != before.3 + 1 {
+            return Err(format!(
+                "layering ({mode:?}): the result does not share the loaded base"
+            ));
+        }
+        if !shared.objects().eq(private.objects()) || !shared.edges().eq(private.edges()) {
+            return Err(format!(
+                "layering ({mode:?}): result instances differ in content or order"
+            ));
+        }
+        let render = |db: &Instance| db.to_document("answer", goal, 2).to_xml_string();
+        if render(&shared) != render(&private) {
+            return Err(format!("layering ({mode:?}): goal documents differ"));
+        }
+    }
+    if observe(db) != before {
+        return Err("layering: evaluation changed the shared instance".into());
+    }
+    Ok(())
+}
+
 /// The WG-Log oracle battery for one `(document, program)` case.
 pub fn check_wglog_case(doc: &Document, src: &str) -> Result<(), String> {
     let Ok(program) = gql_wglog::dsl::parse_unchecked(src) else {
@@ -462,6 +535,7 @@ pub fn check_wglog_case(doc: &Document, src: &str) -> Result<(), String> {
             semi_db.edge_count()
         ));
     }
+    check_wglog_layering(&db, &program)?;
     check_summary_paths(doc, &DocIndex::build(doc))?;
     // Static inference soundness against the computed fixpoint: an empty
     // goal claim means no goal-typed object exists, and the goal bound

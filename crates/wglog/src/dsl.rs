@@ -726,8 +726,8 @@ mod tests {
         let db = Instance::from_document(&doc);
         let p = parse(F1).unwrap();
         let out = crate::eval::run(&p, &db).unwrap();
-        assert_eq!(out.objects_of_type("rest-list").len(), 1);
-        let l = out.objects_of_type("rest-list")[0];
+        assert_eq!(out.objects_of_type("rest-list").count(), 1);
+        let l = out.objects_of_type("rest-list").next().unwrap();
         assert_eq!(out.out_edges(l).count(), 1);
     }
 
@@ -889,6 +889,6 @@ mod tests {
         db.add_edge(d[1], "link", d[2]);
         db.add_edge(d[2], "link", d[3]);
         let out = crate::eval::run(&p, &db).unwrap();
-        assert_eq!(out.edges().iter().filter(|e| e.label == "reach").count(), 6);
+        assert_eq!(out.edges().filter(|e| e.label == "reach").count(), 6);
     }
 }

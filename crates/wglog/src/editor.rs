@@ -390,7 +390,7 @@ mod tests {
         let rule = ed.finish().unwrap();
         let mut db = city_db();
         crate::eval::fixpoint(&[&rule], &mut db, crate::eval::FixpointMode::SemiNaive).unwrap();
-        let lists = db.objects_of_type("rest-list");
+        let lists: Vec<_> = db.objects_of_type("rest-list").collect();
         assert_eq!(lists.len(), 1);
         assert_eq!(db.out_edges(lists[0]).count(), 1);
     }
@@ -592,7 +592,7 @@ mod tests {
         let rule = ed.finish().unwrap();
         let mut db = city_db();
         crate::eval::fixpoint(&[&rule], &mut db, crate::eval::FixpointMode::SemiNaive).unwrap();
-        let summaries = db.objects_of_type("summary");
+        let summaries: Vec<_> = db.objects_of_type("summary").collect();
         assert_eq!(summaries.len(), 2);
         let cats: std::collections::HashSet<&str> = summaries
             .iter()

@@ -11,7 +11,7 @@
 use std::collections::{HashSet, VecDeque};
 
 use crate::instance::{Instance, ObjId};
-use crate::rule::{Color, LabelTest, PathRe, PathRep, REdge, RNodeId, Rule};
+use crate::rule::{Color, LabelTest, PathRe, PathRep, REdge, RNodeId, Rule, TypeTest};
 
 /// A query embedding: per rule node, the bound object (construct nodes stay
 /// unbound).
@@ -246,34 +246,34 @@ fn search(
             }
         }
     }
-    let candidates: Vec<ObjId> = match from_neighbour {
-        Some(c) => c,
-        None => match &node.test {
-            crate::rule::TypeTest::Type(t) => db.objects_of_type(t),
-            crate::rule::TypeTest::Any => db.objects().map(|(id, _)| id).collect(),
-        },
-    };
-
-    'cand: for cand in candidates {
+    // Try one candidate for `q`: test it, bind it, check the positive edges
+    // whose endpoints are now both bound, and descend.
+    let try_candidate = |cand: ObjId| {
         let obj = db.object(cand);
-        if !node.test.matches(&obj.ty) {
-            continue;
+        if !node.test.matches(&obj.ty) || !node.constraints.iter().all(|c| c.holds(obj)) {
+            return;
         }
-        if !node.constraints.iter().all(|c| c.holds(obj)) {
-            continue;
-        }
-        // Check all positive edges whose endpoints are now both bound.
         current[q.index()] = Some(cand);
-        for e in positive {
-            if let (Some(f), Some(t)) = (current[e.from.index()], current[e.to.index()]) {
-                if (e.from == q || e.to == q) && !edge_satisfied(db, e, f, t) {
-                    current[q.index()] = None;
-                    continue 'cand;
-                }
-            }
+        let consistent =
+            positive
+                .iter()
+                .all(|e| match (current[e.from.index()], current[e.to.index()]) {
+                    (Some(f), Some(t)) if e.from == q || e.to == q => edge_satisfied(db, e, f, t),
+                    _ => true,
+                });
+        if consistent {
+            search(rule, db, order, depth + 1, positive, negated, current, out);
         }
-        search(rule, db, order, depth + 1, positive, negated, current, out);
         current[q.index()] = None;
+    };
+    // The type index and the object table are iterated in place: the
+    // instance is immutable while a search is open.
+    match from_neighbour {
+        Some(cands) => cands.into_iter().for_each(try_candidate),
+        None => match &node.test {
+            TypeTest::Type(t) => db.objects_of_type(t).for_each(try_candidate),
+            TypeTest::Any => db.objects().map(|(id, _)| id).for_each(try_candidate),
+        },
     }
 }
 
@@ -556,7 +556,7 @@ mod tests {
         // And through the fixpoint: exactly one marker object appears.
         let mut work = db.clone();
         crate::eval::fixpoint(&[&rule], &mut work, crate::eval::FixpointMode::Naive).unwrap();
-        assert_eq!(work.objects_of_type("marker").len(), 1);
+        assert_eq!(work.objects_of_type("marker").count(), 1);
     }
 
     #[test]

@@ -322,7 +322,7 @@ fn apply_construct(
                 msg: "construct edge references an unbound node".into(),
             });
         };
-        if db.add_edge(from, label.clone(), to) {
+        if db.add_edge(from, label, to) {
             stats.edges_created += 1;
             new_labels.insert(label.clone());
             *changed = true;
@@ -367,7 +367,7 @@ mod tests {
             .unwrap();
         let mut db = city_db();
         let stats = fixpoint(&[&rule], &mut db, FixpointMode::SemiNaive).unwrap();
-        let lists = db.objects_of_type("rest-list");
+        let lists: Vec<_> = db.objects_of_type("rest-list").collect();
         assert_eq!(lists.len(), 1);
         assert_eq!(db.out_edges(lists[0]).count(), 2); // R0 and R2
         assert_eq!(stats.objects_created, 1);
@@ -387,7 +387,7 @@ mod tests {
             .unwrap();
         let mut db = city_db();
         fixpoint(&[&rule], &mut db, FixpointMode::SemiNaive).unwrap();
-        let summaries = db.objects_of_type("summary");
+        let summaries: Vec<_> = db.objects_of_type("summary").collect();
         assert_eq!(summaries.len(), 3);
         let names: HashSet<&str> = summaries
             .iter()
@@ -452,7 +452,7 @@ mod tests {
         let mut db = chain_db(8);
         let stats = fixpoint(&[&base, &step], &mut db, FixpointMode::SemiNaive).unwrap();
         // 8-chain: 28 reachable ordered pairs.
-        let reach_edges = db.edges().iter().filter(|e| e.label == "reach").count();
+        let reach_edges = db.edges().filter(|e| e.label == "reach").count();
         assert_eq!(reach_edges, 28);
         assert!(stats.iterations >= 3);
     }
@@ -502,7 +502,7 @@ mod tests {
             .unwrap();
         let mut db = city_db();
         fixpoint(&[&rule], &mut db, FixpointMode::SemiNaive).unwrap();
-        let l = db.objects_of_type("italian-list")[0];
+        let l = db.objects_of_type("italian-list").next().unwrap();
         assert_eq!(db.out_edges(l).count(), 2);
     }
 
@@ -526,10 +526,7 @@ mod tests {
             .unwrap();
         let mut db = chain_db(5);
         fixpoint(&[&rule], &mut db, FixpointMode::SemiNaive).unwrap();
-        assert_eq!(
-            db.edges().iter().filter(|e| e.label == "reaches").count(),
-            10
-        );
+        assert_eq!(db.edges().filter(|e| e.label == "reaches").count(), 10);
     }
 
     #[test]
@@ -550,9 +547,9 @@ mod tests {
         };
         let db = city_db();
         let (out, stats) = super::super::run_with(&program, &db, FixpointMode::Naive).unwrap();
-        assert_eq!(out.objects_of_type("rest-list").len(), 1);
+        assert_eq!(out.objects_of_type("rest-list").count(), 1);
         assert!(stats.embeddings_found >= 2);
         // Source is untouched.
-        assert!(db.objects_of_type("rest-list").is_empty());
+        assert!(db.objects_of_type("rest-list").next().is_none());
     }
 }

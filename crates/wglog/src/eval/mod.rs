@@ -153,10 +153,42 @@ mod tests {
             goal: Some("rest-list".into()),
         };
         let result = run(&program, &db).unwrap();
-        assert_eq!(result.objects_of_type("rest-list").len(), 1);
+        assert_eq!(result.objects_of_type("rest-list").count(), 1);
         let doc = answer(&program, &db).unwrap();
         let xml = doc.to_xml_string();
         assert!(xml.contains("<name>Roma</name>"), "{xml}");
         assert!(!xml.contains("Milano"), "{xml}");
+    }
+
+    /// A run's cost must not grow with the resident instance: the result
+    /// shares the frozen base and owns only what the rules derived.
+    #[test]
+    fn run_over_a_large_frozen_instance_copies_nothing() {
+        let mut doc = gql_ssdm::Document::new();
+        let hub = doc.add_element(doc.root(), "hub");
+        for i in 0..10_000 {
+            let n = doc.add_element(hub, "n");
+            doc.set_attr(n, "k", &i.to_string()).unwrap();
+        }
+        let db = Instance::from_document(&doc);
+        assert_eq!(db.object_count(), 10_001);
+        assert_eq!(db.delta_counts(), (0, 0));
+        let program = crate::dsl::parse(
+            "rule { query { $h: hub  $n: n where k = \"7\"  $h -n-> $n } \
+                    construct { $h -pick-> $n } }",
+        )
+        .unwrap();
+        for mode in [FixpointMode::Naive, FixpointMode::SemiNaive] {
+            let (result, stats) = run_with(&program, &db, mode).unwrap();
+            assert_eq!(stats.edges_created, 1);
+            assert_eq!(result.delta_counts(), (0, 1));
+            assert_eq!(result.object_count(), 10_001);
+            assert_eq!(result.edge_count(), db.edge_count() + 1);
+            // Still the same base, never un-shared during the run.
+            assert_eq!(db.base_holders(), 2);
+            drop(result);
+            assert_eq!(db.base_holders(), 1);
+        }
+        assert_eq!(db.delta_counts(), (0, 0));
     }
 }

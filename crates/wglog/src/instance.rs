@@ -12,7 +12,8 @@
 //! * resolved ID/IDREF references become edges labelled with the
 //!   referencing attribute's name.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use gql_ssdm::document::NodeKind;
 use gql_ssdm::idref::RefGraph;
@@ -69,7 +70,9 @@ pub struct Edge {
     pub to: ObjId,
 }
 
-/// A WG-Log database: typed objects plus labelled edges.
+/// One layer of an [`Instance`]: a self-contained graph store whose own
+/// objects are numbered from `first_obj` and whose edges may also touch
+/// the objects numbered beneath that.
 ///
 /// Edge labels are interned to small integers on insertion, and adjacency
 /// is kept *label-indexed*: `(object, label) → successors/predecessors`.
@@ -78,16 +81,24 @@ pub struct Edge {
 /// loops, so those probes are hash lookups instead of linear scans with
 /// string compares.
 #[derive(Debug, Clone, Default)]
-pub struct Instance {
+struct Layer {
+    /// Id of this layer's first object: 0 for a base, the base's object
+    /// count for a delta.
+    first_obj: usize,
     objects: Vec<Object>,
     edges: Vec<Edge>,
-    /// Outgoing adjacency: object → indexes into `edges`.
+    /// Outgoing adjacency of this layer's own objects (slot
+    /// `id - first_obj`): indexes into `edges`.
     out: Vec<Vec<usize>>,
-    /// Incoming adjacency.
+    /// Incoming adjacency, likewise.
     inc: Vec<Vec<usize>>,
+    /// The same two for the objects beneath `first_obj`, sparse because a
+    /// run touches few of them. Always empty in a base.
+    out_beneath: HashMap<ObjId, Vec<usize>>,
+    inc_beneath: HashMap<ObjId, Vec<usize>>,
     /// Type index: type name → object ids.
     by_type: HashMap<String, Vec<ObjId>>,
-    /// Interned edge labels.
+    /// Interned edge labels (ids are local to the layer).
     labels: HashMap<String, u32>,
     /// Labelled adjacency: `(from, label) → successors`, insertion order.
     succ: HashMap<(ObjId, u32), Vec<ObjId>>,
@@ -95,7 +106,117 @@ pub struct Instance {
     pred: HashMap<(ObjId, u32), Vec<ObjId>>,
     /// Fast duplicate check for edges, keyed on interned label ids so a
     /// probe allocates nothing.
-    edge_set: std::collections::HashSet<(ObjId, u32, ObjId)>,
+    edge_set: HashSet<(ObjId, u32, ObjId)>,
+}
+
+impl Layer {
+    fn add_object(&mut self, obj: Object) -> ObjId {
+        let id = ObjId((self.first_obj + self.objects.len()) as u32);
+        // The type name is cloned into the index once per type, not once
+        // per object.
+        match self.by_type.get_mut(&obj.ty) {
+            Some(ids) => ids.push(id),
+            None => {
+                self.by_type.insert(obj.ty.clone(), vec![id]);
+            }
+        }
+        self.objects.push(obj);
+        self.out.push(Vec::new());
+        self.inc.push(Vec::new());
+        id
+    }
+
+    /// Add an edge unless this layer already has it; the label is copied
+    /// only when the edge is new.
+    fn add_edge(&mut self, from: ObjId, label: &str, to: ObjId) -> bool {
+        let lid = match self.labels.get(label) {
+            Some(&lid) => lid,
+            None => {
+                let lid = self.labels.len() as u32;
+                self.labels.insert(label.to_string(), lid);
+                lid
+            }
+        };
+        if !self.edge_set.insert((from, lid, to)) {
+            return false;
+        }
+        let idx = self.edges.len();
+        self.edges.push(Edge {
+            from,
+            label: label.to_string(),
+            to,
+        });
+        match from.index().checked_sub(self.first_obj) {
+            Some(slot) => self.out[slot].push(idx),
+            None => self.out_beneath.entry(from).or_default().push(idx),
+        }
+        match to.index().checked_sub(self.first_obj) {
+            Some(slot) => self.inc[slot].push(idx),
+            None => self.inc_beneath.entry(to).or_default().push(idx),
+        }
+        self.succ.entry((from, lid)).or_default().push(to);
+        self.pred.entry((to, lid)).or_default().push(from);
+        true
+    }
+
+    /// This layer's edges out of (`outgoing`) or into `obj`, in insertion
+    /// order. An object of a layer above has none here.
+    fn incident(&self, obj: ObjId, outgoing: bool) -> impl Iterator<Item = &Edge> {
+        let (own, beneath) = if outgoing {
+            (&self.out, &self.out_beneath)
+        } else {
+            (&self.inc, &self.inc_beneath)
+        };
+        let idxs = match obj.index().checked_sub(self.first_obj) {
+            Some(slot) => own.get(slot),
+            None => beneath.get(&obj),
+        };
+        idxs.map_or(&[][..], Vec::as_slice)
+            .iter()
+            .map(move |&i| &self.edges[i])
+    }
+
+    fn has_edge(&self, from: ObjId, label: &str, to: ObjId) -> bool {
+        self.labels
+            .get(label)
+            .is_some_and(|&lid| self.edge_set.contains(&(from, lid, to)))
+    }
+
+    /// `obj`'s neighbours over `label` in one of the labelled adjacencies.
+    fn via<'a>(
+        &'a self,
+        adjacency: &'a HashMap<(ObjId, u32), Vec<ObjId>>,
+        obj: ObjId,
+        label: &str,
+    ) -> &'a [ObjId] {
+        self.labels
+            .get(label)
+            .and_then(|&lid| adjacency.get(&(obj, lid)))
+            .map_or(&[], Vec::as_slice)
+    }
+
+    fn of_type(&self, ty: &str) -> &[ObjId] {
+        self.by_type.get(ty).map_or(&[], Vec::as_slice)
+    }
+}
+
+/// A WG-Log database: typed objects plus labelled edges.
+///
+/// An instance is two [`Layer`]s: an immutable *base* shared by reference
+/// count, and an owned *delta* that receives every `add_object` and
+/// `add_edge`. [`Instance::from_document`] returns its graph as the base
+/// (moved there, not copied), so cloning a loaded instance — which every
+/// evaluation does to get a database it may extend — costs a pointer bump
+/// plus a copy of what was added since, and dropping the clone frees only
+/// that.
+///
+/// Every base object id and every base edge precedes every delta one, and
+/// every read consults the base and then the delta, so iteration orders
+/// are exactly the insertion orders of a single flat store.
+#[derive(Debug, Clone, Default)]
+pub struct Instance {
+    base: Arc<Layer>,
+    delta: Layer,
 }
 
 impl Instance {
@@ -103,118 +224,108 @@ impl Instance {
         Self::default()
     }
 
-    fn intern_label(&mut self, label: &str) -> u32 {
-        if let Some(&id) = self.labels.get(label) {
-            id
-        } else {
-            let id = self.labels.len() as u32;
-            self.labels.insert(label.to_string(), id);
-            id
-        }
-    }
-
-    fn label_id(&self, label: &str) -> Option<u32> {
-        self.labels.get(label).copied()
-    }
-
     /// Add an object, returning its id.
     pub fn add_object(&mut self, obj: Object) -> ObjId {
-        let id = ObjId(self.objects.len() as u32);
-        self.by_type.entry(obj.ty.clone()).or_default().push(id);
-        self.objects.push(obj);
-        self.out.push(Vec::new());
-        self.inc.push(Vec::new());
-        id
+        self.delta.add_object(obj)
     }
 
     /// Add an edge if not already present; returns whether it was new.
-    pub fn add_edge(&mut self, from: ObjId, label: impl Into<String>, to: ObjId) -> bool {
-        let label = label.into();
-        let lid = self.intern_label(&label);
-        if !self.edge_set.insert((from, lid, to)) {
-            return false;
-        }
-        let idx = self.edges.len();
-        self.edges.push(Edge { from, label, to });
-        self.out[from.index()].push(idx);
-        self.inc[to.index()].push(idx);
-        self.succ.entry((from, lid)).or_default().push(to);
-        self.pred.entry((to, lid)).or_default().push(from);
-        true
+    pub fn add_edge(&mut self, from: ObjId, label: &str, to: ObjId) -> bool {
+        !self.base.has_edge(from, label, to) && self.delta.add_edge(from, label, to)
     }
 
-    /// Append an attribute value to an object.
+    /// Append an attribute value to an object. The overlay cannot express
+    /// a change to a base object, so that case un-shares the base first
+    /// (a full copy if another instance still holds it) and no other
+    /// holder sees the change.
     pub fn add_attr(&mut self, obj: ObjId, name: impl Into<String>, value: impl Into<String>) {
-        self.objects[obj.index()]
-            .attrs
-            .push((name.into(), value.into()));
+        let object = match obj.index().checked_sub(self.delta.first_obj) {
+            Some(slot) => &mut self.delta.objects[slot],
+            None => &mut Arc::make_mut(&mut self.base).objects[obj.index()],
+        };
+        object.attrs.push((name.into(), value.into()));
     }
 
     pub fn object(&self, id: ObjId) -> &Object {
-        &self.objects[id.index()]
+        match id.index().checked_sub(self.delta.first_obj) {
+            Some(slot) => &self.delta.objects[slot],
+            None => &self.base.objects[id.index()],
+        }
     }
 
     pub fn object_count(&self) -> usize {
-        self.objects.len()
+        self.delta.first_obj + self.delta.objects.len()
     }
 
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.base.edges.len() + self.delta.edges.len()
     }
 
-    pub fn edges(&self) -> &[Edge] {
-        &self.edges
+    /// All edges, in insertion order.
+    pub fn edges(&self) -> impl Iterator<Item = &Edge> {
+        self.base.edges.iter().chain(&self.delta.edges)
     }
 
     pub fn objects(&self) -> impl Iterator<Item = (ObjId, &Object)> {
-        self.objects
+        self.base
+            .objects
             .iter()
+            .chain(&self.delta.objects)
             .enumerate()
             .map(|(i, o)| (ObjId(i as u32), o))
     }
 
-    /// Objects of one type.
-    pub fn objects_of_type(&self, ty: &str) -> Vec<ObjId> {
-        self.by_type.get(ty).cloned().unwrap_or_default()
+    /// Objects of one type, in insertion order.
+    pub fn objects_of_type<'a>(&'a self, ty: &str) -> impl Iterator<Item = ObjId> + 'a {
+        let (base, delta) = (self.base.of_type(ty), self.delta.of_type(ty));
+        base.iter().chain(delta).copied()
     }
 
     /// All type names present, sorted.
     pub fn type_names(&self) -> Vec<&str> {
-        let mut v: Vec<&str> = self.by_type.keys().map(String::as_str).collect();
+        let mut v: Vec<&str> = self
+            .base
+            .by_type
+            .keys()
+            .chain(self.delta.by_type.keys())
+            .map(String::as_str)
+            .collect();
         v.sort();
+        v.dedup();
         v
     }
 
     /// Outgoing edges of an object.
     pub fn out_edges(&self, obj: ObjId) -> impl Iterator<Item = &Edge> {
-        self.out[obj.index()].iter().map(move |&i| &self.edges[i])
+        self.base
+            .incident(obj, true)
+            .chain(self.delta.incident(obj, true))
     }
 
     /// Incoming edges of an object.
     pub fn in_edges(&self, obj: ObjId) -> impl Iterator<Item = &Edge> {
-        self.inc[obj.index()].iter().map(move |&i| &self.edges[i])
+        self.base
+            .incident(obj, false)
+            .chain(self.delta.incident(obj, false))
     }
 
-    /// Whether a specific edge exists: one allocation-free set probe on the
+    /// Whether a specific edge exists: allocation-free set probes on the
     /// interned-label key — this sits on the innermost loop of embedding
     /// search.
     pub fn has_edge(&self, from: ObjId, label: &str, to: ObjId) -> bool {
-        self.label_id(label)
-            .is_some_and(|lid| self.edge_set.contains(&(from, lid, to)))
+        self.base.has_edge(from, label, to) || self.delta.has_edge(from, label, to)
     }
 
     /// Successors over edges with a given label, in edge-insertion order
-    /// (one lookup in the labelled adjacency).
+    /// (one lookup per layer in the labelled adjacency).
     pub fn successors_via<'a>(
         &'a self,
         obj: ObjId,
         label: &str,
     ) -> impl Iterator<Item = ObjId> + 'a {
-        self.label_id(label)
-            .and_then(|lid| self.succ.get(&(obj, lid)))
-            .map_or(&[][..], Vec::as_slice)
-            .iter()
-            .copied()
+        let base = self.base.via(&self.base.succ, obj, label);
+        let delta = self.delta.via(&self.delta.succ, obj, label);
+        base.iter().chain(delta).copied()
     }
 
     /// Predecessors over edges with a given label, in edge-insertion order.
@@ -223,11 +334,21 @@ impl Instance {
         obj: ObjId,
         label: &str,
     ) -> impl Iterator<Item = ObjId> + 'a {
-        self.label_id(label)
-            .and_then(|lid| self.pred.get(&(obj, lid)))
-            .map_or(&[][..], Vec::as_slice)
-            .iter()
-            .copied()
+        let base = self.base.via(&self.base.pred, obj, label);
+        let delta = self.delta.via(&self.delta.pred, obj, label);
+        base.iter().chain(delta).copied()
+    }
+
+    /// How many instances hold this one's base, itself included: 1 when
+    /// no clone (no evaluation result) is alive.
+    pub fn base_holders(&self) -> usize {
+        Arc::strong_count(&self.base)
+    }
+
+    /// The objects and edges this instance owns on top of its base — what
+    /// a clone copies and a drop frees.
+    pub fn delta_counts(&self) -> (usize, usize) {
+        (self.delta.objects.len(), self.delta.edges.len())
     }
 
     // ------------------------------------------------------------------
@@ -235,33 +356,57 @@ impl Instance {
     // ------------------------------------------------------------------
 
     /// Load a document into an instance graph (see module docs for the
-    /// mapping rules).
+    /// mapping rules). The whole graph becomes the instance's shared base.
     pub fn from_document(doc: &Document) -> Instance {
-        let mut db = Instance::new();
+        let mut db = Layer::default();
         let refs = RefGraph::extract(doc);
-        let mut node_to_obj: HashMap<NodeId, ObjId> = HashMap::new();
+        // Document node → object, one slot per arena node.
+        let mut node_to_obj: Vec<Option<ObjId>> = vec![None; doc.node_count()];
         if let Some(root) = doc.root_element() {
             load_element(doc, root, &mut db, &mut node_to_obj);
         }
-        // Reference edges, labelled by the referencing attribute name.
-        for edge in refs.edges() {
-            let (Some(&from), Some(&to)) = (node_to_obj.get(&edge.from), node_to_obj.get(&edge.to))
-            else {
+        // Reference edges, labelled by the referencing attribute name: the
+        // first reference attribute of the source with a token naming the
+        // target. `RefGraph` emits a node's edges together, so each node's
+        // attributes are split once, not once per edge.
+        let mut labels: Vec<(NodeId, &str)> = Vec::new();
+        for group in refs.edges().chunk_by(|a, b| a.from == b.from) {
+            let source = group[0].from;
+            let Some(from) = node_to_obj[source.index()] else {
                 continue;
             };
-            // Find the attribute that produced this reference for its label.
-            let label = doc
-                .attrs(edge.from)
-                .find(|(name, v)| {
-                    matches!(*name, "ref" | "idref" | "refs" | "idrefs")
-                        && v.split_whitespace()
-                            .any(|tok| refs.node_by_id(tok) == Some(edge.to))
-                })
-                .map(|(name, _)| name.to_string())
-                .unwrap_or_else(|| "ref".to_string());
-            db.add_edge(from, label, to);
+            labels.clear();
+            for (name, value) in doc.attrs(source) {
+                if !matches!(name, "ref" | "idref" | "refs" | "idrefs") {
+                    continue;
+                }
+                for target in value
+                    .split_whitespace()
+                    .filter_map(|tok| refs.node_by_id(tok))
+                {
+                    if !labels.iter().any(|&(seen, _)| seen == target) {
+                        labels.push((target, name));
+                    }
+                }
+            }
+            for edge in group {
+                let Some(to) = node_to_obj[edge.to.index()] else {
+                    continue;
+                };
+                let label = labels
+                    .iter()
+                    .find(|&&(target, _)| target == edge.to)
+                    .map_or("ref", |&(_, name)| name);
+                db.add_edge(from, label, to);
+            }
         }
-        db
+        Instance {
+            delta: Layer {
+                first_obj: db.objects.len(),
+                ..Layer::default()
+            },
+            base: Arc::new(db),
+        }
     }
 
     /// Convert (part of) the instance back to a document: objects of
@@ -301,20 +446,20 @@ impl Instance {
 
 /// Is this element "atomic" (text-only, no attributes, no element children)?
 fn is_atomic(doc: &Document, node: NodeId) -> bool {
-    doc.attr_count(node) == 0
-        && doc.child_elements(node).next().is_none()
-        && doc
-            .children(node)
-            .iter()
-            .all(|&c| doc.kind(c) != NodeKind::Element)
+    doc.attr_count(node) == 0 && doc.child_elements(node).next().is_none()
 }
 
-fn load_element(
-    doc: &Document,
-    node: NodeId,
-    db: &mut Instance,
-    map: &mut HashMap<NodeId, ObjId>,
-) -> ObjId {
+/// `s` without surrounding whitespace, reusing its buffer when there is
+/// none to remove.
+fn trimmed(s: String) -> String {
+    if s.trim().len() == s.len() {
+        s
+    } else {
+        s.trim().to_string()
+    }
+}
+
+fn load_element(doc: &Document, node: NodeId, db: &mut Layer, map: &mut [Option<ObjId>]) -> ObjId {
     let mut obj = Object::new(doc.name(node).unwrap_or("object"));
     for (name, value) in doc.attrs(node) {
         obj.attrs.push((name.to_string(), value.to_string()));
@@ -327,16 +472,15 @@ fn load_element(
         .map(|&c| doc.text(c).unwrap_or(""))
         .collect();
     if !own_text.trim().is_empty() {
-        obj.attrs
-            .push(("text".to_string(), own_text.trim().to_string()));
+        obj.attrs.push(("text".to_string(), trimmed(own_text)));
     }
     let id = db.add_object(obj);
-    map.insert(node, id);
-    let children: Vec<NodeId> = doc.child_elements(node).collect();
-    for child in children {
-        let tag = doc.name(child).unwrap_or("object").to_string();
+    map[node.index()] = Some(id);
+    for child in doc.child_elements(node) {
+        let tag = doc.name(child).unwrap_or("object");
         if is_atomic(doc, child) {
-            db.add_attr(id, tag, doc.text_content(child).trim().to_string());
+            let value = trimmed(doc.text_content(child));
+            db.objects[id.index()].attrs.push((tag.to_string(), value));
         } else {
             let cid = load_element(doc, child, db, map);
             db.add_edge(id, tag, cid);
@@ -366,15 +510,15 @@ mod tests {
     #[test]
     fn loader_types_and_attrs() {
         let db = Instance::from_document(&guide());
-        assert_eq!(db.objects_of_type("restaurant").len(), 1);
-        assert_eq!(db.objects_of_type("hotel").len(), 1);
-        assert_eq!(db.objects_of_type("menu").len(), 1);
+        assert_eq!(db.objects_of_type("restaurant").count(), 1);
+        assert_eq!(db.objects_of_type("hotel").count(), 1);
+        assert_eq!(db.objects_of_type("menu").count(), 1);
         // Atomic children became attributes, not objects.
-        assert!(db.objects_of_type("name").is_empty());
-        let r = db.objects_of_type("restaurant")[0];
+        assert!(db.objects_of_type("name").next().is_none());
+        let r = db.objects_of_type("restaurant").next().unwrap();
         assert_eq!(db.object(r).attr("name"), Some("Roma"));
         assert_eq!(db.object(r).attr("category"), Some("italian"));
-        let m = db.objects_of_type("menu")[0];
+        let m = db.objects_of_type("menu").next().unwrap();
         assert_eq!(db.object(m).attr("price"), Some("20"));
         let dishes: Vec<&str> = db.object(m).attr_values("dish").collect();
         assert_eq!(dishes, vec!["risotto", "polenta"]);
@@ -383,8 +527,8 @@ mod tests {
     #[test]
     fn loader_containment_edges() {
         let db = Instance::from_document(&guide());
-        let r = db.objects_of_type("restaurant")[0];
-        let m = db.objects_of_type("menu")[0];
+        let r = db.objects_of_type("restaurant").next().unwrap();
+        let m = db.objects_of_type("menu").next().unwrap();
         assert!(db.has_edge(r, "menu", m));
         assert_eq!(db.successors_via(r, "menu").count(), 1);
     }
@@ -392,9 +536,9 @@ mod tests {
     #[test]
     fn loader_reference_edges() {
         let db = Instance::from_document(&guide());
-        let r = db.objects_of_type("restaurant")[0];
-        let h = db.objects_of_type("hotel")[0];
-        let near = db.objects_of_type("near")[0];
+        let r = db.objects_of_type("restaurant").next().unwrap();
+        let h = db.objects_of_type("hotel").next().unwrap();
+        let near = db.objects_of_type("near").next().unwrap();
         // <near ref='h1'/> is an object (it carries an attribute) with a
         // reference edge to the hotel.
         assert!(db.has_edge(r, "near", near));
@@ -453,10 +597,100 @@ mod tests {
     }
 
     #[test]
+    fn loaded_graph_is_the_shared_base_and_clones_own_only_their_additions() {
+        let db = Instance::from_document(&guide());
+        assert_eq!(db.delta_counts(), (0, 0));
+        assert_eq!(db.base_holders(), 1);
+        let (objects, edges) = (db.object_count(), db.edge_count());
+
+        let mut work = db.clone();
+        assert_eq!(db.base_holders(), 2);
+        let r = work.objects_of_type("restaurant").next().unwrap();
+        let h = work.objects_of_type("hotel").next().unwrap();
+        let list = work.add_object(Object::new("list"));
+        assert_eq!(list.index(), objects);
+        // A base edge is a duplicate in the clone too.
+        let m = work.objects_of_type("menu").next().unwrap();
+        assert!(!work.add_edge(r, "menu", m));
+        assert!(work.add_edge(list, "member", r));
+        assert!(work.add_edge(r, "near", h));
+        assert!(!work.add_edge(r, "near", h));
+        assert_eq!(work.delta_counts(), (1, 2));
+        assert_eq!(work.edge_count(), edges + 2);
+
+        // Reads see the base first, then the delta: insertion order.
+        let out: Vec<&str> = work.out_edges(r).map(|e| e.label.as_str()).collect();
+        assert_eq!(out, vec!["menu", "near", "near"]);
+        let near: Vec<ObjId> = work.successors_via(r, "near").collect();
+        assert_eq!(near.len(), 2);
+        assert_eq!(near[1], h);
+        assert_eq!(
+            work.predecessors_via(r, "member").collect::<Vec<_>>(),
+            [list]
+        );
+        assert_eq!(work.in_edges(r).count(), 2); // guide -restaurant->, list -member->
+        assert_eq!(work.out_edges(list).count(), 1);
+        assert_eq!(work.edges().count(), edges + 2);
+        assert_eq!(work.edges().last().unwrap().label, "near");
+        assert_eq!(work.objects().count(), objects + 1);
+        assert_eq!(work.object(list).ty, "list");
+        assert!(work.type_names().contains(&"list"));
+
+        // The original saw none of it.
+        assert_eq!((db.object_count(), db.edge_count()), (objects, edges));
+        assert!(!db.has_edge(r, "near", h));
+        assert_eq!(db.objects_of_type("list").count(), 0);
+        drop(work);
+        assert_eq!(db.base_holders(), 1);
+    }
+
+    #[test]
+    fn add_attr_on_a_shared_base_object_unshares() {
+        let db = Instance::from_document(&guide());
+        let r = db.objects_of_type("restaurant").next().unwrap();
+        let mut other = db.clone();
+        other.add_attr(r, "zzz", "1");
+        assert_eq!(other.object(r).attr("zzz"), Some("1"));
+        assert_eq!(db.object(r).attr("zzz"), None);
+        assert_eq!((db.base_holders(), other.base_holders()), (1, 1));
+        // An object of the delta is changed in place; the base stays shared.
+        let mut third = db.clone();
+        let o = third.add_object(Object::new("note"));
+        third.add_attr(o, "k", "v");
+        assert_eq!(third.object(o).attr("k"), Some("v"));
+        assert_eq!(db.base_holders(), 2);
+    }
+
+    #[test]
+    fn reference_labels_follow_the_first_attribute_naming_the_target() {
+        let doc = Document::parse_str(
+            "<db><p id='p1'/><p id='p2'/><p id='p3'/>\
+             <v k='1' refs='p1 p2' ref='p2' idrefs='p3 p1'/></db>",
+        )
+        .unwrap();
+        let db = Instance::from_document(&doc);
+        let v = db.objects_of_type("v").next().unwrap();
+        let mut out: Vec<(String, String)> = db
+            .out_edges(v)
+            .map(|e| {
+                let id = db.object(e.to).attr("id").unwrap();
+                (e.label.clone(), id.to_string())
+            })
+            .collect();
+        out.sort();
+        let expect = [("idrefs", "p3"), ("refs", "p1"), ("refs", "p2")];
+        let expect: Vec<(String, String)> = expect
+            .iter()
+            .map(|(l, t)| (l.to_string(), t.to_string()))
+            .collect();
+        assert_eq!(out, expect);
+    }
+
+    #[test]
     fn mixed_text_becomes_text_attr() {
         let doc = Document::parse_str("<p note='x'>hello <b>world</b></p>").unwrap();
         let db = Instance::from_document(&doc);
-        let p = db.objects_of_type("p")[0];
+        let p = db.objects_of_type("p").next().unwrap();
         assert_eq!(db.object(p).attr("text"), Some("hello"));
         // <b> is atomic → attribute.
         assert_eq!(db.object(p).attr("b"), Some("world"));

@@ -37,7 +37,7 @@
 //!     goal rest-list
 //! "#).unwrap();
 //! let result = eval::run(&program, &db).unwrap();
-//! assert_eq!(result.objects_of_type("rest-list").len(), 1);
+//! assert_eq!(result.objects_of_type("rest-list").count(), 1);
 //! ```
 
 pub mod diagram;

@@ -293,7 +293,7 @@ mod tests {
         let v = s.validate(&other);
         assert!(v.iter().any(|m| m.contains("spaceship")));
         let mut third = db.clone();
-        let r = third.objects_of_type("restaurant")[0];
+        let r = third.objects_of_type("restaurant").next().unwrap();
         third.add_attr(r, "zzz", "1");
         assert!(s.validate(&third).iter().any(|m| m.contains("'zzz'")));
     }

@@ -105,11 +105,7 @@ fn main() {
     .expect("closure program parses");
     let (extended, stats) =
         eval::run_with(&reach, &db, FixpointMode::SemiNaive).expect("closure runs");
-    let colocated = extended
-        .edges()
-        .iter()
-        .filter(|e| e.label == "colocated")
-        .count();
+    let colocated = extended.edges().filter(|e| e.label == "colocated").count();
     println!(
         "recursion: {} colocated edges derived in {} fixpoint iteration(s) \
          ({} embeddings examined)",
@@ -143,7 +139,7 @@ fn main() {
     )
     .expect("path program parses");
     let result = eval::run(&path, &extended).expect("path runs");
-    let hoods = result.objects_of_type("neighbourhood");
+    let hoods: Vec<_> = result.objects_of_type("neighbourhood").collect();
     let members = hoods
         .first()
         .map(|&h| result.out_edges(h).count())

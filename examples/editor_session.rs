@@ -166,7 +166,7 @@ fn wglog_session() {
         goal: Some("rest-list".into()),
     };
     let result = gql::wglog::eval::run(&program, &db).expect("rule runs");
-    let lists = result.objects_of_type("rest-list");
+    let lists: Vec<_> = result.objects_of_type("rest-list").collect();
     println!(
         "run on city-guide(10): one rest-list with {} members",
         result.out_edges(lists[0]).count()

@@ -76,7 +76,7 @@ fn wglog_full_pipeline() {
     )
     .unwrap();
     let out = gql::wglog::eval::run(&program, &db).unwrap();
-    let findings = out.objects_of_type("finding");
+    let findings: Vec<_> = out.objects_of_type("finding").collect();
     assert_eq!(findings.len(), 2);
     let names: std::collections::HashSet<&str> = findings
         .iter()
@@ -159,7 +159,7 @@ fn translation_preserves_selection_semantics() {
     let db = Instance::from_document(&doc);
     let out = gql::wglog::eval::run(&ported, &db).unwrap();
     let goal = ported.goal.as_deref().unwrap();
-    let list = out.objects_of_type(goal)[0];
+    let list = out.objects_of_type(goal).next().unwrap();
     assert_eq!(out.out_edges(list).count(), direct_count);
     assert_eq!(direct_count, 2);
 

@@ -24,7 +24,7 @@ fn f1_rest_list() {
     .unwrap();
     let out = gql::wglog::eval::run(&program, &db).unwrap();
     // Exactly one collection object.
-    let lists = out.objects_of_type("rest-list");
+    let lists: Vec<_> = out.objects_of_type("rest-list").collect();
     assert_eq!(lists.len(), 1);
     // Members: r1 and r3 exactly once each, despite r3's two menus.
     let members: Vec<_> = out.out_edges(lists[0]).collect();
@@ -207,7 +207,6 @@ fn q10_recursion_gap() {
     let out = gql::wglog::eval::run(&program, &db).unwrap();
     let reaches: Vec<(String, String)> = out
         .edges()
-        .iter()
         .filter(|e| e.label == "reaches")
         .map(|e| {
             (
@@ -302,7 +301,7 @@ fn graphlog_root_link_figure() {
     )
     .unwrap();
     let out = gql::wglog::eval::run(&program, &db).unwrap();
-    let list = out.objects_of_type("root-list")[0];
+    let list = out.objects_of_type("root-list").next().unwrap();
     let rooted: std::collections::HashSet<&str> = out
         .out_edges(list)
         .filter_map(|e| out.object(e.to).attr("id"))

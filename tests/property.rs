@@ -634,6 +634,125 @@ fn zero_error_wglog_programs_evaluate() {
     });
 }
 
+/// Object types and edge labels of `generator::webgraph` documents under
+/// the instance mapping (`link`/`index` children are objects whose `ref`
+/// edge closes the cycles).
+const WEB_TYPES: &[&str] = &["doc", "link", "index", "web"];
+const WEB_LABELS: &[&str] = &["link", "index", "ref", "doc"];
+
+/// Recursion through derived edges between base objects, over cycles: the
+/// case where every round reads base and delta together.
+const WEB_CLOSURE: &str = "\
+    rule { query { $a: doc  $l: link  $b: doc  $a -link-> $l  $l -ref-> $b } \
+           construct { $a -reach-> $b } } \
+    rule { query { $a: doc  $b: doc  $c: doc  $a -reach-> $b  $b -reach-> $c } \
+           construct { $a -reach-> $c } } \
+    rule { query { $a: doc  $a -reach-> $a } \
+           construct { $c: cyclic per $a set title = $a.title  $c -of-> $a } } \
+    goal cyclic";
+
+/// One generated `(instance, program)` case: half of them a tree, half a
+/// cyclic ID/IDREF web graph with a program over its vocabulary (every
+/// other one the recursive closure).
+fn layering_case(rng: &mut Rng) -> (gql::wglog::Instance, String) {
+    use gql::ssdm::generator::{webgraph, WebConfig};
+    use gql_testkit::generators::{gen_wglog, gen_wglog_over};
+    let shape = rng.gen_range(0..4);
+    if shape < 2 {
+        let db = gql::wglog::Instance::from_document(&document(rng));
+        return (db, gen_wglog(rng));
+    }
+    let doc = webgraph(WebConfig {
+        docs: rng.gen_range(2..14),
+        links_per_doc: rng.gen_range(1..4),
+        index_percent: 40,
+        seed: rng.next_u64(),
+    });
+    let src = if shape == 2 {
+        WEB_CLOSURE.to_string()
+    } else {
+        gen_wglog_over(rng, WEB_TYPES, WEB_LABELS)
+    };
+    (gql::wglog::Instance::from_document(&doc), src)
+}
+
+/// The layered instance is unobservable: a run over the loaded, shared
+/// instance equals a run over a flat private rebuild — stats, content,
+/// order and bytes, in both fixpoint modes — and once the results are
+/// gone the loaded instance is untouched and solely held again.
+#[test]
+fn wglog_runs_over_a_shared_instance_match_a_private_rebuild() {
+    check(
+        "wglog_runs_over_a_shared_instance_match_a_private_rebuild",
+        192,
+        |rng| {
+            let (db, src) = layering_case(rng);
+            let program = gql::wglog::dsl::parse_unchecked(&src)
+                .unwrap_or_else(|e| panic!("generator produced invalid syntax: {e}\n{src}"));
+            let size = (db.object_count(), db.edge_count());
+            gql_testkit::oracle::check_wglog_layering(&db, &program)
+                .unwrap_or_else(|e| panic!("{e}\n{src}"));
+            assert_eq!((db.object_count(), db.edge_count()), size);
+            assert_eq!(db.delta_counts(), (0, 0));
+            assert_eq!(db.base_holders(), 1);
+        },
+    );
+}
+
+/// Eight threads released together, each running a different program over
+/// the one shared instance, produce the bytes a serial run produces.
+#[test]
+fn wglog_concurrent_runs_over_one_instance_match_serial() {
+    use gql::ssdm::generator::{webgraph, WebConfig};
+    use gql::wglog::eval::{run_with, FixpointMode};
+    use gql_testkit::generators::gen_wglog_over;
+    const THREADS: usize = 8;
+    let db = gql::wglog::Instance::from_document(&webgraph(WebConfig {
+        docs: 40,
+        ..WebConfig::default()
+    }));
+    let mut rng = gql_testkit::case_rng(12);
+    let programs: Vec<gql::wglog::rule::Program> = (0..THREADS)
+        .map(|i| {
+            let src = if i == 0 {
+                WEB_CLOSURE.to_string()
+            } else {
+                gen_wglog_over(&mut rng, WEB_TYPES, WEB_LABELS)
+            };
+            gql::wglog::dsl::parse_unchecked(&src).expect("generated program parses")
+        })
+        .collect();
+    let answer = |program: &gql::wglog::rule::Program| {
+        let goal = program.goal.as_deref().unwrap_or("answer");
+        run_with(program, &db, FixpointMode::SemiNaive)
+            .map(|(out, stats)| (out.to_document("answer", goal, 2).to_xml_string(), stats))
+            .map_err(|e| e.to_string())
+    };
+    let serial: Vec<_> = programs.iter().map(answer).collect();
+    assert!(serial[0]
+        .as_ref()
+        .is_ok_and(|(xml, _)| xml.contains("<cyclic>")));
+    let barrier = std::sync::Barrier::new(THREADS);
+    let concurrent: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = programs
+            .iter()
+            .map(|program| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    answer(program)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("evaluation thread panicked"))
+            .collect()
+    });
+    assert_eq!(concurrent, serial);
+    assert_eq!(db.base_holders(), 1);
+    assert_eq!(db.delta_counts(), (0, 0));
+}
+
 // ----------------------------------------------------------------------
 // Resource governance (gql-guard)
 // ----------------------------------------------------------------------
