@@ -135,25 +135,15 @@ impl Engine {
 
     /// The resident cache entry, if it was built for exactly this document
     /// in its current shape — address, node count and shallow content
-    /// fingerprint must all agree (see [`Resident`]).
-    fn resident_for(&self, doc: &Document) -> Option<&Resident> {
+    /// fingerprint must all agree (see [`Resident`]). `fingerprint` is
+    /// `shallow_fingerprint(doc)`, which a run computes once for this probe
+    /// and its plan-cache key.
+    fn resident_for(&self, doc: &Document, fingerprint: u64) -> Option<&Resident> {
         self.resident.as_ref().filter(|r| {
             r.doc_addr == std::ptr::from_ref(doc) as usize
                 && r.node_count == doc.node_count()
-                && r.fingerprint == shallow_fingerprint(doc)
+                && r.fingerprint == fingerprint
         })
-    }
-
-    /// The resident index, under the staleness checks of [`resident_for`].
-    ///
-    /// [`resident_for`]: Engine::resident_for
-    fn resident_index_for(&self, doc: &Document) -> Option<&DocIndex> {
-        self.resident_for(doc).map(|r| &r.index)
-    }
-
-    /// The resident structural summary, under the same staleness checks.
-    fn resident_summary_for(&self, doc: &Document) -> Option<&Summary> {
-        self.resident_for(doc).map(|r| &r.summary)
     }
 
     /// Name a [`resident_for`](Engine::resident_for) probe's outcome for
@@ -301,8 +291,8 @@ impl Engine {
         }
     }
 
-    /// Resolve the [`DocIndex`] for a tree-native run: the resident index on
-    /// a cache hit, otherwise a fresh build parked in `storage`. Returns
+    /// Resolve the [`DocIndex`] for a tree-native run: the `resident` index
+    /// on a cache hit, otherwise a fresh build parked in `storage`. Returns
     /// `None` — the scan-evaluation degradation target — when the
     /// fault-injection seam fails the build outright, or when it corrupts
     /// the fresh build's postings and the integrity check rejects them. The
@@ -310,7 +300,7 @@ impl Engine {
     /// fault plan is active; a `degraded: scan` trace note records either
     /// fallback.
     fn resolve_index<'a>(
-        &'a self,
+        resident: Option<&'a Resident>,
         doc: &Document,
         trace: &Trace,
         storage: &'a mut Option<DocIndex>,
@@ -319,8 +309,8 @@ impl Engine {
             trace.note("degraded", "scan");
             return None;
         }
-        let idx: &'a DocIndex = match self.resident_index_for(doc) {
-            Some(idx) => idx,
+        let idx: &'a DocIndex = match resident {
+            Some(resident) => &resident.index,
             None => {
                 let mut fresh = DocIndex::build(doc);
                 if fault::active() && fault::corrupt_postings() {
@@ -403,12 +393,17 @@ impl Engine {
             );
             trace.count("doc_nodes", doc.node_count() as u64);
         }
+        // One fingerprint and one resident probe per run, shared by the plan
+        // key and every phase below: it hashes the whole root level, tens of
+        // microseconds on a root with a thousand children.
+        let fingerprint = shallow_fingerprint(doc);
+        let resident = self.resident_for(doc, fingerprint);
         // Probe the plan cache. The corruption fault seam scrambles the
         // entry *before* the probe, so a poisoned hit exercises the real
         // validate → replan path.
         let key = PlanKey::new(
             &Self::canonical_query(query),
-            shallow_fingerprint(doc),
+            fingerprint,
             guard.budget_class(),
         );
         let root_counts = Self::plan_root_counts(query);
@@ -463,8 +458,8 @@ impl Engine {
                     // refusal — and its cardinality bounds feed the
                     // cost-based join planner below.
                     let mut summary_storage = None;
-                    let summary: &Summary = match self.resident_summary_for(doc) {
-                        Some(s) => s,
+                    let summary: &Summary = match resident {
+                        Some(resident) => &resident.summary,
                         None => summary_storage.insert(Summary::build(doc)),
                     };
                     let inference = match query {
@@ -531,8 +526,8 @@ impl Engine {
                 let mut built = None;
                 let span = trace.span("index");
                 guard.set_phase("index");
-                trace.note("cache", self.cache_state(self.resident_for(doc).is_some()));
-                let idx = self.resolve_index(doc, trace, &mut built);
+                trace.note("cache", self.cache_state(resident.is_some()));
+                let idx = Self::resolve_index(resident, doc, trace, &mut built);
                 if let (true, Some(idx)) = (trace.is_enabled(), idx) {
                     record_index_stats(trace, idx);
                 }
@@ -573,7 +568,6 @@ impl Engine {
                 let loaded;
                 let span = trace.span("load");
                 guard.set_phase("load");
-                let resident = self.resident_for(doc);
                 trace.note("cache", self.cache_state(resident.is_some()));
                 let (instance, load_time): (&Instance, Duration) = match resident {
                     Some(resident) => (&resident.instance, Duration::ZERO),
@@ -635,7 +629,7 @@ impl Engine {
                 let start = Instant::now();
                 let span = trace.span("index");
                 guard.set_phase("index");
-                trace.note("cache", self.cache_state(self.resident_for(doc).is_some()));
+                trace.note("cache", self.cache_state(resident.is_some()));
                 // The XPath evaluator builds its own index lazily on the cold
                 // path, so the fault seam must force scan *mode* (which also
                 // suppresses the lazy build), not just withhold the resident
@@ -646,7 +640,7 @@ impl Engine {
                     trace.note("degraded", "scan");
                     None
                 } else {
-                    self.resident_index_for(doc)
+                    resident.map(|r| &r.index)
                 };
                 if let (true, Some(idx)) = (trace.is_enabled(), idx) {
                     record_index_stats(trace, idx);
@@ -820,7 +814,7 @@ mod tests {
             .map(|q| engine.run(q, &d).unwrap().output.to_xml_string())
             .collect();
         engine.preload(&d);
-        assert!(engine.resident_index_for(&d).is_some());
+        assert!(engine.resident_for(&d, shallow_fingerprint(&d)).is_some());
         for (q, expect) in queries.iter().zip(&cold) {
             let warm = engine.run(q, &d).unwrap();
             assert_eq!(&warm.output.to_xml_string(), expect, "{q:?}");
@@ -831,7 +825,9 @@ mod tests {
             "<guide><restaurant><name>Z</name><menu><price>5</price></menu></restaurant></guide>",
         )
         .unwrap();
-        assert!(engine.resident_index_for(&other).is_none());
+        assert!(engine
+            .resident_for(&other, shallow_fingerprint(&other))
+            .is_none());
         let outcome = engine
             .run(&QueryKind::XPath("//restaurant[menu]".to_string()), &other)
             .unwrap();
@@ -940,14 +936,9 @@ mod tests {
         resident.node_count = b.node_count();
         // The first two checks now agree, so only the fingerprint stands
         // between `b` and a stale index built for `a`.
-        assert!(
-            engine.resident_index_for(&b).is_none(),
-            "stale index served for a recycled address"
-        );
-        assert_eq!(
-            engine.cache_state(engine.resident_for(&b).is_some()),
-            "miss"
-        );
+        let probe = engine.resident_for(&b, shallow_fingerprint(&b));
+        assert!(probe.is_none(), "stale index served for a recycled address");
+        assert_eq!(engine.cache_state(probe.is_some()), "miss");
         // And the query path falls back to a correct cold evaluation: `a`'s
         // index has a `menu` posting that `b` does not have.
         let outcome = engine

@@ -643,6 +643,17 @@ pub mod fault {
         LOCK.get_or_init(|| Mutex::new(()))
     }
 
+    /// Run `f` while no plan is installed and none can be: the unit tests'
+    /// "nothing is active outside `with_plan`" assertions would otherwise
+    /// observe a plan held by a test on another thread.
+    #[cfg(test)]
+    pub(crate) fn while_idle<T>(f: impl FnOnce() -> T) -> T {
+        let _serial = exclusion()
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        f()
+    }
+
     /// Cheap "any plan installed?" check — the first gate at every seam.
     #[inline]
     pub fn active() -> bool {
@@ -778,7 +789,7 @@ mod tests {
             assert!(fault::take_panic_job());
             assert!(!fault::take_panic_job());
         });
-        assert!(!fault::take_torn_reply(), "no plan installed, no faults");
+        fault::while_idle(|| assert!(!fault::take_torn_reply(), "no plan installed, no faults"));
     }
 
     #[test]
@@ -890,14 +901,16 @@ mod tests {
 
     #[test]
     fn fault_plan_installs_and_clears() {
-        assert!(!fault::active());
+        fault::while_idle(|| assert!(!fault::active()));
         fault::with_plan(fault::FaultPlan::fail_index_build(), || {
             assert!(fault::active());
             assert!(fault::fail_index_build());
             assert!(!fault::corrupt_postings());
         });
-        assert!(!fault::active());
-        assert!(!fault::fail_index_build());
+        fault::while_idle(|| {
+            assert!(!fault::active());
+            assert!(!fault::fail_index_build());
+        });
     }
 
     #[test]
@@ -908,10 +921,12 @@ mod tests {
             })
         });
         assert!(r.is_err());
-        assert!(
-            !fault::active(),
-            "plan must clear even when the closure panics"
-        );
+        fault::while_idle(|| {
+            assert!(
+                !fault::active(),
+                "plan must clear even when the closure panics"
+            )
+        });
     }
 
     #[test]
@@ -939,12 +954,12 @@ mod tests {
 
     #[test]
     fn corrupt_plan_cache_seam_gates_on_plan() {
-        assert!(!fault::corrupt_plan_cache());
+        fault::while_idle(|| assert!(!fault::corrupt_plan_cache()));
         fault::with_plan(fault::FaultPlan::corrupt_plan_cache(), || {
             assert!(fault::corrupt_plan_cache());
             assert!(!fault::fail_index_build());
         });
-        assert!(!fault::corrupt_plan_cache());
+        fault::while_idle(|| assert!(!fault::corrupt_plan_cache()));
     }
 
     #[test]

@@ -19,7 +19,7 @@ pub enum Generator {
     XmlGl,
     /// Random WG-Log programs → fixpoint-mode and loader oracles.
     WgLog,
-    /// Random XPath expressions → indexed-vs-lazy oracles.
+    /// Random XPath expressions → lazy/indexed-vs-reference oracles.
     XPath,
     /// Cross-engine intents → XML-GL vs XPath count agreement.
     Intent,

@@ -295,48 +295,96 @@ pub fn gen_wglog_over(rng: &mut Rng, types: &[&str], labels: &[&str]) -> String 
 // XPath query generator
 // ----------------------------------------------------------------------
 
-fn xpath_predicate(rng: &mut Rng) -> String {
-    match rng.gen_range(0..8) {
-        0 => format!("@{}", pick(rng, ATTRS)),
-        1 => format!("@{}='{}'", pick(rng, ATTRS), pick(rng, VALUES)),
-        2 => pick(rng, TAGS).to_string(),
+/// The names and values generated XPath expressions mention.
+#[derive(Debug, Clone, Copy)]
+pub struct XPathVocab<'a> {
+    pub tags: &'a [&'a str],
+    pub attrs: &'a [&'a str],
+    pub values: &'a [&'a str],
+}
+
+/// One predicate body. Arms 8 onwards aim at the `//Name[p]` fusion
+/// analysis: positional predicates that must block it (`last()`, a
+/// `position()` comparison, a bare numeric call), position-free ones that
+/// must not (`not(@a='v')`), and an absolute inner path (evaluated once and
+/// shared between candidates).
+fn xpath_predicate(rng: &mut Rng, v: &XPathVocab<'_>) -> String {
+    match rng.gen_range(0..14) {
+        0 => format!("@{}", pick(rng, v.attrs)),
+        1 => format!("@{}='{}'", pick(rng, v.attrs), pick(rng, v.values)),
+        2 => pick(rng, v.tags).to_string(),
         3 => format!("{}", rng.gen_range(1..4)),
-        4 => format!("count({})>{}", pick(rng, TAGS), rng.gen_range(0..2)),
-        5 => format!("not({})", pick(rng, TAGS)),
-        6 => format!("text()='{}'", pick(rng, VALUES)),
-        _ => format!(
+        4 => format!("count({})>{}", pick(rng, v.tags), rng.gen_range(0..2)),
+        5 => format!("not({})", pick(rng, v.tags)),
+        6 => format!("text()='{}'", pick(rng, v.values)),
+        7 => format!(
             "@{} {} {}",
-            pick(rng, ATTRS),
+            pick(rng, v.attrs),
             ["<", "<=", ">", ">=", "!="][rng.gen_range(0..5)],
             rng.gen_range(0..30)
         ),
+        8 => "last()".to_string(),
+        9 => format!("position() < {}", rng.gen_range(1..4)),
+        10 => {
+            if rng.gen_bool(0.5) {
+                format!("count({})", pick(rng, v.tags))
+            } else {
+                format!("string-length(@{})", pick(rng, v.attrs))
+            }
+        }
+        11 => format!(
+            "{} = //{}/{}",
+            pick(rng, v.tags),
+            pick(rng, v.tags),
+            pick(rng, v.tags)
+        ),
+        12 => format!("not(@{} = '{}')", pick(rng, v.attrs), pick(rng, v.values)),
+        // Two predicates on one step, one positional and one not, in either
+        // order (the body is wrapped in `[...]` by the caller).
+        _ => {
+            let positional = match rng.gen_range(0..3) {
+                0 => format!("{}", rng.gen_range(1..3)),
+                1 => "last()".to_string(),
+                _ => format!("position() < {}", rng.gen_range(2..4)),
+            };
+            let free = if rng.gen_bool(0.5) {
+                format!("@{}", pick(rng, v.attrs))
+            } else {
+                pick(rng, v.tags).to_string()
+            };
+            if rng.gen_bool(0.5) {
+                format!("{positional}][{free}")
+            } else {
+                format!("{free}][{positional}")
+            }
+        }
     }
 }
 
-fn xpath_step(rng: &mut Rng) -> String {
+fn xpath_step(rng: &mut Rng, v: &XPathVocab<'_>) -> String {
     let mut step = match rng.gen_range(0..12) {
         0 => "*".to_string(),
         1 => "text()".to_string(),
-        2 => format!("descendant::{}", pick(rng, TAGS)),
+        2 => format!("descendant::{}", pick(rng, v.tags)),
         3 => "parent::*".to_string(),
-        4 => format!("following-sibling::{}", pick(rng, TAGS)),
-        5 => format!("ancestor-or-self::{}", pick(rng, TAGS)),
-        _ => pick(rng, TAGS).to_string(),
+        4 => format!("following-sibling::{}", pick(rng, v.tags)),
+        5 => format!("ancestor-or-self::{}", pick(rng, v.tags)),
+        _ => pick(rng, v.tags).to_string(),
     };
     if !step.ends_with("()") {
         for _ in 0..rng.gen_range(0..2) {
-            step.push_str(&format!("[{}]", xpath_predicate(rng)));
+            step.push_str(&format!("[{}]", xpath_predicate(rng, v)));
         }
     }
     step
 }
 
-fn xpath_path(rng: &mut Rng) -> String {
+fn xpath_path(rng: &mut Rng, v: &XPathVocab<'_>) -> String {
     let mut p = if rng.gen_bool(0.8) { "//" } else { "/" }.to_string();
-    p.push_str(&xpath_step(rng));
+    p.push_str(&xpath_step(rng, v));
     for _ in 0..rng.gen_range(0..3usize) {
         p.push_str(if rng.gen_bool(0.4) { "//" } else { "/" });
-        p.push_str(&xpath_step(rng));
+        p.push_str(&xpath_step(rng, v));
     }
     p
 }
@@ -345,10 +393,23 @@ fn xpath_path(rng: &mut Rng) -> String {
 /// and explicit axes, attribute/positional/boolean predicates, unions,
 /// and the occasional scalar wrapper.
 pub fn gen_xpath(rng: &mut Rng) -> String {
-    let p = xpath_path(rng);
+    gen_xpath_over(
+        rng,
+        &XPathVocab {
+            tags: TAGS,
+            attrs: ATTRS,
+            values: VALUES,
+        },
+    )
+}
+
+/// [`gen_xpath`] over a caller's vocabulary, for documents (such as
+/// `gql_ssdm::generator::webgraph`'s) whose names are not the shared pool's.
+pub fn gen_xpath_over(rng: &mut Rng, v: &XPathVocab<'_>) -> String {
+    let p = xpath_path(rng, v);
     match rng.gen_range(0..10) {
         0 => format!("count({p})"),
-        1 => format!("{p} | {}", xpath_path(rng)),
+        1 => format!("{p} | {}", xpath_path(rng, v)),
         2 => format!(
             "count({p}) {} {}",
             ["=", ">", "<="][rng.gen_range(0..3)],

@@ -12,7 +12,9 @@
 
 use gql_analyze::Analyzer;
 use gql_core::engine::{Engine, QueryKind};
+use gql_guard::Guard;
 use gql_ssdm::{DocIndex, Document, Summary};
+use gql_trace::Trace;
 use gql_wglog::eval::FixpointMode;
 use gql_wglog::Instance;
 use gql_xmlgl::eval::{
@@ -566,8 +568,14 @@ pub fn check_wglog_case(doc: &Document, src: &str) -> Result<(), String> {
 }
 
 // ----------------------------------------------------------------------
-// XPath: indexed vs lazy evaluation
+// XPath: lazy and indexed evaluation vs the reference evaluator
 // ----------------------------------------------------------------------
+
+/// The textbook XPath evaluator (scan mode, the engine's degradation
+/// target): every step per context node, no index, no fusion, no hoisting.
+fn xpath_reference(doc: &Document, expr: &gql_xpath::Expr) -> gql_xpath::Result<XValue> {
+    gql_xpath::evaluate_scan_guarded(doc, expr, &Trace::disabled(), &Guard::unlimited())
+}
 
 fn xvalue_eq(a: &XValue, b: &XValue) -> bool {
     match (a, b) {
@@ -620,28 +628,37 @@ pub fn check_xpath_case(doc: &Document, src: &str) -> Result<(), String> {
     }
     let idx = DocIndex::build(doc);
     check_summary_paths(doc, &idx)?;
-    let lazy = gql_xpath::evaluate(doc, &expr);
-    let fast = gql_xpath::evaluate_with_index(doc, &expr, &idx);
-    let value = match (lazy, fast) {
-        (Ok(l), Ok(f)) => {
-            if !xvalue_eq(&l, &f) {
-                return Err(format!(
-                    "indexed-vs-lazy: values diverged\nlazy:    {}\nindexed: {}",
-                    observe(doc, &l),
-                    observe(doc, &f)
-                ));
+    // The set-at-a-time entry points (lazily built and prebuilt index)
+    // against the textbook evaluator, which shares none of their fusion,
+    // hoisting or postings reads.
+    let reference = xpath_reference(doc, &expr);
+    for (path, got) in [
+        ("lazy", gql_xpath::evaluate(doc, &expr)),
+        ("indexed", gql_xpath::evaluate_with_index(doc, &expr, &idx)),
+    ] {
+        match (&reference, got) {
+            (Ok(r), Ok(g)) => {
+                if !xvalue_eq(r, &g) {
+                    return Err(format!(
+                        "{path}-vs-reference: values diverged\nreference: {}\n{path}: {}",
+                        observe(doc, r),
+                        observe(doc, &g)
+                    ));
+                }
             }
-            l
+            (Err(_), Err(_)) => {}
+            (r, g) => {
+                return Err(format!(
+                    "{path}-vs-reference: one path errored, the other did not \
+                     (reference ok: {}, {path} ok: {})",
+                    r.is_ok(),
+                    g.is_ok()
+                ))
+            }
         }
-        (Err(_), Err(_)) => return Ok(()),
-        (l, f) => {
-            return Err(format!(
-                "indexed-vs-lazy: one path errored, the other did not \
-                 (lazy ok: {}, indexed ok: {})",
-                l.is_ok(),
-                f.is_ok()
-            ))
-        }
+    }
+    let Ok(value) = reference else {
+        return Ok(()); // every path rejects alike
     };
     // Static inference soundness: a statically-empty path selects nothing
     // and a node-set never outgrows its inferred bound. (Scalar results
@@ -706,17 +723,22 @@ pub fn intent_xmlgl_count(doc: &Document, intent: &Intent) -> Result<usize, Stri
     }
 }
 
-/// Count the intent on the XPath side (checking indexed against lazy).
+/// Count the intent on the XPath side (checking indexed and lazy against
+/// the reference evaluator).
 pub fn intent_xpath_count(doc: &Document, intent: &Intent) -> Result<usize, String> {
     let idx = DocIndex::build(doc);
     let count = |path: &str| -> Result<usize, String> {
         let expr = gql_xpath::parse(path).map_err(|e| format!("intent-xpath: {e} in {path}"))?;
+        let reference = xpath_reference(doc, &expr)
+            .map_err(|e| format!("intent-xpath: reference evaluation failed: {e}"))?;
         let lazy = gql_xpath::evaluate(doc, &expr)
             .map_err(|e| format!("intent-xpath: lazy evaluation failed: {e}"))?;
         let fast = gql_xpath::evaluate_with_index(doc, &expr, &idx)
             .map_err(|e| format!("intent-xpath: indexed evaluation failed: {e}"))?;
-        if !xvalue_eq(&lazy, &fast) {
-            return Err(format!("indexed-vs-lazy: intent path {path} diverged"));
+        for (name, got) in [("lazy", &lazy), ("indexed", &fast)] {
+            if !xvalue_eq(&reference, got) {
+                return Err(format!("{name}-vs-reference: intent path {path} diverged"));
+            }
         }
         Ok(lazy
             .into_nodes()

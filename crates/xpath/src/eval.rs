@@ -1,6 +1,8 @@
 //! Evaluation of XPath expressions over a [`Document`].
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
+use std::rc::Rc;
 
 use gql_guard::Guard;
 use gql_ssdm::document::NodeKind;
@@ -9,7 +11,7 @@ use gql_ssdm::{DocIndex, Document, NodeId};
 use gql_trace::Trace;
 
 use crate::ast::{Axis, BinOp, Expr, LocationPath, NodeTest, Step};
-use crate::functions;
+use crate::functions::{self, FnClass};
 use crate::{Result, XPathError};
 
 /// A context item: an ordinary node or an attribute pseudo-node (the store
@@ -43,32 +45,18 @@ pub enum XValue {
 
 impl XValue {
     pub fn boolean(&self) -> bool {
-        match self {
-            XValue::Nodes(ns) => !ns.is_empty(),
-            XValue::Num(n) => *n != 0.0 && !n.is_nan(),
-            XValue::Str(s) => !s.is_empty(),
-            XValue::Bool(b) => *b,
-        }
+        self.view().boolean()
     }
 
     pub fn number(&self, doc: &Document) -> f64 {
-        match self {
-            XValue::Nodes(_) => parse_number(&self.string(doc)).unwrap_or(f64::NAN),
-            XValue::Num(n) => *n,
-            XValue::Str(s) => parse_number(s).unwrap_or(f64::NAN),
-            XValue::Bool(b) => {
-                if *b {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-        }
+        self.view().number(doc)
     }
 
     pub fn string(&self, doc: &Document) -> String {
         match self {
-            XValue::Nodes(ns) => ns.first().map_or(String::new(), |&i| string_value(doc, i)),
+            XValue::Nodes(ns) => ns
+                .first()
+                .map_or(String::new(), |&i| string_value(doc, i).into_owned()),
             XValue::Num(n) => gql_ssdm::value::format_number(*n),
             XValue::Str(s) => s.clone(),
             XValue::Bool(b) => b.to_string(),
@@ -84,20 +72,37 @@ impl XValue {
             }),
         }
     }
+
+    fn view(&self) -> View<'_> {
+        match self {
+            XValue::Nodes(ns) => View::Nodes(ns),
+            XValue::Num(n) => View::Num(*n),
+            XValue::Str(s) => View::Str(s),
+            XValue::Bool(b) => View::Bool(*b),
+        }
+    }
 }
 
-/// XPath string-value of an item.
-pub fn string_value(doc: &Document, item: Item) -> String {
+/// XPath string-value of an item. Borrowed from the document wherever the
+/// value is stored in one piece: text, comment and PI nodes, attributes, and
+/// elements whose only child is a text node (or that have no children).
+pub fn string_value(doc: &Document, item: Item) -> Cow<'_, str> {
     match item {
         Item::Node(n) => match doc.kind(n) {
-            NodeKind::Comment | NodeKind::Pi => doc.text(n).unwrap_or("").to_string(),
-            _ => doc.text_content(n),
+            NodeKind::Text | NodeKind::Comment | NodeKind::Pi => {
+                Cow::Borrowed(doc.text(n).unwrap_or(""))
+            }
+            NodeKind::Element | NodeKind::Document => match *doc.children(n) {
+                [] => Cow::Borrowed(""),
+                [only] if doc.kind(only) == NodeKind::Text => {
+                    Cow::Borrowed(doc.text(only).unwrap_or(""))
+                }
+                _ => Cow::Owned(doc.text_content(n)),
+            },
         },
-        Item::Attr { owner, index } => doc
-            .attrs(owner)
-            .nth(index)
-            .map(|(_, v)| v.to_string())
-            .unwrap_or_default(),
+        Item::Attr { owner, index } => {
+            Cow::Borrowed(doc.attrs(owner).nth(index).map_or("", |(_, v)| v))
+        }
     }
 }
 
@@ -140,9 +145,18 @@ pub(crate) struct EvalCaches<'d> {
     /// Resource budget, when the caller asked for one
     /// ([`evaluate_guarded`]). `None` costs one branch per probe site.
     guard: Option<&'d Guard>,
-    /// Scan-only mode: the index fast paths are disabled and no lazy index
-    /// is ever built — the degradation target when an index build fails.
-    no_index: bool,
+    /// Reference mode ([`evaluate_scan_guarded`]): the textbook evaluator.
+    /// Every step is applied per context node by axis enumeration; no
+    /// postings, no lazily built index, no `//Name` fusion, no hoisting and
+    /// no skipped normalisation. It is the degradation target when an index
+    /// build fails and the oracle the set-at-a-time paths are held to, so
+    /// nothing that makes those fast may be shared with it.
+    reference: bool,
+    /// Node-sets of the absolute paths met inside predicates, keyed by the
+    /// address of the `LocationPath` (an identity for as long as the
+    /// expression is borrowed, i.e. for this evaluation; never
+    /// dereferenced). See [`hoisted_path`].
+    hoisted: std::cell::RefCell<Vec<(usize, Rc<[Item]>)>>,
 }
 
 impl Default for EvalCaches<'_> {
@@ -153,7 +167,8 @@ impl Default for EvalCaches<'_> {
             trace: None,
             in_steps: std::cell::Cell::new(false),
             guard: None,
-            no_index: false,
+            reference: false,
+            hoisted: std::cell::RefCell::new(Vec::new()),
         }
     }
 }
@@ -178,6 +193,26 @@ impl<'d> EvalCaches<'d> {
             IndexSlot::Lazy(cell) => cell.get_or_init(|| DocIndex::build(doc)),
         }
     }
+
+    /// The index a fused `//Name` step reads its postings from, or `None`
+    /// to walk. A borrowed index, or a lazy one an earlier step built, is
+    /// always used. Building the lazy one costs more than walking one
+    /// subtree once, filtered by name, so one context never builds it.
+    /// Several subtrees may nest and be walked many times over: a
+    /// predicate-free step builds it then, while a step with predicates,
+    /// whose cost is the predicates, must not make a cold run pay for one.
+    fn index_for_fused(
+        &self,
+        doc: &Document,
+        contexts: usize,
+        has_predicates: bool,
+    ) -> Option<&DocIndex> {
+        match &self.idx {
+            IndexSlot::Borrowed(i) => Some(i),
+            IndexSlot::Lazy(_) if contexts > 1 && !has_predicates => Some(self.index(doc)),
+            IndexSlot::Lazy(cell) => cell.get(),
+        }
+    }
 }
 
 /// Evaluation context.
@@ -188,6 +223,9 @@ struct Ctx<'d> {
     position: usize,
     size: usize,
     caches: &'d EvalCaches<'d>,
+    /// Set below a predicate, where an expression is evaluated once per
+    /// candidate and an absolute path is therefore worth memoising.
+    in_predicate: bool,
 }
 
 /// Evaluate an expression with the document node as the context item.
@@ -205,9 +243,11 @@ pub fn evaluate_with_index(doc: &Document, expr: &Expr, idx: &DocIndex) -> Resul
 /// Evaluate reporting into a [`Trace`]: one `step[i:axis::test]` span per
 /// top-level location step (context sizes in and out, items drawn from
 /// postings vs axis scans) and a `fusion_hits` counter for each fused
-/// `//Name` pair. Sub-paths inside predicates are folded into their
-/// enclosing step's span. With `Trace::disabled()` this is exactly
-/// [`evaluate`] / [`evaluate_with_index`].
+/// `//Name` pair, whose span also counts its `predicates` when it carries
+/// any. Sub-paths inside predicates are folded into their enclosing step's
+/// span, which counts the absolute ones evaluated there as `hoisted_paths`.
+/// With `Trace::disabled()` this is exactly [`evaluate`] /
+/// [`evaluate_with_index`].
 pub fn evaluate_traced(
     doc: &Document,
     expr: &Expr,
@@ -222,11 +262,12 @@ pub fn evaluate_traced(
     eval_with_caches(doc, expr, &caches)
 }
 
-/// [`evaluate_traced`] under a resource [`Guard`]: each top-level location
-/// step charges one round plus its context size, and every context item
-/// expansion inside a step charges its candidate count, so a pathological
-/// path trips the budget with a partial-progress report instead of running
-/// unbounded. With `Guard::unlimited()` this is exactly `evaluate_traced`.
+/// [`evaluate_traced`] under a resource [`Guard`]: each location step
+/// charges one round plus its context size, and every context item
+/// expansion inside a step charges its candidate count (a fused `//Name`
+/// step charges the postings it read), so a pathological path trips the
+/// budget with a partial-progress report instead of running unbounded.
+/// With `Guard::unlimited()` this is exactly `evaluate_traced`.
 pub fn evaluate_guarded(
     doc: &Document,
     expr: &Expr,
@@ -243,10 +284,12 @@ pub fn evaluate_guarded(
     eval_with_caches(doc, expr, &caches)
 }
 
-/// [`evaluate_guarded`] in forced scan mode: the postings fast paths are
-/// disabled and no lazy index is built. This is the degradation target the
+/// [`evaluate_guarded`] by the textbook evaluator: every step applied per
+/// context node by axis enumeration, with no index (none is built either),
+/// no step fusion and no hoisting. This is the degradation target the
 /// engine falls back to when an index build fails or its integrity
-/// verification rejects it; results are identical to the indexed path's.
+/// verification rejects it, and the reference the testkit holds the other
+/// entry points to; results are identical to theirs.
 pub fn evaluate_scan_guarded(
     doc: &Document,
     expr: &Expr,
@@ -256,7 +299,7 @@ pub fn evaluate_scan_guarded(
     let caches = EvalCaches {
         trace: Some(trace),
         guard: guard.is_enabled().then_some(guard),
-        no_index: true,
+        reference: true,
         ..Default::default()
     };
     eval_with_caches(doc, expr, &caches)
@@ -273,6 +316,7 @@ fn eval_with_caches<'d>(
         position: 1,
         size: 1,
         caches,
+        in_predicate: false,
     };
     eval_expr(expr, ctx)
 }
@@ -308,10 +352,13 @@ fn eval_expr(expr: &Expr, ctx: Ctx<'_>) -> Result<XValue> {
             let v = eval_expr(e, ctx)?;
             Ok(XValue::Num(-v.number(ctx.doc)))
         }
+        Expr::Path(p) if hoistable(p, ctx) => {
+            hoisted_path(p, ctx).map(|set| XValue::Nodes(set.to_vec()))
+        }
         Expr::Path(p) => eval_path(p, ctx).map(XValue::Nodes),
         Expr::FilterPath(primary, steps) => {
             let start = eval_expr(primary, ctx)?.into_nodes()?;
-            apply_steps(steps, start, ctx.doc, ctx.caches).map(XValue::Nodes)
+            apply_steps(steps, &start, ctx.doc, ctx.caches).map(XValue::Nodes)
         }
         Expr::Union(a, b) => {
             let mut left = eval_expr(a, ctx)?.into_nodes()?;
@@ -343,16 +390,16 @@ fn eval_binary(op: BinOp, a: &Expr, b: &Expr, ctx: Ctx<'_>) -> Result<XValue> {
     match op {
         BinOp::Or => {
             // Short-circuit.
-            if eval_expr(a, ctx)?.boolean() {
+            if eval_operand(a, ctx)?.view().boolean() {
                 return Ok(XValue::Bool(true));
             }
-            Ok(XValue::Bool(eval_expr(b, ctx)?.boolean()))
+            Ok(XValue::Bool(eval_operand(b, ctx)?.view().boolean()))
         }
         BinOp::And => {
-            if !eval_expr(a, ctx)?.boolean() {
+            if !eval_operand(a, ctx)?.view().boolean() {
                 return Ok(XValue::Bool(false));
             }
-            Ok(XValue::Bool(eval_expr(b, ctx)?.boolean()))
+            Ok(XValue::Bool(eval_operand(b, ctx)?.view().boolean()))
         }
         BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
             let x = eval_expr(a, ctx)?.number(ctx.doc);
@@ -368,73 +415,141 @@ fn eval_binary(op: BinOp, a: &Expr, b: &Expr, ctx: Ctx<'_>) -> Result<XValue> {
             Ok(XValue::Num(r))
         }
         BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-            let va = eval_expr(a, ctx)?;
-            let vb = eval_expr(b, ctx)?;
-            Ok(XValue::Bool(compare(op, &va, &vb, ctx.doc)))
+            let va = eval_operand(a, ctx)?;
+            let vb = eval_operand(b, ctx)?;
+            Ok(XValue::Bool(compare(op, va.view(), vb.view(), ctx.doc)))
+        }
+    }
+}
+
+/// The value of an operand that is only read (by a comparison, `and`/`or`
+/// or a predicate's verdict), borrowed where the expression or the hoisting
+/// memo already holds it: a predicate is evaluated once per candidate, and
+/// neither a literal nor a shared node-set is copied for that. A hoisted
+/// path passed to a function (`count(//b)`) is still copied per call, by
+/// [`eval_expr`]: functions take owned values.
+enum Operand<'e> {
+    Literal(&'e str),
+    Shared(Rc<[Item]>),
+    Value(XValue),
+}
+
+impl Operand<'_> {
+    fn view(&self) -> View<'_> {
+        match self {
+            Operand::Literal(s) => View::Str(s),
+            Operand::Shared(set) => View::Nodes(set),
+            Operand::Value(v) => v.view(),
+        }
+    }
+}
+
+fn eval_operand<'e>(expr: &'e Expr, ctx: Ctx<'_>) -> Result<Operand<'e>> {
+    Ok(match expr {
+        Expr::Literal(s) => Operand::Literal(s),
+        Expr::Path(p) if hoistable(p, ctx) => Operand::Shared(hoisted_path(p, ctx)?),
+        _ => Operand::Value(eval_expr(expr, ctx)?),
+    })
+}
+
+/// A borrowed [`XValue`]: what the comparison rules read.
+#[derive(Clone, Copy)]
+enum View<'a> {
+    Nodes(&'a [Item]),
+    Num(f64),
+    Str(&'a str),
+    Bool(bool),
+}
+
+impl View<'_> {
+    fn boolean(self) -> bool {
+        match self {
+            View::Nodes(ns) => !ns.is_empty(),
+            View::Num(n) => n != 0.0 && !n.is_nan(),
+            View::Str(s) => !s.is_empty(),
+            View::Bool(b) => b,
+        }
+    }
+
+    fn number(self, doc: &Document) -> f64 {
+        match self {
+            // The number of a node-set is that of its first node's
+            // string-value, of the empty string when there is none.
+            View::Nodes(ns) => num(&ns
+                .first()
+                .map_or(Cow::Borrowed(""), |&i| string_value(doc, i))),
+            View::Num(n) => n,
+            View::Str(s) => num(s),
+            View::Bool(b) => f64::from(u8::from(b)),
         }
     }
 }
 
 /// XPath 1.0 comparison semantics, including existential node-set rules.
-fn compare(op: BinOp, a: &XValue, b: &XValue, doc: &Document) -> bool {
-    use XValue::*;
+fn compare(op: BinOp, a: View<'_>, b: View<'_>, doc: &Document) -> bool {
+    use View::*;
     match (a, b) {
-        (Nodes(na), Nodes(nb)) => {
-            // Exists x∈A, y∈B with string(x) op string(y) (numbers for
-            // relational operators).
-            na.iter().any(|&x| {
-                let sx = string_value(doc, x);
-                nb.iter().any(|&y| {
-                    let sy = string_value(doc, y);
-                    match op {
-                        BinOp::Eq => sx == sy,
-                        BinOp::Ne => sx != sy,
-                        _ => cmp_numbers(op, num(&sx), num(&sy)),
-                    }
-                })
-            })
-        }
+        (Nodes(na), Nodes(nb)) => compare_node_sets(op, na, nb, doc),
         // XPath 1.0 §3.4: when one operand is a boolean, compare
         // boolean(node-set) with it — not the per-node existential rule.
         (Nodes(ns), Bool(v)) | (Bool(v), Nodes(ns)) if matches!(op, BinOp::Eq | BinOp::Ne) => {
-            let eq = ns.is_empty() != *v;
-            if op == BinOp::Eq {
-                eq
-            } else {
-                !eq
-            }
+            (ns.is_empty() != v) == (op == BinOp::Eq)
         }
-        (Nodes(ns), other) | (other, Nodes(ns)) => {
-            let flipped = matches!(b, Nodes(_)) && !matches!(a, Nodes(_));
-            ns.iter().any(|&x| {
-                let sx = string_value(doc, x);
-                let node_val = XValue::Str(sx);
-                let (lhs, rhs) = if flipped {
-                    (other.clone(), node_val)
-                } else {
-                    (node_val, other.clone())
-                };
-                compare_atomic(op, &lhs, &rhs, doc)
-            })
-        }
+        (Nodes(ns), other) => ns
+            .iter()
+            .any(|&x| compare_atomic(op, Str(&string_value(doc, x)), other, doc)),
+        (other, Nodes(ns)) => ns
+            .iter()
+            .any(|&x| compare_atomic(op, other, Str(&string_value(doc, x)), doc)),
         _ => compare_atomic(op, a, b, doc),
     }
 }
 
-fn compare_atomic(op: BinOp, a: &XValue, b: &XValue, doc: &Document) -> bool {
-    use XValue::*;
+/// Exists x∈A, y∈B with string(x) op string(y) (as numbers for the
+/// relational operators). Every string-value is derived once: the shorter
+/// side's up front, the longer side's as it streams past.
+fn compare_node_sets(op: BinOp, na: &[Item], nb: &[Item], doc: &Document) -> bool {
+    let a_is_short = na.len() <= nb.len();
+    let (short, long) = if a_is_short { (na, nb) } else { (nb, na) };
+    match op {
+        BinOp::Eq | BinOp::Ne => {
+            let held: Vec<Cow<'_, str>> = short.iter().map(|&x| string_value(doc, x)).collect();
+            long.iter().any(|&y| {
+                let sy = string_value(doc, y);
+                held.iter().any(|sx| (*sx == sy) == (op == BinOp::Eq))
+            })
+        }
+        _ => {
+            let held: Vec<f64> = short.iter().map(|&x| num(&string_value(doc, x))).collect();
+            long.iter().any(|&y| {
+                let ny = num(&string_value(doc, y));
+                held.iter().any(|&nx| {
+                    if a_is_short {
+                        cmp_numbers(op, nx, ny)
+                    } else {
+                        cmp_numbers(op, ny, nx)
+                    }
+                })
+            })
+        }
+    }
+}
+
+/// Comparison of two non-node-set values (a node-set operand arrives as
+/// the string-value of one of its nodes). A boolean on either side makes an
+/// equality boolean and a number makes it numeric, so no operand is ever
+/// rendered to a string.
+fn compare_atomic(op: BinOp, a: View<'_>, b: View<'_>, doc: &Document) -> bool {
+    use View::*;
+    debug_assert!(!matches!((a, b), (Nodes(_), _) | (_, Nodes(_))));
     match op {
         BinOp::Eq | BinOp::Ne => {
             let eq = match (a, b) {
                 (Bool(_), _) | (_, Bool(_)) => a.boolean() == b.boolean(),
-                (Num(_), _) | (_, Num(_)) => a.number(doc) == b.number(doc),
-                _ => a.string(doc) == b.string(doc),
+                (Str(x), Str(y)) => x == y,
+                _ => a.number(doc) == b.number(doc),
             };
-            if op == BinOp::Eq {
-                eq
-            } else {
-                !eq
-            }
+            eq == (op == BinOp::Eq)
         }
         _ => cmp_numbers(op, a.number(doc), b.number(doc)),
     }
@@ -461,20 +576,46 @@ fn cmp_numbers(op: BinOp, x: f64, y: f64) -> bool {
 
 fn eval_path(p: &LocationPath, ctx: Ctx<'_>) -> Result<Vec<Item>> {
     let start = if p.absolute {
-        vec![Item::Node(ctx.doc.root())]
+        Item::Node(ctx.doc.root())
     } else {
-        vec![ctx.item]
+        ctx.item
     };
-    apply_steps(&p.steps, start, ctx.doc, ctx.caches)
+    apply_steps(&p.steps, &[start], ctx.doc, ctx.caches)
 }
 
-/// Apply a step sequence, fusing each predicate-free pair of
-/// `descendant-or-self::node()` then `child::Name` (the expansion of
-/// `//Name`) into one postings lookup instead of enumerating every node
-/// of every subtree.
+/// Whether `p` is evaluated through [`hoisted_path`]: an absolute path
+/// below a predicate (anywhere else it is evaluated once anyway).
+fn hoistable(p: &LocationPath, ctx: Ctx<'_>) -> bool {
+    p.absolute && ctx.in_predicate && !ctx.caches.reference
+}
+
+/// The node-set of an absolute path inside a predicate, evaluated the first
+/// time a candidate asks for it and shared by every later one. Sound
+/// because XPath 1.0 without variables gives an absolute path nothing to
+/// depend on but the document: it starts at the root whatever the context
+/// item is, and the predicates inside it see the contexts of its own steps,
+/// not the candidate's position or size.
+fn hoisted_path(p: &LocationPath, ctx: Ctx<'_>) -> Result<Rc<[Item]>> {
+    let caches = ctx.caches;
+    let key = std::ptr::from_ref(p) as usize;
+    if let Some((_, set)) = caches.hoisted.borrow().iter().find(|(k, _)| *k == key) {
+        return Ok(Rc::clone(set));
+    }
+    let set: Rc<[Item]> = eval_path(p, ctx)?.into();
+    if let Some(t) = caches.trace {
+        t.count("hoisted_paths", 1);
+    }
+    caches.hoisted.borrow_mut().push((key, Rc::clone(&set)));
+    Ok(set)
+}
+
+/// Apply a step sequence, fusing each `descendant-or-self::node()` then
+/// `child::Name` pair (the expansion of `//Name`) whose predicates are
+/// position-free into one postings lookup filtered through them, instead of
+/// enumerating every node of every subtree.
 fn apply_steps(
     steps: &[Step],
-    start: Vec<Item>,
+    start: &[Item],
     doc: &Document,
     caches: &EvalCaches<'_>,
 ) -> Result<Vec<Item>> {
@@ -505,39 +646,52 @@ fn test_label(test: &NodeTest) -> String {
 
 fn apply_steps_inner(
     steps: &[Step],
-    start: Vec<Item>,
+    start: &[Item],
     doc: &Document,
     caches: &EvalCaches<'_>,
     trace: Option<&Trace>,
 ) -> Result<Vec<Item>> {
-    let mut current = start;
+    if steps.is_empty() {
+        return Ok(start.to_vec());
+    }
+    // The node-set between steps; the first step reads `start` in place.
+    let mut current: Vec<Item> = Vec::new();
     let mut i = 0;
     while i < steps.len() {
+        let input: &[Item] = if i == 0 { start } else { &current };
         // Budget probe: one round per location step plus the context size
         // it is about to expand.
         if let Some(g) = caches.guard {
             g.try_rounds(1).map_err(XPathError::Budget)?;
-            g.try_matches(current.len() as u64)
+            g.try_matches(input.len() as u64)
                 .map_err(XPathError::Budget)?;
         }
-        if let Some(name) = fused_descendant_name(steps, i) {
+        if let Some((name, predicates)) = fused_descendant_name(steps, i, caches) {
             let span = trace.map(|t| {
                 let s = t.span(&format!("step[{i}:://{name}]"));
-                t.count("context_in", current.len() as u64);
+                t.count("context_in", input.len() as u64);
                 t.count("fusion_hits", 1);
+                if !predicates.is_empty() {
+                    t.count("predicates", predicates.len() as u64);
+                }
                 s
             });
-            current = descendant_named(doc, caches, &current, name);
+            let idx = caches.index_for_fused(doc, input.len(), !predicates.is_empty());
+            let mut found = descendant_named(doc, idx, input, name);
             // Budget probe: the fused lookup skips apply_step, so charge
             // its fan-out here or `//Name` explosions would go unmetered.
             if let Some(g) = caches.guard {
-                g.try_matches(current.len() as u64)
+                g.try_matches(found.len() as u64)
                     .map_err(XPathError::Budget)?;
             }
+            for pred in predicates {
+                retain_by_predicate(&mut found, 0, pred, doc, caches)?;
+            }
             if let Some(t) = trace {
-                t.count("context_out", current.len() as u64);
+                t.count("context_out", found.len() as u64);
             }
             drop(span);
+            current = found;
             i += 2;
             continue;
         }
@@ -548,7 +702,7 @@ fn apply_steps_inner(
                 step.axis.name(),
                 test_label(&step.test)
             ));
-            t.count("context_in", current.len() as u64);
+            t.count("context_in", input.len() as u64);
             s
         });
         let mut stats = StepStats::default();
@@ -557,9 +711,9 @@ fn apply_steps_inner(
         } else {
             None
         };
-        current = apply_step(step, &current, doc, caches, stats_ref)?;
+        let next = apply_step(step, input, doc, caches, stats_ref)?;
         if let Some(t) = trace {
-            t.count("context_out", current.len() as u64);
+            t.count("context_out", next.len() as u64);
             t.count("indexed_items", stats.indexed_items);
             t.count("scanned_items", stats.scanned_items);
             if !step.predicates.is_empty() {
@@ -567,118 +721,150 @@ fn apply_steps_inner(
             }
         }
         drop(span);
+        current = next;
         i += 1;
     }
     Ok(current)
 }
 
-/// If `steps[i], steps[i+1]` are a predicate-free
-/// `descendant-or-self::node() / child::Name` pair, the name to fuse on.
-/// Both steps must be predicate-free: positional predicates are relative to
-/// the per-context candidate list, which fusion would regroup.
-fn fused_descendant_name(steps: &[Step], i: usize) -> Option<&str> {
+/// If `steps[i], steps[i+1]` are a `descendant-or-self::node() /
+/// child::Name` pair that may be evaluated set-at-a-time, the name to fuse
+/// on and the child step's predicates. The first step must be
+/// predicate-free and every predicate of the second [`position_free`]: a
+/// positional predicate is relative to the per-parent candidate list, which
+/// fusion regroups. The reference evaluator never fuses.
+fn fused_descendant_name<'s>(
+    steps: &'s [Step],
+    i: usize,
+    caches: &EvalCaches<'_>,
+) -> Option<(&'s str, &'s [Expr])> {
     let a = steps.get(i)?;
     let b = steps.get(i + 1)?;
-    if a.axis == Axis::DescendantOrSelf
+    let NodeTest::Name(name) = &b.test else {
+        return None;
+    };
+    let fusable = !caches.reference
+        && a.axis == Axis::DescendantOrSelf
         && a.test == NodeTest::Node
         && a.predicates.is_empty()
         && b.axis == Axis::Child
-        && b.predicates.is_empty()
-    {
-        match &b.test {
-            NodeTest::Name(n) => Some(n),
-            _ => None,
+        && b.predicates.iter().all(position_free);
+    fusable.then_some((name.as_str(), b.predicates.as_slice()))
+}
+
+/// Whether a predicate's verdict on a candidate is the same in whatever
+/// candidate list the candidate is presented: the predicate is not of
+/// static type number (which would make it a test on the position) and
+/// mentions `position()`/`last()` nowhere — conservatively including
+/// nested predicates, whose positions are their own. A function this crate
+/// does not know is counted against the predicate on both grounds.
+fn position_free(pred: &Expr) -> bool {
+    let numeric = match pred {
+        Expr::Number(_) | Expr::Neg(_) => true,
+        Expr::Binary(op, ..) => matches!(
+            op,
+            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod
+        ),
+        Expr::Call(name, _) => functions::class_of(name) != Some(FnClass::Other),
+        Expr::Literal(_) | Expr::Path(_) | Expr::Union(..) | Expr::FilterPath(..) => false,
+    };
+    !numeric && !mentions_position(pred)
+}
+
+fn mentions_position(expr: &Expr) -> bool {
+    let in_steps = |steps: &[Step]| {
+        steps
+            .iter()
+            .any(|s| s.predicates.iter().any(mentions_position))
+    };
+    match expr {
+        Expr::Literal(_) | Expr::Number(_) => false,
+        Expr::Neg(e) => mentions_position(e),
+        Expr::Binary(_, a, b) | Expr::Union(a, b) => mentions_position(a) || mentions_position(b),
+        Expr::Call(name, args) => {
+            matches!(functions::class_of(name), None | Some(FnClass::Positional))
+                || args.iter().any(mentions_position)
         }
-    } else {
-        None
+        Expr::Path(p) => in_steps(&p.steps),
+        Expr::FilterPath(primary, steps) => mentions_position(primary) || in_steps(steps),
     }
 }
 
-/// All proper-descendant elements named `name` under each input node, via
-/// the tag postings sliced to each subtree interval (children of any node in
-/// `descendant-or-self::node()` = proper descendants). Attribute items have
-/// no descendants and contribute nothing, matching the scan semantics.
+/// All proper-descendant elements named `name` under each input node
+/// (children of any node in `descendant-or-self::node()` = proper
+/// descendants): the tag postings sliced to each subtree interval when
+/// there is an index, a name-filtered walk of each subtree when there is
+/// not. Attribute items have no descendants and contribute nothing.
 fn descendant_named(
     doc: &Document,
-    caches: &EvalCaches<'_>,
+    idx: Option<&DocIndex>,
     input: &[Item],
     name: &str,
 ) -> Vec<Item> {
-    if caches.no_index {
-        // Scan-only degradation: walk each subtree instead of touching (or
-        // lazily building) postings.
-        let mut out: Vec<Item> = Vec::new();
-        for &item in input {
-            let Item::Node(node) = item else { continue };
-            out.extend(
-                doc.descendants(node)
-                    .filter(|&d| doc.kind(d) == NodeKind::Element && doc.name(d) == Some(name))
-                    .map(Item::Node),
-            );
-        }
-        sort_dedup(doc, &mut out);
-        return out;
-    }
-    let idx = caches.index(doc);
     let mut out: Vec<Item> = Vec::new();
-    let sym = doc.lookup_sym(name);
+    let Some(sym) = doc.lookup_sym(name) else {
+        return out; // name never interned: no such elements
+    };
     for &item in input {
         let Item::Node(node) = item else { continue };
-        if idx.pre(node).is_some() {
-            if let Some(sym) = sym {
-                out.extend(
-                    idx.named_in(sym, node, false)
-                        .iter()
-                        .map(|&n| Item::Node(n)),
-                );
-            }
-        } else {
-            // Detached at index build time (cannot happen for root-reachable
-            // evaluation, but keep the scan as the unconditional fallback).
-            out.extend(
+        // A node detached at index build time has no interval (cannot
+        // happen for root-reachable evaluation); it is walked too.
+        match idx.filter(|idx| idx.pre(node).is_some()) {
+            Some(idx) => out.extend(
+                idx.named_in(sym, node, false)
+                    .iter()
+                    .map(|&n| Item::Node(n)),
+            ),
+            None => out.extend(
                 doc.descendants(node)
-                    .filter(|&d| doc.kind(d) == NodeKind::Element && doc.name(d) == Some(name))
+                    .filter(|&d| doc.kind(d) == NodeKind::Element && doc.name_sym(d) == Some(sym))
                     .map(Item::Node),
-            );
+            ),
         }
     }
-    sort_dedup(doc, &mut out);
+    // One subtree's postings or walk are in document order already;
+    // several subtrees may nest.
+    if input.len() > 1 {
+        sort_dedup(doc, &mut out);
+    }
     out
 }
 
-/// Postings-backed candidate enumeration for descendant name-test steps.
-/// Returns the same items in the same (document) order as the scan, so
-/// positional predicates see identical semantics; `None` means "no fast
-/// path, use the scan".
+/// Postings-backed candidate enumeration for descendant name-test steps:
+/// appends to `out` the same items in the same (document) order as the
+/// scan, so positional predicates see identical semantics. `false` means
+/// "no fast path, use the scan" (and nothing was appended).
 fn indexed_candidates(
     doc: &Document,
     caches: &EvalCaches<'_>,
     item: Item,
     step: &Step,
-) -> Option<Vec<Item>> {
-    if caches.no_index {
-        return None; // scan-only degradation: never touch postings
+    out: &mut Vec<Item>,
+) -> bool {
+    if caches.reference {
+        return false; // the reference evaluator never touches postings
     }
     let include_self = match step.axis {
         Axis::Descendant => false,
         Axis::DescendantOrSelf => true,
-        _ => return None,
+        _ => return false,
     };
-    let NodeTest::Name(name) = &step.test else {
-        return None;
+    let (NodeTest::Name(name), Item::Node(node)) = (&step.test, item) else {
+        return false;
     };
-    let Item::Node(node) = item else { return None };
     let idx = caches.index(doc);
-    idx.pre(node)?; // detached at build time: fall back to the scan
-    let Some(sym) = doc.lookup_sym(name) else {
-        return Some(Vec::new()); // name never interned: no such elements
-    };
-    Some(
-        idx.named_in(sym, node, include_self)
-            .iter()
-            .map(|&n| Item::Node(n))
-            .collect(),
-    )
+    if idx.pre(node).is_none() {
+        return false; // detached at build time: fall back to the scan
+    }
+    // A name never interned names no elements.
+    if let Some(sym) = doc.lookup_sym(name) {
+        out.extend(
+            idx.named_in(sym, node, include_self)
+                .iter()
+                .map(|&n| Item::Node(n)),
+        );
+    }
+    true
 }
 
 /// Per-step profiling counters: how many candidate items came off postings
@@ -692,7 +878,8 @@ struct StepStats {
 
 /// Apply one step to a node-set: per context node, enumerate the axis in
 /// axis order, filter by node test, run predicates positionally, then merge
-/// and normalise to document order.
+/// and normalise to document order. Each context node's candidates are
+/// appended to the output and filtered there.
 fn apply_step(
     step: &Step,
     input: &[Item],
@@ -711,138 +898,151 @@ fn apply_step(
                 ));
             }
         }
-        let mut candidates = match indexed_candidates(doc, caches, ctx_item, step) {
-            Some(c) => {
-                if let Some(s) = stats.as_deref_mut() {
-                    s.indexed_items += c.len() as u64;
-                }
-                c
+        let from = out.len();
+        if indexed_candidates(doc, caches, ctx_item, step, &mut out) {
+            if let Some(s) = stats.as_deref_mut() {
+                s.indexed_items += (out.len() - from) as u64;
             }
-            None => {
-                let mut c = axis_items(doc, ctx_item, step.axis);
-                c.retain(|&x| test_matches(doc, x, step.axis, &step.test));
-                if let Some(s) = stats.as_deref_mut() {
-                    s.scanned_items += c.len() as u64;
-                }
-                c
+        } else {
+            axis_items(doc, ctx_item, step.axis, &mut out);
+            retain_tail(&mut out, from, |_, x| {
+                Ok(test_matches(doc, x, step.axis, &step.test))
+            })?;
+            if let Some(s) = stats.as_deref_mut() {
+                s.scanned_items += (out.len() - from) as u64;
             }
-        };
+        }
         // Budget probe: this context item's candidate fan-out.
         if let Some(g) = caches.guard {
-            g.try_matches(candidates.len() as u64)
+            g.try_matches((out.len() - from) as u64)
                 .map_err(XPathError::Budget)?;
         }
         for pred in &step.predicates {
-            let size = candidates.len();
-            let mut kept = Vec::with_capacity(size);
-            for (i, &c) in candidates.iter().enumerate() {
-                let pctx = Ctx {
-                    doc,
-                    item: c,
-                    position: i + 1,
-                    size,
-                    caches,
-                };
-                let v = eval_expr(pred, pctx)?;
-                let keep = match v {
-                    // Numeric predicate = positional test.
-                    XValue::Num(n) => (i + 1) as f64 == n,
-                    other => other.boolean(),
-                };
-                if keep {
-                    kept.push(c);
-                }
-            }
-            candidates = kept;
+            retain_by_predicate(&mut out, from, pred, doc, caches)?;
         }
-        out.extend(candidates);
     }
-    sort_dedup(doc, &mut out);
+    // One context item on a forward axis yields document order without
+    // duplicates as it is.
+    if caches.reference || input.len() > 1 || step.axis.is_reverse() {
+        sort_dedup(doc, &mut out);
+    }
     Ok(out)
 }
 
-/// Enumerate an axis in axis order (reverse axes run backwards so that
-/// positional predicates see XPath semantics).
-fn axis_items(doc: &Document, item: Item, axis: Axis) -> Vec<Item> {
+/// Keep the items of `items[from..]` for which `keep(index in that tail,
+/// item)` holds, in place and in order.
+fn retain_tail(
+    items: &mut Vec<Item>,
+    from: usize,
+    mut keep: impl FnMut(usize, Item) -> Result<bool>,
+) -> Result<()> {
+    let mut kept = from;
+    for at in from..items.len() {
+        let item = items[at];
+        if keep(at - from, item)? {
+            items[kept] = item;
+            kept += 1;
+        }
+    }
+    items.truncate(kept);
+    Ok(())
+}
+
+/// Filter the candidate list `items[from..]` through one predicate, each
+/// candidate evaluated with its position in that list and the list's size.
+fn retain_by_predicate(
+    items: &mut Vec<Item>,
+    from: usize,
+    pred: &Expr,
+    doc: &Document,
+    caches: &EvalCaches<'_>,
+) -> Result<()> {
+    let size = items.len() - from;
+    retain_tail(items, from, |i, item| {
+        let pctx = Ctx {
+            doc,
+            item,
+            position: i + 1,
+            size,
+            caches,
+            in_predicate: true,
+        };
+        Ok(match eval_operand(pred, pctx)?.view() {
+            // Numeric predicate = positional test.
+            View::Num(n) => (i + 1) as f64 == n,
+            other => other.boolean(),
+        })
+    })
+}
+
+/// Append an axis to `out` in axis order (reverse axes run backwards so
+/// that positional predicates see XPath semantics).
+fn axis_items(doc: &Document, item: Item, axis: Axis, out: &mut Vec<Item>) {
     let node = match item {
         Item::Node(n) => n,
         Item::Attr { owner, .. } => {
             // Attribute items navigate relative to their owning element.
-            return match axis {
-                Axis::SelfAxis => vec![item],
+            match axis {
+                Axis::SelfAxis => out.push(item),
                 // The parent of an attribute is its element, exactly.
-                Axis::Parent => vec![Item::Node(owner)],
+                Axis::Parent => out.push(Item::Node(owner)),
                 Axis::Ancestor | Axis::AncestorOrSelf => {
-                    let mut v = if axis == Axis::AncestorOrSelf {
-                        vec![item]
-                    } else {
-                        vec![]
-                    };
-                    v.extend(ancestors(doc, owner, true).into_iter().map(Item::Node));
-                    v
+                    if axis == Axis::AncestorOrSelf {
+                        out.push(item);
+                    }
+                    ancestors_or_self(doc, Some(owner), out);
                 }
                 // XPath 1.0: the following axis of an attribute holds every
                 // node after it in document order except descendants of the
                 // attribute (it has none) — i.e. the owner's descendants
                 // plus the owner's following axis.
                 Axis::Following => {
-                    let mut v: Vec<Item> = doc.descendants(owner).map(Item::Node).collect();
-                    v.extend(axis_items(doc, Item::Node(owner), Axis::Following));
-                    v
+                    out.extend(doc.descendants(owner).map(Item::Node));
+                    axis_items(doc, Item::Node(owner), Axis::Following, out);
                 }
                 // And preceding(attr) = preceding(owner): everything before
                 // the owner, minus ancestors.
-                Axis::Preceding => axis_items(doc, Item::Node(owner), Axis::Preceding),
-                _ => Vec::new(),
-            };
+                Axis::Preceding => axis_items(doc, Item::Node(owner), Axis::Preceding, out),
+                _ => {}
+            }
+            return;
         }
     };
     match axis {
-        Axis::Child => doc.children(node).iter().map(|&c| Item::Node(c)).collect(),
-        Axis::Descendant => doc.descendants(node).map(Item::Node).collect(),
-        Axis::DescendantOrSelf => doc.descendants_or_self(node).map(Item::Node).collect(),
-        Axis::Parent => doc.parent(node).map(Item::Node).into_iter().collect(),
-        Axis::Ancestor => ancestors(doc, node, false)
-            .into_iter()
-            .map(Item::Node)
-            .collect(),
-        Axis::AncestorOrSelf => {
-            let mut v = vec![Item::Node(node)];
-            v.extend(ancestors(doc, node, false).into_iter().map(Item::Node));
-            v
+        Axis::Child => out.extend(doc.children(node).iter().map(|&c| Item::Node(c))),
+        Axis::Descendant => out.extend(doc.descendants(node).map(Item::Node)),
+        Axis::DescendantOrSelf => out.extend(doc.descendants_or_self(node).map(Item::Node)),
+        Axis::Parent => out.extend(doc.parent(node).map(Item::Node)),
+        Axis::Ancestor => ancestors_or_self(doc, doc.parent(node), out),
+        Axis::AncestorOrSelf => ancestors_or_self(doc, Some(node), out),
+        Axis::SelfAxis => out.push(item),
+        Axis::Attribute => {
+            out.extend((0..doc.attr_count(node)).map(|index| Item::Attr { owner: node, index }))
         }
-        Axis::SelfAxis => vec![item],
-        Axis::Attribute => (0..doc.attr_count(node))
-            .map(|index| Item::Attr { owner: node, index })
-            .collect(),
         Axis::FollowingSibling => {
-            let mut v = Vec::new();
             let mut cur = doc.next_sibling(node);
             while let Some(s) = cur {
-                v.push(Item::Node(s));
+                out.push(Item::Node(s));
                 cur = doc.next_sibling(s);
             }
-            v
         }
         Axis::PrecedingSibling => {
-            let mut v = Vec::new();
             let mut cur = doc.prev_sibling(node);
             while let Some(s) = cur {
-                v.push(Item::Node(s));
+                out.push(Item::Node(s));
                 cur = doc.prev_sibling(s);
             }
-            v
         }
         Axis::Following => {
             // Nodes after `node` in document order, excluding descendants:
             // the subtrees of every following sibling of every
             // ancestor-or-self — O(|result|), no whole-document scan.
-            let mut v = Vec::new();
+            let from = out.len();
             let mut cur = node;
             loop {
                 let mut sib = doc.next_sibling(cur);
                 while let Some(s) = sib {
-                    v.extend(doc.descendants_or_self(s).map(Item::Node));
+                    out.extend(doc.descendants_or_self(s).map(Item::Node));
                     sib = doc.next_sibling(s);
                 }
                 match doc.parent(cur) {
@@ -850,18 +1050,17 @@ fn axis_items(doc: &Document, item: Item, axis: Axis) -> Vec<Item> {
                     None => break,
                 }
             }
-            v.sort_by_key(|&i| order_key(doc, i));
-            v
+            out[from..].sort_by_key(|&i| order_key(doc, i));
         }
         Axis::Preceding => {
             // Symmetric: subtrees of preceding siblings along the ancestor
             // chain, reverse document order.
-            let mut v = Vec::new();
+            let from = out.len();
             let mut cur = node;
             loop {
                 let mut sib = doc.prev_sibling(cur);
                 while let Some(s) = sib {
-                    v.extend(doc.descendants_or_self(s).map(Item::Node));
+                    out.extend(doc.descendants_or_self(s).map(Item::Node));
                     sib = doc.prev_sibling(s);
                 }
                 match doc.parent(cur) {
@@ -869,28 +1068,18 @@ fn axis_items(doc: &Document, item: Item, axis: Axis) -> Vec<Item> {
                     None => break,
                 }
             }
-            v.sort_by_key(|&i| std::cmp::Reverse(order_key(doc, i)));
-            v
+            out[from..].sort_by_key(|&i| std::cmp::Reverse(order_key(doc, i)));
         }
     }
 }
 
-fn ancestors(doc: &Document, node: NodeId, include_start_parent_chain: bool) -> Vec<NodeId> {
-    let mut v = Vec::new();
-    let mut cur = if include_start_parent_chain {
-        Some(node)
-    } else {
-        doc.parent(node)
-    };
-    if include_start_parent_chain {
-        // For attribute items: the owning element is the parent.
-        cur = Some(node);
-    }
+/// Append `first` and its ancestors, nearest first.
+fn ancestors_or_self(doc: &Document, first: Option<NodeId>, out: &mut Vec<Item>) {
+    let mut cur = first;
     while let Some(n) = cur {
-        v.push(n);
+        out.push(Item::Node(n));
         cur = doc.parent(n);
     }
-    v
 }
 
 fn test_matches(doc: &Document, item: Item, axis: Axis, test: &NodeTest) -> bool {
@@ -1263,5 +1452,254 @@ mod tests {
         assert_eq!(select(&d, "//book[1]").unwrap().len(), 1);
         assert_eq!(texts(&d, "//book[1]/title"), vec!["TCP/IP Illustrated"]);
         assert_eq!(select(&d, "//author[1]").unwrap().len(), 2);
+    }
+
+    /// Lazy, indexed and reference evaluation of one expression.
+    fn three_ways(d: &Document, xpath: &str) -> [XValue; 3] {
+        let expr = crate::parse(xpath).unwrap();
+        let idx = DocIndex::build(d);
+        [
+            evaluate(d, &expr).unwrap(),
+            evaluate_with_index(d, &expr, &idx).unwrap(),
+            evaluate_scan_guarded(d, &expr, &Trace::disabled(), &Guard::unlimited()).unwrap(),
+        ]
+    }
+
+    #[test]
+    fn positional_predicates_block_fusion() {
+        let d = Document::parse_str(
+            "<r><a k='1'><b/><c/><c/></a><x><a><b/><b/><c/></a><a k='2'/></x>\
+             <a><a k='3'><c/></a><b/></a><book/><y><book/><author/><author/></y></r>",
+        )
+        .unwrap();
+        for (xpath, expect) in [
+            ("//book[1]", 2),
+            ("//author[1]", 1),
+            ("//a//c[1]", 3),
+            ("//a[last()]", 3),
+            ("//a[count(b)]", 1),
+            ("//a[position()<3][@k]", 3),
+            ("//a[@k][position()<2]", 3),
+            ("//a[c[last()]]", 3),
+        ] {
+            let [lazy, indexed, reference] = three_ways(&d, xpath);
+            assert_eq!(lazy, reference, "{xpath}");
+            assert_eq!(indexed, reference, "{xpath}");
+            assert_eq!(reference.into_nodes().unwrap().len(), expect, "{xpath}");
+        }
+    }
+
+    #[test]
+    fn position_freedom_is_decided_statically() {
+        let free = |pred: &str| {
+            let Expr::Path(p) = crate::parse(&format!("//x[{pred}]")).unwrap() else {
+                panic!("a path");
+            };
+            position_free(&p.steps[1].predicates[0])
+        };
+        for pred in [
+            "@k",
+            "@k='v'",
+            "b",
+            "not(b)",
+            "b = //c/d",
+            "price < 15 or price > 50",
+            "count(b) > 1",
+            "contains(name(), 'a')",
+            "string-length(@k) = 2",
+            "b | c",
+            "(b | c)/d",
+        ] {
+            assert!(free(pred), "{pred} is position-free");
+        }
+        for pred in [
+            // Static type number: a test on the position.
+            "1",
+            "-1",
+            "1 + 1",
+            "count(b)",
+            "string-length(@k)",
+            "number(@k)",
+            "sum(b)",
+            "floor(1.5)",
+            "ceiling(1.5)",
+            "round(1.5)",
+            "last()",
+            "position()",
+            // Mentions of the position, however deep.
+            "position() < 3",
+            "not(position() = last())",
+            "b[1]/c or last() = 2",
+            "b[position() = 1]",
+            "(b | c)/d[last()]",
+            "count(b[last()]) > 0",
+            // Functions this crate does not know.
+            "frobnicate()",
+            "not(frobnicate())",
+        ] {
+            assert!(!free(pred), "{pred} is not position-free");
+        }
+        // A numeric nested predicate needs no mention of `position()` to be
+        // positional, but it is its own step's business: `b[1]` is the same
+        // set whichever list the outer candidate stands in.
+        assert!(free("b[1]"));
+    }
+
+    #[test]
+    fn fused_predicate_step_charges_matches_not_the_document() {
+        // 50,000 elements, ten of them `t`, five of those with k='v'.
+        let mut d = Document::new();
+        let root = d.add_element(d.root(), "r");
+        let mut placed = 0;
+        for i in 0..5_000 {
+            let group = d.add_element(root, "g");
+            for _ in 0..8 {
+                d.add_element(group, "e");
+            }
+            if i % 500 == 0 {
+                let t = d.add_element(group, "t");
+                let v = if placed % 2 == 0 { "v" } else { "w" };
+                d.set_attr(t, "k", v).unwrap();
+                placed += 1;
+            } else {
+                d.add_element(group, "e");
+            }
+        }
+        assert_eq!(placed, 10);
+        assert!(d.node_count() > 50_000);
+        let expr = crate::parse("//t[@k='v']").unwrap();
+        let idx = DocIndex::build(&d);
+        for idx in [Some(&idx), None] {
+            let guard = Guard::new(gql_guard::Budget::unlimited());
+            let hits = evaluate_guarded(&d, &expr, idx, &Trace::disabled(), &guard)
+                .unwrap()
+                .into_nodes()
+                .unwrap();
+            assert_eq!(hits.len(), 5);
+            let report = guard.report().unwrap();
+            // 1 context + 10 candidates + per candidate one context and at
+            // most one attribute.
+            assert!(report.matches <= 31, "matches charged: {}", report.matches);
+            assert_eq!(report.rounds, 11);
+        }
+        // The reference evaluator visits every node, and says so.
+        let guard = Guard::new(gql_guard::Budget::unlimited());
+        evaluate_scan_guarded(&d, &expr, &Trace::disabled(), &guard).unwrap();
+        assert!(guard.report().unwrap().matches > 100_000);
+    }
+
+    #[test]
+    fn absolute_path_in_a_predicate_is_evaluated_once() {
+        let mut d = Document::new();
+        let root = d.add_element(d.root(), "r");
+        for i in 0..1_000 {
+            let p = d.add_element(root, "p");
+            d.add_text_element(p, "c", &format!("{}", i % 50));
+        }
+        let dd = d.add_element(root, "d");
+        for v in ["7", "11", "999"] {
+            d.add_text_element(dd, "e", v);
+        }
+        let expr = crate::parse("//p[c = //d/e]").unwrap();
+        let idx = DocIndex::build(&d);
+        let guard = Guard::new(gql_guard::Budget::unlimited());
+        let trace = Trace::profiling();
+        let hits = evaluate_guarded(&d, &expr, Some(&idx), &trace, &guard)
+            .unwrap()
+            .into_nodes()
+            .unwrap();
+        assert_eq!(hits.len(), 40);
+        // One round for the fused `//p`, one per candidate for `c`, and the
+        // inner path's two steps (`//d`, `e`) once, not a thousand times.
+        assert_eq!(guard.report().unwrap().rounds, 1 + 1_000 + 2);
+        let profile = trace.finish().unwrap();
+        let step = profile.find("step[0:://p]").unwrap();
+        assert_eq!(step.counter("hoisted_paths"), Some(1));
+        assert_eq!(step.counter("predicates"), Some(1));
+        assert_eq!(step.counter("context_out"), Some(40));
+        // The reference evaluator re-evaluates it per candidate.
+        let guard = Guard::new(gql_guard::Budget::unlimited());
+        let reference = evaluate_scan_guarded(&d, &expr, &Trace::disabled(), &guard).unwrap();
+        assert_eq!(reference.into_nodes().unwrap(), hits);
+        assert!(guard.report().unwrap().rounds > 3_000);
+        // A shared set read as a verdict, by `and`/`or`, or by a function.
+        for (xpath, expect) in [
+            ("//p[//d]", 1_000),
+            ("//p[//nothing]", 0),
+            ("//p[c = '7' and //d/e]", 20),
+            ("//p[//nothing or c = '7']", 20),
+            ("//p[count(//d/e) = 3]", 1_000),
+        ] {
+            let [lazy, indexed, reference] = three_ways(&d, xpath);
+            assert_eq!(lazy, reference, "{xpath}");
+            assert_eq!(indexed, reference, "{xpath}");
+            assert_eq!(reference.into_nodes().unwrap().len(), expect, "{xpath}");
+        }
+    }
+
+    #[test]
+    fn string_values_borrow_where_the_document_holds_them_whole() {
+        let d =
+            Document::parse_str("<r k='v'><a>one</a><b>x<i>y</i>z</b><c/><!--n--></r>").unwrap();
+        let root = d.root_element().unwrap();
+        let kids = d.children(root).to_vec();
+        let value = |item| string_value(&d, item);
+        assert!(matches!(
+            value(Item::Attr {
+                owner: root,
+                index: 0
+            }),
+            Cow::Borrowed("v")
+        ));
+        assert!(matches!(value(Item::Node(kids[0])), Cow::Borrowed("one")));
+        assert!(matches!(
+            value(Item::Node(d.children(kids[0])[0])),
+            Cow::Borrowed("one")
+        ));
+        assert!(matches!(value(Item::Node(kids[2])), Cow::Borrowed("")));
+        assert!(matches!(value(Item::Node(kids[3])), Cow::Borrowed("n")));
+        assert_eq!(value(Item::Node(kids[1])), "xyz");
+        assert_eq!(value(Item::Node(root)), d.text_content(root));
+        // A comment child is not the element's text.
+        let d = Document::parse_str("<r><!--n--></r>").unwrap();
+        assert_eq!(string_value(&d, Item::Node(d.root_element().unwrap())), "");
+    }
+
+    #[test]
+    fn node_set_comparisons_agree_across_set_sizes() {
+        // `a` holds 1..=n, `b` holds n..=2n-1: they share exactly `n`; either
+        // operand may be the shorter side.
+        for (n, extra_b) in [(3, 0), (12, 0), (12, 5), (3, 20)] {
+            let mut d = Document::new();
+            let root = d.add_element(d.root(), "r");
+            for i in 1..=n {
+                d.add_text_element(root, "a", &i.to_string());
+            }
+            for i in n..2 * n + extra_b {
+                d.add_text_element(root, "b", &i.to_string());
+            }
+            d.add_text_element(root, "c", "none");
+            let t = |src: &str| evaluate(&d, &crate::parse(src).unwrap()).unwrap();
+            for (src, expect) in [
+                ("//a = //b", true),
+                ("//b = //a", true),
+                ("//a[. < 2] = //b", false),
+                ("//b = //a[. < 2]", false),
+                ("//a != //b", true),
+                ("//a = //c", false),
+                ("//c != //c", false),
+                ("//a < //b", true),
+                ("//b < //a", false),
+                ("//b <= //a", true),
+                ("//a > //b", false),
+                ("//b > //a", true),
+                ("//a >= //b", true),
+                ("//a < //c", false),
+                ("//nothing = //a", false),
+                ("//nothing != //a", false),
+            ] {
+                assert_eq!(t(src), XValue::Bool(expect), "{src} with n={n}+{extra_b}");
+            }
+        }
     }
 }

@@ -5,6 +5,56 @@ use gql_ssdm::Document;
 use crate::eval::{string_value, Item, XValue};
 use crate::{Result, XPathError};
 
+/// What the step-fusion analysis needs to know of a function: whether a
+/// predicate made of a call to it is a position test, and whether a
+/// predicate mentioning it depends on the candidate list it runs in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FnClass {
+    /// Returns a number read off the context position or size.
+    Positional,
+    /// Returns a number.
+    Numeric,
+    /// Returns a node-set, string or boolean.
+    Other,
+}
+
+/// Every function [`call`] implements, with its class.
+pub(crate) const FUNCTIONS: &[(&str, FnClass)] = &[
+    ("position", FnClass::Positional),
+    ("last", FnClass::Positional),
+    ("count", FnClass::Numeric),
+    ("sum", FnClass::Numeric),
+    ("number", FnClass::Numeric),
+    ("string-length", FnClass::Numeric),
+    ("floor", FnClass::Numeric),
+    ("ceiling", FnClass::Numeric),
+    ("round", FnClass::Numeric),
+    ("true", FnClass::Other),
+    ("false", FnClass::Other),
+    ("not", FnClass::Other),
+    ("boolean", FnClass::Other),
+    ("id", FnClass::Other),
+    ("name", FnClass::Other),
+    ("local-name", FnClass::Other),
+    ("string", FnClass::Other),
+    ("concat", FnClass::Other),
+    ("contains", FnClass::Other),
+    ("starts-with", FnClass::Other),
+    ("normalize-space", FnClass::Other),
+    ("substring-before", FnClass::Other),
+    ("substring-after", FnClass::Other),
+    ("substring", FnClass::Other),
+    ("translate", FnClass::Other),
+];
+
+/// The class of a known function; `None` for a name [`call`] rejects.
+pub(crate) fn class_of(name: &str) -> Option<FnClass> {
+    FUNCTIONS
+        .iter()
+        .find(|(known, _)| *known == name)
+        .map(|&(_, class)| class)
+}
+
 fn arity_err(name: &str, expected: &str, got: usize) -> XPathError {
     XPathError::Eval {
         msg: format!("{name}() expects {expected} argument(s), got {got}"),
@@ -81,7 +131,7 @@ pub(crate) fn call(
             ))
         }
         // Strings.
-        ("string", 0) => Ok(XValue::Str(string_value(doc, item))),
+        ("string", 0) => Ok(XValue::Str(string_value(doc, item).into_owned())),
         ("string", 1) => Ok(XValue::Str(next().string(doc))),
         ("concat", n) if n >= 2 => {
             let mut out = String::new();
@@ -106,7 +156,7 @@ pub(crate) fn call(
             let s = if argc == 1 {
                 next().string(doc)
             } else {
-                string_value(doc, item)
+                string_value(doc, item).into_owned()
             };
             Ok(XValue::Str(
                 s.split_whitespace().collect::<Vec<_>>().join(" "),
@@ -164,13 +214,7 @@ pub(crate) fn call(
             Ok(XValue::Num((n + 0.5).floor()))
         }
         // Arity errors for known names; unknown otherwise.
-        (
-            "position" | "last" | "true" | "false" | "not" | "boolean" | "count" | "sum" | "id"
-            | "string" | "concat" | "contains" | "starts-with" | "string-length"
-            | "normalize-space" | "substring-before" | "substring-after" | "substring"
-            | "translate" | "number" | "floor" | "ceiling" | "round" | "name" | "local-name",
-            got,
-        ) => Err(arity_err(name, "a different number of", got)),
+        (_, got) if class_of(name).is_some() => Err(arity_err(name, "a different number of", got)),
         _ => Err(XPathError::Eval {
             msg: format!("unknown function '{name}'"),
         }),
@@ -335,5 +379,67 @@ mod tests {
     fn eval_err(xpath: &str) -> XPathError {
         let d = Document::parse_str("<r/>").unwrap();
         evaluate(&d, &parse(xpath).unwrap()).unwrap_err()
+    }
+
+    /// Every function of the table dispatches, and its class is what it
+    /// returns: the `//Name[p]` fusion trusts the table to say which calls
+    /// make a predicate a position test. A function added to `call` but not
+    /// to the table has no class, which the analysis reads as "blocks
+    /// fusion", so a new function can be misclassified only by being listed
+    /// here under the wrong class — which this test then catches.
+    #[test]
+    fn every_function_is_classified_by_what_it_returns() {
+        let d = Document::parse_str("<r id='a'><x>1.5</x><x>2</x></r>").unwrap();
+        let caches = crate::eval::EvalCaches::default();
+        let root = Item::Node(d.root_element().unwrap());
+        let kids: Vec<Item> = d
+            .children(d.root_element().unwrap())
+            .iter()
+            .map(|&n| Item::Node(n))
+            .collect();
+        let (nodes, text, number) = (
+            XValue::Nodes(kids),
+            XValue::Str("a b".into()),
+            XValue::Num(2.0),
+        );
+        let arg_lists: [Vec<XValue>; 6] = [
+            vec![],
+            vec![nodes.clone()],
+            vec![text.clone()],
+            vec![text.clone(), text.clone()],
+            vec![text.clone(), number.clone()],
+            vec![text.clone(), text.clone(), text.clone()],
+        ];
+        for &(name, class) in FUNCTIONS {
+            assert_eq!(class_of(name), Some(class));
+            let results: Vec<XValue> = arg_lists
+                .iter()
+                .filter_map(|args| call(name, args.clone(), &d, root, 2, 3, &caches).ok())
+                .collect();
+            assert!(!results.is_empty(), "{name}() accepted no argument list");
+            for value in results {
+                let numeric = matches!(value, XValue::Num(_));
+                assert_eq!(
+                    numeric,
+                    class != FnClass::Other,
+                    "{name}() returned {value:?}"
+                );
+            }
+        }
+        // Only the positional ones read the context position or size.
+        for &(name, class) in FUNCTIONS {
+            let at = |position, size| call(name, vec![], &d, root, position, size, &caches);
+            if let (Ok(here), Ok(there)) = (at(1, 2), at(2, 3)) {
+                assert_eq!(here != there, class == FnClass::Positional, "{name}()");
+            }
+        }
+        assert_eq!(class_of("frobnicate"), None);
+        // The table has no duplicates (a second entry would be dead).
+        for (i, (name, _)) in FUNCTIONS.iter().enumerate() {
+            assert!(
+                FUNCTIONS[..i].iter().all(|(other, _)| other != name),
+                "{name}"
+            );
+        }
     }
 }

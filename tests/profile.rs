@@ -285,6 +285,59 @@ fn xpath_profile_reports_exact_context_sizes() {
     assert_eq!(counter(run, "results"), 3);
 }
 
+/// A `//name[p]` step with a position-free predicate is one fused span:
+/// candidates come off the postings (or one name-filtered walk, cold) and
+/// are filtered through the predicate, so `context_out` counts the
+/// survivors; and an absolute path inside a predicate is evaluated once,
+/// which the enclosing step counts as `hoisted_paths`.
+#[test]
+fn xpath_profile_reports_fused_predicate_steps_and_hoisted_paths() {
+    let doc = Document::parse_str(
+        "<r><a k='v'><b>1</b><b>2</b></a><a k='w'><b>3</b></a><c><a k='v'><b>2</b></a></c>\
+         <d><e>2</e><e>9</e></d></r>",
+    )
+    .unwrap();
+    let mut warm = Engine::new();
+    warm.preload(&doc);
+    for engine in [Engine::new(), warm] {
+        // 3 `a` candidates, 2 with k='v', 3 `b` children under those.
+        let query = QueryKind::XPath("//a[@k='v']/b".to_string());
+        let profile = engine.run_profiled(&query, &doc).unwrap().profile.unwrap();
+        let eval = profile.find("eval").unwrap();
+        let fused = eval.find("step[0:://a]").unwrap();
+        assert_eq!(counter(fused, "context_in"), 1);
+        assert_eq!(counter(fused, "fusion_hits"), 1);
+        assert_eq!(counter(fused, "predicates"), 1);
+        assert_eq!(counter(fused, "context_out"), 2);
+        assert_eq!(fused.counter("hoisted_paths"), None);
+        assert!(eval.find("step[0:descendant-or-self::node()]").is_none());
+        let tail = eval.find("step[2:child::b]").unwrap();
+        assert_eq!(counter(tail, "context_in"), 2);
+        assert_eq!(counter(tail, "context_out"), 3);
+        assert_eq!(counter(profile.find("run").unwrap(), "results"), 3);
+
+        // 4 `b` candidates, each compared with the two `e` of the inner
+        // path, which is evaluated once; its own steps open no spans.
+        let query = QueryKind::XPath("//b[. = //d/e]".to_string());
+        let profile = engine.run_profiled(&query, &doc).unwrap().profile.unwrap();
+        let eval = profile.find("eval").unwrap();
+        let fused = eval.find("step[0:://b]").unwrap();
+        assert_eq!(counter(fused, "predicates"), 1);
+        assert_eq!(counter(fused, "hoisted_paths"), 1);
+        assert_eq!(counter(fused, "context_out"), 2);
+        assert!(eval.find("step[0:://d]").is_none());
+
+        // A positional predicate keeps the per-parent steps.
+        let query = QueryKind::XPath("//b[1]".to_string());
+        let profile = engine.run_profiled(&query, &doc).unwrap().profile.unwrap();
+        let eval = profile.find("eval").unwrap();
+        assert!(eval.find("step[0:://b]").is_none());
+        let per_parent = eval.find("step[1:child::b]").unwrap();
+        assert_eq!(counter(per_parent, "predicates"), 1);
+        assert_eq!(counter(per_parent, "context_out"), 3);
+    }
+}
+
 /// The rendered surfaces stay in sync with the tree: every span name in
 /// the text tree also appears in the JSON and in the duration-free shape,
 /// and the shape is identical across runs (it would not be if durations

@@ -699,6 +699,62 @@ fn wglog_runs_over_a_shared_instance_match_a_private_rebuild() {
     );
 }
 
+/// Set-at-a-time XPath evaluation is unobservable: `//Name[p]` steps taken
+/// off the postings (prebuilt index) or a name-filtered walk (lazy), and
+/// absolute paths inside predicates evaluated once, return what the
+/// textbook evaluator returns step by step and candidate by candidate —
+/// over trees and over cyclic ID/IDREF web graphs, for generated paths
+/// whose predicates mix positional and position-free forms.
+#[test]
+fn xpath_set_at_a_time_equals_the_reference_evaluator() {
+    use gql::ssdm::generator::{webgraph, WebConfig};
+    use gql_testkit::generators::{gen_xpath, gen_xpath_over, XPathVocab};
+    let web = XPathVocab {
+        tags: &["doc", "link", "index", "title", "web"],
+        attrs: &["id", "ref"],
+        values: &["d0", "d1", "d2", "d3"],
+    };
+    check(
+        "xpath_set_at_a_time_equals_the_reference_evaluator",
+        384,
+        |rng| {
+            let (doc, src) = if rng.gen_bool(0.5) {
+                (document(rng), gen_xpath(rng))
+            } else {
+                let doc = webgraph(WebConfig {
+                    docs: rng.gen_range(2..14),
+                    links_per_doc: rng.gen_range(1..4),
+                    index_percent: 40,
+                    seed: rng.next_u64(),
+                });
+                (doc, gen_xpath_over(rng, &web))
+            };
+            let expr = gql::xpath::parse(&src)
+                .unwrap_or_else(|e| panic!("generator produced invalid syntax: {e}\n{src}"));
+            // Debug text, so that NaN equals NaN; errors compare as errors.
+            let show =
+                |r: gql::xpath::Result<gql::xpath::XValue>| format!("{:?}", r.map_err(|_| ()));
+            let reference = show(gql::xpath::evaluate_scan_guarded(
+                &doc,
+                &expr,
+                &gql::trace::Trace::disabled(),
+                &gql::guard::Guard::unlimited(),
+            ));
+            let idx = gql::ssdm::DocIndex::build(&doc);
+            assert_eq!(
+                show(gql::xpath::evaluate(&doc, &expr)),
+                reference,
+                "lazy: {src}"
+            );
+            assert_eq!(
+                show(gql::xpath::evaluate_with_index(&doc, &expr, &idx)),
+                reference,
+                "indexed: {src}"
+            );
+        },
+    );
+}
+
 /// Eight threads released together, each running a different program over
 /// the one shared instance, produce the bytes a serial run produces.
 #[test]
