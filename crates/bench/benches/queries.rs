@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::time::Duration;
 
-use gql_bench::microbench::{BenchmarkGroup, BenchmarkId, Criterion};
+use gql_bench::microbench::{BenchmarkGroup, BenchmarkId, Criterion, Throughput};
 use gql_bench::suite::{Dataset, SuiteQuery};
 use gql_bench::{criterion_group, criterion_main};
 use gql_core::Engine;
@@ -106,5 +106,55 @@ fn bench_q2_three_engines(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_figure_queries, bench_q2_three_engines);
+/// What an answer costs once the engine knows what is in it: the Q1 answer
+/// of the scale-1000 city guide (every `restaurant` subtree, ≈ 25 k nodes,
+/// ≈ 320 KB) copied, grown from goal objects, written and dropped, as
+/// nodes per second.
+fn bench_materialise(c: &mut Criterion) {
+    let mut group = c.benchmark_group("materialise");
+    group.sample_size(20);
+    let doc = Dataset::CityGuide.build(1000);
+    let restaurants: Vec<_> = doc.elements_named("restaurant").collect();
+    let import = || {
+        let mut out = Document::new();
+        let root = out.add_element(out.root(), "answer");
+        for &r in &restaurants {
+            let copy = out.import_subtree(&doc, r);
+            out.append_child(root, copy).expect("fresh copy");
+        }
+        out
+    };
+    let answer = import();
+    group.throughput(Throughput::Elements(answer.node_count() as u64));
+    let build = group.bench_function(BenchmarkId::new("import", 1000), |b| {
+        b.iter_with_large_drop(import)
+    });
+    group.bench_function(BenchmarkId::new("write", 1000), |b| {
+        b.iter(|| answer.to_xml_string())
+    });
+    let drop = group.bench_function(BenchmarkId::new("drop", 1000), |b| {
+        b.iter_with_setup(|| answer.clone(), drop)
+    });
+    // Freeing an answer against building it. CI holds it ≤ 0.05, which a
+    // heap allocation per node (0.40: as many frees as mallocs) would break.
+    group.record_metric(
+        "drop_vs_build",
+        drop.as_secs_f64() / build.as_secs_f64(),
+        "x",
+    );
+    let db = gql_wglog::instance::Instance::from_document(&doc);
+    let grown = db.to_document("answer", "restaurant", 2);
+    group.throughput(Throughput::Elements(grown.node_count() as u64));
+    group.bench_function(BenchmarkId::new("to_document", 1000), |b| {
+        b.iter_with_large_drop(|| db.to_document("answer", "restaurant", 2))
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_figure_queries,
+    bench_q2_three_engines,
+    bench_materialise
+);
 criterion_main!(benches);

@@ -286,6 +286,33 @@ impl Bencher {
         }
         self.mean = start.elapsed() / self.samples as u32;
     }
+
+    /// [`iter`](Bencher::iter) for a routine whose result is expensive to
+    /// drop: the clock stops before each result goes.
+    pub fn iter_with_large_drop<O>(&mut self, mut f: impl FnMut() -> O) {
+        self.iter_with_setup(|| (), |()| f());
+    }
+
+    /// Time `routine` alone, each sample on a fresh input that `setup`
+    /// makes off the clock; its result is dropped off the clock too. One
+    /// input and one result are alive at a time, so the allocator hands the
+    /// routine the memory the previous sample returned, as a server's does.
+    pub fn iter_with_setup<I, O>(
+        &mut self,
+        mut setup: impl FnMut() -> I,
+        mut routine: impl FnMut(I) -> O,
+    ) {
+        black_box(routine(setup()));
+        let mut total = Duration::ZERO;
+        for _ in 0..self.samples {
+            let input = setup();
+            let start = Instant::now();
+            let output = black_box(routine(input));
+            total += start.elapsed();
+            drop(output);
+        }
+        self.mean = total / self.samples as u32;
+    }
 }
 
 /// Collect bench functions into one runner, Criterion-style.

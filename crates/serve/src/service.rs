@@ -20,7 +20,7 @@ use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use gql_core::{CoreError, Engine, QueryKind};
 use gql_guard::{fault, Budget, CancelToken, Guard, LimitKind};
@@ -976,7 +976,7 @@ fn execute(inner: &Inner, job: &Job) -> Response {
     // Slow-log material, pulled from the profile while it is still whole.
     // The compact plan note is written before evaluation starts, so it is
     // present even when the run tripped a budget mid-eval.
-    let (plan_note, phases) = if job.meta.is_some() {
+    let (plan_note, mut phases) = if job.meta.is_some() {
         let plan_note = profile
             .as_ref()
             .and_then(|p| p.find("plan"))
@@ -1032,8 +1032,16 @@ fn execute(inner: &Inner, job: &Job) -> Response {
             c.completed.fetch_add(1, Ordering::SeqCst);
             let profile = profile.expect("profiling trace yields a profile");
             let eval_us = outcome.eval_time.as_micros() as u64;
+            // Writing the answer out and freeing it are the request's, but
+            // happen after the engine's trace has closed: one more phase.
+            let serialize = job.meta.is_some().then(Instant::now);
+            let xml = outcome.output.to_xml_string();
+            drop(outcome.output);
+            if let Some(started) = serialize {
+                phases.push(("serialize".into(), started.elapsed().as_micros() as u64));
+            }
             let resp = Response::Ok(Box::new(QueryOk {
-                xml: outcome.output.to_xml_string(),
+                xml,
                 result_count: outcome.result_count as u64,
                 eval_us,
                 plan: outcome.plan,
@@ -1135,6 +1143,59 @@ mod tests {
         let m = h.metrics();
         assert_eq!((m.submitted, m.admitted, m.completed), (2, 2, 2));
         assert_eq!((m.plan_cold, m.plan_warm, m.index_warm), (1, 1, 2));
+        service.shutdown();
+    }
+
+    #[test]
+    fn serialisation_is_a_phase_of_the_request() {
+        let mut catalog = Catalog::new();
+        let books = "<book><title>t</title></book>".repeat(500);
+        catalog
+            .register_xml("bib", &format!("<bib>{books}</bib>"))
+            .unwrap();
+        let mut tenants = TenantRegistry::new();
+        tenants.register("public", Envelope::slots(8));
+        // Threshold zero: every reply lands in the slow log.
+        let service = Service::builder()
+            .workers(1)
+            .catalog(catalog)
+            .tenants(tenants)
+            .telemetry(TelemetryConfig::default().with_slow_threshold_us(0))
+            .build();
+        let h = service.handle();
+        for (kind, query) in [
+            ("xpath", "//book"),
+            (
+                "xmlgl",
+                "rule { extract { book as $b } construct { answer { all $b } } }",
+            ),
+            (
+                "wglog",
+                "rule { query { $b: book } construct { $l: answer $l -member-> $b } } goal answer",
+            ),
+        ] {
+            let resp = h.submit(&Request::new("public", "bib", kind, query));
+            assert!(matches!(resp, Response::Ok(_)), "{kind}: {resp:?}");
+        }
+        let entries = h.telemetry().slow_entries_for("bib");
+        assert_eq!(entries.len(), 3);
+        for entry in &entries {
+            let names: Vec<&str> = entry.phases.iter().map(|(n, _)| n.as_str()).collect();
+            assert_eq!(names.last(), Some(&"serialize"), "{names:?}");
+            assert_eq!(names.iter().filter(|n| **n == "serialize").count(), 1);
+            // The phases are consecutive pieces of the time between submit
+            // and reply, each rounded down to a microsecond.
+            let sum: u64 = entry.phases.iter().map(|(_, us)| us).sum();
+            assert!(sum <= entry.service_us, "{sum} > {}", entry.service_us);
+        }
+        let text = h.metrics_report().to_text();
+        assert!(text.contains(" serialize="), "{text}");
+        // A failed run has no answer to write and reports no such phase.
+        let resp = h.submit(&Request::new("public", "bib", "xpath", "count(1)"));
+        assert!(matches!(resp, Response::Err(_)), "{resp:?}");
+        let entries = h.telemetry().slow_entries_for("bib");
+        let failed = entries.last().unwrap();
+        assert!(failed.phases.iter().all(|(n, _)| n != "serialize"));
         service.shutdown();
     }
 

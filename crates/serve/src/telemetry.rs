@@ -619,6 +619,12 @@ impl MetricsReport {
                         .map(|t| format!(" trip[{t}]"))
                         .unwrap_or_default()
                 ));
+                let phases: Vec<String> = entry
+                    .phases
+                    .iter()
+                    .map(|(name, us)| format!("{name}={us}us"))
+                    .collect();
+                out.push_str(&format!("      phases {}\n", phases.join(" ")));
             }
         }
         out

@@ -1,17 +1,20 @@
 //! The arena-based document store.
 //!
 //! A [`Document`] owns every node of one semi-structured document in a flat
-//! arena, addressed by [`NodeId`]. The tree shape is stored as parent links
-//! plus ordered child vectors; names are interned [`Symbol`]s. A synthetic
-//! *document node* (kind [`NodeKind::Document`]) is always present as the
-//! arena root so that parsing and construction never special-case the top
-//! level.
+//! arena, addressed by [`NodeId`]. Node records are plain old data: parent
+//! links plus *runs* into three pools the document owns — one for every
+//! child list, one for every attribute list, one for every text byte —
+//! so a node costs no heap allocation of its own. Names are interned
+//! [`Symbol`]s. A synthetic *document node* (kind [`NodeKind::Document`]) is
+//! always present as the arena root so that parsing and construction never
+//! special-case the top level.
 //!
 //! Document order (pre-order position, the order XPath and XML-GL ordered
 //! matching are defined over) is computed lazily and cached; any structural
 //! mutation invalidates the cache.
 
 use std::cmp::Ordering;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 use crate::arena::{Interner, NodeId, Symbol};
@@ -32,30 +35,110 @@ pub enum NodeKind {
     Pi,
 }
 
-#[derive(Debug, Clone)]
+/// `len` used slots of `cap` reserved ones, starting at `start` of a pool.
+#[derive(Debug, Clone, Copy, Default)]
+struct Run {
+    start: u32,
+    len: u32,
+    cap: u32,
+}
+
+impl Run {
+    /// The run of `len` full slots that ends a pool now `pool_len` long.
+    fn filled(pool_len: usize, len: u32, pool: &str) -> Run {
+        Run {
+            start: pool_offset(pool_len, pool) - len,
+            len,
+            cap: len,
+        }
+    }
+
+    fn range(self) -> Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+/// A byte range of the text pool.
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl Span {
+    fn range(self) -> Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
 struct NodeData {
     kind: NodeKind,
     /// Element tag name or PI target.
     name: Option<Symbol>,
-    /// Text / comment content or PI data.
-    text: Option<Box<str>>,
+    /// Text / comment content or PI data; empty for the other kinds.
+    text: Span,
     parent: Option<NodeId>,
-    children: Vec<NodeId>,
-    /// Attribute name/value pairs in the order they were set.
-    attrs: Vec<(Symbol, Box<str>)>,
+    /// Run of the child pool.
+    children: Run,
+    /// Run of the attribute pool, in the order the attributes were set.
+    attrs: Run,
 }
 
-impl NodeData {
-    fn leaf(kind: NodeKind, name: Option<Symbol>, text: Option<Box<str>>) -> Self {
-        NodeData {
-            kind,
-            name,
-            text,
-            parent: None,
-            children: Vec::new(),
-            attrs: Vec::new(),
-        }
+#[derive(Debug, Clone, Copy)]
+struct AttrData {
+    name: Symbol,
+    value: Span,
+}
+
+/// Pool offsets are `u32`, like [`NodeId`]: the checked conversion every
+/// pool length goes through after it grows, so that a document past the
+/// limit fails here instead of indexing with a wrapped offset.
+fn pool_offset(len: usize, pool: &str) -> u32 {
+    u32::try_from(len).unwrap_or_else(|_| {
+        panic!(
+            "document {pool} pool holds {len} entries, over the u32 limit of {}",
+            u32::MAX
+        )
+    })
+}
+
+/// Append `item` to `run` of `pool`. A full run grows in place while it is
+/// the pool's last one; otherwise it moves to the tail with doubled room and
+/// its old slots stay behind unused, which keeps every run contiguous.
+fn run_push<T: Copy>(pool: &mut Vec<T>, run: &mut Run, item: T, what: &str) {
+    let (start, len, cap) = (run.start as usize, run.len as usize, run.cap as usize);
+    if len < cap {
+        pool[start + len] = item;
+        run.len += 1;
+        return;
     }
+    // An empty run has no place yet: it starts at the tail.
+    let start = if cap == 0 { pool.len() } else { start };
+    let (start, cap) = if start + cap == pool.len() {
+        pool.push(item);
+        (start, cap + 1)
+    } else {
+        let tail = pool.len();
+        pool.extend_from_within(start..start + len);
+        // `item` lands in its slot and pads the spare ones.
+        pool.resize(tail + 2 * len, item);
+        (tail, 2 * len)
+    };
+    // Checked here, so the narrowing below cannot truncate.
+    pool_offset(pool.len(), what);
+    *run = Run {
+        start: start as u32,
+        len: run.len + 1,
+        cap: cap as u32,
+    };
+}
+
+/// Remove the slot at `pos` of `run`, keeping the order of the others.
+fn run_remove<T: Copy>(pool: &mut [T], run: &mut Run, pos: usize) {
+    let r = run.range();
+    pool.copy_within(r.start + pos + 1..r.end, r.start + pos);
+    run.len -= 1;
 }
 
 /// An in-memory semi-structured document.
@@ -64,11 +147,28 @@ impl NodeData {
 /// `&mut self`. Node ids stay valid for the lifetime of the document —
 /// detached nodes are kept in the arena (there is no garbage collection;
 /// documents are built once and queried many times, matching the workload of
-/// the paper's engines).
+/// the paper's engines). The same holds inside the pools: replacing an
+/// attribute value, removing an attribute, detaching a node or outgrowing a
+/// run leaves the old bytes and slots behind until the document is dropped.
+/// Cloning copies the pools as they are, so ids and order carry over.
+///
+/// Pool offsets are `u32` like [`NodeId`]: a document with more than
+/// `u32::MAX` nodes, child slots, attributes or text bytes panics with a
+/// message naming the pool.
 #[derive(Debug)]
 pub struct Document {
     nodes: Vec<NodeData>,
+    /// Every child list, as the `children` runs of `nodes`.
+    children: Vec<NodeId>,
+    /// Every attribute list, as the `attrs` runs of `nodes`.
+    attrs: Vec<AttrData>,
+    /// Every text, comment, PI-data and attribute-value byte.
+    text: String,
     interner: Interner,
+    /// What `import_subtree` last translated each symbol *index* of a
+    /// source document to. Only a hint: an entry is used after comparing the
+    /// two names, so a different source merely misses and overwrites it.
+    import_syms: Vec<Option<Symbol>>,
     root: NodeId,
     /// Lazily computed pre-order positions, invalidated on mutation.
     /// `OnceLock` (not `RefCell`) so a `&Document` can be shared across
@@ -80,7 +180,11 @@ impl Clone for Document {
     fn clone(&self) -> Self {
         Document {
             nodes: self.nodes.clone(),
+            children: self.children.clone(),
+            attrs: self.attrs.clone(),
+            text: self.text.clone(),
             interner: self.interner.clone(),
+            import_syms: Vec::new(),
             root: self.root,
             // The clone recomputes document order on first use.
             order: OnceLock::new(),
@@ -99,12 +203,15 @@ impl Document {
     pub fn new() -> Self {
         let mut doc = Document {
             nodes: Vec::new(),
+            children: Vec::new(),
+            attrs: Vec::new(),
+            text: String::new(),
             interner: Interner::new(),
+            import_syms: Vec::new(),
             root: NodeId(0),
             order: OnceLock::new(),
         };
-        doc.nodes
-            .push(NodeData::leaf(NodeKind::Document, None, None));
+        doc.push(NodeKind::Document, None, "", None);
         doc
     }
 
@@ -128,33 +235,58 @@ impl Document {
     // Construction
     // ------------------------------------------------------------------
 
-    fn push(&mut self, data: NodeData) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(data);
+    fn push(
+        &mut self,
+        kind: NodeKind,
+        name: Option<Symbol>,
+        text: &str,
+        parent: Option<NodeId>,
+    ) -> NodeId {
+        let id = NodeId(pool_offset(self.nodes.len(), "node"));
+        let text = self.push_text(text);
+        self.nodes.push(NodeData {
+            kind,
+            name,
+            text,
+            parent,
+            children: Run::default(),
+            attrs: Run::default(),
+        });
         self.invalidate_order();
         id
+    }
+
+    fn push_text(&mut self, s: &str) -> Span {
+        self.text.push_str(s);
+        let end = pool_offset(self.text.len(), "text");
+        // `s` is part of the pool, so its length fits as well.
+        let len = s.len() as u32;
+        Span {
+            start: end - len,
+            len,
+        }
     }
 
     /// Create a detached element node.
     pub fn create_element(&mut self, name: &str) -> NodeId {
         let sym = self.interner.intern(name);
-        self.push(NodeData::leaf(NodeKind::Element, Some(sym), None))
+        self.push(NodeKind::Element, Some(sym), "", None)
     }
 
     /// Create a detached text node.
     pub fn create_text(&mut self, text: &str) -> NodeId {
-        self.push(NodeData::leaf(NodeKind::Text, None, Some(text.into())))
+        self.push(NodeKind::Text, None, text, None)
     }
 
     /// Create a detached comment node.
     pub fn create_comment(&mut self, text: &str) -> NodeId {
-        self.push(NodeData::leaf(NodeKind::Comment, None, Some(text.into())))
+        self.push(NodeKind::Comment, None, text, None)
     }
 
     /// Create a detached processing-instruction node.
     pub fn create_pi(&mut self, target: &str, data: &str) -> NodeId {
         let sym = self.interner.intern(target);
-        self.push(NodeData::leaf(NodeKind::Pi, Some(sym), Some(data.into())))
+        self.push(NodeKind::Pi, Some(sym), data, None)
     }
 
     /// Append a detached node as the last child of `parent`.
@@ -178,16 +310,23 @@ impl Document {
         if self.nodes[child.index()].parent.is_some() {
             return Err(Error::structure(format!("{child} already has a parent")));
         }
-        // Cycle check: parent must not be inside child's subtree.
-        let mut cur = Some(parent);
-        while let Some(n) = cur {
-            if n == child {
-                return Err(Error::structure("append would create a cycle"));
-            }
-            cur = self.nodes[n.index()].parent;
+        // Cycle check: parent must not be inside child's subtree, which for
+        // a childless child is the child alone.
+        let cycle = if self.nodes[child.index()].children.len == 0 {
+            parent == child
+        } else {
+            self.is_ancestor_or_self(child, parent)
+        };
+        if cycle {
+            return Err(Error::structure("append would create a cycle"));
         }
         self.nodes[child.index()].parent = Some(parent);
-        self.nodes[parent.index()].children.push(child);
+        run_push(
+            &mut self.children,
+            &mut self.nodes[parent.index()].children,
+            child,
+            "child",
+        );
         self.invalidate_order();
         Ok(())
     }
@@ -200,9 +339,8 @@ impl Document {
             return Err(Error::structure("cannot detach the document node"));
         }
         if let Some(p) = self.nodes[node.index()].parent.take() {
-            let siblings = &mut self.nodes[p.index()].children;
-            if let Some(pos) = siblings.iter().position(|&c| c == node) {
-                siblings.remove(pos);
+            if let Some(pos) = self.children(p).iter().position(|&c| c == node) {
+                run_remove(&mut self.children, &mut self.nodes[p.index()].children, pos);
             }
             self.invalidate_order();
         }
@@ -215,12 +353,13 @@ impl Document {
         if self.nodes[node.index()].kind != NodeKind::Element {
             return Err(Error::structure("attributes are only valid on elements"));
         }
-        let sym = self.interner.intern(name);
-        let attrs = &mut self.nodes[node.index()].attrs;
-        if let Some(slot) = attrs.iter_mut().find(|(n, _)| *n == sym) {
-            slot.1 = value.into();
+        let name = self.interner.intern(name);
+        let value = self.push_text(value);
+        let run = &mut self.nodes[node.index()].attrs;
+        if let Some(slot) = self.attrs[run.range()].iter_mut().find(|a| a.name == name) {
+            slot.value = value;
         } else {
-            attrs.push((sym, value.into()));
+            run_push(&mut self.attrs, run, AttrData { name, value }, "attribute");
         }
         Ok(())
     }
@@ -231,10 +370,12 @@ impl Document {
         let Some(sym) = self.interner.get(name) else {
             return Ok(false);
         };
-        let attrs = &mut self.nodes[node.index()].attrs;
-        let before = attrs.len();
-        attrs.retain(|(n, _)| *n != sym);
-        Ok(attrs.len() != before)
+        let run = &mut self.nodes[node.index()].attrs;
+        let pos = self.attrs[run.range()].iter().position(|a| a.name == sym);
+        if let Some(pos) = pos {
+            run_remove(&mut self.attrs, run, pos);
+        }
+        Ok(pos.is_some())
     }
 
     /// Convenience: create an element, append it under `parent`, return it.
@@ -265,38 +406,62 @@ impl Document {
     /// returning the new (detached) root. Used by construction engines when
     /// materialising query results.
     pub fn import_subtree(&mut self, src: &Document, node: NodeId) -> NodeId {
-        let data = &src.nodes[node.index()];
-        let new = match data.kind {
-            NodeKind::Document => {
-                // A whole document has no tag of its own: graft its children
-                // under a fresh `document` element so the import is always a
-                // single well-formed subtree.
-                self.create_element("document")
-            }
-            NodeKind::Element => {
-                let name = src.interner.resolve(data.name.expect("elements are named"));
-                let el = self.create_element(name);
-                for (n, v) in &data.attrs {
-                    let name = src.interner.resolve(*n);
-                    self.set_attr(el, name, v).expect("element accepts attrs");
-                }
-                el
-            }
-            NodeKind::Text => self.create_text(data.text.as_deref().unwrap_or("")),
-            NodeKind::Comment => self.create_comment(data.text.as_deref().unwrap_or("")),
-            NodeKind::Pi => {
-                let target = src.interner.resolve(data.name.expect("PIs are named"));
-                self.create_pi(target, data.text.as_deref().unwrap_or(""))
-            }
+        self.import_node(src, node, None)
+    }
+
+    /// Copy `node` and then, in pre-order, its subtree. Every node linked
+    /// here was created here, so none of `append_child`'s checks can fail,
+    /// and each run is reserved at its final length.
+    fn import_node(&mut self, src: &Document, node: NodeId, parent: Option<NodeId>) -> NodeId {
+        let data = src.nodes[node.index()];
+        let (kind, name) = match data.kind {
+            // A whole document has no tag of its own: graft its children
+            // under a fresh `document` element so the import is always a
+            // single well-formed subtree.
+            NodeKind::Document => (NodeKind::Element, Some(self.interner.intern("document"))),
+            kind => (kind, data.name.map(|s| self.import_sym(src, s))),
         };
-        if matches!(data.kind, NodeKind::Element | NodeKind::Document) {
-            for &c in &data.children {
-                let imported = self.import_subtree(src, c);
-                self.append_child(new, imported)
-                    .expect("imported child is fresh");
-            }
+        let new = self.push(kind, name, &src.text[data.text.range()], parent);
+        for a in &src.attrs[data.attrs.range()] {
+            let name = self.import_sym(src, a.name);
+            let value = self.push_text(&src.text[a.value.range()]);
+            self.attrs.push(AttrData { name, value });
+        }
+        let kids = &src.children[data.children.range()];
+        let first = self.children.len();
+        // Placeholders: each slot is overwritten below before anyone reads it.
+        self.children.resize(first + kids.len(), new);
+        let copy = &mut self.nodes[new.index()];
+        copy.attrs = Run::filled(self.attrs.len(), data.attrs.len, "attribute");
+        copy.children = Run::filled(self.children.len(), data.children.len, "child");
+        for (i, &c) in kids.iter().enumerate() {
+            self.children[first + i] = self.import_node(src, c, Some(new));
         }
         new
+    }
+
+    /// This document's symbol for `src`'s `sym`, through `import_syms`.
+    fn import_sym(&mut self, src: &Document, sym: Symbol) -> Symbol {
+        let name = src.interner.resolve(sym);
+        if self.import_syms.len() <= sym.index() {
+            self.import_syms.resize(src.interner.len(), None);
+        }
+        match self.import_syms[sym.index()] {
+            Some(known) if self.interner.resolve(known) == name => known,
+            _ => {
+                let new = self.interner.intern(name);
+                self.import_syms[sym.index()] = Some(new);
+                new
+            }
+        }
+    }
+
+    /// About the length of the compact serialisation, for
+    /// [`crate::xml::write`] to size its buffer by: every pooled byte plus
+    /// the markup of a record (≈ 9 bytes in the generated datasets; counting
+    /// it exactly costs more than the reallocation a miss does).
+    pub(crate) fn xml_size_hint(&self) -> usize {
+        self.text.len() + 12 * self.nodes.len()
     }
 
     // ------------------------------------------------------------------
@@ -343,7 +508,13 @@ impl Document {
 
     /// Text content of a text/comment/PI node (not recursive).
     pub fn text(&self, node: NodeId) -> Option<&str> {
-        self.nodes[node.index()].text.as_deref()
+        let data = &self.nodes[node.index()];
+        match data.kind {
+            NodeKind::Text | NodeKind::Comment | NodeKind::Pi => {
+                Some(&self.text[data.text.range()])
+            }
+            NodeKind::Document | NodeKind::Element => None,
+        }
     }
 
     #[inline]
@@ -354,7 +525,7 @@ impl Document {
     /// Ordered children (all kinds).
     #[inline]
     pub fn children(&self, node: NodeId) -> &[NodeId] {
-        &self.nodes[node.index()].children
+        &self.children[self.nodes[node.index()].children.range()]
     }
 
     /// Ordered element children.
@@ -378,10 +549,13 @@ impl Document {
 
     /// Attributes of an element in set order.
     pub fn attrs(&self, node: NodeId) -> impl Iterator<Item = (&str, &str)> + '_ {
-        self.nodes[node.index()]
-            .attrs
+        self.attr_run(node)
             .iter()
-            .map(move |(n, v)| (self.interner.resolve(*n), v.as_ref()))
+            .map(move |a| (self.interner.resolve(a.name), &self.text[a.value.range()]))
+    }
+
+    fn attr_run(&self, node: NodeId) -> &[AttrData] {
+        &self.attrs[self.nodes[node.index()].attrs.range()]
     }
 
     /// Attribute names of an element as interned symbols, in set order —
@@ -389,22 +563,26 @@ impl Document {
     /// builds, which would otherwise hash every name string back through
     /// the interner.
     pub fn attr_syms(&self, node: NodeId) -> impl Iterator<Item = Symbol> + '_ {
-        self.nodes[node.index()].attrs.iter().map(|(n, _)| *n)
+        self.attr_run(node).iter().map(|a| a.name)
     }
 
     /// Value of one attribute.
     pub fn attr(&self, node: NodeId, name: &str) -> Option<&str> {
+        let attrs = self.attr_run(node);
+        // Most nodes have none: answer before hashing the name.
+        if attrs.is_empty() {
+            return None;
+        }
         let sym = self.interner.get(name)?;
-        self.nodes[node.index()]
-            .attrs
+        attrs
             .iter()
-            .find(|(n, _)| *n == sym)
-            .map(|(_, v)| v.as_ref())
+            .find(|a| a.name == sym)
+            .map(|a| &self.text[a.value.range()])
     }
 
     /// Number of attributes on a node.
     pub fn attr_count(&self, node: NodeId) -> usize {
-        self.nodes[node.index()].attrs.len()
+        self.attr_run(node).len()
     }
 
     /// Pre-order iterator over the subtree rooted at `node`, including
@@ -605,6 +783,65 @@ mod tests {
         d.set_attr(book, "isbn", "42").unwrap();
         let title = d.add_text_element(book, "title", "Data on the Web");
         (d, root, book, title)
+    }
+
+    #[test]
+    fn pool_offsets_are_checked_against_the_u32_limit() {
+        assert_eq!(pool_offset(u32::MAX as usize, "text"), u32::MAX);
+        let over = std::panic::catch_unwind(|| pool_offset(u32::MAX as usize + 1, "text"));
+        let msg = *over.unwrap_err().downcast::<String>().unwrap();
+        assert!(
+            msg.contains("text pool") && msg.contains("4294967295"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn node_records_are_plain_old_data() {
+        fn assert_copy<T: Copy>() {}
+        assert_copy::<NodeData>();
+        assert_copy::<AttrData>();
+        assert!(std::mem::size_of::<NodeData>() <= 52);
+        assert_eq!(std::mem::size_of::<AttrData>(), 12);
+    }
+
+    #[test]
+    fn interleaved_appends_keep_every_child_list_one_ordered_slice() {
+        let mut d = Document::new();
+        let a = d.add_element(d.root(), "a");
+        let b = d.add_element(d.root(), "b");
+        let (mut of_a, mut of_b) = (Vec::new(), Vec::new());
+        for i in 0..40 {
+            // `a`'s run is full and not last every time `b` grew after it.
+            of_a.push(d.add_element(a, "x"));
+            if i % 3 == 0 {
+                of_b.push(d.add_text(b, "t"));
+            }
+            assert_eq!(d.children(a), of_a);
+            assert_eq!(d.children(b), of_b);
+        }
+        // Moved runs leave their old slots behind; the pool stays within
+        // twice the live lists plus what the moves abandoned.
+        assert!(d.children.len() >= of_a.len() + of_b.len() + 2);
+        assert!(d.children.len() <= 4 * (of_a.len() + of_b.len()));
+        d.detach(of_a[1]).unwrap();
+        of_a.remove(1);
+        assert_eq!(d.children(a), of_a);
+    }
+
+    #[test]
+    fn replaced_values_stay_in_the_pool_and_clones_carry_it_as_it_is() {
+        let (mut d, _, book, title) = sample();
+        let before = d.text.len();
+        d.set_attr(book, "isbn", "4711").unwrap();
+        assert_eq!(d.text.len(), before + 4);
+        assert_eq!(d.attr(book, "isbn"), Some("4711"));
+        let copy = d.clone();
+        assert_eq!(copy.text, d.text);
+        assert_eq!(copy.children, d.children);
+        assert_eq!(copy.attr(book, "isbn"), Some("4711"));
+        assert_eq!(copy.text_content(title), "Data on the Web");
+        assert_eq!(copy.to_xml_string(), d.to_xml_string());
     }
 
     #[test]

@@ -26,6 +26,8 @@
 //! assert_eq!(doc.attr(book, "isbn"), Some("1"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod arena;
 pub mod diag;
 pub mod document;

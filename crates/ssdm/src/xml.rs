@@ -439,32 +439,42 @@ impl<'a> Parser<'a> {
 
 /// Escape text-node content.
 pub fn escape_text(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '&' => out.push_str("&amp;"),
-            _ => out.push(c),
-        }
-    }
+    escape(s, out, |b| match b {
+        b'<' => Some("&lt;"),
+        b'>' => Some("&gt;"),
+        b'&' => Some("&amp;"),
+        _ => None,
+    });
 }
 
 /// Escape attribute-value content (double-quote convention).
 pub fn escape_attr(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '<' => out.push_str("&lt;"),
-            '&' => out.push_str("&amp;"),
-            '"' => out.push_str("&quot;"),
-            _ => out.push(c),
+    escape(s, out, |b| match b {
+        b'<' => Some("&lt;"),
+        b'&' => Some("&amp;"),
+        b'"' => Some("&quot;"),
+        _ => None,
+    });
+}
+
+/// Copy `s` to `out` in runs, with each byte `entity` names replaced. The
+/// escapable bytes are ASCII, so every cut falls on a character boundary.
+fn escape(s: &str, out: &mut String, entity: impl Fn(u8) -> Option<&'static str>) {
+    let mut copied = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if let Some(e) = entity(b) {
+            out.push_str(&s[copied..i]);
+            out.push_str(e);
+            copied = i + 1;
         }
     }
+    out.push_str(&s[copied..]);
 }
 
 /// Serialize a document. With `pretty`, element-only content is indented
 /// two spaces per level; mixed content is left untouched so text round-trips.
 pub fn write(doc: &Document, pretty: bool) -> String {
-    let mut out = String::new();
+    let mut out = String::with_capacity(doc.xml_size_hint());
     for &c in doc.children(doc.root()) {
         write_node(doc, c, pretty, 0, &mut out);
         if pretty {

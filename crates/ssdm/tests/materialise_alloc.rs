@@ -1,0 +1,80 @@
+//! Building, writing and dropping an answer costs no heap allocation per
+//! node: the Q1 answer of the scale-1000 city guide (every `restaurant`
+//! subtree copied under one `answer` element) under a counting allocator.
+//! One test, so that nothing else allocates in this binary while it counts.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use gql_ssdm::generator::{cityguide, CityConfig};
+use gql_ssdm::Document;
+
+struct CountingAlloc;
+
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+static FREES: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// counters are the only addition.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        FREES.fetch_add(1, Ordering::Relaxed);
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+#[test]
+fn an_answer_is_built_written_and_dropped_without_an_allocation_per_node() {
+    let guide = cityguide(CityConfig {
+        restaurants: 1_000,
+        hotels: 250,
+        seed: 11,
+    });
+    let restaurants: Vec<_> = guide.elements_named("restaurant").collect();
+    assert_eq!(restaurants.len(), 1_000);
+
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let mut answer = Document::new();
+    let root = answer.add_element(answer.root(), "answer");
+    for &r in &restaurants {
+        let copy = answer.import_subtree(&guide, r);
+        answer.append_child(root, copy).unwrap();
+    }
+    let built = ALLOCS.load(Ordering::Relaxed) - before;
+    let nodes = answer.node_count();
+    assert!(nodes > 20_000, "{nodes} nodes");
+    // The pools' doublings and the interned names: the logarithm of the
+    // node count, not the node count (≈ 40,000 with a `Vec` and a `Box` per
+    // node) and not the number of subtrees either.
+    assert!(built <= 200, "{built} allocations for {nodes} nodes");
+
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let xml = answer.to_xml_string();
+    let written = ALLOCS.load(Ordering::Relaxed) - before;
+    assert!(xml.len() > 200_000);
+    // Sized once; a few escapes may push it past the estimate.
+    assert!(
+        written <= 2,
+        "{written} allocations for {} bytes",
+        xml.len()
+    );
+
+    let before = FREES.load(Ordering::Relaxed);
+    drop(answer);
+    let freed = FREES.load(Ordering::Relaxed) - before;
+    // The pools, the symbol memo and the interned names.
+    assert!(freed <= 128, "{freed} deallocations for {nodes} nodes");
+}

@@ -13,6 +13,9 @@
 //!   are non-vacuous against generated documents.
 //! * [`generators`] — deterministic random documents, XML-GL rules,
 //!   WG-Log programs, XPath expressions, and cross-engine [`Intent`]s.
+//! * [`model`] — a naive reference model of the document store (one
+//!   record per node, `Vec` children, `String` attributes, its own XML
+//!   writer) that the store's model-based property test runs beside it.
 //! * [`oracle`] — differential oracles over every dual execution path
 //!   (indexed vs scan, parallel vs sequential, semi-naive vs naive
 //!   fixpoint, prebuilt vs lazy index, translated vs direct) plus
@@ -47,6 +50,7 @@ pub mod fault;
 pub mod fuzz;
 pub mod generators;
 pub mod harness;
+pub mod model;
 pub mod oracle;
 pub mod serve_oracle;
 pub mod shrink;

@@ -73,7 +73,7 @@ impl XValue {
         }
     }
 
-    fn view(&self) -> View<'_> {
+    pub(crate) fn view(&self) -> View<'_> {
         match self {
             XValue::Nodes(ns) => View::Nodes(ns),
             XValue::Num(n) => View::Num(*n),
@@ -348,10 +348,7 @@ fn eval_expr(expr: &Expr, ctx: Ctx<'_>) -> Result<XValue> {
     match expr {
         Expr::Literal(s) => Ok(XValue::Str(s.clone())),
         Expr::Number(n) => Ok(XValue::Num(*n)),
-        Expr::Neg(e) => {
-            let v = eval_expr(e, ctx)?;
-            Ok(XValue::Num(-v.number(ctx.doc)))
-        }
+        Expr::Neg(e) => Ok(XValue::Num(-eval_operand(e, ctx)?.view().number(ctx.doc))),
         Expr::Path(p) if hoistable(p, ctx) => {
             hoisted_path(p, ctx).map(|set| XValue::Nodes(set.to_vec()))
         }
@@ -369,6 +366,9 @@ fn eval_expr(expr: &Expr, ctx: Ctx<'_>) -> Result<XValue> {
         }
         Expr::Binary(op, a, b) => eval_binary(*op, a, b, ctx),
         Expr::Call(name, args) => {
+            if let (Some(reduce), [arg]) = (functions::reduction(name), args.as_slice()) {
+                return reduce(eval_operand(arg, ctx)?.view(), ctx.doc);
+            }
             let mut values = Vec::with_capacity(args.len());
             for a in args {
                 values.push(eval_expr(a, ctx)?);
@@ -402,8 +402,8 @@ fn eval_binary(op: BinOp, a: &Expr, b: &Expr, ctx: Ctx<'_>) -> Result<XValue> {
             Ok(XValue::Bool(eval_operand(b, ctx)?.view().boolean()))
         }
         BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
-            let x = eval_expr(a, ctx)?.number(ctx.doc);
-            let y = eval_expr(b, ctx)?.number(ctx.doc);
+            let x = eval_operand(a, ctx)?.view().number(ctx.doc);
+            let y = eval_operand(b, ctx)?.view().number(ctx.doc);
             let r = match op {
                 BinOp::Add => x + y,
                 BinOp::Sub => x - y,
@@ -422,12 +422,14 @@ fn eval_binary(op: BinOp, a: &Expr, b: &Expr, ctx: Ctx<'_>) -> Result<XValue> {
     }
 }
 
-/// The value of an operand that is only read (by a comparison, `and`/`or`
-/// or a predicate's verdict), borrowed where the expression or the hoisting
-/// memo already holds it: a predicate is evaluated once per candidate, and
-/// neither a literal nor a shared node-set is copied for that. A hoisted
-/// path passed to a function (`count(//b)`) is still copied per call, by
-/// [`eval_expr`]: functions take owned values.
+/// The value of an operand that is only read (by a comparison, arithmetic,
+/// `and`/`or`, a predicate's verdict, or one of the
+/// [reductions](functions::reduction) `count`/`sum`/`not`/`boolean`),
+/// borrowed where the expression or the hoisting memo already holds it: a
+/// predicate is evaluated once per candidate, and neither a literal nor a
+/// shared node-set is copied for that. A hoisted path used any other way
+/// (`string(//b)`, `//a | //b`, `(//b)[1]`) is still copied per use, by
+/// [`eval_expr`]: those consumers take owned values.
 enum Operand<'e> {
     Literal(&'e str),
     Shared(Rc<[Item]>),
@@ -453,8 +455,8 @@ fn eval_operand<'e>(expr: &'e Expr, ctx: Ctx<'_>) -> Result<Operand<'e>> {
 }
 
 /// A borrowed [`XValue`]: what the comparison rules read.
-#[derive(Clone, Copy)]
-enum View<'a> {
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum View<'a> {
     Nodes(&'a [Item]),
     Num(f64),
     Str(&'a str),
@@ -462,7 +464,7 @@ enum View<'a> {
 }
 
 impl View<'_> {
-    fn boolean(self) -> bool {
+    pub(crate) fn boolean(self) -> bool {
         match self {
             View::Nodes(ns) => !ns.is_empty(),
             View::Num(n) => n != 0.0 && !n.is_nan(),

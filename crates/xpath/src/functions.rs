@@ -2,7 +2,7 @@
 
 use gql_ssdm::Document;
 
-use crate::eval::{string_value, Item, XValue};
+use crate::eval::{string_value, Item, View, XValue};
 use crate::{Result, XPathError};
 
 /// What the step-fusion analysis needs to know of a function: whether a
@@ -61,6 +61,38 @@ fn arity_err(name: &str, expected: &str, got: usize) -> XPathError {
     }
 }
 
+/// A one-argument function that only reads its argument.
+pub(crate) type Reduction = fn(View<'_>, &Document) -> Result<XValue>;
+
+/// The functions that reduce one argument to a number or a boolean without
+/// keeping any of it. The evaluator hands them a borrowed [`View`], so a
+/// node-set shared between a predicate's candidates is read, never copied;
+/// with any other argument count these names fall through to [`call`]'s
+/// arity error.
+pub(crate) fn reduction(name: &str) -> Option<Reduction> {
+    fn node_set<'a>(arg: View<'a>) -> Result<&'a [Item]> {
+        match arg {
+            View::Nodes(ns) => Ok(ns),
+            other => Err(XPathError::Eval {
+                msg: format!("expected a node-set, got {other:?}"),
+            }),
+        }
+    }
+    Some(match name {
+        "count" => |arg, _| Ok(XValue::Num(node_set(arg)?.len() as f64)),
+        "sum" => |arg, doc| {
+            let total = node_set(arg)?
+                .iter()
+                .map(|&n| gql_ssdm::value::parse_number(&string_value(doc, n)).unwrap_or(f64::NAN))
+                .sum();
+            Ok(XValue::Num(total))
+        },
+        "not" => |arg, _| Ok(XValue::Bool(!arg.boolean())),
+        "boolean" => |arg, _| Ok(XValue::Bool(arg.boolean())),
+        _ => return None,
+    })
+}
+
 /// Dispatch a function call. `item`/`position`/`size` carry the evaluation
 /// context for the context-dependent functions; `caches` holds the
 /// per-evaluation lazily built structures (the `id()` reference graph).
@@ -84,10 +116,7 @@ pub(crate) fn call(
         // Booleans.
         ("true", 0) => Ok(XValue::Bool(true)),
         ("false", 0) => Ok(XValue::Bool(false)),
-        ("not", 1) => Ok(XValue::Bool(!next().boolean())),
-        ("boolean", 1) => Ok(XValue::Bool(next().boolean())),
         // Node-sets.
-        ("count", 1) => Ok(XValue::Num(next().into_nodes()?.len() as f64)),
         ("id", 1) => {
             // XPath id(): elements whose `id` attribute matches any token of
             // the argument (string value, or each node's value for sets).
@@ -114,14 +143,6 @@ pub(crate) fn call(
             });
             hits.dedup();
             Ok(XValue::Nodes(hits))
-        }
-        ("sum", 1) => {
-            let ns = next().into_nodes()?;
-            let total: f64 = ns
-                .iter()
-                .map(|&n| gql_ssdm::value::parse_number(&string_value(doc, n)).unwrap_or(f64::NAN))
-                .sum();
-            Ok(XValue::Num(total))
         }
         ("name", 0) | ("local-name", 0) => Ok(XValue::Str(item_name(doc, item))),
         ("name", 1) | ("local-name", 1) => {
@@ -414,7 +435,10 @@ mod tests {
             assert_eq!(class_of(name), Some(class));
             let results: Vec<XValue> = arg_lists
                 .iter()
-                .filter_map(|args| call(name, args.clone(), &d, root, 2, 3, &caches).ok())
+                .filter_map(|args| match (reduction(name), args.as_slice()) {
+                    (Some(reduce), [arg]) => reduce(arg.view(), &d).ok(),
+                    _ => call(name, args.clone(), &d, root, 2, 3, &caches).ok(),
+                })
                 .collect();
             assert!(!results.is_empty(), "{name}() accepted no argument list");
             for value in results {

@@ -14,9 +14,11 @@
 //! can minimize and replay too.
 
 use gql::ssdm::document::NodeKind;
+use gql::ssdm::generator::{webgraph, WebConfig};
 use gql::ssdm::rng::Rng;
 use gql::ssdm::{Document, NodeId};
 use gql_testkit::generators::{document, fuzz_alphabet, gen_xmlgl, string_over, text_value};
+use gql_testkit::model::DocModel;
 use gql_testkit::{check, pick, TAGS};
 
 use gql::core::engine::Engine;
@@ -82,6 +84,141 @@ fn traversal_visits_each_node_once() {
         assert_eq!(visited.len(), unique.len());
         assert_eq!(visited.len(), doc.live_node_count());
     });
+}
+
+// ----------------------------------------------------------------------
+// The document store against its reference model
+// ----------------------------------------------------------------------
+
+/// Names, texts and attribute values of the store programs: short, and
+/// with every character the writer escapes and some that take more than one
+/// byte.
+fn store_string(rng: &mut Rng) -> String {
+    const ALPHABET: &[char] = &['a', 'b', ' ', '<', '>', '&', '"', '\'', 'é', '→', '𝄞'];
+    string_over(rng, ALPHABET, 6)
+}
+
+/// A random program of constructions, legal and illegal links, detaches,
+/// attribute edits, imports and clones leaves the pooled store and the
+/// naive model in the same state after every step: the same `Ok`/`Err`,
+/// children, parents, attribute order, texts, document order and XML.
+#[test]
+fn document_store_agrees_with_its_reference_model() {
+    check(
+        "document_store_agrees_with_its_reference_model",
+        192,
+        |rng| {
+            // Two sources with different symbol tables, imported from in turn.
+            let web = webgraph(WebConfig {
+                docs: rng.gen_range(1..12),
+                links_per_doc: rng.gen_range(0..4),
+                index_percent: 50,
+                seed: rng.next_u64(),
+            });
+            let sources = [document(rng), web];
+            let source_models = sources.each_ref().map(DocModel::of);
+            for (model, src) in source_models.iter().zip(&sources) {
+                model.assert_matches(src);
+            }
+            let (mut doc, mut model) = (Document::new(), DocModel::default());
+            for _ in 0..rng.gen_range(1..80) {
+                // Any node, now and then one past the arena.
+                let node = |rng: &mut Rng| {
+                    let past = usize::from(rng.gen_bool(0.02));
+                    rng.gen_range(0..doc.node_count() + past)
+                };
+                let (a, b) = (node(rng), node(rng));
+                let (ida, idb) = (NodeId::from_index(a), NodeId::from_index(b));
+                let (s, t) = (store_string(rng), store_string(rng));
+                let name = pick(rng, TAGS);
+                match rng.gen_range(0..14) {
+                    0..=2 => {
+                        let new = doc.create_element(name);
+                        assert_eq!(
+                            new.index(),
+                            model.create(NodeKind::Element, Some(name), None)
+                        );
+                    }
+                    3 => {
+                        let new = doc.create_text(&s);
+                        assert_eq!(new.index(), model.create(NodeKind::Text, None, Some(&s)));
+                    }
+                    4 => {
+                        let (new, kind) = if rng.gen_bool(0.5) {
+                            (doc.create_comment(&s), NodeKind::Comment)
+                        } else {
+                            (doc.create_pi(name, &s), NodeKind::Pi)
+                        };
+                        let named = (kind == NodeKind::Pi).then_some(name);
+                        assert_eq!(new.index(), model.create(kind, named, Some(&s)));
+                    }
+                    // Whatever the two nodes are: leaf parents, parented or
+                    // ancestor children and the document node all come up.
+                    5..=7 => assert_eq!(
+                        doc.append_child(ida, idb).ok(),
+                        model.append_child(a, b),
+                        "append_child({a}, {b})"
+                    ),
+                    8 => assert_eq!(doc.detach(ida).ok(), model.detach(a), "detach({a})"),
+                    9 | 10 => {
+                        // A small name pool, so that values get replaced.
+                        let attr = pick(rng, &["k", "id", "é"]);
+                        assert_eq!(
+                            doc.set_attr(ida, attr, &t).ok(),
+                            model.set_attr(a, attr, &t)
+                        );
+                    }
+                    11 => {
+                        let attr = pick(rng, &["k", "id", "é", "never-set"]);
+                        assert_eq!(doc.remove_attr(ida, attr).ok(), model.remove_attr(a, attr));
+                    }
+                    12 => {
+                        let which = rng.gen_range(0..sources.len());
+                        let (src, src_model) = (&sources[which], &source_models[which]);
+                        let from = rng.gen_range(0..src.node_count());
+                        let new = doc.import_subtree(src, NodeId::from_index(from));
+                        assert_eq!(new.index(), model.import_subtree(src_model, from));
+                    }
+                    _ => {
+                        // Carry on with the clone: ids and order are the same.
+                        doc = doc.clone();
+                        model = model.clone();
+                    }
+                }
+                model.assert_matches(&doc);
+            }
+        },
+    );
+}
+
+/// Every byte the writer escapes, at the start, in the middle and at the end
+/// of a text and of an attribute value, alone, doubled and against
+/// multi-byte characters: written as the character-by-character writer
+/// writes it, and read back as it was.
+#[test]
+fn writer_escapes_every_position() {
+    for special in ['<', '>', '&', '"', '\''] {
+        for pad in ["", "a", "é", "→𝄞", "&", "<"] {
+            for value in [
+                format!("{special}{pad}"),
+                format!("{pad}{special}"),
+                format!("{pad}{special}{pad}"),
+                format!("{special}{pad}{special}"),
+                format!("{special}{special}{pad}"),
+            ] {
+                let mut doc = Document::new();
+                let el = doc.add_element(doc.root(), "e");
+                doc.set_attr(el, "k", &value).unwrap();
+                doc.add_text(el, &value);
+                let xml = doc.to_xml_string();
+                assert_eq!(xml, DocModel::of(&doc).to_xml(), "{value:?}");
+                let back = Document::parse_str(&xml).unwrap();
+                let el = back.root_element().unwrap();
+                assert_eq!(back.attr(el, "k"), Some(value.as_str()), "{xml}");
+                assert_eq!(back.text_content(el), value, "{xml}");
+            }
+        }
+    }
 }
 
 // ----------------------------------------------------------------------
