@@ -1,28 +1,34 @@
-//! Tracing overhead on the hottest measured path: the indexed join.
+//! Tracing overhead, in both states the trace runs in.
 //!
-//! The tracing layer promises to be free when disabled — every probe is one
-//! `Option` branch. This bench holds the promise to a number on the same
-//! workload the `indexed` bench measures (the two-root deep-equal join over
-//! the archive-padded catalog): it times the join matcher
+//! **Disabled** (`Trace::disabled()`, what a library caller of
+//! `Engine::run` gets): every probe is one `Option` branch. Held to a number
+//! on the workload the `indexed` bench measures (the two-root deep-equal
+//! join over the archive-padded catalog): the join matcher is timed through
+//! the public path and through a trace recording into a reused log, the
+//! ratio is recorded (`overhead/recorded_ratio`, for trend-watching), and
+//! the asserted figure is a *derived* bound immune to run-to-run noise: the
+//! number of probe events one traced join fires (read off the log it
+//! recorded) times the measured cost of a disabled probe must stay under 2%
+//! of the join's run time.
 //!
-//! * through the public path (internally `Trace::disabled()` — the
-//!   production configuration), and
-//! * through a trace wired to a *no-op collector* (every probe fires, the
-//!   sink discards everything — the worst case a user can configure),
-//!
-//! and records the ratio (`overhead/noop_ratio`, for trend-watching). The
-//! asserted figure is a *derived* bound immune to run-to-run noise: the
-//! number of probe events one traced join fires (counted exactly with a
-//! counting collector) times the measured cost of a disabled probe must
-//! stay under 2% of the join's run time. `GQL_BENCH_SAMPLES` scales effort
-//! as usual.
+//! **Recording** (`TraceLog::record` into a per-worker log, what
+//! `gql-serve` runs for every request): `overhead/profiling_point_ratio/*`
+//! is a warm point-sized request — Q1 of each surface against the resident
+//! eight-restaurant city guide, run and serialised — traced over untraced,
+//! the two timed in alternation and each taken at its least disturbed
+//! batch. CI bounds it at 1.15. `GQL_BENCH_SAMPLES` scales the first half's
+//! effort as usual.
 
-use std::any::Any;
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 use gql_bench::microbench::Criterion;
+use gql_bench::suite::{self, Dataset};
 use gql_bench::{criterion_group, criterion_main};
+use gql_core::{Engine, QueryKind};
+use gql_guard::Guard;
 use gql_ssdm::{DocIndex, Document};
-use gql_trace::{Collector, Trace};
+use gql_trace::{Trace, TraceLog};
 use gql_xmlgl::builder::{RuleBuilder, C, Q};
 use gql_xmlgl::eval::{match_rule_traced, match_rule_with, MatchMode};
 
@@ -63,37 +69,33 @@ fn join_rule() -> gql_xmlgl::ast::Rule {
         .expect("rule builds")
 }
 
-/// Discards every event: measures probe cost without sink cost.
-struct NoopCollector;
-
-impl Collector for NoopCollector {
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
+/// One point-sized request as the service executes it.
+fn point_request(engine: &Engine, query: &QueryKind, doc: &Document, trace: &Trace) -> String {
+    engine
+        .run_governed(query, doc, trace, &Guard::unlimited())
+        .expect("suite query runs")
+        .output
+        .to_xml_string()
 }
 
-/// Counts events: measures how many probes one traced join run fires.
-struct CountingCollector {
-    events: u64,
-}
-
-impl Collector for CountingCollector {
-    fn span_start(&mut self, _name: &str) -> usize {
-        self.events += 1;
-        0
+/// Time `untraced` and `traced` in alternating batches and keep each side's
+/// fastest batch: the one a busy neighbour disturbed least.
+fn fastest_batches(mut untraced: impl FnMut(), mut traced: impl FnMut()) -> (Duration, Duration) {
+    const ROUNDS: usize = 300;
+    const BATCH: usize = 100;
+    let batch = |f: &mut dyn FnMut()| {
+        let start = Instant::now();
+        for _ in 0..BATCH {
+            f();
+        }
+        start.elapsed()
+    };
+    let mut best = (Duration::MAX, Duration::MAX);
+    for _ in 0..ROUNDS {
+        best.0 = best.0.min(batch(&mut untraced));
+        best.1 = best.1.min(batch(&mut traced));
     }
-    fn span_end(&mut self, _token: usize, _elapsed: std::time::Duration) {
-        self.events += 1;
-    }
-    fn count(&mut self, _name: &str, _delta: u64) {
-        self.events += 1;
-    }
-    fn note(&mut self, _name: &str, _value: &str) {
-        self.events += 1;
-    }
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
+    best
 }
 
 fn bench_tracing_overhead(c: &mut Criterion) {
@@ -107,34 +109,22 @@ fn bench_tracing_overhead(c: &mut Criterion) {
     let disabled = group.bench_function("join_indexed/disabled", |b| {
         b.iter(|| match_rule_with(&rule, &doc, &idx, MatchMode::Auto))
     });
-    let noop = group.bench_function("join_indexed/noop_collector", |b| {
-        b.iter(|| {
-            let trace = Trace::with_collector(Box::new(NoopCollector));
-            match_rule_traced(&rule, &doc, &idx, MatchMode::Auto, &trace)
-        })
+    let mut log = TraceLog::new();
+    let recorded = group.bench_function("join_indexed/recorded", |b| {
+        b.iter(|| log.record(|trace| match_rule_traced(&rule, &doc, &idx, MatchMode::Auto, trace)))
     });
-
-    let ratio = disabled.as_secs_f64() / noop.as_secs_f64().max(f64::MIN_POSITIVE);
     group.record_metric(
-        "noop_ratio",
-        noop.as_secs_f64() / disabled.as_secs_f64(),
+        "recorded_ratio",
+        recorded.as_secs_f64() / disabled.as_secs_f64(),
         "x",
     );
 
     // Direct <2% bound. A disabled probe is one branch; its cost times the
     // number of probe *sites fired* per run bounds what instrumentation
-    // can possibly add to the production (disabled) configuration. Count
-    // the firings with a counting collector, measure the per-probe cost of
-    // the disabled handle, and compare the product against the join time.
-    let trace = Trace::with_collector(Box::new(CountingCollector { events: 0 }));
-    match_rule_traced(&rule, &doc, &idx, MatchMode::Auto, &trace);
-    let events = trace
-        .into_collector()
-        .expect("enabled trace")
-        .into_any()
-        .downcast::<CountingCollector>()
-        .expect("counting collector")
-        .events;
+    // can possibly add to an untraced run. The log of the last traced join
+    // says how many fired; measure the per-probe cost of the disabled
+    // handle, and compare the product against the join time.
+    let events = log.probes();
     // Batch 1024 probes per timed iteration so the figure stays meaningful
     // even under `GQL_BENCH_SAMPLES=1` (a single probe is below timer
     // resolution).
@@ -152,15 +142,42 @@ fn bench_tracing_overhead(c: &mut Criterion) {
     let derived_pct = 100.0 * derived / disabled.as_secs_f64();
     group.record_metric("probe_events_per_run", events as f64, "events");
     group.record_metric("derived_overhead_pct", derived_pct, "%");
+
+    // The recording state, on the request size where it is largest.
+    let city = Dataset::CityGuide.build(8);
+    let mut engine = Engine::new();
+    engine.preload(&city);
+    let q1 = &suite::queries()[0];
+    for (surface, query) in q1.engine_queries() {
+        let surface = surface.to_lowercase().replace('-', "");
+        let mut log = TraceLog::new();
+        let (untraced, traced) = fastest_batches(
+            || {
+                black_box(point_request(&engine, &query, &city, &Trace::disabled()));
+            },
+            || {
+                black_box(log.record(|trace| point_request(&engine, &query, &city, trace)));
+            },
+        );
+        group.record_metric(
+            format!("profiling_point_ratio/{surface}"),
+            traced.as_secs_f64() / untraced.as_secs_f64(),
+            "x",
+        );
+        group.record_metric(
+            format!("point_probe_events/{surface}"),
+            log.probes() as f64,
+            "events",
+        );
+    }
     group.finish();
 
-    // The zero-cost-when-disabled claim: the derived bound must stay under
-    // 2% of the join run. (The measured disabled-vs-noop ratio is recorded
-    // but not asserted — the two runs do nearly identical work, so wall-
-    // clock noise between them regularly exceeds the margin under test;
-    // the derived bound is immune to that and regresses exactly when a
-    // probe starts doing real work while disabled.)
-    let _ = ratio;
+    // The one-branch-when-disabled claim: the derived bound must stay under
+    // 2% of the join run. (The measured recorded-vs-disabled ratio of the
+    // join is recorded but not asserted — the two runs do nearly identical
+    // work, so wall-clock noise between them regularly exceeds the margin
+    // under test; the derived bound is immune to that and regresses exactly
+    // when a probe starts doing real work while disabled.)
     assert!(
         derived_pct < 2.0,
         "disabled-probe overhead bound is {derived_pct:.2}% of the indexed join \

@@ -13,7 +13,7 @@ use gql_guard::{fault, Budget, Guard};
 use gql_infer::Inference;
 use gql_plan::{CacheStats, CachedPlan, PlanCache, PlanKey, StatsCell};
 use gql_ssdm::{shallow_fingerprint, DocIndex, Document, Summary};
-use gql_trace::{ExecutionProfile, Trace};
+use gql_trace::{joined, ExecutionProfile, Trace};
 use gql_wglog::instance::Instance;
 use gql_xmlgl::eval::MatchPlans;
 
@@ -250,6 +250,7 @@ impl Engine {
         summary_paths: u64,
         root_counts: Vec<usize>,
     ) -> CachedPlan {
+        let mut xpath = None;
         let (orders, lowered) = match query {
             QueryKind::XmlGl(program) => {
                 let orders: Vec<Option<Vec<usize>>> = program
@@ -271,7 +272,11 @@ impl Engine {
                 // A parse failure is reported by the parse span with its
                 // original error; the plan just records the failure.
                 let lowered = match gql_xpath::parse(expr) {
-                    Ok(parsed) => gql_plan::lower_xpath(&parsed, &inference),
+                    Ok(parsed) => {
+                        let lowered = gql_plan::lower_xpath(&parsed, &inference);
+                        xpath = Some(Arc::new(parsed));
+                        lowered
+                    }
                     Err(_) => gql_plan::LogicalPlan::Construct {
                         shape: "unparsed".into(),
                         inputs: Vec::new(),
@@ -288,6 +293,7 @@ impl Engine {
             plan_compact: lowered.render_compact(),
             root_counts,
             summary_paths,
+            xpath,
         }
     }
 
@@ -500,11 +506,10 @@ impl Engine {
             };
             if trace.is_enabled() {
                 trace.note("plan_cache", cache_state);
-                trace.note("plan", &plan.plan_compact);
+                trace.note("plan", plan.plan_compact.as_str());
                 for (i, order) in plan.orders.iter().enumerate() {
                     if let Some(order) = order {
-                        let digits: Vec<String> = order.iter().map(usize::to_string).collect();
-                        trace.note(&format!("join_order[{i}]"), &digits.join(","));
+                        trace.note(format_args!("join_order[{i}]"), joined(order, ","));
                     }
                 }
             }
@@ -515,6 +520,7 @@ impl Engine {
             inference,
             orders,
             plan_text,
+            xpath,
             ..
         } = planned;
         match query {
@@ -621,10 +627,19 @@ impl Engine {
                 })
             }
             QueryKind::XPath(expr) => {
+                // The plan holds the parsed expression whenever the text
+                // parses; text that does not is parsed again here, for the
+                // error.
                 let parsed = {
                     let _s = trace.span("parse");
                     guard.set_phase("parse");
-                    gql_xpath::parse(expr).map_err(|e| CoreError::Engine { msg: e.to_string() })?
+                    match xpath {
+                        Some(parsed) => parsed,
+                        None => Arc::new(
+                            gql_xpath::parse(expr)
+                                .map_err(|e| CoreError::Engine { msg: e.to_string() })?,
+                        ),
+                    }
                 };
                 let start = Instant::now();
                 let span = trace.span("index");
@@ -910,6 +925,33 @@ mod tests {
             .run(&QueryKind::XPath("///".to_string()), &d)
             .unwrap_err();
         assert!(matches!(err, CoreError::Engine { .. }));
+    }
+
+    #[test]
+    fn warm_xpath_runs_keep_the_parse_span_and_the_parse_error() {
+        let d = doc();
+        let engine = Engine::new();
+        let q = QueryKind::XPath("//restaurant[menu]".to_string());
+        let cold = engine.run_profiled(&q, &d).unwrap();
+        let warm = engine.run_profiled(&q, &d).unwrap();
+        assert_eq!(warm.output.to_xml_string(), cold.output.to_xml_string());
+        let (cold, warm) = (cold.profile.unwrap(), warm.profile.unwrap());
+        assert_eq!(cold.find("plan").unwrap().note("plan_cache"), Some("miss"));
+        assert_eq!(warm.find("plan").unwrap().note("plan_cache"), Some("hit"));
+        // The hit parses nothing, but the span is part of the shape.
+        assert!(warm.find("run").unwrap().find("parse").is_some());
+        // Text that does not parse is planned and cached as `unparsed`, and
+        // fails from the parse span with the parser's own message each time.
+        let bad = QueryKind::XPath("///".to_string());
+        let expected = gql_xpath::parse("///").unwrap_err().to_string();
+        for _ in 0..2 {
+            let err = engine.run(&bad, &d).unwrap_err();
+            assert!(
+                matches!(&err, CoreError::Engine { msg } if *msg == expected),
+                "{err:?}"
+            );
+        }
+        assert_eq!(engine.plan_cache_stats().hits, 2);
     }
 
     /// Regression: an allocator can hand a fresh document the recycled

@@ -1,0 +1,100 @@
+//! The always-on request profile costs no heap allocation: a warm
+//! `run_governed` of each surface's Q1 against the resident point-sized
+//! city guide, traced into a log that has already served one request,
+//! allocates no more than the same run with tracing off — the record
+//! itself adds nothing, and every computed label is formatted into it in
+//! place. One test, so that nothing else allocates in this binary while it
+//! counts.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use gql_core::{Engine, QueryKind};
+use gql_guard::Guard;
+use gql_ssdm::generator::{cityguide, CityConfig};
+use gql_trace::{Trace, TraceLog};
+
+struct CountingAlloc;
+
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// counter is the only addition.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+fn allocations(f: impl FnOnce()) -> usize {
+    let before = ALLOCS.load(Ordering::Relaxed);
+    f();
+    ALLOCS.load(Ordering::Relaxed) - before
+}
+
+#[test]
+fn a_warm_profiled_run_allocates_no_more_than_an_unprofiled_one() {
+    let city = cityguide(CityConfig {
+        restaurants: 8,
+        hotels: 2,
+        seed: 11,
+    });
+    let mut engine = Engine::new();
+    engine.preload(&city);
+    // Q1, "all restaurants", as each surface states it; and what the engine
+    // itself allocates only when a trace is listening, per run: the XML-GL
+    // matcher's per-query-node candidate tally (one `Vec` per rule).
+    let q1 = [
+        (
+            QueryKind::XmlGl(
+                gql_xmlgl::dsl::parse(
+                    "rule { extract { restaurant as $r } construct { answer { all $r } } }",
+                )
+                .unwrap(),
+            ),
+            1,
+        ),
+        (
+            QueryKind::WgLog(
+                gql_wglog::dsl::parse(
+                    "rule { query { $r: restaurant } construct { $l: answer $l -member-> $r } } \
+                     goal answer",
+                )
+                .unwrap(),
+            ),
+            0,
+        ),
+        (QueryKind::XPath("//restaurant".to_string()), 0),
+    ];
+    for (query, engine_side) in &q1 {
+        let run = |trace: &Trace| {
+            let outcome = engine
+                .run_governed(query, &city, trace, &Guard::unlimited())
+                .expect("Q1 runs");
+            drop(outcome);
+        };
+        let mut log = TraceLog::new();
+        // One warm-up request: plants the plan, sizes the log.
+        log.record(run);
+        let untraced = allocations(|| run(&Trace::disabled()));
+        let profiled = allocations(|| log.record(run));
+        assert!(log.probes() >= 30, "{} probes", log.probes());
+        assert!(
+            profiled <= untraced + engine_side,
+            "{query:?}: {profiled} allocations profiled, {untraced} unprofiled"
+        );
+    }
+}

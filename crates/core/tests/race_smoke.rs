@@ -1,8 +1,10 @@
-//! Concurrency smoke tests: hammer the parallel matcher and the guard/
-//! trace atomics from many threads at once. These are the tier-1 stand-ins
-//! for a sanitizer pass — CI additionally runs the guard and trace suites
-//! under miri (nightly) for data-race/UB detection; this file covers the
-//! parallel matcher, which is too heavy to interpret there.
+//! Concurrency smoke tests: hammer the parallel matcher and the guard
+//! atomics from many threads at once. (A `Trace` is not shared: it belongs
+//! to the thread coordinating a run, and the compiler holds it there.)
+//! These are the tier-1 stand-ins for a sanitizer pass — CI additionally
+//! runs the guard and trace suites under miri (nightly) for data-race/UB
+//! detection; this file covers the parallel matcher, which is too heavy to
+//! interpret there.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -65,25 +67,6 @@ fn contended_guard_admits_exactly_the_budget() {
     // over-cap total, but neither gets a success for it.
     assert_eq!(admitted.load(Ordering::Relaxed), CAP);
     assert!(!guard.ok(), "guard must stay tripped after exhaustion");
-}
-
-#[test]
-fn trace_counters_accumulate_exactly_under_contention() {
-    let trace = Trace::profiling();
-    thread::scope(|s| {
-        for _ in 0..8 {
-            s.spawn(|| {
-                for _ in 0..1_000 {
-                    trace.count("hits", 1);
-                }
-            });
-        }
-    });
-    let profile = trace.finish().expect("profiling trace yields a profile");
-    assert_eq!(
-        profile.find("(toplevel)").and_then(|n| n.counter("hits")),
-        Some(8_000)
-    );
 }
 
 /// Regression for the shared-use `plan_cache_stats()` fix: a shared engine

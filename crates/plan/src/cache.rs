@@ -70,6 +70,11 @@ pub struct CachedPlan {
     /// Summary path count observed at plan time, so warm runs emit the
     /// same analyze counters as the cold run that built the entry.
     pub summary_paths: u64,
+    /// The parsed expression of an XPath query (the key holds its exact
+    /// text), so a hit parses nothing. `None` for the graphical languages
+    /// and for text that does not parse — the run's own parse then reports
+    /// the error.
+    pub xpath: Option<Arc<gql_xpath::Expr>>,
 }
 
 impl CachedPlan {
@@ -335,6 +340,7 @@ mod tests {
             plan_compact: "Construct(out)".into(),
             root_counts,
             summary_paths: 0,
+            xpath: None,
         }
     }
 

@@ -185,7 +185,7 @@ fn decode_request(v: &Value, default_tenant: Option<&str>) -> Result<Request, St
         tenant,
         dataset: field("dataset")?,
         kind: field("kind")?,
-        query: field("query")?,
+        query: field("query")?.into(),
         profile: v.get("profile").and_then(Value::as_bool).unwrap_or(false),
         request_id: v
             .get("request_id")
@@ -202,7 +202,7 @@ pub fn encode_request(req: &Request) -> Value {
         ("tenant".into(), Value::str(req.tenant.clone())),
         ("dataset".into(), Value::str(req.dataset.clone())),
         ("kind".into(), Value::str(req.kind.clone())),
-        ("query".into(), Value::str(req.query.clone())),
+        ("query".into(), Value::str(&*req.query)),
     ];
     if req.profile {
         pairs.push(("profile".into(), Value::Bool(true)));

@@ -7,13 +7,14 @@
 //! bound) → execute on a pool worker under `Guard::with_cancel` → reply.
 //!
 //! Every run is traced, whether or not the client asked for a profile: the
-//! per-request `ExecutionProfile` is where the engine reports plan-cache
-//! and index-cache warmth, and the service folds those notes into its
-//! warm/cold metrics counters. Cancellation (client disconnect, or an
-//! explicit [`Pending::cancel`]) trips the request's `CancelToken`; the
-//! engine aborts at its next checkpoint and the *partial-progress trip
-//! report* comes back in the response — cancelled work is reported, not
-//! dropped.
+//! per-request trace log (one per worker, reused) is where the engine
+//! reports plan-cache and index-cache warmth, and the service folds those
+//! notes into its warm/cold metrics counters; the `ExecutionProfile` tree
+//! is built from it only for a client that asked. Cancellation (client
+//! disconnect, or an explicit [`Pending::cancel`]) trips the request's
+//! `CancelToken`; the engine aborts at its next checkpoint and the
+//! *partial-progress trip report* comes back in the response — cancelled
+//! work is reported, not dropped.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
@@ -25,7 +26,7 @@ use std::time::{Duration, Instant};
 use gql_core::{CoreError, Engine, QueryKind};
 use gql_guard::{fault, Budget, CancelToken, Guard, LimitKind};
 use gql_plan::CacheStats;
-use gql_trace::Trace;
+use gql_trace::{ExecutionProfile, TraceLog};
 
 use crate::catalog::{Catalog, Dataset, EpochPin};
 use crate::json::Value;
@@ -40,8 +41,9 @@ pub struct Request {
     pub dataset: String,
     /// Query language: `xmlgl` | `wglog` | `xpath`.
     pub kind: String,
-    /// Query source text.
-    pub query: String,
+    /// Query source text, shared with the request's telemetry context
+    /// rather than copied per submission.
+    pub query: Arc<str>,
     /// Attach the execution profile (JSON + deterministic shape) to the
     /// response.
     pub profile: bool,
@@ -58,7 +60,7 @@ impl Request {
             tenant: tenant.to_string(),
             dataset: dataset.to_string(),
             kind: kind.to_string(),
-            query: query.to_string(),
+            query: query.into(),
             profile: false,
             request_id: None,
         }
@@ -512,6 +514,9 @@ impl ServiceBuilder {
             .map(|i| {
                 let rx = Arc::clone(&rx);
                 let inner = Arc::clone(&inner);
+                // One trace record per worker, reused by every request it
+                // runs.
+                let mut log = TraceLog::new();
                 std::thread::Builder::new()
                     .name(format!("gql-serve-worker-{i}"))
                     .spawn(move || loop {
@@ -528,7 +533,7 @@ impl ServiceBuilder {
                         // permit and epoch pin are on the job, so even the
                         // panic path releases them below.
                         let response = match std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            execute(&inner, &job)
+                            execute(&inner, &job, &mut log)
                         })) {
                             Ok(response) => response,
                             Err(_) => {
@@ -539,7 +544,7 @@ impl ServiceBuilder {
                                     "engine",
                                     0,
                                     "",
-                                    &[],
+                                    [],
                                     None,
                                 );
                                 Response::err(
@@ -773,7 +778,7 @@ impl ServeHandle {
         // a reload's drain retire this epoch.
         let epoch_pin = dataset.pin();
         c.admitted.fetch_add(1, Ordering::SeqCst);
-        let meta = tele.on_admitted(tenant.name(), surface, &req.query);
+        let meta = tele.on_admitted(tenant.shared_name(), surface, &req.query);
         let (reply, rx) = mpsc::channel();
         let job = Job {
             query,
@@ -819,7 +824,7 @@ impl ServeHandle {
         let mut followers: Vec<usize> = Vec::new();
         let mut seen: Vec<(&str, &str, &str)> = Vec::new();
         for (i, r) in reqs.iter().enumerate() {
-            let key = (r.dataset.as_str(), r.kind.as_str(), r.query.as_str());
+            let key = (r.dataset.as_str(), r.kind.as_str(), &*r.query);
             if seen.contains(&key) {
                 followers.push(i);
             } else {
@@ -955,10 +960,11 @@ pub fn parse_query(kind: &str, query: &str) -> Result<QueryKind, String> {
     }
 }
 
-/// Run one admitted job and fold its cache notes into the service
-/// counters. This is the telemetry reply site: exactly one histogram
-/// record per admitted job, plus slow-query capture.
-fn execute(inner: &Inner, job: &Job) -> Response {
+/// Run one admitted job, traced into the worker's reused `log`, and fold
+/// its cache notes into the service counters. This is the telemetry reply
+/// site: exactly one histogram record per admitted job, plus slow-query
+/// capture.
+fn execute(inner: &Inner, job: &Job, log: &mut TraceLog) -> Response {
     let c = &inner.counters;
     let tele = &inner.telemetry;
     tele.on_start(job.meta.as_ref());
@@ -970,86 +976,52 @@ fn execute(inner: &Inner, job: &Job) -> Response {
     }
     let engine: &Engine = job.dataset.engine();
     let guard = Guard::with_cancel(job.budget.clone(), job.cancel.clone());
-    let trace = Trace::profiling();
-    let result = engine.run_governed(&job.query, job.dataset.doc(), &trace, &guard);
-    let profile = trace.finish();
-    // Slow-log material, pulled from the profile while it is still whole.
-    // The compact plan note is written before evaluation starts, so it is
-    // present even when the run tripped a budget mid-eval.
-    let (plan_note, mut phases) = if job.meta.is_some() {
-        let plan_note = profile
-            .as_ref()
-            .and_then(|p| p.find("plan"))
-            .and_then(|n| n.note("plan"))
-            .unwrap_or("")
-            .to_string();
-        let phases: Vec<(String, u64)> = profile
-            .as_ref()
-            .and_then(|p| p.roots.first())
-            .map(|root| {
-                root.children
-                    .iter()
-                    .map(|child| (child.name.clone(), (child.nanos / 1_000) as u64))
-                    .collect()
-            })
-            .unwrap_or_default();
-        (plan_note, phases)
-    } else {
-        (String::new(), Vec::new())
-    };
-    let (plan_cache, index_cache) = profile
-        .as_ref()
-        .map(|p| {
-            let plan = p
-                .find("plan")
-                .and_then(|n| n.note("plan_cache"))
-                .unwrap_or("")
-                .to_string();
-            // XML-GL/XPath report the index cache under `index`; WG-Log
-            // reports its instance cache under `load`.
-            let index = p
-                .find("index")
-                .or_else(|| p.find("load"))
-                .and_then(|n| n.note("cache"))
-                .unwrap_or("")
-                .to_string();
-            (plan, index)
-        })
-        .unwrap_or_default();
-    match plan_cache.as_str() {
+    let result =
+        log.record(|trace| engine.run_governed(&job.query, job.dataset.doc(), trace, &guard));
+    let log = &*log;
+    // Everything below reads the log in place; only a `profile: true` reply
+    // or a slow-log capture builds anything from it. The plan notes are
+    // written before evaluation starts, so they are present even when the
+    // run tripped a budget mid-eval.
+    let plan_span = log.find("plan");
+    let note = |span: Option<usize>, name| span.and_then(|s| log.note(s, name)).unwrap_or("");
+    let plan_cache = note(plan_span, "plan_cache");
+    // XML-GL/XPath report the index cache under `index`; WG-Log reports
+    // its instance cache under `load`.
+    let index_cache = note(log.find("index").or_else(|| log.find("load")), "cache");
+    match plan_cache {
         "hit" => c.plan_warm.fetch_add(1, Ordering::SeqCst),
         "miss" => c.plan_cold.fetch_add(1, Ordering::SeqCst),
         "replan" => c.plan_replans.fetch_add(1, Ordering::SeqCst),
         _ => 0,
     };
-    match index_cache.as_str() {
+    match index_cache {
         "hit" => c.index_warm.fetch_add(1, Ordering::SeqCst),
         "miss" | "cold" => c.index_cold.fetch_add(1, Ordering::SeqCst),
         _ => 0,
     };
+    let mut serialize_us = None;
     let (response, outcome_class, eval_us, trip) = match result {
         Ok(outcome) => {
             c.completed.fetch_add(1, Ordering::SeqCst);
-            let profile = profile.expect("profiling trace yields a profile");
             let eval_us = outcome.eval_time.as_micros() as u64;
             // Writing the answer out and freeing it are the request's, but
             // happen after the engine's trace has closed: one more phase.
             let serialize = job.meta.is_some().then(Instant::now);
             let xml = outcome.output.to_xml_string();
             drop(outcome.output);
-            if let Some(started) = serialize {
-                phases.push(("serialize".into(), started.elapsed().as_micros() as u64));
-            }
+            serialize_us = serialize.map(|started| started.elapsed().as_micros() as u64);
+            let profile = job.want_profile.then(|| log.profile());
             let resp = Response::Ok(Box::new(QueryOk {
                 xml,
                 result_count: outcome.result_count as u64,
                 eval_us,
                 plan: outcome.plan,
-                plan_cache,
-                index_cache,
+                plan_cache: plan_cache.to_string(),
+                index_cache: index_cache.to_string(),
                 epoch: job.dataset.epoch(),
-                profile: job.want_profile.then(|| profile.to_json()),
-                shape: job.want_profile.then(|| profile.shape()),
+                profile: profile.as_ref().map(ExecutionProfile::to_json),
+                shape: profile.as_ref().map(ExecutionProfile::shape),
             }));
             (resp, "ok", eval_us, None)
         }
@@ -1089,13 +1061,21 @@ fn execute(inner: &Inner, job: &Job) -> Response {
             )
         }
     };
+    // Slow-log material, by reference: the compact plan, and the run root's
+    // children as phases.
+    let phases = log
+        .find("run")
+        .into_iter()
+        .flat_map(|run| log.children(run))
+        .map(|(name, nanos)| (name, nanos / 1_000))
+        .chain(serialize_us.map(|us| ("serialize", us)));
     tele.on_reply(
         job.meta.as_ref(),
         job.dataset.name(),
         outcome_class,
         eval_us,
-        &plan_note,
-        &phases,
+        note(plan_span, "plan"),
+        phases,
         trip.as_deref(),
     );
     response

@@ -115,12 +115,13 @@ impl TelemetryConfig {
 #[derive(Debug, Clone)]
 pub struct RequestMeta {
     pub request_id: u64,
-    pub tenant: String,
+    /// The registry's own copy of the tenant name, shared.
+    pub tenant: Arc<str>,
     pub surface: &'static str,
     /// Clock reading at admission, microseconds.
     pub submitted_us: u64,
     /// Query source text, kept for slow-log capture.
-    pub query: String,
+    pub query: Arc<str>,
 }
 
 /// Numeric outcome tags stored in event `code` fields.
@@ -227,9 +228,9 @@ impl Telemetry {
     /// Admission granted: mint the request id and its reply-site context.
     pub(crate) fn on_admitted(
         &self,
-        tenant: &str,
+        tenant: &Arc<str>,
         surface: &'static str,
-        query: &str,
+        query: &Arc<str>,
     ) -> Option<RequestMeta> {
         if !self.enabled {
             return None;
@@ -246,10 +247,10 @@ impl Telemetry {
         });
         Some(RequestMeta {
             request_id,
-            tenant: tenant.to_string(),
+            tenant: Arc::clone(tenant),
             surface,
             submitted_us: now,
-            query: query.to_string(),
+            query: Arc::clone(query),
         })
     }
 
@@ -279,30 +280,38 @@ impl Telemetry {
 
     /// The reply site: one histogram record per admitted job, plus the
     /// trip/reply events, the cancelled-rate lane, and slow-query capture.
+    /// Everything arrives borrowed (`phases` unevaluated); only a slow
+    /// capture, or a key's first histogram, copies any of it.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn on_reply(
+    pub(crate) fn on_reply<'a>(
         &self,
         meta: Option<&RequestMeta>,
         dataset: &str,
         outcome: &str,
         eval_us: u64,
         plan: &str,
-        phases: &[(String, u64)],
+        phases: impl IntoIterator<Item = (&'a str, u64)>,
         trip: Option<&str>,
     ) {
         let Some(meta) = meta else { return };
         self.probes.fetch_add(1, Ordering::Relaxed);
         let now = self.clock.now_micros();
         let service_us = now.saturating_sub(meta.submitted_us);
-        self.histos.record(
-            &(
-                meta.tenant.clone(),
-                dataset.to_string(),
-                meta.surface.to_string(),
-                outcome.to_string(),
-            ),
-            service_us,
-        );
+        let key = (&*meta.tenant, dataset, meta.surface, outcome);
+        self.histos
+            .get_by(
+                |k: &HistoKey| (&*k.0, &*k.1, &*k.2, &*k.3).cmp(&key),
+                || {
+                    let (tenant, dataset, surface, outcome) = key;
+                    (
+                        tenant.to_string(),
+                        dataset.to_string(),
+                        surface.to_string(),
+                        outcome.to_string(),
+                    )
+                },
+            )
+            .record(service_us);
         if outcome == "cancelled" {
             self.lane(Some(&meta.tenant), LANE_CANCELLED);
         }
@@ -323,15 +332,18 @@ impl Telemetry {
         if self.slow.qualifies(service_us) {
             self.slow.capture(SlowEntry {
                 request_id: meta.request_id,
-                tenant: meta.tenant.clone(),
+                tenant: meta.tenant.to_string(),
                 dataset: dataset.to_string(),
                 surface: meta.surface.to_string(),
-                query: meta.query.clone(),
+                query: meta.query.to_string(),
                 outcome: outcome.to_string(),
                 service_us,
                 eval_us,
                 plan: plan.to_string(),
-                phases: phases.to_vec(),
+                phases: phases
+                    .into_iter()
+                    .map(|(name, us)| (name.to_string(), us))
+                    .collect(),
                 trip: trip.map(str::to_string),
             });
         }
@@ -761,10 +773,10 @@ mod tests {
         let t = Telemetry::build(&TelemetryConfig::disabled(), &["t".to_string()]);
         assert!(!t.enabled());
         t.on_submitted(Some("t"));
-        let meta = t.on_admitted("t", "query", "//a");
+        let meta = t.on_admitted(&"t".into(), "query", &"//a".into());
         assert!(meta.is_none());
         t.on_dequeue(meta.as_ref());
-        t.on_reply(meta.as_ref(), "d", "ok", 1, "", &[], None);
+        t.on_reply(meta.as_ref(), "d", "ok", 1, "", [], None);
         assert_eq!(t.probes(), 0);
         assert_eq!(t.latency_all().count, 0);
         assert_eq!(t.event_stats().appended, 0);
@@ -774,7 +786,7 @@ mod tests {
     fn full_lifecycle_records_histogram_events_and_slow_entry() {
         let (clock, t) = telemetry();
         t.on_submitted(Some("t"));
-        let meta = t.on_admitted("t", "query", "//a");
+        let meta = t.on_admitted(&"t".into(), "query", &"//a".into());
         let meta = meta.as_ref();
         t.on_dequeue(meta);
         t.on_start(meta);
@@ -785,7 +797,7 @@ mod tests {
             "budget",
             42,
             "scan(n)",
-            &[("eval".into(), 42)],
+            [("eval", 42)],
             Some("phase=eval rounds=1 matches=0 nodes=5"),
         );
         assert_eq!(t.probes(), 5);
@@ -806,9 +818,9 @@ mod tests {
     #[test]
     fn report_renders_all_three_surfaces() {
         let (clock, t) = telemetry();
-        let meta = t.on_admitted("t", "query", "//a");
+        let meta = t.on_admitted(&"t".into(), "query", &"//a".into());
         clock.advance_micros(10);
-        t.on_reply(meta.as_ref(), "d", "ok", 3, "p", &[], None);
+        t.on_reply(meta.as_ref(), "d", "ok", 3, "p", [], None);
         let service = ServiceMetrics {
             submitted: 1,
             admitted: 1,

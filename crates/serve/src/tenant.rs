@@ -153,7 +153,7 @@ impl Quota {
 /// A registered tenant: envelope plus live admission state.
 #[derive(Debug)]
 pub struct Tenant {
-    name: String,
+    name: Arc<str>,
     envelope: Envelope,
     quota: Option<Quota>,
     in_flight: AtomicU64,
@@ -174,7 +174,7 @@ impl Tenant {
             clock: Arc::clone(clock),
         });
         Tenant {
-            name: name.to_string(),
+            name: Arc::from(name),
             envelope,
             quota,
             in_flight: AtomicU64::new(0),
@@ -190,6 +190,11 @@ impl Tenant {
     }
 
     pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The name as every request of this tenant shares it.
+    pub(crate) fn shared_name(&self) -> &Arc<str> {
         &self.name
     }
 

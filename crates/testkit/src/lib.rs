@@ -13,9 +13,10 @@
 //!   are non-vacuous against generated documents.
 //! * [`generators`] — deterministic random documents, XML-GL rules,
 //!   WG-Log programs, XPath expressions, and cross-engine [`Intent`]s.
-//! * [`model`] — a naive reference model of the document store (one
-//!   record per node, `Vec` children, `String` attributes, its own XML
-//!   writer) that the store's model-based property test runs beside it.
+//! * [`model`] — naive reference models that model-based property tests
+//!   run beside the real thing: of the document store (one record per
+//!   node, `Vec` children, `String` attributes, its own XML writer) and of
+//!   the trace record (the tree-of-`String`s sink it replaced).
 //! * [`oracle`] — differential oracles over every dual execution path
 //!   (indexed vs scan, parallel vs sequential, semi-naive vs naive
 //!   fixpoint, prebuilt vs lazy index, translated vs direct) plus

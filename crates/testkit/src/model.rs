@@ -1,5 +1,9 @@
-//! A naive reference model of [`gql_ssdm::Document`]: one heap-allocated
-//! record per node, children as `Vec<usize>`, attributes as
+//! Naive reference models that the model-based property tests run beside
+//! the real thing: [`DocModel`] for the pooled document store, and
+//! [`TraceModel`] for the flat trace record.
+//!
+//! [`DocModel`] mirrors [`gql_ssdm::Document`]: one heap-allocated record
+//! per node, children as `Vec<usize>`, attributes as
 //! `Vec<(String, String)>`, and a character-by-character XML writer. It
 //! shares no code and no layout with the pooled store, so a program of
 //! mutations run on both and compared after every step checks the store
@@ -7,6 +11,7 @@
 
 use gql_ssdm::document::NodeKind;
 use gql_ssdm::{Document, NodeId};
+use gql_trace::{ExecutionProfile, ProfileNode};
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelNode {
@@ -209,5 +214,109 @@ impl DocModel {
             .collect();
         assert_eq!(keys, self.order_keys());
         assert_eq!(doc.to_xml_string(), self.to_xml());
+    }
+}
+
+/// One span of a [`TraceModel`] while its tree is under construction.
+#[derive(Debug, Default)]
+struct ModelSpan {
+    name: String,
+    closed: bool,
+    counters: Vec<(String, u64)>,
+    notes: Vec<(String, String)>,
+    children: Vec<usize>,
+}
+
+/// The tree-building trace sink `gql-trace` had before its flat record,
+/// kept as the record's reference semantics: a `String` per name, a node
+/// per span linked into its parent as it opens, counters summed and notes
+/// overwritten as they arrive. It keeps no time; `closed` says which spans
+/// a real trace must have given a duration.
+#[derive(Debug, Default)]
+pub struct TraceModel {
+    spans: Vec<ModelSpan>,
+    stack: Vec<usize>,
+    roots: Vec<usize>,
+    /// Counters/notes reported outside any span, surfaced as a synthetic
+    /// `(toplevel)` root if non-empty.
+    loose: ModelSpan,
+}
+
+impl TraceModel {
+    /// A span opens; the token goes back to [`TraceModel::span_end`].
+    pub fn span_start(&mut self, name: &str) -> usize {
+        let id = self.spans.len();
+        self.spans.push(ModelSpan {
+            name: name.to_string(),
+            ..ModelSpan::default()
+        });
+        match self.stack.last() {
+            Some(&parent) => self.spans[parent].children.push(id),
+            None => self.roots.push(id),
+        }
+        self.stack.push(id);
+        id
+    }
+
+    /// Pop until the matching span is closed, so a leaked guard cannot
+    /// corrupt deeper nesting; a span no longer open unwinds everything.
+    pub fn span_end(&mut self, token: usize) {
+        while let Some(top) = self.stack.pop() {
+            if top == token {
+                self.spans[top].closed = true;
+                return;
+            }
+        }
+    }
+
+    fn innermost(&mut self) -> &mut ModelSpan {
+        match self.stack.last() {
+            Some(&top) => &mut self.spans[top],
+            None => &mut self.loose,
+        }
+    }
+
+    pub fn count(&mut self, name: &str, delta: u64) {
+        let counters = &mut self.innermost().counters;
+        match counters.iter_mut().find(|(n, _)| n == name) {
+            Some((_, v)) => *v += delta,
+            None => counters.push((name.to_string(), delta)),
+        }
+    }
+
+    pub fn note(&mut self, name: &str, value: &str) {
+        let notes = &mut self.innermost().notes;
+        match notes.iter_mut().find(|(n, _)| n == name) {
+            Some((_, v)) => *v = value.to_string(),
+            None => notes.push((name.to_string(), value.to_string())),
+        }
+    }
+
+    fn build_node(&self, id: usize) -> ProfileNode {
+        let span = &self.spans[id];
+        ProfileNode {
+            name: span.name.clone(),
+            // The model's only notion of time: one tick once closed.
+            nanos: u128::from(span.closed),
+            counters: span.counters.clone(),
+            notes: span.notes.clone(),
+            children: span.children.iter().map(|&c| self.build_node(c)).collect(),
+        }
+    }
+
+    /// The finished tree; `nanos` is 1 for a span closed while open and 0
+    /// for one left open or closed too late.
+    pub fn profile(&self) -> ExecutionProfile {
+        let mut roots: Vec<ProfileNode> = self.roots.iter().map(|&r| self.build_node(r)).collect();
+        if !self.loose.counters.is_empty() || !self.loose.notes.is_empty() {
+            roots.push(ProfileNode {
+                name: "(toplevel)".to_string(),
+                nanos: 0,
+                counters: self.loose.counters.clone(),
+                notes: self.loose.notes.clone(),
+                children: Vec::new(),
+            });
+        }
+        ExecutionProfile { roots }
     }
 }

@@ -103,6 +103,29 @@ pub fn instance_fingerprint(db: &Instance) -> (Vec<u64>, Vec<(u64, u64, u64)>) {
 }
 
 // ----------------------------------------------------------------------
+// Rejection: the words of a refusal are a reply
+// ----------------------------------------------------------------------
+
+/// A program the engine refuses is refused in the same words every time —
+/// the text goes out as a served reply. A few fresh engines word it; a
+/// checker that walks a hash set shows here, because two sets built alike
+/// still iterate differently.
+fn check_rejection_text(doc: &Document, query: &QueryKind) -> Result<(), String> {
+    let mut texts = (0..4)
+        .filter_map(|_| Engine::new().run(query, doc).err())
+        .map(|e| e.to_string());
+    let Some(first) = texts.next() else {
+        return Ok(());
+    };
+    match texts.find(|text| *text != first) {
+        Some(other) => Err(format!(
+            "rejection-stability: one program, two refusals\nfirst: {first}\nlater: {other}"
+        )),
+        None => Ok(()),
+    }
+}
+
+// ----------------------------------------------------------------------
 // Tracing: observational transparency and determinism
 // ----------------------------------------------------------------------
 
@@ -327,7 +350,8 @@ pub fn check_xmlgl_case(doc: &Document, src: &str) -> Result<(), String> {
         ));
     }
     if Analyzer::new().analyze_xmlgl(&program).has_errors() {
-        return Ok(()); // statically rejected; every path refuses alike
+        // Statically rejected; every path refuses alike.
+        return check_rejection_text(doc, &QueryKind::XmlGl(program));
     }
     let idx = DocIndex::build(doc);
     check_summary_paths(doc, &idx)?;
@@ -510,7 +534,7 @@ pub fn check_wglog_case(doc: &Document, src: &str) -> Result<(), String> {
         ));
     }
     if Analyzer::new().analyze_wglog(&program).has_errors() {
-        return Ok(());
+        return check_rejection_text(doc, &QueryKind::WgLog(program));
     }
     let db = Instance::from_document(doc);
     let naive = gql_wglog::eval::run_with(&program, &db, FixpointMode::Naive);

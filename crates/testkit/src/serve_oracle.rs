@@ -231,6 +231,11 @@ pub fn check_cases_concurrently(
                     ));
                 }
             }
+            // Static analysis refuses a program before the run's first
+            // checkpoint: cancelled or not, it is `rejected`.
+            Response::Err(e)
+                if e.code == ErrorCode::Rejected
+                    && matches!(case.expected, Expected::Err(ErrorCode::Rejected, _)) => {}
             other => failures.push(format!(
                 "{}: pre-cancelled run should trip `cancelled`, got {other:?}",
                 case.dataset

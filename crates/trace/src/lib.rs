@@ -3,12 +3,17 @@
 //! A lightweight, dependency-free span-tree + typed-counter layer that every
 //! engine in the workspace reports through. The design goals, in order:
 //!
-//! 1. **Zero cost when disabled.** The engine-facing handle is [`Trace`],
-//!    which is an `Option` around a collector: [`Trace::disabled()`] holds
-//!    `None`, so every operation is one branch and no allocation. Engines
-//!    thread a `&Trace` unconditionally; hot loops additionally aggregate
-//!    into plain integers and report once per coarse phase (per root, per
-//!    join, per fixpoint round, per XPath step), never per candidate.
+//! 1. **Nearly free when on, one branch when off.** The engine-facing
+//!    handle is [`Trace`], an `Option` around one [`TraceLog`]:
+//!    [`Trace::disabled()`] holds `None`, so every operation is one branch.
+//!    An enabled handle appends each probe to the log's flat arrays — no
+//!    allocation, lookup or lock per probe — and the log's buffers are
+//!    reused from run to run ([`TraceLog::record`]), which is what lets
+//!    the query service trace every request it serves.
+//!    Engines thread a `&Trace` unconditionally; hot loops additionally
+//!    aggregate into plain integers and report once per coarse phase (per
+//!    root, per join, per fixpoint round, per XPath step), never per
+//!    candidate.
 //! 2. **One model for all three engines.** A trace is a tree of *spans*
 //!    (named, wall-clock-timed phases) carrying *counters* (named `u64`
 //!    accumulators) and *notes* (named string facts such as
@@ -19,10 +24,9 @@
 //!    renders the tree without durations, and the testkit asserts that two
 //!    runs of the same case produce identical shapes.
 //!
-//! The sink behind an enabled [`Trace`] is anything implementing
-//! [`Collector`]; the default [`TreeCollector`] builds the span tree that
-//! [`Trace::finish`] converts into an [`ExecutionProfile`] (renderable as an
-//! aligned text tree or machine-readable JSON — see [`profile`]).
+//! The tree itself — an [`ExecutionProfile`], renderable as an aligned text
+//! tree or machine-readable JSON (see [`profile`]) — is built from the log
+//! when someone asks for it: [`Trace::finish`], [`TraceLog::profile`].
 //!
 //! ```
 //! use gql_trace::Trace;
@@ -31,191 +35,94 @@
 //! {
 //!     let _eval = trace.span("eval");
 //!     {
-//!         let _m = trace.span("match");
+//!         let _m = trace.span(format_args!("rule[{}]", 0));
 //!         trace.count("candidates", 42);
 //!         trace.note("path", "indexed");
 //!     }
 //!     trace.count("bindings", 7);
 //! }
-//! let profile = trace.finish().expect("profiling collector");
+//! let profile = trace.finish().expect("a profiling trace yields a profile");
 //! let eval = &profile.roots[0];
 //! assert_eq!(eval.name, "eval");
 //! assert_eq!(eval.counter("bindings"), Some(7));
+//! assert_eq!(eval.children[0].name, "rule[0]");
 //! assert_eq!(eval.children[0].counter("candidates"), Some(42));
 //! ```
 
 pub mod profile;
+mod record;
 
-use std::any::Any;
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::cell::RefCell;
+use std::fmt::{self, Write as _};
+use std::time::Instant;
 
 pub use profile::{ExecutionProfile, ProfileNode};
+pub use record::TraceLog;
 
-/// A sink for trace events. Implementations receive span boundaries,
-/// counter increments and notes; the default [`TreeCollector`] assembles
-/// them into a span tree, but tests and tools can plug in anything (e.g. a
-/// call-counting collector). Every method has a no-op default, so the unit
-/// struct `struct Ignore; impl Collector for Ignore {}` (plus `into_any`)
-/// is a valid collector.
-pub trait Collector: Send {
-    /// A span opens. Returns a token passed back to [`Collector::span_end`].
-    fn span_start(&mut self, name: &str) -> usize {
-        let _ = name;
-        0
-    }
-
-    /// The span identified by `token` closes after `elapsed`.
-    fn span_end(&mut self, token: usize, elapsed: Duration) {
-        let _ = (token, elapsed);
-    }
-
-    /// Add `delta` to the named counter on the innermost open span.
-    fn count(&mut self, name: &str, delta: u64) {
-        let _ = (name, delta);
-    }
-
-    /// Attach a string fact to the innermost open span.
-    fn note(&mut self, name: &str, value: &str) {
-        let _ = (name, value);
-    }
-
-    /// Downcast support so [`Trace::finish`] can recover a
-    /// [`TreeCollector`].
-    fn into_any(self: Box<Self>) -> Box<dyn Any>;
+/// The text of a span, counter or note name, or of a note value: a string,
+/// or `format_args!(..)` for a computed label (`rule[3]`,
+/// `candidates[q0:restaurant]`), which is formatted straight into the
+/// log's byte arena — there is no `String` per label.
+pub trait Label {
+    #[doc(hidden)]
+    fn append_to(self, arena: &mut String);
 }
 
-/// One recorded span while the tree is under construction.
-#[derive(Debug, Default)]
-struct SpanRec {
-    name: String,
-    nanos: u128,
-    counters: Vec<(String, u64)>,
-    notes: Vec<(String, String)>,
-    children: Vec<usize>,
-}
-
-/// The default collector: builds the span tree [`Trace::finish`] snapshots
-/// into an [`ExecutionProfile`].
-#[derive(Debug, Default)]
-pub struct TreeCollector {
-    spans: Vec<SpanRec>,
-    stack: Vec<usize>,
-    roots: Vec<usize>,
-    /// Counters/notes reported outside any span (kept so nothing is lost;
-    /// surfaced as a synthetic `(toplevel)` root if non-empty).
-    loose_counters: Vec<(String, u64)>,
-    loose_notes: Vec<(String, String)>,
-}
-
-impl TreeCollector {
-    pub fn new() -> TreeCollector {
-        TreeCollector::default()
-    }
-
-    fn add_to(list: &mut Vec<(String, u64)>, name: &str, delta: u64) {
-        match list.iter_mut().find(|(n, _)| n == name) {
-            Some((_, v)) => *v += delta,
-            None => list.push((name.to_string(), delta)),
-        }
-    }
-
-    fn note_to(list: &mut Vec<(String, String)>, name: &str, value: &str) {
-        match list.iter_mut().find(|(n, _)| n == name) {
-            Some((_, v)) => {
-                *v = value.to_string();
-            }
-            None => list.push((name.to_string(), value.to_string())),
-        }
-    }
-
-    fn build_node(&self, id: usize) -> ProfileNode {
-        let rec = &self.spans[id];
-        ProfileNode {
-            name: rec.name.clone(),
-            nanos: rec.nanos,
-            counters: rec.counters.clone(),
-            notes: rec.notes.clone(),
-            children: rec.children.iter().map(|&c| self.build_node(c)).collect(),
-        }
-    }
-
-    /// Snapshot the (finished) tree into a profile. Spans still open are
-    /// included with the duration recorded so far (zero if never closed).
-    pub fn into_profile(self) -> ExecutionProfile {
-        let mut roots: Vec<ProfileNode> = self.roots.iter().map(|&r| self.build_node(r)).collect();
-        if !self.loose_counters.is_empty() || !self.loose_notes.is_empty() {
-            roots.push(ProfileNode {
-                name: "(toplevel)".to_string(),
-                nanos: 0,
-                counters: self.loose_counters.clone(),
-                notes: self.loose_notes.clone(),
-                children: Vec::new(),
-            });
-        }
-        ExecutionProfile { roots }
+impl Label for &str {
+    #[inline]
+    fn append_to(self, arena: &mut String) {
+        arena.push_str(self);
     }
 }
 
-impl Collector for TreeCollector {
-    fn span_start(&mut self, name: &str) -> usize {
-        let id = self.spans.len();
-        self.spans.push(SpanRec {
-            name: name.to_string(),
-            ..SpanRec::default()
-        });
-        match self.stack.last() {
-            Some(&parent) => self.spans[parent].children.push(id),
-            None => self.roots.push(id),
-        }
-        self.stack.push(id);
-        id
+impl Label for fmt::Arguments<'_> {
+    #[inline]
+    fn append_to(self, arena: &mut String) {
+        // Writing to a `String` cannot fail; a `Display` impl that returns
+        // an error leaves its label cut short, which a probe must survive.
+        let _ = arena.write_fmt(self);
     }
+}
 
-    fn span_end(&mut self, token: usize, elapsed: Duration) {
-        // Defensive: pop until the matching span is closed, so a leaked
-        // guard cannot corrupt deeper nesting.
-        while let Some(top) = self.stack.pop() {
-            if top == token {
-                self.spans[top].nanos = elapsed.as_nanos();
-                return;
+/// `items` separated by `sep`: the value of a note that lists several
+/// numbers (`join_order[0]=2,0,1`), formatted without collecting them.
+pub fn joined<'a, I>(items: I, sep: &'a str) -> impl Label + 'a
+where
+    I: IntoIterator + 'a,
+    I::Item: fmt::Display,
+{
+    struct Joined<'a, I>(I, &'a str);
+
+    impl<I: IntoIterator> Label for Joined<'_, I>
+    where
+        I::Item: fmt::Display,
+    {
+        fn append_to(self, arena: &mut String) {
+            for (i, item) in self.0.into_iter().enumerate() {
+                if i > 0 {
+                    arena.push_str(self.1);
+                }
+                format_args!("{item}").append_to(arena);
             }
         }
     }
 
-    fn count(&mut self, name: &str, delta: u64) {
-        match self.stack.last() {
-            Some(&top) => Self::add_to(&mut self.spans[top].counters, name, delta),
-            None => Self::add_to(&mut self.loose_counters, name, delta),
-        }
-    }
-
-    fn note(&mut self, name: &str, value: &str) {
-        match self.stack.last() {
-            Some(&top) => Self::note_to(&mut self.spans[top].notes, name, value),
-            None => Self::note_to(&mut self.loose_notes, name, value),
-        }
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
+    Joined(items, sep)
 }
 
 /// The engine-facing tracing handle. Cheap to construct in both states;
 /// engines accept `&Trace` unconditionally and the disabled state turns
 /// every operation into a single branch.
 ///
-/// Enabled traces are `Sync` (the collector sits behind a mutex), but the
-/// intended usage keeps trace calls on the coordinating thread — parallel
-/// workers aggregate into locals that the coordinator records after
-/// joining, which also keeps profiles deterministic.
+/// A trace belongs to the thread coordinating the run: it is `Send`, not
+/// `Sync`. Parallel workers aggregate into locals that the coordinator
+/// records after joining, which also keeps profiles deterministic.
 pub struct Trace {
-    collector: Option<Mutex<Box<dyn Collector>>>,
+    log: Option<RefCell<TraceLog>>,
 }
 
-impl std::fmt::Debug for Trace {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Debug for Trace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Trace")
             .field("enabled", &self.is_enabled())
             .finish()
@@ -225,88 +132,75 @@ impl std::fmt::Debug for Trace {
 impl Trace {
     /// The no-op handle: every operation is one branch, no allocation.
     pub const fn disabled() -> Trace {
-        Trace { collector: None }
+        Trace { log: None }
     }
 
-    /// A tracing handle backed by the default [`TreeCollector`];
-    /// [`Trace::finish`] recovers the profile.
+    /// A tracing handle over a fresh log, for a one-shot caller;
+    /// [`Trace::finish`] recovers the profile. A caller tracing run after
+    /// run keeps a [`TraceLog`] and uses [`TraceLog::record`].
     pub fn profiling() -> Trace {
-        Trace::with_collector(Box::new(TreeCollector::new()))
-    }
-
-    /// A tracing handle backed by a custom collector.
-    pub fn with_collector(collector: Box<dyn Collector>) -> Trace {
         Trace {
-            collector: Some(Mutex::new(collector)),
+            log: Some(RefCell::default()),
         }
     }
 
-    /// Is anything listening? Callers building expensive span names (e.g.
-    /// `format!`-ed per-round labels) should gate on this.
+    /// Is anything listening? Callers computing counters only a profile
+    /// wants should gate on this.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.collector.is_some()
+        self.log.is_some()
     }
 
     /// Open a span; it closes (and records its wall-clock duration) when
     /// the returned guard drops.
     #[inline]
-    pub fn span(&self, name: &str) -> SpanGuard<'_> {
-        match &self.collector {
-            None => SpanGuard {
-                trace: self,
-                open: None,
-            },
-            Some(m) => {
-                let token = m.lock().expect("trace collector poisoned").span_start(name);
-                SpanGuard {
-                    trace: self,
-                    open: Some((token, Instant::now())),
-                }
-            }
+    pub fn span(&self, name: impl Label) -> SpanGuard<'_> {
+        SpanGuard {
+            trace: self,
+            open: self
+                .log
+                .as_ref()
+                .map(|log| (log.borrow_mut().record_open(name), Instant::now())),
         }
     }
 
     /// Add `delta` to the named counter on the innermost open span.
     #[inline]
-    pub fn count(&self, name: &str, delta: u64) {
-        if let Some(m) = &self.collector {
-            m.lock()
-                .expect("trace collector poisoned")
-                .count(name, delta);
+    pub fn count(&self, name: impl Label, delta: u64) {
+        if let Some(log) = &self.log {
+            log.borrow_mut().record_count(name, delta);
         }
     }
 
     /// Attach a string fact (`path=indexed`, `cache=hit`) to the innermost
     /// open span. Re-noting a name overwrites its value.
     #[inline]
-    pub fn note(&self, name: &str, value: &str) {
-        if let Some(m) = &self.collector {
-            m.lock()
-                .expect("trace collector poisoned")
-                .note(name, value);
+    pub fn note(&self, name: impl Label, value: impl Label) {
+        if let Some(log) = &self.log {
+            log.borrow_mut().record_note(name, value);
         }
     }
 
-    /// Consume the handle; `Some` when it was backed by the default
-    /// [`TreeCollector`] (i.e. constructed by [`Trace::profiling`]).
+    /// Consume the handle and build the span tree; `None` for a disabled
+    /// handle.
     pub fn finish(self) -> Option<ExecutionProfile> {
-        self.into_collector()?
-            .into_any()
-            .downcast::<TreeCollector>()
-            .ok()
-            .map(|t| t.into_profile())
+        self.log.map(|log| log.into_inner().profile())
     }
+}
 
-    /// Consume the handle and recover the collector it was constructed
-    /// with, whatever its type — the custom-collector counterpart of
-    /// [`Trace::finish`]. `None` for a disabled handle.
-    pub fn into_collector(self) -> Option<Box<dyn Collector>> {
-        Some(
-            self.collector?
-                .into_inner()
-                .expect("trace collector poisoned"),
-        )
+impl TraceLog {
+    /// Trace one run into this log: its previous contents are forgotten,
+    /// its buffers reused, and whatever `run` reports through the handle
+    /// is here to read when it returns. (If `run` panics the buffers go
+    /// with it and the log is left empty.)
+    pub fn record<R>(&mut self, run: impl FnOnce(&Trace) -> R) -> R {
+        self.clear();
+        let trace = Trace {
+            log: Some(RefCell::new(std::mem::take(self))),
+        };
+        let out = run(&trace);
+        *self = trace.log.map(RefCell::into_inner).unwrap_or_default();
+        out
     }
 }
 
@@ -314,15 +208,18 @@ impl Trace {
 #[must_use = "a span lasts as long as its guard; dropping immediately records an empty span"]
 pub struct SpanGuard<'t> {
     trace: &'t Trace,
-    open: Option<(usize, Instant)>,
+    open: Option<(u32, Instant)>,
 }
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        if let (Some((token, started)), Some(m)) = (self.open.take(), &self.trace.collector) {
-            m.lock()
-                .expect("trace collector poisoned")
-                .span_end(token, started.elapsed());
+        if let (Some((id, started)), Some(log)) = (self.open.take(), &self.trace.log) {
+            let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            // `try_`: a guard dropped while a panic unwinds through a probe
+            // must not panic again.
+            if let Ok(mut log) = log.try_borrow_mut() {
+                log.record_close(id, nanos);
+            }
         }
     }
 }
@@ -404,41 +301,40 @@ mod tests {
     }
 
     #[test]
-    fn custom_collectors_receive_every_event() {
-        #[derive(Default)]
-        struct Counting {
-            spans: usize,
-            ends: usize,
-            counts: u64,
-            notes: usize,
-        }
-        impl Collector for Counting {
-            fn span_start(&mut self, _n: &str) -> usize {
-                self.spans += 1;
-                self.spans
+    fn a_log_is_read_by_reference_and_reused() {
+        let mut log = TraceLog::new();
+        log.record(|trace| {
+            let _run = trace.span("run");
+            {
+                let _p = trace.span("plan");
+                trace.note("plan_cache", "miss");
+                trace.note("plan_cache", "hit");
             }
-            fn span_end(&mut self, _t: usize, _e: Duration) {
-                self.ends += 1;
-            }
-            fn count(&mut self, _n: &str, d: u64) {
-                self.counts += d;
-            }
-            fn note(&mut self, _n: &str, _v: &str) {
-                self.notes += 1;
-            }
-            fn into_any(self: Box<Self>) -> Box<dyn Any> {
-                self
-            }
-        }
-        let t = Trace::with_collector(Box::<Counting>::default());
-        {
-            let _s = t.span("x");
-            t.count("c", 4);
-            t.note("n", "v");
-        }
-        // finish() on a non-tree collector yields no profile…
-        assert!(t.is_enabled());
-        assert!(t.finish().is_none());
+            let _e = trace.span(format_args!("step[{}:{}]", 0, "child"));
+        });
+        // 3 spans opened and closed, 2 notes.
+        assert_eq!(log.probes(), 8);
+        let plan = log.find("plan").unwrap();
+        assert_eq!(log.note(plan, "plan_cache"), Some("hit"));
+        assert_eq!(log.note(plan, "plan"), None);
+        assert_eq!(log.find("missing"), None);
+        let run = log.find("run").unwrap();
+        let phases: Vec<&str> = log.children(run).map(|(name, _)| name).collect();
+        assert_eq!(phases, ["plan", "step[0:child]"]);
+        let first = log.profile();
+
+        // The next run sees none of the first, and the tree is the same
+        // whether built now or after the handle is consumed.
+        log.record(|trace| {
+            let _only = trace.span("only");
+            trace.count("c", 1);
+        });
+        assert_eq!(log.find("run"), None);
+        assert_eq!(log.profile().shape(), "only c=1\n");
+        assert_eq!(
+            first.shape(),
+            "run\n  plan plan_cache=hit\n  step[0:child]\n"
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! though wall-clock timings differ).
 
 /// A finished trace: the forest of top-level spans recorded by a
-/// [`crate::TreeCollector`].
+/// [`crate::TraceLog`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecutionProfile {
     pub roots: Vec<ProfileNode>,

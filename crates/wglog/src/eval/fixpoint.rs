@@ -147,7 +147,7 @@ pub fn fixpoint_guarded(
         // embedding search.
         guard.try_rounds(1).map_err(WgLogError::Budget)?;
         let round_span = if trace.is_enabled() && stats.iterations <= MAX_TRACED_ROUNDS {
-            Some(trace.span(&format!("round[{}]", stats.iterations - 1)))
+            Some(trace.span(format_args!("round[{}]", stats.iterations - 1)))
         } else {
             None
         };

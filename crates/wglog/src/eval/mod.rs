@@ -79,12 +79,7 @@ pub fn run_guarded(
         );
     }
     for (si, stratum) in strata.iter().enumerate() {
-        let label = if trace.is_enabled() {
-            format!("stratum[{si}]")
-        } else {
-            String::new()
-        };
-        let span = trace.span(&label);
+        let span = trace.span(format_args!("stratum[{si}]"));
         let rules: Vec<&crate::rule::Rule> = stratum.iter().map(|&i| &program.rules[i]).collect();
         let (objs_before, edges_before) = (work.object_count(), work.edge_count());
         let s = fixpoint_guarded(&rules, &mut work, mode, trace, guard)?;

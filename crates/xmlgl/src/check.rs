@@ -215,8 +215,10 @@ fn extract_diagnostics(g: &ExtractGraph, out: &mut Vec<Diagnostic>) {
         }
     }
     // Negated subtrees bind no variables.
+    // In declaration order: the set's own order differs from run to run,
+    // and these messages are a served reply.
     let scope = negated_scope(g);
-    for &t in &scope {
+    for t in g.ids().filter(|t| scope.contains(t)) {
         if g.node(t).var.is_some() {
             out.push(
                 Diagnostic::new(

@@ -20,7 +20,7 @@ use gql_guard::{Guard, LimitKind};
 use gql_ssdm::document::NodeKind;
 use gql_ssdm::index::canonical;
 use gql_ssdm::{DocIndex, Document, NodeId, Symbol};
-use gql_trace::Trace;
+use gql_trace::{joined, Trace};
 
 use crate::ast::{ExtractGraph, NameTest, QEdge, QNodeId, QNodeKind, Rule};
 
@@ -173,13 +173,14 @@ impl Ctx<'_> {
     }
 }
 
-/// Human-readable label for a query node, used in candidate counter names.
-fn qnode_label(g: &ExtractGraph, q: QNodeId) -> String {
+/// Human-readable label for a query node (a sigil and a name, printed back
+/// to back), used in candidate counter and root span names.
+fn qnode_label(g: &ExtractGraph, q: QNodeId) -> (&'static str, &str) {
     match &g.node(q).kind {
-        QNodeKind::Element(NameTest::Name(name)) => name.clone(),
-        QNodeKind::Element(NameTest::Wildcard) => "*".to_string(),
-        QNodeKind::Attribute(name) => format!("@{name}"),
-        QNodeKind::Text => "text()".to_string(),
+        QNodeKind::Element(NameTest::Name(name)) => ("", name),
+        QNodeKind::Element(NameTest::Wildcard) => ("", "*"),
+        QNodeKind::Attribute(name) => ("@", name),
+        QNodeKind::Text => ("", "text()"),
     }
 }
 
@@ -270,8 +271,8 @@ fn emit_match_counters(cx: &Ctx, trace: &Trace, out: &[Binding]) {
         for (i, c) in cand.iter().enumerate() {
             let n = c.load(Ordering::Relaxed);
             if n > 0 {
-                let label = qnode_label(cx.g, QNodeId(i as u32));
-                trace.count(&format!("candidates[q{i}:{label}]"), n);
+                let (sigil, name) = qnode_label(cx.g, QNodeId(i as u32));
+                trace.count(format_args!("candidates[q{i}:{sigil}{name}]"), n);
             }
         }
         trace.count("bindings", out.len() as u64);
@@ -377,12 +378,8 @@ fn run_match(cx: &Ctx, mode: MatchMode, trace: &Trace, plan: Option<&[usize]>) -
         .iter()
         .enumerate()
         .map(|(ri, &root)| {
-            let label = if trace.is_enabled() {
-                format!("root[{ri}:{}]", qnode_label(g, root))
-            } else {
-                String::new()
-            };
-            let _s = trace.span(&label);
+            let (sigil, name) = qnode_label(g, root);
+            let _s = trace.span(format_args!("root[{ri}:{sigil}{name}]"));
             let out = match_root(cx, root, mode, trace);
             trace.count("bindings", out.len() as u64);
             out
@@ -481,12 +478,7 @@ fn combine_declared(
                 }
             })
             .collect();
-        let label = if trace.is_enabled() {
-            format!("combine[{ri}]")
-        } else {
-            String::new()
-        };
-        let span = trace.span(&label);
+        let span = trace.span(format_args!("combine[{ri}]"));
         if trace.is_enabled() {
             trace.count("left_rows", combined.len() as u64);
             trace.count("right_rows", right.len() as u64);
@@ -562,14 +554,7 @@ fn combine_planned(
     let g = cx.g;
     let nroots = per_root.len();
     let first = order[0];
-    if trace.is_enabled() {
-        let plan = order
-            .iter()
-            .map(|r| r.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        trace.note("combine_plan", &plan);
-    }
+    trace.note("combine_plan", joined(order, ","));
     let mut processed = vec![false; nroots];
     processed[first] = true;
     let mut rows: Vec<Vec<u32>> = (0..per_root[first].len() as u32)
@@ -598,12 +583,7 @@ fn combine_planned(
                 }
             })
             .collect();
-        let label = if trace.is_enabled() {
-            format!("combine[{k}:root {ri}]")
-        } else {
-            String::new()
-        };
-        let span = trace.span(&label);
+        let span = trace.span(format_args!("combine[{k}:root {ri}]"));
         if trace.is_enabled() {
             trace.count("left_rows", rows.len() as u64);
             trace.count("right_rows", right.len() as u64);
@@ -1042,12 +1022,9 @@ fn match_root(cx: &Ctx, root: QNodeId, mode: MatchMode, trace: &Trace) -> Vec<Bi
             }
         };
     }
-    if trace.is_enabled() {
-        // Worker utilisation: how evenly the per-chunk binding production
-        // spread. Deterministic (chunking is by candidate order).
-        let loads: Vec<String> = results.iter().map(|r| r.len().to_string()).collect();
-        trace.note("worker_out", &loads.join("/"));
-    }
+    // Worker utilisation: how evenly the per-chunk binding production
+    // spread. Deterministic (chunking is by candidate order).
+    trace.note("worker_out", joined(results.iter().map(Vec::len), "/"));
     results.into_iter().flatten().collect()
 }
 

@@ -122,12 +122,7 @@ pub fn run_planned(
     crate::check::check_program(program)?;
     let mut out = Document::new();
     for (i, rule) in program.rules.iter().enumerate() {
-        let label = if trace.is_enabled() {
-            format!("rule[{i}]")
-        } else {
-            String::new()
-        };
-        let _rule_span = trace.span(&label);
+        let _rule_span = trace.span(format_args!("rule[{i}]"));
         let bindings = {
             let _s = trace.span("match");
             match plans.plan_for(i) {

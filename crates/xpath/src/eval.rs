@@ -636,13 +636,13 @@ fn apply_steps(
 }
 
 /// Display form of a node test for step span labels.
-fn test_label(test: &NodeTest) -> String {
+fn test_label(test: &NodeTest) -> &str {
     match test {
-        NodeTest::Name(n) => n.clone(),
-        NodeTest::Any => "*".to_string(),
-        NodeTest::Text => "text()".to_string(),
-        NodeTest::Comment => "comment()".to_string(),
-        NodeTest::Node => "node()".to_string(),
+        NodeTest::Name(n) => n,
+        NodeTest::Any => "*",
+        NodeTest::Text => "text()",
+        NodeTest::Comment => "comment()",
+        NodeTest::Node => "node()",
     }
 }
 
@@ -670,7 +670,7 @@ fn apply_steps_inner(
         }
         if let Some((name, predicates)) = fused_descendant_name(steps, i, caches) {
             let span = trace.map(|t| {
-                let s = t.span(&format!("step[{i}:://{name}]"));
+                let s = t.span(format_args!("step[{i}:://{name}]"));
                 t.count("context_in", input.len() as u64);
                 t.count("fusion_hits", 1);
                 if !predicates.is_empty() {
@@ -699,7 +699,7 @@ fn apply_steps_inner(
         }
         let step = &steps[i];
         let span = trace.map(|t| {
-            let s = t.span(&format!(
+            let s = t.span(format_args!(
                 "step[{i}:{}::{}]",
                 step.axis.name(),
                 test_label(&step.test)

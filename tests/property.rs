@@ -191,6 +191,120 @@ fn document_store_agrees_with_its_reference_model() {
     );
 }
 
+// ----------------------------------------------------------------------
+// The trace record against its reference model
+// ----------------------------------------------------------------------
+
+/// Random probe sequences — nesting, counters repeated on one span, names
+/// re-noted, guards dropped out of order and too late, spans never closed,
+/// facts outside any span, literal and computed labels — leave the flat
+/// record and the tree-building model with the same tree, node for node,
+/// run after run over one reused log; and what the service reads off the
+/// log by reference is what the tree says.
+#[test]
+fn trace_record_agrees_with_its_reference_model() {
+    use gql::trace::{ProfileNode, TraceLog};
+    use gql_testkit::model::TraceModel;
+
+    const NAMES: &[&str] = &["run", "plan", "eval", "index", "a b", "é→", ""];
+
+    /// Durations to the model's clock: one tick for a span closed while
+    /// open (two clock readings are never equal), none otherwise.
+    fn ticks(node: &mut ProfileNode) {
+        node.nanos = node.nanos.min(1);
+        node.children.iter_mut().for_each(ticks);
+    }
+
+    fn spans<'a>(node: &'a ProfileNode, out: &mut Vec<&'a ProfileNode>) {
+        out.push(node);
+        node.children.iter().for_each(|c| spans(c, out));
+    }
+
+    check("trace_record_agrees_with_its_reference_model", 256, |rng| {
+        let mut log = TraceLog::new();
+        for _run in 0..3 {
+            let mut model = TraceModel::default();
+            let mut facts = 0;
+            log.record(|trace| {
+                // Guards in opening order, each beside its model token.
+                let mut guards = Vec::new();
+                for _ in 0..rng.gen_range(0..48) {
+                    let name = pick(rng, NAMES);
+                    match rng.gen_range(0..10) {
+                        0..=2 if rng.gen_bool(0.5) => {
+                            guards.push((Some(trace.span(name)), model.span_start(name)));
+                        }
+                        0..=2 => {
+                            let i = rng.gen_range(0..3);
+                            let label = format!("{name}[{i}:{name}]");
+                            guards.push((
+                                Some(trace.span(format_args!("{name}[{i}:{name}]"))),
+                                model.span_start(&label),
+                            ));
+                        }
+                        // Usually the innermost guard still held; otherwise any
+                        // one: out of order, or after an outer span's close has
+                        // already unwound it.
+                        3..=5 => {
+                            let held = guards.iter().rposition(|(g, _)| g.is_some());
+                            let at = match held {
+                                Some(at) if rng.gen_bool(0.75) => at,
+                                Some(_) => rng.gen_range(0..guards.len()),
+                                None => continue,
+                            };
+                            if let (Some(guard), token) = (guards[at].0.take(), guards[at].1) {
+                                drop(guard);
+                                model.span_end(token);
+                            }
+                        }
+                        6..=7 => {
+                            let delta = rng.gen_range(0..1000) as u64;
+                            trace.count(name, delta);
+                            model.count(name, delta);
+                            facts += 1;
+                        }
+                        _ => {
+                            let value = pick(rng, NAMES);
+                            trace.note(name, format_args!("{value}/{value}"));
+                            model.note(name, &format!("{value}/{value}"));
+                            facts += 1;
+                        }
+                    }
+                }
+                // Guards still held are spans left open.
+                guards
+                    .into_iter()
+                    .filter_map(|(guard, _)| guard)
+                    .for_each(std::mem::forget);
+            });
+
+            let mut profile = log.profile();
+            profile.roots.iter_mut().for_each(ticks);
+            assert_eq!(profile, model.profile());
+
+            let mut all = Vec::new();
+            for root in profile.roots.iter().filter(|r| r.name != "(toplevel)") {
+                spans(root, &mut all);
+            }
+            assert_eq!(log.probes(), 2 * all.len() + facts);
+            for name in NAMES {
+                let first = all.iter().find(|n| n.name == *name);
+                let found = log.find(name);
+                assert_eq!(found.is_some(), first.is_some(), "{name:?}");
+                let (Some(span), Some(node)) = (found, first) else {
+                    continue;
+                };
+                let children: Vec<&str> = log.children(span).map(|(n, _)| n).collect();
+                let expected: Vec<&str> = node.children.iter().map(|c| &*c.name).collect();
+                assert_eq!(children, expected, "{name:?}");
+                for key in NAMES {
+                    assert_eq!(log.note(span, key), node.note(key), "{name:?}.{key:?}");
+                }
+            }
+        }
+    });
+}
+
 /// Every byte the writer escapes, at the start, in the middle and at the end
 /// of a text and of an attribute value, alone, doubled and against
 /// multi-byte characters: written as the character-by-character writer
