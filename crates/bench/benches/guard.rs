@@ -9,8 +9,8 @@
 //!
 //! * the ungoverned matcher path (`match_rule_with` — the production
 //!   configuration before governance existed),
-//! * the governed path with the disabled guard (`match_rule_guarded` +
-//!   `Guard::unlimited()` — the production configuration today), and
+//! * the governed path with the disabled guard (`match_rule_in` +
+//!   `RunCtx::none()` — the production configuration today), and
 //! * the governed path with an *enabled but unlimited* guard
 //!   (`Guard::new(Budget::unlimited())` — every probe counts, nothing
 //!   trips — the worst case a user can configure without tripping).
@@ -23,11 +23,10 @@
 
 use gql_bench::microbench::Criterion;
 use gql_bench::{criterion_group, criterion_main};
-use gql_guard::{Budget, Guard};
+use gql_guard::{Budget, Guard, RunCtx};
 use gql_ssdm::{DocIndex, Document};
-use gql_trace::Trace;
 use gql_xmlgl::builder::{RuleBuilder, C, Q};
-use gql_xmlgl::eval::{match_rule_guarded, match_rule_with, MatchMode};
+use gql_xmlgl::eval::{match_rule_in, match_rule_with, MatchMode};
 
 /// Same shape as the `indexed` / `overhead` bench dataset: a selective
 /// join plus a filler section only scans pay for.
@@ -74,19 +73,18 @@ fn bench_guard_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("guard");
     group.sample_size(30);
 
+    let governed =
+        |ctx: RunCtx<'_>| match_rule_in(&rule, &doc, Some(&idx), MatchMode::Auto, None, ctx);
     let ungoverned = group.bench_function("join_indexed/ungoverned", |b| {
         b.iter(|| match_rule_with(&rule, &doc, &idx, MatchMode::Auto))
     });
     let disabled = group.bench_function("join_indexed/disabled_guard", |b| {
-        let trace = Trace::disabled();
-        let guard = Guard::unlimited();
-        b.iter(|| match_rule_guarded(&rule, &doc, Some(&idx), MatchMode::Auto, &trace, &guard))
+        b.iter(|| governed(RunCtx::none()))
     });
     let enabled = group.bench_function("join_indexed/unlimited_enabled_guard", |b| {
-        let trace = Trace::disabled();
         b.iter(|| {
             let guard = Guard::new(Budget::unlimited());
-            match_rule_guarded(&rule, &doc, Some(&idx), MatchMode::Auto, &trace, &guard)
+            governed(RunCtx::guarded(&guard))
         })
     });
     group.record_metric(
@@ -103,14 +101,7 @@ fn bench_guard_overhead(c: &mut Criterion) {
     // Count the probes one governed join fires — exactly, from the enabled
     // guard's own counter rather than an estimate.
     let counting = Guard::new(Budget::unlimited());
-    match_rule_guarded(
-        &rule,
-        &doc,
-        Some(&idx),
-        MatchMode::Auto,
-        &Trace::disabled(),
-        &counting,
-    );
+    governed(RunCtx::guarded(&counting));
     let probes_per_run = counting.probes();
     assert!(
         probes_per_run > 0,

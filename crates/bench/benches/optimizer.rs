@@ -10,12 +10,12 @@ use gql_bench::microbench::{BenchmarkId, Criterion};
 use gql_bench::suite::Dataset;
 use gql_bench::{criterion_group, criterion_main};
 use gql_core::{algebra, translate, Engine, QueryKind};
-use gql_guard::Guard;
+use gql_guard::RunCtx;
 use gql_ssdm::{DocIndex, Summary};
-use gql_trace::{ExecutionProfile, Trace};
+use gql_trace::ExecutionProfile;
 use gql_xmlgl::ast::CmpOp;
 use gql_xmlgl::builder::{RuleBuilder, C, Q};
-use gql_xmlgl::eval::{match_rule_guarded, match_rule_planned, MatchMode};
+use gql_xmlgl::eval::{match_rule_in, MatchMode};
 
 /// All permutations of `0..k` (the full join-order search space for a
 /// `k`-root rule; only used for tiny `k`).
@@ -82,46 +82,28 @@ fn bench_q6(c: &mut Criterion) {
         let order = gql_infer::plan_root_order(rule, &inference.root_bounds[0])
             .expect("Q6 has a reorderable multi-root extract");
         assert_ne!(order, vec![0, 1], "plan must actually reorder Q6");
-        let (trace, guard) = (Trace::disabled(), Guard::unlimited());
-        let declared = match_rule_guarded(
-            rule,
-            &doc,
-            Some(&idx),
-            MatchMode::Sequential,
-            &trace,
-            &guard,
+        let matched = |doc: &gql_ssdm::Document, order: Option<&[usize]>| {
+            match_rule_in(
+                rule,
+                doc,
+                Some(&idx),
+                MatchMode::Sequential,
+                order,
+                RunCtx::none(),
+            )
+        };
+        assert_eq!(
+            matched(&doc, None),
+            matched(&doc, Some(&order)),
+            "plans must not change results"
         );
-        let planned = match_rule_planned(
-            rule,
-            &doc,
-            Some(&idx),
-            MatchMode::Sequential,
-            &trace,
-            &guard,
-            &order,
-        );
-        assert_eq!(declared, planned, "plans must not change results");
         group.bench_with_input(BenchmarkId::new("declared-order", scale), &doc, |b, doc| {
-            b.iter(|| {
-                match_rule_guarded(rule, doc, Some(&idx), MatchMode::Sequential, &trace, &guard)
-            })
+            b.iter(|| matched(doc, None))
         });
         group.bench_with_input(
             BenchmarkId::new("summary-planned", scale),
             &doc,
-            |b, doc| {
-                b.iter(|| {
-                    match_rule_planned(
-                        rule,
-                        doc,
-                        Some(&idx),
-                        MatchMode::Sequential,
-                        &trace,
-                        &guard,
-                        &order,
-                    )
-                })
-            },
+            |b, doc| b.iter(|| matched(doc, Some(&order))),
         );
 
         // The cost-based order from `gql-plan`'s bottom-up enumerator,
@@ -132,17 +114,7 @@ fn bench_q6(c: &mut Criterion) {
             .expect("Q6 plans under gql-plan");
         let planned_mean =
             group.bench_with_input(BenchmarkId::new("cost-planned", scale), &doc, |b, doc| {
-                b.iter(|| {
-                    match_rule_planned(
-                        rule,
-                        doc,
-                        Some(&idx),
-                        MatchMode::Sequential,
-                        &trace,
-                        &guard,
-                        &cost_order,
-                    )
-                })
+                b.iter(|| matched(doc, Some(&cost_order)))
             });
         let mut best: Option<std::time::Duration> = None;
         for enumerated in permutations(rule.extract.roots.len()) {
@@ -155,17 +127,7 @@ fn bench_q6(c: &mut Criterion) {
                     .join("-")
             );
             let mean = group.bench_with_input(BenchmarkId::new(label, scale), &doc, |b, doc| {
-                b.iter(|| {
-                    match_rule_planned(
-                        rule,
-                        doc,
-                        Some(&idx),
-                        MatchMode::Sequential,
-                        &trace,
-                        &guard,
-                        &enumerated,
-                    )
-                })
+                b.iter(|| matched(doc, Some(&enumerated)))
             });
             best = Some(best.map_or(mean, |b| b.min(mean)));
         }

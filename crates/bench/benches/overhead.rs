@@ -26,11 +26,11 @@ use gql_bench::microbench::Criterion;
 use gql_bench::suite::{self, Dataset};
 use gql_bench::{criterion_group, criterion_main};
 use gql_core::{Engine, QueryKind};
-use gql_guard::Guard;
+use gql_guard::RunCtx;
 use gql_ssdm::{DocIndex, Document};
 use gql_trace::{Trace, TraceLog};
 use gql_xmlgl::builder::{RuleBuilder, C, Q};
-use gql_xmlgl::eval::{match_rule_traced, match_rule_with, MatchMode};
+use gql_xmlgl::eval::{match_rule_in, match_rule_with, MatchMode};
 
 /// Same shape as the `indexed` bench's dataset: a selective join plus a
 /// filler section only scans pay for.
@@ -72,7 +72,7 @@ fn join_rule() -> gql_xmlgl::ast::Rule {
 /// One point-sized request as the service executes it.
 fn point_request(engine: &Engine, query: &QueryKind, doc: &Document, trace: &Trace) -> String {
     engine
-        .run_governed(query, doc, trace, &Guard::unlimited())
+        .execute(query, doc, RunCtx::traced(trace))
         .expect("suite query runs")
         .output
         .to_xml_string()
@@ -111,7 +111,12 @@ fn bench_tracing_overhead(c: &mut Criterion) {
     });
     let mut log = TraceLog::new();
     let recorded = group.bench_function("join_indexed/recorded", |b| {
-        b.iter(|| log.record(|trace| match_rule_traced(&rule, &doc, &idx, MatchMode::Auto, trace)))
+        b.iter(|| {
+            log.record(|trace| {
+                let ctx = RunCtx::traced(trace);
+                match_rule_in(&rule, &doc, Some(&idx), MatchMode::Auto, None, ctx)
+            })
+        })
     });
     group.record_metric(
         "recorded_ratio",

@@ -4,7 +4,7 @@
 //! A workload is the regression corpus (budget-bearing cases excluded)
 //! plus a deterministic generated mix — per-dataset queries over the four
 //! paper datasets and seeded cross-engine [`Intent`]s over generated
-//! documents — replayed through an in-process [`ServeHandle`] at a
+//! documents — replayed through an in-process [`ServeHandle`](gql_serve::ServeHandle) at a
 //! configurable worker count. The driver records every request's wall
 //! latency into a shared lock-free [`Histo`] (the same log-linear
 //! histogram the service's telemetry plane uses, so the reported

@@ -249,17 +249,6 @@ pub fn queries() -> Vec<SuiteQuery> {
     ]
 }
 
-/// XPath evaluation of a suite query returns either a node count or a
-/// value; normalise both to a count-like number for cross-engine checks.
-pub fn xpath_result_size(doc: &Document, expr: &str) -> usize {
-    let parsed = gql_xpath::parse(expr).expect("suite xpath parses");
-    match gql_xpath::evaluate(doc, &parsed).expect("suite xpath runs") {
-        gql_xpath::XValue::Nodes(ns) => ns.len(),
-        gql_xpath::XValue::Num(n) => n as usize,
-        _ => 0,
-    }
-}
-
 /// Figure queries F1–F5 (see DESIGN.md). Returned as (id, caption, diagram).
 pub fn figures() -> Vec<(&'static str, &'static str, gql_layout::Diagram)> {
     let f1 = gql_wglog::dsl::parse(

@@ -28,8 +28,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use gql_core::engine::{Engine, QueryKind};
-use gql_core::{Budget, CoreError};
-use gql_guard::Guard;
+use gql_core::{Budget, CoreError, Guard, RunCtx};
 use gql_ssdm::{generator, Document};
 use gql_trace::Trace;
 
@@ -194,7 +193,7 @@ fn main() -> ExitCode {
         let trace = Trace::profiling();
         let guard = Guard::new(budget);
         engine
-            .run_governed(&query, &doc, &trace, &guard)
+            .execute(&query, &doc, RunCtx::new(&trace, &guard))
             .map(|mut o| {
                 o.profile = trace.finish();
                 o

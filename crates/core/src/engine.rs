@@ -9,7 +9,7 @@
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use gql_guard::{fault, Budget, Guard};
+use gql_guard::{fault, RunCtx};
 use gql_infer::Inference;
 use gql_plan::{CacheStats, CachedPlan, PlanCache, PlanKey, StatsCell};
 use gql_ssdm::{shallow_fingerprint, DocIndex, Document, Summary};
@@ -334,7 +334,7 @@ impl Engine {
 
     /// Run a query against a document.
     pub fn run(&self, query: &QueryKind, doc: &Document) -> Result<RunOutcome> {
-        self.run_with_trace(query, doc, &Trace::disabled())
+        self.execute(query, doc, RunCtx::none())
     }
 
     /// Run a query with profiling: identical output to [`Engine::run`]
@@ -342,51 +342,34 @@ impl Engine {
     /// path), with `RunOutcome::profile` carrying the span tree.
     pub fn run_profiled(&self, query: &QueryKind, doc: &Document) -> Result<RunOutcome> {
         let trace = Trace::profiling();
-        let mut outcome = self.run_with_trace(query, doc, &trace)?;
+        let mut outcome = self.execute(query, doc, RunCtx::traced(&trace))?;
         outcome.profile = trace.finish();
         Ok(outcome)
     }
 
-    /// Run a query reporting into a caller-supplied [`Trace`]. The span
-    /// taxonomy (documented in DESIGN.md): a `run` root with `engine` and
-    /// `cache` notes, `analyze` / `plan` / `load` / `index` / `eval` /
-    /// `construct` phase children, and engine-specific spans below `eval`.
-    /// The `plan` span notes `plan_cache` (`hit` / `miss` / `replan`), the
-    /// compact logical plan, and any reordered XML-GL join orders.
-    pub fn run_with_trace(
+    /// The full form of [`Engine::run`]: a run reporting into `ctx.trace`
+    /// and bounded by `ctx.guard`.
+    ///
+    /// The span taxonomy (documented in DESIGN.md): a `run` root with
+    /// `engine` and `cache` notes, `analyze` / `plan` / `load` / `index` /
+    /// `eval` / `construct` phase children, and engine-specific spans below
+    /// `eval`. The `plan` span notes `plan_cache` (`hit` / `miss` /
+    /// `replan`), the compact logical plan, and the XML-GL join orders.
+    ///
+    /// Under a guard built from a [`Budget`](gql_guard::Budget) (pass
+    /// [`Guard::with_cancel`](gql_guard::Guard::with_cancel) to attach a
+    /// cooperative [`CancelToken`](gql_guard::CancelToken)) the output is
+    /// identical to [`Engine::run`] while every limit holds; the first limit
+    /// that trips aborts the run with [`CoreError::Budget`] carrying a
+    /// partial-progress report (phase reached, rounds/matches/nodes so far)
+    /// — never a truncated answer.
+    pub fn execute(
         &self,
         query: &QueryKind,
         doc: &Document,
-        trace: &Trace,
+        ctx: RunCtx<'_>,
     ) -> Result<RunOutcome> {
-        self.run_governed(query, doc, trace, &Guard::unlimited())
-    }
-
-    /// Run a query under a resource [`Budget`]: identical output to
-    /// [`Engine::run`] while every limit holds; the first limit that trips
-    /// aborts the run with [`CoreError::Budget`] carrying a partial-progress
-    /// report (phase reached, rounds/matches/nodes so far) — never a
-    /// truncated answer.
-    pub fn run_bounded(
-        &self,
-        query: &QueryKind,
-        doc: &Document,
-        budget: &Budget,
-    ) -> Result<RunOutcome> {
-        self.run_governed(query, doc, &Trace::disabled(), &Guard::new(budget.clone()))
-    }
-
-    /// The fully governed entry point: a caller-supplied [`Trace`] *and*
-    /// [`Guard`] (pass [`Guard::with_cancel`] to attach a cooperative
-    /// [`CancelToken`](gql_guard::CancelToken)). With `Guard::unlimited()`
-    /// this is exactly [`Engine::run_with_trace`].
-    pub fn run_governed(
-        &self,
-        query: &QueryKind,
-        doc: &Document,
-        trace: &Trace,
-        guard: &Guard,
-    ) -> Result<RunOutcome> {
+        let RunCtx { trace, guard } = ctx;
         let _run = trace.span("run");
         if trace.is_enabled() {
             trace.note(
@@ -435,8 +418,7 @@ impl Engine {
             cached = None;
         }
         let analyzed: Option<(Inference, u64)> = {
-            let _s = trace.span("analyze");
-            guard.set_phase("analyze");
+            let _s = ctx.phase("analyze");
             // The rejection gate runs warm or cold: it is pure on the
             // query, and an invalid program must behave identically either
             // way (it is also why a rejected program is never cached — the
@@ -493,8 +475,7 @@ impl Engine {
             out
         };
         let planned: CachedPlan = {
-            let _s = trace.span("plan");
-            guard.set_phase("plan");
+            let _s = ctx.phase("plan");
             let plan = match (cached, analyzed) {
                 (Some(plan), None) => plan,
                 (None, Some((inference, summary_paths))) => {
@@ -530,8 +511,7 @@ impl Engine {
                 // `eval::run` before tracing existed — building it here is
                 // semantically identical and gives the build its own span).
                 let mut built = None;
-                let span = trace.span("index");
-                guard.set_phase("index");
+                let span = ctx.phase("index");
                 trace.note("cache", self.cache_state(resident.is_some()));
                 let idx = Self::resolve_index(resident, doc, trace, &mut built);
                 if let (true, Some(idx)) = (trace.is_enabled(), idx) {
@@ -539,20 +519,19 @@ impl Engine {
                 }
                 drop(span);
                 guard.checkpoint().map_err(CoreError::Budget)?;
-                guard.set_phase("eval");
                 // Cost-based join plans: per rule, the root combine order
                 // chosen by `gql_plan` from the inferred cardinality bounds
                 // (and reused across runs through the plan cache). Plans
-                // never change results (see `match_rule_planned`), only
+                // never change results (see `match_rule_in`), only
                 // intermediate join sizes.
                 let plans = MatchPlans { per_rule: orders };
                 let output = {
-                    let _s = trace.span("eval");
+                    let _s = ctx.phase("eval");
                     if trace.is_enabled() && !plans.is_empty() {
                         let planned = plans.per_rule.iter().filter(|p| p.is_some()).count();
                         trace.count("planned_rules", planned as u64);
                     }
-                    gql_xmlgl::eval::run_planned(program, doc, idx, trace, guard, &plans)
+                    gql_xmlgl::eval::run_in(program, doc, idx, &plans, ctx)
                         .map_err(engine_err_xmlgl)?
                 };
                 let eval_time = start.elapsed();
@@ -572,8 +551,7 @@ impl Engine {
                 // Borrow the resident instance when it was preloaded for this
                 // document; only cold runs and misses pay a load.
                 let loaded;
-                let span = trace.span("load");
-                guard.set_phase("load");
+                let span = ctx.phase("load");
                 trace.note("cache", self.cache_state(resident.is_some()));
                 let (instance, load_time): (&Instance, Duration) = match resident {
                     Some(resident) => (&resident.instance, Duration::ZERO),
@@ -589,23 +567,20 @@ impl Engine {
                 }
                 drop(span);
                 guard.checkpoint().map_err(CoreError::Budget)?;
-                guard.set_phase("eval");
                 let start = Instant::now();
                 let result = {
-                    let _s = trace.span("eval");
-                    gql_wglog::eval::run_guarded(
+                    let _s = ctx.phase("eval");
+                    gql_wglog::eval::run_in(
                         program,
                         instance,
                         gql_wglog::eval::FixpointMode::SemiNaive,
-                        trace,
-                        guard,
+                        ctx,
                     )
                     .map(|(db, _)| db)
                     .map_err(engine_err_wglog)?
                 };
                 let eval_time = start.elapsed();
-                let span = trace.span("construct");
-                guard.set_phase("construct");
+                let span = ctx.phase("construct");
                 let goal = program.goal.clone().unwrap_or_else(|| "answer".to_string());
                 let goal_objects = result.objects_of_type(&goal).count();
                 let output = result.to_document("answer", &goal, 2);
@@ -631,8 +606,7 @@ impl Engine {
                 // parses; text that does not is parsed again here, for the
                 // error.
                 let parsed = {
-                    let _s = trace.span("parse");
-                    guard.set_phase("parse");
+                    let _s = ctx.phase("parse");
                     match xpath {
                         Some(parsed) => parsed,
                         None => Arc::new(
@@ -642,8 +616,7 @@ impl Engine {
                     }
                 };
                 let start = Instant::now();
-                let span = trace.span("index");
-                guard.set_phase("index");
+                let span = ctx.phase("index");
                 trace.note("cache", self.cache_state(resident.is_some()));
                 // The XPath evaluator builds its own index lazily on the cold
                 // path, so the fault seam must force scan *mode* (which also
@@ -662,19 +635,17 @@ impl Engine {
                 }
                 drop(span);
                 guard.checkpoint().map_err(CoreError::Budget)?;
-                guard.set_phase("eval");
                 let value = {
-                    let _s = trace.span("eval");
+                    let _s = ctx.phase("eval");
                     if scan_only {
-                        gql_xpath::evaluate_scan_guarded(doc, &parsed, trace, guard)
+                        gql_xpath::evaluate_scan(doc, &parsed, ctx)
                     } else {
-                        gql_xpath::evaluate_guarded(doc, &parsed, idx, trace, guard)
+                        gql_xpath::evaluate_in(doc, &parsed, idx, ctx)
                     }
                     .map_err(engine_err_xpath)?
                 };
                 let eval_time = start.elapsed();
-                let span = trace.span("construct");
-                guard.set_phase("construct");
+                let span = ctx.phase("construct");
                 let mut output = Document::new();
                 let root = output.add_element(output.root(), "answer");
                 let count;
@@ -755,7 +726,18 @@ fn record_index_stats(trace: &Trace, idx: &DocIndex) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gql_guard::{Budget, Guard};
     use gql_xmlgl::builder::{RuleBuilder, C, Q};
+
+    /// A run under `budget`, nothing traced.
+    fn bounded(
+        engine: &Engine,
+        query: &QueryKind,
+        doc: &Document,
+        budget: &Budget,
+    ) -> Result<RunOutcome> {
+        engine.execute(query, doc, RunCtx::guarded(&Guard::new(budget.clone())))
+    }
 
     fn doc() -> Document {
         Document::parse_str(
@@ -1032,12 +1014,12 @@ mod tests {
     }
 
     #[test]
-    fn run_bounded_with_unlimited_budget_matches_run() {
+    fn a_run_under_an_unlimited_budget_matches_run() {
         let d = doc();
         let engine = Engine::new();
         for q in equivalent_queries() {
             let plain = engine.run(&q, &d).unwrap();
-            let bounded = engine.run_bounded(&q, &d, &Budget::unlimited()).unwrap();
+            let bounded = bounded(&engine, &q, &d, &Budget::unlimited()).unwrap();
             assert_eq!(
                 plain.output.to_xml_string(),
                 bounded.output.to_xml_string(),
@@ -1047,14 +1029,14 @@ mod tests {
     }
 
     #[test]
-    fn run_bounded_trips_cleanly_with_partial_report() {
+    fn a_bounded_run_trips_cleanly_with_partial_report() {
         let d = doc();
         let engine = Engine::new();
         // max_matches(0): the first charged candidate set trips in every
         // engine; the report must name the phase and carry counters.
         let budget = Budget::unlimited().with_max_matches(0);
         for q in equivalent_queries() {
-            let err = engine.run_bounded(&q, &d, &budget).unwrap_err();
+            let err = bounded(&engine, &q, &d, &budget).unwrap_err();
             let CoreError::Budget(g) = err else {
                 panic!("expected Budget error for {q:?}, got {err:?}");
             };
@@ -1071,9 +1053,7 @@ mod tests {
         token.cancel(); // cancelled before the run even starts
         let guard = Guard::with_cancel(Budget::unlimited(), token);
         let q = QueryKind::XPath("//restaurant[menu]".to_string());
-        let err = engine
-            .run_governed(&q, &d, &Trace::disabled(), &guard)
-            .unwrap_err();
+        let err = engine.execute(&q, &d, RunCtx::guarded(&guard)).unwrap_err();
         let CoreError::Budget(g) = err else {
             panic!("expected Budget error, got {err:?}");
         };
@@ -1088,9 +1068,7 @@ mod tests {
             let baseline = engine.run(&q, &d).unwrap().output.to_xml_string();
             let degraded = fault::with_plan(fault::FaultPlan::fail_index_build(), || {
                 let trace = Trace::profiling();
-                let out = engine
-                    .run_governed(&q, &d, &trace, &Guard::unlimited())
-                    .unwrap();
+                let out = engine.execute(&q, &d, RunCtx::traced(&trace)).unwrap();
                 (out.output.to_xml_string(), trace.finish().unwrap())
             });
             assert_eq!(baseline, degraded.0, "scan fallback changed {q:?}");
@@ -1270,9 +1248,9 @@ mod tests {
         assert_eq!((s.hits, s.misses), (1, 2));
         // A different budget class never aliases the unlimited entry.
         let budget = Budget::unlimited().with_max_matches(1_000_000);
-        engine.run_bounded(&q, &d, &budget).unwrap();
+        bounded(&engine, &q, &d, &budget).unwrap();
         assert_eq!(engine.plan_cache_stats().misses, 3);
-        engine.run_bounded(&q, &d, &budget).unwrap();
+        bounded(&engine, &q, &d, &budget).unwrap();
         assert_eq!(engine.plan_cache_stats().hits, 2);
     }
 
@@ -1287,9 +1265,7 @@ mod tests {
             let baseline = engine.run(&q, &d).unwrap().output.to_xml_string();
             let (xml, profile) = fault::with_plan(fault::FaultPlan::corrupt_plan_cache(), || {
                 let trace = Trace::profiling();
-                let out = engine
-                    .run_governed(&q, &d, &trace, &Guard::unlimited())
-                    .unwrap();
+                let out = engine.execute(&q, &d, RunCtx::traced(&trace)).unwrap();
                 (out.output.to_xml_string(), trace.finish().unwrap())
             });
             assert_eq!(baseline, xml, "replan changed the answer for {q:?}");

@@ -34,7 +34,7 @@ pub mod translate;
 
 pub use capability::{Feature, LanguageProfile};
 pub use engine::{Engine, QueryKind};
-pub use gql_guard::{Budget, CancelToken, GuardError};
+pub use gql_guard::{Budget, CancelToken, Guard, GuardError, RunCtx};
 
 /// Errors of the unified layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,7 +51,7 @@ pub enum CoreError {
         diagnostics: Vec<gql_ssdm::Diagnostic>,
     },
     /// A resource budget tripped during a bounded run
-    /// ([`Engine::run_bounded`]); carries the structured partial-progress
+    /// ([`Engine::execute`] under a guard); carries the structured partial-progress
     /// report instead of a wrong or truncated answer.
     Budget(gql_guard::GuardError),
 }

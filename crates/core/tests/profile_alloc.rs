@@ -1,5 +1,5 @@
 //! The always-on request profile costs no heap allocation: a warm
-//! `run_governed` of each surface's Q1 against the resident point-sized
+//! `Engine::execute` of each surface's Q1 against the resident point-sized
 //! city guide, traced into a log that has already served one request,
 //! allocates no more than the same run with tracing off — the record
 //! itself adds nothing, and every computed label is formatted into it in
@@ -10,7 +10,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use gql_core::{Engine, QueryKind};
-use gql_guard::Guard;
+use gql_guard::RunCtx;
 use gql_ssdm::generator::{cityguide, CityConfig};
 use gql_trace::{Trace, TraceLog};
 
@@ -82,7 +82,7 @@ fn a_warm_profiled_run_allocates_no_more_than_an_unprofiled_one() {
     for (query, engine_side) in &q1 {
         let run = |trace: &Trace| {
             let outcome = engine
-                .run_governed(query, &city, trace, &Guard::unlimited())
+                .execute(query, &city, RunCtx::traced(trace))
                 .expect("Q1 runs");
             drop(outcome);
         };

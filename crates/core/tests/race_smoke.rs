@@ -11,11 +11,10 @@ use std::sync::Arc;
 use std::thread;
 
 use gql_core::{Engine, QueryKind};
-use gql_guard::{Budget, CancelToken, Guard};
+use gql_guard::{Budget, CancelToken, Guard, RunCtx};
 use gql_ssdm::{generator, DocIndex};
-use gql_trace::Trace;
 use gql_xmlgl::ast::Rule;
-use gql_xmlgl::eval::{match_rule_guarded, match_rule_scan, match_rule_with, MatchMode};
+use gql_xmlgl::eval::{match_rule_in, match_rule_scan, match_rule_with, MatchMode};
 
 fn join_rule() -> Rule {
     gql_xmlgl::dsl::parse(
@@ -152,14 +151,14 @@ fn cancellation_mid_parallel_match_is_clean() {
     for delay in [0u64, 50, 500, 5_000] {
         let cancel = CancelToken::new();
         let guard = Guard::with_cancel(Budget::unlimited(), cancel.clone());
-        let trace = Trace::disabled();
         let got = thread::scope(|s| {
             let canceller = cancel.clone();
             s.spawn(move || {
                 std::thread::sleep(std::time::Duration::from_micros(delay));
                 canceller.cancel();
             });
-            match_rule_guarded(&rule, &doc, Some(&idx), MatchMode::Parallel, &trace, &guard)
+            let ctx = RunCtx::guarded(&guard);
+            match_rule_in(&rule, &doc, Some(&idx), MatchMode::Parallel, None, ctx)
         });
         assert!(
             got.len() <= baseline.len(),

@@ -18,6 +18,11 @@
 //! `benches/guard.rs` overhead bench holds this to the same <2% bound as the
 //! trace layer.
 //!
+//! [`RunCtx`] is what an evaluation is handed besides its inputs: the trace
+//! it reports into and the guard that bounds it, as one `Copy` value. Every
+//! evaluator layer has exactly one entry point that takes it (DESIGN.md,
+//! "Entry points").
+//!
 //! The [`fault`] module is the test-only injection seam driving the
 //! degradation ladder (indexed → scan, parallel → sequential): the testkit
 //! installs a [`fault::FaultPlan`] and the engines consult it at the exact
@@ -26,6 +31,8 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+use gql_trace::{SpanGuard, Trace};
 
 /// Resource limits for one evaluation. All limits are optional; an
 /// unlimited budget never trips. Budgets are plain data — attach one to an
@@ -460,6 +467,59 @@ impl Guard {
     }
 }
 
+/// What a run carries besides its inputs: where it reports ([`Trace`]) and
+/// what bounds it ([`Guard`]). Two borrowed handles, `Copy`, passed by value
+/// down every layer. [`RunCtx::none`] is the plain run — tracing off,
+/// nothing bounded — and costs nothing to build.
+///
+/// A `Trace` belongs to the coordinating thread, so a `RunCtx` is not
+/// `Send`; parallel workers are handed the guard alone.
+#[derive(Clone, Copy)]
+pub struct RunCtx<'a> {
+    pub trace: &'a Trace,
+    pub guard: &'a Guard,
+}
+
+impl RunCtx<'static> {
+    /// Tracing disabled, guard unlimited: every probe is one branch.
+    pub fn none() -> RunCtx<'static> {
+        static UNLIMITED: Guard = Guard::unlimited();
+        RunCtx {
+            trace: Trace::OFF,
+            guard: &UNLIMITED,
+        }
+    }
+}
+
+impl<'a> RunCtx<'a> {
+    pub fn new(trace: &'a Trace, guard: &'a Guard) -> RunCtx<'a> {
+        RunCtx { trace, guard }
+    }
+
+    /// Report into `trace`, bound nothing.
+    pub fn traced(trace: &'a Trace) -> RunCtx<'a> {
+        RunCtx {
+            trace,
+            ..RunCtx::none()
+        }
+    }
+
+    /// Run under `guard`, report nowhere.
+    pub fn guarded(guard: &'a Guard) -> RunCtx<'a> {
+        RunCtx {
+            guard,
+            ..RunCtx::none()
+        }
+    }
+
+    /// Enter an engine phase: opens the phase's span and names the phase in
+    /// the guard's partial-progress report, which must never disagree.
+    pub fn phase(&self, name: &'static str) -> SpanGuard<'a> {
+        self.guard.set_phase(name);
+        self.trace.span(name)
+    }
+}
+
 impl Inner {
     #[inline]
     fn charge(&self, counter: &AtomicU64, limit: Option<u64>, n: u64, kind: LimitKind) -> bool {
@@ -806,6 +866,23 @@ mod tests {
         assert!(g.error().is_none());
         assert_eq!(g.probes(), 0);
         assert_eq!(g.cap_workers(8), 8);
+    }
+
+    #[test]
+    fn run_ctx_none_is_inert_and_phase_names_both_sides() {
+        let none = RunCtx::none();
+        assert!(!none.trace.is_enabled() && !none.guard.is_enabled());
+        drop(none.phase("eval"));
+        assert!(none.guard.report().is_none());
+
+        let trace = Trace::profiling();
+        let guard = Guard::new(Budget::unlimited());
+        let ctx = RunCtx::new(&trace, &guard);
+        drop(ctx.phase("load"));
+        assert_eq!(guard.report().unwrap().phase, "load");
+        assert!(!RunCtx::traced(&trace).guard.is_enabled());
+        assert!(!RunCtx::guarded(&guard).trace.is_enabled());
+        assert_eq!(trace.finish().unwrap().shape(), "load\n");
     }
 
     #[test]

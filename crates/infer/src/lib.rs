@@ -19,6 +19,10 @@
 //! flagged empty evaluates empty on the summarised document, and no result
 //! count ever exceeds its bound. The argument is spelled out in DESIGN.md
 //! and enforced end-to-end by `gql-testkit`'s differential oracles.
+//!
+//! [`Code::EmptyUnderSummary`]: gql_ssdm::Code::EmptyUnderSummary
+//! [`Code::DeadRule`]: gql_ssdm::Code::DeadRule
+//! [`Code::PathNeverMatches`]: gql_ssdm::Code::PathNeverMatches
 
 pub mod fold;
 pub mod glq;

@@ -1,6 +1,6 @@
 //! # gql-metrics — the service telemetry substrate
 //!
-//! Dependency-free building blocks the query service ([`gql-serve`])
+//! Dependency-free building blocks the query service (`gql-serve`)
 //! assembles into its telemetry plane. Everything here is designed for a
 //! hot path that must never perturb answers or block:
 //!

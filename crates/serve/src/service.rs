@@ -24,7 +24,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use gql_core::{CoreError, Engine, QueryKind};
-use gql_guard::{fault, Budget, CancelToken, Guard, LimitKind};
+use gql_guard::{fault, Budget, CancelToken, Guard, LimitKind, RunCtx};
 use gql_plan::CacheStats;
 use gql_trace::{ExecutionProfile, TraceLog};
 
@@ -976,8 +976,8 @@ fn execute(inner: &Inner, job: &Job, log: &mut TraceLog) -> Response {
     }
     let engine: &Engine = job.dataset.engine();
     let guard = Guard::with_cancel(job.budget.clone(), job.cancel.clone());
-    let result =
-        log.record(|trace| engine.run_governed(&job.query, job.dataset.doc(), trace, &guard));
+    let result = log
+        .record(|trace| engine.execute(&job.query, job.dataset.doc(), RunCtx::new(trace, &guard)));
     let log = &*log;
     // Everything below reads the log in place; only a `profile: true` reply
     // or a slow-log capture builds anything from it. The plan notes are

@@ -237,11 +237,6 @@ impl Diagnostic {
         }
     }
 
-    pub fn with_severity(mut self, severity: Severity) -> Diagnostic {
-        self.severity = severity;
-        self
-    }
-
     pub fn with_span(mut self, span: Span) -> Diagnostic {
         self.span = span;
         self

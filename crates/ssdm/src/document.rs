@@ -536,17 +536,6 @@ impl Document {
             .filter(|&c| self.kind(c) == NodeKind::Element)
     }
 
-    /// Element children with a given tag name.
-    pub fn child_elements_named<'a>(
-        &'a self,
-        node: NodeId,
-        name: &str,
-    ) -> impl Iterator<Item = NodeId> + 'a {
-        let sym = self.interner.get(name);
-        self.child_elements(node)
-            .filter(move |&c| sym.is_some() && self.name_sym(c) == sym)
-    }
-
     /// Attributes of an element in set order.
     pub fn attrs(&self, node: NodeId) -> impl Iterator<Item = (&str, &str)> + '_ {
         self.attr_run(node)

@@ -559,11 +559,6 @@ impl DocIndex {
         }
     }
 
-    /// Is `node` a proper descendant of `anc`?
-    pub fn is_descendant(&self, anc: NodeId, node: NodeId) -> bool {
-        anc != node && self.is_descendant_or_self(anc, node)
-    }
-
     /// Slice of a document-ordered postings list restricted to `anc`'s
     /// subtree interval, via two binary searches.
     fn range_in<'a>(&self, list: &'a [NodeId], anc: NodeId, include_self: bool) -> &'a [NodeId] {

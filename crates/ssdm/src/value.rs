@@ -61,11 +61,6 @@ impl Value {
         }
     }
 
-    /// Whether the value is (coercible to) a number.
-    pub fn is_numeric(&self) -> bool {
-        !self.to_number().is_nan()
-    }
-
     /// Equality under coercion: if either side is numeric both are compared
     /// as numbers, if either is boolean both as booleans, else as strings.
     pub fn loose_eq(&self, other: &Value) -> bool {

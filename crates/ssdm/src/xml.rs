@@ -7,34 +7,20 @@
 //! Not supported: namespaces-as-semantics (prefixed names are kept verbatim
 //! as plain names), external entities, and parameter entities.
 //!
-//! By default whitespace-only text nodes between elements are dropped — the
-//! engines operate on data-oriented documents where such nodes are
-//! formatting noise. [`ParseOptions::keep_whitespace`] retains them.
+//! Whitespace-only text nodes between elements are dropped — the engines
+//! operate on data-oriented documents where such nodes are formatting noise.
 
 use crate::document::{Document, NodeKind};
 use crate::error::{Error, Pos, Result};
 use crate::NodeId;
 
-/// Knobs for [`parse_with`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ParseOptions {
-    /// Keep text nodes that consist only of whitespace.
-    pub keep_whitespace: bool,
-}
-
-/// Parse with default options.
-pub fn parse(input: &str) -> Result<Document> {
-    parse_with(input, ParseOptions::default())
-}
-
 /// Parse an XML string into a [`Document`].
-pub fn parse_with(input: &str, opts: ParseOptions) -> Result<Document> {
+pub fn parse(input: &str) -> Result<Document> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
         line: 1,
         col: 1,
-        opts,
     };
     let mut doc = Document::new();
     let root = doc.root();
@@ -82,7 +68,6 @@ struct Parser<'a> {
     pos: usize,
     line: u32,
     col: u32,
-    opts: ParseOptions,
 }
 
 impl<'a> Parser<'a> {
@@ -424,8 +409,7 @@ impl<'a> Parser<'a> {
         if text.is_empty() {
             return;
         }
-        let keep = self.opts.keep_whitespace || !text.chars().all(char::is_whitespace);
-        if keep {
+        if !text.chars().all(char::is_whitespace) {
             let t = doc.create_text(text);
             doc.append_child(parent, t).expect("fresh text");
         }
@@ -636,19 +620,10 @@ mod tests {
     }
 
     #[test]
-    fn whitespace_text_dropped_by_default() {
+    fn whitespace_only_text_is_dropped() {
         let doc = parse("<a>\n  <b/>\n</a>").unwrap();
         let a = doc.root_element().unwrap();
         assert_eq!(doc.children(a).len(), 1);
-        let kept = parse_with(
-            "<a>\n  <b/>\n</a>",
-            ParseOptions {
-                keep_whitespace: true,
-            },
-        )
-        .unwrap();
-        let a = kept.root_element().unwrap();
-        assert_eq!(kept.children(a).len(), 3);
     }
 
     #[test]

@@ -33,7 +33,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use gql_core::engine::Engine;
-use gql_core::{Budget, CoreError};
+use gql_core::{Budget, CoreError, Guard, RunCtx};
 use gql_testkit::corpus::{self, CorpusCase};
 use gql_testkit::fault::{query_kinds, run_fault_matrix, smoke_budget};
 use gql_testkit::fuzz::{case_inputs, fuzz_one, profile_case, run_fuzz, Failure, Generator};
@@ -264,7 +264,8 @@ fn replay_bounded(g: Generator, seed: u64, budget: &Budget) -> ExitCode {
             gql_core::engine::QueryKind::WgLog(_) => "wglog",
             gql_core::engine::QueryKind::XPath(_) => "xpath",
         };
-        match Engine::new().run_bounded(&kind, &doc, budget) {
+        let guard = Guard::new(budget.clone());
+        match Engine::new().execute(&kind, &doc, RunCtx::guarded(&guard)) {
             Ok(o) => println!(
                 "OK {} seed {seed} [{label}]: completed under budget, {} result(s)",
                 g.name(),

@@ -24,14 +24,14 @@
 //! tokens over `timeout-ms`, `max-rounds`, `max-matches`, `max-nodes` and
 //! `max-workers`. Budget-bearing cases are *pathological by construction*
 //! (exploding fixpoints, combinatorial joins): replay runs them through
-//! [`Engine::run_bounded`] and passes only when the budget trips with a
+//! [`Engine::execute`] under its budget and passes only when the budget trips with a
 //! clean, non-degenerate [`CoreError::Budget`] report — the unbounded
 //! oracle battery would hang on them.
 
 use std::path::{Path, PathBuf};
 
 use gql_core::engine::{Engine, QueryKind};
-use gql_core::{Budget, CoreError};
+use gql_core::{Budget, CoreError, Guard, RunCtx};
 
 use crate::fuzz::{check_case, Failure, Generator};
 use crate::generators::Intent;
@@ -195,7 +195,8 @@ impl CorpusCase {
         let kind = self
             .query_kind()
             .map_err(|e| format!("budgeted case: {e}"))?;
-        match Engine::new().run_bounded(&kind, &doc, budget) {
+        let guard = Guard::new(budget.clone());
+        match Engine::new().execute(&kind, &doc, RunCtx::guarded(&guard)) {
             Err(CoreError::Budget(g)) if !g.report.phase.is_empty() => Ok(()),
             Err(CoreError::Budget(g)) => Err(format!(
                 "budgeted case tripped with a degenerate report: {g}"

@@ -18,7 +18,7 @@
 use std::time::Duration;
 
 use gql_core::engine::{Engine, QueryKind};
-use gql_core::{Budget, CoreError};
+use gql_core::{Budget, CoreError, Guard, RunCtx};
 use gql_guard::fault::{self, FaultPlan};
 
 use crate::fuzz::{case_inputs, Generator};
@@ -84,7 +84,8 @@ pub fn check_fault_case(
     for kind in query_kinds(generator, query) {
         let baseline = Engine::new().run(&kind, &doc);
         let faulted = fault::with_plan(plan.clone(), || {
-            Engine::new().run_bounded(&kind, &doc, budget)
+            let guard = Guard::new(budget.clone());
+            Engine::new().execute(&kind, &doc, RunCtx::guarded(&guard))
         });
         match (baseline, faulted) {
             (Ok(b), Ok(f)) => {
@@ -181,7 +182,10 @@ mod tests {
         let kind = QueryKind::WgLog(program);
         let budget = Budget::unlimited().with_timeout_ms(1);
         let err = fault::with_plan(FaultPlan::stall_round(1), || {
-            Engine::new().run_bounded(&kind, &doc, &budget).unwrap_err()
+            let guard = Guard::new(budget.clone());
+            Engine::new()
+                .execute(&kind, &doc, RunCtx::guarded(&guard))
+                .unwrap_err()
         });
         let CoreError::Budget(g) = err else {
             panic!("expected a budget error, got {err:?}");
@@ -193,7 +197,7 @@ mod tests {
     #[test]
     fn injected_worker_panic_degrades_to_the_sequential_answer() {
         use gql_trace::Trace;
-        use gql_xmlgl::eval::{match_rule_guarded, MatchMode};
+        use gql_xmlgl::eval::{match_rule_in, match_rule_scan, MatchMode};
         // Enough candidates that the parallel matcher actually fans out.
         let mut xml = String::from("<r>");
         for i in 0..64 {
@@ -207,23 +211,16 @@ mod tests {
         .unwrap()
         .rules
         .remove(0);
-        let sequential = match_rule_guarded(
-            &rule,
-            &doc,
-            None,
-            MatchMode::Sequential,
-            &Trace::disabled(),
-            &gql_guard::Guard::unlimited(),
-        );
+        let sequential = match_rule_scan(&rule, &doc);
         let retried = fault::with_plan(FaultPlan::panic_worker(0), || {
             let trace = Trace::profiling();
-            let bs = match_rule_guarded(
+            let bs = match_rule_in(
                 &rule,
                 &doc,
                 None,
                 MatchMode::Parallel,
-                &trace,
-                &gql_guard::Guard::unlimited(),
+                None,
+                RunCtx::traced(&trace),
             );
             (bs, trace.finish())
         });

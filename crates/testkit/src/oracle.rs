@@ -12,9 +12,8 @@
 
 use gql_analyze::Analyzer;
 use gql_core::engine::{Engine, QueryKind};
-use gql_guard::Guard;
+use gql_guard::RunCtx;
 use gql_ssdm::{DocIndex, Document, Summary};
-use gql_trace::Trace;
 use gql_wglog::eval::FixpointMode;
 use gql_wglog::Instance;
 use gql_xmlgl::eval::{
@@ -387,8 +386,14 @@ pub fn check_xmlgl_case(doc: &Document, src: &str) -> Result<(), String> {
     }
     let lazy = gql_xmlgl::eval::run(&program, doc)
         .map_err(|e| format!("run: lazy run failed after clean matching: {e}"))?;
-    let indexed = gql_xmlgl::eval::run_with_index(&program, doc, &idx)
-        .map_err(|e| format!("run: indexed run failed after clean matching: {e}"))?;
+    let indexed = gql_xmlgl::eval::run_in(
+        &program,
+        doc,
+        Some(&idx),
+        &gql_xmlgl::eval::MatchPlans::none(),
+        RunCtx::none(),
+    )
+    .map_err(|e| format!("run: indexed run failed after clean matching: {e}"))?;
     if indexed.to_xml_string() != lazy.to_xml_string() {
         return Err("indexed-vs-lazy: result documents diverged".into());
     }
@@ -598,7 +603,7 @@ pub fn check_wglog_case(doc: &Document, src: &str) -> Result<(), String> {
 /// The textbook XPath evaluator (scan mode, the engine's degradation
 /// target): every step per context node, no index, no fusion, no hoisting.
 fn xpath_reference(doc: &Document, expr: &gql_xpath::Expr) -> gql_xpath::Result<XValue> {
-    gql_xpath::evaluate_scan_guarded(doc, expr, &Trace::disabled(), &Guard::unlimited())
+    gql_xpath::evaluate_scan(doc, expr, RunCtx::none())
 }
 
 fn xvalue_eq(a: &XValue, b: &XValue) -> bool {

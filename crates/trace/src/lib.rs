@@ -135,6 +135,12 @@ impl Trace {
         Trace { log: None }
     }
 
+    /// The no-op handle by reference, for a holder that borrows its trace
+    /// and has none to borrow (`gql_guard::RunCtx::none`). Sharing it
+    /// between threads is sound although a `Trace` is not `Sync`: a disabled
+    /// handle has no log to touch.
+    pub const OFF: &'static Trace = &Trace { log: None };
+
     /// A tracing handle over a fresh log, for a one-shot caller;
     /// [`Trace::finish`] recovers the profile. A caller tracing run after
     /// run keeps a [`TraceLog`] and uses [`TraceLog::record`].

@@ -18,8 +18,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use gql_guard::Guard;
-use gql_trace::Trace;
+use gql_guard::RunCtx;
 
 use crate::instance::{Instance, ObjId};
 use crate::rule::{AttrValue, Color, LabelTest, RNodeId, Rule, TypeTest};
@@ -58,36 +57,25 @@ const MAX_TRACED_ROUNDS: usize = 64;
 
 /// Run one stratum's rules to fixpoint on `db` in place.
 pub fn fixpoint(rules: &[&Rule], db: &mut Instance, mode: FixpointMode) -> Result<FixpointStats> {
-    fixpoint_traced(rules, db, mode, &Trace::disabled())
+    fixpoint_in(rules, db, mode, RunCtx::none())
 }
 
-/// [`fixpoint`] reporting into a [`Trace`]: one `round[i]` child span per
-/// iteration (capped at [`MAX_TRACED_ROUNDS`]) carrying the semi-naive
-/// diagnostics — rules evaluated after the relevance filter, embeddings
-/// found, and the delta of objects/edges derived that round. With
-/// `Trace::disabled()` this is exactly `fixpoint`.
-pub fn fixpoint_traced(
-    rules: &[&Rule],
-    db: &mut Instance,
-    mode: FixpointMode,
-    trace: &Trace,
-) -> Result<FixpointStats> {
-    fixpoint_guarded(rules, db, mode, trace, &Guard::unlimited())
-}
-
-/// [`fixpoint_traced`] under a resource [`Guard`]: the round cap is charged
-/// at the start of every round, the match cap after every rule's embedding
-/// batch, and the node cap with every round's derived delta, so a
+/// The full form of [`fixpoint`]. `ctx.trace` receives one `round[i]` child
+/// span per iteration (the first `MAX_TRACED_ROUNDS`; later rounds fold into
+/// a `rounds_truncated` count) carrying the semi-naive diagnostics — rules
+/// evaluated after the relevance filter, embeddings found, and the delta of
+/// objects/edges derived that round. `ctx.guard`'s round cap is charged at
+/// the start of every round, its match cap after every rule's embedding
+/// batch, and its node cap with every round's derived delta, so a
 /// non-converging fixpoint trips the budget instead of running to
-/// [`MAX_ITERATIONS`]. With `Guard::unlimited()` this is exactly
-/// `fixpoint_traced`.
-pub fn fixpoint_guarded(
+/// `MAX_ITERATIONS`.
+pub fn fixpoint_in(
     rules: &[&Rule],
     db: &mut Instance,
     mode: FixpointMode,
-    trace: &Trace,
-    guard: &Guard,
+    ctx: RunCtx<'_>,
 ) -> Result<FixpointStats> {
+    let RunCtx { trace, guard } = ctx;
     let mut stats = FixpointStats::default();
     // Skolem table shared across iterations: (rule idx, cnode, key) → object.
     let mut invented: HashMap<(usize, RNodeId, Vec<Option<ObjId>>), ObjId> = HashMap::new();

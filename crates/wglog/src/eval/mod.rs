@@ -4,16 +4,15 @@ pub mod embed;
 pub mod fixpoint;
 pub mod stratify;
 
-use gql_guard::Guard;
+use gql_guard::RunCtx;
 use gql_ssdm::Document;
-use gql_trace::Trace;
 
 use crate::instance::Instance;
 use crate::rule::Program;
 use crate::Result;
 
 pub use embed::{embeddings, path_exists, Embedding};
-pub use fixpoint::{fixpoint, fixpoint_guarded, fixpoint_traced, FixpointMode, FixpointStats};
+pub use fixpoint::{fixpoint, fixpoint_in, FixpointMode, FixpointStats};
 pub use stratify::stratify;
 
 /// Evaluate a program over a database: stratified fixpoint with the default
@@ -30,33 +29,21 @@ pub fn run_with(
     db: &Instance,
     mode: FixpointMode,
 ) -> Result<(Instance, FixpointStats)> {
-    run_traced(program, db, mode, &Trace::disabled())
+    run_in(program, db, mode, RunCtx::none())
 }
 
-/// [`run_with`] reporting into a [`Trace`]: a `stratify` span, then one
-/// `stratum[i]` span per stratum whose children are the fixpoint rounds
-/// (see [`fixpoint_traced`]), each carrying rule counts and the derived
-/// instance growth. With `Trace::disabled()` this is exactly `run_with`.
-pub fn run_traced(
+/// The full form of [`run_with`]. `ctx.trace` receives a `stratify` span,
+/// then one `stratum[i]` span per stratum whose children are the fixpoint
+/// rounds (see [`fixpoint_in`]), each carrying rule counts and the derived
+/// instance growth. Each stratum's fixpoint runs under `ctx.guard`'s
+/// round/match/node caps and trips cleanly with a partial-progress report.
+pub fn run_in(
     program: &Program,
     db: &Instance,
     mode: FixpointMode,
-    trace: &Trace,
+    ctx: RunCtx<'_>,
 ) -> Result<(Instance, FixpointStats)> {
-    run_guarded(program, db, mode, trace, &Guard::unlimited())
-}
-
-/// [`run_traced`] under a resource [`Guard`]: each stratum's fixpoint runs
-/// with the guard's round/match/node caps (see
-/// [`fixpoint::fixpoint_guarded`]) and trips cleanly with a partial-progress
-/// report. With `Guard::unlimited()` this is exactly `run_traced`.
-pub fn run_guarded(
-    program: &Program,
-    db: &Instance,
-    mode: FixpointMode,
-    trace: &Trace,
-    guard: &Guard,
-) -> Result<(Instance, FixpointStats)> {
+    let trace = ctx.trace;
     program.check()?;
     let strata = {
         let _s = trace.span("stratify");
@@ -82,7 +69,7 @@ pub fn run_guarded(
         let span = trace.span(format_args!("stratum[{si}]"));
         let rules: Vec<&crate::rule::Rule> = stratum.iter().map(|&i| &program.rules[i]).collect();
         let (objs_before, edges_before) = (work.object_count(), work.edge_count());
-        let s = fixpoint_guarded(&rules, &mut work, mode, trace, guard)?;
+        let s = fixpoint_in(&rules, &mut work, mode, ctx)?;
         if trace.is_enabled() {
             trace.count("stratum_rules", rules.len() as u64);
             trace.count(

@@ -202,7 +202,7 @@ impl Layer {
 
 /// A WG-Log database: typed objects plus labelled edges.
 ///
-/// An instance is two [`Layer`]s: an immutable *base* shared by reference
+/// An instance is two `Layer`s: an immutable *base* shared by reference
 /// count, and an owned *delta* that receives every `add_object` and
 /// `add_edge`. [`Instance::from_document`] returns its graph as the base
 /// (moved there, not copied), so cloning a loaded instance — which every

@@ -16,7 +16,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use gql_guard::{Guard, LimitKind};
+use gql_guard::{Guard, LimitKind, RunCtx};
 use gql_ssdm::document::NodeKind;
 use gql_ssdm::index::canonical;
 use gql_ssdm::{DocIndex, Document, NodeId, Symbol};
@@ -29,9 +29,6 @@ use super::{content_hash, content_key};
 /// Below this many root candidates, threads cost more than they save and
 /// `MatchMode::Auto` stays sequential.
 const PARALLEL_THRESHOLD: usize = 64;
-
-/// The no-op guard the unguarded entry points thread through [`Ctx`].
-static UNLIMITED: Guard = Guard::unlimited();
 
 /// What a query node is bound to: a document node (elements) or a string
 /// (text content, attribute values). Strings carry the element they were
@@ -84,25 +81,21 @@ impl Binding {
     /// Merge two disjoint bindings (panics on conflicting slots in debug).
     fn merge(&self, other: &Binding) -> Binding {
         let mut out = self.clone();
-        for (i, slot) in other.slots.iter().enumerate() {
-            if let Some(b) = slot {
-                debug_assert!(
-                    out.slots.get(i).is_none_or(Option::is_none),
-                    "bindings overlap at q{i}"
-                );
-                out.set(QNodeId(i as u32), b.clone());
-            }
-        }
+        out.absorb(other);
         out
     }
 
-    /// Bound query-node ids, ascending.
-    pub fn bound_ids(&self) -> impl Iterator<Item = QNodeId> + '_ {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.is_some())
-            .map(|(i, _)| QNodeId(i as u32))
+    /// [`Binding::merge`] in place.
+    fn absorb(&mut self, other: &Binding) {
+        for (i, slot) in other.slots.iter().enumerate() {
+            if let Some(b) = slot {
+                debug_assert!(
+                    self.slots.get(i).is_none_or(Option::is_none),
+                    "bindings overlap at q{i}"
+                );
+                self.set(QNodeId(i as u32), b.clone());
+            }
+        }
     }
 }
 
@@ -194,54 +187,64 @@ pub fn match_rule(rule: &Rule, doc: &Document) -> Vec<Binding> {
 }
 
 /// Enumerate all embeddings using a prebuilt index.
-///
-/// Roots are matched independently; their binding sets are then combined
-/// left-to-right. Whenever a join constraint connects the next root to the
-/// already-combined prefix, the combination is a hash join on the 64-bit
-/// structural content hash instead of a cartesian product.
 pub fn match_rule_with(
     rule: &Rule,
     doc: &Document,
     idx: &DocIndex,
     mode: MatchMode,
 ) -> Vec<Binding> {
-    match_rule_traced(rule, doc, idx, mode, &Trace::disabled())
+    match_rule_in(rule, doc, Some(idx), mode, None, RunCtx::none())
 }
 
-/// [`match_rule_with`] reporting into a [`Trace`]: per-root candidate-set
-/// sizes and worker fan-out, per-combine join statistics (probes, matches,
-/// hash-collision rejects), residual-filter counts and per-query-node
-/// candidate totals. With `Trace::disabled()` this is exactly
-/// `match_rule_with` — the counters are never allocated.
-pub fn match_rule_traced(
-    rule: &Rule,
-    doc: &Document,
-    idx: &DocIndex,
-    mode: MatchMode,
-    trace: &Trace,
-) -> Vec<Binding> {
-    match_rule_guarded(rule, doc, Some(idx), mode, trace, &UNLIMITED)
+/// Reference implementation: whole-document scans for candidates and string
+/// content keys for joins. Kept as the oracle for the indexed path (property
+/// tests assert `match_rule_scan ≡ match_rule`) and as the benchmark
+/// baseline.
+pub fn match_rule_scan(rule: &Rule, doc: &Document) -> Vec<Binding> {
+    match_rule_in(rule, doc, None, MatchMode::Sequential, None, RunCtx::none())
 }
 
-/// [`match_rule_traced`] under a resource [`Guard`], with an *optional*
-/// index (`None` selects the scan path — the degradation target when an
-/// index build fails). Budget probes fire per root candidate, per
-/// alternative expansion in `match_node` and per join/product batch. A
-/// tripped guard truncates the returned binding set; the caller must call
-/// `guard.checkpoint()` afterwards and discard the output on error. A
-/// panicking parallel worker is isolated at the scoped-thread boundary and
+/// The full form every other `match_rule*` is one line over.
+///
+/// Roots are matched independently and their binding sets then combined:
+/// a hash join on the 64-bit structural content hash whenever a join
+/// constraint connects the next root to the roots already combined, a
+/// cartesian product otherwise.
+///
+/// * `idx`: `None` selects the scan path — the degradation target when an
+///   index build fails.
+/// * `order`: a root *combine order* chosen by a planner (`gql-plan`'s
+///   `plan_rule_order` from summary cardinality bounds), a permutation of
+///   the root indices. Combining starts from `order[0]`, so a selective
+///   root can shrink the intermediate result before a bulky one multiplies
+///   it. The *result is identical* whatever the order — rows carry their
+///   per-root provenance and are sorted back into declaration order before
+///   bindings are materialised — only the intermediate sizes change. `None`,
+///   or an `order` that is not a permutation, combines in declaration
+///   order.
+/// * `ctx.trace` receives per-root candidate-set sizes and worker fan-out,
+///   per-combine join statistics (probes, matches, hash-collision rejects),
+///   residual-filter counts and per-query-node candidate totals; the
+///   counters are never allocated for a disabled trace.
+/// * `ctx.guard` is probed per root candidate, per alternative expansion in
+///   `match_node` and per join/product batch. A tripped guard truncates the
+///   returned binding set; the caller must call `guard.checkpoint()`
+///   afterwards and discard the output on error.
+///
+/// A panicking parallel worker is isolated at the scoped-thread boundary and
 /// the root's candidates retried once sequentially (`degraded:
 /// sequential_retry` trace note); if the retry panics too, an enabled guard
 /// converts it into a `WorkerPanic` trip, an unlimited guard resumes the
 /// panic.
-pub fn match_rule_guarded(
+pub fn match_rule_in(
     rule: &Rule,
     doc: &Document,
     idx: Option<&DocIndex>,
     mode: MatchMode,
-    trace: &Trace,
-    guard: &Guard,
+    order: Option<&[usize]>,
+    ctx: RunCtx<'_>,
 ) -> Vec<Binding> {
+    let trace = ctx.trace;
     let cx = Ctx {
         g: &rule.extract,
         doc,
@@ -257,16 +260,10 @@ pub fn match_rule_guarded(
                 .map(|_| AtomicU64::new(0))
                 .collect()
         }),
-        guard,
+        guard: ctx.guard,
     };
-    let out = run_match(&cx, mode, trace, None);
-    emit_match_counters(&cx, trace, &out);
-    out
-}
-
-/// Per-query-node candidate totals and the final binding count, emitted on
-/// the enclosing span once a match completes (planned and unplanned alike).
-fn emit_match_counters(cx: &Ctx, trace: &Trace, out: &[Binding]) {
+    let plan = order.filter(|o| is_permutation(o, rule.extract.roots.len()));
+    let out = run_match(&cx, mode, trace, plan);
     if let Some(cand) = &cx.cand {
         for (i, c) in cand.iter().enumerate() {
             let n = c.load(Ordering::Relaxed);
@@ -277,82 +274,16 @@ fn emit_match_counters(cx: &Ctx, trace: &Trace, out: &[Binding]) {
         }
         trace.count("bindings", out.len() as u64);
     }
-}
-
-/// [`match_rule_guarded`] with a root *combine order* chosen by a planner
-/// (e.g. `gql-infer`'s [`plan_root_order`] from summary cardinality bounds).
-///
-/// `order` is a permutation of root indices in declaration order; combining
-/// starts from `order[0]` and hash-joins each next root against the
-/// accumulated prefix, so a selective root can shrink the intermediate
-/// result before a bulky one multiplies it. The *result is identical* to
-/// declaration-order matching — rows carry their per-root provenance and
-/// are sorted back into declaration order before bindings are materialised
-/// — only the intermediate sizes change. An invalid `order` (wrong length,
-/// not a permutation) falls back to declaration order.
-///
-/// [`plan_root_order`]: https://docs.rs/gql-infer
-pub fn match_rule_planned(
-    rule: &Rule,
-    doc: &Document,
-    idx: Option<&DocIndex>,
-    mode: MatchMode,
-    trace: &Trace,
-    guard: &Guard,
-    order: &[usize],
-) -> Vec<Binding> {
-    let cx = Ctx {
-        g: &rule.extract,
-        doc,
-        nslots: rule.extract.nodes.len(),
-        idx,
-        names: if idx.is_some() {
-            resolve_names(&rule.extract, doc)
-        } else {
-            Vec::new()
-        },
-        cand: trace.is_enabled().then(|| {
-            (0..rule.extract.nodes.len())
-                .map(|_| AtomicU64::new(0))
-                .collect()
-        }),
-        guard,
-    };
-    let plan = valid_plan(order, rule.extract.roots.len()).then_some(order);
-    let out = run_match(&cx, mode, trace, plan);
-    emit_match_counters(&cx, trace, &out);
     out
 }
 
-/// A plan is usable when it is a true permutation of `0..nroots` and
-/// actually reorders something.
-fn valid_plan(order: &[usize], nroots: usize) -> bool {
-    if order.len() != nroots || nroots < 2 {
-        return false;
-    }
+/// Is `order` a permutation of `0..nroots`?
+fn is_permutation(order: &[usize], nroots: usize) -> bool {
     let mut seen = vec![false; nroots];
-    for &ri in order {
-        if ri >= nroots || seen[ri] {
-            return false;
-        }
-        seen[ri] = true;
-    }
-    order.iter().enumerate().any(|(i, &ri)| i != ri)
-}
-
-/// Reference implementation: whole-document scans for candidates and string
-/// content keys for joins. Kept as the oracle for the indexed path (property
-/// tests assert `match_rule_scan ≡ match_rule`) and as the benchmark
-/// baseline.
-pub fn match_rule_scan(rule: &Rule, doc: &Document) -> Vec<Binding> {
-    match_rule_guarded(
-        rule,
-        doc,
-        None,
-        MatchMode::Sequential,
-        &Trace::disabled(),
-        &UNLIMITED,
-    )
+    order.len() == nroots
+        && order
+            .iter()
+            .all(|&ri| ri < nroots && !std::mem::replace(&mut seen[ri], true))
 }
 
 fn norm_pair(a: QNodeId, b: QNodeId) -> (QNodeId, QNodeId) {
@@ -373,7 +304,7 @@ fn run_match(cx: &Ctx, mode: MatchMode, trace: &Trace, plan: Option<&[usize]>) -
     }
 
     // Per-root binding sets.
-    let per_root: Vec<Vec<Binding>> = g
+    let mut per_root: Vec<Vec<Binding>> = g
         .roots
         .iter()
         .enumerate()
@@ -386,25 +317,14 @@ fn run_match(cx: &Ctx, mode: MatchMode, trace: &Trace, plan: Option<&[usize]>) -
         })
         .collect();
 
-    // Which root does each query node belong to?
-    let mut owner: Vec<usize> = vec![usize::MAX; g.nodes.len()];
-    for (ri, &root) in g.roots.iter().enumerate() {
-        let mut stack = vec![root];
-        while let Some(q) = stack.pop() {
-            owner[q.index()] = ri;
-            stack.extend(g.node(q).children.iter().map(|e| e.target));
-        }
-    }
-
     // Combine roots, remembering which joins the hash-join pass already
-    // enforced (the residual filter can skip them). A planner-supplied
-    // order takes the provenance-tracking path; the default is the plain
-    // left-to-right declaration-order merge.
+    // enforced (the residual filter can skip them). One root has nothing to
+    // combine with: its bindings are the result as they are.
     let mut enforced: HashSet<(QNodeId, QNodeId)> = HashSet::new();
-    let mut combined: Vec<Binding> = if let Some(order) = plan {
-        combine_planned(cx, &per_root, &owner, order, &mut enforced, trace)
+    let mut combined: Vec<Binding> = if per_root.len() == 1 {
+        per_root.swap_remove(0)
     } else {
-        combine_declared(cx, &per_root, &owner, &mut enforced, trace)
+        combine(cx, &per_root, plan, &mut enforced, trace)
     };
 
     // Residual joins within a single root (or spanning more than two) are
@@ -450,114 +370,72 @@ fn run_match(cx: &Ctx, mode: MatchMode, trace: &Trace, plan: Option<&[usize]>) -
     combined
 }
 
-/// Declaration-order combine: fold the per-root binding sets left to
-/// right, hash-joining whenever a join constraint connects the next root
-/// to the accumulated prefix and taking the cartesian product otherwise.
-fn combine_declared(
-    cx: &Ctx,
-    per_root: &[Vec<Binding>],
-    owner: &[usize],
-    enforced: &mut HashSet<(QNodeId, QNodeId)>,
-    trace: &Trace,
-) -> Vec<Binding> {
-    let g = cx.g;
-    let mut combined: Vec<Binding> = per_root[0].clone();
-    for (ri, right) in per_root.iter().enumerate().skip(1) {
-        // Joins whose endpoints span the combined prefix and this root.
-        let cross_joins: Vec<(QNodeId, QNodeId)> = g
-            .joins
-            .iter()
-            .filter_map(|&(a, b)| {
-                let (oa, ob) = (owner[a.index()], owner[b.index()]);
-                if oa < ri && ob == ri {
-                    Some((a, b))
-                } else if ob < ri && oa == ri {
-                    Some((b, a))
-                } else {
-                    None
-                }
-            })
-            .collect();
-        let span = trace.span(format_args!("combine[{ri}]"));
-        if trace.is_enabled() {
-            trace.count("left_rows", combined.len() as u64);
-            trace.count("right_rows", right.len() as u64);
-        }
-        if !cx.guard.ok() {
-            return Vec::new();
-        }
-        combined = if cross_joins.is_empty() {
-            trace.note("kind", "product");
-            product(&combined, right, cx.guard)
-        } else {
-            trace.note("kind", "hash_join");
-            enforced.extend(cross_joins.iter().map(|&(a, b)| norm_pair(a, b)));
-            let mut stats = JoinStats::default();
-            let joined = match cx.idx {
-                Some(idx) => hash_join_hashed(
-                    cx.doc,
-                    &combined,
-                    right,
-                    &cross_joins,
-                    |b| content_hash(cx.doc, idx, b),
-                    &mut stats,
-                    cx.guard,
-                ),
-                None => hash_join_strings(cx.doc, &combined, right, &cross_joins, cx.guard),
-            };
-            if trace.is_enabled() && cx.idx.is_some() {
-                trace.count("probes", stats.probes);
-                trace.count("hash_matches", stats.hash_matches);
-                trace.count("collision_rejects", stats.collision_rejects);
-            }
-            joined
-        };
-        trace.count("out_rows", combined.len() as u64);
-        drop(span);
-        if combined.is_empty() {
-            return combined;
-        }
-    }
-    combined
-}
+/// An intermediate row of the combine: one per-root binding index per root,
+/// `u32::MAX` for a root not merged in yet. Rows never clone binding slots.
+type Row = Vec<u32>;
 
-/// The join column `c` of an accumulated provenance row `t`: read straight
-/// off the owning root's per-root binding, so intermediate rows never clone
-/// binding slots.
-fn row_col<'a>(
+/// The per-root binding sets, and which root each query node belongs to:
+/// where a [`Row`]'s join columns are read from.
+struct Roots<'a> {
     per_root: &'a [Vec<Binding>],
-    owner: &[usize],
-    t: &[u32],
-    c: QNodeId,
-) -> Option<&'a Bound> {
-    let o = owner[c.index()];
-    per_root[o][t[o] as usize].get(c)
+    owner: Vec<usize>,
 }
 
-/// Planner-order combine: the same relation as [`combine_declared`], with
-/// the roots merged in `order` instead of declaration order, so a selective
-/// root can shrink the intermediate result before a bulky one multiplies
-/// it. Intermediate rows are provenance tuples — one per-root binding index
-/// per root — and are sorted back into declaration-order lexicographic
-/// sequence before bindings are materialised, which reproduces exactly the
-/// binding list the declaration-order combine emits (products and hash
-/// joins both emit left-to-right, right-index-ascending): construct output
-/// cannot depend on the plan.
-fn combine_planned(
+impl<'a> Roots<'a> {
+    fn new(g: &ExtractGraph, per_root: &'a [Vec<Binding>]) -> Self {
+        let mut owner: Vec<usize> = vec![usize::MAX; g.nodes.len()];
+        for (ri, &root) in g.roots.iter().enumerate() {
+            let mut stack = vec![root];
+            while let Some(q) = stack.pop() {
+                owner[q.index()] = ri;
+                stack.extend(g.node(q).children.iter().map(|e| e.target));
+            }
+        }
+        Roots { per_root, owner }
+    }
+
+    /// The join column `c` of row `t`, read straight off the owning root's
+    /// binding.
+    fn col(&self, t: &[u32], c: QNodeId) -> Option<&'a Bound> {
+        let o = self.owner[c.index()];
+        self.per_root[o][t[o] as usize].get(c)
+    }
+}
+
+/// Combine the per-root binding sets: merge the roots in `plan` order
+/// (declaration order without one), hash-joining whenever a join constraint
+/// connects the next root to those already merged and taking the cartesian
+/// product otherwise. Intermediate rows are provenance tuples ([`Row`]),
+/// sorted into declaration-order lexicographic sequence before bindings are
+/// materialised — the sequence a left-to-right declaration-order merge
+/// emits (products and hash joins both emit left-to-right,
+/// right-index-ascending), so construct output cannot depend on the plan.
+fn combine(
     cx: &Ctx,
     per_root: &[Vec<Binding>],
-    owner: &[usize],
-    order: &[usize],
+    plan: Option<&[usize]>,
     enforced: &mut HashSet<(QNodeId, QNodeId)>,
     trace: &Trace,
 ) -> Vec<Binding> {
     let g = cx.g;
     let nroots = per_root.len();
+    let roots = Roots::new(g, per_root);
+    let owner = &roots.owner;
+    let declared: Vec<usize>;
+    let order = match plan {
+        Some(order) => {
+            trace.note("combine_plan", joined(order, ","));
+            order
+        }
+        None => {
+            declared = (0..nroots).collect();
+            &declared
+        }
+    };
     let first = order[0];
-    trace.note("combine_plan", joined(order, ","));
     let mut processed = vec![false; nroots];
     processed[first] = true;
-    let mut rows: Vec<Vec<u32>> = (0..per_root[first].len() as u32)
+    let mut rows: Vec<Row> = (0..per_root[first].len() as u32)
         .map(|i| {
             let mut t = vec![u32::MAX; nroots];
             t[first] = i;
@@ -566,7 +444,8 @@ fn combine_planned(
         .collect();
     for (k, &ri) in order.iter().enumerate().skip(1) {
         let right = &per_root[ri];
-        // Joins whose endpoints span the processed prefix and this root.
+        // Joins whose endpoints span the processed prefix and this root,
+        // as (prefix column, this root's column).
         let cross_joins: Vec<(QNodeId, QNodeId)> = g
             .joins
             .iter()
@@ -583,7 +462,10 @@ fn combine_planned(
                 }
             })
             .collect();
-        let span = trace.span(format_args!("combine[{k}:root {ri}]"));
+        let span = match plan {
+            Some(_) => trace.span(format_args!("combine[{k}:root {ri}]")),
+            None => trace.span(format_args!("combine[{ri}]")),
+        };
         if trace.is_enabled() {
             trace.count("left_rows", rows.len() as u64);
             trace.count("right_rows", right.len() as u64);
@@ -591,7 +473,7 @@ fn combine_planned(
         if !cx.guard.ok() {
             return Vec::new();
         }
-        let next = if cross_joins.is_empty() {
+        rows = if cross_joins.is_empty() {
             trace.note("kind", "product");
             let mut out = Vec::new();
             for t in &rows {
@@ -599,121 +481,35 @@ fn combine_planned(
                 if !cx.guard.charge_matches(right.len() as u64) {
                     break;
                 }
-                for i in 0..right.len() as u32 {
-                    let mut nt = t.clone();
-                    nt[ri] = i;
-                    out.push(nt);
-                }
+                out.extend((0..right.len() as u32).map(|i| extended(t, ri, i)));
             }
             out
         } else {
             trace.note("kind", "hash_join");
             enforced.extend(cross_joins.iter().map(|&(a, b)| norm_pair(a, b)));
-            let left_cols: Vec<QNodeId> = cross_joins.iter().map(|&(l, _)| l).collect();
-            let right_cols: Vec<QNodeId> = cross_joins.iter().map(|&(_, r)| r).collect();
-            let mut stats = JoinStats::default();
-            let out = match cx.idx {
+            match cx.idx {
                 Some(idx) => {
-                    let hash = |b: &Bound| content_hash(cx.doc, idx, b);
-                    let mut table: HashMap<Vec<u64>, Vec<u32>> = HashMap::new();
-                    for (i, r) in right.iter().enumerate() {
-                        let key: Option<Vec<u64>> =
-                            right_cols.iter().map(|&c| r.get(c).map(hash)).collect();
-                        if let Some(k) = key {
-                            table.entry(k).or_default().push(i as u32);
-                        }
-                    }
-                    let mut cache = KeyCache::new(cx.doc);
-                    let mut out = Vec::new();
-                    for t in &rows {
-                        let key: Option<Vec<u64>> = left_cols
-                            .iter()
-                            .map(|&c| row_col(per_root, owner, t, c).map(hash))
-                            .collect();
-                        let Some(k) = key else {
-                            continue;
-                        };
-                        stats.probes += 1;
-                        let Some(matches) = table.get(&k) else {
-                            continue;
-                        };
-                        // Budget probe: one per hash-probe batch.
-                        if !cx.guard.charge_matches(matches.len() as u64) {
-                            break;
-                        }
-                        for &i in matches {
-                            stats.hash_matches += 1;
-                            let r = &right[i as usize];
-                            let verified = cross_joins.iter().all(|&(lc, rc)| {
-                                match (row_col(per_root, owner, t, lc), r.get(rc)) {
-                                    (Some(a), Some(b)) => cache.content_eq(a, b),
-                                    _ => false,
-                                }
-                            });
-                            if verified {
-                                let mut nt = t.clone();
-                                nt[ri] = i;
-                                out.push(nt);
-                            } else {
-                                stats.collision_rejects += 1;
-                            }
-                        }
+                    let mut stats = JoinStats::default();
+                    let out = hash_join_hashed(
+                        cx.doc,
+                        &roots,
+                        &rows,
+                        ri,
+                        &cross_joins,
+                        |b| content_hash(cx.doc, idx, b),
+                        &mut stats,
+                        cx.guard,
+                    );
+                    if trace.is_enabled() {
+                        trace.count("probes", stats.probes);
+                        trace.count("hash_matches", stats.hash_matches);
+                        trace.count("collision_rejects", stats.collision_rejects);
                     }
                     out
                 }
-                None => {
-                    let mut table: HashMap<String, Vec<u32>> = HashMap::new();
-                    let key_of = |parts: Vec<Option<String>>| -> Option<String> {
-                        let parts: Option<Vec<String>> = parts.into_iter().collect();
-                        parts.map(|p| p.join("\u{1}"))
-                    };
-                    for (i, r) in right.iter().enumerate() {
-                        let key = key_of(
-                            right_cols
-                                .iter()
-                                .map(|&c| r.get(c).map(|b| content_key(cx.doc, b)))
-                                .collect(),
-                        );
-                        if let Some(k) = key {
-                            table.entry(k).or_default().push(i as u32);
-                        }
-                    }
-                    let mut out = Vec::new();
-                    for t in &rows {
-                        let key = key_of(
-                            left_cols
-                                .iter()
-                                .map(|&c| {
-                                    row_col(per_root, owner, t, c).map(|b| content_key(cx.doc, b))
-                                })
-                                .collect(),
-                        );
-                        let Some(k) = key else {
-                            continue;
-                        };
-                        let Some(matches) = table.get(&k) else {
-                            continue;
-                        };
-                        if !cx.guard.charge_matches(matches.len() as u64) {
-                            break;
-                        }
-                        for &i in matches {
-                            let mut nt = t.clone();
-                            nt[ri] = i;
-                            out.push(nt);
-                        }
-                    }
-                    out
-                }
-            };
-            if trace.is_enabled() && cx.idx.is_some() {
-                trace.count("probes", stats.probes);
-                trace.count("hash_matches", stats.hash_matches);
-                trace.count("collision_rejects", stats.collision_rejects);
+                None => hash_join_strings(cx.doc, &roots, &rows, ri, &cross_joins, cx.guard),
             }
-            out
         };
-        rows = next;
         processed[ri] = true;
         trace.count("out_rows", rows.len() as u64);
         drop(span);
@@ -722,84 +518,65 @@ fn combine_planned(
         }
     }
 
-    // Restore declaration order: lexicographic in the provenance tuple is
-    // exactly the sequence the declaration-order combine produces.
+    // Restore declaration order: lexicographic in the provenance tuple.
     rows.sort_unstable();
     rows.into_iter()
         .map(|t| {
-            let mut b: Option<Binding> = None;
-            for (ro, &i) in t.iter().enumerate() {
-                if i == u32::MAX {
-                    continue;
-                }
-                let rb = &per_root[ro][i as usize];
-                b = Some(match b {
-                    Some(acc) => acc.merge(rb),
-                    None => rb.clone(),
-                });
-            }
-            b.unwrap_or_default()
+            let mut parts = t
+                .iter()
+                .enumerate()
+                .filter(|&(_, &i)| i != u32::MAX)
+                .map(|(ro, &i)| &per_root[ro][i as usize]);
+            let mut b = parts.next().cloned().unwrap_or_default();
+            parts.for_each(|rb| b.absorb(rb));
+            b
         })
         .collect()
 }
 
-fn product(left: &[Binding], right: &[Binding], guard: &Guard) -> Vec<Binding> {
-    // Only pre-size when unguarded: a guarded combinatorial product must
-    // not allocate `left × right` rows up front only to trip immediately.
-    let mut out = if guard.is_enabled() {
-        Vec::new()
-    } else {
-        Vec::with_capacity(left.len() * right.len())
-    };
-    for l in left {
-        // Budget probe: one per output batch (this left row's fan-out).
-        if !guard.charge_matches(right.len() as u64) {
-            break;
-        }
-        for r in right {
-            out.push(l.merge(r));
-        }
-    }
-    out
+/// Row `t` with root `ri` merged in at its binding `i`.
+fn extended(t: &[u32], ri: usize, i: u32) -> Row {
+    let mut nt = t.to_vec();
+    nt[ri] = i;
+    nt
 }
 
-/// Join two binding sets on string content keys (the scan baseline).
+/// Join `rows` with root `ri`'s bindings on string content keys — the scan
+/// path's join, and the reference [`hash_join_hashed`] is tested against.
+/// `joins` pairs a column of the rows with a column of root `ri`.
 fn hash_join_strings(
     doc: &Document,
-    left: &[Binding],
-    right: &[Binding],
+    roots: &Roots,
+    rows: &[Row],
+    ri: usize,
     joins: &[(QNodeId, QNodeId)],
     guard: &Guard,
-) -> Vec<Binding> {
+) -> Vec<Row> {
     // Key = tuple of content keys over the join columns.
-    let key_of = |b: &Binding, cols: &[QNodeId]| -> Option<String> {
-        let mut parts = Vec::with_capacity(cols.len());
-        for &c in cols {
-            parts.push(content_key(doc, b.get(c)?));
-        }
-        Some(parts.join("\u{1}"))
-    };
-    let left_cols: Vec<QNodeId> = joins.iter().map(|&(l, _)| l).collect();
-    let right_cols: Vec<QNodeId> = joins.iter().map(|&(_, r)| r).collect();
-    let mut index: HashMap<String, Vec<&Binding>> = HashMap::new();
-    for r in right {
-        if let Some(k) = key_of(r, &right_cols) {
-            index.entry(k).or_default().push(r);
+    fn key_of<'b>(doc: &Document, cols: impl Iterator<Item = Option<&'b Bound>>) -> Option<String> {
+        let parts: Option<Vec<String>> = cols.map(|b| b.map(|b| content_key(doc, b))).collect();
+        parts.map(|p| p.join("\u{1}"))
+    }
+    let right = &roots.per_root[ri];
+    let mut table: HashMap<String, Vec<u32>> = HashMap::new();
+    for (i, r) in right.iter().enumerate() {
+        if let Some(k) = key_of(doc, joins.iter().map(|&(_, rc)| r.get(rc))) {
+            table.entry(k).or_default().push(i as u32);
         }
     }
     let mut out = Vec::new();
-    for l in left {
-        if let Some(k) = key_of(l, &left_cols) {
-            if let Some(matches) = index.get(&k) {
-                // Budget probe: one per probe batch.
-                if !guard.charge_matches(matches.len() as u64) {
-                    break;
-                }
-                for r in matches {
-                    out.push(l.merge(r));
-                }
-            }
+    for t in rows {
+        let Some(k) = key_of(doc, joins.iter().map(|&(lc, _)| roots.col(t, lc))) else {
+            continue;
+        };
+        let Some(matches) = table.get(&k) else {
+            continue;
+        };
+        // Budget probe: one per probe batch.
+        if !guard.charge_matches(matches.len() as u64) {
+            break;
         }
+        out.extend(matches.iter().map(|&i| extended(t, ri, i)));
     }
     out
 }
@@ -815,36 +592,38 @@ pub(crate) struct JoinStats {
     pub collision_rejects: u64,
 }
 
-/// Join two binding sets on `u64` content hashes. Hash-equal candidate rows
-/// are verified with [`KeyCache::content_eq`] (memoized canonical forms), so
-/// a hash collision can never produce a false join — correctness does not
-/// depend on the hash. The hasher is injectable so tests can force
-/// collisions.
+/// Join `rows` with root `ri`'s bindings on `u64` content hashes. Hash-equal
+/// candidate rows are verified with [`KeyCache::content_eq`] (memoized
+/// canonical forms), so a hash collision can never produce a false join —
+/// correctness does not depend on the hash. The hasher is injectable so
+/// tests can force collisions.
 #[allow(clippy::too_many_arguments)]
 fn hash_join_hashed<F: Fn(&Bound) -> u64>(
     doc: &Document,
-    left: &[Binding],
-    right: &[Binding],
+    roots: &Roots,
+    rows: &[Row],
+    ri: usize,
     joins: &[(QNodeId, QNodeId)],
     hash: F,
     stats: &mut JoinStats,
     guard: &Guard,
-) -> Vec<Binding> {
-    let left_cols: Vec<QNodeId> = joins.iter().map(|&(l, _)| l).collect();
-    let right_cols: Vec<QNodeId> = joins.iter().map(|&(_, r)| r).collect();
-    let key_of = |b: &Binding, cols: &[QNodeId]| -> Option<Vec<u64>> {
-        cols.iter().map(|&c| b.get(c).map(&hash)).collect()
-    };
-    let mut table: HashMap<Vec<u64>, Vec<&Binding>> = HashMap::new();
-    for r in right {
-        if let Some(k) = key_of(r, &right_cols) {
-            table.entry(k).or_default().push(r);
+) -> Vec<Row> {
+    let right = &roots.per_root[ri];
+    let mut table: HashMap<Vec<u64>, Vec<u32>> = HashMap::new();
+    for (i, r) in right.iter().enumerate() {
+        let key: Option<Vec<u64>> = joins.iter().map(|&(_, rc)| r.get(rc).map(&hash)).collect();
+        if let Some(k) = key {
+            table.entry(k).or_default().push(i as u32);
         }
     }
     let mut cache = KeyCache::new(doc);
     let mut out = Vec::new();
-    for l in left {
-        let Some(k) = key_of(l, &left_cols) else {
+    for t in rows {
+        let key: Option<Vec<u64>> = joins
+            .iter()
+            .map(|&(lc, _)| roots.col(t, lc).map(&hash))
+            .collect();
+        let Some(k) = key else {
             continue;
         };
         stats.probes += 1;
@@ -855,14 +634,17 @@ fn hash_join_hashed<F: Fn(&Bound) -> u64>(
         if !guard.charge_matches(matches.len() as u64) {
             break;
         }
-        for r in matches {
+        for &i in matches {
             stats.hash_matches += 1;
-            let verified = joins.iter().all(|&(lc, rc)| match (l.get(lc), r.get(rc)) {
-                (Some(a), Some(b)) => cache.content_eq(a, b),
-                _ => false,
-            });
+            let r = &right[i as usize];
+            let verified = joins
+                .iter()
+                .all(|&(lc, rc)| match (roots.col(t, lc), r.get(rc)) {
+                    (Some(a), Some(b)) => cache.content_eq(a, b),
+                    _ => false,
+                });
             if verified {
-                out.push(l.merge(r));
+                out.push(extended(t, ri, i));
             } else {
                 stats.collision_rejects += 1;
             }
@@ -1504,6 +1286,32 @@ mod tests {
         }
     }
 
+    /// Two one-column roots — q0 bound by root 0, q1 by root 1 — joined on
+    /// q0 == q1 with root `first`'s rows as the probe side (`first == 0` is
+    /// the declaration order, `first == 1` a permuted plan), by the hashed
+    /// join under `hash` and by the string-keyed reference.
+    fn join_from(
+        d: &Document,
+        per_root: &[Vec<Binding>],
+        first: usize,
+        hash: impl Fn(&Bound) -> u64,
+    ) -> (Vec<Row>, JoinStats, Vec<Row>) {
+        let roots = Roots {
+            per_root,
+            owner: vec![0, 1],
+        };
+        let rows: Vec<Row> = (0..per_root[first].len() as u32)
+            .map(|i| extended(&[u32::MAX; 2], first, i))
+            .collect();
+        let ri = 1 - first;
+        let joins = [(QNodeId(first as u32), QNodeId(ri as u32))];
+        let guard = Guard::unlimited();
+        let mut stats = JoinStats::default();
+        let hashed = hash_join_hashed(d, &roots, &rows, ri, &joins, hash, &mut stats, &guard);
+        let reference = hash_join_strings(d, &roots, &rows, ri, &joins, &guard);
+        (hashed, stats, reference)
+    }
+
     #[test]
     fn hash_collision_falls_back_to_canonical_verification() {
         let d = doc();
@@ -1514,9 +1322,7 @@ mod tests {
             b.set(QNodeId(q), Bound::value(text, origin));
             b
         };
-        let left = vec![mk(0, "x"), mk(0, "y")];
-        let right = vec![mk(1, "x"), mk(1, "z")];
-        let joins = vec![(QNodeId(0), QNodeId(1))];
+        let per_root = [vec![mk(0, "x"), mk(0, "y")], vec![mk(1, "x"), mk(1, "z")]];
         // The real hashes of the three values differ, so a constant hasher
         // genuinely forces every row into one colliding bucket.
         let real: Vec<u64> = ["x", "y", "z"]
@@ -1524,41 +1330,29 @@ mod tests {
             .map(|t| content_hash(&d, &idx, &Bound::value(*t, origin)))
             .collect();
         assert!(real[0] != real[1] && real[0] != real[2]);
-        let mut stats = JoinStats::default();
-        let collided = hash_join_hashed(&d, &left, &right, &joins, |_| 0, &mut stats, &UNLIMITED);
-        // Canonical verification must reject the colliding non-matches and
-        // keep exactly what the string join produces: the x–x pair.
-        let expected = hash_join_strings(&d, &left, &right, &joins, &UNLIMITED);
-        assert_eq!(collided, expected);
-        assert_eq!(collided.len(), 1);
-        assert_eq!(
-            collided[0].get(QNodeId(1)),
-            Some(&Bound::value("x", origin))
-        );
-        // The stats expose the collisions: 2 probes, every pair hash-equal
-        // under the constant hasher (2×2 = 4), 3 rejected by verification.
-        assert_eq!(
-            stats,
-            JoinStats {
-                probes: 2,
-                hash_matches: 4,
-                collision_rejects: 3,
-            }
-        );
-        // And the production hasher agrees, with zero collisions.
-        let mut clean = JoinStats::default();
-        let hashed = hash_join_hashed(
-            &d,
-            &left,
-            &right,
-            &joins,
-            |b| content_hash(&d, &idx, b),
-            &mut clean,
-            &UNLIMITED,
-        );
-        assert_eq!(hashed, expected);
-        assert_eq!(clean.collision_rejects, 0);
-        assert_eq!(clean.hash_matches, 1);
+        for first in [0, 1] {
+            let (collided, stats, reference) = join_from(&d, &per_root, first, |_| 0);
+            // Canonical verification must reject the colliding non-matches
+            // and keep exactly what the string join produces: the x–x pair.
+            assert_eq!(collided, reference, "probe side {first}");
+            assert_eq!(collided, [vec![0, 0]], "probe side {first}");
+            // The stats expose the collisions: 2 probes, every pair
+            // hash-equal under the constant hasher (2×2 = 4), 3 rejected by
+            // verification.
+            assert_eq!(
+                stats,
+                JoinStats {
+                    probes: 2,
+                    hash_matches: 4,
+                    collision_rejects: 3,
+                }
+            );
+            // And the production hasher agrees, with zero collisions.
+            let (hashed, clean, _) = join_from(&d, &per_root, first, |b| content_hash(&d, &idx, b));
+            assert_eq!(hashed, reference, "probe side {first}");
+            assert_eq!(clean.collision_rejects, 0);
+            assert_eq!(clean.hash_matches, 1);
+        }
     }
 
     #[test]
@@ -1570,27 +1364,34 @@ mod tests {
             b.set(QNodeId(q), Bound::Node(n));
             b
         };
-        let left = vec![mk(0, kids[0])];
-        let right = vec![mk(1, kids[1]), mk(1, kids[2])];
-        let joins = vec![(QNodeId(0), QNodeId(1))];
+        let per_root = [vec![mk(0, kids[0])], vec![mk(1, kids[1]), mk(1, kids[2])]];
         // Under a constant hasher <a>t</a> collides with <b>t</b>; only the
         // canonically-equal pair survives.
-        let mut stats = JoinStats::default();
-        let collided = hash_join_hashed(&d, &left, &right, &joins, |_| 0, &mut stats, &UNLIMITED);
-        assert_eq!(stats.collision_rejects, 1);
-        assert_eq!(
-            collided,
-            hash_join_strings(&d, &left, &right, &joins, &UNLIMITED)
-        );
-        assert_eq!(collided.len(), 1);
-        assert_eq!(collided[0].get(QNodeId(1)), Some(&Bound::Node(kids[1])));
+        for first in [0, 1] {
+            let (collided, stats, reference) = join_from(&d, &per_root, first, |_| 0);
+            assert_eq!(stats.collision_rejects, 1, "probe side {first}");
+            assert_eq!(collided, reference, "probe side {first}");
+            assert_eq!(collided, [vec![0, 0]], "probe side {first}");
+        }
+    }
+
+    /// [`match_rule_in`] under a combine order, nothing traced or bounded.
+    fn planned(rule: &Rule, d: &Document, idx: Option<&DocIndex>, order: &[usize]) -> Vec<Binding> {
+        match_rule_in(
+            rule,
+            d,
+            idx,
+            MatchMode::Sequential,
+            Some(order),
+            RunCtx::none(),
+        )
     }
 
     #[test]
     fn planned_combine_reproduces_declaration_order() {
         // Matching titles across books and articles, plus an unjoined
         // author root: exercises both the hash-join and the product stage
-        // of the planned combine.
+        // of the combine.
         let d = Document::parse_str(
             "<bib><book><title>A</title></book><book><title>B</title></book>\
              <article><title>A</title></article><article><title>B</title></article>\
@@ -1612,47 +1413,51 @@ mod tests {
         .unwrap();
         let rule = &p.rules[0];
         let base = match_rule_with(rule, &d, &idx, MatchMode::Sequential);
-        assert_eq!(base.len(), 4, "2 joined title pairs × 2 authors");
+        // Declaration order is the nested-loop order, first root outermost:
+        // 2 joined title pairs × 2 authors.
+        let (t1, a) = (
+            rule.extract.by_var("t1").unwrap(),
+            rule.extract.by_var("a").unwrap(),
+        );
+        let seq: Vec<String> = base
+            .iter()
+            .map(|b| {
+                let text = |q| super::super::bound_text(&d, b.get(q).unwrap());
+                text(t1) + &text(a)
+            })
+            .collect();
+        assert_eq!(seq, ["Ax", "Ay", "Bx", "By"]);
         for order in [
             vec![1, 0, 2],
             vec![2, 1, 0],
             vec![1, 2, 0],
             vec![2, 0, 1],
             vec![0, 2, 1],
+            vec![0, 1, 2],
         ] {
-            let planned = match_rule_planned(
-                rule,
-                &d,
-                Some(&idx),
-                MatchMode::Sequential,
-                &Trace::disabled(),
-                &UNLIMITED,
-                &order,
+            assert_eq!(
+                planned(rule, &d, Some(&idx), &order),
+                base,
+                "indexed, order {order:?}"
             );
-            assert_eq!(planned, base, "indexed, order {order:?}");
-            let scan = match_rule_planned(
-                rule,
-                &d,
-                None,
-                MatchMode::Sequential,
-                &Trace::disabled(),
-                &UNLIMITED,
-                &order,
+            assert_eq!(
+                planned(rule, &d, None, &order),
+                base,
+                "scan, order {order:?}"
             );
-            assert_eq!(scan, base, "scan, order {order:?}");
         }
         // Invalid plans (wrong length, repeated index) fall back cleanly.
-        for bad in [vec![0usize, 0, 1], vec![1, 0], vec![0, 1, 2, 3]] {
-            let out = match_rule_planned(
-                rule,
-                &d,
-                Some(&idx),
-                MatchMode::Sequential,
-                &Trace::disabled(),
-                &UNLIMITED,
-                &bad,
+        for bad in [
+            vec![0usize, 0, 1],
+            vec![1, 0],
+            vec![0, 1, 2, 3],
+            vec![0, 1, 3],
+        ] {
+            assert_eq!(
+                planned(rule, &d, Some(&idx), &bad),
+                base,
+                "fallback for {bad:?}"
             );
-            assert_eq!(out, base, "fallback for {bad:?}");
         }
     }
 
@@ -1679,16 +1484,11 @@ mod tests {
         let base = match_rule_with(rule, &d, &idx, MatchMode::Sequential);
         assert_eq!(base.len(), 1, "only k1 joins, times one <b>");
         for order in [vec![2, 0, 1], vec![2, 1, 0], vec![1, 2, 0]] {
-            let planned = match_rule_planned(
-                rule,
-                &d,
-                Some(&idx),
-                MatchMode::Sequential,
-                &Trace::disabled(),
-                &UNLIMITED,
-                &order,
+            assert_eq!(
+                planned(rule, &d, Some(&idx), &order),
+                base,
+                "order {order:?}"
             );
-            assert_eq!(planned, base, "order {order:?}");
         }
     }
 }

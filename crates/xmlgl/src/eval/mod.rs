@@ -24,21 +24,18 @@ use gql_ssdm::{DocIndex, Document, NodeId};
 use crate::ast::{Program, QNodeId, Rule};
 use crate::Result;
 
-use gql_trace::Trace;
-
-use gql_guard::Guard;
+use gql_guard::RunCtx;
 
 pub use construct::{construct_rule, construct_rule_with};
 pub use matcher::{
-    match_rule, match_rule_guarded, match_rule_planned, match_rule_scan, match_rule_traced,
-    match_rule_with, Binding, Bound, MatchMode,
+    match_rule, match_rule_in, match_rule_scan, match_rule_with, Binding, Bound, MatchMode,
 };
 
-/// Per-rule root combine orders chosen by a planner (`gql-infer`'s
-/// `plan_root_order` over summary cardinality bounds). `None` for a rule —
+/// Per-rule root combine orders chosen by a planner (`gql-plan`'s
+/// `plan_rule_order` over summary cardinality bounds). `None` for a rule —
 /// or a missing entry, or an invalid permutation — means declaration order.
 /// Plans never change results, only intermediate join sizes; see
-/// [`match_rule_planned`].
+/// [`match_rule_in`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MatchPlans {
     pub per_rule: Vec<Option<Vec<usize>>>,
@@ -63,74 +60,49 @@ impl MatchPlans {
 /// Evaluate a whole program: the outputs of all rules, in rule order, become
 /// the children of the result document's root. Builds one [`DocIndex`] for
 /// the document; callers holding a prebuilt index (e.g. `gql-core`'s
-/// `Engine`) should use [`run_with_index`].
+/// `Engine`) use [`run_in`].
 pub fn run(program: &Program, doc: &Document) -> Result<Document> {
     let idx = DocIndex::build(doc);
-    run_with_index(program, doc, &idx)
+    run_in(
+        program,
+        doc,
+        Some(&idx),
+        &MatchPlans::none(),
+        RunCtx::none(),
+    )
 }
 
-/// Evaluate a whole program against a prebuilt document index: rules share
-/// the postings/interval/hash index instead of rebuilding it per rule.
-pub fn run_with_index(program: &Program, doc: &Document, idx: &DocIndex) -> Result<Document> {
-    run_traced(program, doc, idx, &Trace::disabled())
-}
-
-/// [`run_with_index`] reporting into a [`Trace`]: one `rule[i]` span per
-/// rule with `match` (candidate sets, join statistics, worker fan-out — see
-/// [`match_rule_traced`]) and `construct` (nodes materialised) children.
-/// With `Trace::disabled()` this is exactly `run_with_index`.
-pub fn run_traced(
-    program: &Program,
-    doc: &Document,
-    idx: &DocIndex,
-    trace: &Trace,
-) -> Result<Document> {
-    run_guarded(program, doc, Some(idx), trace, &Guard::unlimited())
-}
-
-/// [`run_traced`] under a resource [`Guard`] and with an *optional* index
-/// (`None` selects the scan matcher — the degradation target when an index
-/// build fails or verification rejects it). The matcher's budget probes
-/// truncate its binding set when a limit trips; the `guard.checkpoint()`
-/// after each rule's match converts the trip into an
-/// [`XmlGlError::Budget`](crate::XmlGlError) and discards the truncated
-/// bindings, so partial results are never constructed into an answer. With
-/// `Guard::unlimited()` and `Some(idx)` this is exactly `run_traced`.
-pub fn run_guarded(
+/// The full form of [`run`].
+///
+/// * `idx`: the document's index, shared by every rule; `None` selects the
+///   scan matcher — the degradation target when an index build fails or
+///   verification rejects it.
+/// * `plans`: planner-chosen root combine orders; rules with one combine
+///   their roots in that order (identical results, smaller intermediates —
+///   see [`match_rule_in`]), the rest in declaration order.
+/// * `ctx.trace` receives one `rule[i]` span per rule with `match`
+///   (candidate sets, join statistics, worker fan-out) and `construct`
+///   (nodes materialised) children.
+/// * `ctx.guard`: the matcher's budget probes truncate its binding set when
+///   a limit trips; the `checkpoint()` after each rule's match converts the
+///   trip into an [`XmlGlError::Budget`](crate::XmlGlError) and discards the
+///   truncated bindings, so partial results are never constructed into an
+///   answer.
+pub fn run_in(
     program: &Program,
     doc: &Document,
     idx: Option<&DocIndex>,
-    trace: &Trace,
-    guard: &Guard,
-) -> Result<Document> {
-    run_planned(program, doc, idx, trace, guard, &MatchPlans::none())
-}
-
-/// [`run_guarded`] with planner-chosen root combine orders: rules with a
-/// plan in `plans` combine their roots in that order (identical results,
-/// smaller intermediates — see [`match_rule_planned`]); the rest use
-/// declaration order. With `MatchPlans::none()` this is exactly
-/// `run_guarded`.
-pub fn run_planned(
-    program: &Program,
-    doc: &Document,
-    idx: Option<&DocIndex>,
-    trace: &Trace,
-    guard: &Guard,
     plans: &MatchPlans,
+    ctx: RunCtx<'_>,
 ) -> Result<Document> {
+    let RunCtx { trace, guard } = ctx;
     crate::check::check_program(program)?;
     let mut out = Document::new();
     for (i, rule) in program.rules.iter().enumerate() {
         let _rule_span = trace.span(format_args!("rule[{i}]"));
         let bindings = {
             let _s = trace.span("match");
-            match plans.plan_for(i) {
-                Some(order) => {
-                    match_rule_planned(rule, doc, idx, MatchMode::Auto, trace, guard, order)
-                }
-                None => match_rule_guarded(rule, doc, idx, MatchMode::Auto, trace, guard),
-            }
+            match_rule_in(rule, doc, idx, MatchMode::Auto, plans.plan_for(i), ctx)
         };
         guard.checkpoint().map_err(crate::XmlGlError::Budget)?;
         {
@@ -239,12 +211,6 @@ pub(crate) fn id_key(bound: &Bound) -> IdKey {
         }
         Bound::Node(n) => IdKey::Node(n.index() as u32),
     }
-}
-
-/// Convenience for tests and the harness: the number of embeddings of a
-/// rule's extract side.
-pub fn count_matches(rule: &Rule, doc: &Document) -> usize {
-    match_rule(rule, doc).len()
 }
 
 /// The string value of a binding entry.

@@ -11,7 +11,7 @@
 //! * [`UpdateOp::SetAttr`] — set an attribute on every matched element
 //!   (literal value or copied from another binding).
 //!
-//! Updates are applied to a *clone* of the input ([`apply`] is pure); the
+//! Updates are applied to a *clone* of the input ([`UpdateRule::apply`] is pure); the
 //! binding phase runs entirely before the mutation phase, so an update
 //! never observes its own effects (snapshot semantics — the only sane
 //! reading of a declarative diagram).

@@ -4,7 +4,7 @@ use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::rc::Rc;
 
-use gql_guard::Guard;
+use gql_guard::RunCtx;
 use gql_ssdm::document::NodeKind;
 use gql_ssdm::value::parse_number;
 use gql_ssdm::{DocIndex, Document, NodeId};
@@ -135,17 +135,14 @@ pub(crate) struct EvalCaches<'d> {
     refs: std::cell::OnceCell<gql_ssdm::idref::RefGraph>,
     /// Postings/interval index used for descendant name-test steps.
     idx: IndexSlot<'d>,
-    /// Profiling sink, when the caller asked for one ([`evaluate_traced`]).
-    trace: Option<&'d Trace>,
+    /// Where the evaluation reports and what bounds it ([`evaluate_in`]).
+    ctx: RunCtx<'d>,
     /// Re-entrancy latch: predicates evaluate sub-paths through the same
     /// caches, and per-step spans for those would interleave confusingly
     /// with the outer path's spans. Only the outermost `apply_steps` call
     /// traces; predicate work shows up inside the enclosing step's span.
     in_steps: std::cell::Cell<bool>,
-    /// Resource budget, when the caller asked for one
-    /// ([`evaluate_guarded`]). `None` costs one branch per probe site.
-    guard: Option<&'d Guard>,
-    /// Reference mode ([`evaluate_scan_guarded`]): the textbook evaluator.
+    /// Reference mode ([`evaluate_scan`]): the textbook evaluator.
     /// Every step is applied per context node by axis enumeration; no
     /// postings, no lazily built index, no `//Name` fusion, no hoisting and
     /// no skipped normalisation. It is the degradation target when an index
@@ -164,9 +161,8 @@ impl Default for EvalCaches<'_> {
         EvalCaches {
             refs: std::cell::OnceCell::new(),
             idx: IndexSlot::Lazy(Box::new(std::cell::OnceCell::new())),
-            trace: None,
+            ctx: RunCtx::none(),
             in_steps: std::cell::Cell::new(false),
-            guard: None,
             reference: false,
             hoisted: std::cell::RefCell::new(Vec::new()),
         }
@@ -174,13 +170,6 @@ impl Default for EvalCaches<'_> {
 }
 
 impl<'d> EvalCaches<'d> {
-    fn with_index(idx: &'d DocIndex) -> Self {
-        EvalCaches {
-            idx: IndexSlot::Borrowed(idx),
-            ..EvalCaches::default()
-        }
-    }
-
     pub(crate) fn refs(&self, doc: &Document) -> &gql_ssdm::idref::RefGraph {
         self.refs
             .get_or_init(|| gql_ssdm::idref::RefGraph::extract(doc))
@@ -230,77 +219,58 @@ struct Ctx<'d> {
 
 /// Evaluate an expression with the document node as the context item.
 pub fn evaluate(doc: &Document, expr: &Expr) -> Result<XValue> {
-    eval_with_caches(doc, expr, &EvalCaches::default())
+    evaluate_in(doc, expr, None, RunCtx::none())
 }
 
 /// Evaluate against a prebuilt [`DocIndex`] for `doc`: descendant name-test
 /// steps use its postings instead of building a fresh index. The result is
 /// identical to [`evaluate`]'s.
 pub fn evaluate_with_index(doc: &Document, expr: &Expr, idx: &DocIndex) -> Result<XValue> {
-    eval_with_caches(doc, expr, &EvalCaches::with_index(idx))
+    evaluate_in(doc, expr, Some(idx), RunCtx::none())
 }
 
-/// Evaluate reporting into a [`Trace`]: one `step[i:axis::test]` span per
-/// top-level location step (context sizes in and out, items drawn from
-/// postings vs axis scans) and a `fusion_hits` counter for each fused
-/// `//Name` pair, whose span also counts its `predicates` when it carries
-/// any. Sub-paths inside predicates are folded into their enclosing step's
-/// span, which counts the absolute ones evaluated there as `hoisted_paths`.
-/// With `Trace::disabled()` this is exactly [`evaluate`] /
-/// [`evaluate_with_index`].
-pub fn evaluate_traced(
+/// The full form of [`evaluate`] (`idx: None`: an index is built lazily if a
+/// step wants one) and [`evaluate_with_index`].
+///
+/// `ctx.trace` receives one `step[i:axis::test]` span per top-level location
+/// step (context sizes in and out, items drawn from postings vs axis scans)
+/// and a `fusion_hits` counter for each fused `//Name` pair, whose span also
+/// counts its `predicates` when it carries any. Sub-paths inside predicates
+/// are folded into their enclosing step's span, which counts the absolute
+/// ones evaluated there as `hoisted_paths`.
+///
+/// Under `ctx.guard` each location step charges one round plus its context
+/// size, and every context item expansion inside a step charges its
+/// candidate count (a fused `//Name` step charges the postings it read), so
+/// a pathological path trips the budget with a partial-progress report
+/// instead of running unbounded.
+pub fn evaluate_in(
     doc: &Document,
     expr: &Expr,
     idx: Option<&DocIndex>,
-    trace: &Trace,
+    ctx: RunCtx<'_>,
 ) -> Result<XValue> {
-    let mut caches = match idx {
-        Some(idx) => EvalCaches::with_index(idx),
-        None => EvalCaches::default(),
+    let mut caches = EvalCaches {
+        ctx,
+        ..EvalCaches::default()
     };
-    caches.trace = Some(trace);
+    if let Some(idx) = idx {
+        caches.idx = IndexSlot::Borrowed(idx);
+    }
     eval_with_caches(doc, expr, &caches)
 }
 
-/// [`evaluate_traced`] under a resource [`Guard`]: each location step
-/// charges one round plus its context size, and every context item
-/// expansion inside a step charges its candidate count (a fused `//Name`
-/// step charges the postings it read), so a pathological path trips the
-/// budget with a partial-progress report instead of running unbounded.
-/// With `Guard::unlimited()` this is exactly `evaluate_traced`.
-pub fn evaluate_guarded(
-    doc: &Document,
-    expr: &Expr,
-    idx: Option<&DocIndex>,
-    trace: &Trace,
-    guard: &Guard,
-) -> Result<XValue> {
-    let mut caches = match idx {
-        Some(idx) => EvalCaches::with_index(idx),
-        None => EvalCaches::default(),
-    };
-    caches.trace = Some(trace);
-    caches.guard = guard.is_enabled().then_some(guard);
-    eval_with_caches(doc, expr, &caches)
-}
-
-/// [`evaluate_guarded`] by the textbook evaluator: every step applied per
-/// context node by axis enumeration, with no index (none is built either),
-/// no step fusion and no hoisting. This is the degradation target the
-/// engine falls back to when an index build fails or its integrity
-/// verification rejects it, and the reference the testkit holds the other
-/// entry points to; results are identical to theirs.
-pub fn evaluate_scan_guarded(
-    doc: &Document,
-    expr: &Expr,
-    trace: &Trace,
-    guard: &Guard,
-) -> Result<XValue> {
+/// [`evaluate_in`] by the textbook evaluator: every step applied per context
+/// node by axis enumeration, with no index (none is built either), no step
+/// fusion and no hoisting. This is the degradation target the engine falls
+/// back to when an index build fails or its integrity verification rejects
+/// it, and the reference the testkit holds the other entry points to;
+/// results are identical to theirs.
+pub fn evaluate_scan(doc: &Document, expr: &Expr, ctx: RunCtx<'_>) -> Result<XValue> {
     let caches = EvalCaches {
-        trace: Some(trace),
-        guard: guard.is_enabled().then_some(guard),
+        ctx,
         reference: true,
-        ..Default::default()
+        ..EvalCaches::default()
     };
     eval_with_caches(doc, expr, &caches)
 }
@@ -326,17 +296,6 @@ fn eval_with_caches<'d>(
 pub fn select(doc: &Document, xpath: &str) -> Result<Vec<NodeId>> {
     let expr = crate::parser::parse(xpath)?;
     let value = evaluate(doc, &expr)?;
-    Ok(value
-        .into_nodes()?
-        .into_iter()
-        .filter_map(Item::as_node)
-        .collect())
-}
-
-/// [`select`] against a prebuilt index.
-pub fn select_with_index(doc: &Document, xpath: &str, idx: &DocIndex) -> Result<Vec<NodeId>> {
-    let expr = crate::parser::parse(xpath)?;
-    let value = evaluate_with_index(doc, &expr, idx)?;
     Ok(value
         .into_nodes()?
         .into_iter()
@@ -604,9 +563,7 @@ fn hoisted_path(p: &LocationPath, ctx: Ctx<'_>) -> Result<Rc<[Item]>> {
         return Ok(Rc::clone(set));
     }
     let set: Rc<[Item]> = eval_path(p, ctx)?.into();
-    if let Some(t) = caches.trace {
-        t.count("hoisted_paths", 1);
-    }
+    caches.ctx.trace.count("hoisted_paths", 1);
     caches.hoisted.borrow_mut().push((key, Rc::clone(&set)));
     Ok(set)
 }
@@ -623,12 +580,10 @@ fn apply_steps(
 ) -> Result<Vec<Item>> {
     // Only the outermost path of a traced evaluation gets per-step spans;
     // sub-paths inside predicates re-enter here with the latch set.
-    let trace = caches
-        .trace
-        .filter(|t| t.is_enabled() && !caches.in_steps.get());
-    let Some(trace) = trace else {
+    let trace = caches.ctx.trace;
+    if !trace.is_enabled() || caches.in_steps.get() {
         return apply_steps_inner(steps, start, doc, caches, None);
-    };
+    }
     caches.in_steps.set(true);
     let result = apply_steps_inner(steps, start, doc, caches, Some(trace));
     caches.in_steps.set(false);
@@ -656,6 +611,7 @@ fn apply_steps_inner(
     if steps.is_empty() {
         return Ok(start.to_vec());
     }
+    let guard = caches.ctx.guard;
     // The node-set between steps; the first step reads `start` in place.
     let mut current: Vec<Item> = Vec::new();
     let mut i = 0;
@@ -663,11 +619,10 @@ fn apply_steps_inner(
         let input: &[Item] = if i == 0 { start } else { &current };
         // Budget probe: one round per location step plus the context size
         // it is about to expand.
-        if let Some(g) = caches.guard {
-            g.try_rounds(1).map_err(XPathError::Budget)?;
-            g.try_matches(input.len() as u64)
-                .map_err(XPathError::Budget)?;
-        }
+        guard.try_rounds(1).map_err(XPathError::Budget)?;
+        guard
+            .try_matches(input.len() as u64)
+            .map_err(XPathError::Budget)?;
         if let Some((name, predicates)) = fused_descendant_name(steps, i, caches) {
             let span = trace.map(|t| {
                 let s = t.span(format_args!("step[{i}:://{name}]"));
@@ -682,10 +637,9 @@ fn apply_steps_inner(
             let mut found = descendant_named(doc, idx, input, name);
             // Budget probe: the fused lookup skips apply_step, so charge
             // its fan-out here or `//Name` explosions would go unmetered.
-            if let Some(g) = caches.guard {
-                g.try_matches(found.len() as u64)
-                    .map_err(XPathError::Budget)?;
-            }
+            guard
+                .try_matches(found.len() as u64)
+                .map_err(XPathError::Budget)?;
             for pred in predicates {
                 retain_by_predicate(&mut found, 0, pred, doc, caches)?;
             }
@@ -889,16 +843,15 @@ fn apply_step(
     caches: &EvalCaches<'_>,
     mut stats: Option<&mut StepStats>,
 ) -> Result<Vec<Item>> {
+    let guard = caches.ctx.guard;
     let mut out: Vec<Item> = Vec::new();
     for &ctx_item in input {
         // Budget probe: per context item (covers deadline/cancellation even
         // inside one huge step).
-        if let Some(g) = caches.guard {
-            if !g.ok() {
-                return Err(XPathError::Budget(
-                    g.error().expect("tripped guard has an error"),
-                ));
-            }
+        if !guard.ok() {
+            return Err(XPathError::Budget(
+                guard.error().expect("tripped guard has an error"),
+            ));
         }
         let from = out.len();
         if indexed_candidates(doc, caches, ctx_item, step, &mut out) {
@@ -915,10 +868,9 @@ fn apply_step(
             }
         }
         // Budget probe: this context item's candidate fan-out.
-        if let Some(g) = caches.guard {
-            g.try_matches((out.len() - from) as u64)
-                .map_err(XPathError::Budget)?;
-        }
+        guard
+            .try_matches((out.len() - from) as u64)
+            .map_err(XPathError::Budget)?;
         for pred in &step.predicates {
             retain_by_predicate(&mut out, from, pred, doc, caches)?;
         }
@@ -1117,6 +1069,7 @@ fn test_matches(doc: &Document, item: Item, axis: Axis, test: &NodeTest) -> bool
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gql_guard::Guard;
 
     fn doc() -> Document {
         Document::parse_str(
@@ -1434,8 +1387,9 @@ mod tests {
             "//price | //title",
             "//book[count(author) > 1]//last",
         ] {
-            let plain = select(&d, xpath).unwrap();
-            let indexed = select_with_index(&d, xpath, &idx).unwrap();
+            let expr = crate::parse(xpath).unwrap();
+            let plain = evaluate(&d, &expr).unwrap();
+            let indexed = evaluate_with_index(&d, &expr, &idx).unwrap();
             assert_eq!(plain, indexed, "{xpath}");
         }
         let expr = crate::parse("count(//author)").unwrap();
@@ -1463,7 +1417,7 @@ mod tests {
         [
             evaluate(d, &expr).unwrap(),
             evaluate_with_index(d, &expr, &idx).unwrap(),
-            evaluate_scan_guarded(d, &expr, &Trace::disabled(), &Guard::unlimited()).unwrap(),
+            evaluate_scan(d, &expr, RunCtx::none()).unwrap(),
         ]
     }
 
@@ -1573,7 +1527,7 @@ mod tests {
         let idx = DocIndex::build(&d);
         for idx in [Some(&idx), None] {
             let guard = Guard::new(gql_guard::Budget::unlimited());
-            let hits = evaluate_guarded(&d, &expr, idx, &Trace::disabled(), &guard)
+            let hits = evaluate_in(&d, &expr, idx, RunCtx::guarded(&guard))
                 .unwrap()
                 .into_nodes()
                 .unwrap();
@@ -1586,7 +1540,7 @@ mod tests {
         }
         // The reference evaluator visits every node, and says so.
         let guard = Guard::new(gql_guard::Budget::unlimited());
-        evaluate_scan_guarded(&d, &expr, &Trace::disabled(), &guard).unwrap();
+        evaluate_scan(&d, &expr, RunCtx::guarded(&guard)).unwrap();
         assert!(guard.report().unwrap().matches > 100_000);
     }
 
@@ -1606,7 +1560,7 @@ mod tests {
         let idx = DocIndex::build(&d);
         let guard = Guard::new(gql_guard::Budget::unlimited());
         let trace = Trace::profiling();
-        let hits = evaluate_guarded(&d, &expr, Some(&idx), &trace, &guard)
+        let hits = evaluate_in(&d, &expr, Some(&idx), RunCtx::new(&trace, &guard))
             .unwrap()
             .into_nodes()
             .unwrap();
@@ -1621,7 +1575,7 @@ mod tests {
         assert_eq!(step.counter("context_out"), Some(40));
         // The reference evaluator re-evaluates it per candidate.
         let guard = Guard::new(gql_guard::Budget::unlimited());
-        let reference = evaluate_scan_guarded(&d, &expr, &Trace::disabled(), &guard).unwrap();
+        let reference = evaluate_scan(&d, &expr, RunCtx::guarded(&guard)).unwrap();
         assert_eq!(reference.into_nodes().unwrap(), hits);
         assert!(guard.report().unwrap().rounds > 3_000);
         // A shared set read as a verdict, by `and`/`or`, or by a function.

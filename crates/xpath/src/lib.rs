@@ -31,10 +31,7 @@ pub mod lexer;
 pub mod parser;
 
 pub use ast::{Axis, Expr, LocationPath, NodeTest, Step};
-pub use eval::{
-    evaluate, evaluate_guarded, evaluate_scan_guarded, evaluate_traced, evaluate_with_index,
-    select, select_with_index, Item, XValue,
-};
+pub use eval::{evaluate, evaluate_in, evaluate_scan, evaluate_with_index, select, Item, XValue};
 pub use parser::parse;
 
 /// Errors produced while parsing or evaluating an XPath expression.

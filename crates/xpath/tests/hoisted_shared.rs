@@ -6,10 +6,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use gql_guard::{Budget, Guard};
+use gql_guard::{Budget, Guard, RunCtx};
 use gql_ssdm::{DocIndex, Document};
-use gql_trace::Trace;
-use gql_xpath::{evaluate_guarded, parse};
+use gql_xpath::{evaluate_in, parse};
 
 struct CountingAlloc;
 
@@ -61,7 +60,7 @@ fn a_hoisted_set_is_charged_and_allocated_once_for_a_thousand_candidates() {
         let expr = parse(xpath).unwrap();
         let guard = Guard::new(Budget::unlimited());
         let before = ALLOCATED.load(Ordering::Relaxed);
-        let found = evaluate_guarded(&doc, &expr, Some(&idx), &Trace::disabled(), &guard)
+        let found = evaluate_in(&doc, &expr, Some(&idx), RunCtx::guarded(&guard))
             .unwrap()
             .into_nodes()
             .unwrap();

@@ -22,7 +22,7 @@ use gql_testkit::model::DocModel;
 use gql_testkit::{check, pick, TAGS};
 
 use gql::core::engine::Engine;
-use gql::core::{Budget, CoreError};
+use gql::core::{Budget, CoreError, Guard, RunCtx};
 use gql_testkit::fault::query_kinds;
 use gql_testkit::fuzz::{case_inputs, Generator};
 
@@ -985,11 +985,10 @@ fn xpath_set_at_a_time_equals_the_reference_evaluator() {
             // Debug text, so that NaN equals NaN; errors compare as errors.
             let show =
                 |r: gql::xpath::Result<gql::xpath::XValue>| format!("{:?}", r.map_err(|_| ()));
-            let reference = show(gql::xpath::evaluate_scan_guarded(
+            let reference = show(gql::xpath::evaluate_scan(
                 &doc,
                 &expr,
-                &gql::trace::Trace::disabled(),
-                &gql::guard::Guard::unlimited(),
+                gql::guard::RunCtx::none(),
             ));
             let idx = gql::ssdm::DocIndex::build(&doc);
             assert_eq!(
@@ -1089,15 +1088,17 @@ fn completing_under_a_budget_is_headroom_invariant() {
                     .with_max_rounds(r * 2);
                 for kind in query_kinds(g, &query) {
                     let engine = Engine::new();
-                    let under_b = match engine.run_bounded(&kind, &doc, &budget) {
+                    let bounded = |budget: &Budget| {
+                        let guard = Guard::new(budget.clone());
+                        engine.execute(&kind, &doc, RunCtx::guarded(&guard))
+                    };
+                    let under_b = match bounded(&budget) {
                         Ok(out) => out,
                         Err(_) => continue, // tripped or rejected: vacuous here
                     };
-                    let under_2b = engine
-                        .run_bounded(&kind, &doc, &double)
-                        .unwrap_or_else(|e| {
-                            panic!("completed under B but tripped under 2B: {e}\n{query}")
-                        });
+                    let under_2b = bounded(&double).unwrap_or_else(|e| {
+                        panic!("completed under B but tripped under 2B: {e}\n{query}")
+                    });
                     let unlimited = engine.run(&kind, &doc).unwrap_or_else(|e| {
                         panic!("completed under B but failed unbounded: {e}\n{query}")
                     });
@@ -1129,7 +1130,7 @@ fn cost_planned_order_is_work_bounded_on_q6_family() {
     use gql::ssdm::generator::{greengrocer, GrocerConfig};
     use gql::ssdm::{DocIndex, Summary};
     use gql::trace::{ExecutionProfile, ProfileNode, Trace};
-    use gql::xmlgl::eval::{match_rule_planned, MatchMode};
+    use gql::xmlgl::eval::{match_rule_in, MatchMode};
 
     /// Total hash-join work in a profile: rows flowing into combines plus
     /// probe count, summed over every span.
@@ -1179,17 +1180,15 @@ fn cost_planned_order_is_work_bounded_on_q6_family() {
             else {
                 return; // not reorderable: declared order is the plan, vacuous
             };
-            let guard = gql::guard::Guard::unlimited();
             let run = |order: &[usize]| {
                 let trace = Trace::profiling();
-                let bindings = match_rule_planned(
+                let bindings = match_rule_in(
                     rule,
                     &doc,
                     Some(&idx),
                     MatchMode::Sequential,
-                    &trace,
-                    &guard,
-                    order,
+                    Some(order),
+                    RunCtx::traced(&trace),
                 );
                 let profile = trace.finish().expect("profiling trace yields a profile");
                 (bindings, profile)
@@ -1233,9 +1232,12 @@ fn budget_trip_reports_are_deterministic_for_a_fixed_seed() {
                     continue;
                 };
                 for kind in query_kinds(g, &query) {
-                    let trip = |engine: &Engine| match engine.run_bounded(&kind, &doc, &budget) {
-                        Err(CoreError::Budget(e)) => Some(e.shape()),
-                        _ => None,
+                    let trip = |engine: &Engine| {
+                        let guard = Guard::new(budget.clone());
+                        match engine.execute(&kind, &doc, RunCtx::guarded(&guard)) {
+                            Err(CoreError::Budget(e)) => Some(e.shape()),
+                            _ => None,
+                        }
                     };
                     let first = trip(&Engine::new());
                     let second = trip(&Engine::new());
