@@ -2,7 +2,7 @@
 //!
 //! The dataset grows a large `archive` filler section around small,
 //! fixed-rate join sections, so whole-document scans pay O(document) per
-//! extract root while postings lookups pay O(matches). Three comparisons,
+//! extract root while postings lookups pay O(matches). Two comparisons,
 //! per document scale:
 //!
 //! * **root matching** — candidates for a named extract root from tag
@@ -10,9 +10,7 @@
 //! * **join keys** — a two-root node-valued join through memoized 64-bit
 //!   structural hashes vs. per-row canonical strings (the scan baseline
 //!   also pays scan-side candidate enumeration: it is the whole unindexed
-//!   path, which is what the resident-index configuration replaces);
-//! * **parallel matching** — forced `MatchMode::Parallel` over the same
-//!   index.
+//!   path, which is what the resident-index configuration replaces).
 //!
 //! The `join_speedup` metric (scan mean / indexed mean) is the acceptance
 //! figure recorded in `BENCH_results.json`.
@@ -102,7 +100,7 @@ fn bench_indexed_fastpath(c: &mut Criterion) {
             b.iter(|| match_rule_scan(&root, doc))
         });
         group.bench_with_input(BenchmarkId::new("root_indexed", scale), &doc, |b, doc| {
-            b.iter(|| match_rule_with(&root, doc, &idx, MatchMode::Sequential))
+            b.iter(|| match_rule_with(&root, doc, &idx, MatchMode::Auto))
         });
         let scan = group.bench_with_input(
             BenchmarkId::new("join_scan_string", scale),
@@ -112,12 +110,7 @@ fn bench_indexed_fastpath(c: &mut Criterion) {
         let indexed = group.bench_with_input(
             BenchmarkId::new("join_indexed_hashed", scale),
             &doc,
-            |b, doc| b.iter(|| match_rule_with(&join, doc, &idx, MatchMode::Sequential)),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("join_indexed_parallel", scale),
-            &doc,
-            |b, doc| b.iter(|| match_rule_with(&join, doc, &idx, MatchMode::Parallel)),
+            |b, doc| b.iter(|| match_rule_with(&join, doc, &idx, MatchMode::Auto)),
         );
         let ratio = scan.as_nanos() as f64 / indexed.as_nanos().max(1) as f64;
         group.record_metric(BenchmarkId::new("join_speedup", scale), ratio, "x");

@@ -15,7 +15,7 @@ use gql_ssdm::{DocIndex, Summary};
 use gql_trace::ExecutionProfile;
 use gql_xmlgl::ast::CmpOp;
 use gql_xmlgl::builder::{RuleBuilder, C, Q};
-use gql_xmlgl::eval::{match_rule_in, MatchMode};
+use gql_xmlgl::eval::match_rule_in;
 
 /// All permutations of `0..k` (the full join-order search space for a
 /// `k`-root rule; only used for tiny `k`).
@@ -83,14 +83,7 @@ fn bench_q6(c: &mut Criterion) {
             .expect("Q6 has a reorderable multi-root extract");
         assert_ne!(order, vec![0, 1], "plan must actually reorder Q6");
         let matched = |doc: &gql_ssdm::Document, order: Option<&[usize]>| {
-            match_rule_in(
-                rule,
-                doc,
-                Some(&idx),
-                MatchMode::Sequential,
-                order,
-                RunCtx::none(),
-            )
+            match_rule_in(rule, doc, Some(&idx), order, RunCtx::none())
         };
         assert_eq!(
             matched(&doc, None),

@@ -114,7 +114,7 @@ fn bench_tracing_overhead(c: &mut Criterion) {
         b.iter(|| {
             log.record(|trace| {
                 let ctx = RunCtx::traced(trace);
-                match_rule_in(&rule, &doc, Some(&idx), MatchMode::Auto, None, ctx)
+                match_rule_in(&rule, &doc, Some(&idx), None, ctx)
             })
         })
     });

@@ -1,10 +1,11 @@
-//! Concurrency smoke tests: hammer the parallel matcher and the guard
-//! atomics from many threads at once. (A `Trace` is not shared: it belongs
-//! to the thread coordinating a run, and the compiler holds it there.)
-//! These are the tier-1 stand-ins for a sanitizer pass — CI additionally
-//! runs the guard and trace suites under miri (nightly) for data-race/UB
-//! detection; this file covers the parallel matcher, which is too heavy to
-//! interpret there.
+//! Concurrency smoke tests: what `gql-serve`'s workers share — one
+//! `Document` + `DocIndex` per dataset, one `Engine`, a guard cancelled from
+//! another thread — hammered from many threads at once. (A `Trace` is not
+//! shared: it belongs to the thread running an evaluation, and the compiler
+//! holds it there.) These are the tier-1 stand-ins for a sanitizer pass — CI
+//! additionally runs the guard and trace suites under miri (nightly) for
+//! data-race/UB detection; this file covers the matcher and the engine over
+//! generated documents, which are too heavy to interpret there.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -26,8 +27,11 @@ fn join_rule() -> Rule {
     .remove(0)
 }
 
+/// Eight threads each run the (single-threaded) matcher over one shared
+/// document and index, as service workers do over the catalog's
+/// `Arc<Dataset>`.
 #[test]
-fn parallel_matcher_agrees_with_scan_under_thread_storm() {
+fn shared_document_and_index_match_like_scan_under_thread_storm() {
     let doc = generator::cityguide(Default::default());
     let idx = DocIndex::build(&doc);
     let rule = join_rule();
@@ -37,8 +41,8 @@ fn parallel_matcher_agrees_with_scan_under_thread_storm() {
         for _ in 0..8 {
             s.spawn(|| {
                 for _ in 0..16 {
-                    let got = match_rule_with(&rule, &doc, &idx, MatchMode::Parallel);
-                    assert!(got == baseline, "parallel bindings diverged from scan");
+                    let got = match_rule_with(&rule, &doc, &idx, MatchMode::Auto);
+                    assert!(got == baseline, "indexed bindings diverged from scan");
                 }
             });
         }
@@ -140,7 +144,7 @@ fn shared_engine_stats_snapshots_are_consistent_under_storm() {
 }
 
 #[test]
-fn cancellation_mid_parallel_match_is_clean() {
+fn cancellation_mid_match_is_clean() {
     let doc = generator::cityguide(Default::default());
     let idx = DocIndex::build(&doc);
     let rule = join_rule();
@@ -158,7 +162,7 @@ fn cancellation_mid_parallel_match_is_clean() {
                 canceller.cancel();
             });
             let ctx = RunCtx::guarded(&guard);
-            match_rule_in(&rule, &doc, Some(&idx), MatchMode::Parallel, None, ctx)
+            match_rule_in(&rule, &doc, Some(&idx), None, ctx)
         });
         assert!(
             got.len() <= baseline.len(),

@@ -1,16 +1,16 @@
 //! Resource governance for the gql engines.
 //!
 //! A [`Budget`] bounds a single evaluation: wall-clock deadline, fixpoint
-//! round cap, match/instance-count cap, arena-node cap and parallel-worker
-//! cap. A [`Guard`] carries the budget through an evaluation and is probed
-//! at the same sites the trace layer instruments (per fixpoint round and
-//! delta, per candidate expansion and join batch, per XPath step, per engine
-//! phase). Exceeding any limit *trips* the guard: probe calls start
-//! returning `false`, deep loops unwind cooperatively by returning truncated
-//! partial results, and the nearest `Result`-returning caller converts the
-//! trip into a structured [`GuardError`] via [`Guard::checkpoint`]. The
-//! error carries a [`ProgressReport`] — phase reached, rounds completed,
-//! counts so far — instead of a panic or an unbounded spin.
+//! round cap, match/instance-count cap and arena-node cap. A [`Guard`]
+//! carries the budget through an evaluation and is probed at the same sites
+//! the trace layer instruments (per fixpoint round and delta, per candidate
+//! expansion and join batch, per XPath step, per engine phase). Exceeding
+//! any limit *trips* the guard: probe calls start returning `false`, deep
+//! loops unwind cooperatively by returning truncated partial results, and
+//! the nearest `Result`-returning caller converts the trip into a structured
+//! [`GuardError`] via [`Guard::checkpoint`]. The error carries a
+//! [`ProgressReport`] — phase reached, rounds completed, counts so far —
+//! instead of a panic or an unbounded spin.
 //!
 //! The design mirrors `gql_trace::Trace`: [`Guard::unlimited`] is a `const
 //! fn` whose probes compile to a single `Option` discriminant branch, so
@@ -24,9 +24,9 @@
 //! "Entry points").
 //!
 //! The [`fault`] module is the test-only injection seam driving the
-//! degradation ladder (indexed → scan, parallel → sequential): the testkit
-//! installs a [`fault::FaultPlan`] and the engines consult it at the exact
-//! boundaries where real faults would surface.
+//! degradation ladder (indexed → scan): the testkit installs a
+//! [`fault::FaultPlan`] and the engines consult it at the exact boundaries
+//! where real faults would surface.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -51,8 +51,6 @@ pub struct Budget {
     /// Cap on arena nodes / instance objects+edges created, charged via
     /// [`Guard::charge_nodes`].
     pub max_nodes: Option<u64>,
-    /// Cap on parallel matcher workers (see [`Guard::cap_workers`]).
-    pub max_workers: Option<usize>,
 }
 
 impl Budget {
@@ -64,7 +62,6 @@ impl Budget {
             max_rounds: None,
             max_matches: None,
             max_nodes: None,
-            max_workers: None,
         }
     }
 
@@ -74,7 +71,6 @@ impl Budget {
             && self.max_rounds.is_none()
             && self.max_matches.is_none()
             && self.max_nodes.is_none()
-            && self.max_workers.is_none()
     }
 
     pub fn with_timeout(mut self, d: Duration) -> Budget {
@@ -98,11 +94,6 @@ impl Budget {
 
     pub fn with_max_nodes(mut self, n: u64) -> Budget {
         self.max_nodes = Some(n);
-        self
-    }
-
-    pub fn with_max_workers(mut self, n: usize) -> Budget {
-        self.max_workers = Some(n);
         self
     }
 
@@ -158,8 +149,6 @@ pub enum LimitKind {
     Matches,
     /// Arena-node / instance-growth cap exceeded.
     Nodes,
-    /// A parallel worker panicked and the sequential retry failed too.
-    WorkerPanic,
 }
 
 impl LimitKind {
@@ -170,7 +159,6 @@ impl LimitKind {
             LimitKind::Rounds => "rounds",
             LimitKind::Matches => "matches",
             LimitKind::Nodes => "nodes",
-            LimitKind::WorkerPanic => "worker-panic",
         }
     }
 }
@@ -304,11 +292,6 @@ impl Guard {
         }
     }
 
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// Record the engine phase currently running (shows up in partial
     /// reports).
     pub fn set_phase(&self, phase: &'static str) {
@@ -417,26 +400,6 @@ impl Guard {
         }
     }
 
-    /// Clamp a requested parallel worker count to the budget's
-    /// `max_workers` (at least 1).
-    pub fn cap_workers(&self, requested: usize) -> usize {
-        match &self.inner {
-            None => requested,
-            Some(inner) => match inner.budget.max_workers {
-                Some(cap) => requested.min(cap.max(1)),
-                None => requested,
-            },
-        }
-    }
-
-    /// Trip the guard from outside the counter system (e.g. a worker panic
-    /// that survived the sequential retry). No-op on the unlimited guard.
-    pub fn trip_external(&self, kind: LimitKind) {
-        if let Some(inner) = &self.inner {
-            inner.trip(kind);
-        }
-    }
-
     /// The trip error, if the guard has tripped.
     pub fn error(&self) -> Option<GuardError> {
         let inner = self.inner.as_ref()?;
@@ -472,8 +435,8 @@ impl Guard {
 /// down every layer. [`RunCtx::none`] is the plain run — tracing off,
 /// nothing bounded — and costs nothing to build.
 ///
-/// A `Trace` belongs to the coordinating thread, so a `RunCtx` is not
-/// `Send`; parallel workers are handed the guard alone.
+/// A `Trace` belongs to one thread, so a `RunCtx` is not `Send`: an
+/// evaluation runs whole on the thread it was handed to.
 #[derive(Clone, Copy)]
 pub struct RunCtx<'a> {
     pub trace: &'a Trace,
@@ -601,9 +564,6 @@ pub mod fault {
         /// A freshly built posting list is corrupted; integrity
         /// verification must catch it and fall back to scan mode.
         pub corrupt_postings: bool,
-        /// Parallel matcher worker `N` panics; the rule must be retried
-        /// sequentially.
-        pub panic_worker: Option<usize>,
         /// The fixpoint stalls (sleeps [`FaultPlan::stall_ms`]) at the
         /// start of every round `>= M`; a deadline budget must trip.
         pub stall_round: Option<u64>,
@@ -640,13 +600,6 @@ pub mod fault {
         pub fn corrupt_postings() -> FaultPlan {
             FaultPlan {
                 corrupt_postings: true,
-                ..FaultPlan::default()
-            }
-        }
-
-        pub fn panic_worker(n: usize) -> FaultPlan {
-            FaultPlan {
-                panic_worker: Some(n),
                 ..FaultPlan::default()
             }
         }
@@ -771,15 +724,6 @@ pub mod fault {
         active() && installed().corrupt_plan_cache
     }
 
-    /// Seam: panic if this worker index is the planned victim. Called from
-    /// inside spawned matcher workers.
-    #[inline]
-    pub fn maybe_panic_worker(worker: usize) {
-        if active() && installed().panic_worker == Some(worker) {
-            panic!("injected fault: matcher worker {worker} poisoned");
-        }
-    }
-
     /// Seam: sleep `stall_ms` if the plan stalls this round. Called at the
     /// start of every fixpoint round.
     #[inline]
@@ -855,7 +799,6 @@ mod tests {
     #[test]
     fn unlimited_guard_never_trips() {
         let g = Guard::unlimited();
-        assert!(!g.is_enabled());
         for _ in 0..10_000 {
             assert!(g.charge_rounds(1));
             assert!(g.charge_matches(1_000_000));
@@ -865,13 +808,12 @@ mod tests {
         assert!(g.checkpoint().is_ok());
         assert!(g.error().is_none());
         assert_eq!(g.probes(), 0);
-        assert_eq!(g.cap_workers(8), 8);
     }
 
     #[test]
     fn run_ctx_none_is_inert_and_phase_names_both_sides() {
         let none = RunCtx::none();
-        assert!(!none.trace.is_enabled() && !none.guard.is_enabled());
+        assert!(!none.trace.is_enabled());
         drop(none.phase("eval"));
         assert!(none.guard.report().is_none());
 
@@ -880,7 +822,7 @@ mod tests {
         let ctx = RunCtx::new(&trace, &guard);
         drop(ctx.phase("load"));
         assert_eq!(guard.report().unwrap().phase, "load");
-        assert!(!RunCtx::traced(&trace).guard.is_enabled());
+        assert!(RunCtx::traced(&trace).guard.report().is_none());
         assert!(!RunCtx::guarded(&guard).trace.is_enabled());
         assert_eq!(trace.finish().unwrap().shape(), "load\n");
     }
@@ -945,15 +887,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_cap_clamps() {
-        let g = Guard::new(Budget::unlimited().with_max_workers(2));
-        assert_eq!(g.cap_workers(8), 2);
-        assert_eq!(g.cap_workers(1), 1);
-        let g = Guard::new(Budget::unlimited().with_max_workers(0));
-        assert_eq!(g.cap_workers(8), 1, "zero cap still leaves one worker");
-    }
-
-    #[test]
     fn probes_counted_when_enabled() {
         let g = Guard::new(Budget::unlimited());
         for _ in 0..100 {
@@ -961,19 +894,6 @@ mod tests {
             g.charge_matches(1);
         }
         assert_eq!(g.probes(), 200);
-    }
-
-    #[test]
-    fn external_trip_reports_worker_panic() {
-        let g = Guard::new(Budget::unlimited());
-        g.set_phase("eval");
-        g.trip_external(LimitKind::WorkerPanic);
-        let err = g.checkpoint().unwrap_err();
-        assert_eq!(err.kind, LimitKind::WorkerPanic);
-        // Unlimited guards ignore external trips.
-        let u = Guard::unlimited();
-        u.trip_external(LimitKind::WorkerPanic);
-        assert!(u.checkpoint().is_ok());
     }
 
     #[test]
@@ -993,8 +913,8 @@ mod tests {
     #[test]
     fn fault_plan_clears_after_panic() {
         let r = std::panic::catch_unwind(|| {
-            fault::with_plan(fault::FaultPlan::panic_worker(0), || {
-                fault::maybe_panic_worker(0);
+            fault::with_plan(fault::FaultPlan::fail_index_build(), || {
+                panic!("closure panics with a plan installed");
             })
         });
         assert!(r.is_err());
@@ -1020,8 +940,6 @@ mod tests {
                 .class(),
             "timed+capped"
         );
-        // Worker caps never change plan choice, so they don't change class.
-        assert_eq!(Budget::unlimited().with_max_workers(2).class(), "unlimited");
         assert_eq!(Guard::unlimited().budget_class(), "unlimited");
         assert_eq!(
             Guard::new(Budget::unlimited().with_timeout_ms(1000)).budget_class(),

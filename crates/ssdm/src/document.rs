@@ -172,7 +172,7 @@ pub struct Document {
     root: NodeId,
     /// Lazily computed pre-order positions, invalidated on mutation.
     /// `OnceLock` (not `RefCell`) so a `&Document` can be shared across
-    /// threads by the parallel matcher.
+    /// threads: `gql-serve`'s workers all read one per dataset.
     order: OnceLock<Vec<u32>>,
 }
 

@@ -21,9 +21,9 @@
 //! battery — a fixed bug must stay fixed under every oracle).
 //!
 //! A case may also carry a `budget:` line — space-separated `key=value`
-//! tokens over `timeout-ms`, `max-rounds`, `max-matches`, `max-nodes` and
-//! `max-workers`. Budget-bearing cases are *pathological by construction*
-//! (exploding fixpoints, combinatorial joins): replay runs them through
+//! tokens over `timeout-ms`, `max-rounds`, `max-matches` and `max-nodes`.
+//! Budget-bearing cases are *pathological by construction* (exploding
+//! fixpoints, combinatorial joins): replay runs them through
 //! [`Engine::execute`] under its budget and passes only when the budget trips with a
 //! clean, non-degenerate [`CoreError::Budget`] report — the unbounded
 //! oracle battery would hang on them.
@@ -73,7 +73,6 @@ pub fn parse_budget_spec(spec: &str) -> Result<Budget, String> {
             "max-rounds" => b.with_max_rounds(n),
             "max-matches" => b.with_max_matches(n),
             "max-nodes" => b.with_max_nodes(n),
-            "max-workers" => b.with_max_workers(n as usize),
             _ => return Err(format!("unknown budget key: {k}")),
         };
     }

@@ -7,7 +7,7 @@
 //!
 //! 1. *graceful degradation*: the faulted bounded run returns exactly the
 //!    bytes of the unfaulted baseline (index build failed → scan mode
-//!    answered; a worker panicked → the sequential retry answered), or
+//!    answered), or
 //! 2. *clean refusal*: the faulted run surfaces a structured
 //!    [`CoreError::Budget`] whose partial-progress report names the phase
 //!    reached (a stalled fixpoint tripping its deadline, a cancelled run).
@@ -25,15 +25,13 @@ use crate::fuzz::{case_inputs, Generator};
 use crate::generators::Intent;
 use crate::oracle;
 
-/// Every fault variant the sweep drives, with the worker index / round
-/// chosen to hit real seams on small generated cases.
+/// Every fault variant the sweep drives, with the round chosen to hit a real
+/// seam on small generated cases.
 pub fn all_plans() -> Vec<FaultPlan> {
     vec![
         FaultPlan::fail_index_build(),
         FaultPlan::corrupt_postings(),
         FaultPlan::corrupt_plan_cache(),
-        FaultPlan::panic_worker(0),
-        FaultPlan::panic_worker(1),
         FaultPlan::stall_round(1),
     ]
 }
@@ -192,42 +190,5 @@ mod tests {
         };
         assert_eq!(g.kind.name(), "timeout");
         assert!(!g.report.phase.is_empty());
-    }
-
-    #[test]
-    fn injected_worker_panic_degrades_to_the_sequential_answer() {
-        use gql_trace::Trace;
-        use gql_xmlgl::eval::{match_rule_in, match_rule_scan, MatchMode};
-        // Enough candidates that the parallel matcher actually fans out.
-        let mut xml = String::from("<r>");
-        for i in 0..64 {
-            xml.push_str(&format!("<a><b>{i}</b></a>"));
-        }
-        xml.push_str("</r>");
-        let doc = Document::parse_str(&xml).unwrap();
-        let rule = gql_xmlgl::dsl::parse_unchecked(
-            "rule { extract { a as $x { b as $y } } construct { out { all $x } } }",
-        )
-        .unwrap()
-        .rules
-        .remove(0);
-        let sequential = match_rule_scan(&rule, &doc);
-        let retried = fault::with_plan(FaultPlan::panic_worker(0), || {
-            let trace = Trace::profiling();
-            let bs = match_rule_in(
-                &rule,
-                &doc,
-                None,
-                MatchMode::Parallel,
-                None,
-                RunCtx::traced(&trace),
-            );
-            (bs, trace.finish())
-        });
-        assert_eq!(
-            retried.0.len(),
-            sequential.len(),
-            "sequential retry must reproduce the sequential binding set"
-        );
     }
 }

@@ -18,8 +18,8 @@
 //!   node, `Vec` children, `String` attributes, its own XML writer) and of
 //!   the trace record (the tree-of-`String`s sink it replaced).
 //! * [`oracle`] — differential oracles over every dual execution path
-//!   (indexed vs scan, parallel vs sequential, semi-naive vs naive
-//!   fixpoint, prebuilt vs lazy index, translated vs direct) plus
+//!   (indexed vs scan, semi-naive vs naive fixpoint, prebuilt vs lazy
+//!   index, translated vs direct) plus
 //!   metamorphic properties (print→parse round-trips, re-serialization
 //!   invariance, prune monotonicity).
 //! * [`fault`] — fault-injection differential oracles: every

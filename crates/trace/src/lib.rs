@@ -114,9 +114,8 @@ where
 /// engines accept `&Trace` unconditionally and the disabled state turns
 /// every operation into a single branch.
 ///
-/// A trace belongs to the thread coordinating the run: it is `Send`, not
-/// `Sync`. Parallel workers aggregate into locals that the coordinator
-/// records after joining, which also keeps profiles deterministic.
+/// A trace belongs to the thread running the evaluation: it is `Send`, not
+/// `Sync`. Evaluations are single-threaded, so nothing ever shares one.
 pub struct Trace {
     log: Option<RefCell<TraceLog>>,
 }

@@ -7,28 +7,23 @@
 //!   deep-edge candidates from a [`DocIndex`]'s postings lists (sliced to
 //!   subtree intervals for asterisk edges), joins root binding sets on
 //!   memoized 64-bit structural hashes (verifying hash-equal rows against
-//!   canonical forms, so a collision can never produce a false join), and
-//!   can fan per-root candidate matching across cores;
+//!   canonical forms, so a collision can never produce a false join);
 //! * the **scan** path ([`match_rule_scan`]) is the straightforward
 //!   walk-the-whole-document implementation with string join keys, kept as
 //!   the differential-testing oracle and benchmark baseline.
 
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-use gql_guard::{Guard, LimitKind, RunCtx};
+use gql_guard::{Guard, RunCtx};
 use gql_ssdm::document::NodeKind;
 use gql_ssdm::index::canonical;
 use gql_ssdm::{DocIndex, Document, NodeId, Symbol};
-use gql_trace::{joined, Trace};
+use gql_trace::joined;
 
 use crate::ast::{ExtractGraph, NameTest, QEdge, QNodeId, QNodeKind, Rule};
 
 use super::{content_hash, content_key};
-
-/// Below this many root candidates, threads cost more than they save and
-/// `MatchMode::Auto` stays sequential.
-const PARALLEL_THRESHOLD: usize = 64;
 
 /// What a query node is bound to: a document node (elements) or a string
 /// (text content, attribute values). Strings carry the element they were
@@ -99,18 +94,14 @@ impl Binding {
     }
 }
 
-/// How [`match_rule_with`] schedules per-root candidate matching.
+/// Selects nothing: matching has one schedule, a single-threaded candidate
+/// loop. The type survives only because `gql-benchmark/src/replay.rs`, frozen
+/// outside a `benchmark` PR, passes `MatchMode::Auto` to [`match_rule_with`];
+/// the next `benchmark` PR deletes it together with that argument.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum MatchMode {
-    /// Parallel when there are enough candidates and more than one core;
-    /// sequential otherwise. Output order is deterministic either way.
     #[default]
     Auto,
-    /// Never spawn threads.
-    Sequential,
-    /// Spawn threads even for small candidate sets (used by equivalence
-    /// tests; still falls back to sequential on a single-core machine).
-    Parallel,
 }
 
 /// A rule's element/attribute name tests resolved against the document's
@@ -145,23 +136,24 @@ struct Ctx<'a> {
     nslots: usize,
     idx: Option<&'a DocIndex>,
     names: Vec<NameRes>,
-    /// Per-query-node candidate counters, allocated only when tracing.
-    /// Atomics because parallel workers share them; each `match_edge` call
-    /// adds once in bulk, so the counts are deterministic and the untraced
-    /// cost is one `Option` branch per edge, never per candidate.
-    cand: Option<Vec<AtomicU64>>,
-    /// Resource budget. Matching is infallible (`Vec<Binding>` out), so a
-    /// tripped guard makes the candidate loops bail early with *truncated*
-    /// results; the `Result`-returning caller must `guard.checkpoint()`
-    /// afterwards to convert the trip into an error and discard them.
-    guard: &'a Guard,
+    /// Per-query-node candidate counters, allocated only when tracing. Each
+    /// `match_edge` call adds once in bulk, so the untraced cost is one
+    /// `Option` branch per edge, never per candidate.
+    cand: Option<Vec<Cell<u64>>>,
+    /// Where the run reports and what bounds it. Matching is infallible
+    /// (`Vec<Binding>` out), so a tripped guard makes the candidate loops
+    /// bail early with *truncated* results; the `Result`-returning caller
+    /// must `guard.checkpoint()` afterwards to convert the trip into an error
+    /// and discard them.
+    run: RunCtx<'a>,
 }
 
 impl Ctx<'_> {
     #[inline]
     fn add_candidates(&self, q: QNodeId, n: u64) {
         if let Some(cand) = &self.cand {
-            cand[q.index()].fetch_add(n, Ordering::Relaxed);
+            let c = &cand[q.index()];
+            c.set(c.get() + n);
         }
     }
 }
@@ -186,14 +178,15 @@ pub fn match_rule(rule: &Rule, doc: &Document) -> Vec<Binding> {
     match_rule_with(rule, doc, &idx, MatchMode::Auto)
 }
 
-/// Enumerate all embeddings using a prebuilt index.
+/// Enumerate all embeddings using a prebuilt index. `_mode` selects nothing
+/// (see [`MatchMode`]).
 pub fn match_rule_with(
     rule: &Rule,
     doc: &Document,
     idx: &DocIndex,
-    mode: MatchMode,
+    _mode: MatchMode,
 ) -> Vec<Binding> {
-    match_rule_in(rule, doc, Some(idx), mode, None, RunCtx::none())
+    match_rule_in(rule, doc, Some(idx), None, RunCtx::none())
 }
 
 /// Reference implementation: whole-document scans for candidates and string
@@ -201,12 +194,12 @@ pub fn match_rule_with(
 /// tests assert `match_rule_scan ≡ match_rule`) and as the benchmark
 /// baseline.
 pub fn match_rule_scan(rule: &Rule, doc: &Document) -> Vec<Binding> {
-    match_rule_in(rule, doc, None, MatchMode::Sequential, None, RunCtx::none())
+    match_rule_in(rule, doc, None, None, RunCtx::none())
 }
 
 /// The full form every other `match_rule*` is one line over.
 ///
-/// Roots are matched independently and their binding sets then combined:
+/// Roots are matched one by one and their binding sets then combined:
 /// a hash join on the 64-bit structural content hash whenever a join
 /// constraint connects the next root to the roots already combined, a
 /// cartesian product otherwise.
@@ -222,7 +215,7 @@ pub fn match_rule_scan(rule: &Rule, doc: &Document) -> Vec<Binding> {
 ///   bindings are materialised — only the intermediate sizes change. `None`,
 ///   or an `order` that is not a permutation, combines in declaration
 ///   order.
-/// * `ctx.trace` receives per-root candidate-set sizes and worker fan-out,
+/// * `ctx.trace` receives per-root candidate-set sizes,
 ///   per-combine join statistics (probes, matches, hash-collision rejects),
 ///   residual-filter counts and per-query-node candidate totals; the
 ///   counters are never allocated for a disabled trace.
@@ -230,17 +223,10 @@ pub fn match_rule_scan(rule: &Rule, doc: &Document) -> Vec<Binding> {
 ///   `match_node` and per join/product batch. A tripped guard truncates the
 ///   returned binding set; the caller must call `guard.checkpoint()`
 ///   afterwards and discard the output on error.
-///
-/// A panicking parallel worker is isolated at the scoped-thread boundary and
-/// the root's candidates retried once sequentially (`degraded:
-/// sequential_retry` trace note); if the retry panics too, an enabled guard
-/// converts it into a `WorkerPanic` trip, an unlimited guard resumes the
-/// panic.
 pub fn match_rule_in(
     rule: &Rule,
     doc: &Document,
     idx: Option<&DocIndex>,
-    mode: MatchMode,
     order: Option<&[usize]>,
     ctx: RunCtx<'_>,
 ) -> Vec<Binding> {
@@ -255,18 +241,16 @@ pub fn match_rule_in(
         } else {
             Vec::new()
         },
-        cand: trace.is_enabled().then(|| {
-            (0..rule.extract.nodes.len())
-                .map(|_| AtomicU64::new(0))
-                .collect()
-        }),
-        guard: ctx.guard,
+        cand: trace
+            .is_enabled()
+            .then(|| vec![Cell::new(0); rule.extract.nodes.len()]),
+        run: ctx,
     };
     let plan = order.filter(|o| is_permutation(o, rule.extract.roots.len()));
-    let out = run_match(&cx, mode, trace, plan);
+    let out = run_match(&cx, plan);
     if let Some(cand) = &cx.cand {
         for (i, c) in cand.iter().enumerate() {
-            let n = c.load(Ordering::Relaxed);
+            let n = c.get();
             if n > 0 {
                 let (sigil, name) = qnode_label(cx.g, QNodeId(i as u32));
                 trace.count(format_args!("candidates[q{i}:{sigil}{name}]"), n);
@@ -294,8 +278,8 @@ fn norm_pair(a: QNodeId, b: QNodeId) -> (QNodeId, QNodeId) {
     }
 }
 
-fn run_match(cx: &Ctx, mode: MatchMode, trace: &Trace, plan: Option<&[usize]>) -> Vec<Binding> {
-    let g = cx.g;
+fn run_match(cx: &Ctx, plan: Option<&[usize]>) -> Vec<Binding> {
+    let (g, trace) = (cx.g, cx.run.trace);
     if g.roots.is_empty() {
         return Vec::new();
     }
@@ -311,7 +295,7 @@ fn run_match(cx: &Ctx, mode: MatchMode, trace: &Trace, plan: Option<&[usize]>) -
         .map(|(ri, &root)| {
             let (sigil, name) = qnode_label(g, root);
             let _s = trace.span(format_args!("root[{ri}:{sigil}{name}]"));
-            let out = match_root(cx, root, mode, trace);
+            let out = match_root(cx, root);
             trace.count("bindings", out.len() as u64);
             out
         })
@@ -324,7 +308,7 @@ fn run_match(cx: &Ctx, mode: MatchMode, trace: &Trace, plan: Option<&[usize]>) -
     let mut combined: Vec<Binding> = if per_root.len() == 1 {
         per_root.swap_remove(0)
     } else {
-        combine(cx, &per_root, plan, &mut enforced, trace)
+        combine(cx, &per_root, plan, &mut enforced)
     };
 
     // Residual joins within a single root (or spanning more than two) are
@@ -415,9 +399,8 @@ fn combine(
     per_root: &[Vec<Binding>],
     plan: Option<&[usize]>,
     enforced: &mut HashSet<(QNodeId, QNodeId)>,
-    trace: &Trace,
 ) -> Vec<Binding> {
-    let g = cx.g;
+    let (g, RunCtx { trace, guard }) = (cx.g, cx.run);
     let nroots = per_root.len();
     let roots = Roots::new(g, per_root);
     let owner = &roots.owner;
@@ -470,7 +453,7 @@ fn combine(
             trace.count("left_rows", rows.len() as u64);
             trace.count("right_rows", right.len() as u64);
         }
-        if !cx.guard.ok() {
+        if !guard.ok() {
             return Vec::new();
         }
         rows = if cross_joins.is_empty() {
@@ -478,7 +461,7 @@ fn combine(
             let mut out = Vec::new();
             for t in &rows {
                 // Budget probe: one per output batch (this row's fan-out).
-                if !cx.guard.charge_matches(right.len() as u64) {
+                if !guard.charge_matches(right.len() as u64) {
                     break;
                 }
                 out.extend((0..right.len() as u32).map(|i| extended(t, ri, i)));
@@ -498,7 +481,7 @@ fn combine(
                         &cross_joins,
                         |b| content_hash(cx.doc, idx, b),
                         &mut stats,
-                        cx.guard,
+                        guard,
                     );
                     if trace.is_enabled() {
                         trace.count("probes", stats.probes);
@@ -507,7 +490,7 @@ fn combine(
                     }
                     out
                 }
-                None => hash_join_strings(cx.doc, &roots, &rows, ri, &cross_joins, cx.guard),
+                None => hash_join_strings(cx.doc, &roots, &rows, ri, &cross_joins, guard),
             }
         };
         processed[ri] = true;
@@ -695,119 +678,48 @@ impl<'d> KeyCache<'d> {
 }
 
 /// All embeddings of the pattern tree rooted at `root` anywhere in the
-/// document, optionally fanning candidates across threads. Chunk results are
-/// concatenated in candidate order, so output is deterministic regardless of
-/// scheduling.
-fn match_root(cx: &Ctx, root: QNodeId, mode: MatchMode, trace: &Trace) -> Vec<Binding> {
-    let candidates: Vec<NodeId> = match cx.idx {
+/// document, in candidate (document) order.
+fn match_root(cx: &Ctx, root: QNodeId) -> Vec<Binding> {
+    let RunCtx { trace, guard } = cx.run;
+    let scanned: Vec<NodeId>;
+    let candidates: &[NodeId] = match cx.idx {
         Some(idx) => match (&cx.g.node(root).kind, cx.names[root.index()]) {
-            (QNodeKind::Element(_), NameRes::Sym(sym)) => idx.elements_named_sym(sym).to_vec(),
-            (QNodeKind::Element(_), NameRes::Any) => idx.elements().to_vec(),
+            (QNodeKind::Element(_), NameRes::Sym(sym)) => idx.elements_named_sym(sym),
+            (QNodeKind::Element(_), NameRes::Any) => idx.elements(),
             // Absent names cannot match; check.rs guarantees element roots.
-            _ => Vec::new(),
+            _ => &[],
         },
-        None => match &cx.g.node(root).kind {
-            QNodeKind::Element(NameTest::Name(name)) => cx.doc.elements_named(name).collect(),
-            QNodeKind::Element(NameTest::Wildcard) => cx
-                .doc
-                .descendants(cx.doc.root())
-                .filter(|&d| cx.doc.kind(d) == NodeKind::Element)
-                .collect(),
-            _ => Vec::new(),
-        },
+        None => {
+            scanned = match &cx.g.node(root).kind {
+                QNodeKind::Element(NameTest::Name(name)) => cx.doc.elements_named(name).collect(),
+                QNodeKind::Element(NameTest::Wildcard) => cx
+                    .doc
+                    .descendants(cx.doc.root())
+                    .filter(|&d| cx.doc.kind(d) == NodeKind::Element)
+                    .collect(),
+                _ => Vec::new(),
+            };
+            &scanned
+        }
     };
 
     cx.add_candidates(root, candidates.len() as u64);
+    trace.count("root_candidates", candidates.len() as u64);
 
-    let threads = cx.guard.cap_workers(match mode {
-        MatchMode::Sequential => 1,
-        MatchMode::Parallel | MatchMode::Auto => {
-            if mode == MatchMode::Auto && candidates.len() < PARALLEL_THRESHOLD {
-                1
-            } else {
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1)
-                    .min(candidates.len().max(1))
-            }
+    let mut out = Vec::new();
+    for &c in candidates {
+        // Budget probe: one per root candidate (covers deadline and
+        // cancellation), plus the bindings it produced.
+        if !guard.ok() {
+            break;
         }
-    });
-    if trace.is_enabled() {
-        trace.count("root_candidates", candidates.len() as u64);
-        trace.count("workers", threads as u64);
-    }
-
-    let run_range = |range: &[NodeId]| -> Vec<Binding> {
-        let mut out = Vec::new();
-        for &c in range {
-            // Budget probe: one per root candidate (covers deadline and
-            // cancellation), plus the bindings it produced.
-            if !cx.guard.ok() {
-                break;
-            }
-            let bs = match_node(cx, root, c);
-            if !cx.guard.charge_matches(bs.len() as u64) {
-                break;
-            }
-            out.extend(bs);
+        let bs = match_node(cx, root, c);
+        if !guard.charge_matches(bs.len() as u64) {
+            break;
         }
-        out
-    };
-
-    if threads <= 1 {
-        return run_range(&candidates);
+        out.extend(bs);
     }
-    let chunk_size = candidates.len().div_ceil(threads);
-    let mut results: Vec<Vec<Binding>> = Vec::with_capacity(threads);
-    let mut worker_panicked = false;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = candidates
-            .chunks(chunk_size)
-            .enumerate()
-            .map(|(wi, chunk)| {
-                let run_range = &run_range;
-                s.spawn(move || {
-                    if gql_guard::fault::active() {
-                        gql_guard::fault::maybe_panic_worker(wi);
-                    }
-                    run_range(chunk)
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(r) => results.push(r),
-                // A panicking worker is contained here; degradation happens
-                // after the scope so the remaining workers finish first.
-                Err(_) => worker_panicked = true,
-            }
-        }
-    });
-    if worker_panicked {
-        // Degradation ladder, parallel → sequential: retry the whole
-        // candidate set once on this thread. If the retry panics too, an
-        // enabled guard converts it into a clean WorkerPanic trip (the
-        // caller's checkpoint surfaces it); an unlimited guard propagates
-        // the panic as before.
-        trace.note("degraded", "sequential_retry");
-        let retry =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_range(&candidates)));
-        return match retry {
-            Ok(r) => r,
-            Err(payload) => {
-                if cx.guard.is_enabled() {
-                    cx.guard.trip_external(LimitKind::WorkerPanic);
-                    Vec::new()
-                } else {
-                    std::panic::resume_unwind(payload)
-                }
-            }
-        };
-    }
-    // Worker utilisation: how evenly the per-chunk binding production
-    // spread. Deterministic (chunking is by candidate order).
-    trace.note("worker_out", joined(results.iter().map(Vec::len), "/"));
-    results.into_iter().flatten().collect()
+    out
 }
 
 /// All embeddings of the subtree at `q` assuming it is matched at `data`.
@@ -863,6 +775,7 @@ fn match_node(cx: &Ctx, q: QNodeId, data: NodeId) -> Vec<Binding> {
         // exploding partials × alternatives product trips instead of
         // allocating.
         if !cx
+            .run
             .guard
             .charge_matches((partials.len() * alternatives.len()) as u64)
         {
@@ -1236,7 +1149,7 @@ mod tests {
         assert_eq!(match_rule(&r, &d).len(), 3);
     }
 
-    /// Every rule shape exercised above, for the equivalence tests below.
+    /// Every rule shape exercised above, for the equivalence test below.
     fn rule_zoo() -> Vec<Rule> {
         vec![
             rule(Q::elem("book")),
@@ -1268,20 +1181,8 @@ mod tests {
         let idx = DocIndex::build(&d);
         for r in rule_zoo() {
             assert_eq!(
-                match_rule_with(&r, &d, &idx, MatchMode::Sequential),
+                match_rule_with(&r, &d, &idx, MatchMode::Auto),
                 match_rule_scan(&r, &d),
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_equals_sequential() {
-        let d = doc();
-        let idx = DocIndex::build(&d);
-        for r in rule_zoo() {
-            assert_eq!(
-                match_rule_with(&r, &d, &idx, MatchMode::Parallel),
-                match_rule_with(&r, &d, &idx, MatchMode::Sequential),
             );
         }
     }
@@ -1377,14 +1278,7 @@ mod tests {
 
     /// [`match_rule_in`] under a combine order, nothing traced or bounded.
     fn planned(rule: &Rule, d: &Document, idx: Option<&DocIndex>, order: &[usize]) -> Vec<Binding> {
-        match_rule_in(
-            rule,
-            d,
-            idx,
-            MatchMode::Sequential,
-            Some(order),
-            RunCtx::none(),
-        )
+        match_rule_in(rule, d, idx, Some(order), RunCtx::none())
     }
 
     #[test]
@@ -1412,7 +1306,7 @@ mod tests {
         )
         .unwrap();
         let rule = &p.rules[0];
-        let base = match_rule_with(rule, &d, &idx, MatchMode::Sequential);
+        let base = match_rule_with(rule, &d, &idx, MatchMode::Auto);
         // Declaration order is the nested-loop order, first root outermost:
         // 2 joined title pairs × 2 authors.
         let (t1, a) = (
@@ -1481,7 +1375,7 @@ mod tests {
         )
         .unwrap();
         let rule = &p.rules[0];
-        let base = match_rule_with(rule, &d, &idx, MatchMode::Sequential);
+        let base = match_rule_with(rule, &d, &idx, MatchMode::Auto);
         assert_eq!(base.len(), 1, "only k1 joins, times one <b>");
         for order in [vec![2, 0, 1], vec![2, 1, 0], vec![1, 2, 0]] {
             assert_eq!(

@@ -81,8 +81,8 @@ pub fn run(program: &Program, doc: &Document) -> Result<Document> {
 ///   their roots in that order (identical results, smaller intermediates —
 ///   see [`match_rule_in`]), the rest in declaration order.
 /// * `ctx.trace` receives one `rule[i]` span per rule with `match`
-///   (candidate sets, join statistics, worker fan-out) and `construct`
-///   (nodes materialised) children.
+///   (candidate sets, join statistics) and `construct` (nodes materialised)
+///   children.
 /// * `ctx.guard`: the matcher's budget probes truncate its binding set when
 ///   a limit trips; the `checkpoint()` after each rule's match converts the
 ///   trip into an [`XmlGlError::Budget`](crate::XmlGlError) and discards the
@@ -102,7 +102,7 @@ pub fn run_in(
         let _rule_span = trace.span(format_args!("rule[{i}]"));
         let bindings = {
             let _s = trace.span("match");
-            match_rule_in(rule, doc, idx, MatchMode::Auto, plans.plan_for(i), ctx)
+            match_rule_in(rule, doc, idx, plans.plan_for(i), ctx)
         };
         guard.checkpoint().map_err(crate::XmlGlError::Budget)?;
         {

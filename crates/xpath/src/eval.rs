@@ -122,10 +122,11 @@ fn sort_dedup(doc: &Document, items: &mut Vec<Item>) {
 
 /// Where the per-evaluation [`DocIndex`] comes from: a caller-provided
 /// prebuilt index (the `Engine`'s resident cache), or one built lazily the
-/// first time an indexed fast path asks for it.
+/// first time an indexed fast path asks for it — which is also when its box
+/// is allocated: most evaluations are handed an index and never fill the slot.
 enum IndexSlot<'d> {
     Borrowed(&'d DocIndex),
-    Lazy(Box<std::cell::OnceCell<DocIndex>>),
+    Lazy(std::cell::OnceCell<Box<DocIndex>>),
 }
 
 /// Per-evaluation caches (built lazily, shared across the expression tree).
@@ -160,7 +161,7 @@ impl Default for EvalCaches<'_> {
     fn default() -> Self {
         EvalCaches {
             refs: std::cell::OnceCell::new(),
-            idx: IndexSlot::Lazy(Box::new(std::cell::OnceCell::new())),
+            idx: IndexSlot::Lazy(std::cell::OnceCell::new()),
             ctx: RunCtx::none(),
             in_steps: std::cell::Cell::new(false),
             reference: false,
@@ -179,7 +180,7 @@ impl<'d> EvalCaches<'d> {
     fn index(&self, doc: &Document) -> &DocIndex {
         match &self.idx {
             IndexSlot::Borrowed(i) => i,
-            IndexSlot::Lazy(cell) => cell.get_or_init(|| DocIndex::build(doc)),
+            IndexSlot::Lazy(cell) => cell.get_or_init(|| Box::new(DocIndex::build(doc))),
         }
     }
 
@@ -199,7 +200,7 @@ impl<'d> EvalCaches<'d> {
         match &self.idx {
             IndexSlot::Borrowed(i) => Some(i),
             IndexSlot::Lazy(_) if contexts > 1 && !has_predicates => Some(self.index(doc)),
-            IndexSlot::Lazy(cell) => cell.get(),
+            IndexSlot::Lazy(cell) => cell.get().map(Box::as_ref),
         }
     }
 }

@@ -223,6 +223,38 @@ fn xmlgl_profile_reports_exact_candidates_and_join_counters() {
     assert_eq!(counter(construct, "bindings_in"), 2);
 }
 
+/// A root with many candidates reports what it matched and nothing about how
+/// the work was scheduled: a profile is a function of the query and the data,
+/// never of the host's core count.
+#[test]
+fn xmlgl_profile_of_a_large_root_names_no_scheduling() {
+    let doc = Document::parse_str(&format!("<r>{}</r>", "<a><b/></a>".repeat(100))).unwrap();
+    let program = gql::xmlgl::dsl::parse(
+        "rule { extract { a as $p { b as $q } } construct { out { all $p } } }",
+    )
+    .unwrap();
+    let profile = profiled(&QueryKind::XmlGl(program), &doc);
+    let m = profile.find("match").unwrap();
+    assert_eq!(
+        m.counters,
+        [
+            ("candidates[q0:a]".to_string(), 100),
+            ("candidates[q1:b]".to_string(), 100),
+            ("bindings".to_string(), 100),
+        ]
+    );
+    assert_eq!(m.notes, [("path".to_string(), "indexed".to_string())]);
+    let root = m.find("root[0:a]").unwrap();
+    assert_eq!(
+        root.counters,
+        [
+            ("root_candidates".to_string(), 100),
+            ("bindings".to_string(), 100),
+        ]
+    );
+    assert!(root.notes.is_empty() && root.children.is_empty());
+}
+
 /// An XPath location path over a fixed tree: the profile must report the
 /// exact context sizes flowing between steps, and the postings-fusion hit
 /// for a `//name` prefix.

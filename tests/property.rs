@@ -816,27 +816,6 @@ fn indexed_joins_equal_scan_joins() {
     });
 }
 
-/// Forced-parallel matching returns byte-identical binding lists (same
-/// order) as sequential matching.
-#[test]
-fn parallel_matching_equals_sequential() {
-    use gql::xmlgl::builder::{RuleBuilder, C, Q};
-    use gql::xmlgl::eval::{match_rule_with, MatchMode};
-    check("parallel_matching_equals_sequential", 64, |rng| {
-        let doc = document(rng);
-        let (pt, ct) = (pick(rng, TAGS), pick(rng, TAGS));
-        let rule = RuleBuilder::new()
-            .extract(Q::elem(pt).var("p").child(Q::elem(ct).var("c")))
-            .construct(C::elem("out"))
-            .build()
-            .expect("builds");
-        let idx = gql::ssdm::DocIndex::build(&doc);
-        let seq = match_rule_with(&rule, &doc, &idx, MatchMode::Sequential);
-        let par = match_rule_with(&rule, &doc, &idx, MatchMode::Parallel);
-        assert_eq!(seq, par);
-    });
-}
-
 /// `canonical(a) == canonical(b)` implies
 /// `structural_hash(a) == structural_hash(b)`, and every memoized hash is
 /// exactly the rolling hash of the canonical string.
@@ -1130,7 +1109,7 @@ fn cost_planned_order_is_work_bounded_on_q6_family() {
     use gql::ssdm::generator::{greengrocer, GrocerConfig};
     use gql::ssdm::{DocIndex, Summary};
     use gql::trace::{ExecutionProfile, ProfileNode, Trace};
-    use gql::xmlgl::eval::{match_rule_in, MatchMode};
+    use gql::xmlgl::eval::match_rule_in;
 
     /// Total hash-join work in a profile: rows flowing into combines plus
     /// probe count, summed over every span.
@@ -1182,14 +1161,8 @@ fn cost_planned_order_is_work_bounded_on_q6_family() {
             };
             let run = |order: &[usize]| {
                 let trace = Trace::profiling();
-                let bindings = match_rule_in(
-                    rule,
-                    &doc,
-                    Some(&idx),
-                    MatchMode::Sequential,
-                    Some(order),
-                    RunCtx::traced(&trace),
-                );
+                let bindings =
+                    match_rule_in(rule, &doc, Some(&idx), Some(order), RunCtx::traced(&trace));
                 let profile = trace.finish().expect("profiling trace yields a profile");
                 (bindings, profile)
             };
