@@ -18,8 +18,9 @@
 //!
 //! `smoke` is the CI step: it starts the same service on an ephemeral
 //! port, sends a ping, a 3-query batch over two datasets, a
-//! deliberately-unknown dataset, and every metrics view through a real
-//! socket, and prints each response as one JSON line for
+//! deliberately-unknown dataset, a hot reload, a reload nested past the XML
+//! reader's bound (then a ping: the server survived it) and every metrics
+//! view through a real socket, and prints each response as one JSON line for
 //! `tools/check_serve_json.py` to validate. Exit 1 if any query of the
 //! batch fails.
 //!
@@ -247,6 +248,32 @@ fn cmd_smoke() -> Result<(), String> {
             "smoke: post-reload query not on epoch 2: {}",
             reloaded.render()
         );
+        failures += 1;
+    }
+    // A reload nested ten times past the XML reader's bound: a structured
+    // refusal from a connection thread on its real stack (a recursive reader
+    // overflows it and aborts the process), and the connection lives on.
+    let levels = 10 * gql_ssdm::xml::MAX_DEPTH;
+    let over_deep = send(
+        "reload-over-deep",
+        &format!(
+            r#"{{"op":"reload","dataset":"greengrocer","xml":"{}{}"}}"#,
+            "<n>".repeat(levels),
+            "</n>".repeat(levels)
+        ),
+    )?;
+    let message = over_deep.get("message").and_then(Value::as_str);
+    if over_deep.get("code").and_then(Value::as_str) != Some("bad-request")
+        || !message.is_some_and(|m| m.contains("nested deeper than"))
+    {
+        eprintln!(
+            "smoke: over-deep reload not refused by the nesting bound: {}",
+            over_deep.render()
+        );
+        failures += 1;
+    }
+    let alive = send("ping-after-over-deep", r#"{"op":"ping"}"#)?;
+    if alive.get("pong").and_then(Value::as_bool) != Some(true) {
         failures += 1;
     }
     // The zero-quota tenant: deterministically rate_limited with a

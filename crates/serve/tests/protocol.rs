@@ -391,6 +391,76 @@ fn reload_over_the_wire_advances_the_epoch_queries_report() {
     service.shutdown();
 }
 
+/// A `reload` whose XML nests past `xml::MAX_DEPTH` is refused by the reader
+/// where the recursive parser it replaced overflowed the connection thread's
+/// stack and took the process down. The payload is 10,000 levels, generated
+/// here; nothing is swapped, and the same connection goes on to answer a
+/// ping, a query, and the reload of a document exactly at the bound — which
+/// this thread then indexes, summarises and loads on its 2 MiB stack.
+#[test]
+fn over_deep_reload_is_refused_and_the_connection_keeps_serving() {
+    let (service, server) = test_server();
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let bound = gql_ssdm::xml::MAX_DEPTH;
+    let reload = |levels: usize| {
+        let xml = format!(
+            "{}<a/>{}",
+            "<n>".repeat(levels - 1),
+            "</n>".repeat(levels - 1)
+        );
+        Value::Obj(vec![
+            ("op".into(), Value::str("reload")),
+            ("dataset".into(), Value::str("d")),
+            ("xml".into(), Value::str(xml)),
+        ])
+    };
+    let query =
+        Value::parse(r#"{"op":"query","tenant":"t","dataset":"d","kind":"xpath","query":"//a"}"#)
+            .unwrap();
+
+    let refused = client
+        .roundtrip(&reload(10_000))
+        .expect("a reply, not a dead server");
+    assert_eq!(
+        refused.get("code").and_then(Value::as_str),
+        Some("bad-request"),
+        "{}",
+        refused.render()
+    );
+    let message = refused.get("message").and_then(Value::as_str).unwrap();
+    assert!(
+        message.contains(&format!("nested deeper than {bound} levels")),
+        "{message}"
+    );
+
+    let pong = client
+        .roundtrip(&Value::parse(r#"{"op":"ping"}"#).unwrap())
+        .expect("ping on the same connection");
+    assert_eq!(pong.get("pong").and_then(Value::as_bool), Some(true));
+    let unchanged = client.roundtrip(&query).expect("query");
+    assert_eq!(unchanged.get("epoch").and_then(Value::as_u64), Some(1));
+    assert_eq!(
+        unchanged.get("result_count").and_then(Value::as_u64),
+        Some(3)
+    );
+
+    let swapped = client
+        .roundtrip(&reload(bound))
+        .expect("reload at the bound");
+    let epoch = swapped.get("reload").and_then(|r| r.get("epoch"));
+    assert_eq!(
+        epoch.and_then(Value::as_u64),
+        Some(2),
+        "{}",
+        swapped.render()
+    );
+    let deep = client.roundtrip(&query).expect("query at the bound");
+    assert_eq!(deep.get("epoch").and_then(Value::as_u64), Some(2));
+    assert_eq!(deep.get("result_count").and_then(Value::as_u64), Some(1));
+    server.shutdown();
+    service.shutdown();
+}
+
 #[test]
 fn rate_limited_reply_carries_a_bounded_retry_hint() {
     let (service, server) = test_server();

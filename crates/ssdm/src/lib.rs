@@ -40,6 +40,7 @@ pub mod path;
 pub mod rng;
 pub mod stream;
 pub mod summary;
+mod token;
 pub mod value;
 pub mod xml;
 

@@ -4,18 +4,24 @@
 //! streams ("no in-memory representation … highly relevant for very large
 //! databases"). This module provides that substrate:
 //!
-//! * [`EventReader`] — a pull parser yielding [`Event`]s over the same XML
-//!   subset as [`crate::xml`], in constant memory w.r.t. document size
-//!   (the open-element stack is the only growth);
+//! * [`EventReader`] — a pull parser yielding owned [`Event`]s in constant
+//!   memory w.r.t. document size (the open-element stack is the only
+//!   growth). It reads no bytes itself: it and [`crate::xml::parse`] consume
+//!   the tokens of the crate's one XML reader, so "the same XML subset" —
+//!   the texts accepted, the message and position of every refusal, the
+//!   [`crate::xml::MAX_DEPTH`] nesting bound — holds by construction. Unlike
+//!   the DOM parser it drops nothing: whitespace-only character data is a
+//!   [`Event::Text`] like any other;
 //! * [`StreamPath`] — a streaming evaluator for the navigational core
 //!   (`/a/b//c`-style paths of child and descendant steps over element
 //!   names and `*`), implemented as the classic stack-of-state-sets
-//!   construction.
+//!   construction, straight over the borrowed tokens.
 //!
 //! The DOM engine (`gql-xpath`) and [`StreamPath`] agree on this fragment;
 //! the property tests pin that equivalence.
 
-use crate::error::{Error, Pos, Result};
+use crate::error::{Error, Result};
+use crate::token::{Token, Tokenizer};
 
 /// One parse event.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,7 +35,8 @@ pub enum Event {
     End {
         name: String,
     },
-    /// Text content (entity-decoded; whitespace-only runs included).
+    /// Text content (entity-decoded; whitespace-only runs included). A CDATA
+    /// section is a `Text` of its own.
     Text(String),
     Comment(String),
     Pi {
@@ -40,382 +47,61 @@ pub enum Event {
 
 /// Pull parser over an XML string.
 pub struct EventReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    line: u32,
-    col: u32,
-    /// Open-element stack for well-formedness checking.
-    stack: Vec<String>,
-    /// Queued End event for self-closing tags.
-    pending_end: Option<String>,
-    prolog_done: bool,
-    finished: bool,
-    /// Set once the root element has closed; further start tags error.
-    root_closed: bool,
+    tokens: Tokenizer<'a>,
+    /// Set by the first error: the stream ends there.
+    failed: bool,
 }
 
 impl<'a> EventReader<'a> {
     pub fn new(input: &'a str) -> Self {
         EventReader {
-            bytes: input.as_bytes(),
-            pos: 0,
-            line: 1,
-            col: 1,
-            stack: Vec::new(),
-            pending_end: None,
-            prolog_done: false,
-            finished: false,
-            root_closed: false,
-        }
-    }
-
-    fn err(&self, msg: impl Into<String>) -> Error {
-        Error::xml(Pos::new(self.line, self.col), msg)
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn looking_at(&self, s: &[u8]) -> bool {
-        self.bytes[self.pos..].starts_with(s)
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        if b == b'\n' {
-            self.line += 1;
-            self.col = 1;
-        } else {
-            self.col += 1;
-        }
-        Some(b)
-    }
-
-    fn expect_str(&mut self, s: &[u8]) -> Result<()> {
-        if self.looking_at(s) {
-            for _ in 0..s.len() {
-                self.bump();
-            }
-            Ok(())
-        } else {
-            Err(self.err(format!("expected '{}'", String::from_utf8_lossy(s))))
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.bump();
-        }
-    }
-
-    fn is_name_start(b: u8) -> bool {
-        b.is_ascii_alphabetic() || b == b'_' || b == b':' || b >= 0x80
-    }
-
-    fn is_name_char(b: u8) -> bool {
-        Self::is_name_start(b) || b.is_ascii_digit() || b == b'-' || b == b'.'
-    }
-
-    fn parse_name(&mut self) -> Result<String> {
-        match self.peek() {
-            Some(b) if Self::is_name_start(b) => {}
-            _ => return Err(self.err("expected a name")),
-        }
-        let start = self.pos;
-        while matches!(self.peek(), Some(b) if Self::is_name_char(b)) {
-            self.bump();
-        }
-        Ok(String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned())
-    }
-
-    fn decode_entity(&mut self, out: &mut String) -> Result<()> {
-        self.bump(); // '&'
-        let start = self.pos;
-        while matches!(self.peek(), Some(b) if b != b';') {
-            self.bump();
-        }
-        if self.peek() != Some(b';') {
-            return Err(self.err("unterminated entity reference"));
-        }
-        let name = String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned();
-        self.bump();
-        match name.as_str() {
-            "lt" => out.push('<'),
-            "gt" => out.push('>'),
-            "amp" => out.push('&'),
-            "quot" => out.push('"'),
-            "apos" => out.push('\''),
-            _ => {
-                let cp = if let Some(hex) =
-                    name.strip_prefix("#x").or_else(|| name.strip_prefix("#X"))
-                {
-                    u32::from_str_radix(hex, 16).ok()
-                } else if let Some(dec) = name.strip_prefix('#') {
-                    dec.parse().ok()
-                } else {
-                    None
-                };
-                match cp.and_then(char::from_u32) {
-                    Some(c) => out.push(c),
-                    None => return Err(self.err(format!("unknown entity &{name};"))),
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn skip_prolog(&mut self) -> Result<()> {
-        self.skip_ws();
-        // Exact `<?xml` declaration only; `<?xml-stylesheet?>` is a PI.
-        if self.looking_at(b"<?xml")
-            && matches!(
-                self.bytes.get(self.pos + 5),
-                Some(b' ' | b'\t' | b'\r' | b'\n' | b'?')
-            )
-        {
-            while !self.looking_at(b"?>") {
-                if self.bump().is_none() {
-                    return Err(self.err("unterminated XML declaration"));
-                }
-            }
-            self.expect_str(b"?>")?;
-        }
-        loop {
-            self.skip_ws();
-            if self.looking_at(b"<!DOCTYPE") {
-                let mut depth = 0usize;
-                let mut quote: Option<u8> = None;
-                loop {
-                    match self.bump() {
-                        Some(q @ (b'"' | b'\'')) => match quote {
-                            Some(open) if open == q => quote = None,
-                            Some(_) => {}
-                            None => quote = Some(q),
-                        },
-                        Some(_) if quote.is_some() => {}
-                        Some(b'[') => depth += 1,
-                        Some(b']') => depth = depth.saturating_sub(1),
-                        Some(b'>') if depth == 0 => break,
-                        Some(_) => {}
-                        None => return Err(self.err("unterminated DOCTYPE")),
-                    }
-                }
-            } else {
-                return Ok(());
-            }
+            tokens: Tokenizer::new(input),
+            failed: false,
         }
     }
 
     /// Next event, or `None` at clean end of input.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Option<Result<Event>> {
-        match self.advance() {
-            Ok(Some(ev)) => Some(Ok(ev)),
-            Ok(None) => None,
-            Err(e) => {
-                self.finished = true;
-                Some(Err(e))
-            }
+        if self.failed {
+            return None;
         }
+        let event = self.advance().transpose();
+        self.failed = matches!(event, Some(Err(_)));
+        event
     }
 
     fn advance(&mut self) -> Result<Option<Event>> {
-        if self.finished {
+        let Some(token) = self.tokens.next()? else {
             return Ok(None);
-        }
-        if let Some(name) = self.pending_end.take() {
-            self.stack.pop();
-            if self.stack.is_empty() {
-                self.root_closed = true;
-                self.check_trailer()?;
-            }
-            return Ok(Some(Event::End { name }));
-        }
-        if !self.prolog_done {
-            self.skip_prolog()?;
-            self.prolog_done = true;
-        }
-        if self.stack.is_empty() {
-            self.skip_ws();
-        }
-        let Some(b) = self.peek() else {
-            if self.stack.is_empty() {
-                self.finished = true;
-                return Ok(None);
-            }
-            return Err(self.err(format!(
-                "missing closing tag </{}>",
-                self.stack.last().expect("nonempty")
-            )));
         };
-        if b != b'<' {
-            // Text run.
-            if self.stack.is_empty() {
-                return Err(self.err("text is not allowed at the top level"));
-            }
-            let mut text = String::new();
-            loop {
-                match self.peek() {
-                    Some(b'<') | None => break,
-                    Some(b'&') => self.decode_entity(&mut text)?,
-                    Some(_) => {
-                        let start = self.pos;
-                        while matches!(self.peek(), Some(b) if b != b'<' && b != b'&') {
-                            self.bump();
-                        }
-                        text.push_str(&String::from_utf8_lossy(&self.bytes[start..self.pos]));
-                    }
+        Ok(Some(match token {
+            Token::Start(name) => {
+                let mut attrs = Vec::new();
+                while let Some((attr, value)) = self.tokens.next_attr()? {
+                    attrs.push((attr.to_string(), value.into_owned()));
+                }
+                Event::Start {
+                    name: name.to_string(),
+                    attrs,
                 }
             }
-            return Ok(Some(Event::Text(text)));
-        }
-        if self.looking_at(b"<!--") {
-            self.expect_str(b"<!--")?;
-            let start = self.pos;
-            while !self.looking_at(b"-->") {
-                if self.bump().is_none() {
-                    return Err(self.err("unterminated comment"));
-                }
-            }
-            let text = String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned();
-            self.expect_str(b"-->")?;
-            return Ok(Some(Event::Comment(text)));
-        }
-        if self.looking_at(b"<![CDATA[") {
-            self.expect_str(b"<![CDATA[")?;
-            if self.stack.is_empty() {
-                return Err(self.err("CDATA is not allowed at the top level"));
-            }
-            let start = self.pos;
-            while !self.looking_at(b"]]>") {
-                if self.bump().is_none() {
-                    return Err(self.err("unterminated CDATA"));
-                }
-            }
-            let text = String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned();
-            self.expect_str(b"]]>")?;
-            return Ok(Some(Event::Text(text)));
-        }
-        if self.looking_at(b"<?") {
-            self.expect_str(b"<?")?;
-            let target = self.parse_name()?;
-            self.skip_ws();
-            let start = self.pos;
-            while !self.looking_at(b"?>") {
-                if self.bump().is_none() {
-                    return Err(self.err("unterminated processing instruction"));
-                }
-            }
-            let data = String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned();
-            self.expect_str(b"?>")?;
-            return Ok(Some(Event::Pi { target, data }));
-        }
-        if self.looking_at(b"</") {
-            self.expect_str(b"</")?;
-            let name = self.parse_name()?;
-            self.skip_ws();
-            self.expect_str(b">")?;
-            match self.stack.pop() {
-                Some(open) if open == name => {
-                    if self.stack.is_empty() {
-                        self.root_closed = true;
-                        self.check_trailer()?;
-                    }
-                    Ok(Some(Event::End { name }))
-                }
-                Some(open) => Err(self.err(format!(
-                    "mismatched closing tag </{name}>, expected </{open}>"
-                ))),
-                None => Err(self.err(format!("stray closing tag </{name}>"))),
-            }
-        } else {
-            // Start tag.
-            if self.stack.is_empty() && self.root_closed {
-                return Err(self.err("more than one top-level element"));
-            }
-            self.expect_str(b"<")?;
-            let name = self.parse_name()?;
-            let mut attrs = Vec::new();
-            loop {
-                self.skip_ws();
-                match self.peek() {
-                    Some(b'>') => {
-                        self.bump();
-                        self.stack.push(name.clone());
-                        return Ok(Some(Event::Start { name, attrs }));
-                    }
-                    Some(b'/') => {
-                        self.bump();
-                        self.expect_str(b">")?;
-                        self.stack.push(name.clone());
-                        self.pending_end = Some(name.clone());
-                        return Ok(Some(Event::Start { name, attrs }));
-                    }
-                    Some(b) if Self::is_name_start(b) => {
-                        let attr = self.parse_name()?;
-                        self.skip_ws();
-                        self.expect_str(b"=")?;
-                        self.skip_ws();
-                        let quote = match self.peek() {
-                            Some(q @ (b'"' | b'\'')) => q,
-                            _ => return Err(self.err("expected quoted attribute value")),
-                        };
-                        self.bump();
-                        let mut value = String::new();
-                        loop {
-                            match self.peek() {
-                                Some(q) if q == quote => {
-                                    self.bump();
-                                    break;
-                                }
-                                Some(b'&') => self.decode_entity(&mut value)?,
-                                Some(b'<') => return Err(self.err("'<' in attribute value")),
-                                Some(_) => {
-                                    let start = self.pos;
-                                    while matches!(self.peek(), Some(b) if b != quote && b != b'&' && b != b'<')
-                                    {
-                                        self.bump();
-                                    }
-                                    value.push_str(&String::from_utf8_lossy(
-                                        &self.bytes[start..self.pos],
-                                    ));
-                                }
-                                None => return Err(self.err("unterminated attribute value")),
-                            }
-                        }
-                        if attrs.iter().any(|(n, _)| n == &attr) {
-                            return Err(self.err(format!("duplicate attribute '{attr}'")));
-                        }
-                        attrs.push((attr, value));
-                    }
-                    Some(x) => return Err(self.err(format!("unexpected '{}' in tag", x as char))),
-                    None => return Err(self.err("unterminated start tag")),
-                }
-            }
-        }
-    }
-
-    /// After the root element closes, only whitespace/comments/PIs may follow.
-    fn check_trailer(&mut self) -> Result<()> {
-        let save = (self.pos, self.line, self.col);
-        self.skip_ws();
-        if self.peek().is_some() && !self.looking_at(b"<!--") && !self.looking_at(b"<?") {
-            if self.looking_at(b"<") && !self.looking_at(b"</") {
-                return Err(self.err("more than one top-level element"));
-            }
-            if !self.looking_at(b"<") {
-                return Err(self.err("text after the root element"));
-            }
-        }
-        (self.pos, self.line, self.col) = save;
-        Ok(())
+            Token::End(name) => Event::End {
+                name: name.to_string(),
+            },
+            Token::Text(text) => Event::Text(text.into_owned()),
+            Token::CData(text) => Event::Text(text.to_string()),
+            Token::Comment(text) => Event::Comment(text.to_string()),
+            Token::Pi { target, data } => Event::Pi {
+                target: target.to_string(),
+                data: data.to_string(),
+            },
+        }))
     }
 
     /// Current open-element depth.
     pub fn depth(&self) -> usize {
-        self.stack.len()
+        self.tokens.depth()
     }
 }
 
@@ -505,16 +191,15 @@ impl StreamPath {
         // i steps are matched by ancestors". State = steps.len() is a match.
         let nsteps = self.steps.len();
         let mut stack: Vec<Vec<usize>> = Vec::new();
-        // Open captures: (depth of the matched element, index into captures).
+        // Open captures: (depth of the matched element, index into captures),
+        // the depth being `stack`'s length with the element on it.
         let mut capturing: Vec<(usize, usize)> = Vec::new();
         let mut captures: Vec<String> = Vec::new();
         let mut count = 0usize;
-        let mut reader = EventReader::new(input);
-        let mut depth = 0usize;
-        while let Some(ev) = reader.next() {
-            match ev? {
-                Event::Start { name, .. } => {
-                    depth += 1;
+        let mut tokens = Tokenizer::new(input);
+        while let Some(token) = tokens.next()? {
+            match token {
+                Token::Start(name) => {
                     // States active for children of the parent.
                     let parent_states: Vec<usize> = match stack.last() {
                         Some(s) => s.clone(),
@@ -536,7 +221,7 @@ impl StreamPath {
                     }
                     if here.contains(&nsteps) {
                         count += 1;
-                        capturing.push((depth, captures.len()));
+                        capturing.push((stack.len() + 1, captures.len()));
                         captures.push(String::new());
                         // A full match cannot extend further; drop the
                         // terminal state from propagation.
@@ -544,27 +229,29 @@ impl StreamPath {
                     }
                     stack.push(here);
                 }
-                Event::End { .. } => {
-                    if capturing.last().map(|&(d, _)| d) == Some(depth) {
+                Token::End(_) => {
+                    if capturing.last().map(|&(d, _)| d) == Some(stack.len()) {
                         capturing.pop();
                     }
                     stack.pop();
-                    depth -= 1;
                 }
-                Event::Text(t) => {
-                    // Text belongs to every open capture (nested matches
-                    // each collect it, matching `text_content`).
-                    for &(_, idx) in &capturing {
-                        captures[idx].push_str(&t);
-                    }
-                }
-                Event::Comment(_) | Event::Pi { .. } => {}
+                Token::Text(t) => capture_text(&capturing, &mut captures, &t),
+                Token::CData(t) => capture_text(&capturing, &mut captures, t),
+                Token::Comment(_) | Token::Pi { .. } => {}
             }
         }
         Ok(StreamOutcome {
             count,
             texts: captures,
         })
+    }
+}
+
+/// Text belongs to every open capture (nested matches each collect it,
+/// matching `text_content`).
+fn capture_text(capturing: &[(usize, usize)], captures: &mut [String], text: &str) {
+    for &(_, idx) in capturing {
+        captures[idx].push_str(text);
     }
 }
 

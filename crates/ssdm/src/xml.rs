@@ -3,418 +3,62 @@
 //! Supports the slice of XML the semi-structured data model needs: elements,
 //! attributes (single- or double-quoted), text, comments, processing
 //! instructions, CDATA sections, the five predefined entities plus numeric
-//! character references, and an (ignored) XML declaration / DOCTYPE line.
+//! character references, and an (ignored) XML declaration / DOCTYPE.
 //! Not supported: namespaces-as-semantics (prefixed names are kept verbatim
 //! as plain names), external entities, and parameter entities.
 //!
-//! Whitespace-only text nodes between elements are dropped — the engines
-//! operate on data-oriented documents where such nodes are formatting noise.
+//! [`parse`] reads no bytes itself: it builds a [`Document`] from the tokens
+//! of the crate's one XML reader, the same tokens [`crate::stream`] turns
+//! into events, so the two accept the same texts and word their refusals
+//! alike by construction. Two policies are this consumer's own: character
+//! data that is all whitespace is dropped — the engines operate on
+//! data-oriented documents where such nodes are formatting noise — while a
+//! CDATA section is kept verbatim, whitespace or not.
 
 use crate::document::{Document, NodeKind};
-use crate::error::{Error, Pos, Result};
+use crate::error::Result;
+use crate::token::{Token, Tokenizer};
 use crate::NodeId;
+
+/// Deepest element nesting the reader accepts; a text that nests further is
+/// refused with a positioned error naming this bound, by [`parse`] and
+/// [`crate::stream::EventReader`] alike. The reader itself does not recurse,
+/// but [`write()`] and the loaders downstream of a parsed document do, once
+/// per level, on threads with 2 MiB stacks (`gql-serve`'s connection and
+/// worker threads). A document at the bound goes through all of them on
+/// such a stack, unoptimised, with room for 1.75 times the depth
+/// (`tests/end_to_end.rs`); libxml2's default is 256.
+pub const MAX_DEPTH: usize = 1024;
 
 /// Parse an XML string into a [`Document`].
 pub fn parse(input: &str) -> Result<Document> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-        line: 1,
-        col: 1,
-    };
+    let mut tokens = Tokenizer::new(input);
     let mut doc = Document::new();
-    let root = doc.root();
-    p.skip_prolog(&mut doc, root)?;
-    let mut saw_element = false;
-    loop {
-        p.skip_ws();
-        if p.eof() {
-            break;
-        }
-        if p.peek() != Some(b'<') {
-            return Err(p.err("text content is not allowed at the top level"));
-        }
-        match p.peek2() {
-            Some(b'!') => {
-                if p.looking_at(b"<!--") {
-                    let c = p.parse_comment(&mut doc)?;
-                    doc.append_child(root, c).expect("top-level comment");
-                } else {
-                    return Err(p.err("unexpected markup at top level"));
-                }
-            }
-            Some(b'?') => {
-                let pi = p.parse_pi(&mut doc)?;
-                doc.append_child(root, pi).expect("top-level PI");
-            }
-            _ => {
-                if saw_element {
-                    return Err(p.err("more than one top-level element"));
-                }
-                let el = p.parse_element(&mut doc)?;
-                doc.append_child(root, el).expect("top-level element");
-                saw_element = true;
-            }
-        }
-    }
-    if !saw_element {
-        return Err(p.err("document has no root element"));
-    }
-    Ok(doc)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    line: u32,
-    col: u32,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, msg: impl Into<String>) -> Error {
-        Error::xml(Pos::new(self.line, self.col), msg)
-    }
-
-    fn eof(&self) -> bool {
-        self.pos >= self.bytes.len()
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn peek2(&self) -> Option<u8> {
-        self.bytes.get(self.pos + 1).copied()
-    }
-
-    fn looking_at(&self, s: &[u8]) -> bool {
-        self.bytes[self.pos..].starts_with(s)
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        if b == b'\n' {
-            self.line += 1;
-            self.col = 1;
-        } else {
-            self.col += 1;
-        }
-        Some(b)
-    }
-
-    fn expect(&mut self, b: u8) -> Result<()> {
-        match self.peek() {
-            Some(x) if x == b => {
-                self.bump();
-                Ok(())
-            }
-            Some(x) => Err(self.err(format!("expected '{}', found '{}'", b as char, x as char))),
-            None => Err(self.err(format!("expected '{}', found end of input", b as char))),
-        }
-    }
-
-    fn expect_str(&mut self, s: &[u8]) -> Result<()> {
-        if self.looking_at(s) {
-            for _ in 0..s.len() {
-                self.bump();
-            }
-            Ok(())
-        } else {
-            Err(self.err(format!("expected '{}'", String::from_utf8_lossy(s))))
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.bump();
-        }
-    }
-
-    /// Skip XML declaration and a DOCTYPE line (internal subsets are skipped
-    /// by bracket counting; their content is not interpreted here — use the
-    /// [`crate::dtd`] module to parse DTDs on their own).
-    fn skip_prolog(&mut self, doc: &mut Document, root: NodeId) -> Result<()> {
-        self.skip_ws();
-        // Only the exact declaration target `xml` is a declaration;
-        // `<?xml-stylesheet …?>` is an ordinary PI and must be kept.
-        if self.looking_at(b"<?xml")
-            && matches!(
-                self.bytes.get(self.pos + 5),
-                Some(b' ' | b'\t' | b'\r' | b'\n' | b'?')
-            )
-        {
-            while !self.looking_at(b"?>") {
-                if self.bump().is_none() {
-                    return Err(self.err("unterminated XML declaration"));
-                }
-            }
-            self.expect_str(b"?>")?;
-        }
-        loop {
-            self.skip_ws();
-            if self.looking_at(b"<!--") {
-                let c = self.parse_comment(doc)?;
-                doc.append_child(root, c).expect("prolog comment");
-                continue;
-            }
-            if self.looking_at(b"<!DOCTYPE") {
-                let mut depth = 0usize;
-                let mut quote: Option<u8> = None;
-                loop {
-                    match self.bump() {
-                        Some(q @ (b'"' | b'\'')) => match quote {
-                            Some(open) if open == q => quote = None,
-                            Some(_) => {}
-                            None => quote = Some(q),
-                        },
-                        Some(_) if quote.is_some() => {}
-                        Some(b'[') => depth += 1,
-                        Some(b']') => depth = depth.saturating_sub(1),
-                        Some(b'>') if depth == 0 => break,
-                        Some(_) => {}
-                        None => return Err(self.err("unterminated DOCTYPE")),
-                    }
-                }
-                continue;
-            }
-            break;
-        }
-        Ok(())
-    }
-
-    fn is_name_start(b: u8) -> bool {
-        b.is_ascii_alphabetic() || b == b'_' || b == b':' || b >= 0x80
-    }
-
-    fn is_name_char(b: u8) -> bool {
-        Self::is_name_start(b) || b.is_ascii_digit() || b == b'-' || b == b'.'
-    }
-
-    fn parse_name(&mut self) -> Result<String> {
-        match self.peek() {
-            Some(b) if Self::is_name_start(b) => {}
-            _ => return Err(self.err("expected a name")),
-        }
-        let start = self.pos;
-        while matches!(self.peek(), Some(b) if Self::is_name_char(b)) {
-            self.bump();
-        }
-        Ok(std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid UTF-8 in name"))?
-            .to_string())
-    }
-
-    fn parse_entity(&mut self, out: &mut String) -> Result<()> {
-        // self.peek() == '&'
-        self.bump();
-        let start = self.pos;
-        while matches!(self.peek(), Some(b) if b != b';') {
-            self.bump();
-        }
-        if self.peek() != Some(b';') {
-            return Err(self.err("unterminated entity reference"));
-        }
-        let name = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid UTF-8 in entity"))?
-            .to_string();
-        self.bump(); // ';'
-        match name.as_str() {
-            "lt" => out.push('<'),
-            "gt" => out.push('>'),
-            "amp" => out.push('&'),
-            "quot" => out.push('"'),
-            "apos" => out.push('\''),
-            _ => {
-                if let Some(rest) = name.strip_prefix("#x").or_else(|| name.strip_prefix("#X")) {
-                    let cp = u32::from_str_radix(rest, 16)
-                        .map_err(|_| self.err(format!("bad character reference &{name};")))?;
-                    out.push(
-                        char::from_u32(cp)
-                            .ok_or_else(|| self.err(format!("invalid code point {cp:#x}")))?,
-                    );
-                } else if let Some(rest) = name.strip_prefix('#') {
-                    let cp = rest
-                        .parse::<u32>()
-                        .map_err(|_| self.err(format!("bad character reference &{name};")))?;
-                    out.push(
-                        char::from_u32(cp)
-                            .ok_or_else(|| self.err(format!("invalid code point {cp}")))?,
-                    );
-                } else {
-                    return Err(self.err(format!("unknown entity &{name};")));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn parse_attr_value(&mut self) -> Result<String> {
-        let quote = match self.peek() {
-            Some(q @ (b'"' | b'\'')) => q,
-            _ => return Err(self.err("expected quoted attribute value")),
-        };
-        self.bump();
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                Some(q) if q == quote => {
-                    self.bump();
-                    return Ok(out);
-                }
-                Some(b'&') => self.parse_entity(&mut out)?,
-                Some(b'<') => return Err(self.err("'<' is not allowed in attribute values")),
-                Some(_) => {
-                    let start = self.pos;
-                    while matches!(self.peek(), Some(b) if b != quote && b != b'&' && b != b'<') {
-                        self.bump();
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| self.err("invalid UTF-8 in attribute"))?,
-                    );
-                }
-                None => return Err(self.err("unterminated attribute value")),
-            }
-        }
-    }
-
-    fn parse_comment(&mut self, doc: &mut Document) -> Result<NodeId> {
-        self.expect_str(b"<!--")?;
-        let start = self.pos;
-        while !self.looking_at(b"-->") {
-            if self.bump().is_none() {
-                return Err(self.err("unterminated comment"));
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid UTF-8 in comment"))?
-            .to_string();
-        self.expect_str(b"-->")?;
-        Ok(doc.create_comment(&text))
-    }
-
-    fn parse_pi(&mut self, doc: &mut Document) -> Result<NodeId> {
-        self.expect_str(b"<?")?;
-        let target = self.parse_name()?;
-        self.skip_ws();
-        let start = self.pos;
-        while !self.looking_at(b"?>") {
-            if self.bump().is_none() {
-                return Err(self.err("unterminated processing instruction"));
-            }
-        }
-        let data = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid UTF-8 in PI"))?
-            .to_string();
-        self.expect_str(b"?>")?;
-        Ok(doc.create_pi(&target, &data))
-    }
-
-    fn parse_cdata(&mut self, doc: &mut Document) -> Result<NodeId> {
-        self.expect_str(b"<![CDATA[")?;
-        let start = self.pos;
-        while !self.looking_at(b"]]>") {
-            if self.bump().is_none() {
-                return Err(self.err("unterminated CDATA section"));
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid UTF-8 in CDATA"))?
-            .to_string();
-        self.expect_str(b"]]>")?;
-        Ok(doc.create_text(&text))
-    }
-
-    fn parse_element(&mut self, doc: &mut Document) -> Result<NodeId> {
-        self.expect(b'<')?;
-        let name = self.parse_name()?;
-        let el = doc.create_element(&name);
-        loop {
-            self.skip_ws();
-            match self.peek() {
-                Some(b'>') => {
-                    self.bump();
-                    break;
-                }
-                Some(b'/') => {
-                    self.bump();
-                    self.expect(b'>')?;
-                    return Ok(el);
-                }
-                Some(b) if Self::is_name_start(b) => {
-                    let attr = self.parse_name()?;
-                    self.skip_ws();
-                    self.expect(b'=')?;
-                    self.skip_ws();
-                    let value = self.parse_attr_value()?;
-                    if doc.attr(el, &attr).is_some() {
-                        return Err(self.err(format!("duplicate attribute '{attr}'")));
-                    }
-                    doc.set_attr(el, &attr, &value)
+    // The open elements, innermost last, over the document node.
+    let mut open = vec![doc.root()];
+    while let Some(token) = tokens.next()? {
+        let node = match token {
+            Token::Start(name) => {
+                let el = doc.create_element(name);
+                while let Some((attr, value)) = tokens.next_attr()? {
+                    doc.set_attr(el, attr, &value)
                         .expect("element accepts attrs");
                 }
-                Some(x) => return Err(self.err(format!("unexpected '{}' in tag", x as char))),
-                None => return Err(self.err("unterminated start tag")),
+                open.push(el);
+                continue;
             }
-        }
-        // Content.
-        let mut text = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err(format!("missing closing tag </{name}>"))),
-                Some(b'<') => {
-                    self.flush_text(doc, el, &mut text);
-                    if self.looking_at(b"</") {
-                        self.expect_str(b"</")?;
-                        let close = self.parse_name()?;
-                        if close != name {
-                            return Err(self.err(format!(
-                                "mismatched closing tag </{close}>, expected </{name}>"
-                            )));
-                        }
-                        self.skip_ws();
-                        self.expect(b'>')?;
-                        return Ok(el);
-                    } else if self.looking_at(b"<!--") {
-                        let c = self.parse_comment(doc)?;
-                        doc.append_child(el, c).expect("fresh comment");
-                    } else if self.looking_at(b"<![CDATA[") {
-                        let t = self.parse_cdata(doc)?;
-                        doc.append_child(el, t).expect("fresh cdata text");
-                    } else if self.looking_at(b"<?") {
-                        let pi = self.parse_pi(doc)?;
-                        doc.append_child(el, pi).expect("fresh PI");
-                    } else {
-                        let child = self.parse_element(doc)?;
-                        doc.append_child(el, child).expect("fresh element");
-                    }
-                }
-                Some(b'&') => self.parse_entity(&mut text)?,
-                Some(_) => {
-                    let start = self.pos;
-                    while matches!(self.peek(), Some(b) if b != b'<' && b != b'&') {
-                        self.bump();
-                    }
-                    text.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| self.err("invalid UTF-8 in text"))?,
-                    );
-                }
-            }
-        }
+            // An element joins its parent once it is complete.
+            Token::End(_) => open.pop().expect("an End closes an open element"),
+            Token::Text(text) if text.chars().all(char::is_whitespace) => continue,
+            Token::Text(text) => doc.create_text(&text),
+            Token::CData(text) => doc.create_text(text),
+            Token::Comment(text) => doc.create_comment(text),
+            Token::Pi { target, data } => doc.create_pi(target, data),
+        };
+        let parent = *open.last().expect("the document node stays open");
+        doc.append_child(parent, node).expect("fresh node");
     }
-
-    fn flush_text(&self, doc: &mut Document, parent: NodeId, text: &mut String) {
-        if text.is_empty() {
-            return;
-        }
-        if !text.chars().all(char::is_whitespace) {
-            let t = doc.create_text(text);
-            doc.append_child(parent, t).expect("fresh text");
-        }
-        text.clear();
-    }
+    Ok(doc)
 }
 
 // ----------------------------------------------------------------------

@@ -1,7 +1,10 @@
 //! Building, writing and dropping an answer costs no heap allocation per
 //! node: the Q1 answer of the scale-1000 city guide (every `restaurant`
 //! subtree copied under one `answer` element) under a counting allocator.
-//! One test, so that nothing else allocates in this binary while it counts.
+//! Nor does reading a document: parsing the guide's own serialisation costs
+//! the pools' doublings, the interned names and a copy per text that had a
+//! reference to decode. One test, so that nothing else allocates in this
+//! binary while it counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -70,6 +73,21 @@ fn an_answer_is_built_written_and_dropped_without_an_allocation_per_node() {
         written <= 2,
         "{written} allocations for {} bytes",
         xml.len()
+    );
+
+    // The DOM parser consumes the reader's borrowed tokens: no `String` per
+    // name, attribute or value (48,509 allocations with one each), and never
+    // the streaming reader's owned events (66,513 to produce them alone).
+    let text = guide.to_xml_string();
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let reread = gql_ssdm::xml::parse(&text).unwrap();
+    let parsed = ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(reread.node_count(), guide.node_count());
+    assert!(
+        parsed <= 1_000,
+        "{parsed} allocations to parse {} nodes from {} bytes",
+        reread.node_count(),
+        text.len()
     );
 
     let before = FREES.load(Ordering::Relaxed);

@@ -293,3 +293,51 @@ fn schema_checks_span_both_formalisms() {
     let gl = gql::xmlgl::schema::GlSchema::from_dtd(&dtd);
     assert!(gl.validate(&doc).is_empty());
 }
+
+/// What `xml::MAX_DEPTH` was chosen by: a document nested exactly that deep
+/// goes through every layer that recurses once per level — index, summary,
+/// WG-Log load, the three engines copying the whole chain into their
+/// answers, both serialisers — on a thread with the 2 MiB stack that
+/// `gql-serve`'s connection and worker threads get.
+#[test]
+fn a_document_at_the_nesting_bound_fits_a_2_mib_stack_in_every_layer() {
+    let through_every_layer = || {
+        let depth = gql::ssdm::xml::MAX_DEPTH;
+        let xml = format!(
+            "{}<leaf id=\"x\">deep</leaf>{}",
+            "<n>".repeat(depth - 1),
+            "</n>".repeat(depth - 1)
+        );
+        let doc = Document::parse_str(&xml).expect("a document at the bound parses");
+        let mut engine = Engine::new();
+        // Index, summary and WG-Log instance, as a catalog reload builds them.
+        engine.preload(&doc);
+        let xmlgl = gql::xmlgl::dsl::parse(
+            "rule { extract { n as $n { deep leaf as $l } } construct { answer { all $n } } }",
+        )
+        .unwrap();
+        let wglog = gql::wglog::dsl::parse(
+            "rule { query { $n: n } construct { $l: answer $l -member-> $n } } goal answer",
+        )
+        .unwrap();
+        for query in [
+            QueryKind::XmlGl(xmlgl),
+            QueryKind::WgLog(wglog),
+            QueryKind::XPath("//n[.//leaf = 'deep']".into()),
+        ] {
+            let outcome = engine.run(&query, &doc).expect("runs");
+            assert!(outcome.result_count >= 1, "{query:?}");
+            assert!(outcome.output.to_xml_string().contains("deep"), "{query:?}");
+        }
+        assert_eq!(doc.to_xml_string(), xml);
+        let pretty = doc.to_xml_pretty();
+        assert_eq!(Document::parse_str(&pretty).unwrap().to_xml_string(), xml);
+        assert_eq!(doc.text_content(doc.root()), "deep");
+    };
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(through_every_layer)
+        .expect("spawns")
+        .join()
+        .expect("no layer overflows the stack at the bound");
+}

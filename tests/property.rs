@@ -90,6 +90,17 @@ fn traversal_visits_each_node_once() {
 // The document store against its reference model
 // ----------------------------------------------------------------------
 
+/// A tree-shaped document and a small reference-graph (`webgraph`) one.
+fn tree_and_web(rng: &mut Rng) -> [Document; 2] {
+    let web = webgraph(WebConfig {
+        docs: rng.gen_range(1..12),
+        links_per_doc: rng.gen_range(0..4),
+        index_percent: 50,
+        seed: rng.next_u64(),
+    });
+    [document(rng), web]
+}
+
 /// Names, texts and attribute values of the store programs: short, and
 /// with every character the writer escapes and some that take more than one
 /// byte.
@@ -109,13 +120,7 @@ fn document_store_agrees_with_its_reference_model() {
         192,
         |rng| {
             // Two sources with different symbol tables, imported from in turn.
-            let web = webgraph(WebConfig {
-                docs: rng.gen_range(1..12),
-                links_per_doc: rng.gen_range(0..4),
-                index_percent: 50,
-                seed: rng.next_u64(),
-            });
-            let sources = [document(rng), web];
+            let sources = tree_and_web(rng);
             let source_models = sources.each_ref().map(DocModel::of);
             for (model, src) in source_models.iter().zip(&sources) {
                 model.assert_matches(src);
@@ -444,25 +449,155 @@ fn negation_partitions() {
 // Streaming vs DOM agreement
 // ----------------------------------------------------------------------
 
-/// The streaming event reader accepts exactly the serializer's output and
-/// sees one Start per element.
+/// Rebuild a document from parse events the way `xml::parse` builds one
+/// from the same text: every event kept, all-whitespace character data
+/// dropped.
+fn document_from_events(events: &[gql::ssdm::stream::Event]) -> Document {
+    use gql::ssdm::stream::Event;
+    let mut doc = Document::new();
+    let mut open = vec![doc.root()];
+    for event in events {
+        let parent = *open.last().expect("events are balanced");
+        match event {
+            Event::Start { name, attrs } => {
+                let el = doc.add_element(parent, name);
+                for (attr, value) in attrs {
+                    doc.set_attr(el, attr, value).expect("attrs on elements");
+                }
+                open.push(el);
+            }
+            Event::End { .. } => {
+                open.pop();
+            }
+            Event::Text(t) if t.chars().all(char::is_whitespace) => {}
+            Event::Text(t) => {
+                doc.add_text(parent, t);
+            }
+            Event::Comment(t) => {
+                let c = doc.create_comment(t);
+                doc.append_child(parent, c).expect("fresh comment");
+            }
+            Event::Pi { target, data } => {
+                let pi = doc.create_pi(target, data);
+                doc.append_child(parent, pi).expect("fresh PI");
+            }
+        }
+    }
+    doc
+}
+
+/// `s` as character data or, inside `quote`, as an attribute value: what
+/// must be escaped is, through a named entity or a decimal or hex character
+/// reference, and now and then so is a character that need not be.
+fn decorated_chars(rng: &mut Rng, s: &str, quote: Option<char>, out: &mut String) {
+    for c in s.chars() {
+        let named = match c {
+            '<' => Some("&lt;"),
+            '>' => Some("&gt;"),
+            '&' => Some("&amp;"),
+            '"' => Some("&quot;"),
+            '\'' => Some("&apos;"),
+            _ => None,
+        };
+        let must = matches!(c, '<' | '&') || Some(c) == quote;
+        match (named, rng.gen_range(0..if must { 3 } else { 12 })) {
+            (Some(entity), 0) => out.push_str(entity),
+            (_, 0 | 1) => out.push_str(&format!("&#{};", c as u32)),
+            (_, 2) => out.push_str(&format!("&#x{:X};", c as u32)),
+            _ => out.push(c),
+        }
+    }
+}
+
+/// Another text of the subtree at `node`: both quote styles, blanks inside
+/// tags, `<a></a>` for `<a/>`, CDATA sections, and references as
+/// [`decorated_chars`] writes them.
+fn decorated_node(rng: &mut Rng, doc: &Document, node: NodeId, out: &mut String) {
+    match doc.kind(node) {
+        NodeKind::Document => unreachable!("only subtrees are rendered"),
+        NodeKind::Comment => out.push_str(&format!("<!--{}-->", doc.text(node).unwrap())),
+        NodeKind::Pi => {
+            let (target, data) = (doc.name(node).unwrap(), doc.text(node).unwrap());
+            out.push_str(&format!("<?{target} {data}?>"));
+        }
+        NodeKind::Text => {
+            let text = doc.text(node).unwrap();
+            if !text.contains("]]>") && rng.gen_bool(0.3) {
+                out.push_str(&format!("<![CDATA[{text}]]>"));
+            } else {
+                decorated_chars(rng, text, None, out);
+            }
+        }
+        NodeKind::Element => {
+            let name = doc.name(node).unwrap();
+            out.push('<');
+            out.push_str(name);
+            for (attr, value) in doc.attrs(node) {
+                let quote = if rng.gen_bool(0.5) { '"' } else { '\'' };
+                let eq = ["=", " = ", "\n="][rng.gen_range(0..3)];
+                out.push_str(&format!(" {attr}{eq}{quote}"));
+                decorated_chars(rng, value, Some(quote), out);
+                out.push(quote);
+            }
+            out.push_str(["", " ", "\n\t"][rng.gen_range(0..3)]);
+            if doc.children(node).is_empty() && rng.gen_bool(0.5) {
+                out.push_str("/>");
+                return;
+            }
+            out.push('>');
+            for &c in doc.children(node) {
+                decorated_node(rng, doc, c, out);
+            }
+            out.push_str(&format!("</{name}{}>", ["", " "][rng.gen_range(0..2)]));
+        }
+    }
+}
+
+/// A decorated text of `doc` (which has one root element and nothing else at
+/// the top) and what it must parse to: declaration, prolog comment, a
+/// DOCTYPE whose internal subset quotes a `]`, a PI, then the root as
+/// [`decorated_node`] writes it, then a trailer. The declaration and the
+/// DOCTYPE leave no trace; the comments and PIs stay, around `doc`'s own
+/// compact serialisation.
+fn decorated(rng: &mut Rng, doc: &Document) -> (String, String) {
+    let mut src = String::from(
+        "<?xml version=\"1.0\"?>\n<!-- prolog -->\n\
+         <!DOCTYPE r [<!ENTITY close \"]>\"> <!ENTITY open '['>]>\n<?style a='b'?>\n",
+    );
+    decorated_node(rng, doc, doc.root_element().expect("a root"), &mut src);
+    src.push_str("\n<!-- trailer --><?done?>\n");
+    let expected = format!(
+        "<!-- prolog --><?style a='b'?>{}<!-- trailer --><?done?>",
+        doc.to_xml_string()
+    );
+    (src, expected)
+}
+
+/// The streaming reader and the DOM parser read one tree out of a text: a
+/// document rebuilt from the events serialises byte for byte like
+/// `xml::parse` of the same text — over tree-shaped and reference-graph
+/// documents, in the writer's own rendering and in a decorated one that
+/// exercises the rest of the grammar, which must also decode to the tree it
+/// was rendered from.
 #[test]
 fn stream_reader_agrees_with_dom() {
+    use gql::ssdm::stream::{Event, EventReader};
     check("stream_reader_agrees_with_dom", 96, |rng| {
-        let doc = document(rng);
-        let xml = doc.to_xml_string();
-        let events: Vec<gql::ssdm::stream::Event> = gql::ssdm::stream::EventReader::new(&xml)
-            .collect::<gql::ssdm::Result<_>>()
-            .expect("own serialization streams");
-        let starts = events
-            .iter()
-            .filter(|e| matches!(e, gql::ssdm::stream::Event::Start { .. }))
-            .count();
-        let elements = doc
-            .descendants(doc.root())
-            .filter(|&n| doc.kind(n) == NodeKind::Element)
-            .count();
-        assert_eq!(starts, elements);
+        for doc in tree_and_web(rng) {
+            // Through the parser once, so that empty, adjacent and
+            // all-whitespace text nodes are gone from the tree rendered.
+            let doc = Document::parse_str(&doc.to_xml_string()).expect("own output parses");
+            let plain = doc.to_xml_string();
+            let (fancy, fancy_tree) = decorated(rng, &doc);
+            for (src, tree) in [(&plain, &plain), (&fancy, &fancy_tree)] {
+                let dom = Document::parse_str(src).expect("parses").to_xml_string();
+                assert_eq!(&dom, tree, "{src}");
+                let events: Vec<Event> = EventReader::new(src)
+                    .collect::<gql::ssdm::Result<_>>()
+                    .expect("streams");
+                assert_eq!(document_from_events(&events).to_xml_string(), dom, "{src}");
+            }
+        }
     });
 }
 
@@ -487,13 +622,21 @@ fn stream_path_agrees_with_dom() {
 }
 
 /// Arbitrary garbage never panics the streaming reader — it either yields
-/// events or a clean error.
+/// events or a clean error, and the DOM parser gives the same verdict.
 #[test]
 fn stream_reader_never_panics() {
-    let alphabet = fuzz_alphabet("<>&;/='\"");
+    // With characters of two, three and four bytes: every cut the reader
+    // makes must fall on a character boundary.
+    let alphabet = fuzz_alphabet("<>&;/='\"é→𝄞");
     check("stream_reader_never_panics", 96, |rng| {
         let input = string_over(rng, &alphabet, 200);
-        let _ = gql::ssdm::stream::EventReader::new(&input).collect::<gql::ssdm::Result<Vec<_>>>();
+        let events =
+            gql::ssdm::stream::EventReader::new(&input).collect::<gql::ssdm::Result<Vec<_>>>();
+        assert_eq!(
+            Document::parse_str(&input).is_ok(),
+            events.is_ok(),
+            "{input:?}"
+        );
     });
 }
 

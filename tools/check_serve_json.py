@@ -3,13 +3,15 @@
 
 The smoke run drives a real server over a real socket — ping, a 3-query
 batch across two datasets and all three languages, a deliberately-unknown
-dataset, a hot reload plus a query against the swapped epoch, a
-rate-limited tenant, and every metrics view (counters, the full telemetry
-report, the Prometheus exposition, plus a deliberately-unknown view) —
-and prints each response as one JSON line. CI pipes that output through
-this script so a protocol schema drift (a renamed field, a dropped error
-code, a metrics regression) breaks the build rather than downstream
-clients.
+dataset, a hot reload plus a query against the swapped epoch, a reload
+nested past the XML reader's bound followed by a ping on the same
+connection (a reader that recurses on depth overflows the connection
+thread's stack there and aborts the process), a rate-limited tenant, and
+every metrics view (counters, the full telemetry report, the Prometheus
+exposition, plus a deliberately-unknown view) — and prints each response
+as one JSON line. CI pipes that output through this script so a protocol
+schema drift (a renamed field, a dropped error code, a metrics regression)
+breaks the build rather than downstream clients.
 
 Expected stream (order-independent except ping-first):
 
@@ -18,6 +20,8 @@ Expected stream (order-independent except ping-first):
     {"ok":false,"code":"unknown-dataset","message":...}
     {"ok":true,"reload":{"dataset":str,"epoch":int,"draining":int}}
     RESPONSE(ok with "epoch" >= 2)
+    {"ok":false,"code":"bad-request","message":"... nested deeper than N levels ..."}
+    {"ok":true,"pong":true}
     {"ok":false,"code":"rate_limited","message":...,"retry_after_ms":int}
     {"ok":true,"metrics":{...}}
     {"ok":true,"report":{...}}
@@ -206,7 +210,18 @@ def main(argv):
         if family not in text:
             fail(f"prometheus exposition is missing {family}")
 
-    if not any(r.get("code") == "bad-request" for r in errors):
+    # Two bad-requests: the over-deep reload, whose message names the nesting
+    # bound and which a pong must follow (the server survived it), and the
+    # unknown metrics view.
+    def over_deep(r):
+        return r.get("code") == "bad-request" and "nested deeper than" in r.get("message", "")
+
+    refusals = [i for i, r in enumerate(responses) if over_deep(r)]
+    if len(refusals) != 1:
+        fail(f"expected exactly one bad-request naming the XML nesting bound, got {len(refusals)}")
+    if not any(r.get("pong") is True for r in responses[refusals[0] + 1:]):
+        fail("no pong after the over-deep reload: the server did not survive it")
+    if not any(r.get("code") == "bad-request" and not over_deep(r) for r in errors):
         fail("no structured bad-request error for the unknown metrics view")
 
     print(f"ok: {len(responses)} responses, batch of {batch_ok} served")
