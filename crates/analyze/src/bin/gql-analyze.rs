@@ -20,10 +20,12 @@
 //! is 1 when any file has an Error-level diagnostic (with `--deny-warnings`,
 //! also on Warning-level), 2 on usage/IO problems.
 
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use gql_analyze::{Analyzer, Code, Report, Severity};
+use gql_ssdm::diag::json_string_into;
 
 struct Options {
     json: bool,
@@ -183,22 +185,21 @@ fn analyze_file(
 
 /// JSON array of cardinality facts: `u64::MAX` (unbounded) becomes `null`.
 fn bounds_json(cards: &gql_analyze::CardinalityMap) -> String {
-    let entries: Vec<String> = cards
-        .iter()
-        .map(|e| {
-            let bound = if e.bound == u64::MAX {
-                "null".to_string()
-            } else {
-                e.bound.to_string()
-            };
-            format!(
-                "{{\"rule\":{},\"target\":{},\"bound\":{bound}}}",
-                e.rule + 1,
-                json_string(&e.target)
-            )
-        })
-        .collect();
-    format!("[{}]", entries.join(","))
+    let mut out = String::from("[");
+    for (i, e) in cards.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{{\"rule\":{},\"target\":", e.rule + 1);
+        json_string_into(&e.target, &mut out);
+        if e.bound == u64::MAX {
+            out.push_str(",\"bound\":null}");
+        } else {
+            let _ = write!(out, ",\"bound\":{}}}", e.bound);
+        }
+    }
+    out.push(']');
+    out
 }
 
 fn main() -> ExitCode {
@@ -249,11 +250,14 @@ fn main() -> ExitCode {
             let bounds = inference
                 .as_ref()
                 .map_or(String::from("[]"), |inf| bounds_json(&inf.cards));
-            json_entries.push(format!(
-                "{{\"path\":{},\"report\":{},\"bounds\":{bounds}}}",
-                json_string(&file.display().to_string()),
+            let mut entry = String::from("{\"path\":");
+            json_string_into(&file.display().to_string(), &mut entry);
+            let _ = write!(
+                entry,
+                ",\"report\":{},\"bounds\":{bounds}}}",
                 report.to_json()
-            ));
+            );
+            json_entries.push(entry);
         } else {
             for d in report.iter() {
                 println!("{}: {d}", file.display());
@@ -292,22 +296,4 @@ fn main() -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }

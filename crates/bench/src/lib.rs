@@ -9,13 +9,14 @@
 //! * the `harness` binary (`cargo run -p gql-bench --bin harness -- all`)
 //!   prints tables T1–T5 and writes figures F1–F5 as SVG;
 //! * the benches (`cargo bench`) measure the same workloads with the
-//!   dependency-free [`microbench`] timer;
-//! * [`serve_load`] — the corpus-replay load driver for the `gql-serve`
-//!   query service (shared by `benches/serve_load.rs` and the
-//!   `gql-serve-load` binary): throughput, p50/p95/p99 latency and cache
-//!   hit rates at configurable concurrency.
+//!   dependency-free [`microbench`] timer and append their rows, each
+//!   stamped with commit and core count, to `BENCH_results.json`.
+//!
+//! The rows regenerate the paper's tables and carry ratio bars measured
+//! inside one run. A performance claim cites `gql-benchmark` (the
+//! repository's benchmark, its own package at the workspace root), never a
+//! row of this crate: the service is measured there and nowhere else.
 
 pub mod microbench;
-pub mod serve_load;
 pub mod suite;
 pub mod tables;

@@ -18,13 +18,17 @@
 //! `GQL_BENCH_RESULTS` to override. The file is a JSON array with one entry
 //! object per line; re-running a bench binary replaces its own entries and
 //! leaves entries from other binaries in place, so the file converges to
-//! the union of the latest run of everything.
+//! the union of the latest run of everything. Every entry ends with the
+//! `commit` it was measured on and the machine's `nproc`, so a file that
+//! mixes runs says so row by row.
 
-use std::fmt::Display;
+use std::fmt::{Display, Write as _};
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
+
+use gql_ssdm::diag::json_string_into;
 
 /// One reported measurement, as serialized into the results file.
 #[derive(Debug, Clone)]
@@ -36,32 +40,36 @@ struct Entry {
 }
 
 impl Entry {
-    fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"name\":\"{}\",\"mean_ns\":{},\"samples\":{}",
-            json_escape(&self.name),
-            self.mean_ns,
-            self.samples
-        );
+    fn to_json(&self, origin: &str) -> String {
+        let mut s = String::from("{\"name\":");
+        json_string_into(&self.name, &mut s);
+        let (mean_ns, samples) = (self.mean_ns, self.samples);
+        let _ = write!(s, ",\"mean_ns\":{mean_ns},\"samples\":{samples}");
         if let Some((rate, unit)) = self.rate {
             // Shortest round-trippable form — a fixed precision would erase
             // small metrics (an 0.03% overhead bound rounds to 0.0 at `:.1`).
-            s.push_str(&format!(",\"rate\":{rate},\"rate_unit\":\"{unit}\""));
+            let _ = write!(s, ",\"rate\":{rate},\"rate_unit\":\"{unit}\"");
         }
+        s.push_str(origin);
         s.push('}');
         s
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
+/// Where a flush's rows came from, as the JSON members every one of them
+/// ends with: the commit checked out when they were measured (`unknown`
+/// outside a git checkout) and the machine's core count.
+fn origin() -> String {
+    let commit = std::process::Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".into(), |hash| hash.trim().to_string());
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    format!(",\"commit\":\"{commit}\",\"nproc\":{nproc}")
 }
 
 /// Measurements reported since the last flush, process-wide (bench binaries
@@ -90,8 +98,9 @@ fn entry_name(line: &str) -> Option<&str> {
 }
 
 /// Merge `new` entries into the results file: keep existing entries whose
-/// names this run did not re-measure, replace the rest.
-fn merge_into_file(path: &Path, new: &[Entry]) -> std::io::Result<()> {
+/// names this run did not re-measure, replace the rest. `origin` is the
+/// [`origin`] stamp the new rows carry.
+fn merge_into_file(path: &Path, new: &[Entry], origin: &str) -> std::io::Result<()> {
     let mut lines: Vec<String> = Vec::new();
     if let Ok(existing) = std::fs::read_to_string(path) {
         for line in existing.lines() {
@@ -104,7 +113,7 @@ fn merge_into_file(path: &Path, new: &[Entry]) -> std::io::Result<()> {
     }
     let replaced: std::collections::HashSet<&str> = new.iter().map(|e| e.name.as_str()).collect();
     lines.retain(|l| entry_name(l).is_none_or(|n| !replaced.contains(n)));
-    lines.extend(new.iter().map(Entry::to_json));
+    lines.extend(new.iter().map(|e| e.to_json(origin)));
     let mut out = String::from("[\n");
     for (i, l) in lines.iter().enumerate() {
         out.push_str(l);
@@ -146,7 +155,7 @@ impl Drop for Criterion {
             return;
         }
         let path = results_path();
-        if let Err(e) = merge_into_file(&path, &entries) {
+        if let Err(e) = merge_into_file(&path, &entries, &origin()) {
             eprintln!("warning: could not write {}: {e}", path.display());
         }
     }
@@ -363,12 +372,17 @@ mod tests {
         let written = std::fs::read_to_string(&path).expect("results written on drop");
         assert!(written.starts_with("[\n"));
         assert!(written.contains("\"name\":\"test/noop\""));
+        // Stamped at the flush: a commit (or `unknown`) and a core count.
+        let row = written.lines().nth(1).unwrap();
+        assert!(row.contains(",\"commit\":\""), "{row}");
+        assert!(row.contains(",\"nproc\":"), "{row}");
         std::fs::remove_file(&path).ok();
         std::env::remove_var("GQL_BENCH_RESULTS");
     }
 
     #[test]
     fn merge_replaces_re_measured_entries_and_keeps_the_rest() {
+        const ORIGIN: &str = ",\"commit\":\"old\",\"nproc\":2";
         let path =
             std::env::temp_dir().join(format!("gql_bench_merge_{}.json", std::process::id()));
         let old = [
@@ -385,19 +399,21 @@ mod tests {
                 rate: Some((3.5, "elem/s")),
             },
         ];
-        merge_into_file(&path, &old).unwrap();
+        merge_into_file(&path, &old, ORIGIN).unwrap();
         let new = [Entry {
             name: "a/x".into(),
             mean_ns: 9,
             samples: 2,
             rate: None,
         }];
-        merge_into_file(&path, &new).unwrap();
+        merge_into_file(&path, &new, ",\"commit\":\"new\",\"nproc\":2").unwrap();
         let written = std::fs::read_to_string(&path).unwrap();
-        assert!(written.contains("\"name\":\"a/x\",\"mean_ns\":9"));
+        assert!(written.contains("\"name\":\"a/x\",\"mean_ns\":9,\"samples\":2,\"commit\":\"new\""));
         assert!(!written.contains("\"mean_ns\":1,"));
-        assert!(written.contains("\"name\":\"b/y\""));
-        assert!(written.contains("\"rate\":3.5,\"rate_unit\":\"elem/s\""));
+        // A kept row keeps the stamp of the run that measured it.
+        assert!(written.contains(
+            "\"name\":\"b/y\",\"mean_ns\":2,\"samples\":1,\"rate\":3.5,\"rate_unit\":\"elem/s\",\"commit\":\"old\",\"nproc\":2}"
+        ));
         // The file stays a well-formed array: one entry object per line.
         let lines: Vec<&str> = written.lines().collect();
         assert_eq!(lines.first(), Some(&"["));

@@ -164,10 +164,10 @@ impl HistoSnapshot {
     }
 
     /// Nearest-rank percentile (`p` in 0..=1): the upper bound of the
-    /// bucket holding the ⌈p·n⌉-th smallest recorded value — the same
+    /// bucket holding the ⌈p·n⌉-th smallest recorded value — the
     /// "smallest value with at least p of the distribution at or below
-    /// it" statistic `gql_bench::serve_load` reports, within one bucket's
-    /// relative error ([`Histo::MAX_RELATIVE_ERROR`]).
+    /// it" order statistic, never below it and above it by at most one
+    /// bucket's relative error ([`Histo::MAX_RELATIVE_ERROR`]).
     pub fn percentile(&self, p: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -282,6 +282,58 @@ mod tests {
         assert!((99..=111).contains(&p99), "p99={p99}");
         assert!(s.p50() <= s.p95() && s.p95() <= s.p99());
         assert_eq!(s.percentile(1.0), s.percentile(0.9999));
+    }
+
+    /// Exact nearest-rank percentile over a sorted slice — the oracle the
+    /// histogram reduction is checked against.
+    fn exact_percentile(sorted: &[u64], p: f64) -> u64 {
+        let rank = (p * sorted.len() as f64).ceil().max(1.0) as usize;
+        sorted[rank.min(sorted.len()) - 1]
+    }
+
+    /// Property: for seeded value streams spanning exact buckets through
+    /// wide octaves, every histogram percentile brackets the true
+    /// nearest-rank order statistic from above within one bucket's
+    /// relative error.
+    #[test]
+    fn histo_percentiles_track_exact_nearest_rank() {
+        for seed in 0u64..8 {
+            let mut state = 0x9e37_79b9_7f4a_7c15u64 ^ (seed + 1);
+            let mut next = move || {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                state >> 33
+            };
+            let h = Histo::new();
+            let mut values = Vec::new();
+            for i in 0..2000u64 {
+                // Mix exact small values with log-distributed large ones.
+                let v = match i % 3 {
+                    0 => next() % 16,
+                    1 => next() % 10_000,
+                    _ => next() % 1_000_000_000,
+                };
+                h.record(v);
+                values.push(v);
+            }
+            values.sort_unstable();
+            let snap = h.snapshot();
+            assert_eq!(snap.count, values.len() as u64);
+            for p in [0.10, 0.50, 0.90, 0.95, 0.99, 1.0] {
+                let exact = exact_percentile(&values, p);
+                let approx = snap.percentile(p);
+                assert!(
+                    approx >= exact,
+                    "seed {seed} p{p}: approx {approx} below exact {exact}"
+                );
+                let bound = exact as f64 * (1.0 + Histo::MAX_RELATIVE_ERROR) + 1.0;
+                assert!(
+                    (approx as f64) <= bound,
+                    "seed {seed} p{p}: approx {approx} exceeds {bound} (exact {exact})"
+                );
+            }
+        }
     }
 
     #[test]

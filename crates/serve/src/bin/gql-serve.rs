@@ -25,10 +25,10 @@
 //! batch fails.
 //!
 //! `smoke-metrics` is the telemetry CI step: it drives a deterministic
-//! traffic mix (successes, refusals, rejections, a budget trip) through
-//! a service whose slow-query threshold is zero, and prints **two**
-//! Prometheus scrapes separated by a `=== scrape ===` marker line so
-//! `tools/check_metrics_text.py` can check the exposition grammar,
+//! traffic mix (successes, refusals, rejections, a budget trip, a retried
+//! request id) through a service whose slow-query threshold is zero, and
+//! prints **two** Prometheus scrapes separated by a `=== scrape ===` marker
+//! line so `tools/check_metrics_text.py` can check the exposition grammar,
 //! conservation laws and counter monotonicity.
 
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -357,8 +357,10 @@ fn metrics_smoke_tenants() -> TenantRegistry {
 
 /// Drive one deterministic round of mixed traffic: two successes, an
 /// unknown-dataset refusal, an unknown-tenant refusal, a zero-slot
-/// rejection and a budget trip. Returns the number of transport-level
-/// failures (the *application* outcomes are intentionally mixed).
+/// rejection, a budget trip, and one request id sent twice (the first
+/// round runs it once and replays it once; later rounds replay both). A
+/// transport-level failure is the error (the *application* outcomes are
+/// intentionally mixed).
 fn metrics_smoke_round(client: &mut Client) -> Result<(), String> {
     let traffic: &[(&str, &str)] = &[
         (
@@ -384,6 +386,14 @@ fn metrics_smoke_round(client: &mut Client) -> Result<(), String> {
         (
             "budget-trip",
             r#"{"op":"query","tenant":"strict","dataset":"bibliography","kind":"xpath","query":"//book/title"}"#,
+        ),
+        (
+            "idempotent",
+            r#"{"op":"query","tenant":"public","dataset":"bibliography","kind":"xpath","query":"//book/year","request_id":"smoke-1"}"#,
+        ),
+        (
+            "deduped-retry",
+            r#"{"op":"query","tenant":"public","dataset":"bibliography","kind":"xpath","query":"//book/year","request_id":"smoke-1"}"#,
         ),
     ];
     for (label, req) in traffic {

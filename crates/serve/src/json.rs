@@ -9,6 +9,8 @@
 
 use std::fmt::Write as _;
 
+use gql_ssdm::diag::json_string_into;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -102,7 +104,7 @@ impl Value {
                     out.push_str("null"); // JSON has no NaN/Inf
                 }
             }
-            Value::Str(s) => render_string(s, out),
+            Value::Str(s) => json_string_into(s, out),
             Value::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -119,7 +121,7 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
-                    render_string(k, out);
+                    json_string_into(k, out);
                     out.push(':');
                     v.render_into(out);
                 }
@@ -142,24 +144,6 @@ impl Value {
         }
         Ok(v)
     }
-}
-
-fn render_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Nesting bound: malformed deeply-nested input must not overflow the

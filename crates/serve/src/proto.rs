@@ -262,7 +262,7 @@ fn encode_err(err: &QueryErr) -> Value {
 }
 
 /// Decode a response frame back into a [`Response`] (the client half; the
-/// tests and the load driver use it to talk to a real socket).
+/// tests and the benchmark use it to talk to a real socket).
 pub fn decode_response(v: &Value) -> Result<Response, String> {
     match v.get("ok").and_then(Value::as_bool) {
         Some(true) => Ok(Response::Ok(Box::new(QueryOk {

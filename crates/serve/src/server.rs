@@ -309,7 +309,7 @@ fn respond_err(stream: &mut TcpStream, code: ErrorCode, message: &str) {
     let _ = stream.flush();
 }
 
-/// A minimal blocking client for tests, the CLI and the load driver.
+/// A minimal blocking client for tests, the CLI and the benchmark.
 pub struct Client {
     stream: TcpStream,
 }

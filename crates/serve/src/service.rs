@@ -19,7 +19,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -310,9 +310,8 @@ struct Job {
     cancel: CancelToken,
     want_profile: bool,
     reply: mpsc::Sender<Response>,
-    /// Telemetry context minted at admission (`None` when telemetry is
-    /// disabled — the job then carries zero extra weight).
-    meta: Option<RequestMeta>,
+    /// Telemetry context minted at admission.
+    meta: RequestMeta,
     /// Dedup-map key claimed at admission (tenant-scoped request id);
     /// the worker publishes the response under it after execution.
     dedup_key: Option<String>,
@@ -334,6 +333,9 @@ enum DedupEntry {
     Done(Response),
 }
 
+/// Settled idempotency keys a service retains.
+const DEDUP_CAPACITY: usize = 1024;
+
 /// Bounded idempotency map: request id → in-flight waiters or the final
 /// response. Only settled (`Done`) entries are evicted, oldest first, so
 /// an in-flight claim can never be lost to capacity pressure.
@@ -344,16 +346,6 @@ struct Dedup {
     entries: HashMap<String, DedupEntry>,
 }
 
-impl Dedup {
-    fn new(capacity: usize) -> Dedup {
-        Dedup {
-            capacity: capacity.max(1),
-            settled: VecDeque::new(),
-            entries: HashMap::new(),
-        }
-    }
-}
-
 /// Outcome of claiming an idempotency key at submission.
 enum DedupClaim {
     /// The key is ours: execute, then publish under it.
@@ -362,6 +354,64 @@ enum DedupClaim {
     Hit(Response),
     /// Original still in flight: wait on its publication.
     Wait(mpsc::Receiver<Response>),
+}
+
+impl Dedup {
+    fn new(capacity: usize) -> Dedup {
+        Dedup {
+            capacity,
+            settled: VecDeque::new(),
+            entries: HashMap::new(),
+        }
+    }
+
+    /// Claim `key` for a new submission, or join/replay the original.
+    fn claim(&mut self, key: &str) -> DedupClaim {
+        match self.entries.get_mut(key) {
+            Some(DedupEntry::Done(resp)) => DedupClaim::Hit(resp.clone()),
+            Some(DedupEntry::InFlight(waiters)) => {
+                let (tx, rx) = mpsc::channel();
+                waiters.push(tx);
+                DedupClaim::Wait(rx)
+            }
+            None => {
+                self.entries
+                    .insert(key.to_string(), DedupEntry::InFlight(Vec::new()));
+                DedupClaim::Fresh
+            }
+        }
+    }
+
+    /// Publish the final response under `key` at the worker boundary:
+    /// waiters are answered, later retries replay the stored copy, and
+    /// the oldest settled entries are evicted past capacity.
+    fn publish(&mut self, key: &str, resp: &Response) {
+        if let Some(DedupEntry::InFlight(waiters)) = self
+            .entries
+            .insert(key.to_string(), DedupEntry::Done(resp.clone()))
+        {
+            for w in waiters {
+                let _ = w.send(resp.clone());
+            }
+        }
+        self.settled.push_back(key.to_string());
+        while self.settled.len() > self.capacity {
+            if let Some(old) = self.settled.pop_front() {
+                self.entries.remove(&old);
+            }
+        }
+    }
+
+    /// Abandon a claim whose submission was refused or rejected before
+    /// reaching a worker: the entry is removed (a retry is a fresh
+    /// attempt — nothing executed) and any waiters get the refusal.
+    fn abandon(&mut self, key: &str, resp: &Response) {
+        if let Some(DedupEntry::InFlight(waiters)) = self.entries.remove(key) {
+            for w in waiters {
+                let _ = w.send(resp.clone());
+            }
+        }
+    }
 }
 
 struct Inner {
@@ -381,55 +431,8 @@ struct Inner {
 }
 
 impl Inner {
-    /// Claim `key` for a new submission, or join/replay the original.
-    fn dedup_claim(&self, key: &str) -> DedupClaim {
-        let mut d = self.dedup.lock().unwrap_or_else(|e| e.into_inner());
-        match d.entries.get_mut(key) {
-            Some(DedupEntry::Done(resp)) => DedupClaim::Hit(resp.clone()),
-            Some(DedupEntry::InFlight(waiters)) => {
-                let (tx, rx) = mpsc::channel();
-                waiters.push(tx);
-                DedupClaim::Wait(rx)
-            }
-            None => {
-                d.entries
-                    .insert(key.to_string(), DedupEntry::InFlight(Vec::new()));
-                DedupClaim::Fresh
-            }
-        }
-    }
-
-    /// Publish the final response under `key` at the worker boundary:
-    /// waiters are answered, later retries replay the stored copy, and
-    /// the oldest settled entries are evicted past capacity.
-    fn dedup_publish(&self, key: &str, resp: &Response) {
-        let mut d = self.dedup.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(DedupEntry::InFlight(waiters)) = d
-            .entries
-            .insert(key.to_string(), DedupEntry::Done(resp.clone()))
-        {
-            for w in waiters {
-                let _ = w.send(resp.clone());
-            }
-        }
-        d.settled.push_back(key.to_string());
-        while d.settled.len() > d.capacity {
-            if let Some(old) = d.settled.pop_front() {
-                d.entries.remove(&old);
-            }
-        }
-    }
-
-    /// Abandon a claim whose submission was refused or rejected before
-    /// reaching a worker: the entry is removed (a retry is a fresh
-    /// attempt — nothing executed) and any waiters get the refusal.
-    fn dedup_abandon(&self, key: &str, resp: &Response) {
-        let mut d = self.dedup.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(DedupEntry::InFlight(waiters)) = d.entries.remove(key) {
-            for w in waiters {
-                let _ = w.send(resp.clone());
-            }
-        }
+    fn dedup(&self) -> MutexGuard<'_, Dedup> {
+        self.dedup.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -445,7 +448,6 @@ pub struct ServiceBuilder {
     tenants: TenantRegistry,
     workers: usize,
     telemetry: TelemetryConfig,
-    dedup_capacity: usize,
     chaos: bool,
 }
 
@@ -456,16 +458,8 @@ impl ServiceBuilder {
             tenants: TenantRegistry::new(),
             workers: 4,
             telemetry: TelemetryConfig::default(),
-            dedup_capacity: 1024,
             chaos: false,
         }
-    }
-
-    /// How many settled idempotency keys the dedup map retains (FIFO
-    /// eviction; in-flight claims are never evicted).
-    pub fn dedup_capacity(mut self, n: usize) -> ServiceBuilder {
-        self.dedup_capacity = n.max(1);
-        self
     }
 
     /// Opt this service into the gql-guard chaos seams (`panic_jobs`
@@ -491,7 +485,7 @@ impl ServiceBuilder {
         self
     }
 
-    /// Configure the telemetry plane (enabled with defaults if not set).
+    /// Configure the telemetry plane: the slow-log threshold and the clock.
     pub fn telemetry(mut self, config: TelemetryConfig) -> ServiceBuilder {
         self.telemetry = config;
         self
@@ -507,7 +501,7 @@ impl ServiceBuilder {
             queue: Mutex::new(Some(tx)),
             counters: Counters::default(),
             telemetry: Arc::new(Telemetry::build(&self.telemetry, &tenant_names)),
-            dedup: Mutex::new(Dedup::new(self.dedup_capacity)),
+            dedup: Mutex::new(Dedup::new(DEDUP_CAPACITY)),
             chaos: self.chaos,
         });
         let workers = (0..self.workers)
@@ -525,7 +519,7 @@ impl ServiceBuilder {
                             Ok(job) => job,
                             Err(_) => return, // all senders gone: shutdown
                         };
-                        inner.telemetry.on_dequeue(job.meta.as_ref());
+                        inner.telemetry.on_dequeue(&job.meta);
                         // Supervise the run: a panicking job (engine bug,
                         // or an injected `panic_jobs` fault) must not take
                         // the worker down — the thread catches, answers
@@ -539,7 +533,7 @@ impl ServiceBuilder {
                             Err(_) => {
                                 inner.counters.failed.fetch_add(1, Ordering::SeqCst);
                                 inner.telemetry.on_reply(
-                                    job.meta.as_ref(),
+                                    &job.meta,
                                     job.dataset.name(),
                                     "engine",
                                     0,
@@ -557,7 +551,7 @@ impl ServiceBuilder {
                         // from here on, a retry of this request id replays
                         // this response instead of executing again.
                         if let Some(key) = &job.dedup_key {
-                            inner.dedup_publish(key, &response);
+                            inner.dedup().publish(key, &response);
                         }
                         // Release the admission permit *before* replying:
                         // once a client holds its response, its slot is
@@ -658,8 +652,8 @@ impl Pending {
     }
 }
 
-/// In-process submission API: what the TCP server, the tests and the load
-/// driver all speak. Clones share one service.
+/// In-process submission API: what the TCP server, the tests and the
+/// benchmark all speak. Clones share one service.
 #[derive(Clone)]
 pub struct ServeHandle {
     inner: Arc<Inner>,
@@ -701,7 +695,9 @@ impl ServeHandle {
             .as_deref()
             .map(|id| format!("{}\u{1f}{id}", req.tenant));
         if let Some(key) = &dedup_key {
-            match self.inner.dedup_claim(key) {
+            // Bound first, so the table's lock is released before the arms.
+            let claim = self.inner.dedup().claim(key);
+            match claim {
                 DedupClaim::Fresh => {}
                 DedupClaim::Hit(resp) => {
                     c.deduped.fetch_add(1, Ordering::SeqCst);
@@ -719,7 +715,7 @@ impl ServeHandle {
         // later retry is a clean new attempt (nothing executed).
         let fail = |resp: Response| -> Response {
             if let Some(key) = &dedup_key {
-                self.inner.dedup_abandon(key, &resp);
+                self.inner.dedup().abandon(key, &resp);
             }
             resp
         };
@@ -967,7 +963,7 @@ pub fn parse_query(kind: &str, query: &str) -> Result<QueryKind, String> {
 fn execute(inner: &Inner, job: &Job, log: &mut TraceLog) -> Response {
     let c = &inner.counters;
     let tele = &inner.telemetry;
-    tele.on_start(job.meta.as_ref());
+    tele.on_start(&job.meta);
     // Chaos seam: an injected pool fault poisons this job here — after
     // the start event, so the supervised catch in the worker loop keeps
     // every telemetry conservation law intact.
@@ -1007,10 +1003,10 @@ fn execute(inner: &Inner, job: &Job, log: &mut TraceLog) -> Response {
             let eval_us = outcome.eval_time.as_micros() as u64;
             // Writing the answer out and freeing it are the request's, but
             // happen after the engine's trace has closed: one more phase.
-            let serialize = job.meta.is_some().then(Instant::now);
+            let serialize = Instant::now();
             let xml = outcome.output.to_xml_string();
             drop(outcome.output);
-            serialize_us = serialize.map(|started| started.elapsed().as_micros() as u64);
+            serialize_us = Some(serialize.elapsed().as_micros() as u64);
             let profile = job.want_profile.then(|| log.profile());
             let resp = Response::Ok(Box::new(QueryOk {
                 xml,
@@ -1070,7 +1066,7 @@ fn execute(inner: &Inner, job: &Job, log: &mut TraceLog) -> Response {
         .map(|(name, nanos)| (name, nanos / 1_000))
         .chain(serialize_us.map(|us| ("serialize", us)));
     tele.on_reply(
-        job.meta.as_ref(),
+        &job.meta,
         job.dataset.name(),
         outcome_class,
         eval_us,
@@ -1282,6 +1278,41 @@ mod tests {
             "conservation with the dedup class"
         );
         service.shutdown();
+    }
+
+    #[test]
+    fn dedup_table_is_bounded_and_evicts_only_settled_keys_oldest_first() {
+        let ok = Response::err(ErrorCode::Engine, "stand-in reply");
+        let fresh = |d: &mut Dedup, key| matches!(d.claim(key), DedupClaim::Fresh);
+        let hit = |d: &mut Dedup, key| matches!(d.claim(key), DedupClaim::Hit(_));
+        let mut d = Dedup::new(2);
+        // An in-flight claim outlives any number of settled keys.
+        assert!(fresh(&mut d, "inflight"));
+        for key in ["a", "b", "c"] {
+            assert!(fresh(&mut d, key));
+            d.publish(key, &ok);
+            assert!(d.settled.len() <= 2 && d.entries.len() <= 3);
+        }
+        // Capacity 2: the oldest settled key left, the two newest replay.
+        assert!(hit(&mut d, "b") && hit(&mut d, "c"));
+        let DedupClaim::Wait(waiter) = d.claim("inflight") else {
+            panic!("an in-flight claim is never evicted");
+        };
+        // The evicted key is a fresh claim: it executes again, and settling
+        // it pushes out the next oldest.
+        assert!(fresh(&mut d, "a"));
+        d.publish("a", &ok);
+        assert!(fresh(&mut d, "b"));
+        d.abandon("b", &ok);
+        assert!(hit(&mut d, "c") && hit(&mut d, "a"));
+        d.publish("inflight", &ok);
+        assert_eq!(waiter.recv().unwrap(), ok);
+        assert!(hit(&mut d, "inflight") && hit(&mut d, "a"));
+        assert!(
+            fresh(&mut d, "c"),
+            "settling a third key evicted the oldest"
+        );
+        assert_eq!((d.settled.len(), d.entries.len()), (2, 3));
     }
 
     #[test]

@@ -8,17 +8,12 @@
 //! phase timings and trip report of any job whose service time exceeds the
 //! configured threshold.
 //!
-//! Two invariants the rest of the PR leans on:
-//!
-//! * **Telemetry never perturbs answers.** Every hook is fire-and-forget
-//!   on lock-free structures (the only mutexes guard the keyed-histogram
-//!   lookup and the slow log, which is off the fast path by definition).
-//!   The concurrency differential oracle runs with telemetry fully enabled
-//!   and holds responses byte-identical to a fresh engine.
-//! * **Disabled means gone.** With `enabled == false` every hook returns
-//!   after one branch; `benches/metrics.rs` pins the derived overhead of
-//!   those dormant probes below 2% of request time. [`Telemetry::probes`]
-//!   counts hook firings so the bench can multiply them out.
+//! Telemetry is always on and never perturbs answers: every hook is
+//! fire-and-forget on lock-free structures (the only mutexes guard the
+//! keyed-histogram lookup and the slow log, which is off the fast path by
+//! definition), and the concurrency differential oracle holds responses
+//! byte-identical to a fresh engine. [`Telemetry::probes`] counts hook
+//! firings: five per admitted request.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,16 +38,16 @@ const LANE_NAMES: [&str; LANES] = ["submitted", "admitted", "rejected", "cancell
 /// Histogram key: `(tenant, dataset, surface, outcome)`.
 pub type HistoKey = (String, String, String, String);
 
+/// Slow-log entries retained per dataset.
+const SLOW_CAPACITY: usize = 8;
+/// Request-event ring capacity.
+const EVENT_CAPACITY: usize = 1024;
+
 /// How the telemetry plane is wired at service build time.
 #[derive(Clone)]
 pub struct TelemetryConfig {
-    pub enabled: bool,
     /// Service times strictly above this capture into the slow-query log.
     pub slow_threshold_us: u64,
-    /// Slow-log entries retained per dataset.
-    pub slow_capacity: usize,
-    /// Request-event ring capacity.
-    pub event_capacity: usize,
     /// Time source; `None` uses a [`MonotonicClock`]. Tests inject a
     /// `ManualClock` here to drive the rate windows deterministically.
     pub clock: Option<Arc<dyn Clock>>,
@@ -61,10 +56,7 @@ pub struct TelemetryConfig {
 impl std::fmt::Debug for TelemetryConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TelemetryConfig")
-            .field("enabled", &self.enabled)
             .field("slow_threshold_us", &self.slow_threshold_us)
-            .field("slow_capacity", &self.slow_capacity)
-            .field("event_capacity", &self.event_capacity)
             .finish_non_exhaustive()
     }
 }
@@ -72,36 +64,15 @@ impl std::fmt::Debug for TelemetryConfig {
 impl Default for TelemetryConfig {
     fn default() -> Self {
         TelemetryConfig {
-            enabled: true,
             slow_threshold_us: 100_000,
-            slow_capacity: 8,
-            event_capacity: 1024,
             clock: None,
         }
     }
 }
 
 impl TelemetryConfig {
-    /// Telemetry off: every hook is a single dormant branch.
-    pub fn disabled() -> TelemetryConfig {
-        TelemetryConfig {
-            enabled: false,
-            ..TelemetryConfig::default()
-        }
-    }
-
     pub fn with_slow_threshold_us(mut self, us: u64) -> TelemetryConfig {
         self.slow_threshold_us = us;
-        self
-    }
-
-    pub fn with_slow_capacity(mut self, n: usize) -> TelemetryConfig {
-        self.slow_capacity = n;
-        self
-    }
-
-    pub fn with_event_capacity(mut self, n: usize) -> TelemetryConfig {
-        self.event_capacity = n;
         self
     }
 
@@ -137,11 +108,9 @@ fn outcome_code(outcome: &str) -> u32 {
 
 /// The assembled telemetry plane, shared by every handle of one service.
 pub struct Telemetry {
-    enabled: bool,
     clock: Arc<dyn Clock>,
     next_request_id: AtomicU64,
-    /// Hook firings while enabled (the overhead bench multiplies these
-    /// against the measured dormant-probe cost).
+    /// Hook firings.
     probes: AtomicU64,
     histos: KeyedHistos<HistoKey>,
     service_windows: Windows,
@@ -154,7 +123,6 @@ pub struct Telemetry {
 impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Telemetry")
-            .field("enabled", &self.enabled)
             .field("probes", &self.probes.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
@@ -168,7 +136,6 @@ impl Telemetry {
             .clone()
             .unwrap_or_else(|| Arc::new(MonotonicClock::new()));
         Telemetry {
-            enabled: config.enabled,
             next_request_id: AtomicU64::new(1),
             probes: AtomicU64::new(0),
             histos: KeyedHistos::new(),
@@ -177,17 +144,13 @@ impl Telemetry {
                 .iter()
                 .map(|n| (n.clone(), Windows::new(LANES, Arc::clone(&clock))))
                 .collect(),
-            events: EventRing::new(config.event_capacity),
-            slow: SlowLog::new(config.slow_threshold_us, config.slow_capacity),
+            events: EventRing::new(EVENT_CAPACITY),
+            slow: SlowLog::new(config.slow_threshold_us, SLOW_CAPACITY),
             clock,
         }
     }
 
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Hook firings so far (0 when disabled — that is the point).
+    /// Hook firings so far.
     pub fn probes(&self) -> u64 {
         self.probes.load(Ordering::Relaxed)
     }
@@ -204,23 +167,13 @@ impl Telemetry {
     }
 
     /// A request entered `submit` (tenant `None` until resolution).
-    ///
-    /// Public (unlike the other hooks) so the overhead bench can time the
-    /// disabled-probe cost — the single `enabled` branch every hook pays —
-    /// through the same call the service's hot path makes.
-    pub fn on_submitted(&self, tenant: Option<&str>) {
-        if !self.enabled {
-            return;
-        }
+    pub(crate) fn on_submitted(&self, tenant: Option<&str>) {
         self.probes.fetch_add(1, Ordering::Relaxed);
         self.lane(tenant, LANE_SUBMITTED);
     }
 
     /// Admission control bounced the request.
     pub(crate) fn on_rejected(&self, tenant: &str) {
-        if !self.enabled {
-            return;
-        }
         self.probes.fetch_add(1, Ordering::Relaxed);
         self.lane(Some(tenant), LANE_REJECTED);
     }
@@ -231,10 +184,7 @@ impl Telemetry {
         tenant: &Arc<str>,
         surface: &'static str,
         query: &Arc<str>,
-    ) -> Option<RequestMeta> {
-        if !self.enabled {
-            return None;
-        }
+    ) -> RequestMeta {
         self.probes.fetch_add(1, Ordering::Relaxed);
         let request_id = self.next_request_id.fetch_add(1, Ordering::Relaxed);
         let now = self.clock.now_micros();
@@ -245,18 +195,17 @@ impl Telemetry {
             t_micros: now,
             code: 0,
         });
-        Some(RequestMeta {
+        RequestMeta {
             request_id,
             tenant: Arc::clone(tenant),
             surface,
             submitted_us: now,
             query: Arc::clone(query),
-        })
+        }
     }
 
     /// A pool worker pulled the job off the queue.
-    pub(crate) fn on_dequeue(&self, meta: Option<&RequestMeta>) {
-        let Some(meta) = meta else { return };
+    pub(crate) fn on_dequeue(&self, meta: &RequestMeta) {
         self.probes.fetch_add(1, Ordering::Relaxed);
         self.events.record(Event {
             request_id: meta.request_id,
@@ -267,8 +216,7 @@ impl Telemetry {
     }
 
     /// The engine run began.
-    pub(crate) fn on_start(&self, meta: Option<&RequestMeta>) {
-        let Some(meta) = meta else { return };
+    pub(crate) fn on_start(&self, meta: &RequestMeta) {
         self.probes.fetch_add(1, Ordering::Relaxed);
         self.events.record(Event {
             request_id: meta.request_id,
@@ -285,7 +233,7 @@ impl Telemetry {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_reply<'a>(
         &self,
-        meta: Option<&RequestMeta>,
+        meta: &RequestMeta,
         dataset: &str,
         outcome: &str,
         eval_us: u64,
@@ -293,7 +241,6 @@ impl Telemetry {
         phases: impl IntoIterator<Item = (&'a str, u64)>,
         trip: Option<&str>,
     ) {
-        let Some(meta) = meta else { return };
         self.probes.fetch_add(1, Ordering::Relaxed);
         let now = self.clock.now_micros();
         let service_us = now.saturating_sub(meta.submitted_us);
@@ -368,7 +315,6 @@ impl Telemetry {
     pub fn report(&self, service: ServiceMetrics) -> MetricsReport {
         let (events, event_stats) = self.events.snapshot();
         MetricsReport {
-            enabled: self.enabled,
             service,
             latency: self.histos.snapshots(),
             latency_all: self.histos.merged(),
@@ -391,7 +337,6 @@ impl Telemetry {
 /// rate windows, recent events and the slow-query log.
 #[derive(Debug, Clone)]
 pub struct MetricsReport {
-    pub enabled: bool,
     pub service: ServiceMetrics,
     pub latency: Vec<(HistoKey, HistoSnapshot)>,
     pub latency_all: HistoSnapshot,
@@ -508,7 +453,6 @@ impl MetricsReport {
             })
             .collect();
         Value::Obj(vec![
-            ("enabled".into(), Value::Bool(self.enabled)),
             ("counters".into(), self.service.to_value()),
             ("latency".into(), Value::Arr(latency)),
             ("latency_all".into(), histo_value(&self.latency_all)),
@@ -561,13 +505,10 @@ impl MetricsReport {
     pub fn to_text(&self) -> String {
         let m = &self.service;
         let mut out = String::new();
+        out.push_str("gql-serve metrics\n");
         out.push_str(&format!(
-            "gql-serve metrics (telemetry {})\n",
-            if self.enabled { "enabled" } else { "disabled" }
-        ));
-        out.push_str(&format!(
-            "  requests  submitted={} admitted={} rejected={} refused={}\n",
-            m.submitted, m.admitted, m.rejected, m.refused
+            "  requests  submitted={} admitted={} rejected={} (rate_limited={}) refused={} deduped={}\n",
+            m.submitted, m.admitted, m.rejected, m.rate_limited, m.refused, m.deduped
         ));
         out.push_str(&format!(
             "  outcomes  completed={} cancelled={} budget_tripped={} failed={}\n",
@@ -653,7 +594,9 @@ impl MetricsReport {
             ("submitted", m.submitted),
             ("admitted", m.admitted),
             ("rejected", m.rejected),
+            ("rate_limited", m.rate_limited),
             ("refused", m.refused),
+            ("deduped", m.deduped),
             ("completed", m.completed),
             ("cancelled", m.cancelled),
             ("budget_tripped", m.budget_tripped),
@@ -769,25 +712,10 @@ mod tests {
     }
 
     #[test]
-    fn disabled_hooks_fire_no_probes_and_mint_no_meta() {
-        let t = Telemetry::build(&TelemetryConfig::disabled(), &["t".to_string()]);
-        assert!(!t.enabled());
-        t.on_submitted(Some("t"));
-        let meta = t.on_admitted(&"t".into(), "query", &"//a".into());
-        assert!(meta.is_none());
-        t.on_dequeue(meta.as_ref());
-        t.on_reply(meta.as_ref(), "d", "ok", 1, "", [], None);
-        assert_eq!(t.probes(), 0);
-        assert_eq!(t.latency_all().count, 0);
-        assert_eq!(t.event_stats().appended, 0);
-    }
-
-    #[test]
     fn full_lifecycle_records_histogram_events_and_slow_entry() {
         let (clock, t) = telemetry();
         t.on_submitted(Some("t"));
-        let meta = t.on_admitted(&"t".into(), "query", &"//a".into());
-        let meta = meta.as_ref();
+        let meta = &t.on_admitted(&"t".into(), "query", &"//a".into());
         t.on_dequeue(meta);
         t.on_start(meta);
         clock.advance_micros(250); // nonzero service time → slow at threshold 0
@@ -820,10 +748,14 @@ mod tests {
         let (clock, t) = telemetry();
         let meta = t.on_admitted(&"t".into(), "query", &"//a".into());
         clock.advance_micros(10);
-        t.on_reply(meta.as_ref(), "d", "ok", 3, "p", [], None);
+        t.on_reply(&meta, "d", "ok", 3, "p", [], None);
+        // One request run, its idempotent retry absorbed, one quota bounce.
         let service = ServiceMetrics {
-            submitted: 1,
+            submitted: 3,
             admitted: 1,
+            rejected: 1,
+            rate_limited: 1,
+            deduped: 1,
             completed: 1,
             ..Default::default()
         };
@@ -833,11 +765,25 @@ mod tests {
         assert!(json.contains("\"windows\""));
         assert!(json.contains("\"events\""));
         let text = report.to_text();
-        assert!(text.contains("gql-serve metrics"));
+        assert!(text.starts_with("gql-serve metrics\n"));
+        assert!(text.contains(
+            "requests  submitted=3 admitted=1 rejected=1 (rate_limited=1) refused=0 deduped=1\n"
+        ));
         assert!(text.contains("latency"));
         let prom = report.to_prometheus_text();
         assert!(prom.contains("# TYPE gql_requests_total counter"));
-        assert!(prom.contains("gql_requests_total{class=\"submitted\"} 1"));
+        // Every term of `admitted + rejected + refused + deduped ==
+        // submitted` is a class of the exposition.
+        let class = |name: &str| {
+            let line = format!("gql_requests_total{{class=\"{name}\"}} ");
+            let rest = &prom[prom.find(&line).expect(name) + line.len()..];
+            rest[..rest.find('\n').unwrap()].parse::<u64>().unwrap()
+        };
+        assert_eq!(
+            class("admitted") + class("rejected") + class("refused") + class("deduped"),
+            class("submitted")
+        );
+        assert_eq!((class("deduped"), class("rate_limited")), (1, 1));
         assert!(prom.contains("gql_service_time_us_bucket"));
         assert!(prom.contains("le=\"+Inf\"} 1"));
         assert!(prom.contains("gql_service_time_us_count"));

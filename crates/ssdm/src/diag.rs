@@ -361,16 +361,14 @@ impl Report {
             out.push_str(&d.span.col.to_string());
             out.push_str(",\"rule\":");
             match &d.rule {
-                Some(r) => {
-                    out.push_str(&json_string(r));
-                }
+                Some(r) => json_string_into(r, &mut out),
                 None => out.push_str("null"),
             }
             out.push_str(",\"message\":");
-            out.push_str(&json_string(&d.message));
+            json_string_into(&d.message, &mut out);
             out.push_str(",\"help\":");
             match &d.help {
-                Some(h) => out.push_str(&json_string(h)),
+                Some(h) => json_string_into(h, &mut out),
                 None => out.push_str("null"),
             }
             out.push('}');
@@ -400,25 +398,34 @@ impl From<Vec<Diagnostic>> for Report {
     }
 }
 
-/// Escape a string as a JSON string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// Append `s` to `out` as a JSON string literal, quotes included: `"` and
+/// `\` escaped, newline / carriage return / tab by their short forms, every
+/// other control character as `\u00XX`. The one escaper of the workspace's
+/// JSON emitters (`gql-trace` is dependency-free and keeps its own); runs
+/// that need no escape are copied as slices.
+pub fn json_string_into(s: &str, out: &mut String) {
+    use fmt::Write as _;
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    let mut copied = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[copied..i]);
+        copied = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[copied..]);
     out.push('"');
-    out
 }
 
 #[cfg(test)]

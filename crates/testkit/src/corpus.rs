@@ -167,8 +167,8 @@ impl CorpusCase {
     /// The case's query as an engine [`QueryKind`], if its source parses.
     /// Uses the unchecked parsers — the engine's static-analysis gate is
     /// part of what replays exercise. Intent descriptors lower to their
-    /// XPath rendering (the concurrency oracle and the load driver replay
-    /// them through the service the same way).
+    /// XPath rendering (the concurrency and chaos oracles replay them
+    /// through the service the same way).
     pub fn query_kind(&self) -> Result<QueryKind, String> {
         match self.kind.as_str() {
             "xmlgl" => gql_xmlgl::dsl::parse_unchecked(&self.query)

@@ -246,11 +246,10 @@ pub fn check_cases_concurrently(
         }
     }
 
-    // Phase 4: telemetry conservation. The storm ran with the telemetry
-    // plane fully enabled (the builder default) and every submit above is
-    // synchronous, so the service is quiescent here and the accounting
-    // identities must hold *exactly* — telemetry that miscounts under
-    // concurrency is worse than none.
+    // Phase 4: telemetry conservation. Every submit above is synchronous,
+    // so the service is quiescent here and the accounting identities must
+    // hold *exactly* — telemetry that miscounts under concurrency is worse
+    // than none.
     let metrics = handle.metrics();
     if metrics.admitted + metrics.rejected + metrics.refused + metrics.deduped != metrics.submitted
     {

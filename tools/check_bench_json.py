@@ -12,7 +12,9 @@ Shape (flat array):
       "mean_ns": int >= 0,          # mean wall clock (0 for metric rows)
       "samples": int >= 0,          # sample count (0 for metric rows)
       "rate": float,                # optional: derived metric value
-      "rate_unit": str},            # optional: metric unit, e.g. "elem/s"
+      "rate_unit": str,             # optional: metric unit, e.g. "elem/s"
+      "commit": str,                # commit the row was measured on
+      "nproc": int >= 1},           # core count of the machine it ran on
      ...]
 
 Usage:
@@ -23,9 +25,6 @@ Usage:
                          (repeatable)
     --max-rate PREFIX V  assert every row matching PREFIX has rate <= V
     --min-rate PREFIX V  assert every row matching PREFIX has rate >= V
-    --percentiles PREFIX assert rows PREFIX/p50, PREFIX/p95, PREFIX/p99
-                         exist, carry rates, and are ordered
-                         p50 <= p95 <= p99 (repeatable)
 
 A `--max-rate`/`--min-rate` flag also implies `--require PREFIX`: a
 threshold over zero matching rows would pass vacuously and hide a renamed
@@ -37,7 +36,7 @@ Exit status: 0 on success, 1 with a diagnostic on the first violation.
 import json
 import sys
 
-REQUIRED_KEYS = {"name", "mean_ns", "samples"}
+REQUIRED_KEYS = {"name", "mean_ns", "samples", "commit", "nproc"}
 OPTIONAL_KEYS = {"rate", "rate_unit"}
 
 
@@ -60,6 +59,10 @@ def check_row(row, i):
         fail(f"{name}: mean_ns must be a non-negative integer")
     if not isinstance(row["samples"], int) or row["samples"] < 0:
         fail(f"{name}: samples must be a non-negative integer")
+    if not isinstance(row["commit"], str) or not row["commit"]:
+        fail(f"{name}: commit must be a non-empty string")
+    if not isinstance(row["nproc"], int) or row["nproc"] < 1:
+        fail(f"{name}: nproc must be a positive integer")
     if ("rate" in row) != ("rate_unit" in row):
         fail(f"{name}: rate and rate_unit must appear together")
     if "rate" in row:
@@ -76,13 +79,10 @@ def main(argv):
     source = args.pop(0)
     required = []
     bounds = []  # (prefix, op, value)
-    percentiles = []
     while args:
         flag = args.pop(0)
         if flag == "--require" and args:
             required.append(args.pop(0))
-        elif flag == "--percentiles" and args:
-            percentiles.append(args.pop(0))
         elif flag in ("--max-rate", "--min-rate") and len(args) >= 2:
             prefix = args.pop(0)
             try:
@@ -124,22 +124,6 @@ def main(argv):
             if flag == "--min-rate" and rate < value:
                 fail(f"{row['name']}: rate {rate:g} below minimum {value:g}")
             checked += 1
-    by_name = {row["name"]: row for row in rows}
-    for prefix in percentiles:
-        values = []
-        for p in ("p50", "p95", "p99"):
-            row = by_name.get(f"{prefix}/{p}")
-            if row is None:
-                fail(f"missing percentile row {prefix}/{p}")
-            if "rate" not in row:
-                fail(f"{prefix}/{p}: percentile rows must carry a rate value")
-            values.append(row["rate"])
-        if not values[0] <= values[1] <= values[2]:
-            fail(
-                f"{prefix}: percentiles out of order "
-                f"(p50={values[0]:g}, p95={values[1]:g}, p99={values[2]:g})"
-            )
-        checked += 3
 
     print(f"ok: {len(rows)} rows, {checked} threshold check(s)")
     return 0

@@ -2,10 +2,10 @@
 """Validate the Prometheus exposition printed by `gql-serve smoke-metrics`.
 
 The smoke-metrics run drives a deterministic traffic mix — successes,
-unknown-dataset and unknown-tenant refusals, a zero-slot rejection and a
-budget trip — through a real server, then prints **two** scrapes of the
-`{"op":"metrics","view":"prometheus"}` wire op separated by a marker
-line. CI pipes that output through this script, which checks what a real
+unknown-dataset and unknown-tenant refusals, a zero-slot rejection, a
+budget trip and a retried request id — through a real server, then
+prints **two** scrapes of the `{"op":"metrics","view":"prometheus"}` wire
+op separated by a marker line. CI pipes that output through this script, which checks what a real
 Prometheus server would choke on (or silently mis-graph):
 
 * grammar — every sample line is `name{labels} value` with metric and
@@ -14,8 +14,10 @@ Prometheus server would choke on (or silently mis-graph):
   sample (same name + label set) within one scrape;
 * histogram shape — `_bucket` series cumulative in `le` order, ending
   with an `+Inf` bucket equal to the matching `_count`;
-* conservation — `admitted + rejected + refused == submitted` holds for
-  the service and for every tenant, in both scrapes;
+* conservation — `admitted + rejected + refused + deduped == submitted`
+  holds for the service and `admitted + rejected + refused == submitted`
+  for every tenant (an idempotent retry is absorbed before its tenant is
+  resolved), `rate_limited <= rejected`, in both scrapes;
 * monotonicity — no counter family moves backwards between the first and
   second scrape, and the traffic between them must have moved
   `gql_requests_total{class="submitted"}` forward.
@@ -145,9 +147,13 @@ def check_conservation(samples, which):
     def req(klass):
         return get(samples, "gql_requests_total", **{"class": klass})
 
-    lhs = req("admitted") + req("rejected") + req("refused")
+    lhs = req("admitted") + req("rejected") + req("refused") + req("deduped")
     if lhs != req("submitted"):
         fail(f"scrape {which}: service conservation broken ({lhs} != {req('submitted')})")
+    if req("rate_limited") > req("rejected"):
+        fail(
+            f"scrape {which}: rate_limited {req('rate_limited')} exceeds rejected {req('rejected')}"
+        )
     tenants = {
         dict(ls)["tenant"]
         for (n, ls) in samples
@@ -200,7 +206,7 @@ def main(argv):
     if moved <= 0:
         fail("traffic between scrapes did not move gql_requests_total{class=submitted}")
     # The mix exercised every outcome class at least once.
-    for klass in ("admitted", "rejected", "refused", "budget_tripped"):
+    for klass in ("admitted", "rejected", "refused", "deduped", "budget_tripped"):
         if get(second, "gql_requests_total", **{"class": klass}) <= 0:
             fail(f"the smoke mix never produced a {klass} request")
     if get(second, "gql_slow_queries_total") <= 0:
