@@ -20,12 +20,11 @@
 //! is 1 when any file has an Error-level diagnostic (with `--deny-warnings`,
 //! also on Warning-level), 2 on usage/IO problems.
 
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use gql_analyze::{Analyzer, Code, Report, Severity};
-use gql_ssdm::diag::json_string_into;
+use gql_ssdm::json::Writer;
 
 struct Options {
     json: bool,
@@ -183,23 +182,21 @@ fn analyze_file(
     })
 }
 
-/// JSON array of cardinality facts: `u64::MAX` (unbounded) becomes `null`.
-fn bounds_json(cards: &gql_analyze::CardinalityMap) -> String {
-    let mut out = String::from("[");
-    for (i, e) in cards.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{{\"rule\":{},\"target\":", e.rule + 1);
-        json_string_into(&e.target, &mut out);
+/// JSON array of cardinality facts (empty when nothing was inferred):
+/// `u64::MAX` (unbounded) becomes `null`.
+fn write_bounds(cards: Option<&gql_analyze::CardinalityMap>, w: &mut Writer) {
+    w.begin_array();
+    for e in cards.into_iter().flat_map(|c| c.iter()) {
+        w.begin_object().key("rule").number(e.rule + 1);
+        w.key("target").string(&e.target).key("bound");
         if e.bound == u64::MAX {
-            out.push_str(",\"bound\":null}");
+            w.null();
         } else {
-            let _ = write!(out, ",\"bound\":{}}}", e.bound);
+            w.number(e.bound);
         }
+        w.end_object();
     }
-    out.push(']');
-    out
+    w.end_array();
 }
 
 fn main() -> ExitCode {
@@ -230,7 +227,10 @@ fn main() -> ExitCode {
         }
     }
     let mut failed = false;
-    let mut json_entries = Vec::new();
+    // `--json` only: one `{"files":[…]}` text, an entry appended per file.
+    let mut json = String::new();
+    let mut w = Writer::new(&mut json);
+    w.begin_object().key("files").begin_array();
     let (mut errors, mut warnings, mut hints) = (0usize, 0usize, 0usize);
     for file in &files {
         let (report, inference) = match analyze_file(&analyzer, file) {
@@ -247,17 +247,12 @@ fn main() -> ExitCode {
             failed = true;
         }
         if opts.json {
-            let bounds = inference
-                .as_ref()
-                .map_or(String::from("[]"), |inf| bounds_json(&inf.cards));
-            let mut entry = String::from("{\"path\":");
-            json_string_into(&file.display().to_string(), &mut entry);
-            let _ = write!(
-                entry,
-                ",\"report\":{},\"bounds\":{bounds}}}",
-                report.to_json()
-            );
-            json_entries.push(entry);
+            w.begin_object()
+                .key("path")
+                .string(&file.display().to_string());
+            report.write_json(w.key("report"));
+            write_bounds(inference.as_ref().map(|inf| &inf.cards), w.key("bounds"));
+            w.end_object();
         } else {
             for d in report.iter() {
                 println!("{}: {d}", file.display());
@@ -280,7 +275,8 @@ fn main() -> ExitCode {
         }
     }
     if opts.json {
-        println!("{{\"files\":[{}]}}", json_entries.join(","));
+        w.end_array().end_object();
+        println!("{json}");
     } else {
         println!(
             "{} file{} checked: {errors} error{}, {warnings} warning{}, {hints} hint{}",

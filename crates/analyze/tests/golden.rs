@@ -3,12 +3,17 @@
 //! sidecar, and every paper query under `examples/queries/` gets a clean
 //! bill of health.
 //!
+//! The `--json` report of the binary itself is pinned the same way, over
+//! the three summary-inference fixtures, and read back with the service's
+//! JSON parser.
+//!
 //! Regenerate the expectations with `BLESS=1 cargo test -p gql-analyze`.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use gql_analyze::{Analyzer, Code, Report, Severity};
+use gql_serve::json::Value;
 
 fn fixtures_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
@@ -154,4 +159,72 @@ fn paper_queries_get_a_clean_bill() {
             report.render()
         );
     }
+}
+
+/// `gql-analyze --json --instance …` over the summary-inference fixtures,
+/// run from the workspace root as CI ran it: byte-identical to its golden,
+/// and, read as a client reads it, each file's tallies count its
+/// diagnostics, GQL014–GQL016 are all reported and a finite bound is.
+#[test]
+fn json_report_matches_its_golden_and_tallies_its_diagnostics() {
+    const FIXTURES: &str = "crates/analyze/tests/fixtures";
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_gql-analyze"))
+        .current_dir(Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."))
+        .args(["--json", "--instance"])
+        .args(
+            [
+                "gql015_dead_rule.xml",
+                "gql014_empty_under_summary.gql",
+                "gql015_dead_rule.wgl",
+                "gql016_path_never_matches.xp",
+            ]
+            .map(|name| format!("{FIXTURES}/{name}")),
+        )
+        .output()
+        .expect("spawn gql-analyze");
+    // Warnings only: the exit code is 0 without `--deny-warnings`.
+    assert!(out.status.success(), "{out:?}");
+    let json = String::from_utf8(out.stdout).expect("utf-8 report");
+    let golden = fixtures_dir().join("summary_inference.json.expected");
+    if std::env::var_os("BLESS").is_some() {
+        std::fs::write(&golden, &json).unwrap();
+    }
+    assert_eq!(json, std::fs::read_to_string(&golden).unwrap());
+
+    let report = Value::parse(json.trim_end()).expect("the report is JSON");
+    let files = report.get("files").and_then(Value::as_arr).unwrap();
+    assert_eq!(files.len(), 3);
+    let mut codes = Vec::new();
+    let mut bounds = Vec::new();
+    for file in files {
+        let report = file.get("report").unwrap();
+        let diagnostics = report.get("diagnostics").and_then(Value::as_arr).unwrap();
+        for (tally, severity) in [
+            ("errors", Severity::Error),
+            ("warnings", Severity::Warning),
+            ("hints", Severity::Hint),
+        ] {
+            let counted = diagnostics
+                .iter()
+                .filter(|d| d.get("severity").and_then(Value::as_str) == Some(severity.as_str()))
+                .count();
+            assert_eq!(
+                report.get(tally).and_then(Value::as_u64),
+                Some(counted as u64),
+                "{tally} of {}",
+                file.render()
+            );
+        }
+        codes.extend(diagnostics.iter().filter_map(|d| d.get("code")?.as_str()));
+        let file_bounds = file.get("bounds").and_then(Value::as_arr).unwrap();
+        bounds.extend(file_bounds.iter().filter_map(|b| b.get("bound")?.as_u64()));
+    }
+    for code in [
+        Code::EmptyUnderSummary,
+        Code::DeadRule,
+        Code::PathNeverMatches,
+    ] {
+        assert!(codes.contains(&code.as_str()), "{code:?} not in {codes:?}");
+    }
+    assert!(!bounds.is_empty(), "no finite cardinality bound reported");
 }

@@ -16,8 +16,10 @@
 //! is a warm point-sized request — Q1 of each surface against the resident
 //! eight-restaurant city guide, run and serialised — traced over untraced,
 //! the two timed in alternation and each taken at its least disturbed
-//! batch. CI bounds it at 1.15. `GQL_BENCH_SAMPLES` scales the first half's
-//! effort as usual.
+//! batch. It is recorded, not judged: on unchanged code it reads 1.03–1.15
+//! (EXPERIMENTS.md T3h), and what it would catch — a recording trace that
+//! allocates — `profile_alloc.rs` counts exactly. `GQL_BENCH_SAMPLES` scales
+//! the first half's effort as usual.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};

@@ -22,13 +22,13 @@
 //! `commit` it was measured on and the machine's `nproc`, so a file that
 //! mixes runs says so row by row.
 
-use std::fmt::{Display, Write as _};
+use std::fmt::Display;
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use gql_ssdm::diag::json_string_into;
+use gql_trace::json::Writer;
 
 /// One reported measurement, as serialized into the results file.
 #[derive(Debug, Clone)]
@@ -40,26 +40,35 @@ struct Entry {
 }
 
 impl Entry {
-    fn to_json(&self, origin: &str) -> String {
-        let mut s = String::from("{\"name\":");
-        json_string_into(&self.name, &mut s);
-        let (mean_ns, samples) = (self.mean_ns, self.samples);
-        let _ = write!(s, ",\"mean_ns\":{mean_ns},\"samples\":{samples}");
+    fn to_json(&self, origin: &Origin) -> String {
+        let mut s = String::new();
+        let mut w = Writer::new(&mut s);
+        w.begin_object().key("name").string(&self.name);
+        w.key("mean_ns").number(self.mean_ns);
+        w.key("samples").number(self.samples);
         if let Some((rate, unit)) = self.rate {
-            // Shortest round-trippable form — a fixed precision would erase
-            // small metrics (an 0.03% overhead bound rounds to 0.0 at `:.1`).
-            let _ = write!(s, ",\"rate\":{rate},\"rate_unit\":\"{unit}\"");
+            // `f64`'s `Display` is the shortest round-trippable form — a
+            // fixed precision would erase small metrics (an 0.03% overhead
+            // bound rounds to 0.0 at `:.1`).
+            w.key("rate").number(rate).key("rate_unit").string(unit);
         }
-        s.push_str(origin);
-        s.push('}');
+        w.key("commit").string(&origin.commit);
+        w.key("nproc").number(origin.nproc);
+        w.end_object();
         s
     }
 }
 
-/// Where a flush's rows came from, as the JSON members every one of them
-/// ends with: the commit checked out when they were measured (`unknown`
-/// outside a git checkout) and the machine's core count.
-fn origin() -> String {
+/// Where a flush's rows came from; every one of them ends with both.
+struct Origin {
+    /// The commit checked out when they were measured (`unknown` outside a
+    /// git checkout).
+    commit: String,
+    /// The machine's core count.
+    nproc: usize,
+}
+
+fn origin() -> Origin {
     let commit = std::process::Command::new("git")
         .args(["rev-parse", "--short", "HEAD"])
         .current_dir(env!("CARGO_MANIFEST_DIR"))
@@ -69,7 +78,7 @@ fn origin() -> String {
         .and_then(|o| String::from_utf8(o.stdout).ok())
         .map_or_else(|| "unknown".into(), |hash| hash.trim().to_string());
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
-    format!(",\"commit\":\"{commit}\",\"nproc\":{nproc}")
+    Origin { commit, nproc }
 }
 
 /// Measurements reported since the last flush, process-wide (bench binaries
@@ -100,7 +109,7 @@ fn entry_name(line: &str) -> Option<&str> {
 /// Merge `new` entries into the results file: keep existing entries whose
 /// names this run did not re-measure, replace the rest. `origin` is the
 /// [`origin`] stamp the new rows carry.
-fn merge_into_file(path: &Path, new: &[Entry], origin: &str) -> std::io::Result<()> {
+fn merge_into_file(path: &Path, new: &[Entry], origin: &Origin) -> std::io::Result<()> {
     let mut lines: Vec<String> = Vec::new();
     if let Ok(existing) = std::fs::read_to_string(path) {
         for line in existing.lines() {
@@ -382,7 +391,10 @@ mod tests {
 
     #[test]
     fn merge_replaces_re_measured_entries_and_keeps_the_rest() {
-        const ORIGIN: &str = ",\"commit\":\"old\",\"nproc\":2";
+        let stamp = |commit: &str| Origin {
+            commit: commit.into(),
+            nproc: 2,
+        };
         let path =
             std::env::temp_dir().join(format!("gql_bench_merge_{}.json", std::process::id()));
         let old = [
@@ -399,14 +411,14 @@ mod tests {
                 rate: Some((3.5, "elem/s")),
             },
         ];
-        merge_into_file(&path, &old, ORIGIN).unwrap();
+        merge_into_file(&path, &old, &stamp("old")).unwrap();
         let new = [Entry {
             name: "a/x".into(),
             mean_ns: 9,
             samples: 2,
             rate: None,
         }];
-        merge_into_file(&path, &new, ",\"commit\":\"new\",\"nproc\":2").unwrap();
+        merge_into_file(&path, &new, &stamp("new")).unwrap();
         let written = std::fs::read_to_string(&path).unwrap();
         assert!(written.contains("\"name\":\"a/x\",\"mean_ns\":9,\"samples\":2,\"commit\":\"new\""));
         assert!(!written.contains("\"mean_ns\":1,"));

@@ -19,8 +19,9 @@
 //!
 //! The text tree shows one line per span with its duration (dot-aligned),
 //! counters and notes; the JSON form mirrors it structurally and is stable
-//! for machine consumption (validated in CI against the two example
-//! queries). The budget flags run the query through the governed entry
+//! for machine consumption (`tests/prof_cli.rs` runs it on the two example
+//! queries; the root package's `tests/profile.rs` reads the JSON back into
+//! the tree). The budget flags run the query through the governed entry
 //! point; a tripped budget prints the partial-progress report and exits 3.
 //! Exit code 2 on usage errors, 1 on engine errors.
 

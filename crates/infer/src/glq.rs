@@ -33,7 +33,7 @@ use std::collections::BTreeSet;
 
 use gql_ssdm::diag::{Code, Diagnostic};
 use gql_ssdm::summary::{PathId, Summary};
-use gql_xmlgl::ast::{ExtractGraph, NameTest, Program, QNodeId, QNodeKind, Rule};
+use gql_xmlgl::ast::{ExtractGraph, NameTest, Program, QNodeId, QNodeKind};
 
 use crate::fold::predicate_unsat;
 use crate::Inference;
@@ -250,62 +250,6 @@ fn edge_extent(
     out
 }
 
-/// Choose a root evaluation order for a multi-root rule from per-root
-/// bounds: start at the smallest bound and greedily append the
-/// smallest-bound root that is *join-connected* to the prefix (falling
-/// back to the global minimum when none is), so selective roots shrink the
-/// intermediate result early without introducing avoidable cross products.
-///
-/// Returns `None` when there is nothing to reorder (fewer than two roots or
-/// mismatched bounds). Ties break towards declaration order, so equal-bound
-/// inputs reproduce the left-to-right default.
-pub fn plan_root_order(rule: &Rule, bounds: &[u64]) -> Option<Vec<usize>> {
-    let g = &rule.extract;
-    let roots = &g.roots;
-    if roots.len() < 2 || bounds.len() != roots.len() {
-        return None;
-    }
-
-    // Owner root of every query node, by walking each root's subtree.
-    let mut owner = vec![usize::MAX; g.nodes.len()];
-    for (ri, &root) in roots.iter().enumerate() {
-        let mut stack = vec![root];
-        while let Some(q) = stack.pop() {
-            if owner[q.index()] != usize::MAX {
-                continue;
-            }
-            owner[q.index()] = ri;
-            stack.extend(g.node(q).children.iter().map(|e| e.target));
-        }
-    }
-    let mut connected = vec![vec![false; roots.len()]; roots.len()];
-    for &(a, b) in &g.joins {
-        let (oa, ob) = (owner[a.index()], owner[b.index()]);
-        if oa != ob && oa != usize::MAX && ob != usize::MAX {
-            connected[oa][ob] = true;
-            connected[ob][oa] = true;
-        }
-    }
-
-    let mut order = Vec::with_capacity(roots.len());
-    let mut used = vec![false; roots.len()];
-    while order.len() < roots.len() {
-        let joined = |ri: usize| order.iter().any(|&o: &usize| connected[o][ri]);
-        let pick = (0..roots.len())
-            .filter(|&ri| !used[ri])
-            .filter(|&ri| order.is_empty() || joined(ri))
-            .min_by_key(|&ri| (bounds[ri], ri))
-            .or_else(|| {
-                (0..roots.len())
-                    .filter(|&ri| !used[ri])
-                    .min_by_key(|&ri| (bounds[ri], ri))
-            })?;
-        used[pick] = true;
-        order.push(pick);
-    }
-    Some(order)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,55 +364,5 @@ mod tests {
         .unwrap();
         let inf = infer_xmlgl(&p, &s);
         assert!(inf.empty_rules[0]);
-    }
-
-    #[test]
-    fn planner_starts_with_the_selective_root() {
-        let (_, s) = summarise(BIB);
-        let p = dsl::parse(
-            r#"rule {
-                 extract {
-                   book { title { text as $t1 } }
-                   article { title { text as $t2 } }
-                   join $t1 == $t2
-                 }
-                 construct { out { all $t1 } }
-               }"#,
-        )
-        .unwrap();
-        let inf = infer_xmlgl(&p, &s);
-        let order = plan_root_order(&p.rules[0], &inf.root_bounds[0]).unwrap();
-        // article (1 element) is more selective than book (2).
-        assert_eq!(order, vec![1, 0]);
-    }
-
-    #[test]
-    fn planner_prefers_joined_roots_over_cross_products() {
-        // Roots 0 and 2 are joined; root 1 is isolated.
-        let p = dsl::parse(
-            r#"rule {
-                 extract {
-                   book { title { text as $a } }
-                   article as $m
-                   book { title { text as $b } }
-                   join $a == $b
-                 }
-                 construct { out { all $m } }
-               }"#,
-        )
-        .unwrap();
-        let order = plan_root_order(&p.rules[0], &[5, 1, 2]).unwrap();
-        // Root 1 has the smallest bound and starts; nothing joins to it, so
-        // the fallback picks the cheaper joined root, whose partner follows.
-        assert_eq!(order, vec![1, 2, 0]);
-        let order = plan_root_order(&p.rules[0], &[5, 9, 2]).unwrap();
-        // Now start at root 2 (bound 2), then its join partner 0, then 1.
-        assert_eq!(order, vec![2, 0, 1]);
-    }
-
-    #[test]
-    fn single_root_needs_no_plan() {
-        let p = dsl::parse("rule { extract { book as $b } construct { out { all $b } } }").unwrap();
-        assert_eq!(plan_root_order(&p.rules[0], &[3]), None);
     }
 }

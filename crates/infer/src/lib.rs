@@ -12,8 +12,8 @@
 //!   [`Code::PathNeverMatches`] (GQL016) for XPath steps that walk off the
 //!   summary automaton;
 //! * **cardinality upper bounds** per query node, exported as a
-//!   [`CardinalityMap`] — the cost facts the planner consumes (the XML-GL
-//!   matcher orders its root joins by them, see [`plan_root_order`]).
+//!   [`CardinalityMap`] — the cost facts the planner consumes (`gql-plan`
+//!   orders the XML-GL matcher's root joins by them).
 //!
 //! Every claim is an over-approximation of the concrete semantics: a query
 //! flagged empty evaluates empty on the summarised document, and no result
@@ -31,7 +31,7 @@ pub mod xpq;
 
 use gql_ssdm::diag::Report;
 
-pub use glq::{infer_xmlgl, plan_root_order};
+pub use glq::infer_xmlgl;
 pub use wgq::infer_wglog;
 pub use xpq::infer_xpath;
 

@@ -12,8 +12,7 @@
 //! [`JoinGraph::plan`] enumerates orders bottom-up with dynamic programming
 //! over root subsets when the body has at most [`DP_LIMIT`] roots —
 //! guaranteed to minimise the cost model — and falls back to the greedy
-//! heuristic (smallest bound first, join-connected preferred; the
-//! generalisation of `gql_infer::plan_root_order`) above that.
+//! heuristic (smallest bound first, join-connected preferred) above that.
 //!
 //! The cost model charges each step its input sizes plus the estimated
 //! intermediate it produces: a join-connected step keeps the larger side's
@@ -171,8 +170,7 @@ impl JoinGraph {
 
     /// Greedy fallback for wide bodies: start at the smallest bound, then
     /// repeatedly take the smallest-bound root join-connected to the prefix
-    /// (global minimum when none is) — `gql_infer::plan_root_order`
-    /// restated over the join graph.
+    /// (global minimum when none is).
     pub fn plan_greedy(&self) -> Vec<usize> {
         let n = self.len();
         let mut order = Vec::with_capacity(n);

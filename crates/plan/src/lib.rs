@@ -11,8 +11,7 @@
 //! * [`lower`] — the per-language lowerings that feed EXPLAIN surfaces and
 //!   stamp inference cardinalities onto the operators;
 //! * [`join_order`] — the cost model and bottom-up join-order enumerator
-//!   (exhaustive subset DP for rule bodies of ≤ 8 roots, greedy beyond)
-//!   that generalises `gql_infer::plan_root_order`;
+//!   (exhaustive subset DP for rule bodies of ≤ 8 roots, greedy beyond);
 //! * [`cache`] — the engine-resident LRU plan cache keyed by (canonical
 //!   query text, document content fingerprint, budget class) so warm
 //!   traffic goes parse → execution without re-running analysis.

@@ -583,9 +583,10 @@ impl MetricsReport {
         out
     }
 
-    /// Prometheus text exposition (validated by
-    /// `tools/check_metrics_text.py`): counters, per-tenant counters, rate
-    /// gauges, and cumulative `_bucket`/`_sum`/`_count` histograms.
+    /// Prometheus text exposition: counters, per-tenant counters, rate
+    /// gauges, and cumulative `_bucket`/`_sum`/`_count` histograms. Its
+    /// grammar, conservation laws and agreement with [`Self::to_value`] are
+    /// held by `tests/metrics_views.rs`.
     pub fn to_prometheus_text(&self) -> String {
         let mut out = String::new();
         let m = &self.service;
@@ -610,6 +611,7 @@ impl MetricsReport {
                 ("submitted", t.submitted),
                 ("admitted", t.admitted),
                 ("rejected", t.rejected),
+                ("rate_limited", t.rate_limited),
                 ("refused", t.refused),
             ] {
                 out.push_str(&format!(

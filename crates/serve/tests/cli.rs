@@ -36,13 +36,23 @@ fn stat_against_unreachable_server_fails_fast_with_a_clear_message() {
     );
 }
 
+/// `serve` and `stat` are the whole command line: anything else — the two
+/// self-test subcommands the binary used to carry included — gets the usage
+/// text and exit code 2.
 #[test]
 fn unknown_subcommand_prints_usage_and_exits_nonzero() {
-    let out = Command::new(env!("CARGO_BIN_EXE_gql-serve"))
-        .arg("no-such-command")
-        .output()
-        .expect("spawn gql-serve");
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("Usage:"), "got: {stderr}");
+    for arg in ["no-such-command", "smoke", "smoke-metrics"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_gql-serve"))
+            .arg(arg)
+            .output()
+            .expect("spawn gql-serve");
+        assert_eq!(out.status.code(), Some(2), "{arg}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.starts_with("Usage:"), "{arg}: {stderr}");
+        let subcommands: Vec<&str> = stderr
+            .lines()
+            .filter_map(|l| l.split("gql-serve ").nth(1)?.split(' ').next())
+            .collect();
+        assert_eq!(subcommands, ["serve", "stat"], "{arg}: {stderr}");
+    }
 }

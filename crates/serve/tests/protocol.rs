@@ -14,6 +14,11 @@
 //!   after all of the above;
 //! * slow-loris writers — a stalled half-open connection is reaped by
 //!   the server's read timeout instead of pinning a thread forever.
+//!
+//! The good paths are driven end to end here too — a three-language batch,
+//! a hot reload and a query on the new epoch, the quota refusal — and every
+//! query reply of the suite goes through [`decoded`], which holds it to the
+//! client's own codec. The reply schema is stated once, in `proto.rs`.
 
 // Miri has no socket support; the admission suite and the crate unit tests
 // carry the gql-serve miri coverage.
@@ -25,9 +30,10 @@ use std::path::Path;
 use std::time::Duration;
 
 use gql_serve::json::Value;
-use gql_serve::proto::{read_frame, write_frame, MAX_FRAME};
+use gql_serve::proto::{decode_response, encode_response, read_frame, write_frame, MAX_FRAME};
 use gql_serve::{
-    Catalog, Client, Envelope, ErrorCode, Request, Server, ServerConfig, Service, TenantRegistry,
+    Catalog, Client, Envelope, ErrorCode, Request, Response, Server, ServerConfig, Service,
+    TenantRegistry,
 };
 
 fn test_service() -> Service {
@@ -60,6 +66,32 @@ fn ping_works(server: &Server) {
     assert_eq!(pong.get("pong").and_then(Value::as_bool), Some(true));
 }
 
+/// Decode a query reply the way a client does and hold it to the client's
+/// codec: re-encoding what `decode_response` understood must give the reply
+/// back, so a renamed, dropped or added field fails here (and a field the
+/// decoder defaulted, such as a `result_count` it no longer finds, shows as a
+/// changed value). A `retry_after_ms` is in 1..=1000 and accompanies
+/// `rate_limited` only.
+fn decoded(reply: &Value) -> Response {
+    let resp = decode_response(reply).unwrap_or_else(|e| panic!("{e}: {}", reply.render()));
+    assert_eq!(
+        &encode_response(&resp),
+        reply,
+        "reply is not what the client codec reads"
+    );
+    if let Response::Err(err) = &resp {
+        assert_eq!(
+            err.retry_after_ms.is_some(),
+            err.code == ErrorCode::RateLimited,
+            "{}",
+            reply.render()
+        );
+        assert!(err.retry_after_ms.is_none_or(|ms| (1..=1000).contains(&ms)));
+        assert!(!err.message.is_empty(), "{}", reply.render());
+    }
+    resp
+}
+
 /// One pinned case: the raw frame payload and the expected outcome.
 struct ProtoCase {
     name: String,
@@ -67,6 +99,8 @@ struct ProtoCase {
     /// `None` expects a successful (`ok`-ish) response; `Some(code)` expects
     /// a structured error with that code.
     expect: Option<ErrorCode>,
+    /// `expect-xml-contains:` — text the answer of a successful query holds.
+    xml_contains: Option<String>,
 }
 
 fn load_proto_cases() -> Vec<ProtoCase> {
@@ -84,6 +118,7 @@ fn load_proto_cases() -> Vec<ProtoCase> {
         let mut payload = None;
         let mut expect = None;
         let mut saw_expect = false;
+        let mut xml_contains = None;
         for line in text.lines() {
             if let Some(p) = line.strip_prefix("payload: ") {
                 payload = Some(p.as_bytes().to_vec());
@@ -95,6 +130,8 @@ fn load_proto_cases() -> Vec<ProtoCase> {
                 saw_expect = true;
             } else if line.strip_prefix("expect: ").map(str::trim) == Some("ok") {
                 saw_expect = true;
+            } else if let Some(text) = line.strip_prefix("expect-xml-contains: ") {
+                xml_contains = Some(text.to_string());
             }
         }
         assert!(saw_expect, "{path:?}: no expectation line");
@@ -102,6 +139,7 @@ fn load_proto_cases() -> Vec<ProtoCase> {
             name: path.file_stem().unwrap().to_string_lossy().into_owned(),
             payload: payload.unwrap_or_else(|| panic!("{path:?}: no payload line")),
             expect,
+            xml_contains,
         });
     }
     assert!(cases.len() >= 10, "pinned protocol corpus went missing");
@@ -139,6 +177,14 @@ fn pinned_cases_get_structured_responses_and_leave_the_connection_alive() {
                 code.name(),
                 v.render()
             ),
+        }
+        // Every error, and every answer to a query, is a reply of the query
+        // codec (ping, metrics and reload acknowledgements are not).
+        if got_code.is_some() || v.get("xml").is_some() {
+            let resp = decoded(&v);
+            if let (Some(text), Response::Ok(ok)) = (&case.xml_contains, &resp) {
+                assert!(ok.xml.contains(text), "{}: {}", case.name, ok.xml);
+            }
         }
         // Framing stayed intact, so the same connection must still serve.
         let pong = client
@@ -378,6 +424,8 @@ fn reload_over_the_wire_advances_the_epoch_queries_report() {
     let detail = reload.get("reload").expect("reload detail");
     assert_eq!(detail.get("dataset").and_then(Value::as_str), Some("d"));
     assert_eq!(detail.get("epoch").and_then(Value::as_u64), Some(2));
+    // Nothing was in flight on epoch 1, so nothing is left draining.
+    assert_eq!(detail.get("draining").and_then(Value::as_u64), Some(0));
 
     let after = client.roundtrip(&query).expect("query after reload");
     assert_eq!(after.get("epoch").and_then(Value::as_u64), Some(2));
@@ -473,20 +521,12 @@ fn rate_limited_reply_carries_a_bounded_retry_hint() {
             .unwrap(),
         )
         .expect("roundtrip");
-    assert_eq!(
-        v.get("code").and_then(Value::as_str),
-        Some(ErrorCode::RateLimited.name()),
-        "got {}",
-        v.render()
-    );
-    let hint = v
-        .get("retry_after_ms")
-        .and_then(Value::as_u64)
-        .expect("retry_after_ms present");
-    assert!(
-        (1..=1000).contains(&hint),
-        "retry hint must land inside the next window roll: {hint}"
-    );
+    let Response::Err(err) = decoded(&v) else {
+        panic!("a zero quota admitted a request: {}", v.render());
+    };
+    assert_eq!(err.code, ErrorCode::RateLimited, "got {}", v.render());
+    // `decoded` held the hint to 1..=1000: inside the next window roll.
+    assert!(err.retry_after_ms.is_some());
     server.shutdown();
     service.shutdown();
 }
@@ -495,24 +535,33 @@ fn rate_limited_reply_carries_a_bounded_retry_hint() {
 fn batch_over_the_wire_reports_per_item_outcomes() {
     let (service, server) = test_server();
     let mut client = Client::connect(server.addr()).expect("connect");
+    // All three languages, and one item that cannot run.
     let req = Value::parse(
         r#"{"op":"batch","tenant":"t","items":[
             {"dataset":"d","kind":"xpath","query":"//a"},
             {"dataset":"ghost","kind":"xpath","query":"//a"},
-            {"dataset":"d","kind":"xpath","query":"//a"}
+            {"dataset":"d","kind":"xmlgl","query":"rule { extract { b as $b { a as $a } } construct { out { all $a } } }"},
+            {"dataset":"d","kind":"wglog","query":"rule { query { $r: r  $b: b  $r -b-> $b } construct { $l: found  $l -member-> $b } } goal found"}
         ]}"#,
     )
     .unwrap();
     let v = client.roundtrip(&req).expect("batch roundtrip");
     let items = v.get("batch").and_then(Value::as_arr).expect("batch array");
-    assert_eq!(items.len(), 3);
-    assert_eq!(items[0].get("ok").and_then(Value::as_bool), Some(true));
-    assert_eq!(
-        items[1].get("code").and_then(Value::as_str),
-        Some(ErrorCode::UnknownDataset.name()),
-        "one bad item must not poison its siblings"
-    );
-    assert_eq!(items[2].get("ok").and_then(Value::as_bool), Some(true));
+    assert_eq!(items.len(), 4);
+    for (i, item) in items.iter().enumerate() {
+        match decoded(item) {
+            Response::Err(err) => {
+                assert_eq!(i, 1, "one bad item must not poison its siblings: {err:?}");
+                assert_eq!(err.code, ErrorCode::UnknownDataset);
+            }
+            Response::Ok(ok) => {
+                assert_ne!(i, 1, "the ghost dataset answered");
+                assert!(ok.result_count >= 1, "item {i} has no results: {ok:?}");
+                assert!(!ok.plan.is_empty(), "item {i} lost its plan");
+                assert_eq!(ok.epoch, 1);
+            }
+        }
+    }
     // In-process view agrees with the wire view.
     let direct = service
         .handle()

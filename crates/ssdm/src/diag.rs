@@ -15,6 +15,8 @@
 
 use std::fmt;
 
+use gql_trace::json::Writer;
+
 /// A source position (1-based line/column) attached to an AST node or
 /// diagnostic. `line == 0` means "no position" (e.g. programs assembled via
 /// the builders rather than parsed from DSL text).
@@ -341,46 +343,39 @@ impl Report {
         out
     }
 
-    /// Machine-readable JSON report (hand-rolled; the workspace is
-    /// dependency-free). Schema:
+    /// Machine-readable JSON report. Schema:
     /// `{"diagnostics":[{code,severity,line,col,rule,message,help}…],
     ///   "errors":N,"warnings":N,"hints":N}`
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"diagnostics\":[");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"code\":\"");
-            out.push_str(d.code.as_str());
-            out.push_str("\",\"severity\":\"");
-            out.push_str(d.severity.as_str());
-            out.push_str("\",\"line\":");
-            out.push_str(&d.span.line.to_string());
-            out.push_str(",\"col\":");
-            out.push_str(&d.span.col.to_string());
-            out.push_str(",\"rule\":");
-            match &d.rule {
-                Some(r) => json_string_into(r, &mut out),
-                None => out.push_str("null"),
-            }
-            out.push_str(",\"message\":");
-            json_string_into(&d.message, &mut out);
-            out.push_str(",\"help\":");
-            match &d.help {
-                Some(h) => json_string_into(h, &mut out),
-                None => out.push_str("null"),
-            }
-            out.push('}');
-        }
-        out.push_str("],\"errors\":");
-        out.push_str(&self.count(Severity::Error).to_string());
-        out.push_str(",\"warnings\":");
-        out.push_str(&self.count(Severity::Warning).to_string());
-        out.push_str(",\"hints\":");
-        out.push_str(&self.count(Severity::Hint).to_string());
-        out.push('}');
+        let mut out = String::new();
+        self.write_json(&mut Writer::new(&mut out));
         out
+    }
+
+    /// [`Report::to_json`] as one value of a larger JSON text.
+    pub fn write_json(&self, w: &mut Writer) {
+        w.begin_object().key("diagnostics").begin_array();
+        for d in &self.diagnostics {
+            w.begin_object().key("code").string(d.code.as_str());
+            w.key("severity").string(d.severity.as_str());
+            w.key("line").number(d.span.line);
+            w.key("col").number(d.span.col);
+            match &d.rule {
+                Some(r) => w.key("rule").string(r),
+                None => w.key("rule").null(),
+            };
+            w.key("message").string(&d.message);
+            match &d.help {
+                Some(h) => w.key("help").string(h),
+                None => w.key("help").null(),
+            };
+            w.end_object();
+        }
+        w.end_array();
+        w.key("errors").number(self.count(Severity::Error));
+        w.key("warnings").number(self.count(Severity::Warning));
+        w.key("hints").number(self.count(Severity::Hint));
+        w.end_object();
     }
 }
 
@@ -396,36 +391,6 @@ impl From<Vec<Diagnostic>> for Report {
     fn from(diagnostics: Vec<Diagnostic>) -> Report {
         Report { diagnostics }
     }
-}
-
-/// Append `s` to `out` as a JSON string literal, quotes included: `"` and
-/// `\` escaped, newline / carriage return / tab by their short forms, every
-/// other control character as `\u00XX`. The one escaper of the workspace's
-/// JSON emitters (`gql-trace` is dependency-free and keeps its own); runs
-/// that need no escape are copied as slices.
-pub fn json_string_into(s: &str, out: &mut String) {
-    use fmt::Write as _;
-    out.push('"');
-    let mut copied = 0;
-    for (i, b) in s.bytes().enumerate() {
-        if b >= 0x20 && b != b'"' && b != b'\\' {
-            continue;
-        }
-        out.push_str(&s[copied..i]);
-        copied = i + 1;
-        match b {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\r' => out.push_str("\\r"),
-            b'\t' => out.push_str("\\t"),
-            _ => {
-                let _ = write!(out, "\\u{b:04x}");
-            }
-        }
-    }
-    out.push_str(&s[copied..]);
-    out.push('"');
 }
 
 #[cfg(test)]

@@ -48,6 +48,9 @@ pub use arena::{NodeId, Symbol};
 pub use diag::{Code, Diagnostic, Report, Severity, Span};
 pub use document::{Document, NodeKind};
 pub use error::{Error, Result};
+/// The workspace's one JSON writer, re-exported for the crates that depend
+/// on `gql-ssdm` and not on `gql-trace`.
+pub use gql_trace::json;
 pub use index::{shallow_fingerprint, DocIndex, IndexStats};
 pub use summary::{PathId, Summary, SummaryStats};
 pub use value::{CmpOp, Value};

@@ -49,6 +49,7 @@
 //! assert_eq!(eval.children[0].counter("candidates"), Some(42));
 //! ```
 
+pub mod json;
 pub mod profile;
 mod record;
 

@@ -1,9 +1,11 @@
 //! Execution profiles: the immutable snapshot of a finished trace, plus the
 //! three renderings every tool in the workspace consumes — an aligned text
-//! tree (EXPLAIN-style, for humans), hand-rolled JSON (machine-readable, no
-//! external dependencies), and a duration-free *shape* (for determinism
+//! tree (EXPLAIN-style, for humans), JSON (machine-readable, through
+//! [`crate::json`]), and a duration-free *shape* (for determinism
 //! oracles: two runs of the same case must produce identical shapes even
 //! though wall-clock timings differ).
+
+use crate::json::Writer;
 
 /// A finished trace: the forest of top-level spans recorded by a
 /// [`crate::TraceLog`].
@@ -135,54 +137,37 @@ impl ExecutionProfile {
         out
     }
 
-    /// Machine-readable JSON (hand-rolled; the workspace takes no external
-    /// dependencies). Shape:
+    /// Machine-readable JSON. Shape:
     ///
     /// ```json
     /// {"spans":[{"name":"run","nanos":123,"counters":{"rules":1},
     ///            "notes":{"engine":"xmlgl"},"children":[...]}]}
     /// ```
     pub fn to_json(&self) -> String {
-        fn node(n: &ProfileNode, out: &mut String) {
-            out.push_str("{\"name\":");
-            json_string(&n.name, out);
-            out.push_str(",\"nanos\":");
-            out.push_str(&n.nanos.to_string());
-            out.push_str(",\"counters\":{");
-            for (i, (k, v)) in n.counters.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                json_string(k, out);
-                out.push(':');
-                out.push_str(&v.to_string());
+        fn node(n: &ProfileNode, w: &mut Writer) {
+            w.begin_object().key("name").string(&n.name);
+            w.key("nanos").number(n.nanos);
+            w.key("counters").begin_object();
+            for (k, v) in &n.counters {
+                w.key(k).number(v);
             }
-            out.push_str("},\"notes\":{");
-            for (i, (k, v)) in n.notes.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                json_string(k, out);
-                out.push(':');
-                json_string(v, out);
+            w.end_object().key("notes").begin_object();
+            for (k, v) in &n.notes {
+                w.key(k).string(v);
             }
-            out.push_str("},\"children\":[");
-            for (i, c) in n.children.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                node(c, out);
+            w.end_object().key("children").begin_array();
+            for c in &n.children {
+                node(c, w);
             }
-            out.push_str("]}");
+            w.end_array().end_object();
         }
-        let mut out = String::from("{\"spans\":[");
-        for (i, r) in self.roots.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            node(r, &mut out);
+        let mut out = String::new();
+        let mut w = Writer::new(&mut out);
+        w.begin_object().key("spans").begin_array();
+        for r in &self.roots {
+            node(r, &mut w);
         }
-        out.push_str("]}");
+        w.end_array().end_object();
         out
     }
 
@@ -225,23 +210,6 @@ fn format_nanos(nanos: u128) -> String {
             (nanos % 1_000_000) / 10_000
         )
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslash, control chars).
-fn json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

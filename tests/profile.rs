@@ -8,8 +8,9 @@
 //! actually does (a bug).
 
 use gql::core::engine::{Engine, QueryKind};
-use gql::ssdm::Document;
+use gql::ssdm::{generator, Document};
 use gql::trace::ProfileNode;
+use gql_serve::json::Value;
 
 fn profiled(query: &QueryKind, doc: &Document) -> gql::trace::ExecutionProfile {
     Engine::new()
@@ -17,6 +18,60 @@ fn profiled(query: &QueryKind, doc: &Document) -> gql::trace::ExecutionProfile {
         .expect("query evaluates")
         .profile
         .expect("profiled run attaches a profile")
+}
+
+/// Read one span of `ExecutionProfile::to_json` back, as a consumer of the
+/// `--json` / `"profile":true` surfaces would: exactly the five members, in
+/// order, a non-empty name, non-negative integers for the duration and every
+/// counter, strings for every note.
+fn span_from_json(span: &Value) -> ProfileNode {
+    let Value::Obj(members) = span else {
+        panic!("a span is an object: {}", span.render());
+    };
+    let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys, ["name", "nanos", "counters", "notes", "children"]);
+    let member = |i: usize| &members[i].1;
+    let pairs = |v: &Value| match v {
+        Value::Obj(pairs) => pairs.clone(),
+        other => panic!("not an object: {}", other.render()),
+    };
+    let node = ProfileNode {
+        name: member(0).as_str().expect("name").to_string(),
+        nanos: member(1).as_u64().expect("nanos").into(),
+        counters: pairs(member(2))
+            .into_iter()
+            .map(|(k, v)| (k, v.as_u64().expect("a counter is a count")))
+            .collect(),
+        notes: pairs(member(3))
+            .into_iter()
+            .map(|(k, v)| (k, v.as_str().expect("a note is a string").to_string()))
+            .collect(),
+        children: member(4)
+            .as_arr()
+            .expect("children")
+            .iter()
+            .map(span_from_json)
+            .collect(),
+    };
+    assert!(!node.name.is_empty());
+    node
+}
+
+/// The JSON rendering carries the whole tree and nothing else.
+fn assert_json_mirrors(profile: &gql::trace::ExecutionProfile) {
+    let json = Value::parse(&profile.to_json()).expect("a profile renders as JSON");
+    let Value::Obj(top) = &json else {
+        panic!("not an object: {}", json.render());
+    };
+    assert!(matches!(&top[..], [(key, Value::Arr(_))] if key == "spans"));
+    let roots: Vec<ProfileNode> = top[0]
+        .1
+        .as_arr()
+        .unwrap()
+        .iter()
+        .map(span_from_json)
+        .collect();
+    assert_eq!(roots, profile.roots);
 }
 
 fn counter(node: &ProfileNode, name: &str) -> u64 {
@@ -390,7 +445,45 @@ fn rendered_profiles_agree_across_formats() {
         );
         assert!(shape.contains(name), "{name} missing from shape:\n{shape}");
     }
+    assert_json_mirrors(&profile);
     // Two profiled runs of the same query have the same shape — the
     // durations (which differ run to run) must not leak into it.
     assert_eq!(profiled(&q, &doc).shape(), shape);
+}
+
+/// The two example queries `gql-prof --json` is run on (`prof_cli.rs` in
+/// gql-core drives the binary): the JSON mirrors the tree, the first root is
+/// `run` naming its engine, and every phase the engine goes through has a
+/// span.
+#[test]
+fn json_profiles_of_the_example_queries_name_every_phase() {
+    let example = |file: &str| {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/queries");
+        std::fs::read_to_string(path.join(file)).unwrap()
+    };
+    let wglog = gql::wglog::dsl::parse_unchecked(&example("f1_rest_list.wgl")).unwrap();
+    let xmlgl = gql::xmlgl::dsl::parse_unchecked(&example("f2_book_selection.gql")).unwrap();
+    let cases: [(_, _, _, &[&str]); 2] = [
+        (
+            QueryKind::WgLog(wglog),
+            generator::cityguide(Default::default()),
+            "wglog",
+            &["run", "analyze", "load", "eval", "stratify", "construct"],
+        ),
+        (
+            QueryKind::XmlGl(xmlgl),
+            generator::bibliography(Default::default()),
+            "xmlgl",
+            &["run", "analyze", "index", "eval"],
+        ),
+    ];
+    for (query, doc, engine, spans) in cases {
+        let profile = profiled(&query, &doc);
+        assert_json_mirrors(&profile);
+        assert_eq!(profile.roots[0].name, "run");
+        assert_eq!(profile.roots[0].note("engine"), Some(engine));
+        for span in spans {
+            assert!(profile.find(span).is_some(), "{engine}: no `{span}` span");
+        }
+    }
 }
