@@ -7,6 +7,7 @@ use gql_bench::microbench::{BenchmarkGroup, BenchmarkId, Criterion, Throughput};
 use gql_bench::suite::{Dataset, SuiteQuery};
 use gql_bench::{criterion_group, criterion_main};
 use gql_core::Engine;
+use gql_ssdm::sink::{Sink, XmlSink};
 use gql_ssdm::Document;
 
 fn bench_figure_queries(c: &mut Criterion) {
@@ -110,8 +111,8 @@ fn bench_q2_three_engines(c: &mut Criterion) {
 
 /// What an answer costs once the engine knows what is in it: the Q1 answer
 /// of the scale-1000 city guide (every `restaurant` subtree, ≈ 25 k nodes,
-/// ≈ 320 KB) copied, grown from goal objects, written and dropped, as
-/// nodes per second.
+/// ≈ 320 KB) copied, grown from goal objects, written, emitted straight to
+/// bytes and dropped, as nodes per second.
 fn bench_materialise(c: &mut Criterion) {
     let mut group = c.benchmark_group("materialise");
     group.sample_size(20);
@@ -134,6 +135,20 @@ fn bench_materialise(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("write", 1000), |b| {
         b.iter(|| answer.to_xml_string())
     });
+    // What the service does in place of `import` + `write`: the same answer
+    // as bytes, into a buffer that starts empty.
+    group.bench_function(BenchmarkId::new("emit_xml", 1000), |b| {
+        b.iter(|| {
+            let mut xml = String::new();
+            let mut sink = XmlSink::new(&mut xml);
+            sink.start("answer");
+            for &r in &restaurants {
+                sink.subtree(&doc, r);
+            }
+            sink.end();
+            xml
+        })
+    });
     let drop = group.bench_function(BenchmarkId::new("drop", 1000), |b| {
         b.iter_with_setup(|| answer.clone(), drop)
     });
@@ -150,6 +165,13 @@ fn bench_materialise(c: &mut Criterion) {
     group.throughput(Throughput::Elements(grown.node_count() as u64));
     group.bench_function(BenchmarkId::new("to_document", 1000), |b| {
         b.iter_with_large_drop(|| db.to_document("answer", "restaurant", 2))
+    });
+    group.bench_function(BenchmarkId::new("emit_wglog", 1000), |b| {
+        b.iter(|| {
+            let mut xml = String::new();
+            db.emit("answer", "restaurant", 2, &mut XmlSink::new(&mut xml));
+            xml
+        })
     });
     group.finish();
 }

@@ -12,6 +12,7 @@ use std::time::{Duration, Instant};
 use gql_guard::{fault, RunCtx};
 use gql_infer::Inference;
 use gql_plan::{CacheStats, CachedPlan, PlanCache, PlanKey, StatsCell};
+use gql_ssdm::sink::{DocSink, Sink};
 use gql_ssdm::{shallow_fingerprint, DocIndex, Document, Summary};
 use gql_trace::{joined, ExecutionProfile, Trace};
 use gql_wglog::instance::Instance;
@@ -29,9 +30,10 @@ pub enum QueryKind {
 
 /// Result of one engine run.
 #[derive(Debug)]
-pub struct RunOutcome {
-    /// The result document produced by the engine.
-    pub output: Document,
+pub struct RunOutcome<O = Document> {
+    /// The result document produced by the engine; `()` from
+    /// [`Engine::execute_into`], whose answer went to the caller's sink.
+    pub output: O,
     /// A size proxy comparable across engines: result elements for XML-GL /
     /// XPath, goal objects for WG-Log.
     pub result_count: usize,
@@ -347,8 +349,31 @@ impl Engine {
         Ok(outcome)
     }
 
-    /// The full form of [`Engine::run`]: a run reporting into `ctx.trace`
-    /// and bounded by `ctx.guard`.
+    /// [`Engine::execute_into`] over a [`DocSink`]: the answer as a
+    /// document.
+    pub fn execute(
+        &self,
+        query: &QueryKind,
+        doc: &Document,
+        ctx: RunCtx<'_>,
+    ) -> Result<RunOutcome> {
+        let mut output = Document::new();
+        let outcome = self.execute_into(query, doc, ctx, &mut DocSink::new(&mut output))?;
+        Ok(RunOutcome {
+            output,
+            result_count: outcome.result_count,
+            eval_time: outcome.eval_time,
+            load_time: outcome.load_time,
+            profile: outcome.profile,
+            inference: outcome.inference,
+            plan: outcome.plan,
+        })
+    }
+
+    /// The full form of [`Engine::run`]: a run reporting into `ctx.trace`,
+    /// bounded by `ctx.guard`, its answer emitted into `sink` — a
+    /// [`DocSink`] to look at it, an [`XmlSink`](gql_ssdm::sink::XmlSink)
+    /// for its bytes alone. Everything else the run has to say is returned.
     ///
     /// The span taxonomy (documented in DESIGN.md): a `run` root with
     /// `engine` and `cache` notes, `analyze` / `plan` / `load` / `index` /
@@ -362,13 +387,15 @@ impl Engine {
     /// identical to [`Engine::run`] while every limit holds; the first limit
     /// that trips aborts the run with [`CoreError::Budget`] carrying a
     /// partial-progress report (phase reached, rounds/matches/nodes so far)
-    /// — never a truncated answer.
-    pub fn execute(
+    /// — never a truncated answer: on any `Err`, what the sink received is
+    /// part of an answer at most, and the caller drops it.
+    pub fn execute_into(
         &self,
         query: &QueryKind,
         doc: &Document,
         ctx: RunCtx<'_>,
-    ) -> Result<RunOutcome> {
+        sink: &mut impl Sink,
+    ) -> Result<RunOutcome<()>> {
         let RunCtx { trace, guard } = ctx;
         let _run = trace.span("run");
         if trace.is_enabled() {
@@ -525,20 +552,19 @@ impl Engine {
                 // never change results (see `match_rule_in`), only
                 // intermediate join sizes.
                 let plans = MatchPlans { per_rule: orders };
-                let output = {
+                let result_count = {
                     let _s = ctx.phase("eval");
                     if trace.is_enabled() && !plans.is_empty() {
                         let planned = plans.per_rule.iter().filter(|p| p.is_some()).count();
                         trace.count("planned_rules", planned as u64);
                     }
-                    gql_xmlgl::eval::run_in(program, doc, idx, &plans, ctx)
+                    gql_xmlgl::eval::run_in(program, doc, idx, &plans, ctx, sink)
                         .map_err(engine_err_xmlgl)?
                 };
                 let eval_time = start.elapsed();
-                let result_count = output.children(output.root()).len();
                 trace.count("results", result_count as u64);
                 Ok(RunOutcome {
-                    output,
+                    output: (),
                     result_count,
                     eval_time,
                     load_time: Duration::ZERO,
@@ -581,18 +607,19 @@ impl Engine {
                 };
                 let eval_time = start.elapsed();
                 let span = ctx.phase("construct");
-                let goal = program.goal.clone().unwrap_or_else(|| "answer".to_string());
-                let goal_objects = result.objects_of_type(&goal).count();
-                let output = result.to_document("answer", &goal, 2);
+                let goal = program.goal.as_deref().unwrap_or("answer");
+                let goal_objects = result.objects_of_type(goal).count();
+                let before = sink.nodes();
+                result.emit("answer", goal, 2, sink);
                 if trace.is_enabled() {
                     trace.count("goal_objects", goal_objects as u64);
-                    trace.count("nodes_built", output.node_count() as u64);
+                    trace.count("nodes_built", sink.nodes() - before + DOCUMENT_NODE);
                 }
                 drop(span);
                 guard.checkpoint().map_err(CoreError::Budget)?;
                 trace.count("results", goal_objects as u64);
                 Ok(RunOutcome {
-                    output,
+                    output: (),
                     result_count: goal_objects,
                     eval_time,
                     load_time,
@@ -646,38 +673,33 @@ impl Engine {
                 };
                 let eval_time = start.elapsed();
                 let span = ctx.phase("construct");
-                let mut output = Document::new();
-                let root = output.add_element(output.root(), "answer");
-                let count;
-                match value {
+                let before = sink.nodes();
+                sink.start("answer");
+                let count = match value {
                     gql_xpath::XValue::Nodes(items) => {
-                        let nodes: Vec<_> = items
-                            .into_iter()
-                            .filter_map(gql_xpath::Item::as_node)
-                            .collect();
-                        count = nodes.len();
-                        for n in nodes {
-                            let copied = output.import_subtree(doc, n);
-                            output
-                                .append_child(root, copied)
-                                .map_err(|e| CoreError::Engine { msg: e.to_string() })?;
+                        let mut nodes = 0;
+                        for n in items.into_iter().filter_map(gql_xpath::Item::as_node) {
+                            sink.subtree(doc, n);
+                            nodes += 1;
                         }
+                        nodes
                     }
                     // Scalar results (count(), sum(), booleans) become the
                     // answer's text, and count 1 result value.
                     other => {
-                        count = 1;
-                        output.add_text(root, &other.string(doc));
+                        sink.text(&other.string(doc));
+                        1
                     }
-                }
+                };
+                sink.end();
                 if trace.is_enabled() {
-                    trace.count("nodes_built", output.node_count() as u64);
+                    trace.count("nodes_built", sink.nodes() - before + DOCUMENT_NODE);
                 }
                 drop(span);
                 guard.checkpoint().map_err(CoreError::Budget)?;
                 trace.count("results", count as u64);
                 Ok(RunOutcome {
-                    output,
+                    output: (),
                     result_count: count,
                     eval_time,
                     load_time: Duration::ZERO,
@@ -689,6 +711,10 @@ impl Engine {
         }
     }
 }
+
+/// `nodes_built` of the WG-Log and XPath runs has always counted the answer
+/// document's own node with the nodes put under it.
+const DOCUMENT_NODE: u64 = 1;
 
 /// Map an XML-GL error to the core taxonomy, preserving budget trips.
 fn engine_err_xmlgl(e: gql_xmlgl::XmlGlError) -> CoreError {

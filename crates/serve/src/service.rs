@@ -21,11 +21,12 @@ use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use gql_core::{CoreError, Engine, QueryKind};
 use gql_guard::{fault, Budget, CancelToken, Guard, LimitKind, RunCtx};
 use gql_plan::CacheStats;
+use gql_ssdm::sink::XmlSink;
 use gql_trace::{ExecutionProfile, TraceLog};
 
 use crate::catalog::{Catalog, Dataset, EpochPin};
@@ -972,8 +973,18 @@ fn execute(inner: &Inner, job: &Job, log: &mut TraceLog) -> Response {
     }
     let engine: &Engine = job.dataset.engine();
     let guard = Guard::with_cancel(job.budget.clone(), job.cancel.clone());
-    let result = log
-        .record(|trace| engine.execute(&job.query, job.dataset.doc(), RunCtx::new(trace, &guard)));
+    // The answer goes straight to the reply's bytes; a run that fails after
+    // writing some of them leaves no reply to put them in.
+    let mut xml = String::new();
+    let result = log.record(|trace| {
+        let ctx = RunCtx::new(trace, &guard);
+        engine.execute_into(
+            &job.query,
+            job.dataset.doc(),
+            ctx,
+            &mut XmlSink::new(&mut xml),
+        )
+    });
     let log = &*log;
     // Everything below reads the log in place; only a `profile: true` reply
     // or a slow-log capture builds anything from it. The plan notes are
@@ -996,17 +1007,10 @@ fn execute(inner: &Inner, job: &Job, log: &mut TraceLog) -> Response {
         "miss" | "cold" => c.index_cold.fetch_add(1, Ordering::SeqCst),
         _ => 0,
     };
-    let mut serialize_us = None;
     let (response, outcome_class, eval_us, trip) = match result {
         Ok(outcome) => {
             c.completed.fetch_add(1, Ordering::SeqCst);
             let eval_us = outcome.eval_time.as_micros() as u64;
-            // Writing the answer out and freeing it are the request's, but
-            // happen after the engine's trace has closed: one more phase.
-            let serialize = Instant::now();
-            let xml = outcome.output.to_xml_string();
-            drop(outcome.output);
-            serialize_us = Some(serialize.elapsed().as_micros() as u64);
             let profile = job.want_profile.then(|| log.profile());
             let resp = Response::Ok(Box::new(QueryOk {
                 xml,
@@ -1063,8 +1067,7 @@ fn execute(inner: &Inner, job: &Job, log: &mut TraceLog) -> Response {
         .find("run")
         .into_iter()
         .flat_map(|run| log.children(run))
-        .map(|(name, nanos)| (name, nanos / 1_000))
-        .chain(serialize_us.map(|us| ("serialize", us)));
+        .map(|(name, nanos)| (name, nanos / 1_000));
     tele.on_reply(
         &job.meta,
         job.dataset.name(),
@@ -1122,13 +1125,15 @@ mod tests {
         service.shutdown();
     }
 
+    /// The answer is written while it is constructed: the reply's bytes are
+    /// what the engine builds for a library caller, and no phase follows the
+    /// engine's own.
     #[test]
-    fn serialisation_is_a_phase_of_the_request() {
+    fn an_answer_is_written_inside_the_run_and_no_serialize_phase_follows() {
         let mut catalog = Catalog::new();
         let books = "<book><title>t</title></book>".repeat(500);
-        catalog
-            .register_xml("bib", &format!("<bib>{books}</bib>"))
-            .unwrap();
+        let xml = format!("<bib>{books}</bib>");
+        catalog.register_xml("bib", &xml).unwrap();
         let mut tenants = TenantRegistry::new();
         tenants.register("public", Envelope::slots(8));
         // Threshold zero: every reply lands in the slow log.
@@ -1139,6 +1144,7 @@ mod tests {
             .telemetry(TelemetryConfig::default().with_slow_threshold_us(0))
             .build();
         let h = service.handle();
+        let doc = gql_ssdm::Document::parse_str(&xml).unwrap();
         for (kind, query) in [
             ("xpath", "//book"),
             (
@@ -1151,27 +1157,33 @@ mod tests {
             ),
         ] {
             let resp = h.submit(&Request::new("public", "bib", kind, query));
-            assert!(matches!(resp, Response::Ok(_)), "{kind}: {resp:?}");
+            let Response::Ok(ok) = resp else {
+                panic!("{kind}: {resp:?}");
+            };
+            let direct = Engine::new()
+                .run(&parse_query(kind, query).unwrap(), &doc)
+                .unwrap();
+            assert_eq!(ok.xml, direct.output.to_xml_string(), "{kind}");
+            assert_eq!(ok.result_count, direct.result_count as u64, "{kind}");
         }
+        // A failed run has no answer and no such phase either.
+        let resp = h.submit(&Request::new("public", "bib", "xpath", "count(1)"));
+        assert!(matches!(resp, Response::Err(_)), "{resp:?}");
         let entries = h.telemetry().slow_entries_for("bib");
-        assert_eq!(entries.len(), 3);
+        assert_eq!(entries.len(), 4);
         for entry in &entries {
             let names: Vec<&str> = entry.phases.iter().map(|(n, _)| n.as_str()).collect();
-            assert_eq!(names.last(), Some(&"serialize"), "{names:?}");
-            assert_eq!(names.iter().filter(|n| **n == "serialize").count(), 1);
+            assert!(!names.contains(&"serialize"), "{names:?}");
             // The phases are consecutive pieces of the time between submit
             // and reply, each rounded down to a microsecond.
             let sum: u64 = entry.phases.iter().map(|(_, us)| us).sum();
             assert!(sum <= entry.service_us, "{sum} > {}", entry.service_us);
         }
         let text = h.metrics_report().to_text();
-        assert!(text.contains(" serialize="), "{text}");
-        // A failed run has no answer to write and reports no such phase.
-        let resp = h.submit(&Request::new("public", "bib", "xpath", "count(1)"));
-        assert!(matches!(resp, Response::Err(_)), "{resp:?}");
-        let entries = h.telemetry().slow_entries_for("bib");
-        let failed = entries.last().unwrap();
-        assert!(failed.phases.iter().all(|(n, _)| n != "serialize"));
+        assert!(
+            text.contains(" construct=") && !text.contains("serialize"),
+            "{text}"
+        );
         service.shutdown();
     }
 

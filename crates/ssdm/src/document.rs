@@ -91,6 +91,16 @@ struct AttrData {
     value: Span,
 }
 
+/// A node `import_subtree` has copied, and its children, which it has not.
+#[derive(Debug)]
+struct ImportFrame {
+    copy: NodeId,
+    /// Positions in the source's child pool still to copy.
+    rest: Range<usize>,
+    /// Where in this document's child pool the next copy is linked.
+    slot: usize,
+}
+
 /// Pool offsets are `u32`, like [`NodeId`]: the checked conversion every
 /// pool length goes through after it grows, so that a document past the
 /// limit fails here instead of indexing with a wrapped offset.
@@ -169,6 +179,9 @@ pub struct Document {
     /// source document to. Only a hint: an entry is used after comparing the
     /// two names, so a different source merely misses and overwrites it.
     import_syms: Vec<Option<Symbol>>,
+    /// `import_subtree`'s stack, kept between calls for its allocation: an
+    /// answer is a thousand imports. Empty whenever no import is running.
+    import_open: Vec<ImportFrame>,
     root: NodeId,
     /// Lazily computed pre-order positions, invalidated on mutation.
     /// `OnceLock` (not `RefCell`) so a `&Document` can be shared across
@@ -185,6 +198,7 @@ impl Clone for Document {
             text: self.text.clone(),
             interner: self.interner.clone(),
             import_syms: Vec::new(),
+            import_open: Vec::new(),
             root: self.root,
             // The clone recomputes document order on first use.
             order: OnceLock::new(),
@@ -208,6 +222,7 @@ impl Document {
             text: String::new(),
             interner: Interner::new(),
             import_syms: Vec::new(),
+            import_open: Vec::new(),
             root: NodeId(0),
             order: OnceLock::new(),
         };
@@ -405,11 +420,52 @@ impl Document {
     /// Deep-copy the subtree rooted at `node` from `src` into `self`,
     /// returning the new (detached) root. Used by construction engines when
     /// materialising query results.
+    ///
+    /// Nodes are copied in pre-order by a loop over the source child lists
+    /// still being copied, so no nesting depth can exhaust the call stack.
     pub fn import_subtree(&mut self, src: &Document, node: NodeId) -> NodeId {
-        self.import_node(src, node, None)
+        let root = self.import_node(src, node, None);
+        // The node whose children are being copied; those that still have
+        // children to copy after it wait in `outer`.
+        let mut open = self.import_frame(src, node, root);
+        let mut outer = std::mem::take(&mut self.import_open);
+        loop {
+            let Some(i) = open.rest.next() else {
+                match outer.pop() {
+                    Some(parent) => open = parent,
+                    None => break,
+                }
+                continue;
+            };
+            let child = src.children[i];
+            let copy = self.import_node(src, child, Some(open.copy));
+            self.children[open.slot] = copy;
+            open.slot += 1;
+            if src.nodes[child.index()].children.len > 0 {
+                let inner = self.import_frame(src, child, copy);
+                let done = open.rest.is_empty();
+                let parent = std::mem::replace(&mut open, inner);
+                if !done {
+                    outer.push(parent);
+                }
+            }
+        }
+        self.import_open = outer;
+        root
     }
 
-    /// Copy `node` and then, in pre-order, its subtree. Every node linked
+    /// Where the children of `node` are, and where their copies go: the run
+    /// `import_node` reserved at the pool's tail when it made `copy`.
+    fn import_frame(&self, src: &Document, node: NodeId, copy: NodeId) -> ImportFrame {
+        let kids = src.nodes[node.index()].children;
+        ImportFrame {
+            copy,
+            rest: kids.range(),
+            slot: self.children.len() - kids.len as usize,
+        }
+    }
+
+    /// Copy `node` alone, with room for its children. Every node linked
     /// here was created here, so none of `append_child`'s checks can fail,
     /// and each run is reserved at its final length.
     fn import_node(&mut self, src: &Document, node: NodeId, parent: Option<NodeId>) -> NodeId {
@@ -427,16 +483,14 @@ impl Document {
             let value = self.push_text(&src.text[a.value.range()]);
             self.attrs.push(AttrData { name, value });
         }
-        let kids = &src.children[data.children.range()];
+        // Placeholders: `import_subtree` overwrites each slot before anyone
+        // reads it.
         let first = self.children.len();
-        // Placeholders: each slot is overwritten below before anyone reads it.
-        self.children.resize(first + kids.len(), new);
+        self.children
+            .resize(first + data.children.len as usize, new);
         let copy = &mut self.nodes[new.index()];
         copy.attrs = Run::filled(self.attrs.len(), data.attrs.len, "attribute");
         copy.children = Run::filled(self.children.len(), data.children.len, "child");
-        for (i, &c) in kids.iter().enumerate() {
-            self.children[first + i] = self.import_node(src, c, Some(new));
-        }
         new
     }
 
@@ -599,19 +653,30 @@ impl Document {
     }
 
     /// Concatenated text of all descendant text nodes — XPath's `string()`.
+    ///
+    /// A loop over the sibling lists still to visit, so no nesting depth can
+    /// exhaust the call stack; a list is set aside only while it has nodes
+    /// left, so `<name>Roma</name>` allocates nothing but the result.
     pub fn text_content(&self, node: NodeId) -> String {
         let mut out = String::new();
-        self.collect_text(node, &mut out);
-        out
-    }
-
-    fn collect_text(&self, node: NodeId, out: &mut String) {
-        match self.kind(node) {
-            NodeKind::Text => out.push_str(self.text(node).unwrap_or("")),
-            NodeKind::Comment | NodeKind::Pi => {}
-            NodeKind::Element | NodeKind::Document => {
-                for &c in self.children(node) {
-                    self.collect_text(c, out);
+        let mut later: Vec<std::slice::Iter<'_, NodeId>> = Vec::new();
+        let mut siblings = std::slice::from_ref(&node).iter();
+        loop {
+            let Some(&n) = siblings.next() else {
+                match later.pop() {
+                    Some(rest) => siblings = rest,
+                    None => return out,
+                }
+                continue;
+            };
+            match self.kind(n) {
+                NodeKind::Text => out.push_str(self.text(n).unwrap_or("")),
+                NodeKind::Comment | NodeKind::Pi => {}
+                NodeKind::Element | NodeKind::Document => {
+                    let rest = std::mem::replace(&mut siblings, self.children(n).iter());
+                    if !rest.as_slice().is_empty() {
+                        later.push(rest);
+                    }
                 }
             }
         }

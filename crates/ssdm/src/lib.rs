@@ -8,6 +8,8 @@
 //!   becomes a *graph* once ID/IDREF reference edges are resolved
 //!   ([`idref`]);
 //! * a parser and serializer for a practical XML subset ([`xml`]);
+//! * the two consumers of an engine's answer ([`sink`]): one builds a
+//!   [`Document`], one writes the answer's bytes;
 //! * a DTD parser and validator ([`dtd`]) used by the XML-GL schema
 //!   formalism;
 //! * typed atomic values with XPath-style coercion ([`value`]);
@@ -38,6 +40,7 @@ pub mod idref;
 pub mod index;
 pub mod path;
 pub mod rng;
+pub mod sink;
 pub mod stream;
 pub mod summary;
 mod token;

@@ -22,12 +22,14 @@ use crate::NodeId;
 
 /// Deepest element nesting the reader accepts; a text that nests further is
 /// refused with a positioned error naming this bound, by [`parse`] and
-/// [`crate::stream::EventReader`] alike. The reader itself does not recurse,
-/// but [`write()`] and the loaders downstream of a parsed document do, once
-/// per level, on threads with 2 MiB stacks (`gql-serve`'s connection and
-/// worker threads). A document at the bound goes through all of them on
-/// such a stack, unoptimised, with room for 1.75 times the depth
-/// (`tests/end_to_end.rs`); libxml2's default is 256.
+/// [`crate::stream::EventReader`] alike. Neither the reader nor anything on
+/// the way to an answer's bytes recurses ([`write()`], the sinks,
+/// [`Document::text_content`], [`Document::import_subtree`]), but the loaders
+/// downstream of a parsed document do, once per level (the WG-Log instance
+/// load, [`crate::index::canonical`]), on threads with 2 MiB stacks
+/// (`gql-serve`'s connection and worker threads). A document at the bound
+/// goes through all of them on such a stack, unoptimised, with room for 1.75
+/// times the depth (`tests/end_to_end.rs`); libxml2's default is 256.
 pub const MAX_DEPTH: usize = 1024;
 
 /// Parse an XML string into a [`Document`].
@@ -103,8 +105,9 @@ fn escape(s: &str, out: &mut String, entity: impl Fn(u8) -> Option<&'static str>
 /// two spaces per level; mixed content is left untouched so text round-trips.
 pub fn write(doc: &Document, pretty: bool) -> String {
     let mut out = String::with_capacity(doc.xml_size_hint());
+    let mut outer = Vec::new();
     for &c in doc.children(doc.root()) {
-        write_node(doc, c, pretty, 0, &mut out);
+        write_subtree(doc, c, pretty, &mut out, &mut outer);
         if pretty {
             out.push('\n');
         }
@@ -124,13 +127,29 @@ fn indent(out: &mut String, level: usize) {
     }
 }
 
-fn write_node(doc: &Document, node: NodeId, pretty: bool, level: usize, out: &mut String) {
+/// An open element set aside while [`write_subtree`] is inside one of its
+/// children.
+#[derive(Debug)]
+pub(crate) struct Outer {
+    node: NodeId,
+    /// How many of its children are still to write.
+    left: usize,
+    /// Whether each child goes on an indented line of its own.
+    indent: bool,
+}
+
+/// Write `node` up to its first child and return its children, or all of it
+/// and `None` when it is a leaf or `<name>Roma</name>`, the dominant shape.
+/// A document node is written the way [`Document::import_subtree`] copies
+/// it, as a `document` element.
+fn write_start<'a>(
+    doc: &'a Document,
+    node: NodeId,
+    out: &mut String,
+    nodes: &mut u64,
+) -> Option<&'a [NodeId]> {
+    *nodes += 1;
     match doc.kind(node) {
-        NodeKind::Document => {
-            for &c in doc.children(node) {
-                write_node(doc, c, pretty, level, out);
-            }
-        }
         NodeKind::Text => escape_text(doc.text(node).unwrap_or(""), out),
         NodeKind::Comment => {
             out.push_str("<!--");
@@ -147,8 +166,8 @@ fn write_node(doc: &Document, node: NodeId, pretty: bool, level: usize, out: &mu
             }
             out.push_str("?>");
         }
-        NodeKind::Element => {
-            let name = doc.name(node).unwrap_or("");
+        NodeKind::Element | NodeKind::Document => {
+            let name = doc.name(node).unwrap_or("document");
             out.push('<');
             out.push_str(name);
             for (a, v) in doc.attrs(node) {
@@ -161,24 +180,79 @@ fn write_node(doc: &Document, node: NodeId, pretty: bool, level: usize, out: &mu
             let children = doc.children(node);
             if children.is_empty() {
                 out.push_str("/>");
-                return;
+                return None;
             }
             out.push('>');
-            let indent_children = pretty && !has_text_child(doc, node);
-            for &c in children {
-                if indent_children {
-                    out.push('\n');
-                    indent(out, level + 1);
+            if let [only] = children {
+                if let (NodeKind::Text, Some(text)) = (doc.kind(*only), doc.text(*only)) {
+                    escape_text(text, out);
+                    write_end(name, out);
+                    *nodes += 1;
+                    return None;
                 }
-                write_node(doc, c, pretty, level + 1, out);
             }
-            if indent_children {
+            return Some(children);
+        }
+    }
+    None
+}
+
+fn write_end(name: &str, out: &mut String) {
+    out.push_str("</");
+    out.push_str(name);
+    out.push('>');
+}
+
+/// The one serialiser: append the subtree at `root` to `out` and return how
+/// many nodes that was. [`write()`] and
+/// [`XmlSink::subtree`](crate::sink::XmlSink) are its callers, and lend it
+/// `outer`, empty, for its stack: a loop over the open elements, so no
+/// nesting depth can exhaust the call stack, and no allocation per call.
+pub(crate) fn write_subtree(
+    doc: &Document,
+    root: NodeId,
+    pretty: bool,
+    out: &mut String,
+    outer: &mut Vec<Outer>,
+) -> u64 {
+    let mut nodes = 0;
+    let Some(children) = write_start(doc, root, out, &mut nodes) else {
+        return nodes;
+    };
+    // The innermost open element, its children still to write, and whether
+    // they are indented; every other open element is in `outer`.
+    let mut open = root;
+    let mut rest = children.iter();
+    let mut indented = pretty && !has_text_child(doc, root);
+    loop {
+        let Some(&child) = rest.next() else {
+            if indented {
                 out.push('\n');
-                indent(out, level);
+                indent(out, outer.len());
             }
-            out.push_str("</");
-            out.push_str(name);
-            out.push('>');
+            write_end(doc.name(open).unwrap_or("document"), out);
+            let Some(parent) = outer.pop() else {
+                return nodes;
+            };
+            open = parent.node;
+            let children = doc.children(open);
+            rest = children[children.len() - parent.left..].iter();
+            indented = parent.indent;
+            continue;
+        };
+        if indented {
+            out.push('\n');
+            indent(out, outer.len() + 1);
+        }
+        if let Some(children) = write_start(doc, child, out, &mut nodes) {
+            outer.push(Outer {
+                node: open,
+                left: rest.len(),
+                indent: indented,
+            });
+            open = child;
+            rest = children.iter();
+            indented = pretty && !has_text_child(doc, child);
         }
     }
 }

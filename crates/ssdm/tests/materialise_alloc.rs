@@ -1,6 +1,8 @@
 //! Building, writing and dropping an answer costs no heap allocation per
 //! node: the Q1 answer of the scale-1000 city guide (every `restaurant`
-//! subtree copied under one `answer` element) under a counting allocator.
+//! subtree copied under one `answer` element) under a counting allocator,
+//! through the builder sink and then through the writer sink, which
+//! allocates nothing but its buffer.
 //! Nor does reading a document: parsing the guide's own serialisation costs
 //! the pools' doublings, the interned names and a copy per text that had a
 //! reference to decode. One test, so that nothing else allocates in this
@@ -10,7 +12,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use gql_ssdm::generator::{cityguide, CityConfig};
-use gql_ssdm::Document;
+use gql_ssdm::sink::{DocSink, Sink, XmlSink};
+use gql_ssdm::{Document, NodeId};
 
 struct CountingAlloc;
 
@@ -39,6 +42,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// The Q1 answer as the XPath arm of `Engine::execute_into` emits it.
+fn emit_answer(guide: &Document, restaurants: &[NodeId], sink: &mut impl Sink) {
+    sink.start("answer");
+    for &r in restaurants {
+        sink.subtree(guide, r);
+    }
+    sink.end();
+}
+
 #[test]
 fn an_answer_is_built_written_and_dropped_without_an_allocation_per_node() {
     let guide = cityguide(CityConfig {
@@ -51,11 +63,7 @@ fn an_answer_is_built_written_and_dropped_without_an_allocation_per_node() {
 
     let before = ALLOCS.load(Ordering::Relaxed);
     let mut answer = Document::new();
-    let root = answer.add_element(answer.root(), "answer");
-    for &r in &restaurants {
-        let copy = answer.import_subtree(&guide, r);
-        answer.append_child(root, copy).unwrap();
-    }
+    emit_answer(&guide, &restaurants, &mut DocSink::new(&mut answer));
     let built = ALLOCS.load(Ordering::Relaxed) - before;
     let nodes = answer.node_count();
     assert!(nodes > 20_000, "{nodes} nodes");
@@ -73,6 +81,21 @@ fn an_answer_is_built_written_and_dropped_without_an_allocation_per_node() {
         written <= 2,
         "{written} allocations for {} bytes",
         xml.len()
+    );
+
+    // Written without being built: the unsized buffer's doublings and the
+    // two stacks of open elements, the sink's and the serialiser's.
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let mut emitted = String::new();
+    let mut sink = XmlSink::new(&mut emitted);
+    emit_answer(&guide, &restaurants, &mut sink);
+    assert_eq!(sink.nodes() as usize, nodes - 1);
+    let emitting = ALLOCS.load(Ordering::Relaxed) - before;
+    assert!(emitted == xml);
+    assert!(
+        emitting <= 24,
+        "{emitting} allocations to emit {} bytes",
+        emitted.len()
     );
 
     // The DOM parser consumes the reader's borrowed tokens: no `String` per

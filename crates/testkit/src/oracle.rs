@@ -12,8 +12,10 @@
 
 use gql_analyze::Analyzer;
 use gql_core::engine::{Engine, QueryKind};
-use gql_guard::RunCtx;
+use gql_guard::{Budget, Guard, RunCtx};
+use gql_ssdm::sink::XmlSink;
 use gql_ssdm::{DocIndex, Document, Summary};
+use gql_trace::Trace;
 use gql_wglog::eval::FixpointMode;
 use gql_wglog::Instance;
 use gql_xmlgl::eval::{
@@ -170,6 +172,72 @@ pub fn check_trace_case(doc: &Document, query: &QueryKind) -> Result<(), String>
             profile.shape(),
             again.shape()
         ));
+    }
+    Ok(())
+}
+
+// ----------------------------------------------------------------------
+// Answers: the two sinks are one answer
+// ----------------------------------------------------------------------
+
+/// Whatever an engine run reports besides its answer: the counts, the
+/// profile's shape (every span, counter and note — `nodes_built`, `results`,
+/// `goal_objects`, `bindings_in` among them) or the error's words — for a
+/// budget trip, its progress report.
+fn run_report<O>(
+    outcome: &gql_core::Result<gql_core::engine::RunOutcome<O>>,
+    trace: Trace,
+) -> Result<(usize, String), String> {
+    match outcome {
+        Ok(o) => Ok((
+            o.result_count,
+            trace.finish().map_or(String::new(), |p| p.shape()),
+        )),
+        // Without the elapsed time a trip's own words carry.
+        Err(gql_core::CoreError::Budget(e)) => Err(e.shape()),
+        Err(e) => Err(e.to_string()),
+    }
+}
+
+/// A run whose answer is written ([`XmlSink`], what `gql-serve` replies
+/// with) must be the run whose answer is built (`Engine::execute`, what
+/// every other oracle reads): the bytes are the built document's
+/// serialisation, and everything else either run reports is equal — with no
+/// budget, and under budgets that trip some runs mid-evaluation and others
+/// on the nodes of a half-emitted answer.
+pub fn check_sinks_case(doc: &Document, query: &QueryKind) -> Result<(), String> {
+    let budgets = [
+        Budget::unlimited(),
+        Budget::unlimited().with_max_rounds(1),
+        Budget::unlimited().with_max_nodes(3),
+    ];
+    for budget in budgets {
+        let (built_guard, written_guard) = (Guard::new(budget.clone()), Guard::new(budget));
+        let trace = Trace::profiling();
+        let outcome = Engine::new().execute(query, doc, RunCtx::new(&trace, &built_guard));
+        let built = run_report(&outcome, trace);
+        let built_xml = outcome.ok().map(|o| o.output.to_xml_string());
+        let trace = Trace::profiling();
+        let mut written_xml = String::new();
+        let outcome = Engine::new().execute_into(
+            query,
+            doc,
+            RunCtx::new(&trace, &written_guard),
+            &mut XmlSink::new(&mut written_xml),
+        );
+        let written = run_report(&outcome, trace);
+        if built != written {
+            return Err(format!(
+                "written-vs-built: the runs report differently\nbuilt: {built:?}\nwritten: {written:?}"
+            ));
+        }
+        if built_xml.as_ref().is_some_and(|xml| *xml != written_xml) {
+            return Err(format!(
+                "written-vs-built: the answer's bytes diverged from its document\n\
+                 built: {}\nwritten: {written_xml}",
+                built_xml.unwrap_or_default()
+            ));
+        }
     }
     Ok(())
 }
@@ -380,16 +448,19 @@ pub fn check_xmlgl_case(doc: &Document, src: &str) -> Result<(), String> {
     }
     let lazy = gql_xmlgl::eval::run(&program, doc)
         .map_err(|e| format!("run: lazy run failed after clean matching: {e}"))?;
-    let indexed = gql_xmlgl::eval::run_in(
+    // The same run again, written where `run` built.
+    let mut written = String::new();
+    gql_xmlgl::eval::run_in(
         &program,
         doc,
         Some(&idx),
         &gql_xmlgl::eval::MatchPlans::none(),
         RunCtx::none(),
+        &mut XmlSink::new(&mut written),
     )
-    .map_err(|e| format!("run: indexed run failed after clean matching: {e}"))?;
-    if indexed.to_xml_string() != lazy.to_xml_string() {
-        return Err("indexed-vs-lazy: result documents diverged".into());
+    .map_err(|e| format!("run: written run failed after clean matching: {e}"))?;
+    if written != lazy.to_xml_string() {
+        return Err("written-vs-built: the answer's bytes diverged from its document".into());
     }
     if scan_out.to_xml_string() != lazy.to_xml_string() {
         return Err("construct-vs-run: scan-constructed document diverged from run()".into());
@@ -427,6 +498,7 @@ pub fn check_xmlgl_case(doc: &Document, src: &str) -> Result<(), String> {
         }
     }
     check_trace_case(doc, &q)?;
+    check_sinks_case(doc, &q)?;
     check_plan_cache_case(doc, &q)?;
     // Translation: where the partial XML-GL→WG-Log translator applies, the
     // translated program must at least evaluate cleanly over the same data.
@@ -586,6 +658,7 @@ pub fn check_wglog_case(doc: &Document, src: &str) -> Result<(), String> {
         return Err("reserialize: results changed after serialize→parse of the document".into());
     }
     check_trace_case(doc, &QueryKind::WgLog(program.clone()))?;
+    check_sinks_case(doc, &QueryKind::WgLog(program.clone()))?;
     check_plan_cache_case(doc, &QueryKind::WgLog(program.clone()))?;
     Ok(())
 }
@@ -710,6 +783,7 @@ pub fn check_xpath_case(doc: &Document, src: &str) -> Result<(), String> {
         ));
     }
     check_trace_case(doc, &QueryKind::XPath(src.to_string()))?;
+    check_sinks_case(doc, &QueryKind::XPath(src.to_string()))?;
     check_plan_cache_case(doc, &QueryKind::XPath(src.to_string()))?;
     Ok(())
 }

@@ -17,6 +17,7 @@ use std::sync::Arc;
 
 use gql_ssdm::document::NodeKind;
 use gql_ssdm::idref::RefGraph;
+use gql_ssdm::sink::{DocSink, Sink};
 use gql_ssdm::{Document, NodeId};
 
 /// Index of an object in an [`Instance`].
@@ -414,33 +415,53 @@ impl Instance {
     /// up to `depth` levels (cycles stopped by depth).
     pub fn to_document(&self, wrapper: &str, root_type: &str, depth: usize) -> Document {
         let mut doc = Document::new();
-        let root = doc.add_element(doc.root(), wrapper);
-        for id in self.objects_of_type(root_type) {
-            let el = self.object_to_element(id, &mut doc, depth);
-            doc.append_child(root, el).expect("fresh element");
-        }
+        self.emit(wrapper, root_type, depth, &mut DocSink::new(&mut doc));
         doc
     }
 
-    fn object_to_element(&self, id: ObjId, doc: &mut Document, depth: usize) -> NodeId {
-        let obj = self.object(id);
-        let el = doc.create_element(&obj.ty);
-        for (name, value) in &obj.attrs {
-            // Multi-valued attributes become repeated child elements;
-            // single-valued ones stay compact as children too (lossless
-            // round-trip of the loader's text-only-child rule).
-            let child = doc.create_element(name);
-            let t = doc.create_text(value);
-            doc.append_child(child, t).expect("fresh text");
-            doc.append_child(el, child).expect("fresh child");
-        }
-        if depth > 0 {
-            for edge in self.out_edges(id) {
-                let sub = self.object_to_element(edge.to, doc, depth - 1);
-                doc.append_child(el, sub).expect("fresh subtree");
+    /// The full form of [`to_document`](Instance::to_document): the same
+    /// answer as events into `sink`. A loop over the objects whose edges are
+    /// still being followed, so no `depth` can exhaust the call stack.
+    pub fn emit(&self, wrapper: &str, root_type: &str, depth: usize, sink: &mut impl Sink) {
+        sink.start(wrapper);
+        // The edges still to follow of each open object, innermost last.
+        let mut open = Vec::new();
+        for id in self.objects_of_type(root_type) {
+            let mut next = Some(id);
+            while let Some(id) = next {
+                let obj = self.object(id);
+                sink.start(&obj.ty);
+                for (name, value) in &obj.attrs {
+                    // Multi-valued attributes become repeated child elements;
+                    // single-valued ones stay compact as children too
+                    // (lossless round-trip of the loader's text-only-child
+                    // rule).
+                    sink.start(name);
+                    sink.text(value);
+                    sink.end();
+                }
+                if open.len() < depth {
+                    open.push(self.out_edges(id));
+                } else {
+                    sink.end();
+                }
+                // On to the target of the innermost open object's next edge,
+                // closing every object that has none left.
+                next = loop {
+                    let Some(edges) = open.last_mut() else {
+                        break None;
+                    };
+                    match edges.next() {
+                        Some(edge) => break Some(edge.to),
+                        None => {
+                            open.pop();
+                            sink.end();
+                        }
+                    }
+                };
             }
         }
-        el
+        sink.end();
     }
 }
 

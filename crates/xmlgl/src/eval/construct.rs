@@ -6,16 +6,21 @@
 //! `group by`, aggregates) range over every binding compatible with the
 //! instantiation, so nesting a triangle under a copied element expresses
 //! grouping, exactly like the nested construction patterns of the figures.
+//!
+//! Construction is one producer of [`Sink`] events, top-down: an element,
+//! its attributes, its content. Whether that builds a document or writes
+//! the answer's bytes is the sink's business.
 
 use std::collections::HashMap;
 
-use gql_ssdm::{DocIndex, Document, NodeId};
+use gql_ssdm::sink::{DocSink, Sink};
+use gql_ssdm::{DocIndex, Document};
 
 use crate::ast::{AggFunc, CNodeId, CNodeKind, CValue, QNodeId, Rule};
 use crate::{Result, XmlGlError};
 
 use super::matcher::KeyCache;
-use super::{bound_text, content_hash, content_key, distinct_bound, id_key, Binding, Bound, IdKey};
+use super::{bound_text, content_hash, content_key, distinct_of, id_key, Binding, Bound, IdKey};
 
 /// Materialise one rule's construct side into `out`, given the bindings of
 /// its extract side. Instances are appended under the output document node.
@@ -28,9 +33,8 @@ pub fn construct_rule(
     construct_rule_with(rule, doc, None, bindings, out)
 }
 
-/// Like [`construct_rule`], but with an optional document index: content
-/// grouping (`group by` list icons) then keys on memoized `u64` structural
-/// hashes, verifying hash-equal rows against canonical forms.
+/// Like [`construct_rule`], but with an optional document index: see
+/// [`construct_rule_into`], which this is over a [`DocSink`].
 pub fn construct_rule_with(
     rule: &Rule,
     doc: &Document,
@@ -38,27 +42,44 @@ pub fn construct_rule_with(
     bindings: &[Binding],
     out: &mut Document,
 ) -> Result<()> {
+    construct_rule_into(rule, doc, idx, bindings, &mut DocSink::new(out)).map(drop)
+}
+
+/// The full form of [`construct_rule`]: emit the rule's instances into
+/// `sink` as top-level elements and return how many there were. With an
+/// index, content grouping (`group by` list icons) keys on memoized `u64`
+/// structural hashes, verifying hash-equal rows against canonical forms.
+///
+/// An `Err` can follow events already emitted (an aggregate over something
+/// that is no number): the caller drops what the sink holds.
+pub fn construct_rule_into(
+    rule: &Rule,
+    doc: &Document,
+    idx: Option<&DocIndex>,
+    bindings: &[Binding],
+    sink: &mut impl Sink,
+) -> Result<usize> {
+    let cx = Cx {
+        rule,
+        doc,
+        idx,
+        bindings,
+    };
+    let mut instances = 0;
     for &root in &rule.construct.roots {
         let scope = scope_of(rule, root);
         if scope.is_empty() {
-            // One static instance.
-            let el = instantiate(rule, root, doc, idx, bindings, out)?;
-            attach(out, el)?;
+            // One static instance, over every binding.
+            cx.instantiate(root, Group::All(bindings.len()), sink)?;
+            instances += 1;
         } else {
-            for group in group_by_scope(doc, bindings, &scope) {
-                let el = instantiate(rule, root, doc, idx, &group, out)?;
-                attach(out, el)?;
+            for rows in group_by_scope(bindings, &scope) {
+                cx.instantiate(root, Group::Rows(&rows), sink)?;
+                instances += 1;
             }
         }
     }
-    Ok(())
-}
-
-fn attach(out: &mut Document, el: NodeId) -> Result<()> {
-    let root = out.root();
-    out.append_child(root, el).map_err(|e| XmlGlError::Eval {
-        msg: format!("cannot attach result: {e}"),
-    })
+    Ok(instances)
 }
 
 /// The scope of a construct subtree: query nodes whose binding determines
@@ -84,212 +105,215 @@ fn scope_of(rule: &Rule, root: CNodeId) -> Vec<QNodeId> {
     scope
 }
 
-/// Partition bindings into groups with equal scope tuples, preserving the
-/// order of first occurrence. Bindings missing a scope slot are dropped.
-fn group_by_scope(_doc: &Document, bindings: &[Binding], scope: &[QNodeId]) -> Vec<Vec<Binding>> {
-    let mut order: Vec<Vec<IdKey>> = Vec::new();
-    let mut groups: HashMap<Vec<IdKey>, Vec<Binding>> = HashMap::new();
-    for b in bindings {
-        let mut parts = Vec::with_capacity(scope.len());
-        let mut complete = true;
-        for &q in scope {
-            match b.get(q) {
-                // Group instances by *identity*: two distinct matched nodes
-                // with equal content still yield two instances, matching the
-                // "one output per match" reading of the figures.
-                Some(v) => parts.push(id_key(v)),
-                None => {
-                    complete = false;
-                    break;
-                }
-            }
-        }
-        if !complete {
+/// The rows of the binding table one instance ranges over.
+#[derive(Clone, Copy)]
+enum Group<'a> {
+    /// Every row of a table this long.
+    All(usize),
+    Rows(&'a [u32]),
+}
+
+impl<'a> Group<'a> {
+    fn rows(self) -> impl Iterator<Item = u32> + Clone + 'a {
+        let len = match self {
+            Group::All(len) => len,
+            Group::Rows(rows) => rows.len(),
+        };
+        (0..len).map(move |i| match self {
+            Group::All(_) => i as u32,
+            Group::Rows(rows) => rows[i],
+        })
+    }
+}
+
+/// Partition the rows of `bindings` into groups with equal scope tuples,
+/// preserving the order of first occurrence. Rows missing a scope slot are
+/// dropped.
+fn group_by_scope(bindings: &[Binding], scope: &[QNodeId]) -> Vec<Vec<u32>> {
+    let mut groups: Vec<Vec<u32>> = Vec::new();
+    let mut group_of: HashMap<Vec<IdKey<'_>>, usize> = HashMap::new();
+    let mut parts = Vec::with_capacity(scope.len());
+    for (row, b) in bindings.iter().enumerate() {
+        parts.clear();
+        // Group instances by *identity*: two distinct matched nodes with
+        // equal content still yield two instances, matching the "one output
+        // per match" reading of the figures.
+        parts.extend(scope.iter().map_while(|&q| b.get(q).map(id_key)));
+        if parts.len() < scope.len() {
             continue;
         }
-        if !groups.contains_key(&parts) {
-            order.push(parts.clone());
-        }
-        groups.entry(parts).or_default().push(b.clone());
+        let group = match group_of.get(parts.as_slice()) {
+            Some(&group) => group,
+            None => {
+                group_of.insert(parts.clone(), groups.len());
+                groups.push(Vec::new());
+                groups.len() - 1
+            }
+        };
+        groups[group].push(row as u32);
     }
-    order
-        .into_iter()
-        .map(|k| groups.remove(&k).expect("key recorded"))
-        .collect()
+    groups
 }
 
-/// Partition `group` by *content* of the binding at `key`, preserving order
-/// of first occurrence. With an index, rows are bucketed by `u64` structural
-/// hash and only hash-equal rows are compared (via memoized canonical
-/// forms); without one, string content keys are used directly.
-fn group_by_content(
-    doc: &Document,
-    idx: Option<&DocIndex>,
-    group: &[Binding],
-    key: QNodeId,
-) -> Vec<Vec<Binding>> {
-    // Each group keeps its first bound as the representative for equality.
-    let mut out: Vec<(Bound, Vec<Binding>)> = Vec::new();
-    match idx {
-        Some(idx) => {
-            let mut cache = KeyCache::new(doc);
-            let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
-            for b in group {
-                let Some(kv) = b.get(key) else { continue };
-                let h = content_hash(doc, idx, kv);
-                let slot = buckets.entry(h).or_default();
-                let mut found = None;
-                for &gi in slot.iter() {
-                    if cache.content_eq(&out[gi].0, kv) {
-                        found = Some(gi);
-                        break;
-                    }
-                }
-                match found {
-                    Some(gi) => out[gi].1.push(b.clone()),
-                    None => {
-                        slot.push(out.len());
-                        out.push((kv.clone(), vec![b.clone()]));
-                    }
-                }
-            }
-        }
-        None => {
-            let mut index_of: HashMap<String, usize> = HashMap::new();
-            for b in group {
-                let Some(kv) = b.get(key) else { continue };
-                let k = content_key(doc, kv);
-                let gi = *index_of.entry(k).or_insert_with(|| {
-                    out.push((kv.clone(), Vec::new()));
-                    out.len() - 1
-                });
-                out[gi].1.push(b.clone());
-            }
-        }
-    }
-    out.into_iter().map(|(_, members)| members).collect()
+/// What every step of one rule's construction reads.
+#[derive(Clone, Copy)]
+struct Cx<'a> {
+    rule: &'a Rule,
+    doc: &'a Document,
+    idx: Option<&'a DocIndex>,
+    bindings: &'a [Binding],
 }
 
-/// Build one instance of a construct node; returns the created output node.
-fn instantiate(
-    rule: &Rule,
-    c: CNodeId,
-    doc: &Document,
-    idx: Option<&DocIndex>,
-    group: &[Binding],
-    out: &mut Document,
-) -> Result<NodeId> {
-    let g = &rule.construct;
-    let node = g.node(c);
-    match &node.kind {
-        CNodeKind::Element(name) => {
-            let el = out.create_element(name);
-            for &child in &node.children {
-                match &g.node(child).kind {
-                    CNodeKind::Attribute { name, value } => {
-                        let v = match value {
-                            CValue::Literal(s) => s.clone(),
-                            CValue::Binding(q) => first_bound_text(doc, group, *q)?,
-                        };
-                        out.set_attr(el, name, &v)
-                            .map_err(|e| XmlGlError::Eval { msg: e.to_string() })?;
-                    }
-                    _ => {
-                        for produced in instantiate_many(rule, child, doc, idx, group, out)? {
-                            out.append_child(el, produced)
-                                .map_err(|e| XmlGlError::Eval { msg: e.to_string() })?;
+impl<'a> Cx<'a> {
+    fn bindings_of(self, group: Group<'a>) -> impl Iterator<Item = &'a Binding> + Clone {
+        group.rows().map(move |row| &self.bindings[row as usize])
+    }
+
+    /// Partition `group` by *content* of the binding at `key`, preserving
+    /// order of first occurrence. With an index, rows are bucketed by `u64`
+    /// structural hash and only hash-equal rows are compared (via memoized
+    /// canonical forms); without one, string content keys are used directly.
+    fn group_by_content(self, group: Group<'a>, key: QNodeId) -> Vec<Vec<u32>> {
+        let doc = self.doc;
+        // Each group keeps its first bound as the representative for equality.
+        let mut out: Vec<(&Bound, Vec<u32>)> = Vec::new();
+        let keyed = group
+            .rows()
+            .filter_map(|row| Some((row, self.bindings[row as usize].get(key)?)));
+        match self.idx {
+            Some(idx) => {
+                let mut cache = KeyCache::new(doc);
+                let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
+                for (row, kv) in keyed {
+                    let slot = buckets.entry(content_hash(doc, idx, kv)).or_default();
+                    let found = slot.iter().find(|&&gi| cache.content_eq(out[gi].0, kv));
+                    match found {
+                        Some(&gi) => out[gi].1.push(row),
+                        None => {
+                            slot.push(out.len());
+                            out.push((kv, vec![row]));
                         }
                     }
                 }
             }
-            Ok(el)
+            None => {
+                let mut index_of: HashMap<String, usize> = HashMap::new();
+                for (row, kv) in keyed {
+                    let gi = *index_of.entry(content_key(doc, kv)).or_insert_with(|| {
+                        out.push((kv, Vec::new()));
+                        out.len() - 1
+                    });
+                    out[gi].1.push(row);
+                }
+            }
         }
-        other => Err(XmlGlError::Eval {
-            msg: format!("internal: instantiate called on non-element {other:?}"),
-        }),
+        out.into_iter().map(|(_, members)| members).collect()
     }
-}
 
-/// Build the (possibly several) output nodes a non-attribute construct child
-/// produces within one instance.
-fn instantiate_many(
-    rule: &Rule,
-    c: CNodeId,
-    doc: &Document,
-    idx: Option<&DocIndex>,
-    group: &[Binding],
-    out: &mut Document,
-) -> Result<Vec<NodeId>> {
-    let g = &rule.construct;
-    let node = g.node(c);
-    match &node.kind {
-        CNodeKind::Element(_) => Ok(vec![instantiate(rule, c, doc, idx, group, out)?]),
-        CNodeKind::Text(s) => Ok(vec![out.create_text(s)]),
-        CNodeKind::Attribute { .. } => Ok(Vec::new()), // handled by the parent
-        CNodeKind::Copy { source, deep } => {
-            let bound = first_bound(group, *source)?;
-            Ok(vec![copy_bound(doc, &bound, *deep, out)])
-        }
-        CNodeKind::All { source, order } => {
-            let mut bounds = distinct_bound(group, *source);
-            if let Some(spec) = order {
-                // Sort by the first key value seen with each collected
-                // binding; numeric when both keys are numbers.
-                let key_of = |bound: &Bound| -> Option<String> {
-                    group.iter().find_map(|b| {
-                        let src = b.get(*source)?;
-                        // `Bound` equality is identity equality: node ids for
-                        // nodes, (origin, text) for values.
-                        if src == bound {
-                            b.get(spec.key).map(|k| bound_text(doc, k))
-                        } else {
-                            None
-                        }
-                    })
-                };
-                let mut keyed: Vec<(Option<String>, Bound)> =
-                    bounds.into_iter().map(|b| (key_of(&b), b)).collect();
-                keyed.sort_by(|(a, _), (b, _)| compare_sort_keys(a, b));
-                if spec.descending {
-                    keyed.reverse();
+    /// Emit one instance of a construct element: the start tag with the
+    /// element's attribute children, in construct order wherever among the
+    /// children they stand, then what the other children produce.
+    fn instantiate(self, c: CNodeId, group: Group<'a>, sink: &mut impl Sink) -> Result<()> {
+        let g = &self.rule.construct;
+        let node = g.node(c);
+        let CNodeKind::Element(name) = &node.kind else {
+            return Err(XmlGlError::Eval {
+                msg: format!(
+                    "internal: instantiate called on non-element {:?}",
+                    node.kind
+                ),
+            });
+        };
+        sink.start(name);
+        for &child in &node.children {
+            if let CNodeKind::Attribute { name, value } = &g.node(child).kind {
+                match value {
+                    CValue::Literal(s) => sink.attr(name, s),
+                    CValue::Binding(q) => {
+                        sink.attr(name, &bound_text(self.doc, self.first_bound(group, *q)?))
+                    }
                 }
-                bounds = keyed.into_iter().map(|(_, b)| b).collect();
             }
-            let mut produced = Vec::new();
-            for bound in bounds {
-                produced.push(copy_bound(doc, &bound, true, out));
-            }
-            Ok(produced)
         }
-        CNodeKind::GroupBy {
-            source,
-            key,
-            wrapper,
-        } => {
-            // Groups ordered by first occurrence of the key.
-            let mut produced = Vec::new();
-            for members in group_by_content(doc, idx, group, *key) {
-                let wrap = out.create_element(wrapper);
-                // Label the group with its key value.
-                if let Some(kv) = members[0].get(*key) {
-                    let text = bound_text(doc, kv);
-                    out.set_attr(wrap, "key", &text)
-                        .map_err(|e| XmlGlError::Eval { msg: e.to_string() })?;
+        for &child in &node.children {
+            self.content(child, group, sink)?;
+        }
+        sink.end();
+        Ok(())
+    }
+
+    /// Emit the (possibly several) nodes a non-attribute construct child
+    /// produces within one instance.
+    fn content(self, c: CNodeId, group: Group<'a>, sink: &mut impl Sink) -> Result<()> {
+        let doc = self.doc;
+        match &self.rule.construct.node(c).kind {
+            CNodeKind::Element(_) => self.instantiate(c, group, sink)?,
+            CNodeKind::Text(s) => sink.text(s),
+            CNodeKind::Attribute { .. } => {} // in the parent's start tag
+            CNodeKind::Copy { source, deep } => {
+                copy_bound(doc, self.first_bound(group, *source)?, *deep, sink)
+            }
+            CNodeKind::All { source, order } => {
+                let mut bounds = distinct_of(self.bindings_of(group), *source);
+                if let Some(spec) = order {
+                    // Sort by the first key value seen with each collected
+                    // binding; numeric when both keys are numbers.
+                    let key_of = |bound: &Bound| -> Option<String> {
+                        self.bindings_of(group).find_map(|b| {
+                            // `Bound` equality is identity equality: node ids
+                            // for nodes, (origin, text) for values.
+                            if b.get(*source)? == bound {
+                                b.get(spec.key).map(|k| bound_text(doc, k))
+                            } else {
+                                None
+                            }
+                        })
+                    };
+                    let mut keyed: Vec<(Option<String>, &Bound)> =
+                        bounds.into_iter().map(|b| (key_of(b), b)).collect();
+                    keyed.sort_by(|(a, _), (b, _)| compare_sort_keys(a, b));
+                    if spec.descending {
+                        keyed.reverse();
+                    }
+                    bounds = keyed.into_iter().map(|(_, b)| b).collect();
                 }
-                for bound in distinct_bound(&members, *source) {
-                    let copied = copy_bound(doc, &bound, true, out);
-                    out.append_child(wrap, copied)
-                        .map_err(|e| XmlGlError::Eval { msg: e.to_string() })?;
+                for bound in bounds {
+                    copy_bound(doc, bound, true, sink);
                 }
-                produced.push(wrap);
             }
-            Ok(produced)
+            CNodeKind::GroupBy {
+                source,
+                key,
+                wrapper,
+            } => {
+                // Groups ordered by first occurrence of the key.
+                for members in self.group_by_content(group, *key) {
+                    sink.start(wrapper);
+                    // Label the group with its key value.
+                    if let Some(kv) = self.bindings[members[0] as usize].get(*key) {
+                        sink.attr("key", &bound_text(doc, kv));
+                    }
+                    let members = self.bindings_of(Group::Rows(&members));
+                    for bound in distinct_of(members, *source) {
+                        copy_bound(doc, bound, true, sink);
+                    }
+                    sink.end();
+                }
+            }
+            CNodeKind::Aggregate { func, source } => {
+                let values = distinct_of(self.bindings_of(group), *source);
+                sink.text(&aggregate(doc, *func, &values)?);
+            }
         }
-        CNodeKind::Aggregate { func, source } => {
-            let values = distinct_bound(group, *source);
-            let text = aggregate(doc, *func, &values)?;
-            Ok(vec![out.create_text(&text)])
-        }
+        Ok(())
+    }
+
+    fn first_bound(self, group: Group<'a>, q: QNodeId) -> Result<&'a Bound> {
+        self.bindings_of(group)
+            .find_map(|b| b.get(q))
+            .ok_or_else(|| XmlGlError::Eval {
+                msg: format!("query node {q:?} is unbound"),
+            })
     }
 }
 
@@ -312,44 +336,23 @@ fn compare_sort_keys(a: &Option<String>, b: &Option<String>) -> std::cmp::Orderi
     }
 }
 
-fn first_bound(group: &[Binding], q: QNodeId) -> Result<Bound> {
-    group
-        .iter()
-        .find_map(|b| b.get(q).cloned())
-        .ok_or_else(|| XmlGlError::Eval {
-            msg: format!("query node {q:?} is unbound"),
-        })
-}
-
-fn first_bound_text(doc: &Document, group: &[Binding], q: QNodeId) -> Result<String> {
-    Ok(bound_text(doc, &first_bound(group, q)?))
-}
-
-/// Copy a bound value into the output document (detached).
-fn copy_bound(doc: &Document, bound: &Bound, deep: bool, out: &mut Document) -> NodeId {
+/// Emit a copy of a bound value.
+fn copy_bound(doc: &Document, bound: &Bound, deep: bool, sink: &mut impl Sink) {
     match bound {
-        Bound::Value { text, .. } => out.create_text(text),
+        Bound::Value { text, .. } => sink.text(text),
+        Bound::Node(n) if deep => sink.subtree(doc, *n),
+        // Shallow: the element shell with its attributes only.
         Bound::Node(n) => {
-            if deep {
-                out.import_subtree(doc, *n)
-            } else {
-                // Shallow: the element shell with its attributes only.
-                let el = out.create_element(doc.name(*n).unwrap_or(""));
-                let attrs: Vec<(String, String)> = doc
-                    .attrs(*n)
-                    .map(|(k, v)| (k.to_string(), v.to_string()))
-                    .collect();
-                for (k, v) in attrs {
-                    out.set_attr(el, &k, &v)
-                        .expect("fresh element accepts attrs");
-                }
-                el
+            sink.start(doc.name(*n).unwrap_or(""));
+            for (k, v) in doc.attrs(*n) {
+                sink.attr(k, v);
             }
+            sink.end();
         }
     }
 }
 
-fn aggregate(doc: &Document, func: AggFunc, values: &[Bound]) -> Result<String> {
+fn aggregate(doc: &Document, func: AggFunc, values: &[&Bound]) -> Result<String> {
     if func == AggFunc::Count {
         return Ok(values.len().to_string());
     }
@@ -468,6 +471,36 @@ mod tests {
         let out = run_rule(&r, &doc()).unwrap();
         let first = out.child_elements(out.root()).next().unwrap();
         assert_eq!(out.attr(first, "published"), Some("1994"));
+    }
+
+    /// Attributes stand wherever among a construct element's children they
+    /// were drawn; a name drawn twice is one attribute. The written answer
+    /// is the built one's bytes.
+    #[test]
+    fn attributes_go_in_the_start_tag_and_a_repeated_name_takes_its_last_value() {
+        use gql_ssdm::sink::{Sink, XmlSink};
+        let r = RuleBuilder::new()
+            .extract(Q::elem("book").child(Q::attr("year").var("y")))
+            .construct(
+                C::elem("e")
+                    .child(C::attr("k", "drawn first"))
+                    .child(C::text("t"))
+                    .child(C::attr_var("published", "y"))
+                    .child(C::elem("inner").child(C::attr("k", "its own")))
+                    .child(C::attr_var("k", "y")),
+            )
+            .build()
+            .unwrap();
+        let d = doc();
+        let built = run_rule(&r, &d).unwrap().to_xml_string();
+        let e = |y| format!("<e k=\"{y}\" published=\"{y}\">t<inner k=\"its own\"/></e>");
+        assert_eq!(built, [e(1994), e(2000), e(2000)].concat());
+        let mut written = String::new();
+        let mut sink = XmlSink::new(&mut written);
+        let bindings = super::super::match_rule(&r, &d);
+        let instances = super::construct_rule_into(&r, &d, None, &bindings, &mut sink).unwrap();
+        assert_eq!((instances, sink.nodes()), (3, 9));
+        assert_eq!(written, built);
     }
 
     #[test]

@@ -19,6 +19,7 @@
 pub mod construct;
 pub mod matcher;
 
+use gql_ssdm::sink::{DocSink, Sink};
 use gql_ssdm::{DocIndex, Document, NodeId};
 
 use crate::ast::{Program, QNodeId, Rule};
@@ -26,7 +27,7 @@ use crate::Result;
 
 use gql_guard::RunCtx;
 
-pub use construct::{construct_rule, construct_rule_with};
+pub use construct::{construct_rule, construct_rule_into, construct_rule_with};
 pub use matcher::{
     match_rule, match_rule_in, match_rule_scan, match_rule_with, Binding, Bound, MatchMode,
 };
@@ -63,16 +64,21 @@ impl MatchPlans {
 /// `Engine`) use [`run_in`].
 pub fn run(program: &Program, doc: &Document) -> Result<Document> {
     let idx = DocIndex::build(doc);
+    let mut out = Document::new();
+    let mut sink = DocSink::new(&mut out);
     run_in(
         program,
         doc,
         Some(&idx),
         &MatchPlans::none(),
         RunCtx::none(),
-    )
+        &mut sink,
+    )?;
+    Ok(out)
 }
 
-/// The full form of [`run`].
+/// The full form of [`run`]: the outputs of all rules go to `sink` as
+/// top-level elements, and their number is returned.
 ///
 /// * `idx`: the document's index, shared by every rule; `None` selects the
 ///   scan matcher — the degradation target when an index build fails or
@@ -87,17 +93,20 @@ pub fn run(program: &Program, doc: &Document) -> Result<Document> {
 ///   a limit trips; the `checkpoint()` after each rule's match converts the
 ///   trip into an [`XmlGlError::Budget`](crate::XmlGlError) and discards the
 ///   truncated bindings, so partial results are never constructed into an
-///   answer.
+///   answer. The nodes each rule emits are charged against the node cap
+///   after the fact: on any `Err` the sink holds part of an answer, which
+///   the caller drops.
 pub fn run_in(
     program: &Program,
     doc: &Document,
     idx: Option<&DocIndex>,
     plans: &MatchPlans,
     ctx: RunCtx<'_>,
-) -> Result<Document> {
+    sink: &mut impl Sink,
+) -> Result<usize> {
     let RunCtx { trace, guard } = ctx;
     crate::check::check_program(program)?;
-    let mut out = Document::new();
+    let mut instances = 0;
     for (i, rule) in program.rules.iter().enumerate() {
         let _rule_span = trace.span(format_args!("rule[{i}]"));
         let bindings = {
@@ -107,19 +116,18 @@ pub fn run_in(
         guard.checkpoint().map_err(crate::XmlGlError::Budget)?;
         {
             let _s = trace.span("construct");
-            let before = out.node_count();
-            construct_rule_with(rule, doc, idx, &bindings, &mut out)?;
+            let before = sink.nodes();
+            instances += construct_rule_into(rule, doc, idx, &bindings, sink)?;
+            let built = sink.nodes() - before;
             if trace.is_enabled() {
                 trace.count("bindings_in", bindings.len() as u64);
-                trace.count("nodes_built", (out.node_count() - before) as u64);
+                trace.count("nodes_built", built);
             }
             // Charge the constructed nodes against the node cap.
-            guard
-                .try_nodes((out.node_count() - before) as u64)
-                .map_err(crate::XmlGlError::Budget)?;
+            guard.try_nodes(built).map_err(crate::XmlGlError::Budget)?;
         }
     }
-    Ok(out)
+    Ok(instances)
 }
 
 /// Evaluate one rule into an existing output document.
@@ -197,18 +205,16 @@ pub fn identity_key(bound: &Bound) -> String {
 }
 
 /// Identity of a bound value as a compact hashable key — the same relation
-/// as [`identity_key`] without building a formatted string per row.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) enum IdKey {
+/// as [`identity_key`], borrowed from the bound instead of formatted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum IdKey<'a> {
     Node(u32),
-    Value(u32, Box<str>),
+    Value(u32, &'a str),
 }
 
-pub(crate) fn id_key(bound: &Bound) -> IdKey {
+pub(crate) fn id_key(bound: &Bound) -> IdKey<'_> {
     match bound {
-        Bound::Value { text, origin } => {
-            IdKey::Value(origin.index() as u32, text.clone().into_boxed_str())
-        }
+        Bound::Value { text, origin } => IdKey::Value(origin.index() as u32, text),
         Bound::Node(n) => IdKey::Node(n.index() as u32),
     }
 }
@@ -224,16 +230,22 @@ pub fn bound_text(doc: &Document, bound: &Bound) -> String {
 /// Project a list of bindings onto one query node, deduplicated by identity,
 /// preserving order of first occurrence.
 pub fn distinct_bound(bindings: &[Binding], q: QNodeId) -> Vec<Bound> {
+    distinct_of(bindings.iter(), q)
+        .into_iter()
+        .cloned()
+        .collect()
+}
+
+/// [`distinct_bound`] over any run of bindings, borrowing the bounds.
+pub(crate) fn distinct_of<'a>(
+    bindings: impl Iterator<Item = &'a Binding>,
+    q: QNodeId,
+) -> Vec<&'a Bound> {
     let mut seen = std::collections::HashSet::new();
-    let mut out = Vec::new();
-    for b in bindings {
-        if let Some(v) = b.get(q) {
-            if seen.insert(id_key(v)) {
-                out.push(v.clone());
-            }
-        }
-    }
-    out
+    bindings
+        .filter_map(|b| b.get(q))
+        .filter(|v| seen.insert(id_key(v)))
+        .collect()
 }
 
 #[cfg(test)]

@@ -296,11 +296,22 @@ fn schema_checks_span_both_formalisms() {
 
 /// What `xml::MAX_DEPTH` was chosen by: a document nested exactly that deep
 /// goes through every layer that recurses once per level — index, summary,
-/// WG-Log load, the three engines copying the whole chain into their
-/// answers, both serialisers — on a thread with the 2 MiB stack that
-/// `gql-serve`'s connection and worker threads get.
+/// WG-Log load — and through the three engines copying the whole chain into
+/// their answers, on a thread with the 2 MiB stack that `gql-serve`'s
+/// connection and worker threads get.
+///
+/// The bound guards parsed input only; a document built through the API can
+/// nest as deep as memory lets it. Nothing on the way from such a document
+/// to an answer's bytes recurses, so one forty times past the bound goes
+/// through both serialisers, `text_content`, `import_subtree`, both sinks'
+/// `subtree` and its own drop on the same stack. (`Instance::from_document`'s
+/// `load_element` and `index::canonical` still recurse once per level. They
+/// are not on the answer path and read parsed datasets; ROADMAP items 3a and
+/// 1b replace them.)
 #[test]
 fn a_document_at_the_nesting_bound_fits_a_2_mib_stack_in_every_layer() {
+    use gql::ssdm::sink::{DocSink, Sink, XmlSink};
+
     let through_every_layer = || {
         let depth = gql::ssdm::xml::MAX_DEPTH;
         let xml = format!(
@@ -333,6 +344,41 @@ fn a_document_at_the_nesting_bound_fits_a_2_mib_stack_in_every_layer() {
         let pretty = doc.to_xml_pretty();
         assert_eq!(Document::parse_str(&pretty).unwrap().to_xml_string(), xml);
         assert_eq!(doc.text_content(doc.root()), "deep");
+
+        // Built, not parsed: `<n><n>…<n>deep</n>.</n>.</n>`. The text beside
+        // each nested element keeps the pretty form from indenting (forty
+        // thousand levels of it would be gigabytes) and gives `text_content`
+        // a sibling to come back to at every level.
+        let depth = 40 * depth;
+        let mut built = Document::new();
+        let mut at = built.root();
+        for _ in 0..depth {
+            let inner = built.add_element(at, "n");
+            if at != built.root() {
+                built.add_text(at, ".");
+            }
+            at = inner;
+        }
+        built.add_text(at, "deep");
+        let top = built.root_element().unwrap();
+        let xml = built.to_xml_string();
+        assert_eq!(xml.len(), depth * "<n></n>.".len() + "deep".len() - 1);
+        assert_eq!(built.to_xml_pretty(), format!("{xml}\n"));
+        assert_eq!(built.text_content(top).len(), depth + 3);
+        let mut copy = Document::new();
+        let root = copy.import_subtree(&built, top);
+        copy.append_child(copy.root(), root).unwrap();
+        assert_eq!(copy.node_count(), built.node_count());
+        let mut answer = Document::new();
+        let mut builder = DocSink::new(&mut answer);
+        builder.subtree(&built, top);
+        assert_eq!(builder.nodes(), 2 * depth as u64);
+        let mut written = String::new();
+        let mut writer = XmlSink::new(&mut written);
+        writer.subtree(&built, top);
+        assert_eq!(writer.nodes(), 2 * depth as u64);
+        assert!(written == xml && copy.to_xml_string() == xml && answer.to_xml_string() == xml);
+        drop((built, copy, answer));
     };
     std::thread::Builder::new()
         .stack_size(2 << 20)

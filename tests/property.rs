@@ -1366,3 +1366,44 @@ fn budget_trip_reports_are_deterministic_for_a_fixed_seed() {
         },
     );
 }
+
+// ----------------------------------------------------------------------
+// Answer sinks
+// ----------------------------------------------------------------------
+
+/// The served answer is the library's: for every generated program of every
+/// surface, and every case of the regression corpus, a run written through
+/// `execute_into(XmlSink)` gives the bytes of `execute(..).output`, the same
+/// `result_count`, the same profile shape under an enabled trace
+/// (`nodes_built`, `results` and every other counter), and under round and
+/// node budgets the same trip report.
+#[test]
+fn the_two_sinks_give_one_answer() {
+    use gql_testkit::oracle::check_sinks_case;
+
+    check("the_two_sinks_give_one_answer", 96, |rng| {
+        let seed = rng.next_u64();
+        for g in Generator::ALL {
+            let (doc_xml, query) = case_inputs(g, seed);
+            let Ok(doc) = Document::parse_str(&doc_xml) else {
+                continue;
+            };
+            for kind in query_kinds(g, &query) {
+                if let Err(msg) = check_sinks_case(&doc, &kind) {
+                    panic!("{msg}\n{doc_xml}\n{query}");
+                }
+            }
+        }
+    });
+    let corpus = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
+    let cases = gql_testkit::corpus::load_dir(&corpus).expect("corpus directory loads");
+    assert!(!cases.is_empty(), "tests/corpus/ holds no .case files");
+    // A case stored with a budget does not end without it.
+    for (path, case) in cases.iter().filter(|(_, case)| case.budget.is_none()) {
+        let doc = Document::parse_str(&case.doc).expect("corpus documents parse");
+        let kind = case.query_kind().expect("corpus queries parse");
+        if let Err(msg) = check_sinks_case(&doc, &kind) {
+            panic!("{}: {msg}", path.display());
+        }
+    }
+}
