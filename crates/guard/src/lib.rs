@@ -250,7 +250,7 @@ struct Inner {
 /// Probe calls (`charge_*`, [`Guard::ok`]) return `bool`: `true` means
 /// "keep going", `false` means the guard tripped and the caller should
 /// unwind cooperatively (return a truncated partial result). Infallible
-/// code paths — the XML-GL matcher returns plain `Vec<Binding>` — bail on
+/// code paths — the XML-GL matcher returns a plain binding table — bail on
 /// `false` and rely on the nearest `Result`-returning caller invoking
 /// [`Guard::checkpoint`], which converts the recorded trip into the
 /// [`GuardError`] and discards the truncated output.

@@ -13,6 +13,7 @@
 //! matching are defined over) is computed lazily and cached; any structural
 //! mutation invalidates the cache.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -623,6 +624,18 @@ impl Document {
             .map(|a| &self.text[a.value.range()])
     }
 
+    /// Value of the attribute named by an interned symbol: [`attr`] for a
+    /// caller that resolved the name once and asks per candidate.
+    ///
+    /// [`attr`]: Document::attr
+    #[inline]
+    pub fn attr_sym(&self, node: NodeId, sym: Symbol) -> Option<&str> {
+        self.attr_run(node)
+            .iter()
+            .find(|a| a.name == sym)
+            .map(|a| &self.text[a.value.range()])
+    }
+
     /// Number of attributes on a node.
     pub fn attr_count(&self, node: NodeId) -> usize {
         self.attr_run(node).len()
@@ -679,6 +692,25 @@ impl Document {
                     }
                 }
             }
+        }
+    }
+
+    /// [`text_content`](Document::text_content) without the copy wherever
+    /// the value is stored in one piece: text, comment and PI nodes, and
+    /// elements whose only child is a text node (or that have no children).
+    /// Owned only for content that really spans several nodes.
+    pub fn string_value(&self, node: NodeId) -> Cow<'_, str> {
+        match self.kind(node) {
+            NodeKind::Text | NodeKind::Comment | NodeKind::Pi => {
+                Cow::Borrowed(self.text(node).unwrap_or(""))
+            }
+            NodeKind::Element | NodeKind::Document => match *self.children(node) {
+                [] => Cow::Borrowed(""),
+                [only] if self.kind(only) == NodeKind::Text => {
+                    Cow::Borrowed(self.text(only).unwrap_or(""))
+                }
+                _ => Cow::Owned(self.text_content(node)),
+            },
         }
     }
 

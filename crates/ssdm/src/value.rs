@@ -160,19 +160,43 @@ impl CmpOp {
         })
     }
 
-    /// Evaluate against a data value and a constant.
+    /// Evaluate against a data value and a constant, each read the way
+    /// [`Value::from_literal`] reads it.
     pub fn eval(self, data: &str, constant: &str) -> bool {
-        let d = Value::from_literal(data);
-        let c = Value::from_literal(constant);
         match self {
-            CmpOp::Eq => d.loose_eq(&c),
-            CmpOp::Ne => !d.loose_eq(&c),
-            CmpOp::Lt => d.loose_cmp(&c) == Some(Ordering::Less),
-            CmpOp::Le => matches!(d.loose_cmp(&c), Some(Ordering::Less | Ordering::Equal)),
-            CmpOp::Gt => d.loose_cmp(&c) == Some(Ordering::Greater),
-            CmpOp::Ge => {
-                matches!(d.loose_cmp(&c), Some(Ordering::Greater | Ordering::Equal))
-            }
+            CmpOp::Contains => data.contains(constant),
+            CmpOp::StartsWith => data.starts_with(constant),
+            _ => self.eval_parsed(
+                (data, parse_number(data)),
+                (constant, parse_number(constant)),
+            ),
+        }
+    }
+
+    /// [`eval`](CmpOp::eval) for a caller that holds either side's
+    /// [`parse_number`] already — a constant tested against many values, a
+    /// value against several constants. `=` is [`Value::loose_eq`] and the
+    /// ordering operators [`Value::loose_cmp`] of the two literals, decided
+    /// without building either [`Value`].
+    pub fn eval_parsed(
+        self,
+        (data, d): (&str, Option<f64>),
+        (constant, c): (&str, Option<f64>),
+    ) -> bool {
+        let (eq, ord) = match (d, c) {
+            (Some(d), Some(c)) => (d == c, d.partial_cmp(&c)),
+            (None, None) => (data == constant, Some(data.cmp(constant))),
+            // A number against a string that is none: the string reads as
+            // NaN, which equals nothing and has no order.
+            _ => (false, None),
+        };
+        match self {
+            CmpOp::Eq => eq,
+            CmpOp::Ne => !eq,
+            CmpOp::Lt => ord == Some(Ordering::Less),
+            CmpOp::Le => matches!(ord, Some(Ordering::Less | Ordering::Equal)),
+            CmpOp::Gt => ord == Some(Ordering::Greater),
+            CmpOp::Ge => matches!(ord, Some(Ordering::Greater | Ordering::Equal)),
             CmpOp::Contains => data.contains(constant),
             CmpOp::StartsWith => data.starts_with(constant),
         }
@@ -289,6 +313,51 @@ mod tests {
         );
         // NaN against a number: undefined.
         assert_eq!(Value::Str("x".into()).loose_cmp(&Value::Num(1.0)), None);
+    }
+
+    /// `CmpOp::eval` decides from the two strings what the two `Value`s
+    /// they would be parsed into decide.
+    #[test]
+    fn eval_agrees_with_loose_comparison_of_the_parsed_literals() {
+        let samples = [
+            "", " ", "0", "-0", "7", " 7 ", "07", "7.0", "7.", ".5", "0.5", "-3.5", "-3", "10",
+            "9", "2000", "1e3", "NaN", "inf", "x", "X", "abc", "abd", "4 2", "north", "-", ".",
+            "1999", "2000.0",
+        ];
+        let ops = [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+            CmpOp::Contains,
+            CmpOp::StartsWith,
+        ];
+        for data in samples {
+            for constant in samples {
+                let (d, c) = (Value::from_literal(data), Value::from_literal(constant));
+                let (eq, ord) = (d.loose_eq(&c), d.loose_cmp(&c));
+                for op in ops {
+                    let expected = match op {
+                        CmpOp::Eq => eq,
+                        CmpOp::Ne => !eq,
+                        CmpOp::Lt => ord == Some(Ordering::Less),
+                        CmpOp::Le => matches!(ord, Some(Ordering::Less | Ordering::Equal)),
+                        CmpOp::Gt => ord == Some(Ordering::Greater),
+                        CmpOp::Ge => matches!(ord, Some(Ordering::Greater | Ordering::Equal)),
+                        CmpOp::Contains => data.contains(constant),
+                        CmpOp::StartsWith => data.starts_with(constant),
+                    };
+                    assert_eq!(
+                        op.eval(data, constant),
+                        expected,
+                        "{data:?} {} {constant:?}",
+                        op.symbol()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

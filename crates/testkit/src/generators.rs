@@ -144,7 +144,14 @@ fn xmlgl_subtree(rng: &mut Rng, vars: &mut Vec<String>, depth: usize, out: &mut 
         vars.push(v);
     }
     if depth > 0 && rng.gen_bool(0.6) {
-        out.push_str(" { ");
+        // Now and then an ordered body: element children bound in sibling
+        // order.
+        let (open, close) = if rng.gen_bool(0.15) {
+            (" [ ", "] ")
+        } else {
+            (" { ", "} ")
+        };
+        out.push_str(open);
         for _ in 0..rng.gen_range(1..3usize) {
             match rng.gen_range(0..10) {
                 // Attribute circle, possibly bound and/or constrained.
@@ -185,7 +192,7 @@ fn xmlgl_subtree(rng: &mut Rng, vars: &mut Vec<String>, depth: usize, out: &mut 
                 }
             }
         }
-        out.push_str("} ");
+        out.push_str(close);
     } else {
         out.push(' ');
     }

@@ -17,6 +17,10 @@
 //!   run beside the real thing: of the document store (one record per
 //!   node, `Vec` children, `String` attributes, its own XML writer) and of
 //!   the trace record (the tree-of-`String`s sink it replaced).
+//! * [`mod@reference`] — a reference embedding enumerator for XML-GL extract
+//!   graphs: the `Vec`-of-rows, owned-`String` recursion the matcher's
+//!   binding table replaced, with nested-loop joins over content-key
+//!   strings. It shares nothing with the matcher it is held against.
 //! * [`oracle`] — differential oracles over every dual execution path
 //!   (indexed vs scan, semi-naive vs naive fixpoint, prebuilt vs lazy
 //!   index, translated vs direct) plus
@@ -53,6 +57,7 @@ pub mod generators;
 pub mod harness;
 pub mod model;
 pub mod oracle;
+pub mod reference;
 pub mod serve_oracle;
 pub mod shrink;
 pub mod vocab;

@@ -19,7 +19,7 @@ use gql_trace::Trace;
 use gql_wglog::eval::FixpointMode;
 use gql_wglog::Instance;
 use gql_xmlgl::eval::{
-    construct_rule, distinct_bound, match_rule_scan, match_rule_with, MatchMode,
+    construct_rule, distinct_cells, match_rule_scan, match_rule_with, MatchMode,
 };
 use gql_xpath::{Item, XValue};
 
@@ -443,6 +443,10 @@ pub fn check_xmlgl_case(doc: &Document, src: &str) -> Result<(), String> {
                 scan.len()
             ));
         }
+        // The one walk behind both of those, against one that shares
+        // nothing with it.
+        crate::reference::check_table(rule, doc, &got)
+            .map_err(|e| format!("table-vs-reference: rule {ri}: {e}"))?;
         construct_rule(rule, doc, &scan, &mut scan_out)
             .map_err(|e| format!("construct: scan-side construct failed: {e}"))?;
     }
@@ -814,7 +818,7 @@ pub fn intent_xmlgl_count(doc: &Document, intent: &Intent) -> Result<usize, Stri
             .extract
             .by_var("x")
             .ok_or_else(|| format!("intent-xmlgl: $x not bound in {src}"))?;
-        Ok(distinct_bound(&scan, q).len())
+        Ok(distinct_cells(&scan, q).len())
     } else {
         Ok(scan.len())
     }

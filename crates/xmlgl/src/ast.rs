@@ -7,6 +7,7 @@
 
 use std::fmt;
 
+use gql_ssdm::value::parse_number;
 pub use gql_ssdm::Span;
 
 /// Index of a node in a rule's extract graph.
@@ -106,6 +107,30 @@ impl Predicate {
         self.clauses
             .iter()
             .all(|clause| clause.iter().any(|(op, constant)| op.eval(data, constant)))
+    }
+
+    /// Every alternative's constant as a number, where it is one, in clause
+    /// order: parsed once for [`eval_with`](Predicate::eval_with) by whoever
+    /// tests one predicate against many values.
+    pub fn parsed_constants(&self) -> Vec<Option<f64>> {
+        let constants = self.clauses.iter().flatten();
+        constants.map(|(_, c)| parse_number(c)).collect()
+    }
+
+    /// [`eval`](Predicate::eval) given this predicate's
+    /// [`parsed_constants`](Predicate::parsed_constants): `data` is parsed
+    /// once and no constant again.
+    pub fn eval_with(&self, constants: &[Option<f64>], data: &str) -> bool {
+        let d = (data, parse_number(data));
+        let mut next = 0;
+        self.clauses.iter().all(|clause| {
+            let parsed = &constants[next..next + clause.len()];
+            next += clause.len();
+            clause
+                .iter()
+                .zip(parsed)
+                .any(|((op, c), &n)| op.eval_parsed(d, (c, n)))
+        })
     }
 }
 
@@ -454,6 +479,13 @@ mod tests {
         assert!(p.eval("18"));
         assert!(!p.eval("25"));
         assert!(Predicate::always().eval("whatever"));
+        // With the constants parsed beforehand the verdicts are the same.
+        let constants = p.parsed_constants();
+        assert_eq!(constants, [None, Some(16.0), Some(20.0)]);
+        for data in ["Smith", "18", "25", "16", "", " 17 ", "x"] {
+            assert_eq!(p.eval_with(&constants, data), p.eval(data), "{data:?}");
+        }
+        assert!(Predicate::always().eval_with(&[], "whatever"));
     }
 
     #[test]

@@ -11,23 +11,24 @@
 //! its attributes, its content. Whether that builds a document or writes
 //! the answer's bytes is the sink's business.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use gql_ssdm::sink::{DocSink, Sink};
-use gql_ssdm::{DocIndex, Document};
+use gql_ssdm::value::{format_number, parse_number};
+use gql_ssdm::{DocIndex, Document, NodeId};
 
-use crate::ast::{AggFunc, CNodeId, CNodeKind, CValue, QNodeId, Rule};
+use crate::ast::{AggFunc, CNodeId, CNodeKind, CValue, QNodeId, QNodeKind, Rule};
 use crate::{Result, XmlGlError};
 
-use super::matcher::KeyCache;
-use super::{bound_text, content_hash, content_key, distinct_of, id_key, Binding, Bound, IdKey};
+use super::bindings::{cell_text, distinct_of, Bindings, Keys, Row};
 
 /// Materialise one rule's construct side into `out`, given the bindings of
 /// its extract side. Instances are appended under the output document node.
 pub fn construct_rule(
     rule: &Rule,
     doc: &Document,
-    bindings: &[Binding],
+    bindings: &Bindings,
     out: &mut Document,
 ) -> Result<()> {
     construct_rule_with(rule, doc, None, bindings, out)
@@ -39,16 +40,17 @@ pub fn construct_rule_with(
     rule: &Rule,
     doc: &Document,
     idx: Option<&DocIndex>,
-    bindings: &[Binding],
+    bindings: &Bindings,
     out: &mut Document,
 ) -> Result<()> {
     construct_rule_into(rule, doc, idx, bindings, &mut DocSink::new(out)).map(drop)
 }
 
 /// The full form of [`construct_rule`]: emit the rule's instances into
-/// `sink` as top-level elements and return how many there were. With an
-/// index, content grouping (`group by` list icons) keys on memoized `u64`
-/// structural hashes, verifying hash-equal rows against canonical forms.
+/// `sink` as top-level elements and return how many there were. `doc` is the
+/// document `bindings` was matched against: values are read from it. With an
+/// index, content grouping (`group by` list icons) reads memoized structural
+/// hashes where it otherwise renders and hashes canonical forms.
 ///
 /// An `Err` can follow events already emitted (an aggregate over something
 /// that is no number): the caller drops what the sink holds.
@@ -56,7 +58,7 @@ pub fn construct_rule_into(
     rule: &Rule,
     doc: &Document,
     idx: Option<&DocIndex>,
-    bindings: &[Binding],
+    bindings: &Bindings,
     sink: &mut impl Sink,
 ) -> Result<usize> {
     let cx = Cx {
@@ -129,16 +131,16 @@ impl<'a> Group<'a> {
 /// Partition the rows of `bindings` into groups with equal scope tuples,
 /// preserving the order of first occurrence. Rows missing a scope slot are
 /// dropped.
-fn group_by_scope(bindings: &[Binding], scope: &[QNodeId]) -> Vec<Vec<u32>> {
+fn group_by_scope(bindings: &Bindings, scope: &[QNodeId]) -> Vec<Vec<u32>> {
     let mut groups: Vec<Vec<u32>> = Vec::new();
-    let mut group_of: HashMap<Vec<IdKey<'_>>, usize> = HashMap::new();
+    let mut group_of: HashMap<Vec<NodeId>, usize> = HashMap::new();
     let mut parts = Vec::with_capacity(scope.len());
     for (row, b) in bindings.iter().enumerate() {
         parts.clear();
-        // Group instances by *identity*: two distinct matched nodes with
-        // equal content still yield two instances, matching the "one output
-        // per match" reading of the figures.
-        parts.extend(scope.iter().map_while(|&q| b.get(q).map(id_key)));
+        // Group instances by *identity* — the cell: two distinct matched
+        // nodes with equal content still yield two instances, matching the
+        // "one output per match" reading of the figures.
+        parts.extend(scope.iter().map_while(|&q| b.get(q)));
         if parts.len() < scope.len() {
             continue;
         }
@@ -161,49 +163,40 @@ struct Cx<'a> {
     rule: &'a Rule,
     doc: &'a Document,
     idx: Option<&'a DocIndex>,
-    bindings: &'a [Binding],
+    bindings: &'a Bindings,
 }
 
 impl<'a> Cx<'a> {
-    fn bindings_of(self, group: Group<'a>) -> impl Iterator<Item = &'a Binding> + Clone {
-        group.rows().map(move |row| &self.bindings[row as usize])
+    fn rows_of(self, group: Group<'a>) -> impl Iterator<Item = Row<'a>> + Clone {
+        group.rows().map(move |row| self.bindings.row(row as usize))
+    }
+
+    /// The string value of a cell of column `q`.
+    fn text(self, q: QNodeId, cell: NodeId) -> Cow<'a, str> {
+        cell_text(self.doc, &self.rule.extract, q, cell)
     }
 
     /// Partition `group` by *content* of the binding at `key`, preserving
-    /// order of first occurrence. With an index, rows are bucketed by `u64`
-    /// structural hash and only hash-equal rows are compared (via memoized
-    /// canonical forms); without one, string content keys are used directly.
+    /// order of first occurrence: rows are bucketed by the `u64` hash of the
+    /// content key and only hash-equal rows are compared.
     fn group_by_content(self, group: Group<'a>, key: QNodeId) -> Vec<Vec<u32>> {
-        let doc = self.doc;
-        // Each group keeps its first bound as the representative for equality.
-        let mut out: Vec<(&Bound, Vec<u32>)> = Vec::new();
-        let keyed = group
-            .rows()
-            .filter_map(|row| Some((row, self.bindings[row as usize].get(key)?)));
-        match self.idx {
-            Some(idx) => {
-                let mut cache = KeyCache::new(doc);
-                let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
-                for (row, kv) in keyed {
-                    let slot = buckets.entry(content_hash(doc, idx, kv)).or_default();
-                    let found = slot.iter().find(|&&gi| cache.content_eq(out[gi].0, kv));
-                    match found {
-                        Some(&gi) => out[gi].1.push(row),
-                        None => {
-                            slot.push(out.len());
-                            out.push((kv, vec![row]));
-                        }
-                    }
-                }
-            }
-            None => {
-                let mut index_of: HashMap<String, usize> = HashMap::new();
-                for (row, kv) in keyed {
-                    let gi = *index_of.entry(content_key(doc, kv)).or_insert_with(|| {
-                        out.push((kv, Vec::new()));
-                        out.len() - 1
-                    });
-                    out[gi].1.push(row);
+        let mut keys = Keys::new(self.doc, &self.rule.extract, self.idx);
+        // Each group keeps its first cell as the representative for equality.
+        let mut out: Vec<(NodeId, Vec<u32>)> = Vec::new();
+        let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
+        for row in group.rows() {
+            let Some(cell) = self.bindings.row(row as usize).get(key) else {
+                continue;
+            };
+            let slot = buckets.entry(keys.hash(key, cell)).or_default();
+            match slot
+                .iter()
+                .find(|&&gi| keys.eq((key, Some(out[gi].0)), (key, Some(cell))))
+            {
+                Some(&gi) => out[gi].1.push(row),
+                None => {
+                    slot.push(out.len());
+                    out.push((cell, vec![row]));
                 }
             }
         }
@@ -230,7 +223,7 @@ impl<'a> Cx<'a> {
                 match value {
                     CValue::Literal(s) => sink.attr(name, s),
                     CValue::Binding(q) => {
-                        sink.attr(name, &bound_text(self.doc, self.first_bound(group, *q)?))
+                        sink.attr(name, &self.text(*q, self.first_cell(group, *q)?))
                     }
                 }
             }
@@ -245,40 +238,34 @@ impl<'a> Cx<'a> {
     /// Emit the (possibly several) nodes a non-attribute construct child
     /// produces within one instance.
     fn content(self, c: CNodeId, group: Group<'a>, sink: &mut impl Sink) -> Result<()> {
-        let doc = self.doc;
         match &self.rule.construct.node(c).kind {
             CNodeKind::Element(_) => self.instantiate(c, group, sink)?,
             CNodeKind::Text(s) => sink.text(s),
             CNodeKind::Attribute { .. } => {} // in the parent's start tag
             CNodeKind::Copy { source, deep } => {
-                copy_bound(doc, self.first_bound(group, *source)?, *deep, sink)
+                self.copy(*source, self.first_cell(group, *source)?, *deep, sink)
             }
             CNodeKind::All { source, order } => {
-                let mut bounds = distinct_of(self.bindings_of(group), *source);
+                let mut cells = distinct_of(self.rows_of(group), *source);
                 if let Some(spec) = order {
                     // Sort by the first key value seen with each collected
                     // binding; numeric when both keys are numbers.
-                    let key_of = |bound: &Bound| -> Option<String> {
-                        self.bindings_of(group).find_map(|b| {
-                            // `Bound` equality is identity equality: node ids
-                            // for nodes, (origin, text) for values.
-                            if b.get(*source)? == bound {
-                                b.get(spec.key).map(|k| bound_text(doc, k))
-                            } else {
-                                None
-                            }
-                        })
+                    let key_of = |cell: NodeId| {
+                        self.rows_of(group)
+                            .find(|row| row.get(*source) == Some(cell))
+                            .and_then(|row| row.get(spec.key))
+                            .map(|k| self.text(spec.key, k))
                     };
-                    let mut keyed: Vec<(Option<String>, &Bound)> =
-                        bounds.into_iter().map(|b| (key_of(b), b)).collect();
-                    keyed.sort_by(|(a, _), (b, _)| compare_sort_keys(a, b));
+                    let mut keyed: Vec<(Option<Cow<'_, str>>, NodeId)> =
+                        cells.into_iter().map(|c| (key_of(c), c)).collect();
+                    keyed.sort_by(|(a, _), (b, _)| compare_sort_keys(a.as_deref(), b.as_deref()));
                     if spec.descending {
                         keyed.reverse();
                     }
-                    bounds = keyed.into_iter().map(|(_, b)| b).collect();
+                    cells = keyed.into_iter().map(|(_, c)| c).collect();
                 }
-                for bound in bounds {
-                    copy_bound(doc, bound, true, sink);
+                for cell in cells {
+                    self.copy(*source, cell, true, sink);
                 }
             }
             CNodeKind::GroupBy {
@@ -290,100 +277,93 @@ impl<'a> Cx<'a> {
                 for members in self.group_by_content(group, *key) {
                     sink.start(wrapper);
                     // Label the group with its key value.
-                    if let Some(kv) = self.bindings[members[0] as usize].get(*key) {
-                        sink.attr("key", &bound_text(doc, kv));
+                    if let Some(kv) = self.bindings.row(members[0] as usize).get(*key) {
+                        sink.attr("key", &self.text(*key, kv));
                     }
-                    let members = self.bindings_of(Group::Rows(&members));
-                    for bound in distinct_of(members, *source) {
-                        copy_bound(doc, bound, true, sink);
+                    for cell in distinct_of(self.rows_of(Group::Rows(&members)), *source) {
+                        self.copy(*source, cell, true, sink);
                     }
                     sink.end();
                 }
             }
             CNodeKind::Aggregate { func, source } => {
-                let values = distinct_of(self.bindings_of(group), *source);
-                sink.text(&aggregate(doc, *func, &values)?);
+                let cells = distinct_of(self.rows_of(group), *source);
+                sink.text(&self.aggregate(*func, *source, &cells)?);
             }
         }
         Ok(())
     }
 
-    fn first_bound(self, group: Group<'a>, q: QNodeId) -> Result<&'a Bound> {
-        self.bindings_of(group)
-            .find_map(|b| b.get(q))
+    fn first_cell(self, group: Group<'a>, q: QNodeId) -> Result<NodeId> {
+        self.rows_of(group)
+            .find_map(|row| row.get(q))
             .ok_or_else(|| XmlGlError::Eval {
                 msg: format!("query node {q:?} is unbound"),
             })
+    }
+
+    /// Emit a copy of what a cell of column `q` stands for.
+    fn copy(self, q: QNodeId, cell: NodeId, deep: bool, sink: &mut impl Sink) {
+        let doc = self.doc;
+        match &self.rule.extract.node(q).kind {
+            QNodeKind::Element(_) if deep => sink.subtree(doc, cell),
+            // Shallow: the element shell with its attributes only.
+            QNodeKind::Element(_) => {
+                sink.start(doc.name(cell).unwrap_or(""));
+                for (k, v) in doc.attrs(cell) {
+                    sink.attr(k, v);
+                }
+                sink.end();
+            }
+            QNodeKind::Text | QNodeKind::Attribute(_) => sink.text(&self.text(q, cell)),
+        }
+    }
+
+    fn aggregate(self, func: AggFunc, q: QNodeId, cells: &[NodeId]) -> Result<String> {
+        if func == AggFunc::Count {
+            return Ok(cells.len().to_string());
+        }
+        let nums: Vec<f64> = cells
+            .iter()
+            .map(|&cell| {
+                let t = self.text(q, cell);
+                parse_number(&t).ok_or_else(|| XmlGlError::Eval {
+                    msg: format!("{func:?} over non-number {t:?}"),
+                })
+            })
+            .collect::<Result<_>>()?;
+        if nums.is_empty() {
+            // min/max/avg/sum of nothing: empty string mirrors "no value".
+            return Ok(if func == AggFunc::Sum {
+                "0".to_string()
+            } else {
+                String::new()
+            });
+        }
+        let v = match func {
+            AggFunc::Sum => nums.iter().sum(),
+            AggFunc::Min => nums.iter().copied().fold(f64::INFINITY, f64::min),
+            AggFunc::Max => nums.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+            AggFunc::Avg => nums.iter().sum::<f64>() / nums.len() as f64,
+            AggFunc::Count => unreachable!("handled above"),
+        };
+        // Round away accumulated binary-float noise (sums of prices like 39.95
+        // would otherwise print as 145.85000000000002).
+        let rounded = (v * 1e9).round() / 1e9;
+        Ok(format_number(rounded))
     }
 }
 
 /// Ordering for sort keys: numbers numerically, otherwise lexicographic;
 /// missing keys sort last.
-fn compare_sort_keys(a: &Option<String>, b: &Option<String>) -> std::cmp::Ordering {
+fn compare_sort_keys(a: Option<&str>, b: Option<&str>) -> std::cmp::Ordering {
     match (a, b) {
-        (None, None) => std::cmp::Ordering::Equal,
-        (None, Some(_)) => std::cmp::Ordering::Greater,
-        (Some(_), None) => std::cmp::Ordering::Less,
-        (Some(x), Some(y)) => {
-            match (
-                gql_ssdm::value::parse_number(x),
-                gql_ssdm::value::parse_number(y),
-            ) {
-                (Some(nx), Some(ny)) => nx.partial_cmp(&ny).unwrap_or(std::cmp::Ordering::Equal),
-                _ => x.cmp(y),
-            }
-        }
+        (Some(x), Some(y)) => match (parse_number(x), parse_number(y)) {
+            (Some(nx), Some(ny)) => nx.partial_cmp(&ny).unwrap_or(std::cmp::Ordering::Equal),
+            _ => x.cmp(y),
+        },
+        _ => b.is_some().cmp(&a.is_some()),
     }
-}
-
-/// Emit a copy of a bound value.
-fn copy_bound(doc: &Document, bound: &Bound, deep: bool, sink: &mut impl Sink) {
-    match bound {
-        Bound::Value { text, .. } => sink.text(text),
-        Bound::Node(n) if deep => sink.subtree(doc, *n),
-        // Shallow: the element shell with its attributes only.
-        Bound::Node(n) => {
-            sink.start(doc.name(*n).unwrap_or(""));
-            for (k, v) in doc.attrs(*n) {
-                sink.attr(k, v);
-            }
-            sink.end();
-        }
-    }
-}
-
-fn aggregate(doc: &Document, func: AggFunc, values: &[&Bound]) -> Result<String> {
-    if func == AggFunc::Count {
-        return Ok(values.len().to_string());
-    }
-    let nums: Vec<f64> = values
-        .iter()
-        .map(|v| {
-            let t = bound_text(doc, v);
-            gql_ssdm::value::parse_number(&t).ok_or_else(|| XmlGlError::Eval {
-                msg: format!("{func:?} over non-number {t:?}"),
-            })
-        })
-        .collect::<Result<_>>()?;
-    if nums.is_empty() {
-        // min/max/avg/sum of nothing: empty string mirrors "no value".
-        return Ok(if func == AggFunc::Sum {
-            "0".to_string()
-        } else {
-            String::new()
-        });
-    }
-    let v = match func {
-        AggFunc::Sum => nums.iter().sum(),
-        AggFunc::Min => nums.iter().copied().fold(f64::INFINITY, f64::min),
-        AggFunc::Max => nums.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-        AggFunc::Avg => nums.iter().sum::<f64>() / nums.len() as f64,
-        AggFunc::Count => unreachable!("handled above"),
-    };
-    // Round away accumulated binary-float noise (sums of prices like 39.95
-    // would otherwise print as 145.85000000000002).
-    let rounded = (v * 1e9).round() / 1e9;
-    Ok(gql_ssdm::value::format_number(rounded))
 }
 
 #[cfg(test)]

@@ -1,98 +1,28 @@
 //! Embedding enumeration: matching the extract graph against a document.
 //!
-//! Two code paths produce identical results:
+//! One walk, with or without an index. Given a [`DocIndex`] it draws root
+//! and deep-edge candidates from the postings lists (sliced to subtree
+//! intervals for asterisk edges) and reads memoized structural hashes for
+//! joins; with `idx: None` ([`match_rule_scan`], the degradation target when
+//! an index build fails) it scans the document for candidates and renders
+//! the canonical forms it hashes. The rows, their order, the guard's charges
+//! and the trace are the same either way.
 //!
-//! * the **indexed** path ([`match_rule`] / [`match_rule_with`]) resolves
-//!   `NameTest`s to interned [`Symbol`]s once per rule, draws root and
-//!   deep-edge candidates from a [`DocIndex`]'s postings lists (sliced to
-//!   subtree intervals for asterisk edges), joins root binding sets on
-//!   memoized 64-bit structural hashes (verifying hash-equal rows against
-//!   canonical forms, so a collision can never produce a false join);
-//! * the **scan** path ([`match_rule_scan`]) is the straightforward
-//!   walk-the-whole-document implementation with string join keys, kept as
-//!   the differential-testing oracle and benchmark baseline.
+//! Rows are built in one arena used as a stack (see `match_node`): no
+//! per-candidate `Vec`, and no `String` — a value is the cell of the element
+//! it is read from ([`super::bindings`]).
 
+use std::borrow::Cow;
 use std::cell::Cell;
-use std::collections::{HashMap, HashSet};
 
 use gql_guard::{Guard, RunCtx};
 use gql_ssdm::document::NodeKind;
-use gql_ssdm::index::canonical;
 use gql_ssdm::{DocIndex, Document, NodeId, Symbol};
 use gql_trace::joined;
 
 use crate::ast::{ExtractGraph, NameTest, QEdge, QNodeId, QNodeKind, Rule};
 
-use super::{content_hash, content_key};
-
-/// What a query node is bound to: a document node (elements) or a string
-/// (text content, attribute values). Strings carry the element they were
-/// read from, so two occurrences of the same value stay distinct matches —
-/// aggregates count and sum per occurrence, not per distinct string.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Bound {
-    Node(NodeId),
-    Value {
-        text: String,
-        /// The element the text content / attribute was read from.
-        origin: NodeId,
-    },
-}
-
-impl Bound {
-    pub fn value(text: impl Into<String>, origin: NodeId) -> Bound {
-        Bound::Value {
-            text: text.into(),
-            origin,
-        }
-    }
-}
-
-/// One embedding: a partial map from query nodes to bound values. Nodes
-/// under negated edges stay unbound.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Binding {
-    slots: Vec<Option<Bound>>,
-}
-
-impl Binding {
-    fn with_capacity(n: usize) -> Self {
-        Binding {
-            slots: vec![None; n],
-        }
-    }
-
-    pub fn get(&self, q: QNodeId) -> Option<&Bound> {
-        self.slots.get(q.index()).and_then(Option::as_ref)
-    }
-
-    fn set(&mut self, q: QNodeId, b: Bound) {
-        if self.slots.len() <= q.index() {
-            self.slots.resize(q.index() + 1, None);
-        }
-        self.slots[q.index()] = Some(b);
-    }
-
-    /// Merge two disjoint bindings (panics on conflicting slots in debug).
-    fn merge(&self, other: &Binding) -> Binding {
-        let mut out = self.clone();
-        out.absorb(other);
-        out
-    }
-
-    /// [`Binding::merge`] in place.
-    fn absorb(&mut self, other: &Binding) {
-        for (i, slot) in other.slots.iter().enumerate() {
-            if let Some(b) = slot {
-                debug_assert!(
-                    self.slots.get(i).is_none_or(Option::is_none),
-                    "bindings overlap at q{i}"
-                );
-                self.set(QNodeId(i as u32), b.clone());
-            }
-        }
-    }
-}
+use super::bindings::{push_unit, retain_rows, Bindings, Keys, UNBOUND};
 
 /// Selects nothing: matching has one schedule, a single-threaded candidate
 /// loop. The type survives only because `gql-benchmark/src/replay.rs`, frozen
@@ -113,14 +43,23 @@ enum NameRes {
     Absent,
 }
 
+impl NameRes {
+    /// Is `n` an element carrying the name?
+    fn admits(self, doc: &Document, n: NodeId) -> bool {
+        doc.kind(n) == NodeKind::Element
+            && match self {
+                NameRes::Any => true,
+                NameRes::Sym(sym) => doc.name_sym(n) == Some(sym),
+                NameRes::Absent => false,
+            }
+    }
+}
+
 fn resolve_names(g: &ExtractGraph, doc: &Document) -> Vec<NameRes> {
     g.nodes
         .iter()
         .map(|n| match &n.kind {
-            QNodeKind::Element(NameTest::Name(name)) => {
-                doc.lookup_sym(name).map_or(NameRes::Absent, NameRes::Sym)
-            }
-            QNodeKind::Attribute(name) => {
+            QNodeKind::Element(NameTest::Name(name)) | QNodeKind::Attribute(name) => {
                 doc.lookup_sym(name).map_or(NameRes::Absent, NameRes::Sym)
             }
             QNodeKind::Element(NameTest::Wildcard) | QNodeKind::Text => NameRes::Any,
@@ -129,20 +68,23 @@ fn resolve_names(g: &ExtractGraph, doc: &Document) -> Vec<NameRes> {
 }
 
 /// Everything the recursive matching needs, borrowed once. With `idx: None`
-/// the scan fallbacks are used and `names` is ignored.
+/// the scan fallbacks are used.
 struct Ctx<'a> {
     g: &'a ExtractGraph,
     doc: &'a Document,
-    nslots: usize,
+    /// Cells per row of every table and of the arena.
+    width: usize,
     idx: Option<&'a DocIndex>,
     names: Vec<NameRes>,
+    /// Each query node's predicate constants, parsed once per rule.
+    constants: Vec<Vec<Option<f64>>>,
     /// Per-query-node candidate counters, allocated only when tracing. Each
     /// `match_edge` call adds once in bulk, so the untraced cost is one
     /// `Option` branch per edge, never per candidate.
     cand: Option<Vec<Cell<u64>>>,
     /// Where the run reports and what bounds it. Matching is infallible
-    /// (`Vec<Binding>` out), so a tripped guard makes the candidate loops
-    /// bail early with *truncated* results; the `Result`-returning caller
+    /// (a table out), so a tripped guard makes the candidate loops bail
+    /// early with *truncated* results; the `Result`-returning caller
     /// must `guard.checkpoint()` afterwards to convert the trip into an error
     /// and discard them.
     run: RunCtx<'a>,
@@ -154,6 +96,20 @@ impl Ctx<'_> {
         if let Some(cand) = &self.cand {
             let c = &cand[q.index()];
             c.set(c.get() + n);
+        }
+    }
+
+    /// Does `q`'s predicate hold of the string value `data()` reads?
+    fn holds<'d>(&self, q: QNodeId, data: impl FnOnce() -> Cow<'d, str>) -> bool {
+        let predicate = &self.g.node(q).predicate;
+        predicate.is_trivial() || predicate.eval_with(&self.constants[q.index()], &data())
+    }
+
+    /// Position in document order, for comparing siblings.
+    fn order_key(&self, n: NodeId) -> u32 {
+        match self.idx {
+            Some(idx) => idx.pre(n).unwrap_or(u32::MAX),
+            None => self.doc.order_key(n),
         }
     }
 }
@@ -173,27 +129,22 @@ fn qnode_label(g: &ExtractGraph, q: QNodeId) -> (&'static str, &str) {
 /// a fresh [`DocIndex`] for the document. Callers evaluating several rules
 /// against one document should build the index once and use
 /// [`match_rule_with`].
-pub fn match_rule(rule: &Rule, doc: &Document) -> Vec<Binding> {
+pub fn match_rule(rule: &Rule, doc: &Document) -> Bindings {
     let idx = DocIndex::build(doc);
     match_rule_with(rule, doc, &idx, MatchMode::Auto)
 }
 
 /// Enumerate all embeddings using a prebuilt index. `_mode` selects nothing
 /// (see [`MatchMode`]).
-pub fn match_rule_with(
-    rule: &Rule,
-    doc: &Document,
-    idx: &DocIndex,
-    _mode: MatchMode,
-) -> Vec<Binding> {
+pub fn match_rule_with(rule: &Rule, doc: &Document, idx: &DocIndex, _mode: MatchMode) -> Bindings {
     match_rule_in(rule, doc, Some(idx), None, RunCtx::none())
 }
 
-/// Reference implementation: whole-document scans for candidates and string
-/// content keys for joins. Kept as the oracle for the indexed path (property
-/// tests assert `match_rule_scan ≡ match_rule`) and as the benchmark
-/// baseline.
-pub fn match_rule_scan(rule: &Rule, doc: &Document) -> Vec<Binding> {
+/// Matching without an index: whole-document scans for candidates, join
+/// hashes of canonical forms rendered on the spot. The same walk as
+/// [`match_rule_with`] minus postings, so holding the two equal checks the
+/// index, not the matcher — `gql-testkit`'s reference enumerator does that.
+pub fn match_rule_scan(rule: &Rule, doc: &Document) -> Bindings {
     match_rule_in(rule, doc, None, None, RunCtx::none())
 }
 
@@ -229,18 +180,17 @@ pub fn match_rule_in(
     idx: Option<&DocIndex>,
     order: Option<&[usize]>,
     ctx: RunCtx<'_>,
-) -> Vec<Binding> {
+) -> Bindings {
     let trace = ctx.trace;
     let cx = Ctx {
         g: &rule.extract,
         doc,
-        nslots: rule.extract.nodes.len(),
+        width: rule.extract.nodes.len(),
         idx,
-        names: if idx.is_some() {
-            resolve_names(&rule.extract, doc)
-        } else {
-            Vec::new()
-        },
+        names: resolve_names(&rule.extract, doc),
+        constants: (rule.extract.nodes.iter())
+            .map(|n| n.predicate.parsed_constants())
+            .collect(),
         cand: trace
             .is_enabled()
             .then(|| vec![Cell::new(0); rule.extract.nodes.len()]),
@@ -270,25 +220,17 @@ fn is_permutation(order: &[usize], nroots: usize) -> bool {
             .all(|&ri| ri < nroots && !std::mem::replace(&mut seen[ri], true))
 }
 
-fn norm_pair(a: QNodeId, b: QNodeId) -> (QNodeId, QNodeId) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
-
-fn run_match(cx: &Ctx, plan: Option<&[usize]>) -> Vec<Binding> {
+fn run_match(cx: &Ctx, plan: Option<&[usize]>) -> Bindings {
     let (g, trace) = (cx.g, cx.run.trace);
     if g.roots.is_empty() {
-        return Vec::new();
+        return Bindings::new(cx.width);
     }
     if trace.is_enabled() {
         trace.note("path", if cx.idx.is_some() { "indexed" } else { "scan" });
     }
 
     // Per-root binding sets.
-    let mut per_root: Vec<Vec<Binding>> = g
+    let mut per_root: Vec<Bindings> = g
         .roots
         .iter()
         .enumerate()
@@ -304,8 +246,8 @@ fn run_match(cx: &Ctx, plan: Option<&[usize]>) -> Vec<Binding> {
     // Combine roots, remembering which joins the hash-join pass already
     // enforced (the residual filter can skip them). One root has nothing to
     // combine with: its bindings are the result as they are.
-    let mut enforced: HashSet<(QNodeId, QNodeId)> = HashSet::new();
-    let mut combined: Vec<Binding> = if per_root.len() == 1 {
+    let mut enforced = vec![false; g.joins.len()];
+    let mut combined = if per_root.len() == 1 {
         per_root.swap_remove(0)
     } else {
         combine(cx, &per_root, plan, &mut enforced)
@@ -313,37 +255,16 @@ fn run_match(cx: &Ctx, plan: Option<&[usize]>) -> Vec<Binding> {
 
     // Residual joins within a single root (or spanning more than two) are
     // verified by filtering; hash-enforced pairs are already satisfied.
-    let residual: Vec<(QNodeId, QNodeId)> = g
-        .joins
-        .iter()
-        .copied()
-        .filter(|&(a, b)| !enforced.contains(&norm_pair(a, b)))
+    let residual: Vec<(QNodeId, QNodeId)> = (g.joins.iter().zip(&enforced))
+        .filter_map(|(&join, &enforced)| (!enforced).then_some(join))
         .collect();
     if !residual.is_empty() {
         let span = trace.span("residual_filter");
         let before = combined.len();
-        match cx.idx {
-            Some(idx) => {
-                let mut cache = KeyCache::new(cx.doc);
-                combined.retain(|b| {
-                    residual.iter().all(|&(x, y)| match (b.get(x), b.get(y)) {
-                        (Some(bx), Some(by)) => {
-                            content_hash(cx.doc, idx, bx) == content_hash(cx.doc, idx, by)
-                                && cache.content_eq(bx, by)
-                        }
-                        _ => false,
-                    })
-                });
-            }
-            None => {
-                combined.retain(|b| {
-                    residual.iter().all(|&(x, y)| match (b.get(x), b.get(y)) {
-                        (Some(bx), Some(by)) => content_key(cx.doc, bx) == content_key(cx.doc, by),
-                        _ => false,
-                    })
-                });
-            }
-        }
+        let mut keys = Keys::new(cx.doc, g, cx.idx);
+        retain_rows(&mut combined.cells, 0, cx.width, |row| {
+            (residual.iter()).all(|&(x, y)| keys.eq((x, row.get(x)), (y, row.get(y))))
+        });
         if trace.is_enabled() {
             trace.count("joins", residual.len() as u64);
             trace.count("rows_in", before as u64);
@@ -354,19 +275,18 @@ fn run_match(cx: &Ctx, plan: Option<&[usize]>) -> Vec<Binding> {
     combined
 }
 
-/// An intermediate row of the combine: one per-root binding index per root,
-/// `u32::MAX` for a root not merged in yet. Rows never clone binding slots.
-type Row = Vec<u32>;
-
-/// The per-root binding sets, and which root each query node belongs to:
-/// where a [`Row`]'s join columns are read from.
+/// The per-root binding tables, and which root each query node belongs to:
+/// where the join columns of an intermediate combine row are read from. Such
+/// a row is a provenance tuple — one per-root row number per root,
+/// [`UNBOUND`] for a root not merged in yet — and the rows of one stage lie
+/// end to end in one buffer; none copies a binding.
 struct Roots<'a> {
-    per_root: &'a [Vec<Binding>],
+    per_root: &'a [Bindings],
     owner: Vec<usize>,
 }
 
 impl<'a> Roots<'a> {
-    fn new(g: &ExtractGraph, per_root: &'a [Vec<Binding>]) -> Self {
+    fn new(g: &ExtractGraph, per_root: &'a [Bindings]) -> Self {
         let mut owner: Vec<usize> = vec![usize::MAX; g.nodes.len()];
         for (ri, &root) in g.roots.iter().enumerate() {
             let mut stack = vec![root];
@@ -379,62 +299,56 @@ impl<'a> Roots<'a> {
     }
 
     /// The join column `c` of row `t`, read straight off the owning root's
-    /// binding.
-    fn col(&self, t: &[u32], c: QNodeId) -> Option<&'a Bound> {
+    /// table.
+    fn col(&self, t: &[u32], c: QNodeId) -> Option<NodeId> {
         let o = self.owner[c.index()];
-        self.per_root[o][t[o] as usize].get(c)
+        self.per_root[o].row(t[o] as usize).get(c)
     }
 }
 
 /// Combine the per-root binding sets: merge the roots in `plan` order
 /// (declaration order without one), hash-joining whenever a join constraint
 /// connects the next root to those already merged and taking the cartesian
-/// product otherwise. Intermediate rows are provenance tuples ([`Row`]),
-/// sorted into declaration-order lexicographic sequence before bindings are
-/// materialised — the sequence a left-to-right declaration-order merge
-/// emits (products and hash joins both emit left-to-right,
-/// right-index-ascending), so construct output cannot depend on the plan.
+/// product otherwise. Intermediate rows are provenance tuples (see
+/// [`Roots`]), sorted into declaration-order lexicographic sequence before
+/// bindings are materialised — the sequence a left-to-right
+/// declaration-order merge emits (products and hash joins both emit
+/// left-to-right, right-index-ascending), so construct output cannot depend
+/// on the plan.
 fn combine(
     cx: &Ctx,
-    per_root: &[Vec<Binding>],
+    per_root: &[Bindings],
     plan: Option<&[usize]>,
-    enforced: &mut HashSet<(QNodeId, QNodeId)>,
-) -> Vec<Binding> {
+    enforced: &mut [bool],
+) -> Bindings {
     let (g, RunCtx { trace, guard }) = (cx.g, cx.run);
     let nroots = per_root.len();
     let roots = Roots::new(g, per_root);
     let owner = &roots.owner;
-    let declared: Vec<usize>;
-    let order = match plan {
-        Some(order) => {
-            trace.note("combine_plan", joined(order, ","));
-            order
-        }
-        None => {
-            declared = (0..nroots).collect();
-            &declared
-        }
-    };
+    let declared: Vec<usize> = (0..nroots).collect();
+    let order = plan.unwrap_or(&declared);
+    if plan.is_some() {
+        trace.note("combine_plan", joined(order, ","));
+    }
     let first = order[0];
     let mut processed = vec![false; nroots];
     processed[first] = true;
-    let mut rows: Vec<Row> = (0..per_root[first].len() as u32)
-        .map(|i| {
-            let mut t = vec![u32::MAX; nroots];
-            t[first] = i;
-            t
-        })
-        .collect();
+    let blank = vec![UNBOUND; nroots];
+    let mut rows: Vec<u32> = Vec::with_capacity(per_root[first].len() * nroots);
+    for i in 0..per_root[first].len() as u32 {
+        push_extended(&mut rows, &blank, first, i);
+    }
+    // The next stage's rows; the two buffers swap roles stage by stage.
+    let mut next: Vec<u32> = Vec::new();
+    let mut keys = Keys::new(cx.doc, g, cx.idx);
     for (k, &ri) in order.iter().enumerate().skip(1) {
         let right = &per_root[ri];
         // Joins whose endpoints span the processed prefix and this root,
         // as (prefix column, this root's column).
-        let cross_joins: Vec<(QNodeId, QNodeId)> = g
-            .joins
-            .iter()
-            .filter_map(|&(a, b)| {
+        let cross_joins: Vec<(QNodeId, QNodeId)> = (g.joins.iter().zip(enforced.iter_mut()))
+            .filter_map(|(&(a, b), enforced)| {
                 let (oa, ob) = (owner[a.index()], owner[b.index()]);
-                if oa == usize::MAX || ob == usize::MAX {
+                let cross = if oa == usize::MAX || ob == usize::MAX {
                     None
                 } else if processed[oa] && ob == ri {
                     Some((a, b))
@@ -442,7 +356,9 @@ fn combine(
                     Some((b, a))
                 } else {
                     None
-                }
+                };
+                *enforced |= cross.is_some();
+                cross
             })
             .collect();
         let span = match plan {
@@ -450,51 +366,42 @@ fn combine(
             None => trace.span(format_args!("combine[{ri}]")),
         };
         if trace.is_enabled() {
-            trace.count("left_rows", rows.len() as u64);
+            trace.count("left_rows", (rows.len() / nroots) as u64);
             trace.count("right_rows", right.len() as u64);
         }
         if !guard.ok() {
-            return Vec::new();
+            return Bindings::new(cx.width);
         }
-        rows = if cross_joins.is_empty() {
+        if cross_joins.is_empty() {
             trace.note("kind", "product");
-            let mut out = Vec::new();
-            for t in &rows {
+            for t in rows.chunks_exact(nroots) {
                 // Budget probe: one per output batch (this row's fan-out).
                 if !guard.charge_matches(right.len() as u64) {
                     break;
                 }
-                out.extend((0..right.len() as u32).map(|i| extended(t, ri, i)));
+                for i in 0..right.len() as u32 {
+                    push_extended(&mut next, t, ri, i);
+                }
             }
-            out
         } else {
             trace.note("kind", "hash_join");
-            enforced.extend(cross_joins.iter().map(|&(a, b)| norm_pair(a, b)));
-            match cx.idx {
-                Some(idx) => {
-                    let mut stats = JoinStats::default();
-                    let out = hash_join_hashed(
-                        cx.doc,
-                        &roots,
-                        &rows,
-                        ri,
-                        &cross_joins,
-                        |b| content_hash(cx.doc, idx, b),
-                        &mut stats,
-                        guard,
-                    );
-                    if trace.is_enabled() {
-                        trace.count("probes", stats.probes);
-                        trace.count("hash_matches", stats.hash_matches);
-                        trace.count("collision_rejects", stats.collision_rejects);
-                    }
-                    out
-                }
-                None => hash_join_strings(cx.doc, &roots, &rows, ri, &cross_joins, guard),
+            let probe = Probe {
+                rows: &rows,
+                ri,
+                joins: &cross_joins,
+            };
+            let stats = hash_join(&roots, probe, &mut keys, Keys::hash, guard, &mut next);
+            // The scan path reports no join statistics; it never did.
+            if cx.idx.is_some() && trace.is_enabled() {
+                trace.count("probes", stats.probes);
+                trace.count("hash_matches", stats.hash_matches);
+                trace.count("collision_rejects", stats.collision_rejects);
             }
-        };
+        }
+        std::mem::swap(&mut rows, &mut next);
+        next.clear();
         processed[ri] = true;
-        trace.count("out_rows", rows.len() as u64);
+        trace.count("out_rows", (rows.len() / nroots) as u64);
         drop(span);
         if rows.is_empty() {
             break;
@@ -502,72 +409,31 @@ fn combine(
     }
 
     // Restore declaration order: lexicographic in the provenance tuple.
-    rows.sort_unstable();
-    rows.into_iter()
-        .map(|t| {
-            let mut parts = t
-                .iter()
-                .enumerate()
-                .filter(|&(_, &i)| i != u32::MAX)
-                .map(|(ro, &i)| &per_root[ro][i as usize]);
-            let mut b = parts.next().cloned().unwrap_or_default();
-            parts.for_each(|rb| b.absorb(rb));
-            b
-        })
-        .collect()
-}
-
-/// Row `t` with root `ri` merged in at its binding `i`.
-fn extended(t: &[u32], ri: usize, i: u32) -> Row {
-    let mut nt = t.to_vec();
-    nt[ri] = i;
-    nt
-}
-
-/// Join `rows` with root `ri`'s bindings on string content keys — the scan
-/// path's join, and the reference [`hash_join_hashed`] is tested against.
-/// `joins` pairs a column of the rows with a column of root `ri`.
-fn hash_join_strings(
-    doc: &Document,
-    roots: &Roots,
-    rows: &[Row],
-    ri: usize,
-    joins: &[(QNodeId, QNodeId)],
-    guard: &Guard,
-) -> Vec<Row> {
-    // Key = tuple of content keys over the join columns.
-    fn key_of<'b>(doc: &Document, cols: impl Iterator<Item = Option<&'b Bound>>) -> Option<String> {
-        let parts: Option<Vec<String>> = cols.map(|b| b.map(|b| content_key(doc, b))).collect();
-        parts.map(|p| p.join("\u{1}"))
-    }
-    let right = &roots.per_root[ri];
-    let mut table: HashMap<String, Vec<u32>> = HashMap::new();
-    for (i, r) in right.iter().enumerate() {
-        if let Some(k) = key_of(doc, joins.iter().map(|&(_, rc)| r.get(rc))) {
-            table.entry(k).or_default().push(i as u32);
-        }
-    }
-    let mut out = Vec::new();
-    for t in rows {
-        let Some(k) = key_of(doc, joins.iter().map(|&(lc, _)| roots.col(t, lc))) else {
-            continue;
-        };
-        let Some(matches) = table.get(&k) else {
-            continue;
-        };
-        // Budget probe: one per probe batch.
-        if !guard.charge_matches(matches.len() as u64) {
-            break;
-        }
-        out.extend(matches.iter().map(|&i| extended(t, ri, i)));
+    let row = |r: u32| &rows[r as usize * nroots..][..nroots];
+    let mut sorted: Vec<u32> = (0..(rows.len() / nroots) as u32).collect();
+    sorted.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
+    let mut out = Bindings::new(cx.width);
+    out.cells.reserve(sorted.len() * cx.width);
+    for &r in &sorted {
+        let t = row(r);
+        out.cells.extend((0..cx.width).map(|c| match owner[c] {
+            usize::MAX => UNBOUND,
+            o => per_root[o].cells[t[o] as usize * cx.width + c],
+        }));
     }
     out
 }
 
+/// Append row `t` with root `ri` merged in at its row `i`.
+fn push_extended(rows: &mut Vec<u32>, t: &[u32], ri: usize, i: u32) {
+    rows.extend_from_slice(t);
+    let at = rows.len() - t.len() + ri;
+    rows[at] = i;
+}
+
 /// What one hash join did, reported into the trace when profiling: probe
-/// rows offered, hash-equal candidate pairs, and pairs rejected by canonical
-/// verification (true hash collisions — expected ≈ 0 with the production
-/// hasher, non-zero only under adversarial or test hashers).
+/// rows offered, hash-equal candidate pairs, and pairs rejected by
+/// verification (true hash collisions: ≈ 0 under the production hasher).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct JoinStats {
     pub probes: u64,
@@ -575,130 +441,100 @@ pub(crate) struct JoinStats {
     pub collision_rejects: u64,
 }
 
-/// Join `rows` with root `ri`'s bindings on `u64` content hashes. Hash-equal
-/// candidate rows are verified with [`KeyCache::content_eq`] (memoized
-/// canonical forms), so a hash collision can never produce a false join —
-/// correctness does not depend on the hash. The hasher is injectable so
-/// tests can force collisions.
-#[allow(clippy::too_many_arguments)]
-fn hash_join_hashed<F: Fn(&Bound) -> u64>(
-    doc: &Document,
-    roots: &Roots,
-    rows: &[Row],
+/// The probe side of one hash join: the rows so far, the root joining them
+/// and the joins between the two, each as (a column of the rows, a column
+/// of root `ri`).
+#[derive(Clone, Copy)]
+struct Probe<'a> {
+    rows: &'a [u32],
     ri: usize,
-    joins: &[(QNodeId, QNodeId)],
-    hash: F,
-    stats: &mut JoinStats,
+    joins: &'a [(QNodeId, QNodeId)],
+}
+
+/// Join `probe.rows` with root `probe.ri`'s table on the content hashes of
+/// the join columns, appending the joined rows to `out`. The build side is
+/// one sorted run of `(key, row)` — a bucket is a slice of it, in row
+/// order — and hash-equal candidates are verified with [`Keys::eq`], so a
+/// hash collision can never produce a false join: correctness does not
+/// depend on the hash. The hasher is injectable so tests can force
+/// collisions.
+fn hash_join<'k>(
+    roots: &Roots,
+    probe: Probe,
+    keys: &mut Keys<'k>,
+    hash: impl Fn(&mut Keys<'k>, QNodeId, NodeId) -> u64,
     guard: &Guard,
-) -> Vec<Row> {
-    let right = &roots.per_root[ri];
-    let mut table: HashMap<Vec<u64>, Vec<u32>> = HashMap::new();
+    out: &mut Vec<u32>,
+) -> JoinStats {
+    let Probe { rows, ri, joins } = probe;
+    let mut stats = JoinStats::default();
+    let (right, nroots) = (&roots.per_root[ri], roots.per_root.len());
+    // One key over all join columns; a row with a column unbound has none.
+    let mut table: Vec<(u64, u32)> = Vec::with_capacity(right.len());
     for (i, r) in right.iter().enumerate() {
-        let key: Option<Vec<u64>> = joins.iter().map(|&(_, rc)| r.get(rc).map(&hash)).collect();
+        let key = joins.iter().try_fold(0u64, |h, &(_, rc)| {
+            Some(fold_key(h, hash(keys, rc, r.get(rc)?)))
+        });
         if let Some(k) = key {
-            table.entry(k).or_default().push(i as u32);
+            table.push((k, i as u32));
         }
     }
-    let mut cache = KeyCache::new(doc);
-    let mut out = Vec::new();
-    for t in rows {
-        let key: Option<Vec<u64>> = joins
-            .iter()
-            .map(|&(lc, _)| roots.col(t, lc).map(&hash))
-            .collect();
+    table.sort_unstable();
+    for t in rows.chunks_exact(nroots) {
+        let key = joins.iter().try_fold(0u64, |h, &(lc, _)| {
+            Some(fold_key(h, hash(keys, lc, roots.col(t, lc)?)))
+        });
         let Some(k) = key else {
             continue;
         };
         stats.probes += 1;
-        let Some(matches) = table.get(&k) else {
+        let bucket = &table[table.partition_point(|e| e.0 < k)..];
+        let bucket = &bucket[..bucket.partition_point(|e| e.0 == k)];
+        if bucket.is_empty() {
             continue;
-        };
+        }
         // Budget probe: one per hash-probe batch (this key's bucket).
-        if !guard.charge_matches(matches.len() as u64) {
+        if !guard.charge_matches(bucket.len() as u64) {
             break;
         }
-        for &i in matches {
+        for &(_, i) in bucket {
             stats.hash_matches += 1;
-            let r = &right[i as usize];
-            let verified = joins
-                .iter()
-                .all(|&(lc, rc)| match (roots.col(t, lc), r.get(rc)) {
-                    (Some(a), Some(b)) => cache.content_eq(a, b),
-                    _ => false,
-                });
+            let right = right.row(i as usize);
+            let verified = (joins.iter())
+                .all(|&(lc, rc)| keys.eq((lc, roots.col(t, lc)), (rc, right.get(rc))));
             if verified {
-                out.push(extended(t, ri, i));
+                push_extended(out, t, ri, i);
             } else {
                 stats.collision_rejects += 1;
             }
         }
     }
-    out
+    stats
 }
 
-/// Memoizes canonical forms of nodes compared during one join/filter pass,
-/// so collision verification renders each distinct node at most once.
-pub(crate) struct KeyCache<'d> {
-    doc: &'d Document,
-    nodes: HashMap<NodeId, Box<str>>,
-}
-
-impl<'d> KeyCache<'d> {
-    pub(crate) fn new(doc: &'d Document) -> Self {
-        KeyCache {
-            doc,
-            nodes: HashMap::new(),
-        }
-    }
-
-    /// Content equality of two bounds — the `content_key` equality relation
-    /// without rebuilding strings for nodes already rendered.
-    pub(crate) fn content_eq(&mut self, a: &Bound, b: &Bound) -> bool {
-        match (a, b) {
-            (Bound::Value { text: ta, .. }, Bound::Value { text: tb, .. }) => ta == tb,
-            (Bound::Node(na), Bound::Node(nb)) => {
-                if na == nb {
-                    return true;
-                }
-                self.ensure(*na);
-                self.ensure(*nb);
-                self.nodes[na] == self.nodes[nb]
-            }
-            // A value key ("v:…") never equals a node's canonical form.
-            _ => false,
-        }
-    }
-
-    fn ensure(&mut self, n: NodeId) {
-        let doc = self.doc;
-        self.nodes
-            .entry(n)
-            .or_insert_with(|| canonical(doc, n).into_boxed_str());
-    }
+/// Fold one join column's hash into a row's key. A bijection of `hash` for
+/// a given `h`, so over one column two rows share a key exactly when they
+/// share the hash.
+fn fold_key(h: u64, hash: u64) -> u64 {
+    (h.rotate_left(29) ^ hash).wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
 /// All embeddings of the pattern tree rooted at `root` anywhere in the
 /// document, in candidate (document) order.
-fn match_root(cx: &Ctx, root: QNodeId) -> Vec<Binding> {
+fn match_root(cx: &Ctx, root: QNodeId) -> Bindings {
     let RunCtx { trace, guard } = cx.run;
+    // check.rs guarantees element roots; an absent name cannot match.
+    let boxed = matches!(cx.g.node(root).kind, QNodeKind::Element(_));
+    let (doc, name) = (cx.doc, cx.names[root.index()]);
     let scanned: Vec<NodeId>;
-    let candidates: &[NodeId] = match cx.idx {
-        Some(idx) => match (&cx.g.node(root).kind, cx.names[root.index()]) {
-            (QNodeKind::Element(_), NameRes::Sym(sym)) => idx.elements_named_sym(sym),
-            (QNodeKind::Element(_), NameRes::Any) => idx.elements(),
-            // Absent names cannot match; check.rs guarantees element roots.
-            _ => &[],
-        },
-        None => {
-            scanned = match &cx.g.node(root).kind {
-                QNodeKind::Element(NameTest::Name(name)) => cx.doc.elements_named(name).collect(),
-                QNodeKind::Element(NameTest::Wildcard) => cx
-                    .doc
-                    .descendants(cx.doc.root())
-                    .filter(|&d| cx.doc.kind(d) == NodeKind::Element)
-                    .collect(),
-                _ => Vec::new(),
-            };
+    let candidates: &[NodeId] = match (cx.idx, name) {
+        _ if !boxed => &[],
+        (Some(idx), NameRes::Sym(sym)) => idx.elements_named_sym(sym),
+        (Some(idx), NameRes::Any) => idx.elements(),
+        (Some(_), NameRes::Absent) => &[],
+        (None, _) => {
+            let named = |&d: &NodeId| name.admits(doc, d);
+            scanned = doc.descendants(doc.root()).filter(named).collect();
             &scanned
         }
     };
@@ -706,246 +542,209 @@ fn match_root(cx: &Ctx, root: QNodeId) -> Vec<Binding> {
     cx.add_candidates(root, candidates.len() as u64);
     trace.count("root_candidates", candidates.len() as u64);
 
-    let mut out = Vec::new();
+    // The table under construction is the arena: a candidate's rows are
+    // built on top of the rows that are done.
+    let mut out = Bindings::new(cx.width);
     for &c in candidates {
         // Budget probe: one per root candidate (covers deadline and
         // cancellation), plus the bindings it produced.
         if !guard.ok() {
             break;
         }
-        let bs = match_node(cx, root, c);
-        if !guard.charge_matches(bs.len() as u64) {
+        let done = out.cells.len();
+        let rows = match_node(cx, &mut out.cells, root, c);
+        if !guard.charge_matches(rows as u64) {
+            // Refused rows are no part of even a truncated result.
+            out.cells.truncate(done);
             break;
         }
-        out.extend(bs);
     }
     out
 }
 
-/// All embeddings of the subtree at `q` assuming it is matched at `data`.
-fn match_node(cx: &Ctx, q: QNodeId, data: NodeId) -> Vec<Binding> {
-    let (g, doc) = (cx.g, cx.doc);
+/// All embeddings of the subtree at `q` assuming it is matched at `data`:
+/// appended to `arena` as rows, and counted.
+///
+/// The arena is a stack. On entry everything in it belongs to callers; this
+/// call pushes its partial rows on top (first the one row binding `q`), has
+/// each edge push its alternatives above those, folds partials ×
+/// alternatives back down onto the partials' place and truncates. So on
+/// return the arena holds exactly what it held plus this call's rows, in
+/// the order the nested loops of a `Vec`-returning recursion would emit
+/// them, and a failed match leaves it as it found it.
+fn match_node(cx: &Ctx, arena: &mut Vec<u32>, q: QNodeId, data: NodeId) -> usize {
+    let (g, doc, width) = (cx.g, cx.doc, cx.width);
     let node = g.node(q);
-    // Kind/name/predicate check.
-    match &node.kind {
-        QNodeKind::Element(test) => {
-            if doc.kind(data) != NodeKind::Element {
-                return Vec::new();
-            }
-            let name_ok = if cx.idx.is_some() {
-                match cx.names[q.index()] {
-                    NameRes::Any => true,
-                    NameRes::Sym(sym) => doc.name_sym(data) == Some(sym),
-                    NameRes::Absent => false,
-                }
-            } else {
-                doc.name(data).is_none_or(|name| test.matches(name))
-            };
-            if !name_ok {
-                return Vec::new();
-            }
-            if !node.predicate.is_trivial() && !node.predicate.eval(&doc.text_content(data)) {
-                return Vec::new();
-            }
-        }
-        // Text/attribute circles are matched by `match_edge` against the
-        // parent; reaching here would be a checker bug.
-        _ => return Vec::new(),
+    // Kind/name/predicate check. Text/attribute circles are matched by
+    // `match_edge` against the parent; reaching here with one would be a
+    // checker bug.
+    let matches = matches!(node.kind, QNodeKind::Element(_))
+        && cx.names[q.index()].admits(doc, data)
+        && cx.holds(q, || doc.string_value(data));
+    if !matches {
+        return 0;
     }
 
-    let mut partials = vec![{
-        let mut b = Binding::with_capacity(cx.nslots);
-        b.set(q, Bound::Node(data));
-        b
-    }];
+    let base = arena.len();
+    push_unit(arena, width, q, data);
+    let mut partials = 1;
 
-    let ordered = g.ordered[q.index()];
     for edge in &node.children {
-        let alternatives = match_edge(cx, edge, data);
+        let above = arena.len();
+        let alternatives = match_edge(cx, arena, edge, data);
         if edge.negated {
-            if !alternatives.is_empty() {
-                return Vec::new();
+            arena.truncate(above);
+            if alternatives != 0 {
+                arena.truncate(base);
+                return 0;
             }
             continue;
         }
-        if alternatives.is_empty() {
-            return Vec::new();
-        }
-        // Budget probe: charge the expansion *before* allocating it, so an
+        // Budget probe: charge the expansion *before* making it, so an
         // exploding partials × alternatives product trips instead of
         // allocating.
-        if !cx
-            .run
-            .guard
-            .charge_matches((partials.len() * alternatives.len()) as u64)
+        if alternatives == 0
+            || !cx
+                .run
+                .guard
+                .charge_matches((partials * alternatives) as u64)
         {
-            return Vec::new();
+            arena.truncate(base);
+            return 0;
         }
-        let mut next = Vec::with_capacity(partials.len() * alternatives.len());
-        for p in &partials {
-            for a in &alternatives {
-                next.push(p.merge(a));
-            }
-        }
-        partials = next;
+        fold_product(arena, base, partials, alternatives, width);
+        partials *= alternatives;
     }
 
-    if ordered {
-        // Direct element children must be bound in sibling order.
-        let element_edges: Vec<&QEdge> = node
-            .children
-            .iter()
-            .filter(|e| {
-                !e.negated && !e.deep && matches!(g.node(e.target).kind, QNodeKind::Element(_))
-            })
-            .collect();
-        partials.retain(|b| {
-            let mut last = -1i64;
-            for e in &element_edges {
-                if let Some(Bound::Node(n)) = b.get(e.target) {
-                    let idx = doc.sibling_index(*n) as i64;
-                    if idx < last {
-                        return false;
-                    }
-                    last = idx;
-                }
-            }
-            true
+    if g.ordered[q.index()] {
+        // Direct element children must be bound in sibling order. They are
+        // children of one parent, so document order is sibling order.
+        let in_order = |e: &&QEdge| {
+            !e.negated && !e.deep && matches!(g.node(e.target).kind, QNodeKind::Element(_))
+        };
+        retain_rows(arena, base, width, |row| {
+            let mut last = 0;
+            node.children
+                .iter()
+                .filter(in_order)
+                .filter_map(|e| row.get(e.target))
+                .all(|n| {
+                    let at = cx.order_key(n);
+                    at >= std::mem::replace(&mut last, at)
+                })
         });
+        partials = (arena.len() - base) / width;
     }
 
     partials
 }
 
-/// Alternatives for one containment edge below a matched element.
-fn match_edge(cx: &Ctx, edge: &QEdge, parent: NodeId) -> Vec<Binding> {
-    let (g, doc) = (cx.g, cx.doc);
-    let target = g.node(edge.target);
-    match &target.kind {
-        QNodeKind::Attribute(name) => {
-            let mut out = Vec::new();
-            let mut considered = 0u64;
-            let mut consider = |el: NodeId| {
-                considered += 1;
-                if let Some(v) = doc.attr(el, name) {
-                    if target.predicate.eval(v) {
-                        let mut b = Binding::with_capacity(cx.nslots);
-                        b.set(edge.target, Bound::value(v, el));
-                        out.push(b);
-                    }
-                }
-            };
-            if edge.deep {
-                match cx.idx {
-                    Some(idx) => {
-                        // Only elements that carry the attribute, restricted
-                        // to the subtree interval.
-                        if let NameRes::Sym(sym) = cx.names[edge.target.index()] {
-                            for &d in idx.with_attr_in(sym, parent, true) {
-                                consider(d);
-                            }
-                        }
-                    }
-                    None => {
-                        for d in doc.descendants_or_self(parent) {
-                            if doc.kind(d) == NodeKind::Element {
-                                consider(d);
-                            }
-                        }
-                    }
-                }
-            } else {
-                consider(parent);
+/// The top of the arena holds `partials` rows from `base` and `alternatives`
+/// rows above them, binding disjoint query nodes. Replace both by their
+/// product from `base`, partial-major.
+fn fold_product(
+    arena: &mut Vec<u32>,
+    base: usize,
+    partials: usize,
+    alternatives: usize,
+    width: usize,
+) {
+    fn overlay(row: &mut [u32], with: &[u32]) {
+        for (cell, &bound) in row.iter_mut().zip(with) {
+            if bound != UNBOUND {
+                *cell = bound;
             }
-            cx.add_candidates(edge.target, considered);
-            out
-        }
-        QNodeKind::Text => {
-            let mut out = Vec::new();
-            let mut considered = 0u64;
-            let mut consider = |el: NodeId| {
-                considered += 1;
-                let has_text = doc
-                    .children(el)
-                    .iter()
-                    .any(|&c| doc.kind(c) == NodeKind::Text);
-                if has_text {
-                    let v = doc.text_content(el);
-                    if target.predicate.eval(&v) {
-                        let mut b = Binding::with_capacity(cx.nslots);
-                        b.set(edge.target, Bound::value(v, el));
-                        out.push(b);
-                    }
-                }
-            };
-            if edge.deep {
-                match cx.idx {
-                    Some(idx) => {
-                        for &d in idx.with_text_in(parent, true) {
-                            consider(d);
-                        }
-                    }
-                    None => {
-                        for d in doc.descendants_or_self(parent) {
-                            if doc.kind(d) == NodeKind::Element {
-                                consider(d);
-                            }
-                        }
-                    }
-                }
-            } else {
-                consider(parent);
-            }
-            cx.add_candidates(edge.target, considered);
-            out
-        }
-        QNodeKind::Element(_) => {
-            let mut out = Vec::new();
-            let mut considered = 0u64;
-            if edge.deep {
-                match cx.idx {
-                    Some(idx) => match cx.names[edge.target.index()] {
-                        NameRes::Sym(sym) => {
-                            let cands = idx.named_in(sym, parent, false);
-                            considered = cands.len() as u64;
-                            for &d in cands {
-                                out.extend(match_node(cx, edge.target, d));
-                            }
-                        }
-                        NameRes::Any => {
-                            let cands = idx.elements_in(parent, false);
-                            considered = cands.len() as u64;
-                            for &d in cands {
-                                out.extend(match_node(cx, edge.target, d));
-                            }
-                        }
-                        NameRes::Absent => {}
-                    },
-                    None => {
-                        for d in doc.descendants(parent) {
-                            if doc.kind(d) == NodeKind::Element {
-                                considered += 1;
-                                out.extend(match_node(cx, edge.target, d));
-                            }
-                        }
-                    }
-                }
-            } else {
-                for c in doc.child_elements(parent) {
-                    considered += 1;
-                    out.extend(match_node(cx, edge.target, c));
-                }
-            }
-            cx.add_candidates(edge.target, considered);
-            out
         }
     }
+    let above = base + partials * width;
+    if alternatives == 1 {
+        // Most edges: the partials stay where they are and take the one
+        // alternative's cells.
+        let (rows, alternative) = arena[base..].split_at_mut(partials * width);
+        for row in rows.chunks_exact_mut(width) {
+            overlay(row, alternative);
+        }
+        arena.truncate(above);
+    } else {
+        // Build the product above the alternatives, then move it down.
+        let top = arena.len();
+        arena.reserve(partials * alternatives * width);
+        for p in (base..above).step_by(width) {
+            for a in (above..top).step_by(width) {
+                arena.extend_from_within(p..p + width);
+                let (below, row) = arena.split_at_mut(top);
+                let at = row.len() - width;
+                overlay(&mut row[at..], &below[a..a + width]);
+            }
+        }
+        arena.copy_within(top.., base);
+        arena.truncate(base + partials * alternatives * width);
+    }
+}
+
+/// Alternatives for one containment edge below a matched element, appended
+/// to `arena` and counted. A box is matched at each candidate; a circle
+/// binds the element its value is read from — the one carrying the
+/// attribute, or the one with a text child of its own (whose value is then
+/// its whole text content).
+fn match_edge(cx: &Ctx, arena: &mut Vec<u32>, edge: &QEdge, parent: NodeId) -> usize {
+    let (doc, width) = (cx.doc, cx.width);
+    let target = cx.g.node(edge.target);
+    let name = cx.names[edge.target.index()];
+    let boxed = matches!(target.kind, QNodeKind::Element(_));
+    let below = arena.len();
+    let mut considered = 0u64;
+    let mut consider = |el: NodeId| {
+        considered += 1;
+        let bound = match (&target.kind, name) {
+            // A box appends its rows, however many, itself.
+            (QNodeKind::Element(_), _) => {
+                match_node(cx, arena, edge.target, el);
+                false
+            }
+            (QNodeKind::Text, _) => {
+                let texts = |&c: &NodeId| doc.kind(c) == NodeKind::Text;
+                doc.children(el).iter().any(texts) && cx.holds(edge.target, || doc.string_value(el))
+            }
+            (QNodeKind::Attribute(_), NameRes::Sym(sym)) => doc
+                .attr_sym(el, sym)
+                .is_some_and(|v| cx.holds(edge.target, || v.into())),
+            (QNodeKind::Attribute(_), _) => false,
+        };
+        if bound {
+            push_unit(arena, width, edge.target, el);
+        }
+    };
+    // A box lies below its parent; a circle may be read off the parent.
+    match (edge.deep, cx.idx) {
+        (false, _) if boxed => doc.child_elements(parent).for_each(consider),
+        (false, _) => consider(parent),
+        // Postings restricted to the subtree interval: for a circle, only
+        // elements that carry the attribute (or text).
+        (true, Some(idx)) => match (&target.kind, name) {
+            (QNodeKind::Element(_), NameRes::Sym(sym)) => idx.named_in(sym, parent, false),
+            (QNodeKind::Element(_), NameRes::Any) => idx.elements_in(parent, false),
+            (QNodeKind::Text, _) => idx.with_text_in(parent, true),
+            (QNodeKind::Attribute(_), NameRes::Sym(sym)) => idx.with_attr_in(sym, parent, true),
+            _ => &[],
+        }
+        .iter()
+        .for_each(|&d| consider(d)),
+        (true, None) => doc
+            .descendants_or_self(parent)
+            .filter(|&d| doc.kind(d) == NodeKind::Element)
+            .skip(usize::from(boxed))
+            .for_each(consider),
+    }
+    cx.add_candidates(edge.target, considered);
+    (arena.len() - below) / width
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::cell_text;
     use super::*;
-    use crate::ast::CmpOp;
+    use crate::ast::{CmpOp, QNode};
     use crate::builder::{RuleBuilder, C, Q};
 
     fn doc() -> Document {
@@ -968,6 +767,14 @@ mod tests {
             .construct(C::elem("out"))
             .build()
             .unwrap()
+    }
+
+    /// The text column `var` stands for, row by row.
+    fn texts(d: &Document, r: &Rule, ms: &Bindings, var: &str) -> Vec<String> {
+        let q = r.extract.by_var(var).unwrap();
+        ms.iter()
+            .map(|m| cell_text(d, &r.extract, q, m.get(q).unwrap()).into_owned())
+            .collect()
     }
 
     #[test]
@@ -996,12 +803,7 @@ mod tests {
         let r = rule(Q::elem("title").child(Q::text().var("t")));
         let ms = match_rule(&r, &d);
         assert_eq!(ms.len(), 3);
-        let q = r.extract.by_var("t").unwrap();
-        let texts: Vec<String> = ms
-            .iter()
-            .map(|m| super::super::bound_text(&d, m.get(q).unwrap()))
-            .collect();
-        assert!(texts.contains(&"TCP/IP".to_string()));
+        assert!(texts(&d, &r, &ms, "t").contains(&"TCP/IP".to_string()));
     }
 
     #[test]
@@ -1085,13 +887,7 @@ mod tests {
             .unwrap();
         let ms = match_rule(&r, &d);
         assert_eq!(ms.len(), 1);
-        let p = r.extract.by_var("p").unwrap();
-        match ms[0].get(p).unwrap() {
-            Bound::Node(n) => {
-                assert!(d.text_content(*n).contains("apple"));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        assert!(texts(&d, &r, &ms, "p")[0].contains("apple"));
     }
 
     #[test]
@@ -1187,56 +983,98 @@ mod tests {
         }
     }
 
-    /// Two one-column roots — q0 bound by root 0, q1 by root 1 — joined on
-    /// q0 == q1 with root `first`'s rows as the probe side (`first == 0` is
-    /// the declaration order, `first == 1` a permuted plan), by the hashed
-    /// join under `hash` and by the string-keyed reference.
+    /// Tables are equal when their rows are: whatever rule an empty one was
+    /// matched for, and never across widths otherwise.
+    #[test]
+    fn tables_compare_row_by_row() {
+        let table = |width, cells: &[u32]| Bindings {
+            width,
+            cells: cells.to_vec(),
+        };
+        assert_eq!(table(2, &[]), table(5, &[]));
+        assert_eq!(table(2, &[1, UNBOUND, 3, 4]), table(2, &[1, UNBOUND, 3, 4]));
+        assert_ne!(table(2, &[1, UNBOUND, 3, 4]), table(2, &[1, 2, 3, 4]));
+        assert_ne!(table(2, &[1, 2, 3, 4]), table(2, &[3, 4, 1, 2]));
+        assert_ne!(table(2, &[1, 2, 3, 4]), table(4, &[1, 2, 3, 4]));
+        assert_ne!(table(2, &[1, 2, 3, 4]), table(2, &[1, 2]));
+        assert_eq!(table(3, &[1, 2, 3, 4, 5, 6]).only(1), table(3, &[4, 5, 6]));
+    }
+
+    /// Two one-column roots — q0 bound by root 0, q1 by root 1, both of
+    /// `kind` — joined on q0 == q1 with root `first`'s rows as the probe
+    /// side (`first == 0` is the declaration order, `first == 1` a permuted
+    /// plan), under `hash`.
     fn join_from(
         d: &Document,
-        per_root: &[Vec<Binding>],
+        kind: QNode,
+        columns: [&[NodeId]; 2],
         first: usize,
-        hash: impl Fn(&Bound) -> u64,
-    ) -> (Vec<Row>, JoinStats, Vec<Row>) {
+        hash: impl Fn(&mut Keys<'_>, QNodeId, NodeId) -> u64,
+    ) -> (Vec<u32>, JoinStats) {
+        let g = ExtractGraph {
+            nodes: vec![kind.clone(), kind],
+            ..ExtractGraph::default()
+        };
+        let per_root: Vec<Bindings> = (0..2)
+            .map(|q| {
+                let mut table = Bindings::new(2);
+                for n in columns[q] {
+                    let mut row = [UNBOUND; 2];
+                    row[q] = n.index() as u32;
+                    table.cells.extend(row);
+                }
+                table
+            })
+            .collect();
         let roots = Roots {
-            per_root,
+            per_root: &per_root,
             owner: vec![0, 1],
         };
-        let rows: Vec<Row> = (0..per_root[first].len() as u32)
-            .map(|i| extended(&[u32::MAX; 2], first, i))
-            .collect();
+        let mut rows = Vec::new();
+        for i in 0..per_root[first].len() as u32 {
+            push_extended(&mut rows, &[UNBOUND; 2], first, i);
+        }
         let ri = 1 - first;
-        let joins = [(QNodeId(first as u32), QNodeId(ri as u32))];
-        let guard = Guard::unlimited();
-        let mut stats = JoinStats::default();
-        let hashed = hash_join_hashed(d, &roots, &rows, ri, &joins, hash, &mut stats, &guard);
-        let reference = hash_join_strings(d, &roots, &rows, ri, &joins, &guard);
-        (hashed, stats, reference)
+        let probe = Probe {
+            rows: &rows,
+            ri,
+            joins: &[(QNodeId(first as u32), QNodeId(ri as u32))],
+        };
+        let (mut out, mut keys) = (Vec::new(), Keys::new(d, &g, None));
+        let stats = hash_join(
+            &roots,
+            probe,
+            &mut keys,
+            hash,
+            &Guard::unlimited(),
+            &mut out,
+        );
+        (out, stats)
     }
 
     #[test]
     fn hash_collision_falls_back_to_canonical_verification() {
-        let d = doc();
-        let idx = DocIndex::build(&d);
-        let origin = d.root_element().unwrap();
-        let mk = |q: u32, text: &str| {
-            let mut b = Binding::with_capacity(2);
-            b.set(QNodeId(q), Bound::value(text, origin));
-            b
-        };
-        let per_root = [vec![mk(0, "x"), mk(0, "y")], vec![mk(1, "x"), mk(1, "z")]];
+        let d = Document::parse_str("<r><a>x</a><a>y</a><b>x</b><b>z</b></r>").unwrap();
+        let kids: Vec<NodeId> = d.child_elements(d.root_element().unwrap()).collect();
+        let columns: [&[NodeId]; 2] = [&kids[..2], &kids[2..]];
         // The real hashes of the three values differ, so a constant hasher
         // genuinely forces every row into one colliding bucket.
-        let real: Vec<u64> = ["x", "y", "z"]
+        let g = ExtractGraph {
+            nodes: vec![QNode::text()],
+            ..ExtractGraph::default()
+        };
+        let mut keys = Keys::new(&d, &g, None);
+        let real: Vec<u64> = [0, 1, 3]
             .iter()
-            .map(|t| content_hash(&d, &idx, &Bound::value(*t, origin)))
+            .map(|&k| keys.hash(QNodeId(0), kids[k]))
             .collect();
         assert!(real[0] != real[1] && real[0] != real[2]);
+        assert_eq!(real[0], keys.hash(QNodeId(0), kids[2]));
         for first in [0, 1] {
-            let (collided, stats, reference) = join_from(&d, &per_root, first, |_| 0);
-            // Canonical verification must reject the colliding non-matches
-            // and keep exactly what the string join produces: the x–x pair.
-            assert_eq!(collided, reference, "probe side {first}");
-            assert_eq!(collided, [vec![0, 0]], "probe side {first}");
+            let (collided, stats) = join_from(&d, QNode::text(), columns, first, |_, _, _| 0);
+            // Verification must reject the colliding non-matches and keep
+            // exactly the x–x pair.
+            assert_eq!(collided, [0, 0], "probe side {first}");
             // The stats expose the collisions: 2 probes, every pair
             // hash-equal under the constant hasher (2×2 = 4), 3 rejected by
             // verification.
@@ -1249,8 +1087,9 @@ mod tests {
                 }
             );
             // And the production hasher agrees, with zero collisions.
-            let (hashed, clean, _) = join_from(&d, &per_root, first, |b| content_hash(&d, &idx, b));
-            assert_eq!(hashed, reference, "probe side {first}");
+            let (hashed, clean) =
+                join_from(&d, QNode::text(), columns, first, |k, q, n| k.hash(q, n));
+            assert_eq!(hashed, [0, 0], "probe side {first}");
             assert_eq!(clean.collision_rejects, 0);
             assert_eq!(clean.hash_matches, 1);
         }
@@ -1260,24 +1099,19 @@ mod tests {
     fn collision_verification_also_covers_nodes() {
         let d = Document::parse_str("<r><a>t</a><a>t</a><b>t</b></r>").unwrap();
         let kids: Vec<NodeId> = d.child_elements(d.root_element().unwrap()).collect();
-        let mk = |q: u32, n: NodeId| {
-            let mut b = Binding::with_capacity(2);
-            b.set(QNodeId(q), Bound::Node(n));
-            b
-        };
-        let per_root = [vec![mk(0, kids[0])], vec![mk(1, kids[1]), mk(1, kids[2])]];
+        let columns: [&[NodeId]; 2] = [&kids[..1], &kids[1..]];
         // Under a constant hasher <a>t</a> collides with <b>t</b>; only the
         // canonically-equal pair survives.
         for first in [0, 1] {
-            let (collided, stats, reference) = join_from(&d, &per_root, first, |_| 0);
+            let boxes = QNode::element(NameTest::Wildcard);
+            let (collided, stats) = join_from(&d, boxes, columns, first, |_, _, _| 0);
             assert_eq!(stats.collision_rejects, 1, "probe side {first}");
-            assert_eq!(collided, reference, "probe side {first}");
-            assert_eq!(collided, [vec![0, 0]], "probe side {first}");
+            assert_eq!(collided, [0, 0], "probe side {first}");
         }
     }
 
     /// [`match_rule_in`] under a combine order, nothing traced or bounded.
-    fn planned(rule: &Rule, d: &Document, idx: Option<&DocIndex>, order: &[usize]) -> Vec<Binding> {
+    fn planned(rule: &Rule, d: &Document, idx: Option<&DocIndex>, order: &[usize]) -> Bindings {
         match_rule_in(rule, d, idx, Some(order), RunCtx::none())
     }
 
@@ -1309,16 +1143,10 @@ mod tests {
         let base = match_rule_with(rule, &d, &idx, MatchMode::Auto);
         // Declaration order is the nested-loop order, first root outermost:
         // 2 joined title pairs × 2 authors.
-        let (t1, a) = (
-            rule.extract.by_var("t1").unwrap(),
-            rule.extract.by_var("a").unwrap(),
-        );
-        let seq: Vec<String> = base
-            .iter()
-            .map(|b| {
-                let text = |q| super::super::bound_text(&d, b.get(q).unwrap());
-                text(t1) + &text(a)
-            })
+        let seq: Vec<String> = texts(&d, rule, &base, "t1")
+            .into_iter()
+            .zip(texts(&d, rule, &base, "a"))
+            .map(|(t1, a)| t1 + &a)
             .collect();
         assert_eq!(seq, ["Ax", "Ay", "Bx", "By"]);
         for order in [

@@ -1,8 +1,9 @@
 //! Evaluation of XML-GL programs.
 //!
 //! Split into the two halves of a rule: [`matcher`] enumerates *bindings*
-//! (embeddings of the extract graph into the data) and [`construct`]
-//! materialises the result document from those bindings.
+//! (embeddings of the extract graph into the data, one row of the
+//! [`bindings`] table each) and [`construct`] materialises the result
+//! document from those bindings.
 //!
 //! The semantics implemented here, stated once:
 //!
@@ -16,21 +17,21 @@
 //!   bindings it copies (its *scope*); triangles, list icons and aggregate
 //!   nodes collect over all bindings compatible with the instantiation.
 
+pub mod bindings;
 pub mod construct;
 pub mod matcher;
 
 use gql_ssdm::sink::{DocSink, Sink};
 use gql_ssdm::{DocIndex, Document, NodeId};
 
-use crate::ast::{Program, QNodeId, Rule};
+use crate::ast::{Program, Rule};
 use crate::Result;
 
 use gql_guard::RunCtx;
 
+pub use bindings::{cell_text, distinct_cells, Bindings, Row};
 pub use construct::{construct_rule, construct_rule_into, construct_rule_with};
-pub use matcher::{
-    match_rule, match_rule_in, match_rule_scan, match_rule_with, Binding, Bound, MatchMode,
-};
+pub use matcher::{match_rule, match_rule_in, match_rule_scan, match_rule_with, MatchMode};
 
 /// Per-rule root combine orders chosen by a planner (`gql-plan`'s
 /// `plan_rule_order` over summary cardinality bounds). `None` for a rule —
@@ -176,78 +177,6 @@ pub fn deep_equal(doc: &Document, a: NodeId, b: NodeId) -> bool {
     a == b || canonical(doc, a) == canonical(doc, b)
 }
 
-/// Canonical key of a bound value for joins and deduplication by *content*.
-pub fn content_key(doc: &Document, bound: &Bound) -> String {
-    match bound {
-        Bound::Value { text, .. } => format!("v:{text}"),
-        Bound::Node(n) => canonical(doc, *n),
-    }
-}
-
-/// 64-bit content hash of a bound value, agreeing with [`content_key`]:
-/// `content_hash(b) == hash_str(&content_key(doc, b))` for every bound, so
-/// equal content keys always hash equal. The converse can fail (collisions);
-/// consumers verify hash-equal candidates against the string keys.
-pub fn content_hash(doc: &Document, idx: &DocIndex, bound: &Bound) -> u64 {
-    match bound {
-        Bound::Value { text, .. } => gql_ssdm::index::hash_parts(&["v:", text]),
-        Bound::Node(n) => idx.structural_hash(doc, *n),
-    }
-}
-
-/// Identity key of a bound value — distinguishes distinct occurrences with
-/// equal content (used when deduplicating triangle collections).
-pub fn identity_key(bound: &Bound) -> String {
-    match bound {
-        Bound::Value { text, origin } => format!("v:{}:{text}", origin.index()),
-        Bound::Node(n) => format!("n:{}", n.index()),
-    }
-}
-
-/// Identity of a bound value as a compact hashable key — the same relation
-/// as [`identity_key`], borrowed from the bound instead of formatted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum IdKey<'a> {
-    Node(u32),
-    Value(u32, &'a str),
-}
-
-pub(crate) fn id_key(bound: &Bound) -> IdKey<'_> {
-    match bound {
-        Bound::Value { text, origin } => IdKey::Value(origin.index() as u32, text),
-        Bound::Node(n) => IdKey::Node(n.index() as u32),
-    }
-}
-
-/// The string value of a binding entry.
-pub fn bound_text(doc: &Document, bound: &Bound) -> String {
-    match bound {
-        Bound::Value { text, .. } => text.clone(),
-        Bound::Node(n) => doc.text_content(*n),
-    }
-}
-
-/// Project a list of bindings onto one query node, deduplicated by identity,
-/// preserving order of first occurrence.
-pub fn distinct_bound(bindings: &[Binding], q: QNodeId) -> Vec<Bound> {
-    distinct_of(bindings.iter(), q)
-        .into_iter()
-        .cloned()
-        .collect()
-}
-
-/// [`distinct_bound`] over any run of bindings, borrowing the bounds.
-pub(crate) fn distinct_of<'a>(
-    bindings: impl Iterator<Item = &'a Binding>,
-    q: QNodeId,
-) -> Vec<&'a Bound> {
-    let mut seen = std::collections::HashSet::new();
-    bindings
-        .filter_map(|b| b.get(q))
-        .filter(|v| seen.insert(id_key(v)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,10 +250,23 @@ mod tests {
     #[test]
     fn identity_vs_content_keys() {
         let d = Document::parse_str("<r><a>t</a><a>t</a></r>").unwrap();
-        let r = d.root_element().unwrap();
-        let kids: Vec<NodeId> = d.child_elements(r).collect();
-        let (b0, b1) = (Bound::Node(kids[0]), Bound::Node(kids[1]));
-        assert_eq!(content_key(&d, &b0), content_key(&d, &b1));
-        assert_ne!(identity_key(&b0), identity_key(&b1));
+        let p = crate::dsl::parse("rule { extract { a as $a { text as $t } } construct { out } }")
+            .unwrap();
+        let g = &p.rules[0].extract;
+        let (a, t) = (g.by_var("a").unwrap(), g.by_var("t").unwrap());
+        let ms = match_rule(&p.rules[0], &d);
+        let cell = |row, q| (q, ms.row(row).get(q));
+        // Two occurrences of one content: equal by content, box and circle
+        // alike, distinct by identity; and a value never equals a subtree.
+        let mut keys = bindings::Keys::new(&d, g, None);
+        for q in [a, t] {
+            assert!(keys.eq(cell(0, q), cell(1, q)));
+            assert_eq!(
+                keys.hash(q, cell(0, q).1.unwrap()),
+                keys.hash(q, cell(1, q).1.unwrap())
+            );
+            assert_eq!(distinct_cells(&ms, q).len(), 2);
+        }
+        assert!(!keys.eq(cell(0, a), cell(0, t)));
     }
 }

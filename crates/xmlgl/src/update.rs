@@ -18,8 +18,8 @@
 
 use gql_ssdm::{Document, NodeId};
 
-use crate::ast::{CNodeId, ConstructGraph, QNodeId, Rule};
-use crate::eval::{bound_text, match_rule, Binding, Bound};
+use crate::ast::{CNodeId, QNodeId, QNodeKind, Rule};
+use crate::eval::{cell_text, distinct_cells, match_rule, Bindings};
 use crate::{Result, XmlGlError};
 
 /// One update operation, tied to a rule's extract graph.
@@ -79,10 +79,7 @@ impl UpdateRule {
                     if !q_ok(*target) {
                         return ill("operation targets a missing query node".into());
                     }
-                    if !matches!(
-                        self.rule.extract.node(*target).kind,
-                        crate::ast::QNodeKind::Element(_)
-                    ) {
+                    if !matches!(self.rule.extract.node(*target).kind, QNodeKind::Element(_)) {
                         return ill("updates target element boxes".into());
                     }
                 }
@@ -109,6 +106,10 @@ impl UpdateRule {
     }
 
     /// Apply to a document, returning the edited copy and statistics.
+    ///
+    /// Bindings are node ids into `doc` and a value is read through them
+    /// when an operation asks for it — always from `doc`, never from the
+    /// copy under edit, whose earlier operations must not show.
     pub fn apply(&self, doc: &Document) -> Result<(Document, UpdateStats)> {
         self.check()?;
         let bindings = match_rule(&self.rule, doc);
@@ -121,7 +122,7 @@ impl UpdateRule {
         for op in &self.ops {
             match op {
                 UpdateOp::Delete { target } => {
-                    for node in distinct_nodes(&bindings, *target) {
+                    for node in distinct_cells(&bindings, *target) {
                         // A node may sit inside an already-deleted subtree;
                         // detach is idempotent either way.
                         if out.parent(node).is_some() {
@@ -132,13 +133,20 @@ impl UpdateRule {
                     }
                 }
                 UpdateOp::InsertUnder { target, template } => {
-                    for b in &bindings {
-                        let Some(Bound::Node(parent)) = b.get(*target) else {
+                    // Only a box is a place to insert under: a circle's cell
+                    // names the element its value is read from.
+                    let kind = &self.rule.extract.node(*target).kind;
+                    if !matches!(kind, QNodeKind::Element(_)) {
+                        continue;
+                    }
+                    for (row, b) in bindings.iter().enumerate() {
+                        let Some(parent) = b.get(*target) else {
                             continue;
                         };
+                        let one = bindings.only(row);
                         let instance =
-                            instantiate_template(&self.rule, *template, doc, b, &mut out)?;
-                        out.append_child(*parent, instance)
+                            instantiate_template(&self.rule, *template, doc, &one, &mut out)?;
+                        out.append_child(parent, instance)
                             .map_err(|e| XmlGlError::Eval { msg: e.to_string() })?;
                         stats.inserted += 1;
                     }
@@ -148,20 +156,20 @@ impl UpdateRule {
                     attr,
                     value,
                 } => {
-                    for b in &bindings {
-                        let Some(Bound::Node(node)) = b.get(*target) else {
+                    for b in bindings.iter() {
+                        let Some(node) = b.get(*target) else {
                             continue;
                         };
                         let v = match value {
-                            UpdateValue::Literal(s) => s.clone(),
+                            UpdateValue::Literal(s) => s.as_str().into(),
                             UpdateValue::Binding(src) => {
-                                let bound = b.get(*src).ok_or_else(|| XmlGlError::Eval {
+                                let cell = b.get(*src).ok_or_else(|| XmlGlError::Eval {
                                     msg: format!("unbound value source {src:?}"),
                                 })?;
-                                bound_text(doc, bound)
+                                cell_text(doc, &self.rule.extract, *src, cell)
                             }
                         };
-                        out.set_attr(*node, attr, &v)
+                        out.set_attr(node, attr, &v)
                             .map_err(|e| XmlGlError::Eval { msg: e.to_string() })?;
                         stats.attrs_set += 1;
                     }
@@ -172,40 +180,20 @@ impl UpdateRule {
     }
 }
 
-/// Distinct bound nodes for a query node, in binding order.
-fn distinct_nodes(bindings: &[Binding], q: QNodeId) -> Vec<NodeId> {
-    let mut seen = std::collections::HashSet::new();
-    let mut out = Vec::new();
-    for b in bindings {
-        if let Some(Bound::Node(n)) = b.get(q) {
-            if seen.insert(*n) {
-                out.push(*n);
-            }
-        }
-    }
-    out
-}
-
 /// Instantiate a construct template for one binding (single-binding variant
-/// of the query construction machinery).
+/// of the query construction machinery), reading values from `doc`.
 fn instantiate_template(
     rule: &Rule,
     template: CNodeId,
     doc: &Document,
-    binding: &Binding,
+    binding: &Bindings,
     out: &mut Document,
 ) -> Result<NodeId> {
-    // Reuse the construction engine with a one-binding group: instantiate
+    // Reuse the construction engine over the one-row table: instantiate
     // into a scratch document, then import the result. The scratch step
     // keeps this module independent of construct-internal APIs.
-    let scoped: ConstructGraph = rule.construct.clone();
-    let one_rule = Rule {
-        extract: rule.extract.clone(),
-        construct: scoped,
-        span: rule.span,
-    };
     let mut scratch = Document::new();
-    crate::eval::construct_rule(&one_rule, doc, std::slice::from_ref(binding), &mut scratch)?;
+    crate::eval::construct_rule(rule, doc, binding, &mut scratch)?;
     // The template is a construct root; roots are emitted in order, so find
     // the instance with the template's position.
     let pos = rule
@@ -214,8 +202,7 @@ fn instantiate_template(
         .iter()
         .position(|&r| r == template)
         .expect("checked: template is a root");
-    let produced: Vec<NodeId> = scratch.children(scratch.root()).to_vec();
-    let Some(&instance) = produced.get(pos) else {
+    let Some(&instance) = scratch.children(scratch.root()).get(pos) else {
         return Err(XmlGlError::Eval {
             msg: "template produced no instance for this binding".into(),
         });
@@ -334,6 +321,53 @@ mod tests {
         assert!(xml.contains("was=\"39.95\""));
         assert!(xml.contains("was=\"20.00\""));
         assert!(!xml.contains("year=\"1994\" budget"));
+    }
+
+    /// A value is read through its binding when an operation asks, and from
+    /// the source: an earlier operation's edit of the same attribute, or a
+    /// subtree it deleted, does not show in what a later one copies.
+    #[test]
+    fn values_are_read_from_the_source_not_from_the_copy_under_edit() {
+        let r = RuleBuilder::new()
+            .extract(
+                Q::elem("book")
+                    .var("b")
+                    .child(Q::attr("year").var("y"))
+                    .child(Q::elem("title").var("t").child(Q::text().var("tt"))),
+            )
+            .construct(C::elem("was").child(C::copy("tt")))
+            .build()
+            .unwrap();
+        let at = |v: &str| r.extract.by_var(v).unwrap();
+        let u = UpdateRule {
+            ops: vec![
+                UpdateOp::SetAttr {
+                    target: at("b"),
+                    attr: "year".into(),
+                    value: UpdateValue::Literal("overwritten".into()),
+                },
+                UpdateOp::Delete { target: at("t") },
+                UpdateOp::SetAttr {
+                    target: at("b"),
+                    attr: "from".into(),
+                    value: UpdateValue::Binding(at("y")),
+                },
+                UpdateOp::InsertUnder {
+                    target: at("b"),
+                    template: r.construct.roots[0],
+                },
+            ],
+            rule: r,
+        };
+        let (out, _) = u.apply(&doc()).unwrap();
+        assert_eq!(
+            out.to_xml_string(),
+            "<bib>\
+             <book year=\"overwritten\" from=\"1994\"><price>65.95</price><was>Old</was></book>\
+             <book year=\"overwritten\" from=\"2001\"><price>39.95</price><was>New</was></book>\
+             <book year=\"overwritten\" from=\"2005\"><price>20.00</price><was>Newer</was></book>\
+             </bib>"
+        );
     }
 
     #[test]

@@ -83,23 +83,11 @@ impl XValue {
     }
 }
 
-/// XPath string-value of an item. Borrowed from the document wherever the
-/// value is stored in one piece: text, comment and PI nodes, attributes, and
-/// elements whose only child is a text node (or that have no children).
+/// XPath string-value of an item: [`Document::string_value`] for a node,
+/// the stored value for an attribute.
 pub fn string_value(doc: &Document, item: Item) -> Cow<'_, str> {
     match item {
-        Item::Node(n) => match doc.kind(n) {
-            NodeKind::Text | NodeKind::Comment | NodeKind::Pi => {
-                Cow::Borrowed(doc.text(n).unwrap_or(""))
-            }
-            NodeKind::Element | NodeKind::Document => match *doc.children(n) {
-                [] => Cow::Borrowed(""),
-                [only] if doc.kind(only) == NodeKind::Text => {
-                    Cow::Borrowed(doc.text(only).unwrap_or(""))
-                }
-                _ => Cow::Owned(doc.text_content(n)),
-            },
-        },
+        Item::Node(n) => doc.string_value(n),
         Item::Attr { owner, index } => {
             Cow::Borrowed(doc.attrs(owner).nth(index).map_or("", |(_, v)| v))
         }

@@ -61,8 +61,8 @@ fn main() {
     let g = &program.rules[0].extract;
     for (i, b) in bindings.iter().enumerate() {
         let t = g.by_var("t").expect("bound variable");
-        if let Some(bound) = b.get(t) {
-            println!("  #{i}: $t = {:?}", eval::bound_text(&doc, bound));
+        if let Some(cell) = b.get(t) {
+            println!("  #{i}: $t = {:?}", eval::cell_text(&doc, g, t, cell));
         }
     }
 }

@@ -432,13 +432,10 @@ fn negation_partitions() {
         // `with` multiplies per matching child; count distinct parents
         // instead.
         let with_rule = &with;
-        let parents: std::collections::HashSet<String> =
+        let parents: std::collections::HashSet<gql::ssdm::NodeId> =
             gql::xmlgl::eval::match_rule(with_rule, &doc)
                 .iter()
-                .filter_map(|b| {
-                    b.get(with_rule.extract.by_var("p").expect("var p"))
-                        .map(gql::xmlgl::eval::identity_key)
-                })
+                .filter_map(|b| b.get(with_rule.extract.by_var("p").expect("var p")))
                 .collect();
         let n_without = gql::xmlgl::eval::match_rule(&without, &doc).len();
         assert_eq!(parents.len() + n_without, n_total);
