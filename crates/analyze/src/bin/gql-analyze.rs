@@ -7,11 +7,10 @@
 //!   --json             machine-readable report (one JSON object per file)
 //!   --deny-warnings    exit non-zero on warnings, not just errors
 //!   --dtd FILE         XML DTD for the schema-conformance pass (GQL006)
-//!   --instance FILE    XML document: extracts a WG-Log schema (GQL012/13),
-//!                      collects statistics for the cost pass (GQL009) and
-//!                      infers the structural summary for the
-//!                      summary-inference pass (GQL014–GQL016) with
-//!                      cardinality bounds
+//!   --instance FILE    XML document: extracts a WG-Log schema (GQL012/13)
+//!                      and infers the structural summary for the cost
+//!                      pass (GQL009) and the summary-inference pass
+//!                      (GQL014–GQL016) with cardinality bounds
 //!   --explain          print the pass/diagnostic-code table and exit
 //! ```
 //!
@@ -139,7 +138,6 @@ fn build_analyzer(opts: &Options) -> Result<Analyzer, String> {
         let db = gql_wglog::Instance::from_document(&doc);
         analyzer = analyzer
             .with_wg_schema(gql_wglog::schema::WgSchema::extract(&db))
-            .with_stats(gql_core::stats::DocStats::collect(&doc))
             .with_summary(gql_ssdm::Summary::build(&doc));
     }
     Ok(analyzer)

@@ -16,13 +16,13 @@
 //! | schema conformance          | GQL006, GQL012, GQL013 | schema |
 //! | contradictory predicates    | GQL007 | no |
 //! | unused variables            | GQL008 | no |
-//! | cost estimation             | GQL009 | document stats |
+//! | cost estimation             | GQL009 | document summary |
 //! | stratification              | GQL010 | no |
 //! | summary inference           | GQL014–GQL016 | document summary |
 //!
-//! Context (a DTD-derived schema, an extracted WG-Log schema, per-document
-//! statistics, an inferred structural summary) is optional: passes that
-//! need missing context are skipped.
+//! Context (a DTD-derived schema, an extracted WG-Log schema, an inferred
+//! structural summary) is optional: passes that need missing context are
+//! skipped.
 //!
 //! ```
 //! use gql_analyze::Analyzer;
@@ -39,12 +39,12 @@ pub mod xmlgl;
 pub use gql_infer::{CardEntry, CardinalityMap, Inference};
 pub use gql_ssdm::{Code, Diagnostic, Report, Severity, Span};
 
-use gql_core::stats::DocStats;
 use gql_ssdm::Summary;
 use gql_wglog::schema::WgSchema;
 use gql_xmlgl::schema::GlSchema;
 
-/// Optional context that unlocks the schema-conformance and cost passes.
+/// Optional context that unlocks the schema-conformance, cost and
+/// summary-inference passes.
 #[derive(Debug, Default)]
 pub struct Context {
     /// XML-GL schema (e.g. built from a DTD) for GQL006.
@@ -52,10 +52,9 @@ pub struct Context {
     /// WG-Log schema (declared or extracted from an instance) for
     /// GQL012/GQL013.
     pub wg_schema: Option<WgSchema>,
-    /// Per-document statistics for the GQL009 cost pass.
-    pub stats: Option<DocStats>,
-    /// Inferred structural summary (DataGuide with counts) for the
-    /// summary-inference pass (GQL014–GQL016) and cardinality bounds.
+    /// Inferred structural summary (DataGuide with counts) for the cost
+    /// pass (GQL009), the summary-inference pass (GQL014–GQL016) and
+    /// cardinality bounds.
     pub summary: Option<Summary>,
 }
 
@@ -116,7 +115,7 @@ pub const PASSES: &[PassInfo] = &[
     PassInfo {
         name: "cost",
         codes: &[Code::CostBlowup],
-        needs: Some("document statistics"),
+        needs: Some("document summary"),
     },
     PassInfo {
         name: "stratification",
@@ -158,14 +157,8 @@ impl Analyzer {
         self
     }
 
-    /// Provide document statistics (unlocks GQL009).
-    pub fn with_stats(mut self, stats: DocStats) -> Self {
-        self.ctx.stats = Some(stats);
-        self
-    }
-
-    /// Provide an inferred structural summary (unlocks GQL014–GQL016 and
-    /// the cardinality bounds of [`Analyzer::infer_xmlgl`] /
+    /// Provide an inferred structural summary (unlocks GQL009,
+    /// GQL014–GQL016 and the cardinality bounds of [`Analyzer::infer_xmlgl`] /
     /// [`Analyzer::infer_wglog`]).
     pub fn with_summary(mut self, summary: Summary) -> Self {
         self.ctx.summary = Some(summary);

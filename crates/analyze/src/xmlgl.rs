@@ -3,12 +3,11 @@
 //! Well-formedness and safety live in `gql_xmlgl::check` (the front end
 //! runs them too); this module adds the lint-grade passes: connectivity,
 //! schema conformance, contradictory predicates, unused variables and the
-//! statistics-driven cost pass.
+//! cost pass over the planner's summary bounds.
 
 use std::collections::HashSet;
 
-use gql_core::algebra::Plan;
-use gql_core::translate::extract_to_plan;
+use gql_plan::JoinGraph;
 use gql_ssdm::{CmpOp, Code, Diagnostic, Report};
 use gql_xmlgl::ast::{CNodeKind, CValue, NameTest, Program, QNodeId, QNodeKind, Rule};
 use gql_xmlgl::check::rule_label;
@@ -20,6 +19,12 @@ use crate::Context;
 pub fn analyze(program: &Program, ctx: &Context) -> Report {
     let mut report = Report::new();
     report.extend(gql_xmlgl::check::diagnostics(program));
+    // One inference per program: its per-root bounds feed the cost pass
+    // (GQL009), its own diagnostics (GQL014) close the report.
+    let inferred = ctx
+        .summary
+        .as_ref()
+        .map(|s| (gql_infer::infer_xmlgl(program, s), s.stats().elements));
     for (i, rule) in program.rules.iter().enumerate() {
         let label = rule_label(rule, i);
         let mut ds = Vec::new();
@@ -29,8 +34,8 @@ pub fn analyze(program: &Program, ctx: &Context) -> Report {
         }
         contradictions(rule, &mut ds);
         unused_variables(rule, &mut ds);
-        if let Some(stats) = &ctx.stats {
-            cost(rule, stats, &mut ds);
+        if let Some((inference, elements)) = &inferred {
+            cost(rule, &inference.root_bounds[i], *elements, &mut ds);
         }
         for mut d in ds {
             if d.span.is_none() {
@@ -41,8 +46,8 @@ pub fn analyze(program: &Program, ctx: &Context) -> Report {
     }
     // Summary inference (GQL014): abstract interpretation against the
     // inferred DataGuide; its diagnostics already carry spans and rules.
-    if let Some(summary) = &ctx.summary {
-        report.extend(gql_infer::infer_xmlgl(program, summary).report);
+    if let Some((inference, _)) = inferred {
+        report.extend(inference.report);
     }
     report
 }
@@ -342,37 +347,25 @@ fn unused_variables(rule: &Rule, out: &mut Vec<Diagnostic>) {
     }
 }
 
-fn contains_product(plan: &Plan) -> bool {
-    match plan {
-        Plan::Product { .. } => true,
-        Plan::Scan { .. } => false,
-        Plan::Child { input, .. }
-        | Plan::Attr { input, .. }
-        | Plan::Text { input, .. }
-        | Plan::Filter { input, .. }
-        | Plan::NotExistsChild { input, .. }
-        | Plan::Project { input, .. }
-        | Plan::Distinct { input }
-        | Plan::Aggregate { input, .. } => contains_product(input),
-        Plan::HashJoin { left, right, .. } | Plan::NestedLoopJoin { left, right, .. } => {
-            contains_product(left) || contains_product(right)
-        }
-    }
-}
-
 /// Intermediate results larger than this multiple of the document flag a
 /// cost hint.
-const BLOWUP_FACTOR: f64 = 10.0;
+const BLOWUP_FACTOR: u128 = 10;
 
-/// GQL009: statistics-driven cost estimate of the compiled extract plan.
-fn cost(rule: &Rule, stats: &gql_core::stats::DocStats, out: &mut Vec<Diagnostic>) {
-    let Ok(plan) = extract_to_plan(rule) else {
-        return; // untranslatable extracts (aggregation etc.) get no cost hint
+/// GQL009: the estimate the engine plans with — the rule's per-root summary
+/// bounds (`gql_infer`) folded along its join spine in declaration order
+/// ([`JoinGraph::order_rows`]) — against the document's element count.
+fn cost(rule: &Rule, bounds: &[u64], elements: u64, out: &mut Vec<Diagnostic>) {
+    let order: Vec<usize> = (0..bounds.len()).collect();
+    let (estimate, product) = match JoinGraph::from_rule(rule, bounds) {
+        Some(spine) => (
+            spine.order_rows(&order)[order.len() - 1],
+            (1..order.len()).any(|step| !spine.joins_onto(&order[..step], step)),
+        ),
+        // A single root has no spine: its own bound is the estimate.
+        None => (bounds.first().map_or(0, |&b| u128::from(b)), false),
     };
-    let estimate = stats.estimate(&plan);
-    let doc_size = stats.elements().max(1) as f64;
-    let product = contains_product(&plan);
-    if product || estimate > doc_size * BLOWUP_FACTOR {
+    let doc_size = elements.max(1);
+    if product || estimate > u128::from(doc_size) * BLOWUP_FACTOR {
         let detail = if product {
             "the plan multiplies unjoined parts (cross product)"
         } else {
@@ -382,8 +375,8 @@ fn cost(rule: &Rule, stats: &gql_core::stats::DocStats, out: &mut Vec<Diagnostic
             Diagnostic::new(
                 Code::CostBlowup,
                 format!(
-                    "estimated ~{estimate:.0} intermediate rows over a document of \
-                     {doc_size:.0} elements: {detail}"
+                    "estimated ~{estimate} intermediate rows over a document of \
+                     {doc_size} elements: {detail}"
                 ),
             )
             .with_help("add a join or a more selective predicate to bound the match"),
@@ -516,23 +509,100 @@ mod tests {
         );
     }
 
+    fn with_summary_of(xml: &str) -> Analyzer {
+        let doc = gql_ssdm::Document::parse_str(xml).unwrap();
+        Analyzer::new().with_summary(gql_ssdm::Summary::build(&doc))
+    }
+
+    fn cost_hint(r: &Report) -> Option<&Diagnostic> {
+        r.iter().find(|d| d.code == Code::CostBlowup)
+    }
+
     #[test]
     fn cost_pass_flags_products() {
-        let doc = gql_ssdm::Document::parse_str(
-            "<g><a>1</a><a>2</a><a>3</a><b>1</b><b>2</b><b>3</b></g>",
-        )
-        .unwrap();
-        let stats = gql_core::stats::DocStats::collect(&doc);
-        let analyzer = Analyzer::new().with_stats(stats);
+        let analyzer = with_summary_of("<g><a>1</a><a>2</a><a>3</a><b>1</b><b>2</b><b>3</b></g>");
         let r = analyzer.analyze_xmlgl_src(
             "rule { extract { a as $x  b as $y } construct { out { all $x  all $y } } }",
         );
-        let d = r.iter().find(|d| d.code == Code::CostBlowup).unwrap();
+        let d = cost_hint(&r).unwrap();
         assert_eq!(d.severity, Severity::Hint);
         assert!(d.message.contains("cross product"), "{}", d.message);
         // A selective single-scan query stays quiet.
         let r =
             analyzer.analyze_xmlgl_src("rule { extract { a as $x } construct { out { all $x } } }");
-        assert!(!r.iter().any(|d| d.code == Code::CostBlowup));
+        assert!(cost_hint(&r).is_none());
+    }
+
+    /// 24 `a`s and 24 `b`s under one `g`: 49 elements, so a hint needs a
+    /// cross product or more than 490 estimated rows; 24 × 24 is 576.
+    fn wide() -> Analyzer {
+        let leaves: String = (0..24).map(|i| format!("<a>{i}</a><b>{i}</b>")).collect();
+        with_summary_of(&format!("<g>{leaves}</g>"))
+    }
+
+    #[test]
+    fn a_join_connected_spine_keeps_the_larger_side_and_stays_quiet() {
+        let analyzer = wide();
+        let p = gql_xmlgl::dsl::parse_unchecked(
+            "rule { extract { a { text as $x }  b { text as $y }  join $x == $y } \
+             construct { out { all $x } } }",
+        )
+        .unwrap();
+        let bounds = &analyzer.infer_xmlgl(&p).unwrap().root_bounds[0];
+        assert_eq!(bounds, &[24, 24]);
+        let r = analyzer.analyze_xmlgl(&p);
+        assert!(cost_hint(&r).is_none(), "{}", r.render());
+    }
+
+    #[test]
+    fn a_single_root_that_outgrows_the_document_is_a_fan_out() {
+        // One root, no spine: W(g) = W(a) · W(a) = 576 > 10 · 49.
+        let analyzer = wide();
+        let r = analyzer.analyze_xmlgl_src(
+            "rule { extract { g { a as $x  a as $y } } construct { out { all $x  all $y } } }",
+        );
+        let d = cost_hint(&r).unwrap();
+        assert_eq!(
+            d.message,
+            "estimated ~576 intermediate rows over a document of 49 elements: \
+             the pattern fans out faster than the document bounds it"
+        );
+        // The same pattern one child narrower stays under the threshold.
+        let r = analyzer
+            .analyze_xmlgl_src("rule { extract { g { a as $x } } construct { out { all $x } } }");
+        assert!(cost_hint(&r).is_none(), "{}", r.render());
+    }
+
+    #[test]
+    fn the_hint_quotes_the_planners_last_spine_estimate() {
+        let analyzer = wide();
+        // a ⋈ b keeps 24 rows; the unjoined `g { a }` root multiplies.
+        let p = gql_xmlgl::dsl::parse_unchecked(
+            "rule { extract { a { text as $x }  b { text as $y }  g { a as $z }  join $x == $y } \
+             construct { out { all $x  all $z } } }",
+        )
+        .unwrap();
+        let rule = &p.rules[0];
+        let bounds = &analyzer.infer_xmlgl(&p).unwrap().root_bounds[0];
+        let rows = JoinGraph::from_rule(rule, bounds)
+            .unwrap()
+            .order_rows(&[0, 1, 2]);
+        assert_eq!(rows, [24, 24, 576]);
+        let r = analyzer.analyze_xmlgl(&p);
+        let d = cost_hint(&r).unwrap();
+        assert!(
+            d.message
+                .starts_with(&format!("estimated ~{} intermediate rows", rows[2])),
+            "{}",
+            d.message
+        );
+        assert!(d.message.contains("cross product"), "{}", d.message);
+    }
+
+    #[test]
+    fn without_a_summary_the_cost_pass_is_skipped() {
+        let src = "rule { extract { a as $x  b as $y } construct { out { all $x  all $y } } }";
+        assert!(cost_hint(&wide().analyze_xmlgl_src(src)).is_some());
+        assert!(cost_hint(&report(src)).is_none());
     }
 }

@@ -24,8 +24,8 @@ fn examples_dir() -> PathBuf {
 }
 
 /// Build an analyzer with the fixture's sidecar context: `<stem>.dtd`
-/// becomes the XML-GL schema, `<stem>.xml` the WG-Log schema, statistics and
-/// structural summary.
+/// becomes the XML-GL schema, `<stem>.xml` the WG-Log schema and structural
+/// summary.
 fn analyzer_for(fixture: &Path) -> Analyzer {
     let mut analyzer = Analyzer::new();
     let dtd_path = fixture.with_extension("dtd");
@@ -41,7 +41,6 @@ fn analyzer_for(fixture: &Path) -> Analyzer {
         let db = gql_wglog::Instance::from_document(&doc);
         analyzer = analyzer
             .with_wg_schema(gql_wglog::schema::WgSchema::extract(&db))
-            .with_stats(gql_core::stats::DocStats::collect(&doc))
             .with_summary(gql_ssdm::Summary::build(&doc));
     }
     analyzer
@@ -159,6 +158,30 @@ fn paper_queries_get_a_clean_bill() {
             report.render()
         );
     }
+}
+
+/// `gql-analyze --explain` names what each context-dependent pass needs;
+/// the cost pass reads the document summary, as summary inference does.
+#[test]
+fn explain_lists_the_context_each_pass_needs() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_gql-analyze"))
+        .arg("--explain")
+        .output()
+        .expect("spawn gql-analyze");
+    assert!(out.status.success(), "{out:?}");
+    let text = String::from_utf8(out.stdout).expect("utf-8");
+    let needs = |pass: &str| {
+        let line = text
+            .lines()
+            .find(|l| l.trim_start().starts_with(pass))
+            .unwrap_or_else(|| panic!("no {pass} line in:\n{text}"));
+        line.split_once("(needs ")
+            .map(|(_, n)| n.trim_end_matches(')'))
+    };
+    assert_eq!(needs("cost "), Some("document summary"));
+    assert_eq!(needs("summary-inference "), Some("document summary"));
+    assert_eq!(needs("schema-conformance "), Some("schema"));
+    assert_eq!(needs("connectivity "), None);
 }
 
 /// `gql-analyze --json --instance …` over the summary-inference fixtures,

@@ -1,19 +1,15 @@
-//! Experiment T5 / design-choice D2: optimized (hash join, pushed filters)
-//! vs deoptimized (nested loops, hoisted filters) algebra plans, including
-//! a low-selectivity self-join where pushdown pays most, plus the matcher
-//! side of the same story: declaration-order root joins vs the cost-based
-//! order from `gql-plan` against the full enumeration of root orders, and
-//! the engine's plan-cache warm/cold phase timings.
+//! Experiment T5 / design-choice D2, on the code that runs: the matcher's
+//! declaration-order root joins vs the cost-based order from `gql-plan`
+//! against the full enumeration of root orders, and the engine's plan-cache
+//! warm/cold phase timings.
 
 use gql_bench::microbench::{BenchmarkId, Criterion};
 use gql_bench::suite::Dataset;
 use gql_bench::{criterion_group, criterion_main};
-use gql_core::{algebra, translate, Engine, QueryKind};
+use gql_core::{Engine, QueryKind};
 use gql_guard::RunCtx;
 use gql_ssdm::{DocIndex, Summary};
 use gql_trace::ExecutionProfile;
-use gql_xmlgl::ast::CmpOp;
-use gql_xmlgl::builder::{RuleBuilder, C, Q};
 use gql_xmlgl::eval::match_rule_in;
 
 /// All permutations of `0..k` (the full join-order search space for a
@@ -58,22 +54,12 @@ fn bench_q6(c: &mut Criterion) {
                   construct { answer { all $p } } }"#,
     )
     .expect("Q6 parses");
-    let plan = translate::extract_to_plan(&program.rules[0]).expect("Q6 plans");
-    let fast = algebra::optimize(&plan);
-    let slow = algebra::deoptimize(&plan);
     for scale in [200usize, 800, 3200] {
         let doc = Dataset::Greengrocer.build(scale);
-        group.bench_with_input(BenchmarkId::new("optimized", scale), &doc, |b, doc| {
-            b.iter(|| algebra::execute(&fast, doc).expect("plan runs"))
-        });
-        group.bench_with_input(BenchmarkId::new("deoptimized", scale), &doc, |b, doc| {
-            b.iter(|| algebra::execute(&slow, doc).expect("plan runs"))
-        });
-
-        // Matcher-level counterpart: Q6's declaration order combines the
-        // bulky `product` root first; `gql-plan`'s cost-based order starts
-        // from the country-filtered `vendor` root instead. Results are
-        // guaranteed identical — only intermediate join sizes differ.
+        // Q6's declaration order combines the bulky `product` root first;
+        // `gql-plan`'s cost-based order starts from the country-filtered
+        // `vendor` root instead. Results are guaranteed identical — only
+        // intermediate join sizes differ.
         let rule = &program.rules[0];
         let idx = DocIndex::build(&doc);
         let summary = Summary::from_index(&doc, &idx);
@@ -187,50 +173,5 @@ fn bench_plan_cache(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_selective_self_join(c: &mut Criterion) {
-    let mut group = c.benchmark_group("t5_selective_self_join");
-    group.sample_size(10);
-    // Books sharing a price with a cheap (< 20) book: a self-join where the
-    // pushed filter shrinks one side dramatically.
-    let rule = RuleBuilder::new()
-        .extract(
-            Q::elem("book")
-                .var("b1")
-                .child(Q::elem("price").child(Q::text().var("p1"))),
-        )
-        .extract(
-            Q::elem("book")
-                .var("b2")
-                .child(Q::elem("price").child(Q::text().var("p2").pred(CmpOp::Lt, "20"))),
-        )
-        .join("p1", "p2")
-        .construct(C::elem("answer").child(C::all("b1")))
-        .build()
-        .unwrap();
-    let plan = translate::extract_to_plan(&rule).expect("self-join plans");
-    let fast = algebra::optimize(&plan);
-    let slow = algebra::deoptimize(&plan);
-    for scale in [200usize, 800] {
-        let doc = Dataset::Bibliography.build(scale);
-        // Correctness guard once per size.
-        assert_eq!(
-            algebra::execute(&fast, &doc).expect("runs").len(),
-            algebra::execute(&slow, &doc).expect("runs").len()
-        );
-        group.bench_with_input(BenchmarkId::new("optimized", scale), &doc, |b, doc| {
-            b.iter(|| algebra::execute(&fast, doc).expect("plan runs"))
-        });
-        group.bench_with_input(BenchmarkId::new("deoptimized", scale), &doc, |b, doc| {
-            b.iter(|| algebra::execute(&slow, doc).expect("plan runs"))
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_q6,
-    bench_selective_self_join,
-    bench_plan_cache
-);
+criterion_group!(benches, bench_q6, bench_plan_cache);
 criterion_main!(benches);

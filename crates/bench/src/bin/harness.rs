@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use gql_bench::suite::{self, Dataset};
 use gql_bench::tables::{fmt_duration, median_time, TextTable};
-use gql_core::{algebra, capability, translate, Engine, Feature, LanguageProfile, QueryKind};
+use gql_core::{capability, translate, Engine, Feature, LanguageProfile, QueryKind};
 use gql_layout::{layout, LayoutOptions, OrderingHeuristic};
 
 fn main() {
@@ -228,56 +228,10 @@ fn table_t4() {
     print!("{}", t.render());
 }
 
-/// T5 — optimizer ablation on the algebra plans.
+/// T5 — evaluation-strategy ablation: T5b, naive vs semi-naive fixpoint on
+/// Q10's closure.
 fn table_t5() {
-    println!("\n== T5 — optimizer ablation (algebra plans) =======================\n");
-    println!("unoptimized = nested-loop joins, filters hoisted to the top\n");
-    let mut t = TextTable::new(&[
-        "query",
-        "records",
-        "rows",
-        "unoptimized",
-        "optimized",
-        "speedup",
-    ]);
-    let picks = ["Q2", "Q3", "Q6"];
-    for id in picks {
-        let q = suite::queries()
-            .into_iter()
-            .find(|q| q.id == id)
-            .expect("suite query");
-        let Some(program) = q.xmlgl_program() else {
-            continue;
-        };
-        for scale in [100usize, 400, 1600] {
-            let doc = q.dataset.build(scale);
-            let plan = translate::extract_to_plan(&program.rules[0]).expect("planable");
-            let slow = algebra::deoptimize(&plan);
-            let fast = algebra::optimize(&plan);
-            let rows = algebra::execute(&fast, &doc).expect("plan runs").len();
-            let rows_slow = algebra::execute(&slow, &doc).expect("plan runs").len();
-            assert_eq!(rows, rows_slow, "{id}: ablation changed the answer");
-            let t_slow = median_time(3, || {
-                let _ = algebra::execute(&slow, &doc).expect("plan runs");
-            });
-            let t_fast = median_time(3, || {
-                let _ = algebra::execute(&fast, &doc).expect("plan runs");
-            });
-            let speedup = t_slow.as_secs_f64() / t_fast.as_secs_f64().max(1e-9);
-            t.row(vec![
-                id.to_string(),
-                scale.to_string(),
-                rows.to_string(),
-                fmt_duration(t_slow),
-                fmt_duration(t_fast),
-                format!("{speedup:.1}x"),
-            ]);
-        }
-    }
-    print!("{}", t.render());
-
-    // Fixpoint ablation appendix (naive vs semi-naive on closure).
-    println!("\n-- T5b — WG-Log fixpoint ablation (Q10 closure) --\n");
+    println!("\n== T5b — WG-Log fixpoint ablation (Q10 closure) ==================\n");
     let mut t = TextTable::new(&[
         "records",
         "naive embeddings",

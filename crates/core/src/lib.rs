@@ -7,11 +7,7 @@
 //! against the navigational mainstream. This crate is that comparison made
 //! executable:
 //!
-//! * [`algebra`] — a common logical algebra over binding tables that
-//!   XML-GL extract graphs compile to, with an interpreter and a rule-based
-//!   optimizer (predicate pushdown, hash-join selection, scan typing) —
-//!   the ablation subject of experiment **T5**;
-//! * [`translate`] — compilers between the formalisms: XML-GL → algebra,
+//! * [`translate`] — compilers between the two graphical formalisms:
 //!   XML-GL → WG-Log and WG-Log → XML-GL (partial by design: the failures
 //!   are the expressiveness gaps of experiment **T2**);
 //! * [`capability`] — feature analysis of concrete queries and the static
@@ -20,16 +16,16 @@
 //!   three formalisms (XML-GL, WG-Log, XPath) against a document and
 //!   returns a result document, with wall-clock instrumentation for the
 //!   benchmark harness;
-//! * [`stats`] — per-tag document statistics and the cardinality-aware
-//!   join-ordering rule on top of the optimizer;
 //! * [`docview`] — the Xing/VXT document metaphor: documents rendered as
 //!   nested labelled boxes.
+//!
+//! The common operator set the three surfaces lower to is
+//! [`gql_plan::LogicalPlan`], and the one cardinality estimator is
+//! [`gql_infer`]'s summary bounds; this crate holds neither.
 
-pub mod algebra;
 pub mod capability;
 pub mod docview;
 pub mod engine;
-pub mod stats;
 pub mod translate;
 
 pub use capability::{Feature, LanguageProfile};
@@ -41,8 +37,6 @@ pub use gql_guard::{Budget, CancelToken, Guard, GuardError, RunCtx};
 pub enum CoreError {
     /// A query uses a feature its target formalism cannot express.
     Untranslatable { feature: String, detail: String },
-    /// Algebra compilation or execution failure.
-    Algebra { msg: String },
     /// An underlying engine failed.
     Engine { msg: String },
     /// Static analysis refused the program before evaluation; carries every
@@ -62,7 +56,6 @@ impl std::fmt::Display for CoreError {
             CoreError::Untranslatable { feature, detail } => {
                 write!(f, "untranslatable ({feature}): {detail}")
             }
-            CoreError::Algebra { msg } => write!(f, "algebra error: {msg}"),
             CoreError::Engine { msg } => write!(f, "engine error: {msg}"),
             CoreError::Rejected { diagnostics } => {
                 write!(

@@ -1,13 +1,11 @@
 //! Translators between the formalisms.
 //!
-//! All three translators are deliberately *partial*: where a feature of the
+//! Both translators are deliberately *partial*: where a feature of the
 //! source language has no counterpart in the target, they fail with
 //! [`crate::CoreError::Untranslatable`] naming the feature. Those failures
 //! are data — experiment **T2** runs the canonical query suite through the
 //! translators and reports exactly which arrows hold.
 
-mod to_algebra;
 mod xmlgl_wglog;
 
-pub use to_algebra::extract_to_plan;
 pub use xmlgl_wglog::{wglog_to_xmlgl, xmlgl_to_wglog};

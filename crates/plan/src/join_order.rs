@@ -65,12 +65,17 @@ impl JoinGraph {
         self.bounds.len()
     }
 
+    /// Is root `next` join-connected to any root in `placed`? A step that
+    /// is not multiplies: it is the spine's cross product.
+    pub fn joins_onto(&self, placed: &[usize], next: usize) -> bool {
+        placed.iter().any(|&o| self.connected[o][next])
+    }
+
     /// Estimated rows after joining `next` onto an intermediate of `rows`
-    /// rows covering the roots in `mask`.
-    fn extend_rows(&self, mask: u32, rows: u128, next: usize) -> u128 {
+    /// rows covering the roots in `placed`.
+    fn extend_rows(&self, placed: &[usize], rows: u128, next: usize) -> u128 {
         let b = self.bounds[next].max(1) as u128;
-        let joined = (0..self.len()).any(|o| mask & (1 << o) != 0 && self.connected[o][next]);
-        if joined {
+        if self.joins_onto(placed, next) {
             rows.max(b)
         } else {
             rows.saturating_mul(b)
@@ -78,15 +83,15 @@ impl JoinGraph {
     }
 
     /// Estimated intermediate sizes after each prefix of `order` — what
-    /// the lowering stamps onto the `HashJoin` spine as `est`.
+    /// the lowering stamps onto the `HashJoin` spine as `est`, and what the
+    /// analyzer's cost pass (GQL009) reads. Any body width: the placed set
+    /// is the prefix itself, not a mask.
     pub fn order_rows(&self, order: &[usize]) -> Vec<u128> {
         assert_eq!(order.len(), self.len(), "order must cover every root");
         let mut rows = self.bounds[order[0]].max(1) as u128;
-        let mut mask = 1u32 << order[0];
         let mut out = vec![rows];
-        for &next in &order[1..] {
-            rows = self.extend_rows(mask, rows, next);
-            mask |= 1 << next;
+        for step in 1..order.len() {
+            rows = self.extend_rows(&order[..step], rows, order[step]);
             out.push(rows);
         }
         out
@@ -95,19 +100,14 @@ impl JoinGraph {
     /// Cost of evaluating the roots in `order`: each step charges its two
     /// input sizes plus the intermediate it produces. Lower is better.
     pub fn order_cost(&self, order: &[usize]) -> u128 {
-        assert_eq!(order.len(), self.len(), "order must cover every root");
-        let mut rows = self.bounds[order[0]].max(1) as u128;
-        let mut cost = rows;
-        let mut mask = 1u32 << order[0];
-        for &next in &order[1..] {
-            let b = self.bounds[next].max(1) as u128;
-            let out = self.extend_rows(mask, rows, next);
+        let rows = self.order_rows(order);
+        let mut cost = rows[0];
+        for step in 1..order.len() {
+            let b = self.bounds[order[step]].max(1) as u128;
             cost = cost
-                .saturating_add(rows)
+                .saturating_add(rows[step - 1])
                 .saturating_add(b)
-                .saturating_add(out);
-            rows = out;
-            mask |= 1 << next;
+                .saturating_add(rows[step]);
         }
         cost
     }
@@ -126,7 +126,8 @@ impl JoinGraph {
     /// Bottom-up dynamic programming over root subsets: for every subset
     /// keep the cheapest (cost, order) found, extending each by every
     /// absent root. Equal costs prefer the lexicographically smaller
-    /// order — declaration order wins ties deterministically.
+    /// order — declaration order wins ties deterministically. The `u32`
+    /// mask only indexes subsets, and only here: [`DP_LIMIT`] bounds it.
     fn plan_dp(&self) -> Vec<usize> {
         let n = self.len();
         let full = (1u32 << n) - 1;
@@ -145,7 +146,7 @@ impl JoinGraph {
                     continue;
                 }
                 let b = self.bounds[next].max(1) as u128;
-                let out = self.extend_rows(mask, rows, next);
+                let out = self.extend_rows(&order, rows, next);
                 let ncost = cost
                     .saturating_add(rows)
                     .saturating_add(b)
@@ -176,10 +177,9 @@ impl JoinGraph {
         let mut order = Vec::with_capacity(n);
         let mut used = vec![false; n];
         while order.len() < n {
-            let joined = |ri: usize| order.iter().any(|&o: &usize| self.connected[o][ri]);
             let pick = (0..n)
                 .filter(|&ri| !used[ri])
-                .filter(|&ri| order.is_empty() || joined(ri))
+                .filter(|&ri| order.is_empty() || self.joins_onto(&order, ri))
                 .min_by_key(|&ri| (self.bounds[ri], ri))
                 .or_else(|| {
                     (0..n)
@@ -278,6 +278,26 @@ mod tests {
         let g = graph(&bounds, &joins);
         assert_eq!(g.plan(), g.plan_greedy());
         assert_eq!(g.plan().len(), n);
+    }
+
+    #[test]
+    fn bodies_wider_than_a_machine_word_estimate_against_the_right_prefix() {
+        // 40 roots of bound 4, only 0 and 35 joined: every step multiplies
+        // except the 36th, which keeps the larger side. (A `u32` mask of
+        // placed roots overflowed its shift from root 32 on.)
+        let n = 40;
+        let g = graph(&vec![4; n], &[(0, 35)]);
+        let order: Vec<usize> = (0..n).collect();
+        let rows = g.order_rows(&order);
+        assert!(rows.windows(2).all(|w| w[0] <= w[1]), "{rows:?}");
+        assert_eq!(rows[34], 1 << 70);
+        assert_eq!(rows[35], rows[34]);
+        assert_eq!(rows[39], 1 << 78);
+        assert!(g.order_cost(&order) > rows[39]);
+        // Estimates saturate instead of wrapping.
+        let g = graph(&[u64::MAX; 3], &[]);
+        assert_eq!(g.order_rows(&[0, 1, 2])[2], u128::MAX);
+        assert_eq!(g.order_cost(&[0, 1, 2]), u128::MAX);
     }
 
     #[test]

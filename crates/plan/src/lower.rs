@@ -474,6 +474,40 @@ mod tests {
     }
 
     #[test]
+    fn a_forty_root_cross_product_lowers_with_saturating_estimates() {
+        // Outside input, one frame: more roots than a `u32` of placed-root
+        // bits. Four candidates per root, so the spine's estimates climb
+        // 16, 64, … and pin at `u64::MAX` once 4^k no longer fits.
+        let doc = Document::parse_str("<r><a/><a/><a/><a/></r>").unwrap();
+        let s = Summary::build(&doc);
+        let roots: String = (0..40).map(|i| format!("a as $x{i} ")).collect();
+        let p = gql_xmlgl::dsl::parse(&format!(
+            "rule {{ extract {{ {roots} }} construct {{ out {{ all $x0 }} }} }}"
+        ))
+        .unwrap();
+        let inf = infer_xmlgl(&p, &s);
+        assert_eq!(inf.root_bounds[0], vec![4; 40]);
+        let plan = lower_xmlgl(&p, &inf, &[None]);
+        let LogicalPlan::Construct { inputs, .. } = &plan else {
+            panic!("{}", plan.render());
+        };
+        // Walk the left-deep spine from the last join down to the first.
+        let mut ests = Vec::new();
+        let mut node = &inputs[0];
+        while let LogicalPlan::HashJoin { left, on, est, .. } = node {
+            assert_eq!(on, "cross");
+            ests.push(*est);
+            node = left;
+        }
+        ests.reverse();
+        assert_eq!(ests.len(), 39);
+        assert_eq!(&ests[..3], &[16, 64, 256]);
+        assert!(ests.windows(2).all(|w| w[0] <= w[1]), "{ests:?}");
+        assert_eq!(ests[29], 1 << 62);
+        assert!(ests[30..].iter().all(|&e| e == u64::MAX), "{ests:?}");
+    }
+
+    #[test]
     fn wglog_lowering_wraps_rules_in_a_fixpoint() {
         let p = gql_wglog::dsl::parse(
             "rule { query { $r: restaurant $m: menu $r -menu-> $m } \

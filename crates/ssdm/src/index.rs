@@ -539,7 +539,7 @@ impl DocIndex {
     }
 
     /// Distinct tags with their element counts (the free projection backing
-    /// `DocStats::from_index`).
+    /// [`crate::Summary::from_index`]'s per-tag totals).
     pub fn tag_counts(&self) -> impl Iterator<Item = (Symbol, usize)> + '_ {
         self.by_tag.iter().map(|(&sym, v)| (sym, v.len()))
     }

@@ -6,8 +6,8 @@
 //! implemented end to end over a common semi-structured data store, plus a
 //! navigational **XPath** baseline, a diagram layout/rendering substrate
 //! (the programmatic stand-in for the paper's interactive editors) and a
-//! unified comparison layer (common algebra, optimizer, cross-language
-//! translators, capability analysis).
+//! unified comparison layer (one engine over the three formalisms lowering
+//! to one logical plan, cross-language translators, capability analysis).
 //!
 //! This crate is the facade: it re-exports every sub-crate under one name
 //! so examples, tests and downstream users need a single dependency.

@@ -177,27 +177,25 @@ fn translation_preserves_selection_semantics() {
     assert_eq!(out.child_elements(root).count(), 1); // Paris
 }
 
+/// A rule body wider than a machine word of placed-root bits — outside
+/// input, one frame — plans, explains and runs: 40 unjoined roots with one
+/// candidate each bind once, and every step of the spine is estimated.
 #[test]
-fn algebra_agrees_with_engine_on_the_city_fragment() {
-    let doc = Document::parse_str(CITY).unwrap();
-    let program = gql::xmlgl::dsl::parse(
-        r#"rule { extract { restaurant as $r {
-                    menu as $m { price { text as $p < "20" } } } }
-                  construct { answer { all $r } } }"#,
-    )
+fn a_forty_root_rule_plans_and_runs_through_the_engine() {
+    let doc = Document::parse_str("<r><a>only</a></r>").unwrap();
+    let roots: String = (0..40).map(|i| format!("a as $x{i} ")).collect();
+    let program = gql::xmlgl::dsl::parse(&format!(
+        "rule {{ extract {{ {roots} }} construct {{ answer {{ all $x39 }} }} }}"
+    ))
     .unwrap();
-    let embeddings = gql::xmlgl::eval::match_rule(&program.rules[0], &doc).len();
-    let plan = translate::extract_to_plan(&program.rules[0]).unwrap();
-    for p in [
-        plan.clone(),
-        gql::core::algebra::optimize(&plan),
-        gql::core::algebra::deoptimize(&plan),
-    ] {
-        assert_eq!(
-            gql::core::algebra::execute(&p, &doc).unwrap().len(),
-            embeddings
-        );
-    }
+    let out = Engine::new().run(&QueryKind::XmlGl(program), &doc).unwrap();
+    assert_eq!(
+        out.output.to_xml_string(),
+        "<answer><a>only</a></answer>",
+        "{}",
+        out.plan
+    );
+    assert_eq!(out.plan.matches("HashJoin on cross (est 1)").count(), 39);
 }
 
 #[test]

@@ -16,13 +16,14 @@ use gql_serve::json::Value;
 
 /// Row-name prefixes some row must carry: a renamed or dropped bench arm
 /// fails here, not silently in a table.
-const REQUIRED: [&str; 12] = [
+const REQUIRED: [&str; 13] = [
     "indexed_fastpath/index_build",
     "materialise/drop_vs_build",
     "materialise/emit_",
     "overhead/profiling_point_ratio",
     "q2_three_engines/wglog_vs_xmlgl",
     "q2_three_engines/xpath_vs_xmlgl",
+    "q6_value_join/xmlgl_resident",
     "t5_q6_join_plans/cost-planned",
     "t5_q6_join_plans/cost_planned_vs_best",
     "t5_q6_join_plans/enumerated-",

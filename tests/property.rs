@@ -375,36 +375,6 @@ fn xmlgl_root_matches_equal_xpath() {
     });
 }
 
-/// The algebra plan for a parent/child pattern returns exactly as many rows
-/// as the XML-GL matcher finds embeddings, optimized or not.
-#[test]
-fn algebra_coheres_with_matcher() {
-    check("algebra_coheres_with_matcher", 96, |rng| {
-        let doc = document(rng);
-        let (pt, ct) = (pick(rng, TAGS), pick(rng, TAGS));
-        let rule = gql::xmlgl::builder::RuleBuilder::new()
-            .extract(
-                gql::xmlgl::builder::Q::elem(pt)
-                    .var("p")
-                    .child(gql::xmlgl::builder::Q::elem(ct).var("c")),
-            )
-            .construct(gql::xmlgl::builder::C::elem("out"))
-            .build()
-            .expect("rule builds");
-        let embeddings = gql::xmlgl::eval::match_rule(&rule, &doc).len();
-        let plan = gql::core::translate::extract_to_plan(&rule).expect("plans");
-        let rows = gql::core::algebra::execute(&plan, &doc)
-            .expect("runs")
-            .len();
-        assert_eq!(rows, embeddings);
-        let opt = gql::core::algebra::optimize(&plan);
-        assert_eq!(
-            gql::core::algebra::execute(&opt, &doc).expect("runs").len(),
-            embeddings
-        );
-    });
-}
-
 /// Negation is the complement: boxes with child X plus boxes without child
 /// X partition the boxes.
 #[test]
