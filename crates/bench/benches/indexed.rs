@@ -7,10 +7,12 @@
 //!
 //! * **root matching** — candidates for a named extract root from tag
 //!   postings vs. a full-document walk;
-//! * **join keys** — a two-root node-valued join through memoized 64-bit
-//!   structural hashes vs. per-row canonical strings (the scan baseline
-//!   also pays scan-side candidate enumeration: it is the whole unindexed
-//!   path, which is what the resident-index configuration replaces).
+//! * **join keys** — a two-root node-valued (deep-equality) join. Both
+//!   paths compare content the same way, hashing each bound subtree once
+//!   per run; the scan row also pays scan-side candidate enumeration: it is
+//!   the whole unindexed path, which is what the resident-index
+//!   configuration replaces. The row names (`join_scan_string`,
+//!   `join_indexed_hashed`) predate that and stay for the ledger.
 //!
 //! The `join_speedup` metric (scan mean / indexed mean) is the acceptance
 //! figure recorded in `BENCH_results.json`.

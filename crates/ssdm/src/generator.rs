@@ -484,8 +484,8 @@ impl Default for TreeConfig {
 }
 
 /// Attribute-name pool for [`TreeConfig::max_extra_attrs`]; values are drawn
-/// from a 4-value domain so equal attribute sets (and thus equal canonical
-/// forms across distinct nodes) occur often.
+/// from a 4-value domain so equal attribute sets (and thus deep-equal
+/// subtrees across distinct nodes) occur often.
 const EXTRA_ATTRS: &[&str] = &["lang", "kind", "rank"];
 
 /// A random tree over a small tag vocabulary, for property tests: `n` element

@@ -11,20 +11,18 @@
 //!   the exclusive end of its subtree's preorder interval, so "is `d` a
 //!   descendant of `a`" is two comparisons and "all `x` elements inside this
 //!   subtree" is a binary-searched slice of the postings list;
-//! * **attribute-name and text-value postings**: elements carrying a given
-//!   attribute, elements with a direct text child, and elements keyed by
-//!   their direct text value;
-//! * **memoized structural hashes**: a 64-bit polynomial rolling hash of the
-//!   exact canonical serialization of each subtree, computed bottom-up in one
-//!   pass. Because the hash is *defined* as the hash of the [`canonical`]
-//!   string, `canonical(a) == canonical(b)` implies
-//!   `structural_hash(a) == structural_hash(b)` by construction. The converse
-//!   can fail (collisions), so consumers must verify hash-equal candidates
-//!   with `canonical` — correctness never depends on the hash.
+//! * **attribute-name and has-text postings**: elements carrying a given
+//!   attribute, and elements with a direct text child.
 //!
 //! The index is immutable and describes the document at build time; mutating
 //! the document invalidates it (callers rebuild, as [`gql-core`'s `Engine`]
 //! does per resident document).
+//!
+//! Beside it lives **deep equality**, what XML-GL joins and `group by`
+//! compare box content by: one iterative preorder walk over a subtree with
+//! two consumers, [`subtree_hash`] (a streaming hash, no `String`) and
+//! [`subtree_eq`] (two walks in lockstep). It reads the document, not the
+//! index: a consumer hashes the cells it actually compares, not every node.
 
 use std::collections::HashMap;
 
@@ -36,37 +34,35 @@ use crate::NodeId;
 /// good avalanche behaviour over `u64` wraparound).
 const HASH_BASE: u64 = 0x0000_0100_0000_01B3;
 
-/// Incremental polynomial hash over a byte string: appending text multiplies
-/// the accumulated hash by `BASE^len` and adds the text's hash, so already
-/// hashed *subtree* hashes can be spliced in O(1) if their `BASE^len` factor
-/// (`pow`) is known. This is what makes the bottom-up build linear.
-#[derive(Clone, Copy)]
+/// Incremental polynomial hash: appending a symbol multiplies the
+/// accumulated hash by `BASE` and adds the symbol.
 struct Roll {
     hash: u64,
-    pow: u64,
 }
 
 impl Roll {
     fn new() -> Self {
-        Roll { hash: 0, pow: 1 }
+        Roll { hash: 0 }
+    }
+
+    fn push(&mut self, symbol: u64) {
+        self.hash = self.hash.wrapping_mul(HASH_BASE).wrapping_add(symbol);
     }
 
     fn push_str(&mut self, s: &str) {
         for &b in s.as_bytes() {
-            self.hash = self.hash.wrapping_mul(HASH_BASE).wrapping_add(u64::from(b));
-            self.pow = self.pow.wrapping_mul(HASH_BASE);
+            self.push(u64::from(b));
         }
     }
 
-    /// Append an already-hashed string given its `(hash, BASE^len)` pair.
-    fn push_rolled(&mut self, other: Roll) {
-        self.hash = self.hash.wrapping_mul(other.pow).wrapping_add(other.hash);
-        self.pow = self.pow.wrapping_mul(other.pow);
+    /// `s` preceded by its length, so that two fields never run together.
+    fn push_field(&mut self, s: &str) {
+        self.push(s.len() as u64);
+        self.push_str(s);
     }
 }
 
-/// Hash of a string under the same polynomial scheme the index uses for
-/// subtrees: `hash_str(&canonical(doc, n)) == index.structural_hash(doc, n)`.
+/// Hash of a string under the polynomial scheme of this module.
 pub fn hash_str(s: &str) -> u64 {
     hash_parts(&[s])
 }
@@ -81,32 +77,116 @@ pub fn hash_parts(parts: &[&str]) -> u64 {
     r.hash
 }
 
-/// Canonical string form of a subtree: tag, sorted attributes, children in
-/// order with text inline, comments and processing instructions erased. This
-/// is the deep-equality key used by XML-GL joins and construct-side
-/// deduplication; it lives here so the index can promise that its structural
-/// hashes agree with it exactly. (`gql-xmlgl::eval::canonical` delegates
-/// here.)
-pub fn canonical(doc: &Document, node: NodeId) -> String {
-    match doc.kind(node) {
-        NodeKind::Text => format!("t:{}", doc.text(node).unwrap_or("")),
-        NodeKind::Comment | NodeKind::Pi => String::new(),
-        NodeKind::Element | NodeKind::Document => {
-            let mut attrs: Vec<(&str, &str)> = doc.attrs(node).collect();
-            attrs.sort();
-            let attrs: Vec<String> = attrs.iter().map(|(k, v)| format!("{k}={v}")).collect();
-            let children: Vec<String> = doc
-                .children(node)
-                .iter()
-                .filter(|&&c| !matches!(doc.kind(c), NodeKind::Comment | NodeKind::Pi))
-                .map(|&c| canonical(doc, c))
-                .collect();
-            format!(
-                "e:{}[{}]({})",
-                doc.name(node).unwrap_or(""),
-                attrs.join(","),
-                children.join(",")
-            )
+/// Does deep equality skip `n`? Comments and processing instructions.
+fn is_markup(doc: &Document, n: NodeId) -> bool {
+    matches!(doc.kind(n), NodeKind::Comment | NodeKind::Pi)
+}
+
+/// How many children of `n` deep equality reads.
+fn content_len(doc: &Document, n: NodeId) -> usize {
+    doc.children(n)
+        .iter()
+        .filter(|&&c| !is_markup(doc, c))
+        .count()
+}
+
+/// The nodes of a subtree that deep equality reads, in preorder: all but
+/// comments and processing instructions. A loop over sibling runs, of which
+/// only those with nodes left wait on a stack, so no depth exhausts the call
+/// stack and a chain of only children allocates nothing.
+struct Walk<'d> {
+    doc: &'d Document,
+    next: Option<NodeId>,
+    run: std::slice::Iter<'d, NodeId>,
+    later: Vec<std::slice::Iter<'d, NodeId>>,
+}
+
+impl<'d> Walk<'d> {
+    fn new(doc: &'d Document, node: NodeId) -> Self {
+        Walk {
+            doc,
+            next: (!is_markup(doc, node)).then_some(node),
+            run: [].iter(),
+            later: Vec::new(),
+        }
+    }
+}
+
+impl Iterator for Walk<'_> {
+    type Item = NodeId;
+
+    fn next(&mut self) -> Option<NodeId> {
+        let (doc, n) = (self.doc, self.next.take()?);
+        let rest = std::mem::replace(&mut self.run, doc.children(n).iter());
+        if !rest.as_slice().is_empty() {
+            self.later.push(rest);
+        }
+        self.next = loop {
+            if let Some(&c) = self.run.find(|&&c| !is_markup(doc, c)) {
+                break Some(c);
+            }
+            match self.later.pop() {
+                Some(run) => self.run = run,
+                None => break None,
+            }
+        };
+        Some(n)
+    }
+}
+
+/// Structural hash of `node`'s subtree: [`subtree_eq`] subtrees hash equal.
+/// Per node of the walk: its kind, its name or text (length first), how
+/// many children deep equality reads, and its attributes as a sum of mixed
+/// per-attribute hashes, so their order is immaterial. Kinds and child
+/// counts make the sequence a prefix code of the tree: unequal subtrees
+/// share a hash only by a 64-bit collision, which consumers verify away
+/// with [`subtree_eq`].
+pub fn subtree_hash(doc: &Document, node: NodeId) -> u64 {
+    let mut r = Roll::new();
+    for n in Walk::new(doc, node) {
+        if doc.kind(n) == NodeKind::Text {
+            r.push(1);
+            r.push_field(doc.text(n).unwrap_or(""));
+            continue;
+        }
+        r.push(2);
+        r.push_field(doc.name(n).unwrap_or(""));
+        r.push(content_len(doc, n) as u64);
+        r.push(doc.attrs(n).fold(0u64, |sum, (name, value)| {
+            let mut a = Roll::new();
+            a.push_field(name);
+            a.push_field(value);
+            // A sum of unmixed polynomials would equate `a='1' b='2'` with
+            // `a='2' b='1'`.
+            let h = (a.hash ^ (a.hash >> 31)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            sum.wrapping_add(h ^ (h >> 29))
+        }));
+    }
+    r.hash
+}
+
+/// Deep equality of two subtrees of `doc`: the same tags, the same attribute
+/// sets, the same children in the same order, each text node compared whole
+/// (its boundaries count), comments and processing instructions skipped.
+/// The two preorder walks run in lockstep and stop at the first difference;
+/// child counts along the way make equal walks equal trees.
+pub fn subtree_eq(doc: &Document, a: NodeId, b: NodeId) -> bool {
+    // Attribute names are unique per element: equal-sized sets are equal
+    // when every attribute of one is found, with its value, on the other.
+    let alike = |x: NodeId, y: NodeId| {
+        doc.kind(x) == doc.kind(y)
+            && doc.name_sym(x) == doc.name_sym(y)
+            && doc.text(x) == doc.text(y)
+            && content_len(doc, x) == content_len(doc, y)
+            && doc.attr_count(x) == doc.attr_count(y)
+            && (doc.attr_syms(x)).all(|s| doc.attr_sym(x, s) == doc.attr_sym(y, s))
+    };
+    let (mut wa, mut wb) = (Walk::new(doc, a), Walk::new(doc, b));
+    loop {
+        match (wa.next(), wb.next()) {
+            (None, None) => return true,
+            (Some(x), Some(y)) if alike(x, y) => {}
+            _ => return false,
         }
     }
 }
@@ -117,8 +197,8 @@ pub fn canonical(doc: &Document, node: NodeId) -> String {
 /// nodes from the arena (kind + name/text prefix), folded through the
 /// index's polynomial hash. O(1) in document size (the root's child list
 /// is bounded by fanout, not total nodes, and the sample count is
-/// constant), so callers can afford it on every cache probe — unlike the
-/// full root structural hash, which would re-verify the entire tree. The
+/// constant), so callers can afford it on every cache probe — unlike a
+/// [`subtree_hash`] of the root, which walks the entire tree. The
 /// arena samples make collisions require agreement at sixteen deep probe
 /// points on top of the entire root level; consumers still combine the
 /// fingerprint with the node count and allocation address rather than
@@ -203,12 +283,10 @@ pub struct IndexStats {
     pub distinct_attrs: usize,
     /// Elements with at least one direct text child.
     pub text_elements: usize,
-    /// Distinct direct-text values keyed for value lookups.
-    pub distinct_text_values: usize,
 }
 
-/// One-pass document index: postings, interval numbering and structural
-/// hashes. See the module docs for the access paths it provides.
+/// One-pass document index: postings and interval numbering. See the module
+/// docs for the access paths it provides.
 #[derive(Debug, Clone)]
 pub struct DocIndex {
     /// Preorder number per node id; `u32::MAX` for nodes not reachable from
@@ -217,13 +295,6 @@ pub struct DocIndex {
     /// Exclusive end of the subtree's preorder interval: `n`'s subtree is
     /// exactly the nodes with `pre in [pre[n], end[n])`.
     end: Vec<u32>,
-    /// Rolling hash of `canonical(doc, n)` per node id.
-    hash: Vec<u64>,
-    /// `BASE^len(canonical(doc, n))` per node id (kept so detached-subtree
-    /// rebuilds and incremental composition stay possible).
-    pow: Vec<u64>,
-    /// Whether the node was reachable at build time (its `hash` is valid).
-    hashed: Vec<bool>,
     /// Elements by tag symbol, in document order.
     by_tag: HashMap<Symbol, Vec<NodeId>>,
     /// All elements, in document order.
@@ -232,8 +303,6 @@ pub struct DocIndex {
     by_attr: HashMap<Symbol, Vec<NodeId>>,
     /// Elements with at least one direct text child, in document order.
     with_text: Vec<NodeId>,
-    /// Elements keyed by the concatenation of their direct text children.
-    by_text_value: HashMap<Box<str>, Vec<NodeId>>,
     /// `Document::node_count()` at build time, for staleness fingerprinting.
     built_for: usize,
     /// Checksum over the index contents, set once at the end of [`build`].
@@ -248,8 +317,8 @@ const EMPTY: &[NodeId] = &[];
 
 impl DocIndex {
     /// Build the index in one counting pre-pass (exact container sizing),
-    /// one preorder pass (postings, intervals) and one reverse-preorder
-    /// pass (subtree sizes and bottom-up hashes).
+    /// one preorder pass (postings, preorder numbers) and one
+    /// reverse-preorder pass (subtree ends).
     pub fn build(doc: &Document) -> DocIndex {
         let n = doc.node_count();
         // Counting pre-pass: one flat arena sweep sizes every posting
@@ -265,6 +334,8 @@ impl DocIndex {
         let mut distinct_attrs = 0usize;
         let mut tag_counts: Vec<u32> = Vec::new();
         let mut attr_counts: Vec<u32> = Vec::new();
+        let has_text =
+            |node: NodeId| (doc.children(node).iter()).any(|&c| doc.kind(c) == NodeKind::Text);
         for i in 0..n {
             let node = NodeId::from_index(i);
             if doc.kind(node) != NodeKind::Element {
@@ -287,27 +358,15 @@ impl DocIndex {
                 distinct_attrs += usize::from(attr_counts[s] == 0);
                 attr_counts[s] += 1;
             }
-            if doc
-                .children(node)
-                .iter()
-                .any(|&c| doc.kind(c) == NodeKind::Text)
-            {
-                text_total += 1;
-            }
+            text_total += usize::from(has_text(node));
         }
         let mut idx = DocIndex {
             pre: vec![u32::MAX; n],
             end: vec![u32::MAX; n],
-            hash: vec![0; n],
-            pow: vec![1; n],
-            hashed: vec![false; n],
             by_tag: HashMap::with_capacity(distinct_tags),
             elements: Vec::with_capacity(element_total),
             by_attr: HashMap::with_capacity(distinct_attrs),
             with_text: Vec::with_capacity(text_total),
-            // Distinct direct-text values are bounded by the number of
-            // elements that have direct text at all.
-            by_text_value: HashMap::with_capacity(text_total),
             built_for: n,
             checksum: 0,
         };
@@ -336,35 +395,8 @@ impl DocIndex {
                         posting.push(node);
                     }
                 }
-                // Direct-text key: the single-text-child case (the vast
-                // majority) borrows the text and only allocates an owned
-                // key for the first occurrence of each value; concatenation
-                // is reserved for mixed content.
-                let mut text_children = doc
-                    .children(node)
-                    .iter()
-                    .filter(|&&c| doc.kind(c) == NodeKind::Text);
-                let first = text_children.next();
-                if let Some(&first) = first {
+                if has_text(node) {
                     idx.with_text.push(node);
-                    let rest: Vec<NodeId> = text_children.copied().collect();
-                    if rest.is_empty() {
-                        let value = doc.text(first).unwrap_or("");
-                        if let Some(posting) = idx.by_text_value.get_mut(value) {
-                            posting.push(node);
-                        } else {
-                            idx.by_text_value.insert(value.into(), vec![node]);
-                        }
-                    } else {
-                        let mut direct_text = doc.text(first).unwrap_or("").to_string();
-                        for c in rest {
-                            direct_text.push_str(doc.text(c).unwrap_or(""));
-                        }
-                        idx.by_text_value
-                            .entry(direct_text.into_boxed_str())
-                            .or_default()
-                            .push(node);
-                    }
                 }
             }
             for &c in doc.children(node).iter().rev() {
@@ -372,56 +404,14 @@ impl DocIndex {
             }
         }
 
-        // Reverse preorder visits children before parents: subtree sizes and
-        // structural hashes compose bottom-up in O(1) per node.
-        let mut size = vec![0u32; n];
+        // Reverse preorder visits children before parents: a subtree ends
+        // where its last child's does.
         for &node in pre_list.iter().rev() {
             let i = node.index();
-            let mut roll = Roll::new();
-            match doc.kind(node) {
-                NodeKind::Text => {
-                    roll.push_str("t:");
-                    roll.push_str(doc.text(node).unwrap_or(""));
-                }
-                NodeKind::Comment | NodeKind::Pi => {}
-                NodeKind::Element | NodeKind::Document => {
-                    roll.push_str("e:");
-                    roll.push_str(doc.name(node).unwrap_or(""));
-                    roll.push_str("[");
-                    let mut attrs: Vec<(&str, &str)> = doc.attrs(node).collect();
-                    attrs.sort();
-                    for (j, (k, v)) in attrs.iter().enumerate() {
-                        if j > 0 {
-                            roll.push_str(",");
-                        }
-                        roll.push_str(k);
-                        roll.push_str("=");
-                        roll.push_str(v);
-                    }
-                    roll.push_str("](");
-                    let mut first = true;
-                    for &c in doc.children(node) {
-                        if matches!(doc.kind(c), NodeKind::Comment | NodeKind::Pi) {
-                            continue;
-                        }
-                        if !first {
-                            roll.push_str(",");
-                        }
-                        first = false;
-                        roll.push_rolled(Roll {
-                            hash: idx.hash[c.index()],
-                            pow: idx.pow[c.index()],
-                        });
-                    }
-                    roll.push_str(")");
-                }
-            }
-            idx.hash[i] = roll.hash;
-            idx.pow[i] = roll.pow;
-            idx.hashed[i] = true;
-            let children_size: u32 = doc.children(node).iter().map(|c| size[c.index()]).sum();
-            size[i] = 1 + children_size;
-            idx.end[i] = idx.pre[i] + size[i];
+            idx.end[i] = match doc.children(node).last() {
+                Some(last) => idx.end[last.index()],
+                None => idx.pre[i] + 1,
+            };
         }
 
         idx.checksum = idx.compute_checksum();
@@ -460,9 +450,6 @@ impl DocIndex {
         }
         for list in self.by_attr.values() {
             acc = acc.wrapping_add(list_hash(list).rotate_left(17));
-        }
-        for list in self.by_text_value.values() {
-            acc = acc.wrapping_add(list_hash(list).rotate_left(34));
         }
         mix(h, acc)
     }
@@ -532,12 +519,6 @@ impl DocIndex {
         &self.with_text
     }
 
-    /// Elements whose concatenated direct text equals `value`, in document
-    /// order.
-    pub fn elements_with_text_value(&self, value: &str) -> &[NodeId] {
-        self.by_text_value.get(value).map_or(EMPTY, Vec::as_slice)
-    }
-
     /// Distinct tags with their element counts (the free projection backing
     /// [`crate::Summary::from_index`]'s per-tag totals).
     pub fn tag_counts(&self) -> impl Iterator<Item = (Symbol, usize)> + '_ {
@@ -598,19 +579,6 @@ impl DocIndex {
             distinct_tags: self.by_tag.len(),
             distinct_attrs: self.by_attr.len(),
             text_elements: self.with_text.len(),
-            distinct_text_values: self.by_text_value.len(),
-        }
-    }
-
-    /// Memoized structural hash: the rolling hash of `canonical(doc, node)`.
-    /// Nodes detached at build time fall back to hashing their canonical
-    /// form directly (rare; keeps the canonical-equal ⇒ hash-equal invariant
-    /// unconditional).
-    pub fn structural_hash(&self, doc: &Document, node: NodeId) -> u64 {
-        if self.hashed.get(node.index()).copied().unwrap_or(false) {
-            self.hash[node.index()]
-        } else {
-            hash_str(&canonical(doc, node))
         }
     }
 }
@@ -734,33 +702,77 @@ mod tests {
             })
             .collect();
         assert_eq!(idx.elements_with_text(), &texty[..]);
-        assert_eq!(idx.elements_with_text_value("39").len(), 1);
-        assert_eq!(idx.elements_with_text_value("XML-GL").len(), 2);
-        assert!(idx.elements_with_text_value("nope").is_empty());
+    }
+
+    /// The root elements of `xml`'s children, each compared with the next.
+    fn pairs(xml: &str) -> (Document, Vec<NodeId>) {
+        let doc = Document::parse_str(xml).unwrap();
+        let kids = doc.child_elements(doc.root_element().unwrap()).collect();
+        (doc, kids)
     }
 
     #[test]
-    fn structural_hash_is_hash_of_canonical() {
-        let doc = fixture();
-        let idx = DocIndex::build(&doc);
-        for n in doc.descendants_or_self(doc.root()) {
-            assert_eq!(
-                idx.structural_hash(&doc, n),
-                hash_str(&canonical(&doc, n)),
-                "node {n:?}: memoized hash must equal hash of canonical form"
+    fn deep_equality_ignores_attribute_order_comments_and_pis() {
+        let (doc, kids) = pairs(
+            "<r><x a='1' b='2'>t<y/></x><x b='2' a='1'>t<!--c--><?pi d?><y/></x>\
+             <x a='1' b='2'><!--c-->t<y><?pi?></y></x></r>",
+        );
+        for &other in &kids[1..] {
+            assert!(subtree_eq(&doc, kids[0], other), "{other:?}");
+            assert_eq!(subtree_hash(&doc, kids[0]), subtree_hash(&doc, other));
+        }
+    }
+
+    #[test]
+    fn deep_equality_counts_child_order_text_boundaries_and_values() {
+        let unequal = [
+            "<r><x><y/><z/></x><x><z/><y/></x></r>",
+            "<r><x a='1' b='2'/><x a='2' b='1'/></r>",
+            "<r><x a='1'/><x a='1' b='1'/></r>",
+            "<r><x>ab</x><x>a<!--c-->b</x></r>",
+            "<r><x>a</x><x>a<y/></x></r>",
+            "<r><x><y>t</y></x><x><y/>t</x></r>",
+            // The collisions of the `canonical` string this replaced.
+            "<r><x a='1,b=2'/><x a='1' b='2'/></r>",
+            "<r><x>S,e:y[]()</x><x>S<y/></x></r>",
+            "<r><x>a,t:b</x><x>a<!--c-->b</x></r>",
+        ];
+        for xml in unequal {
+            let (doc, kids) = pairs(xml);
+            assert!(!subtree_eq(&doc, kids[0], kids[1]), "{xml}");
+            assert_ne!(
+                subtree_hash(&doc, kids[0]),
+                subtree_hash(&doc, kids[1]),
+                "{xml}"
             );
         }
-        // Equal canonical forms (the two XML-GL titles) hash equal.
-        let titles: Vec<NodeId> = doc
-            .elements_named("title")
-            .filter(|&n| doc.text_content(n) == "XML-GL")
-            .collect();
-        assert_eq!(titles.len(), 2);
-        assert_eq!(canonical(&doc, titles[0]), canonical(&doc, titles[1]));
-        assert_eq!(
-            idx.structural_hash(&doc, titles[0]),
-            idx.structural_hash(&doc, titles[1])
-        );
+        // Text-node boundaries count even where the bytes agree.
+        let mut doc = Document::new();
+        let r = doc.add_element(doc.root(), "r");
+        let (one, two) = (doc.add_element(r, "x"), doc.add_element(r, "x"));
+        doc.add_text(one, "ab");
+        doc.add_text(two, "a");
+        doc.add_text(two, "b");
+        assert!(!subtree_eq(&doc, one, two));
+        assert!(subtree_eq(&doc, one, one));
+    }
+
+    #[test]
+    fn equal_subtrees_hash_equal_across_a_document() {
+        let doc = fixture();
+        let nodes: Vec<NodeId> = doc.descendants_or_self(doc.root()).collect();
+        let mut equal_pairs = 0;
+        for &a in &nodes {
+            for &b in &nodes {
+                if subtree_eq(&doc, a, b) {
+                    equal_pairs += usize::from(a != b);
+                    assert_eq!(subtree_hash(&doc, a), subtree_hash(&doc, b), "{a:?} {b:?}");
+                }
+            }
+        }
+        // Ordered pairs: the two `<title>XML-GL</title>`, their texts, and
+        // the comment and the PI (both read as nothing).
+        assert_eq!(equal_pairs, 6);
     }
 
     #[test]
@@ -772,7 +784,6 @@ mod tests {
         assert_eq!(s.distinct_tags, 7); // bib book title author last price paper
         assert_eq!(s.distinct_attrs, 2); // year isbn
         assert_eq!(s.text_elements, idx.elements_with_text().len());
-        assert_eq!(s.distinct_text_values, 5); // two XML-GL titles share a key
     }
 
     #[test]

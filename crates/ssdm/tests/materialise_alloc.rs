@@ -5,8 +5,9 @@
 //! allocates nothing but its buffer.
 //! Nor does reading a document: parsing the guide's own serialisation costs
 //! the pools' doublings, the interned names and a copy per text that had a
-//! reference to decode. One test, so that nothing else allocates in this
-//! binary while it counts.
+//! reference to decode. Nor does indexing it: a `DocIndex` is its numbering
+//! arrays and one exactly sized posting list per tag and attribute name. One
+//! test, so that nothing else allocates in this binary while it counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -112,6 +113,19 @@ fn an_answer_is_built_written_and_dropped_without_an_allocation_per_node() {
         reread.node_count(),
         text.len()
     );
+
+    // 5,141 allocations while the index also held a rolling hash per node
+    // and a key per distinct text value.
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let idx = gql_ssdm::DocIndex::build(&guide);
+    let indexed = ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(idx.elements_named(&guide, "restaurant"), &restaurants[..]);
+    assert!(
+        indexed <= 64,
+        "{indexed} allocations to index {} elements",
+        idx.element_count()
+    );
+    drop(idx);
 
     let before = FREES.load(Ordering::Relaxed);
     drop(answer);

@@ -7,13 +7,13 @@
 //! a value is an owned `String` read when it is bound, predicates go through
 //! [`Value`]'s loose comparisons, sibling order through
 //! [`Document::sibling_index`], and roots are joined by a nested loop over
-//! content-key strings. No index, no guard, no trace, no plan — and no
-//! thought for speed.
+//! content keys: a value's text, a node's [`Tree`], built here by recursion
+//! and compared by derived equality — not `gql_ssdm::index`'s walk. No
+//! index, no guard, no trace, no plan — and no thought for speed.
 
 use std::cmp::Ordering;
 
 use gql_ssdm::document::NodeKind;
-use gql_ssdm::index::canonical;
 use gql_ssdm::value::{CmpOp, Value};
 use gql_ssdm::{Document, NodeId};
 use gql_xmlgl::ast::{ExtractGraph, Predicate, QEdge, QNodeId, QNodeKind, Rule};
@@ -69,11 +69,52 @@ fn joins_hold(g: &ExtractGraph, doc: &Document, row: &Embedding, all: bool) -> b
         })
 }
 
-/// The key joins compare: a value's text, a node's canonical form.
-fn content_key(doc: &Document, bound: &Bound) -> String {
+/// The key joins compare: a value's text, a node's tree. A value never
+/// equals a node.
+#[derive(Debug, PartialEq, Eq)]
+enum Key {
+    Value(String),
+    Node(Option<Tree>),
+}
+
+fn content_key(doc: &Document, bound: &Bound) -> Key {
     match bound {
-        Bound::Value { text, .. } => format!("v:{text}"),
-        Bound::Node(n) => canonical(doc, *n),
+        Bound::Value { text, .. } => Key::Value(text.clone()),
+        Bound::Node(n) => Key::Node(tree(doc, *n)),
+    }
+}
+
+/// A subtree as deep equality sees it, owned: attributes sorted, comments
+/// and processing instructions dropped, each text node its own child.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Tree {
+    Element {
+        name: String,
+        attrs: Vec<(String, String)>,
+        children: Vec<Tree>,
+    },
+    Text(String),
+}
+
+/// The [`Tree`] of `node`; `None` for a comment or a processing
+/// instruction.
+pub fn tree(doc: &Document, node: NodeId) -> Option<Tree> {
+    match doc.kind(node) {
+        NodeKind::Comment | NodeKind::Pi => None,
+        NodeKind::Text => Some(Tree::Text(doc.text(node).unwrap_or("").to_string())),
+        NodeKind::Element | NodeKind::Document => {
+            let mut attrs: Vec<(String, String)> = (doc.attrs(node))
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect();
+            attrs.sort();
+            Some(Tree::Element {
+                name: doc.name(node).unwrap_or("").to_string(),
+                attrs,
+                children: (doc.children(node).iter())
+                    .filter_map(|&c| tree(doc, c))
+                    .collect(),
+            })
+        }
     }
 }
 

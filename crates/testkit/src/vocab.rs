@@ -15,8 +15,8 @@ pub const TAGS: &[&str] = &["a", "b", "c", "d", "item"];
 /// Attribute names; overlaps `gql_ssdm::generator`'s extra-attribute pool.
 pub const ATTRS: &[&str] = &["id", "kind", "lang", "rank", "k"];
 
-/// A small value domain, so equal values (and thus joins, equal canonical
-/// forms and hash-equal candidates) occur often.
+/// A small value domain, so equal values (and thus joins, deep-equal
+/// subtrees and hash-equal candidates) occur often.
 pub const VALUES: &[&str] = &["x", "y", "z", "10", "20", "2000", "north"];
 
 /// Uniform pick from a pool.

@@ -9,12 +9,17 @@
 //! document when somebody asks ([`cell_text`]): borrowed from the document's
 //! pool, owned only where an element's content spans several text nodes.
 //! Query nodes under a negated edge stay unbound.
+//!
+//! Joins and `group by` compare cells by content (`Keys`): a circle by its
+//! text, a box by deep equality of its subtree — `gql_ssdm::index`'s
+//! [`subtree_hash`] to bucket, [`subtree_eq`] to verify, the same on the
+//! indexed and the scan path.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
 
-use gql_ssdm::index::{canonical, hash_parts, hash_str};
-use gql_ssdm::{DocIndex, Document, NodeId, Symbol};
+use gql_ssdm::index::{hash_parts, subtree_eq, subtree_hash};
+use gql_ssdm::{Document, NodeId, Symbol};
 
 use crate::ast::{ExtractGraph, QNode, QNodeId, QNodeKind};
 
@@ -158,20 +163,19 @@ pub(crate) fn distinct_of<'a>(rows: impl Iterator<Item = Row<'a>>, q: QNodeId) -
 pub(crate) type Cell = (QNodeId, Option<NodeId>);
 
 /// Content of cells, as joins and `group by` compare it: the text for a
-/// circle, the canonical form of the subtree for a box, and a value never
-/// equal to a subtree. Canonical forms are rendered at most once per node.
+/// circle, the subtree for a box, and a value never equal to a subtree. A
+/// box's subtree is hashed at most once per node.
 pub(crate) struct Keys<'a> {
     doc: &'a Document,
     g: &'a ExtractGraph,
-    idx: Option<&'a DocIndex>,
     /// Each attribute circle's name as the document interned it: keys are
     /// read row by row, the name is looked up here once.
     attrs: Vec<Option<Symbol>>,
-    canon: HashMap<NodeId, Box<str>>,
+    hashes: HashMap<NodeId, u64>,
 }
 
 impl<'a> Keys<'a> {
-    pub(crate) fn new(doc: &'a Document, g: &'a ExtractGraph, idx: Option<&'a DocIndex>) -> Self {
+    pub(crate) fn new(doc: &'a Document, g: &'a ExtractGraph) -> Self {
         let attr = |n: &QNode| match &n.kind {
             QNodeKind::Attribute(name) => doc.lookup_sym(name),
             _ => None,
@@ -179,9 +183,8 @@ impl<'a> Keys<'a> {
         Keys {
             doc,
             g,
-            idx,
             attrs: g.nodes.iter().map(attr).collect(),
-            canon: HashMap::new(),
+            hashes: HashMap::new(),
         }
     }
 
@@ -199,30 +202,18 @@ impl<'a> Keys<'a> {
         }
     }
 
-    fn canonical(&mut self, n: NodeId) -> &str {
+    fn subtree_hash(&mut self, n: NodeId) -> u64 {
         let doc = self.doc;
-        self.canon
-            .entry(n)
-            .or_insert_with(|| canonical(doc, n).into_boxed_str())
+        *self.hashes.entry(n).or_insert_with(|| subtree_hash(doc, n))
     }
 
-    fn canonical_eq(&mut self, a: NodeId, b: NodeId) -> bool {
-        self.canonical(a);
-        self.canonical(b);
-        self.canon[&a] == self.canon[&b]
-    }
-
-    /// 64-bit hash of the content key (`v:` + text, or the canonical form):
-    /// equal content always hashes equal, and the same on either path — the
-    /// index only memoizes what the scan path renders and hashes.
+    /// 64-bit hash of the content key: `v:` + text for a circle, the
+    /// subtree hash for a box. Equal content always hashes equal.
     pub(crate) fn hash(&mut self, q: QNodeId, cell: NodeId) -> u64 {
         if self.is_value(q) {
             hash_parts(&["v:", &self.text(q, cell)])
         } else {
-            match self.idx {
-                Some(idx) => idx.structural_hash(self.doc, cell),
-                None => hash_str(self.canonical(cell)),
-            }
+            self.subtree_hash(cell)
         }
     }
 
@@ -234,13 +225,9 @@ impl<'a> Keys<'a> {
         };
         match (self.is_value(qa), self.is_value(qb)) {
             (true, true) => self.text(qa, a) == self.text(qb, b),
+            // The hashes settle most unequal pairs without a second walk.
             (false, false) => {
-                // The memoized hashes, where there are any, settle most
-                // unequal pairs without rendering either subtree.
-                a == b
-                    || self.idx.is_none_or(|idx| {
-                        idx.structural_hash(self.doc, a) == idx.structural_hash(self.doc, b)
-                    }) && self.canonical_eq(a, b)
+                a == b || self.subtree_hash(a) == self.subtree_hash(b) && subtree_eq(self.doc, a, b)
             }
             _ => false,
         }

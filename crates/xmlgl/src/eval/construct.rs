@@ -31,40 +31,37 @@ pub fn construct_rule(
     bindings: &Bindings,
     out: &mut Document,
 ) -> Result<()> {
-    construct_rule_with(rule, doc, None, bindings, out)
+    construct_rule_into(rule, doc, bindings, &mut DocSink::new(out)).map(drop)
 }
 
-/// Like [`construct_rule`], but with an optional document index: see
-/// [`construct_rule_into`], which this is over a [`DocSink`].
+/// Exactly [`construct_rule`]: construction reads no index. `_idx` survives
+/// only because `gql-benchmark/src/replay.rs`, frozen outside a `benchmark`
+/// PR, passes one; the next `benchmark` PR deletes this function.
 pub fn construct_rule_with(
     rule: &Rule,
     doc: &Document,
-    idx: Option<&DocIndex>,
+    _idx: Option<&DocIndex>,
     bindings: &Bindings,
     out: &mut Document,
 ) -> Result<()> {
-    construct_rule_into(rule, doc, idx, bindings, &mut DocSink::new(out)).map(drop)
+    construct_rule(rule, doc, bindings, out)
 }
 
 /// The full form of [`construct_rule`]: emit the rule's instances into
 /// `sink` as top-level elements and return how many there were. `doc` is the
-/// document `bindings` was matched against: values are read from it. With an
-/// index, content grouping (`group by` list icons) reads memoized structural
-/// hashes where it otherwise renders and hashes canonical forms.
+/// document `bindings` was matched against: values are read from it.
 ///
 /// An `Err` can follow events already emitted (an aggregate over something
 /// that is no number): the caller drops what the sink holds.
 pub fn construct_rule_into(
     rule: &Rule,
     doc: &Document,
-    idx: Option<&DocIndex>,
     bindings: &Bindings,
     sink: &mut impl Sink,
 ) -> Result<usize> {
     let cx = Cx {
         rule,
         doc,
-        idx,
         bindings,
     };
     let mut instances = 0;
@@ -162,7 +159,6 @@ fn group_by_scope(bindings: &Bindings, scope: &[QNodeId]) -> Vec<Vec<u32>> {
 struct Cx<'a> {
     rule: &'a Rule,
     doc: &'a Document,
-    idx: Option<&'a DocIndex>,
     bindings: &'a Bindings,
 }
 
@@ -180,7 +176,7 @@ impl<'a> Cx<'a> {
     /// order of first occurrence: rows are bucketed by the `u64` hash of the
     /// content key and only hash-equal rows are compared.
     fn group_by_content(self, group: Group<'a>, key: QNodeId) -> Vec<Vec<u32>> {
-        let mut keys = Keys::new(self.doc, &self.rule.extract, self.idx);
+        let mut keys = Keys::new(self.doc, &self.rule.extract);
         // Each group keeps its first cell as the representative for equality.
         let mut out: Vec<(NodeId, Vec<u32>)> = Vec::new();
         let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
@@ -478,7 +474,7 @@ mod tests {
         let mut written = String::new();
         let mut sink = XmlSink::new(&mut written);
         let bindings = super::super::match_rule(&r, &d);
-        let instances = super::construct_rule_into(&r, &d, None, &bindings, &mut sink).unwrap();
+        let instances = super::construct_rule_into(&r, &d, &bindings, &mut sink).unwrap();
         assert_eq!((instances, sink.nodes()), (3, 9));
         assert_eq!(written, built);
     }

@@ -2,11 +2,11 @@
 //!
 //! One walk, with or without an index. Given a [`DocIndex`] it draws root
 //! and deep-edge candidates from the postings lists (sliced to subtree
-//! intervals for asterisk edges) and reads memoized structural hashes for
-//! joins; with `idx: None` ([`match_rule_scan`], the degradation target when
-//! an index build fails) it scans the document for candidates and renders
-//! the canonical forms it hashes. The rows, their order, the guard's charges
-//! and the trace are the same either way.
+//! intervals for asterisk edges); with `idx: None` ([`match_rule_scan`], the
+//! degradation target when an index build fails) it scans the document for
+//! candidates. Joins compare content the same way on both paths
+//! (`bindings::Keys`). The rows, their order, the guard's charges and the
+//! trace are the same either way.
 //!
 //! Rows are built in one arena used as a stack (see `match_node`): no
 //! per-candidate `Vec`, and no `String` — a value is the cell of the element
@@ -140,8 +140,8 @@ pub fn match_rule_with(rule: &Rule, doc: &Document, idx: &DocIndex, _mode: Match
     match_rule_in(rule, doc, Some(idx), None, RunCtx::none())
 }
 
-/// Matching without an index: whole-document scans for candidates, join
-/// hashes of canonical forms rendered on the spot. The same walk as
+/// Matching without an index: whole-document scans for candidates. The same
+/// walk as
 /// [`match_rule_with`] minus postings, so holding the two equal checks the
 /// index, not the matcher — `gql-testkit`'s reference enumerator does that.
 pub fn match_rule_scan(rule: &Rule, doc: &Document) -> Bindings {
@@ -151,7 +151,7 @@ pub fn match_rule_scan(rule: &Rule, doc: &Document) -> Bindings {
 /// The full form every other `match_rule*` is one line over.
 ///
 /// Roots are matched one by one and their binding sets then combined:
-/// a hash join on the 64-bit structural content hash whenever a join
+/// a hash join on the 64-bit content hash (`Keys::hash`) whenever a join
 /// constraint connects the next root to the roots already combined, a
 /// cartesian product otherwise.
 ///
@@ -261,7 +261,7 @@ fn run_match(cx: &Ctx, plan: Option<&[usize]>) -> Bindings {
     if !residual.is_empty() {
         let span = trace.span("residual_filter");
         let before = combined.len();
-        let mut keys = Keys::new(cx.doc, g, cx.idx);
+        let mut keys = Keys::new(cx.doc, g);
         retain_rows(&mut combined.cells, 0, cx.width, |row| {
             (residual.iter()).all(|&(x, y)| keys.eq((x, row.get(x)), (y, row.get(y))))
         });
@@ -340,7 +340,7 @@ fn combine(
     }
     // The next stage's rows; the two buffers swap roles stage by stage.
     let mut next: Vec<u32> = Vec::new();
-    let mut keys = Keys::new(cx.doc, g, cx.idx);
+    let mut keys = Keys::new(cx.doc, g);
     for (k, &ri) in order.iter().enumerate().skip(1) {
         let right = &per_root[ri];
         // Joins whose endpoints span the processed prefix and this root,
@@ -1040,7 +1040,7 @@ mod tests {
             ri,
             joins: &[(QNodeId(first as u32), QNodeId(ri as u32))],
         };
-        let (mut out, mut keys) = (Vec::new(), Keys::new(d, &g, None));
+        let (mut out, mut keys) = (Vec::new(), Keys::new(d, &g));
         let stats = hash_join(
             &roots,
             probe,
@@ -1053,7 +1053,7 @@ mod tests {
     }
 
     #[test]
-    fn hash_collision_falls_back_to_canonical_verification() {
+    fn hash_collision_falls_back_to_deep_equality() {
         let d = Document::parse_str("<r><a>x</a><a>y</a><b>x</b><b>z</b></r>").unwrap();
         let kids: Vec<NodeId> = d.child_elements(d.root_element().unwrap()).collect();
         let columns: [&[NodeId]; 2] = [&kids[..2], &kids[2..]];
@@ -1063,7 +1063,7 @@ mod tests {
             nodes: vec![QNode::text()],
             ..ExtractGraph::default()
         };
-        let mut keys = Keys::new(&d, &g, None);
+        let mut keys = Keys::new(&d, &g);
         let real: Vec<u64> = [0, 1, 3]
             .iter()
             .map(|&k| keys.hash(QNodeId(0), kids[k]))
@@ -1101,7 +1101,7 @@ mod tests {
         let kids: Vec<NodeId> = d.child_elements(d.root_element().unwrap()).collect();
         let columns: [&[NodeId]; 2] = [&kids[..1], &kids[1..]];
         // Under a constant hasher <a>t</a> collides with <b>t</b>; only the
-        // canonically-equal pair survives.
+        // deep-equal pair survives.
         for first in [0, 1] {
             let boxes = QNode::element(NameTest::Wildcard);
             let (collided, stats) = join_from(&d, boxes, columns, first, |_, _, _| 0);

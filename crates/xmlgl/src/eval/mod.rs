@@ -12,7 +12,10 @@
 //!   edges), unordered by default, order-respecting when the parent box
 //!   carries the order stroke;
 //! * a crossed-out edge succeeds iff no match for its subtree exists;
-//! * join edges require deep-equal bound content;
+//! * join edges require deep-equal bound content: equal text for circles,
+//!   for boxes `gql_ssdm::index::subtree_eq` (tags, attribute sets, children
+//!   in order with each text node whole, comments and PIs skipped); `group
+//!   by` partitions by the same equality;
 //! * each construct root is instantiated once per distinct tuple of the
 //!   bindings it copies (its *scope*); triangles, list icons and aggregate
 //!   nodes collect over all bindings compatible with the instantiation.
@@ -22,7 +25,7 @@ pub mod construct;
 pub mod matcher;
 
 use gql_ssdm::sink::{DocSink, Sink};
-use gql_ssdm::{DocIndex, Document, NodeId};
+use gql_ssdm::{DocIndex, Document};
 
 use crate::ast::{Program, Rule};
 use crate::Result;
@@ -118,7 +121,7 @@ pub fn run_in(
         {
             let _s = trace.span("construct");
             let before = sink.nodes();
-            instances += construct_rule_into(rule, doc, idx, &bindings, sink)?;
+            instances += construct_rule_into(rule, doc, &bindings, sink)?;
             let built = sink.nodes() - before;
             if trace.is_enabled() {
                 trace.count("bindings_in", bindings.len() as u64);
@@ -162,21 +165,6 @@ pub fn run_pipeline(stages: &[Program], doc: &Document) -> Result<Document> {
     Ok(current)
 }
 
-/// Canonical string form of a subtree, used for deep-equality joins: tag,
-/// sorted attributes, children in order, with text content inline.
-///
-/// Lives in `gql-ssdm::index` so the [`DocIndex`] structural hashes can be
-/// defined as hashes of exactly this string; re-exported here for the
-/// existing callers.
-pub fn canonical(doc: &Document, node: NodeId) -> String {
-    gql_ssdm::index::canonical(doc, node)
-}
-
-/// Deep structural equality of two subtrees (same document).
-pub fn deep_equal(doc: &Document, a: NodeId, b: NodeId) -> bool {
-    a == b || canonical(doc, a) == canonical(doc, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,43 +196,55 @@ mod tests {
         assert!(run_pipeline(&[], &doc).is_err());
     }
 
-    #[test]
-    fn canonical_distinguishes_structure() {
-        let d = Document::parse_str("<r><a x='1'>t</a><a x='2'>t</a><a x='1'>t</a></r>").unwrap();
-        let r = d.root_element().unwrap();
-        let kids: Vec<NodeId> = d.child_elements(r).collect();
-        assert!(deep_equal(&d, kids[0], kids[2]));
-        assert!(!deep_equal(&d, kids[0], kids[1]));
+    /// A program's answer through `run` (indexed) and through `run_in`
+    /// without an index (the scan path).
+    fn both_paths(program: &str, doc: &Document) -> [String; 2] {
+        let program = crate::dsl::parse(program).unwrap();
+        let indexed = run(&program, doc).unwrap().to_xml_string();
+        let mut scanned = Document::new();
+        let mut sink = DocSink::new(&mut scanned);
+        run_in(
+            &program,
+            doc,
+            None,
+            &MatchPlans::none(),
+            RunCtx::none(),
+            &mut sink,
+        )
+        .unwrap();
+        [indexed, scanned.to_xml_string()]
     }
 
     #[test]
-    fn canonical_sorts_attributes() {
-        let d1 = Document::parse_str("<a x='1' y='2'/>").unwrap();
-        let d2 = Document::parse_str("<a y='2' x='1'/>").unwrap();
-        assert_eq!(
-            canonical(&d1, d1.root_element().unwrap()),
-            canonical(&d2, d2.root_element().unwrap())
-        );
-    }
-
-    #[test]
-    fn canonical_ignores_comments_and_pis() {
-        let d1 = Document::parse_str("<a>x</a>").unwrap();
-        let d2 = Document::parse_str("<a>x<!--note--><?pi d?></a>").unwrap();
-        assert_eq!(
-            canonical(&d1, d1.root_element().unwrap()),
-            canonical(&d2, d2.root_element().unwrap())
-        );
-    }
-
-    #[test]
-    fn canonical_respects_child_order() {
-        let d1 = Document::parse_str("<a><b/><c/></a>").unwrap();
-        let d2 = Document::parse_str("<a><c/><b/></a>").unwrap();
-        assert_ne!(
-            canonical(&d1, d1.root_element().unwrap()),
-            canonical(&d2, d2.root_element().unwrap())
-        );
+    fn box_content_is_compared_by_structure_on_both_paths() {
+        let join = "rule { extract { p { x as $a }  q { x as $b }  join $a == $b } \
+                    construct { hit { copy $a } } }";
+        let group = "rule { extract { x as $a } construct { out { all $a group by $a as g } } }";
+        let groups = |out: &String| out.matches("<g ").count();
+        // Pairs the parent commit's canonical strings equated.
+        for (p, q) in [
+            ("<x a='1,b=2'/>", "<x a='1' b='2'/>"),
+            ("<x>S,e:y[]()</x>", "<x>S<y/></x>"),
+            ("<x>a,t:b</x>", "<x>a<!--c-->b</x>"),
+        ] {
+            let doc = Document::parse_str(&format!("<r><p>{p}</p><q>{q}</q></r>")).unwrap();
+            assert_eq!(both_paths(join, &doc), ["", ""], "{p} {q}");
+            for out in both_paths(group, &doc) {
+                assert_eq!(groups(&out), 2, "{out}");
+            }
+        }
+        // What deep equality ignores: attribute order, comments and PIs.
+        let doc = Document::parse_str(
+            "<r><p><x b='2' a='1'>t<y/></x></p>\
+             <q><x a='1' b='2'>t<!--c--><?pi d?><y/></x></q></r>",
+        )
+        .unwrap();
+        for out in both_paths(join, &doc) {
+            assert_eq!(out.matches("<hit>").count(), 1, "{out}");
+        }
+        for out in both_paths(group, &doc) {
+            assert_eq!(groups(&out), 1, "{out}");
+        }
     }
 
     #[test]
@@ -258,7 +258,7 @@ mod tests {
         let cell = |row, q| (q, ms.row(row).get(q));
         // Two occurrences of one content: equal by content, box and circle
         // alike, distinct by identity; and a value never equals a subtree.
-        let mut keys = bindings::Keys::new(&d, g, None);
+        let mut keys = bindings::Keys::new(&d, g);
         for q in [a, t] {
             assert!(keys.eq(cell(0, q), cell(1, q)));
             assert_eq!(

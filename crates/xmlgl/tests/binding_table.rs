@@ -128,9 +128,9 @@ fn a_refused_charge_leaves_no_rows_behind() {
 }
 
 /// The scan path's join buckets rows by the hash of the real content
-/// key, as the indexed path does with memoized hashes: both charge the
-/// guard for true matches only, so a budget trips at the same point and
-/// reports the same progress on either.
+/// key, as the indexed path does: both charge the guard for true matches
+/// only, so a budget trips at the same point and reports the same progress
+/// on either.
 #[test]
 fn the_scan_join_charges_what_the_indexed_join_charges() {
     let d = Document::parse_str(

@@ -302,10 +302,11 @@ fn schema_checks_span_both_formalisms() {
 /// nest as deep as memory lets it. Nothing on the way from such a document
 /// to an answer's bytes recurses, so one forty times past the bound goes
 /// through both serialisers, `text_content`, `import_subtree`, both sinks'
-/// `subtree` and its own drop on the same stack. (`Instance::from_document`'s
-/// `load_element` and `index::canonical` still recurse once per level. They
-/// are not on the answer path and read parsed datasets; ROADMAP items 3a and
-/// 1b replace them.)
+/// `subtree` and its own drop on the same stack — and two of them side by
+/// side through a box join and a box `group by`, whose deep equality is a
+/// loop too, indexed and scanned. (`Instance::from_document`'s
+/// `load_element` still recurses once per level. It is not on the answer
+/// path and reads parsed datasets; ROADMAP item 3a replaces it.)
 #[test]
 fn a_document_at_the_nesting_bound_fits_a_2_mib_stack_in_every_layer() {
     use gql::ssdm::sink::{DocSink, Sink, XmlSink};
@@ -377,6 +378,51 @@ fn a_document_at_the_nesting_bound_fits_a_2_mib_stack_in_every_layer() {
         assert_eq!(writer.nodes(), 2 * depth as u64);
         assert!(written == xml && copy.to_xml_string() == xml && answer.to_xml_string() == xml);
         drop((built, copy, answer));
+
+        // `<r><p>chain</p><q>chain</q></r>`, the same chain twice.
+        let mut twins = Document::new();
+        let r = twins.add_element(twins.root(), "r");
+        for side in ["p", "q"] {
+            let mut at = twins.add_element(r, side);
+            for _ in 0..depth {
+                let inner = twins.add_element(at, "n");
+                twins.add_text(at, ".");
+                at = inner;
+            }
+            twins.add_text(at, "deep");
+        }
+        let join = gql::xmlgl::dsl::parse(
+            "rule { extract { p { n as $a }  q { n as $b }  join $a == $b } \
+                    construct { out { count($b) } } }",
+        )
+        .unwrap();
+        let group = gql::xmlgl::dsl::parse(
+            "rule { extract { r { * { n as $a } } } \
+                    construct { out { all $a group by $a as g } } }",
+        )
+        .unwrap();
+        for (program, expect, groups) in [(&join, "<out>1</out>", 0), (&group, "<out><g key=", 1)] {
+            let indexed = gql::xmlgl::run(program, &twins).expect("runs indexed");
+            let mut scanned = Document::new();
+            gql::xmlgl::eval::run_in(
+                program,
+                &twins,
+                None,
+                &gql::xmlgl::eval::MatchPlans::none(),
+                gql::core::RunCtx::none(),
+                &mut DocSink::new(&mut scanned),
+            )
+            .expect("runs scanned");
+            for answer in [indexed, scanned] {
+                let answer = answer.to_xml_string();
+                assert!(
+                    answer.starts_with(expect),
+                    "{}",
+                    &answer[..answer.len().min(80)]
+                );
+                assert_eq!(answer.matches("<g ").count(), groups);
+            }
+        }
     };
     std::thread::Builder::new()
         .stack_size(2 << 20)

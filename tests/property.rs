@@ -926,32 +926,195 @@ fn indexed_joins_equal_scan_joins() {
     });
 }
 
-/// `canonical(a) == canonical(b)` implies
-/// `structural_hash(a) == structural_hash(b)`, and every memoized hash is
-/// exactly the rolling hash of the canonical string.
+/// An `x` box's content before it is written down: attributes in set order
+/// and children, a text or an empty `<y/>` each.
+struct Shape {
+    attrs: Vec<(&'static str, String)>,
+    kids: Vec<Option<String>>,
+}
+
+/// How a twin of a [`Shape`] is written.
+#[derive(Clone, Copy)]
+enum Twin {
+    Copy,
+    /// Attributes reversed, a comment before every child, a PI after the
+    /// last: deep-equal to the copy.
+    Noisy,
+    /// Two attributes, or a text and what follows it, spliced into one
+    /// value around the separator the parent commit's canonical strings put
+    /// between them: unequal to the copy, equal as such a string.
+    Spliced,
+}
+
+fn write_shape(doc: &mut Document, parent: NodeId, shape: &Shape, twin: Twin) {
+    let x = doc.add_element(parent, "x");
+    let mut attrs: Vec<(&str, String)> = shape.attrs.clone();
+    let mut kids = shape.kids.clone();
+    match twin {
+        Twin::Copy => {}
+        Twin::Noisy => attrs.reverse(),
+        Twin::Spliced => {
+            let text_at = kids.windows(2).position(|w| w[0].is_some());
+            if let [(a, v), (b, w)] = &attrs[..] {
+                attrs = vec![(*a, format!("{v},{b}={w}"))];
+            } else if let Some(i) = text_at {
+                let next = match kids.remove(i + 1) {
+                    Some(text) => format!("t:{text}"),
+                    None => "e:y[]()".to_string(),
+                };
+                kids[i] = Some(format!("{},{next}", kids[i].as_deref().unwrap_or("")));
+            }
+        }
+    }
+    for (name, value) in &attrs {
+        doc.set_attr(x, name, value).unwrap();
+    }
+    for kid in &kids {
+        if let Twin::Noisy = twin {
+            let c = doc.create_comment("c");
+            doc.append_child(x, c).unwrap();
+        }
+        match kid {
+            Some(text) => drop(doc.add_text(x, text)),
+            None => drop(doc.add_element(x, "y")),
+        }
+    }
+    if let Twin::Noisy = twin {
+        let pi = doc.create_pi("pi", "d");
+        doc.append_child(x, pi).unwrap();
+    }
+}
+
+/// `<r><p>x…</p><q>x…</q></r>`: `p`'s boxes have texts and attribute values
+/// over the punctuation a string encoding of subtrees is made of, and `q`
+/// holds a twin of each, in the same order.
+fn lookalikes(rng: &mut Rng) -> Document {
+    let punct: Vec<char> = ",=()[]:ab".chars().collect();
+    let mut doc = Document::new();
+    let r = doc.add_element(doc.root(), "r");
+    let (p, q) = (doc.add_element(r, "p"), doc.add_element(r, "q"));
+    for _ in 0..rng.gen_range(1..5) {
+        let mut attrs = Vec::new();
+        for name in ["a", "b"] {
+            if rng.gen_bool(0.6) {
+                attrs.push((name, string_over(rng, &punct, 4)));
+            }
+        }
+        let kids = (0..rng.gen_range(0..4))
+            .map(|_| rng.gen_bool(0.7).then(|| string_over(rng, &punct, 4)))
+            .collect();
+        let shape = Shape { attrs, kids };
+        let twin = [Twin::Copy, Twin::Noisy, Twin::Spliced][rng.gen_range(0..3)];
+        write_shape(&mut doc, p, &shape, Twin::Copy);
+        write_shape(&mut doc, q, &shape, twin);
+    }
+    doc
+}
+
+/// Deep equality (`gql_ssdm::index::subtree_eq`) is equality of the
+/// reference's canonical trees (`gql_testkit::reference::tree`, built
+/// apart), and canonically equal subtrees hash equal under `subtree_hash`.
 #[test]
 fn canonical_equality_implies_hash_equality() {
-    use gql::ssdm::index::{canonical, hash_str};
+    use gql::ssdm::index::{subtree_eq, subtree_hash};
+    use gql_testkit::reference::tree;
     check("canonical_equality_implies_hash_equality", 96, |rng| {
-        let doc = document(rng);
-        let idx = gql::ssdm::DocIndex::build(&doc);
-        let nodes: Vec<NodeId> = doc.descendants_or_self(doc.root()).collect();
-        let canon: Vec<String> = nodes.iter().map(|&n| canonical(&doc, n)).collect();
-        let hashes: Vec<u64> = nodes
-            .iter()
-            .map(|&n| idx.structural_hash(&doc, n))
-            .collect();
-        for (c, &h) in canon.iter().zip(&hashes) {
-            assert_eq!(h, hash_str(c));
-        }
-        for i in 0..nodes.len() {
-            for j in i + 1..nodes.len() {
-                if canon[i] == canon[j] {
-                    assert_eq!(hashes[i], hashes[j], "{:?} vs {:?}", nodes[i], nodes[j]);
+        for doc in [document(rng), lookalikes(rng)] {
+            let nodes: Vec<NodeId> = doc.descendants_or_self(doc.root()).collect();
+            let trees: Vec<_> = nodes.iter().map(|&n| tree(&doc, n)).collect();
+            let hashes: Vec<u64> = nodes.iter().map(|&n| subtree_hash(&doc, n)).collect();
+            for i in 0..nodes.len() {
+                for j in 0..nodes.len() {
+                    let (a, b) = (nodes[i], nodes[j]);
+                    assert_eq!(subtree_eq(&doc, a, b), trees[i] == trees[j], "{a:?} {b:?}");
+                    if trees[i] == trees[j] {
+                        assert_eq!(hashes[i], hashes[j], "{a:?} vs {b:?}");
+                    }
                 }
             }
         }
     });
+}
+
+/// Box joins and box `group by` over [`lookalikes`], on both paths, held to
+/// the reference: the join's table row for row, the grouping as the
+/// reference's trees partition the bound boxes.
+#[test]
+fn box_joins_and_groups_agree_with_the_reference_on_lookalikes() {
+    use gql::ssdm::sink::DocSink;
+    use gql::xmlgl::eval::{match_rule_scan, match_rule_with, run_in, MatchMode, MatchPlans};
+    use gql_testkit::reference::{check_table, tree};
+    let join = gql::xmlgl::dsl::parse(
+        "rule { extract { p { x as $a }  q { x as $b }  join $a == $b } \
+                construct { hit { copy $a } } }",
+    )
+    .unwrap();
+    let group = gql::xmlgl::dsl::parse(
+        "rule { extract { x as $a } construct { out { all $a group by $a as g } } }",
+    )
+    .unwrap();
+    check(
+        "box_joins_and_groups_agree_with_the_reference_on_lookalikes",
+        96,
+        |rng| {
+            let doc = lookalikes(rng);
+            let idx = gql::ssdm::DocIndex::build(&doc);
+            let rule = &join.rules[0];
+            for table in [
+                match_rule_with(rule, &doc, &idx, MatchMode::Auto),
+                match_rule_scan(rule, &doc),
+            ] {
+                check_table(rule, &doc, &table)
+                    .unwrap_or_else(|e| panic!("{e}\n{}", doc.to_xml_string()));
+            }
+
+            // The reference's grouping: every `x` in document order, grouped by
+            // tree in order of first occurrence, each group under a `g` keyed by
+            // its first member's string value.
+            let mut groups: Vec<Vec<NodeId>> = Vec::new();
+            for x in doc.elements_named("x") {
+                match groups
+                    .iter_mut()
+                    .find(|g| tree(&doc, g[0]) == tree(&doc, x))
+                {
+                    Some(g) => g.push(x),
+                    None => groups.push(vec![x]),
+                }
+            }
+            let mut expected = Document::new();
+            let out = expected.add_element(expected.root(), "out");
+            for members in &groups {
+                let g = expected.add_element(out, "g");
+                expected
+                    .set_attr(g, "key", &doc.text_content(members[0]))
+                    .unwrap();
+                for &m in members {
+                    let copy = expected.import_subtree(&doc, m);
+                    expected.append_child(g, copy).unwrap();
+                }
+            }
+            let expected = expected.to_xml_string();
+            let mut scanned = Document::new();
+            run_in(
+                &group,
+                &doc,
+                None,
+                &MatchPlans::none(),
+                RunCtx::none(),
+                &mut DocSink::new(&mut scanned),
+            )
+            .unwrap();
+            let indexed = gql::xmlgl::run(&group, &doc).unwrap();
+            for (path, got) in [("indexed", indexed), ("scan", scanned)] {
+                assert_eq!(
+                    got.to_xml_string(),
+                    expected,
+                    "{path}\n{}",
+                    doc.to_xml_string()
+                );
+            }
+        },
+    );
 }
 
 /// Same promise for WG-Log: analyzer-clean programs run to fixpoint. Uses
