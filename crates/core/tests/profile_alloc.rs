@@ -12,7 +12,9 @@
 //!
 //! The XML-GL matcher allocates per rule, not per candidate: its binding
 //! table is one buffer, so matching a document four times the size costs a
-//! few more doublings and nothing else.
+//! few more doublings and nothing else. So does WG-Log's embedding search:
+//! its embeddings are rows of one flat table and its candidates go to one
+//! reused buffer per search depth.
 //!
 //! Allocations are counted per thread, so the tests of this binary (and the
 //! harness printing their verdicts) do not disturb one another.
@@ -96,7 +98,7 @@ fn a_warm_profiled_run_allocates_no_more_than_an_unprofiled_one() {
                 .unwrap(),
             ),
             0,
-            (207, 165),
+            (189, 147),
         ),
         (QueryKind::XPath("//restaurant".to_string()), 0, (67, 21)),
     ];
@@ -213,6 +215,59 @@ fn the_matcher_allocates_per_rule_not_per_candidate() {
             *large <= small + 8,
             "Q{}: {small} allocations at scale 1000, {large} at 4000",
             q + 1
+        );
+    }
+}
+
+/// Q1, Q2, Q3, Q5 and Q10 as `gql-benchmark` sends them in WG-Log: each
+/// rule's embedding search over its own fixpoint's result, at scale 1000
+/// and at scale 4000.
+#[test]
+fn the_embedding_search_allocates_per_rule_not_per_candidate() {
+    macro_rules! q {
+        ($n:literal) => {
+            (
+                $n,
+                include_str!(concat!("../../../gql-benchmark/queries/", $n, ".wglog")),
+            )
+        };
+    }
+    let queries = [q!("q01"), q!("q02"), q!("q03"), q!("q05"), q!("q10")];
+    // Per rule: its name, embeddings and allocations.
+    let counts = |scale: usize| -> Vec<(String, usize, usize)> {
+        let city = cityguide(CityConfig {
+            restaurants: scale,
+            hotels: scale / 4,
+            seed: 11,
+        });
+        let db = gql_wglog::Instance::from_document(&city);
+        let mut out = Vec::new();
+        for (name, src) in &queries {
+            let program = gql_wglog::dsl::parse(src).expect("a benchmark query parses");
+            let (result, _) =
+                gql_wglog::eval::run_with(&program, &db, gql_wglog::eval::FixpointMode::SemiNaive)
+                    .expect("a benchmark query runs");
+            for (i, rule) in program.rules.iter().enumerate() {
+                let mut rows = 0;
+                let count = allocations(|| rows = gql_wglog::eval::embeddings(rule, &result).len());
+                out.push((format!("{name} rule {}", i + 1), rows, count));
+            }
+        }
+        out
+    };
+    let (small, large) = (counts(1000), counts(4000));
+    // Up to 23,502 for one query while every embedding, every candidate
+    // list and every negated check was a `Vec`.
+    for (rule, rows, count) in &small {
+        assert!(*rows >= 96, "{rule}: {rows} embeddings at scale 1000");
+        assert!(*count <= 32, "{rule}: {count} allocations at scale 1000");
+    }
+    // Four times the embeddings are two more doublings of the table and of
+    // the candidate buffers, and not one allocation besides.
+    for ((rule, _, small), (_, _, large)) in small.iter().zip(&large) {
+        assert!(
+            *large <= small + 8,
+            "{rule}: {small} allocations at scale 1000, {large} at 4000"
         );
     }
 }

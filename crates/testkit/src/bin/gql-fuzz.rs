@@ -161,6 +161,12 @@ fn cmd_run(args: &[String]) -> ExitCode {
         }
     }
     println!(
+        "embed-vs-reference: {} rule(s) compared, {} skipped at the cap of {} assignments",
+        report.reference_compared,
+        report.reference_skipped,
+        gql_testkit::reference::WGLOG_ASSIGNMENT_CAP
+    );
+    println!(
         "{} cases executed, {} disagreement(s)",
         report.executed,
         report.failures.len()

@@ -177,6 +177,10 @@ pub struct FuzzReport {
     /// Cases executed (seeds × generators actually reached).
     pub executed: u64,
     pub failures: Vec<Failure>,
+    /// WG-Log rules the `embed-vs-reference` arm compared, and rules it
+    /// skipped at the reference's assignment cap.
+    pub reference_compared: u64,
+    pub reference_skipped: u64,
 }
 
 /// Run `cases` seeds (starting at `start_seed`) through each generator,
@@ -191,6 +195,7 @@ pub fn run_fuzz(
 ) -> FuzzReport {
     let started = Instant::now();
     let mut report = FuzzReport::default();
+    let tally = oracle::reference_tally();
     'outer: for seed in start_seed..start_seed.saturating_add(cases) {
         for &g in generators {
             if let Some(b) = budget {
@@ -205,6 +210,9 @@ pub fn run_fuzz(
             }
         }
     }
+    let (compared, skipped) = oracle::reference_tally();
+    report.reference_compared = compared - tally.0;
+    report.reference_skipped = skipped - tally.1;
     report
 }
 
@@ -243,6 +251,9 @@ mod tests {
             .collect();
         assert!(msgs.is_empty(), "disagreements found:\n{}", msgs.join("\n"));
         assert_eq!(report.executed, 40 * Generator::ALL.len() as u64);
+        // The embedding arm is not vacuous, and its cap skips no rule here.
+        assert!(report.reference_compared >= 30, "{report:?}");
+        assert_eq!(report.reference_skipped, 0, "{report:?}");
     }
 
     #[test]

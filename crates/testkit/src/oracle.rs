@@ -10,6 +10,8 @@
 //! The oracle matrix (who is checked against whom) is documented in
 //! DESIGN.md's testkit section.
 
+use std::cell::Cell;
+
 use gql_analyze::Analyzer;
 use gql_core::engine::{Engine, QueryKind};
 use gql_guard::{Budget, Guard, RunCtx};
@@ -594,6 +596,51 @@ pub fn check_wglog_layering(
     Ok(())
 }
 
+thread_local! {
+    /// Rules this thread held to the embedding reference, and rules it
+    /// skipped because their assignments passed the reference's cap.
+    static REFERENCE_TALLY: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+/// How many rules this thread's `embed-vs-reference` arm has compared, and
+/// how many it has skipped at
+/// [`WGLOG_ASSIGNMENT_CAP`](crate::reference::WGLOG_ASSIGNMENT_CAP).
+pub fn reference_tally() -> (u64, u64) {
+    REFERENCE_TALLY.with(Cell::get)
+}
+
+/// The embedding oracle: each rule's embeddings into `db` as the search
+/// finds them and as the exhaustive reference does, equal as multisets.
+pub fn check_wglog_embeddings(
+    db: &Instance,
+    program: &gql_wglog::rule::Program,
+) -> Result<(), String> {
+    for (ri, rule) in program.rules.iter().enumerate() {
+        let Some(mut expected) = crate::reference::wglog_embeddings(rule, db) else {
+            REFERENCE_TALLY.with(|t| t.set((t.get().0, t.get().1 + 1)));
+            continue;
+        };
+        REFERENCE_TALLY.with(|t| t.set((t.get().0 + 1, t.get().1)));
+        let table = gql_wglog::eval::embeddings(rule, db);
+        let mut got: Vec<Vec<_>> = table.rows().map(<[_]>::to_vec).collect();
+        got.sort();
+        expected.sort();
+        if got != expected {
+            let i = (0..).find(|&i| got.get(i) != expected.get(i)).unwrap_or(0);
+            return Err(format!(
+                "embed-vs-reference: rule {}: {} embeddings against the reference's {}; \
+                 sorted row {i}: {:?} against {:?}",
+                ri + 1,
+                got.len(),
+                expected.len(),
+                got.get(i),
+                expected.get(i)
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// The WG-Log oracle battery for one `(document, program)` case.
 pub fn check_wglog_case(doc: &Document, src: &str) -> Result<(), String> {
     let Ok(program) = gql_wglog::dsl::parse_unchecked(src) else {
@@ -636,6 +683,8 @@ pub fn check_wglog_case(doc: &Document, src: &str) -> Result<(), String> {
             semi_db.edge_count()
         ));
     }
+    // Over the result: base objects and edges, and the derived ones above.
+    check_wglog_embeddings(&semi_db, &program)?;
     check_wglog_layering(&db, &program)?;
     check_summary_paths(doc, &DocIndex::build(doc))?;
     // Static inference soundness against the computed fixpoint: an empty

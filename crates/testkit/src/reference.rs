@@ -1,6 +1,7 @@
-//! A reference embedding enumerator for XML-GL extract graphs.
+//! Reference embedding enumerators for XML-GL extract graphs and WG-Log
+//! query graphs.
 //!
-//! The matcher it checks (`gql_xmlgl::eval::matcher`) builds rows of node
+//! The XML-GL matcher it checks (`gql_xmlgl::eval::matcher`) builds rows of node
 //! ids in one arena, folds products in place, hashes join keys and re-reads
 //! values on demand. This is the walk that one replaced, kept as the oracle
 //! because it shares none of that: every step returns a fresh `Vec` of rows,
@@ -10,12 +11,22 @@
 //! content keys: a value's text, a node's [`Tree`], built here by recursion
 //! and compared by derived equality — not `gql_ssdm::index`'s walk. No
 //! index, no guard, no trace, no plan — and no thought for speed.
+//!
+//! The WG-Log search it checks ([`gql_wglog::eval::embeddings`]) binds
+//! query nodes one at a time through labelled adjacency, resolved label
+//! keys and pre-parsed constants. [`wglog_embeddings`] instead tries every
+//! assignment of the binding query nodes, and checks every edge by scanning
+//! the instance's edge list and every regular path by its own BFS over that
+//! list.
 
 use std::cmp::Ordering;
+use std::collections::{HashMap, HashSet, VecDeque};
 
 use gql_ssdm::document::NodeKind;
 use gql_ssdm::value::{CmpOp, Value};
 use gql_ssdm::{Document, NodeId};
+use gql_wglog::instance::{Instance, ObjId};
+use gql_wglog::rule::{Color, LabelTest, PathRep, REdge, RNodeId, Rule as WgLogRule, TypeTest};
 use gql_xmlgl::ast::{ExtractGraph, Predicate, QEdge, QNodeId, QNodeKind, Rule};
 use gql_xmlgl::eval::{cell_text, Bindings};
 
@@ -132,25 +143,29 @@ fn unit(g: &ExtractGraph, q: QNodeId, bound: Bound) -> Embedding {
     row
 }
 
-/// A predicate over a string value, by the comparisons of [`Value`].
+/// One comparison of a string value with a constant, by the comparisons of
+/// [`Value`].
+fn compares(op: CmpOp, data: &str, constant: &str) -> bool {
+    let (d, c) = (Value::from_literal(data), Value::from_literal(constant));
+    match op {
+        CmpOp::Eq => d.loose_eq(&c),
+        CmpOp::Ne => !d.loose_eq(&c),
+        CmpOp::Lt => d.loose_cmp(&c) == Some(Ordering::Less),
+        CmpOp::Le => matches!(d.loose_cmp(&c), Some(Ordering::Less | Ordering::Equal)),
+        CmpOp::Gt => d.loose_cmp(&c) == Some(Ordering::Greater),
+        CmpOp::Ge => matches!(d.loose_cmp(&c), Some(Ordering::Greater | Ordering::Equal)),
+        CmpOp::Contains => data.contains(constant),
+        CmpOp::StartsWith => data.starts_with(constant),
+    }
+}
+
+/// A predicate over a string value.
 fn holds(predicate: &Predicate, data: &str) -> bool {
-    let test = |op: CmpOp, constant: &str| {
-        let (d, c) = (Value::from_literal(data), Value::from_literal(constant));
-        match op {
-            CmpOp::Eq => d.loose_eq(&c),
-            CmpOp::Ne => !d.loose_eq(&c),
-            CmpOp::Lt => d.loose_cmp(&c) == Some(Ordering::Less),
-            CmpOp::Le => matches!(d.loose_cmp(&c), Some(Ordering::Less | Ordering::Equal)),
-            CmpOp::Gt => d.loose_cmp(&c) == Some(Ordering::Greater),
-            CmpOp::Ge => matches!(d.loose_cmp(&c), Some(Ordering::Greater | Ordering::Equal)),
-            CmpOp::Contains => data.contains(constant),
-            CmpOp::StartsWith => data.starts_with(constant),
-        }
-    };
-    predicate
-        .clauses
-        .iter()
-        .all(|clause| clause.iter().any(|(op, constant)| test(*op, constant)))
+    predicate.clauses.iter().all(|clause| {
+        clause
+            .iter()
+            .any(|(op, constant)| compares(*op, data, constant))
+    })
 }
 
 /// All embeddings of the subtree at `q` with `q` matched at `data`.
@@ -269,4 +284,185 @@ pub fn check_table(rule: &Rule, doc: &Document, table: &Bindings) -> Result<(), 
         }
     }
     Ok(())
+}
+
+// ----------------------------------------------------------------------
+// WG-Log
+// ----------------------------------------------------------------------
+
+/// The most assignments [`wglog_embeddings`] tries for one rule.
+pub const WGLOG_ASSIGNMENT_CAP: usize = 32768;
+
+/// One WG-Log embedding: per rule node, the bound object; `None` for
+/// construct and existential nodes.
+pub type WgLogRow = Vec<Option<ObjId>>;
+
+/// Every embedding of `rule`'s query part into `db`, in no particular
+/// order; `None` when the binding query nodes have more than
+/// [`WGLOG_ASSIGNMENT_CAP`] assignments between them.
+///
+/// The convention is the one `gql_wglog::eval::embed` documents. A query
+/// node binds unless it is *existential*: it has edges, and every one of
+/// them is a negated edge into it from another node. A negated edge into
+/// an existential node holds when its source has no neighbour over it that
+/// passes the node's tests, each such edge on its own; any other negated
+/// edge holds when its edge or path does not. A rule with no query node
+/// holds once.
+pub fn wglog_embeddings(rule: &WgLogRule, db: &Instance) -> Option<Vec<WgLogRow>> {
+    let width = rule.nodes.len();
+    let query: Vec<RNodeId> = rule.query_nodes().collect();
+    if query.is_empty() {
+        return Some(vec![vec![None; width]]);
+    }
+    let existential = |q: RNodeId| {
+        let incident: Vec<&REdge> = (rule.edges.iter())
+            .filter(|e| e.from == q || e.to == q)
+            .collect();
+        !incident.is_empty() && (incident.iter()).all(|e| e.negated && e.to == q && e.from != q)
+    };
+    let binding: Vec<RNodeId> = query.into_iter().filter(|&q| !existential(q)).collect();
+    if binding.is_empty() {
+        // Only an ill-formed rule gets here: an existential node's sources
+        // are query nodes, and they bind.
+        return Some(Vec::new());
+    }
+    let domains: Vec<Vec<ObjId>> = (binding.iter())
+        .map(|&q| {
+            (db.objects())
+                .map(|(id, _)| id)
+                .filter(|&id| passes(rule, q, db, id))
+                .collect()
+        })
+        .collect();
+    let total = (domains.iter()).try_fold(1usize, |n, d| {
+        n.checked_mul(d.len())
+            .filter(|&n| n <= WGLOG_ASSIGNMENT_CAP)
+    })?;
+    let edges: Vec<&REdge> = (rule.edges.iter())
+        .filter(|e| e.color == Color::Query)
+        .collect();
+    // What each query edge reaches from each source, found once.
+    let mut reach: HashMap<(usize, ObjId), HashSet<ObjId>> = HashMap::new();
+    let mut reaches = |i: usize, from: ObjId, to: ObjId| {
+        (reach.entry((i, from)))
+            .or_insert_with(|| reached(db, &edges[i].label, from))
+            .contains(&to)
+    };
+    let mut rows = Vec::new();
+    let mut picks = vec![0usize; binding.len()];
+    let mut row: WgLogRow = vec![None; width];
+    for _ in 0..total {
+        for (i, &q) in binding.iter().enumerate() {
+            row[q.index()] = Some(domains[i][picks[i]]);
+        }
+        let holds = (0..edges.len()).all(|i| {
+            let e = edges[i];
+            match (row[e.from.index()], row[e.to.index()]) {
+                (Some(f), Some(t)) => reaches(i, f, t) != e.negated,
+                (Some(f), None) if e.negated => {
+                    !(db.objects()).any(|(o, _)| passes(rule, e.to, db, o) && reaches(i, f, o))
+                }
+                _ => true,
+            }
+        });
+        if holds {
+            rows.push(row.clone());
+        }
+        // The next assignment, the last binding node turning fastest.
+        for i in (0..picks.len()).rev() {
+            picks[i] += 1;
+            if picks[i] < domains[i].len() {
+                break;
+            }
+            picks[i] = 0;
+        }
+    }
+    Some(rows)
+}
+
+/// Does `obj` pass query node `q`'s type test and constraints?
+fn passes(rule: &WgLogRule, q: RNodeId, db: &Instance, obj: ObjId) -> bool {
+    let (node, obj) = (rule.node(q), db.object(obj));
+    let typed = match &node.test {
+        TypeTest::Type(t) => *t == obj.ty,
+        TypeTest::Any => true,
+    };
+    typed
+        && node.constraints.iter().all(|c| {
+            (obj.attrs.iter())
+                .any(|(name, value)| *name == c.attr && compares(c.op, value, &c.value))
+        })
+}
+
+/// Every object one edge over `label` leads to from `from` — for a regular
+/// path, every object a path does: a scan of the edge list per object
+/// reached, breadth first.
+fn reached(db: &Instance, label: &LabelTest, from: ObjId) -> HashSet<ObjId> {
+    let step = |x: ObjId, over: &dyn Fn(&str) -> bool| -> Vec<ObjId> {
+        (db.edges())
+            .filter(|e| e.from == x && over(&e.label))
+            .map(|e| e.to)
+            .collect()
+    };
+    let re = match label {
+        LabelTest::Label(l) => return step(from, &|x| x == l).into_iter().collect(),
+        LabelTest::Any => return step(from, &|_| true).into_iter().collect(),
+        LabelTest::Regex(re) => re,
+    };
+    let over = |x: &str| re.labels.iter().any(|l| l == x);
+    if re.rep == PathRep::One {
+        return step(from, &over).into_iter().collect();
+    }
+    let mut found = HashSet::new();
+    if re.rep == PathRep::Star {
+        found.insert(from);
+    }
+    let mut expanded = HashSet::from([from]);
+    let mut queue = VecDeque::from([from]);
+    while let Some(x) = queue.pop_front() {
+        for to in step(x, &over) {
+            found.insert(to);
+            if expanded.insert(to) {
+                queue.push_back(to);
+            }
+        }
+    }
+    found
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gql_wglog::instance::Object;
+    use gql_wglog::rule::{Program, RuleBuilder};
+
+    /// 33 objects: two free nodes have 1,089 assignments, three have
+    /// 35,937 — past the cap, so the reference declines and the oracle
+    /// counts the rule as skipped, not compared.
+    #[test]
+    fn the_wglog_reference_declines_past_its_cap_and_the_oracle_counts_it() {
+        let mut db = Instance::new();
+        for _ in 0..33 {
+            db.add_object(Object::new("d"));
+        }
+        let free = |n: usize| {
+            let names = ["a", "b", "c"];
+            (names[..n].iter())
+                .fold(RuleBuilder::new(), |b, v| b.query_node(v, "d"))
+                .build()
+                .unwrap()
+        };
+        assert_eq!(wglog_embeddings(&free(2), &db).map(|r| r.len()), Some(1089));
+        assert_eq!(wglog_embeddings(&free(3), &db), None);
+        let (compared, skipped) = crate::oracle::reference_tally();
+        let program = Program {
+            rules: vec![free(2), free(3)],
+            goal: None,
+        };
+        crate::oracle::check_wglog_embeddings(&db, &program).unwrap();
+        assert_eq!(
+            crate::oracle::reference_tally(),
+            (compared + 1, skipped + 1)
+        );
+    }
 }

@@ -7,15 +7,68 @@
 //! already-bound neighbour whenever one exists, and constraint checking at
 //! bind time rather than at the end. Regular path edges are verified with a
 //! label-filtered BFS.
+//!
+//! The search works in integers. Each query edge's label is resolved to a
+//! [`LabelKey`] and each constraint's constant parsed once per search, so
+//! the inner loop hashes no string and parses no constant. It allocates per
+//! rule, not per candidate or per embedding: candidates go to one buffer
+//! per search depth, reused by every node bound at that depth, and each
+//! embedding is one row appended to an [`EmbeddingTable`].
 
 use std::collections::{HashSet, VecDeque};
 
-use crate::instance::{Instance, ObjId};
-use crate::rule::{Color, LabelTest, PathRe, PathRep, REdge, RNodeId, Rule, TypeTest};
+use gql_ssdm::value::parse_number;
 
-/// A query embedding: per rule node, the bound object (construct nodes stay
-/// unbound).
-pub type Embedding = Vec<Option<ObjId>>;
+use crate::instance::{Instance, LabelKey, ObjId};
+use crate::rule::{Color, LabelTest, PathRe, PathRep, REdge, Rule, TypeTest};
+
+/// The embeddings of a rule's query part, in the order the search finds
+/// them: one row-major table of `width` cells per row, one cell per rule
+/// node — the bound object, `None` for construct and existential nodes.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct EmbeddingTable {
+    width: usize,
+    rows: usize,
+    cells: Vec<Option<ObjId>>,
+}
+
+impl EmbeddingTable {
+    /// Number of embeddings.
+    pub fn len(&self) -> usize {
+        self.rows
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.rows == 0
+    }
+
+    /// Cells per row: the rule's node count.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Embedding number `i`, indexed by [`RNodeId`](crate::rule::RNodeId).
+    pub fn row(&self, i: usize) -> &[Option<ObjId>] {
+        &self.cells[i * self.width..][..self.width]
+    }
+
+    /// Every embedding, in order.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = &[Option<ObjId>]> + '_ {
+        (0..self.rows).map(|i| self.row(i))
+    }
+
+    /// Empty the table for rows `width` cells wide, keeping its buffer.
+    fn reset(&mut self, width: usize) {
+        self.width = width;
+        self.rows = 0;
+        self.cells.clear();
+    }
+
+    fn push(&mut self, row: &[Option<ObjId>]) {
+        self.cells.extend_from_slice(row);
+        self.rows += 1;
+    }
+}
 
 /// Does a path matching `re` lead from `from` to `to`?
 pub fn path_exists(db: &Instance, from: ObjId, to: ObjId, re: &PathRe) -> bool {
@@ -80,35 +133,65 @@ pub fn path_targets(db: &Instance, from: ObjId, re: &PathRe) -> Vec<ObjId> {
     }
 }
 
-fn edge_satisfied(db: &Instance, e: &REdge, from: ObjId, to: ObjId) -> bool {
-    let ok = match &e.label {
-        LabelTest::Label(l) => db.has_edge(from, l, to),
-        LabelTest::Any => db.out_edges(from).any(|edge| edge.to == to),
-        LabelTest::Regex(re) => path_exists(db, from, to, re),
-    };
-    ok != e.negated
+/// A query edge's label test, resolved against the instance searched.
+#[derive(Clone, Copy)]
+enum Test<'r> {
+    Label(LabelKey),
+    Any,
+    Path(&'r PathRe),
+}
+
+/// A query edge as the search reads it: endpoints as rule-node indexes,
+/// the label resolved.
+struct QEdge<'r> {
+    from: usize,
+    to: usize,
+    test: Test<'r>,
+    negated: bool,
+}
+
+impl<'r> QEdge<'r> {
+    fn resolve(db: &Instance, e: &'r REdge) -> Self {
+        QEdge {
+            from: e.from.index(),
+            to: e.to.index(),
+            test: match &e.label {
+                LabelTest::Label(l) => Test::Label(db.label_key(l)),
+                LabelTest::Any => Test::Any,
+                LabelTest::Regex(re) => Test::Path(re),
+            },
+            negated: e.negated,
+        }
+    }
+
+    fn satisfied(&self, db: &Instance, from: ObjId, to: ObjId) -> bool {
+        let ok = match self.test {
+            Test::Label(key) => db.has_edge_key(from, key, to),
+            Test::Any => db.out_edges(from).any(|edge| edge.to == to),
+            Test::Path(re) => path_exists(db, from, to, re),
+        };
+        ok != self.negated
+    }
 }
 
 /// Enumerate all embeddings of the rule's query part into the instance.
-pub fn embeddings(rule: &Rule, db: &Instance) -> Vec<Embedding> {
-    // Query nodes in a connectivity-friendly order: repeatedly pick an
-    // unplaced node adjacent (via a positive, non-negated query edge) to a
-    // placed one; fall back to declaration order.
-    let qnodes: Vec<RNodeId> = rule.query_nodes().collect();
-    if qnodes.is_empty() {
+pub fn embeddings(rule: &Rule, db: &Instance) -> EmbeddingTable {
+    let mut table = EmbeddingTable::default();
+    embeddings_into(rule, db, &mut table);
+    table
+}
+
+/// [`embeddings`] into a table the caller reuses: its rows are replaced.
+pub(crate) fn embeddings_into(rule: &Rule, db: &Instance, out: &mut EmbeddingTable) {
+    let width = rule.nodes.len();
+    out.reset(width);
+    let is_query = |i: usize| rule.nodes[i].color == Color::Query;
+    if !(0..width).any(is_query) {
         // A pure construct rule has the empty premise: it holds once.
-        return vec![vec![None; rule.nodes.len()]];
+        out.cells.resize(width, None);
+        out.rows = 1;
+        return;
     }
-    let positive: Vec<&REdge> = rule
-        .edges
-        .iter()
-        .filter(|e| e.color == Color::Query && !e.negated)
-        .collect();
-    let negated: Vec<&REdge> = rule
-        .edges
-        .iter()
-        .filter(|e| e.color == Color::Query && e.negated)
-        .collect();
 
     // A query node that is only ever the *target* of negated edges is
     // *existential*: it never binds, and each negated edge into it asserts
@@ -122,174 +205,205 @@ pub fn embeddings(rule: &Rule, db: &Instance) -> Vec<Embedding> {
     // are checked *independently* ("no a-neighbour" AND "no b-neighbour"),
     // not jointly ("no single object that is both"). Joint negation needs
     // the target bound — give it a positive edge.
-    let existential: HashSet<RNodeId> = qnodes
-        .iter()
-        .copied()
-        .filter(|&q| {
-            let incident: Vec<&REdge> = rule
-                .edges
-                .iter()
-                .filter(|e| e.from == q || e.to == q)
-                .collect();
-            !incident.is_empty()
-                && incident
-                    .iter()
-                    .all(|e| e.negated && e.to == q && e.from != q)
+    let binds: Vec<bool> = (0..width)
+        .map(|q| {
+            let mut incident = (rule.edges.iter())
+                .filter(|e| e.from.index() == q || e.to.index() == q)
+                .peekable();
+            let existential = incident.peek().is_some()
+                && incident.all(|e| e.negated && e.to.index() == q && e.from.index() != q);
+            is_query(q) && !existential
         })
         .collect();
-    let qnodes: Vec<RNodeId> = qnodes
-        .into_iter()
-        .filter(|q| !existential.contains(q))
-        .collect();
-    if qnodes.is_empty() {
-        return Vec::new();
+    let binding = || (0..width).filter(|&q| binds[q]);
+    let bound = binding().count();
+    if bound == 0 {
+        return;
     }
 
-    let mut order: Vec<RNodeId> = Vec::with_capacity(qnodes.len());
-    let mut placed: HashSet<RNodeId> = HashSet::new();
-    while order.len() < qnodes.len() {
-        let next = qnodes
-            .iter()
-            .find(|&&q| {
-                !placed.contains(&q)
-                    && positive.iter().any(|e| {
-                        (e.from == q && placed.contains(&e.to))
-                            || (e.to == q && placed.contains(&e.from))
-                    })
+    let query_edges = || rule.edges.iter().filter(|e| e.color == Color::Query);
+    let positive: Vec<QEdge> = (query_edges().filter(|e| !e.negated))
+        .map(|e| QEdge::resolve(db, e))
+        .collect();
+    let negated: Vec<QEdge> = (query_edges().filter(|e| e.negated))
+        .map(|e| QEdge::resolve(db, e))
+        .collect();
+
+    // Query nodes in a connectivity-friendly order: repeatedly pick an
+    // unplaced node adjacent (via a positive, non-negated query edge) to a
+    // placed one; fall back to declaration order.
+    let mut order: Vec<usize> = Vec::with_capacity(bound);
+    let mut placed = vec![false; width];
+    while order.len() < bound {
+        let next = binding()
+            .find(|&q| {
+                !placed[q]
+                    && positive
+                        .iter()
+                        .any(|e| (e.from == q && placed[e.to]) || (e.to == q && placed[e.from]))
             })
-            .or_else(|| qnodes.iter().find(|&&q| !placed.contains(&q)))
-            .copied()
+            .or_else(|| binding().find(|&q| !placed[q]))
             .expect("some node remains");
-        placed.insert(next);
+        placed[next] = true;
         order.push(next);
     }
 
-    let mut out: Vec<Embedding> = Vec::new();
-    let mut current: Embedding = vec![None; rule.nodes.len()];
-    search(
+    let mut search = Search {
         rule,
         db,
-        &order,
-        0,
-        &positive,
-        &negated,
-        &mut current,
-        &mut out,
-    );
-    out
+        constants: (rule.nodes.iter())
+            .map(|n| {
+                (n.constraints.iter())
+                    .map(|c| parse_number(&c.value))
+                    .collect()
+            })
+            .collect(),
+        cands: vec![Vec::new(); order.len()],
+        order,
+        positive,
+        negated,
+        current: vec![None; width],
+    };
+    search.search(0, out);
 }
 
-#[allow(clippy::too_many_arguments)]
-fn search(
-    rule: &Rule,
-    db: &Instance,
-    order: &[RNodeId],
-    depth: usize,
-    positive: &[&REdge],
-    negated: &[&REdge],
-    current: &mut Embedding,
-    out: &mut Vec<Embedding>,
-) {
-    if depth == order.len() {
-        // All nodes bound: verify negated edges last (they can only be
-        // checked once both endpoints are fixed).
-        let ok = negated.iter().all(|e| {
-            match (current[e.from.index()], current[e.to.index()]) {
-                (Some(f), Some(t)) => edge_satisfied(db, e, f, t),
-                // A negated edge to an unbound (existential) target means
-                // "no such neighbour at all": check existentially. Sources
-                // of negated edges always bind (see the existential filter),
-                // so (None, Some(_)) cannot occur.
-                (Some(f), None) => !exists_any_target(db, e, f, rule),
-                (None, _) => true,
-            }
-        });
-        if ok {
-            out.push(current.clone());
-        }
-        return;
-    }
-    let q = order[depth];
-    let node = rule.node(q);
+/// One embedding search: the rule as resolved against the instance, and
+/// the partial embedding being extended.
+struct Search<'a> {
+    rule: &'a Rule,
+    db: &'a Instance,
+    /// Binding order of the query nodes.
+    order: Vec<usize>,
+    positive: Vec<QEdge<'a>>,
+    negated: Vec<QEdge<'a>>,
+    /// Per rule node, its constraints' constants as numbers.
+    constants: Vec<Vec<Option<f64>>>,
+    current: Vec<Option<ObjId>>,
+    /// Per depth, the buffer its candidates are collected in.
+    cands: Vec<Vec<ObjId>>,
+}
 
-    // Candidates: through a bound neighbour when possible, else type index.
-    let mut from_neighbour: Option<Vec<ObjId>> = None;
-    for e in positive {
-        if e.to == q {
-            if let Some(src) = current[e.from.index()] {
-                let mut cands: Vec<ObjId> = match &e.label {
-                    LabelTest::Label(l) => db.successors_via(src, l).collect(),
-                    LabelTest::Any => db.out_edges(src).map(|edge| edge.to).collect(),
-                    LabelTest::Regex(re) => path_targets(db, src, re),
-                };
-                // Parallel edges reach the same object more than once; an
-                // embedding binds objects, so duplicates would double-count.
-                cands.sort();
-                cands.dedup();
-                from_neighbour = Some(cands);
-                break;
-            }
-        }
-        if e.from == q {
-            if let Some(dst) = current[e.to.index()] {
-                let mut cands: Vec<ObjId> = match &e.label {
-                    LabelTest::Label(l) => db.predecessors_via(dst, l).collect(),
-                    LabelTest::Any => db.in_edges(dst).map(|edge| edge.from).collect(),
-                    // Reverse regex enumeration is not indexed; fall back to
-                    // the type scan below.
-                    LabelTest::Regex(_) => continue,
-                };
-                cands.sort();
-                cands.dedup();
-                from_neighbour = Some(cands);
-                break;
-            }
-        }
+impl Search<'_> {
+    /// Does `obj` pass query node `q`'s type test and constraints?
+    fn fits(&self, q: usize, obj: ObjId) -> bool {
+        let (node, obj) = (&self.rule.nodes[q], self.db.object(obj));
+        node.test.matches(&obj.ty)
+            && (node.constraints.iter())
+                .zip(&self.constants[q])
+                .all(|(c, &n)| c.holds_parsed(obj, n))
     }
-    // Try one candidate for `q`: test it, bind it, check the positive edges
-    // whose endpoints are now both bound, and descend.
-    let try_candidate = |cand: ObjId| {
-        let obj = db.object(cand);
-        if !node.test.matches(&obj.ty) || !node.constraints.iter().all(|c| c.holds(obj)) {
+
+    fn search(&mut self, depth: usize, out: &mut EmbeddingTable) {
+        let (rule, db) = (self.rule, self.db);
+        if depth == self.order.len() {
+            // All nodes bound: verify negated edges last (they can only be
+            // checked once both endpoints are fixed).
+            let ok =
+                self.negated
+                    .iter()
+                    .all(|e| match (self.current[e.from], self.current[e.to]) {
+                        (Some(f), Some(t)) => e.satisfied(db, f, t),
+                        // A negated edge to an unbound (existential) target
+                        // means "no such neighbour at all": check
+                        // existentially. Sources of negated edges always bind
+                        // (see the existential filter), so (None, Some(_))
+                        // cannot occur.
+                        (Some(f), None) => !self.exists_any_target(e, f),
+                        (None, _) => true,
+                    });
+            if ok {
+                out.push(&self.current);
+            }
             return;
         }
-        current[q.index()] = Some(cand);
-        let consistent =
-            positive
-                .iter()
-                .all(|e| match (current[e.from.index()], current[e.to.index()]) {
-                    (Some(f), Some(t)) if e.from == q || e.to == q => edge_satisfied(db, e, f, t),
-                    _ => true,
-                });
-        if consistent {
-            search(rule, db, order, depth + 1, positive, negated, current, out);
-        }
-        current[q.index()] = None;
-    };
-    // The type index and the object table are iterated in place: the
-    // instance is immutable while a search is open.
-    match from_neighbour {
-        Some(cands) => cands.into_iter().for_each(try_candidate),
-        None => match &node.test {
-            TypeTest::Type(t) => db.objects_of_type(t).for_each(try_candidate),
-            TypeTest::Any => db.objects().map(|(id, _)| id).for_each(try_candidate),
-        },
-    }
-}
+        let q = self.order[depth];
 
-/// For a negated edge with an unbound target: does `from` have any matching
-/// neighbour that satisfies the target node's tests?
-fn exists_any_target(db: &Instance, e: &REdge, from: ObjId, rule: &Rule) -> bool {
-    let target_node = rule.node(e.to);
-    let targets: Vec<ObjId> = match &e.label {
-        LabelTest::Label(l) => db.successors_via(from, l).collect(),
-        LabelTest::Any => db.out_edges(from).map(|edge| edge.to).collect(),
-        LabelTest::Regex(re) => path_targets(db, from, re),
-    };
-    targets.into_iter().any(|t| {
-        let obj = db.object(t);
-        target_node.test.matches(&obj.ty) && target_node.constraints.iter().all(|c| c.holds(obj))
-    })
+        // Candidates: through a bound neighbour when possible, else type
+        // index.
+        let mut cands = std::mem::take(&mut self.cands[depth]);
+        cands.clear();
+        let mut from_neighbour = false;
+        for e in &self.positive {
+            if e.to == q {
+                if let Some(src) = self.current[e.from] {
+                    match e.test {
+                        Test::Label(key) => cands.extend(db.successors_key(src, key)),
+                        Test::Any => cands.extend(db.out_edges(src).map(|edge| edge.to)),
+                        Test::Path(re) => cands.extend(path_targets(db, src, re)),
+                    }
+                    from_neighbour = true;
+                    break;
+                }
+            }
+            if e.from == q {
+                if let Some(dst) = self.current[e.to] {
+                    match e.test {
+                        Test::Label(key) => cands.extend(db.predecessors_key(dst, key)),
+                        Test::Any => cands.extend(db.in_edges(dst).map(|edge| edge.from)),
+                        // Reverse regex enumeration is not indexed; fall
+                        // back to the type scan below.
+                        Test::Path(_) => continue,
+                    }
+                    from_neighbour = true;
+                    break;
+                }
+            }
+        }
+        // The type index and the object table are iterated in place: the
+        // instance is immutable while a search is open.
+        if from_neighbour {
+            // Parallel edges reach the same object more than once; an
+            // embedding binds objects, so duplicates would double-count.
+            cands.sort();
+            cands.dedup();
+            for &cand in &cands {
+                self.try_candidate(depth, q, cand, out);
+            }
+        } else {
+            match &rule.nodes[q].test {
+                TypeTest::Type(t) => {
+                    for cand in db.objects_of_type(t) {
+                        self.try_candidate(depth, q, cand, out);
+                    }
+                }
+                TypeTest::Any => {
+                    for (cand, _) in db.objects() {
+                        self.try_candidate(depth, q, cand, out);
+                    }
+                }
+            }
+        }
+        self.cands[depth] = cands;
+    }
+
+    /// Try one candidate for `q`: test it, bind it, check the positive
+    /// edges whose endpoints are now both bound, and descend.
+    fn try_candidate(&mut self, depth: usize, q: usize, cand: ObjId, out: &mut EmbeddingTable) {
+        if !self.fits(q, cand) {
+            return;
+        }
+        self.current[q] = Some(cand);
+        let consistent =
+            (self.positive.iter()).all(|e| match (self.current[e.from], self.current[e.to]) {
+                (Some(f), Some(t)) if e.from == q || e.to == q => e.satisfied(self.db, f, t),
+                _ => true,
+            });
+        if consistent {
+            self.search(depth + 1, out);
+        }
+        self.current[q] = None;
+    }
+
+    /// For a negated edge with an unbound target: does `from` have any
+    /// matching neighbour that satisfies the target node's tests?
+    fn exists_any_target(&self, e: &QEdge, from: ObjId) -> bool {
+        let fits = |t| self.fits(e.to, t);
+        match e.test {
+            Test::Label(key) => self.db.successors_key(from, key).any(fits),
+            Test::Any => self.db.out_edges(from).any(|edge| fits(edge.to)),
+            Test::Path(re) => path_targets(self.db, from, re).into_iter().any(fits),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -362,6 +476,26 @@ mod tests {
     }
 
     #[test]
+    fn numeric_constraint_compares_numbers() {
+        // `price < 15` reads both sides as numbers, parsed once for the
+        // constant: "9" passes and "120" does not, the reverse of a string
+        // comparison.
+        let mut db = city_db();
+        let cheap = db.add_object(Object::new("menu"));
+        db.add_attr(cheap, "price", "9");
+        let dear = db.add_object(Object::new("menu"));
+        db.add_attr(dear, "price", "120");
+        let rule = RuleBuilder::new()
+            .query_node("m", "menu")
+            .constraint("price", CmpOp::Lt, "15")
+            .build()
+            .unwrap();
+        let embs = embeddings(&rule, &db);
+        assert_eq!((embs.len(), embs.width()), (1, 1));
+        assert_eq!(embs.row(0), [Some(cheap)]);
+    }
+
+    #[test]
     fn negated_edge_with_existential_target() {
         let db = city_db();
         // Restaurants with no 'near' hotel at all: the hotel node is only
@@ -416,7 +550,7 @@ mod tests {
         // *only* by negated edges is existential. Verify that behaviour.
         rule.check().unwrap();
         let embs = embeddings(&rule, &db);
-        let r_ids: std::collections::HashSet<_> = embs.iter().map(|e| e[0].unwrap()).collect();
+        let r_ids: std::collections::HashSet<_> = embs.rows().map(|e| e[0].unwrap()).collect();
         assert!(r_ids.contains(&ObjId(1)));
         assert!(!r_ids.contains(&ObjId(0)));
         assert!(!r_ids.contains(&ObjId(2)));

@@ -15,6 +15,14 @@
 //!   part can observe. This is a relevance filter rather than textbook
 //!   delta-evaluation, but it captures the same asymptotic win on the
 //!   transitive-closure workloads of the benchmarks.
+//!
+//! A fixpoint allocates per rule and per derived fact, not per embedding.
+//! Every rule of every round fills the same [`EmbeddingTable`], one flat
+//! row-major buffer of object ids; each row is applied in place through one
+//! reused buffer of resolved construct nodes, and a Skolem key is looked up
+//! from a reused buffer too, copied only when it invents. A derived edge's
+//! label, or an invented object's type, is cloned into the round's change
+//! set only the first time the round sees it.
 
 use std::collections::{HashMap, HashSet};
 
@@ -24,7 +32,7 @@ use crate::instance::{Instance, ObjId};
 use crate::rule::{AttrValue, Color, LabelTest, RNodeId, Rule, TypeTest};
 use crate::{Result, WgLogError};
 
-use super::embed::embeddings;
+use super::embed::{embeddings_into, EmbeddingTable};
 
 /// Iteration strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,8 +85,14 @@ pub fn fixpoint_in(
 ) -> Result<FixpointStats> {
     let RunCtx { trace, guard } = ctx;
     let mut stats = FixpointStats::default();
-    // Skolem table shared across iterations: (rule idx, cnode, key) → object.
-    let mut invented: HashMap<(usize, RNodeId, Vec<Option<ObjId>>), ObjId> = HashMap::new();
+    // Skolem tables shared across iterations, per rule per construct node.
+    let mut inventions: Vec<Vec<Invention>> = (rules.iter())
+        .map(|r| r.construct_nodes().map(|n| Invention::of(r, n)).collect())
+        .collect();
+    // One embedding table and one construct scratch for every rule of every
+    // round.
+    let mut table = EmbeddingTable::default();
+    let mut scratch = Scratch::default();
     // What each rule's query part can observe (labels and types), for the
     // semi-naive relevance filter.
     let observed: Vec<(HashSet<String>, HashSet<String>)> = rules
@@ -157,18 +171,18 @@ pub fn fixpoint_in(
                 }
             }
             rules_run += 1;
-            let embs = embeddings(rule, db);
-            stats.embeddings_found += embs.len();
+            embeddings_into(rule, db, &mut table);
+            stats.embeddings_found += table.len();
             guard
-                .try_matches(embs.len() as u64)
+                .try_matches(table.len() as u64)
                 .map_err(WgLogError::Budget)?;
-            for emb in embs {
+            for emb in table.rows() {
                 apply_construct(
                     rule,
-                    ri,
-                    &emb,
+                    emb,
                     db,
-                    &mut invented,
+                    &mut inventions[ri],
+                    &mut scratch,
                     &mut stats,
                     &mut new_labels,
                     &mut new_types,
@@ -225,52 +239,75 @@ pub fn fixpoint_in(
     }
 }
 
-/// Key of an invented object: the bindings of its `per` variables (plus the
-/// variables its attribute copies reference).
-fn skolem_key(rule: &Rule, cnode: RNodeId, emb: &[Option<ObjId>]) -> Vec<Option<ObjId>> {
-    let node = rule.node(cnode);
-    let mut vars: Vec<&str> = node.per.iter().map(String::as_str).collect();
-    for (_, v) in &node.set_attrs {
-        if let AttrValue::CopyFrom { var, .. } = v {
-            vars.push(var);
+/// The objects one construct node of one rule has invented, by Skolem
+/// key: the bindings of its `per` variables plus the variables its
+/// attribute copies read, sorted by name and deduplicated.
+struct Invention {
+    node: RNodeId,
+    /// The rule node each key cell reads; `None` for a name no node has.
+    key_vars: Vec<Option<usize>>,
+    made: HashMap<Vec<Option<ObjId>>, ObjId>,
+}
+
+impl Invention {
+    fn of(rule: &Rule, node: RNodeId) -> Self {
+        let n = rule.node(node);
+        let mut vars: Vec<&str> = n.per.iter().map(String::as_str).collect();
+        for (_, v) in &n.set_attrs {
+            if let AttrValue::CopyFrom { var, .. } = v {
+                vars.push(var);
+            }
+        }
+        vars.sort();
+        vars.dedup();
+        Invention {
+            node,
+            key_vars: (vars.into_iter())
+                .map(|v| rule.by_var(v).map(RNodeId::index))
+                .collect(),
+            made: HashMap::new(),
         }
     }
-    vars.sort();
-    vars.dedup();
-    vars.into_iter()
-        .map(|v| rule.by_var(v).and_then(|id| emb[id.index()]))
-        .collect()
+}
+
+/// What `apply_construct` reuses from one embedding to the next.
+#[derive(Default)]
+struct Scratch {
+    /// The embedding with its construct nodes resolved.
+    resolved: Vec<Option<ObjId>>,
+    /// A Skolem key being looked up.
+    key: Vec<Option<ObjId>>,
 }
 
 #[allow(clippy::too_many_arguments)]
 fn apply_construct(
     rule: &Rule,
-    rule_idx: usize,
     emb: &[Option<ObjId>],
     db: &mut Instance,
-    invented: &mut HashMap<(usize, RNodeId, Vec<Option<ObjId>>), ObjId>,
+    inventions: &mut [Invention],
+    scratch: &mut Scratch,
     stats: &mut FixpointStats,
     new_labels: &mut HashSet<String>,
     new_types: &mut HashSet<String>,
     changed: &mut bool,
 ) -> Result<()> {
     // Resolve every construct node to an object (inventing if needed).
-    let mut resolved: Vec<Option<ObjId>> = emb.to_vec();
-    for cnode in rule.construct_nodes() {
-        let node = rule.node(cnode);
-        let key = (rule_idx, cnode, skolem_key(rule, cnode, emb));
-        let id = match invented.get(&key) {
+    let Scratch { resolved, key } = scratch;
+    resolved.clear();
+    resolved.extend_from_slice(emb);
+    for inv in inventions {
+        let node = rule.node(inv.node);
+        key.clear();
+        key.extend(inv.key_vars.iter().map(|v| v.and_then(|i| emb[i])));
+        let id = match inv.made.get(key.as_slice()) {
             Some(&id) => id,
             None => {
-                let ty = match &node.test {
-                    TypeTest::Type(t) => t.clone(),
-                    TypeTest::Any => {
-                        return Err(WgLogError::Eval {
-                            msg: format!("construct node ${} has no concrete type", node.var),
-                        })
-                    }
+                let TypeTest::Type(ty) = &node.test else {
+                    return Err(WgLogError::Eval {
+                        msg: format!("construct node ${} has no concrete type", node.var),
+                    });
                 };
-                let mut obj = crate::instance::Object::new(&ty);
+                let mut obj = crate::instance::Object::new(ty.as_str());
                 for (attr, value) in &node.set_attrs {
                     let v = match value {
                         AttrValue::Literal(s) => s.clone(),
@@ -286,14 +323,16 @@ fn apply_construct(
                     obj.attrs.push((attr.clone(), v));
                 }
                 let id = db.add_object(obj);
-                invented.insert(key, id);
+                inv.made.insert(key.clone(), id);
                 stats.objects_created += 1;
-                new_types.insert(ty);
+                if !new_types.contains(ty) {
+                    new_types.insert(ty.clone());
+                }
                 *changed = true;
                 id
             }
         };
-        resolved[cnode.index()] = Some(id);
+        resolved[inv.node.index()] = Some(id);
     }
     // Add construct edges.
     for e in &rule.edges {
@@ -312,7 +351,9 @@ fn apply_construct(
         };
         if db.add_edge(from, label, to) {
             stats.edges_created += 1;
-            new_labels.insert(label.clone());
+            if !new_labels.contains(label) {
+                new_labels.insert(label.clone());
+            }
             *changed = true;
         }
     }

@@ -11,7 +11,7 @@ use crate::instance::Instance;
 use crate::rule::Program;
 use crate::Result;
 
-pub use embed::{embeddings, path_exists, Embedding};
+pub use embed::{embeddings, path_exists, EmbeddingTable};
 pub use fixpoint::{fixpoint, fixpoint_in, FixpointMode, FixpointStats};
 pub use stratify::stratify;
 

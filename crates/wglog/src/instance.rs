@@ -13,6 +13,7 @@
 //!   referencing attribute's name.
 
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use gql_ssdm::document::NodeKind;
@@ -71,6 +72,48 @@ pub struct Edge {
     pub to: ObjId,
 }
 
+/// The hasher of the maps keyed by object ids and interned label ids: a
+/// multiply per word and a rotate at the end. Those keys are numbered by
+/// the instance itself, never chosen by whoever uploaded the data, so they
+/// need none of SipHash's resistance to chosen keys; the maps keyed by
+/// names from the document (`labels`, `by_type`) keep it.
+#[derive(Default)]
+struct IntHasher(u64);
+
+impl Hasher for IntHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    // The product's best-mixed bits are its high ones; the table reads its
+    // bucket from the low ones.
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
+type IntSet<K> = HashSet<K, BuildHasherDefault<IntHasher>>;
+
+/// An edge label resolved against both layers of one [`Instance`]: its
+/// interned id in the base and in the delta, `None` where that layer has no
+/// edge so labelled. [`Instance::label_key`] hashes the string once; the
+/// `*_key` probes then hash integers only. A key is valid until the next
+/// edge is added to the instance, which may intern the label in the delta.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LabelKey {
+    base: Option<u32>,
+    delta: Option<u32>,
+}
+
 /// One layer of an [`Instance`]: a self-contained graph store whose own
 /// objects are numbered from `first_obj` and whose edges may also touch
 /// the objects numbered beneath that.
@@ -79,8 +122,8 @@ pub struct Edge {
 /// is kept *label-indexed*: `(object, label) → successors/predecessors`.
 /// The fixpoint joins of the Datalog evaluator and the backtracking
 /// embedding search probe edges by `(object, label)` on their innermost
-/// loops, so those probes are hash lookups instead of linear scans with
-/// string compares.
+/// loops, so those probes are hash lookups of integers instead of linear
+/// scans with string compares.
 #[derive(Debug, Clone, Default)]
 struct Layer {
     /// Id of this layer's first object: 0 for a base, the base's object
@@ -95,19 +138,19 @@ struct Layer {
     inc: Vec<Vec<usize>>,
     /// The same two for the objects beneath `first_obj`, sparse because a
     /// run touches few of them. Always empty in a base.
-    out_beneath: HashMap<ObjId, Vec<usize>>,
-    inc_beneath: HashMap<ObjId, Vec<usize>>,
+    out_beneath: IntMap<ObjId, Vec<usize>>,
+    inc_beneath: IntMap<ObjId, Vec<usize>>,
     /// Type index: type name → object ids.
     by_type: HashMap<String, Vec<ObjId>>,
     /// Interned edge labels (ids are local to the layer).
     labels: HashMap<String, u32>,
     /// Labelled adjacency: `(from, label) → successors`, insertion order.
-    succ: HashMap<(ObjId, u32), Vec<ObjId>>,
+    succ: IntMap<(ObjId, u32), Vec<ObjId>>,
     /// Labelled reverse adjacency: `(to, label) → predecessors`.
-    pred: HashMap<(ObjId, u32), Vec<ObjId>>,
+    pred: IntMap<(ObjId, u32), Vec<ObjId>>,
     /// Fast duplicate check for edges, keyed on interned label ids so a
     /// probe allocates nothing.
-    edge_set: HashSet<(ObjId, u32, ObjId)>,
+    edge_set: IntSet<(ObjId, u32, ObjId)>,
 }
 
 impl Layer {
@@ -177,22 +220,18 @@ impl Layer {
             .map(move |&i| &self.edges[i])
     }
 
-    fn has_edge(&self, from: ObjId, label: &str, to: ObjId) -> bool {
-        self.labels
-            .get(label)
-            .is_some_and(|&lid| self.edge_set.contains(&(from, lid, to)))
+    fn label_id(&self, label: &str) -> Option<u32> {
+        self.labels.get(label).copied()
     }
 
-    /// `obj`'s neighbours over `label` in one of the labelled adjacencies.
-    fn via<'a>(
-        &'a self,
-        adjacency: &'a HashMap<(ObjId, u32), Vec<ObjId>>,
-        obj: ObjId,
-        label: &str,
-    ) -> &'a [ObjId] {
-        self.labels
-            .get(label)
-            .and_then(|&lid| adjacency.get(&(obj, lid)))
+    fn has_edge(&self, from: ObjId, lid: Option<u32>, to: ObjId) -> bool {
+        lid.is_some_and(|lid| self.edge_set.contains(&(from, lid, to)))
+    }
+
+    /// `obj`'s neighbours over label `lid` in one of the labelled
+    /// adjacencies.
+    fn via(adjacency: &IntMap<(ObjId, u32), Vec<ObjId>>, obj: ObjId, lid: Option<u32>) -> &[ObjId] {
+        lid.and_then(|lid| adjacency.get(&(obj, lid)))
             .map_or(&[], Vec::as_slice)
     }
 
@@ -232,7 +271,8 @@ impl Instance {
 
     /// Add an edge if not already present; returns whether it was new.
     pub fn add_edge(&mut self, from: ObjId, label: &str, to: ObjId) -> bool {
-        !self.base.has_edge(from, label, to) && self.delta.add_edge(from, label, to)
+        !self.base.has_edge(from, self.base.label_id(label), to)
+            && self.delta.add_edge(from, label, to)
     }
 
     /// Append an attribute value to an object. The overlay cannot express
@@ -310,33 +350,32 @@ impl Instance {
             .chain(self.delta.incident(obj, false))
     }
 
-    /// Whether a specific edge exists: allocation-free set probes on the
-    /// interned-label key — this sits on the innermost loop of embedding
-    /// search.
-    pub fn has_edge(&self, from: ObjId, label: &str, to: ObjId) -> bool {
-        self.base.has_edge(from, label, to) || self.delta.has_edge(from, label, to)
+    /// `label` resolved against both layers, for the `*_key` probes.
+    pub fn label_key(&self, label: &str) -> LabelKey {
+        LabelKey {
+            base: self.base.label_id(label),
+            delta: self.delta.label_id(label),
+        }
+    }
+
+    /// Whether a specific edge exists: one integer set probe per layer —
+    /// this sits on the innermost loop of embedding search.
+    pub fn has_edge_key(&self, from: ObjId, key: LabelKey, to: ObjId) -> bool {
+        self.base.has_edge(from, key.base, to) || self.delta.has_edge(from, key.delta, to)
     }
 
     /// Successors over edges with a given label, in edge-insertion order
     /// (one lookup per layer in the labelled adjacency).
-    pub fn successors_via<'a>(
-        &'a self,
-        obj: ObjId,
-        label: &str,
-    ) -> impl Iterator<Item = ObjId> + 'a {
-        let base = self.base.via(&self.base.succ, obj, label);
-        let delta = self.delta.via(&self.delta.succ, obj, label);
+    pub fn successors_key(&self, obj: ObjId, key: LabelKey) -> impl Iterator<Item = ObjId> + '_ {
+        let base = Layer::via(&self.base.succ, obj, key.base);
+        let delta = Layer::via(&self.delta.succ, obj, key.delta);
         base.iter().chain(delta).copied()
     }
 
     /// Predecessors over edges with a given label, in edge-insertion order.
-    pub fn predecessors_via<'a>(
-        &'a self,
-        obj: ObjId,
-        label: &str,
-    ) -> impl Iterator<Item = ObjId> + 'a {
-        let base = self.base.via(&self.base.pred, obj, label);
-        let delta = self.delta.via(&self.delta.pred, obj, label);
+    pub fn predecessors_key(&self, obj: ObjId, key: LabelKey) -> impl Iterator<Item = ObjId> + '_ {
+        let base = Layer::via(&self.base.pred, obj, key.base);
+        let delta = Layer::via(&self.delta.pred, obj, key.delta);
         base.iter().chain(delta).copied()
     }
 
@@ -550,8 +589,8 @@ mod tests {
         let db = Instance::from_document(&guide());
         let r = db.objects_of_type("restaurant").next().unwrap();
         let m = db.objects_of_type("menu").next().unwrap();
-        assert!(db.has_edge(r, "menu", m));
-        assert_eq!(db.successors_via(r, "menu").count(), 1);
+        assert!(db.has_edge_key(r, db.label_key("menu"), m));
+        assert_eq!(db.successors_key(r, db.label_key("menu")).count(), 1);
     }
 
     #[test]
@@ -562,8 +601,8 @@ mod tests {
         let near = db.objects_of_type("near").next().unwrap();
         // <near ref='h1'/> is an object (it carries an attribute) with a
         // reference edge to the hotel.
-        assert!(db.has_edge(r, "near", near));
-        assert!(db.has_edge(near, "ref", h));
+        assert!(db.has_edge_key(r, db.label_key("near"), near));
+        assert!(db.has_edge_key(near, db.label_key("ref"), h));
     }
 
     #[test]
@@ -588,14 +627,16 @@ mod tests {
         db.add_edge(b, "y", c);
         assert_eq!(db.out_edges(a).count(), 2);
         assert_eq!(db.in_edges(c).count(), 2);
-        let via: Vec<ObjId> = db.successors_via(a, "x").collect();
+        let (x, y) = (db.label_key("x"), db.label_key("y"));
+        let via: Vec<ObjId> = db.successors_key(a, x).collect();
         assert_eq!(via, vec![b, c]);
-        let back: Vec<ObjId> = db.predecessors_via(c, "x").collect();
+        let back: Vec<ObjId> = db.predecessors_key(c, x).collect();
         assert_eq!(back, vec![a]);
-        let back: Vec<ObjId> = db.predecessors_via(c, "y").collect();
+        let back: Vec<ObjId> = db.predecessors_key(c, y).collect();
         assert_eq!(back, vec![b]);
-        assert_eq!(db.predecessors_via(a, "x").count(), 0);
-        assert_eq!(db.successors_via(a, "unknown-label").count(), 0);
+        assert_eq!(db.predecessors_key(a, x).count(), 0);
+        let unknown = db.label_key("unknown-label");
+        assert_eq!(db.successors_key(a, unknown).count(), 0);
     }
 
     #[test]
@@ -642,11 +683,12 @@ mod tests {
         // Reads see the base first, then the delta: insertion order.
         let out: Vec<&str> = work.out_edges(r).map(|e| e.label.as_str()).collect();
         assert_eq!(out, vec!["menu", "near", "near"]);
-        let near: Vec<ObjId> = work.successors_via(r, "near").collect();
+        let near: Vec<ObjId> = work.successors_key(r, work.label_key("near")).collect();
         assert_eq!(near.len(), 2);
         assert_eq!(near[1], h);
         assert_eq!(
-            work.predecessors_via(r, "member").collect::<Vec<_>>(),
+            work.predecessors_key(r, work.label_key("member"))
+                .collect::<Vec<_>>(),
             [list]
         );
         assert_eq!(work.in_edges(r).count(), 2); // guide -restaurant->, list -member->
@@ -659,7 +701,7 @@ mod tests {
 
         // The original saw none of it.
         assert_eq!((db.object_count(), db.edge_count()), (objects, edges));
-        assert!(!db.has_edge(r, "near", h));
+        assert!(!db.has_edge_key(r, db.label_key("near"), h));
         assert_eq!(db.objects_of_type("list").count(), 0);
         drop(work);
         assert_eq!(db.base_holders(), 1);

@@ -8,6 +8,7 @@
 use std::fmt;
 
 use gql_ssdm::diag::{Code, Diagnostic};
+use gql_ssdm::value::parse_number;
 pub use gql_ssdm::Span;
 
 use crate::{Result, WgLogError};
@@ -59,8 +60,14 @@ pub struct Constraint {
 
 impl Constraint {
     pub fn holds(&self, obj: &crate::instance::Object) -> bool {
+        self.holds_parsed(obj, parse_number(&self.value))
+    }
+
+    /// [`holds`](Constraint::holds) given the constant's [`parse_number`],
+    /// parsed once by whoever tests one constraint against many objects.
+    pub fn holds_parsed(&self, obj: &crate::instance::Object, constant: Option<f64>) -> bool {
         obj.attr_values(&self.attr)
-            .any(|v| self.op.eval(v, &self.value))
+            .any(|v| (self.op).eval_parsed((v, parse_number(v)), (&self.value, constant)))
     }
 }
 
