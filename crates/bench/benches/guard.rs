@@ -71,7 +71,7 @@ fn bench_guard_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("guard");
     group.sample_size(30);
 
-    let governed = |ctx: RunCtx<'_>| match_rule_in(&rule, &doc, Some(&idx), None, ctx);
+    let governed = |ctx: RunCtx<'_>| match_rule_in(&rule, &doc, &idx, None, ctx);
     let disabled = group.bench_function("join_indexed/disabled_guard", |b| {
         b.iter(|| governed(RunCtx::none()))
     });

@@ -1,34 +1,29 @@
-//! Indexed vs. scan evaluation: the [`gql_ssdm::DocIndex`] fast path.
+//! The [`gql_ssdm::DocIndex`] fast path: what the index costs to build, and
+//! what XML-GL matching over it costs.
 //!
 //! The dataset grows a large `archive` filler section around small,
-//! fixed-rate join sections, so whole-document scans pay O(document) per
-//! extract root while postings lookups pay O(matches). Two comparisons,
-//! per document scale:
+//! fixed-rate join sections, so the postings a query reads stay small while
+//! the document grows. Per document scale:
 //!
+//! * **index build** — one `DocIndex::build`;
 //! * **root matching** — candidates for a named extract root from tag
-//!   postings vs. a full-document walk;
-//! * **join keys** — a two-root node-valued (deep-equality) join. Both
-//!   paths compare content the same way, hashing each bound subtree once
-//!   per run; the scan row also pays scan-side candidate enumeration: it is
-//!   the whole unindexed path, which is what the resident-index
-//!   configuration replaces. The row names (`join_scan_string`,
-//!   `join_indexed_hashed`) predate that and stay for the ledger.
-//!
-//! The `join_speedup` metric (scan mean / indexed mean) is the acceptance
-//! figure recorded in `BENCH_results.json`.
+//!   postings;
+//! * **join keys** — a two-root node-valued (deep-equality) join, hashing
+//!   each bound subtree once per run. The row name (`join_indexed_hashed`)
+//!   stays for the ledger.
 
 use gql_bench::microbench::{BenchmarkId, Criterion, Throughput};
 use gql_bench::{criterion_group, criterion_main};
 use gql_ssdm::{DocIndex, Document};
 use gql_xmlgl::builder::{RuleBuilder, C, Q};
-use gql_xmlgl::eval::{match_rule_scan, match_rule_with, MatchMode};
+use gql_xmlgl::eval::{match_rule_with, MatchMode};
 
 /// `scale` products (each `<product><vendor>…</vendor></product>`, the
 /// first eight of which match a directory vendor by deep-equal `<vendor>`
 /// subtree), eight directory vendors, and `50 * scale` filler entries that
-/// only the scan path has to look at. The join is selective (eight result
-/// rows at every scale) so the measured difference is candidate
-/// enumeration and key computation, not shared result construction.
+/// no postings list the queries read holds. The join is selective (eight
+/// result rows at every scale), so what is measured is candidate
+/// enumeration and key computation, not result construction.
 fn dataset(scale: usize) -> Document {
     let mut doc = Document::new();
     let root = doc.add_element(doc.root(), "catalog");
@@ -89,33 +84,20 @@ fn bench_indexed_fastpath(c: &mut Criterion) {
         let idx = DocIndex::build(&doc);
         group.throughput(Throughput::Elements(doc.live_node_count() as u64));
 
-        // Sanity: both paths agree before being timed against each other.
-        assert_eq!(
-            match_rule_with(&join, &doc, &idx, MatchMode::Auto),
-            match_rule_scan(&join, &doc)
-        );
+        // Sanity: the join is as selective as the dataset says.
+        assert_eq!(match_rule_with(&join, &doc, &idx, MatchMode::Auto).len(), 8);
 
         group.bench_with_input(BenchmarkId::new("index_build", scale), &doc, |b, doc| {
             b.iter(|| DocIndex::build(doc))
         });
-        group.bench_with_input(BenchmarkId::new("root_scan", scale), &doc, |b, doc| {
-            b.iter(|| match_rule_scan(&root, doc))
-        });
         group.bench_with_input(BenchmarkId::new("root_indexed", scale), &doc, |b, doc| {
             b.iter(|| match_rule_with(&root, doc, &idx, MatchMode::Auto))
         });
-        let scan = group.bench_with_input(
-            BenchmarkId::new("join_scan_string", scale),
-            &doc,
-            |b, doc| b.iter(|| match_rule_scan(&join, doc)),
-        );
-        let indexed = group.bench_with_input(
+        group.bench_with_input(
             BenchmarkId::new("join_indexed_hashed", scale),
             &doc,
             |b, doc| b.iter(|| match_rule_with(&join, doc, &idx, MatchMode::Auto)),
         );
-        let ratio = scan.as_nanos() as f64 / indexed.as_nanos().max(1) as f64;
-        group.record_metric(BenchmarkId::new("join_speedup", scale), ratio, "x");
     }
     group.finish();
 }

@@ -46,7 +46,7 @@ fn bench_join(c: &mut Criterion) {
                 run_in(
                     &program,
                     doc,
-                    Some(&idx),
+                    &idx,
                     &MatchPlans::none(),
                     RunCtx::none(),
                     &mut DocSink::new(&mut out),

@@ -67,7 +67,7 @@ fn bench_q6(c: &mut Criterion) {
         let cost_order = gql_plan::plan_rule_order(rule, &inference.root_bounds[0])
             .expect("Q6 has a reorderable multi-root extract");
         let matched = |doc: &gql_ssdm::Document, order: Option<&[usize]>| {
-            match_rule_in(rule, doc, Some(&idx), order, RunCtx::none())
+            match_rule_in(rule, doc, &idx, order, RunCtx::none())
         };
         assert_eq!(
             matched(&doc, None),

@@ -116,7 +116,7 @@ fn bench_tracing_overhead(c: &mut Criterion) {
         b.iter(|| {
             log.record(|trace| {
                 let ctx = RunCtx::traced(trace);
-                match_rule_in(&rule, &doc, Some(&idx), None, ctx)
+                match_rule_in(&rule, &doc, &idx, None, ctx)
             })
         })
     });

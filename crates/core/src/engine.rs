@@ -299,23 +299,24 @@ impl Engine {
         }
     }
 
-    /// Resolve the [`DocIndex`] for a tree-native run: the `resident` index
-    /// on a cache hit, otherwise a fresh build parked in `storage`. Returns
-    /// `None` — the scan-evaluation degradation target — when the
-    /// fault-injection seam fails the build outright, or when it corrupts
-    /// the fresh build's postings and the integrity check rejects them. The
-    /// integrity verification is O(index size), so it is only armed while a
-    /// fault plan is active; a `degraded: scan` trace note records either
-    /// fallback.
+    /// Resolve the [`DocIndex`] for an XML-GL run: the `resident` index on a
+    /// cache hit, otherwise a fresh build parked in `storage`. XML-GL
+    /// evaluates over the index only, so the run is refused with
+    /// [`CoreError::IndexUnavailable`] when the fault-injection seam fails
+    /// the build outright, or corrupts the fresh build's postings and the
+    /// integrity check rejects them. It does not rebuild: the plan stays
+    /// installed for the whole run, so a rebuild fails alike. The integrity
+    /// verification is O(index size), so it is only armed while a fault
+    /// plan is active.
     fn resolve_index<'a>(
         resident: Option<&'a Resident>,
         doc: &Document,
-        trace: &Trace,
         storage: &'a mut Option<DocIndex>,
-    ) -> Option<&'a DocIndex> {
+    ) -> Result<&'a DocIndex> {
         if fault::active() && fault::fail_index_build() {
-            trace.note("degraded", "scan");
-            return None;
+            return Err(CoreError::IndexUnavailable {
+                reason: "the index build failed",
+            });
         }
         let idx: &'a DocIndex = match resident {
             Some(resident) => &resident.index,
@@ -328,10 +329,11 @@ impl Engine {
             }
         };
         if fault::active() && !idx.is_intact() {
-            trace.note("degraded", "scan");
-            return None;
+            return Err(CoreError::IndexUnavailable {
+                reason: "the index failed its integrity check",
+            });
         }
-        Some(idx)
+        Ok(idx)
     }
 
     /// Run a query against a document.
@@ -540,8 +542,8 @@ impl Engine {
                 let mut built = None;
                 let span = ctx.phase("index");
                 trace.note("cache", self.cache_state(resident.is_some()));
-                let idx = Self::resolve_index(resident, doc, trace, &mut built);
-                if let (true, Some(idx)) = (trace.is_enabled(), idx) {
+                let idx = Self::resolve_index(resident, doc, &mut built)?;
+                if trace.is_enabled() {
                     record_index_stats(trace, idx);
                 }
                 drop(span);
@@ -1086,38 +1088,67 @@ mod tests {
         assert_eq!(g.kind.name(), "cancelled");
     }
 
+    /// The two faults that leave a run without an index: a failed build,
+    /// and corrupt postings the integrity check rejects.
+    fn index_faults() -> [fault::FaultPlan; 2] {
+        [
+            fault::FaultPlan::fail_index_build(),
+            fault::FaultPlan::corrupt_postings(),
+        ]
+    }
+
+    /// A profiled run of `q` under `plan`, on a fresh engine.
+    fn faulted(
+        plan: fault::FaultPlan,
+        q: &QueryKind,
+        d: &Document,
+    ) -> (Result<RunOutcome>, Option<ExecutionProfile>) {
+        fault::with_plan(plan, || {
+            let trace = Trace::profiling();
+            let out = Engine::new().execute(q, d, RunCtx::traced(&trace));
+            (out, trace.finish())
+        })
+    }
+
     #[test]
-    fn failed_index_build_degrades_to_scan_with_identical_answers() {
+    fn index_faults_degrade_xpath_to_a_scan_with_identical_answers() {
         let d = doc();
-        let engine = Engine::new();
-        for q in equivalent_queries() {
-            let baseline = engine.run(&q, &d).unwrap().output.to_xml_string();
-            let degraded = fault::with_plan(fault::FaultPlan::fail_index_build(), || {
-                let trace = Trace::profiling();
-                let out = engine.execute(&q, &d, RunCtx::traced(&trace)).unwrap();
-                (out.output.to_xml_string(), trace.finish().unwrap())
-            });
-            assert_eq!(baseline, degraded.0, "scan fallback changed {q:?}");
-            if !matches!(q, QueryKind::WgLog(_)) {
-                let idx = degraded.1.find("run").unwrap().find("index").unwrap();
-                assert_eq!(idx.note("degraded"), Some("scan"), "{q:?}");
-            }
+        let q = equivalent_queries().remove(2);
+        let baseline = Engine::new().run(&q, &d).unwrap().output.to_xml_string();
+        for plan in index_faults() {
+            let (out, profile) = faulted(plan.clone(), &q, &d);
+            assert_eq!(out.unwrap().output.to_xml_string(), baseline, "{plan:?}");
+            let profile = profile.unwrap();
+            let idx = profile.find("run").unwrap().find("index").unwrap();
+            assert_eq!(idx.note("degraded"), Some("scan"), "{plan:?}");
         }
     }
 
     #[test]
-    fn corrupt_postings_are_rejected_and_fall_back_to_scan() {
+    fn index_faults_refuse_xmlgl_by_name() {
         let d = doc();
-        let engine = Engine::new();
-        for q in equivalent_queries() {
-            let baseline = engine.run(&q, &d).unwrap().output.to_xml_string();
-            let degraded = fault::with_plan(fault::FaultPlan::corrupt_postings(), || {
-                engine.run(&q, &d).unwrap().output.to_xml_string()
-            });
+        let q = equivalent_queries().remove(0);
+        for (plan, reason) in index_faults().into_iter().zip([
+            "the index build failed",
+            "the index failed its integrity check",
+        ]) {
+            let (out, _) = faulted(plan.clone(), &q, &d);
             assert_eq!(
-                baseline, degraded,
-                "corrupt-postings fallback changed {q:?}"
+                out.unwrap_err(),
+                CoreError::IndexUnavailable { reason },
+                "{plan:?}"
             );
+        }
+    }
+
+    #[test]
+    fn index_faults_leave_wglog_unaffected() {
+        let d = doc();
+        let q = equivalent_queries().remove(1);
+        let baseline = Engine::new().run(&q, &d).unwrap().output.to_xml_string();
+        for plan in index_faults() {
+            let (out, _) = faulted(plan.clone(), &q, &d);
+            assert_eq!(out.unwrap().output.to_xml_string(), baseline, "{plan:?}");
         }
     }
 

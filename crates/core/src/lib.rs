@@ -48,6 +48,10 @@ pub enum CoreError {
     /// ([`Engine::execute`] under a guard); carries the structured partial-progress
     /// report instead of a wrong or truncated answer.
     Budget(gql_guard::GuardError),
+    /// XML-GL evaluates over the document's index only, and none could be
+    /// had: its build failed, or the built postings failed their integrity
+    /// check. A refusal, never an answer computed some other way.
+    IndexUnavailable { reason: &'static str },
 }
 
 impl std::fmt::Display for CoreError {
@@ -70,6 +74,9 @@ impl std::fmt::Display for CoreError {
                 Ok(())
             }
             CoreError::Budget(e) => write!(f, "{e}"),
+            CoreError::IndexUnavailable { reason } => {
+                write!(f, "document index unavailable: {reason}")
+            }
         }
     }
 }

@@ -181,14 +181,8 @@ fn the_matcher_allocates_per_rule_not_per_candidate() {
                 let mut rows = 0;
                 let count = allocations(|| {
                     let ctx = RunCtx::none();
-                    rows = gql_xmlgl::eval::match_rule_in(
-                        &program.rules[0],
-                        doc,
-                        Some(idx),
-                        None,
-                        ctx,
-                    )
-                    .len();
+                    rows = gql_xmlgl::eval::match_rule_in(&program.rules[0], doc, idx, None, ctx)
+                        .len();
                 });
                 assert!(
                     rows >= scale / 8,

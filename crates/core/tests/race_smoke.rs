@@ -15,7 +15,7 @@ use gql_core::{Engine, QueryKind};
 use gql_guard::{Budget, CancelToken, Guard, RunCtx};
 use gql_ssdm::{generator, DocIndex};
 use gql_xmlgl::ast::Rule;
-use gql_xmlgl::eval::{match_rule_in, match_rule_scan, match_rule_with, MatchMode};
+use gql_xmlgl::eval::{match_rule_in, match_rule_with, MatchMode};
 
 fn join_rule() -> Rule {
     gql_xmlgl::dsl::parse(
@@ -29,20 +29,20 @@ fn join_rule() -> Rule {
 
 /// Eight threads each run the (single-threaded) matcher over one shared
 /// document and index, as service workers do over the catalog's
-/// `Arc<Dataset>`.
+/// `Arc<Dataset>`, and each run equals one serial run.
 #[test]
-fn shared_document_and_index_match_like_scan_under_thread_storm() {
+fn shared_document_and_index_match_like_a_serial_run_under_thread_storm() {
     let doc = generator::cityguide(Default::default());
     let idx = DocIndex::build(&doc);
     let rule = join_rule();
-    let baseline = match_rule_scan(&rule, &doc);
+    let baseline = match_rule_with(&rule, &doc, &idx, MatchMode::Auto);
     assert!(!baseline.is_empty(), "storm baseline must not be vacuous");
     thread::scope(|s| {
         for _ in 0..8 {
             s.spawn(|| {
                 for _ in 0..16 {
                     let got = match_rule_with(&rule, &doc, &idx, MatchMode::Auto);
-                    assert!(got == baseline, "indexed bindings diverged from scan");
+                    assert!(got == baseline, "bindings diverged from the serial run");
                 }
             });
         }
@@ -148,7 +148,7 @@ fn cancellation_mid_match_is_clean() {
     let doc = generator::cityguide(Default::default());
     let idx = DocIndex::build(&doc);
     let rule = join_rule();
-    let baseline = match_rule_scan(&rule, &doc);
+    let baseline = match_rule_with(&rule, &doc, &idx, MatchMode::Auto);
     // Cancel at increasing delays: from "before the run starts" to "long
     // after it finished". Every variant must return without panicking or
     // deadlocking, and can only ever see a truncated result.
@@ -162,7 +162,7 @@ fn cancellation_mid_match_is_clean() {
                 canceller.cancel();
             });
             let ctx = RunCtx::guarded(&guard);
-            match_rule_in(&rule, &doc, Some(&idx), None, ctx)
+            match_rule_in(&rule, &doc, &idx, None, ctx)
         });
         assert!(
             got.len() <= baseline.len(),

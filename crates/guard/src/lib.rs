@@ -550,19 +550,24 @@ pub mod fault {
     //! are serialized by a lock so concurrent tests don't interleave
     //! plans). The engines consult the cheap [`active`] flag first — a
     //! single relaxed atomic load — so production runs with no plan pay
-    //! one branch per seam.
+    //! one branch per seam. The two index seams fire only on the thread
+    //! that installed the plan: without its index an XML-GL run is refused,
+    //! so a plan reaching a run on another thread (a concurrent test) would
+    //! change that run's outcome.
 
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{Mutex, MutexGuard, OnceLock};
+    use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+    use std::thread::{self, ThreadId};
 
     /// Which faults to inject. All default off.
     #[derive(Debug, Clone, Default, PartialEq, Eq)]
     pub struct FaultPlan {
-        /// The engine's index build "fails": it must fall back to scan
-        /// mode.
+        /// The engine's index build "fails": XPath must fall back to scan
+        /// mode, XML-GL must refuse the run by name.
         pub fail_index_build: bool,
         /// A freshly built posting list is corrupted; integrity
-        /// verification must catch it and fall back to scan mode.
+        /// verification must catch it, and the engine answers as under
+        /// `fail_index_build`.
         pub corrupt_postings: bool,
         /// The fixpoint stalls (sleeps [`FaultPlan::stall_ms`]) at the
         /// start of every round `>= M`; a deadline budget must trip.
@@ -651,6 +656,12 @@ pub mod fault {
         SLOT.get_or_init(|| Mutex::new(FaultPlan::default()))
     }
 
+    /// The thread that installed the current plan.
+    fn installer() -> &'static Mutex<Option<ThreadId>> {
+        static INSTALLER: Mutex<Option<ThreadId>> = Mutex::new(None);
+        &INSTALLER
+    }
+
     fn exclusion() -> &'static Mutex<()> {
         static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
         LOCK.get_or_init(|| Mutex::new(()))
@@ -685,6 +696,7 @@ pub mod fault {
         impl Drop for Reset {
             fn drop(&mut self) {
                 ACTIVE.store(false, Ordering::Relaxed);
+                *installer().lock().unwrap_or_else(PoisonError::into_inner) = None;
                 match plan_slot().lock() {
                     Ok(mut p) => *p = FaultPlan::default(),
                     Err(poisoned) => *poisoned.into_inner() = FaultPlan::default(),
@@ -692,6 +704,7 @@ pub mod fault {
             }
         }
         *plan_slot().lock().unwrap() = plan;
+        *installer().lock().unwrap_or_else(PoisonError::into_inner) = Some(thread::current().id());
         ACTIVE.store(true, Ordering::Relaxed);
         let _reset = Reset;
         f()
@@ -704,16 +717,23 @@ pub mod fault {
         }
     }
 
-    /// Seam: should the index build be treated as failed?
-    #[inline]
-    pub fn fail_index_build() -> bool {
-        active() && installed().fail_index_build
+    /// Did this thread install the current plan?
+    fn installed_here() -> bool {
+        *installer().lock().unwrap_or_else(PoisonError::into_inner) == Some(thread::current().id())
     }
 
-    /// Seam: should the freshly built posting lists be corrupted?
+    /// Seam: should the index build be treated as failed? Only on the
+    /// thread that installed the plan.
+    #[inline]
+    pub fn fail_index_build() -> bool {
+        active() && installed_here() && installed().fail_index_build
+    }
+
+    /// Seam: should the freshly built posting lists be corrupted? Only on
+    /// the thread that installed the plan.
     #[inline]
     pub fn corrupt_postings() -> bool {
-        active() && installed().corrupt_postings
+        active() && installed_here() && installed().corrupt_postings
     }
 
     /// Seam: should the cached plan entry about to be served be corrupted
@@ -907,6 +927,16 @@ mod tests {
         fault::while_idle(|| {
             assert!(!fault::active());
             assert!(!fault::fail_index_build());
+        });
+    }
+
+    #[test]
+    fn index_faults_fire_only_on_the_installing_thread() {
+        fault::with_plan(fault::FaultPlan::corrupt_postings(), || {
+            assert!(fault::corrupt_postings());
+            std::thread::scope(|s| {
+                s.spawn(|| assert!(fault::active() && !fault::corrupt_postings()));
+            });
         });
     }
 

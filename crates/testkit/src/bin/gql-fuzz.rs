@@ -321,8 +321,12 @@ fn cmd_faults(args: &[String]) -> ExitCode {
     }
     println!("fault sweep: {seeds} seed(s) from {start_seed}, every plan × generator");
     match run_fault_matrix(start_seed, seeds, &budget) {
-        Ok(executed) => {
-            println!("{executed} (seed, generator, plan) cells executed, all degraded cleanly");
+        Ok(tally) => {
+            println!(
+                "{} (seed, generator, plan) cells executed: {} faulted run(s) answered \
+                 with the baseline's bytes, {} XML-GL run(s) refused for want of an index",
+                tally.cells, tally.degraded, tally.refused
+            );
             ExitCode::SUCCESS
         }
         Err(msg) => {

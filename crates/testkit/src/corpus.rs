@@ -10,7 +10,7 @@
 //! ```text
 //! # free-form comment lines
 //! kind: xmlgl
-//! oracle: indexed-vs-scan
+//! oracle: table-vs-reference
 //! seed: 42
 //! query: rule { extract { a as $x } construct { out { all $x } } }
 //! doc: <r><a/></r>
@@ -252,7 +252,7 @@ mod tests {
     fn parse_render_roundtrip() {
         let case = CorpusCase {
             kind: "xmlgl".into(),
-            oracle: "indexed-vs-scan".into(),
+            oracle: "table-vs-reference".into(),
             seed: Some(42),
             query: "rule { extract { a as $x } construct { out { all $x } } }".into(),
             doc: "<r><a/></r>".into(),

@@ -2,18 +2,22 @@
 //!
 //! Every [`FaultPlan`] variant is driven against every case generator and
 //! checked against one invariant — an injected fault may **never** produce a
-//! wrong answer, a hang, or a process abort. The two acceptable outcomes
-//! are:
+//! wrong answer, a hang, or a process abort. The acceptable outcomes are:
 //!
 //! 1. *graceful degradation*: the faulted bounded run returns exactly the
-//!    bytes of the unfaulted baseline (index build failed → scan mode
-//!    answered), or
+//!    bytes of the unfaulted baseline (XPath without its index answers from
+//!    a scan, a corrupt cached plan is replanned, WG-Log reads no index);
 //! 2. *clean refusal*: the faulted run surfaces a structured
 //!    [`CoreError::Budget`] whose partial-progress report names the phase
-//!    reached (a stalled fixpoint tripping its deadline, a cancelled run).
+//!    reached (a stalled fixpoint tripping its deadline, a cancelled run);
+//! 3. *refusal by name*: an XML-GL run, which evaluates over the index only,
+//!    returns [`CoreError::IndexUnavailable`] under `fail_index_build` or
+//!    `corrupt_postings` — and only where its baseline answered or failed in
+//!    evaluation. Anywhere else that error is a failure.
 //!
 //! Baseline errors (analyzer-rejected programs, syntax errors) must stay
-//! errors under fault — a fault may not *un*-reject a program.
+//! errors under fault — a fault may not *un*-reject a program, and a
+//! rejected program stays rejected: analysis runs before the index phase.
 
 use std::time::Duration;
 
@@ -66,15 +70,28 @@ pub fn query_kinds(generator: Generator, query: &str) -> Vec<QueryKind> {
     }
 }
 
+/// What a fault sweep saw: the `(seed, generator, plan)` cells it ran, the
+/// faulted runs that answered with their baseline's exact bytes, and the
+/// XML-GL runs refused by name for want of an index.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct FaultTally {
+    pub cells: u64,
+    pub degraded: u64,
+    pub refused: u64,
+}
+
 /// Check one `(document, query, fault, budget)` case: run the unfaulted,
 /// unlimited baseline, then the same query bounded by `budget` with `plan`
-/// installed, and demand degradation-to-correct or a clean budget error.
+/// installed, and demand degradation-to-correct, a clean budget error, or a
+/// refusal by name where one is allowed. Answers and refusals are counted
+/// into `tally`.
 pub fn check_fault_case(
     generator: Generator,
     doc_xml: &str,
     query: &str,
     plan: &FaultPlan,
     budget: &Budget,
+    tally: &mut FaultTally,
 ) -> Result<(), String> {
     let Some(doc) = oracle::normalize(doc_xml) else {
         return Ok(());
@@ -85,6 +102,8 @@ pub fn check_fault_case(
             let guard = Guard::new(budget.clone());
             Engine::new().execute(&kind, &doc, RunCtx::guarded(&guard))
         });
+        let refusable =
+            (plan.fail_index_build || plan.corrupt_postings) && matches!(kind, QueryKind::XmlGl(_));
         match (baseline, faulted) {
             (Ok(b), Ok(f)) => {
                 let (b, f) = (b.output.to_xml_string(), f.output.to_xml_string());
@@ -93,6 +112,7 @@ pub fn check_fault_case(
                         "fault-degradation: {plan:?} changed the answer\nbaseline: {b}\nfaulted:  {f}"
                     ));
                 }
+                tally.degraded += 1;
             }
             (_, Err(CoreError::Budget(g))) => {
                 // A clean structured refusal: the report must be
@@ -102,6 +122,18 @@ pub fn check_fault_case(
                         "fault-refusal: {plan:?} produced a degenerate budget report: {g}"
                     ));
                 }
+            }
+            (Ok(_) | Err(CoreError::Engine { .. }), Err(CoreError::IndexUnavailable { .. }))
+                if refusable =>
+            {
+                tally.refused += 1;
+            }
+            (be, Err(fe @ CoreError::IndexUnavailable { .. })) => {
+                return Err(format!(
+                    "fault-refusal: {plan:?} refused a run it may not refuse: {fe} \
+                     (baseline ok: {})",
+                    be.is_ok()
+                ));
             }
             (Err(be), Err(fe)) => {
                 if format!("{be}") != format!("{fe}") {
@@ -127,23 +159,26 @@ pub fn check_fault_case(
 }
 
 /// Seeded sweep: `seeds` consecutive seeds × every generator × every
-/// [`all_plans`] variant, each under `budget`. Returns the number of
-/// `(seed, generator, plan)` cells executed, or the first violation with
-/// enough context to replay it.
-pub fn run_fault_matrix(start_seed: u64, seeds: u64, budget: &Budget) -> Result<u64, String> {
-    let mut executed = 0u64;
+/// [`all_plans`] variant, each under `budget`. Returns what the sweep saw,
+/// or the first violation with enough context to replay it.
+pub fn run_fault_matrix(
+    start_seed: u64,
+    seeds: u64,
+    budget: &Budget,
+) -> Result<FaultTally, String> {
+    let mut tally = FaultTally::default();
     for seed in start_seed..start_seed.saturating_add(seeds) {
         for g in Generator::ALL {
             let (doc, query) = case_inputs(g, seed);
             for plan in all_plans() {
-                check_fault_case(g, &doc, &query, &plan, budget).map_err(|msg| {
+                check_fault_case(g, &doc, &query, &plan, budget, &mut tally).map_err(|msg| {
                     format!("generator {} seed {seed} plan {plan:?}: {msg}", g.name())
                 })?;
-                executed += 1;
+                tally.cells += 1;
             }
         }
     }
-    Ok(executed)
+    Ok(tally)
 }
 
 /// The budget the CI fault-injection smoke step uses: generous enough that
@@ -160,11 +195,15 @@ mod tests {
 
     #[test]
     fn fault_matrix_small_sweep_is_clean() {
-        let executed = run_fault_matrix(0, 4, &smoke_budget()).unwrap();
+        let tally = run_fault_matrix(0, 4, &smoke_budget()).unwrap();
         assert_eq!(
-            executed,
+            tally.cells,
             4 * Generator::ALL.len() as u64 * all_plans().len() as u64
         );
+        // Neither outcome is vacuous: some runs answer under a fault, and
+        // some XML-GL runs are refused for want of an index.
+        assert!(tally.degraded > 0, "{tally:?}");
+        assert!(tally.refused > 0, "{tally:?}");
     }
 
     #[test]

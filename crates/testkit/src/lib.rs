@@ -22,14 +22,15 @@
 //!   binding table replaced, with nested-loop joins over content-key
 //!   strings. It shares nothing with the matcher it is held against.
 //! * [`oracle`] — differential oracles over every dual execution path
-//!   (indexed vs scan, semi-naive vs naive fixpoint, prebuilt vs lazy
+//!   (matcher vs reference, semi-naive vs naive fixpoint, prebuilt vs lazy
 //!   index, translated vs direct) plus
 //!   metamorphic properties (print→parse round-trips, re-serialization
 //!   invariance, prune monotonicity).
 //! * [`fault`] — fault-injection differential oracles: every
 //!   [`FaultPlan`](gql_guard::fault::FaultPlan) variant driven against
 //!   every generator, proving injected faults degrade to the correct
-//!   answer or surface a clean budget error — never a wrong answer.
+//!   answer, surface a clean budget error, or (XML-GL without an index)
+//!   refuse by name — never a wrong answer.
 //! * [`shrink`] — greedy delta-debugging that minimizes both the failing
 //!   document and the failing query.
 //! * [`fuzz`] — the budgeted runner behind the `gql-fuzz` binary.

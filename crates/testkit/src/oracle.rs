@@ -20,9 +20,7 @@ use gql_ssdm::{DocIndex, Document, Summary};
 use gql_trace::Trace;
 use gql_wglog::eval::FixpointMode;
 use gql_wglog::Instance;
-use gql_xmlgl::eval::{
-    construct_rule, distinct_cells, match_rule_scan, match_rule_with, MatchMode,
-};
+use gql_xmlgl::eval::{construct_rule, distinct_cells, match_rule, match_rule_with, MatchMode};
 use gql_xpath::{Item, XValue};
 
 use crate::generators::Intent;
@@ -425,9 +423,12 @@ pub fn check_xmlgl_case(doc: &Document, src: &str) -> Result<(), String> {
     let idx = DocIndex::build(doc);
     check_summary_paths(doc, &idx)?;
     let inf = gql_infer::infer_xmlgl(&program, &Summary::build(doc));
-    let mut scan_out = Document::new();
+    let mut constructed = Document::new();
     for (ri, rule) in program.rules.iter().enumerate() {
-        let scan = match_rule_scan(rule, doc);
+        let table = match_rule_with(rule, doc, &idx, MatchMode::Auto);
+        // The matcher against a walk that shares nothing with it.
+        crate::reference::check_table(rule, doc, &table)
+            .map_err(|e| format!("table-vs-reference: rule {ri}: {e}"))?;
         // Static inference soundness: a rule the summary proves empty has
         // no bindings, and the rule's binding count never exceeds its
         // inferred upper bound.
@@ -435,22 +436,10 @@ pub fn check_xmlgl_case(doc: &Document, src: &str) -> Result<(), String> {
             &format!("xmlgl rule {ri}"),
             inf.empty_rules.get(ri).copied().unwrap_or(false),
             inf.cards.result_bound(ri),
-            scan.len(),
+            table.len(),
         )?;
-        let got = match_rule_with(rule, doc, &idx, MatchMode::Auto);
-        if got != scan {
-            return Err(format!(
-                "indexed-vs-scan: rule {ri} bindings diverged ({} vs {})",
-                got.len(),
-                scan.len()
-            ));
-        }
-        // The one walk behind both of those, against one that shares
-        // nothing with it.
-        crate::reference::check_table(rule, doc, &got)
-            .map_err(|e| format!("table-vs-reference: rule {ri}: {e}"))?;
-        construct_rule(rule, doc, &scan, &mut scan_out)
-            .map_err(|e| format!("construct: scan-side construct failed: {e}"))?;
+        construct_rule(rule, doc, &table, &mut constructed)
+            .map_err(|e| format!("construct: rule-by-rule construct failed: {e}"))?;
     }
     let lazy = gql_xmlgl::eval::run(&program, doc)
         .map_err(|e| format!("run: lazy run failed after clean matching: {e}"))?;
@@ -459,7 +448,7 @@ pub fn check_xmlgl_case(doc: &Document, src: &str) -> Result<(), String> {
     gql_xmlgl::eval::run_in(
         &program,
         doc,
-        Some(&idx),
+        &idx,
         &gql_xmlgl::eval::MatchPlans::none(),
         RunCtx::none(),
         &mut XmlSink::new(&mut written),
@@ -468,8 +457,8 @@ pub fn check_xmlgl_case(doc: &Document, src: &str) -> Result<(), String> {
     if written != lazy.to_xml_string() {
         return Err("written-vs-built: the answer's bytes diverged from its document".into());
     }
-    if scan_out.to_xml_string() != lazy.to_xml_string() {
-        return Err("construct-vs-run: scan-constructed document diverged from run()".into());
+    if constructed.to_xml_string() != lazy.to_xml_string() {
+        return Err("construct-vs-run: rule-by-rule construct diverged from run()".into());
     }
     // Metamorphic: re-serialization invariance.
     let re = Document::parse_str(&doc.to_xml_string())
@@ -845,31 +834,24 @@ pub fn check_xpath_case(doc: &Document, src: &str) -> Result<(), String> {
 // Cross-engine intents: XML-GL vs XPath, plus prune monotonicity
 // ----------------------------------------------------------------------
 
-/// Count the intent on the XML-GL side (checking indexed against scan on
-/// the way — the intent doubles as another matcher-path case).
+/// Count the intent on the XML-GL side (holding its binding table to the
+/// reference on the way — the intent doubles as another matcher case).
 pub fn intent_xmlgl_count(doc: &Document, intent: &Intent) -> Result<usize, String> {
     let src = intent.xmlgl();
     let program = gql_xmlgl::dsl::parse(&src)
         .map_err(|e| format!("intent-xmlgl: intent rendering failed to parse: {e}\n{src}"))?;
     let rule = &program.rules[0];
-    let idx = DocIndex::build(doc);
-    let scan = match_rule_scan(rule, doc);
-    let fast = match_rule_with(rule, doc, &idx, MatchMode::Auto);
-    if fast != scan {
-        return Err(format!(
-            "indexed-vs-scan: intent '{intent}' bindings diverged ({} vs {})",
-            fast.len(),
-            scan.len()
-        ));
-    }
+    let table = match_rule(rule, doc);
+    crate::reference::check_table(rule, doc, &table)
+        .map_err(|e| format!("table-vs-reference: intent '{intent}': {e}"))?;
     if intent.distinct() {
         let q = rule
             .extract
             .by_var("x")
             .ok_or_else(|| format!("intent-xmlgl: $x not bound in {src}"))?;
-        Ok(distinct_cells(&scan, q).len())
+        Ok(distinct_cells(&table, q).len())
     } else {
-        Ok(scan.len())
+        Ok(table.len())
     }
 }
 

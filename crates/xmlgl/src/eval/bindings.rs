@@ -12,8 +12,7 @@
 //!
 //! Joins and `group by` compare cells by content (`Keys`): a circle by its
 //! text, a box by deep equality of its subtree — `gql_ssdm::index`'s
-//! [`subtree_hash`] to bucket, [`subtree_eq`] to verify, the same on the
-//! indexed and the scan path.
+//! [`subtree_hash`] to bucket, [`subtree_eq`] to verify.
 
 use std::borrow::Cow;
 use std::collections::HashMap;

@@ -1,12 +1,8 @@
 //! Embedding enumeration: matching the extract graph against a document.
 //!
-//! One walk, with or without an index. Given a [`DocIndex`] it draws root
-//! and deep-edge candidates from the postings lists (sliced to subtree
-//! intervals for asterisk edges); with `idx: None` ([`match_rule_scan`], the
-//! degradation target when an index build fails) it scans the document for
-//! candidates. Joins compare content the same way on both paths
-//! (`bindings::Keys`). The rows, their order, the guard's charges and the
-//! trace are the same either way.
+//! One walk over a [`DocIndex`]: root and deep-edge candidates come from the
+//! postings lists (sliced to subtree intervals for asterisk edges), and
+//! joins compare content through `bindings::Keys`.
 //!
 //! Rows are built in one arena used as a stack (see `match_node`): no
 //! per-candidate `Vec`, and no `String` — a value is the cell of the element
@@ -67,14 +63,13 @@ fn resolve_names(g: &ExtractGraph, doc: &Document) -> Vec<NameRes> {
         .collect()
 }
 
-/// Everything the recursive matching needs, borrowed once. With `idx: None`
-/// the scan fallbacks are used.
+/// Everything the recursive matching needs, borrowed once.
 struct Ctx<'a> {
     g: &'a ExtractGraph,
     doc: &'a Document,
     /// Cells per row of every table and of the arena.
     width: usize,
-    idx: Option<&'a DocIndex>,
+    idx: &'a DocIndex,
     names: Vec<NameRes>,
     /// Each query node's predicate constants, parsed once per rule.
     constants: Vec<Vec<Option<f64>>>,
@@ -104,14 +99,6 @@ impl Ctx<'_> {
         let predicate = &self.g.node(q).predicate;
         predicate.is_trivial() || predicate.eval_with(&self.constants[q.index()], &data())
     }
-
-    /// Position in document order, for comparing siblings.
-    fn order_key(&self, n: NodeId) -> u32 {
-        match self.idx {
-            Some(idx) => idx.pre(n).unwrap_or(u32::MAX),
-            None => self.doc.order_key(n),
-        }
-    }
 }
 
 /// Human-readable label for a query node (a sigil and a name, printed back
@@ -137,15 +124,7 @@ pub fn match_rule(rule: &Rule, doc: &Document) -> Bindings {
 /// Enumerate all embeddings using a prebuilt index. `_mode` selects nothing
 /// (see [`MatchMode`]).
 pub fn match_rule_with(rule: &Rule, doc: &Document, idx: &DocIndex, _mode: MatchMode) -> Bindings {
-    match_rule_in(rule, doc, Some(idx), None, RunCtx::none())
-}
-
-/// Matching without an index: whole-document scans for candidates. The same
-/// walk as
-/// [`match_rule_with`] minus postings, so holding the two equal checks the
-/// index, not the matcher — `gql-testkit`'s reference enumerator does that.
-pub fn match_rule_scan(rule: &Rule, doc: &Document) -> Bindings {
-    match_rule_in(rule, doc, None, None, RunCtx::none())
+    match_rule_in(rule, doc, idx, None, RunCtx::none())
 }
 
 /// The full form every other `match_rule*` is one line over.
@@ -155,8 +134,7 @@ pub fn match_rule_scan(rule: &Rule, doc: &Document) -> Bindings {
 /// constraint connects the next root to the roots already combined, a
 /// cartesian product otherwise.
 ///
-/// * `idx`: `None` selects the scan path — the degradation target when an
-///   index build fails.
+/// * `idx`: `doc`'s index, where candidates are read from.
 /// * `order`: a root *combine order* chosen by a planner (`gql-plan`'s
 ///   `plan_rule_order` from summary cardinality bounds), a permutation of
 ///   the root indices. Combining starts from `order[0]`, so a selective
@@ -177,7 +155,7 @@ pub fn match_rule_scan(rule: &Rule, doc: &Document) -> Bindings {
 pub fn match_rule_in(
     rule: &Rule,
     doc: &Document,
-    idx: Option<&DocIndex>,
+    idx: &DocIndex,
     order: Option<&[usize]>,
     ctx: RunCtx<'_>,
 ) -> Bindings {
@@ -226,7 +204,7 @@ fn run_match(cx: &Ctx, plan: Option<&[usize]>) -> Bindings {
         return Bindings::new(cx.width);
     }
     if trace.is_enabled() {
-        trace.note("path", if cx.idx.is_some() { "indexed" } else { "scan" });
+        trace.note("path", "indexed");
     }
 
     // Per-root binding sets.
@@ -391,8 +369,7 @@ fn combine(
                 joins: &cross_joins,
             };
             let stats = hash_join(&roots, probe, &mut keys, Keys::hash, guard, &mut next);
-            // The scan path reports no join statistics; it never did.
-            if cx.idx.is_some() && trace.is_enabled() {
+            if trace.is_enabled() {
                 trace.count("probes", stats.probes);
                 trace.count("hash_matches", stats.hash_matches);
                 trace.count("collision_rejects", stats.collision_rejects);
@@ -525,18 +502,11 @@ fn match_root(cx: &Ctx, root: QNodeId) -> Bindings {
     let RunCtx { trace, guard } = cx.run;
     // check.rs guarantees element roots; an absent name cannot match.
     let boxed = matches!(cx.g.node(root).kind, QNodeKind::Element(_));
-    let (doc, name) = (cx.doc, cx.names[root.index()]);
-    let scanned: Vec<NodeId>;
-    let candidates: &[NodeId] = match (cx.idx, name) {
+    let candidates: &[NodeId] = match cx.names[root.index()] {
         _ if !boxed => &[],
-        (Some(idx), NameRes::Sym(sym)) => idx.elements_named_sym(sym),
-        (Some(idx), NameRes::Any) => idx.elements(),
-        (Some(_), NameRes::Absent) => &[],
-        (None, _) => {
-            let named = |&d: &NodeId| name.admits(doc, d);
-            scanned = doc.descendants(doc.root()).filter(named).collect();
-            &scanned
-        }
+        NameRes::Sym(sym) => cx.idx.elements_named_sym(sym),
+        NameRes::Any => cx.idx.elements(),
+        NameRes::Absent => &[],
     };
 
     cx.add_candidates(root, candidates.len() as u64);
@@ -629,7 +599,7 @@ fn match_node(cx: &Ctx, arena: &mut Vec<u32>, q: QNodeId, data: NodeId) -> usize
                 .filter(in_order)
                 .filter_map(|e| row.get(e.target))
                 .all(|n| {
-                    let at = cx.order_key(n);
+                    let at = cx.idx.pre(n).unwrap_or(u32::MAX);
                     at >= std::mem::replace(&mut last, at)
                 })
         });
@@ -716,12 +686,13 @@ fn match_edge(cx: &Ctx, arena: &mut Vec<u32>, edge: &QEdge, parent: NodeId) -> u
         }
     };
     // A box lies below its parent; a circle may be read off the parent.
-    match (edge.deep, cx.idx) {
-        (false, _) if boxed => doc.child_elements(parent).for_each(consider),
-        (false, _) => consider(parent),
+    let idx = cx.idx;
+    match edge.deep {
+        false if boxed => doc.child_elements(parent).for_each(consider),
+        false => consider(parent),
         // Postings restricted to the subtree interval: for a circle, only
         // elements that carry the attribute (or text).
-        (true, Some(idx)) => match (&target.kind, name) {
+        true => match (&target.kind, name) {
             (QNodeKind::Element(_), NameRes::Sym(sym)) => idx.named_in(sym, parent, false),
             (QNodeKind::Element(_), NameRes::Any) => idx.elements_in(parent, false),
             (QNodeKind::Text, _) => idx.with_text_in(parent, true),
@@ -730,11 +701,6 @@ fn match_edge(cx: &Ctx, arena: &mut Vec<u32>, edge: &QEdge, parent: NodeId) -> u
         }
         .iter()
         .for_each(|&d| consider(d)),
-        (true, None) => doc
-            .descendants_or_self(parent)
-            .filter(|&d| doc.kind(d) == NodeKind::Element)
-            .skip(usize::from(boxed))
-            .for_each(consider),
     }
     cx.add_candidates(edge.target, considered);
     (arena.len() - below) / width
@@ -945,44 +911,6 @@ mod tests {
         assert_eq!(match_rule(&r, &d).len(), 3);
     }
 
-    /// Every rule shape exercised above, for the equivalence test below.
-    fn rule_zoo() -> Vec<Rule> {
-        vec![
-            rule(Q::elem("book")),
-            rule(Q::any()),
-            rule(Q::elem("book").child(Q::attr("year").pred(CmpOp::Ge, "2000"))),
-            rule(Q::elem("bib").deep_child(Q::elem("last").var("l"))),
-            rule(Q::elem("bib").deep_child(Q::attr("year").var("y"))),
-            rule(Q::elem("title").child(Q::text().var("t"))),
-            rule(Q::elem("book").without(Q::elem("author"))),
-            rule(
-                Q::elem("r")
-                    .ordered()
-                    .child(Q::elem("a"))
-                    .child(Q::elem("b")),
-            ),
-            RuleBuilder::new()
-                .extract(Q::elem("book").var("b").child(Q::elem("title").var("t1")))
-                .extract(Q::elem("article").child(Q::elem("title").var("t2")))
-                .join("t1", "t2")
-                .construct(C::elem("out"))
-                .build()
-                .unwrap(),
-        ]
-    }
-
-    #[test]
-    fn indexed_path_equals_scan_path() {
-        let d = doc();
-        let idx = DocIndex::build(&d);
-        for r in rule_zoo() {
-            assert_eq!(
-                match_rule_with(&r, &d, &idx, MatchMode::Auto),
-                match_rule_scan(&r, &d),
-            );
-        }
-    }
-
     /// Tables are equal when their rows are: whatever rule an empty one was
     /// matched for, and never across widths otherwise.
     #[test]
@@ -1111,7 +1039,7 @@ mod tests {
     }
 
     /// [`match_rule_in`] under a combine order, nothing traced or bounded.
-    fn planned(rule: &Rule, d: &Document, idx: Option<&DocIndex>, order: &[usize]) -> Bindings {
+    fn planned(rule: &Rule, d: &Document, idx: &DocIndex, order: &[usize]) -> Bindings {
         match_rule_in(rule, d, idx, Some(order), RunCtx::none())
     }
 
@@ -1158,14 +1086,9 @@ mod tests {
             vec![0, 1, 2],
         ] {
             assert_eq!(
-                planned(rule, &d, Some(&idx), &order),
+                planned(rule, &d, &idx, &order),
                 base,
                 "indexed, order {order:?}"
-            );
-            assert_eq!(
-                planned(rule, &d, None, &order),
-                base,
-                "scan, order {order:?}"
             );
         }
         // Invalid plans (wrong length, repeated index) fall back cleanly.
@@ -1175,11 +1098,7 @@ mod tests {
             vec![0, 1, 2, 3],
             vec![0, 1, 3],
         ] {
-            assert_eq!(
-                planned(rule, &d, Some(&idx), &bad),
-                base,
-                "fallback for {bad:?}"
-            );
+            assert_eq!(planned(rule, &d, &idx, &bad), base, "fallback for {bad:?}");
         }
     }
 
@@ -1206,11 +1125,7 @@ mod tests {
         let base = match_rule_with(rule, &d, &idx, MatchMode::Auto);
         assert_eq!(base.len(), 1, "only k1 joins, times one <b>");
         for order in [vec![2, 0, 1], vec![2, 1, 0], vec![1, 2, 0]] {
-            assert_eq!(
-                planned(rule, &d, Some(&idx), &order),
-                base,
-                "order {order:?}"
-            );
+            assert_eq!(planned(rule, &d, &idx, &order), base, "order {order:?}");
         }
     }
 }

@@ -34,7 +34,7 @@ use gql_guard::RunCtx;
 
 pub use bindings::{cell_text, distinct_cells, Bindings, Row};
 pub use construct::{construct_rule, construct_rule_into, construct_rule_with};
-pub use matcher::{match_rule, match_rule_in, match_rule_scan, match_rule_with, MatchMode};
+pub use matcher::{match_rule, match_rule_in, match_rule_with, MatchMode};
 
 /// Per-rule root combine orders chosen by a planner (`gql-plan`'s
 /// `plan_rule_order` over summary cardinality bounds). `None` for a rule —
@@ -73,7 +73,7 @@ pub fn run(program: &Program, doc: &Document) -> Result<Document> {
     run_in(
         program,
         doc,
-        Some(&idx),
+        &idx,
         &MatchPlans::none(),
         RunCtx::none(),
         &mut sink,
@@ -84,9 +84,7 @@ pub fn run(program: &Program, doc: &Document) -> Result<Document> {
 /// The full form of [`run`]: the outputs of all rules go to `sink` as
 /// top-level elements, and their number is returned.
 ///
-/// * `idx`: the document's index, shared by every rule; `None` selects the
-///   scan matcher — the degradation target when an index build fails or
-///   verification rejects it.
+/// * `idx`: the document's index, shared by every rule.
 /// * `plans`: planner-chosen root combine orders; rules with one combine
 ///   their roots in that order (identical results, smaller intermediates —
 ///   see [`match_rule_in`]), the rest in declaration order.
@@ -103,7 +101,7 @@ pub fn run(program: &Program, doc: &Document) -> Result<Document> {
 pub fn run_in(
     program: &Program,
     doc: &Document,
-    idx: Option<&DocIndex>,
+    idx: &DocIndex,
     plans: &MatchPlans,
     ctx: RunCtx<'_>,
     sink: &mut impl Sink,
@@ -196,27 +194,14 @@ mod tests {
         assert!(run_pipeline(&[], &doc).is_err());
     }
 
-    /// A program's answer through `run` (indexed) and through `run_in`
-    /// without an index (the scan path).
-    fn both_paths(program: &str, doc: &Document) -> [String; 2] {
+    /// A program's answer through `run`.
+    fn answer(program: &str, doc: &Document) -> String {
         let program = crate::dsl::parse(program).unwrap();
-        let indexed = run(&program, doc).unwrap().to_xml_string();
-        let mut scanned = Document::new();
-        let mut sink = DocSink::new(&mut scanned);
-        run_in(
-            &program,
-            doc,
-            None,
-            &MatchPlans::none(),
-            RunCtx::none(),
-            &mut sink,
-        )
-        .unwrap();
-        [indexed, scanned.to_xml_string()]
+        run(&program, doc).unwrap().to_xml_string()
     }
 
     #[test]
-    fn box_content_is_compared_by_structure_on_both_paths() {
+    fn box_content_is_compared_by_structure() {
         let join = "rule { extract { p { x as $a }  q { x as $b }  join $a == $b } \
                     construct { hit { copy $a } } }";
         let group = "rule { extract { x as $a } construct { out { all $a group by $a as g } } }";
@@ -228,10 +213,9 @@ mod tests {
             ("<x>a,t:b</x>", "<x>a<!--c-->b</x>"),
         ] {
             let doc = Document::parse_str(&format!("<r><p>{p}</p><q>{q}</q></r>")).unwrap();
-            assert_eq!(both_paths(join, &doc), ["", ""], "{p} {q}");
-            for out in both_paths(group, &doc) {
-                assert_eq!(groups(&out), 2, "{out}");
-            }
+            assert_eq!(answer(join, &doc), "", "{p} {q}");
+            let out = answer(group, &doc);
+            assert_eq!(groups(&out), 2, "{out}");
         }
         // What deep equality ignores: attribute order, comments and PIs.
         let doc = Document::parse_str(
@@ -239,12 +223,10 @@ mod tests {
              <q><x a='1' b='2'>t<!--c--><?pi d?><y/></x></q></r>",
         )
         .unwrap();
-        for out in both_paths(join, &doc) {
-            assert_eq!(out.matches("<hit>").count(), 1, "{out}");
-        }
-        for out in both_paths(group, &doc) {
-            assert_eq!(groups(&out), 1, "{out}");
-        }
+        let out = answer(join, &doc);
+        assert_eq!(out.matches("<hit>").count(), 1, "{out}");
+        let out = answer(group, &doc);
+        assert_eq!(groups(&out), 1, "{out}");
     }
 
     #[test]

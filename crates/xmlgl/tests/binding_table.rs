@@ -8,7 +8,7 @@ use gql_guard::{Budget, Guard, RunCtx};
 use gql_ssdm::{DocIndex, Document};
 use gql_xmlgl::ast::{CmpOp, Rule};
 use gql_xmlgl::builder::{RuleBuilder, C, Q};
-use gql_xmlgl::eval::{cell_text, match_rule, match_rule_in, match_rule_scan, Bindings};
+use gql_xmlgl::eval::{cell_text, match_rule, match_rule_in, Bindings};
 
 fn rule(q: Q) -> Rule {
     RuleBuilder::new()
@@ -28,23 +28,21 @@ fn texts(d: &Document, r: &Rule, ms: &Bindings, var: &str) -> Vec<String> {
 
 /// A text circle binds an element with a text child *of its own* — not
 /// one whose text all lies deeper — and the value it stands for is that
-/// element's whole text content, on either path.
+/// element's whole text content.
 #[test]
 fn a_text_circle_needs_a_direct_text_child_and_reads_the_whole_content() {
     let d =
         Document::parse_str("<r><p>a<i>b</i>c</p><p><i>deep</i></p><p/><p>solo</p></r>").unwrap();
     let r = rule(Q::elem("p").child(Q::text().var("t")));
-    for ms in [match_rule(&r, &d), match_rule_scan(&r, &d)] {
-        assert_eq!(texts(&d, &r, &ms, "t"), ["abc", "solo"]);
-    }
+    let ms = match_rule(&r, &d);
+    assert_eq!(texts(&d, &r, &ms, "t"), ["abc", "solo"]);
     // The predicate sees the same value.
     let r = rule(Q::elem("p").child(Q::text().var("t").pred(CmpOp::Eq, "abc")));
     assert_eq!(match_rule(&r, &d).len(), 1);
     // Below an asterisk edge the <i>s qualify on their own account.
     let r = rule(Q::elem("r").deep_child(Q::text().var("t")));
-    for ms in [match_rule(&r, &d), match_rule_scan(&r, &d)] {
-        assert_eq!(texts(&d, &r, &ms, "t"), ["abc", "b", "deep", "solo"]);
-    }
+    let ms = match_rule(&r, &d);
+    assert_eq!(texts(&d, &r, &ms, "t"), ["abc", "b", "deep", "solo"]);
 }
 
 /// Several partials times several alternatives, twice over: the product
@@ -60,25 +58,24 @@ fn products_of_several_edges_come_out_first_edge_outermost() {
             .child(Q::elem("b").var("b"))
             .child(Q::elem("c").var("c")),
     );
-    for ms in [match_rule(&r, &d), match_rule_scan(&r, &d)] {
-        let (a, b, c) = (
-            texts(&d, &r, &ms, "a"),
-            texts(&d, &r, &ms, "b"),
-            texts(&d, &r, &ms, "c"),
-        );
-        let seq: Vec<String> = (0..ms.len())
-            .map(|i| format!("{}{}{}", a[i], b[i], c[i]))
-            .collect();
-        assert_eq!(
-            seq,
-            ["1xp", "1xq", "1yp", "1yq", "1zp", "1zq", "2xp", "2xq", "2yp", "2yq", "2zp", "2zq"]
-        );
-    }
+    let ms = match_rule(&r, &d);
+    let (a, b, c) = (
+        texts(&d, &r, &ms, "a"),
+        texts(&d, &r, &ms, "b"),
+        texts(&d, &r, &ms, "c"),
+    );
+    let seq: Vec<String> = (0..ms.len())
+        .map(|i| format!("{}{}{}", a[i], b[i], c[i]))
+        .collect();
+    assert_eq!(
+        seq,
+        ["1xp", "1xq", "1yp", "1yq", "1zp", "1zq", "2xp", "2xq", "2yp", "2yq", "2zp", "2zq"]
+    );
 }
 
 /// Ordered matching below a wide parent: of the 120 × 120 (a, b) pairs
 /// the order stroke keeps those with the `a` no later than the `b`, in
-/// nested-loop order, on either path — decided from document-order keys,
+/// nested-loop order — decided from document-order keys,
 /// not by scanning 240 siblings per bound node.
 #[test]
 fn ordered_matching_below_a_wide_parent() {
@@ -97,13 +94,12 @@ fn ordered_matching_below_a_wide_parent() {
     let expected: Vec<(String, String)> = (0..120)
         .flat_map(|a| (a + 1..120).map(move |b| (a.to_string(), b.to_string())))
         .collect();
-    for ms in [match_rule(&r, &d), match_rule_scan(&r, &d)] {
-        let pairs: Vec<(String, String)> = texts(&d, &r, &ms, "a")
-            .into_iter()
-            .zip(texts(&d, &r, &ms, "b"))
-            .collect();
-        assert_eq!(pairs, expected);
-    }
+    let ms = match_rule(&r, &d);
+    let pairs: Vec<(String, String)> = texts(&d, &r, &ms, "a")
+        .into_iter()
+        .zip(texts(&d, &r, &ms, "b"))
+        .collect();
+    assert_eq!(pairs, expected);
 }
 
 /// When the guard refuses a root candidate's rows they are already in
@@ -116,7 +112,7 @@ fn a_refused_charge_leaves_no_rows_behind() {
     let r = rule(Q::elem("a").child(Q::elem("b").var("x")));
     let run = |max| {
         let guard = Guard::new(Budget::default().with_max_matches(max));
-        let ms = match_rule_in(&r, &d, Some(&idx), None, RunCtx::guarded(&guard));
+        let ms = match_rule_in(&r, &d, &idx, None, RunCtx::guarded(&guard));
         (ms.len(), guard.checkpoint().is_err())
     };
     // Each candidate charges 2 for its edge, then 2 for its rows.
@@ -125,41 +121,4 @@ fn a_refused_charge_leaves_no_rows_behind() {
     assert_eq!(run(7), (2, true));
     // …or its expansion is, before there were any.
     assert_eq!(run(5), (2, true));
-}
-
-/// The scan path's join buckets rows by the hash of the real content
-/// key, as the indexed path does: both charge the guard for true matches
-/// only, so a budget trips at the same point and reports the same progress
-/// on either.
-#[test]
-fn the_scan_join_charges_what_the_indexed_join_charges() {
-    let d = Document::parse_str(
-        "<r><a>k1</a><a>k2</a><a>k1</a><c>k1</c><c>k3</c><c>k2</c><c>k1</c>\
-         <n><e>1</e></n><n><e>2</e></n><m><e>1</e></m><m><e>1</e></m></r>",
-    )
-    .unwrap();
-    let idx = DocIndex::build(&d);
-    let p = gql_xmlgl::dsl::parse(
-        r#"rule { extract { a { text as $x }  c { text as $y }  join $x == $y }
-                  construct { out } }
-           rule { extract { n { e as $x }  m { e as $y }  join $x == $y }
-                  construct { out } }"#,
-    )
-    .unwrap();
-    for rule in &p.rules {
-        for max in [u64::MAX, 14, 11] {
-            let run = |idx| {
-                let guard = Guard::new(Budget::default().with_max_matches(max));
-                let ms = match_rule_in(rule, &d, idx, None, RunCtx::guarded(&guard));
-                let report = guard.report().expect("an enabled guard");
-                (
-                    ms,
-                    guard.probes(),
-                    report.matches,
-                    guard.error().map(|e| e.shape()),
-                )
-            };
-            assert_eq!(run(Some(&idx)), run(None), "budget {max}");
-        }
-    }
 }

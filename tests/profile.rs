@@ -328,7 +328,7 @@ fn xmlgl_three_root_plan_keeps_the_largest_combine_a_tenth_of_declared_order() {
     run_in(
         &program,
         &doc,
-        Some(&idx),
+        &idx,
         &MatchPlans::none(),
         ctx,
         &mut DocSink::new(&mut declared),

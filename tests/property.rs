@@ -856,47 +856,49 @@ fn zero_error_programs_evaluate() {
 // Indexed evaluation fast path
 // ----------------------------------------------------------------------
 
-/// The indexed matcher (postings candidates, interval range lookups, hashed
-/// joins) agrees exactly with the scan oracle — same bindings, same order —
-/// and whole programs produce identical result documents through either
-/// path (hashed vs string-keyed construct-side grouping included).
+/// The matcher (postings candidates, interval range lookups, hashed joins)
+/// agrees exactly with the reference enumerator, which shares no code with
+/// it — same bindings, same order — and a whole program's `run` is
+/// `construct_rule` over those tables, rule by rule.
 #[test]
-fn indexed_evaluation_equals_scan() {
+fn indexed_evaluation_matches_the_reference() {
     use gql::analyze::Analyzer;
-    use gql::xmlgl::eval::{construct_rule, match_rule_scan, match_rule_with, MatchMode};
-    check("indexed_evaluation_equals_scan", 96, |rng| {
+    use gql::xmlgl::eval::{construct_rule, match_rule_with, MatchMode};
+    use gql_testkit::reference::check_table;
+    check("indexed_evaluation_matches_the_reference", 96, |rng| {
         let src = gen_xmlgl(rng);
         let program = gql::xmlgl::dsl::parse_unchecked(&src)
             .unwrap_or_else(|e| panic!("generator produced invalid syntax: {e}\n{src}"));
         if Analyzer::new().analyze_xmlgl(&program).has_errors() {
-            return; // statically rejected; both paths refuse alike
+            return; // statically rejected
         }
         let doc = document(rng);
         let idx = gql::ssdm::DocIndex::build(&doc);
-        let mut scan_out = Document::new();
+        let mut constructed = Document::new();
         for rule in &program.rules {
-            let indexed = match_rule_with(rule, &doc, &idx, MatchMode::Auto);
-            let scanned = match_rule_scan(rule, &doc);
-            assert_eq!(indexed, scanned, "bindings diverged for\n{src}");
-            construct_rule(rule, &doc, &scanned, &mut scan_out).expect("scan construct");
+            let table = match_rule_with(rule, &doc, &idx, MatchMode::Auto);
+            check_table(rule, &doc, &table)
+                .unwrap_or_else(|e| panic!("bindings diverged: {e}\n{src}"));
+            construct_rule(rule, &doc, &table, &mut constructed).expect("construct");
         }
-        let indexed_out = gql::xmlgl::run(&program, &doc).expect("indexed run");
+        let run = gql::xmlgl::run(&program, &doc).expect("indexed run");
         assert_eq!(
-            indexed_out.to_xml_string(),
-            scan_out.to_xml_string(),
+            run.to_xml_string(),
+            constructed.to_xml_string(),
             "result documents diverged for\n{src}"
         );
     });
 }
 
-/// Two-root joined rules take the hash-join path when indexed and the
-/// string-keyed join when scanning; both must agree, including on join
-/// columns that bind text values rather than nodes.
+/// Two-root joined rules take the hash join; its table is the reference's
+/// nested-loop join, on join columns that bind nodes and on columns that
+/// bind text values.
 #[test]
-fn indexed_joins_equal_scan_joins() {
+fn indexed_joins_match_the_reference() {
     use gql::xmlgl::builder::{RuleBuilder, C, Q};
-    use gql::xmlgl::eval::{match_rule_scan, match_rule_with, MatchMode};
-    check("indexed_joins_equal_scan_joins", 96, |rng| {
+    use gql::xmlgl::eval::{match_rule_with, MatchMode};
+    use gql_testkit::reference::check_table;
+    check("indexed_joins_match_the_reference", 96, |rng| {
         let doc = document(rng);
         let (t1, t2) = (pick(rng, TAGS), pick(rng, TAGS));
         let rule = if rng.gen_bool(0.5) {
@@ -919,10 +921,8 @@ fn indexed_joins_equal_scan_joins() {
                 .expect("builds")
         };
         let idx = gql::ssdm::DocIndex::build(&doc);
-        assert_eq!(
-            match_rule_with(&rule, &doc, &idx, MatchMode::Auto),
-            match_rule_scan(&rule, &doc)
-        );
+        let table = match_rule_with(&rule, &doc, &idx, MatchMode::Auto);
+        check_table(&rule, &doc, &table).unwrap_or_else(|e| panic!("{e}"));
     });
 }
 
@@ -1036,13 +1036,12 @@ fn canonical_equality_implies_hash_equality() {
     });
 }
 
-/// Box joins and box `group by` over [`lookalikes`], on both paths, held to
-/// the reference: the join's table row for row, the grouping as the
-/// reference's trees partition the bound boxes.
+/// Box joins and box `group by` over [`lookalikes`], held to the reference:
+/// the join's table row for row, the grouping as the reference's trees
+/// partition the bound boxes.
 #[test]
 fn box_joins_and_groups_agree_with_the_reference_on_lookalikes() {
-    use gql::ssdm::sink::DocSink;
-    use gql::xmlgl::eval::{match_rule_scan, match_rule_with, run_in, MatchMode, MatchPlans};
+    use gql::xmlgl::eval::{match_rule_with, MatchMode};
     use gql_testkit::reference::{check_table, tree};
     let join = gql::xmlgl::dsl::parse(
         "rule { extract { p { x as $a }  q { x as $b }  join $a == $b } \
@@ -1060,13 +1059,9 @@ fn box_joins_and_groups_agree_with_the_reference_on_lookalikes() {
             let doc = lookalikes(rng);
             let idx = gql::ssdm::DocIndex::build(&doc);
             let rule = &join.rules[0];
-            for table in [
-                match_rule_with(rule, &doc, &idx, MatchMode::Auto),
-                match_rule_scan(rule, &doc),
-            ] {
-                check_table(rule, &doc, &table)
-                    .unwrap_or_else(|e| panic!("{e}\n{}", doc.to_xml_string()));
-            }
+            let table = match_rule_with(rule, &doc, &idx, MatchMode::Auto);
+            check_table(rule, &doc, &table)
+                .unwrap_or_else(|e| panic!("{e}\n{}", doc.to_xml_string()));
 
             // The reference's grouping: every `x` in document order, grouped by
             // tree in order of first occurrence, each group under a `g` keyed by
@@ -1094,25 +1089,13 @@ fn box_joins_and_groups_agree_with_the_reference_on_lookalikes() {
                 }
             }
             let expected = expected.to_xml_string();
-            let mut scanned = Document::new();
-            run_in(
-                &group,
-                &doc,
-                None,
-                &MatchPlans::none(),
-                RunCtx::none(),
-                &mut DocSink::new(&mut scanned),
-            )
-            .unwrap();
             let indexed = gql::xmlgl::run(&group, &doc).unwrap();
-            for (path, got) in [("indexed", indexed), ("scan", scanned)] {
-                assert_eq!(
-                    got.to_xml_string(),
-                    expected,
-                    "{path}\n{}",
-                    doc.to_xml_string()
-                );
-            }
+            assert_eq!(
+                indexed.to_xml_string(),
+                expected,
+                "indexed\n{}",
+                doc.to_xml_string()
+            );
         },
     );
 }
@@ -1434,8 +1417,7 @@ fn cost_planned_order_is_work_bounded_on_q6_family() {
             };
             let run = |order: &[usize]| {
                 let trace = Trace::profiling();
-                let bindings =
-                    match_rule_in(rule, &doc, Some(&idx), Some(order), RunCtx::traced(&trace));
+                let bindings = match_rule_in(rule, &doc, &idx, Some(order), RunCtx::traced(&trace));
                 let profile = trace.finish().expect("profiling trace yields a profile");
                 (bindings, profile)
             };
