@@ -6,12 +6,13 @@
 //! counted separately so the comparison can show it both ways (amortised
 //! loads for a resident database, full loads for one-shot queries).
 
+use std::borrow::Cow;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use gql_guard::{fault, RunCtx};
 use gql_infer::Inference;
-use gql_plan::{CacheStats, CachedPlan, PlanCache, PlanKey, StatsCell};
+use gql_plan::{CacheStats, CachedPlan, PlanCache, PlanKey, QueryKey, StatsCell};
 use gql_ssdm::sink::{DocSink, Sink};
 use gql_ssdm::{shallow_fingerprint, DocIndex, Document, Summary};
 use gql_trace::{joined, ExecutionProfile, Trace};
@@ -26,6 +27,113 @@ pub enum QueryKind {
     XmlGl(gql_xmlgl::ast::Program),
     WgLog(gql_wglog::rule::Program),
     XPath(String),
+}
+
+/// A query with every fact its text alone fixes, derived once: its
+/// canonical plan-cache key, the static-analysis gate's verdict and the
+/// per-rule extract-root counts a cached plan is validated against. A
+/// caller that asks the same text many times (`gql-serve` keeps these by
+/// text) prepares it once; [`Engine::run`] and [`Engine::execute`] prepare
+/// the query they are given on every call.
+#[derive(Debug)]
+pub struct Prepared<'q> {
+    query: Cow<'q, QueryKind>,
+    key: QueryKey,
+    verdict: Result<()>,
+    root_counts: Vec<usize>,
+}
+
+impl Prepared<'static> {
+    pub fn new(query: QueryKind) -> Prepared<'static> {
+        Prepared::from_cow(Cow::Owned(query))
+    }
+}
+
+impl<'q> Prepared<'q> {
+    /// Prepare a query the caller keeps.
+    pub fn borrowed(query: &'q QueryKind) -> Prepared<'q> {
+        Prepared::from_cow(Cow::Borrowed(query))
+    }
+
+    fn from_cow(query: Cow<'q, QueryKind>) -> Prepared<'q> {
+        Prepared {
+            key: QueryKey::new(&canonical_query(&query)),
+            verdict: reject_errors(&query),
+            root_counts: plan_root_counts(&query),
+            query,
+        }
+    }
+
+    pub fn query(&self) -> &QueryKind {
+        &self.query
+    }
+
+    /// The plan-cache key's query part: the printed DSL for the graphical
+    /// languages (structurally identical programs share an entry regardless
+    /// of source formatting), the raw expression for XPath, behind a
+    /// language prefix that keeps the three namespaces disjoint.
+    pub fn canonical(&self) -> &str {
+        self.key.text()
+    }
+
+    /// The gate's verdict: `Ok`, or [`CoreError::Rejected`] with every
+    /// Error-level diagnostic.
+    pub fn verdict(&self) -> Result<()> {
+        self.verdict.clone()
+    }
+}
+
+/// See [`Prepared::canonical`].
+fn canonical_query(query: &QueryKind) -> String {
+    match query {
+        QueryKind::XmlGl(program) => format!("xmlgl:{}", gql_xmlgl::dsl::print(program)),
+        QueryKind::WgLog(program) => format!("wglog:{}", gql_wglog::dsl::print(program)),
+        QueryKind::XPath(expr) => format!("xpath:{expr}"),
+    }
+}
+
+/// Static-analysis gate: Error-level diagnostics (well-formedness, safety,
+/// stratifiability) refuse the program before any evaluation.
+fn reject_errors(query: &QueryKind) -> Result<()> {
+    let errors: Vec<gql_ssdm::Diagnostic> = match query {
+        QueryKind::XmlGl(program) => gql_xmlgl::check::diagnostics(program)
+            .into_iter()
+            .filter(gql_ssdm::Diagnostic::is_error)
+            .collect(),
+        QueryKind::WgLog(program) => {
+            let mut ds: Vec<_> = program
+                .diagnostics()
+                .into_iter()
+                .filter(gql_ssdm::Diagnostic::is_error)
+                .collect();
+            // Stratification only means anything for well-formed rules.
+            if ds.is_empty() {
+                ds.extend(gql_wglog::eval::stratify::diagnose(program));
+            }
+            ds
+        }
+        QueryKind::XPath(_) => Vec::new(),
+    };
+    if errors.is_empty() {
+        Ok(())
+    } else {
+        Err(CoreError::Rejected {
+            diagnostics: errors,
+        })
+    }
+}
+
+/// Per-rule extract-root counts — the shape a cached XML-GL plan is
+/// validated against before its join orders are trusted.
+fn plan_root_counts(query: &QueryKind) -> Vec<usize> {
+    match query {
+        QueryKind::XmlGl(program) => program
+            .rules
+            .iter()
+            .map(|r| r.extract.roots.len())
+            .collect(),
+        _ => Vec::new(),
+    }
 }
 
 /// Result of one engine run.
@@ -52,8 +160,9 @@ pub struct RunOutcome<O = Document> {
     /// also drive the XML-GL join planner.
     pub inference: Inference,
     /// The logical plan the run executed (multi-line EXPLAIN rendering of
-    /// the `gql_plan` lowering), for provenance surfaces.
-    pub plan: String,
+    /// the `gql_plan` lowering), for provenance surfaces; shared with the
+    /// plan cache.
+    pub plan: Arc<str>,
 }
 
 /// Everything preloaded for one resident document — the [`DocIndex`], the
@@ -63,13 +172,14 @@ pub struct RunOutcome<O = Document> {
 /// allocator can hand a *different* document the recycled address of a
 /// dropped one, and node counts collide easily, so address+count alone can
 /// serve stale postings. [`shallow_fingerprint`] (node count, root tag,
-/// root attributes, root child sequence) is O(root fanout) per probe and
-/// catches recycled-address collisions unless the impostor document also
-/// agrees on its entire root level — combined with the node-count term,
-/// disagreement anywhere in the document changes at least one of the three
-/// checks for every realistic mutation; the postings themselves are
-/// verified against node kinds at use, so this is a cache-effectiveness
-/// bound, not a correctness cliff.
+/// root attributes, root child sequence, sampled nodes) catches
+/// recycled-address collisions unless the impostor document also agrees on
+/// its entire root level — combined with the node-count term, disagreement
+/// anywhere in the document changes at least one of the three checks for
+/// every realistic mutation; the postings themselves are verified against
+/// node kinds at use, so this is a cache-effectiveness bound, not a
+/// correctness cliff. The document memoises its fingerprint, so a probe
+/// against an unchanged document reads a stored `u64`.
 #[derive(Debug)]
 struct Resident {
     doc_addr: usize,
@@ -138,8 +248,8 @@ impl Engine {
     /// The resident cache entry, if it was built for exactly this document
     /// in its current shape — address, node count and shallow content
     /// fingerprint must all agree (see [`Resident`]). `fingerprint` is
-    /// `shallow_fingerprint(doc)`, which a run computes once for this probe
-    /// and its plan-cache key.
+    /// `shallow_fingerprint(doc)`, which a run reads once for this probe and
+    /// its plan-cache key.
     fn resident_for(&self, doc: &Document, fingerprint: u64) -> Option<&Resident> {
         self.resident.as_ref().filter(|r| {
             r.doc_addr == std::ptr::from_ref(doc) as usize
@@ -156,37 +266,6 @@ impl Engine {
             None => "cold",
             Some(_) if hit => "hit",
             Some(_) => "miss",
-        }
-    }
-
-    /// Static-analysis gate: Error-level diagnostics (well-formedness,
-    /// safety, stratifiability) refuse the program before any evaluation.
-    fn reject_errors(query: &QueryKind) -> Result<()> {
-        let errors: Vec<gql_ssdm::Diagnostic> = match query {
-            QueryKind::XmlGl(program) => gql_xmlgl::check::diagnostics(program)
-                .into_iter()
-                .filter(gql_ssdm::Diagnostic::is_error)
-                .collect(),
-            QueryKind::WgLog(program) => {
-                let mut ds: Vec<_> = program
-                    .diagnostics()
-                    .into_iter()
-                    .filter(gql_ssdm::Diagnostic::is_error)
-                    .collect();
-                // Stratification only means anything for well-formed rules.
-                if ds.is_empty() {
-                    ds.extend(gql_wglog::eval::stratify::diagnose(program));
-                }
-                ds
-            }
-            QueryKind::XPath(_) => Vec::new(),
-        };
-        if errors.is_empty() {
-            Ok(())
-        } else {
-            Err(CoreError::Rejected {
-                diagnostics: errors,
-            })
         }
     }
 
@@ -216,31 +295,6 @@ impl Engine {
     /// Drop every cached plan (the counters are preserved).
     pub fn clear_plan_cache(&self) {
         self.lock_plan_cache().clear()
-    }
-
-    /// Canonical query text for plan-cache keying: the printed DSL for the
-    /// graphical languages (structurally identical programs share an entry
-    /// regardless of source formatting), the raw expression for XPath. The
-    /// language prefix keeps the three namespaces disjoint.
-    fn canonical_query(query: &QueryKind) -> String {
-        match query {
-            QueryKind::XmlGl(program) => format!("xmlgl:{}", gql_xmlgl::dsl::print(program)),
-            QueryKind::WgLog(program) => format!("wglog:{}", gql_wglog::dsl::print(program)),
-            QueryKind::XPath(expr) => format!("xpath:{expr}"),
-        }
-    }
-
-    /// Per-rule extract-root counts — the shape a cached XML-GL plan is
-    /// validated against before its join orders are trusted.
-    fn plan_root_counts(query: &QueryKind) -> Vec<usize> {
-        match query {
-            QueryKind::XmlGl(program) => program
-                .rules
-                .iter()
-                .map(|r| r.extract.roots.len())
-                .collect(),
-            _ => Vec::new(),
-        }
     }
 
     /// Build the cacheable planning outcome for a query: cost-based join
@@ -291,7 +345,7 @@ impl Engine {
         CachedPlan {
             inference,
             orders,
-            plan_text: lowered.render(),
+            plan_text: lowered.render().into(),
             plan_compact: lowered.render_compact(),
             root_counts,
             summary_paths,
@@ -360,7 +414,8 @@ impl Engine {
         ctx: RunCtx<'_>,
     ) -> Result<RunOutcome> {
         let mut output = Document::new();
-        let outcome = self.execute_into(query, doc, ctx, &mut DocSink::new(&mut output))?;
+        let prepared = Prepared::borrowed(query);
+        let outcome = self.execute_into(&prepared, doc, ctx, &mut DocSink::new(&mut output))?;
         Ok(RunOutcome {
             output,
             result_count: outcome.result_count,
@@ -372,10 +427,11 @@ impl Engine {
         })
     }
 
-    /// The full form of [`Engine::run`]: a run reporting into `ctx.trace`,
-    /// bounded by `ctx.guard`, its answer emitted into `sink` — a
-    /// [`DocSink`] to look at it, an [`XmlSink`](gql_ssdm::sink::XmlSink)
-    /// for its bytes alone. Everything else the run has to say is returned.
+    /// The full form of [`Engine::run`]: a [`Prepared`] query run reporting
+    /// into `ctx.trace`, bounded by `ctx.guard`, its answer emitted into
+    /// `sink` — a [`DocSink`] to look at it, an
+    /// [`XmlSink`](gql_ssdm::sink::XmlSink) for its bytes alone. Everything
+    /// else the run has to say is returned.
     ///
     /// The span taxonomy (documented in DESIGN.md): a `run` root with
     /// `engine` and `cache` notes, `analyze` / `plan` / `load` / `index` /
@@ -393,11 +449,12 @@ impl Engine {
     /// part of an answer at most, and the caller drops it.
     pub fn execute_into(
         &self,
-        query: &QueryKind,
+        prepared: &Prepared<'_>,
         doc: &Document,
         ctx: RunCtx<'_>,
         sink: &mut impl Sink,
     ) -> Result<RunOutcome<()>> {
+        let query = prepared.query();
         let RunCtx { trace, guard } = ctx;
         let _run = trace.span("run");
         if trace.is_enabled() {
@@ -411,20 +468,16 @@ impl Engine {
             );
             trace.count("doc_nodes", doc.node_count() as u64);
         }
-        // One fingerprint and one resident probe per run, shared by the plan
-        // key and every phase below: it hashes the whole root level, tens of
-        // microseconds on a root with a thousand children.
+        // One fingerprint read and one resident probe per run, shared by the
+        // plan key and every phase below. The document computed its
+        // fingerprint once, when it was first asked.
         let fingerprint = shallow_fingerprint(doc);
         let resident = self.resident_for(doc, fingerprint);
         // Probe the plan cache. The corruption fault seam scrambles the
         // entry *before* the probe, so a poisoned hit exercises the real
         // validate → replan path.
-        let key = PlanKey::new(
-            &Self::canonical_query(query),
-            fingerprint,
-            guard.budget_class(),
-        );
-        let root_counts = Self::plan_root_counts(query);
+        let key = PlanKey::new(prepared.key.clone(), fingerprint, guard.budget_class());
+        let root_counts = &prepared.root_counts;
         let mut cached = {
             let mut cache = self.lock_plan_cache();
             if fault::active() && fault::corrupt_plan_cache() {
@@ -435,7 +488,7 @@ impl Engine {
         let mut cache_state = if cached.is_some() { "hit" } else { "miss" };
         if cached
             .as_ref()
-            .is_some_and(|plan| !plan.is_valid_for(&root_counts))
+            .is_some_and(|plan| !plan.is_valid_for(root_counts))
         {
             // A hit that fails validation (a corrupted entry, or a key
             // collision against a structurally different query) is dropped
@@ -448,11 +501,12 @@ impl Engine {
         }
         let analyzed: Option<(Inference, u64)> = {
             let _s = ctx.phase("analyze");
-            // The rejection gate runs warm or cold: it is pure on the
-            // query, and an invalid program must behave identically either
-            // way (it is also why a rejected program is never cached — the
-            // cold path errors out before planning).
-            Self::reject_errors(query)?;
+            // The rejection gate's verdict is read warm or cold: it is pure
+            // on the query, prepared with it, and an invalid program must
+            // behave identically either way (it is also why a rejected
+            // program is never cached — the cold path errors out before
+            // planning).
+            prepared.verdict()?;
             let out = match &cached {
                 // Warm path: analysis is served from the cache; the span
                 // still reports the counters the cold run recorded so
@@ -503,13 +557,18 @@ impl Engine {
             guard.checkpoint().map_err(CoreError::Budget)?;
             out
         };
-        let planned: CachedPlan = {
+        let planned: Arc<CachedPlan> = {
             let _s = ctx.phase("plan");
             let plan = match (cached, analyzed) {
                 (Some(plan), None) => plan,
                 (None, Some((inference, summary_paths))) => {
-                    let plan = Self::build_plan(query, inference, summary_paths, root_counts);
-                    self.lock_plan_cache().insert(key, plan.clone());
+                    let plan = Arc::new(Self::build_plan(
+                        query,
+                        inference,
+                        summary_paths,
+                        root_counts.clone(),
+                    ));
+                    self.lock_plan_cache().insert(key, Arc::clone(&plan));
                     plan
                 }
                 _ => unreachable!("cache probe and analysis must agree"),
@@ -526,13 +585,8 @@ impl Engine {
             guard.checkpoint().map_err(CoreError::Budget)?;
             plan
         };
-        let CachedPlan {
-            inference,
-            orders,
-            plan_text,
-            xpath,
-            ..
-        } = planned;
+        let inference = planned.inference.clone();
+        let plan_text = Arc::clone(&planned.plan_text);
         match query {
             QueryKind::XmlGl(program) => {
                 let start = Instant::now();
@@ -553,7 +607,9 @@ impl Engine {
                 // (and reused across runs through the plan cache). Plans
                 // never change results (see `match_rule_in`), only
                 // intermediate join sizes.
-                let plans = MatchPlans { per_rule: orders };
+                let plans = MatchPlans {
+                    per_rule: planned.orders.clone(),
+                };
                 let result_count = {
                     let _s = ctx.phase("eval");
                     if trace.is_enabled() && !plans.is_empty() {
@@ -636,8 +692,8 @@ impl Engine {
                 // error.
                 let parsed = {
                     let _s = ctx.phase("parse");
-                    match xpath {
-                        Some(parsed) => parsed,
+                    match &planned.xpath {
+                        Some(parsed) => Arc::clone(parsed),
                         None => Arc::new(
                             gql_xpath::parse(expr)
                                 .map_err(|e| CoreError::Engine { msg: e.to_string() })?,
@@ -755,6 +811,7 @@ fn record_index_stats(trace: &Trace, idx: &DocIndex) {
 mod tests {
     use super::*;
     use gql_guard::{Budget, Guard};
+    use gql_ssdm::sink::XmlSink;
     use gql_xmlgl::builder::{RuleBuilder, C, Q};
 
     /// A run under `budget`, nothing traced.
@@ -1368,6 +1425,33 @@ mod tests {
         assert!(compact.contains("Construct"), "{compact}");
         let order = plan.note("join_order[0]").expect("join order note");
         assert_ne!(order, "0,1,2", "optimizer must reorder this query");
+    }
+
+    #[test]
+    fn a_prepared_query_runs_as_its_query_does_and_keys_by_its_print() {
+        let d = doc();
+        let engine = Engine::new();
+        for q in equivalent_queries() {
+            let prepared = Prepared::new(q.clone());
+            let direct = engine.run(&q, &d).unwrap();
+            for _ in 0..2 {
+                let mut xml = String::new();
+                let out = engine
+                    .execute_into(&prepared, &d, RunCtx::none(), &mut XmlSink::new(&mut xml))
+                    .unwrap();
+                assert_eq!(xml, direct.output.to_xml_string(), "{q:?}");
+                assert_eq!(out.plan, direct.plan, "{q:?}");
+            }
+        }
+        let s = engine.plan_cache_stats();
+        assert_eq!((s.hits, s.misses), (6, 3));
+        // Two texts that print alike have one key; the key is not the text.
+        let parse = |src| Prepared::new(QueryKind::XmlGl(gql_xmlgl::dsl::parse(src).unwrap()));
+        let a = parse("rule { extract { menu as $m } construct { answer { all $m } } }");
+        let b = parse("rule {\n  extract { menu as $m }\n  construct { answer { all $m } }\n}");
+        assert_eq!(a.canonical(), b.canonical());
+        assert!(a.canonical().starts_with("xmlgl:rule"), "{}", a.canonical());
+        assert!(a.verdict().is_ok());
     }
 
     #[test]

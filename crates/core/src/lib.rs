@@ -29,7 +29,7 @@ pub mod engine;
 pub mod translate;
 
 pub use capability::{Feature, LanguageProfile};
-pub use engine::{Engine, QueryKind};
+pub use engine::{Engine, Prepared, QueryKind};
 pub use gql_guard::{Budget, CancelToken, Guard, GuardError, RunCtx};
 
 /// Errors of the unified layer.

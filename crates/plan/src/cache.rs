@@ -1,14 +1,16 @@
 //! The engine-resident plan cache.
 //!
-//! Keys combine the three things that can change a plan: the query (stored
-//! canonically — the printed DSL/XPath text — so equality is exact and a
-//! structural hash is kept only for display), a cheap content fingerprint
-//! of the document (`gql_ssdm::shallow_fingerprint`; a changed document
-//! changes the summary and therefore the cost facts), and the budget class
-//! (different governance regimes may degrade differently, so their plans
-//! never alias). Values carry everything the engine needs to skip the
-//! analyze/plan phases on a hit: the full inference, the chosen per-rule
-//! join orders, and the rendered plan text for provenance.
+//! Keys combine the three things that can change a plan: the query (its
+//! canonical text — the printed DSL/XPath source — shared as a
+//! [`QueryKey`] and compared by hash before text, so equality stays exact),
+//! a cheap content fingerprint of the document
+//! (`gql_ssdm::shallow_fingerprint`; a changed document changes the summary
+//! and therefore the cost facts), and the budget class (different
+//! governance regimes may degrade differently, so their plans never alias).
+//! Values carry everything the engine needs to skip the analyze/plan phases
+//! on a hit: the full inference, the chosen per-rule join orders, and the
+//! rendered plan text for provenance. They are shared: a hit hands out an
+//! `Arc` and copies nothing.
 //!
 //! Eviction is LRU over a monotonic use clock. The cache never affects
 //! answers — a stale or corrupted entry is caught by
@@ -28,13 +30,45 @@ use gql_ssdm::index::hash_str;
 /// Default number of cached plans per engine.
 pub const DEFAULT_CAPACITY: usize = 64;
 
-/// Cache key: (canonical query text, document fingerprint, budget class).
+/// A query's canonical text (printed DSL / XPath source) with its hash,
+/// made once per text and shared by every key built from it.
+#[derive(Debug, Clone)]
+pub struct QueryKey {
+    text: Arc<str>,
+    hash: u64,
+}
+
+impl QueryKey {
+    pub fn new(canonical_query: &str) -> QueryKey {
+        QueryKey {
+            hash: hash_str(canonical_query),
+            text: canonical_query.into(),
+        }
+    }
+
+    pub fn text(&self) -> &str {
+        &self.text
+    }
+
+    pub fn hash(&self) -> u64 {
+        self.hash
+    }
+}
+
+/// Equal texts: the hashes are compared first, so unequal keys almost never
+/// read their text, and a shared text is never read at all.
+impl PartialEq for QueryKey {
+    fn eq(&self, other: &QueryKey) -> bool {
+        self.hash == other.hash && (Arc::ptr_eq(&self.text, &other.text) || self.text == other.text)
+    }
+}
+
+impl Eq for QueryKey {}
+
+/// Cache key: (canonical query, document fingerprint, budget class).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanKey {
-    /// Canonical query text (printed DSL / XPath source).
-    pub query: String,
-    /// Structural hash of the canonical text, for display surfaces.
-    pub query_hash: u64,
+    pub query: QueryKey,
     /// `gql_ssdm::shallow_fingerprint` of the target document.
     pub doc_fingerprint: u64,
     /// `Budget::class()` of the run.
@@ -42,10 +76,9 @@ pub struct PlanKey {
 }
 
 impl PlanKey {
-    pub fn new(canonical_query: &str, doc_fingerprint: u64, budget_class: &'static str) -> PlanKey {
+    pub fn new(query: QueryKey, doc_fingerprint: u64, budget_class: &'static str) -> PlanKey {
         PlanKey {
-            query_hash: hash_str(canonical_query),
-            query: canonical_query.to_string(),
+            query,
             doc_fingerprint,
             budget_class,
         }
@@ -53,6 +86,8 @@ impl PlanKey {
 }
 
 /// A cached planning outcome: everything needed to go parse → execution.
+/// The cache holds it in an `Arc` and a hit shares it, so no part of it —
+/// the plan text included — is copied per run.
 #[derive(Debug, Clone)]
 pub struct CachedPlan {
     /// The inference (diagnostics, cardinality bounds, emptiness facts).
@@ -61,8 +96,8 @@ pub struct CachedPlan {
     /// `None` entries mean "declared order".
     pub orders: Vec<Option<Vec<usize>>>,
     /// Rendered logical plan (multi-line EXPLAIN form), for provenance
-    /// surfaces.
-    pub plan_text: String,
+    /// surfaces; every run's outcome shares it.
+    pub plan_text: Arc<str>,
     /// Single-line plan rendering, for trace notes.
     pub plan_compact: String,
     /// Per-rule extract-root counts at plan time, for validation.
@@ -102,7 +137,7 @@ impl CachedPlan {
     /// Scramble the entry so [`CachedPlan::is_valid_for`] fails — the
     /// corruption the fault-injection seam applies.
     pub fn corrupt_for_test(&mut self) {
-        self.plan_text.push_str(" [corrupted]");
+        self.plan_text = format!("{} [corrupted]", self.plan_text).into();
         if self.orders.is_empty() {
             self.orders.push(Some(vec![usize::MAX]));
         } else {
@@ -206,7 +241,7 @@ impl StatsCell {
 /// beats hashing the key for every lookup at this size.
 #[derive(Debug)]
 pub struct PlanCache {
-    entries: Vec<(PlanKey, CachedPlan, u64)>,
+    entries: Vec<(PlanKey, Arc<CachedPlan>, u64)>,
     capacity: usize,
     clock: u64,
     /// Shared so `Engine::plan_cache_stats()` can snapshot without taking
@@ -253,9 +288,9 @@ impl PlanCache {
         Arc::clone(&self.stats)
     }
 
-    /// Probe the cache. A hit refreshes the entry's LRU stamp and returns a
-    /// clone; hit/miss is counted either way.
-    pub fn get(&mut self, key: &PlanKey) -> Option<CachedPlan> {
+    /// Probe the cache. A hit refreshes the entry's LRU stamp and shares
+    /// the entry; hit/miss is counted either way.
+    pub fn get(&mut self, key: &PlanKey) -> Option<Arc<CachedPlan>> {
         self.clock += 1;
         let clock = self.clock;
         match self.entries.iter_mut().find(|(k, _, _)| k == key) {
@@ -265,7 +300,7 @@ impl PlanCache {
                     s.hits.fetch_add(1, Ordering::SeqCst);
                     s.lookups.fetch_add(1, Ordering::SeqCst);
                 });
-                Some(plan.clone())
+                Some(Arc::clone(plan))
             }
             None => {
                 self.stats.record(|s| {
@@ -279,7 +314,7 @@ impl PlanCache {
 
     /// Insert (or refresh) an entry, evicting the least recently used one
     /// when at capacity.
-    pub fn insert(&mut self, key: PlanKey, plan: CachedPlan) {
+    pub fn insert(&mut self, key: PlanKey, plan: Arc<CachedPlan>) {
         self.clock += 1;
         if let Some(slot) = self.entries.iter_mut().find(|(k, _, _)| *k == key) {
             *slot = (key, plan, self.clock);
@@ -320,7 +355,7 @@ impl PlanCache {
     pub fn corrupt_entry(&mut self, key: &PlanKey) -> bool {
         match self.entries.iter_mut().find(|(k, _, _)| k == key) {
             Some((_, plan, _)) => {
-                plan.corrupt_for_test();
+                Arc::make_mut(plan).corrupt_for_test();
                 true
             }
             None => false,
@@ -332,8 +367,8 @@ impl PlanCache {
 mod tests {
     use super::*;
 
-    fn plan(orders: Vec<Option<Vec<usize>>>, root_counts: Vec<usize>) -> CachedPlan {
-        CachedPlan {
+    fn plan(orders: Vec<Option<Vec<usize>>>, root_counts: Vec<usize>) -> Arc<CachedPlan> {
+        Arc::new(CachedPlan {
             inference: Inference::default(),
             orders,
             plan_text: "Construct out\n".into(),
@@ -341,15 +376,19 @@ mod tests {
             root_counts,
             summary_paths: 0,
             xpath: None,
-        }
+        })
+    }
+
+    fn key(query: &str, doc_fingerprint: u64, budget_class: &'static str) -> PlanKey {
+        PlanKey::new(QueryKey::new(query), doc_fingerprint, budget_class)
     }
 
     #[test]
     fn hit_miss_and_lru_eviction() {
         let mut c = PlanCache::new(2);
-        let k1 = PlanKey::new("q1", 1, "unlimited");
-        let k2 = PlanKey::new("q2", 1, "unlimited");
-        let k3 = PlanKey::new("q3", 1, "unlimited");
+        let k1 = key("q1", 1, "unlimited");
+        let k2 = key("q2", 1, "unlimited");
+        let k3 = key("q3", 1, "unlimited");
         assert!(c.get(&k1).is_none());
         c.insert(k1.clone(), plan(vec![], vec![]));
         c.insert(k2.clone(), plan(vec![], vec![]));
@@ -365,11 +404,11 @@ mod tests {
     #[test]
     fn keys_separate_fingerprint_and_budget_class() {
         let mut c = PlanCache::default();
-        c.insert(PlanKey::new("q", 1, "unlimited"), plan(vec![], vec![]));
-        assert!(c.get(&PlanKey::new("q", 2, "unlimited")).is_none());
-        assert!(c.get(&PlanKey::new("q", 1, "timed")).is_none());
-        assert!(c.get(&PlanKey::new("q", 1, "unlimited")).is_some());
-        assert_eq!(PlanKey::new("q", 1, "unlimited").query_hash, hash_str("q"));
+        c.insert(key("q", 1, "unlimited"), plan(vec![], vec![]));
+        assert!(c.get(&key("q", 2, "unlimited")).is_none());
+        assert!(c.get(&key("q", 1, "timed")).is_none());
+        assert!(c.get(&key("q", 1, "unlimited")).is_some());
+        assert_eq!(key("q", 1, "unlimited").query.hash(), hash_str("q"));
     }
 
     #[test]
@@ -378,7 +417,7 @@ mod tests {
         assert!(good.is_valid_for(&[2, 1]));
         assert!(!good.is_valid_for(&[2, 2]), "root counts must match");
         assert!(!good.is_valid_for(&[2]), "rule count must match");
-        let mut bad = good.clone();
+        let mut bad = CachedPlan::clone(&good);
         bad.corrupt_for_test();
         assert!(!bad.is_valid_for(&[2, 1]));
         assert!(bad.plan_text.contains("[corrupted]"));
@@ -386,7 +425,7 @@ mod tests {
         let dup = plan(vec![Some(vec![0, 0])], vec![2]);
         assert!(!dup.is_valid_for(&[2]));
         // An entry with no orders at all is corrupted into invalidity too.
-        let mut empty = plan(vec![], vec![]);
+        let mut empty = CachedPlan::clone(&plan(vec![], vec![]));
         empty.corrupt_for_test();
         assert!(!empty.is_valid_for(&[]));
     }
@@ -394,7 +433,7 @@ mod tests {
     #[test]
     fn corrupt_entry_reaches_the_stored_plan() {
         let mut c = PlanCache::default();
-        let k = PlanKey::new("q", 1, "unlimited");
+        let k = key("q", 1, "unlimited");
         assert!(!c.corrupt_entry(&k));
         c.insert(k.clone(), plan(vec![Some(vec![0, 1])], vec![2]));
         assert!(c.corrupt_entry(&k));
@@ -409,7 +448,7 @@ mod tests {
     #[test]
     fn lookups_track_hits_plus_misses() {
         let mut c = PlanCache::default();
-        let k = PlanKey::new("q", 1, "unlimited");
+        let k = key("q", 1, "unlimited");
         assert!(c.get(&k).is_none());
         c.insert(k.clone(), plan(vec![], vec![]));
         assert!(c.get(&k).is_some());
@@ -436,7 +475,7 @@ mod tests {
             let cache = Arc::clone(&cache);
             std::thread::spawn(move || {
                 for i in 0..iters {
-                    let k = PlanKey::new("q", i % 8, "unlimited");
+                    let k = key("q", i % 8, "unlimited");
                     let mut c = cache.lock().unwrap();
                     if c.get(&k).is_none() {
                         c.insert(k, plan(vec![], vec![]));

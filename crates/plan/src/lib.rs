@@ -27,6 +27,8 @@ pub mod join_order;
 pub mod lower;
 
 pub use algebra::LogicalPlan;
-pub use cache::{CacheStats, CachedPlan, PlanCache, PlanKey, StatsCell, DEFAULT_CAPACITY};
+pub use cache::{
+    CacheStats, CachedPlan, PlanCache, PlanKey, QueryKey, StatsCell, DEFAULT_CAPACITY,
+};
 pub use join_order::{plan_rule_order, JoinGraph, DP_LIMIT};
 pub use lower::{lower_wglog, lower_xmlgl, lower_xpath};

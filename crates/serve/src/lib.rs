@@ -16,7 +16,8 @@
 //!   API: single, cancellable and batched submission (a batch shares one
 //!   catalog snapshot and plan-cache warmup), per-request profiles, and
 //!   warm/cold cache counters surfaced as service metrics through the
-//!   trace layer;
+//!   trace layer. A query text is parsed, printed and gated once: the
+//!   service keeps a bounded cache of prepared queries by `(kind, text)`;
 //! * [`proto`] + [`server`] — a length-prefixed JSON protocol over TCP.
 //!   Client disconnect mid-query trips the request's `CancelToken`; the
 //!   partial-progress trip report is returned, not dropped. Read/write
@@ -42,6 +43,7 @@
 pub mod catalog;
 pub mod client;
 pub mod json;
+mod prepared;
 pub mod proto;
 pub mod server;
 pub mod service;

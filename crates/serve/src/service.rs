@@ -1,10 +1,12 @@
 //! The thread-pooled query service and its in-process [`ServeHandle`].
 //!
 //! Request lifecycle: resolve tenant → resolve dataset (fingerprint
-//! re-verified) → parse the query → **admit** against the tenant's
-//! envelope (structured `overloaded` rejection, never an unbounded queue —
-//! the work queue only ever holds admitted jobs, so admission *is* the
-//! bound) → execute on a pool worker under `Guard::with_cancel` → reply.
+//! re-verified) → prepare the query (parsed, printed and gated once per
+//! text, then kept in the service's prepared-query cache) → **admit**
+//! against the tenant's envelope (structured `overloaded` rejection, never
+//! an unbounded queue — the work queue only ever holds admitted jobs, so
+//! admission *is* the bound) → execute on a pool worker under
+//! `Guard::with_cancel` → reply.
 //!
 //! Every run is traced, whether or not the client asked for a profile: the
 //! per-request trace log (one per worker, reused) is where the engine
@@ -23,7 +25,7 @@ use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use gql_core::{CoreError, Engine, QueryKind};
+use gql_core::{CoreError, Engine, Prepared, QueryKind};
 use gql_guard::{fault, Budget, CancelToken, Guard, LimitKind, RunCtx};
 use gql_plan::CacheStats;
 use gql_ssdm::sink::XmlSink;
@@ -31,6 +33,7 @@ use gql_trace::{ExecutionProfile, TraceLog};
 
 use crate::catalog::{Catalog, Dataset, EpochPin};
 use crate::json::Value;
+use crate::prepared::PreparedCache;
 use crate::telemetry::{MetricsReport, RequestMeta, Telemetry, TelemetryConfig};
 use crate::tenant::{AdmitDenied, Permit, TenantMetrics, TenantRegistry};
 
@@ -224,6 +227,12 @@ pub struct ServiceMetrics {
     /// Index/instance-cache warmth observed through per-request traces.
     pub index_warm: u64,
     pub index_cold: u64,
+    /// Prepared-query cache probes that found the `(kind, text)`, probes
+    /// that did not (a text that fails to parse misses every time), and
+    /// entries pushed out by newer texts.
+    pub prepared_hits: u64,
+    pub prepared_misses: u64,
+    pub prepared_evictions: u64,
     pub tenants: Vec<(String, TenantMetrics)>,
     /// Per-dataset plan-cache counter snapshots (always consistent: reads
     /// the seqlock stats cell, see `gql_plan::StatsCell`).
@@ -278,6 +287,12 @@ impl ServiceMetrics {
             ("plan_replans".into(), Value::count(self.plan_replans)),
             ("index_warm".into(), Value::count(self.index_warm)),
             ("index_cold".into(), Value::count(self.index_cold)),
+            ("prepared_hits".into(), Value::count(self.prepared_hits)),
+            ("prepared_misses".into(), Value::count(self.prepared_misses)),
+            (
+                "prepared_evictions".into(),
+                Value::count(self.prepared_evictions),
+            ),
             ("tenants".into(), Value::Arr(tenants)),
             ("datasets".into(), Value::Arr(datasets)),
         ])
@@ -305,7 +320,7 @@ struct Counters {
 
 /// One unit of admitted work.
 struct Job {
-    query: QueryKind,
+    query: Arc<Prepared<'static>>,
     dataset: Arc<Dataset>,
     budget: Budget,
     cancel: CancelToken,
@@ -425,6 +440,9 @@ struct Inner {
     counters: Counters,
     telemetry: Arc<Telemetry>,
     dedup: Mutex<Dedup>,
+    /// Prepared queries by `(kind, text)`, shared by every dataset and
+    /// every epoch.
+    prepared: Mutex<PreparedCache>,
     /// Consult the gql-guard fault seams (chaos testing). Off by default:
     /// the process-global fault plan must not leak into services that did
     /// not opt in.
@@ -434,6 +452,29 @@ struct Inner {
 impl Inner {
     fn dedup(&self) -> MutexGuard<'_, Dedup> {
         self.dedup.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn prepared(&self) -> MutexGuard<'_, PreparedCache> {
+        self.prepared.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The prepared form of `text` in `kind`: shared from the cache, or
+    /// parsed and prepared here and kept. The lock is not held while a
+    /// text is prepared. A text that does not parse is not kept: `Err` is
+    /// the parser's message, each time.
+    fn prepare(&self, kind: &str, text: &Arc<str>) -> Result<Arc<Prepared<'static>>, String> {
+        let slot = PreparedCache::slot(kind);
+        if let Some(slot) = slot {
+            if let Some(hit) = self.prepared().get(slot, text) {
+                return Ok(hit);
+            }
+        }
+        let prepared = Arc::new(Prepared::new(parse_query(kind, text)?));
+        if let Some(slot) = slot {
+            self.prepared()
+                .insert(slot, Arc::clone(text), Arc::clone(&prepared));
+        }
+        Ok(prepared)
     }
 }
 
@@ -503,6 +544,7 @@ impl ServiceBuilder {
             counters: Counters::default(),
             telemetry: Arc::new(Telemetry::build(&self.telemetry, &tenant_names)),
             dedup: Mutex::new(Dedup::new(DEDUP_CAPACITY)),
+            prepared: Mutex::new(PreparedCache::new()),
             chaos: self.chaos,
         });
         let workers = (0..self.workers)
@@ -850,10 +892,13 @@ impl ServeHandle {
         out.into_iter().map(Option::unwrap).collect()
     }
 
-    /// Resolve the dataset and parse the query (the tenant is resolved
+    /// Resolve the dataset and prepare the query (the tenant is resolved
     /// first, separately, so refusals here attribute to it); an `Err` is
     /// the immediate structured rejection.
-    fn resolve_payload(&self, req: &Request) -> Result<(Arc<Dataset>, QueryKind), Response> {
+    fn resolve_payload(
+        &self,
+        req: &Request,
+    ) -> Result<(Arc<Dataset>, Arc<Prepared<'static>>), Response> {
         let dataset = self.inner.catalog.get(&req.dataset).ok_or_else(|| {
             Response::err(
                 ErrorCode::UnknownDataset,
@@ -866,7 +911,9 @@ impl ServeHandle {
                 format!("dataset `{}` failed fingerprint validation", req.dataset),
             ));
         }
-        let query = parse_query(&req.kind, &req.query)
+        let query = self
+            .inner
+            .prepare(&req.kind, &req.query)
             .map_err(|msg| Response::err(ErrorCode::BadRequest, msg))?;
         Ok((dataset, query))
     }
@@ -874,6 +921,7 @@ impl ServeHandle {
     /// Current metrics snapshot.
     pub fn metrics(&self) -> ServiceMetrics {
         let c = &self.inner.counters;
+        let prepared = self.inner.prepared().stats();
         ServiceMetrics {
             submitted: c.submitted.load(Ordering::SeqCst),
             admitted: c.admitted.load(Ordering::SeqCst),
@@ -890,6 +938,9 @@ impl ServeHandle {
             plan_replans: c.plan_replans.load(Ordering::SeqCst),
             index_warm: c.index_warm.load(Ordering::SeqCst),
             index_cold: c.index_cold.load(Ordering::SeqCst),
+            prepared_hits: prepared.hits,
+            prepared_misses: prepared.misses,
+            prepared_evictions: prepared.evictions,
             tenants: self
                 .inner
                 .tenants
@@ -1016,7 +1067,7 @@ fn execute(inner: &Inner, job: &Job, log: &mut TraceLog) -> Response {
                 xml,
                 result_count: outcome.result_count as u64,
                 eval_us,
-                plan: outcome.plan,
+                plan: outcome.plan.to_string(),
                 plan_cache: plan_cache.to_string(),
                 index_cache: index_cache.to_string(),
                 epoch: job.dataset.epoch(),
@@ -1385,6 +1436,8 @@ mod tests {
             panic!("post-reload run");
         };
         assert_eq!((after.epoch, after.result_count), (2, 1));
+        // The prepared query outlives the epoch it was first run on.
+        assert_eq!(h.metrics().prepared_hits, 1);
         assert_eq!(
             h.catalog().draining(),
             0,
@@ -1432,6 +1485,142 @@ mod tests {
             m.admitted,
             "outcome conservation holds through the panic path"
         );
+        service.shutdown();
+    }
+
+    #[test]
+    fn the_prepared_cache_stays_at_its_bound() {
+        let service = demo_service();
+        let h = service.handle();
+        let extra = 10;
+        let texts: Vec<String> = (0..crate::prepared::CAPACITY + extra)
+            .map(|i| format!("//title[{i}]"))
+            .collect();
+        for text in &texts {
+            assert!(h
+                .submit(&Request::new("public", "bib", "xpath", text))
+                .is_ok());
+        }
+        assert_eq!(h.inner.prepared().len(), crate::prepared::CAPACITY);
+        let m = h.metrics();
+        let sent = texts.len() as u64;
+        assert_eq!(
+            (m.prepared_hits, m.prepared_misses, m.prepared_evictions),
+            (0, sent, extra as u64)
+        );
+        // The newest text is kept; the oldest went first.
+        h.submit(&Request::new(
+            "public",
+            "bib",
+            "xpath",
+            &texts[texts.len() - 1],
+        ));
+        h.submit(&Request::new("public", "bib", "xpath", &texts[0]));
+        let m = h.metrics();
+        assert_eq!((m.prepared_hits, m.prepared_misses), (1, sent + 1));
+        assert_eq!(h.inner.prepared().len(), crate::prepared::CAPACITY);
+        service.shutdown();
+    }
+
+    /// An unsafe program: `$m` is bound under a negation.
+    const UNSAFE: &str =
+        "rule { extract { book as $b { not title as $m } } construct { answer { all $m } } }";
+
+    #[test]
+    fn a_rejected_program_is_gated_once_and_replied_to_alike() {
+        let service = demo_service();
+        let h = service.handle();
+        let req = Request::new("public", "bib", "xmlgl", UNSAFE);
+        let first = h.submit(&req);
+        assert_eq!(first.error_code(), Some(ErrorCode::Rejected), "{first:?}");
+        let second = h.submit(&req);
+        assert_eq!(second, first, "the replies are byte-identical");
+        let m = h.metrics();
+        assert_eq!((m.prepared_hits, m.prepared_misses), (1, 1));
+        // The second request ran the verdict the first one's preparation
+        // stored: the cache hands out that very query, diagnostics and all.
+        let text: Arc<str> = UNSAFE.into();
+        let kept = h.inner.prepare("xmlgl", &text).unwrap();
+        assert!(Arc::ptr_eq(
+            &kept,
+            &h.inner.prepare("xmlgl", &text).unwrap()
+        ));
+        assert!(matches!(kept.verdict(), Err(CoreError::Rejected { .. })));
+        service.shutdown();
+    }
+
+    #[test]
+    fn a_text_that_does_not_parse_is_refused_each_time_and_never_kept() {
+        let service = demo_service();
+        let h = service.handle();
+        let req = Request::new("public", "bib", "xmlgl", "rule {");
+        let first = h.submit(&req);
+        assert_eq!(first.error_code(), Some(ErrorCode::BadRequest));
+        for _ in 0..2 {
+            assert_eq!(h.submit(&req), first);
+        }
+        // An unknown kind is no cache probe at all.
+        let sql = h.submit(&Request::new("public", "bib", "sql", "select"));
+        assert_eq!(sql.error_code(), Some(ErrorCode::BadRequest));
+        let m = h.metrics();
+        assert_eq!((m.prepared_hits, m.prepared_misses), (0, 3));
+        assert_eq!((m.refused, m.admitted), (4, 0));
+        assert_eq!(h.inner.prepared().len(), 0);
+        service.shutdown();
+    }
+
+    #[test]
+    fn texts_that_print_alike_share_a_plan_and_keep_their_own_spans() {
+        let service = demo_service();
+        let h = service.handle();
+        let one_line = "rule { extract { book as $b } construct { answer { all $b } } }";
+        let spread = "rule {\n  extract { book as $b }\n  construct { answer { all $b } }\n}";
+        let replies: Vec<Box<QueryOk>> = [one_line, spread]
+            .into_iter()
+            .map(|text| {
+                match h.submit(&Request::new("public", "bib", "xmlgl", text).with_profile()) {
+                    Response::Ok(ok) => ok,
+                    err => panic!("{err:?}"),
+                }
+            })
+            .collect();
+        assert_eq!(replies[0].xml, replies[1].xml);
+        assert_eq!(
+            (
+                replies[0].plan_cache.as_str(),
+                replies[1].plan_cache.as_str()
+            ),
+            ("miss", "hit")
+        );
+        let engine = h.catalog().get("bib").unwrap().engine().clone();
+        assert_eq!(engine.plan_cache_len(), 1, "one plan for both texts");
+        let m = h.metrics();
+        assert_eq!((m.prepared_hits, m.prepared_misses), (0, 2));
+        // Each request's trace is its own: the same shape, with the plan
+        // span reporting that request's cache outcome.
+        let shapes: Vec<&str> = replies
+            .iter()
+            .map(|ok| ok.shape.as_deref().unwrap())
+            .collect();
+        assert_ne!(shapes[0], shapes[1]);
+        assert_eq!(
+            shapes[0].replace("plan_cache=miss", "plan_cache=hit"),
+            shapes[1]
+        );
+        // And a program the gate refuses names the lines and columns of the
+        // text that was sent, whichever of two alike texts came first.
+        let spread_unsafe = UNSAFE.replace("{ not", "{\n    not");
+        let rejected: Vec<String> = [UNSAFE, spread_unsafe.as_str()]
+            .into_iter()
+            .map(
+                |text| match h.submit(&Request::new("public", "bib", "xmlgl", text)) {
+                    Response::Err(e) => e.message,
+                    ok => panic!("{ok:?}"),
+                },
+            )
+            .collect();
+        assert!(rejected[0].contains(" at 1:"), "{}", rejected[0]);
+        assert!(rejected[1].contains(" at 2:"), "{}", rejected[1]);
         service.shutdown();
     }
 

@@ -515,8 +515,15 @@ impl MetricsReport {
             m.completed, m.cancelled, m.budget_tripped, m.failed
         ));
         out.push_str(&format!(
-            "  caches    plan warm={} cold={} replan={} | index warm={} cold={}\n",
-            m.plan_warm, m.plan_cold, m.plan_replans, m.index_warm, m.index_cold
+            "  caches    prepared hit={} miss={} evicted={} | plan warm={} cold={} replan={} | index warm={} cold={}\n",
+            m.prepared_hits,
+            m.prepared_misses,
+            m.prepared_evictions,
+            m.plan_warm,
+            m.plan_cold,
+            m.plan_replans,
+            m.index_warm,
+            m.index_cold
         ));
         let w = &self.service_windows;
         for (i, lane) in LANE_NAMES.iter().enumerate() {
@@ -622,6 +629,9 @@ impl MetricsReport {
         }
         out.push_str("# TYPE gql_cache_events_total counter\n");
         for (cache, outcome, v) in [
+            ("prepared", "hit", m.prepared_hits),
+            ("prepared", "miss", m.prepared_misses),
+            ("prepared", "eviction", m.prepared_evictions),
             ("plan", "warm", m.plan_warm),
             ("plan", "cold", m.plan_cold),
             ("plan", "replan", m.plan_replans),

@@ -346,7 +346,7 @@ fn request_classes(counters: &Value) -> BTreeMap<String, u64> {
     members
         .iter()
         .filter(|(name, _)| {
-            !["plan_", "index_", "peak_"]
+            !["prepared_", "plan_", "index_", "peak_"]
                 .iter()
                 .any(|p| name.starts_with(p))
         })

@@ -1,0 +1,134 @@
+//! A counting bar for the served path: a warm `ServeHandle::submit` of each
+//! of the 22 point items `gql-benchmark` sends (Q1–Q10 in every surface
+//! that states them, at scale 8) allocates no more than its ceiling.
+//!
+//! Warm means the request's text was sent before: the service prepared it
+//! then (parse, print, gate), the dataset's engine planned it, and the
+//! worker's trace log is sized. What is left per request is admission, the
+//! hand-over, the run and the reply. Ceilings only ever go down.
+//!
+//! The allocator counts every thread, since a request runs on a pool
+//! worker, so this binary holds a single test and the service has a single
+//! worker; the slow-query log is off, so no request's timing decides what
+//! it allocates.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use gql_serve::{Catalog, Envelope, Request, Service, TelemetryConfig, TenantRegistry};
+use gql_ssdm::generator::{cityguide, greengrocer, CityConfig, GrocerConfig};
+
+struct CountingAlloc;
+
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// counter is the only addition.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+macro_rules! item {
+    ($kind:literal, $dataset:literal, $file:literal, $ceiling:literal) => {
+        (
+            $kind,
+            $dataset,
+            include_str!(concat!("../../../gql-benchmark/queries/", $file)),
+            $file,
+            $ceiling,
+        )
+    };
+}
+
+/// Per item: kind, dataset, query text, file name and allocation ceiling.
+/// Before the service kept prepared queries and shared cached plans, the
+/// same requests made 22–399 allocations (2,489 in all); now 1,207.
+const ITEMS: [(&str, &str, &str, &str, usize); 22] = [
+    item!("xmlgl", "city", "q01.xmlgl", 39),
+    item!("wglog", "city", "q01.wglog", 118),
+    item!("xpath", "city", "q01.xpath", 24),
+    item!("xmlgl", "city", "q02.xmlgl", 37),
+    item!("wglog", "city", "q02.wglog", 84),
+    item!("xpath", "city", "q02.xpath", 29),
+    item!("xmlgl", "city", "q03.xmlgl", 38),
+    item!("wglog", "city", "q03.wglog", 68),
+    item!("xpath", "city", "q03.xpath", 26),
+    item!("xmlgl", "city", "q04.xmlgl", 32),
+    item!("xpath", "city", "q04.xpath", 20),
+    item!("xmlgl", "city", "q05.xmlgl", 46),
+    item!("wglog", "city", "q05.wglog", 121),
+    item!("xpath", "city", "q05.xpath", 32),
+    item!("xmlgl", "grocer", "q06.xmlgl", 75),
+    item!("xpath", "grocer", "q06.xpath", 46),
+    item!("xmlgl", "city", "q07.xmlgl", 42),
+    item!("xpath", "city", "q07.xpath", 22),
+    item!("xmlgl", "city", "q08.xmlgl", 43),
+    item!("xpath", "city", "q08.xpath", 15),
+    item!("xmlgl", "city", "q09.xmlgl", 65),
+    item!("wglog", "city", "q10.wglog", 185),
+];
+
+#[test]
+fn a_warm_served_request_allocates_under_its_ceiling() {
+    let city = cityguide(CityConfig {
+        restaurants: 8,
+        hotels: 2,
+        seed: 11,
+    });
+    let grocer = greengrocer(GrocerConfig {
+        products: 8,
+        vendors: 1,
+        seed: 13,
+    });
+    let mut catalog = Catalog::new();
+    catalog.register_xml("city", &city.to_xml_string()).unwrap();
+    catalog
+        .register_xml("grocer", &grocer.to_xml_string())
+        .unwrap();
+    let mut tenants = TenantRegistry::new();
+    tenants.register("bench", Envelope::slots(8));
+    let service = Service::builder()
+        .workers(1)
+        .catalog(catalog)
+        .tenants(tenants)
+        .telemetry(TelemetryConfig::default().with_slow_threshold_us(u64::MAX))
+        .build();
+    let h = service.handle();
+    let requests: Vec<Request> = ITEMS
+        .iter()
+        .map(|(kind, dataset, text, _, _)| Request::new("bench", dataset, kind, text.trim()))
+        .collect();
+    for _ in 0..2 {
+        for req in &requests {
+            assert!(h.submit(req).is_ok(), "{req:?}");
+        }
+    }
+    let mut over = Vec::new();
+    for (req, (_, _, _, file, ceiling)) in requests.iter().zip(ITEMS) {
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let reply = h.submit(req);
+        let count = ALLOCS.load(Ordering::Relaxed) - before;
+        assert!(reply.is_ok(), "{file}: {reply:?}");
+        drop(reply);
+        if count > ceiling {
+            over.push(format!("{file}: {count} allocations, ceiling {ceiling}"));
+        }
+    }
+    service.shutdown();
+    assert!(over.is_empty(), "{over:#?}");
+}

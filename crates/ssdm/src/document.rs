@@ -10,8 +10,9 @@
 //! special-case the top level.
 //!
 //! Document order (pre-order position, the order XPath and XML-GL ordered
-//! matching are defined over) is computed lazily and cached; any structural
-//! mutation invalidates the cache.
+//! matching are defined over) and the shallow content fingerprint
+//! ([`crate::shallow_fingerprint`]) are computed lazily and cached; every
+//! mutation clears both.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -184,10 +185,14 @@ pub struct Document {
     /// answer is a thousand imports. Empty whenever no import is running.
     import_open: Vec<ImportFrame>,
     root: NodeId,
-    /// Lazily computed pre-order positions, invalidated on mutation.
+    /// Lazily computed pre-order positions, cleared on mutation.
     /// `OnceLock` (not `RefCell`) so a `&Document` can be shared across
     /// threads: `gql-serve`'s workers all read one per dataset.
     order: OnceLock<Vec<u32>>,
+    /// [`crate::shallow_fingerprint`], computed on first use and cleared
+    /// with `order`: a resident dataset is fingerprinted once, not on every
+    /// cache probe.
+    fingerprint: OnceLock<u64>,
 }
 
 impl Clone for Document {
@@ -201,8 +206,10 @@ impl Clone for Document {
             import_syms: Vec::new(),
             import_open: Vec::new(),
             root: self.root,
-            // The clone recomputes document order on first use.
+            // The clone recomputes document order on first use; its content
+            // is this document's, so the fingerprint carries over.
             order: OnceLock::new(),
+            fingerprint: self.fingerprint.clone(),
         }
     }
 }
@@ -226,6 +233,7 @@ impl Document {
             import_open: Vec::new(),
             root: NodeId(0),
             order: OnceLock::new(),
+            fingerprint: OnceLock::new(),
         };
         doc.push(NodeKind::Document, None, "", None);
         doc
@@ -268,7 +276,7 @@ impl Document {
             children: Run::default(),
             attrs: Run::default(),
         });
-        self.invalidate_order();
+        self.changed();
         id
     }
 
@@ -343,7 +351,7 @@ impl Document {
             child,
             "child",
         );
-        self.invalidate_order();
+        self.changed();
         Ok(())
     }
 
@@ -358,7 +366,7 @@ impl Document {
             if let Some(pos) = self.children(p).iter().position(|&c| c == node) {
                 run_remove(&mut self.children, &mut self.nodes[p.index()].children, pos);
             }
-            self.invalidate_order();
+            self.changed();
         }
         Ok(())
     }
@@ -377,6 +385,7 @@ impl Document {
         } else {
             run_push(&mut self.attrs, run, AttrData { name, value }, "attribute");
         }
+        self.changed();
         Ok(())
     }
 
@@ -390,6 +399,7 @@ impl Document {
         let pos = self.attrs[run.range()].iter().position(|a| a.name == sym);
         if let Some(pos) = pos {
             run_remove(&mut self.attrs, run, pos);
+            self.changed();
         }
         Ok(pos.is_some())
     }
@@ -452,6 +462,7 @@ impl Document {
             }
         }
         self.import_open = outer;
+        self.changed();
         root
     }
 
@@ -780,8 +791,17 @@ impl Document {
     // Document order
     // ------------------------------------------------------------------
 
-    fn invalidate_order(&mut self) {
+    /// Forget everything computed from the content. Every `&mut self`
+    /// method that changes a node, a child list, an attribute or a text
+    /// calls this; interning a name changes none of them.
+    fn changed(&mut self) {
         self.order = OnceLock::new();
+        self.fingerprint = OnceLock::new();
+    }
+
+    /// The memo behind [`crate::shallow_fingerprint`].
+    pub(crate) fn fingerprint_memo(&self) -> &OnceLock<u64> {
+        &self.fingerprint
     }
 
     fn ensure_order(&self) -> &Vec<u32> {
@@ -1140,5 +1160,69 @@ mod tests {
         d.detach(book).unwrap();
         assert_eq!(d.node_count(), total);
         assert!(d.live_node_count() < total);
+    }
+
+    /// The memoised fingerprint is never stale: after every step of random
+    /// mutation sequences it equals the fingerprint computed afresh. Each
+    /// step reads the memo first, so a mutator that forgot to clear it is
+    /// caught by the next comparison; attribute steps favour the root
+    /// element, the only one whose attributes the fingerprint reads.
+    #[test]
+    fn the_memoised_fingerprint_follows_every_mutation() {
+        use crate::index::{fresh_shallow_fingerprint, shallow_fingerprint};
+        use crate::rng::Rng;
+        let src = Document::parse_str("<lib a='1'><book><title>T</title></book>x</lib>").unwrap();
+        let src_nodes: Vec<NodeId> = src.descendants_or_self(src.root()).collect();
+        const NAMES: [&str; 3] = ["a", "b", "c"];
+        for seed in 0..200 {
+            let mut rng = Rng::seed_from_u64(seed);
+            let mut d = Document::parse_str("<r a='0'><x/>t</r>").unwrap();
+            for step in 0..40 {
+                assert_eq!(
+                    shallow_fingerprint(&d),
+                    fresh_shallow_fingerprint(&d),
+                    "seed {seed}, before step {step}"
+                );
+                let any = |rng: &mut Rng, d: &Document| {
+                    NodeId::from_index(rng.gen_range(0..d.node_count()))
+                };
+                let target = |rng: &mut Rng, d: &Document| match d.root_element() {
+                    Some(root) if rng.gen_bool(0.5) => root,
+                    _ => any(rng, d),
+                };
+                let name = NAMES[rng.gen_range(0..NAMES.len())];
+                // A step the document refuses (a cycle, a second parent, an
+                // attribute on a text node) must leave the memo right too.
+                match rng.gen_range(0..9) {
+                    0 => _ = d.create_element(name),
+                    1 => _ = d.create_text(name),
+                    2 => _ = d.create_comment(name),
+                    3 => _ = d.create_pi(name, "data"),
+                    4 => {
+                        let (parent, child) = (target(&mut rng, &d), any(&mut rng, &d));
+                        _ = d.append_child(parent, child);
+                    }
+                    5 => {
+                        let node = any(&mut rng, &d);
+                        _ = d.detach(node);
+                    }
+                    6 => {
+                        let node = target(&mut rng, &d);
+                        let value = rng.gen_range(0..4).to_string();
+                        _ = d.set_attr(node, name, &value);
+                    }
+                    7 => {
+                        let node = target(&mut rng, &d);
+                        _ = d.remove_attr(node, name);
+                    }
+                    _ if rng.gen_bool(0.5) => {
+                        let node = src_nodes[rng.gen_range(0..src_nodes.len())];
+                        _ = d.import_subtree(&src, node);
+                    }
+                    _ => d = d.clone(),
+                }
+            }
+            assert_eq!(shallow_fingerprint(&d), fresh_shallow_fingerprint(&d));
+        }
     }
 }

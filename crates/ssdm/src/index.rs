@@ -203,7 +203,16 @@ pub fn subtree_eq(doc: &Document, a: NodeId, b: NodeId) -> bool {
 /// points on top of the entire root level; consumers still combine the
 /// fingerprint with the node count and allocation address rather than
 /// trusting it alone.
+///
+/// The document memoises it: the first call computes it, later calls read
+/// it, and any mutation clears it.
 pub fn shallow_fingerprint(doc: &Document) -> u64 {
+    *doc.fingerprint_memo()
+        .get_or_init(|| fresh_shallow_fingerprint(doc))
+}
+
+/// [`shallow_fingerprint`] computed from the content, past the memo.
+pub(crate) fn fresh_shallow_fingerprint(doc: &Document) -> u64 {
     // The document node itself carries no name or attributes; fingerprint
     // the root *element* (first element child) when there is one.
     let root = doc

@@ -13,7 +13,7 @@
 use std::cell::Cell;
 
 use gql_analyze::Analyzer;
-use gql_core::engine::{Engine, QueryKind};
+use gql_core::engine::{Engine, Prepared, QueryKind};
 use gql_guard::{Budget, Guard, RunCtx};
 use gql_ssdm::sink::XmlSink;
 use gql_ssdm::{DocIndex, Document, Summary};
@@ -220,7 +220,7 @@ pub fn check_sinks_case(doc: &Document, query: &QueryKind) -> Result<(), String>
         let trace = Trace::profiling();
         let mut written_xml = String::new();
         let outcome = Engine::new().execute_into(
-            query,
+            &Prepared::borrowed(query),
             doc,
             RunCtx::new(&trace, &written_guard),
             &mut XmlSink::new(&mut written_xml),
