@@ -24,7 +24,7 @@ use gql_bench::{criterion_group, criterion_main};
 use gql_guard::{Budget, Guard, RunCtx};
 use gql_ssdm::{DocIndex, Document};
 use gql_xmlgl::builder::{RuleBuilder, C, Q};
-use gql_xmlgl::eval::match_rule_in;
+use gql_xmlgl::eval::{match_rule_in, JoinPlan};
 
 /// Same shape as the `indexed` / `overhead` bench dataset: a selective
 /// join plus a filler section only scans pay for.
@@ -71,7 +71,8 @@ fn bench_guard_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("guard");
     group.sample_size(30);
 
-    let governed = |ctx: RunCtx<'_>| match_rule_in(&rule, &doc, &idx, None, ctx);
+    let plan = JoinPlan::new(&rule, None);
+    let governed = |ctx: RunCtx<'_>| match_rule_in(&rule, &doc, &idx, &plan, ctx);
     let disabled = group.bench_function("join_indexed/disabled_guard", |b| {
         b.iter(|| governed(RunCtx::none()))
     });

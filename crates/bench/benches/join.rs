@@ -8,7 +8,7 @@ use gql_bench::{criterion_group, criterion_main};
 use gql_guard::RunCtx;
 use gql_ssdm::sink::DocSink;
 use gql_ssdm::{DocIndex, Document};
-use gql_xmlgl::eval::{run_in, MatchPlans};
+use gql_xmlgl::eval::{run_in, JoinPlan};
 
 fn q6_xmlgl() -> gql_xmlgl::ast::Program {
     gql_xmlgl::dsl::parse(
@@ -40,6 +40,9 @@ fn bench_join(c: &mut Criterion) {
         // Resident: the index is built once, outside the clock, as `Engine`
         // and the service hold it; the answer is built through a `DocSink`.
         let idx = DocIndex::build(&doc);
+        let plans: Vec<JoinPlan> = (program.rules.iter())
+            .map(|rule| JoinPlan::new(rule, None))
+            .collect();
         group.bench_with_input(BenchmarkId::new("xmlgl_resident", scale), &doc, |b, doc| {
             b.iter(|| {
                 let mut out = Document::new();
@@ -47,7 +50,7 @@ fn bench_join(c: &mut Criterion) {
                     &program,
                     doc,
                     &idx,
-                    &MatchPlans::none(),
+                    &plans,
                     RunCtx::none(),
                     &mut DocSink::new(&mut out),
                 )

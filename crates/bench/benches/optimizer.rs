@@ -10,7 +10,7 @@ use gql_core::{Engine, QueryKind};
 use gql_guard::RunCtx;
 use gql_ssdm::{DocIndex, Summary};
 use gql_trace::ExecutionProfile;
-use gql_xmlgl::eval::match_rule_in;
+use gql_xmlgl::eval::{match_rule_in, JoinPlan};
 
 /// All permutations of `0..k` (the full join-order search space for a
 /// `k`-root rule; only used for tiny `k`).
@@ -67,7 +67,7 @@ fn bench_q6(c: &mut Criterion) {
         let cost_order = gql_plan::plan_rule_order(rule, &inference.root_bounds[0])
             .expect("Q6 has a reorderable multi-root extract");
         let matched = |doc: &gql_ssdm::Document, order: Option<&[usize]>| {
-            match_rule_in(rule, doc, &idx, order, RunCtx::none())
+            match_rule_in(rule, doc, &idx, &JoinPlan::new(rule, order), RunCtx::none())
         };
         assert_eq!(
             matched(&doc, None),

@@ -32,7 +32,7 @@ use gql_guard::RunCtx;
 use gql_ssdm::{DocIndex, Document};
 use gql_trace::{Trace, TraceLog};
 use gql_xmlgl::builder::{RuleBuilder, C, Q};
-use gql_xmlgl::eval::{match_rule_in, match_rule_with, MatchMode};
+use gql_xmlgl::eval::{match_rule_in, match_rule_with, JoinPlan, MatchMode};
 
 /// Same shape as the `indexed` bench's dataset: a selective join plus a
 /// filler section only scans pay for.
@@ -105,6 +105,7 @@ fn bench_tracing_overhead(c: &mut Criterion) {
     let doc = dataset(scale);
     let idx = DocIndex::build(&doc);
     let rule = join_rule();
+    let plan = JoinPlan::new(&rule, None);
     let mut group = c.benchmark_group("overhead");
     group.sample_size(30);
 
@@ -116,7 +117,7 @@ fn bench_tracing_overhead(c: &mut Criterion) {
         b.iter(|| {
             log.record(|trace| {
                 let ctx = RunCtx::traced(trace);
-                match_rule_in(&rule, &doc, &idx, None, ctx)
+                match_rule_in(&rule, &doc, &idx, &plan, ctx)
             })
         })
     });

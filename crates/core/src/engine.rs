@@ -17,7 +17,7 @@ use gql_ssdm::sink::{DocSink, Sink};
 use gql_ssdm::{shallow_fingerprint, DocIndex, Document, Summary};
 use gql_trace::{joined, ExecutionProfile, Trace};
 use gql_wglog::instance::Instance;
-use gql_xmlgl::eval::MatchPlans;
+use gql_xmlgl::eval::JoinPlan;
 
 use crate::{CoreError, Result};
 
@@ -30,17 +30,18 @@ pub enum QueryKind {
 }
 
 /// A query with every fact its text alone fixes, derived once: its
-/// canonical plan-cache key, the static-analysis gate's verdict and the
-/// per-rule extract-root counts a cached plan is validated against. A
-/// caller that asks the same text many times (`gql-serve` keeps these by
-/// text) prepares it once; [`Engine::run`] and [`Engine::execute`] prepare
-/// the query they are given on every call.
+/// canonical plan-cache key, the static-analysis gate's verdict and, for
+/// XPath, the parsed expression (or the parser's message). A caller that
+/// asks the same text many times (`gql-serve` keeps these by text)
+/// prepares it once; [`Engine::run`] and [`Engine::execute`] prepare the
+/// query they are given on every call.
 #[derive(Debug)]
 pub struct Prepared<'q> {
     query: Cow<'q, QueryKind>,
     key: QueryKey,
     verdict: Result<()>,
-    root_counts: Vec<usize>,
+    /// `Some` for XPath only.
+    xpath: Option<std::result::Result<gql_xpath::Expr, String>>,
 }
 
 impl Prepared<'static> {
@@ -59,13 +60,21 @@ impl<'q> Prepared<'q> {
         Prepared {
             key: QueryKey::new(&canonical_query(&query)),
             verdict: reject_errors(&query),
-            root_counts: plan_root_counts(&query),
+            xpath: match &*query {
+                QueryKind::XPath(expr) => Some(gql_xpath::parse(expr).map_err(|e| e.to_string())),
+                _ => None,
+            },
             query,
         }
     }
 
     pub fn query(&self) -> &QueryKind {
         &self.query
+    }
+
+    /// The XPath expression, when the query is XPath text that parses.
+    fn parsed_xpath(&self) -> Option<&gql_xpath::Expr> {
+        self.xpath.as_ref().and_then(|parsed| parsed.as_ref().ok())
     }
 
     /// The plan-cache key's query part: the printed DSL for the graphical
@@ -85,11 +94,12 @@ impl<'q> Prepared<'q> {
 
 /// See [`Prepared::canonical`].
 fn canonical_query(query: &QueryKind) -> String {
-    match query {
-        QueryKind::XmlGl(program) => format!("xmlgl:{}", gql_xmlgl::dsl::print(program)),
-        QueryKind::WgLog(program) => format!("wglog:{}", gql_wglog::dsl::print(program)),
-        QueryKind::XPath(expr) => format!("xpath:{expr}"),
-    }
+    let (prefix, text) = match query {
+        QueryKind::XmlGl(program) => ("xmlgl:", gql_xmlgl::dsl::print(program).into()),
+        QueryKind::WgLog(program) => ("wglog:", gql_wglog::dsl::print(program).into()),
+        QueryKind::XPath(expr) => ("xpath:", Cow::Borrowed(expr.as_str())),
+    };
+    [prefix, &text].concat()
 }
 
 /// Static-analysis gate: Error-level diagnostics (well-formedness, safety,
@@ -123,19 +133,6 @@ fn reject_errors(query: &QueryKind) -> Result<()> {
     }
 }
 
-/// Per-rule extract-root counts — the shape a cached XML-GL plan is
-/// validated against before its join orders are trusted.
-fn plan_root_counts(query: &QueryKind) -> Vec<usize> {
-    match query {
-        QueryKind::XmlGl(program) => program
-            .rules
-            .iter()
-            .map(|r| r.extract.roots.len())
-            .collect(),
-        _ => Vec::new(),
-    }
-}
-
 /// Result of one engine run.
 #[derive(Debug)]
 pub struct RunOutcome<O = Document> {
@@ -157,8 +154,8 @@ pub struct RunOutcome<O = Document> {
     /// summary: GQL014–GQL016 warnings (statically-empty queries, dead
     /// rules, dead XPath steps) and cardinality upper bounds. Warnings
     /// never refuse a run — the result is still computed and the bounds
-    /// also drive the XML-GL join planner.
-    pub inference: Inference,
+    /// also drive the XML-GL join planner. Shared with the plan cache.
+    pub inference: Arc<Inference>,
     /// The logical plan the run executed (multi-line EXPLAIN rendering of
     /// the `gql_plan` lowering), for provenance surfaces; shared with the
     /// plan cache.
@@ -202,8 +199,8 @@ pub struct Engine {
     /// matches.
     resident: Option<Resident>,
     /// Cached planning outcomes keyed by (canonical query, document
-    /// fingerprint, budget class): on a hit the analyze/plan phases are
-    /// served from the cache and the run goes parse → execution.
+    /// fingerprint): on a hit the analyze/plan phases are served from the
+    /// cache and the run goes parse → execution.
     plan_cache: Mutex<PlanCache>,
     /// Snapshot-consistent view of the plan cache's counters, cloned from
     /// the cache at construction so [`Engine::plan_cache_stats`] never
@@ -271,7 +268,7 @@ impl Engine {
 
     /// The plan cache, immune to lock poisoning: a panicking run must not
     /// take the cache down with it, and every hit is re-validated against
-    /// the query shape before its orders are trusted.
+    /// the query's rules before its join plans run.
     fn lock_plan_cache(&self) -> MutexGuard<'_, PlanCache> {
         self.plan_cache
             .lock()
@@ -297,59 +294,44 @@ impl Engine {
         self.lock_plan_cache().clear()
     }
 
-    /// Build the cacheable planning outcome for a query: cost-based join
-    /// orders (XML-GL; the other engines execute their declared shape),
-    /// plus the lowered logical-algebra tree for provenance surfaces.
-    fn build_plan(
-        query: &QueryKind,
-        inference: Inference,
-        summary_paths: u64,
-        root_counts: Vec<usize>,
-    ) -> CachedPlan {
-        let mut xpath = None;
-        let (orders, lowered) = match query {
+    /// Build the cacheable planning outcome for a query: each XML-GL
+    /// rule's join plan in its cost-based order (the other engines execute
+    /// their declared shape), plus the lowered logical-algebra tree for
+    /// provenance surfaces — for XML-GL a rendering of those join plans.
+    fn build_plan(prepared: &Prepared<'_>, inference: Inference, summary_paths: u64) -> CachedPlan {
+        let (joins, lowered) = match prepared.query() {
             QueryKind::XmlGl(program) => {
-                let orders: Vec<Option<Vec<usize>>> = program
-                    .rules
-                    .iter()
-                    .enumerate()
-                    .map(|(i, r)| {
-                        inference
-                            .root_bounds
-                            .get(i)
-                            .and_then(|b| gql_plan::plan_rule_order(r, b))
+                let joins: Vec<JoinPlan> = (program.rules.iter().enumerate())
+                    .map(|(i, rule)| {
+                        let order = (inference.root_bounds.get(i))
+                            .and_then(|bounds| gql_plan::plan_rule_order(rule, bounds));
+                        JoinPlan::new(rule, order.as_deref())
                     })
                     .collect();
-                let lowered = gql_plan::lower_xmlgl(program, &inference, &orders);
-                (orders, lowered)
+                let lowered = gql_plan::lower_join_plans(program, &inference, &joins);
+                (joins, lowered)
             }
             QueryKind::WgLog(program) => (Vec::new(), gql_plan::lower_wglog(program, &inference)),
-            QueryKind::XPath(expr) => {
-                // A parse failure is reported by the parse span with its
-                // original error; the plan just records the failure.
-                let lowered = match gql_xpath::parse(expr) {
-                    Ok(parsed) => {
-                        let lowered = gql_plan::lower_xpath(&parsed, &inference);
-                        xpath = Some(Arc::new(parsed));
-                        lowered
-                    }
-                    Err(_) => gql_plan::LogicalPlan::Construct {
+            // A parse failure is reported by the parse span with the
+            // parser's message; the plan just records the failure.
+            QueryKind::XPath(_) => match prepared.parsed_xpath() {
+                Some(parsed) => (Vec::new(), gql_plan::lower_xpath(parsed, &inference)),
+                None => (
+                    Vec::new(),
+                    gql_plan::LogicalPlan::Construct {
                         shape: "unparsed".into(),
                         inputs: Vec::new(),
                         span: gql_ssdm::Span::none(),
                     },
-                };
-                (Vec::new(), lowered)
-            }
+                ),
+            },
         };
         CachedPlan {
-            inference,
-            orders,
+            inference: Arc::new(inference),
+            joins,
             plan_text: lowered.render().into(),
             plan_compact: lowered.render_compact(),
-            root_counts,
             summary_paths,
-            xpath,
         }
     }
 
@@ -437,7 +419,8 @@ impl Engine {
     /// `engine` and `cache` notes, `analyze` / `plan` / `load` / `index` /
     /// `eval` / `construct` phase children, and engine-specific spans below
     /// `eval`. The `plan` span notes `plan_cache` (`hit` / `miss` /
-    /// `replan`), the compact logical plan, and the XML-GL join orders.
+    /// `replan`), the compact logical plan, and the XML-GL join orders the
+    /// planner chose.
     ///
     /// Under a guard built from a [`Budget`](gql_guard::Budget) (pass
     /// [`Guard::with_cancel`](gql_guard::Guard::with_cancel) to attach a
@@ -476,8 +459,7 @@ impl Engine {
         // Probe the plan cache. The corruption fault seam scrambles the
         // entry *before* the probe, so a poisoned hit exercises the real
         // validate → replan path.
-        let key = PlanKey::new(prepared.key.clone(), fingerprint, guard.budget_class());
-        let root_counts = &prepared.root_counts;
+        let key = PlanKey::new(prepared.key.clone(), fingerprint);
         let mut cached = {
             let mut cache = self.lock_plan_cache();
             if fault::active() && fault::corrupt_plan_cache() {
@@ -486,12 +468,15 @@ impl Engine {
             cache.get(&key)
         };
         let mut cache_state = if cached.is_some() { "hit" } else { "miss" };
+        let rules = match query {
+            QueryKind::XmlGl(program) => &program.rules[..],
+            _ => &[],
+        };
         if cached
             .as_ref()
-            .is_some_and(|plan| !plan.is_valid_for(root_counts))
+            .is_some_and(|plan| !plan.is_valid_for(rules))
         {
-            // A hit that fails validation (a corrupted entry, or a key
-            // collision against a structurally different query) is dropped
+            // A hit that fails validation (a corrupted entry) is dropped
             // and replanned from scratch.
             cache_state = "replan";
             let mut cache = self.lock_plan_cache();
@@ -536,11 +521,11 @@ impl Engine {
                     let inference = match query {
                         QueryKind::XmlGl(program) => gql_infer::infer_xmlgl(program, summary),
                         QueryKind::WgLog(program) => gql_infer::infer_wglog(program, summary),
-                        // A parse failure here is reported by the parse
-                        // span below with its original error; inference
-                        // just stays empty.
-                        QueryKind::XPath(expr) => gql_xpath::parse(expr)
-                            .map(|parsed| gql_infer::infer_xpath(&parsed, summary))
+                        // A parse failure is reported by the parse span
+                        // below with the parser's message; inference just
+                        // stays empty.
+                        QueryKind::XPath(_) => (prepared.parsed_xpath())
+                            .map(|parsed| gql_infer::infer_xpath(parsed, summary))
                             .unwrap_or_default(),
                     };
                     let summary_paths = summary.stats().paths as u64;
@@ -562,12 +547,7 @@ impl Engine {
             let plan = match (cached, analyzed) {
                 (Some(plan), None) => plan,
                 (None, Some((inference, summary_paths))) => {
-                    let plan = Arc::new(Self::build_plan(
-                        query,
-                        inference,
-                        summary_paths,
-                        root_counts.clone(),
-                    ));
+                    let plan = Arc::new(Self::build_plan(prepared, inference, summary_paths));
                     self.lock_plan_cache().insert(key, Arc::clone(&plan));
                     plan
                 }
@@ -576,16 +556,16 @@ impl Engine {
             if trace.is_enabled() {
                 trace.note("plan_cache", cache_state);
                 trace.note("plan", plan.plan_compact.as_str());
-                for (i, order) in plan.orders.iter().enumerate() {
-                    if let Some(order) = order {
-                        trace.note(format_args!("join_order[{i}]"), joined(order, ","));
+                for (i, join) in plan.joins.iter().enumerate() {
+                    if join.is_planned() {
+                        trace.note(format_args!("join_order[{i}]"), joined(join.order(), ","));
                     }
                 }
             }
             guard.checkpoint().map_err(CoreError::Budget)?;
             plan
         };
-        let inference = planned.inference.clone();
+        let inference = Arc::clone(&planned.inference);
         let plan_text = Arc::clone(&planned.plan_text);
         match query {
             QueryKind::XmlGl(program) => {
@@ -607,16 +587,13 @@ impl Engine {
                 // (and reused across runs through the plan cache). Plans
                 // never change results (see `match_rule_in`), only
                 // intermediate join sizes.
-                let plans = MatchPlans {
-                    per_rule: planned.orders.clone(),
-                };
                 let result_count = {
                     let _s = ctx.phase("eval");
-                    if trace.is_enabled() && !plans.is_empty() {
-                        let planned = plans.per_rule.iter().filter(|p| p.is_some()).count();
-                        trace.count("planned_rules", planned as u64);
+                    let planned_rules = planned.joins.iter().filter(|j| j.is_planned()).count();
+                    if trace.is_enabled() && planned_rules > 0 {
+                        trace.count("planned_rules", planned_rules as u64);
                     }
-                    gql_xmlgl::eval::run_in(program, doc, idx, &plans, ctx, sink)
+                    gql_xmlgl::eval::run_in(program, doc, idx, &planned.joins, ctx, sink)
                         .map_err(engine_err_xmlgl)?
                 };
                 let eval_time = start.elapsed();
@@ -686,18 +663,15 @@ impl Engine {
                     plan: plan_text,
                 })
             }
-            QueryKind::XPath(expr) => {
-                // The plan holds the parsed expression whenever the text
-                // parses; text that does not is parsed again here, for the
-                // error.
+            QueryKind::XPath(_) => {
+                // The text was parsed when the query was prepared; text that
+                // does not parse fails here with the parser's message.
                 let parsed = {
                     let _s = ctx.phase("parse");
-                    match &planned.xpath {
-                        Some(parsed) => Arc::clone(parsed),
-                        None => Arc::new(
-                            gql_xpath::parse(expr)
-                                .map_err(|e| CoreError::Engine { msg: e.to_string() })?,
-                        ),
+                    match &prepared.xpath {
+                        Some(Ok(parsed)) => parsed,
+                        Some(Err(msg)) => return Err(CoreError::Engine { msg: msg.clone() }),
+                        None => unreachable!("an XPath query is prepared with its parse"),
                     }
                 };
                 let start = Instant::now();
@@ -723,9 +697,9 @@ impl Engine {
                 let value = {
                     let _s = ctx.phase("eval");
                     if scan_only {
-                        gql_xpath::evaluate_scan(doc, &parsed, ctx)
+                        gql_xpath::evaluate_scan(doc, parsed, ctx)
                     } else {
-                        gql_xpath::evaluate_in(doc, &parsed, idx, ctx)
+                        gql_xpath::evaluate_in(doc, parsed, idx, ctx)
                     }
                     .map_err(engine_err_xpath)?
                 };
@@ -1346,7 +1320,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_keys_on_document_fingerprint_and_budget_class() {
+    fn plan_cache_keys_on_document_fingerprint_and_shares_across_budgets() {
         let mut d = doc();
         let engine = Engine::new();
         let q = QueryKind::XPath("//restaurant[menu]".to_string());
@@ -1360,12 +1334,15 @@ mod tests {
         engine.run(&q, &d).unwrap();
         let s = engine.plan_cache_stats();
         assert_eq!((s.hits, s.misses), (1, 2));
-        // A different budget class never aliases the unlimited entry.
-        let budget = Budget::unlimited().with_max_matches(1_000_000);
-        bounded(&engine, &q, &d, &budget).unwrap();
-        assert_eq!(engine.plan_cache_stats().misses, 3);
-        bounded(&engine, &q, &d, &budget).unwrap();
-        assert_eq!(engine.plan_cache_stats().hits, 2);
+        // Planning reads no budget: a capped and a timed run are served
+        // the entry the unlimited run planned, and no second one is made.
+        let capped = Budget::unlimited().with_max_matches(1_000_000);
+        let timed = Budget::unlimited().with_timeout_ms(60_000);
+        bounded(&engine, &q, &d, &capped).unwrap();
+        bounded(&engine, &q, &d, &timed).unwrap();
+        let s = engine.plan_cache_stats();
+        assert_eq!((s.hits, s.misses), (3, 2));
+        assert_eq!(engine.plan_cache_len(), 2, "one entry per fingerprint");
     }
 
     #[test]

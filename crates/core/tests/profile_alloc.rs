@@ -29,6 +29,7 @@ use gql_ssdm::generator::{cityguide, greengrocer, CityConfig, GrocerConfig};
 use gql_ssdm::sink::XmlSink;
 use gql_ssdm::DocIndex;
 use gql_trace::{Trace, TraceLog};
+use gql_xmlgl::eval::JoinPlan;
 
 struct CountingAlloc;
 
@@ -188,9 +189,9 @@ fn the_matcher_allocates_per_rule_not_per_candidate() {
                 };
                 let mut rows = 0;
                 let count = allocations(|| {
-                    let ctx = RunCtx::none();
-                    rows = gql_xmlgl::eval::match_rule_in(&program.rules[0], doc, idx, None, ctx)
-                        .len();
+                    let (rule, ctx) = (&program.rules[0], RunCtx::none());
+                    let plan = JoinPlan::new(rule, None);
+                    rows = gql_xmlgl::eval::match_rule_in(rule, doc, idx, &plan, ctx).len();
                 });
                 assert!(
                     rows >= scale / 8,

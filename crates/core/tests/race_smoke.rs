@@ -15,7 +15,7 @@ use gql_core::{Engine, QueryKind};
 use gql_guard::{Budget, CancelToken, Guard, RunCtx};
 use gql_ssdm::{generator, DocIndex};
 use gql_xmlgl::ast::Rule;
-use gql_xmlgl::eval::{match_rule_in, match_rule_with, MatchMode};
+use gql_xmlgl::eval::{match_rule_in, match_rule_with, JoinPlan, MatchMode};
 
 fn join_rule() -> Rule {
     gql_xmlgl::dsl::parse(
@@ -162,7 +162,7 @@ fn cancellation_mid_match_is_clean() {
                 canceller.cancel();
             });
             let ctx = RunCtx::guarded(&guard);
-            match_rule_in(&rule, &doc, &idx, None, ctx)
+            match_rule_in(&rule, &doc, &idx, &JoinPlan::new(&rule, None), ctx)
         });
         assert!(
             got.len() <= baseline.len(),

@@ -96,24 +96,6 @@ impl Budget {
         self.max_nodes = Some(n);
         self
     }
-
-    /// Coarse equivalence class of this budget, for plan-cache keying:
-    /// budgets in different classes may degrade differently (e.g. a timed
-    /// run falling back to scan mode mid-way), so their cached plans never
-    /// alias. The class deliberately ignores limit *values* — plans are
-    /// chosen from cardinality facts, not from how much headroom a run
-    /// has — so all timed runs share warm plans.
-    pub fn class(&self) -> &'static str {
-        match (
-            self.timeout.is_some(),
-            self.max_rounds.is_some() || self.max_matches.is_some() || self.max_nodes.is_some(),
-        ) {
-            (false, false) => "unlimited",
-            (true, false) => "timed",
-            (false, true) => "capped",
-            (true, true) => "timed+capped",
-        }
-    }
 }
 
 /// Cooperative cancellation handle. Clone it, hand one clone to the caller
@@ -409,15 +391,6 @@ impl Guard {
     /// Current progress snapshot (enabled guards only).
     pub fn report(&self) -> Option<ProgressReport> {
         self.inner.as_ref().map(|inner| inner.snapshot())
-    }
-
-    /// The budget class of this guard (see [`Budget::class`]);
-    /// `"unlimited"` for the no-op guard.
-    pub fn budget_class(&self) -> &'static str {
-        match &self.inner {
-            None => "unlimited",
-            Some(inner) => inner.budget.class(),
-        }
     }
 
     /// Total probe firings so far (enabled guards only; the overhead bench
@@ -954,27 +927,6 @@ mod tests {
                 "plan must clear even when the closure panics"
             )
         });
-    }
-
-    #[test]
-    fn budget_classes_partition_by_limit_kind() {
-        assert_eq!(Budget::unlimited().class(), "unlimited");
-        assert_eq!(Budget::unlimited().with_timeout_ms(5).class(), "timed");
-        assert_eq!(Budget::unlimited().with_max_rounds(3).class(), "capped");
-        assert_eq!(Budget::unlimited().with_max_matches(3).class(), "capped");
-        assert_eq!(Budget::unlimited().with_max_nodes(3).class(), "capped");
-        assert_eq!(
-            Budget::unlimited()
-                .with_timeout_ms(5)
-                .with_max_matches(3)
-                .class(),
-            "timed+capped"
-        );
-        assert_eq!(Guard::unlimited().budget_class(), "unlimited");
-        assert_eq!(
-            Guard::new(Budget::unlimited().with_timeout_ms(1000)).budget_class(),
-            "timed"
-        );
     }
 
     #[test]

@@ -1,31 +1,33 @@
 //! The engine-resident plan cache.
 //!
-//! Keys combine the three things that can change a plan: the query (its
+//! Keys combine the two things a plan is a function of: the query (its
 //! canonical text — the printed DSL/XPath source — shared as a
-//! [`QueryKey`] and compared by hash before text, so equality stays exact),
-//! a cheap content fingerprint of the document
+//! [`QueryKey`] and compared by hash before text, so equality stays exact)
+//! and a cheap content fingerprint of the document
 //! (`gql_ssdm::shallow_fingerprint`; a changed document changes the summary
-//! and therefore the cost facts), and the budget class (different
-//! governance regimes may degrade differently, so their plans never alias).
-//! Values carry everything the engine needs to skip the analyze/plan phases
-//! on a hit: the full inference, the chosen per-rule join orders, and the
-//! rendered plan text for provenance. They are shared: a hit hands out an
-//! `Arc` and copies nothing.
+//! and therefore the cost facts). A run's budget plays no part: planning
+//! reads none, so every budget shares one entry. Values carry everything
+//! the engine needs to skip the analyze/plan phases on a hit: the full
+//! inference, each XML-GL rule's [`JoinPlan`] — what the matcher runs — and
+//! the rendered plan text for provenance. They are shared: a hit hands out
+//! an `Arc` and copies nothing.
 //!
 //! Eviction is LRU over a monotonic use clock. The cache never affects
-//! answers — a stale or corrupted entry is caught by
+//! answers — an entry whose join plans do not fit the query's rules (the
+//! corruption the fault seam applies) is caught by
 //! [`CachedPlan::is_valid_for`] and triggers a replan (counted in
-//! [`CacheStats::replans`]), and even an undetected wrong *order* only
-//! changes work, because the matcher re-sorts provenance tuples to
-//! declaration order. Fingerprint collisions therefore bound cache
-//! effectiveness, not correctness — the same stance the resident index
-//! takes.
+//! [`CacheStats::replans`]), and even a wrong *order* only changes work,
+//! because the matcher re-sorts provenance tuples to declaration order.
+//! Fingerprint collisions therefore bound cache effectiveness, not
+//! correctness — the same stance the resident index takes.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use gql_infer::Inference;
 use gql_ssdm::index::hash_str;
+use gql_xmlgl::ast::Rule;
+use gql_xmlgl::eval::JoinPlan;
 
 /// Default number of cached plans per engine.
 pub const DEFAULT_CAPACITY: usize = 64;
@@ -65,22 +67,19 @@ impl PartialEq for QueryKey {
 
 impl Eq for QueryKey {}
 
-/// Cache key: (canonical query, document fingerprint, budget class).
+/// Cache key: (canonical query, document fingerprint).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanKey {
     pub query: QueryKey,
     /// `gql_ssdm::shallow_fingerprint` of the target document.
     pub doc_fingerprint: u64,
-    /// `Budget::class()` of the run.
-    pub budget_class: &'static str,
 }
 
 impl PlanKey {
-    pub fn new(query: QueryKey, doc_fingerprint: u64, budget_class: &'static str) -> PlanKey {
+    pub fn new(query: QueryKey, doc_fingerprint: u64) -> PlanKey {
         PlanKey {
             query,
             doc_fingerprint,
-            budget_class,
         }
     }
 }
@@ -90,61 +89,36 @@ impl PlanKey {
 /// the plan text included — is copied per run.
 #[derive(Debug, Clone)]
 pub struct CachedPlan {
-    /// The inference (diagnostics, cardinality bounds, emptiness facts).
-    pub inference: Inference,
-    /// Per-rule root evaluation orders (XML-GL; empty for the others).
-    /// `None` entries mean "declared order".
-    pub orders: Vec<Option<Vec<usize>>>,
+    /// The inference (diagnostics, cardinality bounds, emptiness facts),
+    /// shared with every run's outcome.
+    pub inference: Arc<Inference>,
+    /// Each rule's join plan, in rule order (XML-GL; empty for the others):
+    /// what the matcher runs and what `plan_text` renders.
+    pub joins: Vec<JoinPlan>,
     /// Rendered logical plan (multi-line EXPLAIN form), for provenance
     /// surfaces; every run's outcome shares it.
     pub plan_text: Arc<str>,
     /// Single-line plan rendering, for trace notes.
     pub plan_compact: String,
-    /// Per-rule extract-root counts at plan time, for validation.
-    pub root_counts: Vec<usize>,
     /// Summary path count observed at plan time, so warm runs emit the
     /// same analyze counters as the cold run that built the entry.
     pub summary_paths: u64,
-    /// The parsed expression of an XPath query (the key holds its exact
-    /// text), so a hit parses nothing. `None` for the graphical languages
-    /// and for text that does not parse — the run's own parse then reports
-    /// the error.
-    pub xpath: Option<Arc<gql_xpath::Expr>>,
 }
 
 impl CachedPlan {
-    /// A cached entry is usable only if its orders are well-formed
-    /// permutations for the query at hand: one entry per rule, each `Some`
-    /// order a permutation of that rule's roots. Anything else — a
-    /// corrupted entry, or a key collision against a structurally
-    /// different query — fails validation and forces a replan.
-    pub fn is_valid_for(&self, root_counts: &[usize]) -> bool {
-        if self.root_counts != root_counts || self.orders.len() != root_counts.len() {
-            return false;
-        }
-        self.orders.iter().zip(root_counts).all(|(o, &n)| match o {
-            None => true,
-            Some(order) => {
-                let mut seen = vec![false; n];
-                order.len() == n
-                    && order
-                        .iter()
-                        .all(|&i| i < n && !std::mem::replace(&mut seen[i], true))
-            }
-        })
+    /// A cached entry is usable only if it holds one join plan per rule of
+    /// the query at hand (`rules`: the XML-GL program's, none for the
+    /// others), each of that rule's shape. Anything else — a corrupted
+    /// entry — fails validation and forces a replan.
+    pub fn is_valid_for(&self, rules: &[Rule]) -> bool {
+        self.joins.len() == rules.len() && self.joins.iter().zip(rules).all(|(p, r)| p.fits(r))
     }
 
     /// Scramble the entry so [`CachedPlan::is_valid_for`] fails — the
-    /// corruption the fault-injection seam applies.
+    /// corruption the fault-injection seam applies: one join plan too many.
     pub fn corrupt_for_test(&mut self) {
         self.plan_text = format!("{} [corrupted]", self.plan_text).into();
-        if self.orders.is_empty() {
-            self.orders.push(Some(vec![usize::MAX]));
-        } else {
-            for o in &mut self.orders {
-                *o = Some(vec![usize::MAX]);
-            }
-        }
+        self.joins.push(JoinPlan::default());
     }
 }
 
@@ -367,33 +341,36 @@ impl PlanCache {
 mod tests {
     use super::*;
 
-    fn plan(orders: Vec<Option<Vec<usize>>>, root_counts: Vec<usize>) -> Arc<CachedPlan> {
+    fn plan(joins: Vec<JoinPlan>) -> Arc<CachedPlan> {
         Arc::new(CachedPlan {
-            inference: Inference::default(),
-            orders,
+            inference: Arc::default(),
+            joins,
             plan_text: "Construct out\n".into(),
             plan_compact: "Construct(out)".into(),
-            root_counts,
             summary_paths: 0,
-            xpath: None,
         })
     }
 
-    fn key(query: &str, doc_fingerprint: u64, budget_class: &'static str) -> PlanKey {
-        PlanKey::new(QueryKey::new(query), doc_fingerprint, budget_class)
+    fn key(query: &str, doc_fingerprint: u64) -> PlanKey {
+        PlanKey::new(QueryKey::new(query), doc_fingerprint)
+    }
+
+    /// The rules of an XML-GL program.
+    fn rules(src: &str) -> Vec<Rule> {
+        gql_xmlgl::dsl::parse(src).unwrap().rules
     }
 
     #[test]
     fn hit_miss_and_lru_eviction() {
         let mut c = PlanCache::new(2);
-        let k1 = key("q1", 1, "unlimited");
-        let k2 = key("q2", 1, "unlimited");
-        let k3 = key("q3", 1, "unlimited");
+        let k1 = key("q1", 1);
+        let k2 = key("q2", 1);
+        let k3 = key("q3", 1);
         assert!(c.get(&k1).is_none());
-        c.insert(k1.clone(), plan(vec![], vec![]));
-        c.insert(k2.clone(), plan(vec![], vec![]));
+        c.insert(k1.clone(), plan(vec![]));
+        c.insert(k2.clone(), plan(vec![]));
         assert!(c.get(&k1).is_some()); // refreshes k1 — k2 is now LRU
-        c.insert(k3.clone(), plan(vec![], vec![]));
+        c.insert(k3.clone(), plan(vec![]));
         assert!(c.get(&k2).is_none(), "k2 should have been evicted");
         assert!(c.get(&k1).is_some());
         assert!(c.get(&k3).is_some());
@@ -402,30 +379,32 @@ mod tests {
     }
 
     #[test]
-    fn keys_separate_fingerprint_and_budget_class() {
+    fn keys_separate_fingerprints_and_nothing_else() {
         let mut c = PlanCache::default();
-        c.insert(key("q", 1, "unlimited"), plan(vec![], vec![]));
-        assert!(c.get(&key("q", 2, "unlimited")).is_none());
-        assert!(c.get(&key("q", 1, "timed")).is_none());
-        assert!(c.get(&key("q", 1, "unlimited")).is_some());
-        assert_eq!(key("q", 1, "unlimited").query.hash(), hash_str("q"));
+        c.insert(key("q", 1), plan(vec![]));
+        assert!(c.get(&key("q", 2)).is_none());
+        assert!(c.get(&key("q", 1)).is_some());
+        assert_eq!(c.len(), 1);
+        assert_eq!(key("q", 1).query.hash(), hash_str("q"));
     }
 
     #[test]
     fn validation_catches_corruption_and_shape_mismatches() {
-        let good = plan(vec![Some(vec![1, 0]), None], vec![2, 1]);
-        assert!(good.is_valid_for(&[2, 1]));
-        assert!(!good.is_valid_for(&[2, 2]), "root counts must match");
-        assert!(!good.is_valid_for(&[2]), "rule count must match");
+        let two = "rule { extract { a as $a  b as $b } construct { out { all $a } } }";
+        let one = "rule { extract { a as $a } construct { out { all $a } } }";
+        let (two, one) = (rules(two), rules(one));
+        let good = plan(vec![JoinPlan::new(&two[0], Some(&[1, 0]))]);
+        assert!(good.is_valid_for(&two));
+        assert!(!good.is_valid_for(&one), "root counts must match");
+        assert!(!good.is_valid_for(&[]), "rule count must match");
         let mut bad = CachedPlan::clone(&good);
         bad.corrupt_for_test();
-        assert!(!bad.is_valid_for(&[2, 1]));
+        assert!(!bad.is_valid_for(&two));
         assert!(bad.plan_text.contains("[corrupted]"));
-        // Non-permutations are invalid even with the right length.
-        let dup = plan(vec![Some(vec![0, 0])], vec![2]);
-        assert!(!dup.is_valid_for(&[2]));
-        // An entry with no orders at all is corrupted into invalidity too.
-        let mut empty = CachedPlan::clone(&plan(vec![], vec![]));
+        // An entry with no join plans at all is corrupted into invalidity
+        // too.
+        let mut empty = CachedPlan::clone(&plan(vec![]));
+        assert!(empty.is_valid_for(&[]));
         empty.corrupt_for_test();
         assert!(!empty.is_valid_for(&[]));
     }
@@ -433,12 +412,13 @@ mod tests {
     #[test]
     fn corrupt_entry_reaches_the_stored_plan() {
         let mut c = PlanCache::default();
-        let k = key("q", 1, "unlimited");
+        let k = key("q", 1);
+        let two = rules("rule { extract { a as $a  b as $b } construct { out { all $a } } }");
         assert!(!c.corrupt_entry(&k));
-        c.insert(k.clone(), plan(vec![Some(vec![0, 1])], vec![2]));
+        c.insert(k.clone(), plan(vec![JoinPlan::new(&two[0], None)]));
         assert!(c.corrupt_entry(&k));
         let fetched = c.get(&k).unwrap();
-        assert!(!fetched.is_valid_for(&[2]));
+        assert!(!fetched.is_valid_for(&two));
         c.note_replan();
         c.remove(&k);
         assert!(c.is_empty());
@@ -448,9 +428,9 @@ mod tests {
     #[test]
     fn lookups_track_hits_plus_misses() {
         let mut c = PlanCache::default();
-        let k = key("q", 1, "unlimited");
+        let k = key("q", 1);
         assert!(c.get(&k).is_none());
-        c.insert(k.clone(), plan(vec![], vec![]));
+        c.insert(k.clone(), plan(vec![]));
         assert!(c.get(&k).is_some());
         assert!(c.get(&k).is_some());
         let s = c.stats();
@@ -475,10 +455,10 @@ mod tests {
             let cache = Arc::clone(&cache);
             std::thread::spawn(move || {
                 for i in 0..iters {
-                    let k = key("q", i % 8, "unlimited");
+                    let k = key("q", i % 8);
                     let mut c = cache.lock().unwrap();
                     if c.get(&k).is_none() {
-                        c.insert(k, plan(vec![], vec![]));
+                        c.insert(k, plan(vec![]));
                     }
                 }
             })

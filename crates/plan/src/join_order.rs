@@ -1,11 +1,12 @@
 //! Cost-based join ordering for multi-root XML-GL rule bodies.
 //!
-//! The matcher evaluates a rule's extract roots left to right, combining
-//! each root's provenance tuples with the accumulated intermediate result
-//! (a hashed equi-join when a `join $a == $b` constraint connects them, a
-//! cross product otherwise). The order of that spine is the one planning
-//! decision that changes work without changing answers, so it is the one
-//! this module optimises.
+//! The matcher combines a rule's extract roots along its [`JoinPlan`]:
+//! each root's provenance tuples are merged with the accumulated
+//! intermediate result (a hashed equi-join when a `join $a == $b`
+//! constraint connects them, a cross product otherwise). The order of that
+//! spine is the one planning decision that changes work without changing
+//! answers, so it is the one this module optimises; the plan built from its
+//! choice is what runs and what EXPLAIN prints.
 //!
 //! [`JoinGraph`] abstracts a rule body to per-root cardinality bounds (from
 //! gql-infer's `W` recurrence) plus a root-level join-connectivity matrix.
@@ -22,6 +23,7 @@
 //! afterwards, so any order is answer-identical.
 
 use gql_xmlgl::ast::Rule;
+use gql_xmlgl::eval::JoinPlan;
 
 /// Bodies up to this many roots are planned exhaustively with subset DP.
 pub const DP_LIMIT: usize = 8;
@@ -39,20 +41,20 @@ impl JoinGraph {
     /// Build the join graph for a rule given per-root bounds (declaration
     /// order, as produced by `gql_infer::infer_xmlgl`). Returns `None` when
     /// there is nothing to reorder: fewer than two roots, or bounds that do
-    /// not line up with the rule.
+    /// not line up with the rule. Two roots are connected when a step of
+    /// the rule's declared [`JoinPlan`] joins them.
     pub fn from_rule(rule: &Rule, bounds: &[u64]) -> Option<JoinGraph> {
-        let g = &rule.extract;
-        let roots = &g.roots;
-        if roots.len() < 2 || bounds.len() != roots.len() {
+        let nroots = rule.extract.roots.len();
+        if nroots < 2 || bounds.len() != nroots {
             return None;
         }
-        let owner = root_owners(rule);
-        let mut connected = vec![vec![false; roots.len()]; roots.len()];
-        for &(a, b) in &g.joins {
-            let (oa, ob) = (owner[a.index()], owner[b.index()]);
-            if oa != ob && oa != usize::MAX && ob != usize::MAX {
-                connected[oa][ob] = true;
-                connected[ob][oa] = true;
+        let plan = JoinPlan::new(rule, None);
+        let mut connected = vec![vec![false; nroots]; nroots];
+        for step in plan.steps() {
+            for join in &step.on {
+                let other = plan.owners()[join.prefix.index()];
+                connected[other][step.root] = true;
+                connected[step.root][other] = true;
             }
         }
         Some(JoinGraph {
@@ -198,24 +200,6 @@ impl JoinGraph {
 /// join graph. `None` when the rule has nothing to reorder.
 pub fn plan_rule_order(rule: &Rule, bounds: &[u64]) -> Option<Vec<usize>> {
     JoinGraph::from_rule(rule, bounds).map(|g| g.plan())
-}
-
-/// Owner root of every extract-graph node (by subtree walk), `usize::MAX`
-/// for unreachable nodes — shared by the join graph and the lowering.
-pub fn root_owners(rule: &Rule) -> Vec<usize> {
-    let g = &rule.extract;
-    let mut owner = vec![usize::MAX; g.nodes.len()];
-    for (ri, &root) in g.roots.iter().enumerate() {
-        let mut stack = vec![root];
-        while let Some(q) = stack.pop() {
-            if owner[q.index()] != usize::MAX {
-                continue;
-            }
-            owner[q.index()] = ri;
-            stack.extend(g.node(q).children.iter().map(|e| e.target));
-        }
-    }
-    owner
 }
 
 #[cfg(test)]

@@ -9,17 +9,22 @@
 //!   `Filter`, `HashJoin`, `Fixpoint`, `Construct`, `PathStep`) all three
 //!   languages lower to, spans preserved for provenance;
 //! * [`lower`] — the per-language lowerings that feed EXPLAIN surfaces and
-//!   stamp inference cardinalities onto the operators;
+//!   stamp inference cardinalities onto the operators; an XML-GL `HashJoin`
+//!   spine renders the rule's [`JoinPlan`](gql_xmlgl::eval::JoinPlan), the
+//!   value the matcher runs;
 //! * [`join_order`] — the cost model and bottom-up join-order enumerator
 //!   (exhaustive subset DP for rule bodies of ≤ 8 roots, greedy beyond);
 //! * [`cache`] — the engine-resident LRU plan cache keyed by (canonical
-//!   query text, document content fingerprint, budget class) so warm
-//!   traffic goes parse → execution without re-running analysis.
+//!   query text, document content fingerprint), holding each XML-GL rule's
+//!   join plan, so warm traffic goes parse → execution without re-running
+//!   analysis.
 //!
-//! Nothing here can change an answer: orders are validated permutations
-//! the matcher re-sorts to declaration order after combining, and any
-//! cached entry that fails validation (corruption, key collision) is
-//! replanned. The testkit differential oracles enforce this end to end.
+//! Nothing here can change an answer: an order becomes a join plan only
+//! through `JoinPlan::new`, which takes a permutation of the roots as given
+//! and anything else as declaration order, and the matcher re-sorts to
+//! declaration order after combining; a cached entry whose join plans do
+//! not fit the query's rules is replanned. The testkit differential oracles
+//! enforce this end to end.
 
 pub mod algebra;
 pub mod cache;
@@ -31,4 +36,4 @@ pub use cache::{
     CacheStats, CachedPlan, PlanCache, PlanKey, QueryKey, StatsCell, DEFAULT_CAPACITY,
 };
 pub use join_order::{plan_rule_order, JoinGraph, DP_LIMIT};
-pub use lower::{lower_wglog, lower_xmlgl, lower_xpath};
+pub use lower::{lower_join_plans, lower_wglog, lower_xmlgl, lower_xpath};

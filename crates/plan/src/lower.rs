@@ -4,33 +4,45 @@
 //! surface: it names the access path per leaf (posting probe vs arena
 //! scan), the join spine in the *chosen* evaluation order with estimated
 //! intermediates, and the construct/fixpoint shape on top. Execution stays
-//! with the interpreters; only the XML-GL join order in the `HashJoin`
-//! spine is prescriptive (the engine hands it to the matcher).
+//! with the interpreters; the XML-GL `HashJoin` spine is a rendering of the
+//! rule's [`JoinPlan`], the one the matcher runs.
 
 use gql_infer::Inference;
 use gql_ssdm::Span;
 use gql_xmlgl::ast::{NameTest, QNodeId, QNodeKind};
+use gql_xmlgl::eval::JoinPlan;
 use gql_xpath::ast::{Expr, LocationPath, NodeTest};
 
 use crate::algebra::LogicalPlan;
-use crate::join_order::{root_owners, JoinGraph};
+use crate::join_order::JoinGraph;
 
 /// Lower an XML-GL program. `orders` gives the chosen per-rule root order
-/// (`None` = declared); bounds and cardinalities come from `inference`.
+/// (`None`, or no entry, is declaration order); bounds and cardinalities
+/// come from `inference`. The spines are those of the rules' [`JoinPlan`]s
+/// built from `orders` (see [`lower_join_plans`]).
 pub fn lower_xmlgl(
     program: &gql_xmlgl::ast::Program,
     inference: &Inference,
     orders: &[Option<Vec<usize>>],
 ) -> LogicalPlan {
-    let mut rules = Vec::with_capacity(program.rules.len());
-    for (ri, rule) in program.rules.iter().enumerate() {
-        rules.push(lower_xmlgl_rule(
-            rule,
-            ri,
-            inference,
-            orders.get(ri).and_then(Option::as_ref),
-        ));
-    }
+    let plans: Vec<JoinPlan> = (program.rules.iter().enumerate())
+        .map(|(ri, rule)| JoinPlan::new(rule, orders.get(ri).and_then(Option::as_deref)))
+        .collect();
+    lower_join_plans(program, inference, &plans)
+}
+
+/// Lower an XML-GL program whose rules combine their roots along `plans`
+/// (one per rule, in rule order): each rule's `HashJoin` spine renders its
+/// plan's steps.
+pub fn lower_join_plans(
+    program: &gql_xmlgl::ast::Program,
+    inference: &Inference,
+    plans: &[JoinPlan],
+) -> LogicalPlan {
+    debug_assert_eq!(plans.len(), program.rules.len(), "one join plan per rule");
+    let mut rules: Vec<LogicalPlan> = (program.rules.iter().zip(plans).enumerate())
+        .map(|(ri, (rule, plan))| lower_xmlgl_rule(rule, ri, inference, plan))
+        .collect();
     match rules.len() {
         1 => rules.pop().expect("one rule"),
         _ => LogicalPlan::Construct {
@@ -45,60 +57,41 @@ fn lower_xmlgl_rule(
     rule: &gql_xmlgl::ast::Rule,
     ri: usize,
     inference: &Inference,
-    order: Option<&Vec<usize>>,
+    plan: &JoinPlan,
 ) -> LogicalPlan {
     let g = &rule.extract;
     let bounds = inference.root_bounds.get(ri);
-    let root_plans: Vec<LogicalPlan> = g
-        .roots
-        .iter()
-        .enumerate()
-        .map(|(i, &root)| {
-            let est = bounds.and_then(|b| b.get(i)).copied().unwrap_or(u64::MAX);
-            lower_qnode(g, root, est)
-        })
-        .collect();
-
-    let order: Vec<usize> = match order {
-        Some(o) if o.len() == root_plans.len() => o.clone(),
-        _ => (0..root_plans.len()).collect(),
-    };
-    let graph = bounds.and_then(|b| JoinGraph::from_rule(rule, b));
-    let rows = graph.as_ref().map(|jg| jg.order_rows(&order));
-    let owner = root_owners(rule);
-
-    let mut plans = root_plans;
-    let mut spine: Option<LogicalPlan> = None;
-    let mut placed: Vec<usize> = Vec::new();
-    for (step, &ri_next) in order.iter().enumerate() {
-        let next = std::mem::replace(
-            &mut plans[ri_next],
-            LogicalPlan::Scan {
-                test: "∅".into(),
-                est: 0,
-                span: Span::none(),
-            },
-        );
-        spine = Some(match spine {
+    let order: Vec<usize> = plan.order().collect();
+    let rows = bounds
+        .and_then(|b| JoinGraph::from_rule(rule, b))
+        .map(|jg| jg.order_rows(&order));
+    let spine = (plan.steps().iter().enumerate()).fold(None, |spine, (k, step)| {
+        let est = bounds.and_then(|b| b.get(step.root)).copied();
+        let next = lower_qnode(g, g.roots[step.root], est.unwrap_or(u64::MAX));
+        Some(match spine {
             None => next,
-            Some(left) => {
-                let on = join_condition(g, &owner, &placed, ri_next);
-                let est = rows
-                    .as_ref()
-                    .and_then(|r| r.get(step))
-                    .map(|&r| u64::try_from(r).unwrap_or(u64::MAX))
-                    .unwrap_or(u64::MAX);
-                LogicalPlan::HashJoin {
-                    left: Box::new(left),
-                    right: Box::new(next),
-                    on,
-                    est,
-                    span: rule.span,
-                }
-            }
-        });
-        placed.push(ri_next);
-    }
+            Some(left) => LogicalPlan::HashJoin {
+                left: Box::new(left),
+                right: Box::new(next),
+                // Each join as the rule states it; a step with none is
+                // the cross product.
+                on: match step.on.is_empty() {
+                    true => "cross".into(),
+                    false => (step.on.iter())
+                        .map(|j| {
+                            let (a, b) = g.joins[j.index];
+                            format!("{} == {}", var_name(g, a), var_name(g, b))
+                        })
+                        .collect::<Vec<_>>()
+                        .join(" and "),
+                },
+                est: (rows.as_ref())
+                    .and_then(|r| r.get(k))
+                    .map_or(u64::MAX, |&r| u64::try_from(r).unwrap_or(u64::MAX)),
+                span: rule.span,
+            },
+        })
+    });
 
     let shape = rule
         .construct
@@ -118,30 +111,6 @@ fn lower_xmlgl_rule(
         },
         inputs: spine.into_iter().collect(),
         span: rule.span,
-    }
-}
-
-/// The join condition connecting root `next` to the already-placed prefix:
-/// every `join $a == $b` constraint with one side in each; `cross` when
-/// none connects them.
-fn join_condition(
-    g: &gql_xmlgl::ast::ExtractGraph,
-    owner: &[usize],
-    placed: &[usize],
-    next: usize,
-) -> String {
-    let mut conds = Vec::new();
-    for &(a, b) in &g.joins {
-        let (oa, ob) = (owner[a.index()], owner[b.index()]);
-        let links = (placed.contains(&oa) && ob == next) || (placed.contains(&ob) && oa == next);
-        if links {
-            conds.push(format!("{} == {}", var_name(g, a), var_name(g, b)));
-        }
-    }
-    if conds.is_empty() {
-        "cross".into()
-    } else {
-        conds.join(" and ")
     }
 }
 
@@ -471,6 +440,51 @@ mod tests {
         let vendor_pos = compact.find("IndexLookup(vendor)").unwrap();
         let product_pos = compact.find("IndexLookup(product)").unwrap();
         assert!(vendor_pos < product_pos, "{compact}");
+    }
+
+    /// An order that is no permutation of the roots is declaration order,
+    /// printed and run alike. (The lowering once checked its length alone:
+    /// `[0, 0]` printed `HashJoin(…, Scan ∅)` and dropped root 1, while the
+    /// matcher ran declaration order.)
+    #[test]
+    fn an_order_that_is_no_permutation_prints_and_runs_declaration_order() {
+        use gql_guard::RunCtx;
+        use gql_ssdm::DocIndex;
+        use gql_xmlgl::eval::{match_rule, match_rule_in};
+
+        let doc = Document::parse_str(GROCER).unwrap();
+        let p = gql_xmlgl::dsl::parse(
+            r#"rule {
+                 extract {
+                   product as $p { vendor { text as $v1 } }
+                   vendor as $w { name { text as $v2 } }
+                   join $v1 == $v2
+                 }
+                 construct { out { all $p } }
+               }"#,
+        )
+        .unwrap();
+        let inf = infer_xmlgl(&p, &Summary::build(&doc));
+        let printed = lower_xmlgl(&p, &inf, &[Some(vec![0, 0])]).render();
+        assert_eq!(printed, lower_xmlgl(&p, &inf, &[None]).render());
+        assert!(printed.contains("HashJoin on $v1 == $v2"), "{printed}");
+        assert!(!printed.contains('∅'), "{printed}");
+
+        let rule = &p.rules[0];
+        let plan = JoinPlan::new(rule, Some(&[0, 0]));
+        assert_eq!(plan, JoinPlan::new(rule, None));
+        let trace = gql_trace::Trace::profiling();
+        let idx = DocIndex::build(&doc);
+        let rows = {
+            let _s = trace.span("match");
+            match_rule_in(rule, &doc, &idx, &plan, RunCtx::traced(&trace))
+        };
+        assert_eq!(rows, match_rule(rule, &doc));
+        let profile = trace.finish().unwrap();
+        let matched = profile.find("match").unwrap();
+        assert_eq!(matched.note("combine_plan"), None);
+        let combine = matched.find("combine[1]").expect("declared-order span");
+        assert_eq!(combine.note("kind"), Some("hash_join"));
     }
 
     #[test]

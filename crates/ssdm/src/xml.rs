@@ -24,12 +24,12 @@ use crate::NodeId;
 /// refused with a positioned error naming this bound, by [`parse`] and
 /// [`crate::stream::EventReader`] alike. Neither the reader nor anything on
 /// the way to an answer's bytes recurses ([`write()`], the sinks,
-/// [`Document::text_content`], [`Document::import_subtree`]) or compares
-/// subtrees ([`crate::index::subtree_eq`]), but the WG-Log instance load
-/// downstream of a parsed document does, once per level, on threads with
-/// 2 MiB stacks (`gql-serve`'s connection and worker threads). A document at
-/// the bound goes through it on such a stack, unoptimised, with room for 1.75
-/// times the depth (`tests/end_to_end.rs`); libxml2's default is 256.
+/// [`Document::text_content`], [`Document::import_subtree`]), compares
+/// subtrees ([`crate::index::subtree_eq`]) or loads the WG-Log instance;
+/// `tests/end_to_end.rs` runs a document at the bound through every layer,
+/// and one built forty times deeper through those, on a 2 MiB stack (what
+/// `gql-serve`'s connection and worker threads get). libxml2's default is
+/// 256.
 pub const MAX_DEPTH: usize = 1024;
 
 /// Parse an XML string into a [`Document`].

@@ -20,7 +20,9 @@ use gql_ssdm::{DocIndex, Document, Summary};
 use gql_trace::Trace;
 use gql_wglog::eval::FixpointMode;
 use gql_wglog::Instance;
-use gql_xmlgl::eval::{construct_rule, distinct_cells, match_rule, match_rule_with, MatchMode};
+use gql_xmlgl::eval::{
+    construct_rule, distinct_cells, match_rule, match_rule_with, JoinPlan, MatchMode,
+};
 use gql_xpath::{Item, XValue};
 
 use crate::generators::Intent;
@@ -445,11 +447,14 @@ pub fn check_xmlgl_case(doc: &Document, src: &str) -> Result<(), String> {
         .map_err(|e| format!("run: lazy run failed after clean matching: {e}"))?;
     // The same run again, written where `run` built.
     let mut written = String::new();
+    let plans: Vec<JoinPlan> = (program.rules.iter())
+        .map(|rule| JoinPlan::new(rule, None))
+        .collect();
     gql_xmlgl::eval::run_in(
         &program,
         doc,
         &idx,
-        &gql_xmlgl::eval::MatchPlans::none(),
+        &plans,
         RunCtx::none(),
         &mut XmlSink::new(&mut written),
     )

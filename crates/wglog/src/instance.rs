@@ -403,7 +403,7 @@ impl Instance {
         // Document node → object, one slot per arena node.
         let mut node_to_obj: Vec<Option<ObjId>> = vec![None; doc.node_count()];
         if let Some(root) = doc.root_element() {
-            load_element(doc, root, &mut db, &mut node_to_obj);
+            load_elements(doc, root, &mut db, &mut node_to_obj);
         }
         // Reference edges, labelled by the referencing attribute name: the
         // first reference attribute of the source with a token naming the
@@ -519,7 +519,39 @@ fn trimmed(s: String) -> String {
     }
 }
 
-fn load_element(doc: &Document, node: NodeId, db: &mut Layer, map: &mut [Option<ObjId>]) -> ObjId {
+/// Load the element tree under `root`, in one loop over the open elements.
+/// Objects are numbered in document order; an element's edge to a child
+/// object is added once the child's own subtree is loaded, so the child's
+/// edges come first.
+fn load_elements(doc: &Document, root: NodeId, db: &mut Layer, map: &mut [Option<ObjId>]) {
+    // The open elements, innermost last: each with its object and the
+    // element children still to visit.
+    let top = load_object(doc, root, db, map);
+    let mut open = vec![(root, top, doc.child_elements(root))];
+    while let Some((_, id, children)) = open.last_mut() {
+        let id = *id;
+        match children.next() {
+            Some(child) if is_atomic(doc, child) => {
+                let tag = doc.name(child).unwrap_or("object");
+                let value = trimmed(doc.text_content(child));
+                db.objects[id.index()].attrs.push((tag.to_string(), value));
+            }
+            Some(child) => {
+                let cid = load_object(doc, child, db, map);
+                open.push((child, cid, doc.child_elements(child)));
+            }
+            None => {
+                let (node, ..) = open.pop().expect("an open element");
+                if let Some(&(_, parent, _)) = open.last() {
+                    db.add_edge(parent, doc.name(node).unwrap_or("object"), id);
+                }
+            }
+        }
+    }
+}
+
+/// The object of one element: its name, attributes and own text.
+fn load_object(doc: &Document, node: NodeId, db: &mut Layer, map: &mut [Option<ObjId>]) -> ObjId {
     let mut obj = Object::new(doc.name(node).unwrap_or("object"));
     for (name, value) in doc.attrs(node) {
         obj.attrs.push((name.to_string(), value.to_string()));
@@ -536,16 +568,6 @@ fn load_element(doc: &Document, node: NodeId, db: &mut Layer, map: &mut [Option<
     }
     let id = db.add_object(obj);
     map[node.index()] = Some(id);
-    for child in doc.child_elements(node) {
-        let tag = doc.name(child).unwrap_or("object");
-        if is_atomic(doc, child) {
-            let value = trimmed(doc.text_content(child));
-            db.objects[id.index()].attrs.push((tag.to_string(), value));
-        } else {
-            let cid = load_element(doc, child, db, map);
-            db.add_edge(id, tag, cid);
-        }
-    }
     id
 }
 
@@ -565,6 +587,23 @@ mod tests {
              </guide>",
         )
         .unwrap()
+    }
+
+    /// Objects are numbered in document order, and a child's subtree edges
+    /// come before its parent's edge to it. Both orders reach answer bytes
+    /// (invented objects are numbered in the order embeddings are found),
+    /// so the loader keeps them.
+    #[test]
+    fn loader_numbers_objects_in_document_order_and_adds_edges_bottom_up() {
+        let doc = Document::parse_str("<a><b><c x='1'/></b><d y='2'/></a>").unwrap();
+        let db = Instance::from_document(&doc);
+        let types: Vec<&str> = db.objects().map(|(_, o)| o.ty.as_str()).collect();
+        assert_eq!(types, ["a", "b", "c", "d"]);
+        let edges: Vec<(usize, &str, usize)> = (db.edges())
+            .map(|e| (e.from.index(), e.label.as_str(), e.to.index()))
+            .collect();
+        assert_eq!(edges, [(1, "c", 2), (0, "b", 1), (0, "d", 3)]);
+        assert_eq!(db.object(ObjId(2)).attr("x"), Some("1"));
     }
 
     #[test]

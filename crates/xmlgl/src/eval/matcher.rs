@@ -19,6 +19,7 @@ use gql_trace::joined;
 use crate::ast::{ExtractGraph, NameTest, QEdge, QNodeId, QNodeKind, Rule};
 
 use super::bindings::{push_unit, retain_rows, Bindings, Keys, UNBOUND};
+use super::join_plan::{Join, JoinPlan, NO_ROOT};
 
 /// Selects nothing: matching has one schedule, a single-threaded candidate
 /// loop. The type survives only because `gql-benchmark/src/replay.rs`, frozen
@@ -124,26 +125,25 @@ pub fn match_rule(rule: &Rule, doc: &Document) -> Bindings {
 /// Enumerate all embeddings using a prebuilt index. `_mode` selects nothing
 /// (see [`MatchMode`]).
 pub fn match_rule_with(rule: &Rule, doc: &Document, idx: &DocIndex, _mode: MatchMode) -> Bindings {
-    match_rule_in(rule, doc, idx, None, RunCtx::none())
+    match_rule_in(rule, doc, idx, &JoinPlan::new(rule, None), RunCtx::none())
 }
 
 /// The full form every other `match_rule*` is one line over.
 ///
-/// Roots are matched one by one and their binding sets then combined:
-/// a hash join on the 64-bit content hash (`Keys::hash`) whenever a join
-/// constraint connects the next root to the roots already combined, a
-/// cartesian product otherwise.
+/// Roots are matched one by one and their binding sets then combined
+/// along `plan`'s steps: a hash join on the 64-bit content hash
+/// (`Keys::hash`) over a step's joins, a cartesian product for a step with
+/// none. The plan's residual joins are then checked row by row.
 ///
 /// * `idx`: `doc`'s index, where candidates are read from.
-/// * `order`: a root *combine order* chosen by a planner (`gql-plan`'s
-///   `plan_rule_order` from summary cardinality bounds), a permutation of
-///   the root indices. Combining starts from `order[0]`, so a selective
-///   root can shrink the intermediate result before a bulky one multiplies
-///   it. The *result is identical* whatever the order — rows carry their
-///   per-root provenance and are sorted back into declaration order before
-///   bindings are materialised — only the intermediate sizes change. `None`,
-///   or an `order` that is not a permutation, combines in declaration
-///   order.
+/// * `plan`: the rule's [`JoinPlan`] — in declaration order
+///   (`JoinPlan::new(rule, None)`) or in an order a planner chose
+///   (`gql-plan`'s `plan_rule_order` from summary cardinality bounds), so a
+///   selective root can shrink the intermediate result before a bulky one
+///   multiplies it. The *result is identical* whatever the order — rows
+///   carry their per-root provenance and are sorted back into declaration
+///   order before bindings are materialised — only the intermediate sizes
+///   change.
 /// * `ctx.trace` receives per-root candidate-set sizes,
 ///   per-combine join statistics (probes, matches, hash-collision rejects),
 ///   residual-filter counts and per-query-node candidate totals; the
@@ -156,9 +156,13 @@ pub fn match_rule_in(
     rule: &Rule,
     doc: &Document,
     idx: &DocIndex,
-    order: Option<&[usize]>,
+    plan: &JoinPlan,
     ctx: RunCtx<'_>,
 ) -> Bindings {
+    debug_assert!(
+        plan.fits(rule),
+        "a join plan runs the rule it was built for"
+    );
     let trace = ctx.trace;
     let cx = Ctx {
         g: &rule.extract,
@@ -174,7 +178,6 @@ pub fn match_rule_in(
             .then(|| vec![Cell::new(0); rule.extract.nodes.len()]),
         run: ctx,
     };
-    let plan = order.filter(|o| is_permutation(o, rule.extract.roots.len()));
     let out = run_match(&cx, plan);
     if let Some(cand) = &cx.cand {
         for (i, c) in cand.iter().enumerate() {
@@ -189,16 +192,7 @@ pub fn match_rule_in(
     out
 }
 
-/// Is `order` a permutation of `0..nroots`?
-fn is_permutation(order: &[usize], nroots: usize) -> bool {
-    let mut seen = vec![false; nroots];
-    order.len() == nroots
-        && order
-            .iter()
-            .all(|&ri| ri < nroots && !std::mem::replace(&mut seen[ri], true))
-}
-
-fn run_match(cx: &Ctx, plan: Option<&[usize]>) -> Bindings {
+fn run_match(cx: &Ctx, plan: &JoinPlan) -> Bindings {
     let (g, trace) = (cx.g, cx.run.trace);
     if g.roots.is_empty() {
         return Bindings::new(cx.width);
@@ -221,22 +215,20 @@ fn run_match(cx: &Ctx, plan: Option<&[usize]>) -> Bindings {
         })
         .collect();
 
-    // Combine roots, remembering which joins the hash-join pass already
-    // enforced (the residual filter can skip them). One root has nothing to
-    // combine with: its bindings are the result as they are.
-    let mut enforced = vec![false; g.joins.len()];
-    let mut combined = if per_root.len() == 1 {
-        per_root.swap_remove(0)
+    // Combine the roots. One root has nothing to combine with: its
+    // bindings are the result as they are.
+    let (mut combined, ran) = if per_root.len() == 1 {
+        (per_root.swap_remove(0), 1)
     } else {
-        combine(cx, &per_root, plan, &mut enforced)
+        combine(cx, &per_root, plan)
     };
 
-    // Residual joins within a single root (or spanning more than two) are
-    // verified by filtering; hash-enforced pairs are already satisfied.
-    let residual: Vec<(QNodeId, QNodeId)> = (g.joins.iter().zip(&enforced))
-        .filter_map(|(&join, &enforced)| (!enforced).then_some(join))
-        .collect();
-    if !residual.is_empty() {
+    // The residual joins are verified by filtering. A combine that ran out
+    // of rows left its later steps' joins unchecked too: they count with
+    // the residual ones, over no rows.
+    let residual = plan.residual();
+    let unchecked: usize = plan.steps()[ran..].iter().map(|s| s.on.len()).sum();
+    if residual.len() + unchecked > 0 {
         let span = trace.span("residual_filter");
         let before = combined.len();
         let mut keys = Keys::new(cx.doc, g);
@@ -244,7 +236,7 @@ fn run_match(cx: &Ctx, plan: Option<&[usize]>) -> Bindings {
             (residual.iter()).all(|&(x, y)| keys.eq((x, row.get(x)), (y, row.get(y))))
         });
         if trace.is_enabled() {
-            trace.count("joins", residual.len() as u64);
+            trace.count("joins", (residual.len() + unchecked) as u64);
             trace.count("rows_in", before as u64);
             trace.count("rows_out", combined.len() as u64);
         }
@@ -253,29 +245,17 @@ fn run_match(cx: &Ctx, plan: Option<&[usize]>) -> Bindings {
     combined
 }
 
-/// The per-root binding tables, and which root each query node belongs to:
-/// where the join columns of an intermediate combine row are read from. Such
-/// a row is a provenance tuple — one per-root row number per root,
-/// [`UNBOUND`] for a root not merged in yet — and the rows of one stage lie
-/// end to end in one buffer; none copies a binding.
+/// The per-root binding tables, and which root each query node belongs to
+/// (the plan's owners): where the join columns of an intermediate combine
+/// row are read from. Such a row is a provenance tuple — one per-root row
+/// number per root, [`UNBOUND`] for a root not merged in yet — and the rows
+/// of one stage lie end to end in one buffer; none copies a binding.
 struct Roots<'a> {
     per_root: &'a [Bindings],
-    owner: Vec<usize>,
+    owner: &'a [usize],
 }
 
-impl<'a> Roots<'a> {
-    fn new(g: &ExtractGraph, per_root: &'a [Bindings]) -> Self {
-        let mut owner: Vec<usize> = vec![usize::MAX; g.nodes.len()];
-        for (ri, &root) in g.roots.iter().enumerate() {
-            let mut stack = vec![root];
-            while let Some(q) = stack.pop() {
-                owner[q.index()] = ri;
-                stack.extend(g.node(q).children.iter().map(|e| e.target));
-            }
-        }
-        Roots { per_root, owner }
-    }
-
+impl Roots<'_> {
     /// The join column `c` of row `t`, read straight off the owning root's
     /// table.
     fn col(&self, t: &[u32], c: QNodeId) -> Option<NodeId> {
@@ -284,33 +264,29 @@ impl<'a> Roots<'a> {
     }
 }
 
-/// Combine the per-root binding sets: merge the roots in `plan` order
-/// (declaration order without one), hash-joining whenever a join constraint
-/// connects the next root to those already merged and taking the cartesian
-/// product otherwise. Intermediate rows are provenance tuples (see
-/// [`Roots`]), sorted into declaration-order lexicographic sequence before
-/// bindings are materialised — the sequence a left-to-right
-/// declaration-order merge emits (products and hash joins both emit
-/// left-to-right, right-index-ascending), so construct output cannot depend
-/// on the plan.
-fn combine(
-    cx: &Ctx,
-    per_root: &[Bindings],
-    plan: Option<&[usize]>,
-    enforced: &mut [bool],
-) -> Bindings {
-    let (g, RunCtx { trace, guard }) = (cx.g, cx.run);
+/// Combine the per-root binding sets along `plan`'s steps, hash-joining a
+/// step with joins and taking the cartesian product for one without.
+/// Intermediate rows are provenance tuples (see [`Roots`]), sorted into
+/// declaration-order lexicographic sequence before bindings are
+/// materialised — the sequence a left-to-right declaration-order merge
+/// emits (products and hash joins both emit left-to-right,
+/// right-index-ascending), so construct output cannot depend on the plan.
+///
+/// Also returns how many steps ran: the combine stops at a step that finds
+/// the guard tripped, and after one that leaves no row.
+fn combine(cx: &Ctx, per_root: &[Bindings], plan: &JoinPlan) -> (Bindings, usize) {
+    let RunCtx { trace, guard } = cx.run;
     let nroots = per_root.len();
-    let roots = Roots::new(g, per_root);
-    let owner = &roots.owner;
-    let declared: Vec<usize> = (0..nroots).collect();
-    let order = plan.unwrap_or(&declared);
-    if plan.is_some() {
-        trace.note("combine_plan", joined(order, ","));
+    let roots = Roots {
+        per_root,
+        owner: plan.owners(),
+    };
+    let owner = roots.owner;
+    if plan.is_planned() {
+        trace.note("combine_plan", joined(plan.order(), ","));
     }
-    let first = order[0];
-    let mut processed = vec![false; nroots];
-    processed[first] = true;
+    let steps = plan.steps();
+    let first = steps[0].root;
     let blank = vec![UNBOUND; nroots];
     let mut rows: Vec<u32> = Vec::with_capacity(per_root[first].len() * nroots);
     for i in 0..per_root[first].len() as u32 {
@@ -318,39 +294,23 @@ fn combine(
     }
     // The next stage's rows; the two buffers swap roles stage by stage.
     let mut next: Vec<u32> = Vec::new();
-    let mut keys = Keys::new(cx.doc, g);
-    for (k, &ri) in order.iter().enumerate().skip(1) {
-        let right = &per_root[ri];
-        // Joins whose endpoints span the processed prefix and this root,
-        // as (prefix column, this root's column).
-        let cross_joins: Vec<(QNodeId, QNodeId)> = (g.joins.iter().zip(enforced.iter_mut()))
-            .filter_map(|(&(a, b), enforced)| {
-                let (oa, ob) = (owner[a.index()], owner[b.index()]);
-                let cross = if oa == usize::MAX || ob == usize::MAX {
-                    None
-                } else if processed[oa] && ob == ri {
-                    Some((a, b))
-                } else if processed[ob] && oa == ri {
-                    Some((b, a))
-                } else {
-                    None
-                };
-                *enforced |= cross.is_some();
-                cross
-            })
-            .collect();
-        let span = match plan {
-            Some(_) => trace.span(format_args!("combine[{k}:root {ri}]")),
-            None => trace.span(format_args!("combine[{ri}]")),
+    let mut keys = Keys::new(cx.doc, cx.g);
+    let mut ran = 1;
+    for (k, step) in steps.iter().enumerate().skip(1) {
+        ran = k + 1;
+        let (ri, right) = (step.root, &per_root[step.root]);
+        let span = match plan.is_planned() {
+            true => trace.span(format_args!("combine[{k}:root {ri}]")),
+            false => trace.span(format_args!("combine[{ri}]")),
         };
         if trace.is_enabled() {
             trace.count("left_rows", (rows.len() / nroots) as u64);
             trace.count("right_rows", right.len() as u64);
         }
         if !guard.ok() {
-            return Bindings::new(cx.width);
+            return (Bindings::new(cx.width), ran);
         }
-        if cross_joins.is_empty() {
+        if step.on.is_empty() {
             trace.note("kind", "product");
             for t in rows.chunks_exact(nroots) {
                 // Budget probe: one per output batch (this row's fan-out).
@@ -366,7 +326,7 @@ fn combine(
             let probe = Probe {
                 rows: &rows,
                 ri,
-                joins: &cross_joins,
+                joins: &step.on,
             };
             let stats = hash_join(&roots, probe, &mut keys, Keys::hash, guard, &mut next);
             if trace.is_enabled() {
@@ -377,7 +337,6 @@ fn combine(
         }
         std::mem::swap(&mut rows, &mut next);
         next.clear();
-        processed[ri] = true;
         trace.count("out_rows", (rows.len() / nroots) as u64);
         drop(span);
         if rows.is_empty() {
@@ -394,11 +353,11 @@ fn combine(
     for &r in &sorted {
         let t = row(r);
         out.cells.extend((0..cx.width).map(|c| match owner[c] {
-            usize::MAX => UNBOUND,
+            NO_ROOT => UNBOUND,
             o => per_root[o].cells[t[o] as usize * cx.width + c],
         }));
     }
-    out
+    (out, ran)
 }
 
 /// Append row `t` with root `ri` merged in at its row `i`.
@@ -419,13 +378,12 @@ pub(crate) struct JoinStats {
 }
 
 /// The probe side of one hash join: the rows so far, the root joining them
-/// and the joins between the two, each as (a column of the rows, a column
-/// of root `ri`).
+/// and the joins between the two (a step of the plan).
 #[derive(Clone, Copy)]
 struct Probe<'a> {
     rows: &'a [u32],
     ri: usize,
-    joins: &'a [(QNodeId, QNodeId)],
+    joins: &'a [Join],
 }
 
 /// Join `probe.rows` with root `probe.ri`'s table on the content hashes of
@@ -449,8 +407,8 @@ fn hash_join<'k>(
     // One key over all join columns; a row with a column unbound has none.
     let mut table: Vec<(u64, u32)> = Vec::with_capacity(right.len());
     for (i, r) in right.iter().enumerate() {
-        let key = joins.iter().try_fold(0u64, |h, &(_, rc)| {
-            Some(fold_key(h, hash(keys, rc, r.get(rc)?)))
+        let key = joins.iter().try_fold(0u64, |h, j| {
+            Some(fold_key(h, hash(keys, j.root, r.get(j.root)?)))
         });
         if let Some(k) = key {
             table.push((k, i as u32));
@@ -458,8 +416,8 @@ fn hash_join<'k>(
     }
     table.sort_unstable();
     for t in rows.chunks_exact(nroots) {
-        let key = joins.iter().try_fold(0u64, |h, &(lc, _)| {
-            Some(fold_key(h, hash(keys, lc, roots.col(t, lc)?)))
+        let key = joins.iter().try_fold(0u64, |h, j| {
+            Some(fold_key(h, hash(keys, j.prefix, roots.col(t, j.prefix)?)))
         });
         let Some(k) = key else {
             continue;
@@ -477,8 +435,12 @@ fn hash_join<'k>(
         for &(_, i) in bucket {
             stats.hash_matches += 1;
             let right = right.row(i as usize);
-            let verified = (joins.iter())
-                .all(|&(lc, rc)| keys.eq((lc, roots.col(t, lc)), (rc, right.get(rc))));
+            let verified = (joins.iter()).all(|j| {
+                keys.eq(
+                    (j.prefix, roots.col(t, j.prefix)),
+                    (j.root, right.get(j.root)),
+                )
+            });
             if verified {
                 push_extended(out, t, ri, i);
             } else {
@@ -956,7 +918,7 @@ mod tests {
             .collect();
         let roots = Roots {
             per_root: &per_root,
-            owner: vec![0, 1],
+            owner: &[0, 1],
         };
         let mut rows = Vec::new();
         for i in 0..per_root[first].len() as u32 {
@@ -966,7 +928,11 @@ mod tests {
         let probe = Probe {
             rows: &rows,
             ri,
-            joins: &[(QNodeId(first as u32), QNodeId(ri as u32))],
+            joins: &[Join {
+                prefix: QNodeId(first as u32),
+                root: QNodeId(ri as u32),
+                index: 0,
+            }],
         };
         let (mut out, mut keys) = (Vec::new(), Keys::new(d, &g));
         let stats = hash_join(
@@ -1040,7 +1006,8 @@ mod tests {
 
     /// [`match_rule_in`] under a combine order, nothing traced or bounded.
     fn planned(rule: &Rule, d: &Document, idx: &DocIndex, order: &[usize]) -> Bindings {
-        match_rule_in(rule, d, idx, Some(order), RunCtx::none())
+        let plan = JoinPlan::new(rule, Some(order));
+        match_rule_in(rule, d, idx, &plan, RunCtx::none())
     }
 
     #[test]

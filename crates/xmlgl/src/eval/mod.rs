@@ -2,8 +2,9 @@
 //!
 //! Split into the two halves of a rule: [`matcher`] enumerates *bindings*
 //! (embeddings of the extract graph into the data, one row of the
-//! [`bindings`] table each) and [`construct`] materialises the result
-//! document from those bindings.
+//! [`bindings`] table each), combining the extract roots along the rule's
+//! [`join_plan`], and [`construct`] materialises the result document from
+//! those bindings.
 //!
 //! The semantics implemented here, stated once:
 //!
@@ -22,6 +23,7 @@
 
 pub mod bindings;
 pub mod construct;
+pub mod join_plan;
 pub mod matcher;
 
 use gql_ssdm::sink::{DocSink, Sink};
@@ -34,33 +36,8 @@ use gql_guard::RunCtx;
 
 pub use bindings::{cell_text, distinct_cells, Bindings, Row};
 pub use construct::{construct_rule, construct_rule_into, construct_rule_with};
+pub use join_plan::JoinPlan;
 pub use matcher::{match_rule, match_rule_in, match_rule_with, MatchMode};
-
-/// Per-rule root combine orders chosen by a planner (`gql-plan`'s
-/// `plan_rule_order` over summary cardinality bounds). `None` for a rule —
-/// or a missing entry, or an invalid permutation — means declaration order.
-/// Plans never change results, only intermediate join sizes; see
-/// [`match_rule_in`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MatchPlans {
-    pub per_rule: Vec<Option<Vec<usize>>>,
-}
-
-impl MatchPlans {
-    /// No reordering for any rule.
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// The combine order for rule `i`, if one was planned.
-    pub fn plan_for(&self, i: usize) -> Option<&[usize]> {
-        self.per_rule.get(i).and_then(|p| p.as_deref())
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.per_rule.iter().all(Option::is_none)
-    }
-}
 
 /// Evaluate a whole program: the outputs of all rules, in rule order, become
 /// the children of the result document's root. Builds one [`DocIndex`] for
@@ -68,15 +45,17 @@ impl MatchPlans {
 /// `Engine`) use [`run_in`].
 pub fn run(program: &Program, doc: &Document) -> Result<Document> {
     let idx = DocIndex::build(doc);
+    let plans: Vec<JoinPlan> = (program.rules.iter())
+        .map(|rule| JoinPlan::new(rule, None))
+        .collect();
     let mut out = Document::new();
-    let mut sink = DocSink::new(&mut out);
     run_in(
         program,
         doc,
         &idx,
-        &MatchPlans::none(),
+        &plans,
         RunCtx::none(),
-        &mut sink,
+        &mut DocSink::new(&mut out),
     )?;
     Ok(out)
 }
@@ -85,9 +64,9 @@ pub fn run(program: &Program, doc: &Document) -> Result<Document> {
 /// top-level elements, and their number is returned.
 ///
 /// * `idx`: the document's index, shared by every rule.
-/// * `plans`: planner-chosen root combine orders; rules with one combine
-///   their roots in that order (identical results, smaller intermediates —
-///   see [`match_rule_in`]), the rest in declaration order.
+/// * `plans`: one [`JoinPlan`] per rule, in rule order — declaration order,
+///   or the order a planner chose (identical results, smaller
+///   intermediates — see [`match_rule_in`]).
 /// * `ctx.trace` receives one `rule[i]` span per rule with `match`
 ///   (candidate sets, join statistics) and `construct` (nodes materialised)
 ///   children.
@@ -102,18 +81,19 @@ pub fn run_in(
     program: &Program,
     doc: &Document,
     idx: &DocIndex,
-    plans: &MatchPlans,
+    plans: &[JoinPlan],
     ctx: RunCtx<'_>,
     sink: &mut impl Sink,
 ) -> Result<usize> {
     let RunCtx { trace, guard } = ctx;
     crate::check::check_program(program)?;
     let mut instances = 0;
-    for (i, rule) in program.rules.iter().enumerate() {
+    assert_eq!(plans.len(), program.rules.len(), "one join plan per rule");
+    for (i, (rule, plan)) in program.rules.iter().zip(plans).enumerate() {
         let _rule_span = trace.span(format_args!("rule[{i}]"));
         let bindings = {
             let _s = trace.span("match");
-            match_rule_in(rule, doc, idx, plans.plan_for(i), ctx)
+            match_rule_in(rule, doc, idx, plan, ctx)
         };
         guard.checkpoint().map_err(crate::XmlGlError::Budget)?;
         {

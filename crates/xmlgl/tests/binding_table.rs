@@ -8,7 +8,7 @@ use gql_guard::{Budget, Guard, RunCtx};
 use gql_ssdm::{DocIndex, Document};
 use gql_xmlgl::ast::{CmpOp, Rule};
 use gql_xmlgl::builder::{RuleBuilder, C, Q};
-use gql_xmlgl::eval::{cell_text, match_rule, match_rule_in, Bindings};
+use gql_xmlgl::eval::{cell_text, match_rule, match_rule_in, Bindings, JoinPlan};
 
 fn rule(q: Q) -> Rule {
     RuleBuilder::new()
@@ -110,9 +110,10 @@ fn a_refused_charge_leaves_no_rows_behind() {
     let d = Document::parse_str("<r><a><b/><b/></a><a><b/><b/></a><a><b/><b/></a></r>").unwrap();
     let idx = DocIndex::build(&d);
     let r = rule(Q::elem("a").child(Q::elem("b").var("x")));
+    let plan = JoinPlan::new(&r, None);
     let run = |max| {
         let guard = Guard::new(Budget::default().with_max_matches(max));
-        let ms = match_rule_in(&r, &d, &idx, None, RunCtx::guarded(&guard));
+        let ms = match_rule_in(&r, &d, &idx, &plan, RunCtx::guarded(&guard));
         (ms.len(), guard.checkpoint().is_err())
     };
     // Each candidate charges 2 for its edge, then 2 for its rows.

@@ -100,7 +100,9 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
 /// the parser can report span-carrying diagnostics. (Offsets count `char`s,
 /// matching the offsets in [`XPathError::Lex`].)
 pub fn tokenize_spanned(input: &str) -> Result<Vec<(Token, usize)>> {
-    let chars: Vec<char> = input.chars().collect();
+    // One allocation: a text has no more chars than bytes.
+    let mut chars = Vec::with_capacity(input.len());
+    chars.extend(input.chars());
     let mut spanned = Vec::new();
     let mut i = 0usize;
     while i < chars.len() {

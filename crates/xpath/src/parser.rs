@@ -8,11 +8,8 @@ use crate::{Result, XPathError};
 
 /// Parse an XPath expression.
 pub fn parse(input: &str) -> Result<Expr> {
-    let spanned = tokenize_spanned(input)?;
-    let (tokens, offsets): (Vec<Token>, Vec<usize>) = spanned.into_iter().unzip();
     let mut p = Parser {
-        tokens,
-        offsets,
+        tokens: tokenize_spanned(input)?,
         end: input.chars().count(),
         pos: 0,
     };
@@ -24,9 +21,8 @@ pub fn parse(input: &str) -> Result<Expr> {
 }
 
 struct Parser {
-    tokens: Vec<Token>,
-    /// Character offset each token starts at; parallel to `tokens`.
-    offsets: Vec<usize>,
+    /// Each token with the character offset it starts at.
+    tokens: Vec<(Token, usize)>,
     /// Character length of the input, reported for errors at end of input.
     end: usize,
     pos: usize,
@@ -35,7 +31,7 @@ struct Parser {
 impl Parser {
     /// Offset of the token about to be consumed (input end at EOF).
     fn here(&self) -> usize {
-        self.offsets.get(self.pos).copied().unwrap_or(self.end)
+        self.tokens.get(self.pos).map_or(self.end, |&(_, at)| at)
     }
 
     /// A parse error anchored at the current token. Errors raised after
@@ -53,7 +49,7 @@ impl Parser {
         let offset = self
             .pos
             .checked_sub(1)
-            .and_then(|p| self.offsets.get(p).copied())
+            .and_then(|p| self.tokens.get(p).map(|&(_, at)| at))
             .unwrap_or(self.end);
         XPathError::Parse {
             offset,
@@ -66,23 +62,24 @@ impl Parser {
     }
 
     fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
+        self.tokens.get(self.pos).map(|(t, _)| t)
     }
 
     fn peek2(&self) -> Option<&Token> {
-        self.tokens.get(self.pos + 1)
+        self.tokens.get(self.pos + 1).map(|(t, _)| t)
     }
 
     fn peek_describe(&self) -> String {
         self.peek().map_or("end of input".into(), Token::describe)
     }
 
+    /// Consume the next token. The parser never looks back at a consumed
+    /// token (an error about it is anchored by its offset alone), so the
+    /// token is moved out, not copied; a `Comma` is left in its place.
     fn bump(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
+        let (t, _) = self.tokens.get_mut(self.pos)?;
+        self.pos += 1;
+        Some(std::mem::replace(t, Token::Comma))
     }
 
     fn eat(&mut self, t: &Token) -> bool {

@@ -302,11 +302,9 @@ fn schema_checks_span_both_formalisms() {
 /// nest as deep as memory lets it. Nothing on the way from such a document
 /// to an answer's bytes recurses, so one forty times past the bound goes
 /// through both serialisers, `text_content`, `import_subtree`, both sinks'
-/// `subtree` and its own drop on the same stack — and two of them side by
-/// side through a box join and a box `group by`, whose deep equality is a
-/// loop too. (`Instance::from_document`'s
-/// `load_element` still recurses once per level. It is not on the answer
-/// path and reads parsed datasets; ROADMAP item 1a replaces it.)
+/// `subtree`, the WG-Log instance load and its own drop on the same stack —
+/// and two of them side by side through a box join and a box `group by`,
+/// whose deep equality is a loop too.
 #[test]
 fn a_document_at_the_nesting_bound_fits_a_2_mib_stack_in_every_layer() {
     use gql::ssdm::sink::{DocSink, Sink, XmlSink};
@@ -377,7 +375,12 @@ fn a_document_at_the_nesting_bound_fits_a_2_mib_stack_in_every_layer() {
         writer.subtree(&built, top);
         assert_eq!(writer.nodes(), 2 * depth as u64);
         assert!(written == xml && copy.to_xml_string() == xml && answer.to_xml_string() == xml);
-        drop((built, copy, answer));
+        // Every `n` but the innermost, whose text makes it an attribute of
+        // its parent, is an object; every one but the outermost an edge's
+        // target.
+        let db = Instance::from_document(&built);
+        assert_eq!((db.object_count(), db.edge_count()), (depth - 1, depth - 2));
+        drop((built, copy, answer, db));
 
         // `<r><p>chain</p><q>chain</q></r>`, the same chain twice.
         let mut twins = Document::new();

@@ -288,7 +288,7 @@ fn xmlgl_profile_reports_exact_candidates_and_join_counters() {
 fn xmlgl_three_root_plan_keeps_the_largest_combine_a_tenth_of_declared_order() {
     use gql::core::RunCtx;
     use gql::ssdm::sink::DocSink;
-    use gql::xmlgl::eval::{run_in, MatchPlans};
+    use gql::xmlgl::eval::{run_in, JoinPlan};
 
     fn largest_out_rows(node: &ProfileNode) -> u64 {
         let own = node.counter("out_rows").unwrap_or(0);
@@ -325,11 +325,12 @@ fn xmlgl_three_root_plan_keeps_the_largest_combine_a_tenth_of_declared_order() {
     let idx = gql::ssdm::DocIndex::build(&doc);
     let mut declared = Document::new();
     let ctx = RunCtx::traced(&trace);
+    let plans = [JoinPlan::new(&program.rules[0], None)];
     run_in(
         &program,
         &doc,
         &idx,
-        &MatchPlans::none(),
+        &plans,
         ctx,
         &mut DocSink::new(&mut declared),
     )

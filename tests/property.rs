@@ -1365,7 +1365,7 @@ fn cost_planned_order_is_work_bounded_on_q6_family() {
     use gql::ssdm::generator::{greengrocer, GrocerConfig};
     use gql::ssdm::{DocIndex, Summary};
     use gql::trace::{ExecutionProfile, ProfileNode, Trace};
-    use gql::xmlgl::eval::match_rule_in;
+    use gql::xmlgl::eval::{match_rule_in, JoinPlan};
 
     /// Total hash-join work in a profile: rows flowing into combines plus
     /// probe count, summed over every span.
@@ -1417,7 +1417,8 @@ fn cost_planned_order_is_work_bounded_on_q6_family() {
             };
             let run = |order: &[usize]| {
                 let trace = Trace::profiling();
-                let bindings = match_rule_in(rule, &doc, &idx, Some(order), RunCtx::traced(&trace));
+                let plan = JoinPlan::new(rule, Some(order));
+                let bindings = match_rule_in(rule, &doc, &idx, &plan, RunCtx::traced(&trace));
                 let profile = trace.finish().expect("profiling trace yields a profile");
                 (bindings, profile)
             };
