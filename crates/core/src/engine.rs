@@ -16,6 +16,7 @@ use gql_plan::{CacheStats, CachedPlan, PlanCache, PlanKey, QueryKey, StatsCell};
 use gql_ssdm::sink::{DocSink, Sink};
 use gql_ssdm::{shallow_fingerprint, DocIndex, Document, Summary};
 use gql_trace::{joined, ExecutionProfile, Trace};
+use gql_wglog::eval::ProgramPlan;
 use gql_wglog::instance::Instance;
 use gql_xmlgl::eval::JoinPlan;
 
@@ -295,10 +296,12 @@ impl Engine {
     }
 
     /// Build the cacheable planning outcome for a query: each XML-GL
-    /// rule's join plan in its cost-based order (the other engines execute
-    /// their declared shape), plus the lowered logical-algebra tree for
-    /// provenance surfaces — for XML-GL a rendering of those join plans.
+    /// rule's join plan in its cost-based order, or a WG-Log program's
+    /// strata and searches (XPath executes its declared shape), plus the
+    /// lowered logical-algebra tree for provenance surfaces — a rendering
+    /// of those plans.
     fn build_plan(prepared: &Prepared<'_>, inference: Inference, summary_paths: u64) -> CachedPlan {
+        let mut wglog = None;
         let (joins, lowered) = match prepared.query() {
             QueryKind::XmlGl(program) => {
                 let joins: Vec<JoinPlan> = (program.rules.iter().enumerate())
@@ -311,7 +314,13 @@ impl Engine {
                 let lowered = gql_plan::lower_join_plans(program, &inference, &joins);
                 (joins, lowered)
             }
-            QueryKind::WgLog(program) => (Vec::new(), gql_plan::lower_wglog(program, &inference)),
+            QueryKind::WgLog(program) => {
+                let plan = ProgramPlan::new(program)
+                    .expect("the gate refuses a program that is ill formed or unstratifiable");
+                let lowered = gql_plan::lower_wglog_plan(program, &inference, &plan);
+                wglog = Some(plan);
+                (Vec::new(), lowered)
+            }
             // A parse failure is reported by the parse span with the
             // parser's message; the plan just records the failure.
             QueryKind::XPath(_) => match prepared.parsed_xpath() {
@@ -329,6 +338,7 @@ impl Engine {
         CachedPlan {
             inference: Arc::new(inference),
             joins,
+            wglog,
             plan_text: lowered.render().into(),
             plan_compact: lowered.render_compact(),
             summary_paths,
@@ -468,13 +478,14 @@ impl Engine {
             cache.get(&key)
         };
         let mut cache_state = if cached.is_some() { "hit" } else { "miss" };
-        let rules = match query {
-            QueryKind::XmlGl(program) => &program.rules[..],
-            _ => &[],
+        let (rules, wglog) = match query {
+            QueryKind::XmlGl(program) => (&program.rules[..], None),
+            QueryKind::WgLog(program) => (&[][..], Some(program)),
+            QueryKind::XPath(_) => (&[][..], None),
         };
         if cached
             .as_ref()
-            .is_some_and(|plan| !plan.is_valid_for(rules))
+            .is_some_and(|plan| !plan.is_valid_for(rules, wglog))
         {
             // A hit that fails validation (a corrupted entry) is dropped
             // and replanned from scratch.
@@ -631,14 +642,12 @@ impl Engine {
                 let start = Instant::now();
                 let result = {
                     let _s = ctx.phase("eval");
-                    gql_wglog::eval::run_in(
-                        program,
-                        instance,
-                        gql_wglog::eval::FixpointMode::SemiNaive,
-                        ctx,
-                    )
-                    .map(|(db, _)| db)
-                    .map_err(engine_err_wglog)?
+                    let plan = (planned.wglog.as_ref())
+                        .expect("a valid entry for a WG-Log query holds its plan");
+                    let mode = gql_wglog::eval::FixpointMode::SemiNaive;
+                    gql_wglog::eval::run_in(program, instance, plan, mode, ctx)
+                        .map(|(db, _)| db)
+                        .map_err(engine_err_wglog)?
                 };
                 let eval_time = start.elapsed();
                 let span = ctx.phase("construct");

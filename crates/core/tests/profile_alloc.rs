@@ -100,7 +100,7 @@ fn a_warm_profiled_run_allocates_no_more_than_an_unprofiled_one() {
                 .unwrap(),
             ),
             0,
-            (186, 109),
+            (160, 84),
         ),
         (QueryKind::XPath("//restaurant".to_string()), 0, (64, 15)),
     ];

@@ -24,6 +24,7 @@ use std::collections::HashSet;
 
 use gql_ssdm::diag::{Code, Diagnostic};
 use gql_ssdm::summary::Summary;
+use gql_wglog::eval::SearchPlan;
 use gql_wglog::rule::{rule_label, AttrValue, Color, LabelTest, PathRep, Program, Rule, TypeTest};
 
 use crate::Inference;
@@ -200,41 +201,24 @@ fn goal_bound(
 /// Whether every positive observation of the rule's query part is
 /// satisfiable under the available types and labels.
 fn rule_satisfiable(rule: &Rule, types: &HashSet<&str>, labels: &HashSet<&str>) -> bool {
-    // Mirror the evaluator's existential convention (eval/embed.rs): a
-    // query node whose incident edges are all negated edges *into* it never
-    // binds — each such edge asserts "the source has no matching
+    // Only the nodes the evaluator's search binds are read off its own
+    // plan. An existential node (every incident edge a negated edge *into*
+    // it) never binds: each such edge asserts "the source has no matching
     // neighbour", which only gets easier to satisfy when the target's type
-    // is absent. Its type must therefore not gate liveness.
-    let existential = |q| {
-        let mut incident = rule.edges.iter().filter(|e| e.from == q || e.to == q);
-        let mut any = false;
-        for e in incident.by_ref() {
-            any = true;
-            if !(e.negated && e.to == q && e.from != q) {
-                return false;
-            }
-        }
-        any
-    };
-    let (mut total, mut binding) = (0usize, 0usize);
-    for id in rule.query_nodes() {
-        total += 1;
-        if existential(id) {
-            continue;
-        }
-        binding += 1;
-        let ok = match &rule.node(id).test {
+    // is absent, so its type must not gate liveness. A rule whose query
+    // nodes all are existential has no embedding and never fires.
+    let plan = SearchPlan::new(rule);
+    if plan.matches_nothing() {
+        return false;
+    }
+    for step in plan.steps() {
+        let ok = match &rule.node(step.node).test {
             TypeTest::Type(t) => types.contains(t.as_str()),
             TypeTest::Any => !types.is_empty(),
         };
         if !ok {
             return false;
         }
-    }
-    // When every query node is existential the evaluator produces no
-    // embeddings at all, so the rule can never fire.
-    if total > 0 && binding == 0 {
-        return false;
     }
     for e in &rule.edges {
         if e.color != Color::Query || e.negated {

@@ -15,9 +15,10 @@
 //!
 //! The algebra is *descriptive at the leaves and prescriptive at the
 //! joins*: execution stays with the specialised interpreters, but the
-//! XML-GL root-join order recorded in a [`HashJoin`](LogicalPlan::HashJoin) spine is the order the
-//! matcher actually runs (see `gql_core::Engine`), and the whole tree is
-//! what EXPLAIN surfaces print. Source spans ride along on every operator
+//! XML-GL root-join order recorded in a [`HashJoin`](LogicalPlan::HashJoin)
+//! spine is the order the matcher actually runs (see `gql_core::Engine`), a
+//! WG-Log rule's spine is the binding order of its embedding search, and
+//! the whole tree is what EXPLAIN surfaces print. Source spans ride along on every operator
 //! so diagnostics and trace provenance can point back into query text.
 
 use std::fmt;

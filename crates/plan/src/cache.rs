@@ -8,13 +8,14 @@
 //! and therefore the cost facts). A run's budget plays no part: planning
 //! reads none, so every budget shares one entry. Values carry everything
 //! the engine needs to skip the analyze/plan phases on a hit: the full
-//! inference, each XML-GL rule's [`JoinPlan`] — what the matcher runs — and
-//! the rendered plan text for provenance. They are shared: a hit hands out
-//! an `Arc` and copies nothing.
+//! inference, each XML-GL rule's [`JoinPlan`] — what the matcher runs — or
+//! a WG-Log program's [`ProgramPlan`] — what the fixpoint runs — and the
+//! rendered plan text for provenance. They are shared: a hit hands out an
+//! `Arc` and copies nothing.
 //!
 //! Eviction is LRU over a monotonic use clock. The cache never affects
-//! answers — an entry whose join plans do not fit the query's rules (the
-//! corruption the fault seam applies) is caught by
+//! answers — an entry whose plans do not fit the query (the corruption the
+//! fault seam applies) is caught by
 //! [`CachedPlan::is_valid_for`] and triggers a replan (counted in
 //! [`CacheStats::replans`]), and even a wrong *order* only changes work,
 //! because the matcher re-sorts provenance tuples to declaration order.
@@ -26,6 +27,7 @@ use std::sync::Arc;
 
 use gql_infer::Inference;
 use gql_ssdm::index::hash_str;
+use gql_wglog::eval::ProgramPlan;
 use gql_xmlgl::ast::Rule;
 use gql_xmlgl::eval::JoinPlan;
 
@@ -95,6 +97,10 @@ pub struct CachedPlan {
     /// Each rule's join plan, in rule order (XML-GL; empty for the others):
     /// what the matcher runs and what `plan_text` renders.
     pub joins: Vec<JoinPlan>,
+    /// A WG-Log program's plan (`None` for the others): its strata and
+    /// each rule's search, what the fixpoint runs and what `plan_text`
+    /// renders.
+    pub wglog: Option<ProgramPlan>,
     /// Rendered logical plan (multi-line EXPLAIN form), for provenance
     /// surfaces; every run's outcome shares it.
     pub plan_text: Arc<str>,
@@ -108,10 +114,16 @@ pub struct CachedPlan {
 impl CachedPlan {
     /// A cached entry is usable only if it holds one join plan per rule of
     /// the query at hand (`rules`: the XML-GL program's, none for the
-    /// others), each of that rule's shape. Anything else — a corrupted
-    /// entry — fails validation and forces a replan.
-    pub fn is_valid_for(&self, rules: &[Rule]) -> bool {
-        self.joins.len() == rules.len() && self.joins.iter().zip(rules).all(|(p, r)| p.fits(r))
+    /// others), each of that rule's shape, and a plan of the WG-Log
+    /// program's shape exactly when the query is one (`wglog`). Anything
+    /// else — a corrupted entry — fails validation and forces a replan.
+    pub fn is_valid_for(&self, rules: &[Rule], wglog: Option<&gql_wglog::Program>) -> bool {
+        self.joins.len() == rules.len()
+            && self.joins.iter().zip(rules).all(|(p, r)| p.fits(r))
+            && match (&self.wglog, wglog) {
+                (Some(plan), Some(program)) => plan.fits(program),
+                (plan, program) => plan.is_none() && program.is_none(),
+            }
     }
 
     /// Scramble the entry so [`CachedPlan::is_valid_for`] fails — the
@@ -345,6 +357,7 @@ mod tests {
         Arc::new(CachedPlan {
             inference: Arc::default(),
             joins,
+            wglog: None,
             plan_text: "Construct out\n".into(),
             plan_compact: "Construct(out)".into(),
             summary_paths: 0,
@@ -394,19 +407,43 @@ mod tests {
         let one = "rule { extract { a as $a } construct { out { all $a } } }";
         let (two, one) = (rules(two), rules(one));
         let good = plan(vec![JoinPlan::new(&two[0], Some(&[1, 0]))]);
-        assert!(good.is_valid_for(&two));
-        assert!(!good.is_valid_for(&one), "root counts must match");
-        assert!(!good.is_valid_for(&[]), "rule count must match");
+        assert!(good.is_valid_for(&two, None));
+        assert!(!good.is_valid_for(&one, None), "root counts must match");
+        assert!(!good.is_valid_for(&[], None), "rule count must match");
         let mut bad = CachedPlan::clone(&good);
         bad.corrupt_for_test();
-        assert!(!bad.is_valid_for(&two));
+        assert!(!bad.is_valid_for(&two, None));
         assert!(bad.plan_text.contains("[corrupted]"));
         // An entry with no join plans at all is corrupted into invalidity
         // too.
         let mut empty = CachedPlan::clone(&plan(vec![]));
-        assert!(empty.is_valid_for(&[]));
+        assert!(empty.is_valid_for(&[], None));
         empty.corrupt_for_test();
-        assert!(!empty.is_valid_for(&[]));
+        assert!(!empty.is_valid_for(&[], None));
+    }
+
+    #[test]
+    fn a_wglog_plan_is_valid_for_its_program_only() {
+        let program = |src: &str| gql_wglog::dsl::parse(src).unwrap();
+        let one = program("rule { query { $a: doc } construct { $a -seen-> $a } }");
+        let two = program("rule { query { $a: doc  $b: doc } construct { $a -seen-> $b } }");
+        let mut entry = CachedPlan::clone(&plan(vec![]));
+        entry.wglog = Some(ProgramPlan::new(&one).unwrap());
+        assert!(entry.is_valid_for(&[], Some(&one)));
+        assert!(
+            !entry.is_valid_for(&[], Some(&two)),
+            "node counts must match"
+        );
+        assert!(
+            !entry.is_valid_for(&[], None),
+            "only a WG-Log query runs it"
+        );
+        assert!(
+            !plan(vec![]).is_valid_for(&[], Some(&one)),
+            "a WG-Log query needs one"
+        );
+        entry.corrupt_for_test();
+        assert!(!entry.is_valid_for(&[], Some(&one)));
     }
 
     #[test]
@@ -418,7 +455,7 @@ mod tests {
         c.insert(k.clone(), plan(vec![JoinPlan::new(&two[0], None)]));
         assert!(c.corrupt_entry(&k));
         let fetched = c.get(&k).unwrap();
-        assert!(!fetched.is_valid_for(&two));
+        assert!(!fetched.is_valid_for(&two, None));
         c.note_replan();
         c.remove(&k);
         assert!(c.is_empty());

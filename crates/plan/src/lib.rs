@@ -11,13 +11,15 @@
 //! * [`lower`] — the per-language lowerings that feed EXPLAIN surfaces and
 //!   stamp inference cardinalities onto the operators; an XML-GL `HashJoin`
 //!   spine renders the rule's [`JoinPlan`](gql_xmlgl::eval::JoinPlan), the
-//!   value the matcher runs;
+//!   value the matcher runs, and a WG-Log rule renders its
+//!   [`SearchPlan`](gql_wglog::eval::SearchPlan), the search the fixpoint
+//!   runs, one `Fixpoint` per stratum;
 //! * [`join_order`] — the cost model and bottom-up join-order enumerator
 //!   (exhaustive subset DP for rule bodies of ≤ 8 roots, greedy beyond);
 //! * [`cache`] — the engine-resident LRU plan cache keyed by (canonical
 //!   query text, document content fingerprint), holding each XML-GL rule's
-//!   join plan, so warm traffic goes parse → execution without re-running
-//!   analysis.
+//!   join plan or a WG-Log program's plan, so warm traffic goes parse →
+//!   execution without re-running analysis.
 //!
 //! Nothing here can change an answer: an order becomes a join plan only
 //! through `JoinPlan::new`, which takes a permutation of the roots as given
@@ -36,4 +38,4 @@ pub use cache::{
     CacheStats, CachedPlan, PlanCache, PlanKey, QueryKey, StatsCell, DEFAULT_CAPACITY,
 };
 pub use join_order::{plan_rule_order, JoinGraph, DP_LIMIT};
-pub use lower::{lower_join_plans, lower_wglog, lower_xmlgl, lower_xpath};
+pub use lower::{lower_join_plans, lower_wglog, lower_wglog_plan, lower_xmlgl, lower_xpath};

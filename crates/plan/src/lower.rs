@@ -5,10 +5,12 @@
 //! scan), the join spine in the *chosen* evaluation order with estimated
 //! intermediates, and the construct/fixpoint shape on top. Execution stays
 //! with the interpreters; the XML-GL `HashJoin` spine is a rendering of the
-//! rule's [`JoinPlan`], the one the matcher runs.
+//! rule's [`JoinPlan`], the one the matcher runs, and a WG-Log rule's spine
+//! a rendering of its [`SearchPlan`], the one the embedding search runs.
 
 use gql_infer::Inference;
 use gql_ssdm::Span;
+use gql_wglog::eval::plan::{Access, ProgramPlan, SearchPlan};
 use gql_xmlgl::ast::{NameTest, QNodeId, QNodeKind};
 use gql_xmlgl::eval::JoinPlan;
 use gql_xpath::ast::{Expr, LocationPath, NodeTest};
@@ -196,109 +198,119 @@ fn subtree_test(g: &gql_xmlgl::ast::ExtractGraph, q: QNodeId) -> String {
     }
 }
 
-/// Lower a WG-Log program: per-rule join plans inside a `Fixpoint`, with
-/// the goal extraction as the outer `Construct`.
+/// Lower a WG-Log program as it runs: [`lower_wglog_plan`] over its
+/// [`ProgramPlan`]. A program that cannot be planned (the engine refuses
+/// it before it runs) lowers to a `Construct` with nothing under it.
 pub fn lower_wglog(program: &gql_wglog::rule::Program, inference: &Inference) -> LogicalPlan {
-    use gql_wglog::rule::{Color, LabelTest};
-    let mut body = Vec::with_capacity(program.rules.len());
-    for (ri, rule) in program.rules.iter().enumerate() {
-        let query: Vec<_> = rule.query_nodes().collect();
-        let mut spine: Option<LogicalPlan> = None;
-        let mut placed: Vec<gql_wglog::rule::RNodeId> = Vec::new();
-        for &id in &query {
-            let n = rule.node(id);
-            let est = inference
-                .cards
-                .bound_for(ri, &format!("${}", n.var))
-                .unwrap_or(u64::MAX);
-            let mut leaf = LogicalPlan::Scan {
-                test: n.test.to_string(),
-                est,
-                span: n.span,
-            };
-            if !n.constraints.is_empty() {
-                let pred = n
-                    .constraints
-                    .iter()
-                    .map(|c| format!("{} {} \"{}\"", c.attr, c.op.symbol(), c.value))
-                    .collect::<Vec<_>>()
-                    .join(" and ");
-                leaf = LogicalPlan::Filter {
-                    pred: format!("${} {pred}", n.var),
-                    input: Box::new(leaf),
-                    span: n.span,
-                };
-            }
-            spine = Some(match spine {
-                None => leaf,
-                Some(left) => {
-                    // Edges between the new node and the placed prefix.
-                    let mut labels = Vec::new();
-                    for e in &rule.edges {
-                        if e.color != Color::Query || e.negated {
-                            continue;
-                        }
-                        let links = (placed.contains(&e.from) && e.to == id)
-                            || (placed.contains(&e.to) && e.from == id);
-                        if links {
-                            labels.push(match &e.label {
-                                LabelTest::Label(l) => l.clone(),
-                                LabelTest::Any => "*".into(),
-                                LabelTest::Regex(r) => r.to_string(),
-                            });
-                        }
-                    }
-                    let on = if labels.is_empty() {
-                        "cross".into()
-                    } else {
-                        labels.join(" and ")
-                    };
-                    LogicalPlan::HashJoin {
-                        left: Box::new(left),
-                        right: Box::new(leaf),
-                        on,
-                        est: u64::MAX,
-                        span: rule.span,
-                    }
-                }
-            });
-            placed.push(id);
-        }
-        let mut inputs: Vec<LogicalPlan> = spine.into_iter().collect();
-        // Negated edges restrict the whole embedding set.
-        for e in &rule.edges {
-            if e.color == Color::Query && e.negated {
-                if let Some(inner) = inputs.pop() {
-                    inputs.push(LogicalPlan::Filter {
-                        pred: format!(
-                            "no ${} -{}-> ${}",
-                            rule.node(e.from).var,
-                            e.label,
-                            rule.node(e.to).var
-                        ),
-                        input: Box::new(inner),
-                        span: rule.span,
-                    });
-                }
-            }
-        }
-        let shape = rule.head_label().unwrap_or_else(|| "rule".into());
-        body.push(LogicalPlan::Construct {
-            shape,
-            inputs,
-            span: rule.span,
-        });
+    match ProgramPlan::new(program) {
+        Ok(plan) => lower_wglog_plan(program, inference, &plan),
+        Err(_) => LogicalPlan::Construct {
+            shape: "unplanned".into(),
+            inputs: Vec::new(),
+            span: Span::none(),
+        },
     }
+}
+
+/// Lower a WG-Log program that runs `plan`: one `Fixpoint` per stratum, in
+/// the order the strata run, over each rule's [`SearchPlan`], with the goal
+/// extraction as the outer `Construct`.
+pub fn lower_wglog_plan(
+    program: &gql_wglog::rule::Program,
+    inference: &Inference,
+    plan: &ProgramPlan,
+) -> LogicalPlan {
+    let fixpoints = (plan.strata().iter())
+        .map(|stratum| LogicalPlan::Fixpoint {
+            body: (stratum.iter())
+                .map(|&ri| lower_wglog_rule(&program.rules[ri], ri, inference, plan.search(ri)))
+                .collect(),
+            span: Span::none(),
+        })
+        .collect();
     LogicalPlan::Construct {
         shape: match &program.goal {
             Some(g) => format!("goal {g}"),
             None => "goal".into(),
         },
-        inputs: vec![LogicalPlan::Fixpoint {
-            body,
-            span: Span::none(),
-        }],
+        inputs: fixpoints,
         span: Span::none(),
+    }
+}
+
+/// One rule's search, bottom up: the first binding is a `Scan` of its
+/// type, a binding along an edge a `PathStep` over the bindings so far,
+/// and a later one from the type index their product (`HashJoin` on
+/// `cross`). Constraints and closed edges filter the binding that checks
+/// them, and the negated edges filter the whole.
+fn lower_wglog_rule(
+    rule: &gql_wglog::rule::Rule,
+    ri: usize,
+    inference: &Inference,
+    plan: &SearchPlan,
+) -> LogicalPlan {
+    use gql_wglog::rule::RNodeId;
+    let var = |q: RNodeId| format!("${}", rule.node(q).var);
+    let edge = |i: usize| {
+        let e = &rule.edges[i];
+        format!("{} -{}-> {}", var(e.from), e.label, var(e.to))
+    };
+    let filter = |input: LogicalPlan, pred: String, span: Span| LogicalPlan::Filter {
+        pred,
+        input: Box::new(input),
+        span,
+    };
+    let spine = (plan.steps().iter()).fold(None, |spine, step| {
+        let n = rule.node(step.node);
+        let constrained = |input: LogicalPlan| match n.constraints.is_empty() {
+            true => input,
+            false => {
+                let clauses: Vec<String> = (n.constraints.iter())
+                    .map(|c| format!("{} {} \"{}\"", c.attr, c.op.symbol(), c.value))
+                    .collect();
+                let pred = format!("{} {}", var(step.node), clauses.join(" and "));
+                filter(input, pred, n.span)
+            }
+        };
+        let along = |left: LogicalPlan, axis: String| LogicalPlan::PathStep {
+            axis,
+            test: n.test.to_string(),
+            input: Some(Box::new(left)),
+            est: u64::MAX,
+            span: n.span,
+        };
+        let scan = LogicalPlan::Scan {
+            test: n.test.to_string(),
+            est: (inference.cards.bound_for(ri, &var(step.node))).unwrap_or(u64::MAX),
+            span: n.span,
+        };
+        let bound = match (spine, step.access) {
+            (None, _) => constrained(scan),
+            (Some(left), Access::Scan) => LogicalPlan::HashJoin {
+                left: Box::new(left),
+                right: Box::new(constrained(scan)),
+                on: "cross".into(),
+                est: u64::MAX,
+                span: rule.span,
+            },
+            (Some(left), Access::Forward(i)) => {
+                let e = &rule.edges[i];
+                constrained(along(left, format!("{} -{}->", var(e.from), e.label)))
+            }
+            (Some(left), Access::Backward(i)) => {
+                let e = &rule.edges[i];
+                constrained(along(left, format!("{} <-{}-", var(e.to), e.label)))
+            }
+        };
+        Some((step.checks.iter()).fold(bound, |input, &i| filter(input, edge(i), rule.span)))
+    });
+    let body = (plan.negated().iter()).fold(spine, |spine, n| {
+        spine.map(|input| filter(input, format!("no {}", edge(n.edge)), rule.span))
+    });
+    LogicalPlan::Construct {
+        shape: rule.head_label().unwrap_or_else(|| "rule".into()),
+        inputs: body.into_iter().collect(),
+        span: rule.span,
     }
 }
 
@@ -532,8 +544,75 @@ mod tests {
         let text = plan.render();
         assert!(text.contains("Construct goal rest-list"), "{text}");
         assert!(text.contains("Fixpoint"), "{text}");
-        assert!(text.contains("HashJoin on menu"), "{text}");
+        assert!(text.contains("PathStep $r -menu->::menu"), "{text}");
         assert!(text.contains("Scan restaurant"), "{text}");
+    }
+
+    /// The lowering prints the search that runs. It once printed every
+    /// query node in declaration order, joined to the ones before it: an
+    /// existential node became a scanned cross product the search never
+    /// makes, and a node declared before its only neighbour a cross product
+    /// the search walks around.
+    #[test]
+    fn wglog_lowering_prints_the_plan_and_its_strata() {
+        let lower =
+            |src: &str| lower_wglog(&gql_wglog::dsl::parse(src).unwrap(), &Inference::default());
+        let no_menu = lower(
+            "rule { query { $r: restaurant  $m: menu  not $r -menu-> $m } \
+             construct { $l: answer  $l -member-> $r } } goal answer",
+        );
+        assert_eq!(
+            no_menu.render_compact(),
+            "Construct(goal answer, Fixpoint(Construct(answer, \
+             Filter(no $r -menu-> $m, Scan(restaurant)))))"
+        );
+        let hub = lower(
+            "rule { query { $s: site  $p: page  $h: hub  $s -hub-> $h  $h -page-> $p } \
+             construct { $r: found  $r -member-> $p } } goal found",
+        );
+        assert_eq!(
+            hub.render_compact(),
+            "Construct(goal found, Fixpoint(Construct(found, \
+             PathStep($h -page->::page, PathStep($s -hub->::hub, Scan(site))))))"
+        );
+        // A regular path counts as a link when the order is chosen, but is
+        // never walked backwards: `$p` binds second, from the type index,
+        // and each page is checked against the path.
+        let path = lower(
+            "rule { query { $s: site  $p: page  $h: hub  $s -hub-> $h  $h -page-> $p \
+             $p -(link)+-> $s } construct { $r: found  $r -member-> $p } } goal found",
+        );
+        assert_eq!(
+            path.render_compact(),
+            "Construct(goal found, Fixpoint(Construct(found, \
+             Filter($h -page-> $p, PathStep($s -hub->::hub, \
+             Filter($p -(link)+-> $s, HashJoin(cross, Scan(site), Scan(page))))))))"
+        );
+        // Two strata, each its own fixpoint, in the order they run.
+        let layered = lower(
+            "rule { query { $a: doc  $b: doc  $a -reach-> $b } construct { $a -far-> $b } } \
+             rule { query { $a: doc  $b: doc  $a -link-> $b } construct { $a -reach-> $b } }",
+        );
+        let LogicalPlan::Construct { inputs, .. } = &layered else {
+            panic!("{}", layered.render());
+        };
+        let heads: Vec<String> = (inputs.iter())
+            .map(|f| match f {
+                LogicalPlan::Fixpoint { body, .. } => joined_shapes(body),
+                other => panic!("{}", other.render()),
+            })
+            .collect();
+        assert_eq!(heads, ["reach", "far"]);
+    }
+
+    fn joined_shapes(body: &[LogicalPlan]) -> String {
+        (body.iter())
+            .map(|c| match c {
+                LogicalPlan::Construct { shape, .. } => shape.as_str(),
+                _ => "?",
+            })
+            .collect::<Vec<_>>()
+            .join(",")
     }
 
     #[test]

@@ -301,7 +301,7 @@ pub type WgLogRow = Vec<Option<ObjId>>;
 /// order; `None` when the binding query nodes have more than
 /// [`WGLOG_ASSIGNMENT_CAP`] assignments between them.
 ///
-/// The convention is the one `gql_wglog::eval::embed` documents. A query
+/// The convention is the one `gql_wglog::eval::plan` documents. A query
 /// node binds unless it is *existential*: it has edges, and every one of
 /// them is a negated edge into it from another node. A negated edge into
 /// an existential node holds when its source has no neighbour over it that

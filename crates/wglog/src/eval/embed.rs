@@ -8,19 +8,24 @@
 //! bind time rather than at the end. Regular path edges are verified with a
 //! label-filtered BFS.
 //!
+//! What the search does is a [`SearchPlan`], worked out from the rule
+//! alone: which query nodes bind, in which order, where each finds its
+//! candidates, and which edges each binding must check. The search runs it.
+//!
 //! The search works in integers. Each query edge's label is resolved to a
-//! [`LabelKey`] and each constraint's constant parsed once per search, so
-//! the inner loop hashes no string and parses no constant. It allocates per
-//! rule, not per candidate or per embedding: candidates go to one buffer
-//! per search depth, reused by every node bound at that depth, and each
-//! embedding is one row appended to an [`EmbeddingTable`].
+//! [`LabelKey`] once per search, and each constraint's constant was parsed
+//! once by the plan, so the inner loop hashes no string and parses no
+//! constant. It allocates per rule, not per candidate or per embedding:
+//! candidates go to one buffer per search depth, reused by every node bound
+//! at that depth, and each embedding is one row appended to an
+//! [`EmbeddingTable`].
 
 use std::collections::{HashSet, VecDeque};
 
-use gql_ssdm::value::parse_number;
-
 use crate::instance::{Instance, LabelKey, ObjId};
-use crate::rule::{Color, LabelTest, PathRe, PathRep, REdge, Rule, TypeTest};
+use crate::rule::{LabelTest, PathRe, PathRep, RNodeId, Rule, TypeTest};
+
+use super::plan::{Access, SearchPlan};
 
 /// The embeddings of a rule's query part, in the order the search finds
 /// them: one row-major table of `width` cells per row, one cell per rule
@@ -47,7 +52,7 @@ impl EmbeddingTable {
         self.width
     }
 
-    /// Embedding number `i`, indexed by [`RNodeId`](crate::rule::RNodeId).
+    /// Embedding number `i`, indexed by [`RNodeId`].
     pub fn row(&self, i: usize) -> &[Option<ObjId>] {
         &self.cells[i * self.width..][..self.width]
     }
@@ -102,9 +107,8 @@ pub fn path_exists(db: &Instance, from: ObjId, to: ObjId, re: &PathRe) -> bool {
     }
 }
 
-/// All objects reachable from `from` via a path matching `re` (used by the
-/// planner in `gql-core`; exposed for reuse).
-pub fn path_targets(db: &Instance, from: ObjId, re: &PathRe) -> Vec<ObjId> {
+/// All objects reachable from `from` via a path matching `re`.
+fn path_targets(db: &Instance, from: ObjId, re: &PathRe) -> Vec<ObjId> {
     match re.rep {
         PathRep::One => db
             .out_edges(from)
@@ -141,143 +145,61 @@ enum Test<'r> {
     Path(&'r PathRe),
 }
 
-/// A query edge as the search reads it: endpoints as rule-node indexes,
-/// the label resolved.
-struct QEdge<'r> {
-    from: usize,
-    to: usize,
-    test: Test<'r>,
-    negated: bool,
-}
-
-impl<'r> QEdge<'r> {
-    fn resolve(db: &Instance, e: &'r REdge) -> Self {
-        QEdge {
-            from: e.from.index(),
-            to: e.to.index(),
-            test: match &e.label {
-                LabelTest::Label(l) => Test::Label(db.label_key(l)),
-                LabelTest::Any => Test::Any,
-                LabelTest::Regex(re) => Test::Path(re),
-            },
-            negated: e.negated,
+impl<'r> Test<'r> {
+    fn resolve(db: &Instance, label: &'r LabelTest) -> Self {
+        match label {
+            LabelTest::Label(l) => Test::Label(db.label_key(l)),
+            LabelTest::Any => Test::Any,
+            LabelTest::Regex(re) => Test::Path(re),
         }
-    }
-
-    fn satisfied(&self, db: &Instance, from: ObjId, to: ObjId) -> bool {
-        let ok = match self.test {
-            Test::Label(key) => db.has_edge_key(from, key, to),
-            Test::Any => db.out_edges(from).any(|edge| edge.to == to),
-            Test::Path(re) => path_exists(db, from, to, re),
-        };
-        ok != self.negated
     }
 }
 
 /// Enumerate all embeddings of the rule's query part into the instance.
 pub fn embeddings(rule: &Rule, db: &Instance) -> EmbeddingTable {
     let mut table = EmbeddingTable::default();
-    embeddings_into(rule, db, &mut table);
+    embeddings_into(rule, &SearchPlan::new(rule), db, &mut table);
     table
 }
 
-/// [`embeddings`] into a table the caller reuses: its rows are replaced.
-pub(crate) fn embeddings_into(rule: &Rule, db: &Instance, out: &mut EmbeddingTable) {
+/// Run `plan`, the search of `rule`, into a table the caller reuses: its
+/// rows are replaced.
+pub(crate) fn embeddings_into(
+    rule: &Rule,
+    plan: &SearchPlan,
+    db: &Instance,
+    out: &mut EmbeddingTable,
+) {
+    debug_assert!(
+        plan.fits(rule),
+        "a search plan runs the rule it was built for"
+    );
     let width = rule.nodes.len();
     out.reset(width);
-    let is_query = |i: usize| rule.nodes[i].color == Color::Query;
-    if !(0..width).any(is_query) {
-        // A pure construct rule has the empty premise: it holds once.
-        out.cells.resize(width, None);
-        out.rows = 1;
+    if plan.matches_nothing() {
         return;
     }
-
-    // A query node that is only ever the *target* of negated edges is
-    // *existential*: it never binds, and each negated edge into it asserts
-    // "the source has no such neighbour" — the GraphLog reading of a
-    // crossed edge to an otherwise unconstrained node ("document with no
-    // index link"). Sources of negated edges and nodes with any positive
-    // edge bind normally, so "no edge between these two bound nodes" stays
-    // expressible. Isolated nodes bind too (cartesian semantics).
-    //
-    // Convention note: several negated edges sharing one existential target
-    // are checked *independently* ("no a-neighbour" AND "no b-neighbour"),
-    // not jointly ("no single object that is both"). Joint negation needs
-    // the target bound — give it a positive edge.
-    let binds: Vec<bool> = (0..width)
-        .map(|q| {
-            let mut incident = (rule.edges.iter())
-                .filter(|e| e.from.index() == q || e.to.index() == q)
-                .peekable();
-            let existential = incident.peek().is_some()
-                && incident.all(|e| e.negated && e.to.index() == q && e.from.index() != q);
-            is_query(q) && !existential
-        })
-        .collect();
-    let binding = || (0..width).filter(|&q| binds[q]);
-    let bound = binding().count();
-    if bound == 0 {
-        return;
-    }
-
-    let query_edges = || rule.edges.iter().filter(|e| e.color == Color::Query);
-    let positive: Vec<QEdge> = (query_edges().filter(|e| !e.negated))
-        .map(|e| QEdge::resolve(db, e))
-        .collect();
-    let negated: Vec<QEdge> = (query_edges().filter(|e| e.negated))
-        .map(|e| QEdge::resolve(db, e))
-        .collect();
-
-    // Query nodes in a connectivity-friendly order: repeatedly pick an
-    // unplaced node adjacent (via a positive, non-negated query edge) to a
-    // placed one; fall back to declaration order.
-    let mut order: Vec<usize> = Vec::with_capacity(bound);
-    let mut placed = vec![false; width];
-    while order.len() < bound {
-        let next = binding()
-            .find(|&q| {
-                !placed[q]
-                    && positive
-                        .iter()
-                        .any(|e| (e.from == q && placed[e.to]) || (e.to == q && placed[e.from]))
-            })
-            .or_else(|| binding().find(|&q| !placed[q]))
-            .expect("some node remains");
-        placed[next] = true;
-        order.push(next);
-    }
-
     let mut search = Search {
         rule,
+        plan,
         db,
-        constants: (rule.nodes.iter())
-            .map(|n| {
-                (n.constraints.iter())
-                    .map(|c| parse_number(&c.value))
-                    .collect()
-            })
+        tests: (rule.edges.iter())
+            .map(|e| Test::resolve(db, &e.label))
             .collect(),
-        cands: vec![Vec::new(); order.len()],
-        order,
-        positive,
-        negated,
+        cands: vec![Vec::new(); plan.steps().len()],
         current: vec![None; width],
     };
     search.search(0, out);
 }
 
-/// One embedding search: the rule as resolved against the instance, and
-/// the partial embedding being extended.
+/// One embedding search: the rule's plan, its edge tests as resolved
+/// against the instance, and the partial embedding being extended.
 struct Search<'a> {
     rule: &'a Rule,
+    plan: &'a SearchPlan,
     db: &'a Instance,
-    /// Binding order of the query nodes.
-    order: Vec<usize>,
-    positive: Vec<QEdge<'a>>,
-    negated: Vec<QEdge<'a>>,
-    /// Per rule node, its constraints' constants as numbers.
-    constants: Vec<Vec<Option<f64>>>,
+    /// Per rule edge, its label test.
+    tests: Vec<Test<'a>>,
     current: Vec<Option<ObjId>>,
     /// Per depth, the buffer its candidates are collected in.
     cands: Vec<Vec<ObjId>>,
@@ -289,116 +211,116 @@ impl Search<'_> {
         let (node, obj) = (&self.rule.nodes[q], self.db.object(obj));
         node.test.matches(&obj.ty)
             && (node.constraints.iter())
-                .zip(&self.constants[q])
+                .zip(self.plan.constants(q))
                 .all(|(c, &n)| c.holds_parsed(obj, n))
     }
 
+    /// Does edge `i` (its negation aside) lead from `from` to `to`?
+    fn holds(&self, i: usize, from: ObjId, to: ObjId) -> bool {
+        match self.tests[i] {
+            Test::Label(key) => self.db.has_edge_key(from, key, to),
+            Test::Any => self.db.out_edges(from).any(|edge| edge.to == to),
+            Test::Path(re) => path_exists(self.db, from, to, re),
+        }
+    }
+
+    /// The object bound to rule node `q`, which the plan binds before it is
+    /// read.
+    fn bound(&self, q: RNodeId) -> ObjId {
+        self.current[q.index()].expect("the plan binds a node before reading it")
+    }
+
     fn search(&mut self, depth: usize, out: &mut EmbeddingTable) {
-        let (rule, db) = (self.rule, self.db);
-        if depth == self.order.len() {
-            // All nodes bound: verify negated edges last (they can only be
-            // checked once both endpoints are fixed).
-            let ok =
-                self.negated
-                    .iter()
-                    .all(|e| match (self.current[e.from], self.current[e.to]) {
-                        (Some(f), Some(t)) => e.satisfied(db, f, t),
-                        // A negated edge to an unbound (existential) target
-                        // means "no such neighbour at all": check
-                        // existentially. Sources of negated edges always bind
-                        // (see the existential filter), so (None, Some(_))
-                        // cannot occur.
-                        (Some(f), None) => !self.exists_any_target(e, f),
-                        (None, _) => true,
-                    });
+        let (rule, plan, db) = (self.rule, self.plan, self.db);
+        let Some(step) = plan.steps().get(depth) else {
+            // All nodes bound: the negated edges, which can only be checked
+            // once both endpoints are fixed.
+            let ok = plan.negated().iter().all(|n| {
+                let e = &rule.edges[n.edge];
+                let from = self.bound(e.from);
+                match n.target_binds {
+                    true => !self.holds(n.edge, from, self.bound(e.to)),
+                    false => !self.exists_any_target(n.edge, from),
+                }
+            });
             if ok {
                 out.push(&self.current);
             }
             return;
-        }
-        let q = self.order[depth];
-
-        // Candidates: through a bound neighbour when possible, else type
-        // index.
-        let mut cands = std::mem::take(&mut self.cands[depth]);
-        cands.clear();
-        let mut from_neighbour = false;
-        for e in &self.positive {
-            if e.to == q {
-                if let Some(src) = self.current[e.from] {
-                    match e.test {
-                        Test::Label(key) => cands.extend(db.successors_key(src, key)),
-                        Test::Any => cands.extend(db.out_edges(src).map(|edge| edge.to)),
-                        Test::Path(re) => cands.extend(path_targets(db, src, re)),
-                    }
-                    from_neighbour = true;
-                    break;
-                }
-            }
-            if e.from == q {
-                if let Some(dst) = self.current[e.to] {
-                    match e.test {
-                        Test::Label(key) => cands.extend(db.predecessors_key(dst, key)),
-                        Test::Any => cands.extend(db.in_edges(dst).map(|edge| edge.from)),
-                        // Reverse regex enumeration is not indexed; fall
-                        // back to the type scan below.
-                        Test::Path(_) => continue,
-                    }
-                    from_neighbour = true;
-                    break;
-                }
-            }
-        }
+        };
+        let q = step.node.index();
         // The type index and the object table are iterated in place: the
         // instance is immutable while a search is open.
-        if from_neighbour {
-            // Parallel edges reach the same object more than once; an
-            // embedding binds objects, so duplicates would double-count.
-            cands.sort();
-            cands.dedup();
-            for &cand in &cands {
-                self.try_candidate(depth, q, cand, out);
-            }
-        } else {
+        if step.access == Access::Scan {
             match &rule.nodes[q].test {
                 TypeTest::Type(t) => {
                     for cand in db.objects_of_type(t) {
-                        self.try_candidate(depth, q, cand, out);
+                        self.try_candidate(depth, cand, out);
                     }
                 }
                 TypeTest::Any => {
                     for (cand, _) in db.objects() {
-                        self.try_candidate(depth, q, cand, out);
+                        self.try_candidate(depth, cand, out);
                     }
                 }
             }
+            return;
+        }
+        let mut cands = std::mem::take(&mut self.cands[depth]);
+        cands.clear();
+        match step.access {
+            Access::Forward(i) => {
+                let src = self.bound(rule.edges[i].from);
+                match self.tests[i] {
+                    Test::Label(key) => cands.extend(db.successors_key(src, key)),
+                    Test::Any => cands.extend(db.out_edges(src).map(|edge| edge.to)),
+                    Test::Path(re) => cands.extend(path_targets(db, src, re)),
+                }
+            }
+            Access::Backward(i) => {
+                let dst = self.bound(rule.edges[i].to);
+                match self.tests[i] {
+                    Test::Label(key) => cands.extend(db.predecessors_key(dst, key)),
+                    Test::Any => cands.extend(db.in_edges(dst).map(|edge| edge.from)),
+                    Test::Path(_) => unreachable!("a plan never walks a path backwards"),
+                }
+            }
+            Access::Scan => unreachable!("scanned above"),
+        }
+        // Parallel edges reach the same object more than once; an
+        // embedding binds objects, so duplicates would double-count.
+        cands.sort();
+        cands.dedup();
+        for &cand in &cands {
+            self.try_candidate(depth, cand, out);
         }
         self.cands[depth] = cands;
     }
 
-    /// Try one candidate for `q`: test it, bind it, check the positive
-    /// edges whose endpoints are now both bound, and descend.
-    fn try_candidate(&mut self, depth: usize, q: usize, cand: ObjId, out: &mut EmbeddingTable) {
+    /// Try one candidate for step `depth`'s node: test it, bind it, check
+    /// the edges the binding closes, and descend.
+    fn try_candidate(&mut self, depth: usize, cand: ObjId, out: &mut EmbeddingTable) {
+        let (rule, step) = (self.rule, &self.plan.steps()[depth]);
+        let q = step.node.index();
         if !self.fits(q, cand) {
             return;
         }
         self.current[q] = Some(cand);
-        let consistent =
-            (self.positive.iter()).all(|e| match (self.current[e.from], self.current[e.to]) {
-                (Some(f), Some(t)) if e.from == q || e.to == q => e.satisfied(self.db, f, t),
-                _ => true,
-            });
+        let consistent = (step.checks.iter()).all(|&i| {
+            let e = &rule.edges[i];
+            self.holds(i, self.bound(e.from), self.bound(e.to))
+        });
         if consistent {
             self.search(depth + 1, out);
         }
         self.current[q] = None;
     }
 
-    /// For a negated edge with an unbound target: does `from` have any
-    /// matching neighbour that satisfies the target node's tests?
-    fn exists_any_target(&self, e: &QEdge, from: ObjId) -> bool {
-        let fits = |t| self.fits(e.to, t);
-        match e.test {
+    /// For negated edge `i` with an unbound target: does `from` have any
+    /// matching neighbour that passes the target node's tests?
+    fn exists_any_target(&self, i: usize, from: ObjId) -> bool {
+        let fits = |t| self.fits(self.rule.edges[i].to.index(), t);
+        match self.tests[i] {
             Test::Label(key) => self.db.successors_key(from, key).any(fits),
             Test::Any => self.db.out_edges(from).any(|edge| fits(edge.to)),
             Test::Path(re) => path_targets(self.db, from, re).into_iter().any(fits),

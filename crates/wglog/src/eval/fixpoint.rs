@@ -17,7 +17,8 @@
 //!   transitive-closure workloads of the benchmarks.
 //!
 //! A fixpoint allocates per rule and per derived fact, not per embedding.
-//! Every rule of every round fills the same [`EmbeddingTable`], one flat
+//! Each rule's search runs its [`SearchPlan`], built before the first round,
+//! and every rule of every round fills the same [`EmbeddingTable`], one flat
 //! row-major buffer of object ids; each row is applied in place through one
 //! reused buffer of resolved construct nodes, and a Skolem key is looked up
 //! from a reused buffer too, copied only when it invents. A derived edge's
@@ -33,6 +34,8 @@ use crate::rule::{AttrValue, Color, LabelTest, RNodeId, Rule, TypeTest};
 use crate::{Result, WgLogError};
 
 use super::embed::{embeddings_into, EmbeddingTable};
+use super::plan::SearchPlan;
+use super::stratify::observes;
 
 /// Iteration strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,20 +68,23 @@ const MAX_TRACED_ROUNDS: usize = 64;
 
 /// Run one stratum's rules to fixpoint on `db` in place.
 pub fn fixpoint(rules: &[&Rule], db: &mut Instance, mode: FixpointMode) -> Result<FixpointStats> {
-    fixpoint_in(rules, db, mode, RunCtx::none())
+    let plans: Vec<SearchPlan> = rules.iter().map(|r| SearchPlan::new(r)).collect();
+    let rules: Vec<(&Rule, &SearchPlan)> = rules.iter().copied().zip(&plans).collect();
+    fixpoint_in(&rules, db, mode, RunCtx::none())
 }
 
-/// The full form of [`fixpoint`]. `ctx.trace` receives one `round[i]` child
-/// span per iteration (the first `MAX_TRACED_ROUNDS`; later rounds fold into
-/// a `rounds_truncated` count) carrying the semi-naive diagnostics — rules
-/// evaluated after the relevance filter, embeddings found, and the delta of
-/// objects/edges derived that round. `ctx.guard`'s round cap is charged at
+/// The full form of [`fixpoint`], each rule with its search. `ctx.trace`
+/// receives one `round[i]` child span per iteration (the first
+/// `MAX_TRACED_ROUNDS`; later rounds fold into a `rounds_truncated` count)
+/// carrying the semi-naive diagnostics — rules evaluated after the
+/// relevance filter, embeddings found, and the delta of objects/edges
+/// derived that round. `ctx.guard`'s round cap is charged at
 /// the start of every round, its match cap after every rule's embedding
 /// batch, and its node cap with every round's derived delta, so a
 /// non-converging fixpoint trips the budget instead of running to
 /// `MAX_ITERATIONS`.
 pub fn fixpoint_in(
-    rules: &[&Rule],
+    rules: &[(&Rule, &SearchPlan)],
     db: &mut Instance,
     mode: FixpointMode,
     ctx: RunCtx<'_>,
@@ -87,44 +93,18 @@ pub fn fixpoint_in(
     let mut stats = FixpointStats::default();
     // Skolem tables shared across iterations, per rule per construct node.
     let mut inventions: Vec<Vec<Invention>> = (rules.iter())
-        .map(|r| r.construct_nodes().map(|n| Invention::of(r, n)).collect())
+        .map(|&(r, _)| r.construct_nodes().map(|n| Invention::of(r, n)).collect())
         .collect();
     // One embedding table and one construct scratch for every rule of every
     // round.
     let mut table = EmbeddingTable::default();
     let mut scratch = Scratch::default();
-    // What each rule's query part can observe (labels and types), for the
-    // semi-naive relevance filter.
-    let observed: Vec<(HashSet<String>, HashSet<String>)> = rules
-        .iter()
-        .map(|r| {
-            let mut labels = HashSet::new();
-            let mut types = HashSet::new();
-            for e in &r.edges {
-                if e.color == Color::Query {
-                    match &e.label {
-                        LabelTest::Label(l) => {
-                            labels.insert(l.clone());
-                        }
-                        LabelTest::Any => {
-                            labels.insert("*".to_string());
-                        }
-                        LabelTest::Regex(re) => {
-                            labels.extend(re.labels.iter().cloned());
-                        }
-                    }
-                }
-            }
-            for id in r.query_nodes() {
-                match &r.node(id).test {
-                    TypeTest::Type(t) => {
-                        types.insert(t.clone());
-                    }
-                    TypeTest::Any => {
-                        types.insert("*".to_string());
-                    }
-                }
-            }
+    // What each rule's query part can observe (labels, negated or not, and
+    // types), for the semi-naive relevance filter.
+    let observed: Vec<(HashSet<String>, HashSet<String>)> = (rules.iter())
+        .map(|&(r, _)| {
+            let ((mut labels, types), (negated, _)) = observes(r);
+            labels.extend(negated);
             (labels, types)
         })
         .collect();
@@ -159,7 +139,7 @@ pub fn fixpoint_in(
         let mut new_types: HashSet<String> = HashSet::new();
         let mut changed = false;
 
-        for (ri, rule) in rules.iter().enumerate() {
+        for (ri, &(rule, plan)) in rules.iter().enumerate() {
             if mode == FixpointMode::SemiNaive && !first {
                 let (labels, types) = &observed[ri];
                 let relevant = labels.contains("*")
@@ -171,7 +151,7 @@ pub fn fixpoint_in(
                 }
             }
             rules_run += 1;
-            embeddings_into(rule, db, &mut table);
+            embeddings_into(rule, plan, db, &mut table);
             stats.embeddings_found += table.len();
             guard
                 .try_matches(table.len() as u64)

@@ -1,18 +1,20 @@
-//! WG-Log evaluation: embedding search, stratification, fixpoint.
+//! WG-Log evaluation: plans, embedding search, stratification, fixpoint.
 
 pub mod embed;
 pub mod fixpoint;
+pub mod plan;
 pub mod stratify;
 
 use gql_guard::RunCtx;
 use gql_ssdm::Document;
 
 use crate::instance::Instance;
-use crate::rule::Program;
+use crate::rule::{Program, Rule};
 use crate::Result;
 
 pub use embed::{embeddings, path_exists, EmbeddingTable};
 pub use fixpoint::{fixpoint, fixpoint_in, FixpointMode, FixpointStats};
+pub use plan::{ProgramPlan, SearchPlan};
 pub use stratify::stratify;
 
 /// Evaluate a program over a database: stratified fixpoint with the default
@@ -29,31 +31,39 @@ pub fn run_with(
     db: &Instance,
     mode: FixpointMode,
 ) -> Result<(Instance, FixpointStats)> {
-    run_in(program, db, mode, RunCtx::none())
+    run_in(
+        program,
+        db,
+        &ProgramPlan::new(program)?,
+        mode,
+        RunCtx::none(),
+    )
 }
 
-/// The full form of [`run_with`]. `ctx.trace` receives a `stratify` span,
-/// then one `stratum[i]` span per stratum whose children are the fixpoint
-/// rounds (see [`fixpoint_in`]), each carrying rule counts and the derived
-/// instance growth. Each stratum's fixpoint runs under `ctx.guard`'s
-/// round/match/node caps and trips cleanly with a partial-progress report.
+/// The full form of [`run_with`], running `plan`, built for `program`.
+/// `ctx.trace` receives a `stratify` span counting
+/// the plan's strata, then one `stratum[i]` span per stratum whose children
+/// are the fixpoint rounds (see [`fixpoint_in`]), each carrying rule counts
+/// and the derived instance growth. Each stratum's fixpoint runs under
+/// `ctx.guard`'s round/match/node caps and trips cleanly with a
+/// partial-progress report.
 pub fn run_in(
     program: &Program,
     db: &Instance,
+    plan: &ProgramPlan,
     mode: FixpointMode,
     ctx: RunCtx<'_>,
 ) -> Result<(Instance, FixpointStats)> {
     let trace = ctx.trace;
-    program.check()?;
-    let strata = {
+    debug_assert!(
+        plan.fits(program),
+        "a plan runs the program it was built for"
+    );
+    if trace.is_enabled() {
         let _s = trace.span("stratify");
-        let strata = stratify(program)?;
-        if trace.is_enabled() {
-            trace.count("strata", strata.len() as u64);
-            trace.count("rules", program.rules.len() as u64);
-        }
-        strata
-    };
+        trace.count("strata", plan.strata().len() as u64);
+        trace.count("rules", program.rules.len() as u64);
+    }
     let mut work = db.clone();
     let mut stats = FixpointStats::default();
     if trace.is_enabled() {
@@ -65,9 +75,11 @@ pub fn run_in(
             },
         );
     }
-    for (si, stratum) in strata.iter().enumerate() {
+    for (si, stratum) in plan.strata().iter().enumerate() {
         let span = trace.span(format_args!("stratum[{si}]"));
-        let rules: Vec<&crate::rule::Rule> = stratum.iter().map(|&i| &program.rules[i]).collect();
+        let rules: Vec<(&Rule, &SearchPlan)> = (stratum.iter())
+            .map(|&i| (&program.rules[i], plan.search(i)))
+            .collect();
         let (objs_before, edges_before) = (work.object_count(), work.edge_count());
         let s = fixpoint_in(&rules, &mut work, mode, ctx)?;
         if trace.is_enabled() {

@@ -37,14 +37,14 @@ fn produces(rule: &Rule) -> (HashSet<String>, HashSet<String>) {
 
 /// Positive observations (labels, types) and negative observations (labels,
 /// types) of a rule's query part.
-type Observations = (
+pub(crate) type Observations = (
     (HashSet<String>, HashSet<String>),
     (HashSet<String>, HashSet<String>),
 );
 
 /// What a rule's query part observes. A wildcard observes everything
-/// (encoded as `"*"`).
-fn observes(rule: &Rule) -> Observations {
+/// (encoded as `"*"`). The fixpoint's relevance filter reads it too.
+pub(crate) fn observes(rule: &Rule) -> Observations {
     let mut pos_labels = HashSet::new();
     let mut neg_labels = HashSet::new();
     for e in &rule.edges {
