@@ -31,7 +31,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub enum EventKind {
     /// Admission control granted the request a slot.
     Admit,
-    /// A pool worker dequeued the job.
+    /// The job took its run slot: a pool worker dequeued it, or its caller
+    /// runs it.
     Dequeue,
     /// The engine run began.
     Start,

@@ -12,8 +12,10 @@
 //!   plus a pooled match-unit reservation every admitted query draws
 //!   from. Admission control rejects with a structured `overloaded`
 //!   response instead of queueing unboundedly;
-//! * [`service`] — the worker pool and the in-process [`ServeHandle`]
-//!   API: single, cancellable and batched submission (a batch shares one
+//! * [`service`] — the run slots, the worker pool and the in-process
+//!   [`ServeHandle`] API: single, cancellable and batched submission (a
+//!   blocking submit runs on the caller's thread when no job is queued and
+//!   a run slot is free; the rest queue for the pool; a batch shares one
 //!   catalog snapshot and plan-cache warmup), per-request profiles, and
 //!   warm/cold cache counters surfaced as service metrics through the
 //!   trace layer. A query text is parsed, printed and gated once: the
@@ -24,7 +26,7 @@
 //!   idle timeouts reap stalled (slow-loris) connections;
 //! * [`client`] — a resilient blocking client: per-request deadlines,
 //!   capped exponential backoff with deterministic seeded jitter, and
-//!   idempotent retries deduplicated server-side at the worker boundary.
+//!   idempotent retries deduplicated server-side at the run boundary.
 //!
 //! Resilience is layered on top: the [`catalog`] versions every dataset
 //! by **epoch** with atomic hot reload and graceful drain (in-flight
@@ -37,8 +39,8 @@
 //! results byte-identical to a fresh single-threaded `Engine` — serving
 //! concurrently must never change an answer. The chaos oracle re-runs the
 //! corpus through the resilient client while the guard's fault plan tears
-//! frames, drops replies, panics workers and hot-reloads the catalog
-//! mid-storm, holding the same bar.
+//! frames, drops replies, panics runs (on pool workers and on callers'
+//! threads) and hot-reloads the catalog mid-storm, holding the same bar.
 
 pub mod catalog;
 pub mod client;

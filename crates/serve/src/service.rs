@@ -5,11 +5,22 @@
 //! text, then kept in the service's prepared-query cache) → **admit**
 //! against the tenant's envelope (structured `overloaded` rejection, never
 //! an unbounded queue — the work queue only ever holds admitted jobs, so
-//! admission *is* the bound) → execute on a pool worker under
+//! admission *is* the bound) → take a **run slot** → execute under
 //! `Guard::with_cancel` → reply.
 //!
+//! A run happens on the caller's thread or on a pool worker, and one
+//! function, `run_job`, does it either way. A blocking
+//! [`ServeHandle::submit`] runs its job itself when no job waits in the
+//! queue and a run slot is free; otherwise, and always for
+//! [`ServeHandle::submit_cancellable`] and [`ServeHandle::submit_batch`]
+//! (whose callers must stay free while the run proceeds), the job goes to
+//! the queue and a pool worker runs it. There are as many run slots as pool
+//! workers, shared by both: a worker takes a slot before it counts its job
+//! as dequeued, so a caller never overtakes a queued job, and at most
+//! `workers` runs execute at once.
+//!
 //! Every run is traced, whether or not the client asked for a profile: the
-//! per-request trace log (one per worker, reused) is where the engine
+//! per-request trace log (one per thread, reused) is where the engine
 //! reports plan-cache and index-cache warmth, and the service folds those
 //! notes into its warm/cold metrics counters; the `ExecutionProfile` tree
 //! is built from it only for a client that asked. Cancellation (client
@@ -18,10 +29,11 @@
 //! *partial-progress trip report* comes back in the response — cancelled
 //! work is reported, not dropped.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -52,7 +64,7 @@ pub struct Request {
     /// response.
     pub profile: bool,
     /// Idempotency key. A retried request carrying the same id is
-    /// deduplicated at the worker boundary: the query executes at most
+    /// deduplicated at the run boundary: the query executes at most
     /// once, and retries receive the original's response (joining it if
     /// still in flight). Keys are scoped per tenant.
     pub request_id: Option<String>,
@@ -320,24 +332,135 @@ struct Counters {
 
 /// One unit of admitted work.
 struct Job {
-    query: Arc<Prepared<'static>>,
-    dataset: Arc<Dataset>,
+    run: Run,
+    /// The tenant's per-query budget and the request's cancel token. They
+    /// become the run's `Guard` when the run starts, so the budget's clock
+    /// does not count the wait in the queue.
     budget: Budget,
     cancel: CancelToken,
-    want_profile: bool,
-    reply: mpsc::Sender<Response>,
-    /// Telemetry context minted at admission.
-    meta: RequestMeta,
     /// Dedup-map key claimed at admission (tenant-scoped request id);
-    /// the worker publishes the response under it after execution.
+    /// `run_job` publishes the response under it after execution.
     dedup_key: Option<String>,
     /// Held for the duration of execution; dropping releases the tenant's
-    /// slot and pool reservation (even on worker panic — the permit drops
-    /// with the job).
-    _permit: Permit,
+    /// slot and pool reservation (even when the run panics).
+    permit: Permit,
     /// Pins the dataset's catalog epoch for the duration of execution;
     /// the old epoch's drain completes only when every pin releases.
-    _epoch: EpochPin,
+    epoch: EpochPin,
+}
+
+/// A job on its way to the pool, with the sender its reply goes to.
+type Queued = (Job, mpsc::Sender<Response>);
+
+/// What a run reads of its [`Job`].
+struct Run {
+    query: Arc<Prepared<'static>>,
+    dataset: Arc<Dataset>,
+    want_profile: bool,
+    /// Telemetry context minted at admission.
+    meta: RequestMeta,
+}
+
+/// What admission made of a submission that was not answered at once.
+enum Admitted {
+    /// A fresh job: run it.
+    Job(Job),
+    /// A retry of a request id still in flight: the original's response
+    /// arrives here when it is published.
+    Joined(mpsc::Receiver<Response>),
+}
+
+/// Run slots: how many runs may execute at once — on pool workers and
+/// callers' threads together — and how many do. A caller takes a slot
+/// only when no job waits in the queue; a pool worker takes one before it
+/// counts its job as dequeued, waiting if it must. So a job that entered
+/// the queue runs before any caller that came later, and at most `limit`
+/// runs execute at once.
+struct Slots {
+    limit: usize,
+    running: AtomicUsize,
+    /// Jobs sent to the queue that no worker has counted as dequeued yet.
+    queued: AtomicUsize,
+    /// Workers holding a dequeued job that wait, or are about to wait, for
+    /// a slot.
+    waiting: AtomicUsize,
+    /// Where those workers wait.
+    wait: Mutex<()>,
+    freed: Condvar,
+}
+
+impl Slots {
+    fn new(limit: usize) -> Slots {
+        Slots {
+            limit,
+            running: AtomicUsize::new(0),
+            queued: AtomicUsize::new(0),
+            waiting: AtomicUsize::new(0),
+            wait: Mutex::new(()),
+            freed: Condvar::new(),
+        }
+    }
+
+    fn try_take(&self) -> bool {
+        self.running
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                (n < self.limit).then_some(n + 1)
+            })
+            .is_ok()
+    }
+
+    /// A slot for a caller, if no job waits in the queue and one is free.
+    fn try_take_for_caller(&self) -> bool {
+        self.queued.load(Ordering::SeqCst) == 0 && self.try_take()
+    }
+
+    /// Count one job into the queue; call before sending it.
+    fn enqueued(&self) {
+        self.queued.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Take back [`Slots::enqueued`] for a job that never reached the
+    /// queue.
+    fn unqueued(&self) {
+        self.queued.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// A slot for a worker holding a dequeued job: wait until one is free,
+    /// take it, and only then count the job out of the queue.
+    fn take_for_worker(&self) {
+        if !self.try_take() {
+            let mut guard = self.wait.lock().unwrap_or_else(|e| e.into_inner());
+            self.waiting.fetch_add(1, Ordering::SeqCst);
+            while !self.try_take() {
+                guard = self.freed.wait(guard).unwrap_or_else(|e| e.into_inner());
+            }
+            self.waiting.fetch_sub(1, Ordering::SeqCst);
+        }
+        self.unqueued();
+    }
+
+    /// Give a slot back, waking a worker if one waits for it. A waiter
+    /// counts itself in `waiting` before it checks for a slot, and checks
+    /// and sleeps holding `wait`; this frees the slot before it reads
+    /// `waiting`, and takes `wait` before it wakes anyone. So either the
+    /// waiter's check sees the free slot, or the wake-up finds it asleep.
+    fn release(&self) {
+        self.running.fetch_sub(1, Ordering::SeqCst);
+        if self.waiting.load(Ordering::SeqCst) > 0 {
+            drop(self.wait.lock().unwrap_or_else(|e| e.into_inner()));
+            self.freed.notify_one();
+        }
+    }
+}
+
+/// The reply to a run that panicked, on a pool worker or a caller's
+/// thread alike.
+const PANIC_REPLY: &str = "query run panicked (supervised; the service keeps serving)";
+
+thread_local! {
+    /// The trace log of the runs a caller makes on its own thread, reused
+    /// by every one of them (a pool worker keeps its own).
+    static CALLER_LOG: RefCell<TraceLog> = RefCell::new(TraceLog::new());
 }
 
 /// State of one idempotency key in the dedup map.
@@ -345,7 +468,7 @@ enum DedupEntry {
     /// Claimed at admission; retries arriving meanwhile park a waiter
     /// channel here and receive the original's response on publish.
     InFlight(Vec<mpsc::Sender<Response>>),
-    /// Published at the worker boundary; retries get a clone.
+    /// Published at the run boundary; retries get a clone.
     Done(Response),
 }
 
@@ -398,7 +521,7 @@ impl Dedup {
         }
     }
 
-    /// Publish the final response under `key` at the worker boundary:
+    /// Publish the final response under `key` at the run boundary:
     /// waiters are answered, later retries replay the stored copy, and
     /// the oldest settled entries are evicted past capacity.
     fn publish(&mut self, key: &str, resp: &Response) {
@@ -419,7 +542,7 @@ impl Dedup {
     }
 
     /// Abandon a claim whose submission was refused or rejected before
-    /// reaching a worker: the entry is removed (a retry is a fresh
+    /// running: the entry is removed (a retry is a fresh
     /// attempt — nothing executed) and any waiters get the refusal.
     fn abandon(&mut self, key: &str, resp: &Response) {
         if let Some(DedupEntry::InFlight(waiters)) = self.entries.remove(key) {
@@ -436,7 +559,11 @@ struct Inner {
     /// `None` after shutdown. The queue is unbounded *by type* but bounded
     /// in fact: only admitted jobs enter it, and admission caps in-flight
     /// work per tenant.
-    queue: Mutex<Option<mpsc::Sender<Job>>>,
+    queue: Mutex<Option<mpsc::Sender<Queued>>>,
+    /// False from shutdown on: what a caller reads before it runs a job
+    /// itself, without taking the queue's lock.
+    open: AtomicBool,
+    slots: Slots,
     counters: Counters,
     telemetry: Arc<Telemetry>,
     dedup: Mutex<Dedup>,
@@ -456,6 +583,23 @@ impl Inner {
 
     fn prepared(&self) -> MutexGuard<'_, PreparedCache> {
         self.prepared.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Abandon the dedup claim of a submission refused before it ran, so a
+    /// retry is a clean new attempt (nothing executed); `resp` is the
+    /// refusal, passed through.
+    fn abandon(&self, dedup_key: Option<&str>, resp: Response) -> Response {
+        if let Some(key) = dedup_key {
+            self.dedup().abandon(key, &resp);
+        }
+        resp
+    }
+
+    /// Stop accepting work: callers stop running jobs themselves, and the
+    /// queue's sender goes, so the pool drains and its workers return.
+    fn close(&self) {
+        self.open.store(false, Ordering::SeqCst);
+        *self.queue.lock().unwrap_or_else(|e| e.into_inner()) = None;
     }
 
     /// The prepared form of `text` in `kind`: shared from the cache, or
@@ -534,13 +678,15 @@ impl ServiceBuilder {
     }
 
     pub fn build(self) -> Service {
-        let (tx, rx) = mpsc::channel::<Job>();
+        let (tx, rx) = mpsc::channel::<Queued>();
         let rx = Arc::new(Mutex::new(rx));
         let tenant_names: Vec<String> = self.tenants.iter().map(|t| t.name().to_string()).collect();
         let inner = Arc::new(Inner {
             catalog: Arc::new(self.catalog),
             tenants: Arc::new(self.tenants),
             queue: Mutex::new(Some(tx)),
+            open: AtomicBool::new(true),
+            slots: Slots::new(self.workers),
             counters: Counters::default(),
             telemetry: Arc::new(Telemetry::build(&self.telemetry, &tenant_names)),
             dedup: Mutex::new(Dedup::new(DEDUP_CAPACITY)),
@@ -558,56 +704,14 @@ impl ServiceBuilder {
                     .name(format!("gql-serve-worker-{i}"))
                     .spawn(move || loop {
                         // Hold the receiver lock only while dequeuing.
-                        let job = match rx.lock().unwrap_or_else(|e| e.into_inner()).recv() {
-                            Ok(job) => job,
+                        let (job, reply) = match rx.lock().unwrap_or_else(|e| e.into_inner()).recv()
+                        {
+                            Ok(sent) => sent,
                             Err(_) => return, // all senders gone: shutdown
                         };
-                        inner.telemetry.on_dequeue(&job.meta);
-                        // Supervise the run: a panicking job (engine bug,
-                        // or an injected `panic_jobs` fault) must not take
-                        // the worker down — the thread catches, answers
-                        // structurally and keeps draining the queue. The
-                        // permit and epoch pin are on the job, so even the
-                        // panic path releases them below.
-                        let response = match std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            execute(&inner, &job, &mut log)
-                        })) {
-                            Ok(response) => response,
-                            Err(_) => {
-                                inner.counters.failed.fetch_add(1, Ordering::SeqCst);
-                                inner.telemetry.on_reply(
-                                    &job.meta,
-                                    job.dataset.name(),
-                                    "engine",
-                                    0,
-                                    "",
-                                    [],
-                                    None,
-                                );
-                                Response::err(
-                                    ErrorCode::Engine,
-                                    "worker panicked mid-run (supervised; pool intact)",
-                                )
-                            }
-                        };
-                        // Publish to the dedup map at the worker boundary:
-                        // from here on, a retry of this request id replays
-                        // this response instead of executing again.
-                        if let Some(key) = &job.dedup_key {
-                            inner.dedup().publish(key, &response);
-                        }
-                        // Release the admission permit *before* replying:
-                        // once a client holds its response, its slot is
-                        // observably free (a sequential resubmit can never
-                        // race its own previous permit). The epoch pin
-                        // releases with it, completing the drain account.
-                        let Job {
-                            reply,
-                            _permit: permit,
-                            _epoch: epoch_pin,
-                            ..
-                        } = job;
-                        drop((permit, epoch_pin));
+                        inner.slots.take_for_worker();
+                        let response = run_job(&inner, job, &mut log);
+                        inner.slots.release();
                         let _ = reply.send(response);
                     })
                     .expect("spawn worker")
@@ -642,7 +746,7 @@ impl Service {
     /// Stop accepting work and join the pool. In-flight jobs finish;
     /// subsequent submissions through outstanding handles are rejected.
     pub fn shutdown(mut self) {
-        *self.inner.queue.lock().unwrap_or_else(|e| e.into_inner()) = None;
+        self.inner.close();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -651,7 +755,7 @@ impl Service {
 
 impl Drop for Service {
     fn drop(&mut self) {
-        *self.inner.queue.lock().unwrap_or_else(|e| e.into_inner()) = None;
+        self.inner.close();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -703,15 +807,30 @@ pub struct ServeHandle {
 }
 
 impl ServeHandle {
-    /// Submit one query and block for its response.
+    /// Submit one query and block for its response. When no job waits in
+    /// the queue and a run slot is free, the query runs on this thread;
+    /// otherwise it waits its turn in the queue for a pool worker.
     pub fn submit(&self, req: &Request) -> Response {
-        match self.submit_cancellable(req, CancelToken::new()) {
-            Ok(pending) => pending.wait(),
+        let cancel = CancelToken::new();
+        let job = match self.admit(req, &cancel, "query") {
+            Ok(Admitted::Job(job)) => job,
+            Ok(Admitted::Joined(rx)) => return Pending { rx, cancel }.wait(),
+            Err(immediate) => return immediate,
+        };
+        let inner = &*self.inner;
+        if inner.open.load(Ordering::SeqCst) && inner.slots.try_take_for_caller() {
+            let response = CALLER_LOG.with(|log| run_job(inner, job, &mut log.borrow_mut()));
+            inner.slots.release();
+            return response;
+        }
+        match self.enqueue(job) {
+            Ok(rx) => Pending { rx, cancel }.wait(),
             Err(immediate) => immediate,
         }
     }
 
-    /// Submit with a caller-supplied cancel token. `Err` is an immediate
+    /// Submit with a caller-supplied cancel token. The job always goes to
+    /// the pool, so the caller is free while it runs. `Err` is an immediate
     /// structured rejection (bad request, unknown names, overloaded).
     pub fn submit_cancellable(
         &self,
@@ -721,12 +840,60 @@ impl ServeHandle {
         self.submit_with_surface(req, cancel, "query")
     }
 
+    /// Admit a request and hand its job to the pool.
     fn submit_with_surface(
         &self,
         req: &Request,
         cancel: CancelToken,
         surface: &'static str,
     ) -> Result<Pending, Response> {
+        let rx = match self.admit(req, &cancel, surface)? {
+            Admitted::Job(job) => self.enqueue(job)?,
+            Admitted::Joined(rx) => rx,
+        };
+        Ok(Pending { rx, cancel })
+    }
+
+    /// Send an admitted job to the pool; its reply arrives on the returned
+    /// receiver. `Err` is the refusal when the service is shutting down.
+    fn enqueue(&self, job: Job) -> Result<mpsc::Receiver<Response>, Response> {
+        let (reply, rx) = mpsc::channel();
+        let queue = self.inner.queue.lock().unwrap_or_else(|e| e.into_inner());
+        let (job, refusal) = match queue.as_ref() {
+            None => (
+                job,
+                Response::err(ErrorCode::Overloaded, "service is shutting down"),
+            ),
+            Some(tx) => {
+                self.inner.slots.enqueued();
+                // A send can only fail if the pool is gone, which shutdown
+                // prevents while the sender exists.
+                match tx.send((job, reply)) {
+                    Ok(()) => return Ok(rx),
+                    Err(mpsc::SendError((job, _))) => {
+                        self.inner.slots.unqueued();
+                        (
+                            job,
+                            Response::err(ErrorCode::Engine, "service pool is gone"),
+                        )
+                    }
+                }
+            }
+        };
+        drop(queue);
+        Err(self.inner.abandon(job.dedup_key.as_deref(), refusal))
+    }
+
+    /// Resolve, prepare and admit a request: the dedup claim, the tenant,
+    /// the dataset and its epoch pin, the prepared query and the permit.
+    /// `Err` is an immediate answer — a dedup replay or a structured
+    /// refusal.
+    fn admit(
+        &self,
+        req: &Request,
+        cancel: &CancelToken,
+        surface: &'static str,
+    ) -> Result<Admitted, Response> {
         let c = &self.inner.counters;
         let tele = &self.inner.telemetry;
         c.submitted.fetch_add(1, Ordering::SeqCst);
@@ -750,18 +917,13 @@ impl ServeHandle {
                 DedupClaim::Wait(rx) => {
                     c.deduped.fetch_add(1, Ordering::SeqCst);
                     tele.on_submitted(None);
-                    return Ok(Pending { rx, cancel });
+                    return Ok(Admitted::Joined(rx));
                 }
             }
         }
         // Any refusal/rejection below must abandon the fresh claim so a
         // later retry is a clean new attempt (nothing executed).
-        let fail = |resp: Response| -> Response {
-            if let Some(key) = &dedup_key {
-                self.inner.dedup().abandon(key, &resp);
-            }
-            resp
-        };
+        let fail = |resp: Response| self.inner.abandon(dedup_key.as_deref(), resp);
         let Some(tenant) = self.inner.tenants.get(&req.tenant).cloned() else {
             // Unknown tenant: nothing to attribute the refusal to beyond
             // the service-wide counters and windows.
@@ -813,44 +975,24 @@ impl ServeHandle {
             }
         };
         // Pin the dataset's epoch for the whole execution: the pin's
-        // release (with the permit, at the worker boundary) is what lets
-        // a reload's drain retire this epoch.
-        let epoch_pin = dataset.pin();
+        // release (with the permit, when the run ends) is what lets a
+        // reload's drain retire this epoch.
+        let epoch = dataset.pin();
         c.admitted.fetch_add(1, Ordering::SeqCst);
         let meta = tele.on_admitted(tenant.shared_name(), surface, &req.query);
-        let (reply, rx) = mpsc::channel();
-        let job = Job {
-            query,
-            dataset,
+        Ok(Admitted::Job(Job {
+            run: Run {
+                query,
+                dataset,
+                want_profile: req.profile,
+                meta,
+            },
             budget: tenant.envelope().per_query.clone(),
             cancel: cancel.clone(),
-            want_profile: req.profile,
-            reply,
-            meta,
-            dedup_key: dedup_key.clone(),
-            _permit: permit,
-            _epoch: epoch_pin,
-        };
-        let sender = self
-            .inner
-            .queue
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone();
-        match sender {
-            Some(tx) => {
-                // The job (and its permit) moves to the worker; a send can
-                // only fail if the pool is gone, which shutdown prevents
-                // while senders exist.
-                tx.send(job)
-                    .map_err(|_| fail(Response::err(ErrorCode::Engine, "service pool is gone")))?;
-                Ok(Pending { rx, cancel })
-            }
-            None => Err(fail(Response::err(
-                ErrorCode::Overloaded,
-                "service is shutting down",
-            ))),
-        }
+            dedup_key,
+            permit,
+            epoch,
+        }))
     }
 
     /// Submit a batch sharing one catalog snapshot and plan-cache warmup:
@@ -1008,27 +1150,64 @@ pub fn parse_query(kind: &str, query: &str) -> Result<QueryKind, String> {
     }
 }
 
-/// Run one admitted job, traced into the worker's reused `log`, and fold
-/// its cache notes into the service counters. This is the telemetry reply
-/// site: exactly one histogram record per admitted job, plus slow-query
-/// capture.
-fn execute(inner: &Inner, job: &Job, log: &mut TraceLog) -> Response {
+/// Run one admitted job that holds a run slot, on a pool worker or on the
+/// caller's thread, traced into that thread's reused `log`. The run is
+/// supervised: a panicking job (engine bug, or an injected `panic_jobs`
+/// fault) unwinds to here and is answered structurally, and the thread
+/// goes on serving. The response is published to the dedup map, and the
+/// permit and epoch pin are released, before it is returned for the reply:
+/// once a client holds its response, its tenant slot is observably free (a
+/// sequential resubmit can never race its own previous permit).
+fn run_job(inner: &Inner, job: Job, log: &mut TraceLog) -> Response {
+    let Job {
+        run,
+        budget,
+        cancel,
+        dedup_key,
+        permit,
+        epoch,
+    } = job;
+    inner.telemetry.on_dequeue(&run.meta);
+    let guard = Guard::with_cancel(budget, cancel);
+    let response =
+        match std::panic::catch_unwind(AssertUnwindSafe(|| execute(inner, &run, &guard, log))) {
+            Ok(response) => response,
+            Err(_) => {
+                inner.counters.failed.fetch_add(1, Ordering::SeqCst);
+                inner
+                    .telemetry
+                    .on_reply(&run.meta, run.dataset.name(), "engine", 0, "", [], None);
+                Response::err(ErrorCode::Engine, PANIC_REPLY)
+            }
+        };
+    // From here on, a retry of this request id replays this response
+    // instead of executing again.
+    if let Some(key) = &dedup_key {
+        inner.dedup().publish(key, &response);
+    }
+    drop((permit, epoch));
+    response
+}
+
+/// Execute one run under its `guard`, and fold its cache notes into the
+/// service counters. This is the telemetry reply site: exactly one
+/// histogram record per admitted job, plus slow-query capture.
+fn execute(inner: &Inner, job: &Run, guard: &Guard, log: &mut TraceLog) -> Response {
     let c = &inner.counters;
     let tele = &inner.telemetry;
     tele.on_start(&job.meta);
-    // Chaos seam: an injected pool fault poisons this job here — after
-    // the start event, so the supervised catch in the worker loop keeps
-    // every telemetry conservation law intact.
+    // Chaos seam: an injected fault poisons this job here — after the
+    // start event, so the supervised catch in `run_job` keeps every
+    // telemetry conservation law intact.
     if inner.chaos && fault::take_panic_job() {
         panic!("injected fault: panic_jobs");
     }
     let engine: &Engine = job.dataset.engine();
-    let guard = Guard::with_cancel(job.budget.clone(), job.cancel.clone());
     // The answer goes straight to the reply's bytes; a run that fails after
     // writing some of them leaves no reply to put them in.
     let mut xml = String::new();
     let result = log.record(|trace| {
-        let ctx = RunCtx::new(trace, &guard);
+        let ctx = RunCtx::new(trace, guard);
         engine.execute_into(
             &job.query,
             job.dataset.doc(),
@@ -1135,6 +1314,7 @@ fn execute(inner: &Inner, job: &Job, log: &mut TraceLog) -> Response {
 mod tests {
     use super::*;
     use crate::tenant::Envelope;
+    use gql_metrics::EventKind;
 
     fn demo_service() -> Service {
         let mut catalog = Catalog::new();
@@ -1449,7 +1629,7 @@ mod tests {
     }
 
     #[test]
-    fn injected_job_panic_is_supervised_and_the_pool_survives() {
+    fn injected_job_panic_is_supervised_on_either_thread_and_the_service_survives() {
         let mut catalog = Catalog::new();
         catalog
             .register_xml(
@@ -1467,19 +1647,32 @@ mod tests {
             .build();
         let h = service.handle();
         let req = Request::new("public", "bib", "xpath", "//title");
-        let poisoned = fault::with_plan(fault::FaultPlan::panic_jobs(1), || h.submit(&req));
-        assert_eq!(
-            poisoned.error_code(),
-            Some(ErrorCode::Engine),
-            "panicked job answers structurally: {poisoned:?}"
-        );
-        // The same (sole-ish) workers keep serving after the panic.
+        // One panic on this thread (an idle service runs a blocking submit
+        // here), one on a pool worker (a cancellable submit always queues).
+        let poisoned = fault::with_plan(fault::FaultPlan::panic_jobs(2), || {
+            [
+                h.submit(&req),
+                h.submit_cancellable(&req, CancelToken::new())
+                    .expect("admitted")
+                    .wait(),
+            ]
+        });
+        for reply in &poisoned {
+            assert_eq!(
+                reply,
+                &Response::err(ErrorCode::Engine, PANIC_REPLY),
+                "a panicked job answers structurally"
+            );
+        }
+        // This thread and the workers keep serving after the panics.
         for _ in 0..3 {
-            assert!(h.submit(&req).is_ok(), "pool must survive the panic");
+            assert!(h.submit(&req).is_ok(), "the caller survives the panic");
+            let pooled = h.submit_cancellable(&req, CancelToken::new()).unwrap();
+            assert!(pooled.wait().is_ok(), "the pool survives the panic");
         }
         let m = h.metrics();
-        assert_eq!(m.failed, 1);
-        assert_eq!(m.completed, 3);
+        assert_eq!(m.failed, 2);
+        assert_eq!(m.completed, 6);
         assert_eq!(
             m.completed + m.cancelled + m.budget_tripped + m.failed,
             m.admitted,
@@ -1655,6 +1848,154 @@ mod tests {
         if let Some(code) = second.error_code() {
             assert_eq!(code, ErrorCode::Overloaded);
         }
+        service.shutdown();
+    }
+
+    #[test]
+    fn run_slots_never_let_more_than_their_limit_run() {
+        let slots = Slots::new(2);
+        let (running, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let rounds = if cfg!(miri) { 3 } else { 200 };
+        std::thread::scope(|s| {
+            for t in 0..5 {
+                let (slots, running, peak) = (&slots, &running, &peak);
+                s.spawn(move || {
+                    for i in 0..rounds {
+                        // Every other attempt goes the pool's way: into the
+                        // queue, then a slot as a worker takes one.
+                        if (t + i) % 2 == 1 || !slots.try_take_for_caller() {
+                            slots.enqueued();
+                            slots.take_for_worker();
+                        }
+                        let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                        peak.fetch_max(now, Ordering::SeqCst);
+                        std::thread::yield_now();
+                        running.fetch_sub(1, Ordering::SeqCst);
+                        slots.release();
+                    }
+                });
+            }
+        });
+        assert!(peak.into_inner() <= 2);
+        assert_eq!(slots.running.into_inner(), 0);
+        assert_eq!(slots.queued.into_inner(), 0);
+    }
+
+    #[test]
+    fn more_callers_than_workers_never_run_more_than_workers_at_once() {
+        let workers = 1;
+        let mut catalog = Catalog::new();
+        catalog.register_xml("d", "<r><a/><a/></r>").unwrap();
+        let mut tenants = TenantRegistry::new();
+        tenants.register("t", Envelope::slots(8));
+        let service = Service::builder()
+            .workers(workers)
+            .catalog(catalog)
+            .tenants(tenants)
+            .build();
+        let h = service.handle();
+        let req = Request::new("t", "d", "xpath", "//a");
+        // Four events a request: every one fits in the event ring.
+        let rounds = if cfg!(miri) { 1 } else { 60 };
+        let start = std::sync::Barrier::new(4 * workers);
+        std::thread::scope(|s| {
+            for _ in 0..4 * workers {
+                let (h, req, start) = (&h, &req, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for _ in 0..rounds {
+                        assert!(h.submit(req).is_ok());
+                    }
+                });
+            }
+        });
+        // A run starts after it takes its slot and replies before it gives
+        // the slot back, so the runs between a start and its reply, in the
+        // order the events were recorded, all held a slot at once.
+        let report = h.metrics_report();
+        assert_eq!(report.event_stats.dropped, 0, "every event is retained");
+        let (mut running, mut peak) = (0usize, 0usize);
+        for e in &report.events {
+            match e.kind {
+                EventKind::Start => {
+                    running += 1;
+                    peak = peak.max(running);
+                }
+                EventKind::Reply => running -= 1,
+                _ => {}
+            }
+        }
+        assert!((1..=workers).contains(&peak), "peak {peak}");
+        assert_eq!(running, 0);
+        assert_eq!(h.metrics().completed, (4 * workers * rounds) as u64);
+        service.shutdown();
+    }
+
+    #[test]
+    fn a_queued_job_is_not_overtaken_by_a_later_caller() {
+        let mut catalog = Catalog::new();
+        catalog.register_xml("d", "<r><a/></r>").unwrap();
+        let mut tenants = TenantRegistry::new();
+        tenants.register("t", Envelope::slots(8));
+        let service = Service::builder()
+            .workers(1)
+            .catalog(catalog)
+            .tenants(tenants)
+            .build();
+        let h = service.handle();
+        let req = Request::new("t", "d", "xpath", "//a");
+        // Stand in for a caller's run holding the only slot, so the next
+        // job has to queue.
+        assert!(h.inner.slots.try_take_for_caller());
+        let queued = h.submit_cancellable(&req, CancelToken::new()).unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(60);
+        while h.inner.slots.waiting.load(Ordering::SeqCst) == 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the worker never waited for the held slot"
+            );
+            std::thread::yield_now();
+        }
+        // The worker holds the job and waits for the slot, which frees; a
+        // caller arrives while the worker wakes, and queues behind the job
+        // instead of taking the slot.
+        let still_queued = h.inner.slots.queued.load(Ordering::SeqCst);
+        h.inner.slots.release();
+        assert!(h.submit(&req).is_ok());
+        assert!(queued.wait().is_ok());
+        assert_eq!(still_queued, 1, "a waiting job still counts as queued");
+        let starts: Vec<u64> = h
+            .metrics_report()
+            .events
+            .iter()
+            .filter(|e| e.kind == EventKind::Start)
+            .map(|e| e.request_id)
+            .collect();
+        assert_eq!(starts.len(), 2);
+        assert!(starts[0] < starts[1], "the queued job started first");
+        service.shutdown();
+    }
+
+    #[test]
+    fn a_callers_run_happens_on_its_thread_and_records_every_lifecycle_event() {
+        let service = demo_service();
+        let h = service.handle();
+        CALLER_LOG.with(|log| *log.borrow_mut() = TraceLog::new());
+        let req = Request::new("public", "bib", "xpath", "//title");
+        assert!(h.submit(&req).is_ok());
+        // The run was traced into this thread's log: it ran here.
+        assert!(CALLER_LOG.with(|log| log.borrow().find("run").is_some()));
+        // One request, so every event is its own.
+        let kinds: Vec<EventKind> = h.metrics_report().events.iter().map(|e| e.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                EventKind::Admit,
+                EventKind::Dequeue,
+                EventKind::Start,
+                EventKind::Reply
+            ]
+        );
         service.shutdown();
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Assembles the `gql-metrics` primitives into the service's observability
 //! surface: per-`(tenant, dataset, surface, outcome)` latency histograms
-//! recorded at the worker's reply site, per-tenant rolling rate windows
+//! recorded at the run's reply site, per-tenant rolling rate windows
 //! (1 s / 10 s / 60 s), a bounded request-event ring keyed by the
 //! service-assigned `RequestId`, and a slow-query log capturing the plan,
 //! phase timings and trip report of any job whose service time exceeds the
@@ -204,7 +204,8 @@ impl Telemetry {
         }
     }
 
-    /// A pool worker pulled the job off the queue.
+    /// The job took its run slot: a pool worker dequeued it, or its caller
+    /// runs it.
     pub(crate) fn on_dequeue(&self, meta: &RequestMeta) {
         self.probes.fetch_add(1, Ordering::Relaxed);
         self.events.record(Event {

@@ -13,6 +13,10 @@
 //!   disconnect after the work completed);
 //! * **worker panics** — an injected panic inside the pool; the worker
 //!   is supervised, answers structurally and keeps draining the queue;
+//! * **caller panics** — the same panics under in-process blocking
+//!   submits, which run on the callers' own threads: each is answered
+//!   structurally, published for its idempotency key, and releases its
+//!   permit;
 //! * **slow-loris writers** — a client that opens a frame and stalls is
 //!   reaped by the server's read timeout without pinning a thread;
 //! * **torn requests** — garbage and truncated frames from the client
@@ -35,14 +39,14 @@
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use gql_core::{CoreError, Engine, QueryKind};
 use gql_guard::fault::{self, FaultPlan};
 use gql_serve::{
     Catalog, ClientError, Envelope, ErrorCode, Request, ResilientClient, Response, RetryPolicy,
-    Server, ServerConfig, Service, TenantRegistry,
+    ServeHandle, Server, ServerConfig, Service, Tenant, TenantRegistry,
 };
 
 use crate::corpus::CorpusCase;
@@ -97,15 +101,19 @@ fn expected_err(e: &CoreError) -> Expected {
     Expected::Err(code, e.to_string())
 }
 
-/// `allow_panic_reply` admits the supervised-panic structured error —
-/// the documented outcome when a `panic_jobs` token hits this request.
+/// Injected panics in the in-process scenario.
+const CALLER_PANICS: usize = 3;
+
+/// Is `resp` the supervised-panic structured error — the documented
+/// outcome when a `panic_jobs` token hits a request?
+fn is_panic_reply(resp: &Response) -> bool {
+    matches!(resp, Response::Err(e) if e.code == ErrorCode::Engine && e.message.contains("supervised"))
+}
+
+/// `allow_panic_reply` admits the supervised-panic structured error.
 fn check_response(case: &Prepared, resp: &Response, allow_panic_reply: bool) -> Result<(), String> {
-    if allow_panic_reply {
-        if let Response::Err(e) = resp {
-            if e.code == ErrorCode::Engine && e.message.contains("supervised") {
-                return Ok(());
-            }
-        }
+    if allow_panic_reply && is_panic_reply(resp) {
+        return Ok(());
     }
     match (&case.expected, resp) {
         (Expected::Xml(want), Response::Ok(ok)) => {
@@ -237,6 +245,98 @@ fn storm(
     });
 }
 
+/// Storm every prepared case in process under `panic_jobs`, round after
+/// round until all [`CALLER_PANICS`] tokens are spent. The submits block,
+/// come from no more threads than the pool has workers, and find nothing
+/// queued, so every run is a caller's run and every panic unwinds on a
+/// caller's thread. Each request carries an idempotency key. Returns the
+/// failures found.
+fn caller_panics(
+    handle: &ServeHandle,
+    prepared: &[Prepared],
+    tenants: &[Arc<Tenant>],
+    requests: &AtomicUsize,
+) -> Vec<String> {
+    let panicked: Mutex<Vec<(Request, Response)>> = Mutex::new(Vec::new());
+    let failures = Mutex::new(Vec::new());
+    fault::with_plan(FaultPlan::panic_jobs(CALLER_PANICS as u64), || {
+        for round in 0..8 {
+            let next = AtomicUsize::new(0);
+            std::thread::scope(|s| {
+                for _ in 0..THREADS {
+                    s.spawn(|| loop {
+                        let i = next.fetch_add(1, Ordering::SeqCst);
+                        let Some(case) = prepared.get(i) else {
+                            break;
+                        };
+                        let tenant = TENANTS[i % TENANTS.len()];
+                        let req = Request::new(tenant, &case.dataset, &case.kind, &case.query)
+                            .with_request_id(format!("caller-panic-{round}-{i}"));
+                        requests.fetch_add(1, Ordering::SeqCst);
+                        let resp = handle.submit(&req);
+                        if is_panic_reply(&resp) {
+                            panicked.lock().unwrap().push((req, resp));
+                        } else if let Err(msg) = check_response(case, &resp, false) {
+                            failures.lock().unwrap().push(msg);
+                        }
+                    });
+                }
+            });
+            if panicked.lock().unwrap().len() == CALLER_PANICS {
+                break;
+            }
+        }
+    });
+    let mut failures = failures.into_inner().unwrap();
+    let panicked = panicked.into_inner().unwrap();
+    if panicked.len() != CALLER_PANICS {
+        failures.push(format!(
+            "{} of {CALLER_PANICS} injected panics came back as the engine error",
+            panicked.len()
+        ));
+    }
+    // Each panic reply was published under its key: a retry replays it.
+    let deduped = handle.metrics().deduped;
+    for (req, resp) in &panicked {
+        requests.fetch_add(1, Ordering::SeqCst);
+        let retry = handle.submit(req);
+        if &retry != resp {
+            failures.push(format!(
+                "{}: a retry of a panicked request got {retry:?}",
+                req.dataset
+            ));
+        }
+    }
+    let replayed = handle.metrics().deduped - deduped;
+    if replayed != panicked.len() as u64 {
+        failures.push(format!(
+            "{replayed} of {} retries were replayed from the dedup map",
+            panicked.len()
+        ));
+    }
+    for tenant in tenants {
+        if tenant.in_flight() != 0 {
+            failures.push(format!(
+                "tenant `{}` still holds {} permits — permit leak",
+                tenant.name(),
+                tenant.in_flight()
+            ));
+        }
+    }
+    let m = handle.metrics();
+    if m.admitted + m.rejected + m.refused + m.deduped != m.submitted {
+        failures.push(format!(
+            "conservation broken: admitted {} + rejected {} + refused {} + deduped {} != submitted {}",
+            m.admitted, m.rejected, m.refused, m.deduped, m.submitted
+        ));
+    }
+    let outcomes = m.completed + m.cancelled + m.budget_tripped + m.failed;
+    if outcomes != m.admitted {
+        failures.push(format!("admitted {} vs outcomes {outcomes}", m.admitted));
+    }
+    failures
+}
+
 /// Run the full chaos matrix. `seed` drives every jitter stream;
 /// `wall_budget` bounds the whole matrix — exceeding it is a failure
 /// (the oracle's definition of "never a hang").
@@ -259,6 +359,10 @@ pub fn check_cases(
         THROTTLED,
         Envelope::slots(THREADS as u64 * 2).with_requests_per_sec(THROTTLED_RPS),
     );
+    let stormed: Vec<Arc<Tenant>> = TENANTS
+        .iter()
+        .filter_map(|t| tenants.get(t).cloned())
+        .collect();
     let service = Service::builder()
         .workers(THREADS)
         .catalog(catalog)
@@ -317,7 +421,16 @@ pub fn check_cases(
         }
     }
 
-    // Scenario 5: slow-loris writer. A short-fused server must reap the
+    // Scenario 5: in-process panics. The wire storms reach pool runs only;
+    // these reach callers' runs.
+    let found = caller_panics(&handle, &prepared, &stormed, &requests);
+    failures
+        .lock()
+        .unwrap()
+        .extend(found.into_iter().map(|f| format!("[caller_panics] {f}")));
+    scenarios += 1;
+
+    // Scenario 6: slow-loris writer. A short-fused server must reap the
     // stalled connection and keep serving everyone else.
     {
         let reaper = Server::bind_with(
@@ -373,7 +486,7 @@ pub fn check_cases(
         scenarios += 1;
     }
 
-    // Scenario 6: torn requests. Garbage inside a well-formed frame gets
+    // Scenario 7: torn requests. Garbage inside a well-formed frame gets
     // a structured error on a connection that stays usable; a truncated
     // frame followed by a hangup closes cleanly.
     {
@@ -400,7 +513,7 @@ pub fn check_cases(
         scenarios += 1;
     }
 
-    // Scenario 7: mid-stream disconnect. Submit a real query and hang up
+    // Scenario 8: mid-stream disconnect. Submit a real query and hang up
     // before the reply; the service must cancel (or complete) it without
     // leaking the slot — proven by the conservation laws below and by the
     // follow-up storm.
@@ -433,7 +546,7 @@ pub fn check_cases(
         scenarios += 1;
     }
 
-    // Scenario 8: hot reload during the storm. A reloader swaps every
+    // Scenario 9: hot reload during the storm. A reloader swaps every
     // dataset to a new epoch (same content, so answers stay
     // byte-identical) while the storm runs; afterwards the catalog must
     // drain completely — every epoch's permits conserved.
@@ -506,7 +619,7 @@ pub fn check_cases(
         scenarios += 1;
     }
 
-    // Scenario 9: rate limiting. The throttled tenant's storm must make
+    // Scenario 10: rate limiting. The throttled tenant's storm must make
     // the quota visibly reject, and the client — honouring
     // `retry_after_ms` — must land every request anyway.
     {
@@ -650,7 +763,7 @@ mod tests {
         let report =
             check_cases(&cases, 42, Duration::from_secs(120)).expect("chaos matrix passes");
         assert_eq!(report.cases, 2);
-        assert!(report.scenarios >= 9);
+        assert!(report.scenarios >= 10);
         assert!(report.requests > 0);
     }
 
