@@ -14,16 +14,17 @@
 //!   response instead of queueing unboundedly;
 //! * [`service`] — the run slots, the worker pool and the in-process
 //!   [`ServeHandle`] API: single, cancellable and batched submission (a
-//!   blocking submit runs on the caller's thread when no job is queued and
-//!   a run slot is free; the rest queue for the pool; a batch shares one
-//!   catalog snapshot and plan-cache warmup), per-request profiles, and
-//!   warm/cold cache counters surfaced as service metrics through the
-//!   trace layer. A query text is parsed, printed and gated once: the
+//!   blocking submit — a wire query is one — runs on the caller's thread
+//!   when no job is queued and a run slot is free; the rest queue for the
+//!   pool; a batch shares one catalog snapshot and plan-cache warmup),
+//!   per-request profiles, and warm/cold cache counters surfaced as
+//!   service metrics through the trace layer. A query text is parsed, printed and gated once: the
 //!   service keeps a bounded cache of prepared queries by `(kind, text)`;
 //! * [`proto`] + [`server`] — a length-prefixed JSON protocol over TCP.
-//!   Client disconnect mid-query trips the request's `CancelToken`; the
-//!   partial-progress trip report is returned, not dropped. Read/write
-//!   idle timeouts reap stalled (slow-loris) connections;
+//!   A connection's thread runs its own queries, and one watcher thread
+//!   per server trips the `CancelToken` of a run whose client disconnected
+//!   mid-query; the partial-progress trip report is returned, not dropped.
+//!   Read/write idle timeouts reap stalled (slow-loris) connections;
 //! * [`client`] — a resilient blocking client: per-request deadlines,
 //!   capped exponential backoff with deterministic seeded jitter, and
 //!   idempotent retries deduplicated server-side at the run boundary.
@@ -40,7 +41,8 @@
 //! concurrently must never change an answer. The chaos oracle re-runs the
 //! corpus through the resilient client while the guard's fault plan tears
 //! frames, drops replies, panics runs (on pool workers and on callers'
-//! threads) and hot-reloads the catalog mid-storm, holding the same bar.
+//! threads), hangs up on stalled runs and hot-reloads the catalog
+//! mid-storm, holding the same bar.
 
 pub mod catalog;
 pub mod client;

@@ -1,14 +1,19 @@
-//! The TCP front end: an accept loop, one thread per connection, and
-//! disconnect-triggered cancellation.
+//! The TCP front end: an accept loop, one thread per connection, and one
+//! disconnect watcher per server.
 //!
-//! While a query is in flight the connection thread polls both the
-//! response channel and the socket; a client that hangs up (EOF on peek)
-//! trips the request's `CancelToken`, the engine aborts at its next
-//! checkpoint, and the worker's slot frees — a dead client cannot pin a
-//! tenant's envelope. Malformed frames get a structured `bad-request`
-//! response; oversized or mid-frame-truncated input closes the connection
-//! after (when possible) a final error frame. The server never panics or
-//! hangs on client behaviour — the protocol tests storm it with garbage.
+//! A connection thread runs its own queries: it submits through
+//! [`ServeHandle::submit_with`], so a query runs on that thread when no job
+//! is queued and a run slot is free, and otherwise waits in the queue for a
+//! pool worker. While a query or a batch is in flight, the connection's
+//! cancel token is where the server's watcher thread can find it. Every
+//! `POLL_INTERVAL` the watcher peeks each connection that has a run in
+//! flight; a client that hung up (EOF on peek) has its token tripped, the
+//! engine aborts at its next checkpoint, and the run's slot frees — a dead
+//! client cannot pin a tenant's envelope. Malformed frames get a structured
+//! `bad-request` response; oversized or mid-frame-truncated input closes the
+//! connection after (when possible) a final error frame. The server never
+//! panics or hangs on client behaviour — the protocol tests storm it with
+//! garbage.
 //!
 //! Connections also carry **idle timeouts** ([`ServerConfig`]): a client
 //! that opens a socket and stalls mid-frame (a slow-loris writer) or stops
@@ -22,7 +27,7 @@
 use std::io::Write as _;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -59,10 +64,12 @@ impl Default for ServerConfig {
 /// A running TCP server. Dropping it (or calling [`Server::shutdown`])
 /// stops the accept loop; connection threads exit when their client
 /// disconnects, stalls past the configured timeouts, or on their next
-/// request after shutdown.
+/// request after shutdown, and the watcher thread exits after the last of
+/// them.
 pub struct Server {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
+    watch: Arc<Watch>,
     accept_thread: Option<JoinHandle<()>>,
 }
 
@@ -82,7 +89,15 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
+        let watch = Arc::new(Watch::default());
+        // Detached like the connection threads: it outlives the server
+        // until their last one exits.
+        let watcher = Arc::clone(&watch);
+        std::thread::Builder::new()
+            .name("gql-serve-watch".into())
+            .spawn(move || watcher.run())?;
         let accept_stop = Arc::clone(&stop);
+        let accept_watch = Arc::clone(&watch);
         let accept_thread = std::thread::Builder::new()
             .name("gql-serve-accept".into())
             .spawn(move || {
@@ -91,15 +106,24 @@ impl Server {
                         return;
                     }
                     let Ok(stream) = conn else { continue };
+                    let conn = accept_watch.register(stream);
                     let handle = handle.clone();
                     let _ = std::thread::Builder::new()
                         .name("gql-serve-conn".into())
-                        .spawn(move || serve_connection(stream, handle, config));
+                        .spawn(move || serve_connection(&conn, handle, config));
                 }
-            })?;
+            });
+        let accept_thread = match accept_thread {
+            Ok(thread) => thread,
+            Err(e) => {
+                watch.close();
+                return Err(e);
+            }
+        };
         Ok(Server {
             addr,
             stop,
+            watch,
             accept_thread: Some(accept_thread),
         })
     }
@@ -121,6 +145,7 @@ impl Server {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
+        self.watch.close();
     }
 }
 
@@ -132,10 +157,121 @@ impl Drop for Server {
     }
 }
 
-/// How often the in-flight poll loop checks the socket for a disconnect.
+/// How often the watcher checks the connections with a run in flight for
+/// a disconnect.
 const POLL_INTERVAL: Duration = Duration::from_millis(5);
 
-fn serve_connection(mut stream: TcpStream, handle: ServeHandle, config: ServerConfig) {
+/// The connections of one server, as its watcher thread sees them.
+#[derive(Default)]
+struct Watch {
+    state: Mutex<WatchState>,
+    /// Wakes an idle watcher when a connection registers or the server
+    /// closes.
+    wake: Condvar,
+}
+
+#[derive(Default)]
+struct WatchState {
+    /// Weak, so that a connection's socket closes when its thread exits.
+    conns: Vec<Weak<Conn>>,
+    /// The server is gone: no connection registers any more.
+    closed: bool,
+}
+
+impl Watch {
+    fn state(&self) -> MutexGuard<'_, WatchState> {
+        // Every update is one push or one flag: a panic leaves it whole.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Register an accepted connection; its thread holds the result.
+    fn register(&self, stream: TcpStream) -> Arc<Conn> {
+        let conn = Arc::new(Conn {
+            stream,
+            run: Mutex::new(None),
+        });
+        self.state().conns.push(Arc::downgrade(&conn));
+        self.wake.notify_one();
+        conn
+    }
+
+    fn close(&self) {
+        self.state().closed = true;
+        self.wake.notify_one();
+    }
+
+    /// The watcher thread: every `POLL_INTERVAL`, check each connection
+    /// with a run in flight. With no connection it sleeps until one
+    /// registers, and it returns once the server is closed and its last
+    /// connection is gone.
+    fn run(&self) {
+        let mut state = self.state();
+        loop {
+            state.conns.retain(|conn| match conn.upgrade() {
+                Some(conn) => {
+                    conn.check();
+                    true
+                }
+                None => false,
+            });
+            if !state.conns.is_empty() {
+                drop(state);
+                std::thread::sleep(POLL_INTERVAL);
+                state = self.state();
+            } else if state.closed {
+                return;
+            } else {
+                state = self
+                    .wake
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+        }
+    }
+}
+
+/// One connection: its socket, shared by the connection's thread and the
+/// watcher, and the cancel token of its run in flight.
+struct Conn {
+    stream: TcpStream,
+    /// Set while a query or batch of this connection is in flight. The
+    /// watcher peeks the socket only while it is set, and holds this lock
+    /// across the non-blocking toggle and the peek; the connection thread
+    /// sets it after reading a request and clears it before writing the
+    /// reply. The socket is the one the connection thread reads and
+    /// writes, so this is what keeps its every read and write blocking.
+    run: Mutex<Option<CancelToken>>,
+}
+
+impl Conn {
+    fn run(&self) -> MutexGuard<'_, Option<CancelToken>> {
+        // Every update is one store: a panic leaves it whole.
+        self.run.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Call `f` with a cancel token the watcher trips if the client hangs
+    /// up before `f` returns.
+    fn watched<T>(&self, f: impl FnOnce(CancelToken) -> T) -> T {
+        let cancel = CancelToken::new();
+        *self.run() = Some(cancel.clone());
+        let out = f(cancel);
+        *self.run() = None;
+        out
+    }
+
+    /// Trip the run in flight, if there is one and its client hung up.
+    fn check(&self) {
+        let run = self.run();
+        if let Some(cancel) = run.as_ref() {
+            if !cancel.is_cancelled() && client_gone(&self.stream) {
+                cancel.cancel();
+            }
+        }
+    }
+}
+
+fn serve_connection(conn: &Conn, handle: ServeHandle, config: ServerConfig) {
+    let mut stream = &conn.stream;
     // A stalled peer trips these deadlines and the thread reaps the
     // connection; failures to arm them are treated as a dead socket.
     // Replies also leave as two writes (length prefix, then body), so
@@ -157,7 +293,7 @@ fn serve_connection(mut stream: TcpStream, handle: ServeHandle, config: ServerCo
             Ok(None) => return,
             Err(e) => {
                 if e.kind() == std::io::ErrorKind::InvalidData {
-                    respond_err(&mut stream, ErrorCode::BadRequest, &e.to_string());
+                    respond_err(stream, ErrorCode::BadRequest, &e.to_string());
                 }
                 let _ = stream.shutdown(Shutdown::Both);
                 return;
@@ -168,7 +304,7 @@ fn serve_connection(mut stream: TcpStream, handle: ServeHandle, config: ServerCo
             Err(msg) => {
                 // Malformed JSON / fields: structured error, connection
                 // stays usable (framing itself was intact).
-                respond_err(&mut stream, ErrorCode::BadRequest, &msg);
+                respond_err(stream, ErrorCode::BadRequest, &msg);
                 continue;
             }
         };
@@ -214,14 +350,13 @@ fn serve_connection(mut stream: TcpStream, handle: ServeHandle, config: ServerCo
                 Err(resp) => encode_response(&resp),
             },
             Op::Query(req) => {
-                let resp = run_watching_disconnect(&handle, &req, &stream);
-                encode_response(&resp)
+                encode_response(&conn.watched(|cancel| handle.submit_with(&req, cancel)))
             }
             Op::Batch(reqs) => {
                 // Batched submission shares the catalog snapshot and plan
-                // warmup inside the service; disconnect-watching covers the
-                // whole batch via one shared token.
-                let responses = handle.submit_batch(&reqs);
+                // warmup inside the service; every run of the batch is
+                // under the connection's one watched token.
+                let responses = conn.watched(|cancel| handle.submit_batch_with(&reqs, &cancel));
                 Value::Obj(vec![
                     ("ok".into(), Value::Bool(true)),
                     (
@@ -231,7 +366,7 @@ fn serve_connection(mut stream: TcpStream, handle: ServeHandle, config: ServerCo
                 ])
             }
         };
-        if send_reply(&mut stream, reply.render().as_bytes(), config.chaos).is_err() {
+        if send_reply(stream, reply.render().as_bytes(), config.chaos).is_err() {
             return;
         }
     }
@@ -242,7 +377,7 @@ fn serve_connection(mut stream: TcpStream, handle: ServeHandle, config: ServerCo
 /// mid-stream disconnect), a `torn_replies` token writes the length prefix
 /// plus half the body before cutting the socket (mid-frame EOF). Both
 /// close the connection so the fault is unambiguous on the wire.
-fn send_reply(stream: &mut TcpStream, payload: &[u8], chaos: bool) -> std::io::Result<()> {
+fn send_reply(mut stream: &TcpStream, payload: &[u8], chaos: bool) -> std::io::Result<()> {
     if chaos {
         if fault::take_drop_reply() {
             let _ = stream.shutdown(Shutdown::Both);
@@ -262,32 +397,7 @@ fn send_reply(stream: &mut TcpStream, payload: &[u8], chaos: bool) -> std::io::R
             ));
         }
     }
-    write_frame(stream, payload)
-}
-
-/// Run one query, cancelling it if the client hangs up mid-flight.
-fn run_watching_disconnect(
-    handle: &ServeHandle,
-    req: &crate::service::Request,
-    stream: &TcpStream,
-) -> Response {
-    let cancel = CancelToken::new();
-    let mut pending = match handle.submit_cancellable(req, cancel.clone()) {
-        Ok(p) => p,
-        Err(immediate) => return immediate,
-    };
-    loop {
-        match pending.wait_timeout(POLL_INTERVAL) {
-            Ok(resp) => return resp,
-            Err(still_pending) => pending = still_pending,
-        }
-        if client_gone(stream) {
-            // Trip the token; keep waiting for the worker's trip report —
-            // the write below will likely fail, but the slot must be
-            // released through the normal path either way.
-            cancel.cancel();
-        }
-    }
+    write_frame(&mut stream, payload)
 }
 
 /// Peek the socket without blocking: `Ok(0)` is EOF (client hung up).
@@ -303,9 +413,9 @@ fn client_gone(stream: &TcpStream) -> bool {
     gone
 }
 
-fn respond_err(stream: &mut TcpStream, code: ErrorCode, message: &str) {
+fn respond_err(mut stream: &TcpStream, code: ErrorCode, message: &str) {
     let frame = encode_response(&Response::err(code, message)).render();
-    let _ = write_frame(stream, frame.as_bytes());
+    let _ = write_frame(&mut stream, frame.as_bytes());
     let _ = stream.flush();
 }
 

@@ -10,14 +10,16 @@
 //!
 //! A run happens on the caller's thread or on a pool worker, and one
 //! function, `run_job`, does it either way. A blocking
-//! [`ServeHandle::submit`] runs its job itself when no job waits in the
-//! queue and a run slot is free; otherwise, and always for
-//! [`ServeHandle::submit_cancellable`] and [`ServeHandle::submit_batch`]
-//! (whose callers must stay free while the run proceeds), the job goes to
-//! the queue and a pool worker runs it. There are as many run slots as pool
-//! workers, shared by both: a worker takes a slot before it counts its job
-//! as dequeued, so a caller never overtakes a queued job, and at most
-//! `workers` runs execute at once.
+//! [`ServeHandle::submit`] or [`ServeHandle::submit_with`] — the latter is
+//! what the TCP server's connection threads call — runs its job itself
+//! when no job waits in the queue and a run slot is free. Otherwise, and
+//! always for [`ServeHandle::submit_cancellable`] (whose caller must stay
+//! free while the run proceeds) and [`ServeHandle::submit_batch`] (whose
+//! items run side by side), the job goes to the queue and a pool worker
+//! runs it. There are as many run slots as pool workers, shared by both: a
+//! worker takes a slot before it counts its job as dequeued, so a caller
+//! never overtakes a queued job, and at most `workers` runs execute at
+//! once.
 //!
 //! Every run is traced, whether or not the client asked for a profile: the
 //! per-request trace log (one per thread, reused) is where the engine
@@ -35,7 +37,6 @@ use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use gql_core::{CoreError, Engine, Prepared, QueryKind};
 use gql_guard::{fault, Budget, CancelToken, Guard, LimitKind, RunCtx};
@@ -785,18 +786,6 @@ impl Pending {
             Response::err(ErrorCode::Engine, "worker dropped the reply channel")
         })
     }
-
-    /// Poll with a timeout; `Err(self)` if still running.
-    pub fn wait_timeout(self, d: Duration) -> Result<Response, Pending> {
-        match self.rx.recv_timeout(d) {
-            Ok(r) => Ok(r),
-            Err(mpsc::RecvTimeoutError::Timeout) => Err(self),
-            Err(mpsc::RecvTimeoutError::Disconnected) => Ok(Response::err(
-                ErrorCode::Engine,
-                "worker dropped the reply channel",
-            )),
-        }
-    }
 }
 
 /// In-process submission API: what the TCP server, the tests and the
@@ -811,7 +800,13 @@ impl ServeHandle {
     /// the queue and a run slot is free, the query runs on this thread;
     /// otherwise it waits its turn in the queue for a pool worker.
     pub fn submit(&self, req: &Request) -> Response {
-        let cancel = CancelToken::new();
+        self.submit_with(req, CancelToken::new())
+    }
+
+    /// [`ServeHandle::submit`] under a caller's cancel token: tripping it
+    /// from another thread aborts the run at the engine's next checkpoint,
+    /// whether it runs on this thread or waits in the queue.
+    pub fn submit_with(&self, req: &Request, cancel: CancelToken) -> Response {
         let job = match self.admit(req, &cancel, "query") {
             Ok(Admitted::Job(job)) => job,
             Ok(Admitted::Joined(rx)) => return Pending { rx, cancel }.wait(),
@@ -1001,6 +996,16 @@ impl ServeHandle {
     /// repeat runs warm, concurrently. Responses come back in request
     /// order.
     pub fn submit_batch(&self, reqs: &[Request]) -> Vec<Response> {
+        self.submit_batch_with(reqs, &CancelToken::new())
+    }
+
+    /// [`ServeHandle::submit_batch`] with every run under `cancel`: tripping
+    /// it aborts each run not yet finished.
+    pub(crate) fn submit_batch_with(
+        &self,
+        reqs: &[Request],
+        cancel: &CancelToken,
+    ) -> Vec<Response> {
         let mut leaders: Vec<usize> = Vec::new();
         let mut followers: Vec<usize> = Vec::new();
         let mut seen: Vec<(&str, &str, &str)> = Vec::new();
@@ -1020,7 +1025,7 @@ impl ServeHandle {
                 .map(|i| {
                     (
                         i,
-                        self.submit_with_surface(&reqs[i], CancelToken::new(), "batch"),
+                        self.submit_with_surface(&reqs[i], cancel.clone(), "batch"),
                     )
                 })
                 .collect();
@@ -1948,7 +1953,7 @@ mod tests {
         // job has to queue.
         assert!(h.inner.slots.try_take_for_caller());
         let queued = h.submit_cancellable(&req, CancelToken::new()).unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(60);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
         while h.inner.slots.waiting.load(Ordering::SeqCst) == 0 {
             assert!(
                 std::time::Instant::now() < deadline,

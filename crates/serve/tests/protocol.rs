@@ -13,7 +13,10 @@
 //! * interleaved garbage — the server keeps serving fresh connections
 //!   after all of the above;
 //! * slow-loris writers — a stalled half-open connection is reaped by
-//!   the server's read timeout instead of pinning a thread forever.
+//!   the server's read timeout instead of pinning a thread forever;
+//! * hang-ups mid-run — a client that sends a query or a batch and hangs
+//!   up has every unfinished run of it cancelled, whether the run was on
+//!   its connection thread or queued for a pool worker.
 //!
 //! The good paths are driven end to end here too — a three-language batch,
 //! a hot reload and a query on the new epoch, the quota refusal — and every
@@ -27,13 +30,18 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::Path;
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
+use gql_guard::fault::{self, FaultPlan};
+use gql_metrics::EventKind;
 use gql_serve::json::Value;
-use gql_serve::proto::{decode_response, encode_response, read_frame, write_frame, MAX_FRAME};
+use gql_serve::proto::{
+    decode_response, encode_request, encode_response, read_frame, write_frame, MAX_FRAME,
+};
 use gql_serve::{
     Catalog, Client, Envelope, ErrorCode, Request, Response, Server, ServerConfig, Service,
-    TenantRegistry,
+    ServiceMetrics, Tenant, TenantRegistry,
 };
 
 fn test_service() -> Service {
@@ -569,4 +577,154 @@ fn batch_over_the_wire_reports_per_item_outcomes() {
     assert!(direct.is_ok());
     server.shutdown();
     service.shutdown();
+}
+
+/// A WG-Log program over `d`; `goal` names the label it builds, so that two
+/// goals are two distinct texts.
+fn wglog_query(goal: &str) -> String {
+    format!(
+        "rule {{ query {{ $r: r  $b: b  $r -b-> $b }} construct {{ $l: {goal}  $l -member-> $b }} }} goal {goal}"
+    )
+}
+
+/// Every WG-Log fixpoint round stalls 400 ms: long enough that a run whose
+/// client hangs up is still running when the server sees the hang-up.
+fn stalled() -> FaultPlan {
+    FaultPlan {
+        stall_round: Some(1),
+        stall_ms: 400,
+        ..FaultPlan::default()
+    }
+}
+
+/// A server over `d` with `workers` pool workers, and its one tenant.
+fn watched_server(workers: usize) -> (Service, Server, Arc<Tenant>) {
+    let mut catalog = Catalog::new();
+    catalog
+        .register_xml("d", "<r><a/><a/><b><a/></b></r>")
+        .expect("dataset parses");
+    let mut tenants = TenantRegistry::new();
+    tenants.register("t", Envelope::slots(8));
+    let tenant = Arc::clone(tenants.get("t").expect("registered"));
+    let service = Service::builder()
+        .workers(workers)
+        .catalog(catalog)
+        .tenants(tenants)
+        .build();
+    let server = Server::bind("127.0.0.1:0", service.handle()).expect("bind");
+    (service, server, tenant)
+}
+
+/// Write one request frame and hang up without reading the reply.
+fn send_and_hang_up(server: &Server, request: &Value) {
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    write_frame(&mut stream, request.render().as_bytes()).expect("send");
+    drop(stream);
+}
+
+/// Wait until `done` holds; fail after ten seconds.
+fn wait_for(what: &str, done: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// A query frame of tenant `t` over `d`.
+fn query_frame(query: &str) -> Value {
+    encode_request(&Request::new("t", "d", "wglog", query))
+}
+
+/// After a hang-up: `cancelled` rose by exactly `cancelled` and `completed`
+/// by exactly `completed`, and nothing is left held.
+fn assert_settled(
+    service: &Service,
+    tenant: &Tenant,
+    before: ServiceMetrics,
+    cancelled: u64,
+    completed: u64,
+) {
+    let h = service.handle();
+    wait_for("the runs to settle", || {
+        let m = h.metrics();
+        m.cancelled + m.completed >= before.cancelled + before.completed + cancelled + completed
+            && tenant.in_flight() == 0
+    });
+    let m = h.metrics();
+    assert_eq!(m.cancelled - before.cancelled, cancelled, "{m:?}");
+    assert_eq!(m.completed - before.completed, completed, "{m:?}");
+    assert_eq!(tenant.in_flight(), 0);
+    assert_eq!(h.catalog().draining(), 0);
+}
+
+#[test]
+fn a_client_that_hangs_up_has_its_run_cancelled_on_either_thread() {
+    fault::with_plan(stalled(), || {
+        // Idle service: the connection thread runs the query itself.
+        let (service, server, tenant) = watched_server(2);
+        let before = service.handle().metrics();
+        send_and_hang_up(&server, &query_frame(&wglog_query("found")));
+        assert_settled(&service, &tenant, before, 1, 0);
+        server.shutdown();
+        service.shutdown();
+
+        // One run slot, held by a stalled run whose client waits: the
+        // second query is queued, and its client hangs up.
+        let (service, server, tenant) = watched_server(1);
+        let h = service.handle();
+        let before = h.metrics();
+        let holder = std::thread::spawn({
+            let addr = server.addr();
+            let frame = query_frame(&wglog_query("found"));
+            move || Client::connect(addr).unwrap().roundtrip(&frame).unwrap()
+        });
+        wait_for("the first run to start", || {
+            (h.metrics_report().events.iter()).any(|e| e.kind == EventKind::Start)
+        });
+        send_and_hang_up(&server, &query_frame(&wglog_query("seen")));
+        let held = holder.join().expect("the waiting client");
+        assert!(decoded(&held).is_ok(), "{}", held.render());
+        assert_settled(&service, &tenant, before, 1, 1);
+        // The hung-up query waited for the slot: it never started before
+        // the first run replied.
+        let events = h.metrics_report().events;
+        let first_reply = events.iter().position(|e| e.kind == EventKind::Reply);
+        let starts: Vec<usize> = (events.iter().enumerate())
+            .filter(|(_, e)| e.kind == EventKind::Start)
+            .map(|(i, _)| i)
+            .collect();
+        assert_eq!(starts.len(), 2, "{events:?}");
+        assert!(first_reply.is_some_and(|r| r < starts[1]), "{events:?}");
+        server.shutdown();
+        service.shutdown();
+    });
+}
+
+#[test]
+fn a_client_that_hangs_up_mid_batch_has_every_unfinished_run_cancelled() {
+    fault::with_plan(stalled(), || {
+        let (service, server, tenant) = watched_server(2);
+        let before = service.handle().metrics();
+        let item = |goal: &str| {
+            Value::Obj(vec![
+                ("dataset".into(), Value::str("d")),
+                ("kind".into(), Value::str("wglog")),
+                ("query".into(), Value::str(wglog_query(goal))),
+            ])
+        };
+        // Two leaders and a repeat of the first, which runs after them.
+        let batch = Value::Obj(vec![
+            ("op".into(), Value::str("batch")),
+            ("tenant".into(), Value::str("t")),
+            (
+                "items".into(),
+                Value::Arr(vec![item("found"), item("seen"), item("found")]),
+            ),
+        ]);
+        send_and_hang_up(&server, &batch);
+        assert_settled(&service, &tenant, before, 3, 0);
+        server.shutdown();
+        service.shutdown();
+    });
 }

@@ -1,22 +1,29 @@
-//! A counting bar for the served path: a warm `ServeHandle::submit` of each
-//! of the 22 point items `gql-benchmark` sends (Q1–Q10 in every surface
-//! that states them, at scale 8) allocates no more than its ceiling.
+//! A counting bar for the served path: a warm `ServeHandle::submit`, and a
+//! warm `Client::roundtrip` over loopback TCP, of each of the 22 point items
+//! `gql-benchmark` sends (Q1–Q10 in every surface that states them, at
+//! scale 8) allocates no more than its ceiling.
 //!
 //! Warm means the request's text was sent before: the service prepared it
 //! then (parse, print, gate), the dataset's engine planned it, and the
 //! running thread's trace log is sized. What is left per request is
-//! admission, the run and the reply. Ceilings only ever go down.
+//! admission, the run and the reply; on the wire, also the client's and the
+//! server's frames and JSON. Ceilings only ever go down.
 //!
-//! A request sent to an idle service runs on the calling thread, but one
-//! that finds the run slots busy or a job queued runs on a pool worker, so
-//! the allocator counts every thread. This binary therefore holds a single
-//! test, which submits one request at a time; the slow-query log is off, so
+//! A request sent to an idle service runs on the calling thread (on the
+//! wire, the connection's thread), but one that finds the run slots busy or
+//! a job queued runs on a pool worker, so the allocator counts every thread,
+//! the client's and the server's alike. This binary therefore holds a single
+//! test, which sends one request at a time; the slow-query log is off, so
 //! no request's timing decides what it allocates.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use gql_serve::{Catalog, Envelope, Request, Service, TelemetryConfig, TenantRegistry};
+use gql_serve::json::Value;
+use gql_serve::proto::{decode_response, encode_request};
+use gql_serve::{
+    Catalog, Client, Envelope, Request, Server, Service, TelemetryConfig, TenantRegistry,
+};
 use gql_ssdm::generator::{cityguide, greengrocer, CityConfig, GrocerConfig};
 
 struct CountingAlloc;
@@ -45,47 +52,52 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 macro_rules! item {
-    ($kind:literal, $dataset:literal, $file:literal, $ceiling:literal) => {
+    ($kind:literal, $dataset:literal, $file:literal, $ceiling:literal, $wire:literal) => {
         (
             $kind,
             $dataset,
             include_str!(concat!("../../../gql-benchmark/queries/", $file)),
             $file,
             $ceiling,
+            $wire,
         )
     };
 }
 
-/// Per item: kind, dataset, query text, file name and allocation ceiling.
-/// Before the service kept prepared queries and shared cached plans, the
-/// same requests made 22–399 allocations (2,489 in all); then 1,207, and
-/// 989 once the engine cached each WG-Log program's plan. The requests then
-/// made 869; running on the caller's thread, with no reply channel, they
-/// make 802. A count can differ by one from run to run, so the five WG-Log
-/// ceilings are the highest count seen plus one.
-const ITEMS: [(&str, &str, &str, &str, usize); 22] = [
-    item!("xmlgl", "city", "q01.xmlgl", 29),
-    item!("wglog", "city", "q01.wglog", 86),
-    item!("xpath", "city", "q01.xpath", 18),
-    item!("xmlgl", "city", "q02.xmlgl", 26),
-    item!("wglog", "city", "q02.wglog", 51),
-    item!("xpath", "city", "q02.xpath", 23),
-    item!("xmlgl", "city", "q03.xmlgl", 24),
-    item!("wglog", "city", "q03.wglog", 26),
-    item!("xpath", "city", "q03.xpath", 20),
-    item!("xmlgl", "city", "q04.xmlgl", 20),
-    item!("xpath", "city", "q04.xpath", 14),
-    item!("xmlgl", "city", "q05.xmlgl", 35),
-    item!("wglog", "city", "q05.wglog", 85),
-    item!("xpath", "city", "q05.xpath", 26),
-    item!("xmlgl", "grocer", "q06.xmlgl", 47),
-    item!("xpath", "grocer", "q06.xpath", 40),
-    item!("xmlgl", "city", "q07.xmlgl", 31),
-    item!("xpath", "city", "q07.xpath", 15),
-    item!("xmlgl", "city", "q08.xmlgl", 31),
-    item!("xpath", "city", "q08.xpath", 12),
-    item!("xmlgl", "city", "q09.xmlgl", 53),
-    item!("wglog", "city", "q10.wglog", 95),
+/// Per item: kind, dataset, query text, file name, and the allocation
+/// ceilings of a submit and of a wire roundtrip. Before the service kept
+/// prepared queries and shared cached plans, the same submits made 22–399
+/// allocations (2,489 in all); then 1,207, and 989 once the engine cached
+/// each WG-Log program's plan. The submits then made 869; running on the
+/// caller's thread, with no reply channel, they make 802. The roundtrips
+/// made 2,560–2,566 while a pool worker ran every wire query and the
+/// connection's thread polled for its reply; run on the connection's
+/// thread they make 2,506, 2–4 fewer each. A count can differ by one from
+/// run to run, so the five WG-Log ceilings are the highest count seen plus
+/// one.
+const ITEMS: [(&str, &str, &str, &str, usize, usize); 22] = [
+    item!("xmlgl", "city", "q01.xmlgl", 29, 110),
+    item!("wglog", "city", "q01.wglog", 86, 165),
+    item!("xpath", "city", "q01.xpath", 18, 97),
+    item!("xmlgl", "city", "q02.xmlgl", 26, 104),
+    item!("wglog", "city", "q02.wglog", 51, 127),
+    item!("xpath", "city", "q02.xpath", 23, 100),
+    item!("xmlgl", "city", "q03.xmlgl", 24, 100),
+    item!("wglog", "city", "q03.wglog", 26, 103),
+    item!("xpath", "city", "q03.xpath", 20, 93),
+    item!("xmlgl", "city", "q04.xmlgl", 20, 93),
+    item!("xpath", "city", "q04.xpath", 14, 86),
+    item!("xmlgl", "city", "q05.xmlgl", 35, 118),
+    item!("wglog", "city", "q05.wglog", 85, 164),
+    item!("xpath", "city", "q05.xpath", 26, 107),
+    item!("xmlgl", "grocer", "q06.xmlgl", 47, 129),
+    item!("xpath", "grocer", "q06.xpath", 40, 119),
+    item!("xmlgl", "city", "q07.xmlgl", 31, 108),
+    item!("xpath", "city", "q07.xpath", 15, 87),
+    item!("xmlgl", "city", "q08.xmlgl", 31, 107),
+    item!("xpath", "city", "q08.xpath", 12, 80),
+    item!("xmlgl", "city", "q09.xmlgl", 53, 133),
+    item!("wglog", "city", "q10.wglog", 95, 181),
 ];
 
 #[test]
@@ -116,7 +128,7 @@ fn a_warm_served_request_allocates_under_its_ceiling() {
     let h = service.handle();
     let requests: Vec<Request> = ITEMS
         .iter()
-        .map(|(kind, dataset, text, _, _)| Request::new("bench", dataset, kind, text.trim()))
+        .map(|(kind, dataset, text, _, _, _)| Request::new("bench", dataset, kind, text.trim()))
         .collect();
     for _ in 0..2 {
         for req in &requests {
@@ -124,7 +136,7 @@ fn a_warm_served_request_allocates_under_its_ceiling() {
         }
     }
     let mut over = Vec::new();
-    for (req, (_, _, _, file, ceiling)) in requests.iter().zip(ITEMS) {
+    for (req, (_, _, _, file, ceiling, _)) in requests.iter().zip(ITEMS) {
         let before = ALLOCS.load(Ordering::Relaxed);
         let reply = h.submit(req);
         let count = ALLOCS.load(Ordering::Relaxed) - before;
@@ -134,6 +146,37 @@ fn a_warm_served_request_allocates_under_its_ceiling() {
             over.push(format!("{file}: {count} allocations, ceiling {ceiling}"));
         }
     }
+
+    let server = Server::bind("127.0.0.1:0", h.clone()).expect("bind");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let frames: Vec<Value> = requests.iter().map(encode_request).collect();
+    for _ in 0..2 {
+        for frame in &frames {
+            let reply = client.roundtrip(frame).expect("roundtrip");
+            assert!(
+                decode_response(&reply).is_ok_and(|r| r.is_ok()),
+                "{reply:?}"
+            );
+        }
+    }
+    for (frame, (_, _, _, file, _, ceiling)) in frames.iter().zip(ITEMS) {
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let reply = client.roundtrip(frame).expect("roundtrip");
+        let count = ALLOCS.load(Ordering::Relaxed) - before;
+        assert_eq!(
+            reply.get("ok").and_then(Value::as_bool),
+            Some(true),
+            "{file}"
+        );
+        drop(reply);
+        if count > ceiling {
+            over.push(format!(
+                "{file} (wire): {count} allocations, ceiling {ceiling}"
+            ));
+        }
+    }
+    drop(client);
+    server.shutdown();
     service.shutdown();
     assert!(over.is_empty(), "{over:#?}");
 }

@@ -11,8 +11,9 @@
 //!   key, and receive the original (deduplicated) answer;
 //! * **dropped replies** — the reply vanishes entirely (mid-stream
 //!   disconnect after the work completed);
-//! * **worker panics** — an injected panic inside the pool; the worker
-//!   is supervised, answers structurally and keeps draining the queue;
+//! * **run panics** — an injected panic inside a wire run, on its
+//!   connection thread or a pool worker; the run is supervised, answered
+//!   structurally, and the thread keeps serving;
 //! * **caller panics** — the same panics under in-process blocking
 //!   submits, which run on the callers' own threads: each is answered
 //!   structurally, published for its idempotency key, and releases its
@@ -22,7 +23,8 @@
 //! * **torn requests** — garbage and truncated frames from the client
 //!   side get structured errors or clean closes, never a hang;
 //! * **mid-stream disconnects** — a client that vanishes after
-//!   submitting leaves no leaked slots behind;
+//!   submitting a stalled query has its run cancelled and leaves no leaked
+//!   slots behind;
 //! * **hot reload during the storm** — the catalog swaps dataset epochs
 //!   continuously under fire; every reply must carry exactly one epoch,
 //!   and once the storm drains every epoch's admitted count must equal
@@ -99,6 +101,21 @@ fn expected_err(e: &CoreError) -> Expected {
         _ => ErrorCode::Engine,
     };
     Expected::Err(code, e.to_string())
+}
+
+/// The disconnect scenario's query: a WG-Log program that runs over any
+/// dataset, and under [`ghost_stall`] is still in its first fixpoint round
+/// long after its client hung up.
+const GHOST_QUERY: &str =
+    "rule { query { $x: * } construct { $l: ghost  $l -member-> $x } } goal ghost";
+
+/// Every fixpoint round stalls 400 ms.
+fn ghost_stall() -> FaultPlan {
+    FaultPlan {
+        stall_round: Some(1),
+        stall_ms: 400,
+        ..FaultPlan::default()
+    }
 }
 
 /// Injected panics in the in-process scenario.
@@ -421,8 +438,8 @@ pub fn check_cases(
         }
     }
 
-    // Scenario 5: in-process panics. The wire storms reach pool runs only;
-    // these reach callers' runs.
+    // Scenario 5: in-process panics, on the threads of blocking callers
+    // that hold idempotency keys.
     let found = caller_panics(&handle, &prepared, &stormed, &requests);
     failures
         .lock()
@@ -513,20 +530,41 @@ pub fn check_cases(
         scenarios += 1;
     }
 
-    // Scenario 8: mid-stream disconnect. Submit a real query and hang up
-    // before the reply; the service must cancel (or complete) it without
-    // leaking the slot — proven by the conservation laws below and by the
+    // Scenario 8: mid-stream disconnect. Send a query whose every fixpoint
+    // round stalls, and hang up before the reply: the server must cancel
+    // the run (`cancelled` rises by one, nothing completes) without leaking
+    // the slot — proven by the conservation laws below and by the
     // follow-up storm.
     {
-        if let Ok(mut ghost) = TcpStream::connect(addr) {
-            let case = &prepared[0];
-            let req = Request::new(TENANTS[0], &case.dataset, &case.kind, &case.query);
+        let before = handle.metrics();
+        let settled = |m: &gql_serve::ServiceMetrics| {
+            m.completed + m.cancelled + m.budget_tripped + m.failed
+                > before.completed + before.cancelled + before.budget_tripped + before.failed
+        };
+        fault::with_plan(ghost_stall(), || {
+            let req = Request::new(TENANTS[0], &prepared[0].dataset, "wglog", GHOST_QUERY);
             let frame = gql_serve::proto::encode_request(&req).render();
-            let payload = frame.as_bytes();
-            let _ = ghost.write_all(&(payload.len() as u32).to_be_bytes());
-            let _ = ghost.write_all(payload);
-            let _ = ghost.flush();
-            drop(ghost);
+            match TcpStream::connect(addr) {
+                Ok(mut ghost) => {
+                    let _ = gql_serve::proto::write_frame(&mut ghost, frame.as_bytes());
+                    drop(ghost);
+                }
+                Err(e) => failures
+                    .lock()
+                    .unwrap()
+                    .push(format!("[disconnect] cannot connect: {e}")),
+            }
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !settled(&handle.metrics()) && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        });
+        let m = handle.metrics();
+        if m.cancelled != before.cancelled + 1 || m.completed != before.completed {
+            failures.lock().unwrap().push(format!(
+                "[disconnect] a hung-up run was not cancelled: cancelled {} -> {}, completed {} -> {}",
+                before.cancelled, m.cancelled, before.completed, m.completed
+            ));
         }
         let before = failures.lock().unwrap().len();
         storm(
