@@ -6,7 +6,11 @@
 //! file as it is.
 //!
 //! One rule beyond the suite joins three roots through two joins, so that a
-//! spine with more than one `HashJoin` is pinned too.
+//! spine with more than one `HashJoin` is pinned too, and a few more reach
+//! the lowering branches the suite does not: a two-rule XML-GL program, a
+//! wildcard root with `deep` / `not deep` edges, a WG-Log cross product
+//! under a negated edge, and XPath unions, filter paths, value expressions
+//! and the root path.
 //!
 //! Regenerate it with `BLESS=1 cargo test --test explain`.
 
@@ -28,8 +32,8 @@ macro_rules! item {
 }
 
 /// Kind, file name and text of each item: Q1–Q10 as `gql-benchmark` sends
-/// them, in every surface that states them.
-const ITEMS: [(&str, &str, &str); 23] = [
+/// them, in every surface that states them, then the extra branches.
+const ITEMS: [(&str, &str, &str); 30] = [
     item!("xmlgl", "q01.xmlgl"),
     item!("wglog", "q01.wglog"),
     item!("xpath", "q01.xpath"),
@@ -53,6 +57,13 @@ const ITEMS: [(&str, &str, &str); 23] = [
     item!("xmlgl", "q09.xmlgl"),
     item!("wglog", "q10.wglog"),
     ("xmlgl", "grocer-three-roots", THREE_ROOTS),
+    ("xmlgl", "city-two-rules", TWO_RULES),
+    ("xmlgl", "city-wildcard-deep", WILDCARD_DEEP),
+    ("wglog", "city-cross-not", CROSS_NOT),
+    ("xpath", "city-union", "//restaurant | //hotel"),
+    ("xpath", "city-filter-path", "(//restaurant)/name"),
+    ("xpath", "city-value", "1 + 2"),
+    ("xpath", "city-root", "/"),
 ];
 
 /// Two `product` roots joined only through the `vendor` root.
@@ -62,6 +73,19 @@ const THREE_ROOTS: &str = r#"rule { extract {
         vendor { country { text = "holland" } name { text as $n } }
         join $v1 == $n  join $v2 == $n }
       construct { answer { count($p) } } }"#;
+
+/// Two rules: the program's `Construct result` over one spine per rule.
+const TWO_RULES: &str = "rule { extract { restaurant as $r } construct { eat { all $r } } } \
+                         rule { extract { hotel as $h } construct { sleep { all $h } } }";
+
+/// A wildcard root (`Scan *`) with a `deep` and a `not deep` edge.
+const WILDCARD_DEEP: &str =
+    "rule { extract { * as $x { deep name  not deep menu } } construct { out { all $x } } }";
+
+/// An unconnected binding from the type index (`HashJoin on cross`) under
+/// a negated edge (`Filter no …`).
+const CROSS_NOT: &str = "rule { query { $r: restaurant  $h: hotel  $m: menu  not $r -menu-> $m } \
+                         construct { $l: answer  $l -member-> $r } } goal answer";
 
 fn query(kind: &str, text: &str) -> QueryKind {
     match kind {
