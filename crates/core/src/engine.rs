@@ -297,9 +297,8 @@ impl Engine {
 
     /// Build the cacheable planning outcome for a query: each XML-GL
     /// rule's join plan in its cost-based order, or a WG-Log program's
-    /// strata and searches (XPath executes its declared shape), plus the
-    /// lowered logical-algebra tree for provenance surfaces — a rendering
-    /// of those plans.
+    /// strata and searches (XPath executes its declared shape), plus those
+    /// plans printed as EXPLAIN text, indented and compact.
     fn build_plan(prepared: &Prepared<'_>, inference: Inference, summary_paths: u64) -> CachedPlan {
         let mut wglog = None;
         let (joins, lowered) = match prepared.query() {
@@ -327,11 +326,7 @@ impl Engine {
                 Some(parsed) => (Vec::new(), gql_plan::lower_xpath(parsed, &inference)),
                 None => (
                     Vec::new(),
-                    gql_plan::LogicalPlan::Construct {
-                        shape: "unparsed".into(),
-                        inputs: Vec::new(),
-                        span: gql_ssdm::Span::none(),
-                    },
+                    gql_plan::PlanNode::new("Construct", "unparsed", None, Vec::new()),
                 ),
             },
         };

@@ -19,8 +19,8 @@
 //! * [`docview`] — the Xing/VXT document metaphor: documents rendered as
 //!   nested labelled boxes.
 //!
-//! The common operator set the three surfaces lower to is
-//! [`gql_plan::LogicalPlan`], and the one cardinality estimator is
+//! The plans the three surfaces run print as one operator tree,
+//! [`gql_plan::PlanNode`], and the one cardinality estimator is
 //! [`gql_infer`]'s summary bounds; this crate holds neither.
 
 pub mod capability;

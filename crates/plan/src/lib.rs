@@ -1,19 +1,21 @@
-//! # gql-plan — unified logical algebra, cost-based join ordering, plan cache
+//! # gql-plan — EXPLAIN printing, cost-based join ordering, plan cache
 //!
 //! The three query surfaces of the paper (XML-GL, WG-Log, XPath) share one
 //! evaluation core but were planned ad hoc: a hardcoded indexed-vs-scan
 //! choice plus gql-infer's greedy root-order hint. This crate makes
 //! planning a first-class, cacheable artifact:
 //!
-//! * [`algebra`] — a seven-operator logical algebra (`Scan`, `IndexLookup`,
-//!   `Filter`, `HashJoin`, `Fixpoint`, `Construct`, `PathStep`) all three
-//!   languages lower to, spans preserved for provenance;
-//! * [`lower`] — the per-language lowerings that feed EXPLAIN surfaces and
-//!   stamp inference cardinalities onto the operators; an XML-GL `HashJoin`
-//!   spine renders the rule's [`JoinPlan`](gql_xmlgl::eval::JoinPlan), the
-//!   value the matcher runs, and a WG-Log rule renders its
-//!   [`SearchPlan`](gql_wglog::eval::SearchPlan), the search the fixpoint
-//!   runs, one `Fixpoint` per stratum;
+//! * [`explain`] — the printed plan, a tree of [`PlanNode`] operators
+//!   (`Scan`, `IndexLookup`, `Filter`, `HashJoin`, `Fixpoint`, `Construct`,
+//!   `PathStep`) with its indented EXPLAIN rendering and its compact
+//!   trace-note rendering;
+//! * [`lower`] — the per-language printers that build that tree from the
+//!   plans that run and stamp inference cardinalities onto the operators:
+//!   an XML-GL `HashJoin` spine renders the rule's
+//!   [`JoinPlan`](gql_xmlgl::eval::JoinPlan), the value the matcher runs, a
+//!   WG-Log rule renders its [`SearchPlan`](gql_wglog::eval::SearchPlan),
+//!   the search the fixpoint runs, one `Fixpoint` per stratum, and XPath
+//!   renders its parsed expression;
 //! * [`join_order`] — the cost model and bottom-up join-order enumerator
 //!   (exhaustive subset DP for rule bodies of ≤ 8 roots, greedy beyond);
 //! * [`cache`] — the engine-resident LRU plan cache keyed by (canonical
@@ -28,14 +30,14 @@
 //! not fit the query's rules is replanned. The testkit differential oracles
 //! enforce this end to end.
 
-pub mod algebra;
 pub mod cache;
+pub mod explain;
 pub mod join_order;
 pub mod lower;
 
-pub use algebra::LogicalPlan;
 pub use cache::{
     CacheStats, CachedPlan, PlanCache, PlanKey, QueryKey, StatsCell, DEFAULT_CAPACITY,
 };
+pub use explain::PlanNode;
 pub use join_order::{plan_rule_order, JoinGraph, DP_LIMIT};
 pub use lower::{lower_join_plans, lower_wglog, lower_wglog_plan, lower_xmlgl, lower_xpath};

@@ -1,22 +1,36 @@
-//! Lowering the three query surfaces into the logical algebra.
+//! Printing the plans that run as [`PlanNode`] trees — the EXPLAIN text.
 //!
-//! The lowered tree is the provenance artifact behind every EXPLAIN
-//! surface: it names the access path per leaf (posting probe vs arena
+//! The printed tree names the access path per leaf (posting probe vs arena
 //! scan), the join spine in the *chosen* evaluation order with estimated
-//! intermediates, and the construct/fixpoint shape on top. Execution stays
-//! with the interpreters; the XML-GL `HashJoin` spine is a rendering of the
-//! rule's [`JoinPlan`], the one the matcher runs, and a WG-Log rule's spine
-//! a rendering of its [`SearchPlan`], the one the embedding search runs.
+//! intermediates, and the construct/fixpoint shape on top. Each lowering
+//! reads the plan its engine runs: the XML-GL `HashJoin` spine is the
+//! rule's [`JoinPlan`], a WG-Log rule's spine its [`SearchPlan`], and an
+//! XPath plan the parsed [`Expr`].
 
 use gql_infer::Inference;
-use gql_ssdm::Span;
 use gql_wglog::eval::plan::{Access, ProgramPlan, SearchPlan};
 use gql_xmlgl::ast::{NameTest, QNodeId, QNodeKind};
 use gql_xmlgl::eval::JoinPlan;
 use gql_xpath::ast::{Expr, LocationPath, NodeTest};
 
-use crate::algebra::LogicalPlan;
+use crate::explain::PlanNode;
 use crate::join_order::JoinGraph;
+
+/// A `Construct` of `shape` over `inputs`.
+fn construct(shape: impl Into<String>, inputs: Vec<PlanNode>) -> PlanNode {
+    PlanNode::new("Construct", shape, None, inputs)
+}
+
+/// A `Filter` by `pred` over `input`.
+fn filter(input: PlanNode, pred: String) -> PlanNode {
+    PlanNode::new("Filter", pred, None, vec![input])
+}
+
+/// A `PathStep` along `axis` to `test`, over `inputs` (none for the step
+/// that establishes the context).
+fn path_step(axis: &str, test: &str, est: u64, inputs: Vec<PlanNode>) -> PlanNode {
+    PlanNode::new("PathStep", format!("{axis}::{test}"), Some(est), inputs)
+}
 
 /// Lower an XML-GL program. `orders` gives the chosen per-rule root order
 /// (`None`, or no entry, is declaration order); bounds and cardinalities
@@ -26,7 +40,7 @@ pub fn lower_xmlgl(
     program: &gql_xmlgl::ast::Program,
     inference: &Inference,
     orders: &[Option<Vec<usize>>],
-) -> LogicalPlan {
+) -> PlanNode {
     let plans: Vec<JoinPlan> = (program.rules.iter().enumerate())
         .map(|(ri, rule)| JoinPlan::new(rule, orders.get(ri).and_then(Option::as_deref)))
         .collect();
@@ -40,18 +54,14 @@ pub fn lower_join_plans(
     program: &gql_xmlgl::ast::Program,
     inference: &Inference,
     plans: &[JoinPlan],
-) -> LogicalPlan {
+) -> PlanNode {
     debug_assert_eq!(plans.len(), program.rules.len(), "one join plan per rule");
-    let mut rules: Vec<LogicalPlan> = (program.rules.iter().zip(plans).enumerate())
+    let mut rules: Vec<PlanNode> = (program.rules.iter().zip(plans).enumerate())
         .map(|(ri, (rule, plan))| lower_xmlgl_rule(rule, ri, inference, plan))
         .collect();
     match rules.len() {
         1 => rules.pop().expect("one rule"),
-        _ => LogicalPlan::Construct {
-            shape: "result".into(),
-            inputs: rules,
-            span: Span::none(),
-        },
+        _ => construct("result", rules),
     }
 }
 
@@ -60,7 +70,7 @@ fn lower_xmlgl_rule(
     ri: usize,
     inference: &Inference,
     plan: &JoinPlan,
-) -> LogicalPlan {
+) -> PlanNode {
     let g = &rule.extract;
     let bounds = inference.root_bounds.get(ri);
     let order: Vec<usize> = plan.order().collect();
@@ -72,12 +82,10 @@ fn lower_xmlgl_rule(
         let next = lower_qnode(g, g.roots[step.root], est.unwrap_or(u64::MAX));
         Some(match spine {
             None => next,
-            Some(left) => LogicalPlan::HashJoin {
-                left: Box::new(left),
-                right: Box::new(next),
+            Some(left) => {
                 // Each join as the rule states it; a step with none is
                 // the cross product.
-                on: match step.on.is_empty() {
+                let on = match step.on.is_empty() {
                     true => "cross".into(),
                     false => (step.on.iter())
                         .map(|j| {
@@ -86,34 +94,26 @@ fn lower_xmlgl_rule(
                         })
                         .collect::<Vec<_>>()
                         .join(" and "),
-                },
-                est: (rows.as_ref())
+                };
+                let est = (rows.as_ref())
                     .and_then(|r| r.get(k))
-                    .map_or(u64::MAX, |&r| u64::try_from(r).unwrap_or(u64::MAX)),
-                span: rule.span,
-            },
+                    .map_or(u64::MAX, |&r| u64::try_from(r).unwrap_or(u64::MAX));
+                PlanNode::new("HashJoin", on, Some(est), vec![left, next])
+            }
         })
     });
 
-    let shape = rule
-        .construct
-        .roots
-        .iter()
+    let shape: Vec<String> = (rule.construct.roots.iter())
         .map(|&r| match &rule.construct.node(r).kind {
             gql_xmlgl::ast::CNodeKind::Element(t) => t.clone(),
             other => format!("{other:?}"),
         })
-        .collect::<Vec<_>>()
-        .join(" ");
-    LogicalPlan::Construct {
-        shape: if shape.is_empty() {
-            "rule".into()
-        } else {
-            shape
-        },
-        inputs: spine.into_iter().collect(),
-        span: rule.span,
-    }
+        .collect();
+    let shape = match shape.is_empty() {
+        true => "rule".into(),
+        false => shape.join(" "),
+    };
+    construct(shape, spine.into_iter().collect())
 }
 
 fn var_name(g: &gql_xmlgl::ast::ExtractGraph, q: QNodeId) -> String {
@@ -125,31 +125,16 @@ fn var_name(g: &gql_xmlgl::ast::ExtractGraph, q: QNodeId) -> String {
 
 /// One extract root: access-path leaf, then a `PathStep` per child edge
 /// (compact subtree description) and a `Filter` when predicated.
-fn lower_qnode(g: &gql_xmlgl::ast::ExtractGraph, q: QNodeId, est: u64) -> LogicalPlan {
+fn lower_qnode(g: &gql_xmlgl::ast::ExtractGraph, q: QNodeId, est: u64) -> PlanNode {
     let n = g.node(q);
-    let mut plan = match &n.kind {
-        // Named elements probe the tag postings; wildcards walk the arena.
-        QNodeKind::Element(NameTest::Name(t)) => LogicalPlan::IndexLookup {
-            test: t.clone(),
-            est,
-            span: n.span,
-        },
-        QNodeKind::Element(NameTest::Wildcard) => LogicalPlan::Scan {
-            test: "*".into(),
-            est,
-            span: n.span,
-        },
-        QNodeKind::Text => LogicalPlan::Scan {
-            test: "text()".into(),
-            est,
-            span: n.span,
-        },
-        QNodeKind::Attribute(a) => LogicalPlan::IndexLookup {
-            test: format!("@{a}"),
-            est,
-            span: n.span,
-        },
+    // Named elements probe the tag postings; wildcards walk the arena.
+    let (op, test) = match &n.kind {
+        QNodeKind::Element(NameTest::Name(t)) => ("IndexLookup", t.clone()),
+        QNodeKind::Element(NameTest::Wildcard) => ("Scan", "*".into()),
+        QNodeKind::Text => ("Scan", "text()".into()),
+        QNodeKind::Attribute(a) => ("IndexLookup", format!("@{a}")),
     };
+    let mut plan = PlanNode::new(op, test, Some(est), Vec::new());
     for edge in &n.children {
         let axis = match (edge.deep, edge.negated) {
             (false, false) => "child",
@@ -157,20 +142,10 @@ fn lower_qnode(g: &gql_xmlgl::ast::ExtractGraph, q: QNodeId, est: u64) -> Logica
             (false, true) => "no-child",
             (true, true) => "no-descendant",
         };
-        plan = LogicalPlan::PathStep {
-            axis: axis.into(),
-            test: subtree_test(g, edge.target),
-            input: Some(Box::new(plan)),
-            est,
-            span: g.node(edge.target).span,
-        };
+        plan = path_step(axis, &subtree_test(g, edge.target), est, vec![plan]);
     }
     if !n.predicate.is_trivial() {
-        plan = LogicalPlan::Filter {
-            pred: format!("{} {}", var_name(g, q), n.predicate),
-            input: Box::new(plan),
-            span: n.span,
-        };
+        plan = filter(plan, format!("{} {}", var_name(g, q), n.predicate));
     }
     plan
 }
@@ -188,9 +163,7 @@ fn subtree_test(g: &gql_xmlgl::ast::ExtractGraph, q: QNodeId) -> String {
         0 => own,
         1 => format!("{own}/{}", subtree_test(g, n.children[0].target)),
         _ => {
-            let kids: Vec<String> = n
-                .children
-                .iter()
+            let kids: Vec<String> = (n.children.iter())
                 .map(|e| subtree_test(g, e.target))
                 .collect();
             format!("{own}{{{}}}", kids.join(","))
@@ -201,14 +174,10 @@ fn subtree_test(g: &gql_xmlgl::ast::ExtractGraph, q: QNodeId) -> String {
 /// Lower a WG-Log program as it runs: [`lower_wglog_plan`] over its
 /// [`ProgramPlan`]. A program that cannot be planned (the engine refuses
 /// it before it runs) lowers to a `Construct` with nothing under it.
-pub fn lower_wglog(program: &gql_wglog::rule::Program, inference: &Inference) -> LogicalPlan {
+pub fn lower_wglog(program: &gql_wglog::rule::Program, inference: &Inference) -> PlanNode {
     match ProgramPlan::new(program) {
         Ok(plan) => lower_wglog_plan(program, inference, &plan),
-        Err(_) => LogicalPlan::Construct {
-            shape: "unplanned".into(),
-            inputs: Vec::new(),
-            span: Span::none(),
-        },
+        Err(_) => construct("unplanned", Vec::new()),
     }
 }
 
@@ -219,23 +188,20 @@ pub fn lower_wglog_plan(
     program: &gql_wglog::rule::Program,
     inference: &Inference,
     plan: &ProgramPlan,
-) -> LogicalPlan {
+) -> PlanNode {
     let fixpoints = (plan.strata().iter())
-        .map(|stratum| LogicalPlan::Fixpoint {
-            body: (stratum.iter())
+        .map(|stratum| {
+            let body = (stratum.iter())
                 .map(|&ri| lower_wglog_rule(&program.rules[ri], ri, inference, plan.search(ri)))
-                .collect(),
-            span: Span::none(),
+                .collect();
+            PlanNode::new("Fixpoint", "", None, body)
         })
         .collect();
-    LogicalPlan::Construct {
-        shape: match &program.goal {
-            Some(g) => format!("goal {g}"),
-            None => "goal".into(),
-        },
-        inputs: fixpoints,
-        span: Span::none(),
-    }
+    let goal = match &program.goal {
+        Some(g) => format!("goal {g}"),
+        None => "goal".into(),
+    };
+    construct(goal, fixpoints)
 }
 
 /// One rule's search, bottom up: the first binding is a `Scan` of its
@@ -248,51 +214,40 @@ fn lower_wglog_rule(
     ri: usize,
     inference: &Inference,
     plan: &SearchPlan,
-) -> LogicalPlan {
+) -> PlanNode {
     use gql_wglog::rule::RNodeId;
     let var = |q: RNodeId| format!("${}", rule.node(q).var);
     let edge = |i: usize| {
         let e = &rule.edges[i];
         format!("{} -{}-> {}", var(e.from), e.label, var(e.to))
     };
-    let filter = |input: LogicalPlan, pred: String, span: Span| LogicalPlan::Filter {
-        pred,
-        input: Box::new(input),
-        span,
-    };
     let spine = (plan.steps().iter()).fold(None, |spine, step| {
         let n = rule.node(step.node);
-        let constrained = |input: LogicalPlan| match n.constraints.is_empty() {
+        let constrained = |input: PlanNode| match n.constraints.is_empty() {
             true => input,
             false => {
                 let clauses: Vec<String> = (n.constraints.iter())
                     .map(|c| format!("{} {} \"{}\"", c.attr, c.op.symbol(), c.value))
                     .collect();
                 let pred = format!("{} {}", var(step.node), clauses.join(" and "));
-                filter(input, pred, n.span)
+                filter(input, pred)
             }
         };
-        let along = |left: LogicalPlan, axis: String| LogicalPlan::PathStep {
-            axis,
-            test: n.test.to_string(),
-            input: Some(Box::new(left)),
-            est: u64::MAX,
-            span: n.span,
-        };
-        let scan = LogicalPlan::Scan {
-            test: n.test.to_string(),
-            est: (inference.cards.bound_for(ri, &var(step.node))).unwrap_or(u64::MAX),
-            span: n.span,
-        };
+        let test = n.test.to_string();
+        let along = |left: PlanNode, axis: String| path_step(&axis, &test, u64::MAX, vec![left]);
+        let est = inference
+            .cards
+            .bound_for(ri, &var(step.node))
+            .unwrap_or(u64::MAX);
+        let scan = PlanNode::new("Scan", test.clone(), Some(est), Vec::new());
         let bound = match (spine, step.access) {
             (None, _) => constrained(scan),
-            (Some(left), Access::Scan) => LogicalPlan::HashJoin {
-                left: Box::new(left),
-                right: Box::new(constrained(scan)),
-                on: "cross".into(),
-                est: u64::MAX,
-                span: rule.span,
-            },
+            (Some(left), Access::Scan) => PlanNode::new(
+                "HashJoin",
+                "cross",
+                Some(u64::MAX),
+                vec![left, constrained(scan)],
+            ),
             (Some(left), Access::Forward(i)) => {
                 let e = &rule.edges[i];
                 constrained(along(left, format!("{} -{}->", var(e.from), e.label)))
@@ -302,49 +257,35 @@ fn lower_wglog_rule(
                 constrained(along(left, format!("{} <-{}-", var(e.to), e.label)))
             }
         };
-        Some((step.checks.iter()).fold(bound, |input, &i| filter(input, edge(i), rule.span)))
+        Some((step.checks.iter()).fold(bound, |input, &i| filter(input, edge(i))))
     });
     let body = (plan.negated().iter()).fold(spine, |spine, n| {
-        spine.map(|input| filter(input, format!("no {}", edge(n.edge)), rule.span))
+        spine.map(|input| filter(input, format!("no {}", edge(n.edge))))
     });
-    LogicalPlan::Construct {
-        shape: rule.head_label().unwrap_or_else(|| "rule".into()),
-        inputs: body.into_iter().collect(),
-        span: rule.span,
-    }
+    construct(
+        rule.head_label().unwrap_or_else(|| "rule".into()),
+        body.into_iter().collect(),
+    )
 }
 
 /// Lower an XPath expression: a `PathStep` chain per location path (with
 /// `Filter` for predicates), `Construct` around unions and value
 /// expressions.
-pub fn lower_xpath(expr: &Expr, inference: &Inference) -> LogicalPlan {
+pub fn lower_xpath(expr: &Expr, inference: &Inference) -> PlanNode {
     match expr {
-        Expr::Path(p) => LogicalPlan::Construct {
-            shape: "node-set".into(),
-            inputs: vec![lower_path(p, inference)],
-            span: Span::none(),
-        },
-        Expr::Union(a, b) => LogicalPlan::Construct {
-            shape: "union".into(),
-            inputs: vec![lower_xpath(a, inference), lower_xpath(b, inference)],
-            span: Span::none(),
-        },
+        Expr::Path(p) => construct("node-set", vec![lower_path(p, inference)]),
+        Expr::Union(a, b) => construct(
+            "union",
+            vec![lower_xpath(a, inference), lower_xpath(b, inference)],
+        ),
         Expr::FilterPath(inner, steps) => {
-            let mut plan = lower_xpath(inner, inference);
-            for s in steps {
-                plan = step_plan(s, Some(Box::new(plan)), u64::MAX);
-            }
-            LogicalPlan::Construct {
-                shape: "node-set".into(),
-                inputs: vec![plan],
-                span: Span::none(),
-            }
+            let inner = lower_xpath(inner, inference);
+            let plan = (steps.iter()).fold(inner, |plan, s| {
+                path_step(s.axis.name(), &test_name(&s.test), u64::MAX, vec![plan])
+            });
+            construct("node-set", vec![plan])
         }
-        other => LogicalPlan::Construct {
-            shape: format!("value ({})", kind_name(other)),
-            inputs: Vec::new(),
-            span: Span::none(),
-        },
+        other => construct(format!("value ({})", kind_name(other)), Vec::new()),
     }
 }
 
@@ -361,48 +302,16 @@ fn kind_name(e: &Expr) -> &'static str {
     }
 }
 
-fn lower_path(p: &LocationPath, inference: &Inference) -> LogicalPlan {
-    let mut plan: Option<Box<LogicalPlan>> = None;
+fn lower_path(p: &LocationPath, inference: &Inference) -> PlanNode {
+    let mut plan = None;
     for (i, step) in p.steps.iter().enumerate() {
-        let label = format!(
-            "step {} ({}::{})",
-            i + 1,
-            step.axis.name(),
-            test_name(&step.test)
-        );
+        let (axis, test) = (step.axis.name(), test_name(&step.test));
+        let label = format!("step {} ({axis}::{test})", i + 1);
         let est = inference.cards.bound_for(0, &label).unwrap_or(u64::MAX);
-        let mut sp = step_plan(step, plan, est);
-        for pred in &step.predicates {
-            sp = LogicalPlan::Filter {
-                pred: pred.to_string(),
-                input: Box::new(sp),
-                span: Span::none(),
-            };
-        }
-        plan = Some(Box::new(sp));
+        let sp = path_step(axis, &test, est, plan.into_iter().collect());
+        plan = Some((step.predicates.iter()).fold(sp, |sp, pred| filter(sp, pred.to_string())));
     }
-    match plan {
-        Some(p) => *p,
-        None => LogicalPlan::Scan {
-            test: "document".into(),
-            est: 1,
-            span: Span::none(),
-        },
-    }
-}
-
-fn step_plan(
-    step: &gql_xpath::ast::Step,
-    input: Option<Box<LogicalPlan>>,
-    est: u64,
-) -> LogicalPlan {
-    LogicalPlan::PathStep {
-        axis: step.axis.name().into(),
-        test: test_name(&step.test),
-        input,
-        est,
-        span: Span::none(),
-    }
+    plan.unwrap_or_else(|| PlanNode::new("Scan", "document", Some(1), Vec::new()))
 }
 
 fn test_name(t: &NodeTest) -> String {
@@ -514,16 +423,14 @@ mod tests {
         let inf = infer_xmlgl(&p, &s);
         assert_eq!(inf.root_bounds[0], vec![4; 40]);
         let plan = lower_xmlgl(&p, &inf, &[None]);
-        let LogicalPlan::Construct { inputs, .. } = &plan else {
-            panic!("{}", plan.render());
-        };
+        assert_eq!(plan.op, "Construct", "{}", plan.render());
         // Walk the left-deep spine from the last join down to the first.
         let mut ests = Vec::new();
-        let mut node = &inputs[0];
-        while let LogicalPlan::HashJoin { left, on, est, .. } = node {
-            assert_eq!(on, "cross");
-            ests.push(*est);
-            node = left;
+        let mut node = &plan.inputs[0];
+        while node.op == "HashJoin" {
+            assert_eq!(node.arg, "cross");
+            ests.push(node.est.expect("a join estimates its rows"));
+            node = &node.inputs[0];
         }
         ests.reverse();
         assert_eq!(ests.len(), 39);
@@ -593,26 +500,15 @@ mod tests {
             "rule { query { $a: doc  $b: doc  $a -reach-> $b } construct { $a -far-> $b } } \
              rule { query { $a: doc  $b: doc  $a -link-> $b } construct { $a -reach-> $b } }",
         );
-        let LogicalPlan::Construct { inputs, .. } = &layered else {
-            panic!("{}", layered.render());
-        };
-        let heads: Vec<String> = (inputs.iter())
-            .map(|f| match f {
-                LogicalPlan::Fixpoint { body, .. } => joined_shapes(body),
-                other => panic!("{}", other.render()),
+        assert_eq!(layered.op, "Construct", "{}", layered.render());
+        let heads: Vec<String> = (layered.inputs.iter())
+            .map(|f| {
+                assert_eq!(f.op, "Fixpoint", "{}", f.render());
+                let shapes: Vec<&str> = (f.inputs.iter()).map(|c| c.arg.as_str()).collect();
+                shapes.join(",")
             })
             .collect();
         assert_eq!(heads, ["reach", "far"]);
-    }
-
-    fn joined_shapes(body: &[LogicalPlan]) -> String {
-        (body.iter())
-            .map(|c| match c {
-                LogicalPlan::Construct { shape, .. } => shape.as_str(),
-                _ => "?",
-            })
-            .collect::<Vec<_>>()
-            .join(",")
     }
 
     #[test]
