@@ -227,7 +227,7 @@ fn encode_ok(ok: &QueryOk) -> Value {
         ("xml".into(), Value::str(ok.xml.clone())),
         ("result_count".into(), Value::count(ok.result_count)),
         ("eval_us".into(), Value::count(ok.eval_us)),
-        ("plan".into(), Value::str(ok.plan.clone())),
+        ("plan".into(), Value::str(&*ok.plan)),
         ("plan_cache".into(), Value::str(ok.plan_cache.clone())),
         ("index_cache".into(), Value::str(ok.index_cache.clone())),
         ("epoch".into(), Value::count(ok.epoch)),
@@ -277,7 +277,7 @@ pub fn decode_response(v: &Value) -> Result<Response, String> {
                 .get("plan")
                 .and_then(Value::as_str)
                 .unwrap_or_default()
-                .to_string(),
+                .into(),
             plan_cache: v
                 .get("plan_cache")
                 .and_then(Value::as_str)

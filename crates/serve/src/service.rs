@@ -155,8 +155,8 @@ pub struct QueryOk {
     pub xml: String,
     pub result_count: u64,
     pub eval_us: u64,
-    /// Rendered logical plan (provenance).
-    pub plan: String,
+    /// The EXPLAIN text of the plan that ran, shared with the plan cache.
+    pub plan: Arc<str>,
     /// Plan-cache outcome for this request: `hit` | `miss` | `replan`.
     pub plan_cache: String,
     /// Index/instance-cache outcome: `hit` | `miss` | `cold`.
@@ -1251,7 +1251,7 @@ fn execute(inner: &Inner, job: &Run, guard: &Guard, log: &mut TraceLog) -> Respo
                 xml,
                 result_count: outcome.result_count as u64,
                 eval_us,
-                plan: outcome.plan.to_string(),
+                plan: outcome.plan,
                 plan_cache: plan_cache.to_string(),
                 index_cache: index_cache.to_string(),
                 epoch: job.dataset.epoch(),

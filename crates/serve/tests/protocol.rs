@@ -44,11 +44,12 @@ use gql_serve::{
     ServiceMetrics, Tenant, TenantRegistry,
 };
 
+/// The dataset `d` every test service holds.
+const D_XML: &str = "<r><a/><a/><b><a/></b></r>";
+
 fn test_service() -> Service {
     let mut catalog = Catalog::new();
-    catalog
-        .register_xml("d", "<r><a/><a/><b><a/></b></r>")
-        .expect("dataset parses");
+    catalog.register_xml("d", D_XML).expect("dataset parses");
     let mut tenants = TenantRegistry::new();
     tenants.register("t", Envelope::slots(8));
     // A zero requests-per-second quota: deterministically `rate_limited`.
@@ -575,6 +576,29 @@ fn batch_over_the_wire_reports_per_item_outcomes() {
         .handle()
         .submit(&Request::new("t", "d", "xpath", "//a"));
     assert!(direct.is_ok());
+    server.shutdown();
+    service.shutdown();
+}
+
+/// A reply's plan is the plan a direct engine run reports, byte for byte.
+/// A WG-Log edge step has no bound, and its `(est ∞)` must come through
+/// the JSON codec as it went in.
+#[test]
+fn a_wire_reply_carries_the_direct_runs_plan_byte_for_byte() {
+    let (service, server) = test_server();
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let query = wglog_query("found");
+    let reply = client.roundtrip(&query_frame(&query)).expect("roundtrip");
+    let Response::Ok(ok) = decoded(&reply) else {
+        panic!("{}", reply.render());
+    };
+    let doc = gql_ssdm::Document::parse_str(D_XML).unwrap();
+    let program = gql_wglog::dsl::parse(&query).unwrap();
+    let direct = gql_core::Engine::new()
+        .run(&gql_core::QueryKind::WgLog(program), &doc)
+        .unwrap();
+    assert!(direct.plan.contains("(est ∞)"), "{}", direct.plan);
+    assert_eq!(ok.plan, direct.plan);
     server.shutdown();
     service.shutdown();
 }
