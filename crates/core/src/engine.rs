@@ -229,10 +229,13 @@ impl Engine {
     /// Pre-load a WG-Log instance and build the shared [`DocIndex`] so
     /// subsequent runs against the same document skip both the load phase
     /// and the per-query index build (the "resident database"
-    /// configuration).
+    /// configuration). Also builds the document's serialized image
+    /// ([`Document::build_image`]), from which a written answer
+    /// (`execute_into` with an `XmlSink`) copies its source subtrees.
     pub fn preload(&mut self, doc: &Document) {
         let index = DocIndex::build(doc);
         let summary = Summary::from_index(doc, &index);
+        doc.build_image();
         self.resident = Some(Resident {
             doc_addr: std::ptr::from_ref(doc) as usize,
             node_count: doc.node_count(),

@@ -9,10 +9,12 @@
 //! always present as the arena root so that parsing and construction never
 //! special-case the top level.
 //!
-//! Document order (pre-order position, the order XPath and XML-GL ordered
-//! matching are defined over) and the shallow content fingerprint
-//! ([`crate::shallow_fingerprint`]) are computed lazily and cached; every
-//! mutation clears both.
+//! Three memos are kept of the content: document order (pre-order
+//! position, the order XPath and XML-GL ordered matching are defined over)
+//! and the shallow content fingerprint ([`crate::shallow_fingerprint`]),
+//! computed on first use, and the serialized image ([`Image`]), built only
+//! when asked for ([`Document::build_image`]: a service's datasets, at
+//! preload). Every mutation clears all three.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -21,6 +23,7 @@ use std::sync::OnceLock;
 
 use crate::arena::{Interner, NodeId, Symbol};
 use crate::error::{Error, Result};
+use crate::xml::Image;
 
 /// Classification of nodes stored in a [`Document`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -193,6 +196,9 @@ pub struct Document {
     /// with `order`: a resident dataset is fingerprinted once, not on every
     /// cache probe.
     fingerprint: OnceLock<u64>,
+    /// The serialized image, once [`Document::build_image`] has made it;
+    /// cleared with `order`. A deep copy into written bytes reads it.
+    image: OnceLock<Image>,
 }
 
 impl Clone for Document {
@@ -207,9 +213,12 @@ impl Clone for Document {
             import_open: Vec::new(),
             root: self.root,
             // The clone recomputes document order on first use; its content
-            // is this document's, so the fingerprint carries over.
+            // is this document's, so the fingerprint carries over. The
+            // image is as large as the text: a clone is made to be changed,
+            // and builds its own if it is to be served.
             order: OnceLock::new(),
             fingerprint: self.fingerprint.clone(),
+            image: OnceLock::new(),
         }
     }
 }
@@ -234,6 +243,7 @@ impl Document {
             root: NodeId(0),
             order: OnceLock::new(),
             fingerprint: OnceLock::new(),
+            image: OnceLock::new(),
         };
         doc.push(NodeKind::Document, None, "", None);
         doc
@@ -797,6 +807,20 @@ impl Document {
     fn changed(&mut self) {
         self.order = OnceLock::new();
         self.fingerprint = OnceLock::new();
+        self.image = OnceLock::new();
+    }
+
+    /// The serialized image of the document as it is now, written on the
+    /// first call after a change. An image makes every later
+    /// [`XmlSink::subtree`](crate::sink::XmlSink) from this document one
+    /// copy, at the price of the serialisation's bytes plus 12 per node.
+    pub fn build_image(&self) -> &Image {
+        self.image.get_or_init(|| Image::build(self))
+    }
+
+    /// The serialized image, if one was built since the last change.
+    pub fn image(&self) -> Option<&Image> {
+        self.image.get()
     }
 
     /// The memo behind [`crate::shallow_fingerprint`].
@@ -1162,13 +1186,16 @@ mod tests {
         assert!(d.live_node_count() < total);
     }
 
-    /// The memoised fingerprint is never stale: after every step of random
-    /// mutation sequences it equals the fingerprint computed afresh. Each
-    /// step reads the memo first, so a mutator that forgot to clear it is
-    /// caught by the next comparison; attribute steps favour the root
+    /// The memoised fingerprint and image are never stale: after every step
+    /// of random mutation sequences the fingerprint equals the one computed
+    /// afresh, and an image, if there is one, holds every node's span as a
+    /// fresh image would. Each step reads the memos first and builds the
+    /// image again half the time, so a mutator that forgot to clear either
+    /// is caught by the next comparison, and a clone is never read with the
+    /// image of what it was cloned from; attribute steps favour the root
     /// element, the only one whose attributes the fingerprint reads.
     #[test]
-    fn the_memoised_fingerprint_follows_every_mutation() {
+    fn the_memoised_fingerprint_and_image_follow_every_mutation() {
         use crate::index::{fresh_shallow_fingerprint, shallow_fingerprint};
         use crate::rng::Rng;
         let src = Document::parse_str("<lib a='1'><book><title>T</title></book>x</lib>").unwrap();
@@ -1183,6 +1210,20 @@ mod tests {
                     fresh_shallow_fingerprint(&d),
                     "seed {seed}, before step {step}"
                 );
+                if let Some(image) = d.image() {
+                    let fresh = Image::build(&d);
+                    for i in 0..d.node_count() {
+                        let node = NodeId::from_index(i);
+                        assert_eq!(
+                            image.subtree(node),
+                            fresh.subtree(node),
+                            "seed {seed}, before step {step}, node {i}"
+                        );
+                    }
+                }
+                if rng.gen_bool(0.5) {
+                    d.build_image();
+                }
                 let any = |rng: &mut Rng, d: &Document| {
                     NodeId::from_index(rng.gen_range(0..d.node_count()))
                 };
@@ -1219,7 +1260,10 @@ mod tests {
                         let node = src_nodes[rng.gen_range(0..src_nodes.len())];
                         _ = d.import_subtree(&src, node);
                     }
-                    _ => d = d.clone(),
+                    _ => {
+                        d = d.clone();
+                        assert!(d.image().is_none(), "a clone carries no image");
+                    }
                 }
             }
             assert_eq!(shallow_fingerprint(&d), fresh_shallow_fingerprint(&d));

@@ -15,6 +15,11 @@
 //! nothing was put in closes as `<a/>`, one given an empty text as
 //! `<a></a>`, and a repeated attribute keeps its first place and takes its
 //! last value, as [`Document::set_attr`] has it.
+//!
+//! Most of an answer is deep copies of source nodes. The writer copies one
+//! from the source's serialized image ([`Document::build_image`], which a
+//! service builds for each dataset it holds) as one run of bytes, and walks
+//! the source store with the serialiser only when there is no image.
 
 use std::ops::Range;
 
@@ -44,7 +49,8 @@ pub trait Sink {
     /// it (a document node arrives as a `document` element). Part of the
     /// trait because each sink has something much cheaper than events for
     /// it: the builder copies pool runs and translates interned names
-    /// through a memo, the writer serialises straight from the source store.
+    /// through a memo, the writer copies the node's bytes out of the
+    /// source's image, or serialises straight from the source store.
     /// This body is what both must agree with — except that the four events
     /// cannot say a comment or a processing instruction, which it skips and
     /// the two sinks keep.
@@ -248,7 +254,12 @@ impl Sink for XmlSink<'_> {
 
     fn subtree(&mut self, src: &Document, node: NodeId) {
         self.content();
-        self.nodes += write_subtree(src, node, false, self.out, &mut self.outer);
+        if let Some((xml, nodes)) = src.image().and_then(|image| image.subtree(node)) {
+            self.out.push_str(xml);
+            self.nodes += nodes;
+            return;
+        }
+        self.nodes += write_subtree(src, node, false, self.out, &mut self.outer, &mut ());
     }
 
     fn nodes(&self) -> u64 {
@@ -405,6 +416,81 @@ mod tests {
         assert_eq!(nodes, 5);
         let empty = Document::new();
         assert_eq!(both(&[Subtree(&empty, empty.root())]).0, "<document/>");
+    }
+
+    /// A random document built through the API, so that it has what no
+    /// parse makes: adjacent texts, empty ones (`<a></a>` beside `<a/>`),
+    /// texts and several comments and PIs at the top level, and a few
+    /// detached nodes. Texts and attribute values draw on `<&>"'`.
+    fn random_document(rng: &mut crate::rng::Rng) -> Document {
+        const TEXTS: [&str; 6] = ["", "a", "<&>\"'", "x y", "&amp;", "]]>"];
+        const NAMES: [&str; 4] = ["a", "b", "c", "é"];
+        let mut doc = Document::new();
+        let mut open = vec![doc.root()];
+        for _ in 0..rng.gen_range(1..60) {
+            let parent = open[rng.gen_range(0..open.len())];
+            let name = NAMES[rng.gen_range(0..NAMES.len())];
+            let text = TEXTS[rng.gen_range(0..TEXTS.len())];
+            let node = match rng.gen_range(0..10) {
+                0..=3 => {
+                    let el = doc.create_element(name);
+                    for _ in 0..rng.gen_range(0..3) {
+                        let value = TEXTS[rng.gen_range(0..TEXTS.len())];
+                        doc.set_attr(el, NAMES[rng.gen_range(0..NAMES.len())], value)
+                            .unwrap();
+                    }
+                    open.push(el);
+                    el
+                }
+                4..=6 => doc.create_text(text),
+                7 => doc.create_comment(text),
+                8 => doc.create_pi(name, if rng.gen_bool(0.5) { "" } else { "d=1" }),
+                _ => {
+                    // Detached: no span in the image, walked when copied.
+                    doc.create_element(name);
+                    continue;
+                }
+            };
+            doc.append_child(parent, node).unwrap();
+        }
+        doc
+    }
+
+    /// What `XmlSink` writes for a copy of `node`, and the nodes it counts.
+    fn written(src: &Document, node: NodeId) -> (String, u64) {
+        let mut xml = String::new();
+        let mut sink = XmlSink::new(&mut xml);
+        sink.subtree(src, node);
+        let nodes = sink.nodes();
+        (xml, nodes)
+    }
+
+    #[test]
+    fn a_copy_from_the_image_is_the_walked_copy_for_every_node() {
+        for seed in 0..300 {
+            let mut rng = crate::rng::Rng::seed_from_u64(seed);
+            let doc = random_document(&mut rng);
+            // A clone carries no image: every copy from it is walked.
+            let walked = doc.clone();
+            let image = doc.build_image();
+            assert!(walked.image().is_none());
+            let attached: Vec<NodeId> = doc.descendants_or_self(doc.root()).collect();
+            for i in 0..doc.node_count() {
+                let node = NodeId::from_index(i);
+                assert_eq!(
+                    image.subtree(node).is_some(),
+                    attached.contains(&node),
+                    "seed {seed}, node {i}: held by the image iff attached"
+                );
+                let copy = written(&doc, node);
+                assert_eq!(copy, written(&walked, node), "seed {seed}, node {i}");
+                if let Some((xml, nodes)) = image.subtree(node) {
+                    assert_eq!((xml.to_string(), nodes), copy, "seed {seed}, node {i}");
+                }
+            }
+            let whole = image.subtree(doc.root()).unwrap().0.len();
+            assert_eq!(image.resident_bytes(), whole + 12 * doc.node_count());
+        }
     }
 
     /// A sink with nothing cheaper than events: `subtree` is the trait's own.

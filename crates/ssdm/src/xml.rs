@@ -107,7 +107,7 @@ pub fn write(doc: &Document, pretty: bool) -> String {
     let mut out = String::with_capacity(doc.xml_size_hint());
     let mut outer = Vec::new();
     for &c in doc.children(doc.root()) {
-        write_subtree(doc, c, pretty, &mut out, &mut outer);
+        write_subtree(doc, c, pretty, &mut out, &mut outer, &mut ());
         if pretty {
             out.push('\n');
         }
@@ -138,6 +138,20 @@ pub(crate) struct Outer {
     indent: bool,
 }
 
+/// What [`write_subtree`] says about each node it writes: the length of
+/// `out` and the count of nodes written so far, where the node's bytes
+/// begin (`open`) and where they end (`close`). `()` hears nothing;
+/// [`Image::build`] records spans.
+pub(crate) trait Record {
+    fn open(&mut self, node: NodeId, at: usize, nodes: u64);
+    fn close(&mut self, node: NodeId, at: usize, nodes: u64);
+}
+
+impl Record for () {
+    fn open(&mut self, _: NodeId, _: usize, _: u64) {}
+    fn close(&mut self, _: NodeId, _: usize, _: u64) {}
+}
+
 /// Write `node` up to its first child and return its children, or all of it
 /// and `None` when it is a leaf or `<name>Roma</name>`, the dominant shape.
 /// A document node is written the way [`Document::import_subtree`] copies
@@ -147,7 +161,9 @@ fn write_start<'a>(
     node: NodeId,
     out: &mut String,
     nodes: &mut u64,
+    rec: &mut impl Record,
 ) -> Option<&'a [NodeId]> {
+    rec.open(node, out.len(), *nodes);
     *nodes += 1;
     match doc.kind(node) {
         NodeKind::Text => escape_text(doc.text(node).unwrap_or(""), out),
@@ -180,20 +196,23 @@ fn write_start<'a>(
             let children = doc.children(node);
             if children.is_empty() {
                 out.push_str("/>");
-                return None;
+            } else {
+                out.push('>');
+                let [only] = children else {
+                    return Some(children);
+                };
+                let (NodeKind::Text, Some(text)) = (doc.kind(*only), doc.text(*only)) else {
+                    return Some(children);
+                };
+                rec.open(*only, out.len(), *nodes);
+                *nodes += 1;
+                escape_text(text, out);
+                rec.close(*only, out.len(), *nodes);
+                write_end(name, out);
             }
-            out.push('>');
-            if let [only] = children {
-                if let (NodeKind::Text, Some(text)) = (doc.kind(*only), doc.text(*only)) {
-                    escape_text(text, out);
-                    write_end(name, out);
-                    *nodes += 1;
-                    return None;
-                }
-            }
-            return Some(children);
         }
     }
+    rec.close(node, out.len(), *nodes);
     None
 }
 
@@ -204,19 +223,21 @@ fn write_end(name: &str, out: &mut String) {
 }
 
 /// The one serialiser: append the subtree at `root` to `out` and return how
-/// many nodes that was. [`write()`] and
+/// many nodes that was. [`write()`], [`Image::build`] and
 /// [`XmlSink::subtree`](crate::sink::XmlSink) are its callers, and lend it
 /// `outer`, empty, for its stack: a loop over the open elements, so no
 /// nesting depth can exhaust the call stack, and no allocation per call.
+/// `rec` hears where each node's bytes begin and end.
 pub(crate) fn write_subtree(
     doc: &Document,
     root: NodeId,
     pretty: bool,
     out: &mut String,
     outer: &mut Vec<Outer>,
+    rec: &mut impl Record,
 ) -> u64 {
     let mut nodes = 0;
-    let Some(children) = write_start(doc, root, out, &mut nodes) else {
+    let Some(children) = write_start(doc, root, out, &mut nodes, rec) else {
         return nodes;
     };
     // The innermost open element, its children still to write, and whether
@@ -231,6 +252,7 @@ pub(crate) fn write_subtree(
                 indent(out, outer.len());
             }
             write_end(doc.name(open).unwrap_or("document"), out);
+            rec.close(open, out.len(), nodes);
             let Some(parent) = outer.pop() else {
                 return nodes;
             };
@@ -244,7 +266,7 @@ pub(crate) fn write_subtree(
             out.push('\n');
             indent(out, outer.len() + 1);
         }
-        if let Some(children) = write_start(doc, child, out, &mut nodes) {
+        if let Some(children) = write_start(doc, child, out, &mut nodes, rec) {
             outer.push(Outer {
                 node: open,
                 left: rest.len(),
@@ -254,6 +276,100 @@ pub(crate) fn write_subtree(
             rest = children.iter();
             indented = pretty && !has_text_child(doc, child);
         }
+    }
+}
+
+// ----------------------------------------------------------------------
+// The serialized image
+// ----------------------------------------------------------------------
+
+/// Where one node's compact serialisation stands in an [`Image`], and how
+/// many nodes it holds; 12 bytes. `nodes` is 0 for a node the image does
+/// not hold (a detached one): every node that is written counts itself.
+#[derive(Debug, Clone, Copy, Default)]
+struct NodeSpan {
+    start: u32,
+    end: u32,
+    nodes: u32,
+}
+
+/// A document's compact serialisation, written once, with each node's byte
+/// span and subtree node count in it: a deep copy of a node into written
+/// bytes is then one copy of its span. The text is what [`write_subtree`]
+/// writes for the document node (a `document` element around the document's
+/// [`Document::to_xml_string`]), so every span is that node's own
+/// serialisation. Costs the text's bytes plus 12 per node of the arena.
+///
+/// [`Document::build_image`] makes it and keeps it as a memo beside
+/// document order and the fingerprint; every mutation drops it, and a clone
+/// does not carry it.
+#[derive(Debug)]
+pub struct Image {
+    xml: Box<str>,
+    spans: Box<[NodeSpan]>,
+}
+
+/// Records each node's span in an image being written: `open` leaves the
+/// node count before the node in `nodes`, `close` turns it into the node's
+/// own count.
+struct Spans<'a>(&'a mut [NodeSpan]);
+
+impl Record for Spans<'_> {
+    fn open(&mut self, node: NodeId, at: usize, nodes: u64) {
+        self.0[node.index()] = NodeSpan {
+            start: at as u32,
+            end: 0,
+            nodes: nodes as u32,
+        };
+    }
+
+    fn close(&mut self, node: NodeId, at: usize, nodes: u64) {
+        let span = &mut self.0[node.index()];
+        span.end = at as u32;
+        span.nodes = (nodes as u32).wrapping_sub(span.nodes);
+    }
+}
+
+impl Image {
+    /// Write `doc` whole, recording every node's span on the way. Spans are
+    /// `u32` like the document's own pools; a document whose serialisation
+    /// outgrows them gets an image that holds no node, so every copy from
+    /// it is walked.
+    pub(crate) fn build(doc: &Document) -> Image {
+        let mut xml = String::with_capacity(doc.xml_size_hint());
+        let mut spans = vec![NodeSpan::default(); doc.node_count()];
+        write_subtree(
+            doc,
+            doc.root(),
+            false,
+            &mut xml,
+            &mut Vec::new(),
+            &mut Spans(&mut spans),
+        );
+        if u32::try_from(xml.len()).is_err() {
+            return Image {
+                xml: Box::default(),
+                spans: Box::default(),
+            };
+        }
+        Image {
+            xml: xml.into_boxed_str(),
+            spans: spans.into_boxed_slice(),
+        }
+    }
+
+    /// The compact serialisation of `node` and how many nodes it holds,
+    /// what [`write_subtree`] would write and return for it; `None` for a
+    /// node the image does not hold.
+    pub fn subtree(&self, node: NodeId) -> Option<(&str, u64)> {
+        let span = self.spans.get(node.index()).filter(|s| s.nodes != 0)?;
+        let xml = &self.xml[span.start as usize..span.end as usize];
+        Some((xml, u64::from(span.nodes)))
+    }
+
+    /// The bytes the image holds on the heap: its text, and 12 per node.
+    pub fn resident_bytes(&self) -> usize {
+        self.xml.len() + std::mem::size_of_val(&*self.spans)
     }
 }
 

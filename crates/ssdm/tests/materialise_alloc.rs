@@ -2,7 +2,9 @@
 //! node: the Q1 answer of the scale-1000 city guide (every `restaurant`
 //! subtree copied under one `answer` element) under a counting allocator,
 //! through the builder sink and then through the writer sink, which
-//! allocates nothing but its buffer.
+//! allocates nothing but its buffer, and then from the guide's serialized
+//! image, where each copy is one append and the buffer is again all that
+//! allocates.
 //! Nor does reading a document: parsing the guide's own serialisation costs
 //! the pools' doublings, the interned names and a copy per text that had a
 //! reference to decode. Nor does indexing it: a `DocIndex` is its numbering
@@ -97,6 +99,26 @@ fn an_answer_is_built_written_and_dropped_without_an_allocation_per_node() {
         emitting <= 24,
         "{emitting} allocations to emit {} bytes",
         emitted.len()
+    );
+
+    // From the guide's image each copy is one run of bytes: the buffer's
+    // doublings are all there is, and the bytes are the walked ones.
+    guide.build_image();
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let mut copied = String::new();
+    let mut sink = XmlSink::new(&mut copied);
+    for &r in &restaurants {
+        sink.subtree(&guide, r);
+    }
+    let copied_nodes = sink.nodes();
+    let copying = ALLOCS.load(Ordering::Relaxed) - before;
+    assert!(copied == emitted["<answer>".len()..emitted.len() - "</answer>".len()]);
+    assert_eq!(copied_nodes as usize, nodes - 2);
+    let doublings = (usize::BITS - copied.len().leading_zeros()) as usize;
+    assert!(
+        copying <= doublings,
+        "{copying} allocations to copy {} bytes from the image",
+        copied.len()
     );
 
     // The DOM parser consumes the reader's borrowed tokens: no `String` per

@@ -206,39 +206,48 @@ fn run_report<O>(
 /// every other oracle reads): the bytes are the built document's
 /// serialisation, and everything else either run reports is equal — with no
 /// budget, and under budgets that trip some runs mid-evaluation and others
-/// on the nodes of a half-emitted answer.
+/// on the nodes of a half-emitted answer. The answer is written twice from
+/// copies of `doc`: one without a serialized image, whose subtrees are
+/// walked, and one with the image a catalog's preload builds, whose
+/// subtrees are copied from it. (`doc` itself may have been preloaded.)
 pub fn check_sinks_case(doc: &Document, query: &QueryKind) -> Result<(), String> {
     let budgets = [
         Budget::unlimited(),
         Budget::unlimited().with_max_rounds(1),
         Budget::unlimited().with_max_nodes(3),
     ];
+    let (walked, imaged) = (doc.clone(), doc.clone());
+    imaged.build_image();
     for budget in budgets {
-        let (built_guard, written_guard) = (Guard::new(budget.clone()), Guard::new(budget));
+        let built_guard = Guard::new(budget.clone());
         let trace = Trace::profiling();
         let outcome = Engine::new().execute(query, doc, RunCtx::new(&trace, &built_guard));
         let built = run_report(&outcome, trace);
         let built_xml = outcome.ok().map(|o| o.output.to_xml_string());
-        let trace = Trace::profiling();
-        let mut written_xml = String::new();
-        let outcome = Engine::new().execute_into(
-            &Prepared::borrowed(query),
-            doc,
-            RunCtx::new(&trace, &written_guard),
-            &mut XmlSink::new(&mut written_xml),
-        );
-        let written = run_report(&outcome, trace);
-        if built != written {
-            return Err(format!(
-                "written-vs-built: the runs report differently\nbuilt: {built:?}\nwritten: {written:?}"
-            ));
-        }
-        if built_xml.as_ref().is_some_and(|xml| *xml != written_xml) {
-            return Err(format!(
-                "written-vs-built: the answer's bytes diverged from its document\n\
-                 built: {}\nwritten: {written_xml}",
-                built_xml.unwrap_or_default()
-            ));
+        for (src, from) in [(&walked, "walked"), (&imaged, "from the image")] {
+            let written_guard = Guard::new(budget.clone());
+            let trace = Trace::profiling();
+            let mut written_xml = String::new();
+            let outcome = Engine::new().execute_into(
+                &Prepared::borrowed(query),
+                src,
+                RunCtx::new(&trace, &written_guard),
+                &mut XmlSink::new(&mut written_xml),
+            );
+            let written = run_report(&outcome, trace);
+            if built != written {
+                return Err(format!(
+                    "written-vs-built ({from}): the runs report differently\n\
+                     built: {built:?}\nwritten: {written:?}"
+                ));
+            }
+            if built_xml.as_ref().is_some_and(|xml| *xml != written_xml) {
+                return Err(format!(
+                    "written-vs-built ({from}): the answer's bytes diverged from its document\n\
+                     built: {}\nwritten: {written_xml}",
+                    built_xml.unwrap_or_default()
+                ));
+            }
         }
     }
     Ok(())
@@ -445,22 +454,30 @@ pub fn check_xmlgl_case(doc: &Document, src: &str) -> Result<(), String> {
     }
     let lazy = gql_xmlgl::eval::run(&program, doc)
         .map_err(|e| format!("run: lazy run failed after clean matching: {e}"))?;
-    // The same run again, written where `run` built.
-    let mut written = String::new();
+    // The same run again, written where `run` built, from two copies of
+    // `doc`: one without a serialized image, whose subtrees are walked, and
+    // one with it. A copy has `doc`'s node ids, so `idx` indexes it too.
     let plans: Vec<JoinPlan> = (program.rules.iter())
         .map(|rule| JoinPlan::new(rule, None))
         .collect();
-    gql_xmlgl::eval::run_in(
-        &program,
-        doc,
-        &idx,
-        &plans,
-        RunCtx::none(),
-        &mut XmlSink::new(&mut written),
-    )
-    .map_err(|e| format!("run: written run failed after clean matching: {e}"))?;
-    if written != lazy.to_xml_string() {
-        return Err("written-vs-built: the answer's bytes diverged from its document".into());
+    let (walked, imaged) = (doc.clone(), doc.clone());
+    imaged.build_image();
+    for (src, from) in [(&walked, "walked"), (&imaged, "from the image")] {
+        let mut written = String::new();
+        gql_xmlgl::eval::run_in(
+            &program,
+            src,
+            &idx,
+            &plans,
+            RunCtx::none(),
+            &mut XmlSink::new(&mut written),
+        )
+        .map_err(|e| format!("run: written run ({from}) failed after clean matching: {e}"))?;
+        if written != lazy.to_xml_string() {
+            return Err(format!(
+                "written-vs-built ({from}): the answer's bytes diverged from its document"
+            ));
+        }
     }
     if constructed.to_xml_string() != lazy.to_xml_string() {
         return Err("construct-vs-run: rule-by-rule construct diverged from run()".into());

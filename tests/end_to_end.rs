@@ -375,12 +375,32 @@ fn a_document_at_the_nesting_bound_fits_a_2_mib_stack_in_every_layer() {
         writer.subtree(&built, top);
         assert_eq!(writer.nodes(), 2 * depth as u64);
         assert!(written == xml && copy.to_xml_string() == xml && answer.to_xml_string() == xml);
+        // The serialized image is written by the same walk, and a copy
+        // through it, of the whole chain or of its lower half, is the
+        // walked copy.
+        let walked = built.clone();
+        built.build_image();
+        let mut mid = top;
+        for _ in 0..depth / 2 {
+            mid = built.children(mid)[0];
+        }
+        for node in [top, mid] {
+            let mut imaged = String::new();
+            let mut writer = XmlSink::new(&mut imaged);
+            writer.subtree(&built, node);
+            let nodes = writer.nodes();
+            let mut written = String::new();
+            let mut writer = XmlSink::new(&mut written);
+            writer.subtree(&walked, node);
+            assert_eq!(nodes, writer.nodes());
+            assert!(imaged == written);
+        }
         // Every `n` but the innermost, whose text makes it an attribute of
         // its parent, is an object; every one but the outermost an edge's
         // target.
         let db = Instance::from_document(&built);
         assert_eq!((db.object_count(), db.edge_count()), (depth - 1, depth - 2));
-        drop((built, copy, answer, db));
+        drop((built, walked, copy, answer, db));
 
         // `<r><p>chain</p><q>chain</q></r>`, the same chain twice.
         let mut twins = Document::new();
