@@ -231,18 +231,22 @@ impl Engine {
     /// and the per-query index build (the "resident database"
     /// configuration). Also builds the document's serialized image
     /// ([`Document::build_image`]), from which a written answer
-    /// (`execute_into` with an `XmlSink`) copies its source subtrees.
+    /// (`execute_into` with an `XmlSink`) copies its source subtrees, and
+    /// the instance's answer image ([`Instance::build_answer_image`]), from
+    /// which it copies each base object's attribute children.
     pub fn preload(&mut self, doc: &Document) {
         let index = DocIndex::build(doc);
         let summary = Summary::from_index(doc, &index);
         doc.build_image();
+        let instance = Instance::from_document(doc);
+        instance.build_answer_image();
         self.resident = Some(Resident {
             doc_addr: std::ptr::from_ref(doc) as usize,
             node_count: doc.node_count(),
             fingerprint: shallow_fingerprint(doc),
             index,
             summary,
-            instance: Instance::from_document(doc),
+            instance,
         });
     }
 
@@ -1454,5 +1458,94 @@ mod tests {
         let stratum = eval.find("stratum[0]").expect("one stratum");
         assert!(stratum.find("round[0]").is_some(), "fixpoint rounds traced");
         assert!(run.find("construct").is_some());
+    }
+
+    /// An `XmlSink` that counts the events and the prewritten runs it gets.
+    struct Counting<'a> {
+        sink: XmlSink<'a>,
+        /// `start`s, `text`s and `prewritten`s.
+        counts: [usize; 3],
+    }
+
+    impl Sink for Counting<'_> {
+        fn start(&mut self, name: &str) {
+            self.counts[0] += 1;
+            self.sink.start(name);
+        }
+        fn attr(&mut self, name: &str, value: &str) {
+            self.sink.attr(name, value);
+        }
+        fn text(&mut self, text: &str) {
+            self.counts[1] += 1;
+            self.sink.text(text);
+        }
+        fn end(&mut self) {
+            self.sink.end();
+        }
+        fn subtree(&mut self, src: &Document, node: gql_ssdm::NodeId) {
+            self.sink.subtree(src, node);
+        }
+        fn prewritten(&mut self, xml: &str, nodes: u64, _: impl FnOnce(&mut Self)) {
+            self.counts[2] += 1;
+            self.sink
+                .prewritten(xml, nodes, |_| unreachable!("the writer copies"));
+        }
+        fn nodes(&self) -> u64 {
+            self.sink.nodes()
+        }
+    }
+
+    /// WG-Log Q1 over a preloaded scale-100 city guide writes each base
+    /// object's attribute children as one prewritten run, with no `start`
+    /// or `text` of its own; a cold run says them attribute by attribute.
+    #[test]
+    fn a_preloaded_wglog_answer_copies_each_base_objects_attributes_in_one_run() {
+        let city = gql_ssdm::generator::cityguide(gql_ssdm::generator::CityConfig {
+            restaurants: 100,
+            hotels: 25,
+            seed: 1,
+        });
+        // Q1 as `gql-benchmark` sends it.
+        let q1 = QueryKind::WgLog(
+            gql_wglog::dsl::parse(
+                "rule { query { $r: restaurant } construct { $l: answer $l -member-> $r } } \
+                 goal answer",
+            )
+            .unwrap(),
+        );
+        let counted = |engine: &Engine| {
+            let mut xml = String::new();
+            let mut sink = Counting {
+                sink: XmlSink::new(&mut xml),
+                counts: [0; 3],
+            };
+            let prepared = Prepared::borrowed(&q1);
+            engine
+                .execute_into(&prepared, &city, RunCtx::none(), &mut sink)
+                .unwrap();
+            (sink.counts, sink.nodes(), xml)
+        };
+        let mut preloaded = Engine::new();
+        preloaded.preload(&city);
+        let (cold, cold_nodes, cold_xml) = counted(&Engine::new());
+        let (warm, warm_nodes, warm_xml) = counted(&preloaded);
+        assert_eq!((warm_nodes, &warm_xml), (cold_nodes, &cold_xml));
+
+        // The answer: the wrapper, one invented `answer` object, each
+        // restaurant (a base object) and the base objects its edges reach.
+        let db = Instance::from_document(&city);
+        let emitted: Vec<_> = (db.objects_of_type("restaurant"))
+            .flat_map(|r| std::iter::once(r).chain(db.out_edges(r).map(|e| e.to)))
+            .map(|id| db.object(id).attrs.len())
+            .collect();
+        let attrs: usize = emitted.iter().sum();
+        let with_attrs = emitted.iter().filter(|&&n| n > 0).count();
+        assert!(
+            with_attrs > 300,
+            "{with_attrs} base objects with attributes"
+        );
+        let objects = 2 + emitted.len();
+        assert_eq!(cold, [objects + attrs, attrs, 0]);
+        assert_eq!(warm, [objects, 0, with_attrs]);
     }
 }

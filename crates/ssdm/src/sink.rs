@@ -20,6 +20,10 @@
 //! from the source's serialized image ([`Document::build_image`], which a
 //! service builds for each dataset it holds) as one run of bytes, and walks
 //! the source store with the serialiser only when there is no image.
+//! Content a producer keeps written ahead of time reaches the sinks through
+//! [`Sink::prewritten`]: the writer appends the bytes, the builder runs the
+//! events they stand for. WG-Log's objects are the case: a base object's
+//! attribute children come from its instance's answer image.
 
 use std::ops::Range;
 
@@ -85,9 +89,24 @@ pub trait Sink {
         }
     }
 
+    /// Content whose serialisation was written ahead of time: `xml` and
+    /// `nodes` are what an [`XmlSink`] writes and counts for `events`, which
+    /// put at least one node in and close every element they open. The
+    /// writer appends `xml`; every other sink runs `events`. A producer
+    /// calls this where the same content recurs across answers and it kept
+    /// the bytes, as WG-Log keeps each base object's attribute children.
+    fn prewritten(&mut self, xml: &str, nodes: u64, events: impl FnOnce(&mut Self))
+    where
+        Self: Sized,
+    {
+        let _ = (xml, nodes);
+        events(self);
+    }
+
     /// How many nodes the events so far amount to: one per `start` and
-    /// `text`, and every node of a `subtree`. What the engines report as
-    /// `nodes_built` and charge against a node budget, whichever sink runs.
+    /// `text`, and every node of a `subtree` or of `prewritten` content.
+    /// What the engines report as `nodes_built` and charge against a node
+    /// budget, whichever sink runs.
     fn nodes(&self) -> u64;
 }
 
@@ -180,6 +199,11 @@ impl<'a> XmlSink<'a> {
         }
     }
 
+    /// The length of the output so far.
+    pub(crate) fn written(&self) -> usize {
+        self.out.len()
+    }
+
     /// Content follows: the pending start tag, if any, gets its `>`.
     fn content(&mut self) {
         if self.pending {
@@ -260,6 +284,13 @@ impl Sink for XmlSink<'_> {
             return;
         }
         self.nodes += write_subtree(src, node, false, self.out, &mut self.outer, &mut ());
+    }
+
+    fn prewritten(&mut self, xml: &str, nodes: u64, _: impl FnOnce(&mut Self)) {
+        debug_assert!(nodes > 0, "prewritten content holds a node");
+        self.content();
+        self.out.push_str(xml);
+        self.nodes += nodes;
     }
 
     fn nodes(&self) -> u64 {

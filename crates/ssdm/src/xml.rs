@@ -17,6 +17,7 @@
 
 use crate::document::{Document, NodeKind};
 use crate::error::Result;
+use crate::sink::{Sink, XmlSink};
 use crate::token::{Token, Tokenizer};
 use crate::NodeId;
 
@@ -283,9 +284,10 @@ pub(crate) fn write_subtree(
 // The serialized image
 // ----------------------------------------------------------------------
 
-/// Where one node's compact serialisation stands in an [`Image`], and how
-/// many nodes it holds; 12 bytes. `nodes` is 0 for a node the image does
-/// not hold (a detached one): every node that is written counts itself.
+/// Where one node's (or item's) compact serialisation stands in an
+/// [`Image`], and how many nodes it holds; 12 bytes. `nodes` is 0 for one
+/// the image does not hold (a detached node): every node that is written
+/// counts itself.
 #[derive(Debug, Clone, Copy, Default)]
 struct NodeSpan {
     start: u32,
@@ -295,14 +297,16 @@ struct NodeSpan {
 
 /// A document's compact serialisation, written once, with each node's byte
 /// span and subtree node count in it: a deep copy of a node into written
-/// bytes is then one copy of its span. The text is what [`write_subtree`]
+/// bytes is then one copy of its span. The text is what `write_subtree`
 /// writes for the document node (a `document` element around the document's
 /// [`Document::to_xml_string`]), so every span is that node's own
 /// serialisation. Costs the text's bytes plus 12 per node of the arena.
 ///
 /// [`Document::build_image`] makes it and keeps it as a memo beside
 /// document order and the fingerprint; every mutation drops it, and a clone
-/// does not carry it.
+/// does not carry it. [`Image::of_items`] makes the same shape for content
+/// that is not a document's nodes, written by an [`XmlSink`]: WG-Log's
+/// answer image, one item per base object.
 #[derive(Debug)]
 pub struct Image {
     xml: Box<str>,
@@ -358,11 +362,50 @@ impl Image {
         }
     }
 
+    /// An image of `count` items other than a document's nodes, written
+    /// one after another by `write(i, sink)` through one [`XmlSink`]: item
+    /// `i`'s span is what its events wrote, its count the nodes they
+    /// counted. Each item closes every element it opens. An item that puts
+    /// no node in is not held, and an image whose text outgrows `u32` holds
+    /// none.
+    pub fn of_items(count: usize, mut write: impl FnMut(usize, &mut XmlSink<'_>)) -> Image {
+        let mut xml = String::new();
+        let mut sink = XmlSink::new(&mut xml);
+        let spans: Option<Vec<NodeSpan>> = (0..count)
+            .map(|i| {
+                let (start, before) = (sink.written(), sink.nodes());
+                write(i, &mut sink);
+                Some(NodeSpan {
+                    start: u32::try_from(start).ok()?,
+                    end: u32::try_from(sink.written()).ok()?,
+                    nodes: u32::try_from(sink.nodes() - before).ok()?,
+                })
+            })
+            .collect();
+        match spans {
+            Some(spans) => Image {
+                xml: xml.into_boxed_str(),
+                spans: spans.into_boxed_slice(),
+            },
+            None => Image {
+                xml: Box::default(),
+                spans: Box::default(),
+            },
+        }
+    }
+
     /// The compact serialisation of `node` and how many nodes it holds,
-    /// what [`write_subtree`] would write and return for it; `None` for a
+    /// what `write_subtree` would write and return for it; `None` for a
     /// node the image does not hold.
     pub fn subtree(&self, node: NodeId) -> Option<(&str, u64)> {
-        let span = self.spans.get(node.index()).filter(|s| s.nodes != 0)?;
+        self.item(node.index())
+    }
+
+    /// Item `i`'s bytes and node count: node `i`'s for a document's image,
+    /// what `write(i, ..)` wrote for one made by [`Image::of_items`]. `None`
+    /// for an item the image does not hold.
+    pub fn item(&self, i: usize) -> Option<(&str, u64)> {
+        let span = self.spans.get(i).filter(|s| s.nodes != 0)?;
         let xml = &self.xml[span.start as usize..span.end as usize];
         Some((xml, u64::from(span.nodes)))
     }
