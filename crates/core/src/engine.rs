@@ -164,25 +164,14 @@ pub struct RunOutcome<O = Document> {
 }
 
 /// Everything preloaded for one resident document — the [`DocIndex`], the
-/// structural summary and the WG-Log instance — under one identity check:
-/// the document's address, node count AND a shallow content fingerprint. The
-/// address is stored as a plain `usize` and never dereferenced — but an
-/// allocator can hand a *different* document the recycled address of a
-/// dropped one, and node counts collide easily, so address+count alone can
-/// serve stale postings. [`shallow_fingerprint`] (node count, root tag,
-/// root attributes, root child sequence, sampled nodes) catches
-/// recycled-address collisions unless the impostor document also agrees on
-/// its entire root level — combined with the node-count term, disagreement
-/// anywhere in the document changes at least one of the three checks for
-/// every realistic mutation; the postings themselves are verified against
-/// node kinds at use, so this is a cache-effectiveness bound, not a
-/// correctness cliff. The document memoises its fingerprint, so a probe
-/// against an unchanged document reads a stored `u64`.
+/// structural summary and the WG-Log instance — keyed by the document's
+/// [`identity`](Document::identity). A run against any other document, or
+/// against this one after any change, reads another identity and builds
+/// what it needs; a run against the unchanged document reads a stored
+/// `u64`.
 #[derive(Debug)]
 struct Resident {
-    doc_addr: usize,
-    node_count: usize,
-    fingerprint: u64,
+    identity: u64,
     index: DocIndex,
     /// The structural summary (DataGuide with per-path counts) inferred
     /// from the same document, cached for the static-analysis phase.
@@ -241,9 +230,7 @@ impl Engine {
         let instance = Instance::from_document(doc);
         instance.build_answer_image();
         self.resident = Some(Resident {
-            doc_addr: std::ptr::from_ref(doc) as usize,
-            node_count: doc.node_count(),
-            fingerprint: shallow_fingerprint(doc),
+            identity: doc.identity(),
             index,
             summary,
             instance,
@@ -251,16 +238,9 @@ impl Engine {
     }
 
     /// The resident cache entry, if it was built for exactly this document
-    /// in its current shape — address, node count and shallow content
-    /// fingerprint must all agree (see [`Resident`]). `fingerprint` is
-    /// `shallow_fingerprint(doc)`, which a run reads once for this probe and
-    /// its plan-cache key.
-    fn resident_for(&self, doc: &Document, fingerprint: u64) -> Option<&Resident> {
-        self.resident.as_ref().filter(|r| {
-            r.doc_addr == std::ptr::from_ref(doc) as usize
-                && r.node_count == doc.node_count()
-                && r.fingerprint == fingerprint
-        })
+    /// as it is now.
+    fn resident_for(&self, doc: &Document) -> Option<&Resident> {
+        (self.resident.as_ref()).filter(|r| r.identity == doc.identity())
     }
 
     /// Name a [`resident_for`](Engine::resident_for) probe's outcome for
@@ -463,15 +443,14 @@ impl Engine {
             );
             trace.count("doc_nodes", doc.node_count() as u64);
         }
-        // One fingerprint read and one resident probe per run, shared by the
-        // plan key and every phase below. The document computed its
-        // fingerprint once, when it was first asked.
-        let fingerprint = shallow_fingerprint(doc);
-        let resident = self.resident_for(doc, fingerprint);
+        // One resident probe per run, shared by every phase below. The plan
+        // key takes the content fingerprint: a plan is correct for any
+        // document. The document computed both once, when first asked.
+        let resident = self.resident_for(doc);
         // Probe the plan cache. The corruption fault seam scrambles the
         // entry *before* the probe, so a poisoned hit exercises the real
         // validate → replan path.
-        let key = PlanKey::new(prepared.key.clone(), fingerprint);
+        let key = PlanKey::new(prepared.key.clone(), shallow_fingerprint(doc));
         let mut cached = {
             let mut cache = self.lock_plan_cache();
             if fault::active() && fault::corrupt_plan_cache() {
@@ -881,7 +860,7 @@ mod tests {
             .map(|q| engine.run(q, &d).unwrap().output.to_xml_string())
             .collect();
         engine.preload(&d);
-        assert!(engine.resident_for(&d, shallow_fingerprint(&d)).is_some());
+        assert!(engine.resident_for(&d).is_some());
         for (q, expect) in queries.iter().zip(&cold) {
             let warm = engine.run(q, &d).unwrap();
             assert_eq!(&warm.output.to_xml_string(), expect, "{q:?}");
@@ -892,9 +871,7 @@ mod tests {
             "<guide><restaurant><name>Z</name><menu><price>5</price></menu></restaurant></guide>",
         )
         .unwrap();
-        assert!(engine
-            .resident_for(&other, shallow_fingerprint(&other))
-            .is_none());
+        assert!(engine.resident_for(&other).is_none());
         let outcome = engine
             .run(&QueryKind::XPath("//restaurant[menu]".to_string()), &other)
             .unwrap();
@@ -1006,12 +983,12 @@ mod tests {
         assert_eq!(engine.plan_cache_stats().hits, 2);
     }
 
-    /// Regression: an allocator can hand a fresh document the recycled
-    /// address of the one the resident index was built for, and node counts
-    /// collide easily. Address + node count alone would then serve stale
-    /// postings; the shallow content fingerprint must catch it.
+    /// A document of the same node count and root level as the resident
+    /// one, at any address, is another document: it is never served the
+    /// resident index. The resident document itself stays resident when it
+    /// moves, since its identity moves with it.
     #[test]
-    fn recycled_address_with_equal_node_count_is_not_served_stale() {
+    fn a_document_of_equal_shape_is_not_served_stale_and_a_moved_one_stays_resident() {
         let a = Document::parse_str(
             "<guide><restaurant><name>A</name><menu><price>20</price></menu></restaurant></guide>",
         )
@@ -1024,21 +1001,18 @@ mod tests {
         assert_eq!(a.node_count(), b.node_count());
         let mut engine = Engine::new();
         engine.preload(&a);
-        // Simulate address recycling: force the cached identity onto `b`.
-        let resident = engine.resident.as_mut().unwrap();
-        resident.doc_addr = std::ptr::from_ref(&b) as usize;
-        resident.node_count = b.node_count();
-        // The first two checks now agree, so only the fingerprint stands
-        // between `b` and a stale index built for `a`.
-        let probe = engine.resident_for(&b, shallow_fingerprint(&b));
-        assert!(probe.is_none(), "stale index served for a recycled address");
+        let probe = engine.resident_for(&b);
+        assert!(probe.is_none(), "an index built for `a` served for `b`");
         assert_eq!(engine.cache_state(probe.is_some()), "miss");
-        // And the query path falls back to a correct cold evaluation: `a`'s
-        // index has a `menu` posting that `b` does not have.
+        // The query path evaluates `b` cold: `a`'s index has a `menu`
+        // posting that `b` does not have.
         let outcome = engine
             .run(&QueryKind::XPath("//restaurant[cafe]".to_string()), &b)
             .unwrap();
         assert_eq!(outcome.result_count, 1);
+        let moved = Box::new(a);
+        assert!(engine.resident_for(&moved).is_some());
+        assert_eq!(engine.cache_state(true), "hit");
     }
 
     #[test]

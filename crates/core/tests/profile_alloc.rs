@@ -274,3 +274,63 @@ fn the_embedding_search_allocates_per_rule_not_per_candidate() {
         );
     }
 }
+
+/// Q1, Q2, Q3, Q5 and Q10 as `gql-benchmark` sends them in WG-Log, each
+/// run to its fixpoint over the loaded scale-1000 guide and over the
+/// scale-4000 one. A derived edge is integer probes and pushes into the
+/// instance's tables, so four times the derived edges are a few more
+/// doublings of those tables and nothing else.
+#[test]
+fn the_fixpoint_allocates_per_rule_not_per_derived_edge() {
+    macro_rules! q {
+        ($n:literal) => {
+            (
+                $n,
+                include_str!(concat!("../../../gql-benchmark/queries/", $n, ".wglog")),
+            )
+        };
+    }
+    let queries = [q!("q01"), q!("q02"), q!("q03"), q!("q05"), q!("q10")];
+    // Per query: its name, the edges its fixpoint derived, and its
+    // allocations.
+    let counts = |scale: usize| -> Vec<(&str, usize, usize)> {
+        let city = cityguide(CityConfig {
+            restaurants: scale,
+            hotels: scale / 4,
+            seed: 11,
+        });
+        let db = gql_wglog::Instance::from_document(&city);
+        (queries.iter())
+            .map(|&(name, src)| {
+                let program = gql_wglog::dsl::parse(src).expect("a benchmark query parses");
+                let mut edges = 0;
+                let count = allocations(|| {
+                    let (result, stats) = gql_wglog::eval::run_with(
+                        &program,
+                        &db,
+                        gql_wglog::eval::FixpointMode::SemiNaive,
+                    )
+                    .expect("a benchmark query runs");
+                    edges = stats.edges_created;
+                    drop(result);
+                });
+                (name, edges, count)
+            })
+            .collect()
+    };
+    let (small, large) = (counts(1000), counts(4000));
+    // 104–234 at scale 1000, and 10–18 more at 4000. While each derived
+    // edge was a `String` and up to four `Vec`s, the differences ran to
+    // the thousands.
+    for (&(name, edges, small), &(_, large_edges, large)) in small.iter().zip(&large) {
+        assert!(edges >= 96, "{name}: {edges} edges derived at scale 1000");
+        assert!(
+            large_edges >= 3 * edges,
+            "{name}: {large_edges} edges at scale 4000"
+        );
+        assert!(
+            large <= small + 20,
+            "{name}: {small} allocations at scale 1000, {large} at 4000"
+        );
+    }
+}

@@ -14,11 +14,13 @@
 //! and the shallow content fingerprint ([`crate::shallow_fingerprint`]),
 //! computed on first use, and the serialized image ([`Image`]), built only
 //! when asked for ([`Document::build_image`]: a service's datasets, at
-//! preload). Every mutation clears all three.
+//! preload). Every mutation clears all three, and the document's exact
+//! identity ([`Document::identity`]) with them.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::OnceLock;
 
 use crate::arena::{Interner, NodeId, Symbol};
@@ -199,7 +201,13 @@ pub struct Document {
     /// The serialized image, once [`Document::build_image`] has made it;
     /// cleared with `order`. A deep copy into written bytes reads it.
     image: OnceLock<Image>,
+    /// [`Document::identity`], drawn on first read and cleared with
+    /// `order`.
+    identity: OnceLock<u64>,
 }
+
+/// The source of every [`Document::identity`] in the process.
+static IDENTITIES: AtomicU64 = AtomicU64::new(0);
 
 impl Clone for Document {
     fn clone(&self) -> Self {
@@ -215,10 +223,12 @@ impl Clone for Document {
             // The clone recomputes document order on first use; its content
             // is this document's, so the fingerprint carries over. The
             // image is as large as the text: a clone is made to be changed,
-            // and builds its own if it is to be served.
+            // and builds its own if it is to be served. A clone is another
+            // document, with an identity of its own.
             order: OnceLock::new(),
             fingerprint: self.fingerprint.clone(),
             image: OnceLock::new(),
+            identity: OnceLock::new(),
         }
     }
 }
@@ -244,6 +254,7 @@ impl Document {
             order: OnceLock::new(),
             fingerprint: OnceLock::new(),
             image: OnceLock::new(),
+            identity: OnceLock::new(),
         };
         doc.push(NodeKind::Document, None, "", None);
         doc
@@ -808,6 +819,18 @@ impl Document {
         self.order = OnceLock::new();
         self.fingerprint = OnceLock::new();
         self.image = OnceLock::new();
+        self.identity = OnceLock::new();
+    }
+
+    /// The document's identity as it is now: a number no other document,
+    /// and no other state of this one, has had in this process. It is
+    /// drawn from one process-wide counter on the first read after the
+    /// document is made, cloned or changed, so a mutation pays no atomic
+    /// and two reads with no change between them agree. What is built from
+    /// a document and kept beside it (an engine's resident index, summary
+    /// and instance) is keyed by it.
+    pub fn identity(&self) -> u64 {
+        *(self.identity).get_or_init(|| IDENTITIES.fetch_add(1, AtomicOrdering::Relaxed))
     }
 
     /// The serialized image of the document as it is now, written on the

@@ -200,9 +200,10 @@ pub fn subtree_eq(doc: &Document, a: NodeId, b: NodeId) -> bool {
 /// constant), so callers can afford it on every cache probe — unlike a
 /// [`subtree_hash`] of the root, which walks the entire tree. The
 /// arena samples make collisions require agreement at sixteen deep probe
-/// points on top of the entire root level; consumers still combine the
-/// fingerprint with the node count and allocation address rather than
-/// trusting it alone.
+/// points on top of the entire root level. It is still a hint, not an
+/// identity: a plan cache may key plans by it, since a plan is correct for
+/// any document, but whatever must match the document exactly is keyed by
+/// [`Document::identity`].
 ///
 /// The document memoises it: the first call computes it, later calls read
 /// it, and any mutation clears it.

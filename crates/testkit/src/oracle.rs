@@ -13,8 +13,9 @@
 use std::cell::Cell;
 
 use gql_analyze::Analyzer;
-use gql_core::engine::{Engine, Prepared, QueryKind};
+use gql_core::engine::{Engine, Prepared, QueryKind, RunOutcome};
 use gql_guard::{Budget, Guard, RunCtx};
+use gql_ssdm::document::NodeKind;
 use gql_ssdm::sink::XmlSink;
 use gql_ssdm::{DocIndex, Document, Summary};
 use gql_trace::Trace;
@@ -278,6 +279,9 @@ pub fn check_sinks_case(doc: &Document, query: &QueryKind) -> Result<(), String>
 /// * *post-mutation invalidation* — after the document changes, the cache
 ///   keys apart (content fingerprint) and the answer tracks the new
 ///   document, not the stale plan;
+/// * *mutate-then-run* — an engine that preloaded a document answers it,
+///   once changed in place below its root level, like a fresh engine, not
+///   from the structures it preloaded;
 /// * *corrupt entry → replan* — a corrupted cache entry is detected,
 ///   replanned, and still answers byte-identically.
 ///
@@ -322,34 +326,28 @@ pub fn check_plan_cache_case(doc: &Document, query: &QueryKind) -> Result<(), St
     let mut mutated = doc.clone();
     let root = mutated.root();
     mutated.add_element(root, "plan-cache-probe");
-    let stale = engine.run(query, &mutated);
-    let fresh = Engine::new().run(query, &mutated);
-    match (stale, fresh) {
-        (Ok(s), Ok(f)) => {
-            let (s_xml, f_xml) = (s.output.to_xml_string(), f.output.to_xml_string());
-            if s_xml != f_xml {
-                return Err(format!(
-                    "plan-cache-invalidation: engine with a cached plan diverged from a \
-                     fresh engine after a document mutation\ncached-engine: {s_xml}\nfresh: {f_xml}"
-                ));
-            }
-        }
-        (Err(s), Err(f)) => {
-            if format!("{s}") != format!("{f}") {
-                return Err(format!(
-                    "plan-cache-invalidation: errors diverged after mutation\n\
-                     cached-engine: {s}\nfresh: {f}"
-                ));
-            }
-        }
-        (s, f) => {
-            return Err(format!(
-                "plan-cache-invalidation: one run errored, the other did not \
-                 (cached-engine ok: {}, fresh ok: {})",
-                s.is_ok(),
-                f.is_ok()
-            ))
-        }
+    same_run(
+        "plan-cache-invalidation",
+        engine.run(query, &mutated),
+        Engine::new().run(query, &mutated),
+    )?;
+    // Mutate-then-run: an attribute set in place on the last element, which
+    // leaves the node count and the root level as they were, after a run
+    // that planted the plan.
+    let mut resident = doc.clone();
+    let mut preloaded = Engine::new();
+    preloaded.preload(&resident);
+    let _ = preloaded.run(query, &resident);
+    let last = (resident.descendants_or_self(resident.root()))
+        .filter(|&n| resident.kind(n) == NodeKind::Element)
+        .last();
+    if let Some(last) = last {
+        (resident.set_attr(last, "plan-cache-probe", "1")).expect("an element takes attributes");
+        same_run(
+            "plan-cache-mutate-then-run",
+            preloaded.run(query, &resident),
+            Engine::new().run(query, &resident),
+        )?;
     }
     // Corrupt entry → replan: the warm engine's entry for the original
     // document is corrupted in place; the run must detect it, replan, and
@@ -374,6 +372,41 @@ pub fn check_plan_cache_case(doc: &Document, query: &QueryKind) -> Result<(), St
     }
     if engine.plan_cache_stats().replans <= replans_before {
         return Err("plan-cache-replan: corrupt entry was not detected as a replan".into());
+    }
+    Ok(())
+}
+
+/// An engine's run on a changed document against a fresh engine's: the same
+/// answer bytes, or the same error.
+fn same_run(
+    check: &str,
+    run: gql_core::Result<RunOutcome>,
+    fresh: gql_core::Result<RunOutcome>,
+) -> Result<(), String> {
+    match (run, fresh) {
+        (Ok(r), Ok(f)) => {
+            let (r_xml, f_xml) = (r.output.to_xml_string(), f.output.to_xml_string());
+            if r_xml != f_xml {
+                return Err(format!(
+                    "{check}: engine diverged from a fresh engine after a document mutation\n\
+                     engine: {r_xml}\nfresh: {f_xml}"
+                ));
+            }
+        }
+        (Err(r), Err(f)) => {
+            if format!("{r}") != format!("{f}") {
+                return Err(format!(
+                    "{check}: errors diverged after mutation\nengine: {r}\nfresh: {f}"
+                ));
+            }
+        }
+        (r, f) => {
+            return Err(format!(
+                "{check}: one run errored, the other did not (engine ok: {}, fresh ok: {})",
+                r.is_ok(),
+                f.is_ok()
+            ))
+        }
     }
     Ok(())
 }

@@ -436,6 +436,66 @@ mod tests {
     use gql_wglog::instance::Object;
     use gql_wglog::rule::{Program, RuleBuilder};
 
+    /// The engine's regular-path walks follow each label's adjacency by
+    /// id; the reference scans the edge list by name. On cyclic web graphs
+    /// with edges and an object added on top of the loaded base, both reach
+    /// the same objects from every object, for generated `(a|b)`, `(a|b)+`
+    /// and `(a|b)*` paths over labels the graph has and one it lacks.
+    #[test]
+    fn the_engines_path_walks_reach_what_the_reference_reaches() {
+        use gql_ssdm::generator::{webgraph, WebConfig};
+        use gql_ssdm::rng::Rng;
+        use gql_wglog::eval::{path_exists, path_targets};
+        use gql_wglog::rule::PathRe;
+        const LABELS: [&str; 6] = ["doc", "link", "index", "ref", "hop", "none"];
+        let mut reached_any = 0;
+        for seed in 0..48 {
+            let mut rng = Rng::seed_from_u64(seed);
+            let mut db = Instance::from_document(&webgraph(WebConfig {
+                docs: rng.gen_range(2..10),
+                links_per_doc: rng.gen_range(1..4),
+                index_percent: 50,
+                seed,
+            }));
+            let extra = db.add_object(Object::new("doc"));
+            let n = db.object_count();
+            for _ in 0..rng.gen_range(0..10) {
+                let from = ObjId(rng.gen_range(0..n) as u32);
+                let to = if rng.gen_bool(0.3) {
+                    extra
+                } else {
+                    ObjId(rng.gen_range(0..n) as u32)
+                };
+                db.add_edge(from, LABELS[rng.gen_range(1..5)], to);
+            }
+            for _ in 0..6 {
+                let re = PathRe {
+                    labels: (0..rng.gen_range(1..4))
+                        .map(|_| LABELS[rng.gen_range(0..LABELS.len())].to_string())
+                        .collect(),
+                    rep: [PathRep::One, PathRep::Plus, PathRep::Star][rng.gen_range(0..3)],
+                };
+                let keys: Vec<_> = re.labels.iter().map(|l| db.label_key(l)).collect();
+                let test = LabelTest::Regex(re.clone());
+                for from in (0..n).map(|i| ObjId(i as u32)) {
+                    let expect = reached(&db, &test, from);
+                    reached_any += usize::from(!expect.is_empty());
+                    let targets = path_targets(&db, from, re.rep, &keys);
+                    let got: HashSet<ObjId> = targets.iter().copied().collect();
+                    assert_eq!(got, expect, "seed {seed}, {re} from {from:?}");
+                    for to in (0..n).map(|i| ObjId(i as u32)) {
+                        assert_eq!(
+                            path_exists(&db, from, to, re.rep, &keys),
+                            expect.contains(&to),
+                            "seed {seed}, {re} from {from:?} to {to:?}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(reached_any > 1000, "{reached_any} walks reached anything");
+    }
+
     /// 33 objects: two free nodes have 1,089 assignments, three have
     /// 35,937 — past the cap, so the reference declines and the oracle
     /// counts the rule as skipped, not compared.

@@ -6,14 +6,14 @@
 //! standard improvements: candidate enumeration through the adjacency of an
 //! already-bound neighbour whenever one exists, and constraint checking at
 //! bind time rather than at the end. Regular path edges are verified with a
-//! label-filtered BFS.
+//! BFS over the labelled adjacency of each label in the path.
 //!
 //! What the search does is a [`SearchPlan`], worked out from the rule
 //! alone: which query nodes bind, in which order, where each finds its
 //! candidates, and which edges each binding must check. The search runs it.
 //!
-//! The search works in integers. Each query edge's label is resolved to a
-//! [`LabelKey`] once per search, and each constraint's constant was parsed
+//! The search works in integers. Each query edge's label, and each label of
+//! a regular path, is resolved to a [`LabelKey`] once per search, and each constraint's constant was parsed
 //! once by the plan, so the inner loop hashes no string and parses no
 //! constant. It allocates per rule, not per candidate or per embedding:
 //! candidates go to one buffer per search depth, reused by every node bound
@@ -23,7 +23,7 @@
 use std::collections::{HashSet, VecDeque};
 
 use crate::instance::{Instance, LabelKey, ObjId};
-use crate::rule::{LabelTest, PathRe, PathRep, RNodeId, Rule, TypeTest};
+use crate::rule::{LabelTest, PathRep, RNodeId, Rule, TypeTest};
 
 use super::plan::{Access, SearchPlan};
 
@@ -75,30 +75,29 @@ impl EmbeddingTable {
     }
 }
 
-/// Does a path matching `re` lead from `from` to `to`?
-pub fn path_exists(db: &Instance, from: ObjId, to: ObjId, re: &PathRe) -> bool {
-    match re.rep {
-        PathRep::One => db
-            .out_edges(from)
-            .any(|e| re.labels.contains(&e.label) && e.to == to),
+/// Does a path of `rep` steps over the labels `keys` lead from `from` to
+/// `to`? `keys` are a [`PathRe`](crate::rule::PathRe)'s labels resolved
+/// against `db`.
+pub fn path_exists(db: &Instance, from: ObjId, to: ObjId, rep: PathRep, keys: &[LabelKey]) -> bool {
+    match rep {
+        PathRep::One => keys.iter().any(|&key| db.has_edge_key(from, key, to)),
         PathRep::Plus | PathRep::Star => {
-            if re.rep == PathRep::Star && from == to {
+            if rep == PathRep::Star && from == to {
                 return true;
             }
-            // BFS over edges whose label is in the alternative set.
+            // BFS over the edges of each label in the alternative set.
             let mut seen: HashSet<ObjId> = HashSet::new();
             let mut queue = VecDeque::new();
             queue.push_back(from);
             while let Some(cur) = queue.pop_front() {
-                for e in db.out_edges(cur) {
-                    if !re.labels.contains(&e.label) {
-                        continue;
-                    }
-                    if e.to == to {
-                        return true;
-                    }
-                    if seen.insert(e.to) {
-                        queue.push_back(e.to);
+                for &key in keys {
+                    for next in db.successors_key(cur, key) {
+                        if next == to {
+                            return true;
+                        }
+                        if seen.insert(next) {
+                            queue.push_back(next);
+                        }
                     }
                 }
             }
@@ -107,28 +106,31 @@ pub fn path_exists(db: &Instance, from: ObjId, to: ObjId, re: &PathRe) -> bool {
     }
 }
 
-/// All objects reachable from `from` via a path matching `re`.
-fn path_targets(db: &Instance, from: ObjId, re: &PathRe) -> Vec<ObjId> {
-    match re.rep {
-        PathRep::One => db
-            .out_edges(from)
-            .filter(|e| re.labels.contains(&e.label))
-            .map(|e| e.to)
+/// The objects a path of `rep` steps over the labels `keys` leads to from
+/// `from`. A `+` or `*` path lists each once; a single step lists an object
+/// once per edge to it. The order is the walk's, label by label: a caller
+/// that binds candidates sorts them.
+pub fn path_targets(db: &Instance, from: ObjId, rep: PathRep, keys: &[LabelKey]) -> Vec<ObjId> {
+    match rep {
+        PathRep::One => (keys.iter())
+            .flat_map(|&key| db.successors_key(from, key))
             .collect(),
         PathRep::Plus | PathRep::Star => {
             let mut seen: HashSet<ObjId> = HashSet::new();
             let mut order = Vec::new();
             let mut queue = VecDeque::new();
-            if re.rep == PathRep::Star {
+            if rep == PathRep::Star {
                 seen.insert(from);
                 order.push(from);
             }
             queue.push_back(from);
             while let Some(cur) = queue.pop_front() {
-                for e in db.out_edges(cur) {
-                    if re.labels.contains(&e.label) && seen.insert(e.to) {
-                        order.push(e.to);
-                        queue.push_back(e.to);
+                for &key in keys {
+                    for next in db.successors_key(cur, key) {
+                        if seen.insert(next) {
+                            order.push(next);
+                            queue.push_back(next);
+                        }
                     }
                 }
             }
@@ -137,20 +139,22 @@ fn path_targets(db: &Instance, from: ObjId, re: &PathRe) -> Vec<ObjId> {
     }
 }
 
-/// A query edge's label test, resolved against the instance searched.
-#[derive(Clone, Copy)]
-enum Test<'r> {
+/// A query edge's label test, resolved against the instance searched: a
+/// path's labels to one key each, once per search.
+enum Test {
     Label(LabelKey),
     Any,
-    Path(&'r PathRe),
+    Path(PathRep, Vec<LabelKey>),
 }
 
-impl<'r> Test<'r> {
-    fn resolve(db: &Instance, label: &'r LabelTest) -> Self {
+impl Test {
+    fn resolve(db: &Instance, label: &LabelTest) -> Self {
         match label {
             LabelTest::Label(l) => Test::Label(db.label_key(l)),
             LabelTest::Any => Test::Any,
-            LabelTest::Regex(re) => Test::Path(re),
+            LabelTest::Regex(re) => {
+                Test::Path(re.rep, re.labels.iter().map(|l| db.label_key(l)).collect())
+            }
         }
     }
 }
@@ -199,7 +203,7 @@ struct Search<'a> {
     plan: &'a SearchPlan,
     db: &'a Instance,
     /// Per rule edge, its label test.
-    tests: Vec<Test<'a>>,
+    tests: Vec<Test>,
     current: Vec<Option<ObjId>>,
     /// Per depth, the buffer its candidates are collected in.
     cands: Vec<Vec<ObjId>>,
@@ -217,10 +221,10 @@ impl Search<'_> {
 
     /// Does edge `i` (its negation aside) lead from `from` to `to`?
     fn holds(&self, i: usize, from: ObjId, to: ObjId) -> bool {
-        match self.tests[i] {
-            Test::Label(key) => self.db.has_edge_key(from, key, to),
+        match &self.tests[i] {
+            &Test::Label(key) => self.db.has_edge_key(from, key, to),
             Test::Any => self.db.out_edges(from).any(|edge| edge.to == to),
-            Test::Path(re) => path_exists(self.db, from, to, re),
+            Test::Path(rep, keys) => path_exists(self.db, from, to, *rep, keys),
         }
     }
 
@@ -271,18 +275,18 @@ impl Search<'_> {
         match step.access {
             Access::Forward(i) => {
                 let src = self.bound(rule.edges[i].from);
-                match self.tests[i] {
-                    Test::Label(key) => cands.extend(db.successors_key(src, key)),
+                match &self.tests[i] {
+                    &Test::Label(key) => cands.extend(db.successors_key(src, key)),
                     Test::Any => cands.extend(db.out_edges(src).map(|edge| edge.to)),
-                    Test::Path(re) => cands.extend(path_targets(db, src, re)),
+                    Test::Path(rep, keys) => cands.extend(path_targets(db, src, *rep, keys)),
                 }
             }
             Access::Backward(i) => {
                 let dst = self.bound(rule.edges[i].to);
-                match self.tests[i] {
-                    Test::Label(key) => cands.extend(db.predecessors_key(dst, key)),
+                match &self.tests[i] {
+                    &Test::Label(key) => cands.extend(db.predecessors_key(dst, key)),
                     Test::Any => cands.extend(db.in_edges(dst).map(|edge| edge.from)),
-                    Test::Path(_) => unreachable!("a plan never walks a path backwards"),
+                    Test::Path(..) => unreachable!("a plan never walks a path backwards"),
                 }
             }
             Access::Scan => unreachable!("scanned above"),
@@ -320,10 +324,12 @@ impl Search<'_> {
     /// matching neighbour that passes the target node's tests?
     fn exists_any_target(&self, i: usize, from: ObjId) -> bool {
         let fits = |t| self.fits(self.rule.edges[i].to.index(), t);
-        match self.tests[i] {
-            Test::Label(key) => self.db.successors_key(from, key).any(fits),
+        match &self.tests[i] {
+            &Test::Label(key) => self.db.successors_key(from, key).any(fits),
             Test::Any => self.db.out_edges(from).any(|edge| fits(edge.to)),
-            Test::Path(re) => path_targets(self.db, from, re).into_iter().any(fits),
+            Test::Path(rep, keys) => path_targets(self.db, from, *rep, keys)
+                .into_iter()
+                .any(fits),
         }
     }
 }
@@ -332,7 +338,13 @@ impl Search<'_> {
 mod tests {
     use super::*;
     use crate::instance::Object;
-    use crate::rule::{CmpOp, PathRep, RuleBuilder};
+    use crate::rule::{CmpOp, PathRe, RuleBuilder};
+
+    /// `path_exists` over `re`'s labels as the search resolves them.
+    fn leads(db: &Instance, from: ObjId, to: ObjId, re: &PathRe) -> bool {
+        let keys: Vec<LabelKey> = re.labels.iter().map(|l| db.label_key(l)).collect();
+        path_exists(db, from, to, re.rep, &keys)
+    }
 
     /// restaurants r0 (2 menus), r1 (no menu), r2 (1 menu); hotels h0.
     fn city_db() -> Instance {
@@ -556,12 +568,12 @@ mod tests {
             labels: vec!["link".into()],
             rep: PathRep::Plus,
         };
-        assert!(path_exists(&db, objs[0], objs[0], &re)); // via the cycle
+        assert!(leads(&db, objs[0], objs[0], &re)); // via the cycle
         let re_other = PathRe {
             labels: vec!["other".into()],
             rep: PathRep::Plus,
         };
-        assert!(!path_exists(&db, objs[0], objs[1], &re_other));
+        assert!(!leads(&db, objs[0], objs[1], &re_other));
     }
 
     #[test]
@@ -576,12 +588,12 @@ mod tests {
             labels: vec!["x".into(), "y".into()],
             rep: PathRep::Plus,
         };
-        assert!(path_exists(&db, a, c, &re));
+        assert!(leads(&db, a, c, &re));
         let re_x = PathRe {
             labels: vec!["x".into()],
             rep: PathRep::Plus,
         };
-        assert!(!path_exists(&db, a, c, &re_x));
+        assert!(!leads(&db, a, c, &re_x));
     }
 
     #[test]

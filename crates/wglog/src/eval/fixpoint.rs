@@ -16,21 +16,24 @@
 //!   delta-evaluation, but it captures the same asymptotic win on the
 //!   transitive-closure workloads of the benchmarks.
 //!
-//! A fixpoint allocates per rule and per derived fact, not per embedding.
-//! Each rule's search runs its [`SearchPlan`], built before the first round,
-//! and every rule of every round fills the same [`EmbeddingTable`], one flat
-//! row-major buffer of object ids; each row is applied in place through one
-//! reused buffer of resolved construct nodes, and a Skolem key is looked up
-//! from a reused buffer too, copied only when it invents. A derived edge's
-//! label, or an invented object's type, is cloned into the round's change
-//! set only the first time the round sees it.
+//! A fixpoint allocates per rule and per invented object, not per embedding
+//! or per derived edge. Each rule's search runs its [`SearchPlan`], built
+//! before the first round, and every rule of every round fills the same
+//! [`EmbeddingTable`], one flat row-major buffer of object ids; each row is
+//! applied in place through one reused buffer of resolved construct nodes,
+//! and a Skolem key is looked up from a reused buffer too, copied only when
+//! it invents. A rule's construct-edge labels are interned once per
+//! application whose search found rows, so a derived edge is added by
+//! [`LabelKey`]: integer probes and pushes into the instance's tables. Each
+//! construct edge keeps one flag for whether it added an edge, and the
+//! round's changed labels are recorded from those flags once per rule.
 
 use std::collections::{HashMap, HashSet};
 
 use gql_guard::RunCtx;
 
-use crate::instance::{Instance, ObjId};
-use crate::rule::{AttrValue, Color, LabelTest, RNodeId, Rule, TypeTest};
+use crate::instance::{Instance, LabelKey, ObjId};
+use crate::rule::{AttrValue, Color, LabelTest, REdge, RNodeId, Rule, TypeTest};
 use crate::{Result, WgLogError};
 
 use super::embed::{embeddings_into, EmbeddingTable};
@@ -156,6 +159,10 @@ pub fn fixpoint_in(
             guard
                 .try_matches(table.len() as u64)
                 .map_err(WgLogError::Budget)?;
+            if table.is_empty() {
+                continue;
+            }
+            scratch.resolve_labels(rule, db);
             for emb in table.rows() {
                 apply_construct(
                     rule,
@@ -164,10 +171,16 @@ pub fn fixpoint_in(
                     &mut inventions[ri],
                     &mut scratch,
                     &mut stats,
-                    &mut new_labels,
                     &mut new_types,
                     &mut changed,
                 )?;
+            }
+            for (e, &(_, added)) in construct_edges(rule).zip(&scratch.labels) {
+                if let (true, LabelTest::Label(label)) = (added, &e.label) {
+                    if !new_labels.contains(label) {
+                        new_labels.insert(label.clone());
+                    }
+                }
             }
         }
 
@@ -257,6 +270,28 @@ struct Scratch {
     resolved: Vec<Option<ObjId>>,
     /// A Skolem key being looked up.
     key: Vec<Option<ObjId>>,
+    /// Per construct edge of the rule being applied: its label's key
+    /// (`None` for a test that is no label) and whether it added an edge.
+    labels: Vec<(Option<LabelKey>, bool)>,
+}
+
+impl Scratch {
+    /// Intern `rule`'s construct-edge labels for one application.
+    fn resolve_labels(&mut self, rule: &Rule, db: &mut Instance) {
+        self.labels.clear();
+        for e in construct_edges(rule) {
+            let key = match &e.label {
+                LabelTest::Label(label) => Some(db.intern_label(label)),
+                _ => None,
+            };
+            self.labels.push((key, false));
+        }
+    }
+}
+
+/// A rule's construct edges, in declaration order.
+fn construct_edges(rule: &Rule) -> impl Iterator<Item = &REdge> {
+    (rule.edges.iter()).filter(|e| e.color == Color::Construct)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -267,12 +302,15 @@ fn apply_construct(
     inventions: &mut [Invention],
     scratch: &mut Scratch,
     stats: &mut FixpointStats,
-    new_labels: &mut HashSet<String>,
     new_types: &mut HashSet<String>,
     changed: &mut bool,
 ) -> Result<()> {
     // Resolve every construct node to an object (inventing if needed).
-    let Scratch { resolved, key } = scratch;
+    let Scratch {
+        resolved,
+        key,
+        labels,
+    } = scratch;
     resolved.clear();
     resolved.extend_from_slice(emb);
     for inv in inventions {
@@ -315,11 +353,8 @@ fn apply_construct(
         resolved[inv.node.index()] = Some(id);
     }
     // Add construct edges.
-    for e in &rule.edges {
-        if e.color != Color::Construct {
-            continue;
-        }
-        let LabelTest::Label(label) = &e.label else {
+    for (e, (label, added)) in construct_edges(rule).zip(labels) {
+        let Some(label) = *label else {
             return Err(WgLogError::Eval {
                 msg: "construct edges need a concrete label".into(),
             });
@@ -329,11 +364,9 @@ fn apply_construct(
                 msg: "construct edge references an unbound node".into(),
             });
         };
-        if db.add_edge(from, label, to) {
+        if db.add_edge_key(from, label, to) {
             stats.edges_created += 1;
-            if !new_labels.contains(label) {
-                new_labels.insert(label.clone());
-            }
+            *added = true;
             *changed = true;
         }
     }
@@ -461,7 +494,7 @@ mod tests {
         let mut db = chain_db(8);
         let stats = fixpoint(&[&base, &step], &mut db, FixpointMode::SemiNaive).unwrap();
         // 8-chain: 28 reachable ordered pairs.
-        let reach_edges = db.edges().filter(|e| e.label == "reach").count();
+        let reach_edges = db.edges().filter(|e| &*e.label == "reach").count();
         assert_eq!(reach_edges, 28);
         assert!(stats.iterations >= 3);
     }
@@ -535,7 +568,7 @@ mod tests {
             .unwrap();
         let mut db = chain_db(5);
         fixpoint(&[&rule], &mut db, FixpointMode::SemiNaive).unwrap();
-        assert_eq!(db.edges().filter(|e| e.label == "reaches").count(), 10);
+        assert_eq!(db.edges().filter(|e| &*e.label == "reaches").count(), 10);
     }
 
     #[test]

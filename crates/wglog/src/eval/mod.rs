@@ -12,7 +12,7 @@ use crate::instance::Instance;
 use crate::rule::{Program, Rule};
 use crate::Result;
 
-pub use embed::{embeddings, path_exists, EmbeddingTable};
+pub use embed::{embeddings, path_exists, path_targets, EmbeddingTable};
 pub use fixpoint::{fixpoint, fixpoint_in, FixpointMode, FixpointStats};
 pub use plan::{ProgramPlan, SearchPlan};
 pub use stratify::stratify;

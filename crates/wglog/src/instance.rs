@@ -17,6 +17,13 @@
 //! object's attribute children written once, as [`Instance::emit`] writes
 //! them, so that a written answer copies them. Every clone shares it, and
 //! [`Instance::add_attr`] on a base object drops it.
+//!
+//! Both layers store edges alike. Labels are interned into one id space per
+//! instance (the delta numbers on from the base), so a [`LabelKey`] is one
+//! integer; every edge shares its label's name; and every adjacency list is
+//! a chain through the layer's edges. Adding an edge with an interned label
+//! ([`Instance::add_edge_key`]) is a few integer hash probes and a push, and
+//! allocates nothing but the doublings of the layer's tables.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -75,7 +82,9 @@ impl Object {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Edge {
     pub from: ObjId,
-    pub label: String,
+    /// The label's name, shared by every edge so labelled: its layer's
+    /// label table holds the one allocation.
+    pub label: Arc<str>,
     pub to: ObjId,
 }
 
@@ -110,51 +119,116 @@ impl Hasher for IntHasher {
 type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
 type IntSet<K> = HashSet<K, BuildHasherDefault<IntHasher>>;
 
-/// An edge label resolved against both layers of one [`Instance`]: its
-/// interned id in the base and in the delta, `None` where that layer has no
-/// edge so labelled. [`Instance::label_key`] hashes the string once; the
-/// `*_key` probes then hash integers only. A key is valid until the next
-/// edge is added to the instance, which may intern the label in the delta.
+/// An edge label's id in one [`Instance`]. The base numbers its labels from
+/// 0 and the delta goes on from the base's count, so one id names a label in
+/// both layers and stays valid for the instance's lifetime.
+/// [`Instance::label_key`] hashes the string once and the `*_key` probes
+/// then hash integers only. Its key for a label the instance has not
+/// interned matches nothing, even once an edge so labelled is added; to
+/// probe for edges still to come, take the key from
+/// [`Instance::intern_label`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LabelKey {
-    base: Option<u32>,
-    delta: Option<u32>,
+pub struct LabelKey(u32);
+
+impl LabelKey {
+    /// The key of a label the instance has not interned.
+    const ABSENT: LabelKey = LabelKey(u32::MAX);
+}
+
+/// The end of an edge chain: no edge has this index.
+const END: u32 = u32::MAX;
+
+/// The four chains an edge is on, as positions of its `next` links: its
+/// source's outgoing edges, its target's incoming ones, and the same two
+/// restricted to its label.
+const OUT: usize = 0;
+const INC: usize = 1;
+const SUCC: usize = 2;
+const PRED: usize = 3;
+
+/// An edge as a layer stores it: with the next edge of each of its chains.
+#[derive(Debug, Clone)]
+struct Stored {
+    edge: Edge,
+    next: [u32; 4],
+}
+
+/// One adjacency list as a chain through the layer's edges: its first and
+/// last edge, `END` when it has none. Appending links the last edge to the
+/// new one, so a list grows without an allocation of its own and is read
+/// in insertion order.
+#[derive(Debug, Clone, Copy)]
+struct Chain {
+    first: u32,
+    last: u32,
+}
+
+impl Chain {
+    const EMPTY: Chain = Chain {
+        first: END,
+        last: END,
+    };
+}
+
+/// The edges of one chain, first to last.
+struct Walk<'a> {
+    edges: &'a [Stored],
+    next: u32,
+    link: usize,
+}
+
+impl<'a> Iterator for Walk<'a> {
+    type Item = &'a Edge;
+
+    fn next(&mut self) -> Option<&'a Edge> {
+        // `END` is past every edge.
+        let stored = self.edges.get(self.next as usize)?;
+        self.next = stored.next[self.link];
+        Some(&stored.edge)
+    }
 }
 
 /// One layer of an [`Instance`]: a self-contained graph store whose own
-/// objects are numbered from `first_obj` and whose edges may also touch
-/// the objects numbered beneath that.
+/// objects are numbered from `first_obj`, whose own labels are numbered
+/// from `first_label`, and whose edges may also touch the objects and use
+/// the labels numbered beneath those.
 ///
 /// Edge labels are interned to small integers on insertion, and adjacency
 /// is kept *label-indexed*: `(object, label) → successors/predecessors`.
 /// The fixpoint joins of the Datalog evaluator and the backtracking
 /// embedding search probe edges by `(object, label)` on their innermost
 /// loops, so those probes are hash lookups of integers instead of linear
-/// scans with string compares.
+/// scans with string compares. Every adjacency list is a [`Chain`] through
+/// the edges, so adding an edge allocates nothing but the doublings of the
+/// layer's tables.
 #[derive(Debug, Clone, Default)]
 struct Layer {
     /// Id of this layer's first object: 0 for a base, the base's object
     /// count for a delta.
     first_obj: usize,
+    /// Id of this layer's first label: 0 for a base, the base's label count
+    /// for a delta.
+    first_label: u32,
     objects: Vec<Object>,
-    edges: Vec<Edge>,
-    /// Outgoing adjacency of this layer's own objects (slot
-    /// `id - first_obj`): indexes into `edges`.
-    out: Vec<Vec<usize>>,
-    /// Incoming adjacency, likewise.
-    inc: Vec<Vec<usize>>,
+    edges: Vec<Stored>,
+    /// Outgoing edges of this layer's own objects (slot `id - first_obj`).
+    out: Vec<Chain>,
+    /// Incoming edges, likewise.
+    inc: Vec<Chain>,
     /// The same two for the objects beneath `first_obj`, sparse because a
     /// run touches few of them. Always empty in a base.
-    out_beneath: IntMap<ObjId, Vec<usize>>,
-    inc_beneath: IntMap<ObjId, Vec<usize>>,
+    out_beneath: IntMap<ObjId, Chain>,
+    inc_beneath: IntMap<ObjId, Chain>,
     /// Type index: type name → object ids.
     by_type: HashMap<String, Vec<ObjId>>,
-    /// Interned edge labels (ids are local to the layer).
-    labels: HashMap<String, u32>,
-    /// Labelled adjacency: `(from, label) → successors`, insertion order.
-    succ: IntMap<(ObjId, u32), Vec<ObjId>>,
-    /// Labelled reverse adjacency: `(to, label) → predecessors`.
-    pred: IntMap<(ObjId, u32), Vec<ObjId>>,
+    /// This layer's own labels: name → id, and (slot `id - first_label`)
+    /// id → name, one allocation shared by both.
+    labels: HashMap<Arc<str>, u32>,
+    names: Vec<Arc<str>>,
+    /// Labelled adjacency: `(from, label) → edges`, insertion order.
+    succ: IntMap<(ObjId, u32), Chain>,
+    /// Labelled reverse adjacency: `(to, label) → edges`.
+    pred: IntMap<(ObjId, u32), Chain>,
     /// Fast duplicate check for edges, keyed on interned label ids so a
     /// probe allocates nothing.
     edge_set: IntSet<(ObjId, u32, ObjId)>,
@@ -173,6 +247,15 @@ impl Clone for AnswerMemo {
     }
 }
 
+/// Append edge `idx` to `chain`, through the edges' `link` position.
+fn append(edges: &mut [Stored], chain: &mut Chain, link: usize, idx: u32) {
+    match chain.last {
+        END => chain.first = idx,
+        last => edges[last as usize].next[link] = idx,
+    }
+    chain.last = idx;
+}
+
 impl Layer {
     fn add_object(&mut self, obj: Object) -> ObjId {
         let id = ObjId((self.first_obj + self.objects.len()) as u32);
@@ -185,74 +268,113 @@ impl Layer {
             }
         }
         self.objects.push(obj);
-        self.out.push(Vec::new());
-        self.inc.push(Vec::new());
+        self.out.push(Chain::EMPTY);
+        self.inc.push(Chain::EMPTY);
         id
-    }
-
-    /// Add an edge unless this layer already has it; the label is copied
-    /// only when the edge is new.
-    fn add_edge(&mut self, from: ObjId, label: &str, to: ObjId) -> bool {
-        let lid = match self.labels.get(label) {
-            Some(&lid) => lid,
-            None => {
-                let lid = self.labels.len() as u32;
-                self.labels.insert(label.to_string(), lid);
-                lid
-            }
-        };
-        if !self.edge_set.insert((from, lid, to)) {
-            return false;
-        }
-        let idx = self.edges.len();
-        self.edges.push(Edge {
-            from,
-            label: label.to_string(),
-            to,
-        });
-        match from.index().checked_sub(self.first_obj) {
-            Some(slot) => self.out[slot].push(idx),
-            None => self.out_beneath.entry(from).or_default().push(idx),
-        }
-        match to.index().checked_sub(self.first_obj) {
-            Some(slot) => self.inc[slot].push(idx),
-            None => self.inc_beneath.entry(to).or_default().push(idx),
-        }
-        self.succ.entry((from, lid)).or_default().push(to);
-        self.pred.entry((to, lid)).or_default().push(from);
-        true
-    }
-
-    /// This layer's edges out of (`outgoing`) or into `obj`, in insertion
-    /// order. An object of a layer above has none here.
-    fn incident(&self, obj: ObjId, outgoing: bool) -> impl Iterator<Item = &Edge> {
-        let (own, beneath) = if outgoing {
-            (&self.out, &self.out_beneath)
-        } else {
-            (&self.inc, &self.inc_beneath)
-        };
-        let idxs = match obj.index().checked_sub(self.first_obj) {
-            Some(slot) => own.get(slot),
-            None => beneath.get(&obj),
-        };
-        idxs.map_or(&[][..], Vec::as_slice)
-            .iter()
-            .map(move |&i| &self.edges[i])
     }
 
     fn label_id(&self, label: &str) -> Option<u32> {
         self.labels.get(label).copied()
     }
 
-    fn has_edge(&self, from: ObjId, lid: Option<u32>, to: ObjId) -> bool {
-        lid.is_some_and(|lid| self.edge_set.contains(&(from, lid, to)))
+    /// `label`'s id, numbered in this layer if it has none yet.
+    fn intern(&mut self, label: &str) -> u32 {
+        if let Some(lid) = self.label_id(label) {
+            return lid;
+        }
+        let lid = self.first_label + self.names.len() as u32;
+        assert!(lid < END, "an instance holds fewer than {END} labels");
+        let name: Arc<str> = Arc::from(label);
+        self.labels.insert(Arc::clone(&name), lid);
+        self.names.push(name);
+        lid
     }
 
-    /// `obj`'s neighbours over label `lid` in one of the labelled
-    /// adjacencies.
-    fn via(adjacency: &IntMap<(ObjId, u32), Vec<ObjId>>, obj: ObjId, lid: Option<u32>) -> &[ObjId] {
-        lid.and_then(|lid| adjacency.get(&(obj, lid)))
-            .map_or(&[], Vec::as_slice)
+    /// The name of label `lid`, if this layer numbered it.
+    fn name(&self, lid: u32) -> Option<&Arc<str>> {
+        let slot = lid.checked_sub(self.first_label)?;
+        self.names.get(slot as usize)
+    }
+
+    /// Add an edge of one of this layer's own labels unless the layer
+    /// already has it.
+    fn add_edge(&mut self, from: ObjId, label: &str, to: ObjId) {
+        let lid = self.intern(label);
+        if self.edge_set.insert((from, lid, to)) {
+            let label = Arc::clone(self.name(lid).expect("interned here"));
+            self.push(Edge { from, label, to }, lid);
+        }
+    }
+
+    /// Store an edge the duplicate check has let through and append it to
+    /// its four chains.
+    fn push(&mut self, edge: Edge, lid: u32) {
+        let idx = self.edges.len() as u32;
+        assert!(idx < END, "a layer holds fewer than {END} edges");
+        let (from, to) = (edge.from, edge.to);
+        self.edges.push(Stored {
+            edge,
+            next: [END; 4],
+        });
+        let edges = &mut self.edges;
+        let out = match from.index().checked_sub(self.first_obj) {
+            Some(slot) => &mut self.out[slot],
+            None => self.out_beneath.entry(from).or_insert(Chain::EMPTY),
+        };
+        append(edges, out, OUT, idx);
+        let inc = match to.index().checked_sub(self.first_obj) {
+            Some(slot) => &mut self.inc[slot],
+            None => self.inc_beneath.entry(to).or_insert(Chain::EMPTY),
+        };
+        append(edges, inc, INC, idx);
+        let succ = self.succ.entry((from, lid)).or_insert(Chain::EMPTY);
+        append(edges, succ, SUCC, idx);
+        let pred = self.pred.entry((to, lid)).or_insert(Chain::EMPTY);
+        append(edges, pred, PRED, idx);
+    }
+
+    /// The edges of `chain`, if there is one, through the `link` position.
+    fn walk(&self, chain: Option<&Chain>, link: usize) -> Walk<'_> {
+        Walk {
+            edges: &self.edges,
+            next: chain.map_or(END, |c| c.first),
+            link,
+        }
+    }
+
+    /// This layer's edges out of (`outgoing`) or into `obj`, in insertion
+    /// order. An object of a layer above has none here.
+    fn incident(&self, obj: ObjId, outgoing: bool) -> Walk<'_> {
+        let (own, beneath, link) = if outgoing {
+            (&self.out, &self.out_beneath, OUT)
+        } else {
+            (&self.inc, &self.inc_beneath, INC)
+        };
+        let chain = match obj.index().checked_sub(self.first_obj) {
+            Some(slot) => own.get(slot),
+            None => beneath.get(&obj),
+        };
+        self.walk(chain, link)
+    }
+
+    /// Whether this layer can hold an edge labelled `lid`: its own labels
+    /// and those beneath them, never an absent key's.
+    fn may_hold(&self, lid: u32) -> bool {
+        lid < self.first_label + self.names.len() as u32
+    }
+
+    fn has_edge(&self, from: ObjId, lid: u32, to: ObjId) -> bool {
+        self.may_hold(lid) && self.edge_set.contains(&(from, lid, to))
+    }
+
+    /// `obj`'s edges labelled `lid` on the labelled chains `link` picks:
+    /// `SUCC` out of it, `PRED` into it.
+    fn via(&self, obj: ObjId, lid: u32, link: usize) -> Walk<'_> {
+        let adjacency = if link == SUCC { &self.succ } else { &self.pred };
+        let chain = (self.may_hold(lid))
+            .then(|| adjacency.get(&(obj, lid)))
+            .flatten();
+        self.walk(chain, link)
     }
 
     fn of_type(&self, ty: &str) -> &[ObjId] {
@@ -291,8 +413,38 @@ impl Instance {
 
     /// Add an edge if not already present; returns whether it was new.
     pub fn add_edge(&mut self, from: ObjId, label: &str, to: ObjId) -> bool {
-        !self.base.has_edge(from, self.base.label_id(label), to)
-            && self.delta.add_edge(from, label, to)
+        let key = self.intern_label(label);
+        self.add_edge_key(from, key, to)
+    }
+
+    /// `label`'s key, numbered in the delta if neither layer has it yet.
+    /// The key stays valid for the instance's lifetime.
+    pub fn intern_label(&mut self, label: &str) -> LabelKey {
+        match self.base.label_id(label) {
+            Some(lid) => LabelKey(lid),
+            None => LabelKey(self.delta.intern(label)),
+        }
+    }
+
+    /// [`add_edge`](Instance::add_edge) with the label interned: integer
+    /// probes, and the label's shared name cloned only when the edge is
+    /// new.
+    ///
+    /// # Panics
+    ///
+    /// If `key` names no label of this instance: take it from
+    /// [`intern_label`](Instance::intern_label).
+    pub fn add_edge_key(&mut self, from: ObjId, key: LabelKey, to: ObjId) -> bool {
+        let lid = key.0;
+        if self.base.has_edge(from, lid, to) || !self.delta.edge_set.insert((from, lid, to)) {
+            return false;
+        }
+        let label = (self.delta.name(lid))
+            .or_else(|| self.base.name(lid))
+            .expect("a key from `intern_label`");
+        let label = Arc::clone(label);
+        self.delta.push(Edge { from, label, to }, lid);
+        true
     }
 
     /// Append an attribute value to an object. The overlay cannot express
@@ -328,7 +480,8 @@ impl Instance {
 
     /// All edges, in insertion order.
     pub fn edges(&self) -> impl Iterator<Item = &Edge> {
-        self.base.edges.iter().chain(&self.delta.edges)
+        let stored = self.base.edges.iter().chain(&self.delta.edges);
+        stored.map(|s| &s.edge)
     }
 
     pub fn objects(&self) -> impl Iterator<Item = (ObjId, &Object)> {
@@ -374,33 +527,32 @@ impl Instance {
             .chain(self.delta.incident(obj, false))
     }
 
-    /// `label` resolved against both layers, for the `*_key` probes.
+    /// `label`'s key, for the `*_key` probes; a label no edge has yet
+    /// gets a key that matches nothing.
     pub fn label_key(&self, label: &str) -> LabelKey {
-        LabelKey {
-            base: self.base.label_id(label),
-            delta: self.delta.label_id(label),
-        }
+        (self.base.label_id(label))
+            .or_else(|| self.delta.label_id(label))
+            .map_or(LabelKey::ABSENT, LabelKey)
     }
 
-    /// Whether a specific edge exists: one integer set probe per layer —
-    /// this sits on the innermost loop of embedding search.
+    /// Whether a specific edge exists: at most one integer set probe per
+    /// layer, none in a base that lacks the label — this sits on the
+    /// innermost loop of embedding search.
     pub fn has_edge_key(&self, from: ObjId, key: LabelKey, to: ObjId) -> bool {
-        self.base.has_edge(from, key.base, to) || self.delta.has_edge(from, key.delta, to)
+        self.base.has_edge(from, key.0, to) || self.delta.has_edge(from, key.0, to)
     }
 
     /// Successors over edges with a given label, in edge-insertion order
     /// (one lookup per layer in the labelled adjacency).
     pub fn successors_key(&self, obj: ObjId, key: LabelKey) -> impl Iterator<Item = ObjId> + '_ {
-        let base = Layer::via(&self.base.succ, obj, key.base);
-        let delta = Layer::via(&self.delta.succ, obj, key.delta);
-        base.iter().chain(delta).copied()
+        let base = self.base.via(obj, key.0, SUCC);
+        base.chain(self.delta.via(obj, key.0, SUCC)).map(|e| e.to)
     }
 
     /// Predecessors over edges with a given label, in edge-insertion order.
     pub fn predecessors_key(&self, obj: ObjId, key: LabelKey) -> impl Iterator<Item = ObjId> + '_ {
-        let base = Layer::via(&self.base.pred, obj, key.base);
-        let delta = Layer::via(&self.delta.pred, obj, key.delta);
-        base.iter().chain(delta).copied()
+        let base = self.base.via(obj, key.0, PRED);
+        base.chain(self.delta.via(obj, key.0, PRED)).map(|e| e.from)
     }
 
     /// How many instances hold this one's base, itself included: 1 when
@@ -484,6 +636,7 @@ impl Instance {
         Instance {
             delta: Layer {
                 first_obj: db.objects.len(),
+                first_label: db.names.len() as u32,
                 ..Layer::default()
             },
             base: Arc::new(db),
@@ -656,7 +809,7 @@ mod tests {
         let types: Vec<&str> = db.objects().map(|(_, o)| o.ty.as_str()).collect();
         assert_eq!(types, ["a", "b", "c", "d"]);
         let edges: Vec<(usize, &str, usize)> = (db.edges())
-            .map(|e| (e.from.index(), e.label.as_str(), e.to.index()))
+            .map(|e| (e.from.index(), &*e.label, e.to.index()))
             .collect();
         assert_eq!(edges, [(1, "c", 2), (0, "b", 1), (0, "d", 3)]);
         assert_eq!(db.object(ObjId(2)).attr("x"), Some("1"));
@@ -776,7 +929,7 @@ mod tests {
         assert_eq!(work.edge_count(), edges + 2);
 
         // Reads see the base first, then the delta: insertion order.
-        let out: Vec<&str> = work.out_edges(r).map(|e| e.label.as_str()).collect();
+        let out: Vec<&str> = work.out_edges(r).map(|e| &*e.label).collect();
         assert_eq!(out, vec!["menu", "near", "near"]);
         let near: Vec<ObjId> = work.successors_key(r, work.label_key("near")).collect();
         assert_eq!(near.len(), 2);
@@ -789,7 +942,7 @@ mod tests {
         assert_eq!(work.in_edges(r).count(), 2); // guide -restaurant->, list -member->
         assert_eq!(work.out_edges(list).count(), 1);
         assert_eq!(work.edges().count(), edges + 2);
-        assert_eq!(work.edges().last().unwrap().label, "near");
+        assert_eq!(&*work.edges().last().unwrap().label, "near");
         assert_eq!(work.objects().count(), objects + 1);
         assert_eq!(work.object(list).ty, "list");
         assert!(work.type_names().contains(&"list"));
@@ -800,6 +953,54 @@ mod tests {
         assert_eq!(db.objects_of_type("list").count(), 0);
         drop(work);
         assert_eq!(db.base_holders(), 1);
+    }
+
+    /// One id space: a key taken from the base's labels or interned in the
+    /// delta answers every probe right while the delta numbers more labels
+    /// and adds edges after it, and a clone of the base takes the same ids.
+    #[test]
+    fn a_label_key_stays_valid_while_the_delta_interns_labels_and_adds_edges() {
+        let db = Instance::from_document(&guide());
+        let mut work = db.clone();
+        let r = work.objects_of_type("restaurant").next().unwrap();
+        let m = work.objects_of_type("menu").next().unwrap();
+        let h = work.objects_of_type("hotel").next().unwrap();
+        let menu = work.label_key("menu");
+        let member = work.intern_label("member");
+        let absent = work.label_key("zzz");
+        assert_eq!(work.successors_key(r, member).count(), 0);
+
+        let list = work.add_object(Object::new("list"));
+        for label in ["a", "b", "member", "c", "menu"] {
+            assert!(work.add_edge(list, label, r));
+        }
+        assert!(work.add_edge(r, "menu", h));
+        assert!(work.add_edge(h, "member", list));
+        assert!(work.add_edge(list, "zzz", h));
+
+        assert!(work.has_edge_key(r, menu, m) && work.has_edge_key(r, menu, h));
+        assert!(work.has_edge_key(list, menu, r));
+        assert_eq!(work.successors_key(r, menu).collect::<Vec<_>>(), [m, h]);
+        assert_eq!(work.predecessors_key(r, menu).collect::<Vec<_>>(), [list]);
+        assert!(work.has_edge_key(list, member, r) && !work.has_edge_key(r, member, list));
+        assert_eq!(work.successors_key(list, member).collect::<Vec<_>>(), [r]);
+        assert_eq!(work.predecessors_key(list, member).collect::<Vec<_>>(), [h]);
+        assert_eq!(work.predecessors_key(r, member).collect::<Vec<_>>(), [list]);
+        assert_eq!(
+            (work.intern_label("member"), work.label_key("menu")),
+            (member, menu)
+        );
+        // The key of a label no edge had matches nothing, and the label's
+        // own key does.
+        assert!(!work.has_edge_key(list, absent, h));
+        assert_eq!(work.successors_key(list, absent).count(), 0);
+        assert!(work.has_edge_key(list, work.label_key("zzz"), h));
+        // Every edge keeps its label's name.
+        let out: Vec<&str> = work.out_edges(list).map(|e| &*e.label).collect();
+        assert_eq!(out, ["a", "b", "member", "c", "menu", "zzz"]);
+        // The base's keys are the same in every instance that shares it.
+        assert_eq!(db.label_key("menu"), menu);
+        assert!(db.has_edge_key(r, menu, m) && !db.has_edge_key(r, menu, h));
     }
 
     #[test]
@@ -992,7 +1193,7 @@ mod tests {
             .out_edges(v)
             .map(|e| {
                 let id = db.object(e.to).attr("id").unwrap();
-                (e.label.clone(), id.to_string())
+                (e.label.to_string(), id.to_string())
             })
             .collect();
         out.sort();

@@ -120,7 +120,9 @@ impl WgSchema {
         let mut counts: HashMap<(crate::ObjId, String, String), usize> = HashMap::new();
         for e in db.edges() {
             let to_ty = db.object(e.to).ty.clone();
-            *counts.entry((e.from, e.label.clone(), to_ty)).or_default() += 1;
+            *counts
+                .entry((e.from, e.label.to_string(), to_ty))
+                .or_default() += 1;
         }
         for ((from_obj, label, to_ty), count) in counts {
             let from_ty = db.object(from_obj).ty.clone();

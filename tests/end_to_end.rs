@@ -442,3 +442,47 @@ fn a_document_at_the_nesting_bound_fits_a_2_mib_stack_in_every_layer() {
         .join()
         .expect("no layer overflows the stack at the bound");
 }
+
+/// A preloaded engine never answers from structures built for an earlier
+/// state of the document: a `set_attr` in place on the last restaurant of a
+/// 200-restaurant guide leaves the node count and the root level as they
+/// were, and the warm WG-Log run must still find the changed object, as a
+/// cold engine does.
+#[test]
+fn a_preloaded_engine_answers_from_a_document_changed_in_place() {
+    use gql::ssdm::generator::{cityguide, CityConfig};
+    let mut city = cityguide(CityConfig {
+        restaurants: 200,
+        hotels: 50,
+        seed: 11,
+    });
+    let mut warm = Engine::new();
+    warm.preload(&city);
+    let query = QueryKind::WgLog(
+        gql::wglog::dsl::parse(
+            r#"rule { query { $r: restaurant where name = "ZZZ" }
+                      construct { $l: answer $l -member-> $r } } goal answer"#,
+        )
+        .unwrap(),
+    );
+    assert_eq!(
+        warm.run(&query, &city).unwrap().output.to_xml_string(),
+        "<answer/>"
+    );
+    let guide = city.root_element().unwrap();
+    let last = city
+        .child_elements(guide)
+        .filter(|&n| city.name(n) == Some("restaurant"))
+        .last();
+    city.set_attr(last.unwrap(), "name", "ZZZ").unwrap();
+    let cold = Engine::new()
+        .run(&query, &city)
+        .unwrap()
+        .output
+        .to_xml_string();
+    assert!(cold.contains("<name>ZZZ</name>"), "{cold}");
+    assert_eq!(
+        warm.run(&query, &city).unwrap().output.to_xml_string(),
+        cold
+    );
+}

@@ -1520,3 +1520,111 @@ fn the_two_sinks_give_one_answer() {
         }
     }
 }
+
+/// A preloaded engine never serves a stale structure: after random
+/// `set_attr`, text-replacing and `append_child` steps on the document an
+/// engine has preloaded, the engine's run of every surface equals a cold
+/// engine's. Before each step the engine preloads the document as it is
+/// half the time, so a step often changes a document just made resident.
+/// The steps change values deep in the tree, which leave the node count,
+/// the root level and often the content fingerprint as they were.
+#[test]
+fn warm_runs_after_in_place_mutations_equal_cold_runs() {
+    use gql::core::QueryKind;
+    use gql::ssdm::generator::{cityguide, CityConfig};
+    const VALUES: [&str; 3] = ["ZZZ", "italian", "Milano"];
+    let queries = [
+        QueryKind::XPath("//restaurant".to_string()),
+        QueryKind::XPath("//restaurant[name='ZZZ' or @name='ZZZ']".to_string()),
+        QueryKind::XmlGl(
+            gql::xmlgl::dsl::parse(
+                "rule { extract { restaurant as $r } construct { answer { all $r } } }",
+            )
+            .unwrap(),
+        ),
+        QueryKind::XmlGl(
+            gql::xmlgl::dsl::parse(
+                r#"rule { extract { restaurant as $r { name { text as $n = "ZZZ" } } }
+                          construct { answer { all $r } } }"#,
+            )
+            .unwrap(),
+        ),
+        QueryKind::WgLog(
+            gql::wglog::dsl::parse(
+                "rule { query { $r: restaurant } construct { $l: answer $l -member-> $r } } \
+                 goal answer",
+            )
+            .unwrap(),
+        ),
+        QueryKind::WgLog(
+            gql::wglog::dsl::parse(
+                r#"rule { query { $r: restaurant where name = "ZZZ" }
+                          construct { $l: answer $l -member-> $r } } goal answer"#,
+            )
+            .unwrap(),
+        ),
+    ];
+    check(
+        "warm_runs_after_in_place_mutations_equal_cold_runs",
+        48,
+        |rng| {
+            let mut city = cityguide(CityConfig {
+                restaurants: rng.gen_range(2..10),
+                hotels: rng.gen_range(0..3),
+                seed: rng.next_u64(),
+            });
+            let mut warm = Engine::new();
+            for step in 0..rng.gen_range(1..6) {
+                if rng.gen_bool(0.5) {
+                    warm.preload(&city);
+                }
+                let nodes: Vec<NodeId> = city.descendants_or_self(city.root()).collect();
+                let elements: Vec<NodeId> = (nodes.iter().copied())
+                    .filter(|&n| city.kind(n) == NodeKind::Element)
+                    .collect();
+                let value = VALUES[rng.gen_range(0..VALUES.len())];
+                let el = elements[rng.gen_range(0..elements.len())];
+                match rng.gen_range(0..3) {
+                    0 => {
+                        let name = ["name", "category", "id"][rng.gen_range(0..3)];
+                        city.set_attr(el, name, value).unwrap();
+                    }
+                    // The document has no text setter: a text child is
+                    // replaced by a new one.
+                    1 => {
+                        let texts: Vec<NodeId> = (nodes.iter().copied())
+                            .filter(|&n| city.kind(n) == NodeKind::Text)
+                            .collect();
+                        let text = texts[rng.gen_range(0..texts.len())];
+                        let parent = city.parent(text).expect("a text in the tree");
+                        city.detach(text).unwrap();
+                        city.add_text(parent, value);
+                    }
+                    // A new restaurant, or an existing element moved; a move
+                    // the document refuses (into its own subtree) changes
+                    // nothing.
+                    _ => {
+                        let child = if rng.gen_bool(0.5) {
+                            let r = city.create_element("restaurant");
+                            city.add_text_element(r, "name", value);
+                            r
+                        } else {
+                            let moved = elements[rng.gen_range(1..elements.len())];
+                            city.detach(moved).unwrap();
+                            moved
+                        };
+                        if city.append_child(el, child).is_err() {
+                            let parent = city.root_element().expect("a guide");
+                            _ = city.append_child(parent, child);
+                        }
+                    }
+                }
+                for q in &queries {
+                    let cold = Engine::new().run(q, &city).unwrap().output.to_xml_string();
+                    let got = warm.run(q, &city).unwrap().output.to_xml_string();
+                    assert_eq!(got, cold, "step {step}, {q:?}");
+                }
+            }
+        },
+    );
+}
