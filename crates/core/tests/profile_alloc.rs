@@ -334,3 +334,71 @@ fn the_fixpoint_allocates_per_rule_not_per_derived_edge() {
         );
     }
 }
+
+/// Q2–Q6 in XPath as `gql-benchmark` sends them, written into an
+/// `XmlSink` by a preloaded engine at scale 1000 and at scale 4000. Each
+/// predicate is read as a truth value, so it is decided by a walk from the
+/// candidate that builds no node-set: four times the candidates are a few
+/// more doublings of the step's output and of the reply, and nothing else.
+#[test]
+fn a_predicate_allocates_per_query_not_per_candidate() {
+    macro_rules! q {
+        ($n:literal) => {
+            (
+                $n,
+                include_str!(concat!("../../../gql-benchmark/queries/", $n, ".xpath")),
+            )
+        };
+    }
+    let queries = [q!("q02"), q!("q03"), q!("q04"), q!("q05"), q!("q06")];
+    let counts = |scale: usize| -> Vec<(&str, usize)> {
+        let city = cityguide(CityConfig {
+            restaurants: scale,
+            hotels: scale / 4,
+            seed: 11,
+        });
+        let grocer = greengrocer(GrocerConfig {
+            products: scale,
+            vendors: 10,
+            seed: 13,
+        });
+        let (mut city_engine, mut grocer_engine) = (Engine::new(), Engine::new());
+        city_engine.preload(&city);
+        grocer_engine.preload(&grocer);
+        (queries.iter())
+            .map(|&(name, src)| {
+                // Q6 is the value join over the greengrocer.
+                let (engine, doc) = match name {
+                    "q06" => (&grocer_engine, &grocer),
+                    _ => (&city_engine, &city),
+                };
+                let query = QueryKind::XPath(src.trim().to_string());
+                let prepared = Prepared::borrowed(&query);
+                let run = || {
+                    let mut xml = String::new();
+                    engine
+                        .execute_into(&prepared, doc, RunCtx::none(), &mut XmlSink::new(&mut xml))
+                        .expect("a benchmark query runs");
+                    xml.len()
+                };
+                // One warm-up run: plants the plan.
+                let written = run();
+                assert!(written > 1000, "{name}: {written} bytes at scale {scale}");
+                let count = allocations(|| {
+                    run();
+                });
+                (name, count)
+            })
+            .collect()
+    };
+    let (small, large) = (counts(1000), counts(4000));
+    // 1,012–2,924 at scale 1000, and three or four times that at 4000,
+    // while each candidate's predicate built the node-sets it compared.
+    for (&(name, small), &(_, large)) in small.iter().zip(&large) {
+        assert!(small <= 32, "{name}: {small} allocations at scale 1000");
+        assert!(
+            large <= small + 8,
+            "{name}: {small} allocations at scale 1000, {large} at 4000"
+        );
+    }
+}

@@ -314,9 +314,15 @@ pub struct XPathVocab<'a> {
 /// analysis: positional predicates that must block it (`last()`, a
 /// `position()` comparison, a bare numeric call), position-free ones that
 /// must not (`not(@a='v')`), and an absolute inner path (evaluated once and
-/// shared between candidates).
+/// shared between candidates). Arms 13 to 22 aim at the walk that decides
+/// a predicate read as a truth value without building a node-set: `and`,
+/// `or` and `not()` over paths, two-step and attribute paths, relational
+/// comparisons on child text and attributes with the path on either side,
+/// a relational comparison with an absolute path, `.`, `*` and `@*`
+/// operands, and a predicate nested inside the predicate's path.
 fn xpath_predicate(rng: &mut Rng, v: &XPathVocab<'_>) -> String {
-    match rng.gen_range(0..14) {
+    let relational = |rng: &mut Rng| ["<", "<=", ">", ">="][rng.gen_range(0..4)];
+    match rng.gen_range(0..24) {
         0 => format!("@{}", pick(rng, v.attrs)),
         1 => format!("@{}='{}'", pick(rng, v.attrs), pick(rng, v.values)),
         2 => pick(rng, v.tags).to_string(),
@@ -346,6 +352,51 @@ fn xpath_predicate(rng: &mut Rng, v: &XPathVocab<'_>) -> String {
             pick(rng, v.tags)
         ),
         12 => format!("not(@{} = '{}')", pick(rng, v.attrs), pick(rng, v.values)),
+        13 => format!("{} or @{}", pick(rng, v.tags), pick(rng, v.attrs)),
+        14 => format!("not({} and {})", pick(rng, v.tags), pick(rng, v.tags)),
+        15 => {
+            let (t, v2) = (pick(rng, v.tags), pick(rng, v.values));
+            if rng.gen_bool(0.5) {
+                format!("{t}/{} = '{v2}'", pick(rng, v.tags))
+            } else {
+                format!("{t}/@{} = '{v2}'", pick(rng, v.attrs))
+            }
+        }
+        16 => format!(
+            "{} {} {}",
+            pick(rng, v.tags),
+            relational(rng),
+            rng.gen_range(0..30)
+        ),
+        17 => format!(
+            "{} {} {}/@{}",
+            rng.gen_range(0..30),
+            relational(rng),
+            pick(rng, v.tags),
+            pick(rng, v.attrs)
+        ),
+        18 => format!(
+            "{} {} //{}/@{}",
+            pick(rng, v.tags),
+            relational(rng),
+            pick(rng, v.tags),
+            pick(rng, v.attrs)
+        ),
+        19 => format!(". = '{}'", pick(rng, v.values)),
+        20 => format!(
+            "* {} '{}'",
+            ["=", "!="][rng.gen_range(0..2)],
+            pick(rng, v.values)
+        ),
+        21 => format!("@* = '{}'", pick(rng, v.values)),
+        22 => {
+            let (t, a) = (pick(rng, v.tags), pick(rng, v.attrs));
+            if rng.gen_bool(0.5) {
+                format!("{t}[@{a}]")
+            } else {
+                format!("{t}[@{a} = '{}']", pick(rng, v.values))
+            }
+        }
         // Two predicates on one step, one positional and one not, in either
         // order (the body is wrapped in `[...]` by the caller).
         _ => {

@@ -4,10 +4,10 @@ use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::rc::Rc;
 
-use gql_guard::RunCtx;
+use gql_guard::{Guard, RunCtx};
 use gql_ssdm::document::NodeKind;
 use gql_ssdm::value::parse_number;
-use gql_ssdm::{DocIndex, Document, NodeId};
+use gql_ssdm::{DocIndex, Document, NodeId, Symbol};
 use gql_trace::Trace;
 
 use crate::ast::{Axis, BinOp, Expr, LocationPath, NodeTest, Step};
@@ -133,16 +133,51 @@ pub(crate) struct EvalCaches<'d> {
     in_steps: std::cell::Cell<bool>,
     /// Reference mode ([`evaluate_scan`]): the textbook evaluator.
     /// Every step is applied per context node by axis enumeration; no
-    /// postings, no lazily built index, no `//Name` fusion, no hoisting and
-    /// no skipped normalisation. It is the degradation target when an index
-    /// build fails and the oracle the set-at-a-time paths are held to, so
-    /// nothing that makes those fast may be shared with it.
+    /// postings, no lazily built index, no `//Name` fusion, no hoisting, no
+    /// walked predicates and no skipped normalisation. It is the
+    /// degradation target when an index build fails and the oracle the
+    /// set-at-a-time paths are held to, so nothing that makes those fast
+    /// may be shared with it.
     reference: bool,
     /// Node-sets of the absolute paths met inside predicates, keyed by the
     /// address of the `LocationPath` (an identity for as long as the
     /// expression is borrowed, i.e. for this evaluation; never
     /// dereferenced). See [`hoisted_path`].
-    hoisted: std::cell::RefCell<Vec<(usize, Rc<[Item]>)>>,
+    hoisted: std::cell::RefCell<Vec<(usize, Rc<Hoisted<'d>>)>>,
+    /// The relative paths met inside predicates, keyed like `hoisted`: each
+    /// one's node tests resolved against the document if it is walked,
+    /// `None` if it is not. See [`walk_plan`].
+    walks: std::cell::RefCell<Vec<(usize, WalkPlan)>>,
+}
+
+/// A relative path's node tests resolved against the document, if it is
+/// walked (see [`walk_plan`]).
+type WalkPlan = Option<Rc<[Test]>>;
+
+/// The node-set of a hoisted absolute path, and what a walked comparison
+/// reads of it: its string-values for `=` and `!=`, their numbers for the
+/// relational operators, each derived the first time a candidate asks and
+/// then read by every later one.
+struct Hoisted<'d> {
+    set: Vec<Item>,
+    strings: std::cell::OnceCell<Box<[Cow<'d, str>]>>,
+    numbers: std::cell::OnceCell<Box<[f64]>>,
+}
+
+impl<'d> Hoisted<'d> {
+    fn strings(&self, doc: &'d Document) -> &[Cow<'d, str>] {
+        self.strings
+            .get_or_init(|| self.set.iter().map(|&i| string_value(doc, i)).collect())
+    }
+
+    fn numbers(&self, doc: &Document) -> &[f64] {
+        self.numbers.get_or_init(|| {
+            self.set
+                .iter()
+                .map(|&i| num(&string_value(doc, i)))
+                .collect()
+        })
+    }
 }
 
 impl Default for EvalCaches<'_> {
@@ -154,6 +189,7 @@ impl Default for EvalCaches<'_> {
             in_steps: std::cell::Cell::new(false),
             reference: false,
             hoisted: std::cell::RefCell::new(Vec::new()),
+            walks: std::cell::RefCell::new(Vec::new()),
         }
     }
 }
@@ -206,6 +242,15 @@ struct Ctx<'d> {
     in_predicate: bool,
 }
 
+impl Ctx<'_> {
+    /// Below a predicate of any evaluation but the reference: where an
+    /// absolute path is hoisted and a relative one read as a truth value is
+    /// walked.
+    fn per_candidate(self) -> bool {
+        self.in_predicate && !self.caches.reference
+    }
+}
+
 /// Evaluate an expression with the document node as the context item.
 pub fn evaluate(doc: &Document, expr: &Expr) -> Result<XValue> {
     evaluate_in(doc, expr, None, RunCtx::none())
@@ -251,10 +296,10 @@ pub fn evaluate_in(
 
 /// [`evaluate_in`] by the textbook evaluator: every step applied per context
 /// node by axis enumeration, with no index (none is built either), no step
-/// fusion and no hoisting. This is the degradation target the engine falls
-/// back to when an index build fails or its integrity verification rejects
-/// it, and the reference the testkit holds the other entry points to;
-/// results are identical to theirs.
+/// fusion, no hoisting and no walked predicates. This is the degradation
+/// target the engine falls back to when an index build fails or its
+/// integrity verification rejects it, and the reference the testkit holds
+/// the other entry points to; results are identical to theirs.
 pub fn evaluate_scan(doc: &Document, expr: &Expr, ctx: RunCtx<'_>) -> Result<XValue> {
     let caches = EvalCaches {
         ctx,
@@ -298,7 +343,7 @@ fn eval_expr(expr: &Expr, ctx: Ctx<'_>) -> Result<XValue> {
         Expr::Number(n) => Ok(XValue::Num(*n)),
         Expr::Neg(e) => Ok(XValue::Num(-eval_operand(e, ctx)?.view().number(ctx.doc))),
         Expr::Path(p) if hoistable(p, ctx) => {
-            hoisted_path(p, ctx).map(|set| XValue::Nodes(set.to_vec()))
+            hoisted_path(p, ctx).map(|h| XValue::Nodes(h.set.clone()))
         }
         Expr::Path(p) => eval_path(p, ctx).map(XValue::Nodes),
         Expr::FilterPath(primary, steps) => {
@@ -336,19 +381,9 @@ fn eval_expr(expr: &Expr, ctx: Ctx<'_>) -> Result<XValue> {
 
 fn eval_binary(op: BinOp, a: &Expr, b: &Expr, ctx: Ctx<'_>) -> Result<XValue> {
     match op {
-        BinOp::Or => {
-            // Short-circuit.
-            if eval_operand(a, ctx)?.view().boolean() {
-                return Ok(XValue::Bool(true));
-            }
-            Ok(XValue::Bool(eval_operand(b, ctx)?.view().boolean()))
-        }
-        BinOp::And => {
-            if !eval_operand(a, ctx)?.view().boolean() {
-                return Ok(XValue::Bool(false));
-            }
-            Ok(XValue::Bool(eval_operand(b, ctx)?.view().boolean()))
-        }
+        // Short-circuit.
+        BinOp::Or => Ok(XValue::Bool(truth(a, ctx)? || truth(b, ctx)?)),
+        BinOp::And => Ok(XValue::Bool(truth(a, ctx)? && truth(b, ctx)?)),
         BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
             let x = eval_operand(a, ctx)?.view().number(ctx.doc);
             let y = eval_operand(b, ctx)?.view().number(ctx.doc);
@@ -378,23 +413,23 @@ fn eval_binary(op: BinOp, a: &Expr, b: &Expr, ctx: Ctx<'_>) -> Result<XValue> {
 /// shared node-set is copied for that. A hoisted path used any other way
 /// (`string(//b)`, `//a | //b`, `(//b)[1]`) is still copied per use, by
 /// [`eval_expr`]: those consumers take owned values.
-enum Operand<'e> {
+enum Operand<'e, 'd> {
     Literal(&'e str),
-    Shared(Rc<[Item]>),
+    Shared(Rc<Hoisted<'d>>),
     Value(XValue),
 }
 
-impl Operand<'_> {
+impl Operand<'_, '_> {
     fn view(&self) -> View<'_> {
         match self {
             Operand::Literal(s) => View::Str(s),
-            Operand::Shared(set) => View::Nodes(set),
+            Operand::Shared(h) => View::Nodes(&h.set),
             Operand::Value(v) => v.view(),
         }
     }
 }
 
-fn eval_operand<'e>(expr: &'e Expr, ctx: Ctx<'_>) -> Result<Operand<'e>> {
+fn eval_operand<'e, 'd>(expr: &'e Expr, ctx: Ctx<'d>) -> Result<Operand<'e, 'd>> {
     Ok(match expr {
         Expr::Literal(s) => Operand::Literal(s),
         Expr::Path(p) if hoistable(p, ctx) => Operand::Shared(hoisted_path(p, ctx)?),
@@ -441,10 +476,10 @@ fn compare(op: BinOp, a: View<'_>, b: View<'_>, doc: &Document) -> bool {
     match (a, b) {
         (Nodes(na), Nodes(nb)) => compare_node_sets(op, na, nb, doc),
         // XPath 1.0 §3.4: when one operand is a boolean, compare
-        // boolean(node-set) with it — not the per-node existential rule.
-        (Nodes(ns), Bool(v)) | (Bool(v), Nodes(ns)) if matches!(op, BinOp::Eq | BinOp::Ne) => {
-            (ns.is_empty() != v) == (op == BinOp::Eq)
-        }
+        // boolean(node-set) with it — not the per-node existential rule —
+        // under every operator (a relational one compares their numbers).
+        (Nodes(ns), Bool(_)) => compare_atomic(op, Bool(!ns.is_empty()), b, doc),
+        (Bool(_), Nodes(ns)) => compare_atomic(op, a, Bool(!ns.is_empty()), doc),
         (Nodes(ns), other) => ns
             .iter()
             .any(|&x| compare_atomic(op, Str(&string_value(doc, x)), other, doc)),
@@ -536,7 +571,7 @@ fn eval_path(p: &LocationPath, ctx: Ctx<'_>) -> Result<Vec<Item>> {
 /// Whether `p` is evaluated through [`hoisted_path`]: an absolute path
 /// below a predicate (anywhere else it is evaluated once anyway).
 fn hoistable(p: &LocationPath, ctx: Ctx<'_>) -> bool {
-    p.absolute && ctx.in_predicate && !ctx.caches.reference
+    p.absolute && ctx.per_candidate()
 }
 
 /// The node-set of an absolute path inside a predicate, evaluated the first
@@ -545,27 +580,230 @@ fn hoistable(p: &LocationPath, ctx: Ctx<'_>) -> bool {
 /// depend on but the document: it starts at the root whatever the context
 /// item is, and the predicates inside it see the contexts of its own steps,
 /// not the candidate's position or size.
-fn hoisted_path(p: &LocationPath, ctx: Ctx<'_>) -> Result<Rc<[Item]>> {
+fn hoisted_path<'d>(p: &LocationPath, ctx: Ctx<'d>) -> Result<Rc<Hoisted<'d>>> {
     let caches = ctx.caches;
     let key = std::ptr::from_ref(p) as usize;
-    if let Some((_, set)) = caches.hoisted.borrow().iter().find(|(k, _)| *k == key) {
-        return Ok(Rc::clone(set));
+    if let Some((_, h)) = caches.hoisted.borrow().iter().find(|(k, _)| *k == key) {
+        return Ok(Rc::clone(h));
     }
-    let set: Rc<[Item]> = eval_path(p, ctx)?.into();
+    let h = Rc::new(Hoisted {
+        set: eval_path(p, ctx)?,
+        strings: std::cell::OnceCell::new(),
+        numbers: std::cell::OnceCell::new(),
+    });
     caches.ctx.trace.count("hoisted_paths", 1);
-    caches.hoisted.borrow_mut().push((key, Rc::clone(&set)));
-    Ok(set)
+    caches.hoisted.borrow_mut().push((key, Rc::clone(&h)));
+    Ok(h)
+}
+
+/// The boolean value of `expr`, for a consumer that reads nothing else: a
+/// predicate's verdict, `and`, `or`, `not()` and `boolean()`. Below a
+/// predicate, a relative path that [`walk_plan`] admits, and a comparison of
+/// one with a literal, a number or a hoisted path, are decided by [`walk`]
+/// without building the path's node-set; every other shape, and every
+/// shape in the reference evaluator, is evaluated by [`eval_operand`].
+fn truth(expr: &Expr, ctx: Ctx<'_>) -> Result<bool> {
+    match expr {
+        Expr::Call(name, args) if args.len() == 1 && (name == "not" || name == "boolean") => {
+            return Ok(truth(&args[0], ctx)? == (name == "boolean"));
+        }
+        Expr::Path(p) if ctx.per_candidate() => {
+            if let Some(tests) = walk_plan(p, ctx) {
+                return walk_path(p, &tests, ctx, &mut |_| true);
+            }
+        }
+        Expr::Binary(
+            op @ (BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge),
+            a,
+            b,
+        ) if ctx.per_candidate() => {
+            if let Some(verdict) = compare_walked(*op, a, b, ctx)? {
+                return Ok(verdict);
+            }
+        }
+        _ => {}
+    }
+    Ok(eval_operand(expr, ctx)?.view().boolean())
+}
+
+/// `a op b` decided by walking one side, if one side is a path
+/// [`walk_plan`] admits and the other a literal, a number or a hoisted
+/// path; `None` for any other shape. It holds [`compare`]'s existential rule:
+/// a node reached by the walk is accepted if its string-value compares
+/// true with the other side (with some node of it, for a path), and the
+/// walk stops at the first node accepted.
+fn compare_walked(op: BinOp, a: &Expr, b: &Expr, ctx: Ctx<'_>) -> Result<Option<bool>> {
+    fn walked<'e>(
+        e: &'e Expr,
+        other: &Expr,
+        ctx: Ctx<'_>,
+    ) -> Option<(&'e LocationPath, Rc<[Test]>)> {
+        let other_side = match other {
+            Expr::Literal(_) | Expr::Number(_) => true,
+            Expr::Path(q) => hoistable(q, ctx),
+            _ => false,
+        };
+        match e {
+            Expr::Path(p) if other_side => walk_plan(p, ctx).map(|tests| (p, tests)),
+            _ => None,
+        }
+    }
+    // Oriented so that the walked path stands on the left.
+    let (path, tests, other, op) = if let Some((p, tests)) = walked(a, b, ctx) {
+        (p, tests, b, op)
+    } else if let Some((p, tests)) = walked(b, a, ctx) {
+        (p, tests, a, mirrored(op))
+    } else {
+        return Ok(None);
+    };
+    let doc = ctx.doc;
+    let equality = matches!(op, BinOp::Eq | BinOp::Ne);
+    let found = match other {
+        Expr::Path(p) => {
+            let hoisted = hoisted_path(p, ctx)?;
+            if equality {
+                let held = hoisted.strings(doc);
+                walk_path(path, &tests, ctx, &mut |x| {
+                    let sx = string_value(doc, x);
+                    held.iter().any(|sy| (*sy == sx) == (op == BinOp::Eq))
+                })?
+            } else {
+                let held = hoisted.numbers(doc);
+                walk_path(path, &tests, ctx, &mut |x| {
+                    let nx = num(&string_value(doc, x));
+                    held.iter().any(|&ny| cmp_numbers(op, nx, ny))
+                })?
+            }
+        }
+        atomic => {
+            // A literal under a relational operator is read as its number,
+            // parsed once here instead of once per node.
+            let probe = match atomic {
+                Expr::Literal(s) if !equality => View::Num(num(s)),
+                Expr::Literal(s) => View::Str(s),
+                Expr::Number(n) => View::Num(*n),
+                _ => unreachable!("`walked` admits literals, numbers and paths"),
+            };
+            walk_path(path, &tests, ctx, &mut |x| {
+                compare_atomic(op, View::Str(&string_value(doc, x)), probe, doc)
+            })?
+        }
+    };
+    Ok(Some(found))
+}
+
+/// The operator that compares `b` with `a` as `op` compares `a` with `b`.
+fn mirrored(op: BinOp) -> BinOp {
+    match op {
+        BinOp::Lt => BinOp::Gt,
+        BinOp::Le => BinOp::Ge,
+        BinOp::Gt => BinOp::Lt,
+        BinOp::Ge => BinOp::Le,
+        other => other,
+    }
+}
+
+/// The node tests of `p`'s steps resolved against the document, if `p` is
+/// walked: it is relative, every step is on the child, attribute or self
+/// axis, and every nested predicate is [`position_free`]. From one context
+/// those axes yield no node twice, so whether a node exists does not depend
+/// on the order it is found in, and a position-free predicate's verdict
+/// does not depend on the candidate list its candidate stands in. Decided
+/// and resolved once per path and evaluation, memoised like
+/// [`hoisted_path`]'s node-sets.
+fn walk_plan(p: &LocationPath, ctx: Ctx<'_>) -> WalkPlan {
+    let walks = &ctx.caches.walks;
+    let key = std::ptr::from_ref(p) as usize;
+    if let Some((_, plan)) = walks.borrow().iter().find(|(k, _)| *k == key) {
+        return plan.clone();
+    }
+    let walked = !p.absolute
+        && (p.steps.iter()).all(|s| local_axis(s.axis) && s.predicates.iter().all(position_free));
+    let plan: WalkPlan = walked.then(|| {
+        (p.steps.iter())
+            .map(|s| Test::resolve(ctx.doc, &s.test))
+            .collect()
+    });
+    walks.borrow_mut().push((key, plan.clone()));
+    plan
+}
+
+/// Whether `p`, walked from the context item, reaches a node `accept`
+/// takes. Charges one round per step up front, as [`apply_steps`] charges
+/// one per step whatever the steps find.
+fn walk_path(
+    p: &LocationPath,
+    tests: &[Test],
+    ctx: Ctx<'_>,
+    accept: &mut impl FnMut(Item) -> bool,
+) -> Result<bool> {
+    (ctx.caches.ctx.guard)
+        .try_rounds(p.steps.len() as u64)
+        .map_err(XPathError::Budget)?;
+    walk(&p.steps, tests, ctx.item, ctx, accept)
+}
+
+/// Depth first along `steps` from `item`: each candidate of the first step
+/// that passes its node test and its predicates is walked along the rest,
+/// and the walk stops at the first node `accept` takes. Each expansion
+/// probes the guard once and charges the candidates it visited in one
+/// charge, as [`apply_step`] does per context item; stopping early, it
+/// charges fewer.
+fn walk(
+    steps: &[Step],
+    tests: &[Test],
+    item: Item,
+    ctx: Ctx<'_>,
+    accept: &mut impl FnMut(Item) -> bool,
+) -> Result<bool> {
+    let (Some((step, steps)), Some((&test, tests))) = (steps.split_first(), tests.split_first())
+    else {
+        return Ok(accept(item));
+    };
+    let guard = ctx.caches.ctx.guard;
+    check(guard)?;
+    let mut visited = 0;
+    let mut found = false;
+    'candidates: for candidate in candidates(ctx.doc, item, step.axis, test) {
+        visited += 1;
+        // Position-free: the position and size are never read.
+        let pctx = Ctx {
+            item: candidate,
+            ..ctx
+        };
+        for pred in &step.predicates {
+            if !truth(pred, pctx)? {
+                continue 'candidates;
+            }
+        }
+        if walk(steps, tests, candidate, ctx, accept)? {
+            found = true;
+            break;
+        }
+    }
+    guard.try_matches(visited).map_err(XPathError::Budget)?;
+    Ok(found)
+}
+
+/// The guard's trip as an evaluation error.
+fn check(guard: &Guard) -> Result<()> {
+    if guard.ok() {
+        return Ok(());
+    }
+    Err(XPathError::Budget(
+        guard.error().expect("tripped guard has an error"),
+    ))
 }
 
 /// Apply a step sequence, fusing each `descendant-or-self::node()` then
 /// `child::Name` pair (the expansion of `//Name`) whose predicates are
 /// position-free into one postings lookup filtered through them, instead of
 /// enumerating every node of every subtree.
-fn apply_steps(
+fn apply_steps<'d>(
     steps: &[Step],
     start: &[Item],
-    doc: &Document,
-    caches: &EvalCaches<'_>,
+    doc: &'d Document,
+    caches: &'d EvalCaches<'d>,
 ) -> Result<Vec<Item>> {
     // Only the outermost path of a traced evaluation gets per-step spans;
     // sub-paths inside predicates re-enter here with the latch set.
@@ -590,11 +828,11 @@ fn test_label(test: &NodeTest) -> &str {
     }
 }
 
-fn apply_steps_inner(
+fn apply_steps_inner<'d>(
     steps: &[Step],
     start: &[Item],
-    doc: &Document,
-    caches: &EvalCaches<'_>,
+    doc: &'d Document,
+    caches: &'d EvalCaches<'d>,
     trace: Option<&Trace>,
 ) -> Result<Vec<Item>> {
     if steps.is_empty() {
@@ -704,7 +942,14 @@ fn fused_descendant_name<'s>(
 /// nested predicates, whose positions are their own. A function this crate
 /// does not know is counted against the predicate on both grounds.
 fn position_free(pred: &Expr) -> bool {
-    let numeric = match pred {
+    !numeric(pred) && !mentions_position(pred)
+}
+
+/// Whether `expr` is of static type number, which makes it a test on the
+/// position when it stands as a predicate. A function this crate does not
+/// know counts as numeric.
+fn numeric(expr: &Expr) -> bool {
+    match expr {
         Expr::Number(_) | Expr::Neg(_) => true,
         Expr::Binary(op, ..) => matches!(
             op,
@@ -712,8 +957,7 @@ fn position_free(pred: &Expr) -> bool {
         ),
         Expr::Call(name, _) => functions::class_of(name) != Some(FnClass::Other),
         Expr::Literal(_) | Expr::Path(_) | Expr::Union(..) | Expr::FilterPath(..) => false,
-    };
-    !numeric && !mentions_position(pred)
+    }
 }
 
 fn mentions_position(expr: &Expr) -> bool {
@@ -783,18 +1027,19 @@ fn indexed_candidates(
     doc: &Document,
     caches: &EvalCaches<'_>,
     item: Item,
-    step: &Step,
+    axis: Axis,
+    test: Test,
     out: &mut Vec<Item>,
 ) -> bool {
     if caches.reference {
         return false; // the reference evaluator never touches postings
     }
-    let include_self = match step.axis {
+    let include_self = match axis {
         Axis::Descendant => false,
         Axis::DescendantOrSelf => true,
         _ => return false,
     };
-    let (NodeTest::Name(name), Item::Node(node)) = (&step.test, item) else {
+    let (Test::Name(sym), Item::Node(node)) = (test, item) else {
         return false;
     };
     let idx = caches.index(doc);
@@ -802,7 +1047,7 @@ fn indexed_candidates(
         return false; // detached at build time: fall back to the scan
     }
     // A name never interned names no elements.
-    if let Some(sym) = doc.lookup_sym(name) {
+    if let Some(sym) = sym {
         out.extend(
             idx.named_in(sym, node, include_self)
                 .iter()
@@ -825,33 +1070,32 @@ struct StepStats {
 /// axis order, filter by node test, run predicates positionally, then merge
 /// and normalise to document order. Each context node's candidates are
 /// appended to the output and filtered there.
-fn apply_step(
+fn apply_step<'d>(
     step: &Step,
     input: &[Item],
-    doc: &Document,
-    caches: &EvalCaches<'_>,
+    doc: &'d Document,
+    caches: &'d EvalCaches<'d>,
     mut stats: Option<&mut StepStats>,
 ) -> Result<Vec<Item>> {
     let guard = caches.ctx.guard;
+    let test = Test::resolve(doc, &step.test);
     let mut out: Vec<Item> = Vec::new();
     for &ctx_item in input {
         // Budget probe: per context item (covers deadline/cancellation even
         // inside one huge step).
-        if !guard.ok() {
-            return Err(XPathError::Budget(
-                guard.error().expect("tripped guard has an error"),
-            ));
-        }
+        check(guard)?;
         let from = out.len();
-        if indexed_candidates(doc, caches, ctx_item, step, &mut out) {
+        if indexed_candidates(doc, caches, ctx_item, step.axis, test, &mut out) {
             if let Some(s) = stats.as_deref_mut() {
                 s.indexed_items += (out.len() - from) as u64;
             }
         } else {
-            axis_items(doc, ctx_item, step.axis, &mut out);
-            retain_tail(&mut out, from, |_, x| {
-                Ok(test_matches(doc, x, step.axis, &step.test))
-            })?;
+            if local_axis(step.axis) {
+                out.extend(candidates(doc, ctx_item, step.axis, test));
+            } else {
+                axis_items(doc, ctx_item, step.axis, &mut out);
+                retain_tail(&mut out, from, |_, x| Ok(test.matches(doc, x)))?;
+            }
             if let Some(s) = stats.as_deref_mut() {
                 s.scanned_items += (out.len() - from) as u64;
             }
@@ -893,14 +1137,16 @@ fn retain_tail(
 
 /// Filter the candidate list `items[from..]` through one predicate, each
 /// candidate evaluated with its position in that list and the list's size.
-fn retain_by_predicate(
+/// A predicate not of static type number is read as a truth value.
+fn retain_by_predicate<'d>(
     items: &mut Vec<Item>,
     from: usize,
     pred: &Expr,
-    doc: &Document,
-    caches: &EvalCaches<'_>,
+    doc: &'d Document,
+    caches: &'d EvalCaches<'d>,
 ) -> Result<()> {
     let size = items.len() - from;
+    let numeric = numeric(pred);
     retain_tail(items, from, |i, item| {
         let pctx = Ctx {
             doc,
@@ -910,6 +1156,9 @@ fn retain_by_predicate(
             caches,
             in_predicate: true,
         };
+        if !numeric {
+            return truth(pred, pctx);
+        }
         Ok(match eval_operand(pred, pctx)?.view() {
             // Numeric predicate = positional test.
             View::Num(n) => (i + 1) as f64 == n,
@@ -918,15 +1167,84 @@ fn retain_by_predicate(
     })
 }
 
-/// Append an axis to `out` in axis order (reverse axes run backwards so
-/// that positional predicates see XPath semantics).
+/// Whether an axis is enumerated by [`candidates`], already filtered by
+/// its node test; [`axis_items`] enumerates the others.
+fn local_axis(axis: Axis) -> bool {
+    matches!(axis, Axis::Child | Axis::Attribute | Axis::SelfAxis)
+}
+
+/// The candidates of `item` on the child, attribute or self axis that pass
+/// `test`, in axis order: what [`apply_step`] appends for such a step and
+/// what [`walk`] visits.
+fn candidates(doc: &Document, item: Item, axis: Axis, test: Test) -> Candidates<'_> {
+    match (axis, item) {
+        (Axis::SelfAxis, _) => Candidates::One(Some(item).filter(|&i| test.matches(doc, i))),
+        (Axis::Child, Item::Node(node)) => Candidates::Children {
+            doc,
+            test,
+            rest: doc.children(node).iter(),
+        },
+        (Axis::Attribute, Item::Node(owner)) => match test {
+            // An element's attribute names are distinct: a name test finds
+            // at most one.
+            Test::Name(Some(sym)) => Candidates::One(
+                (doc.attr_syms(owner).position(|a| a == sym))
+                    .map(|index| Item::Attr { owner, index }),
+            ),
+            Test::Node | Test::Any => Candidates::Attrs {
+                owner,
+                rest: 0..doc.attr_count(owner),
+            },
+            Test::Name(None) | Test::Text | Test::Comment => Candidates::One(None),
+        },
+        // An attribute has no children and no attributes.
+        _ => {
+            debug_assert!(local_axis(axis), "{axis:?} is enumerated by `axis_items`");
+            Candidates::One(None)
+        }
+    }
+}
+
+/// See [`candidates`].
+enum Candidates<'d> {
+    Children {
+        doc: &'d Document,
+        test: Test,
+        rest: std::slice::Iter<'d, NodeId>,
+    },
+    Attrs {
+        owner: NodeId,
+        rest: std::ops::Range<usize>,
+    },
+    One(Option<Item>),
+}
+
+impl Iterator for Candidates<'_> {
+    type Item = Item;
+
+    fn next(&mut self) -> Option<Item> {
+        match self {
+            Candidates::Children { doc, test, rest } => {
+                rest.map(|&c| Item::Node(c)).find(|&c| test.matches(doc, c))
+            }
+            Candidates::Attrs { owner, rest } => (rest.next()).map(|index| Item::Attr {
+                owner: *owner,
+                index,
+            }),
+            Candidates::One(item) => item.take(),
+        }
+    }
+}
+
+/// Append an axis other than the [local](local_axis) ones to `out` in axis
+/// order (reverse axes run backwards so that positional predicates see
+/// XPath semantics).
 fn axis_items(doc: &Document, item: Item, axis: Axis, out: &mut Vec<Item>) {
     let node = match item {
         Item::Node(n) => n,
         Item::Attr { owner, .. } => {
             // Attribute items navigate relative to their owning element.
             match axis {
-                Axis::SelfAxis => out.push(item),
                 // The parent of an attribute is its element, exactly.
                 Axis::Parent => out.push(Item::Node(owner)),
                 Axis::Ancestor | Axis::AncestorOrSelf => {
@@ -952,16 +1270,14 @@ fn axis_items(doc: &Document, item: Item, axis: Axis, out: &mut Vec<Item>) {
         }
     };
     match axis {
-        Axis::Child => out.extend(doc.children(node).iter().map(|&c| Item::Node(c))),
+        Axis::Child | Axis::Attribute | Axis::SelfAxis => {
+            unreachable!("{axis:?} is enumerated by `candidates`")
+        }
         Axis::Descendant => out.extend(doc.descendants(node).map(Item::Node)),
         Axis::DescendantOrSelf => out.extend(doc.descendants_or_self(node).map(Item::Node)),
         Axis::Parent => out.extend(doc.parent(node).map(Item::Node)),
         Axis::Ancestor => ancestors_or_self(doc, doc.parent(node), out),
         Axis::AncestorOrSelf => ancestors_or_self(doc, Some(node), out),
-        Axis::SelfAxis => out.push(item),
-        Axis::Attribute => {
-            out.extend((0..doc.attr_count(node)).map(|index| Item::Attr { owner: node, index }))
-        }
         Axis::FollowingSibling => {
             let mut cur = doc.next_sibling(node);
             while let Some(s) = cur {
@@ -1025,30 +1341,49 @@ fn ancestors_or_self(doc: &Document, first: Option<NodeId>, out: &mut Vec<Item>)
     }
 }
 
-fn test_matches(doc: &Document, item: Item, axis: Axis, test: &NodeTest) -> bool {
-    match item {
-        Item::Attr { owner, index } => match test {
-            NodeTest::Any | NodeTest::Node => true,
-            NodeTest::Name(n) => doc
-                .attrs(owner)
-                .nth(index)
-                .is_some_and(|(name, _)| name == n),
-            _ => false,
-        },
-        Item::Node(node) => {
-            let kind = doc.kind(node);
-            match test {
-                NodeTest::Node => true,
-                NodeTest::Text => kind == NodeKind::Text,
-                NodeTest::Comment => kind == NodeKind::Comment,
-                NodeTest::Any => {
-                    // `*` is the principal node type of the axis: elements
-                    // everywhere except the attribute axis (handled above).
-                    debug_assert!(axis != Axis::Attribute);
-                    kind == NodeKind::Element
-                }
-                NodeTest::Name(n) => {
-                    kind == NodeKind::Element && doc.name(node) == Some(n.as_str())
+/// A node test resolved against the document once per step: a name test
+/// compares symbols, and a name the document never interned matches
+/// nothing.
+#[derive(Debug, Clone, Copy)]
+enum Test {
+    Node,
+    Text,
+    Comment,
+    /// `*`: any element, and any attribute item (the principal node type
+    /// of the attribute axis; the self and ancestor-or-self axes of an
+    /// attribute yield it too).
+    Any,
+    Name(Option<Symbol>),
+}
+
+impl Test {
+    fn resolve(doc: &Document, test: &NodeTest) -> Test {
+        match test {
+            NodeTest::Node => Test::Node,
+            NodeTest::Text => Test::Text,
+            NodeTest::Comment => Test::Comment,
+            NodeTest::Any => Test::Any,
+            NodeTest::Name(n) => Test::Name(doc.lookup_sym(n)),
+        }
+    }
+
+    fn matches(self, doc: &Document, item: Item) -> bool {
+        match item {
+            Item::Attr { owner, index } => match self {
+                Test::Node | Test::Any => true,
+                Test::Name(sym) => sym.is_some() && doc.attr_syms(owner).nth(index) == sym,
+                Test::Text | Test::Comment => false,
+            },
+            Item::Node(node) => {
+                let kind = doc.kind(node);
+                match self {
+                    Test::Node => true,
+                    Test::Text => kind == NodeKind::Text,
+                    Test::Comment => kind == NodeKind::Comment,
+                    Test::Any => kind == NodeKind::Element,
+                    Test::Name(sym) => {
+                        sym.is_some() && kind == NodeKind::Element && doc.name_sym(node) == sym
+                    }
                 }
             }
         }
@@ -1346,6 +1681,14 @@ mod tests {
         assert_eq!(t("//nonexistent != true()"), XValue::Bool(true));
         assert_eq!(t("//book = true()"), XValue::Bool(true));
         assert_eq!(t("//book != true()"), XValue::Bool(false));
+        // The rule holds for all six operators: a relational comparison
+        // compares number(boolean(node-set)) with number(boolean).
+        let d = Document::parse_str("<r><a><b>5</b></a><a/></r>").unwrap();
+        let t = |src: &str| evaluate(&d, &crate::parse(src).unwrap()).unwrap();
+        assert_eq!(t("//nonexistent < true()"), XValue::Bool(true));
+        assert_eq!(t("//nonexistent <= false()"), XValue::Bool(true));
+        assert_eq!(t("true() > //nonexistent"), XValue::Bool(true));
+        assert_eq!(t("count(//a[b < true()])"), XValue::Num(1.0));
     }
 
     #[test]
@@ -1531,6 +1874,70 @@ mod tests {
         let guard = Guard::new(gql_guard::Budget::unlimited());
         evaluate_scan(&d, &expr, RunCtx::guarded(&guard)).unwrap();
         assert!(guard.report().unwrap().matches > 100_000);
+    }
+
+    #[test]
+    fn walked_predicates_charge_the_rounds_of_a_built_node_set() {
+        // Twenty `c` candidates: every second one has `k`, every third none
+        // of the `a/b` pairs, and `x`, `y` values that make `x < 3 or y > 5`
+        // short-circuit on some and read both sides on others.
+        let mut d = Document::new();
+        let root = d.add_element(d.root(), "r");
+        for i in 0..20 {
+            let c = d.add_element(root, "c");
+            if i % 2 == 0 {
+                d.set_attr(c, "k", "1").unwrap();
+            }
+            if i % 3 != 0 {
+                for j in 0..3 {
+                    let a = d.add_element(c, "a");
+                    let v = if (i + j) % 5 == 0 { "v" } else { "w" };
+                    d.add_text_element(a, "b", v);
+                }
+            }
+            d.add_text_element(c, "x", &(i % 7).to_string());
+            d.add_text_element(c, "y", &(i % 9).to_string());
+        }
+        let idx = DocIndex::build(&d);
+        // Per predicate: the hits, and the rounds and matches the evaluator
+        // charged while it built a node-set per candidate.
+        for (xpath, hits, rounds, matches) in [
+            ("//c[a/b='v']", 7, 41, 158),
+            ("//c[not(a)]", 7, 21, 80),
+            ("//c[x < 3 or y > 5]", 11, 32, 83),
+            ("//c[@k]", 10, 21, 51),
+        ] {
+            let expr = crate::parse(xpath).unwrap();
+            for idx in [Some(&idx), None] {
+                let guard = Guard::new(gql_guard::Budget::unlimited());
+                let found = evaluate_in(&d, &expr, idx, RunCtx::guarded(&guard))
+                    .unwrap()
+                    .into_nodes()
+                    .unwrap();
+                assert_eq!(found.len(), hits, "{xpath}");
+                let report = guard.report().unwrap();
+                assert_eq!(report.rounds, rounds, "{xpath}");
+                assert!(report.matches <= matches, "{xpath}: {}", report.matches);
+            }
+        }
+        // A candidate with 10,000 children that meet the node test and fail
+        // the comparison: the walk visits them all, and a matches budget
+        // trips inside it.
+        let mut d = Document::new();
+        let root = d.add_element(d.root(), "r");
+        let c = d.add_element(root, "c");
+        for _ in 0..10_000 {
+            d.add_text_element(c, "x", "9");
+        }
+        let expr = crate::parse("//c[x < 3]").unwrap();
+        let idx = DocIndex::build(&d);
+        for idx in [Some(&idx), None] {
+            let guard = Guard::new(gql_guard::Budget::unlimited().with_max_matches(5_000));
+            match evaluate_in(&d, &expr, idx, RunCtx::guarded(&guard)) {
+                Err(XPathError::Budget(e)) => assert_eq!(e.kind, gql_guard::LimitKind::Matches),
+                other => panic!("expected a matches trip, got {other:?}"),
+            }
+        }
     }
 
     #[test]
