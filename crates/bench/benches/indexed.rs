@@ -14,9 +14,10 @@
 
 use gql_bench::microbench::{BenchmarkId, Criterion, Throughput};
 use gql_bench::{criterion_group, criterion_main};
+use gql_guard::RunCtx;
 use gql_ssdm::{DocIndex, Document};
 use gql_xmlgl::builder::{RuleBuilder, C, Q};
-use gql_xmlgl::eval::{match_rule_with, MatchMode};
+use gql_xmlgl::eval::{match_rule_in, JoinPlan};
 
 /// `scale` products (each `<product><vendor>…</vendor></product>`, the
 /// first eight of which match a directory vendor by deep-equal `<vendor>`
@@ -79,24 +80,28 @@ fn bench_indexed_fastpath(c: &mut Criterion) {
     group.sample_size(10);
     let root = root_rule();
     let join = join_rule();
+    let (root_plan, join_plan) = (JoinPlan::new(&root, None), JoinPlan::new(&join, None));
     for scale in [100usize, 400, 1600] {
         let doc = dataset(scale);
         let idx = DocIndex::build(&doc);
         group.throughput(Throughput::Elements(doc.live_node_count() as u64));
 
         // Sanity: the join is as selective as the dataset says.
-        assert_eq!(match_rule_with(&join, &doc, &idx, MatchMode::Auto).len(), 8);
+        assert_eq!(
+            match_rule_in(&join, &doc, &idx, &join_plan, RunCtx::none()).len(),
+            8
+        );
 
         group.bench_with_input(BenchmarkId::new("index_build", scale), &doc, |b, doc| {
             b.iter(|| DocIndex::build(doc))
         });
         group.bench_with_input(BenchmarkId::new("root_indexed", scale), &doc, |b, doc| {
-            b.iter(|| match_rule_with(&root, doc, &idx, MatchMode::Auto))
+            b.iter(|| match_rule_in(&root, doc, &idx, &root_plan, RunCtx::none()))
         });
         group.bench_with_input(
             BenchmarkId::new("join_indexed_hashed", scale),
             &doc,
-            |b, doc| b.iter(|| match_rule_with(&join, doc, &idx, MatchMode::Auto)),
+            |b, doc| b.iter(|| match_rule_in(&join, doc, &idx, &join_plan, RunCtx::none())),
         );
     }
     group.finish();

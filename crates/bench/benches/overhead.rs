@@ -32,7 +32,7 @@ use gql_guard::RunCtx;
 use gql_ssdm::{DocIndex, Document};
 use gql_trace::{Trace, TraceLog};
 use gql_xmlgl::builder::{RuleBuilder, C, Q};
-use gql_xmlgl::eval::{match_rule_in, match_rule_with, JoinPlan, MatchMode};
+use gql_xmlgl::eval::{match_rule_in, JoinPlan};
 
 /// Same shape as the `indexed` bench's dataset: a selective join plus a
 /// filler section only scans pay for.
@@ -110,7 +110,7 @@ fn bench_tracing_overhead(c: &mut Criterion) {
     group.sample_size(30);
 
     let disabled = group.bench_function("join_indexed/disabled", |b| {
-        b.iter(|| match_rule_with(&rule, &doc, &idx, MatchMode::Auto))
+        b.iter(|| match_rule_in(&rule, &doc, &idx, &plan, RunCtx::none()))
     });
     let mut log = TraceLog::new();
     let recorded = group.bench_function("join_indexed/recorded", |b| {

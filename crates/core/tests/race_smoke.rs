@@ -15,7 +15,7 @@ use gql_core::{Engine, QueryKind};
 use gql_guard::{Budget, CancelToken, Guard, RunCtx};
 use gql_ssdm::{generator, DocIndex};
 use gql_xmlgl::ast::Rule;
-use gql_xmlgl::eval::{match_rule_in, match_rule_with, JoinPlan, MatchMode};
+use gql_xmlgl::eval::{match_rule_in, JoinPlan};
 
 fn join_rule() -> Rule {
     gql_xmlgl::dsl::parse(
@@ -35,13 +35,25 @@ fn shared_document_and_index_match_like_a_serial_run_under_thread_storm() {
     let doc = generator::cityguide(Default::default());
     let idx = DocIndex::build(&doc);
     let rule = join_rule();
-    let baseline = match_rule_with(&rule, &doc, &idx, MatchMode::Auto);
+    let baseline = match_rule_in(
+        &rule,
+        &doc,
+        &idx,
+        &JoinPlan::new(&rule, None),
+        RunCtx::none(),
+    );
     assert!(!baseline.is_empty(), "storm baseline must not be vacuous");
     thread::scope(|s| {
         for _ in 0..8 {
             s.spawn(|| {
                 for _ in 0..16 {
-                    let got = match_rule_with(&rule, &doc, &idx, MatchMode::Auto);
+                    let got = match_rule_in(
+                        &rule,
+                        &doc,
+                        &idx,
+                        &JoinPlan::new(&rule, None),
+                        RunCtx::none(),
+                    );
                     assert!(got == baseline, "bindings diverged from the serial run");
                 }
             });
@@ -148,7 +160,13 @@ fn cancellation_mid_match_is_clean() {
     let doc = generator::cityguide(Default::default());
     let idx = DocIndex::build(&doc);
     let rule = join_rule();
-    let baseline = match_rule_with(&rule, &doc, &idx, MatchMode::Auto);
+    let baseline = match_rule_in(
+        &rule,
+        &doc,
+        &idx,
+        &JoinPlan::new(&rule, None),
+        RunCtx::none(),
+    );
     // Cancel at increasing delays: from "before the run starts" to "long
     // after it finished". Every variant must return without panicking or
     // deadlocking, and can only ever see a truncated result.

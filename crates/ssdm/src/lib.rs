@@ -54,6 +54,6 @@ pub use error::{Error, Result};
 /// The workspace's one JSON writer, re-exported for the crates that depend
 /// on `gql-ssdm` and not on `gql-trace`.
 pub use gql_trace::json;
-pub use index::{shallow_fingerprint, DocIndex, IndexStats};
+pub use index::{shallow_fingerprint, DocIndex, IndexStats, NodeSets};
 pub use summary::{PathId, Summary, SummaryStats};
 pub use value::{CmpOp, Value};

@@ -129,24 +129,32 @@ pub fn document_xml(rng: &mut Rng) -> String {
 // ----------------------------------------------------------------------
 
 /// One query leaf or subtree of an XML-GL extract pattern. Collects the
-/// variables it binds (including under negation — the analyzer gate
-/// decides whether such a program is runnable).
-fn xmlgl_subtree(rng: &mut Rng, vars: &mut Vec<String>, depth: usize, out: &mut String) {
+/// variables it binds. Inside a crossed-out edge (`negated`) it binds none:
+/// the analyzer refuses a variable there, and the subtree is meant to reach
+/// the matcher, which decides it by complementing a column.
+fn xmlgl_subtree(
+    rng: &mut Rng,
+    vars: &mut Vec<String>,
+    depth: usize,
+    negated: bool,
+    out: &mut String,
+) {
     let tag = if rng.gen_bool(0.1) {
         "*"
     } else {
         pick(rng, TAGS)
     };
     out.push_str(tag);
-    if rng.gen_bool(0.6) {
+    if !negated && rng.gen_bool(0.6) {
         let v = format!("v{}", vars.len());
         out.push_str(&format!(" as ${v}"));
         vars.push(v);
     }
     if depth > 0 && rng.gen_bool(0.6) {
         // Now and then an ordered body: element children bound in sibling
-        // order.
-        let (open, close) = if rng.gen_bool(0.15) {
+        // order. Often below a crossed-out edge, where the order stroke
+        // decides which elements the negation rejects.
+        let (open, close) = if rng.gen_bool(if negated { 0.5 } else { 0.15 }) {
             (" [ ", "] ")
         } else {
             (" { ", "} ")
@@ -158,7 +166,7 @@ fn xmlgl_subtree(rng: &mut Rng, vars: &mut Vec<String>, depth: usize, out: &mut 
                 0 | 1 => {
                     out.push('@');
                     out.push_str(pick(rng, ATTRS));
-                    if rng.gen_bool(0.5) {
+                    if !negated && rng.gen_bool(0.5) {
                         let v = format!("v{}", vars.len());
                         out.push_str(&format!(" as ${v}"));
                         vars.push(v);
@@ -172,7 +180,7 @@ fn xmlgl_subtree(rng: &mut Rng, vars: &mut Vec<String>, depth: usize, out: &mut 
                 // Content circle.
                 2 => {
                     out.push_str("text");
-                    if rng.gen_bool(0.5) {
+                    if !negated && rng.gen_bool(0.5) {
                         let v = format!("v{}", vars.len());
                         out.push_str(&format!(" as ${v}"));
                         vars.push(v);
@@ -181,14 +189,16 @@ fn xmlgl_subtree(rng: &mut Rng, vars: &mut Vec<String>, depth: usize, out: &mut 
                     }
                     out.push(' ');
                 }
-                // Element edge: plain, negated, or deep.
+                // Element edge: plain, negated, deep, or both.
                 _ => {
-                    if rng.gen_bool(0.15) {
+                    let not = rng.gen_bool(0.15);
+                    if not {
                         out.push_str("not ");
-                    } else if rng.gen_bool(0.2) {
+                    }
+                    if rng.gen_bool(0.2) {
                         out.push_str("deep ");
                     }
-                    xmlgl_subtree(rng, vars, depth - 1, out);
+                    xmlgl_subtree(rng, vars, depth - 1, negated || not, out);
                 }
             }
         }
@@ -206,10 +216,10 @@ fn xmlgl_subtree(rng: &mut Rng, vars: &mut Vec<String>, depth: usize, out: &mut 
 pub fn gen_xmlgl(rng: &mut Rng) -> String {
     let mut vars = Vec::new();
     let mut extract = String::new();
-    xmlgl_subtree(rng, &mut vars, 2, &mut extract);
+    xmlgl_subtree(rng, &mut vars, 2, false, &mut extract);
     let first_tree_vars = vars.len();
     if rng.gen_bool(0.3) {
-        xmlgl_subtree(rng, &mut vars, 1, &mut extract);
+        xmlgl_subtree(rng, &mut vars, 1, false, &mut extract);
         // A join needs one var from each tree.
         if first_tree_vars > 0 && vars.len() > first_tree_vars && rng.gen_bool(0.8) {
             let a = &vars[rng.gen_range(0..first_tree_vars)];

@@ -21,9 +21,7 @@ use gql_ssdm::{DocIndex, Document, Summary};
 use gql_trace::Trace;
 use gql_wglog::eval::FixpointMode;
 use gql_wglog::Instance;
-use gql_xmlgl::eval::{
-    construct_rule, distinct_cells, match_rule, match_rule_with, JoinPlan, MatchMode,
-};
+use gql_xmlgl::eval::{construct_rule, distinct_cells, match_rule, match_rule_in, JoinPlan};
 use gql_xpath::{Item, XValue};
 
 use crate::generators::Intent;
@@ -482,7 +480,7 @@ pub fn check_xmlgl_case(doc: &Document, src: &str) -> Result<(), String> {
     let inf = gql_infer::infer_xmlgl(&program, &Summary::build(doc));
     let mut constructed = Document::new();
     for (ri, rule) in program.rules.iter().enumerate() {
-        let table = match_rule_with(rule, doc, &idx, MatchMode::Auto);
+        let table = match_rule_in(rule, doc, &idx, &JoinPlan::new(rule, None), RunCtx::none());
         // The matcher against a walk that shares nothing with it.
         crate::reference::check_table(rule, doc, &table)
             .map_err(|e| format!("table-vs-reference: rule {ri}: {e}"))?;

@@ -111,13 +111,6 @@ pub(crate) fn retain_rows(
     cells.truncate(end);
 }
 
-/// Push a row binding `q` to `node` and nothing else.
-pub(crate) fn push_unit(cells: &mut Vec<u32>, width: usize, q: QNodeId, node: NodeId) {
-    let at = cells.len();
-    cells.resize(at + width, UNBOUND);
-    cells[at + q.index()] = node.index() as u32;
-}
-
 /// The string value a cell of column `q` stands for: the element's string
 /// value for a box or a text circle, the attribute's value for an attribute
 /// circle. Read from `doc`, the document that was matched.

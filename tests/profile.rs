@@ -378,6 +378,42 @@ fn xmlgl_profile_of_a_large_root_names_no_scheduling() {
     assert!(root.notes.is_empty() && root.children.is_empty());
 }
 
+/// The matcher reads each posting a bounded number of times, however deep a
+/// tag nests in itself: over `<a><b/>` nested `d` deep, a negated and a
+/// failing deep edge (neither yields a row, so no match budget bounds the
+/// work) read postings in proportion to `d`. A walk that scans each `a`'s
+/// whole interval reads `d²/2` of them, sixteen times as many at four times
+/// the depth.
+#[test]
+fn xmlgl_nested_chains_read_postings_in_linear_count() {
+    let read = |depth: usize| -> u64 {
+        let doc = format!("{}{}", "<a><b/>".repeat(depth), "</a>".repeat(depth));
+        let doc = Document::parse_str(&doc).unwrap();
+        let queries = [
+            "rule { extract { a as $x { not deep b } } construct { out { all $x } } }",
+            "rule { extract { a as $x { deep b { c } } } construct { out { all $x } } }",
+        ];
+        (queries.iter())
+            .map(|q| {
+                let program = gql::xmlgl::dsl::parse(q).unwrap();
+                let profile = profiled(&QueryKind::XmlGl(program), &doc);
+                let m = profile.find("match").unwrap();
+                assert_eq!(counter(m, "bindings"), 0, "{q}");
+                let candidates = m
+                    .counters
+                    .iter()
+                    .filter(|(n, _)| n.starts_with("candidates["));
+                candidates.map(|(_, n)| n).sum::<u64>()
+            })
+            .sum()
+    };
+    let (shallow, deep) = (read(250), read(1000));
+    assert!(
+        deep <= 4 * shallow + 16,
+        "{deep} postings read at depth 1000 against {shallow} at 250"
+    );
+}
+
 /// An XPath location path over a fixed tree: the profile must report the
 /// exact context sizes flowing between steps, and the postings-fusion hit
 /// for a `//name` prefix.

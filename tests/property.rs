@@ -863,7 +863,7 @@ fn zero_error_programs_evaluate() {
 #[test]
 fn indexed_evaluation_matches_the_reference() {
     use gql::analyze::Analyzer;
-    use gql::xmlgl::eval::{construct_rule, match_rule_with, MatchMode};
+    use gql::xmlgl::eval::{construct_rule, match_rule_in, JoinPlan};
     use gql_testkit::reference::check_table;
     check("indexed_evaluation_matches_the_reference", 96, |rng| {
         let src = gen_xmlgl(rng);
@@ -876,7 +876,7 @@ fn indexed_evaluation_matches_the_reference() {
         let idx = gql::ssdm::DocIndex::build(&doc);
         let mut constructed = Document::new();
         for rule in &program.rules {
-            let table = match_rule_with(rule, &doc, &idx, MatchMode::Auto);
+            let table = match_rule_in(rule, &doc, &idx, &JoinPlan::new(rule, None), RunCtx::none());
             check_table(rule, &doc, &table)
                 .unwrap_or_else(|e| panic!("bindings diverged: {e}\n{src}"));
             construct_rule(rule, &doc, &table, &mut constructed).expect("construct");
@@ -890,13 +890,68 @@ fn indexed_evaluation_matches_the_reference() {
     });
 }
 
+/// The shapes where a column holding more elements than match would give a
+/// wrong table — because a negation complements it, or a parent reads it by
+/// child link — each against the reference, which shares no code with the
+/// matcher.
+#[test]
+fn exact_columns_match_the_reference() {
+    use gql::xmlgl::eval::{match_rule_in, JoinPlan};
+    use gql_testkit::reference::check_table;
+    let cases = [
+        // One `b`'s `c` and `d` out of sibling order: only that `a` has no
+        // `b [ c d ]`, and only it matches.
+        (
+            "a as $x { not b [ c d ] }",
+            "<r><a><b><d/><c/></b></a><a><b><c/><d/></b></a><a><b><c/></b><b><d/></b></a></r>",
+        ),
+        (
+            "r { a [ b c ] }",
+            "<r><a><c/><b/><c/></a><a><c/><b/></a></r>",
+        ),
+        // A tag nested in itself under child edges.
+        ("a as $x { a as $y { b } }", "<a><a><a><b/></a></a></a>"),
+        ("a as $x { not a { b } }", "<a><a><a><b/></a></a></a>"),
+        // A deep text circle with a predicate, under negation and not.
+        (
+            "a as $x { not deep text = \"t\" }",
+            "<r><a>t</a><a><b>t</b></a><a><b>u</b></a><a>u<b/></a></r>",
+        ),
+        (
+            "a as $x { deep text as $t > \"2\" }",
+            "<r><a>1<b>3</b><b>x</b></a><a><a>5</a></a></r>",
+        ),
+        // A wildcard box with an attribute circle.
+        (
+            "* as $x { @k = \"v\" }",
+            "<r k='v'><a k='w'/><b k='v'><c/></b><c k='v'/></r>",
+        ),
+        (
+            "* as $x { not @k * as $y { @k as $v } }",
+            "<r><a k='1'/><b><c k='2'/></b></r>",
+        ),
+    ];
+    for (extract, xml) in cases {
+        let src = format!("rule {{ extract {{ {extract} }} construct {{ out {{ }} }} }}");
+        let program = gql::xmlgl::dsl::parse_unchecked(&src).unwrap();
+        let (rule, doc) = (&program.rules[0], Document::parse_str(xml).unwrap());
+        let idx = gql::ssdm::DocIndex::build(&doc);
+        let table = match_rule_in(rule, &doc, &idx, &JoinPlan::new(rule, None), RunCtx::none());
+        assert!(
+            !table.is_empty() || extract.contains("not b"),
+            "{extract}: no rows"
+        );
+        check_table(rule, &doc, &table).unwrap_or_else(|e| panic!("{extract} over {xml}: {e}"));
+    }
+}
+
 /// Two-root joined rules take the hash join; its table is the reference's
 /// nested-loop join, on join columns that bind nodes and on columns that
 /// bind text values.
 #[test]
 fn indexed_joins_match_the_reference() {
     use gql::xmlgl::builder::{RuleBuilder, C, Q};
-    use gql::xmlgl::eval::{match_rule_with, MatchMode};
+    use gql::xmlgl::eval::{match_rule_in, JoinPlan};
     use gql_testkit::reference::check_table;
     check("indexed_joins_match_the_reference", 96, |rng| {
         let doc = document(rng);
@@ -921,7 +976,13 @@ fn indexed_joins_match_the_reference() {
                 .expect("builds")
         };
         let idx = gql::ssdm::DocIndex::build(&doc);
-        let table = match_rule_with(&rule, &doc, &idx, MatchMode::Auto);
+        let table = match_rule_in(
+            &rule,
+            &doc,
+            &idx,
+            &JoinPlan::new(&rule, None),
+            RunCtx::none(),
+        );
         check_table(&rule, &doc, &table).unwrap_or_else(|e| panic!("{e}"));
     });
 }
@@ -1041,7 +1102,7 @@ fn canonical_equality_implies_hash_equality() {
 /// partition the bound boxes.
 #[test]
 fn box_joins_and_groups_agree_with_the_reference_on_lookalikes() {
-    use gql::xmlgl::eval::{match_rule_with, MatchMode};
+    use gql::xmlgl::eval::{match_rule_in, JoinPlan};
     use gql_testkit::reference::{check_table, tree};
     let join = gql::xmlgl::dsl::parse(
         "rule { extract { p { x as $a }  q { x as $b }  join $a == $b } \
@@ -1059,7 +1120,7 @@ fn box_joins_and_groups_agree_with_the_reference_on_lookalikes() {
             let doc = lookalikes(rng);
             let idx = gql::ssdm::DocIndex::build(&doc);
             let rule = &join.rules[0];
-            let table = match_rule_with(rule, &doc, &idx, MatchMode::Auto);
+            let table = match_rule_in(rule, &doc, &idx, &JoinPlan::new(rule, None), RunCtx::none());
             check_table(rule, &doc, &table)
                 .unwrap_or_else(|e| panic!("{e}\n{}", doc.to_xml_string()));
 
