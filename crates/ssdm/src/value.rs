@@ -6,6 +6,7 @@
 //! three engines — XML-GL, WG-Log and the XPath baseline — agree on what
 //! `price > 20` means.
 
+use std::cell::OnceCell;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -201,6 +202,29 @@ impl CmpOp {
             CmpOp::StartsWith => data.starts_with(constant),
         }
     }
+
+    /// [`eval_parsed`](CmpOp::eval_parsed) that parses the value only if
+    /// the verdict reads its number, and then once into `d` for every
+    /// comparison of the same value. `contains` and `starts-with` never read
+    /// it, nor do `=` and `!=` against a constant that is no number: a value
+    /// equal to such a constant is no number either.
+    pub fn eval_lazy(
+        self,
+        (data, d): (&str, &OnceCell<Option<f64>>),
+        (constant, c): (&str, Option<f64>),
+    ) -> bool {
+        let reads = match self {
+            CmpOp::Contains | CmpOp::StartsWith => false,
+            CmpOp::Eq | CmpOp::Ne => c.is_some(),
+            _ => true,
+        };
+        let d = if reads {
+            *d.get_or_init(|| parse_number(data))
+        } else {
+            None
+        };
+        self.eval_parsed((data, d), (constant, c))
+    }
 }
 
 /// Parse an XPath-style number: optional sign, digits, optional fraction.
@@ -335,6 +359,8 @@ mod tests {
             CmpOp::StartsWith,
         ];
         for data in samples {
+            // One parse of the value serves all its lazy comparisons.
+            let number = OnceCell::new();
             for constant in samples {
                 let (d, c) = (Value::from_literal(data), Value::from_literal(constant));
                 let (eq, ord) = (d.loose_eq(&c), d.loose_cmp(&c));
@@ -355,6 +381,8 @@ mod tests {
                         "{data:?} {} {constant:?}",
                         op.symbol()
                     );
+                    let lazy = op.eval_lazy((data, &number), (constant, parse_number(constant)));
+                    assert_eq!(lazy, expected, "{data:?} {} {constant:?}", op.symbol());
                 }
             }
         }
