@@ -3,6 +3,8 @@
 //! ```text
 //! Usage: gql-serve serve [--addr HOST:PORT] [--workers N]
 //!        gql-serve stat [--addr HOST:PORT] [--view text|counters|report|prometheus]
+//!
+//!   --workers N  run slots: how many queries run at once (default 4)
 //! ```
 //!
 //! `serve` builds a catalog of the four synthetic datasets (bibliography,
@@ -27,7 +29,7 @@ use gql_serve::{Catalog, Client, Envelope, Server, Service, TenantRegistry};
 use gql_ssdm::generator;
 
 fn usage() -> &'static str {
-    "Usage: gql-serve serve [--addr HOST:PORT] [--workers N]\n       gql-serve stat [--addr HOST:PORT] [--view text|counters|report|prometheus]"
+    "Usage: gql-serve serve [--addr HOST:PORT] [--workers N]\n       gql-serve stat [--addr HOST:PORT] [--view text|counters|report|prometheus]\n\n  --workers N  run slots: how many queries run at once (default 4)"
 }
 
 /// The standard demo catalog: every synthetic generator at its default
@@ -43,7 +45,7 @@ fn demo_catalog() -> Catalog {
 
 /// A permissive public tenant: plenty of slots, per-query caps high
 /// enough for every demo query but low enough that a pathological one
-/// cannot wedge a worker forever. Plus a `limited` tenant whose zero
+/// cannot hold a run slot forever. Plus a `limited` tenant whose zero
 /// requests-per-second quota makes `rate_limited` reachable on demand when
 /// poking a live server by hand.
 fn demo_tenants() -> TenantRegistry {
@@ -88,7 +90,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let server =
         Server::bind(&addr, service.handle()).map_err(|e| format!("cannot bind {addr}: {e}"))?;
     eprintln!(
-        "gql-serve listening on {} ({} datasets, {} workers)",
+        "gql-serve listening on {} ({} datasets, {} run slots)",
         server.addr(),
         service.catalog().len(),
         workers

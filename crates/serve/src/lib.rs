@@ -2,8 +2,8 @@
 //!
 //! Everything the library stack built — resident index cache, keyed plan
 //! cache (`gql-plan`), budgets and cooperative cancellation (`gql-guard`),
-//! execution profiles (`gql-trace`) — assembled into a long-lived,
-//! thread-pooled service:
+//! execution profiles (`gql-trace`) — assembled into a long-lived service
+//! that owns no thread of its own:
 //!
 //! * [`catalog`] — named datasets loaded and indexed **once**, shared
 //!   read-only across connections via `Arc`, re-validated against a
@@ -12,11 +12,12 @@
 //!   plus a pooled match-unit reservation every admitted query draws
 //!   from. Admission control rejects with a structured `overloaded`
 //!   response instead of queueing unboundedly;
-//! * [`service`] — the run slots, the worker pool and the in-process
-//!   [`ServeHandle`] API: single, cancellable and batched submission (a
-//!   blocking submit — a wire query is one — runs on the caller's thread
-//!   when no job is queued and a run slot is free; the rest queue for the
-//!   pool; a batch shares one catalog snapshot and plan-cache warmup),
+//! * [`service`] — the run-slot gate and the in-process [`ServeHandle`]
+//!   API: single and batched submission, each under an optional cancel
+//!   token (every run happens on the thread that submitted it — a wire
+//!   query's on its connection's thread — once it holds one of `workers`
+//!   run slots, taken in arrival order; a batch runs its items one after
+//!   another, so a repeat runs warm behind its first occurrence),
 //!   per-request profiles, and warm/cold cache counters surfaced as
 //!   service metrics through the trace layer. A query text is parsed, printed and gated once: the
 //!   service keeps a bounded cache of prepared queries by `(kind, text)`;
@@ -40,9 +41,10 @@
 //! results byte-identical to a fresh single-threaded `Engine` — serving
 //! concurrently must never change an answer. The chaos oracle re-runs the
 //! corpus through the resilient client while the guard's fault plan tears
-//! frames, drops replies, panics runs (on pool workers and on callers'
-//! threads), hangs up on stalled runs and hot-reloads the catalog
-//! mid-storm, holding the same bar.
+//! frames, drops replies, panics runs (on connection threads, and on the
+//! threads of more in-process callers than there are run slots), hangs up
+//! on stalled runs and hot-reloads the catalog mid-storm, holding the same
+//! bar.
 
 pub mod catalog;
 pub mod client;
@@ -59,7 +61,7 @@ pub use client::{ClientError, ResilientClient, RetryPolicy};
 pub use proto::MetricsView;
 pub use server::{Client, Server, ServerConfig};
 pub use service::{
-    ErrorCode, Pending, QueryErr, QueryOk, Request, Response, ServeHandle, Service, ServiceBuilder,
+    ErrorCode, QueryErr, QueryOk, Request, Response, ServeHandle, Service, ServiceBuilder,
     ServiceMetrics,
 };
 pub use telemetry::{MetricsReport, Telemetry, TelemetryConfig};

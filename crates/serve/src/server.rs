@@ -2,10 +2,12 @@
 //! disconnect watcher per server.
 //!
 //! A connection thread runs its own queries: it submits through
-//! [`ServeHandle::submit_with`], so a query runs on that thread when no job
-//! is queued and a run slot is free, and otherwise waits in the queue for a
-//! pool worker. While a query or a batch is in flight, the connection's
-//! cancel token is where the server's watcher thread can find it. Every
+//! [`ServeHandle::submit_with`], so a query runs on that thread once it
+//! holds a run slot, and a batch runs its items there one after another.
+//! The listener, one thread per connection and the watcher are the only
+//! threads a server has. While a query or a batch is in flight, the
+//! connection's cancel token is where the server's watcher thread can find
+//! it. Every
 //! `POLL_INTERVAL` the watcher peeks each connection that has a run in
 //! flight; a client that hung up (EOF on peek) has its token tripped, the
 //! engine aborts at its next checkpoint, and the run's slot frees — a dead

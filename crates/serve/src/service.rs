@@ -1,42 +1,39 @@
-//! The thread-pooled query service and its in-process [`ServeHandle`].
+//! The query service and its in-process [`ServeHandle`].
 //!
 //! Request lifecycle: resolve tenant → resolve dataset (fingerprint
 //! re-verified) → prepare the query (parsed, printed and gated once per
 //! text, then kept in the service's prepared-query cache) → **admit**
 //! against the tenant's envelope (structured `overloaded` rejection, never
-//! an unbounded queue — the work queue only ever holds admitted jobs, so
-//! admission *is* the bound) → take a **run slot** → execute under
+//! an unbounded wait — only admitted runs wait at the gate, so admission
+//! *is* the bound) → take a **run slot** at the gate → execute under
 //! `Guard::with_cancel` → reply.
 //!
-//! A run happens on the caller's thread or on a pool worker, and one
-//! function, `run_job`, does it either way. A blocking
-//! [`ServeHandle::submit`] or [`ServeHandle::submit_with`] — the latter is
-//! what the TCP server's connection threads call — runs its job itself
-//! when no job waits in the queue and a run slot is free. Otherwise, and
-//! always for [`ServeHandle::submit_cancellable`] (whose caller must stay
-//! free while the run proceeds) and [`ServeHandle::submit_batch`] (whose
-//! items run side by side), the job goes to the queue and a pool worker
-//! runs it. There are as many run slots as pool workers, shared by both: a
-//! worker takes a slot before it counts its job as dequeued, so a caller
-//! never overtakes a queued job, and at most `workers` runs execute at
-//! once.
+//! The service owns no thread: every run happens on the thread that
+//! submitted it — for a wire query, its connection's thread — and one
+//! function, `run_job`, does it. A gate of `workers` run slots bounds how
+//! many runs execute at once. A caller that finds nobody waiting and a slot
+//! free takes it with one compare-and-swap; any other caller takes a ticket
+//! and sleeps until its ticket is served and a slot is free, so waiters run
+//! in arrival order and a newcomer never overtakes one. A batch is one
+//! client's request: its items run one after another on the calling thread,
+//! each through the gate, so parallelism is decided in one place, across
+//! requests, by the slot count.
 //!
 //! Every run is traced, whether or not the client asked for a profile: the
 //! per-request trace log (one per thread, reused) is where the engine
 //! reports plan-cache and index-cache warmth, and the service folds those
 //! notes into its warm/cold metrics counters; the `ExecutionProfile` tree
 //! is built from it only for a client that asked. Cancellation (client
-//! disconnect, or an explicit [`Pending::cancel`]) trips the request's
-//! `CancelToken`; the engine aborts at its next checkpoint and the
-//! *partial-progress trip report* comes back in the response — cancelled
-//! work is reported, not dropped.
+//! disconnect, or the token given to [`ServeHandle::submit_with`] tripped
+//! from another thread) trips the request's `CancelToken`; the engine
+//! aborts at its next checkpoint and the *partial-progress trip report*
+//! comes back in the response — cancelled work is reported, not dropped.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
 
 use gql_core::{CoreError, Engine, Prepared, QueryKind};
 use gql_guard::{fault, Budget, CancelToken, Guard, LimitKind, RunCtx};
@@ -222,7 +219,7 @@ pub struct ServiceMetrics {
     /// Time-window quota rejections (already counted in `rejected`).
     pub rate_limited: u64,
     /// Structured refusals before admission (unknown tenant/dataset, bad
-    /// request, failed fingerprint). The conservation law is
+    /// request, failed fingerprint, a service shut down). The conservation law is
     /// `admitted + rejected + refused + deduped == submitted`.
     pub refused: u64,
     /// Idempotent retries answered from the dedup map without executing
@@ -336,7 +333,7 @@ struct Job {
     run: Run,
     /// The tenant's per-query budget and the request's cancel token. They
     /// become the run's `Guard` when the run starts, so the budget's clock
-    /// does not count the wait in the queue.
+    /// does not count the wait at the gate.
     budget: Budget,
     cancel: CancelToken,
     /// Dedup-map key claimed at admission (tenant-scoped request id);
@@ -349,9 +346,6 @@ struct Job {
     /// the old epoch's drain completes only when every pin releases.
     epoch: EpochPin,
 }
-
-/// A job on its way to the pool, with the sender its reply goes to.
-type Queued = (Job, mpsc::Sender<Response>);
 
 /// What a run reads of its [`Job`].
 struct Run {
@@ -371,35 +365,34 @@ enum Admitted {
     Joined(mpsc::Receiver<Response>),
 }
 
-/// Run slots: how many runs may execute at once — on pool workers and
-/// callers' threads together — and how many do. A caller takes a slot
-/// only when no job waits in the queue; a pool worker takes one before it
-/// counts its job as dequeued, waiting if it must. So a job that entered
-/// the queue runs before any caller that came later, and at most `limit`
-/// runs execute at once.
-struct Slots {
+/// The run-slot gate: at most `limit` runs execute at once, each on the
+/// thread that submitted it. A caller that finds nobody waiting and a slot
+/// free takes it with one compare-and-swap and no lock. Any other caller
+/// takes a ticket and sleeps until its ticket is served and a slot is free,
+/// so waiters run in arrival order and a newcomer never overtakes one.
+struct Gate {
     limit: usize,
     running: AtomicUsize,
-    /// Jobs sent to the queue that no worker has counted as dequeued yet.
-    queued: AtomicUsize,
-    /// Workers holding a dequeued job that wait, or are about to wait, for
-    /// a slot.
+    /// Callers holding a ticket that has not taken its slot yet.
     waiting: AtomicUsize,
-    /// Where those workers wait.
-    wait: Mutex<()>,
+    /// The next ticket to hand out, and the ticket being served.
+    tickets: Mutex<(u64, u64)>,
     freed: Condvar,
 }
 
-impl Slots {
-    fn new(limit: usize) -> Slots {
-        Slots {
+impl Gate {
+    fn new(limit: usize) -> Gate {
+        Gate {
             limit,
             running: AtomicUsize::new(0),
-            queued: AtomicUsize::new(0),
             waiting: AtomicUsize::new(0),
-            wait: Mutex::new(()),
+            tickets: Mutex::new((0, 0)),
             freed: Condvar::new(),
         }
+    }
+
+    fn tickets(&self) -> MutexGuard<'_, (u64, u64)> {
+        self.tickets.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     fn try_take(&self) -> bool {
@@ -410,57 +403,48 @@ impl Slots {
             .is_ok()
     }
 
-    /// A slot for a caller, if no job waits in the queue and one is free.
-    fn try_take_for_caller(&self) -> bool {
-        self.queued.load(Ordering::SeqCst) == 0 && self.try_take()
-    }
-
-    /// Count one job into the queue; call before sending it.
-    fn enqueued(&self) {
-        self.queued.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Take back [`Slots::enqueued`] for a job that never reached the
-    /// queue.
-    fn unqueued(&self) {
-        self.queued.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// A slot for a worker holding a dequeued job: wait until one is free,
-    /// take it, and only then count the job out of the queue.
-    fn take_for_worker(&self) {
-        if !self.try_take() {
-            let mut guard = self.wait.lock().unwrap_or_else(|e| e.into_inner());
-            self.waiting.fetch_add(1, Ordering::SeqCst);
-            while !self.try_take() {
-                guard = self.freed.wait(guard).unwrap_or_else(|e| e.into_inner());
-            }
-            self.waiting.fetch_sub(1, Ordering::SeqCst);
+    /// Take a run slot: at once if nobody waits and one is free, else in
+    /// ticket order.
+    fn enter(&self) {
+        if self.waiting.load(Ordering::SeqCst) == 0 && self.try_take() {
+            return;
         }
-        self.unqueued();
+        let mut tickets = self.tickets();
+        self.waiting.fetch_add(1, Ordering::SeqCst);
+        let mine = tickets.0;
+        tickets.0 += 1;
+        while tickets.1 != mine || !self.try_take() {
+            tickets = self.freed.wait(tickets).unwrap_or_else(|e| e.into_inner());
+        }
+        tickets.1 += 1;
+        // The next ticket is served now; a second free slot is its to take.
+        if self.waiting.fetch_sub(1, Ordering::SeqCst) > 1 {
+            self.freed.notify_all();
+        }
     }
 
-    /// Give a slot back, waking a worker if one waits for it. A waiter
+    /// Give a slot back, waking the waiters if there are any. A waiter
     /// counts itself in `waiting` before it checks for a slot, and checks
-    /// and sleeps holding `wait`; this frees the slot before it reads
-    /// `waiting`, and takes `wait` before it wakes anyone. So either the
-    /// waiter's check sees the free slot, or the wake-up finds it asleep.
+    /// and sleeps holding the ticket lock; this frees the slot before it
+    /// reads `waiting`, and takes the lock before it wakes anyone. So either
+    /// the waiter's check sees the free slot, or the wake-up finds it
+    /// asleep. Every waiter is woken: only the one whose ticket is served
+    /// takes the slot.
     fn release(&self) {
         self.running.fetch_sub(1, Ordering::SeqCst);
         if self.waiting.load(Ordering::SeqCst) > 0 {
-            drop(self.wait.lock().unwrap_or_else(|e| e.into_inner()));
-            self.freed.notify_one();
+            drop(self.tickets());
+            self.freed.notify_all();
         }
     }
 }
 
-/// The reply to a run that panicked, on a pool worker or a caller's
-/// thread alike.
+/// The reply to a run that panicked.
 const PANIC_REPLY: &str = "query run panicked (supervised; the service keeps serving)";
 
 thread_local! {
-    /// The trace log of the runs a caller makes on its own thread, reused
-    /// by every one of them (a pool worker keeps its own).
+    /// The trace log of the runs made on this thread, reused by every one
+    /// of them.
     static CALLER_LOG: RefCell<TraceLog> = RefCell::new(TraceLog::new());
 }
 
@@ -557,14 +541,10 @@ impl Dedup {
 struct Inner {
     catalog: Arc<Catalog>,
     tenants: Arc<TenantRegistry>,
-    /// `None` after shutdown. The queue is unbounded *by type* but bounded
-    /// in fact: only admitted jobs enter it, and admission caps in-flight
-    /// work per tenant.
-    queue: Mutex<Option<mpsc::Sender<Queued>>>,
-    /// False from shutdown on: what a caller reads before it runs a job
-    /// itself, without taking the queue's lock.
+    /// False from shutdown on: a submission is then refused before
+    /// admission.
     open: AtomicBool,
-    slots: Slots,
+    gate: Gate,
     counters: Counters,
     telemetry: Arc<Telemetry>,
     dedup: Mutex<Dedup>,
@@ -596,13 +576,6 @@ impl Inner {
         resp
     }
 
-    /// Stop accepting work: callers stop running jobs themselves, and the
-    /// queue's sender goes, so the pool drains and its workers return.
-    fn close(&self) {
-        self.open.store(false, Ordering::SeqCst);
-        *self.queue.lock().unwrap_or_else(|e| e.into_inner()) = None;
-    }
-
     /// The prepared form of `text` in `kind`: shared from the cache, or
     /// parsed and prepared here and kept. The lock is not held while a
     /// text is prepared. A text that does not parse is not kept: `Err` is
@@ -623,10 +596,11 @@ impl Inner {
     }
 }
 
-/// The long-lived service: a catalog, a tenant registry and a worker pool.
+/// The long-lived service: a catalog, a tenant registry and the run-slot
+/// gate. It owns no thread; every run happens on the thread that submitted
+/// it.
 pub struct Service {
     inner: Arc<Inner>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 /// Builder for [`Service`].
@@ -657,6 +631,7 @@ impl ServiceBuilder {
         self
     }
 
+    /// The number of run slots: how many runs may execute at once.
     pub fn workers(mut self, n: usize) -> ServiceBuilder {
         self.workers = n.max(1);
         self
@@ -679,46 +654,20 @@ impl ServiceBuilder {
     }
 
     pub fn build(self) -> Service {
-        let (tx, rx) = mpsc::channel::<Queued>();
-        let rx = Arc::new(Mutex::new(rx));
         let tenant_names: Vec<String> = self.tenants.iter().map(|t| t.name().to_string()).collect();
-        let inner = Arc::new(Inner {
-            catalog: Arc::new(self.catalog),
-            tenants: Arc::new(self.tenants),
-            queue: Mutex::new(Some(tx)),
-            open: AtomicBool::new(true),
-            slots: Slots::new(self.workers),
-            counters: Counters::default(),
-            telemetry: Arc::new(Telemetry::build(&self.telemetry, &tenant_names)),
-            dedup: Mutex::new(Dedup::new(DEDUP_CAPACITY)),
-            prepared: Mutex::new(PreparedCache::new()),
-            chaos: self.chaos,
-        });
-        let workers = (0..self.workers)
-            .map(|i| {
-                let rx = Arc::clone(&rx);
-                let inner = Arc::clone(&inner);
-                // One trace record per worker, reused by every request it
-                // runs.
-                let mut log = TraceLog::new();
-                std::thread::Builder::new()
-                    .name(format!("gql-serve-worker-{i}"))
-                    .spawn(move || loop {
-                        // Hold the receiver lock only while dequeuing.
-                        let (job, reply) = match rx.lock().unwrap_or_else(|e| e.into_inner()).recv()
-                        {
-                            Ok(sent) => sent,
-                            Err(_) => return, // all senders gone: shutdown
-                        };
-                        inner.slots.take_for_worker();
-                        let response = run_job(&inner, job, &mut log);
-                        inner.slots.release();
-                        let _ = reply.send(response);
-                    })
-                    .expect("spawn worker")
-            })
-            .collect();
-        Service { inner, workers }
+        Service {
+            inner: Arc::new(Inner {
+                catalog: Arc::new(self.catalog),
+                tenants: Arc::new(self.tenants),
+                open: AtomicBool::new(true),
+                gate: Gate::new(self.workers),
+                counters: Counters::default(),
+                telemetry: Arc::new(Telemetry::build(&self.telemetry, &tenant_names)),
+                dedup: Mutex::new(Dedup::new(DEDUP_CAPACITY)),
+                prepared: Mutex::new(PreparedCache::new()),
+                chaos: self.chaos,
+            }),
+        }
     }
 }
 
@@ -744,47 +693,15 @@ impl Service {
         &self.inner.catalog
     }
 
-    /// Stop accepting work and join the pool. In-flight jobs finish;
-    /// subsequent submissions through outstanding handles are rejected.
-    pub fn shutdown(mut self) {
-        self.inner.close();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
+    /// Stop accepting work, as dropping the service does. Runs already
+    /// admitted finish; later submissions through outstanding handles are
+    /// refused before admission.
+    pub fn shutdown(self) {}
 }
 
 impl Drop for Service {
     fn drop(&mut self) {
-        self.inner.close();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
-/// A submitted-but-unresolved query: wait for the response, or cancel.
-pub struct Pending {
-    rx: mpsc::Receiver<Response>,
-    cancel: CancelToken,
-}
-
-impl Pending {
-    /// The request's cancel token (cloneable; trip it to abort the run at
-    /// the engine's next checkpoint).
-    pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
-    }
-
-    pub fn cancel(&self) {
-        self.cancel.cancel();
-    }
-
-    /// Block until the response arrives.
-    pub fn wait(self) -> Response {
-        self.rx.recv().unwrap_or_else(|_| {
-            Response::err(ErrorCode::Engine, "worker dropped the reply channel")
-        })
+        self.inner.open.store(false, Ordering::SeqCst);
     }
 }
 
@@ -796,87 +713,38 @@ pub struct ServeHandle {
 }
 
 impl ServeHandle {
-    /// Submit one query and block for its response. When no job waits in
-    /// the queue and a run slot is free, the query runs on this thread;
-    /// otherwise it waits its turn in the queue for a pool worker.
+    /// Submit one query and block for its response. It runs on this
+    /// thread once it holds a run slot.
     pub fn submit(&self, req: &Request) -> Response {
         self.submit_with(req, CancelToken::new())
     }
 
     /// [`ServeHandle::submit`] under a caller's cancel token: tripping it
     /// from another thread aborts the run at the engine's next checkpoint,
-    /// whether it runs on this thread or waits in the queue.
+    /// whether it runs already or still waits at the gate.
     pub fn submit_with(&self, req: &Request, cancel: CancelToken) -> Response {
-        let job = match self.admit(req, &cancel, "query") {
+        self.run(req, cancel, "query")
+    }
+
+    /// Admit a request, take a run slot, and run it on this thread.
+    fn run(&self, req: &Request, cancel: CancelToken, surface: &'static str) -> Response {
+        let job = match self.admit(req, cancel, surface) {
             Ok(Admitted::Job(job)) => job,
-            Ok(Admitted::Joined(rx)) => return Pending { rx, cancel }.wait(),
+            Ok(Admitted::Joined(rx)) => {
+                return rx.recv().unwrap_or_else(|_| {
+                    Response::err(
+                        ErrorCode::Engine,
+                        "the original request ended without a reply",
+                    )
+                })
+            }
             Err(immediate) => return immediate,
         };
         let inner = &*self.inner;
-        if inner.open.load(Ordering::SeqCst) && inner.slots.try_take_for_caller() {
-            let response = CALLER_LOG.with(|log| run_job(inner, job, &mut log.borrow_mut()));
-            inner.slots.release();
-            return response;
-        }
-        match self.enqueue(job) {
-            Ok(rx) => Pending { rx, cancel }.wait(),
-            Err(immediate) => immediate,
-        }
-    }
-
-    /// Submit with a caller-supplied cancel token. The job always goes to
-    /// the pool, so the caller is free while it runs. `Err` is an immediate
-    /// structured rejection (bad request, unknown names, overloaded).
-    pub fn submit_cancellable(
-        &self,
-        req: &Request,
-        cancel: CancelToken,
-    ) -> Result<Pending, Response> {
-        self.submit_with_surface(req, cancel, "query")
-    }
-
-    /// Admit a request and hand its job to the pool.
-    fn submit_with_surface(
-        &self,
-        req: &Request,
-        cancel: CancelToken,
-        surface: &'static str,
-    ) -> Result<Pending, Response> {
-        let rx = match self.admit(req, &cancel, surface)? {
-            Admitted::Job(job) => self.enqueue(job)?,
-            Admitted::Joined(rx) => rx,
-        };
-        Ok(Pending { rx, cancel })
-    }
-
-    /// Send an admitted job to the pool; its reply arrives on the returned
-    /// receiver. `Err` is the refusal when the service is shutting down.
-    fn enqueue(&self, job: Job) -> Result<mpsc::Receiver<Response>, Response> {
-        let (reply, rx) = mpsc::channel();
-        let queue = self.inner.queue.lock().unwrap_or_else(|e| e.into_inner());
-        let (job, refusal) = match queue.as_ref() {
-            None => (
-                job,
-                Response::err(ErrorCode::Overloaded, "service is shutting down"),
-            ),
-            Some(tx) => {
-                self.inner.slots.enqueued();
-                // A send can only fail if the pool is gone, which shutdown
-                // prevents while the sender exists.
-                match tx.send((job, reply)) {
-                    Ok(()) => return Ok(rx),
-                    Err(mpsc::SendError((job, _))) => {
-                        self.inner.slots.unqueued();
-                        (
-                            job,
-                            Response::err(ErrorCode::Engine, "service pool is gone"),
-                        )
-                    }
-                }
-            }
-        };
-        drop(queue);
-        Err(self.inner.abandon(job.dedup_key.as_deref(), refusal))
+        inner.gate.enter();
+        let response = CALLER_LOG.with(|log| run_job(inner, job, &mut log.borrow_mut()));
+        inner.gate.release();
+        response
     }
 
     /// Resolve, prepare and admit a request: the dedup claim, the tenant,
@@ -886,12 +754,22 @@ impl ServeHandle {
     fn admit(
         &self,
         req: &Request,
-        cancel: &CancelToken,
+        cancel: CancelToken,
         surface: &'static str,
     ) -> Result<Admitted, Response> {
         let c = &self.inner.counters;
         let tele = &self.inner.telemetry;
         c.submitted.fetch_add(1, Ordering::SeqCst);
+        // A closed service admits nothing, so every admitted request still
+        // gets its run and its outcome.
+        if !self.inner.open.load(Ordering::SeqCst) {
+            c.refused.fetch_add(1, Ordering::SeqCst);
+            tele.on_submitted(None);
+            return Err(Response::err(
+                ErrorCode::Overloaded,
+                "service is shutting down",
+            ));
+        }
         // Idempotency first: a retried request id is answered from (or
         // parked on) the original execution before any tenant accounting,
         // so the per-tenant conservation law is untouched by replays.
@@ -983,18 +861,16 @@ impl ServeHandle {
                 meta,
             },
             budget: tenant.envelope().per_query.clone(),
-            cancel: cancel.clone(),
+            cancel,
             dedup_key,
             permit,
             epoch,
         }))
     }
 
-    /// Submit a batch sharing one catalog snapshot and plan-cache warmup:
-    /// the first occurrence of each distinct (dataset, kind, query) runs
-    /// first (the *leader*, planting the plan-cache entry), then every
-    /// repeat runs warm, concurrently. Responses come back in request
-    /// order.
+    /// Submit a batch: its items run one after another on this thread, in
+    /// request order, each through the gate, so a repeat runs warm behind
+    /// its first occurrence. Responses come back in request order.
     pub fn submit_batch(&self, reqs: &[Request]) -> Vec<Response> {
         self.submit_batch_with(reqs, &CancelToken::new())
     }
@@ -1006,37 +882,9 @@ impl ServeHandle {
         reqs: &[Request],
         cancel: &CancelToken,
     ) -> Vec<Response> {
-        let mut leaders: Vec<usize> = Vec::new();
-        let mut followers: Vec<usize> = Vec::new();
-        let mut seen: Vec<(&str, &str, &str)> = Vec::new();
-        for (i, r) in reqs.iter().enumerate() {
-            let key = (r.dataset.as_str(), r.kind.as_str(), &*r.query);
-            if seen.contains(&key) {
-                followers.push(i);
-            } else {
-                seen.push(key);
-                leaders.push(i);
-            }
-        }
-        let mut out: Vec<Option<Response>> = (0..reqs.len()).map(|_| None).collect();
-        for wave in [leaders, followers] {
-            let pending: Vec<(usize, Result<Pending, Response>)> = wave
-                .into_iter()
-                .map(|i| {
-                    (
-                        i,
-                        self.submit_with_surface(&reqs[i], cancel.clone(), "batch"),
-                    )
-                })
-                .collect();
-            for (i, p) in pending {
-                out[i] = Some(match p {
-                    Ok(pending) => pending.wait(),
-                    Err(immediate) => immediate,
-                });
-            }
-        }
-        out.into_iter().map(Option::unwrap).collect()
+        reqs.iter()
+            .map(|req| self.run(req, cancel.clone(), "batch"))
+            .collect()
     }
 
     /// Resolve the dataset and prepare the query (the tenant is resolved
@@ -1155,8 +1003,8 @@ pub fn parse_query(kind: &str, query: &str) -> Result<QueryKind, String> {
     }
 }
 
-/// Run one admitted job that holds a run slot, on a pool worker or on the
-/// caller's thread, traced into that thread's reused `log`. The run is
+/// Run one admitted job that holds a run slot, on the thread that
+/// submitted it, traced into that thread's reused `log`. The run is
 /// supervised: a panicking job (engine bug, or an injected `panic_jobs`
 /// fault) unwinds to here and is answered structurally, and the thread
 /// goes on serving. The response is published to the dedup map, and the
@@ -1484,10 +1332,7 @@ mod tests {
         let h = service.handle();
         let cancel = CancelToken::new();
         cancel.cancel(); // pre-cancelled: trips at the first checkpoint
-        let pending = h
-            .submit_cancellable(&Request::new("public", "bib", "xpath", "//title"), cancel)
-            .expect("admitted");
-        let resp = pending.wait();
+        let resp = h.submit_with(&Request::new("public", "bib", "xpath", "//title"), cancel);
         let Response::Err(e) = &resp else {
             panic!("pre-cancelled run must not complete: {resp:?}");
         };
@@ -1652,15 +1497,10 @@ mod tests {
             .build();
         let h = service.handle();
         let req = Request::new("public", "bib", "xpath", "//title");
-        // One panic on this thread (an idle service runs a blocking submit
-        // here), one on a pool worker (a cancellable submit always queues).
+        // One panic on a caller that found a free slot, one on a caller that
+        // waited at the gate.
         let poisoned = fault::with_plan(fault::FaultPlan::panic_jobs(2), || {
-            [
-                h.submit(&req),
-                h.submit_cancellable(&req, CancelToken::new())
-                    .expect("admitted")
-                    .wait(),
-            ]
+            [h.submit(&req), submit_at_the_gate(&h, &req, || {})]
         });
         for reply in &poisoned {
             assert_eq!(
@@ -1669,11 +1509,11 @@ mod tests {
                 "a panicked job answers structurally"
             );
         }
-        // This thread and the workers keep serving after the panics.
+        // Both kinds of caller keep running queries after the panics.
         for _ in 0..3 {
-            assert!(h.submit(&req).is_ok(), "the caller survives the panic");
-            let pooled = h.submit_cancellable(&req, CancelToken::new()).unwrap();
-            assert!(pooled.wait().is_ok(), "the pool survives the panic");
+            assert!(h.submit(&req).is_ok(), "a caller with a free slot runs");
+            let waited = submit_at_the_gate(&h, &req, || {});
+            assert!(waited.is_ok(), "a caller that waited runs");
         }
         let m = h.metrics();
         assert_eq!(m.failed, 2);
@@ -1834,56 +1674,78 @@ mod tests {
             .tenants(tenants)
             .build();
         let h = service.handle();
-        // Hold the only slot with a cancellable query that we let finish
-        // naturally — but first observe a rejection while it is in flight.
+        // The first request holds the tenant's only permit while it waits
+        // for the run slot: a second one, meanwhile, is rejected.
         let slow = Request::new("t", "d", "xpath", "//a");
-        let held = h
-            .submit_cancellable(&slow, CancelToken::new())
-            .expect("first admission");
-        // The held pending's job may or may not have started; either way
-        // its permit is live until just before the worker replies, so a
-        // second submission races admission. Rejection is only guaranteed
-        // while the slot is held, so assert on the metrics invariant
-        // instead.
-        let second = h.submit(&slow);
-        let _ = held.wait();
+        let mut second = None;
+        let held = submit_at_the_gate(&h, &slow, || second = Some(h.submit(&slow)));
+        assert!(held.is_ok(), "{held:?}");
+        assert_eq!(
+            second.and_then(|r| r.error_code()),
+            Some(ErrorCode::Overloaded)
+        );
         let m = h.metrics();
-        assert_eq!(m.submitted, 2);
-        assert_eq!(m.admitted + m.rejected, m.submitted);
-        if let Some(code) = second.error_code() {
-            assert_eq!(code, ErrorCode::Overloaded);
-        }
+        assert_eq!((m.submitted, m.admitted, m.rejected), (2, 1, 1));
+        // The permit was released with the reply.
+        assert!(h.submit(&slow).is_ok());
         service.shutdown();
+    }
+
+    /// Wait, without sleeping, until `done` holds; fail after a minute.
+    fn wait_until(what: &str, done: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        while !done() {
+            assert!(std::time::Instant::now() < deadline, "never: {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Submit `req` from another thread while this one holds every run
+    /// slot, so that it waits at the gate; once it waits, call `meanwhile`,
+    /// then give the slots back and return its reply.
+    fn submit_at_the_gate(h: &ServeHandle, req: &Request, meanwhile: impl FnOnce()) -> Response {
+        let gate = &h.inner.gate;
+        for _ in 0..gate.limit {
+            gate.enter();
+        }
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| h.submit(req));
+            wait_until("the submit waits at the gate", || {
+                gate.waiting.load(Ordering::SeqCst) == 1
+            });
+            meanwhile();
+            for _ in 0..gate.limit {
+                gate.release();
+            }
+            waiter.join().expect("the waiting submit")
+        })
     }
 
     #[test]
     fn run_slots_never_let_more_than_their_limit_run() {
-        let slots = Slots::new(2);
+        let gate = Gate::new(2);
         let (running, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
         let rounds = if cfg!(miri) { 3 } else { 200 };
         std::thread::scope(|s| {
-            for t in 0..5 {
-                let (slots, running, peak) = (&slots, &running, &peak);
+            for _ in 0..5 {
+                let (gate, running, peak) = (&gate, &running, &peak);
                 s.spawn(move || {
-                    for i in 0..rounds {
-                        // Every other attempt goes the pool's way: into the
-                        // queue, then a slot as a worker takes one.
-                        if (t + i) % 2 == 1 || !slots.try_take_for_caller() {
-                            slots.enqueued();
-                            slots.take_for_worker();
-                        }
+                    for _ in 0..rounds {
+                        gate.enter();
                         let now = running.fetch_add(1, Ordering::SeqCst) + 1;
                         peak.fetch_max(now, Ordering::SeqCst);
                         std::thread::yield_now();
                         running.fetch_sub(1, Ordering::SeqCst);
-                        slots.release();
+                        gate.release();
                     }
                 });
             }
         });
         assert!(peak.into_inner() <= 2);
-        assert_eq!(slots.running.into_inner(), 0);
-        assert_eq!(slots.queued.into_inner(), 0);
+        assert_eq!(gate.running.into_inner(), 0);
+        assert_eq!(gate.waiting.into_inner(), 0);
+        let (handed, served) = gate.tickets.into_inner().unwrap();
+        assert_eq!(handed, served, "every ticket was served");
     }
 
     #[test]
@@ -1937,7 +1799,7 @@ mod tests {
     }
 
     #[test]
-    fn a_queued_job_is_not_overtaken_by_a_later_caller() {
+    fn a_waiter_is_not_overtaken_by_a_later_caller() {
         let mut catalog = Catalog::new();
         catalog.register_xml("d", "<r><a/></r>").unwrap();
         let mut tenants = TenantRegistry::new();
@@ -1949,36 +1811,66 @@ mod tests {
             .build();
         let h = service.handle();
         let req = Request::new("t", "d", "xpath", "//a");
-        // Stand in for a caller's run holding the only slot, so the next
-        // job has to queue.
-        assert!(h.inner.slots.try_take_for_caller());
-        let queued = h.submit_cancellable(&req, CancelToken::new()).unwrap();
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
-        while h.inner.slots.waiting.load(Ordering::SeqCst) == 0 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "the worker never waited for the held slot"
-            );
-            std::thread::yield_now();
-        }
-        // The worker holds the job and waits for the slot, which frees; a
-        // caller arrives while the worker wakes, and queues behind the job
-        // instead of taking the slot.
-        let still_queued = h.inner.slots.queued.load(Ordering::SeqCst);
-        h.inner.slots.release();
-        assert!(h.submit(&req).is_ok());
-        assert!(queued.wait().is_ok());
-        assert_eq!(still_queued, 1, "a waiting job still counts as queued");
-        let starts: Vec<u64> = h
-            .metrics_report()
-            .events
-            .iter()
-            .filter(|e| e.kind == EventKind::Start)
-            .map(|e| e.request_id)
-            .collect();
-        assert_eq!(starts.len(), 2);
-        assert!(starts[0] < starts[1], "the queued job started first");
+        let gate = &h.inner.gate;
+        // Stand in for a run holding the only slot: A waits for it, then B
+        // arrives and waits behind A.
+        gate.enter();
+        std::thread::scope(|s| {
+            let a = s.spawn(|| h.submit(&req));
+            wait_until("A waits", || gate.waiting.load(Ordering::SeqCst) == 1);
+            let b = s.spawn(|| h.submit(&req));
+            wait_until("B waits", || gate.waiting.load(Ordering::SeqCst) == 2);
+            // The slot frees, and a caller arrives while A wakes: it lines
+            // up behind both.
+            gate.release();
+            assert!(h.submit(&req).is_ok());
+            assert!(a.join().unwrap().is_ok() && b.join().unwrap().is_ok());
+        });
+        // Request ids are handed out at admission: A, B, then the caller.
+        let events = h.metrics_report().events;
+        let ids = |kind| -> Vec<u64> {
+            (events.iter())
+                .filter(|e| e.kind == kind)
+                .map(|e| e.request_id)
+                .collect()
+        };
+        let starts = ids(EventKind::Start);
+        assert_eq!(starts.len(), 3);
+        assert_eq!(starts, ids(EventKind::Admit), "runs start in arrival order");
         service.shutdown();
+    }
+
+    #[test]
+    fn a_submit_after_shutdown_is_refused_once_and_every_law_holds() {
+        let service = demo_service();
+        let h = service.handle();
+        let req = Request::new("public", "bib", "xpath", "//title");
+        assert!(h.submit(&req).is_ok());
+        // A request that waits at the gate when the service shuts down was
+        // admitted: it still runs.
+        let waited = submit_at_the_gate(&h, &req, move || service.shutdown());
+        assert!(waited.is_ok(), "{waited:?}");
+        // One after it is refused before admission, with or without a key.
+        for req in [req.clone(), req.clone().with_request_id("r-1")] {
+            assert_eq!(
+                h.submit(&req),
+                Response::err(ErrorCode::Overloaded, "service is shutting down")
+            );
+        }
+        let m = h.metrics();
+        assert_eq!(
+            (m.submitted, m.admitted, m.refused, m.completed),
+            (4, 2, 2, 2)
+        );
+        assert_eq!(m.admitted + m.rejected + m.refused + m.deduped, m.submitted);
+        assert_eq!(
+            m.completed + m.cancelled + m.budget_tripped + m.failed,
+            m.admitted
+        );
+        assert_eq!(
+            h.metrics_report().event_stats.appended,
+            4 * m.admitted + m.cancelled + m.budget_tripped
+        );
     }
 
     #[test]

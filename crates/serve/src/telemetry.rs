@@ -204,8 +204,7 @@ impl Telemetry {
         }
     }
 
-    /// The job took its run slot: a pool worker dequeued it, or its caller
-    /// runs it.
+    /// The job took its run slot at the gate, and its caller runs it.
     pub(crate) fn on_dequeue(&self, meta: &RequestMeta) {
         self.probes.fetch_add(1, Ordering::Relaxed);
         self.events.record(Event {

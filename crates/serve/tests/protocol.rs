@@ -15,8 +15,8 @@
 //! * slow-loris writers — a stalled half-open connection is reaped by
 //!   the server's read timeout instead of pinning a thread forever;
 //! * hang-ups mid-run — a client that sends a query or a batch and hangs
-//!   up has every unfinished run of it cancelled, whether the run was on
-//!   its connection thread or queued for a pool worker.
+//!   up has every unfinished run of it cancelled, whether the run had
+//!   started or still waited at the gate for a run slot.
 //!
 //! The good paths are driven end to end here too — a three-language batch,
 //! a hot reload and a query on the new epoch, the quota refusal — and every
@@ -621,7 +621,7 @@ fn stalled() -> FaultPlan {
     }
 }
 
-/// A server over `d` with `workers` pool workers, and its one tenant.
+/// A server over `d` with `workers` run slots, and its one tenant.
 fn watched_server(workers: usize) -> (Service, Server, Arc<Tenant>) {
     let mut catalog = Catalog::new();
     catalog

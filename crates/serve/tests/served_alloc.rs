@@ -9,12 +9,11 @@
 //! admission, the run and the reply; on the wire, also the client's and the
 //! server's frames and JSON. Ceilings only ever go down.
 //!
-//! A request sent to an idle service runs on the calling thread (on the
-//! wire, the connection's thread), but one that finds the run slots busy or
-//! a job queued runs on a pool worker, so the allocator counts every thread,
-//! the client's and the server's alike. This binary therefore holds a single
-//! test, which sends one request at a time; the slow-query log is off, so
-//! no request's timing decides what it allocates.
+//! A request runs on the calling thread (on the wire, the connection's
+//! thread), and the allocator counts every thread, the client's and the
+//! server's alike. This binary therefore holds a single test, which sends
+//! one request at a time; the slow-query log is off, so no request's
+//! timing decides what it allocates.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -12,12 +12,12 @@
 //! * **dropped replies** — the reply vanishes entirely (mid-stream
 //!   disconnect after the work completed);
 //! * **run panics** — an injected panic inside a wire run, on its
-//!   connection thread or a pool worker; the run is supervised, answered
-//!   structurally, and the thread keeps serving;
+//!   connection thread; the run is supervised, answered structurally, and
+//!   the thread keeps serving;
 //! * **caller panics** — the same panics under in-process blocking
-//!   submits, which run on the callers' own threads: each is answered
-//!   structurally, published for its idempotency key, and releases its
-//!   permit;
+//!   submits from more callers than the service has run slots, so some
+//!   runs wait at the gate first: each panic is answered structurally,
+//!   published for its idempotency key, and releases its permit;
 //! * **slow-loris writers** — a client that opens a frame and stalls is
 //!   reaped by the server's read timeout without pinning a thread;
 //! * **torn requests** — garbage and truncated frames from the client
@@ -263,11 +263,11 @@ fn storm(
 }
 
 /// Storm every prepared case in process under `panic_jobs`, round after
-/// round until all [`CALLER_PANICS`] tokens are spent. The submits block,
-/// come from no more threads than the pool has workers, and find nothing
-/// queued, so every run is a caller's run and every panic unwinds on a
-/// caller's thread. Each request carries an idempotency key. Returns the
-/// failures found.
+/// round until all [`CALLER_PANICS`] tokens are spent. The submits block
+/// and come from twice as many threads as the service has run slots, so
+/// some of them wait at the gate before they run; every run, and every
+/// panic, is on its caller's thread. Each request carries an idempotency
+/// key. Returns the failures found.
 fn caller_panics(
     handle: &ServeHandle,
     prepared: &[Prepared],
@@ -280,7 +280,7 @@ fn caller_panics(
         for round in 0..8 {
             let next = AtomicUsize::new(0);
             std::thread::scope(|s| {
-                for _ in 0..THREADS {
+                for _ in 0..2 * THREADS {
                     s.spawn(|| loop {
                         let i = next.fetch_add(1, Ordering::SeqCst);
                         let Some(case) = prepared.get(i) else {
@@ -411,7 +411,7 @@ pub fn check_cases(
     storm(addr, &prepared, seed, false, &failures, &requests, &retries);
     scenarios += 1;
 
-    // Scenarios 2–4: the guard's reply/pool seams, one token budget per
+    // Scenarios 2–4: the guard's reply and run seams, one token budget per
     // storm. Budgets stay below the client's attempt budget so a correct
     // retry loop always lands; `with_plan` serializes plans process-wide.
     for (label, plan, allow_panic) in [

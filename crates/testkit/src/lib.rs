@@ -44,7 +44,7 @@
 //!   checks.
 //! * [`chaos_oracle`] — the service-layer chaos matrix: the corpus
 //!   stormed through a real TCP server and the retrying client while
-//!   replies are torn, workers panic, slow-loris connections stall, and
+//!   replies are torn, runs panic, slow-loris connections stall, and
 //!   the catalog hot-reloads epochs mid-storm — answers held
 //!   byte-identical throughout, permits and telemetry conserved exactly.
 //!

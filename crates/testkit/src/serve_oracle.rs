@@ -230,10 +230,7 @@ pub fn check_cases_concurrently(
         let cancel = CancelToken::new();
         cancel.cancel();
         requests.fetch_add(2, Ordering::SeqCst);
-        let cancelled = match handle.submit_cancellable(&req, cancel) {
-            Ok(p) => p.wait(),
-            Err(immediate) => immediate,
-        };
+        let cancelled = handle.submit_with(&req, cancel);
         match &cancelled {
             Response::Err(e) if e.code == ErrorCode::Cancelled => {
                 if e.report.as_deref().is_none_or(|r| !r.starts_with("phase=")) {
