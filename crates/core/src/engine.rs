@@ -327,12 +327,13 @@ impl Engine {
         }
     }
 
-    /// Resolve the [`DocIndex`] for an XML-GL run: the `resident` index on a
-    /// cache hit, otherwise a fresh build parked in `storage`. XML-GL
-    /// evaluates over the index only, so the run is refused with
-    /// [`CoreError::IndexUnavailable`] when the fault-injection seam fails
-    /// the build outright, or corrupts the fresh build's postings and the
-    /// integrity check rejects them. It does not rebuild: the plan stays
+    /// Resolve the [`DocIndex`] for a run of either index surface: the
+    /// `resident` index on a cache hit, otherwise a fresh build parked in
+    /// `storage` (an XPath run comes here cold only under a fault plan).
+    /// The run is refused with [`CoreError::IndexUnavailable`] when the
+    /// fault-injection seam fails the build outright, or corrupts the fresh
+    /// build's postings and the integrity check rejects them; neither
+    /// surface answers some other way. It does not rebuild: the plan stays
     /// installed for the whole run, so a rebuild fails alike. The integrity
     /// verification is O(index size), so it is only armed while a fault
     /// plan is active.
@@ -667,17 +668,14 @@ impl Engine {
                 let start = Instant::now();
                 let span = ctx.phase("index");
                 trace.note("cache", self.cache_state(resident.is_some()));
-                // The XPath evaluator builds its own index lazily on the cold
-                // path, so the fault seam must force scan *mode* (which also
-                // suppresses the lazy build), not just withhold the resident
-                // index.
-                let scan_only =
-                    fault::active() && (fault::fail_index_build() || fault::corrupt_postings());
-                let idx = if scan_only {
-                    trace.note("degraded", "scan");
-                    None
-                } else {
-                    resident.map(|r| &r.index)
+                // A cold run leaves the index to the evaluator, which builds
+                // one only if a step asks for it. Under a fault plan the
+                // index is resolved here, where the seam can fail it, and a
+                // run that cannot have one is refused as XML-GL's is.
+                let mut built = None;
+                let idx = match resident {
+                    None if !fault::active() => None,
+                    _ => Some(Self::resolve_index(resident, doc, &mut built)?),
                 };
                 if let (true, Some(idx)) = (trace.is_enabled(), idx) {
                     record_index_stats(trace, idx);
@@ -686,12 +684,7 @@ impl Engine {
                 guard.checkpoint().map_err(CoreError::Budget)?;
                 let value = {
                     let _s = ctx.phase("eval");
-                    if scan_only {
-                        gql_xpath::evaluate_scan(doc, parsed, ctx)
-                    } else {
-                        gql_xpath::evaluate_in(doc, parsed, idx, ctx)
-                    }
-                    .map_err(engine_err_xpath)?
+                    gql_xpath::evaluate_in(doc, parsed, idx, ctx).map_err(engine_err_xpath)?
                 };
                 let eval_time = start.elapsed();
                 let span = ctx.phase("construct");
@@ -1127,33 +1120,21 @@ mod tests {
     }
 
     #[test]
-    fn index_faults_degrade_xpath_to_a_scan_with_identical_answers() {
-        let d = doc();
-        let q = equivalent_queries().remove(2);
-        let baseline = Engine::new().run(&q, &d).unwrap().output.to_xml_string();
-        for plan in index_faults() {
-            let (out, profile) = faulted(plan.clone(), &q, &d);
-            assert_eq!(out.unwrap().output.to_xml_string(), baseline, "{plan:?}");
-            let profile = profile.unwrap();
-            let idx = profile.find("run").unwrap().find("index").unwrap();
-            assert_eq!(idx.note("degraded"), Some("scan"), "{plan:?}");
-        }
-    }
-
-    #[test]
     fn index_faults_refuse_xmlgl_by_name() {
         let d = doc();
-        let q = equivalent_queries().remove(0);
-        for (plan, reason) in index_faults().into_iter().zip([
-            "the index build failed",
-            "the index failed its integrity check",
-        ]) {
-            let (out, _) = faulted(plan.clone(), &q, &d);
-            assert_eq!(
-                out.unwrap_err(),
-                CoreError::IndexUnavailable { reason },
-                "{plan:?}"
-            );
+        let mut queries = equivalent_queries();
+        for q in [queries.remove(2), queries.remove(0)] {
+            for (plan, reason) in index_faults().into_iter().zip([
+                "the index build failed",
+                "the index failed its integrity check",
+            ]) {
+                let (out, _) = faulted(plan.clone(), &q, &d);
+                assert_eq!(
+                    out.unwrap_err(),
+                    CoreError::IndexUnavailable { reason },
+                    "{plan:?} {q:?}"
+                );
+            }
         }
     }
 

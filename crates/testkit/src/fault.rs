@@ -5,15 +5,16 @@
 //! wrong answer, a hang, or a process abort. The acceptable outcomes are:
 //!
 //! 1. *graceful degradation*: the faulted bounded run returns exactly the
-//!    bytes of the unfaulted baseline (XPath without its index answers from
-//!    a scan, a corrupt cached plan is replanned, WG-Log reads no index);
+//!    bytes of the unfaulted baseline (a corrupt cached plan is replanned,
+//!    WG-Log reads no index);
 //! 2. *clean refusal*: the faulted run surfaces a structured
 //!    [`CoreError::Budget`] whose partial-progress report names the phase
 //!    reached (a stalled fixpoint tripping its deadline, a cancelled run);
-//! 3. *refusal by name*: an XML-GL run, which evaluates over the index only,
+//! 3. *refusal by name*: a run of either index surface (XML-GL or XPath)
 //!    returns [`CoreError::IndexUnavailable`] under `fail_index_build` or
-//!    `corrupt_postings` — and only where its baseline answered or failed in
-//!    evaluation. Anywhere else that error is a failure.
+//!    `corrupt_postings` wherever its baseline answered or failed in
+//!    evaluation, and must: an answer there means a path that does without
+//!    the index survived. Anywhere else that error is a failure.
 //!
 //! Baseline errors (analyzer-rejected programs, syntax errors) must stay
 //! errors under fault — a fault may not *un*-reject a program, and a
@@ -72,7 +73,7 @@ pub fn query_kinds(generator: Generator, query: &str) -> Vec<QueryKind> {
 
 /// What a fault sweep saw: the `(seed, generator, plan)` cells it ran, the
 /// faulted runs that answered with their baseline's exact bytes, and the
-/// XML-GL runs refused by name for want of an index.
+/// XML-GL and XPath runs refused by name for want of an index.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct FaultTally {
     pub cells: u64,
@@ -83,8 +84,8 @@ pub struct FaultTally {
 /// Check one `(document, query, fault, budget)` case: run the unfaulted,
 /// unlimited baseline, then the same query bounded by `budget` with `plan`
 /// installed, and demand degradation-to-correct, a clean budget error, or a
-/// refusal by name where one is allowed. Answers and refusals are counted
-/// into `tally`.
+/// refusal by name where one is due. Answers and refusals are counted into
+/// `tally`.
 pub fn check_fault_case(
     generator: Generator,
     doc_xml: &str,
@@ -102,9 +103,21 @@ pub fn check_fault_case(
             let guard = Guard::new(budget.clone());
             Engine::new().execute(&kind, &doc, RunCtx::guarded(&guard))
         });
-        let refusable =
-            (plan.fail_index_build || plan.corrupt_postings) && matches!(kind, QueryKind::XmlGl(_));
+        let refusable = (plan.fail_index_build || plan.corrupt_postings)
+            && matches!(kind, QueryKind::XmlGl(_) | QueryKind::XPath(_));
         match (baseline, faulted) {
+            (Ok(_) | Err(CoreError::Engine { .. }), Err(CoreError::IndexUnavailable { .. }))
+                if refusable =>
+            {
+                tally.refused += 1;
+            }
+            (Ok(_), f) if refusable => {
+                return Err(format!(
+                    "fault-refusal: {plan:?} left a run of an index surface unrefused \
+                     (faulted: {})",
+                    f.map_or_else(|e| e.to_string(), |_| "answered".to_string())
+                ));
+            }
             (Ok(b), Ok(f)) => {
                 let (b, f) = (b.output.to_xml_string(), f.output.to_xml_string());
                 if b != f {
@@ -122,11 +135,6 @@ pub fn check_fault_case(
                         "fault-refusal: {plan:?} produced a degenerate budget report: {g}"
                     ));
                 }
-            }
-            (Ok(_) | Err(CoreError::Engine { .. }), Err(CoreError::IndexUnavailable { .. }))
-                if refusable =>
-            {
-                tally.refused += 1;
             }
             (be, Err(fe @ CoreError::IndexUnavailable { .. })) => {
                 return Err(format!(
@@ -201,7 +209,7 @@ mod tests {
             4 * Generator::ALL.len() as u64 * all_plans().len() as u64
         );
         // Neither outcome is vacuous: some runs answer under a fault, and
-        // some XML-GL runs are refused for want of an index.
+        // some runs of the index surfaces are refused for want of an index.
         assert!(tally.degraded > 0, "{tally:?}");
         assert!(tally.refused > 0, "{tally:?}");
     }

@@ -329,10 +329,13 @@ pub struct XPathVocab<'a> {
 /// `or` and `not()` over paths, two-step and attribute paths, relational
 /// comparisons on child text and attributes with the path on either side,
 /// a relational comparison with an absolute path, `.`, `*` and `@*`
-/// operands, and a predicate nested inside the predicate's path.
+/// operands, and a predicate nested inside the predicate's path. Arm 23
+/// compares a node-set with a boolean under every operator (§3.4 compares
+/// the node-set's boolean then), and arm 24 follows an attribute's value
+/// through `id()`, which on a web graph's `ref` reaches real elements.
 fn xpath_predicate(rng: &mut Rng, v: &XPathVocab<'_>) -> String {
     let relational = |rng: &mut Rng| ["<", "<=", ">", ">="][rng.gen_range(0..4)];
-    match rng.gen_range(0..24) {
+    match rng.gen_range(0..26) {
         0 => format!("@{}", pick(rng, v.attrs)),
         1 => format!("@{}='{}'", pick(rng, v.attrs), pick(rng, v.values)),
         2 => pick(rng, v.tags).to_string(),
@@ -405,6 +408,26 @@ fn xpath_predicate(rng: &mut Rng, v: &XPathVocab<'_>) -> String {
                 format!("{t}[@{a}]")
             } else {
                 format!("{t}[@{a} = '{}']", pick(rng, v.values))
+            }
+        }
+        23 => {
+            let (t, b) = (
+                pick(rng, v.tags),
+                ["true()", "false()"][rng.gen_range(0..2)],
+            );
+            let op = ["=", "!=", "<", "<=", ">", ">="][rng.gen_range(0..6)];
+            match rng.gen_range(0..3) {
+                0 => format!("{t} {op} {b}"),
+                1 => format!("{b} {op} {t}"),
+                _ => format!("not({t}) {op} {}", pick(rng, v.tags)),
+            }
+        }
+        24 => {
+            let a = pick(rng, v.attrs);
+            if rng.gen_bool(0.5) {
+                format!("id(@{a})")
+            } else {
+                format!("id(@{a})/{}", pick(rng, v.tags))
             }
         }
         // Two predicates on one step, one positional and one not, in either

@@ -21,16 +21,19 @@
 //!   graphs: the `Vec`-of-rows, owned-`String` recursion the matcher's
 //!   binding table replaced, with nested-loop joins over content-key
 //!   strings. It shares nothing with the matcher it is held against.
+//!   [`reference::xpath`] is the textbook XPath 1.0 evaluator, written
+//!   against `Document` alone, that `gql_xpath` is held to.
 //! * [`oracle`] — differential oracles over every dual execution path
-//!   (matcher vs reference, semi-naive vs naive fixpoint, prebuilt vs lazy
-//!   index, translated vs direct) plus
+//!   (XML-GL matcher vs reference, XPath evaluator with a prebuilt or a
+//!   lazy index vs reference, semi-naive vs naive fixpoint, translated vs
+//!   direct) plus
 //!   metamorphic properties (print→parse round-trips, re-serialization
 //!   invariance, prune monotonicity).
 //! * [`fault`] — fault-injection differential oracles: every
 //!   [`FaultPlan`](gql_guard::fault::FaultPlan) variant driven against
 //!   every generator, proving injected faults degrade to the correct
-//!   answer, surface a clean budget error, or (XML-GL without an index)
-//!   refuse by name — never a wrong answer.
+//!   answer, surface a clean budget error, or (XML-GL or XPath without an
+//!   index) refuse by name — never a wrong answer.
 //! * [`shrink`] — greedy delta-debugging that minimizes both the failing
 //!   document and the failing query.
 //! * [`fuzz`] — the budgeted runner behind the `gql-fuzz` binary.

@@ -775,12 +775,6 @@ pub fn check_wglog_case(doc: &Document, src: &str) -> Result<(), String> {
 // XPath: lazy and indexed evaluation vs the reference evaluator
 // ----------------------------------------------------------------------
 
-/// The textbook XPath evaluator (scan mode, the engine's degradation
-/// target): every step per context node, no index, no fusion, no hoisting.
-fn xpath_reference(doc: &Document, expr: &gql_xpath::Expr) -> gql_xpath::Result<XValue> {
-    gql_xpath::evaluate_scan(doc, expr, RunCtx::none())
-}
-
 fn xvalue_eq(a: &XValue, b: &XValue) -> bool {
     match (a, b) {
         (XValue::Num(x), XValue::Num(y)) => (x.is_nan() && y.is_nan()) || x == y,
@@ -833,9 +827,8 @@ pub fn check_xpath_case(doc: &Document, src: &str) -> Result<(), String> {
     let idx = DocIndex::build(doc);
     check_summary_paths(doc, &idx)?;
     // The set-at-a-time entry points (lazily built and prebuilt index)
-    // against the textbook evaluator, which shares none of their fusion,
-    // hoisting or postings reads.
-    let reference = xpath_reference(doc, &expr);
+    // against the textbook evaluator, which shares none of their code.
+    let reference = crate::reference::xpath::evaluate(doc, &expr);
     for (path, got) in [
         ("lazy", gql_xpath::evaluate(doc, &expr)),
         ("indexed", gql_xpath::evaluate_with_index(doc, &expr, &idx)),
@@ -927,7 +920,7 @@ pub fn intent_xpath_count(doc: &Document, intent: &Intent) -> Result<usize, Stri
     let idx = DocIndex::build(doc);
     let count = |path: &str| -> Result<usize, String> {
         let expr = gql_xpath::parse(path).map_err(|e| format!("intent-xpath: {e} in {path}"))?;
-        let reference = xpath_reference(doc, &expr)
+        let reference = crate::reference::xpath::evaluate(doc, &expr)
             .map_err(|e| format!("intent-xpath: reference evaluation failed: {e}"))?;
         let lazy = gql_xpath::evaluate(doc, &expr)
             .map_err(|e| format!("intent-xpath: lazy evaluation failed: {e}"))?;

@@ -18,6 +18,11 @@
 //! assignment of the binding query nodes, and checks every edge by scanning
 //! the instance's edge list and every regular path by its own BFS over that
 //! list.
+//!
+//! [`xpath`] is the textbook XPath 1.0 evaluator `gql_xpath` is checked
+//! against.
+
+pub mod xpath;
 
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet, VecDeque};

@@ -131,14 +131,6 @@ pub(crate) struct EvalCaches<'d> {
     /// with the outer path's spans. Only the outermost `apply_steps` call
     /// traces; predicate work shows up inside the enclosing step's span.
     in_steps: std::cell::Cell<bool>,
-    /// Reference mode ([`evaluate_scan`]): the textbook evaluator.
-    /// Every step is applied per context node by axis enumeration; no
-    /// postings, no lazily built index, no `//Name` fusion, no hoisting, no
-    /// walked predicates and no skipped normalisation. It is the
-    /// degradation target when an index build fails and the oracle the
-    /// set-at-a-time paths are held to, so nothing that makes those fast
-    /// may be shared with it.
-    reference: bool,
     /// Node-sets of the absolute paths met inside predicates, keyed by the
     /// address of the `LocationPath` (an identity for as long as the
     /// expression is borrowed, i.e. for this evaluation; never
@@ -187,7 +179,6 @@ impl Default for EvalCaches<'_> {
             idx: IndexSlot::Lazy(std::cell::OnceCell::new()),
             ctx: RunCtx::none(),
             in_steps: std::cell::Cell::new(false),
-            reference: false,
             hoisted: std::cell::RefCell::new(Vec::new()),
             walks: std::cell::RefCell::new(Vec::new()),
         }
@@ -238,17 +229,9 @@ struct Ctx<'d> {
     size: usize,
     caches: &'d EvalCaches<'d>,
     /// Set below a predicate, where an expression is evaluated once per
-    /// candidate and an absolute path is therefore worth memoising.
+    /// candidate: an absolute path is therefore worth memoising, and a
+    /// relative one read as a truth value is walked.
     in_predicate: bool,
-}
-
-impl Ctx<'_> {
-    /// Below a predicate of any evaluation but the reference: where an
-    /// absolute path is hoisted and a relative one read as a truth value is
-    /// walked.
-    fn per_candidate(self) -> bool {
-        self.in_predicate && !self.caches.reference
-    }
 }
 
 /// Evaluate an expression with the document node as the context item.
@@ -291,35 +274,12 @@ pub fn evaluate_in(
     if let Some(idx) = idx {
         caches.idx = IndexSlot::Borrowed(idx);
     }
-    eval_with_caches(doc, expr, &caches)
-}
-
-/// [`evaluate_in`] by the textbook evaluator: every step applied per context
-/// node by axis enumeration, with no index (none is built either), no step
-/// fusion, no hoisting and no walked predicates. This is the degradation
-/// target the engine falls back to when an index build fails or its
-/// integrity verification rejects it, and the reference the testkit holds
-/// the other entry points to; results are identical to theirs.
-pub fn evaluate_scan(doc: &Document, expr: &Expr, ctx: RunCtx<'_>) -> Result<XValue> {
-    let caches = EvalCaches {
-        ctx,
-        reference: true,
-        ..EvalCaches::default()
-    };
-    eval_with_caches(doc, expr, &caches)
-}
-
-fn eval_with_caches<'d>(
-    doc: &'d Document,
-    expr: &Expr,
-    caches: &'d EvalCaches<'d>,
-) -> Result<XValue> {
     let ctx = Ctx {
         doc,
         item: Item::Node(doc.root()),
         position: 1,
         size: 1,
-        caches,
+        caches: &caches,
         in_predicate: false,
     };
     eval_expr(expr, ctx)
@@ -571,7 +531,7 @@ fn eval_path(p: &LocationPath, ctx: Ctx<'_>) -> Result<Vec<Item>> {
 /// Whether `p` is evaluated through [`hoisted_path`]: an absolute path
 /// below a predicate (anywhere else it is evaluated once anyway).
 fn hoistable(p: &LocationPath, ctx: Ctx<'_>) -> bool {
-    p.absolute && ctx.per_candidate()
+    p.absolute && ctx.in_predicate
 }
 
 /// The node-set of an absolute path inside a predicate, evaluated the first
@@ -600,14 +560,14 @@ fn hoisted_path<'d>(p: &LocationPath, ctx: Ctx<'d>) -> Result<Rc<Hoisted<'d>>> {
 /// predicate's verdict, `and`, `or`, `not()` and `boolean()`. Below a
 /// predicate, a relative path that [`walk_plan`] admits, and a comparison of
 /// one with a literal, a number or a hoisted path, are decided by [`walk`]
-/// without building the path's node-set; every other shape, and every
-/// shape in the reference evaluator, is evaluated by [`eval_operand`].
+/// without building the path's node-set; every other shape is evaluated by
+/// [`eval_operand`].
 fn truth(expr: &Expr, ctx: Ctx<'_>) -> Result<bool> {
     match expr {
         Expr::Call(name, args) if args.len() == 1 && (name == "not" || name == "boolean") => {
             return Ok(truth(&args[0], ctx)? == (name == "boolean"));
         }
-        Expr::Path(p) if ctx.per_candidate() => {
+        Expr::Path(p) if ctx.in_predicate => {
             if let Some(tests) = walk_plan(p, ctx) {
                 return walk_path(p, &tests, ctx, &mut |_| true);
             }
@@ -616,7 +576,7 @@ fn truth(expr: &Expr, ctx: Ctx<'_>) -> Result<bool> {
             op @ (BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge),
             a,
             b,
-        ) if ctx.per_candidate() => {
+        ) if ctx.in_predicate => {
             if let Some(verdict) = compare_walked(*op, a, b, ctx)? {
                 return Ok(verdict);
             }
@@ -850,7 +810,7 @@ fn apply_steps_inner<'d>(
         guard
             .try_matches(input.len() as u64)
             .map_err(XPathError::Budget)?;
-        if let Some((name, predicates)) = fused_descendant_name(steps, i, caches) {
+        if let Some((name, predicates)) = fused_descendant_name(steps, i) {
             let span = trace.map(|t| {
                 let s = t.span(format_args!("step[{i}:://{name}]"));
                 t.count("context_in", input.len() as u64);
@@ -915,19 +875,14 @@ fn apply_steps_inner<'d>(
 /// on and the child step's predicates. The first step must be
 /// predicate-free and every predicate of the second [`position_free`]: a
 /// positional predicate is relative to the per-parent candidate list, which
-/// fusion regroups. The reference evaluator never fuses.
-fn fused_descendant_name<'s>(
-    steps: &'s [Step],
-    i: usize,
-    caches: &EvalCaches<'_>,
-) -> Option<(&'s str, &'s [Expr])> {
+/// fusion regroups.
+fn fused_descendant_name(steps: &[Step], i: usize) -> Option<(&str, &[Expr])> {
     let a = steps.get(i)?;
     let b = steps.get(i + 1)?;
     let NodeTest::Name(name) = &b.test else {
         return None;
     };
-    let fusable = !caches.reference
-        && a.axis == Axis::DescendantOrSelf
+    let fusable = a.axis == Axis::DescendantOrSelf
         && a.test == NodeTest::Node
         && a.predicates.is_empty()
         && b.axis == Axis::Child
@@ -1031,9 +986,6 @@ fn indexed_candidates(
     test: Test,
     out: &mut Vec<Item>,
 ) -> bool {
-    if caches.reference {
-        return false; // the reference evaluator never touches postings
-    }
     let include_self = match axis {
         Axis::Descendant => false,
         Axis::DescendantOrSelf => true,
@@ -1110,7 +1062,7 @@ fn apply_step<'d>(
     }
     // One context item on a forward axis yields document order without
     // duplicates as it is.
-    if caches.reference || input.len() > 1 || step.axis.is_reverse() {
+    if input.len() > 1 || step.axis.is_reverse() {
         sort_dedup(doc, &mut out);
     }
     Ok(out)
@@ -1742,14 +1694,13 @@ mod tests {
         assert_eq!(select(&d, "//author[1]").unwrap().len(), 2);
     }
 
-    /// Lazy, indexed and reference evaluation of one expression.
-    fn three_ways(d: &Document, xpath: &str) -> [XValue; 3] {
+    /// Lazy and indexed evaluation of one expression.
+    fn both_ways(d: &Document, xpath: &str) -> [XValue; 2] {
         let expr = crate::parse(xpath).unwrap();
         let idx = DocIndex::build(d);
         [
             evaluate(d, &expr).unwrap(),
             evaluate_with_index(d, &expr, &idx).unwrap(),
-            evaluate_scan(d, &expr, RunCtx::none()).unwrap(),
         ]
     }
 
@@ -1770,10 +1721,9 @@ mod tests {
             ("//a[@k][position()<2]", 3),
             ("//a[c[last()]]", 3),
         ] {
-            let [lazy, indexed, reference] = three_ways(&d, xpath);
-            assert_eq!(lazy, reference, "{xpath}");
-            assert_eq!(indexed, reference, "{xpath}");
-            assert_eq!(reference.into_nodes().unwrap().len(), expect, "{xpath}");
+            let [lazy, indexed] = both_ways(&d, xpath);
+            assert_eq!(lazy, indexed, "{xpath}");
+            assert_eq!(lazy.into_nodes().unwrap().len(), expect, "{xpath}");
         }
     }
 
@@ -1870,10 +1820,6 @@ mod tests {
             assert!(report.matches <= 31, "matches charged: {}", report.matches);
             assert_eq!(report.rounds, 11);
         }
-        // The reference evaluator visits every node, and says so.
-        let guard = Guard::new(gql_guard::Budget::unlimited());
-        evaluate_scan(&d, &expr, RunCtx::guarded(&guard)).unwrap();
-        assert!(guard.report().unwrap().matches > 100_000);
     }
 
     #[test]
@@ -1969,11 +1915,6 @@ mod tests {
         assert_eq!(step.counter("hoisted_paths"), Some(1));
         assert_eq!(step.counter("predicates"), Some(1));
         assert_eq!(step.counter("context_out"), Some(40));
-        // The reference evaluator re-evaluates it per candidate.
-        let guard = Guard::new(gql_guard::Budget::unlimited());
-        let reference = evaluate_scan(&d, &expr, RunCtx::guarded(&guard)).unwrap();
-        assert_eq!(reference.into_nodes().unwrap(), hits);
-        assert!(guard.report().unwrap().rounds > 3_000);
         // A shared set read as a verdict, by `and`/`or`, or by a function.
         for (xpath, expect) in [
             ("//p[//d]", 1_000),
@@ -1982,10 +1923,9 @@ mod tests {
             ("//p[//nothing or c = '7']", 20),
             ("//p[count(//d/e) = 3]", 1_000),
         ] {
-            let [lazy, indexed, reference] = three_ways(&d, xpath);
-            assert_eq!(lazy, reference, "{xpath}");
-            assert_eq!(indexed, reference, "{xpath}");
-            assert_eq!(reference.into_nodes().unwrap().len(), expect, "{xpath}");
+            let [lazy, indexed] = both_ways(&d, xpath);
+            assert_eq!(lazy, indexed, "{xpath}");
+            assert_eq!(lazy.into_nodes().unwrap().len(), expect, "{xpath}");
         }
     }
 

@@ -202,11 +202,7 @@ pub(crate) fn call(
         ("substring", 2 | 3) => {
             let s = next().string(doc);
             let start = next().number(doc);
-            let len = if argc == 3 {
-                next().number(doc)
-            } else {
-                f64::INFINITY
-            };
+            let len = (argc == 3).then(|| next().number(doc));
             Ok(XValue::Str(xpath_substring(&s, start, len)))
         }
         ("translate", 3) => {
@@ -229,11 +225,7 @@ pub(crate) fn call(
         ("number", 1) => Ok(XValue::Num(next().number(doc))),
         ("floor", 1) => Ok(XValue::Num(next().number(doc).floor())),
         ("ceiling", 1) => Ok(XValue::Num(next().number(doc).ceil())),
-        ("round", 1) => {
-            let n = next().number(doc);
-            // XPath rounds half towards +infinity.
-            Ok(XValue::Num((n + 0.5).floor()))
-        }
+        ("round", 1) => Ok(XValue::Num(round(next().number(doc)))),
         // Arity errors for known names; unknown otherwise.
         (_, got) if class_of(name).is_some() => Err(arity_err(name, "a different number of", got)),
         _ => Err(XPathError::Eval {
@@ -253,23 +245,38 @@ fn item_name(doc: &Document, item: Item) -> String {
     }
 }
 
-/// XPath `substring` semantics: 1-based, rounded endpoints, NaN-safe.
-fn xpath_substring(s: &str, start: f64, len: f64) -> String {
-    if start.is_nan() || len.is_nan() {
-        return String::new();
+/// XPath `round` (§4.4): the closest integer, the one towards +∞ of two
+/// equally close; NaN, ±∞ and ±0 unchanged, and −0 for `-0.5 <= x < 0`.
+/// `x - floor(x)` is exact for every finite double, so a value just below
+/// a half never rounds up, and one too large to have a fraction is its own
+/// integer.
+fn round(x: f64) -> f64 {
+    if !x.is_finite() || x == x.trunc() {
+        return x;
     }
-    let round = |x: f64| (x + 0.5).floor();
-    let begin = round(start);
-    let end = if len.is_infinite() {
-        f64::INFINITY
+    if (-0.5..0.0).contains(&x) {
+        return -0.0;
+    }
+    let below = x.floor();
+    if x - below >= 0.5 {
+        below + 1.0
     } else {
-        begin + round(len)
-    };
+        below
+    }
+}
+
+/// XPath `substring` (§4.2): the characters at 1-based positions `p` with
+/// `round(start) <= p`, and `p < round(start) + round(len)` when a length
+/// is given. Every comparison with NaN is false, so a NaN bound (among
+/// them `-∞ + ∞`) selects nothing.
+fn xpath_substring(s: &str, start: f64, len: Option<f64>) -> String {
+    let begin = round(start);
+    let end = len.map(|len| begin + round(len));
     s.chars()
         .enumerate()
         .filter(|(i, _)| {
             let pos = (*i + 1) as f64;
-            pos >= begin && pos < end
+            pos >= begin && end.is_none_or(|end| pos < end)
         })
         .map(|(_, c)| c)
         .collect()
@@ -314,25 +321,65 @@ mod tests {
         );
     }
 
+    /// Every example of the recommendation's §4.2 (string functions) and
+    /// every rule of §4.4's `round`, with probes at the edges of the
+    /// rounding: just below a half, past 2^52, and the negative zeros.
     #[test]
-    fn substring_spec_cases() {
-        // Cases straight from the XPath 1.0 recommendation.
-        assert_eq!(
-            eval_str("substring('12345', 2, 3)"),
-            XValue::Str("234".into())
-        );
-        assert_eq!(
-            eval_str("substring('12345', 1.5, 2.6)"),
-            XValue::Str("234".into())
-        );
-        assert_eq!(
-            eval_str("substring('12345', 0, 3)"),
-            XValue::Str("12".into())
-        );
-        assert_eq!(
-            eval_str("substring('12345', 2)"),
-            XValue::Str("2345".into())
-        );
+    fn string_and_number_functions_follow_sections_4_2_and_4_4() {
+        for (src, expect) in [
+            ("starts-with('abc', 'ab')", XValue::Bool(true)),
+            ("contains('abc', 'bc')", XValue::Bool(true)),
+            (
+                "substring-before('1999/04/01', '/')",
+                XValue::Str("1999".into()),
+            ),
+            (
+                "substring-after('1999/04/01', '/')",
+                XValue::Str("04/01".into()),
+            ),
+            (
+                "substring-after('1999/04/01', '19')",
+                XValue::Str("99/04/01".into()),
+            ),
+            ("substring('12345', 2, 3)", XValue::Str("234".into())),
+            ("substring('12345', 2)", XValue::Str("2345".into())),
+            ("substring('12345', 1.5, 2.6)", XValue::Str("234".into())),
+            ("substring('12345', 0, 3)", XValue::Str("12".into())),
+            ("substring('12345', 0 div 0, 3)", XValue::Str("".into())),
+            ("substring('12345', 1, 0 div 0)", XValue::Str("".into())),
+            (
+                "substring('12345', -42, 1 div 0)",
+                XValue::Str("12345".into()),
+            ),
+            (
+                "substring('12345', -1 div 0, 1 div 0)",
+                XValue::Str("".into()),
+            ),
+            ("substring('12345', -1 div 0)", XValue::Str("12345".into())),
+            ("translate('bar','abc','ABC')", XValue::Str("BAr".into())),
+            (
+                "translate('--aaa--','abc-','ABC')",
+                XValue::Str("AAA".into()),
+            ),
+            ("round(2.5)", XValue::Num(3.0)),
+            ("round(-2.5)", XValue::Num(-2.0)),
+            ("round(-1.5)", XValue::Num(-1.0)),
+            ("round(0.49999999999999994)", XValue::Num(0.0)),
+            (
+                "round(4503599627370497)",
+                XValue::Num(4_503_599_627_370_497.0),
+            ),
+            ("round(1 div 0)", XValue::Num(f64::INFINITY)),
+            ("round(-1 div 0)", XValue::Num(f64::NEG_INFINITY)),
+            // A negative zero is told from a positive one by its reciprocal.
+            ("1 div round(-0.5)", XValue::Num(f64::NEG_INFINITY)),
+            ("1 div round(-0.2)", XValue::Num(f64::NEG_INFINITY)),
+            ("1 div round(-0)", XValue::Num(f64::NEG_INFINITY)),
+            ("1 div round(0)", XValue::Num(f64::INFINITY)),
+        ] {
+            assert_eq!(eval_str(src), expect, "{src}");
+        }
+        assert!(matches!(eval_str("round(0 div 0)"), XValue::Num(n) if n.is_nan()));
     }
 
     #[test]

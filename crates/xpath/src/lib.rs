@@ -13,7 +13,7 @@
 //! boolean predicates; the full 1.0 comparison/arithmetic semantics over
 //! node-sets; unions; and the core function library.
 //!
-//! Not supported: variables, namespaces, `id()`/`lang()`, and the
+//! Not supported: variables, namespaces, `lang()`, and the
 //! `processing-instruction(name)` test.
 //!
 //! ```
@@ -31,7 +31,7 @@ pub mod lexer;
 pub mod parser;
 
 pub use ast::{Axis, Expr, LocationPath, NodeTest, Step};
-pub use eval::{evaluate, evaluate_in, evaluate_scan, evaluate_with_index, select, Item, XValue};
+pub use eval::{evaluate, evaluate_in, evaluate_with_index, select, Item, XValue};
 pub use parser::parse;
 
 /// Errors produced while parsing or evaluating an XPath expression.

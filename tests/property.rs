@@ -1249,9 +1249,11 @@ fn wglog_runs_over_a_shared_instance_match_a_private_rebuild() {
 /// Set-at-a-time XPath evaluation is unobservable: `//Name[p]` steps taken
 /// off the postings (prebuilt index) or a name-filtered walk (lazy), and
 /// absolute paths inside predicates evaluated once, return what the
-/// textbook evaluator returns step by step and candidate by candidate —
-/// over trees and over cyclic ID/IDREF web graphs, for generated paths
-/// whose predicates mix positional and position-free forms.
+/// textbook evaluator (`gql_testkit::reference::xpath`) returns step by step
+/// and candidate by candidate — over trees and over cyclic ID/IDREF web
+/// graphs, for generated paths whose predicates mix positional and
+/// position-free forms. On a web graph, `id()` follows `ref` attributes to
+/// the elements whose `id` they name.
 #[test]
 fn xpath_set_at_a_time_equals_the_reference_evaluator() {
     use gql::ssdm::generator::{webgraph, WebConfig};
@@ -1261,6 +1263,7 @@ fn xpath_set_at_a_time_equals_the_reference_evaluator() {
         attrs: &["id", "ref"],
         values: &["d0", "d1", "d2", "d3"],
     };
+    let followed_refs = std::cell::Cell::new(0);
     check(
         "xpath_set_at_a_time_equals_the_reference_evaluator",
         384,
@@ -1274,18 +1277,23 @@ fn xpath_set_at_a_time_equals_the_reference_evaluator() {
                     index_percent: 40,
                     seed: rng.next_u64(),
                 });
-                (doc, gen_xpath_over(rng, &web))
+                let mut src = gen_xpath_over(rng, &web);
+                // A quarter of the plain paths follow every reference they
+                // reach.
+                if src.starts_with('/') && !src.contains(" | ") && rng.gen_bool(0.25) {
+                    src = format!("id({src}/@ref)");
+                }
+                if src.contains("id(") {
+                    followed_refs.set(followed_refs.get() + 1);
+                }
+                (doc, src)
             };
             let expr = gql::xpath::parse(&src)
                 .unwrap_or_else(|e| panic!("generator produced invalid syntax: {e}\n{src}"));
             // Debug text, so that NaN equals NaN; errors compare as errors.
             let show =
                 |r: gql::xpath::Result<gql::xpath::XValue>| format!("{:?}", r.map_err(|_| ()));
-            let reference = show(gql::xpath::evaluate_scan(
-                &doc,
-                &expr,
-                gql::guard::RunCtx::none(),
-            ));
+            let reference = show(gql_testkit::reference::xpath::evaluate(&doc, &expr));
             let idx = gql::ssdm::DocIndex::build(&doc);
             assert_eq!(
                 show(gql::xpath::evaluate(&doc, &expr)),
@@ -1298,6 +1306,11 @@ fn xpath_set_at_a_time_equals_the_reference_evaluator() {
                 "indexed: {src}"
             );
         },
+    );
+    let replaying = std::env::var("GQL_REPLAY_SEED").is_ok();
+    assert!(
+        replaying || followed_refs.get() > 0,
+        "no web case called id()"
     );
 }
 
