@@ -15,11 +15,11 @@
 //! the wall clock: two clients with the same seed storm a server with the
 //! same schedule, which is what makes the chaos oracle reproducible.
 
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use crate::json::Value;
-use crate::proto::{decode_response, encode_request, read_frame, write_frame};
+use crate::proto::{decode_response, encode_request, read_reply, write_request};
 use crate::service::{ErrorCode, Request, Response};
 
 /// Retry/deadline policy for a [`ResilientClient`].
@@ -141,7 +141,8 @@ struct Torn(String);
 pub struct ResilientClient {
     addr: SocketAddr,
     policy: RetryPolicy,
-    stream: Option<TcpStream>,
+    /// The connection, read through one buffer and written directly.
+    stream: Option<BufReader<TcpStream>>,
     rng: u64,
     next_id: u64,
     retries: u64,
@@ -241,14 +242,13 @@ impl ResilientClient {
         if self.stream.is_none() {
             match TcpStream::connect(self.addr) {
                 Ok(s) => {
-                    // Frames go out as two writes (length prefix, then
-                    // body); Nagle + delayed ACK would stall the body ~40ms
-                    // per request otherwise.
+                    // Nagle + delayed ACK would hold a request back behind
+                    // the reply to the one before.
                     let _ = s.set_nodelay(true);
                     if self.reconnects > 0 || self.retries > 0 {
                         self.reconnects += 1;
                     }
-                    self.stream = Some(s);
+                    self.stream = Some(BufReader::new(s));
                 }
                 Err(e) => return Err(Ok(Torn(format!("connect {}: {e}", self.addr)))),
             }
@@ -257,24 +257,25 @@ impl ResilientClient {
         // Cap the blocking read by what is left of the deadline so a
         // server that never replies cannot pin this client past it.
         let read_cap = remaining.max(Duration::from_millis(1));
-        if stream.set_read_timeout(Some(read_cap)).is_err()
-            || stream.set_write_timeout(Some(read_cap)).is_err()
+        if stream.get_ref().set_read_timeout(Some(read_cap)).is_err()
+            || stream.get_ref().set_write_timeout(Some(read_cap)).is_err()
         {
             return Err(Ok(Torn("socket timeout setup failed".into())));
         }
-        let frame = encode_request(req).render();
-        if let Err(e) = write_frame(stream, frame.as_bytes()) {
+        if let Err(e) = write_request(stream.get_mut(), &encode_request(req)) {
             return Err(Ok(Torn(format!("write: {e}"))));
         }
-        let reply = match read_frame(stream) {
-            Ok(Some(reply)) => reply,
+        // A reply cut short — in its header or inside an answer's chunks —
+        // is a transport fault like any other, and is retried; a well-framed
+        // reply that does not decode is not.
+        let value = match read_reply(stream) {
+            Ok(Some(value)) => value,
             Ok(None) => return Err(Ok(Torn("server closed mid-conversation".into()))),
+            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+                return Err(Err(ClientError::Protocol(e.to_string())))
+            }
             Err(e) => return Err(Ok(Torn(format!("read: {e}")))),
         };
-        let text = String::from_utf8(reply)
-            .map_err(|e| Err(ClientError::Protocol(format!("non-utf8 reply: {e}"))))?;
-        let value =
-            Value::parse(&text).map_err(|e| Err(ClientError::Protocol(format!("{e}: {text}"))))?;
         decode_response(&value).map_err(|e| Err(ClientError::Protocol(e)))
     }
 }

@@ -84,8 +84,13 @@ impl Value {
     /// Render to compact JSON (no whitespace), deterministically.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.write(&mut Writer::new(&mut out));
+        self.render_into(&mut out);
         out
+    }
+
+    /// [`Value::render`], appended to `out`.
+    pub fn render_into(&self, out: &mut String) {
+        self.write(&mut Writer::new(out));
     }
 
     fn write(&self, w: &mut Writer) {

@@ -21,7 +21,9 @@
 //!   per-request profiles, and warm/cold cache counters surfaced as
 //!   service metrics through the trace layer. A query text is parsed, printed and gated once: the
 //!   service keeps a bounded cache of prepared queries by `(kind, text)`;
-//! * [`proto`] + [`server`] — a length-prefixed JSON protocol over TCP.
+//! * [`proto`] + [`server`] — a length-prefixed protocol over TCP: JSON
+//!   requests, and replies of a JSON header followed by the answers' raw
+//!   XML in chunks, each reply in one write.
 //!   A connection's thread runs its own queries, and one watcher thread
 //!   per server trips the `CancelToken` of a run whose client disconnected
 //!   mid-query; the partial-progress trip report is returned, not dropped.

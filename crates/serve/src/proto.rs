@@ -1,7 +1,7 @@
-//! The wire protocol: length-prefixed JSON frames over any byte stream.
+//! The wire protocol: length-prefixed frames over any byte stream.
 //!
 //! A frame is a 4-byte big-endian payload length followed by that many
-//! bytes of UTF-8 JSON. Frames above [`MAX_FRAME`] are refused with a
+//! bytes: JSON, or a chunk of an answer's XML. Frames above [`MAX_FRAME`] are refused with a
 //! structured `bad-request` error before the body is read — an attacker
 //! cannot make the server allocate from the length prefix alone.
 //!
@@ -33,13 +33,32 @@
 //! request with the same id is answered from the original execution
 //! instead of running again.
 //!
-//! Every response is one frame: `{"ok":true,…}` (query successes carry
-//! the dataset `epoch` they executed against) or
-//! `{"ok":false,"code":"…","message":"…"[,"report":"…"][,"retry_after_ms":N]}`.
+//! A reply is a header frame of JSON, followed by the raw bytes of the
+//! answers it carries:
+//!
+//! * an `ok` query reply's header is `{"ok":true,"xml_bytes":N,…}` (the
+//!   fields of [`QueryOk`] but its answer, and the dataset `epoch` the query
+//!   executed against), and the answer's `N` bytes of XML follow in frames
+//!   of at most [`MAX_FRAME`] bytes each — no chunk frame for an empty
+//!   answer, so an answer has no size cap;
+//! * an `ok` batch reply's header is `{"ok":true,"batch":[…]}`, one item per
+//!   request in that same query form, and the answers of its `ok` items
+//!   follow in item order;
+//! * an error is one frame,
+//!   `{"ok":false,"code":"…","message":"…"[,"report":"…"][,"retry_after_ms":N]}`;
+//! * every other op's reply is one frame of JSON.
+//!
 //! Budget and cancellation errors carry the partial-progress trip report
 //! in `report` — the service returns how far the run got, it never
 //! silently drops the work. `rate_limited` rejections carry
 //! `retry_after_ms`, the time to the quota window's rollover.
+//!
+//! Each side sends a frame, and the server a whole reply with its chunks, in
+//! one `write` ([`write_frame`], [`write_reply`]), so the reader wakes once
+//! per frame rather than once for the length and again for the body.
+//! [`read_reply`] reads a reply back and puts each answer into its header
+//! as an `xml` string: the [`Value`] it returns is the single-frame JSON
+//! form [`encode_response`] builds, which [`decode_response`] reads.
 
 use std::io::{Read, Write};
 
@@ -59,23 +78,203 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
         Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
         Err(e) => return Err(e),
     }
-    let len = u32::from_be_bytes(len) as usize;
-    if len > MAX_FRAME {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"),
-        ));
-    }
+    let len = frame_len(len)?;
     let mut body = vec![0u8; len];
     r.read_exact(&mut body)?;
     Ok(Some(body))
 }
 
-/// Write one frame.
+/// A length prefix, refused past [`MAX_FRAME`] before any body is read.
+fn frame_len(prefix: [u8; 4]) -> std::io::Result<usize> {
+    let len = u32::from_be_bytes(prefix) as usize;
+    if len > MAX_FRAME {
+        return Err(invalid(format!(
+            "frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"
+        )));
+    }
+    Ok(len)
+}
+
+fn invalid(msg: impl Into<String>) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, msg.into())
+}
+
+/// Write one frame in one `write`.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    push_frame(&mut frame, payload);
+    w.write_all(&frame)?;
     w.flush()
+}
+
+/// Append one frame to `out`.
+fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
+    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    out.extend_from_slice(payload);
+}
+
+/// Write one request in one `write`: what [`Client`] and
+/// [`ResilientClient`] send.
+///
+/// [`Client`]: crate::Client
+/// [`ResilientClient`]: crate::ResilientClient
+pub fn write_request(w: &mut impl Write, request: &Value) -> std::io::Result<()> {
+    w.write_all(&json_frame(request))?;
+    w.flush()
+}
+
+/// `v` as one frame, rendered after a placeholder prefix that is then
+/// overwritten with its length, so the text is never copied. A request or
+/// a reply header is a few hundred bytes: the first allocation holds it.
+fn json_frame(v: &Value) -> Vec<u8> {
+    let mut text = String::with_capacity(512);
+    text.push_str("\0\0\0\0");
+    v.render_into(&mut text);
+    let mut frame = text.into_bytes();
+    let len = (frame.len() - 4) as u32;
+    frame[..4].copy_from_slice(&len.to_be_bytes());
+    frame
+}
+
+/// A reply as the server writes it.
+#[derive(Debug)]
+pub enum Reply<'a> {
+    /// A query's outcome: a header frame and its answer's chunks, or an
+    /// error frame.
+    Query(&'a Response),
+    /// A batch's outcomes, one per request, in one header frame; the
+    /// answers of its `ok` items follow in item order.
+    Batch(&'a [Response]),
+    /// Any other op's reply: one frame.
+    Json(Value),
+}
+
+impl Reply<'_> {
+    /// Append this reply's frames to `out`.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            Reply::Query(resp) => {
+                out.reserve(answer(resp).map_or(0, framed_len));
+                out.extend_from_slice(&json_frame(&header(resp)));
+                push_answer(out, resp);
+            }
+            Reply::Batch(resps) => {
+                out.reserve(resps.iter().filter_map(answer).map(framed_len).sum());
+                let header = Value::Obj(vec![
+                    ("ok".into(), Value::Bool(true)),
+                    (
+                        "batch".into(),
+                        Value::Arr(resps.iter().map(header).collect()),
+                    ),
+                ]);
+                out.extend_from_slice(&json_frame(&header));
+                for resp in resps.iter() {
+                    push_answer(out, resp);
+                }
+            }
+            Reply::Json(v) => out.extend_from_slice(&json_frame(v)),
+        }
+    }
+}
+
+/// A response's header: an `ok` reply with its answer's byte count in
+/// place of the answer, or the whole error.
+fn header(resp: &Response) -> Value {
+    match resp {
+        Response::Ok(ok) => encode_ok(ok, ("xml_bytes", Value::count(ok.xml.len() as u64))),
+        Response::Err(err) => encode_err(err),
+    }
+}
+
+/// The answer an `ok` response sends after its header.
+fn answer(resp: &Response) -> Option<&str> {
+    match resp {
+        Response::Ok(ok) => Some(&ok.xml),
+        Response::Err(_) => None,
+    }
+}
+
+/// The bytes `xml` takes on the wire, chunk prefixes included.
+fn framed_len(xml: &str) -> usize {
+    xml.len() + 4 * xml.len().div_ceil(MAX_FRAME)
+}
+
+/// Append an `ok` response's answer as chunk frames of at most
+/// [`MAX_FRAME`] bytes.
+fn push_answer(out: &mut Vec<u8>, resp: &Response) {
+    for chunk in answer(resp)
+        .unwrap_or_default()
+        .as_bytes()
+        .chunks(MAX_FRAME)
+    {
+        push_frame(out, chunk);
+    }
+}
+
+/// Write one reply in one `write`, through `out` (cleared first, and left
+/// holding the bytes so a connection reuses its allocation).
+pub fn write_reply(
+    w: &mut impl Write,
+    out: &mut Vec<u8>,
+    reply: &Reply<'_>,
+) -> std::io::Result<()> {
+    out.clear();
+    reply.encode(out);
+    w.write_all(out)?;
+    w.flush()
+}
+
+/// Read one reply: its header frame, then the chunks of every answer the
+/// header announces, each put back into the header as an `xml` string in
+/// place of its `xml_bytes`. `Ok(None)` is a clean EOF before the header;
+/// a reply cut anywhere after it is an error, never a shorter answer.
+pub fn read_reply(r: &mut impl Read) -> std::io::Result<Option<Value>> {
+    let Some(frame) = read_frame(r)? else {
+        return Ok(None);
+    };
+    let text = std::str::from_utf8(&frame).map_err(|e| invalid(format!("non-utf8 reply: {e}")))?;
+    let mut v = Value::parse(text).map_err(|e| invalid(format!("{e}: {text}")))?;
+    if let Value::Obj(pairs) = &mut v {
+        match pairs.iter_mut().find(|(k, _)| k == "batch") {
+            Some((_, Value::Arr(items))) => {
+                for item in items {
+                    if let Value::Obj(pairs) = item {
+                        read_answer(r, pairs)?;
+                    }
+                }
+            }
+            _ => read_answer(r, pairs)?,
+        }
+    }
+    Ok(Some(v))
+}
+
+/// If `pairs` announces an answer, read its chunks and put it in place.
+fn read_answer(r: &mut impl Read, pairs: &mut [(String, Value)]) -> std::io::Result<()> {
+    let Some(pair) = pairs.iter_mut().find(|(k, _)| k == "xml_bytes") else {
+        return Ok(());
+    };
+    let want = (pair.1.as_u64())
+        .and_then(|n| usize::try_from(n).ok())
+        .ok_or_else(|| invalid("`xml_bytes` is not a byte count"))?;
+    let mut xml = Vec::new();
+    while xml.len() < want {
+        let mut prefix = [0u8; 4];
+        r.read_exact(&mut prefix)?;
+        let len = frame_len(prefix)?;
+        if len == 0 || len > want - xml.len() {
+            return Err(invalid(format!(
+                "a chunk of {len} bytes with {} of the answer's {want} to come",
+                want - xml.len()
+            )));
+        }
+        let at = xml.len();
+        xml.resize(at + len, 0);
+        r.read_exact(&mut xml[at..])?;
+    }
+    let xml = String::from_utf8(xml).map_err(|e| invalid(format!("non-utf8 answer: {e}")))?;
+    *pair = ("xml".into(), Value::Str(xml));
+    Ok(())
 }
 
 /// Which rendering of the telemetry plane a `metrics` op asks for.
@@ -213,18 +412,22 @@ pub fn encode_request(req: &Request) -> Value {
     Value::Obj(pairs)
 }
 
-/// Encode one service response.
+/// Encode one service response as one JSON value, its answer in `xml`:
+/// what [`read_reply`] gives back for it. The server sends an `ok` reply as
+/// a [`Reply`] instead, which does not copy the answer.
 pub fn encode_response(resp: &Response) -> Value {
     match resp {
-        Response::Ok(ok) => encode_ok(ok),
+        Response::Ok(ok) => encode_ok(ok, ("xml", Value::str(ok.xml.clone()))),
         Response::Err(err) => encode_err(err),
     }
 }
 
-fn encode_ok(ok: &QueryOk) -> Value {
+/// An `ok` reply's fields, the answer given as `answer`: the answer itself,
+/// or in a header its byte count.
+fn encode_ok(ok: &QueryOk, answer: (&str, Value)) -> Value {
     let mut pairs = vec![
         ("ok".into(), Value::Bool(true)),
-        ("xml".into(), Value::str(ok.xml.clone())),
+        (answer.0.into(), answer.1),
         ("result_count".into(), Value::count(ok.result_count)),
         ("eval_us".into(), Value::count(ok.eval_us)),
         ("plan".into(), Value::str(&*ok.plan)),
@@ -330,6 +533,80 @@ mod tests {
         // EOF mid-frame is an error, not a hang.
         let truncated = [0u8, 0, 0, 10, b'x', b'y'];
         assert!(read_frame(&mut &truncated[..]).is_err());
+    }
+
+    fn ok_with(xml: String) -> Response {
+        Response::Ok(Box::new(QueryOk {
+            xml,
+            result_count: 3,
+            eval_us: 17,
+            plan: "Scan".into(),
+            plan_cache: "hit".into(),
+            index_cache: "miss".into(),
+            epoch: 4,
+            profile: None,
+            shape: None,
+        }))
+    }
+
+    /// An answer of about `n` bytes of XML. Its text is all `é`s, two bytes
+    /// each, from an odd offset: every chunk boundary splits a character.
+    fn answer_of(n: usize) -> String {
+        format!("<r>{}</r>", "é".repeat((n - 7) / 2))
+    }
+
+    /// Every reply reads back as the single-value form `encode_response`
+    /// builds: an answer of any size, split into chunks of at most
+    /// `MAX_FRAME` bytes, an empty answer with no chunk at all, an error,
+    /// and a batch whose answers follow its header in item order.
+    #[test]
+    fn replies_read_back_as_their_single_value_form() {
+        let big = ok_with(answer_of(2 * MAX_FRAME + 5));
+        let empty = ok_with(String::new());
+        let err = Response::err(ErrorCode::UnknownDataset, "no dataset `ghost`");
+        let mut out = Vec::new();
+        for resp in [&big, &empty, &err] {
+            Reply::Query(resp).encode(&mut out);
+        }
+        let batch = [ok_with("<a/>".into()), err.clone(), big.clone()];
+        Reply::Batch(&batch).encode(&mut out);
+        Reply::Json(Value::Obj(vec![("pong".into(), Value::Bool(true))])).encode(&mut out);
+        // Three frames for the big answer, none for the empty one.
+        let frames = {
+            let mut r = &out[..];
+            std::iter::from_fn(|| read_frame(&mut r).unwrap()).count()
+        };
+        assert_eq!(frames, (1 + 3) + 1 + 1 + (1 + 1 + 3) + 1);
+        let mut r = &out[..];
+        for resp in [&big, &empty, &err] {
+            assert_eq!(read_reply(&mut r).unwrap(), Some(encode_response(resp)));
+        }
+        let items = batch.iter().map(encode_response).collect();
+        let want = Value::Obj(vec![
+            ("ok".into(), Value::Bool(true)),
+            ("batch".into(), Value::Arr(items)),
+        ]);
+        assert_eq!(read_reply(&mut r).unwrap(), Some(want));
+        let pong = read_reply(&mut r).unwrap().unwrap();
+        assert_eq!(pong.get("pong").and_then(Value::as_bool), Some(true));
+        assert_eq!(read_reply(&mut r).unwrap(), None, "clean EOF");
+    }
+
+    /// A reply cut anywhere after its header is an error, never a shorter
+    /// answer; so is a chunk longer than what the header announced.
+    #[test]
+    fn a_cut_reply_is_an_error_not_a_short_answer() {
+        let mut out = Vec::new();
+        Reply::Query(&ok_with(answer_of(MAX_FRAME + 10))).encode(&mut out);
+        let header = 4 + u32::from_be_bytes(out[..4].try_into().unwrap()) as usize;
+        for cut in [header, header + 2, header + 4, out.len() / 2, out.len() - 1] {
+            assert!(read_reply(&mut &out[..cut]).is_err(), "cut at {cut}");
+        }
+        let mut long = Vec::new();
+        push_frame(&mut long, br#"{"ok":true,"xml_bytes":3}"#);
+        push_frame(&mut long, b"<r/>");
+        let e = read_reply(&mut &long[..]).unwrap_err();
+        assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}");
     }
 
     #[test]

@@ -4,6 +4,9 @@
 //! A connection thread runs its own queries: it submits through
 //! [`ServeHandle::submit_with`], so a query runs on that thread once it
 //! holds a run slot, and a batch runs its items there one after another.
+//! It reads requests through one buffer and writes each reply, with all
+//! of its answers' chunks, in one `write` from a buffer it keeps for the
+//! next reply ([`crate::proto`]).
 //! The listener, one thread per connection and the watcher are the only
 //! threads a server has. While a query or a batch is in flight, the
 //! connection's cancel token is where the server's watcher thread can find
@@ -26,7 +29,7 @@
 //! `torn_replies` / `drop_replies` token budgets, cutting connections
 //! mid-frame so the resilient client's retry path can be stormed.
 
-use std::io::Write as _;
+use std::io::{BufReader, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
@@ -36,7 +39,9 @@ use std::time::Duration;
 use gql_guard::{fault, CancelToken};
 
 use crate::json::Value;
-use crate::proto::{decode_op, encode_response, read_frame, write_frame, MetricsView, Op};
+use crate::proto::{
+    decode_op, read_frame, read_reply, write_reply, write_request, MetricsView, Op, Reply,
+};
 use crate::service::{ErrorCode, Response, ServeHandle};
 
 /// Socket-level policy for a [`Server`].
@@ -252,9 +257,13 @@ impl Conn {
     }
 
     /// Call `f` with a cancel token the watcher trips if the client hangs
-    /// up before `f` returns.
-    fn watched<T>(&self, f: impl FnOnce(CancelToken) -> T) -> T {
+    /// up before `f` returns — unless `pipelined`, when the token is never
+    /// tripped: the request behind this one is not yet read.
+    fn watched<T>(&self, pipelined: bool, f: impl FnOnce(CancelToken) -> T) -> T {
         let cancel = CancelToken::new();
+        if pipelined {
+            return f(cancel);
+        }
         *self.run() = Some(cancel.clone());
         let out = f(cancel);
         *self.run() = None;
@@ -273,19 +282,20 @@ impl Conn {
 }
 
 fn serve_connection(conn: &Conn, handle: ServeHandle, config: ServerConfig) {
-    let mut stream = &conn.stream;
+    let stream = &conn.stream;
     // A stalled peer trips these deadlines and the thread reaps the
     // connection; failures to arm them are treated as a dead socket.
-    // Replies also leave as two writes (length prefix, then body), so
-    // disable Nagle or delayed ACK stalls every reply ~40ms.
     let _ = stream.set_nodelay(true);
     if stream.set_read_timeout(config.read_timeout).is_err()
         || stream.set_write_timeout(config.write_timeout).is_err()
     {
         return;
     }
+    let mut reader = BufReader::new(stream);
+    // The reply bytes, reused from one reply to the next.
+    let mut out = Vec::new();
     loop {
-        let frame = match read_frame(&mut stream) {
+        let frame = match read_frame(&mut reader) {
             Ok(Some(frame)) => frame,
             // Clean EOF, mid-frame EOF, oversized length, socket error:
             // either way this connection is done. For oversized frames try
@@ -295,7 +305,7 @@ fn serve_connection(conn: &Conn, handle: ServeHandle, config: ServerConfig) {
             Ok(None) => return,
             Err(e) => {
                 if e.kind() == std::io::ErrorKind::InvalidData {
-                    respond_err(stream, ErrorCode::BadRequest, &e.to_string());
+                    respond_err(stream, &mut out, ErrorCode::BadRequest, &e.to_string());
                 }
                 let _ = stream.shutdown(Shutdown::Both);
                 return;
@@ -306,80 +316,84 @@ fn serve_connection(conn: &Conn, handle: ServeHandle, config: ServerConfig) {
             Err(msg) => {
                 // Malformed JSON / fields: structured error, connection
                 // stays usable (framing itself was intact).
-                respond_err(stream, ErrorCode::BadRequest, &msg);
+                respond_err(stream, &mut out, ErrorCode::BadRequest, &msg);
                 continue;
             }
         };
+        // A request already read behind this one keeps the socket readable,
+        // so the watcher could not see a hang-up anyway: it is not asked to.
+        let pipelined = !reader.buffer().is_empty();
+        let ok = |pairs: Vec<(String, Value)>| {
+            let mut all = vec![("ok".into(), Value::Bool(true))];
+            all.extend(pairs);
+            Reply::Json(Value::Obj(all))
+        };
+        let (response, responses);
         let reply = match op {
-            Op::Ping => Value::Obj(vec![
-                ("ok".into(), Value::Bool(true)),
-                ("pong".into(), Value::Bool(true)),
-            ]),
-            Op::Metrics(MetricsView::Counters) => Value::Obj(vec![
-                ("ok".into(), Value::Bool(true)),
-                ("metrics".into(), handle.metrics().to_value()),
-            ]),
-            Op::Metrics(MetricsView::Report) => Value::Obj(vec![
-                ("ok".into(), Value::Bool(true)),
-                ("report".into(), handle.metrics_report().to_value()),
-            ]),
-            Op::Metrics(MetricsView::Prometheus) => Value::Obj(vec![
-                ("ok".into(), Value::Bool(true)),
-                (
-                    "prometheus".into(),
-                    Value::str(handle.metrics_report().to_prometheus_text()),
-                ),
-            ]),
-            Op::Metrics(MetricsView::Text) => Value::Obj(vec![
-                ("ok".into(), Value::Bool(true)),
-                ("stat".into(), Value::str(handle.metrics_report().to_text())),
-            ]),
+            Op::Ping => ok(vec![("pong".into(), Value::Bool(true))]),
+            Op::Metrics(MetricsView::Counters) => {
+                ok(vec![("metrics".into(), handle.metrics().to_value())])
+            }
+            Op::Metrics(MetricsView::Report) => {
+                ok(vec![("report".into(), handle.metrics_report().to_value())])
+            }
+            Op::Metrics(MetricsView::Prometheus) => ok(vec![(
+                "prometheus".into(),
+                Value::str(handle.metrics_report().to_prometheus_text()),
+            )]),
+            Op::Metrics(MetricsView::Text) => ok(vec![(
+                "stat".into(),
+                Value::str(handle.metrics_report().to_text()),
+            )]),
             Op::Reload { dataset: name, xml } => match handle.reload_xml(&name, &xml) {
-                Ok(dataset) => Value::Obj(vec![
-                    ("ok".into(), Value::Bool(true)),
-                    (
-                        "reload".into(),
-                        Value::Obj(vec![
-                            ("dataset".into(), Value::str(dataset.name())),
-                            ("epoch".into(), Value::count(dataset.epoch())),
-                            (
-                                "draining".into(),
-                                Value::count(handle.catalog().draining() as u64),
-                            ),
-                        ]),
-                    ),
-                ]),
-                Err(resp) => encode_response(&resp),
+                Ok(dataset) => ok(vec![(
+                    "reload".into(),
+                    Value::Obj(vec![
+                        ("dataset".into(), Value::str(dataset.name())),
+                        ("epoch".into(), Value::count(dataset.epoch())),
+                        (
+                            "draining".into(),
+                            Value::count(handle.catalog().draining() as u64),
+                        ),
+                    ]),
+                )]),
+                Err(resp) => {
+                    response = resp;
+                    Reply::Query(&response)
+                }
             },
             Op::Query(req) => {
-                encode_response(&conn.watched(|cancel| handle.submit_with(&req, cancel)))
+                response = conn.watched(pipelined, |cancel| handle.submit_with(&req, cancel));
+                Reply::Query(&response)
             }
             Op::Batch(reqs) => {
                 // Batched submission shares the catalog snapshot and plan
                 // warmup inside the service; every run of the batch is
                 // under the connection's one watched token.
-                let responses = conn.watched(|cancel| handle.submit_batch_with(&reqs, &cancel));
-                Value::Obj(vec![
-                    ("ok".into(), Value::Bool(true)),
-                    (
-                        "batch".into(),
-                        Value::Arr(responses.iter().map(encode_response).collect()),
-                    ),
-                ])
+                responses =
+                    conn.watched(pipelined, |cancel| handle.submit_batch_with(&reqs, &cancel));
+                Reply::Batch(&responses)
             }
         };
-        if send_reply(stream, reply.render().as_bytes(), config.chaos).is_err() {
+        if send_reply(stream, &mut out, &reply, config.chaos).is_err() {
             return;
         }
     }
 }
 
-/// Write one reply frame, honouring the chaos seams when enabled: a
+/// Write one reply, honouring the chaos seams when enabled: a
 /// `drop_replies` token vanishes the reply entirely (the client sees a
-/// mid-stream disconnect), a `torn_replies` token writes the length prefix
-/// plus half the body before cutting the socket (mid-frame EOF). Both
-/// close the connection so the fault is unambiguous on the wire.
-fn send_reply(mut stream: &TcpStream, payload: &[u8], chaos: bool) -> std::io::Result<()> {
+/// mid-stream disconnect), a `torn_replies` token writes the first half of
+/// the reply's bytes before cutting the socket (mid-frame EOF; inside the
+/// first chunk of an answer over
+/// [`MAX_FRAME`](crate::proto::MAX_FRAME)). Both close the connection
+/// so the fault is unambiguous on the wire.
+fn send_reply(
+    mut stream: &TcpStream,
+    out: &mut Vec<u8>,
+    reply: &Reply<'_>,
+    chaos: bool,
+) -> std::io::Result<()> {
     if chaos {
         if fault::take_drop_reply() {
             let _ = stream.shutdown(Shutdown::Both);
@@ -389,9 +403,9 @@ fn send_reply(mut stream: &TcpStream, payload: &[u8], chaos: bool) -> std::io::R
             ));
         }
         if fault::take_torn_reply() {
-            let _ = stream.write_all(&(payload.len() as u32).to_be_bytes());
-            let _ = stream.write_all(&payload[..payload.len() / 2]);
-            let _ = stream.flush();
+            out.clear();
+            reply.encode(out);
+            let _ = stream.write_all(&out[..out.len() / 2]);
             let _ = stream.shutdown(Shutdown::Both);
             return Err(std::io::Error::new(
                 std::io::ErrorKind::ConnectionReset,
@@ -399,7 +413,7 @@ fn send_reply(mut stream: &TcpStream, payload: &[u8], chaos: bool) -> std::io::R
             ));
         }
     }
-    write_frame(&mut stream, payload)
+    write_reply(&mut stream, out, reply)
 }
 
 /// Peek the socket without blocking: `Ok(0)` is EOF (client hung up).
@@ -415,37 +429,40 @@ fn client_gone(stream: &TcpStream) -> bool {
     gone
 }
 
-fn respond_err(mut stream: &TcpStream, code: ErrorCode, message: &str) {
-    let frame = encode_response(&Response::err(code, message)).render();
-    let _ = write_frame(&mut stream, frame.as_bytes());
-    let _ = stream.flush();
+fn respond_err(mut stream: &TcpStream, out: &mut Vec<u8>, code: ErrorCode, message: &str) {
+    let _ = write_reply(
+        &mut stream,
+        out,
+        &Reply::Query(&Response::err(code, message)),
+    );
 }
 
 /// A minimal blocking client for tests, the CLI and the benchmark.
 pub struct Client {
-    stream: TcpStream,
+    /// The connection, read through one buffer and written directly.
+    reader: BufReader<TcpStream>,
 }
 
 impl Client {
     pub fn connect(addr: SocketAddr) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
-        Ok(Client { stream })
+        Ok(Client {
+            reader: BufReader::new(stream),
+        })
     }
 
-    /// Send one JSON request and read one JSON response.
+    /// Send one JSON request and read one reply, its answers in `xml`.
     pub fn roundtrip(&mut self, request: &Value) -> std::io::Result<Value> {
-        write_frame(&mut self.stream, request.render().as_bytes())?;
-        let frame = read_frame(&mut self.stream)?.ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "server closed")
-        })?;
-        let text = String::from_utf8(frame)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        Value::parse(&text).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+        write_request(self.reader.get_mut(), request)?;
+        read_reply(&mut self.reader)?
+            .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "server closed"))
     }
 
-    /// The raw stream (for tests that need to misbehave on purpose).
+    /// The raw stream (for tests that need to misbehave on purpose). A
+    /// read through it bypasses the client's buffer, which holds nothing
+    /// between roundtrips.
     pub fn stream(&mut self) -> &mut TcpStream {
-        &mut self.stream
+        self.reader.get_mut()
     }
 }

@@ -989,7 +989,10 @@ impl ServeHandle {
 
 /// Parse a `kind` + source into an engine query. Uses the unchecked
 /// parsers: the engine's own static-analysis gate produces the structured
-/// `rejected` response for ill-formed programs.
+/// `rejected` response for ill-formed programs. A text that does not parse,
+/// in any of the three languages, is the caller's error: `Err` is its
+/// `bad-request` message. (An XPath query stays text; the engine parses it
+/// again when the query is prepared.)
 pub fn parse_query(kind: &str, query: &str) -> Result<QueryKind, String> {
     match kind {
         "xmlgl" => gql_xmlgl::dsl::parse_unchecked(query)
@@ -998,7 +1001,9 @@ pub fn parse_query(kind: &str, query: &str) -> Result<QueryKind, String> {
         "wglog" => gql_wglog::dsl::parse_unchecked(query)
             .map(QueryKind::WgLog)
             .map_err(|e| format!("WG-Log query does not parse: {e}")),
-        "xpath" => Ok(QueryKind::XPath(query.to_string())),
+        "xpath" => gql_xpath::parse(query)
+            .map(|_| QueryKind::XPath(query.to_string()))
+            .map_err(|e| format!("XPath query does not parse: {e}")),
         other => Err(format!("unknown query kind: {other}")),
     }
 }

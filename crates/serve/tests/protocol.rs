@@ -37,7 +37,8 @@ use gql_guard::fault::{self, FaultPlan};
 use gql_metrics::EventKind;
 use gql_serve::json::Value;
 use gql_serve::proto::{
-    decode_response, encode_request, encode_response, read_frame, write_frame, MAX_FRAME,
+    decode_response, encode_request, encode_response, read_frame, read_reply, write_frame,
+    MAX_FRAME,
 };
 use gql_serve::{
     Catalog, Client, Envelope, ErrorCode, Request, Response, Server, ServerConfig, Service,
@@ -161,11 +162,9 @@ fn pinned_cases_get_structured_responses_and_leave_the_connection_alive() {
     for case in load_proto_cases() {
         let mut client = Client::connect(server.addr()).expect("connect");
         write_frame(client.stream(), &case.payload).expect("send");
-        let frame = read_frame(client.stream())
+        let v = read_reply(client.stream())
             .unwrap_or_else(|e| panic!("{}: read failed: {e}", case.name))
             .unwrap_or_else(|| panic!("{}: server closed without replying", case.name));
-        let v = Value::parse(std::str::from_utf8(&frame).expect("utf8 reply"))
-            .unwrap_or_else(|e| panic!("{}: reply not JSON: {e}", case.name));
         let got_code = v
             .get("code")
             .and_then(Value::as_str)
@@ -304,8 +303,7 @@ fn pipelined_frames_on_one_connection_all_get_answers() {
     stream.flush().unwrap();
     let mut replies = Vec::new();
     for _ in 0..3 {
-        let frame = read_frame(&mut stream).expect("read").expect("reply");
-        replies.push(Value::parse(std::str::from_utf8(&frame).unwrap()).unwrap());
+        replies.push(read_reply(&mut stream).expect("read").expect("reply"));
     }
     assert_eq!(replies[0].get("ok").and_then(Value::as_bool), Some(true));
     assert_eq!(
@@ -336,8 +334,7 @@ fn pipelined_query_then_metrics_sees_the_query() {
     stream.flush().unwrap();
     let mut replies = Vec::new();
     for _ in 0..3 {
-        let frame = read_frame(&mut stream).expect("read").expect("reply");
-        replies.push(Value::parse(std::str::from_utf8(&frame).unwrap()).unwrap());
+        replies.push(read_reply(&mut stream).expect("read").expect("reply"));
     }
     assert_eq!(replies[0].get("ok").and_then(Value::as_bool), Some(true));
     let counters = replies[1].get("metrics").expect("counters view");
@@ -514,6 +511,47 @@ fn over_deep_reload_is_refused_and_the_connection_keeps_serving() {
     let deep = client.roundtrip(&query).expect("query at the bound");
     assert_eq!(deep.get("epoch").and_then(Value::as_u64), Some(2));
     assert_eq!(deep.get("result_count").and_then(Value::as_u64), Some(1));
+    server.shutdown();
+    service.shutdown();
+}
+
+/// A query text nested 100,000 deep, in XPath and in XML-GL, is refused by
+/// name where it once overflowed the connection thread's stack and took the
+/// process down; the same connection then answers a query.
+#[test]
+fn over_deep_query_texts_are_refused_and_the_server_keeps_answering() {
+    let (service, server) = test_server();
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let deep = 100_000;
+    let query = |kind: &str, text: &str| encode_request(&Request::new("t", "d", kind, text));
+    let xpath = format!("{}1{}", "(".repeat(deep), ")".repeat(deep));
+    let xmlgl = format!(
+        "rule {{ extract {{ {} a as $a {} }} construct {{ out {{ all $a }} }} }}",
+        "a { ".repeat(deep - 1),
+        "} ".repeat(deep - 1)
+    );
+    let bound = gql_ssdm::xml::MAX_QUERY_DEPTH;
+    for (kind, text) in [("xpath", &xpath), ("xmlgl", &xmlgl)] {
+        let reply = client
+            .roundtrip(&query(kind, text))
+            .expect("a reply, not a dead server");
+        let Response::Err(err) = decoded(&reply) else {
+            panic!("{kind}: {}", reply.render());
+        };
+        assert_eq!(err.code, ErrorCode::BadRequest, "{kind}: {}", err.message);
+        assert!(
+            err.message.contains(&format!(
+                "nested deeper than {bound} levels (xml::MAX_QUERY_DEPTH)"
+            )),
+            "{kind}: {}",
+            err.message
+        );
+    }
+    let answered = client
+        .roundtrip(&query("xpath", "count(//book)"))
+        .expect("the same connection still answers");
+    assert!(decoded(&answered).is_ok(), "{}", answered.render());
+    ping_works(&server);
     server.shutdown();
     service.shutdown();
 }

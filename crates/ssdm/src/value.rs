@@ -227,10 +227,19 @@ impl CmpOp {
     }
 }
 
+/// XML's four whitespace characters (XML 1.0 `S`, XPath 1.0 §3.7): the
+/// only ones a number read from a string, `normalize-space()` and the
+/// `id()` token split strip or split on. U+00A0 and the other Unicode
+/// spaces are content.
+pub fn is_xml_space(c: char) -> bool {
+    matches!(c, ' ' | '\t' | '\r' | '\n')
+}
+
 /// Parse an XPath-style number: optional sign, digits, optional fraction.
-/// Surrounding ASCII whitespace is ignored; anything else fails.
+/// Surrounding [XML whitespace](is_xml_space) is ignored; anything else
+/// fails.
 pub fn parse_number(s: &str) -> Option<f64> {
-    let t = s.trim();
+    let t = s.trim_matches(is_xml_space);
     if t.is_empty() {
         return None;
     }
@@ -390,6 +399,13 @@ mod tests {
 
     #[test]
     fn parse_number_edges() {
+        assert_eq!(parse_number(" \t\r\n5\n"), Some(5.0));
+        assert_eq!(
+            parse_number("\u{a0}5"),
+            None,
+            "U+00A0 is not XML whitespace"
+        );
+        assert_eq!(parse_number("5\u{2003}"), None);
         assert_eq!(parse_number("5."), Some(5.0));
         assert_eq!(parse_number("-5."), Some(-5.0));
         assert_eq!(parse_number("."), None);

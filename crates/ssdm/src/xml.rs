@@ -33,6 +33,17 @@ use crate::NodeId;
 /// 256.
 pub const MAX_DEPTH: usize = 1024;
 
+/// Deepest nesting a query text may have, in XPath and in the XML-GL DSL
+/// alike; a text that nests further is refused with a parse error naming
+/// this bound. Every stage a query goes through recurses per level —
+/// the parser, the analyzer, the planner, EXPLAIN, the evaluators and
+/// `Drop` — so, unlike a document's, a query's depth is bounded well below
+/// what a 2 MiB stack holds (`gql-serve`'s connection threads get 2 MiB):
+/// `tests/end_to_end.rs` runs each surface's deepest accepted query through
+/// every one of them on such a stack, in a debug build. How an XPath text
+/// and an XML-GL text count their levels is stated by their parsers.
+pub const MAX_QUERY_DEPTH: usize = 64;
+
 /// Parse an XML string into a [`Document`].
 pub fn parse(input: &str) -> Result<Document> {
     let mut tokens = Tokenizer::new(input);

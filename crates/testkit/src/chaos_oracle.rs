@@ -6,11 +6,14 @@
 //! stormed through the [`ResilientClient`] while a matrix of faults
 //! plays out underneath:
 //!
-//! * **torn replies** — the server writes half a frame and cuts the
+//! * **torn replies** — the server writes half a reply and cuts the
 //!   socket; the client must reconnect, retry with the same idempotency
-//!   key, and receive the original (deduplicated) answer;
+//!   key, and receive the original (deduplicated) answer. One torn reply
+//!   carries an answer over one frame, cut inside its first chunk, which
+//!   must never come back as a shorter answer;
 //! * **dropped replies** — the reply vanishes entirely (mid-stream
-//!   disconnect after the work completed);
+//!   disconnect after the work completed), once for that chunked answer
+//!   too;
 //! * **run panics** — an injected panic inside a wire run, on its
 //!   connection thread; the run is supervised, answered structurally, and
 //!   the thread keeps serving;
@@ -46,6 +49,7 @@ use std::time::{Duration, Instant};
 
 use gql_core::{CoreError, Engine, QueryKind};
 use gql_guard::fault::{self, FaultPlan};
+use gql_serve::service::parse_query;
 use gql_serve::{
     Catalog, ClientError, Envelope, ErrorCode, Request, ResilientClient, Response, RetryPolicy,
     ServeHandle, Server, ServerConfig, Service, Tenant, TenantRegistry,
@@ -94,7 +98,14 @@ const THREADS: usize = 4;
 const THROTTLED: &str = "throttled";
 const THROTTLED_RPS: u64 = 4;
 
-fn expected_err(e: &CoreError) -> Expected {
+fn expected_err(query: &QueryKind, e: &CoreError) -> Expected {
+    // An XPath text that does not parse is refused before it runs, by the
+    // service's parser front, with that front's message.
+    if let QueryKind::XPath(text) = query {
+        if let Err(msg) = parse_query("xpath", text) {
+            return Expected::Err(ErrorCode::BadRequest, msg);
+        }
+    }
     let code = match e {
         CoreError::Rejected { .. } => ErrorCode::Rejected,
         CoreError::Budget(_) => ErrorCode::Budget,
@@ -115,6 +126,31 @@ fn ghost_stall() -> FaultPlan {
         stall_round: Some(1),
         stall_ms: 400,
         ..FaultPlan::default()
+    }
+}
+
+/// Register a dataset whose answer to `//a` is over
+/// [`MAX_FRAME`](gql_serve::proto::MAX_FRAME) bytes, so that its reply
+/// leaves the server as a header and two chunks, and return that case.
+fn chunked_case(catalog: &mut Catalog) -> Prepared {
+    let item = format!("<a>{}</a>", "chunk ".repeat(20));
+    let doc_xml = format!("<r>{}</r>", item.repeat(9_000));
+    let doc = gql_ssdm::Document::parse_str(&doc_xml).expect("the chunked dataset parses");
+    let query = "//a".to_string();
+    let out = (Engine::new().run(&QueryKind::XPath(query.clone()), &doc)).expect("`//a` runs");
+    let xml = out.output.to_xml_string();
+    assert!(
+        xml.len() > gql_serve::proto::MAX_FRAME,
+        "{} bytes",
+        xml.len()
+    );
+    catalog.register("chunked", doc);
+    Prepared {
+        dataset: "chunked".into(),
+        kind: "xpath".into(),
+        query,
+        doc_xml,
+        expected: Expected::Xml(xml),
     }
 }
 
@@ -181,7 +217,7 @@ fn prepare(cases: &[(String, CorpusCase)]) -> (Catalog, Vec<Prepared>) {
         };
         let expected = match Engine::new().run(&query, &doc) {
             Ok(out) => Expected::Xml(out.output.to_xml_string()),
-            Err(e) => expected_err(&e),
+            Err(e) => expected_err(&query, &e),
         };
         catalog.register(name, doc);
         let kind = match query {
@@ -363,10 +399,11 @@ pub fn check_cases(
     wall_budget: Duration,
 ) -> Result<ChaosReport, String> {
     let started = Instant::now();
-    let (catalog, prepared) = prepare(cases);
+    let (mut catalog, prepared) = prepare(cases);
     if prepared.is_empty() {
         return Err("chaos oracle: no replayable cases (corpus missing?)".into());
     }
+    let chunked_case = chunked_case(&mut catalog);
 
     let mut tenants = TenantRegistry::new();
     for t in TENANTS {
@@ -414,10 +451,23 @@ pub fn check_cases(
     // Scenarios 2–4: the guard's reply and run seams, one token budget per
     // storm. Budgets stay below the client's attempt budget so a correct
     // retry loop always lands; `with_plan` serializes plans process-wide.
-    for (label, plan, allow_panic) in [
-        ("torn_replies", FaultPlan::torn_replies(4), false),
-        ("drop_replies", FaultPlan::drop_replies(4), false),
-        ("panic_jobs", FaultPlan::panic_jobs(3), true),
+    // The two reply faults then hit the one reply of a chunked answer: a
+    // single token, taken by that reply, tears it inside its first chunk or
+    // drops it whole, and the retry must bring back every byte.
+    for (label, plan, chunked, allow_panic) in [
+        (
+            "torn_replies",
+            FaultPlan::torn_replies(4),
+            Some(FaultPlan::torn_replies(1)),
+            false,
+        ),
+        (
+            "drop_replies",
+            FaultPlan::drop_replies(4),
+            Some(FaultPlan::drop_replies(1)),
+            false,
+        ),
+        ("panic_jobs", FaultPlan::panic_jobs(3), None, true),
     ] {
         let before = failures.lock().unwrap().len();
         fault::with_plan(plan, || {
@@ -431,6 +481,26 @@ pub fn check_cases(
                 &retries,
             );
         });
+        if let Some(plan) = chunked {
+            let retried = retries.load(Ordering::SeqCst);
+            fault::with_plan(plan, || {
+                storm(
+                    addr,
+                    std::slice::from_ref(&chunked_case),
+                    seed ^ 0xb16,
+                    false,
+                    &failures,
+                    &requests,
+                    &retries,
+                );
+            });
+            if retries.load(Ordering::SeqCst) == retried {
+                failures
+                    .lock()
+                    .unwrap()
+                    .push("the chunked answer's reply was never faulted".to_string());
+            }
+        }
         scenarios += 1;
         let mut fs = failures.lock().unwrap();
         for f in fs[before..].iter_mut() {
@@ -647,7 +717,8 @@ pub fn check_cases(
                     stat.name, stat.epoch, stat.admitted, stat.released
                 ));
             }
-            if stat.epoch < 2 {
+            // The reloader swaps the corpus datasets, not the chunked one.
+            if stat.epoch < 2 && stat.name != chunked_case.dataset {
                 failures.lock().unwrap().push(format!(
                     "[reload] {} never advanced past epoch {} under the reloader",
                     stat.name, stat.epoch

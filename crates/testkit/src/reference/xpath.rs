@@ -830,6 +830,39 @@ mod tests {
         assert_eq!(ids, want);
     }
 
+    /// Principal node types (§2.3) and XML's whitespace (§3.7) on one
+    /// document: the reference's answer, and the evaluator's, is pinned for
+    /// each probe. The document's U+00A0 is content, not whitespace.
+    #[test]
+    fn the_evaluator_agrees_on_principal_types_and_xml_whitespace() {
+        let d = Document::parse_str("<r><a k='1'><b>x&#160;y</b></a><c>&#160;5</c></r>").unwrap();
+        let both = |src: &str| {
+            let expr = gql_xpath::parse(src).unwrap();
+            let fast = gql_xpath::evaluate(&d, &expr).unwrap();
+            (evaluate(&d, &expr).unwrap(), fast)
+        };
+        for (src, want) in [
+            ("count(//@k/self::*)", XValue::Num(0.0)),
+            ("count(//@*/self::k)", XValue::Num(0.0)),
+            ("count(//@k/self::node())", XValue::Num(1.0)),
+            ("count(//@k/ancestor-or-self::*)", XValue::Num(2.0)),
+            ("count(//@k/ancestor-or-self::node())", XValue::Num(4.0)),
+            ("count(//@*[self::k])", XValue::Num(0.0)),
+            ("normalize-space(//b)", XValue::Str("x\u{a0}y".into())),
+            ("//c > 4", XValue::Bool(false)),
+            ("count(id('x\u{a0}y'))", XValue::Num(0.0)),
+        ] {
+            let (reference, fast) = both(src);
+            assert_eq!(reference, want, "{src}: the reference");
+            assert_eq!(fast, want, "{src}: the evaluator");
+        }
+        let (reference, fast) = both("number(//c)");
+        assert!(
+            matches!((reference, fast), (XValue::Num(a), XValue::Num(b)) if a.is_nan() && b.is_nan()),
+            "number(//c)"
+        );
+    }
+
     #[test]
     fn errors_are_errors() {
         let d = Document::parse_str("<r/>").unwrap();

@@ -16,6 +16,10 @@
 //!   caches: the very next identical request completes byte-identical to
 //!   baseline.
 //!
+//! [`check_over_the_wire`] holds one query's served answer to the direct
+//! run's over a real socket, through both clients: the path on which an
+//! answer is split into chunks.
+//!
 //! Budget-bearing corpus cases are excluded: they are pathological by
 //! construction (exploding fixpoints) and exist to test the guard, not
 //! the service.
@@ -25,7 +29,13 @@ use std::sync::{Arc, Mutex};
 
 use gql_core::{CoreError, Engine, QueryKind};
 use gql_guard::CancelToken;
-use gql_serve::{Catalog, Envelope, ErrorCode, Request, Response, Service, TenantRegistry};
+use gql_serve::proto::{decode_response, encode_request};
+use gql_serve::service::parse_query;
+use gql_serve::{
+    Catalog, Client, Envelope, ErrorCode, Request, ResilientClient, Response, RetryPolicy, Server,
+    Service, TenantRegistry,
+};
+use gql_ssdm::Document;
 
 use crate::corpus::CorpusCase;
 use crate::oracle;
@@ -69,7 +79,14 @@ const STORM_ROUNDS: usize = 4;
 
 /// Map a baseline engine error to the structured response the service
 /// must produce for the same query.
-fn expected_err(e: &CoreError) -> Expected {
+fn expected_err(query: &QueryKind, e: &CoreError) -> Expected {
+    // An XPath text that does not parse is refused before it runs, by the
+    // service's parser front, with that front's message.
+    if let QueryKind::XPath(text) = query {
+        if let Err(msg) = parse_query("xpath", text) {
+            return Expected::Err(ErrorCode::BadRequest, msg);
+        }
+    }
     let code = match e {
         CoreError::Rejected { .. } => ErrorCode::Rejected,
         CoreError::Budget(_) => ErrorCode::Budget,
@@ -138,7 +155,7 @@ pub fn check_cases_concurrently(
                 xml: out.output.to_xml_string(),
                 plan: out.plan,
             },
-            Err(e) => expected_err(&e),
+            Err(e) => expected_err(&query, &e),
         };
         catalog.register(name, doc);
         let kind = match query {
@@ -241,10 +258,11 @@ pub fn check_cases_concurrently(
                 }
             }
             // Static analysis refuses a program before the run's first
-            // checkpoint: cancelled or not, it is `rejected`.
+            // checkpoint, and the parser a text before it is admitted:
+            // cancelled or not, it is `rejected` or `bad-request`.
             Response::Err(e)
-                if e.code == ErrorCode::Rejected
-                    && matches!(case.expected, Expected::Err(ErrorCode::Rejected, _)) => {}
+                if matches!(e.code, ErrorCode::Rejected | ErrorCode::BadRequest)
+                    && matches!(&case.expected, Expected::Err(code, _) if *code == e.code) => {}
             other => failures.push(format!(
                 "{}: pre-cancelled run should trip `cancelled`, got {other:?}",
                 case.dataset
@@ -325,6 +343,60 @@ pub fn check_cases_concurrently(
         })
     } else {
         failures.truncate(10);
+        Err(failures.join("\n"))
+    }
+}
+
+/// The served-vs-direct check over a socket, for answers of any size:
+/// `query` (of `kind`) over `doc`, sent through a real [`Server`] once by
+/// [`Client::roundtrip`] and once by [`ResilientClient::query`], must come
+/// back byte-identical to a fresh single-threaded [`Engine::run`], answer
+/// and plan. Returns the answer's length in bytes.
+pub fn check_over_the_wire(doc: Document, kind: &str, query: &str) -> Result<usize, String> {
+    let parsed = parse_query(kind, query)?;
+    let direct = Engine::new()
+        .run(&parsed, &doc)
+        .map_err(|e| format!("the direct run failed: {e}"))?;
+    let (xml, plan) = (direct.output.to_xml_string(), direct.plan);
+
+    let mut catalog = Catalog::new();
+    catalog.register("d", doc);
+    let mut tenants = TenantRegistry::new();
+    tenants.register(TENANTS[0], Envelope::slots(2));
+    let service = Service::builder()
+        .workers(1)
+        .catalog(catalog)
+        .tenants(tenants)
+        .build();
+    let server = Server::bind("127.0.0.1:0", service.handle())
+        .map_err(|e| format!("cannot bind a server: {e}"))?;
+    let req = Request::new(TENANTS[0], "d", kind, query);
+    let mut failures = Vec::new();
+    let mut check = |how: &str, resp: Result<Response, String>| match resp {
+        Ok(Response::Ok(ok)) if ok.xml == xml && ok.plan == plan => {}
+        Ok(Response::Ok(ok)) => failures.push(format!(
+            "{how}: the served answer ({} bytes) or plan differs from the direct run's ({} bytes)",
+            ok.xml.len(),
+            xml.len()
+        )),
+        Ok(Response::Err(e)) => failures.push(format!("{how}: {}: {}", e.code.name(), e.message)),
+        Err(e) => failures.push(format!("{how}: {e}")),
+    };
+    let plain = Client::connect(server.addr())
+        .and_then(|mut client| client.roundtrip(&encode_request(&req)))
+        .map_err(|e| e.to_string())
+        .and_then(|reply| decode_response(&reply));
+    check("Client::roundtrip", plain);
+    let mut resilient = ResilientClient::new(server.addr(), RetryPolicy::default());
+    check(
+        "ResilientClient::query",
+        resilient.query(&req).map_err(|e| e.to_string()),
+    );
+    server.shutdown();
+    service.shutdown();
+    if failures.is_empty() {
+        Ok(xml.len())
+    } else {
         Err(failures.join("\n"))
     }
 }

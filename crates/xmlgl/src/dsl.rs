@@ -39,6 +39,7 @@ use crate::ast::{
     Predicate, Program, QEdge, QNode, QNodeId, QNodeKind, Rule, Span,
 };
 use crate::{Result, XmlGlError};
+use gql_ssdm::xml::MAX_QUERY_DEPTH;
 
 // ----------------------------------------------------------------------
 // Lexer
@@ -275,10 +276,16 @@ pub fn parse(src: &str) -> Result<Program> {
 /// Parse without running the well-formedness checks. This is the static
 /// analyzer's entry point: it wants the AST of ill-formed programs so it
 /// can report *all* their problems as structured diagnostics, not just the
-/// first one as a parse failure.
+/// first one as a parse failure. A root box is one level deep and a box in
+/// its body one deeper; a program whose extract or construct part nests
+/// past [`MAX_QUERY_DEPTH`] levels is refused.
 pub fn parse_unchecked(src: &str) -> Result<Program> {
     let tokens = Lexer::new(src).tokenize()?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let mut rules = Vec::new();
     while !p.eof() {
         rules.push(p.parse_rule()?);
@@ -309,6 +316,8 @@ pub fn parse_rule(src: &str) -> Result<Rule> {
 struct Parser {
     tokens: Vec<(Tok, u32, u32)>,
     pos: usize,
+    /// Boxes open around the current token, the one being parsed included.
+    depth: usize,
 }
 
 impl Parser {
@@ -459,8 +468,27 @@ impl Parser {
         })
     }
 
+    /// Run `f` one box deeper: a box nested past [`MAX_QUERY_DEPTH`] in
+    /// the extract or the construct part is refused, by name.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        self.depth += 1;
+        let out = if self.depth > MAX_QUERY_DEPTH {
+            Err(self.err_here(format!(
+                "box nested deeper than {MAX_QUERY_DEPTH} levels (xml::MAX_QUERY_DEPTH)"
+            )))
+        } else {
+            f(self)
+        };
+        self.depth -= 1;
+        out
+    }
+
     /// Parse one query node (with optional binding, predicate, body).
     fn parse_qnode(&mut self, g: &mut ExtractGraph) -> Result<QNodeId> {
+        self.nested(|p| p.parse_qnode_inner(g))
+    }
+
+    fn parse_qnode_inner(&mut self, g: &mut ExtractGraph) -> Result<QNodeId> {
         let span = self.here();
         let kind = if self.eat(&Tok::At) {
             QNodeKind::Attribute(self.expect_ident()?)
@@ -586,7 +614,7 @@ impl Parser {
     /// Parse one construct node, stamping its source position.
     fn parse_cnode(&mut self, g: &mut ConstructGraph, q: &ExtractGraph) -> Result<CNodeId> {
         let span = self.here();
-        let id = self.parse_cnode_inner(g, q)?;
+        let id = self.nested(|p| p.parse_cnode_inner(g, q))?;
         g.node_mut(id).span = span;
         Ok(id)
     }
@@ -879,6 +907,38 @@ mod tests {
           }
         }
     "#;
+
+    /// Boxes nest up to `MAX_QUERY_DEPTH` levels in either part of a rule,
+    /// and one more is refused by name, as is a text 100,000 boxes deep.
+    #[test]
+    fn box_nesting_is_bounded_by_name() {
+        let m = MAX_QUERY_DEPTH;
+        let extract = |n: usize| {
+            format!(
+                "rule {{ extract {{ {} a as $a {} }} construct {{ out {{ all $a }} }} }}",
+                "a { ".repeat(n - 1),
+                "} ".repeat(n - 1)
+            )
+        };
+        let construct = |n: usize| {
+            format!(
+                "rule {{ extract {{ a as $a }} construct {{ {} all $a {} }} }}",
+                "o { ".repeat(n - 1),
+                "} ".repeat(n - 1)
+            )
+        };
+        let refusal = format!("nested deeper than {m} levels (xml::MAX_QUERY_DEPTH)");
+        for (part, text) in [
+            ("extract", &extract as &dyn Fn(usize) -> String),
+            ("construct", &construct),
+        ] {
+            assert!(parse(&text(m)).is_ok(), "{part} at the bound");
+            for n in [m + 1, 100_000] {
+                let err = parse(&text(n)).unwrap_err().to_string();
+                assert!(err.contains(&refusal), "{part}, {n} deep: {err}");
+            }
+        }
+    }
 
     #[test]
     fn parses_sample() {

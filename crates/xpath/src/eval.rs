@@ -1046,7 +1046,8 @@ fn apply_step<'d>(
                 out.extend(candidates(doc, ctx_item, step.axis, test));
             } else {
                 axis_items(doc, ctx_item, step.axis, &mut out);
-                retain_tail(&mut out, from, |_, x| Ok(test.matches(doc, x)))?;
+                let principal = Principal::of(step.axis);
+                retain_tail(&mut out, from, |_, x| Ok(test.matches(doc, x, principal)))?;
             }
             if let Some(s) = stats.as_deref_mut() {
                 s.scanned_items += (out.len() - from) as u64;
@@ -1130,7 +1131,9 @@ fn local_axis(axis: Axis) -> bool {
 /// what [`walk`] visits.
 fn candidates(doc: &Document, item: Item, axis: Axis, test: Test) -> Candidates<'_> {
     match (axis, item) {
-        (Axis::SelfAxis, _) => Candidates::One(Some(item).filter(|&i| test.matches(doc, i))),
+        (Axis::SelfAxis, _) => {
+            Candidates::One(Some(item).filter(|&i| test.matches(doc, i, Principal::Element)))
+        }
         (Axis::Child, Item::Node(node)) => Candidates::Children {
             doc,
             test,
@@ -1177,7 +1180,7 @@ impl Iterator for Candidates<'_> {
     fn next(&mut self) -> Option<Item> {
         match self {
             Candidates::Children { doc, test, rest } => {
-                rest.map(|&c| Item::Node(c)).find(|&c| test.matches(doc, c))
+                (rest.map(|&c| Item::Node(c))).find(|&c| test.matches(doc, c, Principal::Element))
             }
             Candidates::Attrs { owner, rest } => (rest.next()).map(|index| Item::Attr {
                 owner: *owner,
@@ -1293,6 +1296,23 @@ fn ancestors_or_self(doc: &Document, first: Option<NodeId>, out: &mut Vec<Item>)
     }
 }
 
+/// The node type an axis's `*` and name tests select (§2.3): attribute on
+/// the attribute axis, element on every other.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Principal {
+    Element,
+    Attribute,
+}
+
+impl Principal {
+    fn of(axis: Axis) -> Principal {
+        match axis {
+            Axis::Attribute => Principal::Attribute,
+            _ => Principal::Element,
+        }
+    }
+}
+
 /// A node test resolved against the document once per step: a name test
 /// compares symbols, and a name the document never interned matches
 /// nothing.
@@ -1301,9 +1321,7 @@ enum Test {
     Node,
     Text,
     Comment,
-    /// `*`: any element, and any attribute item (the principal node type
-    /// of the attribute axis; the self and ancestor-or-self axes of an
-    /// attribute yield it too).
+    /// `*`: any node of the axis's principal node type.
     Any,
     Name(Option<Symbol>),
 }
@@ -1319,11 +1337,20 @@ impl Test {
         }
     }
 
-    fn matches(self, doc: &Document, item: Item) -> bool {
+    /// Does `item`, found along an axis of `principal` node type, pass?
+    /// `*` and a name test select that type only (§2.3): an attribute item
+    /// that the self or ancestor-or-self axis yields passes `node()` and
+    /// nothing else.
+    fn matches(self, doc: &Document, item: Item, principal: Principal) -> bool {
         match item {
             Item::Attr { owner, index } => match self {
-                Test::Node | Test::Any => true,
-                Test::Name(sym) => sym.is_some() && doc.attr_syms(owner).nth(index) == sym,
+                Test::Node => true,
+                Test::Any => principal == Principal::Attribute,
+                Test::Name(sym) => {
+                    principal == Principal::Attribute
+                        && sym.is_some()
+                        && doc.attr_syms(owner).nth(index) == sym
+                }
                 Test::Text | Test::Comment => false,
             },
             Item::Node(node) => {

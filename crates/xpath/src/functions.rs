@@ -1,5 +1,6 @@
 //! The XPath 1.0 core function library.
 
+use gql_ssdm::value::is_xml_space;
 use gql_ssdm::Document;
 
 use crate::eval::{string_value, Item, View, XValue};
@@ -125,10 +126,10 @@ pub(crate) fn call(
             match &arg {
                 XValue::Nodes(ns) => {
                     for &n in ns {
-                        tokens.extend(string_value(doc, n).split_whitespace().map(str::to_string));
+                        tokens.extend(words(&string_value(doc, n)).map(str::to_string));
                     }
                 }
-                other => tokens.extend(other.string(doc).split_whitespace().map(str::to_string)),
+                other => tokens.extend(words(&other.string(doc)).map(str::to_string)),
             }
             let refs = caches.refs(doc);
             let mut hits: Vec<Item> = tokens
@@ -179,9 +180,7 @@ pub(crate) fn call(
             } else {
                 string_value(doc, item).into_owned()
             };
-            Ok(XValue::Str(
-                s.split_whitespace().collect::<Vec<_>>().join(" "),
-            ))
+            Ok(XValue::Str(words(&s).collect::<Vec<_>>().join(" ")))
         }
         ("substring-before", 2) => {
             let hay = next().string(doc);
@@ -243,6 +242,12 @@ fn item_name(doc: &Document, item: Item) -> String {
             .map(|(n, _)| n.to_string())
             .unwrap_or_default(),
     }
+}
+
+/// The words of `s`, split on XML whitespace (§3.7) — not on U+00A0 or the
+/// other Unicode spaces, which are content.
+fn words(s: &str) -> impl Iterator<Item = &str> {
+    s.split(is_xml_space).filter(|w| !w.is_empty())
 }
 
 /// XPath `round` (§4.4): the closest integer, the one towards +∞ of two

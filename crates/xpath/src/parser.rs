@@ -5,15 +5,24 @@
 use crate::ast::{Axis, BinOp, Expr, LocationPath, NodeTest, Step};
 use crate::lexer::{tokenize_spanned, Token};
 use crate::{Result, XPathError};
+use gql_ssdm::xml::MAX_QUERY_DEPTH;
 
 /// Parse an XPath expression.
+///
+/// A text is refused past [`MAX_QUERY_DEPTH`] levels of nesting. A literal,
+/// a number and a step are one level; an operator, a function call and a
+/// unary minus are one above their deepest operand; a location path is as
+/// deep as its steps' depths added up, and a step as one plus its
+/// predicates' depths. Brackets that add no level still count as they
+/// open: no more than the bound may be open at once.
 pub fn parse(input: &str) -> Result<Expr> {
     let mut p = Parser {
         tokens: tokenize_spanned(input)?,
         end: input.chars().count(),
         pos: 0,
+        open: 0,
     };
-    let expr = p.parse_or()?;
+    let (expr, _) = p.parse_or()?;
     if !p.eof() {
         return Err(p.err(format!("trailing input starting at {}", p.peek_describe())));
     }
@@ -26,7 +35,12 @@ struct Parser {
     /// Character length of the input, reported for errors at end of input.
     end: usize,
     pos: usize,
+    /// Brackets (and unary minuses) open around the current token.
+    open: usize,
 }
+
+/// A parsed expression and its depth (see [`parse`]).
+type Nested = (Expr, usize);
 
 impl Parser {
     /// Offset of the token about to be consumed (input end at EOF).
@@ -108,27 +122,54 @@ impl Parser {
         matches!(self.peek(), Some(Token::Name(n)) if n == kw)
     }
 
-    fn parse_or(&mut self) -> Result<Expr> {
+    /// `depth` if it is within [`MAX_QUERY_DEPTH`], else the parse error
+    /// that names the bound.
+    fn within(&self, depth: usize) -> Result<usize> {
+        if depth > MAX_QUERY_DEPTH {
+            return Err(self.err(format!(
+                "query nested deeper than {MAX_QUERY_DEPTH} levels (xml::MAX_QUERY_DEPTH)"
+            )));
+        }
+        Ok(depth)
+    }
+
+    /// Run `f` one bracket (or one unary minus) deeper. The count of open
+    /// brackets is bounded on the way down, so that the parser's own
+    /// recursion stops at the bound before any node is built.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        self.open += 1;
+        let out = self.within(self.open).and_then(|_| f(self));
+        self.open -= 1;
+        out
+    }
+
+    /// `lhs op rhs`, one level above the deeper operand.
+    fn binary(&self, op: BinOp, (lhs, l): Nested, (rhs, r): Nested) -> Result<Nested> {
+        let depth = self.within(1 + l.max(r))?;
+        Ok((Expr::Binary(op, Box::new(lhs), Box::new(rhs)), depth))
+    }
+
+    fn parse_or(&mut self) -> Result<Nested> {
         let mut lhs = self.parse_and()?;
         while self.at_keyword("or") {
             self.bump();
             let rhs = self.parse_and()?;
-            lhs = Expr::Binary(BinOp::Or, Box::new(lhs), Box::new(rhs));
+            lhs = self.binary(BinOp::Or, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn parse_and(&mut self) -> Result<Expr> {
+    fn parse_and(&mut self) -> Result<Nested> {
         let mut lhs = self.parse_equality()?;
         while self.at_keyword("and") {
             self.bump();
             let rhs = self.parse_equality()?;
-            lhs = Expr::Binary(BinOp::And, Box::new(lhs), Box::new(rhs));
+            lhs = self.binary(BinOp::And, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn parse_equality(&mut self) -> Result<Expr> {
+    fn parse_equality(&mut self) -> Result<Nested> {
         let mut lhs = self.parse_relational()?;
         loop {
             let op = match self.peek() {
@@ -138,12 +179,12 @@ impl Parser {
             };
             self.bump();
             let rhs = self.parse_relational()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
+            lhs = self.binary(op, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn parse_relational(&mut self) -> Result<Expr> {
+    fn parse_relational(&mut self) -> Result<Nested> {
         let mut lhs = self.parse_additive()?;
         loop {
             let op = match self.peek() {
@@ -155,12 +196,12 @@ impl Parser {
             };
             self.bump();
             let rhs = self.parse_additive()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
+            lhs = self.binary(op, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn parse_additive(&mut self) -> Result<Expr> {
+    fn parse_additive(&mut self) -> Result<Nested> {
         let mut lhs = self.parse_multiplicative()?;
         loop {
             let op = match self.peek() {
@@ -170,12 +211,12 @@ impl Parser {
             };
             self.bump();
             let rhs = self.parse_multiplicative()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
+            lhs = self.binary(op, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn parse_multiplicative(&mut self) -> Result<Expr> {
+    fn parse_multiplicative(&mut self) -> Result<Nested> {
         let mut lhs = self.parse_unary()?;
         loop {
             let op = match self.peek() {
@@ -186,26 +227,28 @@ impl Parser {
             };
             self.bump();
             let rhs = self.parse_unary()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
+            lhs = self.binary(op, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn parse_unary(&mut self) -> Result<Expr> {
+    fn parse_unary(&mut self) -> Result<Nested> {
         if self.eat(&Token::Minus) {
-            Ok(Expr::Neg(Box::new(self.parse_unary()?)))
+            let (e, depth) = self.nested(Self::parse_unary)?;
+            Ok((Expr::Neg(Box::new(e)), self.within(depth + 1)?))
         } else {
             self.parse_union()
         }
     }
 
-    fn parse_union(&mut self) -> Result<Expr> {
-        let mut lhs = self.parse_path_expr()?;
+    fn parse_union(&mut self) -> Result<Nested> {
+        let (mut lhs, mut depth) = self.parse_path_expr()?;
         while self.eat(&Token::Pipe) {
-            let rhs = self.parse_path_expr()?;
+            let (rhs, r) = self.parse_path_expr()?;
+            depth = self.within(1 + depth.max(r))?;
             lhs = Expr::Union(Box::new(lhs), Box::new(rhs));
         }
-        Ok(lhs)
+        Ok((lhs, depth))
     }
 
     /// Does the next token begin a *filter* (non-location-path) primary?
@@ -222,53 +265,57 @@ impl Parser {
         }
     }
 
-    fn parse_path_expr(&mut self) -> Result<Expr> {
+    fn parse_path_expr(&mut self) -> Result<Nested> {
         if self.at_filter_primary() {
-            let primary = self.parse_primary()?;
+            let (primary, mut depth) = self.parse_primary()?;
             // Optional trailing steps: primary '/' relative-path.
             let mut steps = Vec::new();
             loop {
                 if self.eat(&Token::DoubleSlash) {
                     steps.push(Step::new(Axis::DescendantOrSelf, NodeTest::Node));
-                    steps.push(self.parse_step()?);
-                } else if self.eat(&Token::Slash) {
-                    steps.push(self.parse_step()?);
-                } else {
+                    depth = self.within(depth + 1)?;
+                } else if !self.eat(&Token::Slash) {
                     break;
                 }
+                let (step, d) = self.parse_step()?;
+                steps.push(step);
+                depth = self.within(depth + d)?;
             }
             if steps.is_empty() {
-                Ok(primary)
+                Ok((primary, depth))
             } else {
-                Ok(Expr::FilterPath(Box::new(primary), steps))
+                Ok((Expr::FilterPath(Box::new(primary), steps), depth))
             }
         } else {
-            Ok(Expr::Path(self.parse_location_path()?))
+            let (path, depth) = self.parse_location_path()?;
+            Ok((Expr::Path(path), depth))
         }
     }
 
-    fn parse_primary(&mut self) -> Result<Expr> {
+    fn parse_primary(&mut self) -> Result<Nested> {
         match self.bump() {
             Some(Token::LParen) => {
-                let e = self.parse_or()?;
+                let e = self.nested(Self::parse_or)?;
                 self.expect(&Token::RParen)?;
                 Ok(e)
             }
-            Some(Token::Literal(s)) => Ok(Expr::Literal(s)),
-            Some(Token::Number(n)) => Ok(Expr::Number(n)),
+            Some(Token::Literal(s)) => Ok((Expr::Literal(s), 1)),
+            Some(Token::Number(n)) => Ok((Expr::Number(n), 1)),
             Some(Token::Name(name)) => {
                 self.expect(&Token::LParen)?;
-                let mut args = Vec::new();
+                let (mut args, mut depth) = (Vec::new(), 1);
                 if !self.eat(&Token::RParen) {
                     loop {
-                        args.push(self.parse_or()?);
+                        let (arg, d) = self.nested(Self::parse_or)?;
+                        args.push(arg);
+                        depth = self.within(depth.max(d + 1))?;
                         if self.eat(&Token::RParen) {
                             break;
                         }
                         self.expect(&Token::Comma)?;
                     }
                 }
-                Ok(Expr::Call(name, args))
+                Ok((Expr::Call(name, args), depth))
             }
             Some(other) => Err(self.err_before(format!(
                 "expected a primary expression, found {}",
@@ -278,37 +325,42 @@ impl Parser {
         }
     }
 
-    fn parse_location_path(&mut self) -> Result<LocationPath> {
+    /// A location path and its depth: its steps' depths added up, since a
+    /// path's steps are a chain in every stage that walks it.
+    fn parse_location_path(&mut self) -> Result<(LocationPath, usize)> {
         let mut steps = Vec::new();
+        let mut depth = 0;
         let absolute = if self.eat(&Token::DoubleSlash) {
             steps.push(Step::new(Axis::DescendantOrSelf, NodeTest::Node));
+            depth = 1;
             true
         } else if self.eat(&Token::Slash) {
             // Bare "/" selects the document node.
-            if self.at_step_start() {
-                // fallthrough to parse steps
-            } else {
-                return Ok(LocationPath {
-                    absolute: true,
-                    steps,
-                });
+            if !self.at_step_start() {
+                return Ok((
+                    LocationPath {
+                        absolute: true,
+                        steps,
+                    },
+                    1,
+                ));
             }
             true
         } else {
             false
         };
-        steps.push(self.parse_step()?);
         loop {
+            let (step, d) = self.parse_step()?;
+            steps.push(step);
+            depth = self.within(depth + d)?;
             if self.eat(&Token::DoubleSlash) {
                 steps.push(Step::new(Axis::DescendantOrSelf, NodeTest::Node));
-                steps.push(self.parse_step()?);
-            } else if self.eat(&Token::Slash) {
-                steps.push(self.parse_step()?);
-            } else {
+                depth = self.within(depth + 1)?;
+            } else if !self.eat(&Token::Slash) {
                 break;
             }
         }
-        Ok(LocationPath { absolute, steps })
+        Ok((LocationPath { absolute, steps }, depth))
     }
 
     fn at_step_start(&self) -> bool {
@@ -318,12 +370,13 @@ impl Parser {
         )
     }
 
-    fn parse_step(&mut self) -> Result<Step> {
+    /// A step and its depth: one, and its predicates' depths added up.
+    fn parse_step(&mut self) -> Result<(Step, usize)> {
         if self.eat(&Token::Dot) {
-            return Ok(Step::new(Axis::SelfAxis, NodeTest::Node));
+            return Ok((Step::new(Axis::SelfAxis, NodeTest::Node), 1));
         }
         if self.eat(&Token::DotDot) {
-            return Ok(Step::new(Axis::Parent, NodeTest::Node));
+            return Ok((Step::new(Axis::Parent, NodeTest::Node), 1));
         }
         let axis = if self.eat(&Token::At) {
             Axis::Attribute
@@ -374,12 +427,14 @@ impl Parser {
             None => return Err(self.err("expected a node test, found end of input")),
         };
         let mut step = Step::new(axis, test);
+        let mut depth = 1;
         while self.eat(&Token::LBracket) {
-            let pred = self.parse_or()?;
+            let (pred, d) = self.nested(Self::parse_or)?;
             self.expect(&Token::RBracket)?;
             step.predicates.push(pred);
+            depth = self.within(depth + d)?;
         }
-        Ok(step)
+        Ok((step, depth))
     }
 }
 
@@ -543,6 +598,37 @@ mod tests {
             "1 1",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    /// Each way to nest is accepted up to `MAX_QUERY_DEPTH` levels and
+    /// refused one past it, by name; a text 100,000 levels deep is refused
+    /// before the parser's recursion gets far.
+    #[test]
+    fn nesting_is_bounded_by_name() {
+        let m = MAX_QUERY_DEPTH;
+        type Shape = (&'static str, fn(usize) -> String);
+        let shapes: [Shape; 6] = [
+            ("brackets", |n| {
+                format!("{}1{}", "(".repeat(n), ")".repeat(n))
+            }),
+            ("predicates", |n| {
+                format!("{}a{}", "a[".repeat(n - 1), "]".repeat(n - 1))
+            }),
+            ("minuses", |n| format!("{}1", "-".repeat(n - 1))),
+            ("operators", |n| vec!["1"; n].join(" or ")),
+            ("steps", |n| vec!["a"; n].join("/")),
+            ("calls", |n| {
+                format!("{}1{}", "count(".repeat(n - 1), ")".repeat(n - 1))
+            }),
+        ];
+        let refusal = format!("nested deeper than {m} levels (xml::MAX_QUERY_DEPTH)");
+        for (shape, text) in shapes {
+            assert!(parse(&text(m)).is_ok(), "{shape} at the bound");
+            let err = parse(&text(m + 1)).unwrap_err().to_string();
+            assert!(err.contains(&refusal), "{shape} past the bound: {err}");
+            let err = parse(&text(100_000)).unwrap_err().to_string();
+            assert!(err.contains(&refusal), "{shape}, 100,000 deep: {err}");
         }
     }
 

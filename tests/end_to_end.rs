@@ -443,6 +443,81 @@ fn a_document_at_the_nesting_bound_fits_a_2_mib_stack_in_every_layer() {
         .expect("no layer overflows the stack at the bound");
 }
 
+/// What `xml::MAX_QUERY_DEPTH` was chosen by: each nesting surface's
+/// deepest accepted query, in every shape its parser counts, goes through
+/// the analyzer (with a summary, so inference runs), the planner, EXPLAIN in
+/// both renderings, an engine run, the DSL printer, the translator and
+/// `Drop`, on a thread with the 2 MiB stack that `gql-serve`'s connection
+/// threads get. WG-Log's grammar does not nest, so it has no bound to test.
+#[test]
+fn a_query_at_the_nesting_bound_fits_a_2_mib_stack_in_every_stage() {
+    let through_every_stage = || {
+        let m = gql::ssdm::xml::MAX_QUERY_DEPTH;
+        // A chain of `a`s as deep as the bound, so that every level matches.
+        let doc = Document::parse_str(&format!("<r>{}x{}</r>", "<a>".repeat(m), "</a>".repeat(m)))
+            .unwrap();
+        let analyzer = gql::analyze::Analyzer::new().with_summary(gql::ssdm::Summary::build(&doc));
+        let engine = Engine::new();
+        let run = |query: QueryKind| {
+            let outcome = engine.run_profiled(&query, &doc).expect("runs");
+            assert!(!outcome.plan.is_empty());
+            assert!(outcome.profile.is_some());
+            outcome.output.to_xml_string()
+        };
+        let chain = |n: usize, item: &str, sep: &str| vec![item; n].join(sep);
+        let xpaths = [
+            format!("{}//a{}", "(".repeat(m), ")".repeat(m)),
+            format!("//{}a{}", "a[".repeat(m - 2), "]".repeat(m - 2)),
+            format!("{}1", "-".repeat(m - 1)),
+            chain(m, "1", " + "),
+            chain(m / 2, "//a", " | "),
+            format!("/r/{}", chain(m - 1, "a", "/")),
+            format!("{}1{}", "boolean(".repeat(m - 1), ")".repeat(m - 1)),
+        ];
+        for text in xpaths {
+            gql::xpath::parse(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
+            let report = analyzer.analyze_xpath_src(&text);
+            assert!(!report.has_errors(), "{text}: {report:?}");
+            let answer = run(QueryKind::XPath(text.clone()));
+            assert!(!answer.is_empty(), "{text}");
+        }
+        let rules = [
+            format!(
+                "rule {{ extract {{ r {{ {} a as $a {} }} }} construct {{ out {{ all $a }} }} }}",
+                "a { ".repeat(m - 2),
+                "} ".repeat(m - 2)
+            ),
+            format!(
+                "rule {{ extract {{ a as $a }} construct {{ {} all $a {} }} }}",
+                "o { ".repeat(m - 1),
+                "} ".repeat(m - 1)
+            ),
+        ];
+        for text in rules {
+            let report = analyzer.analyze_xmlgl_src(&text);
+            assert!(!report.has_errors(), "{report:?}");
+            let program = gql::xmlgl::dsl::parse(&text).expect("accepted");
+            assert_eq!(
+                gql::xmlgl::dsl::print(&program).matches('{').count(),
+                text.matches('{').count()
+            );
+            let _ = translate::xmlgl_to_wglog(&program.rules[0]);
+            let answer = run(QueryKind::XmlGl(program));
+            assert!(
+                answer.contains("<a>"),
+                "{}",
+                &answer[..answer.len().min(80)]
+            );
+        }
+    };
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(through_every_stage)
+        .expect("spawns")
+        .join()
+        .expect("no stage overflows the stack at the bound");
+}
+
 /// A preloaded engine never answers from structures built for an earlier
 /// state of the document: a `set_attr` in place on the last restaurant of a
 /// 200-restaurant guide leaves the node count and the root level as they
