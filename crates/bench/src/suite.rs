@@ -422,7 +422,7 @@ mod tests {
         let program = q.wglog_program().expect("Q10 has a WG-Log formulation");
         let db = gql_wglog::instance::Instance::from_document(&doc);
         let out = gql_wglog::eval::run(&program, &db).expect("Q10 runs");
-        let peers = out.edges().filter(|e| &*e.label == "peer").count();
+        let peers = out.edges().filter(|e| e.label == "peer").count();
         assert!(peers > 0, "closure derived nothing");
     }
 

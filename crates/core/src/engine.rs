@@ -218,7 +218,10 @@ impl Engine {
     /// Pre-load a WG-Log instance and build the shared [`DocIndex`] so
     /// subsequent runs against the same document skip both the load phase
     /// and the per-query index build (the "resident database"
-    /// configuration). Also builds the document's serialized image
+    /// configuration). The index is built once and read by the rest: the
+    /// summary walks its element list, and the summary and the instance
+    /// take their reference edges from its resolved ID/IDREF table. Also
+    /// builds the document's serialized image
     /// ([`Document::build_image`]), from which a written answer
     /// (`execute_into` with an `XmlSink`) copies its source subtrees, and
     /// the instance's answer image ([`Instance::build_answer_image`]), from
@@ -227,7 +230,7 @@ impl Engine {
         let index = DocIndex::build(doc);
         let summary = Summary::from_index(doc, &index);
         doc.build_image();
-        let instance = Instance::from_document(doc);
+        let instance = Instance::from_index(doc, &index);
         instance.build_answer_image();
         self.resident = Some(Resident {
             identity: doc.identity(),
@@ -1491,7 +1494,7 @@ mod tests {
         let db = Instance::from_document(&city);
         let emitted: Vec<_> = (db.objects_of_type("restaurant"))
             .flat_map(|r| std::iter::once(r).chain(db.out_edges(r).map(|e| e.to)))
-            .map(|id| db.object(id).attrs.len())
+            .map(|id| db.object(id).attr_count())
             .collect();
         let attrs: usize = emitted.iter().sum();
         let with_attrs = emitted.iter().filter(|&&n| n > 0).count();

@@ -25,9 +25,11 @@ use std::cell::Cell;
 
 use gql_core::{Engine, Prepared, QueryKind};
 use gql_guard::RunCtx;
-use gql_ssdm::generator::{cityguide, greengrocer, CityConfig, GrocerConfig};
+use gql_ssdm::generator::{
+    bibliography, cityguide, greengrocer, BibConfig, CityConfig, GrocerConfig,
+};
 use gql_ssdm::sink::XmlSink;
-use gql_ssdm::DocIndex;
+use gql_ssdm::{DocIndex, Summary};
 use gql_trace::{Trace, TraceLog};
 use gql_xmlgl::eval::JoinPlan;
 
@@ -401,4 +403,41 @@ fn a_predicate_allocates_per_query_not_per_candidate() {
             "{name}: {small} allocations at scale 1000, {large} at 4000"
         );
     }
+}
+
+/// `Engine::preload` of the 400-book bibliography that `gql-benchmark`'s
+/// `reload_mixed` reloads does each piece of load work once: the index
+/// resolves the ID/IDREF references, the summary walks its element list
+/// keyed by symbol, and the WG-Log base is filled into pooled tables sized
+/// up front. The summary's allocations are per path, tag and attribute
+/// name, so four times the books cost it none more.
+#[test]
+fn a_preload_allocates_per_table_not_per_element() {
+    let bib = |books: usize| {
+        bibliography(BibConfig {
+            books,
+            people: books / 2,
+            seed: 7,
+        })
+    };
+    let doc = bib(400);
+    let mut engine = Engine::new();
+    let preload = allocations(|| engine.preload(&doc));
+    // 21,356 while the summary and the loader each resolved the references
+    // themselves, the summary keyed its walk by `String`s and the loader
+    // kept an owned `Object` per element.
+    assert!(
+        preload <= 2_000,
+        "{preload} allocations to preload 400 books"
+    );
+    let summary = |books: usize| {
+        let doc = bib(books);
+        let idx = DocIndex::build(&doc);
+        allocations(|| drop(Summary::from_index(&doc, &idx)))
+    };
+    let (small, large) = (summary(400), summary(1600));
+    assert_eq!(
+        small, large,
+        "Summary::from_index: {small} allocations at 400 books, {large} at 1,600"
+    );
 }

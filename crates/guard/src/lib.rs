@@ -463,7 +463,12 @@ impl Inner {
         if self.tripped.load(Ordering::Relaxed) {
             return false;
         }
-        let total = counter.fetch_add(n, Ordering::Relaxed) + n;
+        // Saturating: a charge of `u64::MAX` (a row count that saturated)
+        // trips a limit instead of wrapping under it.
+        let before = counter.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |c| {
+            Some(c.saturating_add(n))
+        });
+        let total = before.unwrap_or_else(|c| c).saturating_add(n);
         if let Some(cap) = limit {
             if total > cap {
                 self.trip(kind);

@@ -556,6 +556,51 @@ fn over_deep_query_texts_are_refused_and_the_server_keeps_answering() {
     service.shutdown();
 }
 
+/// An XML-GL root box a frame wide (50,000 child boxes, 100 KB) overflowed
+/// a connection thread's stack in planning, and a thousand child boxes over
+/// two candidates each overflowed a row count. Both are refused by name
+/// before they run, and the same connection then answers a query.
+#[test]
+fn over_wide_query_texts_are_refused_and_the_server_keeps_answering() {
+    let (service, server) = test_server();
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let wide = |n: usize| {
+        format!(
+            "rule {{ extract {{ r {{ {}a as $a }} }} construct {{ out {{ all $a }} }} }}",
+            "a ".repeat(n - 1)
+        )
+    };
+    let bound = gql_ssdm::xml::MAX_QUERY_WIDTH;
+    for n in [50_000, 1_000] {
+        let reply = client
+            .roundtrip(&encode_request(&Request::new("t", "d", "xmlgl", &wide(n))))
+            .expect("a reply, not a dead server");
+        let Response::Err(err) = decoded(&reply) else {
+            panic!("{n} children: {}", reply.render());
+        };
+        assert_eq!(err.code, ErrorCode::BadRequest, "{n}: {}", err.message);
+        assert!(
+            err.message.contains(&format!(
+                "box with more than {bound} child boxes (xml::MAX_QUERY_WIDTH)"
+            )),
+            "{n}: {}",
+            err.message
+        );
+    }
+    let answered = client
+        .roundtrip(&encode_request(&Request::new(
+            "t",
+            "d",
+            "xpath",
+            "count(//book)",
+        )))
+        .expect("the same connection still answers");
+    assert!(decoded(&answered).is_ok(), "{}", answered.render());
+    ping_works(&server);
+    server.shutdown();
+    service.shutdown();
+}
+
 #[test]
 fn rate_limited_reply_carries_a_bounded_retry_hint() {
     let (service, server) = test_server();

@@ -12,7 +12,11 @@
 //!   descendant of `a`" is two comparisons and "all `x` elements inside this
 //!   subtree" is a binary-searched slice of the postings list;
 //! * **attribute-name and has-text postings**: elements carrying a given
-//!   attribute, and elements with a direct text child.
+//!   attribute, and elements with a direct text child;
+//! * **resolved references**: the document's ID/IDREF edges and its id
+//!   lookup ([`RefTable`]), collected in the same preorder pass by attribute
+//!   symbol — the one resolution the summary, WG-Log's loader and XPath's
+//!   `id()` read.
 //!
 //! The index is immutable and describes the document at build time; mutating
 //! the document invalidates it (callers rebuild, as [`gql-core`'s `Engine`]
@@ -28,6 +32,7 @@ use std::collections::HashMap;
 
 use crate::arena::Symbol;
 use crate::document::{Document, NodeKind};
+use crate::idref::{RefEdge, RefPass, RefTable};
 use crate::NodeId;
 
 /// Base of the polynomial rolling hash (the 64-bit FNV prime — odd, with
@@ -313,6 +318,8 @@ pub struct DocIndex {
     by_attr: HashMap<Symbol, Vec<NodeId>>,
     /// Elements with at least one direct text child, in document order.
     with_text: Vec<NodeId>,
+    /// The document's ID/IDREF references, resolved.
+    refs: RefTable,
     /// `Document::node_count()` at build time, for staleness fingerprinting.
     built_for: usize,
     /// Checksum over the index contents, set once at the end of [`build`].
@@ -377,11 +384,17 @@ impl DocIndex {
             elements: Vec::with_capacity(element_total),
             by_attr: HashMap::with_capacity(distinct_attrs),
             with_text: Vec::with_capacity(text_total),
+            refs: RefTable::default(),
             built_for: n,
             checksum: 0,
         };
 
-        // Preorder pass: numbering and postings, in document order.
+        // Preorder pass: numbering, postings and reference carriers, in
+        // document order.
+        let mut refs = RefPass::new(doc, |sym| {
+            let count = sym.and_then(|s| attr_counts.get(s.index()));
+            count.map_or(0, |&n| n as usize)
+        });
         let mut pre_list: Vec<NodeId> = Vec::with_capacity(n);
         let mut stack = vec![doc.root()];
         while let Some(node) = stack.pop() {
@@ -408,11 +421,13 @@ impl DocIndex {
                 if has_text(node) {
                     idx.with_text.push(node);
                 }
+                refs.visit(doc, node);
             }
             for &c in doc.children(node).iter().rev() {
                 stack.push(c);
             }
         }
+        idx.refs = refs.finish(doc);
 
         // Reverse preorder visits children before parents: a subtree ends
         // where its last child's does.
@@ -461,6 +476,7 @@ impl DocIndex {
         for list in self.by_attr.values() {
             acc = acc.wrapping_add(list_hash(list).rotate_left(17));
         }
+        self.refs.checksum(|v| h = mix(h, v));
         mix(h, acc)
     }
 
@@ -527,6 +543,21 @@ impl DocIndex {
     /// Elements with at least one direct text child, in document order.
     pub fn elements_with_text(&self) -> &[NodeId] {
         &self.with_text
+    }
+
+    /// The document's resolved ID/IDREF references.
+    pub fn refs(&self) -> &RefTable {
+        &self.refs
+    }
+
+    /// The element whose `id` is `id` (the first in document order).
+    pub fn node_by_id(&self, doc: &Document, id: &str) -> Option<NodeId> {
+        self.refs.node_by_id(doc, id)
+    }
+
+    /// The resolved reference edges (see [`RefTable::edges`]).
+    pub fn ref_edges(&self) -> &[RefEdge] {
+        self.refs.edges()
     }
 
     /// Distinct tags with their element counts (the free projection backing

@@ -20,9 +20,11 @@
 
 use std::collections::{BTreeMap, HashMap};
 
+use crate::arena::Symbol;
 use crate::document::{Document, NodeKind};
-use crate::idref::RefGraph;
+use crate::idref::RefTable;
 use crate::index::DocIndex;
+use crate::NodeId;
 
 /// Index of a state in the summary's path automaton.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -98,17 +100,29 @@ pub const ROOT_PATH: PathId = PathId(0);
 impl Summary {
     /// Infer the summary with a single preorder walk plus a reference scan.
     pub fn build(doc: &Document) -> Summary {
-        Self::infer(doc, None)
+        let elements = (doc.descendants(doc.root())).filter(|&n| doc.kind(n) == NodeKind::Element);
+        Self::infer(doc, elements, &RefTable::resolve(doc), None)
     }
 
-    /// Infer the summary, deriving the per-tag totals from an existing
-    /// [`DocIndex`]'s postings instead of re-counting them. The index must
-    /// have been built for the same document shape.
+    /// Infer the summary over an existing [`DocIndex`]: its element list is
+    /// the walk, its postings give the per-tag totals, and its resolved
+    /// references the reference counts. The index must have been built for
+    /// the same document shape. Allocates per path, attribute name and tag,
+    /// never per element.
     pub fn from_index(doc: &Document, idx: &DocIndex) -> Summary {
-        Self::infer(doc, Some(idx))
+        let elements = idx.elements().iter().copied();
+        Self::infer(doc, elements, idx.refs(), Some(idx))
     }
 
-    fn infer(doc: &Document, idx: Option<&DocIndex>) -> Summary {
+    /// The walk: `elements` in document order, each one's state the
+    /// transition from its parent's, keyed by tag symbol; attributes are
+    /// tallied by symbol and named once per (state, attribute) at the end.
+    fn infer(
+        doc: &Document,
+        elements: impl Iterator<Item = NodeId>,
+        refs: &RefTable,
+        idx: Option<&DocIndex>,
+    ) -> Summary {
         let mut s = Summary {
             paths: vec![PathNode {
                 tag: String::new(),
@@ -123,72 +137,66 @@ impl Summary {
             tag_totals: HashMap::new(),
             attr_totals: HashMap::new(),
             elements: 0,
-            ref_edges: 0,
-            dangling_refs: 0,
+            ref_edges: refs.edges().len(),
+            dangling_refs: refs.dangling(),
             ref_attr_names: Vec::new(),
             built_for: doc.node_count(),
         };
-
-        // Transition table built on the fly: (state, child tag) → state.
-        let mut trans: HashMap<(PathId, Box<str>), PathId> = HashMap::new();
+        let has_text =
+            |node: NodeId| (doc.children(node).iter()).any(|&c| doc.kind(c) == NodeKind::Text);
         // Top-level text (stray whitespace between root elements) still
         // counts as text presence at the virtual root.
-        if doc
-            .children(doc.root())
-            .iter()
-            .any(|&c| doc.kind(c) == NodeKind::Text)
-        {
+        if has_text(doc.root()) {
             s.paths[0].text_count = 1;
         }
-        // Explicit stack keeps the walk allocation-bounded on deep trees.
-        let mut stack: Vec<(crate::NodeId, PathId)> = doc
-            .children(doc.root())
-            .iter()
-            .rev()
-            .map(|&c| (c, ROOT_PATH))
-            .collect();
-        while let Some((node, at)) = stack.pop() {
-            if doc.kind(node) != NodeKind::Element {
-                continue;
-            }
-            let tag = doc.name(node).unwrap_or("");
-            let pid = match trans.get(&(at, Box::from(tag))) {
-                Some(&p) => p,
-                None => {
-                    let pid = PathId(s.paths.len() as u32);
-                    s.paths.push(PathNode {
-                        tag: tag.to_string(),
-                        parent: Some(at),
-                        depth: s.paths[at.index()].depth + 1,
-                        count: 0,
-                        text_count: 0,
-                        attrs: BTreeMap::new(),
-                        children: Vec::new(),
-                    });
-                    s.paths[at.index()].children.push(pid);
-                    s.by_tag.entry(tag.to_string()).or_default().push(pid);
-                    trans.insert((at, Box::from(tag)), pid);
-                    pid
-                }
-            };
+        // Each element's state, by node id: a parent's is set before its
+        // children are met. The document node's is the virtual root.
+        let mut state: Vec<u32> = vec![ROOT_PATH.0; doc.node_count()];
+        // Transition table built on the fly: (state, child tag) → state.
+        let mut trans: HashMap<(PathId, Option<Symbol>), PathId> = HashMap::new();
+        let mut tally: HashMap<(PathId, Symbol), u64> = HashMap::new();
+        let mut attr_totals: Vec<u64> = Vec::new();
+        for node in elements {
+            let at = doc
+                .parent(node)
+                .map_or(ROOT_PATH, |p| PathId(state[p.index()]));
+            let paths = &mut s.paths;
+            let pid = *trans.entry((at, doc.name_sym(node))).or_insert_with(|| {
+                let pid = PathId(paths.len() as u32);
+                let tag = doc.name(node).unwrap_or("");
+                paths.push(PathNode {
+                    tag: tag.to_string(),
+                    parent: Some(at),
+                    depth: paths[at.index()].depth + 1,
+                    count: 0,
+                    text_count: 0,
+                    attrs: BTreeMap::new(),
+                    children: Vec::new(),
+                });
+                paths[at.index()].children.push(pid);
+                s.by_tag.entry(tag.to_string()).or_default().push(pid);
+                pid
+            });
+            state[node.index()] = pid.0;
             let p = &mut s.paths[pid.index()];
             p.count += 1;
+            p.text_count += u64::from(has_text(node));
             s.elements += 1;
-            let mut has_text = false;
-            for (k, _) in doc.attrs(node) {
-                *p.attrs.entry(k.to_string()).or_insert(0) += 1;
-                *s.attr_totals.entry(k.to_string()).or_insert(0) += 1;
-            }
-            for &c in doc.children(node).iter().rev() {
-                match doc.kind(c) {
-                    NodeKind::Element => stack.push((c, pid)),
-                    NodeKind::Text => has_text = true,
-                    _ => {}
+            for sym in doc.attr_syms(node) {
+                *tally.entry((pid, sym)).or_insert(0) += 1;
+                if sym.index() >= attr_totals.len() {
+                    attr_totals.resize(sym.index() + 1, 0);
                 }
+                attr_totals[sym.index()] += 1;
             }
-            if has_text {
-                s.paths[pid.index()].text_count += 1;
-            }
+        }
+        for ((pid, sym), n) in tally {
+            let name = doc.resolve_sym(sym).to_string();
+            s.paths[pid.index()].attrs.insert(name, n);
+        }
+        for (i, &n) in attr_totals.iter().enumerate().filter(|&(_, &n)| n > 0) {
+            let name = doc.resolve_sym(Symbol(i as u32));
+            s.attr_totals.insert(name.to_string(), n);
         }
 
         // Per-tag totals: project them off the postings when an index is at
@@ -207,11 +215,8 @@ impl Summary {
             }
         }
 
-        // Reference edges: the ID/IDREF resolution that turns the tree into
-        // a graph. Names follow the conventional default configuration.
-        let refs = RefGraph::extract(doc);
-        s.ref_edges = refs.edges().len();
-        s.dangling_refs = refs.dangling().len();
+        // The reference-attribute names present, under the conventional
+        // default configuration the references were resolved by.
         let cfg = crate::idref::RefConfig::default();
         for name in cfg.ref_attrs.iter().chain(cfg.refs_attrs.iter()) {
             if s.attr_totals.contains_key(name.as_str()) {

@@ -44,6 +44,18 @@ pub const MAX_DEPTH: usize = 1024;
 /// and an XML-GL text count their levels is stated by their parsers.
 pub const MAX_QUERY_DEPTH: usize = 64;
 
+/// Most child boxes one XML-GL extract box may have, and most root boxes
+/// one extract part may have; a text with a wider box is refused with a
+/// parse error naming this bound. The planner chains a `PathStep` per child
+/// edge of a root box and a `HashJoin` per root, and EXPLAIN, `Drop` and
+/// the row writer recurse once per link, so a box as wide as a frame holds
+/// (50,000 children in 100 KB) overflowed a 2 MiB stack; and each child box
+/// multiplies the rows a binding table may need, so a thousand children
+/// over two candidates each asked for more rows than a `u64` counts.
+/// `tests/end_to_end.rs` runs a rule at the bound through every stage on a
+/// 2 MiB stack.
+pub const MAX_QUERY_WIDTH: usize = 64;
+
 /// Parse an XML string into a [`Document`].
 pub fn parse(input: &str) -> Result<Document> {
     let mut tokens = Tokenizer::new(input);

@@ -1,7 +1,7 @@
 //! `gql-fuzz` — budgeted differential fuzzing across all three engines.
 //!
 //! ```text
-//! gql-fuzz run [--cases N] [--start-seed S] [--generators xmlgl,wglog,xpath,intent]
+//! gql-fuzz run [--cases N] [--start-seed S] [--generators xmlgl,wglog,xpath,intent,loader]
 //!              [--budget-secs T] [--corpus DIR]
 //! gql-fuzz replay --generator G --seed S [--profile]
 //!                 [--timeout-ms N] [--max-rounds N] [--max-matches N]
@@ -11,7 +11,9 @@
 //! ```
 //!
 //! `run` executes N seeds through every selected generator's oracle
-//! battery; each disagreement is minimized (document *and* query) and
+//! battery (by default the four query generators; `loader` checks the
+//! WG-Log loader against its textbook reference on reference-graph
+//! documents); each disagreement is minimized (document *and* query) and
 //! printed with an exact replay command, and — when `--corpus` is given —
 //! appended as a `.case` file so it becomes a permanent regression test.
 //! `replay` re-runs a single `(generator, seed)` case; with `--profile` it

@@ -68,6 +68,7 @@ pub fn query_kinds(generator: Generator, query: &str) -> Vec<QueryKind> {
             }
             None => Vec::new(),
         },
+        Generator::Loader => Vec::new(),
     }
 }
 

@@ -12,7 +12,11 @@ use crate::harness::case_rng;
 use crate::oracle;
 use crate::shrink;
 
-/// One of the four case generators.
+/// One of the case generators: the four query generators of [`ALL`], and
+/// the document-only [`Loader`] arm.
+///
+/// [`ALL`]: Generator::ALL
+/// [`Loader`]: Generator::Loader
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Generator {
     /// Random XML-GL programs → matcher/construct/engine path oracles.
@@ -23,9 +27,14 @@ pub enum Generator {
     XPath,
     /// Cross-engine intents → XML-GL vs XPath count agreement.
     Intent,
+    /// Reference-graph documents, no query → the WG-Log loader against
+    /// `reference::loader`. Not in [`ALL`](Generator::ALL), which holds the
+    /// query generators the fault and chaos sweeps run.
+    Loader,
 }
 
 impl Generator {
+    /// The query generators; `gql-fuzz run` runs these unless told which.
     pub const ALL: [Generator; 4] = [
         Generator::XmlGl,
         Generator::WgLog,
@@ -39,6 +48,7 @@ impl Generator {
             Generator::WgLog => "wglog",
             Generator::XPath => "xpath",
             Generator::Intent => "intent",
+            Generator::Loader => "loader",
         }
     }
 
@@ -48,6 +58,7 @@ impl Generator {
             "wglog" => Some(Generator::WgLog),
             "xpath" => Some(Generator::XPath),
             "intent" => Some(Generator::Intent),
+            "loader" => Some(Generator::Loader),
             _ => None,
         }
     }
@@ -79,12 +90,16 @@ impl Failure {
 /// Deterministically derive the `(document, query)` inputs of a case.
 pub fn case_inputs(generator: Generator, seed: u64) -> (String, String) {
     let mut rng = case_rng(seed);
-    let doc = generators::document_xml(&mut rng);
+    let doc = match generator {
+        Generator::Loader => generators::reference_graph(&mut rng).to_xml_string(),
+        _ => generators::document_xml(&mut rng),
+    };
     let query = match generator {
         Generator::XmlGl => generators::gen_xmlgl(&mut rng),
         Generator::WgLog => generators::gen_wglog(&mut rng),
         Generator::XPath => generators::gen_xpath(&mut rng),
         Generator::Intent => Intent::gen(&mut rng).to_string(),
+        Generator::Loader => String::new(),
     };
     (doc, query)
 }
@@ -104,6 +119,9 @@ pub fn check_case(generator: Generator, doc_xml: &str, query: &str) -> Result<()
             Some(i) => oracle::check_intent_case(&doc, &i),
             None => Ok(()),
         },
+        Generator::Loader => {
+            crate::reference::loader::check(&doc).map_err(|e| format!("loader-vs-reference: {e}"))
+        }
     }
 }
 
@@ -122,6 +140,7 @@ pub fn profile_case(generator: Generator, doc_xml: &str, query: &str) -> Option<
         // Intents run on both engines; profile the XPath side, which is the
         // one with per-step instrumentation.
         Generator::Intent => QueryKind::XPath(Intent::parse(query)?.xpath()),
+        Generator::Loader => return None,
     };
     let engine = Engine::new();
     match engine.run_profiled(&kind, &doc) {
@@ -225,6 +244,17 @@ pub fn smoke(cases: u64) -> FuzzReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The loader arm is named, replays from a seed, and is clean.
+    #[test]
+    fn the_loader_arm_runs_reference_graph_documents() {
+        assert_eq!(Generator::from_name("loader"), Some(Generator::Loader));
+        let (doc, query) = case_inputs(Generator::Loader, 3);
+        assert!(query.is_empty() && doc.contains("id="), "{doc}");
+        let report = run_fuzz(&[Generator::Loader], 0, 50, None, |_, _| {});
+        assert_eq!(report.executed, 50);
+        assert!(report.failures.is_empty(), "{:?}", report.failures);
+    }
 
     #[test]
     fn case_inputs_are_deterministic() {

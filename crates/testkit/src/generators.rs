@@ -47,6 +47,23 @@ pub fn fuzz_alphabet(extra: &str) -> Vec<char> {
     v
 }
 
+/// A value from `pool`, padded in one case in eight with U+00A0 or U+2003
+/// before it, after it or both: characters Unicode calls whitespace and XML
+/// does not, so `normalize-space`, number conversion and `id()`'s token
+/// split must leave them in place (XPath 1.0 §4.2, §4.4).
+fn value(rng: &mut Rng, pool: &[&str]) -> String {
+    let v = pick(rng, pool);
+    if !rng.gen_bool(0.125) {
+        return v.to_string();
+    }
+    let pad = ['\u{a0}', '\u{2003}'][rng.gen_range(0..2)];
+    match rng.gen_range(0..3) {
+        0 => format!("{pad}{v}"),
+        1 => format!("{v}{pad}"),
+        _ => format!("{pad}{v}{pad}"),
+    }
+}
+
 // ----------------------------------------------------------------------
 // Documents
 // ----------------------------------------------------------------------
@@ -57,7 +74,7 @@ fn add_attrs(doc: &mut Document, rng: &mut Rng, el: NodeId) {
         let k = pick(rng, ATTRS).to_string();
         if seen.insert(k.clone()) {
             let v = if rng.gen_bool(0.6) {
-                pick(rng, VALUES).to_string()
+                value(rng, VALUES)
             } else {
                 text_value(rng)
             };
@@ -72,7 +89,7 @@ fn grow(doc: &mut Document, rng: &mut Rng, parent: NodeId, depth: usize) {
     if depth == 0 || rng.gen_bool(0.25) {
         if rng.gen_bool(0.5) {
             let text = if rng.gen_bool(0.5) {
-                pick(rng, VALUES).to_string()
+                value(rng, VALUES)
             } else {
                 text_value(rng)
             };
@@ -122,6 +139,69 @@ pub fn document_xml(rng: &mut Rng) -> String {
     } else {
         document(rng).to_xml_string()
     }
+}
+
+/// A random document that is a graph, not a tree: elements carry `id`s
+/// (some repeated) and `ref` / `idref` / `refs` / `idrefs` attributes
+/// naming them, so references form cycles, repeat a token (`refs="p1
+/// p1"`), dangle, point at their own element, and name one target from two
+/// attributes; tokens are padded with spaces and tabs. Text-only children
+/// (folded into attributes by the WG-Log loader), mixed content, blank
+/// text and empty elements come along. What `reference::loader` is checked
+/// on.
+pub fn reference_graph(rng: &mut Rng) -> Document {
+    const REFS: [&str; 4] = ["ref", "idref", "refs", "idrefs"];
+    let mut doc = Document::new();
+    let top = doc.add_element(doc.root(), pick(rng, TAGS));
+    let mut elements = vec![top];
+    for _ in 0..rng.gen_range(0..30) {
+        let parent = elements[rng.gen_range(0..elements.len())];
+        let el = doc.add_element(parent, pick(rng, TAGS));
+        match rng.gen_range(0..5) {
+            0 => {
+                doc.add_text(el, pick(rng, VALUES));
+            }
+            1 => {
+                doc.add_text(el, if rng.gen_bool(0.5) { "  " } else { " x y " });
+            }
+            2 => add_attrs(&mut doc, rng, el),
+            _ => {}
+        }
+        if rng.gen_bool(0.2) {
+            doc.add_text(parent, &text_value(rng));
+        }
+        elements.push(el);
+    }
+    let ids = rng.gen_range(1..=elements.len().min(8));
+    for &el in &elements {
+        if rng.gen_bool(0.5) {
+            let id = format!("p{}", rng.gen_range(0..ids));
+            doc.set_attr(el, "id", &id).expect("an element");
+        }
+    }
+    let token = |rng: &mut Rng| match rng.gen_range(0..10) {
+        // Dangling.
+        0 => "ghost".to_string(),
+        _ => format!("p{}", rng.gen_range(0..ids)),
+    };
+    for &el in &elements {
+        for name in REFS {
+            if !rng.gen_bool(0.25) {
+                continue;
+            }
+            let count = if name.ends_with('s') {
+                rng.gen_range(0..4)
+            } else {
+                1
+            };
+            let tokens: Vec<String> = (0..count).map(|_| token(rng)).collect();
+            let sep = if rng.gen_bool(0.2) { " \t " } else { " " };
+            let pad = if rng.gen_bool(0.2) { " " } else { "" };
+            let value = format!("{pad}{}{pad}", tokens.join(sep));
+            doc.set_attr(el, name, &value).expect("an element");
+        }
+    }
+    doc
 }
 
 // ----------------------------------------------------------------------
@@ -333,16 +413,18 @@ pub struct XPathVocab<'a> {
 /// compares a node-set with a boolean under every operator (§3.4 compares
 /// the node-set's boolean then), and arm 24 follows an attribute's value
 /// through `id()`, which on a web graph's `ref` reaches real elements.
+/// Arms 25 and 26 read values as `normalize-space` and `number()` do, which
+/// over [`value`]'s padding must keep a no-break or em space.
 fn xpath_predicate(rng: &mut Rng, v: &XPathVocab<'_>) -> String {
     let relational = |rng: &mut Rng| ["<", "<=", ">", ">="][rng.gen_range(0..4)];
-    match rng.gen_range(0..26) {
+    match rng.gen_range(0..28) {
         0 => format!("@{}", pick(rng, v.attrs)),
-        1 => format!("@{}='{}'", pick(rng, v.attrs), pick(rng, v.values)),
+        1 => format!("@{}='{}'", pick(rng, v.attrs), value(rng, v.values)),
         2 => pick(rng, v.tags).to_string(),
         3 => format!("{}", rng.gen_range(1..4)),
         4 => format!("count({})>{}", pick(rng, v.tags), rng.gen_range(0..2)),
         5 => format!("not({})", pick(rng, v.tags)),
-        6 => format!("text()='{}'", pick(rng, v.values)),
+        6 => format!("text()='{}'", value(rng, v.values)),
         7 => format!(
             "@{} {} {}",
             pick(rng, v.attrs),
@@ -364,11 +446,11 @@ fn xpath_predicate(rng: &mut Rng, v: &XPathVocab<'_>) -> String {
             pick(rng, v.tags),
             pick(rng, v.tags)
         ),
-        12 => format!("not(@{} = '{}')", pick(rng, v.attrs), pick(rng, v.values)),
+        12 => format!("not(@{} = '{}')", pick(rng, v.attrs), value(rng, v.values)),
         13 => format!("{} or @{}", pick(rng, v.tags), pick(rng, v.attrs)),
         14 => format!("not({} and {})", pick(rng, v.tags), pick(rng, v.tags)),
         15 => {
-            let (t, v2) = (pick(rng, v.tags), pick(rng, v.values));
+            let (t, v2) = (pick(rng, v.tags), value(rng, v.values));
             if rng.gen_bool(0.5) {
                 format!("{t}/{} = '{v2}'", pick(rng, v.tags))
             } else {
@@ -395,19 +477,19 @@ fn xpath_predicate(rng: &mut Rng, v: &XPathVocab<'_>) -> String {
             pick(rng, v.tags),
             pick(rng, v.attrs)
         ),
-        19 => format!(". = '{}'", pick(rng, v.values)),
+        19 => format!(". = '{}'", value(rng, v.values)),
         20 => format!(
             "* {} '{}'",
             ["=", "!="][rng.gen_range(0..2)],
-            pick(rng, v.values)
+            value(rng, v.values)
         ),
-        21 => format!("@* = '{}'", pick(rng, v.values)),
+        21 => format!("@* = '{}'", value(rng, v.values)),
         22 => {
             let (t, a) = (pick(rng, v.tags), pick(rng, v.attrs));
             if rng.gen_bool(0.5) {
                 format!("{t}[@{a}]")
             } else {
-                format!("{t}[@{a} = '{}']", pick(rng, v.values))
+                format!("{t}[@{a} = '{}']", value(rng, v.values))
             }
         }
         23 => {
@@ -428,6 +510,33 @@ fn xpath_predicate(rng: &mut Rng, v: &XPathVocab<'_>) -> String {
                 format!("id(@{a})")
             } else {
                 format!("id(@{a})/{}", pick(rng, v.tags))
+            }
+        }
+        25 => {
+            let of = match rng.gen_range(0..3) {
+                0 => format!("@{}", pick(rng, v.attrs)),
+                1 => ".".to_string(),
+                _ => String::new(),
+            };
+            let op = ["=", "!="][rng.gen_range(0..2)];
+            // Against a literal, or against the operand itself: they differ
+            // exactly where the value has XML whitespace to strip.
+            let rhs = match rng.gen_bool(0.5) {
+                true => format!("'{}'", value(rng, v.values)),
+                false if of.is_empty() => "string()".to_string(),
+                false => of.clone(),
+            };
+            format!("normalize-space({of}) {op} {rhs}")
+        }
+        26 => {
+            let of = match rng.gen_range(0..2) {
+                0 => format!("@{}", pick(rng, v.attrs)),
+                _ => ".".to_string(),
+            };
+            // A number equals itself unless it is NaN.
+            match rng.gen_bool(0.5) {
+                true => format!("number({of}) {} {}", relational(rng), rng.gen_range(0..30)),
+                false => format!("number({of}) = number({of})"),
             }
         }
         // Two predicates on one step, one positional and one not, in either
@@ -477,7 +586,37 @@ fn xpath_path(rng: &mut Rng, v: &XPathVocab<'_>) -> String {
         p.push_str(if rng.gen_bool(0.4) { "//" } else { "/" });
         p.push_str(&xpath_step(rng, v));
     }
+    if rng.gen_bool(0.15) {
+        p.push_str(&after_attribute(rng, v));
+    }
     p
+}
+
+/// An attribute step and a step after it on an axis that can reach the
+/// attribute itself or its element: `self`, `parent`, `ancestor-or-self`,
+/// `ancestor` and the sibling axes. A name or `*` test on them selects
+/// elements only, the axes' principal node type (XPath 1.0 §2.3), and an
+/// attribute has no siblings (§5.3).
+fn after_attribute(rng: &mut Rng, v: &XPathVocab<'_>) -> String {
+    const AXES: [&str; 6] = [
+        "self",
+        "parent",
+        "ancestor-or-self",
+        "ancestor",
+        "following-sibling",
+        "preceding-sibling",
+    ];
+    let attr = match rng.gen_bool(0.3) {
+        true => "*",
+        false => pick(rng, v.attrs),
+    };
+    let test = match rng.gen_range(0..4) {
+        0 => "*",
+        1 => "node()",
+        2 => pick(rng, v.tags),
+        _ => pick(rng, v.attrs),
+    };
+    format!("/@{attr}/{}::{test}", AXES[rng.gen_range(0..AXES.len())])
 }
 
 /// A random XPath expression within the supported 1.0 subset: abbreviated

@@ -62,9 +62,9 @@ pub fn instance_fingerprint(db: &Instance) -> (Vec<u64>, Vec<(u64, u64, u64)>) {
     let n = db.object_count();
     let mut sig = vec![0u64; n];
     for (id, o) in db.objects() {
-        let mut attrs: Vec<u64> = o.attrs.iter().map(|(k, v)| mix(fnv(k), fnv(v))).collect();
+        let mut attrs: Vec<u64> = o.attrs().map(|(k, v)| mix(fnv(k), fnv(v))).collect();
         attrs.sort_unstable();
-        let mut h = fnv(&o.ty);
+        let mut h = fnv(o.ty());
         for a in attrs {
             h = mix(h, a);
         }
@@ -74,7 +74,7 @@ pub fn instance_fingerprint(db: &Instance) -> (Vec<u64>, Vec<(u64, u64, u64)>) {
         let mut outs: Vec<Vec<u64>> = vec![Vec::new(); n];
         let mut ins: Vec<Vec<u64>> = vec![Vec::new(); n];
         for e in db.edges() {
-            let l = fnv(&e.label);
+            let l = fnv(e.label);
             outs[e.from.index()].push(mix(l, sig[e.to.index()]));
             ins[e.to.index()].push(mix(l.rotate_left(17), sig[e.from.index()]));
         }
@@ -98,7 +98,7 @@ pub fn instance_fingerprint(db: &Instance) -> (Vec<u64>, Vec<(u64, u64, u64)>) {
     objs.sort_unstable();
     let mut edges: Vec<(u64, u64, u64)> = db
         .edges()
-        .map(|e| (fnv(&e.label), sig[e.from.index()], sig[e.to.index()]))
+        .map(|e| (fnv(e.label), sig[e.from.index()], sig[e.to.index()]))
         .collect();
     edges.sort_unstable();
     (objs, edges)
@@ -582,10 +582,10 @@ pub fn check_xmlgl_case(doc: &Document, src: &str) -> Result<(), String> {
 fn rebuild_flat(db: &Instance) -> Instance {
     let mut flat = Instance::new();
     for (_, o) in db.objects() {
-        flat.add_object(o.clone());
+        flat.add_object(o.to_object());
     }
     for e in db.edges() {
-        flat.add_edge(e.from, &e.label, e.to);
+        flat.add_edge(e.from, e.label, e.to);
     }
     flat
 }
@@ -747,7 +747,7 @@ pub fn check_wglog_case(doc: &Document, src: &str) -> Result<(), String> {
     // dominates the concrete goal population.
     if let Some(goal) = &program.goal {
         let inf = gql_infer::infer_wglog(&program, &Summary::build(doc));
-        let goal_count = semi_db.objects().filter(|(_, o)| o.ty == *goal).count();
+        let goal_count = semi_db.objects().filter(|(_, o)| o.ty() == goal).count();
         infer_claim(
             &format!("wglog goal '{goal}'"),
             inf.is_statically_empty(),

@@ -20,8 +20,10 @@
 //! list.
 //!
 //! [`xpath`] is the textbook XPath 1.0 evaluator `gql_xpath` is checked
-//! against.
+//! against, and [`loader`] the textbook document → instance loader
+//! `gql_wglog::Instance::from_document` is.
 
+pub mod loader;
 pub mod xpath;
 
 use std::cmp::Ordering;
@@ -389,13 +391,12 @@ pub fn wglog_embeddings(rule: &WgLogRule, db: &Instance) -> Option<Vec<WgLogRow>
 fn passes(rule: &WgLogRule, q: RNodeId, db: &Instance, obj: ObjId) -> bool {
     let (node, obj) = (rule.node(q), db.object(obj));
     let typed = match &node.test {
-        TypeTest::Type(t) => *t == obj.ty,
+        TypeTest::Type(t) => *t == obj.ty(),
         TypeTest::Any => true,
     };
     typed
         && node.constraints.iter().all(|c| {
-            (obj.attrs.iter())
-                .any(|(name, value)| *name == c.attr && compares(c.op, value, &c.value))
+            (obj.attrs()).any(|(name, value)| *name == c.attr && compares(c.op, value, &c.value))
         })
 }
 
@@ -405,7 +406,7 @@ fn passes(rule: &WgLogRule, q: RNodeId, db: &Instance, obj: ObjId) -> bool {
 fn reached(db: &Instance, label: &LabelTest, from: ObjId) -> HashSet<ObjId> {
     let step = |x: ObjId, over: &dyn Fn(&str) -> bool| -> Vec<ObjId> {
         (db.edges())
-            .filter(|e| e.from == x && over(&e.label))
+            .filter(|e| e.from == x && over(e.label))
             .map(|e| e.to)
             .collect()
     };

@@ -889,6 +889,6 @@ mod tests {
         db.add_edge(d[1], "link", d[2]);
         db.add_edge(d[2], "link", d[3]);
         let out = crate::eval::run(&p, &db).unwrap();
-        assert_eq!(out.edges().filter(|e| &*e.label == "reach").count(), 6);
+        assert_eq!(out.edges().filter(|e| e.label == "reach").count(), 6);
     }
 }

@@ -13,16 +13,17 @@
 //! candidates, and which edges each binding must check. The search runs it.
 //!
 //! The search works in integers. Each query edge's label, and each label of
-//! a regular path, is resolved to a [`LabelKey`] once per search, and each constraint's constant was parsed
-//! once by the plan, so the inner loop hashes no string and parses no
-//! constant. It allocates per rule, not per candidate or per embedding:
-//! candidates go to one buffer per search depth, reused by every node bound
-//! at that depth, and each embedding is one row appended to an
-//! [`EmbeddingTable`].
+//! a regular path, is resolved to a [`LabelKey`] once per search, each query
+//! node's type and each constrained attribute's name to a [`NameKey`], and
+//! each constraint's constant was parsed once by the plan, so the inner
+//! loop hashes no string, compares no name and parses no constant. It
+//! allocates per rule, not per candidate or per embedding: candidates go to
+//! one buffer per search depth, reused by every node bound at that depth,
+//! and each embedding is one row appended to an [`EmbeddingTable`].
 
 use std::collections::{HashSet, VecDeque};
 
-use crate::instance::{Instance, LabelKey, ObjId};
+use crate::instance::{Instance, LabelKey, NameKey, ObjId};
 use crate::rule::{LabelTest, PathRep, RNodeId, Rule, TypeTest};
 
 use super::plan::{Access, SearchPlan};
@@ -145,6 +146,8 @@ enum Test {
     Label(LabelKey),
     Any,
     Path(PathRep, Vec<LabelKey>),
+    /// A query node's type, or a constrained attribute, by key.
+    Name(NameKey),
 }
 
 impl Test {
@@ -189,6 +192,15 @@ pub(crate) fn embeddings_into(
         db,
         tests: (rule.edges.iter())
             .map(|e| Test::resolve(db, &e.label))
+            .chain((rule.nodes.iter()).map(|n| match &n.test {
+                TypeTest::Type(t) => Test::Name(db.name_key(t)),
+                TypeTest::Any => Test::Any,
+            }))
+            .chain(
+                (rule.nodes.iter())
+                    .flat_map(|n| &n.constraints)
+                    .map(|c| Test::Name(db.name_key(&c.attr))),
+            )
             .collect(),
         cands: vec![Vec::new(); plan.steps().len()],
         current: vec![None; width],
@@ -202,7 +214,10 @@ struct Search<'a> {
     rule: &'a Rule,
     plan: &'a SearchPlan,
     db: &'a Instance,
-    /// Per rule edge, its label test.
+    /// Per rule edge, its label test; then per rule node, its type's key
+    /// (`Any` for `*`); then every constraint's attribute key, node by node.
+    /// One table, so that resolving a rule against the instance is one
+    /// allocation.
     tests: Vec<Test>,
     current: Vec<Option<ObjId>>,
     /// Per depth, the buffer its candidates are collected in.
@@ -212,11 +227,21 @@ struct Search<'a> {
 impl Search<'_> {
     /// Does `obj` pass query node `q`'s type test and constraints?
     fn fits(&self, q: usize, obj: ObjId) -> bool {
-        let (node, obj) = (&self.rule.nodes[q], self.db.object(obj));
-        node.test.matches(&obj.ty)
-            && (node.constraints.iter())
-                .zip(self.plan.constants(q))
-                .all(|(c, &n)| c.holds_parsed(obj, n))
+        let (rule, obj) = (self.rule, self.db.object(obj));
+        let (edges, nodes) = (rule.edges.len(), rule.nodes.len());
+        if let Test::Name(ty) = self.tests[edges + q] {
+            if ty != obj.ty_key() {
+                return false;
+            }
+        }
+        let first = edges + nodes + self.plan.first_constraint(q);
+        (rule.nodes[q].constraints.iter())
+            .zip(&self.tests[first..])
+            .zip(self.plan.constants(q))
+            .all(|((c, key), &n)| match *key {
+                Test::Name(key) => c.holds_values(obj.values(key), n),
+                _ => unreachable!("a constraint resolves to a name"),
+            })
     }
 
     /// Does edge `i` (its negation aside) lead from `from` to `to`?
@@ -225,6 +250,7 @@ impl Search<'_> {
             &Test::Label(key) => self.db.has_edge_key(from, key, to),
             Test::Any => self.db.out_edges(from).any(|edge| edge.to == to),
             Test::Path(rep, keys) => path_exists(self.db, from, to, *rep, keys),
+            Test::Name(_) => unreachable!("an edge resolves to a label test"),
         }
     }
 
@@ -279,6 +305,7 @@ impl Search<'_> {
                     &Test::Label(key) => cands.extend(db.successors_key(src, key)),
                     Test::Any => cands.extend(db.out_edges(src).map(|edge| edge.to)),
                     Test::Path(rep, keys) => cands.extend(path_targets(db, src, *rep, keys)),
+                    Test::Name(_) => unreachable!("an edge resolves to a label test"),
                 }
             }
             Access::Backward(i) => {
@@ -287,6 +314,7 @@ impl Search<'_> {
                     &Test::Label(key) => cands.extend(db.predecessors_key(dst, key)),
                     Test::Any => cands.extend(db.in_edges(dst).map(|edge| edge.from)),
                     Test::Path(..) => unreachable!("a plan never walks a path backwards"),
+                    Test::Name(_) => unreachable!("an edge resolves to a label test"),
                 }
             }
             Access::Scan => unreachable!("scanned above"),
@@ -330,6 +358,7 @@ impl Search<'_> {
             Test::Path(rep, keys) => path_targets(self.db, from, *rep, keys)
                 .into_iter()
                 .any(fits),
+            Test::Name(_) => unreachable!("an edge resolves to a label test"),
         }
     }
 }

@@ -273,6 +273,8 @@ struct Scratch {
     /// Per construct edge of the rule being applied: its label's key
     /// (`None` for a test that is no label) and whether it added an edge.
     labels: Vec<(Option<LabelKey>, bool)>,
+    /// An attribute value being copied onto an invented object.
+    copied: String,
 }
 
 impl Scratch {
@@ -310,6 +312,7 @@ fn apply_construct(
         resolved,
         key,
         labels,
+        copied,
     } = scratch;
     resolved.clear();
     resolved.extend_from_slice(emb);
@@ -325,22 +328,24 @@ fn apply_construct(
                         msg: format!("construct node ${} has no concrete type", node.var),
                     });
                 };
-                let mut obj = crate::instance::Object::new(ty.as_str());
-                for (attr, value) in &node.set_attrs {
-                    let v = match value {
-                        AttrValue::Literal(s) => s.clone(),
+                let id = db.add_object_of_type(ty);
+                for (name, value) in &node.set_attrs {
+                    match value {
+                        AttrValue::Literal(s) => db.add_attr(id, name, s),
                         AttrValue::CopyFrom { var, attr } => {
                             let src = rule.by_var(var).and_then(|id| emb[id.index()]).ok_or_else(
                                 || WgLogError::Eval {
                                     msg: format!("attribute copy from unbound ${var}"),
                                 },
                             )?;
-                            db.object(src).attr(attr).unwrap_or("").to_string()
+                            // Through a reused buffer: the source may be
+                            // in the layer the value is added to.
+                            copied.clear();
+                            copied.push_str(db.object(src).attr(attr).unwrap_or(""));
+                            db.add_attr(id, name, &*copied);
                         }
-                    };
-                    obj.attrs.push((attr.clone(), v));
+                    }
                 }
-                let id = db.add_object(obj);
                 inv.made.insert(key.clone(), id);
                 stats.objects_created += 1;
                 if !new_types.contains(ty) {
@@ -494,7 +499,7 @@ mod tests {
         let mut db = chain_db(8);
         let stats = fixpoint(&[&base, &step], &mut db, FixpointMode::SemiNaive).unwrap();
         // 8-chain: 28 reachable ordered pairs.
-        let reach_edges = db.edges().filter(|e| &*e.label == "reach").count();
+        let reach_edges = db.edges().filter(|e| e.label == "reach").count();
         assert_eq!(reach_edges, 28);
         assert!(stats.iterations >= 3);
     }
@@ -568,7 +573,7 @@ mod tests {
             .unwrap();
         let mut db = chain_db(5);
         fixpoint(&[&rule], &mut db, FixpointMode::SemiNaive).unwrap();
-        assert_eq!(db.edges().filter(|e| &*e.label == "reaches").count(), 10);
+        assert_eq!(db.edges().filter(|e| e.label == "reaches").count(), 10);
     }
 
     #[test]

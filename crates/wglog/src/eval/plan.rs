@@ -121,6 +121,8 @@ pub struct SearchPlan {
     matches_nothing: bool,
     /// Per rule node, its constraints' constants as numbers.
     constants: Vec<Vec<Option<f64>>>,
+    /// Per rule node, how many constraints the nodes before it have.
+    first_constraints: Vec<usize>,
 }
 
 impl SearchPlan {
@@ -203,6 +205,12 @@ impl SearchPlan {
                         .collect()
                 })
                 .collect(),
+            first_constraints: (rule.nodes.iter())
+                .scan(0, |before, n| {
+                    *before += n.constraints.len();
+                    Some(*before - n.constraints.len())
+                })
+                .collect(),
         }
     }
 
@@ -226,6 +234,12 @@ impl SearchPlan {
     /// Query node `q`'s constraint constants, parsed as numbers.
     pub(crate) fn constants(&self, q: usize) -> &[Option<f64>] {
         &self.constants[q]
+    }
+
+    /// How many constraints the rule's nodes before `q` have: where `q`'s
+    /// are in a list of every node's constraints.
+    pub(crate) fn first_constraint(&self, q: usize) -> usize {
+        self.first_constraints[q]
     }
 
     /// Was this plan built for a rule of `rule`'s size?

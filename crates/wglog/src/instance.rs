@@ -18,22 +18,30 @@
 //! them, so that a written answer copies them. Every clone shares it, and
 //! [`Instance::add_attr`] on a base object drops it.
 //!
-//! Both layers store edges alike. Labels are interned into one id space per
-//! instance (the delta numbers on from the base), so a [`LabelKey`] is one
-//! integer; every edge shares its label's name; and every adjacency list is
-//! a chain through the layer's edges. Adding an edge with an interned label
-//! ([`Instance::add_edge_key`]) is a few integer hash probes and a push, and
-//! allocates nothing but the doublings of the layer's tables.
+//! Both layers store objects and edges alike, in pools as a [`Document`]
+//! does: an object is one record (its type's name id and a run of the
+//! layer's attribute pool), an attribute is a name id and a span of the
+//! layer's text pool, and an edge is two object ids, a label id and its
+//! chain links. Type and attribute names are interned into one id space per
+//! instance, and labels into another (each layer's delta numbers on from
+//! the base), so a [`NameKey`] or a [`LabelKey`] is one integer, and type
+//! tests and attribute constraints compare integers. Objects are read
+//! through a borrowed view, [`ObjRef`], and edges as [`Edge`] values.
+//! Adding an edge with an interned label ([`Instance::add_edge_key`]) is a
+//! few integer hash probes and a push, and allocates nothing but the
+//! doublings of the layer's tables; dropping a loaded instance frees a
+//! fixed number of tables, not one allocation per object.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use gql_ssdm::document::NodeKind;
-use gql_ssdm::idref::RefGraph;
+use gql_ssdm::idref::RefTable;
 use gql_ssdm::sink::{DocSink, Sink};
 use gql_ssdm::xml::Image;
-use gql_ssdm::{Document, NodeId};
+use gql_ssdm::{DocIndex, Document, NodeId, Symbol};
 
 /// Index of an object in an [`Instance`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -45,7 +53,8 @@ impl ObjId {
     }
 }
 
-/// One complex object.
+/// One complex object, owned: what [`Instance::add_object`] takes. An
+/// instance keeps its objects pooled and hands them out as [`ObjRef`]s.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Object {
     pub ty: String,
@@ -78,21 +87,20 @@ impl Object {
     }
 }
 
-/// One labelled edge.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Edge {
+/// One labelled edge, as read from an instance: its label borrows the
+/// instance's one copy of the name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Edge<'a> {
     pub from: ObjId,
-    /// The label's name, shared by every edge so labelled: its layer's
-    /// label table holds the one allocation.
-    pub label: Arc<str>,
+    pub label: &'a str,
     pub to: ObjId,
 }
 
-/// The hasher of the maps keyed by object ids and interned label ids: a
-/// multiply per word and a rotate at the end. Those keys are numbered by
-/// the instance itself, never chosen by whoever uploaded the data, so they
-/// need none of SipHash's resistance to chosen keys; the maps keyed by
-/// names from the document (`labels`, `by_type`) keep it.
+/// The hasher of the maps keyed by object ids and interned ids: a multiply
+/// per word and a rotate at the end. Those keys are numbered by the
+/// instance itself, never chosen by whoever uploaded the data, so they need
+/// none of SipHash's resistance to chosen keys; the maps keyed by names
+/// from the document ([`Names`]) keep it.
 #[derive(Default)]
 struct IntHasher(u64);
 
@@ -135,6 +143,17 @@ impl LabelKey {
     const ABSENT: LabelKey = LabelKey(u32::MAX);
 }
 
+/// A type or attribute name's id in one [`Instance`], numbered like
+/// [`LabelKey`]s in a space of its own. [`Instance::name_key`] of a name the
+/// instance has not interned matches no object.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NameKey(u32);
+
+impl NameKey {
+    /// The key of a name the instance has not interned.
+    const ABSENT: NameKey = NameKey(u32::MAX);
+}
+
 /// The end of an edge chain: no edge has this index.
 const END: u32 = u32::MAX;
 
@@ -146,10 +165,13 @@ const INC: usize = 1;
 const SUCC: usize = 2;
 const PRED: usize = 3;
 
-/// An edge as a layer stores it: with the next edge of each of its chains.
-#[derive(Debug, Clone)]
+/// An edge as a layer stores it: its ends, its label's id, and the next
+/// edge of each of its chains.
+#[derive(Debug, Clone, Copy)]
 struct Stored {
-    edge: Edge,
+    from: ObjId,
+    lid: u32,
+    to: ObjId,
     next: [u32; 4],
 }
 
@@ -178,20 +200,164 @@ struct Walk<'a> {
 }
 
 impl<'a> Iterator for Walk<'a> {
-    type Item = &'a Edge;
+    type Item = &'a Stored;
 
-    fn next(&mut self) -> Option<&'a Edge> {
+    fn next(&mut self) -> Option<&'a Stored> {
         // `END` is past every edge.
         let stored = self.edges.get(self.next as usize)?;
         self.next = stored.next[self.link];
-        Some(&stored.edge)
+        Some(stored)
     }
 }
 
+/// One layer's names: name → id, and (slot `id - first`) id → name, one
+/// allocation shared by both. A delta's table numbers on from its base's.
+#[derive(Debug, Clone, Default)]
+struct Names {
+    first: u32,
+    ids: HashMap<Arc<str>, u32>,
+    names: Vec<Arc<str>>,
+}
+
+impl Names {
+    fn above(base: &Names) -> Names {
+        Names {
+            first: base.end(),
+            ..Names::default()
+        }
+    }
+
+    /// One past the last id this table numbers.
+    fn end(&self) -> u32 {
+        self.first + self.names.len() as u32
+    }
+
+    fn id(&self, name: &str) -> Option<u32> {
+        self.ids.get(name).copied()
+    }
+
+    /// `name`'s id, numbered here if it has none yet.
+    fn intern(&mut self, name: &str) -> u32 {
+        if let Some(id) = self.id(name) {
+            return id;
+        }
+        let id = self.end();
+        assert!(id < END, "an instance holds fewer than {END} names");
+        let name: Arc<str> = Arc::from(name);
+        self.ids.insert(Arc::clone(&name), id);
+        self.names.push(name);
+        id
+    }
+
+    /// The name of id `id`, if this table numbered it.
+    fn name(&self, id: u32) -> Option<&str> {
+        let slot = id.checked_sub(self.first)?;
+        self.names.get(slot as usize).map(|n| &**n)
+    }
+}
+
+/// Where ids are read back as names: the base's table, then the delta's.
+#[derive(Debug, Clone, Copy)]
+struct Lookup<'a> {
+    base: &'a Names,
+    delta: &'a Names,
+}
+
+impl<'a> Lookup<'a> {
+    fn id(self, name: &str) -> Option<u32> {
+        self.base.id(name).or_else(|| self.delta.id(name))
+    }
+
+    fn name(self, id: u32) -> &'a str {
+        let table = if id < self.delta.first {
+            self.base
+        } else {
+            self.delta
+        };
+        table.name(id).expect("an id this instance numbered")
+    }
+}
+
+/// A run of a pool: `len` slots in use from `start`, room for `cap`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Run {
+    start: u32,
+    len: u32,
+    cap: u32,
+}
+
+impl Run {
+    fn range(self) -> Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+/// A byte range of a layer's text pool.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl Span {
+    fn range(self) -> Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+/// An object as a layer stores it: its type's name id and its run of the
+/// attribute pool.
+#[derive(Debug, Clone, Copy)]
+struct ObjRec {
+    ty: u32,
+    attrs: Run,
+}
+
+/// An attribute as a layer stores it.
+#[derive(Debug, Clone, Copy)]
+struct AttrRec {
+    name: u32,
+    value: Span,
+}
+
+/// A pool offset as `u32`, or a panic naming the pool.
+fn offset(len: usize, pool: &str) -> u32 {
+    u32::try_from(len).unwrap_or_else(|_| panic!("an instance's {pool} pool outgrew u32 offsets"))
+}
+
+/// Append `item` to `run` of `pool`: in place while the run has room or
+/// ends the pool, else the run moves to the pool's tail with room to
+/// double, and its old slots are left behind.
+fn run_push<T: Copy>(pool: &mut Vec<T>, run: &mut Run, item: T) {
+    let (start, len, cap) = (run.start as usize, run.len as usize, run.cap as usize);
+    if len < cap {
+        pool[start + len] = item;
+        run.len += 1;
+        return;
+    }
+    // An empty run has no place yet: it starts at the tail.
+    let start = if cap == 0 { pool.len() } else { start };
+    let (start, cap) = if start + cap == pool.len() {
+        pool.push(item);
+        (start, cap + 1)
+    } else {
+        let tail = pool.len();
+        pool.extend_from_within(start..start + len);
+        pool.resize(tail + 2 * len, item);
+        (tail, 2 * len)
+    };
+    offset(pool.len(), "attribute");
+    *run = Run {
+        start: start as u32,
+        len: run.len + 1,
+        cap: cap as u32,
+    };
+}
+
 /// One layer of an [`Instance`]: a self-contained graph store whose own
-/// objects are numbered from `first_obj`, whose own labels are numbered
-/// from `first_label`, and whose edges may also touch the objects and use
-/// the labels numbered beneath those.
+/// objects are numbered from `first_obj`, whose own names and labels are
+/// numbered from those of the layer beneath, and whose edges may also touch
+/// the objects and use the names and labels numbered beneath those.
 ///
 /// Edge labels are interned to small integers on insertion, and adjacency
 /// is kept *label-indexed*: `(object, label) → successors/predecessors`.
@@ -206,10 +372,11 @@ struct Layer {
     /// Id of this layer's first object: 0 for a base, the base's object
     /// count for a delta.
     first_obj: usize,
-    /// Id of this layer's first label: 0 for a base, the base's label count
-    /// for a delta.
-    first_label: u32,
-    objects: Vec<Object>,
+    objects: Vec<ObjRec>,
+    /// Every object's attributes, as the `attrs` runs of `objects`.
+    attrs: Vec<AttrRec>,
+    /// Every attribute value, as the `value` spans of `attrs`.
+    text: String,
     edges: Vec<Stored>,
     /// Outgoing edges of this layer's own objects (slot `id - first_obj`).
     out: Vec<Chain>,
@@ -219,12 +386,13 @@ struct Layer {
     /// run touches few of them. Always empty in a base.
     out_beneath: IntMap<ObjId, Chain>,
     inc_beneath: IntMap<ObjId, Chain>,
-    /// Type index: type name → object ids.
-    by_type: HashMap<String, Vec<ObjId>>,
-    /// This layer's own labels: name → id, and (slot `id - first_label`)
-    /// id → name, one allocation shared by both.
-    labels: HashMap<Arc<str>, u32>,
-    names: Vec<Arc<str>>,
+    /// Type index: this layer's objects by their type's name id (slot =
+    /// id), in insertion order.
+    by_type: Vec<Vec<ObjId>>,
+    /// Type and attribute names.
+    syms: Names,
+    /// Edge labels.
+    labels: Names,
     /// Labelled adjacency: `(from, label) → edges`, insertion order.
     succ: IntMap<(ObjId, u32), Chain>,
     /// Labelled reverse adjacency: `(to, label) → edges`.
@@ -257,63 +425,67 @@ fn append(edges: &mut [Stored], chain: &mut Chain, link: usize, idx: u32) {
 }
 
 impl Layer {
-    fn add_object(&mut self, obj: Object) -> ObjId {
-        let id = ObjId((self.first_obj + self.objects.len()) as u32);
-        // The type name is cloned into the index once per type, not once
-        // per object.
-        match self.by_type.get_mut(&obj.ty) {
-            Some(ids) => ids.push(id),
-            None => {
-                self.by_type.insert(obj.ty.clone(), vec![id]);
-            }
+    /// The empty layer above `base`.
+    fn above(base: &Layer) -> Layer {
+        Layer {
+            first_obj: base.first_obj + base.objects.len(),
+            syms: Names::above(&base.syms),
+            labels: Names::above(&base.labels),
+            ..Layer::default()
         }
-        self.objects.push(obj);
+    }
+
+    /// Add an object of type `ty` (a name id), with no attributes yet.
+    fn add_object(&mut self, ty: u32) -> ObjId {
+        let id = ObjId(offset(self.first_obj + self.objects.len(), "object"));
+        let slot = ty as usize;
+        if slot >= self.by_type.len() {
+            self.by_type.resize_with(slot + 1, Vec::new);
+        }
+        self.by_type[slot].push(id);
+        self.objects.push(ObjRec {
+            ty,
+            attrs: Run::default(),
+        });
         self.out.push(Chain::EMPTY);
         self.inc.push(Chain::EMPTY);
         id
     }
 
-    fn label_id(&self, label: &str) -> Option<u32> {
-        self.labels.get(label).copied()
-    }
-
-    /// `label`'s id, numbered in this layer if it has none yet.
-    fn intern(&mut self, label: &str) -> u32 {
-        if let Some(lid) = self.label_id(label) {
-            return lid;
+    /// The text pool's span of what `write` appends to it.
+    fn write_text(&mut self, write: impl FnOnce(&mut String)) -> Span {
+        let start = offset(self.text.len(), "text");
+        write(&mut self.text);
+        Span {
+            start,
+            len: offset(self.text.len(), "text") - start,
         }
-        let lid = self.first_label + self.names.len() as u32;
-        assert!(lid < END, "an instance holds fewer than {END} labels");
-        let name: Arc<str> = Arc::from(label);
-        self.labels.insert(Arc::clone(&name), lid);
-        self.names.push(name);
-        lid
     }
 
-    /// The name of label `lid`, if this layer numbered it.
-    fn name(&self, lid: u32) -> Option<&Arc<str>> {
-        let slot = lid.checked_sub(self.first_label)?;
-        self.names.get(slot as usize)
+    /// Append an attribute to this layer's object `slot`.
+    fn push_attr(&mut self, slot: usize, name: u32, value: &str) {
+        let value = self.write_text(|text| text.push_str(value));
+        let run = &mut self.objects[slot].attrs;
+        run_push(&mut self.attrs, run, AttrRec { name, value });
     }
 
     /// Add an edge of one of this layer's own labels unless the layer
     /// already has it.
-    fn add_edge(&mut self, from: ObjId, label: &str, to: ObjId) {
-        let lid = self.intern(label);
+    fn add_edge(&mut self, from: ObjId, lid: u32, to: ObjId) {
         if self.edge_set.insert((from, lid, to)) {
-            let label = Arc::clone(self.name(lid).expect("interned here"));
-            self.push(Edge { from, label, to }, lid);
+            self.push(from, lid, to);
         }
     }
 
     /// Store an edge the duplicate check has let through and append it to
     /// its four chains.
-    fn push(&mut self, edge: Edge, lid: u32) {
+    fn push(&mut self, from: ObjId, lid: u32, to: ObjId) {
         let idx = self.edges.len() as u32;
         assert!(idx < END, "a layer holds fewer than {END} edges");
-        let (from, to) = (edge.from, edge.to);
         self.edges.push(Stored {
-            edge,
+            from,
+            lid,
+            to,
             next: [END; 4],
         });
         let edges = &mut self.edges;
@@ -360,7 +532,7 @@ impl Layer {
     /// Whether this layer can hold an edge labelled `lid`: its own labels
     /// and those beneath them, never an absent key's.
     fn may_hold(&self, lid: u32) -> bool {
-        lid < self.first_label + self.names.len() as u32
+        lid < self.labels.end()
     }
 
     fn has_edge(&self, from: ObjId, lid: u32, to: ObjId) -> bool {
@@ -377,8 +549,92 @@ impl Layer {
         self.walk(chain, link)
     }
 
-    fn of_type(&self, ty: &str) -> &[ObjId] {
-        self.by_type.get(ty).map_or(&[], Vec::as_slice)
+    fn of_type(&self, ty: NameKey) -> &[ObjId] {
+        self.by_type.get(ty.0 as usize).map_or(&[], Vec::as_slice)
+    }
+}
+
+/// A borrowed view of one object of an [`Instance`]: its type and its
+/// attributes, read out of its layer's pools.
+#[derive(Clone, Copy)]
+pub struct ObjRef<'a> {
+    rec: ObjRec,
+    layer: &'a Layer,
+    syms: Lookup<'a>,
+}
+
+impl<'a> ObjRef<'a> {
+    /// The type's name.
+    pub fn ty(&self) -> &'a str {
+        self.syms.name(self.rec.ty)
+    }
+
+    /// The type's key: equal to [`Instance::name_key`] of [`ty`](ObjRef::ty).
+    pub fn ty_key(&self) -> NameKey {
+        NameKey(self.rec.ty)
+    }
+
+    fn records(&self) -> &'a [AttrRec] {
+        &self.layer.attrs[self.rec.attrs.range()]
+    }
+
+    fn value(&self, a: &AttrRec) -> &'a str {
+        &self.layer.text[a.value.range()]
+    }
+
+    /// Attribute name/value pairs, in the order they were added.
+    pub fn attrs(&self) -> impl Iterator<Item = (&'a str, &'a str)> + 'a {
+        let this = *self;
+        (self.records().iter()).map(move |a| (this.syms.name(a.name), this.value(a)))
+    }
+
+    /// How many attribute values the object has.
+    pub fn attr_count(&self) -> usize {
+        self.rec.attrs.len as usize
+    }
+
+    /// All values of the attribute keyed `key`: integer compares only.
+    pub fn values(&self, key: NameKey) -> impl Iterator<Item = &'a str> + 'a {
+        let this = *self;
+        (self.records().iter())
+            .filter(move |a| a.name == key.0)
+            .map(move |a| this.value(a))
+    }
+
+    /// All values of an attribute.
+    pub fn attr_values(&self, name: &str) -> impl Iterator<Item = &'a str> + 'a {
+        self.values(self.syms.id(name).map_or(NameKey::ABSENT, NameKey))
+    }
+
+    /// First value of an attribute.
+    pub fn attr(&self, name: &str) -> Option<&'a str> {
+        self.attr_values(name).next()
+    }
+
+    /// The object as an owned [`Object`].
+    pub fn to_object(&self) -> Object {
+        Object {
+            ty: self.ty().to_string(),
+            attrs: (self.attrs())
+                .map(|(n, v)| (n.to_string(), v.to_string()))
+                .collect(),
+        }
+    }
+}
+
+/// Objects are equal when their types and their attribute lists are.
+impl PartialEq for ObjRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.ty() == other.ty() && self.attrs().eq(other.attrs())
+    }
+}
+
+impl std::fmt::Debug for ObjRef<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (f.debug_struct("Object"))
+            .field("ty", &self.ty())
+            .field("attrs", &self.attrs().collect::<Vec<_>>())
+            .finish()
     }
 }
 
@@ -406,9 +662,52 @@ impl Instance {
         Self::default()
     }
 
+    fn syms(&self) -> Lookup<'_> {
+        Lookup {
+            base: &self.base.syms,
+            delta: &self.delta.syms,
+        }
+    }
+
+    fn labels(&self) -> Lookup<'_> {
+        Lookup {
+            base: &self.base.labels,
+            delta: &self.delta.labels,
+        }
+    }
+
+    /// A stored edge as an [`Edge`].
+    fn edge(&self, s: &Stored) -> Edge<'_> {
+        Edge {
+            from: s.from,
+            label: self.labels().name(s.lid),
+            to: s.to,
+        }
+    }
+
+    /// `name`'s id as a type or attribute name, numbered in the delta if
+    /// neither layer has it yet.
+    fn intern_sym(&mut self, name: &str) -> u32 {
+        match self.base.syms.id(name) {
+            Some(id) => id,
+            None => self.delta.syms.intern(name),
+        }
+    }
+
     /// Add an object, returning its id.
     pub fn add_object(&mut self, obj: Object) -> ObjId {
-        self.delta.add_object(obj)
+        let id = self.add_object_of_type(&obj.ty);
+        for (name, value) in &obj.attrs {
+            self.add_attr(id, name, value);
+        }
+        id
+    }
+
+    /// Add an object of type `ty` with no attributes yet, returning its id:
+    /// [`add_object`](Instance::add_object) without building an [`Object`].
+    pub fn add_object_of_type(&mut self, ty: &str) -> ObjId {
+        let ty = self.intern_sym(ty);
+        self.delta.add_object(ty)
     }
 
     /// Add an edge if not already present; returns whether it was new.
@@ -420,15 +719,14 @@ impl Instance {
     /// `label`'s key, numbered in the delta if neither layer has it yet.
     /// The key stays valid for the instance's lifetime.
     pub fn intern_label(&mut self, label: &str) -> LabelKey {
-        match self.base.label_id(label) {
+        match self.base.labels.id(label) {
             Some(lid) => LabelKey(lid),
-            None => LabelKey(self.delta.intern(label)),
+            None => LabelKey(self.delta.labels.intern(label)),
         }
     }
 
     /// [`add_edge`](Instance::add_edge) with the label interned: integer
-    /// probes, and the label's shared name cloned only when the edge is
-    /// new.
+    /// probes and a push.
     ///
     /// # Panics
     ///
@@ -436,14 +734,11 @@ impl Instance {
     /// [`intern_label`](Instance::intern_label).
     pub fn add_edge_key(&mut self, from: ObjId, key: LabelKey, to: ObjId) -> bool {
         let lid = key.0;
+        assert!(self.delta.may_hold(lid), "a key from `intern_label`");
         if self.base.has_edge(from, lid, to) || !self.delta.edge_set.insert((from, lid, to)) {
             return false;
         }
-        let label = (self.delta.name(lid))
-            .or_else(|| self.base.name(lid))
-            .expect("a key from `intern_label`");
-        let label = Arc::clone(label);
-        self.delta.push(Edge { from, label, to }, lid);
+        self.delta.push(from, lid, to);
         true
     }
 
@@ -451,22 +746,30 @@ impl Instance {
     /// a change to a base object, so that case un-shares the base first
     /// (a full copy if another instance still holds it) and no other
     /// holder sees the change; the base it changes has no answer image.
-    pub fn add_attr(&mut self, obj: ObjId, name: impl Into<String>, value: impl Into<String>) {
-        let object = match obj.index().checked_sub(self.delta.first_obj) {
-            Some(slot) => &mut self.delta.objects[slot],
+    pub fn add_attr(&mut self, obj: ObjId, name: impl AsRef<str>, value: impl AsRef<str>) {
+        // A name new to both layers is numbered in the delta, whichever
+        // layer the object is in: the base's ids end where the delta's
+        // begin.
+        let name = self.intern_sym(name.as_ref());
+        match obj.index().checked_sub(self.delta.first_obj) {
+            Some(slot) => self.delta.push_attr(slot, name, value.as_ref()),
             None => {
                 let base = Arc::make_mut(&mut self.base);
                 base.answer.0.take();
-                &mut base.objects[obj.index()]
+                base.push_attr(obj.index(), name, value.as_ref());
             }
-        };
-        object.attrs.push((name.into(), value.into()));
+        }
     }
 
-    pub fn object(&self, id: ObjId) -> &Object {
-        match id.index().checked_sub(self.delta.first_obj) {
-            Some(slot) => &self.delta.objects[slot],
-            None => &self.base.objects[id.index()],
+    pub fn object(&self, id: ObjId) -> ObjRef<'_> {
+        let (layer, slot) = match id.index().checked_sub(self.delta.first_obj) {
+            Some(slot) => (&self.delta, slot),
+            None => (&*self.base, id.index()),
+        };
+        ObjRef {
+            rec: layer.objects[slot],
+            layer,
+            syms: self.syms(),
         }
     }
 
@@ -479,34 +782,41 @@ impl Instance {
     }
 
     /// All edges, in insertion order.
-    pub fn edges(&self) -> impl Iterator<Item = &Edge> {
+    pub fn edges(&self) -> impl Iterator<Item = Edge<'_>> {
         let stored = self.base.edges.iter().chain(&self.delta.edges);
-        stored.map(|s| &s.edge)
+        stored.map(move |s| self.edge(s))
     }
 
-    pub fn objects(&self) -> impl Iterator<Item = (ObjId, &Object)> {
-        self.base
-            .objects
-            .iter()
-            .chain(&self.delta.objects)
-            .enumerate()
-            .map(|(i, o)| (ObjId(i as u32), o))
+    pub fn objects(&self) -> impl Iterator<Item = (ObjId, ObjRef<'_>)> {
+        (0..self.object_count()).map(move |i| {
+            let id = ObjId(i as u32);
+            (id, self.object(id))
+        })
+    }
+
+    /// `name`'s key as a type or attribute name, for
+    /// [`ObjRef::values`] and type tests; a name no object has gets a key
+    /// that matches nothing.
+    pub fn name_key(&self, name: &str) -> NameKey {
+        self.syms().id(name).map_or(NameKey::ABSENT, NameKey)
     }
 
     /// Objects of one type, in insertion order.
     pub fn objects_of_type<'a>(&'a self, ty: &str) -> impl Iterator<Item = ObjId> + 'a {
-        let (base, delta) = (self.base.of_type(ty), self.delta.of_type(ty));
+        let key = self.name_key(ty);
+        let (base, delta) = (self.base.of_type(key), self.delta.of_type(key));
         base.iter().chain(delta).copied()
     }
 
     /// All type names present, sorted.
     pub fn type_names(&self) -> Vec<&str> {
-        let mut v: Vec<&str> = self
-            .base
-            .by_type
-            .keys()
-            .chain(self.delta.by_type.keys())
-            .map(String::as_str)
+        let types = |layer: &Layer| {
+            let ids = (layer.by_type.iter().enumerate()).filter(|(_, objs)| !objs.is_empty());
+            ids.map(|(ty, _)| ty as u32).collect::<Vec<_>>()
+        };
+        let mut v: Vec<&str> = (types(&self.base).into_iter())
+            .chain(types(&self.delta))
+            .map(|ty| self.syms().name(ty))
             .collect();
         v.sort();
         v.dedup();
@@ -514,25 +824,21 @@ impl Instance {
     }
 
     /// Outgoing edges of an object.
-    pub fn out_edges(&self, obj: ObjId) -> impl Iterator<Item = &Edge> {
-        self.base
-            .incident(obj, true)
-            .chain(self.delta.incident(obj, true))
+    pub fn out_edges(&self, obj: ObjId) -> impl Iterator<Item = Edge<'_>> {
+        let walk = (self.base.incident(obj, true)).chain(self.delta.incident(obj, true));
+        walk.map(move |s| self.edge(s))
     }
 
     /// Incoming edges of an object.
-    pub fn in_edges(&self, obj: ObjId) -> impl Iterator<Item = &Edge> {
-        self.base
-            .incident(obj, false)
-            .chain(self.delta.incident(obj, false))
+    pub fn in_edges(&self, obj: ObjId) -> impl Iterator<Item = Edge<'_>> {
+        let walk = (self.base.incident(obj, false)).chain(self.delta.incident(obj, false));
+        walk.map(move |s| self.edge(s))
     }
 
     /// `label`'s key, for the `*_key` probes; a label no edge has yet
     /// gets a key that matches nothing.
     pub fn label_key(&self, label: &str) -> LabelKey {
-        (self.base.label_id(label))
-            .or_else(|| self.delta.label_id(label))
-            .map_or(LabelKey::ABSENT, LabelKey)
+        self.labels().id(label).map_or(LabelKey::ABSENT, LabelKey)
     }
 
     /// Whether a specific edge exists: at most one integer set probe per
@@ -573,9 +879,10 @@ impl Instance {
     /// on the first call and kept on the base, which every clone shares;
     /// [`add_attr`](Instance::add_attr) on a base object drops it.
     pub fn build_answer_image(&self) -> &Image {
-        let objects = &self.base.objects;
         (self.base.answer.0).get_or_init(|| {
-            Image::of_items(objects.len(), |i, sink| attr_children(&objects[i], sink))
+            Image::of_items(self.base.objects.len(), |i, sink| {
+                attr_children(self.object(ObjId(i as u32)), sink)
+            })
         })
     }
 
@@ -590,55 +897,31 @@ impl Instance {
 
     /// Load a document into an instance graph (see module docs for the
     /// mapping rules). The whole graph becomes the instance's shared base.
+    /// Resolves the document's references in a walk of its own; a caller
+    /// holding a [`DocIndex`] for it loads with
+    /// [`from_index`](Instance::from_index), which reads the index's.
     pub fn from_document(doc: &Document) -> Instance {
+        let elements = (doc.descendants(doc.root())).filter(|&n| doc.kind(n) == NodeKind::Element);
+        Self::load(doc, elements, &RefTable::resolve(doc))
+    }
+
+    /// [`from_document`](Instance::from_document) over `doc`'s index: its
+    /// resolved ID/IDREF table gives the reference edges.
+    pub fn from_index(doc: &Document, idx: &DocIndex) -> Instance {
+        Self::load(doc, idx.elements().iter().copied(), idx.refs())
+    }
+
+    /// The load, given `doc`'s elements in document order and its
+    /// resolved references. The base's tables are sized by one counting
+    /// pass over the elements, so it allocates per table, type and name,
+    /// not per element.
+    fn load(doc: &Document, elements: impl Iterator<Item = NodeId>, refs: &RefTable) -> Instance {
         let mut db = Layer::default();
-        let refs = RefGraph::extract(doc);
-        // Document node → object, one slot per arena node.
-        let mut node_to_obj: Vec<Option<ObjId>> = vec![None; doc.node_count()];
         if let Some(root) = doc.root_element() {
-            load_elements(doc, root, &mut db, &mut node_to_obj);
-        }
-        // Reference edges, labelled by the referencing attribute name: the
-        // first reference attribute of the source with a token naming the
-        // target. `RefGraph` emits a node's edges together, so each node's
-        // attributes are split once, not once per edge.
-        let mut labels: Vec<(NodeId, &str)> = Vec::new();
-        for group in refs.edges().chunk_by(|a, b| a.from == b.from) {
-            let source = group[0].from;
-            let Some(from) = node_to_obj[source.index()] else {
-                continue;
-            };
-            labels.clear();
-            for (name, value) in doc.attrs(source) {
-                if !matches!(name, "ref" | "idref" | "refs" | "idrefs") {
-                    continue;
-                }
-                for target in value
-                    .split_whitespace()
-                    .filter_map(|tok| refs.node_by_id(tok))
-                {
-                    if !labels.iter().any(|&(seen, _)| seen == target) {
-                        labels.push((target, name));
-                    }
-                }
-            }
-            for edge in group {
-                let Some(to) = node_to_obj[edge.to.index()] else {
-                    continue;
-                };
-                let label = labels
-                    .iter()
-                    .find(|&&(target, _)| target == edge.to)
-                    .map_or("ref", |&(_, name)| name);
-                db.add_edge(from, label, to);
-            }
+            Loader::new(doc, root, elements, refs, &mut db).load(root);
         }
         Instance {
-            delta: Layer {
-                first_obj: db.objects.len(),
-                first_label: db.names.len() as u32,
-                ..Layer::default()
-            },
+            delta: Layer::above(&db),
             base: Arc::new(db),
         }
     }
@@ -666,7 +949,7 @@ impl Instance {
             let mut next = Some(id);
             while let Some(id) = next {
                 let obj = self.object(id);
-                sink.start(&obj.ty);
+                sink.start(obj.ty());
                 // A delta object's id is past every item of the image.
                 match image.and_then(|image| image.item(id.index())) {
                     Some((xml, nodes)) => {
@@ -703,8 +986,8 @@ impl Instance {
 /// attributes become repeated child elements; single-valued ones stay
 /// compact as children too (lossless round-trip of the loader's
 /// text-only-child rule).
-fn attr_children(obj: &Object, sink: &mut impl Sink) {
-    for (name, value) in &obj.attrs {
+fn attr_children(obj: ObjRef<'_>, sink: &mut impl Sink) {
+    for (name, value) in obj.attrs() {
         sink.start(name);
         sink.text(value);
         sink.end();
@@ -716,66 +999,259 @@ fn is_atomic(doc: &Document, node: NodeId) -> bool {
     doc.attr_count(node) == 0 && doc.child_elements(node).next().is_none()
 }
 
-/// `s` without surrounding whitespace, reusing its buffer when there is
-/// none to remove.
-fn trimmed(s: String) -> String {
-    if s.trim().len() == s.len() {
-        s
-    } else {
-        s.trim().to_string()
-    }
+/// The text children of `node`, in order.
+fn own_text<'d>(doc: &'d Document, node: NodeId) -> impl Iterator<Item = &'d str> + 'd {
+    (doc.children(node).iter())
+        .filter(move |&&c| doc.kind(c) == NodeKind::Text)
+        .map(move |&c| doc.text(c).unwrap_or(""))
 }
 
-/// Load the element tree under `root`, in one loop over the open elements.
-/// Objects are numbered in document order; an element's edge to a child
-/// object is added once the child's own subtree is loaded, so the child's
-/// edges come first.
-fn load_elements(doc: &Document, root: NodeId, db: &mut Layer, map: &mut [Option<ObjId>]) {
-    // The open elements, innermost last: each with its object and the
-    // element children still to visit.
-    let top = load_object(doc, root, db, map);
-    let mut open = vec![(root, top, doc.child_elements(root))];
-    while let Some((_, id, children)) = open.last_mut() {
-        let id = *id;
-        match children.next() {
-            Some(child) if is_atomic(doc, child) => {
-                let tag = doc.name(child).unwrap_or("object");
-                let value = trimmed(doc.text_content(child));
-                db.objects[id.index()].attrs.push((tag.to_string(), value));
-            }
-            Some(child) => {
-                let cid = load_object(doc, child, db, map);
-                open.push((child, cid, doc.child_elements(child)));
-            }
-            None => {
-                let (node, ..) = open.pop().expect("an open element");
-                if let Some(&(_, parent, _)) = open.last() {
-                    db.add_edge(parent, doc.name(node).unwrap_or("object"), id);
+/// The one pass that fills a base layer from a document: objects numbered
+/// in document order, each with its whole attribute run (the element's
+/// attributes, its own text, then its atomic children), containment edges
+/// bottom up, then the resolved reference edges.
+struct Loader<'d> {
+    doc: &'d Document,
+    refs: &'d RefTable,
+    db: &'d mut Layer,
+    /// Document node → object, one slot per arena node.
+    node_to_obj: Vec<Option<ObjId>>,
+    /// Objects per document tag symbol, an upper bound.
+    types: Vec<u32>,
+    /// A document symbol's name id and label id, `END` until first used.
+    sym_ids: Vec<u32>,
+    label_ids: Vec<u32>,
+    /// The name ids of `text` (own text) and `object` (an element without
+    /// a name), `END` until first used.
+    text: u32,
+    object: u32,
+}
+
+impl<'d> Loader<'d> {
+    /// A loader with `db`'s tables sized for the tree under `root`, from a
+    /// counting pass over `elements` (every element under `root`, at least).
+    fn new(
+        doc: &'d Document,
+        root: NodeId,
+        elements: impl Iterator<Item = NodeId>,
+        refs: &'d RefTable,
+        db: &'d mut Layer,
+    ) -> Loader<'d> {
+        // Counting pass, by upper bounds: objects, attributes, text bytes
+        // and objects per type, so that the load below never grows a table.
+        let (mut objects, mut attrs, mut text) = (0usize, 0usize, 0usize);
+        let mut types: Vec<u32> = Vec::new();
+        for node in elements {
+            if node == root || !is_atomic(doc, node) {
+                objects += 1;
+                if let Some(sym) = doc.name_sym(node) {
+                    if sym.index() >= types.len() {
+                        types.resize(sym.index() + 1, 0);
+                    }
+                    types[sym.index()] += 1;
                 }
+            }
+            attrs += doc.attr_count(node) + 1;
+            text += doc.attrs(node).map(|(_, v)| v.len()).sum::<usize>();
+            text += own_text(doc, node).map(str::len).sum::<usize>();
+        }
+        let edges = objects + refs.edges().len();
+        db.objects.reserve_exact(objects);
+        db.out.reserve_exact(objects);
+        db.inc.reserve_exact(objects);
+        db.attrs.reserve_exact(attrs);
+        db.text.reserve_exact(text);
+        db.edges.reserve_exact(edges);
+        db.succ.reserve(edges);
+        db.pred.reserve(edges);
+        db.edge_set.reserve(edges);
+        Loader {
+            doc,
+            refs,
+            db,
+            node_to_obj: vec![None; doc.node_count()],
+            types,
+            sym_ids: Vec::new(),
+            label_ids: Vec::new(),
+            text: END,
+            object: END,
+        }
+    }
+
+    /// The name id of document symbol `sym`.
+    fn sym(&mut self, sym: Symbol) -> u32 {
+        let slot = sym.index();
+        if slot >= self.sym_ids.len() {
+            self.sym_ids.resize(slot + 1, END);
+        }
+        if self.sym_ids[slot] == END {
+            self.sym_ids[slot] = self.db.syms.intern(self.doc.resolve_sym(sym));
+        }
+        self.sym_ids[slot]
+    }
+
+    /// The name id of an element's tag, `object` for one without.
+    fn tag(&mut self, node: NodeId) -> u32 {
+        match self.doc.name_sym(node) {
+            Some(sym) => self.sym(sym),
+            None => {
+                if self.object == END {
+                    self.object = self.db.syms.intern("object");
+                }
+                self.object
             }
         }
     }
-}
 
-/// The object of one element: its name, attributes and own text.
-fn load_object(doc: &Document, node: NodeId, db: &mut Layer, map: &mut [Option<ObjId>]) -> ObjId {
-    let mut obj = Object::new(doc.name(node).unwrap_or("object"));
-    for (name, value) in doc.attrs(node) {
-        obj.attrs.push((name.to_string(), value.to_string()));
+    /// The label id of an element's tag: interned when first used, as
+    /// every label is, so label ids follow the order edges are added in.
+    fn label(&mut self, node: NodeId) -> u32 {
+        let Some(sym) = self.doc.name_sym(node) else {
+            return self.db.labels.intern("object");
+        };
+        let slot = sym.index();
+        if slot >= self.label_ids.len() {
+            self.label_ids.resize(slot + 1, END);
+        }
+        if self.label_ids[slot] == END {
+            self.label_ids[slot] = self.db.labels.intern(self.doc.resolve_sym(sym));
+        }
+        self.label_ids[slot]
     }
-    // Direct text content becomes a `text` attribute when non-empty.
-    let own_text: String = doc
-        .children(node)
-        .iter()
-        .filter(|&&c| doc.kind(c) == NodeKind::Text)
-        .map(|&c| doc.text(c).unwrap_or(""))
-        .collect();
-    if !own_text.trim().is_empty() {
-        obj.attrs.push(("text".to_string(), trimmed(own_text)));
+
+    /// Append `pieces` to the text pool as one value, trimmed; `None` (and
+    /// nothing kept) when `keep_blank` is off and the value is blank.
+    fn value<'p>(
+        &mut self,
+        pieces: impl Iterator<Item = &'p str>,
+        keep_blank: bool,
+    ) -> Option<Span> {
+        let start = self.db.text.len();
+        pieces.for_each(|p| self.db.text.push_str(p));
+        let raw = &self.db.text[start..];
+        let trimmed = raw.trim();
+        if trimmed.is_empty() && !keep_blank {
+            self.db.text.truncate(start);
+            return None;
+        }
+        let lead = raw.len() - raw.trim_start().len();
+        Some(Span {
+            start: offset(start + lead, "text"),
+            len: offset(trimmed.len(), "text"),
+        })
     }
-    let id = db.add_object(obj);
-    map[node.index()] = Some(id);
-    id
+
+    /// Push one attribute of the object being loaded (the last one).
+    fn attr(&mut self, name: u32, value: Span) {
+        let db = &mut *self.db;
+        let run = &mut db.objects.last_mut().expect("an object being loaded").attrs;
+        run_push(&mut db.attrs, run, AttrRec { name, value });
+    }
+
+    /// The object of one element, with its whole attribute run.
+    fn object(&mut self, node: NodeId) -> ObjId {
+        let (doc, ty) = (self.doc, self.tag(node));
+        // Its type's object list at its final size, when the type is new.
+        let slot = ty as usize;
+        if slot >= self.db.by_type.len() {
+            self.db.by_type.resize_with(slot + 1, Vec::new);
+        }
+        if self.db.by_type[slot].capacity() == 0 {
+            let sym = doc.name_sym(node).map(Symbol::index);
+            let count = sym.and_then(|s| self.types.get(s)).copied().unwrap_or(0);
+            self.db.by_type[slot].reserve_exact(count as usize);
+        }
+        let id = self.db.add_object(ty);
+        self.node_to_obj[node.index()] = Some(id);
+        for (sym, (_, value)) in doc.attr_syms(node).zip(doc.attrs(node)) {
+            let name = self.sym(sym);
+            let value = self.db.write_text(|text| text.push_str(value));
+            self.attr(name, value);
+        }
+        // Direct text content becomes a `text` attribute when non-blank.
+        if let Some(value) = self.value(own_text(doc, node), false) {
+            if self.text == END {
+                self.text = self.db.syms.intern("text");
+            }
+            self.attr(self.text, value);
+        }
+        for child in doc.child_elements(node).filter(|&c| is_atomic(doc, c)) {
+            let name = self.tag(child);
+            let value = self.value(own_text(doc, child), true).expect("kept");
+            self.attr(name, value);
+        }
+        id
+    }
+
+    /// Load the element tree under `root`, in one loop over the open
+    /// elements; an element's edge to a child object is added once the
+    /// child's own subtree is loaded, so the child's edges come first. Then
+    /// the reference edges.
+    fn load(mut self, root: NodeId) {
+        let doc = self.doc;
+        // The open elements, innermost last: each with its object and the
+        // element children still to visit.
+        let top = self.object(root);
+        let mut open = vec![(root, top, doc.child_elements(root))];
+        while let Some((_, id, children)) = open.last_mut() {
+            let id = *id;
+            match children.next() {
+                Some(child) if is_atomic(doc, child) => {}
+                Some(child) => {
+                    let cid = self.object(child);
+                    open.push((child, cid, doc.child_elements(child)));
+                }
+                None => {
+                    let (node, ..) = open.pop().expect("an open element");
+                    if let Some(&(_, parent, _)) = open.last() {
+                        let label = self.label(node);
+                        self.db.add_edge(parent, label, id);
+                    }
+                }
+            }
+        }
+        self.references();
+    }
+
+    /// Reference edges, labelled by the referencing attribute name: the
+    /// first reference attribute of the source with a token naming the
+    /// target. The table holds a node's edges together, so each node's
+    /// attributes are split once, not once per edge.
+    fn references(&mut self) {
+        let (doc, refs) = (self.doc, self.refs);
+        let mut labels: Vec<(NodeId, &str)> = Vec::new();
+        for group in refs.edges().chunk_by(|a, b| a.from == b.from) {
+            let source = group[0].from;
+            let Some(from) = self.node_to_obj[source.index()] else {
+                continue;
+            };
+            labels.clear();
+            for (name, value) in doc.attrs(source) {
+                if !matches!(name, "ref" | "idref" | "refs" | "idrefs") {
+                    continue;
+                }
+                for target in value
+                    .split_whitespace()
+                    .filter_map(|tok| refs.node_by_id(doc, tok))
+                {
+                    if !labels.iter().any(|&(seen, _)| seen == target) {
+                        labels.push((target, name));
+                    }
+                }
+            }
+            for edge in group {
+                let Some(to) = self.node_to_obj[edge.to.index()] else {
+                    continue;
+                };
+                let label = labels
+                    .iter()
+                    .find(|&&(target, _)| target == edge.to)
+                    .map_or("ref", |&(_, name)| name);
+                let lid = self.db.labels.intern(label);
+                self.db.add_edge(from, lid, to);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -806,10 +1282,10 @@ mod tests {
     fn loader_numbers_objects_in_document_order_and_adds_edges_bottom_up() {
         let doc = Document::parse_str("<a><b><c x='1'/></b><d y='2'/></a>").unwrap();
         let db = Instance::from_document(&doc);
-        let types: Vec<&str> = db.objects().map(|(_, o)| o.ty.as_str()).collect();
+        let types: Vec<&str> = db.objects().map(|(_, o)| o.ty()).collect();
         assert_eq!(types, ["a", "b", "c", "d"]);
         let edges: Vec<(usize, &str, usize)> = (db.edges())
-            .map(|e| (e.from.index(), &*e.label, e.to.index()))
+            .map(|e| (e.from.index(), e.label, e.to.index()))
             .collect();
         assert_eq!(edges, [(1, "c", 2), (0, "b", 1), (0, "d", 3)]);
         assert_eq!(db.object(ObjId(2)).attr("x"), Some("1"));
@@ -929,7 +1405,7 @@ mod tests {
         assert_eq!(work.edge_count(), edges + 2);
 
         // Reads see the base first, then the delta: insertion order.
-        let out: Vec<&str> = work.out_edges(r).map(|e| &*e.label).collect();
+        let out: Vec<&str> = work.out_edges(r).map(|e| e.label).collect();
         assert_eq!(out, vec!["menu", "near", "near"]);
         let near: Vec<ObjId> = work.successors_key(r, work.label_key("near")).collect();
         assert_eq!(near.len(), 2);
@@ -942,9 +1418,9 @@ mod tests {
         assert_eq!(work.in_edges(r).count(), 2); // guide -restaurant->, list -member->
         assert_eq!(work.out_edges(list).count(), 1);
         assert_eq!(work.edges().count(), edges + 2);
-        assert_eq!(&*work.edges().last().unwrap().label, "near");
+        assert_eq!(work.edges().last().unwrap().label, "near");
         assert_eq!(work.objects().count(), objects + 1);
-        assert_eq!(work.object(list).ty, "list");
+        assert_eq!(work.object(list).ty(), "list");
         assert!(work.type_names().contains(&"list"));
 
         // The original saw none of it.
@@ -996,7 +1472,7 @@ mod tests {
         assert_eq!(work.successors_key(list, absent).count(), 0);
         assert!(work.has_edge_key(list, work.label_key("zzz"), h));
         // Every edge keeps its label's name.
-        let out: Vec<&str> = work.out_edges(list).map(|e| &*e.label).collect();
+        let out: Vec<&str> = work.out_edges(list).map(|e| e.label).collect();
         assert_eq!(out, ["a", "b", "member", "c", "menu", "zzz"]);
         // The base's keys are the same in every instance that shares it.
         assert_eq!(db.label_key("menu"), menu);
@@ -1071,7 +1547,7 @@ mod tests {
         // Built again, the image holds the new attribute.
         let (xml, nodes) = unique.build_answer_image().item(r.index()).unwrap();
         assert!(xml.ends_with("<zzz>2</zzz>"), "{xml}");
-        assert_eq!(nodes, 2 * unique.object(r).attrs.len() as u64);
+        assert_eq!(nodes, 2 * unique.object(r).attr_count() as u64);
         assert_eq!(written(&unique, "restaurant", 2), events);
     }
 
@@ -1132,7 +1608,7 @@ mod tests {
             let image = imaged.build_answer_image();
             for (id, obj) in plain.objects() {
                 let item = image.item(id.index());
-                assert_eq!(item.is_some(), !obj.attrs.is_empty(), "seed {seed}");
+                assert_eq!(item.is_some(), obj.attr_count() != 0, "seed {seed}");
                 held += usize::from(item.is_some());
             }
             // Invented objects, with and without attributes, with edges

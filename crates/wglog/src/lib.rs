@@ -48,7 +48,7 @@ pub mod instance;
 pub mod rule;
 pub mod schema;
 
-pub use instance::{Instance, ObjId};
+pub use instance::{Instance, ObjId, ObjRef};
 pub use rule::{rule_label, Color, Program, Rule};
 
 /// Errors shared by the WG-Log front- and back-ends.

@@ -60,14 +60,20 @@ pub struct Constraint {
 
 impl Constraint {
     pub fn holds(&self, obj: &crate::instance::Object) -> bool {
-        self.holds_parsed(obj, parse_number(&self.value))
+        self.holds_values(obj.attr_values(&self.attr), parse_number(&self.value))
     }
 
-    /// [`holds`](Constraint::holds) given the constant's [`parse_number`],
-    /// parsed once by whoever tests one constraint against many objects.
-    pub fn holds_parsed(&self, obj: &crate::instance::Object, constant: Option<f64>) -> bool {
-        obj.attr_values(&self.attr)
-            .any(|v| (self.op).eval_parsed((v, parse_number(v)), (&self.value, constant)))
+    /// [`holds`](Constraint::holds) over the values of the constrained
+    /// attribute, however they were found (an instance's objects give them
+    /// by key: [`ObjRef::values`](crate::ObjRef::values)), with the
+    /// constant's [`parse_number`] parsed once by whoever tests one
+    /// constraint against many objects.
+    pub fn holds_values<'v>(
+        &self,
+        mut values: impl Iterator<Item = &'v str>,
+        constant: Option<f64>,
+    ) -> bool {
+        values.any(|v| (self.op).eval_parsed((v, parse_number(v)), (&self.value, constant)))
     }
 }
 

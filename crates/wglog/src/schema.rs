@@ -113,19 +113,19 @@ impl WgSchema {
     pub fn extract(db: &Instance) -> WgSchema {
         let mut schema = WgSchema::new();
         for (_, obj) in db.objects() {
-            let decl = schema.types.entry(obj.ty.clone()).or_default();
-            decl.attrs.extend(obj.attrs.iter().map(|(n, _)| n.clone()));
+            let decl = schema.types.entry(obj.ty().to_string()).or_default();
+            decl.attrs.extend(obj.attrs().map(|(n, _)| n.to_string()));
         }
         // Count per (source object, label, to-type) to derive multiplicity.
         let mut counts: HashMap<(crate::ObjId, String, String), usize> = HashMap::new();
         for e in db.edges() {
-            let to_ty = db.object(e.to).ty.clone();
+            let to_ty = db.object(e.to).ty().to_string();
             *counts
                 .entry((e.from, e.label.to_string(), to_ty))
                 .or_default() += 1;
         }
         for ((from_obj, label, to_ty), count) in counts {
-            let from_ty = db.object(from_obj).ty.clone();
+            let from_ty = db.object(from_obj).ty().to_string();
             let decl = RelDecl {
                 from: from_ty,
                 label,
@@ -153,12 +153,15 @@ impl WgSchema {
     pub fn validate(&self, db: &Instance) -> Vec<String> {
         let mut v = Vec::new();
         for (_, obj) in db.objects() {
-            match self.types.get(&obj.ty) {
-                None => v.push(format!("object type '{}' is not declared", obj.ty)),
+            match self.types.get(obj.ty()) {
+                None => v.push(format!("object type '{}' is not declared", obj.ty())),
                 Some(decl) => {
-                    for (a, _) in &obj.attrs {
+                    for (a, _) in obj.attrs() {
                         if !decl.attrs.contains(a) {
-                            v.push(format!("attribute '{a}' not declared on type '{}'", obj.ty));
+                            v.push(format!(
+                                "attribute '{a}' not declared on type '{}'",
+                                obj.ty()
+                            ));
                         }
                     }
                 }
@@ -167,20 +170,20 @@ impl WgSchema {
         // Relation conformance + multiplicity.
         let mut per_source: HashMap<(crate::ObjId, &str, &str), usize> = HashMap::new();
         for e in db.edges() {
-            let from_ty = db.object(e.from).ty.as_str();
-            let to_ty = db.object(e.to).ty.as_str();
-            match self.relation(from_ty, &e.label, to_ty) {
+            let from_ty = db.object(e.from).ty();
+            let to_ty = db.object(e.to).ty();
+            match self.relation(from_ty, e.label, to_ty) {
                 None => v.push(format!(
                     "relation {from_ty} -{}-> {to_ty} is not declared",
                     e.label
                 )),
                 Some(_) => {
-                    *per_source.entry((e.from, &e.label, to_ty)).or_default() += 1;
+                    *per_source.entry((e.from, e.label, to_ty)).or_default() += 1;
                 }
             }
         }
         for ((from_obj, label, to_ty), count) in per_source {
-            let from_ty = db.object(from_obj).ty.as_str();
+            let from_ty = db.object(from_obj).ty();
             if count > 1 && self.relation(from_ty, label, to_ty) == Some(RelMult::One) {
                 v.push(format!(
                     "object of type '{from_ty}' has {count} '{label}' edges to '{to_ty}' but the relation is declared single-valued"

@@ -39,7 +39,7 @@ use crate::ast::{
     Predicate, Program, QEdge, QNode, QNodeId, QNodeKind, Rule, Span,
 };
 use crate::{Result, XmlGlError};
-use gql_ssdm::xml::MAX_QUERY_DEPTH;
+use gql_ssdm::xml::{MAX_QUERY_DEPTH, MAX_QUERY_WIDTH};
 
 // ----------------------------------------------------------------------
 // Lexer
@@ -278,7 +278,9 @@ pub fn parse(src: &str) -> Result<Program> {
 /// can report *all* their problems as structured diagnostics, not just the
 /// first one as a parse failure. A root box is one level deep and a box in
 /// its body one deeper; a program whose extract or construct part nests
-/// past [`MAX_QUERY_DEPTH`] levels is refused.
+/// past [`MAX_QUERY_DEPTH`] levels is refused, and so is one with an
+/// extract box of more than [`MAX_QUERY_WIDTH`] child boxes or an extract
+/// part of more than [`MAX_QUERY_WIDTH`] root boxes.
 pub fn parse_unchecked(src: &str) -> Result<Program> {
     let tokens = Lexer::new(src).tokenize()?;
     let mut p = Parser {
@@ -440,6 +442,7 @@ impl Parser {
                 let b = self.expect_var()?;
                 joins.push((a, b));
             } else {
+                self.within_width(extract.roots.len(), "extract part", "root")?;
                 let root = self.parse_qnode(&mut extract)?;
                 extract.roots.push(root);
             }
@@ -481,6 +484,17 @@ impl Parser {
         };
         self.depth -= 1;
         out
+    }
+
+    /// Refuse, by name, a `what` that already has [`MAX_QUERY_WIDTH`]
+    /// `boxes` boxes and is about to get another.
+    fn within_width(&self, have: usize, what: &str, boxes: &str) -> Result<()> {
+        match have < MAX_QUERY_WIDTH {
+            true => Ok(()),
+            false => Err(self.err_here(format!(
+                "{what} with more than {MAX_QUERY_WIDTH} {boxes} boxes (xml::MAX_QUERY_WIDTH)"
+            ))),
+        }
     }
 
     /// Parse one query node (with optional binding, predicate, body).
@@ -541,6 +555,7 @@ impl Parser {
                     break;
                 }
             }
+            self.within_width(edges.len(), "box", "child")?;
             let child = self.parse_qnode(g)?;
             edges.push(QEdge {
                 target: child,
@@ -936,6 +951,38 @@ mod tests {
             for n in [m + 1, 100_000] {
                 let err = parse(&text(n)).unwrap_err().to_string();
                 assert!(err.contains(&refusal), "{part}, {n} deep: {err}");
+            }
+        }
+    }
+
+    /// An extract box takes up to `MAX_QUERY_WIDTH` child boxes and an
+    /// extract part as many roots; one more is refused by name, as is a box
+    /// of 50,000 children.
+    #[test]
+    fn box_width_is_bounded_by_name() {
+        let w = MAX_QUERY_WIDTH;
+        let children = |n: usize| {
+            format!(
+                "rule {{ extract {{ r {{ {} }} }} construct {{ out }} }}",
+                "a ".repeat(n)
+            )
+        };
+        let roots = |n: usize| {
+            format!(
+                "rule {{ extract {{ {}a as $a }} construct {{ out {{ all $a }} }} }}",
+                "a ".repeat(n - 1)
+            )
+        };
+        for (what, text) in [
+            ("box with", &children as &dyn Fn(usize) -> String),
+            ("extract part with", &roots),
+        ] {
+            assert!(parse(&text(w)).is_ok(), "{what} at the bound");
+            for n in [w + 1, 50_000] {
+                let err = parse(&text(n)).unwrap_err().to_string();
+                let refusal = format!("{what} more than {w} ");
+                assert!(err.contains(&refusal), "{what} {n}: {err}");
+                assert!(err.contains("(xml::MAX_QUERY_WIDTH)"), "{err}");
             }
         }
     }

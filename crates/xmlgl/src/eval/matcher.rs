@@ -668,16 +668,23 @@ impl Fill<'_, '_> {
     /// and charged until a charge is refused (the candidate then yields no
     /// rows, nor any after it); then the table, allocated once and written.
     fn root(&mut self, m: &Columns, root: QNodeId) -> Bindings {
-        let (cx, mut rows, mut taken) = (self.cx, 0, 0);
+        let (cx, mut rows, mut taken) = (self.cx, 0u64, 0);
         let (guard, col) = (cx.run.guard, cx.col(&m.0, root));
         for &r in col {
             match guard.ok().then(|| self.count(m, root, r)) {
-                Some(Some(n)) if guard.charge_matches(n) => (rows, taken) = (rows + n, taken + 1),
+                Some(Some(n)) if guard.charge_matches(n) => {
+                    (rows, taken) = (rows.saturating_add(n), taken + 1)
+                }
                 _ => break,
             }
         }
         let mut out = Bindings::new(cx.width);
-        out.cells.reserve_exact(rows as usize * cx.width);
+        // Reserved up front up to 64 MiB of cells; a larger table (only an
+        // unbounded run's: a budget trips first) grows as it is written.
+        let cells = usize::try_from(rows)
+            .ok()
+            .and_then(|r| r.checked_mul(cx.width));
+        out.cells.reserve_exact(cells.map_or(0, |c| c.min(1 << 24)));
         cx.nodes.iter().for_each(|n| n.bound.set(UNBOUND));
         for &r in &col[..taken] {
             cx.nodes[root.index()].bound.set(r.index() as u32);

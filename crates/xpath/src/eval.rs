@@ -119,9 +119,6 @@ enum IndexSlot<'d> {
 
 /// Per-evaluation caches (built lazily, shared across the expression tree).
 pub(crate) struct EvalCaches<'d> {
-    /// The ID/IDREF graph used by `id()`; extracting it scans the whole
-    /// document, so it is built at most once per evaluation.
-    refs: std::cell::OnceCell<gql_ssdm::idref::RefGraph>,
     /// Postings/interval index used for descendant name-test steps.
     idx: IndexSlot<'d>,
     /// Where the evaluation reports and what bounds it ([`evaluate_in`]).
@@ -175,7 +172,6 @@ impl<'d> Hoisted<'d> {
 impl Default for EvalCaches<'_> {
     fn default() -> Self {
         EvalCaches {
-            refs: std::cell::OnceCell::new(),
             idx: IndexSlot::Lazy(std::cell::OnceCell::new()),
             ctx: RunCtx::none(),
             in_steps: std::cell::Cell::new(false),
@@ -186,13 +182,9 @@ impl Default for EvalCaches<'_> {
 }
 
 impl<'d> EvalCaches<'d> {
-    pub(crate) fn refs(&self, doc: &Document) -> &gql_ssdm::idref::RefGraph {
-        self.refs
-            .get_or_init(|| gql_ssdm::idref::RefGraph::extract(doc))
-    }
-
-    /// The document index: the borrowed one, or built at most once.
-    fn index(&self, doc: &Document) -> &DocIndex {
+    /// The document index: the borrowed one, or built at most once. It
+    /// also holds the resolved ID/IDREF table `id()` reads.
+    pub(crate) fn index(&self, doc: &Document) -> &DocIndex {
         match &self.idx {
             IndexSlot::Borrowed(i) => i,
             IndexSlot::Lazy(cell) => cell.get_or_init(|| Box::new(DocIndex::build(doc))),

@@ -131,10 +131,10 @@ pub(crate) fn call(
                 }
                 other => tokens.extend(words(&other.string(doc)).map(str::to_string)),
             }
-            let refs = caches.refs(doc);
+            let idx = caches.index(doc);
             let mut hits: Vec<Item> = tokens
                 .iter()
-                .filter_map(|t| refs.node_by_id(t))
+                .filter_map(|t| idx.node_by_id(doc, t))
                 .map(Item::Node)
                 .collect();
             // Document order, no duplicates.

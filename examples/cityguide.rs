@@ -105,10 +105,7 @@ fn main() {
     .expect("closure program parses");
     let (extended, stats) =
         eval::run_with(&reach, &db, FixpointMode::SemiNaive).expect("closure runs");
-    let colocated = extended
-        .edges()
-        .filter(|e| &*e.label == "colocated")
-        .count();
+    let colocated = extended.edges().filter(|e| e.label == "colocated").count();
     println!(
         "recursion: {} colocated edges derived in {} fixpoint iteration(s) \
          ({} embeddings examined)",

@@ -518,6 +518,81 @@ fn a_query_at_the_nesting_bound_fits_a_2_mib_stack_in_every_stage() {
         .expect("no stage overflows the stack at the bound");
 }
 
+/// What `xml::MAX_QUERY_WIDTH` was chosen by: a root box with as many
+/// child boxes as the bound, and an extract part with as many roots, go
+/// through the analyzer, the planner, EXPLAIN in both renderings, an engine
+/// run, the DSL printer, the translator and `Drop` on the 2 MiB stack that
+/// `gql-serve`'s connection threads get. A root box a frame wide (50,000
+/// children, 100 KB of text, which overflowed that stack) and a thousand
+/// child boxes over two candidates each (which overflowed a row count) are
+/// refused by name; at the bound, a child box per bit of a row count
+/// trips a budget of matches.
+#[test]
+fn a_query_at_the_width_bound_fits_a_2_mib_stack_and_a_wider_one_is_refused() {
+    use gql::core::CoreError;
+    use gql::guard::{Budget, Guard, LimitKind, RunCtx};
+    let through_every_stage = || {
+        let w = gql::ssdm::xml::MAX_QUERY_WIDTH;
+        let children = |n: usize| {
+            format!(
+                "rule {{ extract {{ r {{ {}a as $a }} }} construct {{ out {{ all $a }} }} }}",
+                "a ".repeat(n - 1)
+            )
+        };
+        let roots = |n: usize| {
+            format!(
+                "rule {{ extract {{ {}a as $a }} construct {{ out {{ all $a }} }} }}",
+                "a ".repeat(n - 1)
+            )
+        };
+        let refusal = format!("more than {w} ");
+        for text in [children(50_000), children(1_000), roots(50_000)] {
+            let err = gql::xmlgl::dsl::parse(&text).unwrap_err().to_string();
+            assert!(
+                err.contains(&refusal) && err.contains("(xml::MAX_QUERY_WIDTH)"),
+                "{err}"
+            );
+        }
+        // One `a`, so that every row of either rule at the bound is one row.
+        let one = Document::parse_str("<r><a/></r>").unwrap();
+        let analyzer = gql::analyze::Analyzer::new().with_summary(gql::ssdm::Summary::build(&one));
+        let engine = Engine::new();
+        for text in [children(w), roots(w)] {
+            let report = analyzer.analyze_xmlgl_src(&text);
+            assert!(!report.has_errors(), "{report:?}");
+            let program = gql::xmlgl::dsl::parse(&text).expect("accepted");
+            let printed = gql::xmlgl::dsl::print(&program);
+            let reparsed = gql::xmlgl::dsl::parse(&printed).expect("the printed rule parses");
+            let boxes = |p: &gql::xmlgl::ast::Program| p.rules[0].extract.nodes.len();
+            assert_eq!(boxes(&reparsed), boxes(&program));
+            let _ = translate::xmlgl_to_wglog(&program.rules[0]);
+            let outcome = engine
+                .run_profiled(&QueryKind::XmlGl(program), &one)
+                .expect("runs");
+            let links = ["PathStep", "HashJoin"].map(|op| outcome.plan.matches(op).count());
+            assert!(links[0] + links[1] >= w - 1, "{}", outcome.plan);
+            assert_eq!(outcome.output.to_xml_string(), "<out><a/></out>");
+        }
+        // Two `a`s: the rule at the bound asks for 2^64 rows.
+        let two = Document::parse_str("<r><a/><a/></r>").unwrap();
+        let wide = QueryKind::XmlGl(gql::xmlgl::dsl::parse(&children(w)).unwrap());
+        let guard = Guard::new(Budget::unlimited().with_max_matches(1_000_000));
+        match engine.execute(&wide, &two, RunCtx::guarded(&guard)) {
+            Err(CoreError::Budget(e)) => assert_eq!(e.kind, LimitKind::Matches),
+            other => panic!(
+                "2^64 rows under a budget: {:?}",
+                other.map(|o| o.result_count)
+            ),
+        }
+    };
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(through_every_stage)
+        .expect("spawns")
+        .join()
+        .expect("no stage overflows the stack at the width bound");
+}
+
 /// A preloaded engine never answers from structures built for an earlier
 /// state of the document: a `set_attr` in place on the last restaurant of a
 /// 200-restaurant guide leaves the node count and the root level as they

@@ -207,7 +207,7 @@ fn q10_recursion_gap() {
     let out = gql::wglog::eval::run(&program, &db).unwrap();
     let reaches: Vec<(String, String)> = out
         .edges()
-        .filter(|e| &*e.label == "reaches")
+        .filter(|e| e.label == "reaches")
         .map(|e| {
             (
                 out.object(e.from).attr("id").unwrap_or("?").to_string(),

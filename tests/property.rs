@@ -611,6 +611,39 @@ fn stream_reader_never_panics() {
 // WG-Log instance loader invariants
 // ----------------------------------------------------------------------
 
+/// The WG-Log loader against `gql_testkit::reference::loader`, a textbook
+/// loader that shares no code with it: object for object and edge for
+/// edge, in order, over documents that are graphs — ID/IDREF cycles,
+/// repeated, dangling and self references, one target named by two
+/// attributes — with text-only children folded into attributes; and over
+/// the same documents written and parsed back.
+#[test]
+fn the_loader_agrees_with_the_reference_loader_on_reference_graphs() {
+    let references = std::cell::Cell::new(0);
+    check(
+        "the_loader_agrees_with_the_reference_loader_on_reference_graphs",
+        256,
+        |rng| {
+            let doc = gql_testkit::generators::reference_graph(rng);
+            let xml = doc.to_xml_string();
+            let reparsed = Document::parse_str(&xml).unwrap();
+            for doc in [&doc, &reparsed] {
+                if let Err(e) = gql_testkit::reference::loader::check(doc) {
+                    panic!("{e}\n{xml}");
+                }
+            }
+            let loaded = gql_testkit::reference::loader::load(&doc);
+            let tags = (loaded.edges.iter()).filter(|(_, label, _)| TAGS.contains(&label.as_str()));
+            references.set(references.get() + loaded.edges.len() - tags.count());
+        },
+    );
+    assert!(
+        references.get() > 500,
+        "{} reference edges",
+        references.get()
+    );
+}
+
 /// Loading never loses information mass: every element becomes either an
 /// object or an attribute of its parent object.
 #[test]
@@ -626,12 +659,11 @@ fn loader_accounts_for_every_element() {
         let folded: usize = db
             .objects()
             .map(|(_, o)| {
-                o.attrs
-                    .iter()
+                o.attrs()
                     .filter(|(k, _)| {
                         // attributes that came from atomic child elements:
                         // approximated as "not the text pseudo-attribute".
-                        k != "text"
+                        *k != "text"
                     })
                     .count()
             })
@@ -644,7 +676,7 @@ fn loader_accounts_for_every_element() {
         );
         // And every object's type is a tag that exists in the document.
         for (_, o) in db.objects() {
-            assert!(doc.elements_named(&o.ty).next().is_some());
+            assert!(doc.elements_named(o.ty()).next().is_some());
         }
     });
 }
