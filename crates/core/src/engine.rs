@@ -671,16 +671,9 @@ impl Engine {
                 let start = Instant::now();
                 let span = ctx.phase("index");
                 trace.note("cache", self.cache_state(resident.is_some()));
-                // A cold run leaves the index to the evaluator, which builds
-                // one only if a step asks for it. Under a fault plan the
-                // index is resolved here, where the seam can fail it, and a
-                // run that cannot have one is refused as XML-GL's is.
                 let mut built = None;
-                let idx = match resident {
-                    None if !fault::active() => None,
-                    _ => Some(Self::resolve_index(resident, doc, &mut built)?),
-                };
-                if let (true, Some(idx)) = (trace.is_enabled(), idx) {
+                let idx = Self::resolve_index(resident, doc, &mut built)?;
+                if trace.is_enabled() {
                     record_index_stats(trace, idx);
                 }
                 drop(span);

@@ -339,9 +339,9 @@ fn the_fixpoint_allocates_per_rule_not_per_derived_edge() {
 
 /// Q2–Q6 in XPath as `gql-benchmark` sends them, written into an
 /// `XmlSink` by a preloaded engine at scale 1000 and at scale 4000. Each
-/// predicate is read as a truth value, so it is decided by a walk from the
-/// candidate that builds no node-set: four times the candidates are a few
-/// more doublings of the step's output and of the reply, and nothing else.
+/// path is one tree pattern, its predicates conditions on its nodes, so a
+/// predicate builds no node-set per candidate: four times the candidates
+/// are a few more doublings of the reply, and nothing else.
 #[test]
 fn a_predicate_allocates_per_query_not_per_candidate() {
     macro_rules! q {

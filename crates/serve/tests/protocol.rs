@@ -601,6 +601,58 @@ fn over_wide_query_texts_are_refused_and_the_server_keeps_answering() {
     service.shutdown();
 }
 
+/// A WG-Log program of as many chained rules as fit in one request frame
+/// (about 15,000): rule `i` reads the objects of type `c{i}` (the first, the
+/// root `r`) and builds one of `c{i+1}`. Stratification relates every rule to every other, so the
+/// server refuses it by name, and then answers the next request; a chain at
+/// the bound is answered.
+#[test]
+fn a_frame_of_chained_wglog_rules_is_refused_and_the_server_keeps_answering() {
+    let (service, server) = test_server();
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let bound = gql_ssdm::xml::MAX_QUERY_RULES;
+    let rule = |i: usize| {
+        let from = if i == 0 {
+            "r".to_string()
+        } else {
+            format!("c{i}")
+        };
+        let to = i + 1;
+        format!("rule {{ query {{ $x: {from} }} construct {{ $y: c{to} $y -m-> $x }} }} ")
+    };
+    let chain = |rules: usize| {
+        let text: String = (0..rules).map(rule).collect();
+        let text = text + &format!("goal c{rules}");
+        encode_request(&Request::new("t", "d", "wglog", &text))
+    };
+    // The text goes into the frame unescaped, beside a few dozen bytes.
+    let (mut rules, mut len) = (0, 0);
+    while len + rule(rules).len() + 256 < MAX_FRAME {
+        (len, rules) = (len + rule(rules).len(), rules + 1);
+    }
+    assert!(chain(rules).render().len() <= MAX_FRAME);
+    assert!(rules > 10 * bound, "{rules} rules");
+    let reply = client
+        .roundtrip(&chain(rules))
+        .expect("a reply, not a dead server");
+    let Response::Err(err) = decoded(&reply) else {
+        panic!("{rules} rules: {}", reply.render());
+    };
+    assert_eq!(err.code, ErrorCode::BadRequest, "{}", err.message);
+    let named = format!("program with more than {bound} rules (xml::MAX_QUERY_RULES)");
+    assert!(err.message.contains(&named), "{}", err.message);
+    let answered = client
+        .roundtrip(&chain(bound))
+        .expect("the same connection still answers");
+    match decoded(&answered) {
+        Response::Ok(ok) => assert_eq!(ok.result_count, 1, "one c{bound} built"),
+        Response::Err(err) => panic!("{bound} rules: {}", err.message),
+    }
+    ping_works(&server);
+    server.shutdown();
+    service.shutdown();
+}
+
 #[test]
 fn rate_limited_reply_carries_a_bounded_retry_hint() {
     let (service, server) = test_server();

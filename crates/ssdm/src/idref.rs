@@ -22,6 +22,7 @@ use crate::arena::Symbol;
 use crate::document::{Document, NodeKind};
 use crate::dtd::{AttType, Dtd};
 use crate::index::hash_str;
+use crate::value::{is_xml_space, xml_words};
 use crate::NodeId;
 
 /// Configuration for reference-edge extraction.
@@ -142,12 +143,12 @@ impl RefGraph {
             }
             for ref_attr in &cfg.ref_attrs {
                 if let Some(v) = doc.attr(n, ref_attr) {
-                    g.add_ref(n, v.trim());
+                    g.add_ref(n, v.trim_matches(is_xml_space));
                 }
             }
             for refs_attr in &cfg.refs_attrs {
                 if let Some(v) = doc.attr(n, refs_attr) {
-                    for tok in v.split_whitespace() {
+                    for tok in xml_words(v) {
                         g.add_ref(n, tok);
                     }
                 }
@@ -378,11 +379,12 @@ impl RefPass {
                     Some(_) => {}
                     None => table.dangling += 1,
                 };
-                // A single reference is its whole trimmed value.
+                // A single reference is its whole value, trimmed of XML
+                // whitespace; a list is split on it.
                 if i < 2 {
-                    resolve(value.trim());
+                    resolve(value.trim_matches(is_xml_space));
                 } else {
-                    value.split_whitespace().for_each(resolve);
+                    xml_words(value).for_each(resolve);
                 }
             }
         }
@@ -496,7 +498,10 @@ mod tests {
                             .map(|_| format!("i{}", rng.gen_range(0..6)))
                             .collect();
                         let value = format!(" {} ", tokens.join("  "));
-                        let value = if name == "id" { value.trim() } else { &value };
+                        let value = match name {
+                            "id" => value.trim_matches(is_xml_space),
+                            _ => &value,
+                        };
                         doc.set_attr(el, name, value).unwrap();
                     }
                 }

@@ -310,6 +310,8 @@ pub struct DocIndex {
     /// Exclusive end of the subtree's preorder interval: `n`'s subtree is
     /// exactly the nodes with `pre in [pre[n], end[n])`.
     end: Vec<u32>,
+    /// Every node reachable from the root, in preorder (document order).
+    preorder: Vec<NodeId>,
     /// Elements by tag symbol, in document order.
     by_tag: HashMap<Symbol, Vec<NodeId>>,
     /// All elements, in document order.
@@ -380,6 +382,7 @@ impl DocIndex {
         let mut idx = DocIndex {
             pre: vec![u32::MAX; n],
             end: vec![u32::MAX; n],
+            preorder: Vec::new(),
             by_tag: HashMap::with_capacity(distinct_tags),
             elements: Vec::with_capacity(element_total),
             by_attr: HashMap::with_capacity(distinct_attrs),
@@ -395,7 +398,8 @@ impl DocIndex {
             let count = sym.and_then(|s| attr_counts.get(s.index()));
             count.map_or(0, |&n| n as usize)
         });
-        let mut pre_list: Vec<NodeId> = Vec::with_capacity(n);
+        let pre_list = &mut idx.preorder;
+        pre_list.reserve_exact(n);
         let mut stack = vec![doc.root()];
         while let Some(node) = stack.pop() {
             idx.pre[node.index()] = pre_list.len() as u32;
@@ -431,7 +435,7 @@ impl DocIndex {
 
         // Reverse preorder visits children before parents: a subtree ends
         // where its last child's does.
-        for &node in pre_list.iter().rev() {
+        for &node in idx.preorder.iter().rev() {
             let i = node.index();
             idx.end[i] = match doc.children(node).last() {
                 Some(last) => idx.end[last.index()],
@@ -519,6 +523,18 @@ impl DocIndex {
         }
     }
 
+    /// Every node reachable from the root, in document order.
+    pub fn preorder(&self) -> &[NodeId] {
+        &self.preorder
+    }
+
+    /// Where `node`'s subtree lies in [`preorder`](DocIndex::preorder), or
+    /// `None` if it was detached at build time.
+    pub fn span(&self, node: NodeId) -> Option<std::ops::Range<usize>> {
+        let pre = self.pre(node)? as usize;
+        Some(pre..self.end[node.index()] as usize)
+    }
+
     /// All elements named `name`, in document order.
     pub fn elements_named<'a>(&'a self, doc: &Document, name: &str) -> &'a [NodeId] {
         doc.lookup_sym(name)
@@ -597,12 +613,6 @@ impl DocIndex {
         &list[lo..hi]
     }
 
-    /// Elements named `sym` that are proper descendants of `anc` (or also
-    /// `anc` itself when `include_self`), in document order.
-    pub fn named_in(&self, sym: Symbol, anc: NodeId, include_self: bool) -> &[NodeId] {
-        self.range_in(self.elements_named_sym(sym), anc, include_self)
-    }
-
     /// A structural semi-join over a document-ordered `list`: for elements
     /// asked about in document order, does `list` hold a proper descendant
     /// of the element (or the element itself, when `include_self`)? See
@@ -612,6 +622,19 @@ impl DocIndex {
             idx: self,
             list,
             strict: u32::from(!include_self),
+        }
+    }
+
+    /// The same semi-join the other way round: for nodes asked about in
+    /// document order, does the document-ordered `ancestors` hold a proper
+    /// ancestor of the node (or the node itself, when `include_self`)? See
+    /// [`Under`].
+    pub fn under<'a>(&'a self, ancestors: &'a [NodeId], include_self: bool) -> Under<'a> {
+        Under {
+            idx: self,
+            ancestors,
+            strict: u32::from(!include_self),
+            end: 0,
         }
     }
 
@@ -658,23 +681,6 @@ impl NodeSets {
     pub fn contains(&self, set: usize, n: NodeId) -> bool {
         self.bits[set * self.words + n.index() / 64] & (1 << (n.index() % 64)) != 0
     }
-
-    /// Can a child of `parent` be picked from each of `sets` in turn, each at
-    /// or after the one picked before it? Each set greedily takes its first
-    /// child at or after the previous pick, which succeeds whenever any
-    /// choice does.
-    pub fn in_sibling_order(
-        &self,
-        doc: &Document,
-        parent: NodeId,
-        sets: impl IntoIterator<Item = usize>,
-    ) -> bool {
-        let (children, mut at) = (doc.children(parent), 0);
-        sets.into_iter().all(|set| {
-            let found = children[at..].iter().position(|&c| self.contains(set, c));
-            found.map(|i| at += i).is_some()
-        })
-    }
 }
 
 /// The cursor [`DocIndex::within`] returns. Each question moves it forward
@@ -703,6 +709,38 @@ impl Within<'_> {
         self.list
             .first()
             .is_some_and(|n| pre(n) < idx.end[anc.index()])
+    }
+}
+
+/// The cursor [`DocIndex::under`] returns. Each question moves it forward
+/// over the ancestors that start before the node, keeping the furthest
+/// subtree end among them; intervals nest, so the node lies under one of
+/// them exactly when it lies before that end.
+pub struct Under<'a> {
+    idx: &'a DocIndex,
+    ancestors: &'a [NodeId],
+    /// 1 for proper ancestors only, 0 to count the node itself.
+    strict: u32,
+    end: u32,
+}
+
+impl Under<'_> {
+    /// Is `node` under one of the ancestors? `node` must not precede the
+    /// node of the previous question in document order.
+    pub fn holds(&mut self, node: NodeId) -> bool {
+        let idx = self.idx;
+        let Some(at) = idx.pre(node) else {
+            return false;
+        };
+        while let Some((&a, rest)) = self.ancestors.split_first() {
+            match idx.pre(a) {
+                Some(p) if p + self.strict > at => break,
+                Some(_) => self.end = self.end.max(idx.end[a.index()]),
+                None => {}
+            }
+            self.ancestors = rest;
+        }
+        at < self.end
     }
 }
 
@@ -785,57 +823,57 @@ mod tests {
         let doc = fixture();
         let idx = DocIndex::build(&doc);
         let books: Vec<NodeId> = doc.elements_named("book").collect();
-        let title = doc.lookup_sym("title").unwrap();
+        let titles = idx.elements_named(&doc, "title");
         for &book in &books {
             let expect: Vec<NodeId> = doc
                 .descendants(book)
                 .filter(|&n| doc.name(n) == Some("title"))
                 .collect();
-            assert_eq!(idx.named_in(title, book, false), &expect[..]);
+            assert_eq!(idx.range_in(titles, book, false), &expect[..]);
             let elems: Vec<NodeId> = doc
                 .descendants(book)
                 .filter(|&n| doc.kind(n) == NodeKind::Element)
                 .collect();
             assert_eq!(idx.range_in(idx.elements(), book, false), &elems[..]);
+            // The subtree's span of the preorder is the node and its
+            // descendants.
+            let span = &idx.preorder()[idx.span(book).unwrap()];
+            assert!(span[1..].iter().copied().eq(doc.descendants(book)));
+            assert_eq!(span[0], book);
         }
         // include_self picks up the anchor when it qualifies.
-        let book_sym = doc.lookup_sym("book").unwrap();
-        assert_eq!(idx.named_in(book_sym, books[0], true), &books[..1]);
-        assert!(idx.named_in(book_sym, books[0], false).is_empty());
+        let all = idx.elements_named(&doc, "book");
+        assert_eq!(idx.range_in(all, books[0], true), &books[..1]);
+        assert!(idx.range_in(all, books[0], false).is_empty());
+        assert!(idx
+            .preorder()
+            .iter()
+            .copied()
+            .eq(doc.descendants_or_self(doc.root())));
     }
 
-    /// The structural-join kernels against walks of the document, on the
-    /// fixture and on a tag nested in itself.
+    /// The structural semi-joins against interval tests, both ways round, on
+    /// the fixture and on a tag nested in itself.
     #[test]
     fn kernels_match_parent_and_ancestor_walks() {
         let nested = format!("<r>{}{}</r>", "<a><b/>".repeat(40), "</a>".repeat(40));
         for doc in [fixture(), Document::parse_str(&nested).unwrap()] {
             let idx = DocIndex::build(&doc);
             let elements = idx.elements();
-            // Two subsets of the elements (every other one), as columns.
-            let mut sets = NodeSets::new(&doc, 2);
-            let halves: Vec<Vec<NodeId>> = (0..2)
-                .map(|k| elements.iter().copied().skip(k).step_by(2).collect())
-                .collect();
-            for (k, half) in halves.iter().enumerate() {
-                sets.insert_all(k, half);
-            }
-            for &anc in elements {
-                // A child from set 0, then one at or after it from set 1.
-                let kids = doc.children(anc);
-                let pairs = (0..kids.len()).flat_map(|i| (i..kids.len()).map(move |j| (i, j)));
-                let expect =
-                    { pairs }.any(|(i, j)| sets.contains(0, kids[i]) && sets.contains(1, kids[j]));
-                assert_eq!(sets.in_sibling_order(&doc, anc, [0, 1]), expect, "{anc:?}");
-            }
             let list: Vec<NodeId> = elements.iter().copied().step_by(3).collect();
             for include_self in [false, true] {
-                let mut within = idx.within(&list, include_self);
-                for &anc in elements {
-                    let expect = list
-                        .iter()
-                        .any(|&n| idx.is_descendant_or_self(anc, n) && (include_self || n != anc));
-                    assert_eq!(within.holds(anc), expect, "{anc:?} {include_self}");
+                let (mut within, mut under) = (
+                    idx.within(&list, include_self),
+                    idx.under(&list, include_self),
+                );
+                for &n in elements {
+                    let below = |a: NodeId, d: NodeId| {
+                        idx.is_descendant_or_self(a, d) && (include_self || a != d)
+                    };
+                    let expect = list.iter().any(|&d| below(n, d));
+                    assert_eq!(within.holds(n), expect, "{n:?} {include_self}");
+                    let expect = list.iter().any(|&a| below(a, n));
+                    assert_eq!(under.holds(n), expect, "{n:?} {include_self}");
                 }
             }
         }

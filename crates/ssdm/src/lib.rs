@@ -14,6 +14,7 @@
 //!   formalism;
 //! * typed atomic values with XPath-style coercion ([`value`]);
 //! * navigation helpers ([`path`]);
+//! * the tree-pattern kernel XML-GL and XPath both match with ([`pattern`]);
 //! * deterministic synthetic dataset generators ([`generator`]) reproducing
 //!   the shapes of the datasets the paper's worked examples query
 //!   (bibliography, city guide, greengrocer).
@@ -39,6 +40,7 @@ pub mod generator;
 pub mod idref;
 pub mod index;
 pub mod path;
+pub mod pattern;
 pub mod rng;
 pub mod sink;
 pub mod stream;

@@ -235,6 +235,12 @@ pub fn is_xml_space(c: char) -> bool {
     matches!(c, ' ' | '\t' | '\r' | '\n')
 }
 
+/// The words of `s`, split on [XML whitespace](is_xml_space): an IDREFS
+/// value's tokens, `id()`'s and `normalize-space()`'s words.
+pub fn xml_words(s: &str) -> impl Iterator<Item = &str> {
+    s.split(is_xml_space).filter(|w| !w.is_empty())
+}
+
 /// Parse an XPath-style number: optional sign, digits, optional fraction.
 /// Surrounding [XML whitespace](is_xml_space) is ignored; anything else
 /// fails.

@@ -56,6 +56,14 @@ pub const MAX_QUERY_DEPTH: usize = 64;
 /// 2 MiB stack.
 pub const MAX_QUERY_WIDTH: usize = 64;
 
+/// Most rules one WG-Log program may have; a longer text is refused with a
+/// parse error naming this bound. Stratification relates every rule to
+/// every other, so checking and running a program grows with the square of
+/// its rules: a chain of 1,024 runs in about 0.14 s in a release build, one
+/// of 4,096 in 2.4 s, and the 15,000 a request frame holds would take half
+/// a minute (`crates/serve/tests/protocol.rs` sends them).
+pub const MAX_QUERY_RULES: usize = 1024;
+
 /// Parse an XML string into a [`Document`].
 pub fn parse(input: &str) -> Result<Document> {
     let mut tokens = Tokenizer::new(input);

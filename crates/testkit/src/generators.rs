@@ -400,16 +400,16 @@ pub struct XPathVocab<'a> {
     pub values: &'a [&'a str],
 }
 
-/// One predicate body. Arms 8 onwards aim at the `//Name[p]` fusion
-/// analysis: positional predicates that must block it (`last()`, a
-/// `position()` comparison, a bare numeric call), position-free ones that
-/// must not (`not(@a='v')`), and an absolute inner path (evaluated once and
-/// shared between candidates). Arms 13 to 22 aim at the walk that decides
-/// a predicate read as a truth value without building a node-set: `and`,
-/// `or` and `not()` over paths, two-step and attribute paths, relational
-/// comparisons on child text and attributes with the path on either side,
-/// a relational comparison with an absolute path, `.`, `*` and `@*`
-/// operands, and a predicate nested inside the predicate's path. Arm 23
+/// One predicate body. Arms 8 onwards aim at which steps are lowered onto
+/// a tree pattern: positional predicates that must keep a step off it
+/// (`last()`, a `position()` comparison, a bare numeric call), position-free
+/// ones that must not (`not(@a='v')`), and an absolute inner path
+/// (evaluated once and shared between candidates). Arms 13 to 22 aim at
+/// the conditions a predicate lowers to: `and`, `or` and `not()` over
+/// paths, two-step and attribute paths, relational comparisons on child
+/// text and attributes with the path on either side, a relational
+/// comparison with an absolute path, `.`, `*` and `@*` operands, and a
+/// predicate nested inside the predicate's path. Arm 23
 /// compares a node-set with a boolean under every operator (§3.4 compares
 /// the node-set's boolean then), and arm 24 follows an attribute's value
 /// through `id()`, which on a web graph's `ref` reaches real elements.

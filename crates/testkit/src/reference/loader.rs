@@ -30,6 +30,7 @@
 use std::collections::HashMap;
 
 use gql_ssdm::document::NodeKind;
+use gql_ssdm::value::{is_xml_space, xml_words};
 use gql_ssdm::{Document, NodeId};
 use gql_wglog::Instance;
 
@@ -96,8 +97,8 @@ pub fn load(doc: &Document) -> Loaded {
                 continue;
             };
             let tokens: Vec<&str> = match i < 2 {
-                true => vec![value.trim()],
-                false => value.split_whitespace().collect(),
+                true => vec![value.trim_matches(is_xml_space)],
+                false => xml_words(value).collect(),
             };
             for token in tokens {
                 if let Some(&t) = ids.get(token) {
@@ -114,7 +115,7 @@ pub fn load(doc: &Document) -> Loaded {
             let label = doc
                 .attrs(n)
                 .filter(|(name, _)| REFERENCES.contains(name))
-                .find(|(_, value)| value.split_whitespace().any(|tok| ids.get(tok) == Some(&t)))
+                .find(|(_, value)| xml_words(value).any(|tok| ids.get(tok) == Some(&t)))
                 .map_or("ref", |(name, _)| name)
                 .to_string();
             let edge = (from, label, to);

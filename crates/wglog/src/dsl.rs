@@ -26,6 +26,8 @@
 //! without `per` is invented once for the whole rule (the single collection
 //! node of figure F1); `per $v` makes it one object per binding of `$v`.
 
+use gql_ssdm::xml::MAX_QUERY_RULES;
+
 use crate::rule::{
     AttrValue, CmpOp, Color, Constraint, LabelTest, PathRe, PathRep, Program, REdge, RNode, Rule,
     TypeTest,
@@ -294,7 +296,8 @@ pub fn parse(src: &str) -> Result<Program> {
 }
 
 /// Parse without the well-formedness check — for tools (like the analyzer)
-/// that want to see ill-formed programs and report on them.
+/// that want to see ill-formed programs and report on them. A program of
+/// more than [`MAX_QUERY_RULES`] rules is refused.
 pub fn parse_unchecked(src: &str) -> Result<Program> {
     let tokens = tokenize(src)?;
     let mut p = Parser { tokens, pos: 0 };
@@ -306,6 +309,11 @@ pub fn parse_unchecked(src: &str) -> Result<Program> {
         if p.eat_keyword("goal") {
             program.goal = Some(p.expect_ident()?);
             continue;
+        }
+        if program.rules.len() == MAX_QUERY_RULES {
+            return Err(p.err_here(format!(
+                "program with more than {MAX_QUERY_RULES} rules (xml::MAX_QUERY_RULES)"
+            )));
         }
         program.rules.push(p.parse_rule()?);
     }

@@ -40,6 +40,7 @@ use std::sync::{Arc, OnceLock};
 use gql_ssdm::document::NodeKind;
 use gql_ssdm::idref::RefTable;
 use gql_ssdm::sink::{DocSink, Sink};
+use gql_ssdm::value::xml_words;
 use gql_ssdm::xml::Image;
 use gql_ssdm::{DocIndex, Document, NodeId, Symbol};
 
@@ -1230,10 +1231,7 @@ impl<'d> Loader<'d> {
                 if !matches!(name, "ref" | "idref" | "refs" | "idrefs") {
                     continue;
                 }
-                for target in value
-                    .split_whitespace()
-                    .filter_map(|tok| refs.node_by_id(doc, tok))
-                {
+                for target in xml_words(value).filter_map(|tok| refs.node_by_id(doc, tok)) {
                     if !labels.iter().any(|&(seen, _)| seen == target) {
                         labels.push((target, name));
                     }

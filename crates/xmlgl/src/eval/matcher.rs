@@ -14,8 +14,8 @@ use std::cell::Cell;
 use std::ops::Range;
 
 use gql_guard::{Guard, RunCtx};
-use gql_ssdm::document::NodeKind;
-use gql_ssdm::{DocIndex, Document, NodeId, NodeSets, Symbol};
+use gql_ssdm::pattern::{self, Axis, Cond, Kind};
+use gql_ssdm::{DocIndex, Document, NodeId};
 use gql_trace::joined;
 
 use crate::ast::{ExtractGraph, NameTest, QEdge, QNodeId, QNodeKind, Rule};
@@ -40,13 +40,10 @@ struct Ctx<'a> {
     /// Cells per row of every table.
     width: usize,
     idx: &'a DocIndex,
-    nodes: Vec<Node<'a>>,
-    /// The most postings the reduction may copy: its arena's capacity.
-    arena: usize,
+    /// The extract trees as one tree pattern, node for node.
+    nodes: Vec<pattern::Node<'a, (), Node<'a>>>,
     /// Every predicate constant of the rule, parsed once.
     constants: Vec<Option<f64>>,
-    /// Per query node, the postings its pass read; only when tracing.
-    cand: Option<Vec<Cell<u64>>>,
     /// Where the run reports and what bounds it. Matching is infallible
     /// (a table out), so a tripped guard makes the passes bail early with
     /// *truncated* results; the `Result`-returning caller must
@@ -54,20 +51,13 @@ struct Ctx<'a> {
     run: RunCtx<'a>,
 }
 
-/// What the passes know of one query node.
+/// The rule's columns, reduced by the kernel.
+type Columns<'p, 'a> = pattern::Columns<'p, 'a, (), Node<'a>>;
+
+/// What the row writer knows of one query node.
 struct Node<'a> {
-    /// Where its column starts: a box's name's elements (every element for
-    /// `*`), a circle's elements with a text child or the attribute.
-    postings: &'a [NodeId],
-    /// An attribute circle's name, as the document interned it.
-    attr: Option<Symbol>,
     /// Its predicate's constants: a range of [`Ctx::constants`].
     constants: Range<usize>,
-    /// Its column once reduced: a range of the arena, or its postings.
-    col: Cell<Option<(usize, usize)>>,
-    /// For the target of a child edge to a box, the [`NodeSets`] set that
-    /// also holds its column.
-    set: usize,
     /// For the target of a kept edge: its source, the edge, and for a
     /// child edge of an ordered box the target of the one ahead of it in
     /// sibling order.
@@ -82,51 +72,65 @@ struct Node<'a> {
 impl<'a> Ctx<'a> {
     fn new(rule: &'a Rule, doc: &'a Document, idx: &'a DocIndex, run: RunCtx<'a>) -> Self {
         let g = &rule.extract;
-        let (mut constants, mut sets, mut arena) = (Vec::new(), 0, 0);
-        let mut nodes: Vec<Node> = (g.nodes.iter())
-            .map(|n| {
-                let (name, attr) = match &n.kind {
-                    QNodeKind::Element(NameTest::Name(name)) => (doc.lookup_sym(name), None),
-                    QNodeKind::Attribute(name) => (None, doc.lookup_sym(name)),
-                    _ => (None, None),
+        let is_box = |q: QNodeId| matches!(g.node(q).kind, QNodeKind::Element(_));
+        let mut constants = Vec::new();
+        let nodes = (g.nodes.iter().enumerate())
+            .map(|(i, n)| {
+                let sym = |name: &str| doc.lookup_sym(name);
+                let (kind, postings) = match &n.kind {
+                    QNodeKind::Element(NameTest::Wildcard) => (Kind::Element(None), idx.elements()),
+                    QNodeKind::Element(NameTest::Name(name)) => match sym(name) {
+                        Some(s) => (Kind::Element(Some(s)), idx.elements_named_sym(s)),
+                        None => (Kind::Absent, &[][..]),
+                    },
+                    QNodeKind::Attribute(name) => match sym(name) {
+                        Some(s) => (Kind::Attr(s), idx.elements_with_attr_sym(s)),
+                        None => (Kind::Absent, &[][..]),
+                    },
+                    QNodeKind::Text => (Kind::Text, idx.elements_with_text()),
                 };
-                let postings = match (&n.kind, name.or(attr)) {
-                    (QNodeKind::Element(NameTest::Wildcard), _) => idx.elements(),
-                    (QNodeKind::Text, _) => idx.elements_with_text(),
-                    (QNodeKind::Element(_), Some(s)) => idx.elements_named_sym(s),
-                    (_, Some(s)) => idx.elements_with_attr_sym(s),
-                    _ => &[],
+                // Child boxes, then deep edges, then circles, then the
+                // node's own predicate: the cheap tests first.
+                let rank = |e: &&QEdge| match (e.deep, is_box(e.target)) {
+                    (false, true) => 0,
+                    (true, _) => 1,
+                    (false, false) => 2,
                 };
+                let mut cond = Cond::True;
+                for r in 0..3 {
+                    for e in n.children.iter().filter(|e| rank(e) == r) {
+                        let axis = match (e.deep, is_box(e.target)) {
+                            (false, _) => Axis::Child,
+                            (true, true) => Axis::Descendant,
+                            (true, false) => Axis::DescendantOrSelf,
+                        };
+                        cond = cond.and(Cond::Edge(axis, e.target.index(), e.negated));
+                    }
+                }
+                if !n.predicate.is_trivial() {
+                    cond = cond.and(Cond::Value((), false));
+                }
                 let from = constants.len();
                 constants.extend(n.predicate.parsed_constants());
-                arena += postings.len()
-                    * usize::from(!n.predicate.is_trivial() || !n.children.is_empty());
-                Node {
-                    postings,
-                    attr,
+                let data = Node {
                     constants: from..constants.len(),
-                    col: Cell::new(None),
-                    set: usize::MAX,
                     step: None,
                     next: None,
                     bound: Cell::new(UNBOUND),
-                }
+                };
+                let label = qnode_label(g, QNodeId(i as u32));
+                let mut node = pattern::Node::new(kind, postings, label, data);
+                (node.cond, node.ordered) = (cond, g.ordered[i]);
+                node
             })
             .collect();
-        for e in g.nodes.iter().flat_map(|n| &n.children) {
-            if !e.deep && matches!(g.node(e.target).kind, QNodeKind::Element(_)) {
-                (nodes[e.target.index()].set, sets) = (sets, sets + 1);
-            }
-        }
         let mut cx = Ctx {
             g,
             doc,
             width: g.nodes.len(),
             idx,
             nodes,
-            arena,
             constants,
-            cand: (run.trace.is_enabled()).then(|| vec![Cell::new(0); g.nodes.len()]),
             run,
         };
         for &root in &g.roots {
@@ -141,25 +145,29 @@ impl<'a> Ctx<'a> {
         let mut ahead = None;
         for edge in self.kept(q) {
             let (t, in_order) = (edge.target, self.in_order(q, edge));
-            self.nodes[t.index()].step = Some((q, edge, ahead.filter(|_| in_order)));
+            self.nodes[t.index()].data.step = Some((q, edge, ahead.filter(|_| in_order)));
             ahead = if in_order { Some(t) } else { ahead };
-            self.nodes[last.index()].next = Some(t);
+            self.nodes[last.index()].data.next = Some(t);
             *last = t;
             self.link(t, last);
-        }
-    }
-
-    fn add_candidates(&self, q: QNodeId, n: usize) {
-        if let Some(c) = self.cand.as_ref().map(|cand| &cand[q.index()]) {
-            c.set(c.get() + n as u64);
         }
     }
 
     /// Does `q`'s predicate hold of the string value `data()` reads?
     fn holds<'d>(&self, q: QNodeId, data: impl FnOnce() -> Cow<'d, str>) -> bool {
         let predicate = &self.g.node(q).predicate;
-        let constants = &self.constants[self.nodes[q.index()].constants.clone()];
+        let constants = &self.constants[self.nodes[q.index()].data.constants.clone()];
         predicate.is_trivial() || predicate.eval_with(constants, &data())
+    }
+
+    /// The kernel's value test `q`: `q`'s predicate, of element `n`'s
+    /// string value, or of the attribute a circle binds there.
+    fn value(&self, q: usize, n: NodeId) -> Option<bool> {
+        let q = QNodeId(q as u32);
+        Some(match self.nodes[q.index()].kind {
+            Kind::Attr(sym) => self.holds(q, || self.doc.attr_sym(n, sym).unwrap_or("").into()),
+            _ => self.holds(q, || self.doc.string_value(n)),
+        })
     }
 
     fn is_box(&self, q: QNodeId) -> bool {
@@ -176,29 +184,6 @@ impl<'a> Ctx<'a> {
     /// an ordered box?
     fn in_order(&self, q: QNodeId, edge: &QEdge) -> bool {
         self.g.ordered[q.index()] && !edge.deep && self.is_box(edge.target)
-    }
-
-    /// Is circle `t` bound at element `n`: does `n` carry the attribute, or
-    /// a text child of its own (the value then its whole text content), and
-    /// does the value satisfy the predicate?
-    fn reads(&self, t: QNodeId, n: NodeId) -> bool {
-        let doc = self.doc;
-        match (&self.g.node(t).kind, self.nodes[t.index()].attr) {
-            (QNodeKind::Text, _) => {
-                let texts = |&c: &NodeId| doc.kind(c) == NodeKind::Text;
-                doc.children(n).iter().any(texts) && self.holds(t, || doc.string_value(n))
-            }
-            (_, Some(sym)) => (doc.attr_sym(n, sym)).is_some_and(|v| self.holds(t, || v.into())),
-            _ => false,
-        }
-    }
-
-    /// `q`'s column, read against `arena`.
-    fn col<'s>(&'s self, arena: &'s [NodeId], q: QNodeId) -> &'s [NodeId] {
-        match self.nodes[q.index()].col.get() {
-            Some((from, to)) => &arena[from..to],
-            None => self.nodes[q.index()].postings,
-        }
     }
 }
 
@@ -258,19 +243,9 @@ pub fn match_rule_in(
         plan.fits(rule),
         "a join plan runs the rule it was built for"
     );
-    let trace = ctx.trace;
     let cx = Ctx::new(rule, doc, idx, ctx);
     let out = run_match(&cx, plan);
-    if let Some(cand) = &cx.cand {
-        for (i, c) in cand.iter().enumerate() {
-            let n = c.get();
-            if n > 0 {
-                let (sigil, name) = qnode_label(cx.g, QNodeId(i as u32));
-                trace.count(format_args!("candidates[q{i}:{sigil}{name}]"), n);
-            }
-        }
-        trace.count("bindings", out.len() as u64);
-    }
+    ctx.trace.count("bindings", out.len() as u64);
     out
 }
 
@@ -285,8 +260,8 @@ fn run_match(cx: &Ctx, plan: &JoinPlan) -> Bindings {
 
     // Per-root binding sets: each root's tree reduced, then its rows filled.
     // check.rs guarantees element roots.
-    let sets = cx.nodes.iter().filter(|n| n.set != usize::MAX).count();
-    let mut columns = (Vec::with_capacity(cx.arena), NodeSets::new(cx.doc, sets));
+    let mut columns = Columns::new(cx.doc, cx.idx, &cx.nodes);
+    let values = |q, _: &(), n, _| cx.value(q, n);
     let mut fill = Fill { cx, dp: Vec::new() };
     let mut per_root: Vec<Bindings> = g
         .roots
@@ -298,7 +273,11 @@ fn run_match(cx: &Ctx, plan: &JoinPlan) -> Bindings {
             let boxed = cx.is_box(root);
             let postings = cx.nodes[root.index()].postings.len() * usize::from(boxed);
             trace.count("root_candidates", postings as u64);
-            let out = match boxed && reduce(cx, &mut columns, root).is_some() {
+            let reduced = boxed
+                && columns
+                    .reduce(root.index(), cx.run.guard, &values)
+                    .is_some();
+            let out = match reduced {
                 true => fill.root(&columns, root),
                 false => Bindings::new(cx.width),
             };
@@ -306,6 +285,9 @@ fn run_match(cx: &Ctx, plan: &JoinPlan) -> Bindings {
             out
         })
         .collect();
+    if trace.is_enabled() {
+        columns.report(trace);
+    }
 
     // Combine the roots. One root has nothing to combine with: its
     // bindings are the result as they are.
@@ -550,90 +532,6 @@ fn fold_key(h: u64, hash: u64) -> u64 {
     (h.rotate_left(29) ^ hash).wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
-/// The reduction's output: the arena of the columns it filtered, and a set
-/// per child element edge's target holding its column.
-type Columns = (Vec<NodeId>, NodeSets);
-
-/// Keep the elements of `col` that `f` accepts, in order, at its front, and
-/// say how many; `None` once the guard, probed every 4096 elements, trips.
-fn retain(col: &mut [NodeId], guard: &Guard, mut f: impl FnMut(NodeId) -> bool) -> Option<usize> {
-    let mut kept = 0;
-    for i in 0..col.len() {
-        if i % 4096 == 4095 && !guard.ok() {
-            return None;
-        }
-        if f(col[i]) {
-            (col[kept], kept) = (col[i], kept + 1);
-        }
-    }
-    Some(kept)
-}
-
-/// Pass 1, bottom up: `q`'s column, after its children's. It starts from
-/// the node's postings and keeps, in turn, the elements where each child
-/// element edge has (negated: has not) a child in its target's set; each
-/// deep edge a descendant in its target's column ([`DocIndex::within`]);
-/// each circle read off the element, and the node's predicate, hold; and,
-/// for an ordered box, the element children can be bound in sibling order —
-/// greedily, each in-order edge at or after the child the one before took.
-/// So every column is exact: each element in it yields rows. `None` once
-/// the guard trips.
-fn reduce(cx: &Ctx, m: &mut Columns, q: QNodeId) -> Option<()> {
-    let (doc, guard, node, info) = (cx.doc, cx.run.guard, cx.g.node(q), &cx.nodes[q.index()]);
-    let edges = || node.children.iter();
-    for e in edges().filter(|e| e.deep || cx.is_box(e.target)) {
-        reduce(cx, m, e.target)?;
-    }
-    let (arena, sets) = m;
-    cx.add_candidates(q, info.postings.len());
-    if !guard.ok() {
-        return None;
-    }
-    if node.predicate.is_trivial() && node.children.is_empty() {
-        info.col.set(None);
-    } else {
-        let from = arena.len();
-        arena.extend_from_slice(info.postings);
-        let (done, col) = arena.split_at_mut(from);
-        let set = |e: &QEdge| cx.nodes[e.target.index()].set;
-        let kids = || edges().filter(|e| !e.deep && cx.is_box(e.target));
-        let circles = || edges().filter(|e| !e.deep && !cx.is_box(e.target));
-        let ordered = cx.g.ordered[q.index()];
-        let has = |n: NodeId, e| doc.children(n).iter().any(|&c| sets.contains(set(e), c));
-        let by_link = |n| kids().all(|e| ordered && !e.negated || has(n, e) != e.negated);
-        let mut len = col.len();
-        if kids().next().is_some() {
-            len = retain(col, guard, by_link)?;
-        }
-        for e in edges().filter(|e| e.deep) {
-            let mut within = cx.idx.within(cx.col(done, e.target), !cx.is_box(e.target));
-            len = retain(&mut col[..len], guard, |n| within.holds(n) != e.negated)?;
-        }
-        circles().for_each(|e| cx.add_candidates(e.target, len));
-        let reads = |n| circles().all(|e| cx.reads(e.target, n) != e.negated);
-        let own = circles().next().is_some() || !node.predicate.is_trivial() || !cx.is_box(q);
-        len = match own {
-            false => len,
-            true => retain(&mut col[..len], guard, |n| match cx.is_box(q) {
-                true => reads(n) && cx.holds(q, || doc.string_value(n)),
-                false => cx.reads(q, n),
-            })?,
-        };
-        if ordered {
-            let in_order = || kids().filter(|e| !e.negated).map(set);
-            len = retain(&mut col[..len], guard, |n| {
-                sets.in_sibling_order(doc, n, in_order())
-            })?;
-        }
-        arena.truncate(from + len);
-        info.col.set(Some((from, from + len)));
-    }
-    if info.set != usize::MAX {
-        sets.insert_all(info.set, cx.col(arena, q));
-    }
-    Some(())
-}
-
 /// The alternatives of `edge`, a kept edge to a box or a deep one, at `e`:
 /// the target's column sliced to `e`'s interval, or `e`'s children in the
 /// target's set.
@@ -643,16 +541,15 @@ fn below<'s>(
     edge: &'s QEdge,
     e: NodeId,
 ) -> impl Iterator<Item = NodeId> + 's {
-    let (t, (arena, sets)) = (edge.target, m);
+    let t = edge.target.index();
     let below = match edge.deep {
-        true => cx.idx.range_in(cx.col(arena, t), e, !cx.is_box(t)),
+        true => cx.idx.range_in(m.col(t), e, !cx.is_box(edge.target)),
         false => cx.doc.children(e),
     };
-    let set = cx.nodes[t.index()].set;
     below
         .iter()
         .copied()
-        .filter(move |&c| edge.deep || sets.contains(set, c))
+        .filter(move |&c| edge.deep || m.has(t, c))
 }
 
 /// Pass 2, over one rule's roots.
@@ -669,7 +566,7 @@ impl Fill<'_, '_> {
     /// rows, nor any after it); then the table, allocated once and written.
     fn root(&mut self, m: &Columns, root: QNodeId) -> Bindings {
         let (cx, mut rows, mut taken) = (self.cx, 0u64, 0);
-        let (guard, col) = (cx.run.guard, cx.col(&m.0, root));
+        let (guard, col) = (cx.run.guard, m.col(root.index()));
         for &r in col {
             match guard.ok().then(|| self.count(m, root, r)) {
                 Some(Some(n)) if guard.charge_matches(n) => {
@@ -685,10 +582,10 @@ impl Fill<'_, '_> {
             .ok()
             .and_then(|r| r.checked_mul(cx.width));
         out.cells.reserve_exact(cells.map_or(0, |c| c.min(1 << 24)));
-        cx.nodes.iter().for_each(|n| n.bound.set(UNBOUND));
+        cx.nodes.iter().for_each(|n| n.data.bound.set(UNBOUND));
         for &r in &col[..taken] {
-            cx.nodes[root.index()].bound.set(r.index() as u32);
-            write(cx, &mut out.cells, m, cx.nodes[root.index()].next);
+            cx.nodes[root.index()].data.bound.set(r.index() as u32);
+            write(cx, &mut out.cells, m, cx.nodes[root.index()].data.next);
         }
         out
     }
@@ -746,9 +643,9 @@ impl Fill<'_, '_> {
 /// before the one the in-order edge ahead of it bound, so every row written
 /// is kept.
 fn write(cx: &Ctx, cells: &mut Vec<u32>, m: &Columns, at: Option<QNodeId>) {
-    let bound = |q: QNodeId| &cx.nodes[q.index()].bound;
-    let Some((t, node)) = at.map(|t| (t, &cx.nodes[t.index()])) else {
-        return cells.extend(cx.nodes.iter().map(|n| n.bound.get()));
+    let bound = |q: QNodeId| &cx.nodes[q.index()].data.bound;
+    let Some((t, node)) = at.map(|t| (t, &cx.nodes[t.index()].data)) else {
+        return cells.extend(cx.nodes.iter().map(|n| n.data.bound.get()));
     };
     let (q, edge, ahead) = node.step.expect("every edge in the chain has its step");
     let e = NodeId::from_index(bound(q).get() as usize);

@@ -1,11 +1,19 @@
 //! Evaluation of XPath expressions over a [`Document`].
+//!
+//! A location path's downward, position-free steps are lowered onto the
+//! tree-pattern kernel ([`gql_ssdm::pattern`]) and matched set-at-a-time,
+//! as XML-GL's extract trees are; every other step — a positional
+//! predicate, a reverse or sibling axis, a `text()` test — is applied item
+//! by item.
 
 use std::borrow::Cow;
+use std::cell::{Cell, OnceCell, RefCell};
 use std::cmp::Ordering;
 use std::rc::Rc;
 
 use gql_guard::{Guard, RunCtx};
 use gql_ssdm::document::NodeKind;
+use gql_ssdm::pattern::{self, Columns, Cond, Kind};
 use gql_ssdm::value::parse_number;
 use gql_ssdm::{DocIndex, Document, NodeId, Symbol};
 use gql_trace::Trace;
@@ -108,106 +116,30 @@ fn sort_dedup(doc: &Document, items: &mut Vec<Item>) {
     items.dedup();
 }
 
-/// Where the per-evaluation [`DocIndex`] comes from: a caller-provided
-/// prebuilt index (the `Engine`'s resident cache), or one built lazily the
-/// first time an indexed fast path asks for it — which is also when its box
-/// is allocated: most evaluations are handed an index and never fill the slot.
-enum IndexSlot<'d> {
-    Borrowed(&'d DocIndex),
-    Lazy(std::cell::OnceCell<Box<DocIndex>>),
-}
-
-/// Per-evaluation caches (built lazily, shared across the expression tree).
+/// Per-evaluation state, shared across the expression tree.
 pub(crate) struct EvalCaches<'d> {
-    /// Postings/interval index used for descendant name-test steps.
-    idx: IndexSlot<'d>,
+    /// The document's index: the postings patterns are matched over, and
+    /// the resolved ID/IDREF table `id()` reads.
+    pub(crate) idx: &'d DocIndex,
     /// Where the evaluation reports and what bounds it ([`evaluate_in`]).
     ctx: RunCtx<'d>,
-    /// Re-entrancy latch: predicates evaluate sub-paths through the same
-    /// caches, and per-step spans for those would interleave confusingly
-    /// with the outer path's spans. Only the outermost `apply_steps` call
-    /// traces; predicate work shows up inside the enclosing step's span.
-    in_steps: std::cell::Cell<bool>,
+    /// Re-entrancy latch: only the outermost path of a traced evaluation
+    /// opens spans; the paths inside its predicates show up inside them.
+    in_steps: Cell<bool>,
     /// Node-sets of the absolute paths met inside predicates, keyed by the
     /// address of the `LocationPath` (an identity for as long as the
     /// expression is borrowed, i.e. for this evaluation; never
     /// dereferenced). See [`hoisted_path`].
-    hoisted: std::cell::RefCell<Vec<(usize, Rc<Hoisted<'d>>)>>,
-    /// The relative paths met inside predicates, keyed like `hoisted`: each
-    /// one's node tests resolved against the document if it is walked,
-    /// `None` if it is not. See [`walk_plan`].
-    walks: std::cell::RefCell<Vec<(usize, WalkPlan)>>,
-}
-
-/// A relative path's node tests resolved against the document, if it is
-/// walked (see [`walk_plan`]).
-type WalkPlan = Option<Rc<[Test]>>;
-
-/// The node-set of a hoisted absolute path, and what a walked comparison
-/// reads of it: its string-values for `=` and `!=`, their numbers for the
-/// relational operators, each derived the first time a candidate asks and
-/// then read by every later one.
-struct Hoisted<'d> {
-    set: Vec<Item>,
-    strings: std::cell::OnceCell<Box<[Cow<'d, str>]>>,
-    numbers: std::cell::OnceCell<Box<[f64]>>,
-}
-
-impl<'d> Hoisted<'d> {
-    fn strings(&self, doc: &'d Document) -> &[Cow<'d, str>] {
-        self.strings
-            .get_or_init(|| self.set.iter().map(|&i| string_value(doc, i)).collect())
-    }
-
-    fn numbers(&self, doc: &Document) -> &[f64] {
-        self.numbers.get_or_init(|| {
-            self.set
-                .iter()
-                .map(|&i| num(&string_value(doc, i)))
-                .collect()
-        })
-    }
-}
-
-impl Default for EvalCaches<'_> {
-    fn default() -> Self {
-        EvalCaches {
-            idx: IndexSlot::Lazy(std::cell::OnceCell::new()),
-            ctx: RunCtx::none(),
-            in_steps: std::cell::Cell::new(false),
-            hoisted: std::cell::RefCell::new(Vec::new()),
-            walks: std::cell::RefCell::new(Vec::new()),
-        }
-    }
+    hoisted: RefCell<Vec<(usize, Rc<[Item]>)>>,
 }
 
 impl<'d> EvalCaches<'d> {
-    /// The document index: the borrowed one, or built at most once. It
-    /// also holds the resolved ID/IDREF table `id()` reads.
-    pub(crate) fn index(&self, doc: &Document) -> &DocIndex {
-        match &self.idx {
-            IndexSlot::Borrowed(i) => i,
-            IndexSlot::Lazy(cell) => cell.get_or_init(|| Box::new(DocIndex::build(doc))),
-        }
-    }
-
-    /// The index a fused `//Name` step reads its postings from, or `None`
-    /// to walk. A borrowed index, or a lazy one an earlier step built, is
-    /// always used. Building the lazy one costs more than walking one
-    /// subtree once, filtered by name, so one context never builds it.
-    /// Several subtrees may nest and be walked many times over: a
-    /// predicate-free step builds it then, while a step with predicates,
-    /// whose cost is the predicates, must not make a cold run pay for one.
-    fn index_for_fused(
-        &self,
-        doc: &Document,
-        contexts: usize,
-        has_predicates: bool,
-    ) -> Option<&DocIndex> {
-        match &self.idx {
-            IndexSlot::Borrowed(i) => Some(i),
-            IndexSlot::Lazy(_) if contexts > 1 && !has_predicates => Some(self.index(doc)),
-            IndexSlot::Lazy(cell) => cell.get().map(Box::as_ref),
+    pub(crate) fn new(idx: &'d DocIndex, ctx: RunCtx<'d>) -> Self {
+        EvalCaches {
+            idx,
+            ctx,
+            in_steps: Cell::new(false),
+            hoisted: RefCell::new(Vec::new()),
         }
     }
 }
@@ -222,59 +154,53 @@ struct Ctx<'d> {
     caches: &'d EvalCaches<'d>,
     /// Set below a predicate, where an expression is evaluated once per
     /// candidate: an absolute path is therefore worth memoising, and a
-    /// relative one read as a truth value is walked.
+    /// relative one is evaluated from the candidate, not as a pattern.
     in_predicate: bool,
 }
 
-/// Evaluate an expression with the document node as the context item.
+/// Evaluate an expression with the document node as the context item,
+/// over an index built for it.
 pub fn evaluate(doc: &Document, expr: &Expr) -> Result<XValue> {
-    evaluate_in(doc, expr, None, RunCtx::none())
+    evaluate_in(doc, expr, &DocIndex::build(doc), RunCtx::none())
 }
 
-/// Evaluate against a prebuilt [`DocIndex`] for `doc`: descendant name-test
-/// steps use its postings instead of building a fresh index. The result is
+/// Evaluate against a prebuilt [`DocIndex`] for `doc`. The result is
 /// identical to [`evaluate`]'s.
 pub fn evaluate_with_index(doc: &Document, expr: &Expr, idx: &DocIndex) -> Result<XValue> {
-    evaluate_in(doc, expr, Some(idx), RunCtx::none())
+    evaluate_in(doc, expr, idx, RunCtx::none())
 }
 
-/// The full form of [`evaluate`] (`idx: None`: an index is built lazily if a
-/// step wants one) and [`evaluate_with_index`].
+/// The full form of [`evaluate`] and [`evaluate_with_index`].
 ///
-/// `ctx.trace` receives one `step[i:axis::test]` span per top-level location
-/// step (context sizes in and out, items drawn from postings vs axis scans)
-/// and a `fusion_hits` counter for each fused `//Name` pair, whose span also
-/// counts its `predicates` when it carries any. Sub-paths inside predicates
-/// are folded into their enclosing step's span, which counts the absolute
-/// ones evaluated there as `hoisted_paths`.
+/// `ctx.trace` receives, per top-level run of location steps, one span:
+/// `pattern[i..j]` for steps `i..j` matched as one tree pattern, with the
+/// kernel's `candidates[q…]` counters (per pattern node, the postings it
+/// read), or `step[i:axis::test]` for a step applied item by item; each
+/// counts `context_in` and `context_out`. Sub-paths inside predicates are
+/// folded into their enclosing span, which counts the absolute ones
+/// evaluated there as `hoisted_paths`.
 ///
-/// Under `ctx.guard` each location step charges one round plus its context
-/// size, and every context item expansion inside a step charges its
-/// candidate count (a fused `//Name` step charges the postings it read), so
-/// a pathological path trips the budget with a partial-progress report
+/// Under `ctx.guard` a pattern charges one round and what it read, a step
+/// one round plus its context size and, per context item, its candidates;
+/// so a pathological path trips the budget with a partial-progress report
 /// instead of running unbounded.
-pub fn evaluate_in(
-    doc: &Document,
-    expr: &Expr,
-    idx: Option<&DocIndex>,
-    ctx: RunCtx<'_>,
-) -> Result<XValue> {
-    let mut caches = EvalCaches {
-        ctx,
-        ..EvalCaches::default()
-    };
-    if let Some(idx) = idx {
-        caches.idx = IndexSlot::Borrowed(idx);
+pub fn evaluate_in(doc: &Document, expr: &Expr, idx: &DocIndex, ctx: RunCtx<'_>) -> Result<XValue> {
+    let caches = EvalCaches::new(idx, ctx);
+    eval_expr(expr, Ctx::at_root(doc, &caches, false))
+}
+
+impl<'d> Ctx<'d> {
+    /// The document node as the context item.
+    fn at_root(doc: &'d Document, caches: &'d EvalCaches<'d>, in_predicate: bool) -> Self {
+        Ctx {
+            doc,
+            item: Item::Node(doc.root()),
+            position: 1,
+            size: 1,
+            caches,
+            in_predicate,
+        }
     }
-    let ctx = Ctx {
-        doc,
-        item: Item::Node(doc.root()),
-        position: 1,
-        size: 1,
-        caches: &caches,
-        in_predicate: false,
-    };
-    eval_expr(expr, ctx)
 }
 
 /// Parse and evaluate, returning element/text nodes (attribute hits are
@@ -295,12 +221,13 @@ fn eval_expr(expr: &Expr, ctx: Ctx<'_>) -> Result<XValue> {
         Expr::Number(n) => Ok(XValue::Num(*n)),
         Expr::Neg(e) => Ok(XValue::Num(-eval_operand(e, ctx)?.view().number(ctx.doc))),
         Expr::Path(p) if hoistable(p, ctx) => {
-            hoisted_path(p, ctx).map(|h| XValue::Nodes(h.set.clone()))
+            hoisted_path(p, ctx).map(|h| XValue::Nodes(h.to_vec()))
         }
         Expr::Path(p) => eval_path(p, ctx).map(XValue::Nodes),
         Expr::FilterPath(primary, steps) => {
             let start = eval_expr(primary, ctx)?.into_nodes()?;
-            apply_steps(steps, &start, ctx.doc, ctx.caches).map(XValue::Nodes)
+            let kernel = !ctx.in_predicate;
+            apply_steps(steps, &start, ctx.doc, ctx.caches, kernel).map(XValue::Nodes)
         }
         Expr::Union(a, b) => {
             let mut left = eval_expr(a, ctx)?.into_nodes()?;
@@ -365,23 +292,23 @@ fn eval_binary(op: BinOp, a: &Expr, b: &Expr, ctx: Ctx<'_>) -> Result<XValue> {
 /// shared node-set is copied for that. A hoisted path used any other way
 /// (`string(//b)`, `//a | //b`, `(//b)[1]`) is still copied per use, by
 /// [`eval_expr`]: those consumers take owned values.
-enum Operand<'e, 'd> {
+enum Operand<'e> {
     Literal(&'e str),
-    Shared(Rc<Hoisted<'d>>),
+    Shared(Rc<[Item]>),
     Value(XValue),
 }
 
-impl Operand<'_, '_> {
+impl Operand<'_> {
     fn view(&self) -> View<'_> {
         match self {
             Operand::Literal(s) => View::Str(s),
-            Operand::Shared(h) => View::Nodes(&h.set),
+            Operand::Shared(h) => View::Nodes(h),
             Operand::Value(v) => v.view(),
         }
     }
 }
 
-fn eval_operand<'e, 'd>(expr: &'e Expr, ctx: Ctx<'d>) -> Result<Operand<'e, 'd>> {
+fn eval_operand<'e>(expr: &'e Expr, ctx: Ctx<'_>) -> Result<Operand<'e>> {
     Ok(match expr {
         Expr::Literal(s) => Operand::Literal(s),
         Expr::Path(p) if hoistable(p, ctx) => Operand::Shared(hoisted_path(p, ctx)?),
@@ -422,11 +349,19 @@ impl View<'_> {
     }
 }
 
-/// XPath 1.0 comparison semantics, including existential node-set rules.
+/// XPath 1.0 comparison semantics, including existential node-set rules:
+/// some pair of a node's string-value and the other side compares true.
+/// Of two node-sets, the right one's string-values are derived once.
 fn compare(op: BinOp, a: View<'_>, b: View<'_>, doc: &Document) -> bool {
     use View::*;
     match (a, b) {
-        (Nodes(na), Nodes(nb)) => compare_node_sets(op, na, nb, doc),
+        (Nodes(na), Nodes(nb)) => {
+            let held: Vec<Cow<'_, str>> = nb.iter().map(|&y| string_value(doc, y)).collect();
+            na.iter().any(|&x| {
+                let x = string_value(doc, x);
+                (held.iter()).any(|y| compare_atomic(op, Str(&x), Str(y), doc))
+            })
+        }
         // XPath 1.0 §3.4: when one operand is a boolean, compare
         // boolean(node-set) with it — not the per-node existential rule —
         // under every operator (a relational one compares their numbers).
@@ -439,36 +374,6 @@ fn compare(op: BinOp, a: View<'_>, b: View<'_>, doc: &Document) -> bool {
             .iter()
             .any(|&x| compare_atomic(op, other, Str(&string_value(doc, x)), doc)),
         _ => compare_atomic(op, a, b, doc),
-    }
-}
-
-/// Exists x∈A, y∈B with string(x) op string(y) (as numbers for the
-/// relational operators). Every string-value is derived once: the shorter
-/// side's up front, the longer side's as it streams past.
-fn compare_node_sets(op: BinOp, na: &[Item], nb: &[Item], doc: &Document) -> bool {
-    let a_is_short = na.len() <= nb.len();
-    let (short, long) = if a_is_short { (na, nb) } else { (nb, na) };
-    match op {
-        BinOp::Eq | BinOp::Ne => {
-            let held: Vec<Cow<'_, str>> = short.iter().map(|&x| string_value(doc, x)).collect();
-            long.iter().any(|&y| {
-                let sy = string_value(doc, y);
-                held.iter().any(|sx| (*sx == sy) == (op == BinOp::Eq))
-            })
-        }
-        _ => {
-            let held: Vec<f64> = short.iter().map(|&x| num(&string_value(doc, x))).collect();
-            long.iter().any(|&y| {
-                let ny = num(&string_value(doc, y));
-                held.iter().any(|&nx| {
-                    if a_is_short {
-                        cmp_numbers(op, nx, ny)
-                    } else {
-                        cmp_numbers(op, ny, nx)
-                    }
-                })
-            })
-        }
     }
 }
 
@@ -517,7 +422,8 @@ fn eval_path(p: &LocationPath, ctx: Ctx<'_>) -> Result<Vec<Item>> {
     } else {
         ctx.item
     };
-    apply_steps(&p.steps, &[start], ctx.doc, ctx.caches)
+    let kernel = p.absolute || !ctx.in_predicate;
+    apply_steps(&p.steps, &[start], ctx.doc, ctx.caches, kernel)
 }
 
 /// Whether `p` is evaluated through [`hoisted_path`]: an absolute path
@@ -532,209 +438,22 @@ fn hoistable(p: &LocationPath, ctx: Ctx<'_>) -> bool {
 /// depend on but the document: it starts at the root whatever the context
 /// item is, and the predicates inside it see the contexts of its own steps,
 /// not the candidate's position or size.
-fn hoisted_path<'d>(p: &LocationPath, ctx: Ctx<'d>) -> Result<Rc<Hoisted<'d>>> {
+fn hoisted_path(p: &LocationPath, ctx: Ctx<'_>) -> Result<Rc<[Item]>> {
     let caches = ctx.caches;
     let key = std::ptr::from_ref(p) as usize;
     if let Some((_, h)) = caches.hoisted.borrow().iter().find(|(k, _)| *k == key) {
         return Ok(Rc::clone(h));
     }
-    let h = Rc::new(Hoisted {
-        set: eval_path(p, ctx)?,
-        strings: std::cell::OnceCell::new(),
-        numbers: std::cell::OnceCell::new(),
-    });
+    let h: Rc<[Item]> = eval_path(p, ctx)?.into();
     caches.ctx.trace.count("hoisted_paths", 1);
     caches.hoisted.borrow_mut().push((key, Rc::clone(&h)));
     Ok(h)
 }
 
-/// The boolean value of `expr`, for a consumer that reads nothing else: a
-/// predicate's verdict, `and`, `or`, `not()` and `boolean()`. Below a
-/// predicate, a relative path that [`walk_plan`] admits, and a comparison of
-/// one with a literal, a number or a hoisted path, are decided by [`walk`]
-/// without building the path's node-set; every other shape is evaluated by
-/// [`eval_operand`].
+/// The boolean value of `expr`: a predicate's verdict, or an `and` / `or`
+/// operand.
 fn truth(expr: &Expr, ctx: Ctx<'_>) -> Result<bool> {
-    match expr {
-        Expr::Call(name, args) if args.len() == 1 && (name == "not" || name == "boolean") => {
-            return Ok(truth(&args[0], ctx)? == (name == "boolean"));
-        }
-        Expr::Path(p) if ctx.in_predicate => {
-            if let Some(tests) = walk_plan(p, ctx) {
-                return walk_path(p, &tests, ctx, &mut |_| true);
-            }
-        }
-        Expr::Binary(
-            op @ (BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge),
-            a,
-            b,
-        ) if ctx.in_predicate => {
-            if let Some(verdict) = compare_walked(*op, a, b, ctx)? {
-                return Ok(verdict);
-            }
-        }
-        _ => {}
-    }
     Ok(eval_operand(expr, ctx)?.view().boolean())
-}
-
-/// `a op b` decided by walking one side, if one side is a path
-/// [`walk_plan`] admits and the other a literal, a number or a hoisted
-/// path; `None` for any other shape. It holds [`compare`]'s existential rule:
-/// a node reached by the walk is accepted if its string-value compares
-/// true with the other side (with some node of it, for a path), and the
-/// walk stops at the first node accepted.
-fn compare_walked(op: BinOp, a: &Expr, b: &Expr, ctx: Ctx<'_>) -> Result<Option<bool>> {
-    fn walked<'e>(
-        e: &'e Expr,
-        other: &Expr,
-        ctx: Ctx<'_>,
-    ) -> Option<(&'e LocationPath, Rc<[Test]>)> {
-        let other_side = match other {
-            Expr::Literal(_) | Expr::Number(_) => true,
-            Expr::Path(q) => hoistable(q, ctx),
-            _ => false,
-        };
-        match e {
-            Expr::Path(p) if other_side => walk_plan(p, ctx).map(|tests| (p, tests)),
-            _ => None,
-        }
-    }
-    // Oriented so that the walked path stands on the left.
-    let (path, tests, other, op) = if let Some((p, tests)) = walked(a, b, ctx) {
-        (p, tests, b, op)
-    } else if let Some((p, tests)) = walked(b, a, ctx) {
-        (p, tests, a, mirrored(op))
-    } else {
-        return Ok(None);
-    };
-    let doc = ctx.doc;
-    let equality = matches!(op, BinOp::Eq | BinOp::Ne);
-    let found = match other {
-        Expr::Path(p) => {
-            let hoisted = hoisted_path(p, ctx)?;
-            if equality {
-                let held = hoisted.strings(doc);
-                walk_path(path, &tests, ctx, &mut |x| {
-                    let sx = string_value(doc, x);
-                    held.iter().any(|sy| (*sy == sx) == (op == BinOp::Eq))
-                })?
-            } else {
-                let held = hoisted.numbers(doc);
-                walk_path(path, &tests, ctx, &mut |x| {
-                    let nx = num(&string_value(doc, x));
-                    held.iter().any(|&ny| cmp_numbers(op, nx, ny))
-                })?
-            }
-        }
-        atomic => {
-            // A literal under a relational operator is read as its number,
-            // parsed once here instead of once per node.
-            let probe = match atomic {
-                Expr::Literal(s) if !equality => View::Num(num(s)),
-                Expr::Literal(s) => View::Str(s),
-                Expr::Number(n) => View::Num(*n),
-                _ => unreachable!("`walked` admits literals, numbers and paths"),
-            };
-            walk_path(path, &tests, ctx, &mut |x| {
-                compare_atomic(op, View::Str(&string_value(doc, x)), probe, doc)
-            })?
-        }
-    };
-    Ok(Some(found))
-}
-
-/// The operator that compares `b` with `a` as `op` compares `a` with `b`.
-fn mirrored(op: BinOp) -> BinOp {
-    match op {
-        BinOp::Lt => BinOp::Gt,
-        BinOp::Le => BinOp::Ge,
-        BinOp::Gt => BinOp::Lt,
-        BinOp::Ge => BinOp::Le,
-        other => other,
-    }
-}
-
-/// The node tests of `p`'s steps resolved against the document, if `p` is
-/// walked: it is relative, every step is on the child, attribute or self
-/// axis, and every nested predicate is [`position_free`]. From one context
-/// those axes yield no node twice, so whether a node exists does not depend
-/// on the order it is found in, and a position-free predicate's verdict
-/// does not depend on the candidate list its candidate stands in. Decided
-/// and resolved once per path and evaluation, memoised like
-/// [`hoisted_path`]'s node-sets.
-fn walk_plan(p: &LocationPath, ctx: Ctx<'_>) -> WalkPlan {
-    let walks = &ctx.caches.walks;
-    let key = std::ptr::from_ref(p) as usize;
-    if let Some((_, plan)) = walks.borrow().iter().find(|(k, _)| *k == key) {
-        return plan.clone();
-    }
-    let walked = !p.absolute
-        && (p.steps.iter()).all(|s| local_axis(s.axis) && s.predicates.iter().all(position_free));
-    let plan: WalkPlan = walked.then(|| {
-        (p.steps.iter())
-            .map(|s| Test::resolve(ctx.doc, &s.test))
-            .collect()
-    });
-    walks.borrow_mut().push((key, plan.clone()));
-    plan
-}
-
-/// Whether `p`, walked from the context item, reaches a node `accept`
-/// takes. Charges one round per step up front, as [`apply_steps`] charges
-/// one per step whatever the steps find.
-fn walk_path(
-    p: &LocationPath,
-    tests: &[Test],
-    ctx: Ctx<'_>,
-    accept: &mut impl FnMut(Item) -> bool,
-) -> Result<bool> {
-    (ctx.caches.ctx.guard)
-        .try_rounds(p.steps.len() as u64)
-        .map_err(XPathError::Budget)?;
-    walk(&p.steps, tests, ctx.item, ctx, accept)
-}
-
-/// Depth first along `steps` from `item`: each candidate of the first step
-/// that passes its node test and its predicates is walked along the rest,
-/// and the walk stops at the first node `accept` takes. Each expansion
-/// probes the guard once and charges the candidates it visited in one
-/// charge, as [`apply_step`] does per context item; stopping early, it
-/// charges fewer.
-fn walk(
-    steps: &[Step],
-    tests: &[Test],
-    item: Item,
-    ctx: Ctx<'_>,
-    accept: &mut impl FnMut(Item) -> bool,
-) -> Result<bool> {
-    let (Some((step, steps)), Some((&test, tests))) = (steps.split_first(), tests.split_first())
-    else {
-        return Ok(accept(item));
-    };
-    let guard = ctx.caches.ctx.guard;
-    check(guard)?;
-    let mut visited = 0;
-    let mut found = false;
-    'candidates: for candidate in candidates(ctx.doc, item, step.axis, test) {
-        visited += 1;
-        // Position-free: the position and size are never read.
-        let pctx = Ctx {
-            item: candidate,
-            ..ctx
-        };
-        for pred in &step.predicates {
-            if !truth(pred, pctx)? {
-                continue 'candidates;
-            }
-        }
-        if walk(steps, tests, candidate, ctx, accept)? {
-            found = true;
-            break;
-        }
-    }
-    guard.try_matches(visited).map_err(XPathError::Budget)?;
-    Ok(found)
 }
 
 /// The guard's trip as an evaluation error.
@@ -747,29 +466,81 @@ fn check(guard: &Guard) -> Result<()> {
     ))
 }
 
-/// Apply a step sequence, fusing each `descendant-or-self::node()` then
-/// `child::Name` pair (the expansion of `//Name`) whose predicates are
-/// position-free into one postings lookup filtered through them, instead of
-/// enumerating every node of every subtree.
+/// Apply a step sequence to a node-set: each run of steps the kernel takes
+/// ([`links`]) is matched as one tree pattern ([`match_pattern`]), and
+/// every other step is applied item by item ([`apply_step`]). Below a
+/// predicate a relative path is evaluated once per candidate, so `kernel`
+/// is false there: a pattern reads whole postings lists, a step only the
+/// candidate's neighbourhood.
 fn apply_steps<'d>(
     steps: &[Step],
     start: &[Item],
     doc: &'d Document,
     caches: &'d EvalCaches<'d>,
+    kernel: bool,
 ) -> Result<Vec<Item>> {
-    // Only the outermost path of a traced evaluation gets per-step spans;
-    // sub-paths inside predicates re-enter here with the latch set.
-    let trace = caches.ctx.trace;
-    if !trace.is_enabled() || caches.in_steps.get() {
-        return apply_steps_inner(steps, start, doc, caches, None);
+    let trace = Some(caches.ctx.trace).filter(|t| t.is_enabled() && !caches.in_steps.get());
+    caches
+        .in_steps
+        .set(caches.in_steps.get() || trace.is_some());
+    let guard = caches.ctx.guard;
+    let run = || {
+        if steps.is_empty() {
+            return Ok(start.to_vec());
+        }
+        // The node-set between steps; the first step reads `start` in place.
+        let (mut current, mut i) = (Vec::new(), 0);
+        while i < steps.len() {
+            let input: &[Item] = if i == 0 { start } else { &current };
+            // Budget probe: one round per pattern or step.
+            guard.try_rounds(1).map_err(XPathError::Budget)?;
+            let nodes = kernel && input.iter().all(|x| matches!(x, Item::Node(_)));
+            let n = match links(&steps[i..]) {
+                (n, true) if nodes => n,
+                _ => 0,
+            };
+            let step = &steps[i];
+            let span = trace.map(|t| {
+                let s = match n {
+                    0 => t.span(format_args!(
+                        "step[{i}:{}::{}]",
+                        step.axis.name(),
+                        test_label(&step.test)
+                    )),
+                    _ => t.span(format_args!("pattern[{i}..{}]", i + n)),
+                };
+                t.count("context_in", input.len() as u64);
+                s
+            });
+            let next = match n {
+                0 => {
+                    // Budget probe: the context size the step expands.
+                    guard
+                        .try_matches(input.len() as u64)
+                        .map_err(XPathError::Budget)?;
+                    if let (Some(t), false) = (trace, step.predicates.is_empty()) {
+                        t.count("predicates", step.predicates.len() as u64);
+                    }
+                    apply_step(step, input, doc, caches)?
+                }
+                _ => match_pattern(&steps[i..i + n], input, doc, caches, trace)?,
+            };
+            if let Some(t) = trace {
+                t.count("context_out", next.len() as u64);
+            }
+            drop(span);
+            (current, i) = (next, i + n.max(1));
+        }
+        Ok(current)
+    };
+    let result = run();
+    if trace.is_some() {
+        caches.in_steps.set(false);
     }
-    caches.in_steps.set(true);
-    let result = apply_steps_inner(steps, start, doc, caches, Some(trace));
-    caches.in_steps.set(false);
     result
 }
 
-/// Display form of a node test for step span labels.
+/// Display form of a node test for span and counter labels.
 fn test_label(test: &NodeTest) -> &str {
     match test {
         NodeTest::Name(n) => n,
@@ -780,106 +551,346 @@ fn test_label(test: &NodeTest) -> &str {
     }
 }
 
-fn apply_steps_inner<'d>(
+/// One step of a path as the kernel takes it: an edge to a new pattern
+/// node, with the step's test and predicates, or (a `self::node()` step)
+/// more predicates on the node the path is at.
+enum Link<'e> {
+    Edge(pattern::Axis, &'e Step),
+    Here(&'e [Expr]),
+}
+
+/// The link `steps` start with, and how many steps it spans: a `child` or
+/// `descendant(-or-self)` step with a name or `*` test, an `attribute` step
+/// with a name test, or a `self::node()` step, whose predicates are all
+/// [`position_free`]; or `descendant-or-self::node()` without predicates
+/// (`//`) and such a `child` or `attribute` step after it, which is one
+/// descendant edge. `None` for any other step.
+fn link(steps: &[Step]) -> Option<(Link<'_>, usize)> {
+    use pattern::Axis::{Child, Descendant, DescendantOrSelf};
+    let step = steps.first()?;
+    if !step.predicates.iter().all(position_free) {
+        return None;
+    }
+    let named = matches!(step.test, NodeTest::Name(_) | NodeTest::Any);
+    let axis = match step.axis {
+        Axis::SelfAxis if step.test == NodeTest::Node => {
+            return Some((Link::Here(&step.predicates), 1));
+        }
+        Axis::Attribute if matches!(step.test, NodeTest::Name(_)) => Child,
+        Axis::Child if named => Child,
+        Axis::Descendant if named => Descendant,
+        Axis::DescendantOrSelf if named => DescendantOrSelf,
+        Axis::DescendantOrSelf if step.test == NodeTest::Node && step.predicates.is_empty() => {
+            let (Link::Edge(Child, next), 1) = link(&steps[1..])? else {
+                return None;
+            };
+            let deep = match next.axis {
+                Axis::Attribute => DescendantOrSelf,
+                _ => Descendant,
+            };
+            return Some((Link::Edge(deep, next), 2));
+        }
+        _ => return None,
+    };
+    Some((Link::Edge(axis, step), 1))
+}
+
+/// The links `steps` make, one after another, each with the steps it
+/// spans, up to a step that is none. An attribute has neither children nor
+/// attributes: after an attribute step only `self::node()` steps are taken.
+fn each_link(steps: &[Step]) -> impl Iterator<Item = (Link<'_>, usize)> {
+    let (mut rest, mut attr) = (steps, false);
+    std::iter::from_fn(move || {
+        let (link, n) = link(rest).filter(|(link, _)| !attr || matches!(link, Link::Here(_)))?;
+        attr |= matches!(link, Link::Edge(_, step) if step.axis == Axis::Attribute);
+        rest = &rest[n..];
+        Some((link, n))
+    })
+}
+
+/// How many of `steps` the kernel takes from their start, and whether one
+/// of its links is an edge.
+fn links(steps: &[Step]) -> (usize, bool) {
+    each_link(steps).fold((0, false), |(at, edge), (link, n)| {
+        (at + n, edge || matches!(link, Link::Edge(..)))
+    })
+}
+
+/// A pattern node for an edge link's step.
+fn node_of<'a, T>(doc: &Document, idx: &'a DocIndex, step: &'a Step) -> pattern::Node<'a, T> {
+    let sym = match &step.test {
+        NodeTest::Name(name) => doc.lookup_sym(name),
+        _ => None,
+    };
+    let attr = step.axis == Axis::Attribute;
+    let (kind, postings) = match (&step.test, sym) {
+        (NodeTest::Name(_), None) => (Kind::Absent, &[][..]),
+        (_, Some(s)) if attr => (Kind::Attr(s), idx.elements_with_attr_sym(s)),
+        (_, Some(s)) => (Kind::Element(Some(s)), idx.elements_named_sym(s)),
+        _ => (Kind::Element(None), idx.elements()),
+    };
+    let label = (if attr { "@" } else { "" }, test_label(&step.test));
+    pattern::Node::new(kind, postings, label, ())
+}
+
+/// Match `steps`, all of them links, from the nodes of `input` as one tree
+/// pattern: the context is its root, each edge link a node on the chain to
+/// the selected one (numbered from 1, in path order), each predicate a
+/// condition on its node. One link without predicates (`//name`) keeps its
+/// two nodes on the stack.
+fn match_pattern<'d>(
     steps: &[Step],
-    start: &[Item],
+    input: &[Item],
     doc: &'d Document,
     caches: &'d EvalCaches<'d>,
     trace: Option<&Trace>,
 ) -> Result<Vec<Item>> {
-    if steps.is_empty() {
-        return Ok(start.to_vec());
-    }
-    let guard = caches.ctx.guard;
-    // The node-set between steps; the first step reads `start` in place.
-    let mut current: Vec<Item> = Vec::new();
-    let mut i = 0;
-    while i < steps.len() {
-        let input: &[Item] = if i == 0 { start } else { &current };
-        // Budget probe: one round per location step plus the context size
-        // it is about to expand.
-        guard.try_rounds(1).map_err(XPathError::Budget)?;
-        guard
-            .try_matches(input.len() as u64)
-            .map_err(XPathError::Budget)?;
-        if let Some((name, predicates)) = fused_descendant_name(steps, i) {
-            let span = trace.map(|t| {
-                let s = t.span(format_args!("step[{i}:://{name}]"));
-                t.count("context_in", input.len() as u64);
-                t.count("fusion_hits", 1);
-                if !predicates.is_empty() {
-                    t.count("predicates", predicates.len() as u64);
-                }
-                s
-            });
-            let idx = caches.index_for_fused(doc, input.len(), !predicates.is_empty());
-            let mut found = descendant_named(doc, idx, input, name);
-            // Budget probe: the fused lookup skips apply_step, so charge
-            // its fan-out here or `//Name` explosions would go unmetered.
-            guard
-                .try_matches(found.len() as u64)
-                .map_err(XPathError::Budget)?;
-            for pred in predicates {
-                retain_by_predicate(&mut found, 0, pred, doc, caches)?;
-            }
-            if let Some(t) = trace {
-                t.count("context_out", found.len() as u64);
-            }
-            drop(span);
-            current = found;
-            i += 2;
-            continue;
+    let (one, many): ([NodeId; 1], Vec<NodeId>);
+    let context: &[NodeId] = match input {
+        [Item::Node(n)] => {
+            one = [*n];
+            &one
         }
-        let step = &steps[i];
-        let span = trace.map(|t| {
-            let s = t.span(format_args!(
-                "step[{i}:{}::{}]",
-                step.axis.name(),
-                test_label(&step.test)
-            ));
-            t.count("context_in", input.len() as u64);
-            s
-        });
-        let mut stats = StepStats::default();
-        let stats_ref = if trace.is_some() {
-            Some(&mut stats)
-        } else {
-            None
+        _ => {
+            many = input.iter().filter_map(|x| x.as_node()).collect();
+            &many
+        }
+    };
+    let root = pattern::Node::new(Kind::Element(None), context, (".", ""), ());
+    let ctx = Ctx::at_root(doc, caches, true);
+    let chain = || {
+        each_link(steps).filter_map(|link| match link {
+            (Link::Edge(_, step), _) => Some(node_of(doc, caches.idx, step)),
+            (Link::Here(_), _) => None,
+        })
+    };
+    let edges = each_link(steps).filter(|(link, _)| matches!(link, Link::Edge(..)));
+    if edges.count() == 1 && steps.iter().all(|s| s.predicates.is_empty()) {
+        let node = chain().next().expect("a pattern has an edge");
+        return matched(&[root, node], steps, ctx, trace);
+    }
+    let mut p = Lowering {
+        ctx,
+        // A node per step, and as many again for predicates, before it grows.
+        nodes: Vec::with_capacity(2 * steps.len() + 4),
+    };
+    p.nodes.push(root);
+    p.nodes.extend(chain());
+    let mut at = 0;
+    for (link, _) in each_link(steps) {
+        let predicates = match link {
+            Link::Here(predicates) => predicates,
+            Link::Edge(_, step) => {
+                at += 1;
+                &step.predicates
+            }
         };
-        let next = apply_step(step, input, doc, caches, stats_ref)?;
-        if let Some(t) = trace {
-            t.count("context_out", next.len() as u64);
-            t.count("indexed_items", stats.indexed_items);
-            t.count("scanned_items", stats.scanned_items);
-            if !step.predicates.is_empty() {
-                t.count("predicates", step.predicates.len() as u64);
-            }
-        }
-        drop(span);
-        current = next;
-        i += 1;
+        p.predicates(at, predicates, false);
     }
-    Ok(current)
+    matched(&p.nodes, steps, ctx, trace)
 }
 
-/// If `steps[i], steps[i+1]` are a `descendant-or-self::node() /
-/// child::Name` pair that may be evaluated set-at-a-time, the name to fuse
-/// on and the child step's predicates. The first step must be
-/// predicate-free and every predicate of the second [`position_free`]: a
-/// positional predicate is relative to the per-parent candidate list, which
-/// fusion regroups.
-fn fused_descendant_name(steps: &[Step], i: usize) -> Option<(&str, &[Expr])> {
-    let a = steps.get(i)?;
-    let b = steps.get(i + 1)?;
-    let NodeTest::Name(name) = &b.test else {
-        return None;
+/// Match the pattern `nodes` lowered from `steps`, its chain numbered from
+/// the context on. Link by link, a chain node starts from what the link
+/// reaches from the one before and is reduced there, so a predicate is
+/// only asked at the nodes the path reaches. The pattern is charged the
+/// postings it read; the answer is the selected node's column.
+fn matched(
+    nodes: &[pattern::Node<'_, ValueTest<'_>>],
+    steps: &[Step],
+    ctx: Ctx<'_>,
+    trace: Option<&Trace>,
+) -> Result<Vec<Item>> {
+    let (doc, guard) = (ctx.doc, ctx.caches.ctx.guard);
+    let error = RefCell::new(None);
+    let values = |_, test: &ValueTest<'_>, n, attr: Option<usize>| {
+        let item = attr.map_or(Item::Node(n), |index| Item::Attr { owner: n, index });
+        let holds = test.holds(ctx, item);
+        holds.map_err(|e| *error.borrow_mut() = Some(e)).ok()
     };
-    let fusable = a.axis == Axis::DescendantOrSelf
-        && a.test == NodeTest::Node
-        && a.predicates.is_empty()
-        && b.axis == Axis::Child
-        && b.predicates.iter().all(position_free);
-    fusable.then_some((name.as_str(), b.predicates.as_slice()))
+    let mut columns = Columns::new(doc, ctx.caches.idx, nodes);
+    let (mut at, mut last) = (0, None);
+    let mut reduced = columns.reduce(0, guard, &values);
+    for (link, _) in each_link(steps) {
+        if let (Link::Edge(axis, step), Some(())) = (link, reduced) {
+            (at, last) = (at + 1, Some(step));
+            reduced = (columns.narrow(at - 1, axis, at, guard))
+                .and_then(|()| columns.reduce(at, guard, &values));
+        }
+    }
+    if reduced.is_none() {
+        return Err(error.take().unwrap_or_else(|| check(guard).unwrap_err()));
+    }
+    if let Some(t) = trace {
+        columns.report(t);
+    }
+    let read = (0..nodes.len()).map(|q| columns.read(q)).sum();
+    guard.try_matches(read).map_err(XPathError::Budget)?;
+    let attr = match last.map(|step| (&step.test, step.axis)) {
+        Some((NodeTest::Name(name), Axis::Attribute)) => doc.lookup_sym(name),
+        _ => None,
+    };
+    Ok(columns
+        .col(at)
+        .iter()
+        .map(|&n| match attr {
+            Some(sym) => {
+                let index = doc.attr_syms(n).position(|s| s == sym);
+                let index = index.expect("a column holds the attribute's elements");
+                Item::Attr { owner: n, index }
+            }
+            None => Item::Node(n),
+        })
+        .collect())
+}
+
+/// A run of location steps lowered onto a tree pattern: its nodes, the
+/// context first, and the evaluation context its value tests read.
+struct Lowering<'e, 'p, 'd> {
+    ctx: Ctx<'d>,
+    nodes: Vec<pattern::Node<'p, ValueTest<'e>>>,
+}
+
+/// What a pattern's value test means, at a node or an attribute.
+enum ValueTest<'e> {
+    /// Its string-value compares with a literal, a number or some node of a
+    /// hoisted set, evaluated when first asked.
+    Compare(BinOp, &'e Expr, OnceCell<Operand<'e>>),
+    /// A position-free predicate the pattern does not take apart, decided
+    /// at the node by the item-by-item evaluator.
+    Opaque(&'e Expr),
+}
+
+impl ValueTest<'_> {
+    /// Does the test hold at `item`?
+    fn holds(&self, ctx: Ctx<'_>, item: Item) -> Result<bool> {
+        match self {
+            ValueTest::Compare(op, other, operand) => {
+                let other = match operand.get() {
+                    Some(operand) => operand,
+                    None => {
+                        let value = eval_operand(other, ctx)?;
+                        operand.get_or_init(|| value)
+                    }
+                };
+                let x = string_value(ctx.doc, item);
+                Ok(compare(*op, View::Str(&x), other.view(), ctx.doc))
+            }
+            ValueTest::Opaque(e) => truth(e, Ctx { item, ..ctx }),
+        }
+    }
+}
+
+type PCond<'e> = Cond<ValueTest<'e>>;
+
+impl<'e: 'p, 'p, 'd: 'p> Lowering<'e, 'p, 'd> {
+    /// Conjoin `predicates` to node `at`'s condition. A predicate that the
+    /// pattern does not take apart is an opaque test on a node of the chain
+    /// (`!deep`), which the path reaches before it is asked; below an edge
+    /// (`deep`), where a node is asked wherever its postings lie, it is
+    /// not, and `None` says so.
+    fn predicates(&mut self, at: usize, predicates: &'e [Expr], deep: bool) -> Option<()> {
+        for e in predicates {
+            let mark = self.nodes.len();
+            let cond = match self.cond(at, e) {
+                Some(cond) => cond,
+                None if deep => return None,
+                None => {
+                    self.nodes.truncate(mark);
+                    Cond::Value(ValueTest::Opaque(e), false)
+                }
+            };
+            let old = std::mem::replace(&mut self.nodes[at].cond, Cond::True);
+            self.nodes[at].cond = old.and(cond);
+        }
+        Some(())
+    }
+
+    /// Predicate `e`, position-free, as a condition at node `at`: `and`,
+    /// `or`, `not()` and `boolean()` over relative paths the kernel takes
+    /// and over their comparisons with a literal, a number or an absolute
+    /// path; `None` for anything else.
+    fn cond(&mut self, at: usize, e: &'e Expr) -> Option<PCond<'e>> {
+        Some(match e {
+            Expr::Binary(BinOp::And, a, b) => self.cond(at, a)?.and(self.cond(at, b)?),
+            Expr::Binary(BinOp::Or, a, b) => Cond::Any(vec![self.cond(at, a)?, self.cond(at, b)?]),
+            Expr::Call(name, args) if name == "not" && args.len() == 1 => {
+                !self.cond(at, &args[0])?
+            }
+            Expr::Call(name, args) if name == "boolean" && args.len() == 1 => {
+                self.cond(at, &args[0])?
+            }
+            Expr::Path(p) if self.takes(at, p) => self.path(at, &p.steps, Cond::True)?,
+            Expr::Binary(
+                op @ (BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge),
+                a,
+                b,
+            ) => {
+                // Oriented so that the path stands on the left.
+                let (path, other, op) = match (&**a, &**b) {
+                    (Expr::Path(p), _) if self.takes(at, p) => (p, &**b, *op),
+                    (_, Expr::Path(p)) if self.takes(at, p) => (p, &**a, mirrored(*op)),
+                    _ => return None,
+                };
+                match other {
+                    Expr::Literal(_) | Expr::Number(_) => {}
+                    Expr::Path(q) if q.absolute => {}
+                    _ => return None,
+                }
+                let test = ValueTest::Compare(op, other, OnceCell::new());
+                self.path(at, &path.steps, Cond::Value(test, false))?
+            }
+            _ => return None,
+        })
+    }
+
+    /// Does the kernel take relative path `p` from node `at`: every step a
+    /// link, and none an edge from an attribute?
+    fn takes(&self, at: usize, p: &LocationPath) -> bool {
+        let (n, edge) = links(&p.steps);
+        let element = matches!(self.nodes[at].kind, Kind::Element(_));
+        !p.absolute && n == p.steps.len() && (element || !edge)
+    }
+
+    /// The condition at `at` that `steps`, links all, reach a node from it
+    /// where `tail` holds: the predicates of leading `self::node()` steps,
+    /// and an edge to a new node for the first edge link, whose condition
+    /// is its step's predicates and the rest of the path from there.
+    fn path(&mut self, at: usize, steps: &'e [Step], tail: PCond<'e>) -> Option<PCond<'e>> {
+        let Some((link, n)) = link(steps) else {
+            return Some(tail);
+        };
+        Some(match link {
+            Link::Here(predicates) => {
+                let mut cond = Cond::True;
+                for e in predicates {
+                    cond = cond.and(self.cond(at, e)?);
+                }
+                cond.and(self.path(at, &steps[n..], tail)?)
+            }
+            Link::Edge(axis, step) => {
+                let u = self.nodes.len();
+                self.nodes
+                    .push(node_of(self.ctx.doc, self.ctx.caches.idx, step));
+                self.predicates(u, &step.predicates, true)?;
+                let rest = self.path(u, &steps[n..], tail)?;
+                let own = std::mem::replace(&mut self.nodes[u].cond, Cond::True);
+                self.nodes[u].cond = own.and(rest);
+                Cond::Edge(axis, u, false)
+            }
+        })
+    }
+}
+
+/// The operator that compares `b` with `a` as `op` compares `a` with `b`.
+fn mirrored(op: BinOp) -> BinOp {
+    match op {
+        BinOp::Lt => BinOp::Gt,
+        BinOp::Le => BinOp::Ge,
+        BinOp::Gt => BinOp::Lt,
+        BinOp::Ge => BinOp::Le,
+        other => other,
+    }
 }
 
 /// Whether a predicate's verdict on a candidate is the same in whatever
@@ -926,90 +937,6 @@ fn mentions_position(expr: &Expr) -> bool {
     }
 }
 
-/// All proper-descendant elements named `name` under each input node
-/// (children of any node in `descendant-or-self::node()` = proper
-/// descendants): the tag postings sliced to each subtree interval when
-/// there is an index, a name-filtered walk of each subtree when there is
-/// not. Attribute items have no descendants and contribute nothing.
-fn descendant_named(
-    doc: &Document,
-    idx: Option<&DocIndex>,
-    input: &[Item],
-    name: &str,
-) -> Vec<Item> {
-    let mut out: Vec<Item> = Vec::new();
-    let Some(sym) = doc.lookup_sym(name) else {
-        return out; // name never interned: no such elements
-    };
-    for &item in input {
-        let Item::Node(node) = item else { continue };
-        // A node detached at index build time has no interval (cannot
-        // happen for root-reachable evaluation); it is walked too.
-        match idx.filter(|idx| idx.pre(node).is_some()) {
-            Some(idx) => out.extend(
-                idx.named_in(sym, node, false)
-                    .iter()
-                    .map(|&n| Item::Node(n)),
-            ),
-            None => out.extend(
-                doc.descendants(node)
-                    .filter(|&d| doc.kind(d) == NodeKind::Element && doc.name_sym(d) == Some(sym))
-                    .map(Item::Node),
-            ),
-        }
-    }
-    // One subtree's postings or walk are in document order already;
-    // several subtrees may nest.
-    if input.len() > 1 {
-        sort_dedup(doc, &mut out);
-    }
-    out
-}
-
-/// Postings-backed candidate enumeration for descendant name-test steps:
-/// appends to `out` the same items in the same (document) order as the
-/// scan, so positional predicates see identical semantics. `false` means
-/// "no fast path, use the scan" (and nothing was appended).
-fn indexed_candidates(
-    doc: &Document,
-    caches: &EvalCaches<'_>,
-    item: Item,
-    axis: Axis,
-    test: Test,
-    out: &mut Vec<Item>,
-) -> bool {
-    let include_self = match axis {
-        Axis::Descendant => false,
-        Axis::DescendantOrSelf => true,
-        _ => return false,
-    };
-    let (Test::Name(sym), Item::Node(node)) = (test, item) else {
-        return false;
-    };
-    let idx = caches.index(doc);
-    if idx.pre(node).is_none() {
-        return false; // detached at build time: fall back to the scan
-    }
-    // A name never interned names no elements.
-    if let Some(sym) = sym {
-        out.extend(
-            idx.named_in(sym, node, include_self)
-                .iter()
-                .map(|&n| Item::Node(n)),
-        );
-    }
-    true
-}
-
-/// Per-step profiling counters: how many candidate items came off postings
-/// lists vs axis enumeration. Threaded as `Option` so the untraced path
-/// costs one branch per context item.
-#[derive(Debug, Default, Clone, Copy)]
-struct StepStats {
-    indexed_items: u64,
-    scanned_items: u64,
-}
-
 /// Apply one step to a node-set: per context node, enumerate the axis in
 /// axis order, filter by node test, run predicates positionally, then merge
 /// and normalise to document order. Each context node's candidates are
@@ -1019,7 +946,6 @@ fn apply_step<'d>(
     input: &[Item],
     doc: &'d Document,
     caches: &'d EvalCaches<'d>,
-    mut stats: Option<&mut StepStats>,
 ) -> Result<Vec<Item>> {
     let guard = caches.ctx.guard;
     let test = Test::resolve(doc, &step.test);
@@ -1029,22 +955,9 @@ fn apply_step<'d>(
         // inside one huge step).
         check(guard)?;
         let from = out.len();
-        if indexed_candidates(doc, caches, ctx_item, step.axis, test, &mut out) {
-            if let Some(s) = stats.as_deref_mut() {
-                s.indexed_items += (out.len() - from) as u64;
-            }
-        } else {
-            if local_axis(step.axis) {
-                out.extend(candidates(doc, ctx_item, step.axis, test));
-            } else {
-                axis_items(doc, ctx_item, step.axis, &mut out);
-                let principal = Principal::of(step.axis);
-                retain_tail(&mut out, from, |_, x| Ok(test.matches(doc, x, principal)))?;
-            }
-            if let Some(s) = stats.as_deref_mut() {
-                s.scanned_items += (out.len() - from) as u64;
-            }
-        }
+        axis_items(doc, caches.idx, ctx_item, step.axis, &mut out);
+        let attrs = step.axis == Axis::Attribute;
+        retain_tail(&mut out, from, |_, x| Ok(test.matches(doc, x, attrs)))?;
         // Budget probe: this context item's candidate fan-out.
         guard
             .try_matches((out.len() - from) as u64)
@@ -1112,196 +1025,58 @@ fn retain_by_predicate<'d>(
     })
 }
 
-/// Whether an axis is enumerated by [`candidates`], already filtered by
-/// its node test; [`axis_items`] enumerates the others.
-fn local_axis(axis: Axis) -> bool {
-    matches!(axis, Axis::Child | Axis::Attribute | Axis::SelfAxis)
-}
-
-/// The candidates of `item` on the child, attribute or self axis that pass
-/// `test`, in axis order: what [`apply_step`] appends for such a step and
-/// what [`walk`] visits.
-fn candidates(doc: &Document, item: Item, axis: Axis, test: Test) -> Candidates<'_> {
-    match (axis, item) {
-        (Axis::SelfAxis, _) => {
-            Candidates::One(Some(item).filter(|&i| test.matches(doc, i, Principal::Element)))
-        }
-        (Axis::Child, Item::Node(node)) => Candidates::Children {
-            doc,
-            test,
-            rest: doc.children(node).iter(),
-        },
-        (Axis::Attribute, Item::Node(owner)) => match test {
-            // An element's attribute names are distinct: a name test finds
-            // at most one.
-            Test::Name(Some(sym)) => Candidates::One(
-                (doc.attr_syms(owner).position(|a| a == sym))
-                    .map(|index| Item::Attr { owner, index }),
-            ),
-            Test::Node | Test::Any => Candidates::Attrs {
-                owner,
-                rest: 0..doc.attr_count(owner),
-            },
-            Test::Name(None) | Test::Text | Test::Comment => Candidates::One(None),
-        },
-        // An attribute has no children and no attributes.
-        _ => {
-            debug_assert!(local_axis(axis), "{axis:?} is enumerated by `axis_items`");
-            Candidates::One(None)
-        }
-    }
-}
-
-/// See [`candidates`].
-enum Candidates<'d> {
-    Children {
-        doc: &'d Document,
-        test: Test,
-        rest: std::slice::Iter<'d, NodeId>,
-    },
-    Attrs {
-        owner: NodeId,
-        rest: std::ops::Range<usize>,
-    },
-    One(Option<Item>),
-}
-
-impl Iterator for Candidates<'_> {
-    type Item = Item;
-
-    fn next(&mut self) -> Option<Item> {
-        match self {
-            Candidates::Children { doc, test, rest } => {
-                (rest.map(|&c| Item::Node(c))).find(|&c| test.matches(doc, c, Principal::Element))
-            }
-            Candidates::Attrs { owner, rest } => (rest.next()).map(|index| Item::Attr {
-                owner: *owner,
-                index,
-            }),
-            Candidates::One(item) => item.take(),
-        }
-    }
-}
-
-/// Append an axis other than the [local](local_axis) ones to `out` in axis
-/// order (reverse axes run backwards so that positional predicates see
-/// XPath semantics).
-fn axis_items(doc: &Document, item: Item, axis: Axis, out: &mut Vec<Item>) {
-    let node = match item {
-        Item::Node(n) => n,
-        Item::Attr { owner, .. } => {
-            // Attribute items navigate relative to their owning element.
-            match axis {
-                // The parent of an attribute is its element, exactly.
-                Axis::Parent => out.push(Item::Node(owner)),
-                Axis::Ancestor | Axis::AncestorOrSelf => {
-                    if axis == Axis::AncestorOrSelf {
-                        out.push(item);
-                    }
-                    ancestors_or_self(doc, Some(owner), out);
-                }
-                // XPath 1.0: the following axis of an attribute holds every
-                // node after it in document order except descendants of the
-                // attribute (it has none) — i.e. the owner's descendants
-                // plus the owner's following axis.
-                Axis::Following => {
-                    out.extend(doc.descendants(owner).map(Item::Node));
-                    axis_items(doc, Item::Node(owner), Axis::Following, out);
-                }
-                // And preceding(attr) = preceding(owner): everything before
-                // the owner, minus ancestors.
-                Axis::Preceding => axis_items(doc, Item::Node(owner), Axis::Preceding, out),
-                _ => {}
-            }
-            return;
-        }
+/// Append an axis to `out` in axis order (reverse axes run backwards so
+/// that positional predicates see XPath semantics), reading the subtrees
+/// and what follows or precedes off the index's preorder. An attribute
+/// navigates from its element: its parent is the element, its following
+/// axis the element's descendants and following, its preceding axis the
+/// element's; it has no children, attributes, descendants or siblings.
+fn axis_items(doc: &Document, idx: &DocIndex, item: Item, axis: Axis, out: &mut Vec<Item>) {
+    let (node, attr) = match item {
+        Item::Node(n) => (n, false),
+        Item::Attr { owner, .. } => (owner, true),
     };
-    match axis {
-        Axis::Child | Axis::Attribute | Axis::SelfAxis => {
-            unreachable!("{axis:?} is enumerated by `candidates`")
-        }
-        Axis::Descendant => out.extend(doc.descendants(node).map(Item::Node)),
-        Axis::DescendantOrSelf => out.extend(doc.descendants_or_self(node).map(Item::Node)),
-        Axis::Parent => out.extend(doc.parent(node).map(Item::Node)),
-        Axis::Ancestor => ancestors_or_self(doc, doc.parent(node), out),
-        Axis::AncestorOrSelf => ancestors_or_self(doc, Some(node), out),
-        Axis::FollowingSibling => {
-            let mut cur = doc.next_sibling(node);
-            while let Some(s) = cur {
-                out.push(Item::Node(s));
-                cur = doc.next_sibling(s);
-            }
-        }
-        Axis::PrecedingSibling => {
-            let mut cur = doc.prev_sibling(node);
-            while let Some(s) = cur {
-                out.push(Item::Node(s));
-                cur = doc.prev_sibling(s);
-            }
-        }
-        Axis::Following => {
-            // Nodes after `node` in document order, excluding descendants:
-            // the subtrees of every following sibling of every
-            // ancestor-or-self — O(|result|), no whole-document scan.
-            let from = out.len();
-            let mut cur = node;
-            loop {
-                let mut sib = doc.next_sibling(cur);
-                while let Some(s) = sib {
-                    out.extend(doc.descendants_or_self(s).map(Item::Node));
-                    sib = doc.next_sibling(s);
-                }
-                match doc.parent(cur) {
-                    Some(p) => cur = p,
-                    None => break,
-                }
-            }
-            out[from..].sort_by_key(|&i| order_key(doc, i));
-        }
-        Axis::Preceding => {
-            // Symmetric: subtrees of preceding siblings along the ancestor
-            // chain, reverse document order.
-            let from = out.len();
-            let mut cur = node;
-            loop {
-                let mut sib = doc.prev_sibling(cur);
-                while let Some(s) = sib {
-                    out.extend(doc.descendants_or_self(s).map(Item::Node));
-                    sib = doc.prev_sibling(s);
-                }
-                match doc.parent(cur) {
-                    Some(p) => cur = p,
-                    None => break,
-                }
-            }
-            out[from..].sort_by_key(|&i| std::cmp::Reverse(order_key(doc, i)));
-        }
+    let Some(span) = idx.span(node) else {
+        return; // detached at build time: not reachable from the root
+    };
+    let preorder = idx.preorder();
+    fn nodes(within: &[NodeId]) -> impl Iterator<Item = Item> + '_ {
+        within.iter().map(|&n| Item::Node(n))
     }
-}
-
-/// Append `first` and its ancestors, nearest first.
-fn ancestors_or_self(doc: &Document, first: Option<NodeId>, out: &mut Vec<Item>) {
-    let mut cur = first;
-    while let Some(n) = cur {
-        out.push(Item::Node(n));
-        cur = doc.parent(n);
-    }
-}
-
-/// The node type an axis's `*` and name tests select (§2.3): attribute on
-/// the attribute axis, element on every other.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Principal {
-    Element,
-    Attribute,
-}
-
-impl Principal {
-    fn of(axis: Axis) -> Principal {
-        match axis {
-            Axis::Attribute => Principal::Attribute,
-            _ => Principal::Element,
+    let ancestors = std::iter::successors(doc.parent(node), |&n| doc.parent(n)).map(Item::Node);
+    let siblings = |next: fn(&Document, NodeId) -> Option<NodeId>| {
+        std::iter::successors(next(doc, node), move |&n| next(doc, n)).map(Item::Node)
+    };
+    match (axis, attr) {
+        (Axis::SelfAxis, _) => out.push(item),
+        (Axis::Parent, true) => out.push(Item::Node(node)),
+        (Axis::Ancestor | Axis::AncestorOrSelf, true) => {
+            out.extend((axis == Axis::AncestorOrSelf).then_some(item));
+            out.push(Item::Node(node));
+            out.extend(ancestors);
         }
+        (Axis::Following, true) => out.extend(nodes(&preorder[span.start + 1..])),
+        (Axis::Preceding, _) => out.extend(
+            (preorder[..span.start].iter().rev())
+                .filter(|&&n| !idx.is_descendant_or_self(n, node))
+                .map(|&n| Item::Node(n)),
+        ),
+        (_, true) => {}
+        (Axis::Child, _) => out.extend(nodes(doc.children(node))),
+        (Axis::Attribute, _) => {
+            out.extend((0..doc.attr_count(node)).map(|index| Item::Attr { owner: node, index }))
+        }
+        (Axis::Descendant, _) => out.extend(nodes(&preorder[span.start + 1..span.end])),
+        (Axis::DescendantOrSelf, _) => out.extend(nodes(&preorder[span])),
+        (Axis::Parent, _) => out.extend(doc.parent(node).map(Item::Node)),
+        (Axis::Ancestor, _) => out.extend(ancestors),
+        (Axis::AncestorOrSelf, _) => {
+            out.push(item);
+            out.extend(ancestors);
+        }
+        (Axis::FollowingSibling, _) => out.extend(siblings(Document::next_sibling)),
+        (Axis::PrecedingSibling, _) => out.extend(siblings(Document::prev_sibling)),
+        (Axis::Following, _) => out.extend(nodes(&preorder[span.end..])),
     }
 }
 
@@ -1329,34 +1104,26 @@ impl Test {
         }
     }
 
-    /// Does `item`, found along an axis of `principal` node type, pass?
-    /// `*` and a name test select that type only (§2.3): an attribute item
-    /// that the self or ancestor-or-self axis yields passes `node()` and
-    /// nothing else.
-    fn matches(self, doc: &Document, item: Item, principal: Principal) -> bool {
-        match item {
-            Item::Attr { owner, index } => match self {
-                Test::Node => true,
-                Test::Any => principal == Principal::Attribute,
-                Test::Name(sym) => {
-                    principal == Principal::Attribute
-                        && sym.is_some()
-                        && doc.attr_syms(owner).nth(index) == sym
-                }
-                Test::Text | Test::Comment => false,
-            },
-            Item::Node(node) => {
-                let kind = doc.kind(node);
-                match self {
-                    Test::Node => true,
-                    Test::Text => kind == NodeKind::Text,
-                    Test::Comment => kind == NodeKind::Comment,
-                    Test::Any => kind == NodeKind::Element,
-                    Test::Name(sym) => {
-                        sym.is_some() && kind == NodeKind::Element && doc.name_sym(node) == sym
-                    }
-                }
-            }
+    /// Does `item`, found along the attribute axis (`attrs`) or another,
+    /// pass? `*` and a name test select the axis's principal node type only
+    /// (§2.3): attribute on the attribute axis, element on every other, so
+    /// an attribute item that the self or ancestor-or-self axis yields
+    /// passes `node()` and nothing else.
+    fn matches(self, doc: &Document, item: Item, attrs: bool) -> bool {
+        let (kind, name) = match item {
+            Item::Attr { owner, index } => (None, doc.attr_syms(owner).nth(index)),
+            Item::Node(n) => (Some(doc.kind(n)), doc.name_sym(n)),
+        };
+        let principal = match kind {
+            None => attrs,
+            Some(kind) => !attrs && kind == NodeKind::Element,
+        };
+        match self {
+            Test::Node => true,
+            Test::Text => kind == Some(NodeKind::Text),
+            Test::Comment => kind == Some(NodeKind::Comment),
+            Test::Any => principal,
+            Test::Name(sym) => principal && sym.is_some() && name == sym,
         }
     }
 }
@@ -1673,9 +1440,9 @@ mod tests {
     fn prebuilt_index_gives_identical_results() {
         let d = doc();
         let idx = DocIndex::build(&d);
-        // Exercises the fused `//name` pair, descendant steps with
-        // predicates (positions must match scan semantics), explicit
-        // descendant axes, attribute tests and unknown names.
+        // Exercises `//name` patterns, descendant steps with positional
+        // predicates (applied item by item), explicit descendant axes,
+        // attribute tests and unknown names.
         for xpath in [
             "//last",
             "//title",
@@ -1703,17 +1470,17 @@ mod tests {
     }
 
     #[test]
-    fn fusion_requires_predicate_free_steps() {
+    fn a_positional_predicate_counts_per_parent() {
         let d = doc();
         // `//book[1]` means "every book that is the first child-book of its
         // parent", NOT "the first book in the document" — the child step's
-        // predicate must block fusion for this to hold.
+        // predicate must keep it off the pattern for this to hold.
         assert_eq!(select(&d, "//book[1]").unwrap().len(), 1);
         assert_eq!(texts(&d, "//book[1]/title"), vec!["TCP/IP Illustrated"]);
         assert_eq!(select(&d, "//author[1]").unwrap().len(), 2);
     }
 
-    /// Lazy and indexed evaluation of one expression.
+    /// Evaluation over a fresh and over a prebuilt index.
     fn both_ways(d: &Document, xpath: &str) -> [XValue; 2] {
         let expr = crate::parse(xpath).unwrap();
         let idx = DocIndex::build(d);
@@ -1724,7 +1491,7 @@ mod tests {
     }
 
     #[test]
-    fn positional_predicates_block_fusion() {
+    fn positional_predicates_stay_off_the_pattern() {
         let d = Document::parse_str(
             "<r><a k='1'><b/><c/><c/></a><x><a><b/><b/><c/></a><a k='2'/></x>\
              <a><a k='3'><c/></a><b/></a><book/><y><book/><author/><author/></y></r>",
@@ -1803,7 +1570,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_predicate_step_charges_matches_not_the_document() {
+    fn a_pattern_charges_the_postings_it_reads_not_the_document() {
         // 50,000 elements, ten of them `t`, five of those with k='v'.
         let mut d = Document::new();
         let root = d.add_element(d.root(), "r");
@@ -1826,26 +1593,24 @@ mod tests {
         assert!(d.node_count() > 50_000);
         let expr = crate::parse("//t[@k='v']").unwrap();
         let idx = DocIndex::build(&d);
-        for idx in [Some(&idx), None] {
-            let guard = Guard::new(gql_guard::Budget::unlimited());
-            let hits = evaluate_in(&d, &expr, idx, RunCtx::guarded(&guard))
-                .unwrap()
-                .into_nodes()
-                .unwrap();
-            assert_eq!(hits.len(), 5);
-            let report = guard.report().unwrap();
-            // 1 context + 10 candidates + per candidate one context and at
-            // most one attribute.
-            assert!(report.matches <= 31, "matches charged: {}", report.matches);
-            assert_eq!(report.rounds, 11);
-        }
+        let guard = Guard::new(gql_guard::Budget::unlimited());
+        let hits = evaluate_in(&d, &expr, &idx, RunCtx::guarded(&guard))
+            .unwrap()
+            .into_nodes()
+            .unwrap();
+        assert_eq!(hits.len(), 5);
+        let report = guard.report().unwrap();
+        // One pattern: the context, the ten `t` postings, and one attribute
+        // read per `t`.
+        assert_eq!(report.matches, 21);
+        assert_eq!(report.rounds, 1);
     }
 
     #[test]
-    fn walked_predicates_charge_the_rounds_of_a_built_node_set() {
+    fn a_pattern_charges_its_predicates_postings_once_per_query() {
         // Twenty `c` candidates: every second one has `k`, every third none
         // of the `a/b` pairs, and `x`, `y` values that make `x < 3 or y > 5`
-        // short-circuit on some and read both sides on others.
+        // hold on some and fail on others.
         let mut d = Document::new();
         let root = d.add_element(d.root(), "r");
         for i in 0..20 {
@@ -1864,30 +1629,31 @@ mod tests {
             d.add_text_element(c, "y", &(i % 9).to_string());
         }
         let idx = DocIndex::build(&d);
-        // Per predicate: the hits, and the rounds and matches the evaluator
-        // charged while it built a node-set per candidate.
-        for (xpath, hits, rounds, matches) in [
-            ("//c[a/b='v']", 7, 41, 158),
-            ("//c[not(a)]", 7, 21, 80),
-            ("//c[x < 3 or y > 5]", 11, 32, 83),
-            ("//c[@k]", 10, 21, 51),
+        // Per predicate: the hits, and what its pattern read — the postings
+        // of the context, of `c` and of each child element with a condition
+        // of its own (`a`, `b`, `x`, `y`), and per element asked, the
+        // children or the attribute a node without one is read off. One
+        // round each, however many candidates the predicate is decided at.
+        for (xpath, hits, matches) in [
+            ("//c[a/b='v']", 7, 1 + 20 + 39 + 39),
+            ("//c[not(a)]", 7, 1 + 20 + 27),
+            ("//c[x < 3 or y > 5]", 11, 1 + 20 + 20 + 20),
+            ("//c[@k]", 10, 1 + 20 + 20),
         ] {
             let expr = crate::parse(xpath).unwrap();
-            for idx in [Some(&idx), None] {
-                let guard = Guard::new(gql_guard::Budget::unlimited());
-                let found = evaluate_in(&d, &expr, idx, RunCtx::guarded(&guard))
-                    .unwrap()
-                    .into_nodes()
-                    .unwrap();
-                assert_eq!(found.len(), hits, "{xpath}");
-                let report = guard.report().unwrap();
-                assert_eq!(report.rounds, rounds, "{xpath}");
-                assert!(report.matches <= matches, "{xpath}: {}", report.matches);
-            }
+            let guard = Guard::new(gql_guard::Budget::unlimited());
+            let found = evaluate_in(&d, &expr, &idx, RunCtx::guarded(&guard))
+                .unwrap()
+                .into_nodes()
+                .unwrap();
+            assert_eq!(found.len(), hits, "{xpath}");
+            let report = guard.report().unwrap();
+            assert_eq!(report.rounds, 1, "{xpath}");
+            assert_eq!(report.matches, matches, "{xpath}");
         }
         // A candidate with 10,000 children that meet the node test and fail
-        // the comparison: the walk visits them all, and a matches budget
-        // trips inside it.
+        // the comparison: the pattern reads them all, and a matches budget
+        // trips.
         let mut d = Document::new();
         let root = d.add_element(d.root(), "r");
         let c = d.add_element(root, "c");
@@ -1896,12 +1662,10 @@ mod tests {
         }
         let expr = crate::parse("//c[x < 3]").unwrap();
         let idx = DocIndex::build(&d);
-        for idx in [Some(&idx), None] {
-            let guard = Guard::new(gql_guard::Budget::unlimited().with_max_matches(5_000));
-            match evaluate_in(&d, &expr, idx, RunCtx::guarded(&guard)) {
-                Err(XPathError::Budget(e)) => assert_eq!(e.kind, gql_guard::LimitKind::Matches),
-                other => panic!("expected a matches trip, got {other:?}"),
-            }
+        let guard = Guard::new(gql_guard::Budget::unlimited().with_max_matches(5_000));
+        match evaluate_in(&d, &expr, &idx, RunCtx::guarded(&guard)) {
+            Err(XPathError::Budget(e)) => assert_eq!(e.kind, gql_guard::LimitKind::Matches),
+            other => panic!("expected a matches trip, got {other:?}"),
         }
     }
 
@@ -1921,19 +1685,19 @@ mod tests {
         let idx = DocIndex::build(&d);
         let guard = Guard::new(gql_guard::Budget::unlimited());
         let trace = Trace::profiling();
-        let hits = evaluate_in(&d, &expr, Some(&idx), RunCtx::new(&trace, &guard))
+        let hits = evaluate_in(&d, &expr, &idx, RunCtx::new(&trace, &guard))
             .unwrap()
             .into_nodes()
             .unwrap();
         assert_eq!(hits.len(), 40);
-        // One round for the fused `//p`, one per candidate for `c`, and the
-        // inner path's two steps (`//d`, `e`) once, not a thousand times.
-        assert_eq!(guard.report().unwrap().rounds, 1 + 1_000 + 2);
+        // One round for the pattern `//p[c = …]`, and one for the inner
+        // path's, matched once, not a thousand times.
+        assert_eq!(guard.report().unwrap().rounds, 2);
         let profile = trace.finish().unwrap();
-        let step = profile.find("step[0:://p]").unwrap();
-        assert_eq!(step.counter("hoisted_paths"), Some(1));
-        assert_eq!(step.counter("predicates"), Some(1));
-        assert_eq!(step.counter("context_out"), Some(40));
+        let pattern = profile.find("pattern[0..2]").unwrap();
+        assert_eq!(pattern.counter("hoisted_paths"), Some(1));
+        assert_eq!(pattern.counter("candidates[q1:p]"), Some(1_000));
+        assert_eq!(pattern.counter("context_out"), Some(40));
         // A shared set read as a verdict, by `and`/`or`, or by a function.
         for (xpath, expect) in [
             ("//p[//d]", 1_000),

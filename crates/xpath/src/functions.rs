@@ -1,6 +1,6 @@
 //! The XPath 1.0 core function library.
 
-use gql_ssdm::value::is_xml_space;
+use gql_ssdm::value::xml_words as words;
 use gql_ssdm::Document;
 
 use crate::eval::{string_value, Item, View, XValue};
@@ -131,7 +131,7 @@ pub(crate) fn call(
                 }
                 other => tokens.extend(words(&other.string(doc)).map(str::to_string)),
             }
-            let idx = caches.index(doc);
+            let idx = caches.idx;
             let mut hits: Vec<Item> = tokens
                 .iter()
                 .filter_map(|t| idx.node_by_id(doc, t))
@@ -242,12 +242,6 @@ fn item_name(doc: &Document, item: Item) -> String {
             .map(|(n, _)| n.to_string())
             .unwrap_or_default(),
     }
-}
-
-/// The words of `s`, split on XML whitespace (§3.7) — not on U+00A0 or the
-/// other Unicode spaces, which are content.
-fn words(s: &str) -> impl Iterator<Item = &str> {
-    s.split(is_xml_space).filter(|w| !w.is_empty())
 }
 
 /// XPath `round` (§4.4): the closest integer, the one towards +∞ of two
@@ -455,15 +449,17 @@ mod tests {
     }
 
     /// Every function of the table dispatches, and its class is what it
-    /// returns: the `//Name[p]` fusion trusts the table to say which calls
-    /// make a predicate a position test. A function added to `call` but not
-    /// to the table has no class, which the analysis reads as "blocks
-    /// fusion", so a new function can be misclassified only by being listed
-    /// here under the wrong class — which this test then catches.
+    /// returns: the lowering onto a tree pattern trusts the table to say
+    /// which calls make a predicate a position test. A function added to
+    /// `call` but not to the table has no class, which the analysis reads as
+    /// "keeps the step off the pattern", so a new function can be
+    /// misclassified only by being listed here under the wrong class — which
+    /// this test then catches.
     #[test]
     fn every_function_is_classified_by_what_it_returns() {
         let d = Document::parse_str("<r id='a'><x>1.5</x><x>2</x></r>").unwrap();
-        let caches = crate::eval::EvalCaches::default();
+        let idx = gql_ssdm::DocIndex::build(&d);
+        let caches = crate::eval::EvalCaches::new(&idx, gql_guard::RunCtx::none());
         let root = Item::Node(d.root_element().unwrap());
         let kids: Vec<Item> = d
             .children(d.root_element().unwrap())

@@ -100,22 +100,25 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
 /// the parser can report span-carrying diagnostics. (Offsets count `char`s,
 /// matching the offsets in [`XPathError::Lex`].)
 pub fn tokenize_spanned(input: &str) -> Result<Vec<(Token, usize)>> {
-    // One allocation: a text has no more chars than bytes.
-    let mut chars = Vec::with_capacity(input.len());
-    chars.extend(input.chars());
+    // The text is read by byte offset `b`; `i` counts the chars before it,
+    // the offset tokens and errors report. Every character a token starts
+    // or ends with is ASCII, so a byte test never splits a char.
+    let bytes = input.as_bytes();
     let mut spanned = Vec::new();
-    let mut i = 0usize;
-    while i < chars.len() {
-        let c = chars[i];
-        let start = i;
+    let (mut b, mut i) = (0usize, 0usize);
+    while let Some(c) = input[b..].chars().next() {
         let mut toks = TokenSink {
             out: &mut spanned,
-            start,
+            start: i,
         };
+        let (next, start) = (bytes.get(b + 1).copied(), i);
         match c {
-            c if c.is_whitespace() => i += 1,
+            c if c.is_whitespace() => {
+                (b, i) = (b + c.len_utf8(), i + 1);
+                continue;
+            }
             '/' => {
-                if chars.get(i + 1) == Some(&'/') {
+                if next == Some(b'/') {
                     toks.push(Token::DoubleSlash);
                     i += 2;
                 } else {
@@ -124,12 +127,12 @@ pub fn tokenize_spanned(input: &str) -> Result<Vec<(Token, usize)>> {
                 }
             }
             '.' => {
-                if chars.get(i + 1) == Some(&'.') {
+                if next == Some(b'.') {
                     toks.push(Token::DotDot);
                     i += 2;
-                } else if chars.get(i + 1).is_some_and(|d| d.is_ascii_digit()) {
+                } else if next.is_some_and(|d| d.is_ascii_digit()) {
                     // .5 style number
-                    let (n, len) = lex_number(&chars[i..]).ok_or_else(|| XPathError::Lex {
+                    let (n, len) = lex_number(&input[b..]).ok_or_else(|| XPathError::Lex {
                         offset: i,
                         msg: "bad number".into(),
                     })?;
@@ -185,7 +188,7 @@ pub fn tokenize_spanned(input: &str) -> Result<Vec<(Token, usize)>> {
                 i += 1;
             }
             '!' => {
-                if chars.get(i + 1) == Some(&'=') {
+                if next == Some(b'=') {
                     toks.push(Token::Ne);
                     i += 2;
                 } else {
@@ -196,7 +199,7 @@ pub fn tokenize_spanned(input: &str) -> Result<Vec<(Token, usize)>> {
                 }
             }
             '<' => {
-                if chars.get(i + 1) == Some(&'=') {
+                if next == Some(b'=') {
                     toks.push(Token::Le);
                     i += 2;
                 } else {
@@ -205,7 +208,7 @@ pub fn tokenize_spanned(input: &str) -> Result<Vec<(Token, usize)>> {
                 }
             }
             '>' => {
-                if chars.get(i + 1) == Some(&'=') {
+                if next == Some(b'=') {
                     toks.push(Token::Ge);
                     i += 2;
                 } else {
@@ -214,7 +217,7 @@ pub fn tokenize_spanned(input: &str) -> Result<Vec<(Token, usize)>> {
                 }
             }
             ':' => {
-                if chars.get(i + 1) == Some(&':') {
+                if next == Some(b':') {
                     toks.push(Token::ColonColon);
                     i += 2;
                 } else {
@@ -225,23 +228,20 @@ pub fn tokenize_spanned(input: &str) -> Result<Vec<(Token, usize)>> {
                 }
             }
             '"' | '\'' => {
-                let quote = c;
-                let start = i + 1;
-                let mut j = start;
-                while j < chars.len() && chars[j] != quote {
-                    j += 1;
-                }
-                if j >= chars.len() {
+                let Some(len) = input[b + 1..].find(c) else {
                     return Err(XPathError::Lex {
                         offset: i,
                         msg: "unterminated literal".into(),
                     });
-                }
-                toks.push(Token::Literal(chars[start..j].iter().collect()));
-                i = j + 1;
+                };
+                let literal = &input[b + 1..b + 1 + len];
+                toks.push(Token::Literal(literal.to_string()));
+                b += len + 2;
+                i += literal.chars().count() + 2;
+                continue;
             }
             c if c.is_ascii_digit() => {
-                let (n, len) = lex_number(&chars[i..]).ok_or_else(|| XPathError::Lex {
+                let (n, len) = lex_number(&input[b..]).ok_or_else(|| XPathError::Lex {
                     offset: i,
                     msg: "bad number".into(),
                 })?;
@@ -249,15 +249,16 @@ pub fn tokenize_spanned(input: &str) -> Result<Vec<(Token, usize)>> {
                 i += len;
             }
             c if is_name_start(c) => {
-                let start = i;
-                while i < chars.len() && is_name_char(chars[i]) {
-                    i += 1;
-                }
                 // Names must not swallow a trailing '.' that is actually a
                 // path dot — but XPath names can legitimately contain dots;
                 // XPath 1.0 resolves this in favour of the name, which we
                 // follow.
-                toks.push(Token::Name(chars[start..i].iter().collect()));
+                let rest = &input[b..];
+                let len = rest.find(|c| !is_name_char(c)).unwrap_or(rest.len());
+                toks.push(Token::Name(rest[..len].to_string()));
+                b += len;
+                i += rest[..len].chars().count();
+                continue;
             }
             other => {
                 return Err(XPathError::Lex {
@@ -266,27 +267,23 @@ pub fn tokenize_spanned(input: &str) -> Result<Vec<(Token, usize)>> {
                 })
             }
         }
+        // An ASCII token: as many bytes as chars.
+        b += i - start;
     }
     Ok(spanned)
 }
 
 /// Lex digits [. digits]; returns (value, chars consumed).
-fn lex_number(chars: &[char]) -> Option<(f64, usize)> {
-    let mut j = 0;
-    while j < chars.len() && chars[j].is_ascii_digit() {
-        j += 1;
-    }
-    if j < chars.len() && chars[j] == '.' {
-        j += 1;
-        while j < chars.len() && chars[j].is_ascii_digit() {
-            j += 1;
-        }
+fn lex_number(s: &str) -> Option<(f64, usize)> {
+    let digits = |from: usize| s[from..].bytes().take_while(u8::is_ascii_digit).count();
+    let mut j = digits(0);
+    if s.as_bytes().get(j) == Some(&b'.') {
+        j += 1 + digits(j + 1);
     }
     if j == 0 {
         return None;
     }
-    let s: String = chars[..j].iter().collect();
-    s.parse::<f64>().ok().map(|n| (n, j))
+    s[..j].parse::<f64>().ok().map(|n| (n, j))
 }
 
 #[cfg(test)]

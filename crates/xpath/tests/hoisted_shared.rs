@@ -60,13 +60,13 @@ fn a_hoisted_set_is_charged_and_allocated_once_for_a_thousand_candidates() {
         let expr = parse(xpath).unwrap();
         let guard = Guard::new(Budget::unlimited());
         let before = ALLOCATED.load(Ordering::Relaxed);
-        let found = evaluate_in(&doc, &expr, Some(&idx), RunCtx::guarded(&guard))
+        let found = evaluate_in(&doc, &expr, &idx, RunCtx::guarded(&guard))
             .unwrap()
             .into_nodes()
             .unwrap();
         let allocated = ALLOCATED.load(Ordering::Relaxed) - before;
         assert_eq!(found.len(), hits, "{xpath}");
-        // One round for the fused `//p` and one for each fused `//b`; the
+        // One round for the pattern `//p[…]` and one for each `//b`; the
         // candidates and each inner set are charged once.
         let report = guard.report().unwrap();
         assert_eq!(report.rounds, 1 + inner, "{xpath}");

@@ -636,3 +636,83 @@ fn a_preloaded_engine_answers_from_a_document_changed_in_place() {
         cold
     );
 }
+
+/// ID/IDREF values are split and trimmed on XML's four whitespace
+/// characters alone: a no-break space is part of a token. Over one document
+/// whose `refs` holds two ids joined by U+00A0 and whose `ref` starts with
+/// one, every reader of the references finds none — the WG-Log loader and
+/// its reference, the summary, and `id()` in the evaluator and in the
+/// textbook reference.
+#[test]
+fn reference_values_split_on_xml_whitespace_alone() {
+    let doc = Document::parse_str(
+        "<db><p id='p1'/><p id='p2'/><v refs='p1&#160;p2'/><w ref='&#160;p1'/></db>",
+    )
+    .unwrap();
+    let references = ["ref", "refs", "idref", "idrefs"];
+    let loaded = Instance::from_document(&doc);
+    let edges = loaded.edges().filter(|e| references.contains(&e.label));
+    let reference = gql_testkit::reference::loader::load(&doc);
+    let reference_edges = (reference.edges.iter()).filter(|e| references.contains(&e.1.as_str()));
+    let summary = gql::ssdm::Summary::build(&doc).stats();
+    let ids = |xpath: &str| {
+        let expr = gql::xpath::parse(xpath).unwrap();
+        let count = |v: gql::xpath::XValue| v.into_nodes().unwrap().len();
+        let evaluated = count(gql::xpath::evaluate(&doc, &expr).unwrap());
+        let textbook = count(gql_testkit::reference::xpath::evaluate(&doc, &expr).unwrap());
+        assert_eq!(evaluated, textbook, "{xpath}");
+        evaluated
+    };
+    let counts = [
+        edges.count(),
+        reference_edges.count(),
+        summary.ref_edges,
+        ids("id(//v/@refs)"),
+        ids("id(//w/@ref)"),
+    ];
+    assert_eq!(
+        counts, [0; 5],
+        "loader, reference loader, summary, id() twice"
+    );
+    assert_eq!(summary.dangling_refs, 2);
+}
+
+/// A predicate is asked only at the nodes its path reaches, as the textbook
+/// evaluator asks it: one that fails with a type error (`count('x')`)
+/// answers the empty set where no node reaches it — along the chain, below
+/// an edge, or behind a false `and` — and the error where one does.
+#[test]
+fn a_failing_predicate_fails_only_where_the_path_reaches_it() {
+    for (xml, xpath, fails) in [
+        ("<x><r/><a/></x>", "/x/r/a[count('x') > 0]", false),
+        ("<x><r/><a/></x>", "//r/a[count('x') > 0]", false),
+        ("<x><r/><a/></x>", "/x/r[a[count('x') > 0]]", false),
+        ("<x><r/><a/></x>", "/x/r[.//a[count('x') > 0]]", false),
+        (
+            "<x><a><b/></a></x>",
+            "//a[false() and b[count('x') > 0]]",
+            false,
+        ),
+        (
+            "<x><a><b/></a></x>",
+            "//a[false() and .//b[count('x') > 0]]",
+            false,
+        ),
+        ("<x><r><a/></r></x>", "/x/r/a[count('x') > 0]", true),
+        ("<x><r><a/></r></x>", "/x/r[.//a[count('x') > 0]]", true),
+    ] {
+        let doc = Document::parse_str(xml).unwrap();
+        let expr = gql::xpath::parse(xpath).unwrap();
+        let evaluated = gql::xpath::evaluate(&doc, &expr);
+        let textbook = gql_testkit::reference::xpath::evaluate(&doc, &expr);
+        assert_eq!(
+            evaluated.is_err(),
+            fails,
+            "{xpath} over {xml}: {evaluated:?}"
+        );
+        assert_eq!(textbook.is_err(), fails, "{xpath} over {xml}: {textbook:?}");
+        if let (Ok(evaluated), Ok(textbook)) = (evaluated, textbook) {
+            assert_eq!(evaluated, textbook, "{xpath} over {xml}");
+        }
+    }
+}

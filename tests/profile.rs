@@ -414,47 +414,103 @@ fn xmlgl_nested_chains_read_postings_in_linear_count() {
     );
 }
 
-/// An XPath location path over a fixed tree: the profile must report the
-/// exact context sizes flowing between steps, and the postings-fusion hit
-/// for a `//name` prefix.
+/// The XPath form of the bar above: over one chain of `d` nested `a`s,
+/// `count(//a//a)` and `count(//a[.//a])` are each one tree pattern, which
+/// is charged the postings it reads. So both answer under a matches budget
+/// of `4·d` at depth 250 and at depth 1000. A step that read each `a`'s
+/// descendants off its own slice of the postings charged `d²/2` at least,
+/// 125 times that budget at depth 1000.
+#[test]
+fn xpath_nested_chains_answer_under_a_budget_linear_in_depth() {
+    use gql::guard::{Budget, Guard, RunCtx};
+    for depth in [250, 1000] {
+        let doc = format!("{}{}", "<a>".repeat(depth), "</a>".repeat(depth));
+        let doc = Document::parse_str(&doc).unwrap();
+        let mut engine = Engine::new();
+        engine.preload(&doc);
+        for query in ["count(//a//a)", "count(//a[.//a])"] {
+            let guard = Guard::new(Budget::unlimited().with_max_matches(4 * depth as u64));
+            let query = QueryKind::XPath(query.to_string());
+            let out = (engine.execute(&query, &doc, RunCtx::guarded(&guard)))
+                .unwrap_or_else(|e| panic!("{query:?} at depth {depth}: {e}"));
+            let answer = format!("<answer>{}</answer>", depth - 1);
+            assert_eq!(out.output.to_xml_string(), answer, "{query:?}");
+        }
+    }
+}
+
+/// A predicate on a path's chain is asked at the nodes the path reaches,
+/// not at every posting of its name. Over `<x>` holding one chain of `d`
+/// nested `a`s, `/x/a` reaches one `a`, so `/x/a[count(.//a) > 0]` reads
+/// that `a`'s descendants once: it answers under a matches budget of `5·d`
+/// and a handful of rounds, at depth 250 and at depth 1000. Asked at every
+/// `a`, it would read `d²/2` descendants in `3·d` rounds.
+#[test]
+fn xpath_chain_predicates_are_asked_where_the_path_reaches() {
+    use gql::guard::{Budget, Guard, RunCtx};
+    for depth in [250, 1000] {
+        let doc = format!("<x>{}{}</x>", "<a>".repeat(depth), "</a>".repeat(depth));
+        let doc = Document::parse_str(&doc).unwrap();
+        let mut engine = Engine::new();
+        engine.preload(&doc);
+        let budget = Budget::unlimited().with_max_matches(5 * depth as u64);
+        let guard = Guard::new(budget.with_max_rounds(16));
+        let query = QueryKind::XPath("count(/x/a[count(.//a) > 0])".to_string());
+        let out = (engine.execute(&query, &doc, RunCtx::guarded(&guard)))
+            .unwrap_or_else(|e| panic!("at depth {depth}: {e}"));
+        assert_eq!(out.output.to_xml_string(), "<answer>1</answer>");
+    }
+}
+
+/// An XPath location path over a fixed tree: the profile reports the exact
+/// context sizes flowing between a path's spans — one per run of steps
+/// matched as a tree pattern, one per step applied item by item — and each
+/// pattern node's postings read.
 #[test]
 fn xpath_profile_reports_exact_context_sizes() {
     let doc = Document::parse_str("<r><a><b>1</b><b>2</b></a><a><b>3</b></a><c><b>4</b></c></r>")
         .unwrap();
 
-    // Explicit child steps, no fusion: every context size is pinned.
+    // Child steps: one pattern, reading the context, the one `r`, both
+    // `a`s and all four `b`s (a `b` under `c` too, which the top-down pass
+    // drops).
     let profile = profiled(&QueryKind::XPath("/r/a/b".to_string()), &doc);
     let run = profile.find("run").unwrap();
     assert_eq!(run.note("engine"), Some("xpath"));
     let eval = run.find("eval").unwrap();
-    let step0 = eval.find("step[0:child::r]").unwrap();
-    assert_eq!(counter(step0, "context_in"), 1);
-    assert_eq!(counter(step0, "context_out"), 1);
-    assert_eq!(counter(step0, "scanned_items"), 1);
-    let step1 = eval.find("step[1:child::a]").unwrap();
-    assert_eq!(counter(step1, "context_in"), 1);
-    assert_eq!(counter(step1, "context_out"), 2);
-    let step2 = eval.find("step[2:child::b]").unwrap();
-    assert_eq!(counter(step2, "context_in"), 2);
-    assert_eq!(counter(step2, "context_out"), 3);
-    assert_eq!(counter(step2, "scanned_items"), 3);
+    let pattern = eval.find("pattern[0..3]").unwrap();
+    assert_eq!(
+        pattern.counters,
+        [
+            ("context_in".to_string(), 1),
+            ("candidates[q0:.]".to_string(), 1),
+            ("candidates[q1:r]".to_string(), 1),
+            ("candidates[q2:a]".to_string(), 2),
+            ("candidates[q3:b]".to_string(), 4),
+            ("context_out".to_string(), 3),
+        ]
+    );
     assert_eq!(counter(run, "results"), 3);
 
-    // A `//a` prefix fuses `descendant-or-self::node()/child::a` into one
-    // step (the span keeps the original step numbering, hence the jump
-    // from step 0 to step 2).
-    let profile = profiled(&QueryKind::XPath("//a/b".to_string()), &doc);
+    // A positional predicate is applied per parent, item by item; the
+    // steps around it are patterns over the context sizes it leaves.
+    let profile = profiled(&QueryKind::XPath("/r/a[1]/b".to_string()), &doc);
     let eval = profile.find("eval").unwrap();
-    let fused = eval.find("step[0:://a]").unwrap();
-    assert_eq!(counter(fused, "fusion_hits"), 1);
-    assert_eq!(counter(fused, "context_in"), 1);
-    assert_eq!(counter(fused, "context_out"), 2);
-    let tail = eval.find("step[2:child::b]").unwrap();
-    assert_eq!(counter(tail, "context_in"), 2);
-    assert_eq!(counter(tail, "context_out"), 3);
+    let head = eval.find("pattern[0..1]").unwrap();
+    assert_eq!(counter(head, "context_in"), 1);
+    assert_eq!(counter(head, "context_out"), 1);
+    let step = eval.find("step[1:child::a]").unwrap();
+    assert_eq!(counter(step, "context_in"), 1);
+    assert_eq!(counter(step, "predicates"), 1);
+    assert_eq!(counter(step, "context_out"), 1);
+    let tail = eval.find("pattern[2..3]").unwrap();
+    assert_eq!(counter(tail, "context_in"), 1);
+    assert_eq!(counter(tail, "candidates[q1:b]"), 4);
+    assert_eq!(counter(tail, "context_out"), 2);
 
-    // Warm engine: same shape, and the index phase reports the cache hit
-    // with the index's size counters.
+    // `//a` is one descendant edge of the pattern (its two steps are
+    // `descendant-or-self::node()/child::a`); warm, the index phase
+    // reports the cache hit with the index's size counters.
     let mut engine = Engine::new();
     engine.preload(&doc);
     let warm = engine
@@ -466,23 +522,19 @@ fn xpath_profile_reports_exact_context_sizes() {
     let index = run.find("index").unwrap();
     assert_eq!(index.note("cache"), Some("hit"));
     assert_eq!(counter(index, "distinct_tags"), 4); // r a b c
-    assert_eq!(
-        counter(
-            run.find("eval").unwrap().find("step[0:://a]").unwrap(),
-            "fusion_hits"
-        ),
-        1
-    );
+    let pattern = run.find("eval").unwrap().find("pattern[0..3]").unwrap();
+    assert_eq!(counter(pattern, "candidates[q1:a]"), 2);
+    assert_eq!(counter(pattern, "candidates[q2:b]"), 4);
+    assert_eq!(counter(pattern, "context_out"), 3);
     assert_eq!(counter(run, "results"), 3);
 }
 
-/// A `//name[p]` step with a position-free predicate is one fused span:
-/// candidates come off the postings (or one name-filtered walk, cold) and
-/// are filtered through the predicate, so `context_out` counts the
-/// survivors; and an absolute path inside a predicate is evaluated once,
-/// which the enclosing step counts as `hoisted_paths`.
+/// A position-free predicate is a condition of its pattern node: `//a[p]`
+/// is one span, whose counters say which postings the predicate's own
+/// nodes read; an absolute path inside a predicate is matched once, which
+/// the enclosing span counts as `hoisted_paths`.
 #[test]
-fn xpath_profile_reports_fused_predicate_steps_and_hoisted_paths() {
+fn xpath_profile_reports_pattern_counters_and_hoisted_paths() {
     let doc = Document::parse_str(
         "<r><a k='v'><b>1</b><b>2</b></a><a k='w'><b>3</b></a><c><a k='v'><b>2</b></a></c>\
          <d><e>2</e><e>9</e></d></r>",
@@ -491,38 +543,39 @@ fn xpath_profile_reports_fused_predicate_steps_and_hoisted_paths() {
     let mut warm = Engine::new();
     warm.preload(&doc);
     for engine in [Engine::new(), warm] {
-        // 3 `a` candidates, 2 with k='v', 3 `b` children under those.
+        // 3 `a` postings, each read for `@k`; 2 with k='v', 3 `b` children
+        // under those, of the 4 `b` postings. The path's nodes come first,
+        // then its predicates'.
         let query = QueryKind::XPath("//a[@k='v']/b".to_string());
         let profile = engine.run_profiled(&query, &doc).unwrap().profile.unwrap();
         let eval = profile.find("eval").unwrap();
-        let fused = eval.find("step[0:://a]").unwrap();
-        assert_eq!(counter(fused, "context_in"), 1);
-        assert_eq!(counter(fused, "fusion_hits"), 1);
-        assert_eq!(counter(fused, "predicates"), 1);
-        assert_eq!(counter(fused, "context_out"), 2);
-        assert_eq!(fused.counter("hoisted_paths"), None);
-        assert!(eval.find("step[0:descendant-or-self::node()]").is_none());
-        let tail = eval.find("step[2:child::b]").unwrap();
-        assert_eq!(counter(tail, "context_in"), 2);
-        assert_eq!(counter(tail, "context_out"), 3);
+        let pattern = eval.find("pattern[0..3]").unwrap();
+        assert_eq!(counter(pattern, "context_in"), 1);
+        assert_eq!(counter(pattern, "candidates[q1:a]"), 3);
+        assert_eq!(counter(pattern, "candidates[q2:b]"), 4);
+        assert_eq!(counter(pattern, "candidates[q3:@k]"), 3);
+        assert_eq!(counter(pattern, "context_out"), 3);
+        assert_eq!(pattern.counter("hoisted_paths"), None);
+        assert_eq!(eval.children.len(), 1, "one span for the whole path");
         assert_eq!(counter(profile.find("run").unwrap(), "results"), 3);
 
-        // 4 `b` candidates, each compared with the two `e` of the inner
-        // path, which is evaluated once; its own steps open no spans.
+        // 4 `b` postings, each compared with the two `e` of the inner
+        // path, which is matched once; its own pattern opens no span.
         let query = QueryKind::XPath("//b[. = //d/e]".to_string());
         let profile = engine.run_profiled(&query, &doc).unwrap().profile.unwrap();
         let eval = profile.find("eval").unwrap();
-        let fused = eval.find("step[0:://b]").unwrap();
-        assert_eq!(counter(fused, "predicates"), 1);
-        assert_eq!(counter(fused, "hoisted_paths"), 1);
-        assert_eq!(counter(fused, "context_out"), 2);
-        assert!(eval.find("step[0:://d]").is_none());
+        let pattern = eval.find("pattern[0..2]").unwrap();
+        assert_eq!(counter(pattern, "candidates[q1:b]"), 4);
+        assert_eq!(counter(pattern, "hoisted_paths"), 1);
+        assert_eq!(counter(pattern, "context_out"), 2);
+        assert!(pattern.children.is_empty());
 
         // A positional predicate keeps the per-parent steps.
         let query = QueryKind::XPath("//b[1]".to_string());
         let profile = engine.run_profiled(&query, &doc).unwrap().profile.unwrap();
         let eval = profile.find("eval").unwrap();
-        assert!(eval.find("step[0:://b]").is_none());
+        assert!(eval.find("pattern[0..2]").is_none());
+        assert!(eval.find("step[0:descendant-or-self::node()]").is_some());
         let per_parent = eval.find("step[1:child::b]").unwrap();
         assert_eq!(counter(per_parent, "predicates"), 1);
         assert_eq!(counter(per_parent, "context_out"), 3);
