@@ -73,11 +73,22 @@ impl Windows {
         self.record_n(lane, 1);
     }
 
+    /// Count one event on `lane` at `now_micros`: a reading of this ring's
+    /// clock that the caller already holds, so several rings (and an event
+    /// stamp) can share one reading.
+    pub fn record_at(&self, lane: usize, now_micros: u64) {
+        self.record_n_at(lane, 1, now_micros);
+    }
+
     /// Count `n` events on `lane` at the clock's current second in one
     /// increment. Used by weighted budgets (e.g. match-unit quotas)
     /// where a single admission charges many units at once.
     pub fn record_n(&self, lane: usize, n: u64) {
-        let epoch = self.clock.now_micros() / 1_000_000;
+        self.record_n_at(lane, n, self.clock.now_micros());
+    }
+
+    fn record_n_at(&self, lane: usize, n: u64, now_micros: u64) {
+        let epoch = now_micros / 1_000_000;
         let slot = &self.slots[(epoch as usize) % WINDOW_SLOTS];
         if slot.epoch.load(Ordering::Acquire) != epoch {
             // Elect one rotator: the swap returns the stale stamp to
@@ -228,6 +239,16 @@ mod tests {
         w.record_n(0, 9);
         assert_eq!(w.sums(1), [9, 0], "weighted counts rotate like unit ones");
         assert_eq!(w.sums(10), [50, 0]);
+    }
+
+    #[test]
+    fn record_at_counts_into_the_second_of_the_given_reading() {
+        let (clock, w) = windows(1);
+        clock.advance_secs(3);
+        w.record_at(0, 1_500_000); // second 1, two seconds ago
+        w.record_at(0, clock.now_micros());
+        assert_eq!(w.sums(1), [1]);
+        assert_eq!(w.sums(10), [2]);
     }
 
     #[test]

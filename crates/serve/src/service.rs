@@ -1025,7 +1025,8 @@ fn run_job(inner: &Inner, job: Job, log: &mut TraceLog) -> Response {
         permit,
         epoch,
     } = job;
-    inner.telemetry.on_dequeue(&run.meta);
+    let dequeued = inner.telemetry.on_dequeue(&run.meta);
+    inner.telemetry.on_start(&run.meta, dequeued);
     let guard = Guard::with_cancel(budget, cancel);
     let response =
         match std::panic::catch_unwind(AssertUnwindSafe(|| execute(inner, &run, &guard, log))) {
@@ -1053,9 +1054,8 @@ fn run_job(inner: &Inner, job: Job, log: &mut TraceLog) -> Response {
 fn execute(inner: &Inner, job: &Run, guard: &Guard, log: &mut TraceLog) -> Response {
     let c = &inner.counters;
     let tele = &inner.telemetry;
-    tele.on_start(&job.meta);
     // Chaos seam: an injected fault poisons this job here — after the
-    // start event, so the supervised catch in `run_job` keeps every
+    // start event `run_job` recorded, so its supervised catch keeps every
     // telemetry conservation law intact.
     if inner.chaos && fault::take_panic_job() {
         panic!("injected fault: panic_jobs");
@@ -1898,6 +1898,44 @@ mod tests {
                 EventKind::Reply
             ]
         );
+        service.shutdown();
+    }
+
+    /// The telemetry plane's clock, counted: a hook reads it once, and
+    /// `on_start` shares `on_dequeue`'s reading. A warm admitted request
+    /// reads it four times (eight when each window took its own reading
+    /// and each hook its own).
+    #[test]
+    fn a_warm_admitted_request_reads_the_telemetry_clock_four_times() {
+        #[derive(Default)]
+        struct Counting {
+            inner: gql_metrics::MonotonicClock,
+            readings: AtomicUsize,
+        }
+        impl gql_metrics::Clock for Counting {
+            fn now_micros(&self) -> u64 {
+                self.readings.fetch_add(1, Ordering::SeqCst);
+                self.inner.now_micros()
+            }
+        }
+        let clock = Arc::new(Counting::default());
+        let mut catalog = Catalog::new();
+        catalog.register_xml("bib", "<bib><book/></bib>").unwrap();
+        let mut tenants = TenantRegistry::new();
+        tenants.register("public", Envelope::slots(8));
+        let service = Service::builder()
+            .workers(1)
+            .catalog(catalog)
+            .tenants(tenants)
+            .telemetry(TelemetryConfig::default().with_clock(clock.clone()))
+            .build();
+        let h = service.handle();
+        let req = Request::new("public", "bib", "xpath", "//book");
+        assert!(h.submit(&req).is_ok());
+        let before = clock.readings.load(Ordering::SeqCst);
+        assert!(h.submit(&req).is_ok());
+        let readings = clock.readings.load(Ordering::SeqCst) - before;
+        assert!(readings <= 4, "{readings} telemetry clock readings");
         service.shutdown();
     }
 }

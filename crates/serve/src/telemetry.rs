@@ -13,7 +13,10 @@
 //! keyed-histogram lookup and the slow log, which is off the fast path by
 //! definition), and the concurrency differential oracle holds responses
 //! byte-identical to a fresh engine. [`Telemetry::probes`] counts hook
-//! firings: five per admitted request.
+//! firings: five per admitted request. A hook reads the clock once, and
+//! every window and event it records shares that reading; `on_start`
+//! reuses `on_dequeue`'s, which it directly follows. An admitted request
+//! costs four clock readings.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -159,23 +162,25 @@ impl Telemetry {
         self.clock.now_micros()
     }
 
-    fn lane(&self, tenant: Option<&str>, lane: usize) {
-        self.service_windows.record(lane);
+    /// Count one event on `lane`, service-wide and for `tenant`, at the
+    /// hook's clock reading `now`.
+    fn lane(&self, tenant: Option<&str>, lane: usize, now: u64) {
+        self.service_windows.record_at(lane, now);
         if let Some(w) = tenant.and_then(|t| self.tenant_windows.get(t)) {
-            w.record(lane);
+            w.record_at(lane, now);
         }
     }
 
     /// A request entered `submit` (tenant `None` until resolution).
     pub(crate) fn on_submitted(&self, tenant: Option<&str>) {
         self.probes.fetch_add(1, Ordering::Relaxed);
-        self.lane(tenant, LANE_SUBMITTED);
+        self.lane(tenant, LANE_SUBMITTED, self.clock.now_micros());
     }
 
     /// Admission control bounced the request.
     pub(crate) fn on_rejected(&self, tenant: &str) {
         self.probes.fetch_add(1, Ordering::Relaxed);
-        self.lane(Some(tenant), LANE_REJECTED);
+        self.lane(Some(tenant), LANE_REJECTED, self.clock.now_micros());
     }
 
     /// Admission granted: mint the request id and its reply-site context.
@@ -188,7 +193,7 @@ impl Telemetry {
         self.probes.fetch_add(1, Ordering::Relaxed);
         let request_id = self.next_request_id.fetch_add(1, Ordering::Relaxed);
         let now = self.clock.now_micros();
-        self.lane(Some(tenant), LANE_ADMITTED);
+        self.lane(Some(tenant), LANE_ADMITTED, now);
         self.events.record(Event {
             request_id,
             kind: EventKind::Admit,
@@ -205,23 +210,26 @@ impl Telemetry {
     }
 
     /// The job took its run slot at the gate, and its caller runs it.
-    pub(crate) fn on_dequeue(&self, meta: &RequestMeta) {
+    /// Returns the hook's clock reading, for `on_start`.
+    pub(crate) fn on_dequeue(&self, meta: &RequestMeta) -> u64 {
         self.probes.fetch_add(1, Ordering::Relaxed);
+        let now = self.clock.now_micros();
         self.events.record(Event {
             request_id: meta.request_id,
             kind: EventKind::Dequeue,
-            t_micros: self.clock.now_micros(),
+            t_micros: now,
             code: 0,
         });
+        now
     }
 
-    /// The engine run began.
-    pub(crate) fn on_start(&self, meta: &RequestMeta) {
+    /// The engine run began, straight after `on_dequeue` returned `now`.
+    pub(crate) fn on_start(&self, meta: &RequestMeta, now: u64) {
         self.probes.fetch_add(1, Ordering::Relaxed);
         self.events.record(Event {
             request_id: meta.request_id,
             kind: EventKind::Start,
-            t_micros: self.clock.now_micros(),
+            t_micros: now,
             code: 0,
         });
     }
@@ -260,7 +268,7 @@ impl Telemetry {
             )
             .record(service_us);
         if outcome == "cancelled" {
-            self.lane(Some(&meta.tenant), LANE_CANCELLED);
+            self.lane(Some(&meta.tenant), LANE_CANCELLED, now);
         }
         if trip.is_some() {
             self.events.record(Event {
@@ -728,8 +736,8 @@ mod tests {
         let (clock, t) = telemetry();
         t.on_submitted(Some("t"));
         let meta = &t.on_admitted(&"t".into(), "query", &"//a".into());
-        t.on_dequeue(meta);
-        t.on_start(meta);
+        let dequeued = t.on_dequeue(meta);
+        t.on_start(meta, dequeued);
         clock.advance_micros(250); // nonzero service time → slow at threshold 0
         t.on_reply(
             meta,

@@ -28,8 +28,6 @@
 //! [`subtree_eq`] (two walks in lockstep). It reads the document, not the
 //! index: a consumer hashes the cells it actually compares, not every node.
 
-use std::collections::HashMap;
-
 use crate::arena::Symbol;
 use crate::document::{Document, NodeKind};
 use crate::idref::{RefEdge, RefPass, RefTable};
@@ -300,6 +298,54 @@ pub struct IndexStats {
     pub text_elements: usize,
 }
 
+/// Document-ordered lists of elements, one per interned symbol, back to
+/// back in one buffer: a symbol's list is found by its interner id, with no
+/// hash and no allocation of its own.
+#[derive(Debug, Clone, Default)]
+struct Postings {
+    nodes: Vec<NodeId>,
+    /// Per symbol id: where its list starts in `nodes`, and how long it is.
+    lists: Vec<(u32, u32)>,
+}
+
+impl Postings {
+    /// Room for `counts[s]` elements under the symbol with id `s`.
+    fn with_room(counts: &[u32]) -> Postings {
+        let mut total = 0u32;
+        let lists = (counts.iter())
+            .map(|&count| {
+                let start = total;
+                total += count;
+                (start, 0)
+            })
+            .collect();
+        Postings {
+            nodes: vec![NodeId::from_index(0); total as usize],
+            lists,
+        }
+    }
+
+    /// Append `node` to `sym`'s list, within the room made for it.
+    fn push(&mut self, sym: Symbol, node: NodeId) {
+        let (start, len) = &mut self.lists[sym.index()];
+        self.nodes[(*start + *len) as usize] = node;
+        *len += 1;
+    }
+
+    fn get(&self, sym: Symbol) -> &[NodeId] {
+        (self.lists.get(sym.index())).map_or(EMPTY, |&(start, len)| {
+            &self.nodes[start as usize..][..len as usize]
+        })
+    }
+
+    /// The symbols with a non-empty list, each with its list.
+    fn iter(&self) -> impl Iterator<Item = (Symbol, &[NodeId])> + '_ {
+        (0..self.lists.len() as u32)
+            .map(|s| (Symbol(s), self.get(Symbol(s))))
+            .filter(|(_, list)| !list.is_empty())
+    }
+}
+
 /// One-pass document index: postings and interval numbering. See the module
 /// docs for the access paths it provides.
 #[derive(Debug, Clone)]
@@ -313,11 +359,11 @@ pub struct DocIndex {
     /// Every node reachable from the root, in preorder (document order).
     preorder: Vec<NodeId>,
     /// Elements by tag symbol, in document order.
-    by_tag: HashMap<Symbol, Vec<NodeId>>,
+    by_tag: Postings,
     /// All elements, in document order.
     elements: Vec<NodeId>,
     /// Elements carrying an attribute with the given name, in document order.
-    by_attr: HashMap<Symbol, Vec<NodeId>>,
+    by_attr: Postings,
     /// Elements with at least one direct text child, in document order.
     with_text: Vec<NodeId>,
     /// The document's ID/IDREF references, resolved.
@@ -343,14 +389,12 @@ impl DocIndex {
         // Counting pre-pass: one flat arena sweep sizes every posting
         // container exactly, so the preorder pass below never reallocates —
         // repeated `Vec` doublings (each a memcpy of a large postings list)
-        // and `HashMap` rehashes dominated the build on large documents.
-        // Detached nodes are counted too: a slightly generous capacity is
-        // harmless. Per-symbol counts are dense arrays indexed by the
-        // interner id, not maps.
+        // dominated the build on large documents. Detached nodes are
+        // counted too: a slightly generous room is harmless. Per-symbol
+        // counts are dense arrays indexed by the interner id, not maps, and
+        // so are the postings they size.
         let mut element_total = 0usize;
         let mut text_total = 0usize;
-        let mut distinct_tags = 0usize;
-        let mut distinct_attrs = 0usize;
         let mut tag_counts: Vec<u32> = Vec::new();
         let mut attr_counts: Vec<u32> = Vec::new();
         let has_text =
@@ -366,7 +410,6 @@ impl DocIndex {
                 if s >= tag_counts.len() {
                     tag_counts.resize(s + 1, 0);
                 }
-                distinct_tags += usize::from(tag_counts[s] == 0);
                 tag_counts[s] += 1;
             }
             for sym in doc.attr_syms(node) {
@@ -374,7 +417,6 @@ impl DocIndex {
                 if s >= attr_counts.len() {
                     attr_counts.resize(s + 1, 0);
                 }
-                distinct_attrs += usize::from(attr_counts[s] == 0);
                 attr_counts[s] += 1;
             }
             text_total += usize::from(has_text(node));
@@ -383,9 +425,9 @@ impl DocIndex {
             pre: vec![u32::MAX; n],
             end: vec![u32::MAX; n],
             preorder: Vec::new(),
-            by_tag: HashMap::with_capacity(distinct_tags),
+            by_tag: Postings::with_room(&tag_counts),
             elements: Vec::with_capacity(element_total),
-            by_attr: HashMap::with_capacity(distinct_attrs),
+            by_attr: Postings::with_room(&attr_counts),
             with_text: Vec::with_capacity(text_total),
             refs: RefTable::default(),
             built_for: n,
@@ -407,19 +449,12 @@ impl DocIndex {
             if doc.kind(node) == NodeKind::Element {
                 idx.elements.push(node);
                 if let Some(sym) = doc.name_sym(node) {
-                    idx.by_tag
-                        .entry(sym)
-                        .or_insert_with(|| Vec::with_capacity(tag_counts[sym.index()] as usize))
-                        .push(node);
+                    idx.by_tag.push(sym, node);
                 }
                 for sym in doc.attr_syms(node) {
-                    let posting = idx
-                        .by_attr
-                        .entry(sym)
-                        .or_insert_with(|| Vec::with_capacity(attr_counts[sym.index()] as usize));
                     // An element appears once even with duplicate names.
-                    if posting.last() != Some(&node) {
-                        posting.push(node);
+                    if idx.by_attr.get(sym).last() != Some(&node) {
+                        idx.by_attr.push(sym, node);
                     }
                 }
                 if has_text(node) {
@@ -449,8 +484,7 @@ impl DocIndex {
 
     /// FNV-style checksum over the numbering arrays and posting lists.
     /// Per-list hashes are order-dependent (a reordered posting is corrupt);
-    /// the map-level accumulation is order-independent because `HashMap`
-    /// iteration order is unstable.
+    /// the lists' hashes are summed, in no particular order.
     fn compute_checksum(&self) -> u64 {
         const SEED: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x100_0000_01b3;
@@ -474,10 +508,10 @@ impl DocIndex {
         h = mix(h, list_hash(&self.elements));
         h = mix(h, list_hash(&self.with_text));
         let mut acc: u64 = 0;
-        for list in self.by_tag.values() {
+        for (_, list) in self.by_tag.iter() {
             acc = acc.wrapping_add(list_hash(list));
         }
-        for list in self.by_attr.values() {
+        for (_, list) in self.by_attr.iter() {
             acc = acc.wrapping_add(list_hash(list).rotate_left(17));
         }
         self.refs.checksum(|v| h = mix(h, v));
@@ -496,9 +530,9 @@ impl DocIndex {
     /// backs the `corrupt_postings` fault-injection seam in integration
     /// tests; it has no production callers.
     pub fn corrupt_for_test(&mut self) {
-        if let Some(list) = self.by_tag.values_mut().max_by_key(|v| v.len()) {
-            if !list.is_empty() {
-                list.pop();
+        if let Some((_, len)) = self.by_tag.lists.iter_mut().max_by_key(|l| l.1) {
+            if *len > 0 {
+                *len -= 1;
                 return;
             }
         }
@@ -543,7 +577,7 @@ impl DocIndex {
 
     /// All elements whose tag is `sym`, in document order.
     pub fn elements_named_sym(&self, sym: Symbol) -> &[NodeId] {
-        self.by_tag.get(&sym).map_or(EMPTY, Vec::as_slice)
+        self.by_tag.get(sym)
     }
 
     /// All elements, in document order.
@@ -553,7 +587,7 @@ impl DocIndex {
 
     /// Elements carrying an attribute whose name is `sym`, in document order.
     pub fn elements_with_attr_sym(&self, sym: Symbol) -> &[NodeId] {
-        self.by_attr.get(&sym).map_or(EMPTY, Vec::as_slice)
+        self.by_attr.get(sym)
     }
 
     /// Elements with at least one direct text child, in document order.
@@ -579,7 +613,7 @@ impl DocIndex {
     /// Distinct tags with their element counts (the free projection backing
     /// [`crate::Summary::from_index`]'s per-tag totals).
     pub fn tag_counts(&self) -> impl Iterator<Item = (Symbol, usize)> + '_ {
-        self.by_tag.iter().map(|(&sym, v)| (sym, v.len()))
+        self.by_tag.iter().map(|(sym, list)| (sym, list.len()))
     }
 
     /// Total number of elements reachable from the root.
@@ -642,8 +676,8 @@ impl DocIndex {
     pub fn stats(&self) -> IndexStats {
         IndexStats {
             elements: self.elements.len(),
-            distinct_tags: self.by_tag.len(),
-            distinct_attrs: self.by_attr.len(),
+            distinct_tags: self.by_tag.iter().count(),
+            distinct_attrs: self.by_attr.iter().count(),
             text_elements: self.with_text.len(),
         }
     }

@@ -9,7 +9,10 @@
 //!    An enabled handle appends each probe to the log's flat arrays — no
 //!    allocation, lookup or lock per probe — and the log's buffers are
 //!    reused from run to run ([`TraceLog::record`]), which is what lets
-//!    the query service trace every request it serves.
+//!    the query service trace every request it serves. A span reads the
+//!    clock at its open and its close; a *phase* ([`Trace::phase`]) only at
+//!    its open, because the phases of a run tile it and each one ends where
+//!    the next begins.
 //!    Engines thread a `&Trace` unconditionally; hot loops additionally
 //!    aggregate into plain integers and report once per coarse phase (per
 //!    root, per join, per fixpoint round, per XPath step), never per
@@ -158,15 +161,34 @@ impl Trace {
     }
 
     /// Open a span; it closes (and records its wall-clock duration) when
-    /// the returned guard drops.
+    /// the returned guard drops. An open and a close read the clock once
+    /// each.
     #[inline]
     pub fn span(&self, name: impl Label) -> SpanGuard<'_> {
+        self.open(name, false)
+    }
+
+    /// Open a *phase*: a span that tiles its parent with its sibling
+    /// phases. It leaves the open-span stack when its guard drops, as a span
+    /// does, but reads no clock then: its end is stamped by the next
+    /// reading its log takes — the next phase's open, or its parent's
+    /// close. A phase boundary therefore costs one clock reading, and the
+    /// time between two phases (a checkpoint, a note on the parent) counts
+    /// to the phase before it.
+    #[inline]
+    pub fn phase(&self, name: impl Label) -> SpanGuard<'_> {
+        self.open(name, true)
+    }
+
+    #[inline]
+    fn open(&self, name: impl Label, tiles: bool) -> SpanGuard<'_> {
         SpanGuard {
             trace: self,
             open: self
                 .log
                 .as_ref()
-                .map(|log| (log.borrow_mut().record_open(name), Instant::now())),
+                .map(|log| log.borrow_mut().record_open(name)),
+            tiles,
         }
     }
 
@@ -190,7 +212,11 @@ impl Trace {
     /// Consume the handle and build the span tree; `None` for a disabled
     /// handle.
     pub fn finish(self) -> Option<ExecutionProfile> {
-        self.log.map(|log| log.into_inner().profile())
+        self.log.map(|log| {
+            let mut log = log.into_inner();
+            log.settle();
+            log.profile()
+        })
     }
 }
 
@@ -206,25 +232,27 @@ impl TraceLog {
         };
         let out = run(&trace);
         *self = trace.log.map(RefCell::into_inner).unwrap_or_default();
+        self.settle();
         out
     }
 }
 
-/// RAII guard returned by [`Trace::span`]; closes the span on drop.
+/// RAII guard returned by [`Trace::span`] and [`Trace::phase`]; closes the
+/// span on drop.
 #[must_use = "a span lasts as long as its guard; dropping immediately records an empty span"]
 pub struct SpanGuard<'t> {
     trace: &'t Trace,
     open: Option<(u32, Instant)>,
+    tiles: bool,
 }
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         if let (Some((id, started)), Some(log)) = (self.open.take(), &self.trace.log) {
-            let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
             // `try_`: a guard dropped while a panic unwinds through a probe
             // must not panic again.
             if let Ok(mut log) = log.try_borrow_mut() {
-                log.record_close(id, nanos);
+                log.record_close(id, started, self.tiles);
             }
         }
     }
@@ -341,6 +369,46 @@ mod tests {
             first.shape(),
             "run\n  plan plan_cache=hit\n  step[0:child]\n"
         );
+    }
+
+    #[test]
+    fn phases_tile_their_parent_at_one_reading_a_boundary() {
+        let pause = || std::thread::sleep(std::time::Duration::from_micros(50));
+        let mut log = TraceLog::new();
+        log.record(|trace| {
+            let _run = trace.span("run");
+            {
+                let _a = trace.phase("a");
+                let _op = trace.span("op");
+                trace.count("inside", 1);
+                pause();
+            }
+            // Closed phases leave the stack at once: this is the run's.
+            trace.count("between", 1);
+            let _b = trace.phase("b");
+            pause();
+        });
+        // run: open and close; a, b: open only; op: open and close.
+        assert_eq!(log.readings(), 6);
+        assert_eq!(log.probes(), 10);
+        assert_eq!(
+            log.profile().shape(),
+            "run between=1\n  a\n    op inside=1\n  b\n"
+        );
+        let run = log.find("run").unwrap();
+        let phases: Vec<u64> = log.children(run).map(|(_, nanos)| nanos).collect();
+        assert!(phases.iter().all(|&nanos| nanos >= 50_000), "{phases:?}");
+        let (_, op) = log.children(log.find("a").unwrap()).next().unwrap();
+        assert!(phases[0] >= op);
+        assert!(u128::from(phases.iter().sum::<u64>()) <= log.profile().roots[0].nanos);
+
+        // A phase closed last is stamped when the run ends.
+        let t = Trace::profiling();
+        {
+            let _p = t.phase("p");
+            pause();
+        }
+        assert!(t.finish().unwrap().roots[0].nanos >= 50_000);
     }
 
     #[test]

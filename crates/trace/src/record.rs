@@ -1,7 +1,8 @@
 //! The flat trace record behind an enabled [`crate::Trace`].
 //!
 //! A run's probes append to two arrays and one byte arena: a span per
-//! `span` call (name, parent, duration filled in when its guard drops), a
+//! `span` or `phase` call (name, parent, duration filled in when its guard
+//! drops, or for a phase at the log's next clock reading), a
 //! fact per `count` / `note` call (owning span, name, delta or value), and
 //! every name and note value back to back in one `String`. Nothing is
 //! looked up, merged or allocated per probe; `clear` keeps the capacity, so
@@ -12,6 +13,8 @@
 //! [`ExecutionProfile`] tree, and [`TraceLog::find`] / [`TraceLog::note`] /
 //! [`TraceLog::children`] answer the few questions the service asks of
 //! every request straight from the arrays, by reference.
+
+use std::time::Instant;
 
 use crate::profile::{ExecutionProfile, ProfileNode};
 use crate::Label;
@@ -30,7 +33,8 @@ struct Text {
 struct Span {
     name: Text,
     parent: u32,
-    /// Zero until (and unless) the span's guard closes it while it is open.
+    /// Zero until (and unless) the span's guard closes it while it is open
+    /// (for a phase: until the log's next clock reading after that).
     nanos: u64,
 }
 
@@ -59,6 +63,11 @@ pub struct TraceLog {
     bytes: String,
     /// The open spans, innermost last.
     stack: Vec<u32>,
+    /// A closed phase and its start, waiting for the next clock reading to
+    /// stamp its end.
+    pending: Option<(u32, Instant)>,
+    /// Clock readings taken.
+    readings: usize,
 }
 
 impl TraceLog {
@@ -72,6 +81,25 @@ impl TraceLog {
         self.facts.clear();
         self.bytes.clear();
         self.stack.clear();
+        self.pending = None;
+        self.readings = 0;
+    }
+
+    /// Read the clock, and end the phase waiting for this reading.
+    fn now(&mut self) -> Instant {
+        let now = Instant::now();
+        self.readings += 1;
+        if let Some((id, started)) = self.pending.take() {
+            self.spans[id as usize].nanos = nanos(started, now);
+        }
+        now
+    }
+
+    /// End a phase still waiting for a reading (a phase closed last).
+    pub(crate) fn settle(&mut self) {
+        if self.pending.is_some() {
+            self.now();
+        }
     }
 
     fn text(&mut self, label: impl Label) -> Text {
@@ -92,7 +120,7 @@ impl TraceLog {
         self.stack.last().copied().unwrap_or(NONE)
     }
 
-    pub(crate) fn record_open(&mut self, name: impl Label) -> u32 {
+    pub(crate) fn record_open(&mut self, name: impl Label) -> (u32, Instant) {
         let id = u32::try_from(self.spans.len()).expect("more than 2^32 trace spans");
         let span = Span {
             name: self.text(name),
@@ -101,17 +129,27 @@ impl TraceLog {
         };
         self.spans.push(span);
         self.stack.push(id);
-        id
+        (id, self.now())
     }
 
-    /// Close span `id` and every span opened inside it that is still open
-    /// (a leaked or out-of-order guard cannot corrupt deeper nesting). A
-    /// span that is no longer open closes nothing it owns: the stack
-    /// unwinds looking for it and its duration stays zero.
-    pub(crate) fn record_close(&mut self, id: u32, nanos: u64) {
+    /// Close span `id`, opened at `started`, and every span opened inside
+    /// it that is still open (a leaked or out-of-order guard cannot corrupt
+    /// deeper nesting). A span that is no longer open closes nothing it
+    /// owns: the stack unwinds looking for it and its duration stays zero.
+    /// A span that `tiles` (a phase) is stamped at the next reading, not
+    /// now.
+    pub(crate) fn record_close(&mut self, id: u32, started: Instant, tiles: bool) {
         while let Some(top) = self.stack.pop() {
             if top == id {
-                self.spans[id as usize].nanos = nanos;
+                if !tiles {
+                    let now = self.now();
+                    self.spans[id as usize].nanos = nanos(started, now);
+                } else {
+                    // Only nested phases close twice without a reading
+                    // between them; the inner one is stamped here.
+                    self.settle();
+                    self.pending = Some((id, started));
+                }
                 return;
             }
         }
@@ -141,6 +179,12 @@ impl TraceLog {
         2 * self.spans.len() + self.facts.len()
     }
 
+    /// Clock readings behind this record: one per span open, one per span
+    /// close, none per phase close.
+    pub fn readings(&self) -> usize {
+        self.readings
+    }
+
     /// The first span named `name`, in the preorder of the span tree (what
     /// [`ExecutionProfile::find`] returns on the built tree).
     pub fn find(&self, name: &str) -> Option<usize> {
@@ -167,7 +211,8 @@ impl TraceLog {
     }
 
     /// Build the span tree. Spans still open are included with the
-    /// duration recorded so far (zero if never closed).
+    /// duration recorded so far (zero if never closed, or a phase closed
+    /// but not yet stamped).
     pub fn profile(&self) -> ExecutionProfile {
         let node = |name: &str, nanos: u64| ProfileNode {
             name: name.to_string(),
@@ -218,4 +263,9 @@ impl TraceLog {
         }
         ExecutionProfile { roots }
     }
+}
+
+/// Nanoseconds from `from` to `to`, saturating.
+fn nanos(from: Instant, to: Instant) -> u64 {
+    u64::try_from(to.duration_since(from).as_nanos()).unwrap_or(u64::MAX)
 }

@@ -644,3 +644,56 @@ fn json_profiles_of_the_example_queries_name_every_phase() {
         }
     }
 }
+
+/// A run's trace reads the clock at each span's open and close, but once
+/// per phase boundary: the phases tile the run, each ending where the next
+/// begins. Warm Q1 — the benchmark's point item, on the city guide at scale
+/// 8 — stays at its ceiling in each language. (When a phase read the clock
+/// at both ends, the three took 16, 18 and 20 readings.)
+#[test]
+fn a_warm_q1_reads_the_clock_once_per_phase_boundary() {
+    use gql::core::{Prepared, RunCtx};
+    use gql::ssdm::sink::XmlSink;
+    use gql::trace::TraceLog;
+
+    let doc = generator::cityguide(generator::CityConfig {
+        restaurants: 8,
+        hotels: 2,
+        seed: 11,
+    });
+    let q01 = |file: &str| {
+        std::fs::read_to_string(format!(
+            "{}/gql-benchmark/queries/{file}",
+            env!("CARGO_MANIFEST_DIR")
+        ))
+        .expect("the benchmark's Q1")
+    };
+    let items = [
+        (QueryKind::XPath(q01("q01.xpath").trim().to_string()), 10),
+        (
+            QueryKind::XmlGl(gql::xmlgl::dsl::parse(&q01("q01.xmlgl")).unwrap()),
+            14,
+        ),
+        (
+            QueryKind::WgLog(gql::wglog::dsl::parse(&q01("q01.wglog")).unwrap()),
+            15,
+        ),
+    ];
+    for (query, ceiling) in items {
+        let mut engine = Engine::new();
+        engine.preload(&doc);
+        let prepared = Prepared::new(query);
+        let mut log = TraceLog::new();
+        for _ in 0..2 {
+            let mut xml = String::new();
+            log.record(|trace| {
+                let sink = &mut XmlSink::new(&mut xml);
+                engine.execute_into(&prepared, &doc, RunCtx::traced(trace), sink)
+            })
+            .expect("Q1 runs");
+        }
+        let readings = log.readings();
+        let shape = log.profile().shape();
+        assert!(readings <= ceiling, "{readings} readings:\n{shape}");
+    }
+}
