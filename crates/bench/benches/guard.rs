@@ -11,13 +11,16 @@
 //!   few loads and stores on cells the run owns, and one relaxed load of
 //!   the cancel flag. It is held to that on an XML-GL extract of over a
 //!   thousand rows, Q8's `menu`/`price` pattern over the city guide at
-//!   scale 1000, where a probe fires per pattern node and per row.
+//!   scale 1000, where a probe fires per pattern node and per row; once
+//!   with no deadline, as the benchmark's tenants run, and once under the
+//!   30 s timeout `gql-serve` gives every request, whose clock a probe
+//!   reads only every `DEADLINE_CADENCE`-th time.
 //!
 //! Both asserted figures are *derived* bounds, immune to run-to-run noise:
 //! the number of guard probes one governed run fires (read exactly from an
 //! enabled guard's probe counter) times the measured cost of one probe
-//! must stay under 2% (disabled) and 20% (enabled) of the run's time
-//! without a guard. Both take a probe's cost by one rule: the time of an
+//! must stay under 2% (disabled) and 20% (enabled, with or without a
+//! deadline) of the run's time without a guard. Both take a probe's cost by one rule: the time of an
 //! `ok()` and a `charge_matches()` together, a conservative 2× overcount.
 //! The enabled bound reads 7–12% on a 2-vCPU machine, so it does not meet
 //! a 5% bar; 20% fails a guard of atomics and locks (65–75% there).
@@ -142,7 +145,8 @@ fn bench_guard_overhead(c: &mut Criterion) {
     );
 }
 
-/// The guard a served request runs under, on an extract of many rows.
+/// The guards a served request runs under, on an extract of many rows:
+/// without a deadline, and under `gql-serve`'s own 30 s timeout.
 fn bench_enabled_guard_overhead(c: &mut Criterion) {
     let doc = cityguide(CityConfig {
         restaurants: 1000,
@@ -159,7 +163,6 @@ fn bench_enabled_guard_overhead(c: &mut Criterion) {
     .remove(0);
     let plan = JoinPlan::new(&rule, None);
     let extract = |ctx: RunCtx<'_>| match_rule_in(&rule, &doc, &idx, &plan, ctx);
-    let served = || Guard::with_cancel(Budget::unlimited(), CancelToken::new());
     let rows = extract(RunCtx::none()).len();
     assert!(rows >= 1000, "the extract yields {rows} rows, under 1,000");
 
@@ -168,50 +171,70 @@ fn bench_enabled_guard_overhead(c: &mut Criterion) {
     let unguarded = group.bench_function("extract_rows/no_guard", |b| {
         b.iter(|| extract(RunCtx::none()))
     });
-    group.bench_function("extract_rows/served_guard", |b| {
-        b.iter(|| {
-            let guard = served();
-            extract(RunCtx::guarded(&guard)).len()
-        })
-    });
-    let counting = served();
-    extract(RunCtx::guarded(&counting));
-    let probes_per_run = counting.probes();
-
-    // An enabled probe's cost, by the disabled bound's rule: each iteration
-    // fires one `ok()` and one `charge_matches()`, on a guard the optimiser
-    // cannot see into (as the matcher's, behind a reference, is to it), and
-    // the batch time is divided by the batch size only, a conservative 2×
-    // overcount.
-    const PROBE_BATCH: u32 = 1024;
-    let probe = group.bench_function("served_probe_x1024", |b| {
-        let g = served();
-        b.iter(|| {
-            let mut alive = 0u32;
-            for _ in 0..PROBE_BATCH {
-                let g = black_box(&g);
-                if g.ok() && g.charge_matches(1) {
-                    alive += 1;
-                }
-            }
-            alive
-        })
-    }) / PROBE_BATCH;
-    let derived = probe.as_secs_f64() * probes_per_run as f64;
-    let derived_pct = 100.0 * derived / unguarded.as_secs_f64().max(f64::MIN_POSITIVE);
     group.record_metric("extract_rows/rows", rows as f64, "rows");
-    group.record_metric(
-        "extract_rows/probes_per_run",
-        probes_per_run as f64,
-        "probes",
-    );
-    group.record_metric("extract_rows/derived_overhead_pct", derived_pct, "%");
+    let mut over = Vec::new();
+    for (arm, budget) in [
+        ("served", Budget::unlimited()),
+        (
+            "served_timeout",
+            Budget::unlimited().with_timeout_ms(30_000),
+        ),
+    ] {
+        let served = || Guard::with_cancel(budget.clone(), CancelToken::new());
+        group.bench_function(format!("extract_rows/{arm}_guard"), |b| {
+            b.iter(|| {
+                let guard = served();
+                extract(RunCtx::guarded(&guard)).len()
+            })
+        });
+        let counting = served();
+        extract(RunCtx::guarded(&counting));
+        let probes_per_run = counting.probes();
+
+        // An enabled probe's cost, by the disabled bound's rule: each
+        // iteration fires one `ok()` and one `charge_matches()`, on a guard
+        // the optimiser cannot see into (as the matcher's, behind a
+        // reference, is to it), and the batch time is divided by the batch
+        // size only, a conservative 2× overcount.
+        const PROBE_BATCH: u32 = 1024;
+        let probe = group.bench_function(format!("{arm}_probe_x1024"), |b| {
+            let g = served();
+            b.iter(|| {
+                let mut alive = 0u32;
+                for _ in 0..PROBE_BATCH {
+                    let g = black_box(&g);
+                    if g.ok() && g.charge_matches(1) {
+                        alive += 1;
+                    }
+                }
+                alive
+            })
+        }) / PROBE_BATCH;
+        let derived = probe.as_secs_f64() * probes_per_run as f64;
+        let derived_pct = 100.0 * derived / unguarded.as_secs_f64().max(f64::MIN_POSITIVE);
+        group.record_metric(
+            format!("extract_rows/{arm}/probes_per_run"),
+            probes_per_run as f64,
+            "probes",
+        );
+        group.record_metric(
+            format!("extract_rows/{arm}/derived_overhead_pct"),
+            derived_pct,
+            "%",
+        );
+        if derived_pct >= 20.0 {
+            over.push(format!(
+                "{arm}: {derived_pct:.2}% ({probes_per_run} probes × {probe:?}/probe)"
+            ));
+        }
+    }
     group.finish();
 
     assert!(
-        derived_pct < 20.0,
-        "enabled-guard overhead bound is {derived_pct:.2}% of a {rows}-row extract \
-         ({probes_per_run} probes × {probe:?}/probe vs {unguarded:?}/run)"
+        over.is_empty(),
+        "enabled-guard overhead bound is over 20% of a {rows}-row extract \
+         ({unguarded:?}/run unguarded): {}",
+        over.join("; ")
     );
 }
 

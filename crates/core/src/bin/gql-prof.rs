@@ -27,11 +27,12 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::time::Duration;
 
 use gql_core::engine::{Engine, QueryKind};
 use gql_core::{Budget, CoreError, Guard, RunCtx};
 use gql_ssdm::{generator, Document};
-use gql_trace::Trace;
+use gql_trace::{ProfileNode, Trace};
 
 struct Options {
     query: Option<PathBuf>,
@@ -261,9 +262,23 @@ fn main() -> ExitCode {
             "plan_cache: {{hit: {}, miss: {}, evict: {}, replan: {}}}",
             stats.hits, stats.misses, stats.evictions, stats.replans
         );
+        // The timings are the profile's own: the `eval` phase, and the
+        // `load` (WG-Log) or `index` phase before it with its cache note.
+        let phase = |name: &str| {
+            let run = profile.find("run")?;
+            run.children.iter().find(|c| c.name == name)
+        };
+        let took = |node: Option<&ProfileNode>| {
+            Duration::from_nanos(node.map_or(0, |n| n.nanos).try_into().unwrap_or(u64::MAX))
+        };
+        let load = phase("load").or_else(|| phase("index"));
         println!(
-            "{} result(s) in {:?} (load {:?})",
-            outcome.result_count, outcome.eval_time, outcome.load_time
+            "{} result(s) in {:?} ({} {:?}, cache={})",
+            outcome.result_count,
+            took(phase("eval")),
+            load.map_or("load", |n| n.name.as_str()),
+            took(load),
+            load.and_then(|n| n.note("cache")).unwrap_or("none")
         );
     }
     ExitCode::SUCCESS

@@ -8,11 +8,10 @@
 
 use std::borrow::Cow;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
 
 use gql_guard::{fault, RunCtx};
 use gql_infer::Inference;
-use gql_plan::{CacheStats, CachedPlan, PlanCache, PlanKey, QueryKey, StatsCell};
+use gql_plan::{CacheStats, CachedPlan, PlanCache, PlanKey, QueryKey};
 use gql_ssdm::sink::{DocSink, Sink};
 use gql_ssdm::{shallow_fingerprint, DocIndex, Document, Summary};
 use gql_trace::{joined, ExecutionProfile, Trace};
@@ -143,13 +142,11 @@ pub struct RunOutcome<O = Document> {
     /// A size proxy comparable across engines: result elements for XML-GL /
     /// XPath, goal objects for WG-Log.
     pub result_count: usize,
-    /// Pure evaluation time.
-    pub eval_time: Duration,
-    /// Time spent preparing the data representation (WG-Log's instance
-    /// load; zero for the tree-native engines).
-    pub load_time: Duration,
     /// The execution profile, when the run was profiled
-    /// ([`Engine::run_profiled`]); `None` for plain [`Engine::run`]s.
+    /// ([`Engine::run_profiled`]); `None` for plain [`Engine::run`]s. It
+    /// holds the run's timings: the engine reads no clock of its own, so
+    /// how long the `load` / `index` and `eval` phases took is read off
+    /// its spans.
     pub profile: Option<ExecutionProfile>,
     /// Static inference of the query against the document's structural
     /// summary: GQL014–GQL016 warnings (statically-empty queries, dead
@@ -192,20 +189,13 @@ pub struct Engine {
     /// fingerprint): on a hit the analyze/plan phases are served from the
     /// cache and the run goes parse → execution.
     plan_cache: Mutex<PlanCache>,
-    /// Snapshot-consistent view of the plan cache's counters, cloned from
-    /// the cache at construction so [`Engine::plan_cache_stats`] never
-    /// contends with planners holding the cache mutex.
-    plan_stats: Arc<StatsCell>,
 }
 
 impl Default for Engine {
     fn default() -> Self {
-        let plan_cache = PlanCache::default();
-        let plan_stats = plan_cache.stats_cell();
         Engine {
             resident: None,
-            plan_cache: Mutex::new(plan_cache),
-            plan_stats,
+            plan_cache: Mutex::new(PlanCache::default()),
         }
     }
 }
@@ -267,12 +257,11 @@ impl Engine {
     }
 
     /// Cumulative plan-cache counters (hits, misses, evictions, replans,
-    /// lookups) since engine construction. Reads a snapshot-consistent
-    /// seqlock cell rather than the cache mutex, so concurrent callers on
-    /// a shared engine never block planners or observe torn totals
+    /// lookups) since engine construction, read under the cache's lock, so
+    /// a concurrent caller never observes a torn total
     /// (`CacheStats::is_consistent` holds for every returned value).
     pub fn plan_cache_stats(&self) -> CacheStats {
-        self.plan_stats.snapshot()
+        self.lock_plan_cache().stats()
     }
 
     /// Number of plans currently resident in the cache.
@@ -397,8 +386,6 @@ impl Engine {
         Ok(RunOutcome {
             output,
             result_count: outcome.result_count,
-            eval_time: outcome.eval_time,
-            load_time: outcome.load_time,
             profile: outcome.profile,
             inference: outcome.inference,
             plan: outcome.plan,
@@ -565,7 +552,6 @@ impl Engine {
         let plan_text = Arc::clone(&planned.plan_text);
         match query {
             QueryKind::XmlGl(program) => {
-                let start = Instant::now();
                 // Resolve the index up front (the cold path built it inside
                 // `eval::run` before tracing existed — building it here is
                 // semantically identical and gives the build its own span).
@@ -592,13 +578,10 @@ impl Engine {
                     gql_xmlgl::eval::run_in(program, doc, idx, &planned.joins, ctx, sink)
                         .map_err(engine_err_xmlgl)?
                 };
-                let eval_time = start.elapsed();
                 trace.count("results", result_count as u64);
                 Ok(RunOutcome {
                     output: (),
                     result_count,
-                    eval_time,
-                    load_time: Duration::ZERO,
                     profile: None,
                     inference,
                     plan: plan_text,
@@ -610,12 +593,11 @@ impl Engine {
                 let loaded;
                 let span = ctx.phase("load");
                 trace.note("cache", self.cache_state(resident.is_some()));
-                let (instance, load_time): (&Instance, Duration) = match resident {
-                    Some(resident) => (&resident.instance, Duration::ZERO),
+                let instance: &Instance = match resident {
+                    Some(resident) => &resident.instance,
                     None => {
-                        let start = Instant::now();
                         loaded = Instance::from_document(doc);
-                        (&loaded, start.elapsed())
+                        &loaded
                     }
                 };
                 if trace.is_enabled() {
@@ -624,7 +606,6 @@ impl Engine {
                 }
                 drop(span);
                 guard.checkpoint().map_err(CoreError::Budget)?;
-                let start = Instant::now();
                 let result = {
                     let _s = ctx.phase("eval");
                     let plan = (planned.wglog.as_ref())
@@ -634,7 +615,6 @@ impl Engine {
                         .map(|(db, _)| db)
                         .map_err(engine_err_wglog)?
                 };
-                let eval_time = start.elapsed();
                 let span = ctx.phase("construct");
                 let goal = program.goal.as_deref().unwrap_or("answer");
                 let goal_objects = result.objects_of_type(goal).count();
@@ -650,8 +630,6 @@ impl Engine {
                 Ok(RunOutcome {
                     output: (),
                     result_count: goal_objects,
-                    eval_time,
-                    load_time,
                     profile: None,
                     inference,
                     plan: plan_text,
@@ -668,7 +646,6 @@ impl Engine {
                         None => unreachable!("an XPath query is prepared with its parse"),
                     }
                 };
-                let start = Instant::now();
                 let span = ctx.phase("index");
                 trace.note("cache", self.cache_state(resident.is_some()));
                 let mut built = None;
@@ -682,7 +659,6 @@ impl Engine {
                     let _s = ctx.phase("eval");
                     gql_xpath::evaluate_in(doc, parsed, idx, ctx).map_err(engine_err_xpath)?
                 };
-                let eval_time = start.elapsed();
                 let span = ctx.phase("construct");
                 let before = sink.nodes();
                 sink.start("answer");
@@ -712,8 +688,6 @@ impl Engine {
                 Ok(RunOutcome {
                     output: (),
                     result_count: count,
-                    eval_time,
-                    load_time: Duration::ZERO,
                     profile: None,
                     inference,
                     plan: plan_text,
@@ -831,11 +805,18 @@ mod tests {
         let d = doc();
         let mut engine = Engine::new();
         let q = equivalent_queries().remove(1);
-        let cold = engine.run(&q, &d).unwrap();
-        assert!(cold.load_time > Duration::ZERO);
+        let load = |outcome: &RunOutcome| {
+            let profile = outcome.profile.as_ref().unwrap();
+            let load = profile.find("run").unwrap().find("load").unwrap();
+            (load.note("cache").map(str::to_string), load.nanos)
+        };
+        let cold = engine.run_profiled(&q, &d).unwrap();
+        let (cache, nanos) = load(&cold);
+        assert_eq!(cache.as_deref(), Some("cold"));
+        assert!(nanos > 0, "the cold run's load phase took no time");
         engine.preload(&d);
-        let warm = engine.run(&q, &d).unwrap();
-        assert_eq!(warm.load_time, Duration::ZERO);
+        let warm = engine.run_profiled(&q, &d).unwrap();
+        assert_eq!(load(&warm).0.as_deref(), Some("hit"));
         assert_eq!(warm.result_count, cold.result_count);
     }
 
@@ -869,10 +850,10 @@ mod tests {
         let xml = outcome.output.to_xml_string();
         assert!(xml.contains("<name>Z</name>"), "{xml}");
         assert!(!xml.contains("<name>A</name>"), "answered from `d`: {xml}");
-        assert!(outcome.load_time > Duration::ZERO);
         let profile = outcome.profile.unwrap();
         let load = profile.find("run").unwrap().find("load").unwrap();
         assert_eq!(load.note("cache"), Some("miss"));
+        assert!(load.nanos > 0, "the missed instance was not loaded");
     }
 
     #[test]

@@ -46,7 +46,12 @@ use gql_trace::{SpanGuard, Trace};
 /// evaluation with [`Guard::new`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Budget {
-    /// Wall-clock deadline, measured from `Guard::new`.
+    /// Wall-clock deadline, measured from `Guard::new`. The guard reads
+    /// the clock at every [`Guard::checkpoint`] and every round charged
+    /// ([`Guard::charge_rounds`]), and at other probes 1, 2, 4, … up to
+    /// [`DEADLINE_CADENCE`] and every `DEADLINE_CADENCE`-th after, so a run
+    /// trips at its first checkpoint or round after the deadline or within
+    /// `DEADLINE_CADENCE` probes of it, whichever comes first.
     pub timeout: Option<Duration>,
     /// Cap on fixpoint rounds (WG-Log) / step iterations charged via
     /// [`Guard::charge_rounds`].
@@ -104,6 +109,12 @@ impl Budget {
         self
     }
 }
+
+/// Probes between two deadline checks once a run has made this many (a
+/// power of two). A clock reading costs ten to twenty times a probe's
+/// loads and stores; one per 256 probes is a fifth of a nanosecond a
+/// probe, and 256 probes are microseconds of a run.
+pub const DEADLINE_CADENCE: u64 = 256;
 
 /// Cooperative cancellation handle. Clone it, hand one clone to the caller
 /// and attach the other to a guard via [`Guard::with_cancel`]; the next
@@ -347,7 +358,7 @@ impl Guard {
             None => true,
             Some(inner) => {
                 inner.probe();
-                !inner.tripped() && inner.check_ambient()
+                !inner.tripped() && inner.check_ambient(false)
             }
         }
     }
@@ -385,14 +396,15 @@ impl Guard {
     /// Convert a recorded trip into its error. Call this after running an
     /// infallible section (the XML-GL matcher) so truncated partial results
     /// are discarded rather than returned as answers. Also performs an
-    /// ambient (deadline / cancellation) check.
+    /// ambient (deadline / cancellation) check, reading the clock whatever
+    /// the probe count.
     pub fn checkpoint(&self) -> Result<(), GuardError> {
         match &self.inner {
             None => Ok(()),
             Some(inner) => {
                 inner.probe();
                 if !inner.tripped() {
-                    inner.check_ambient();
+                    inner.check_ambient(true);
                 }
                 match inner.trip.get() {
                     Some(e) => Err(e.clone()),
@@ -504,19 +516,26 @@ impl Inner {
             self.trip(kind);
             return false;
         }
-        self.check_ambient()
+        // A round (a fixpoint round, an XPath step) may take long: the
+        // deadline is read at every one.
+        self.check_ambient(kind == LimitKind::Rounds)
     }
 
-    /// Deadline and cancellation checks (no counter charging). Returns
-    /// `false` if either tripped the guard.
+    /// Cancellation and deadline checks (no counter charging). Returns
+    /// `false` if either tripped the guard. The cancel flag is read every
+    /// time; the clock only when `always`, or when the probe count is due
+    /// (see [`Budget::timeout`]).
     #[inline]
-    fn check_ambient(&self) -> bool {
+    fn check_ambient(&self, always: bool) -> bool {
         if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
             self.trip(LimitKind::Cancelled);
             return false;
         }
         if let Some(timeout) = self.budget.timeout {
-            if self.started.elapsed() > timeout {
+            let probe = self.probes.get();
+            // Probes 1, 2, 4, …, DEADLINE_CADENCE, then its multiples.
+            let due = always || probe & (probe.min(DEADLINE_CADENCE) - 1) == 0;
+            if due && self.started.elapsed() > timeout {
                 self.trip(LimitKind::Timeout);
                 return false;
             }
@@ -895,6 +914,39 @@ mod tests {
         assert!(!g.ok());
         assert_eq!(g.error().unwrap().kind, LimitKind::Timeout);
         assert!(g.error().unwrap().report.elapsed >= Duration::from_millis(5));
+    }
+
+    /// Past its first `DEADLINE_CADENCE` probes, a run reads the clock on
+    /// every `DEADLINE_CADENCE`-th probe, and at every checkpoint and round.
+    #[test]
+    fn a_deadline_is_read_on_a_bounded_cadence() {
+        let budget = Budget::unlimited().with_timeout(Duration::from_millis(100));
+        let g = Guard::new(budget.clone());
+        for _ in 0..=DEADLINE_CADENCE {
+            assert!(g.ok());
+        }
+        std::thread::sleep(Duration::from_millis(150));
+        let mut late = 0;
+        while g.ok() {
+            late += 1;
+        }
+        assert_eq!(late, DEADLINE_CADENCE - 2, "probes after the deadline");
+        assert_eq!(g.probes(), 2 * DEADLINE_CADENCE);
+        assert_eq!(g.error().unwrap().kind, LimitKind::Timeout);
+
+        // A checkpoint or a round reads it whatever the count.
+        for check in [
+            |g: &Guard| g.checkpoint().is_ok(),
+            |g: &Guard| g.charge_rounds(1),
+        ] {
+            let g = Guard::new(budget.clone());
+            for _ in 0..=DEADLINE_CADENCE {
+                assert!(g.ok());
+            }
+            std::thread::sleep(Duration::from_millis(150));
+            assert!(!check(&g));
+            assert_eq!(g.error().unwrap().kind, LimitKind::Timeout);
+        }
     }
 
     #[test]

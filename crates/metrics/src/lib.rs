@@ -20,9 +20,9 @@
 //!   event is overwritten and the drop is **counted**, so the accounting
 //!   identity `retained + dropped == appended` holds exactly at
 //!   quiescence.
-//! * [`SlowLog`] — a bounded per-dataset ring of slow-query captures
-//!   (plan text, phase timings, trip reports). The slow path by
-//!   definition, so a short critical section is acceptable here.
+//! * [`SlowLog`] — a bounded per-dataset ring of slow-query captures,
+//!   generic over what the caller captures. The slow path by definition,
+//!   so a short critical section is acceptable here.
 //! * [`KeyedHistos`] — a keyed registry of histograms
 //!   (per (tenant, dataset, surface, outcome) in the service), where the
 //!   brief registry lock only guards the map lookup — recording itself is
@@ -39,5 +39,5 @@ pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use events::{Event, EventKind, EventRing, EventRingStats};
 pub use histo::{Histo, HistoSnapshot};
 pub use keyed::KeyedHistos;
-pub use slow::{SlowEntry, SlowLog};
+pub use slow::SlowLog;
 pub use window::{WindowSnapshot, Windows, WINDOW_SLOTS};

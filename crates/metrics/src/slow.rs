@@ -1,53 +1,28 @@
 //! The slow-query log: bounded per-dataset rings of query captures.
 //!
-//! Jobs whose service time exceeds the configured threshold deposit a
-//! [`SlowEntry`] — the query text, outcome class, timings, the plan the
-//! optimiser chose, per-phase trace timings, and (when a guard tripped)
-//! the trip report. Entries live in a per-dataset `VecDeque` capped at a
-//! fixed capacity, oldest evicted first. Capturing a slow query is by
-//! definition off the fast path, so a short mutex section is fine here —
-//! unlike the histograms and event ring, which must stay lock-free.
+//! Jobs whose service time exceeds the configured threshold deposit an
+//! entry — whatever the caller records about a slow request (the service's
+//! is `gql_serve::telemetry::SlowEntry`: the query, its outcome, its gate
+//! wait and the run's trace tree). Entries live in a per-dataset `VecDeque`
+//! capped at a fixed capacity, oldest evicted first. Capturing a slow query
+//! is by definition off the fast path, so a short mutex section is fine
+//! here — unlike the histograms and event ring, which must stay lock-free.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// One captured slow query.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SlowEntry {
-    /// The service-assigned request id.
-    pub request_id: u64,
-    pub tenant: String,
-    pub dataset: String,
-    /// Which protocol surface submitted it (e.g. "query", "batch").
-    pub surface: String,
-    /// The query text as submitted.
-    pub query: String,
-    /// Outcome class: "ok", "budget", "cancelled", "engine", ...
-    pub outcome: String,
-    /// Submission-to-reply service time, microseconds.
-    pub service_us: u64,
-    /// Engine evaluation time, microseconds.
-    pub eval_us: u64,
-    /// Compact plan text from the optimiser (present even on tripped
-    /// runs — it is noted before evaluation starts).
-    pub plan: String,
-    /// Per-phase trace timings as `(phase, micros)` pairs.
-    pub phases: Vec<(String, u64)>,
-    /// The guard's progress report when a budget/cancellation tripped.
-    pub trip: Option<String>,
-}
-
-/// Bounded per-dataset slow-query rings.
-pub struct SlowLog {
+/// Bounded per-dataset rings of slow-query entries `E`.
+pub struct SlowLog<E> {
     /// Service-time threshold in microseconds; strictly-greater captures.
     threshold_us: u64,
     /// Max entries retained per dataset.
     capacity: usize,
-    rings: Mutex<BTreeMap<String, std::collections::VecDeque<SlowEntry>>>,
-    captured: std::sync::atomic::AtomicU64,
+    rings: Mutex<BTreeMap<String, VecDeque<E>>>,
+    captured: AtomicU64,
 }
 
-impl std::fmt::Debug for SlowLog {
+impl<E> std::fmt::Debug for SlowLog<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SlowLog")
             .field("threshold_us", &self.threshold_us)
@@ -56,15 +31,15 @@ impl std::fmt::Debug for SlowLog {
     }
 }
 
-impl SlowLog {
+impl<E: Clone> SlowLog<E> {
     /// A log capturing queries slower than `threshold_us`, keeping at most
     /// `capacity` entries per dataset (min 1).
-    pub fn new(threshold_us: u64, capacity: usize) -> SlowLog {
+    pub fn new(threshold_us: u64, capacity: usize) -> SlowLog<E> {
         SlowLog {
             threshold_us,
             capacity: capacity.max(1),
             rings: Mutex::new(BTreeMap::new()),
-            captured: std::sync::atomic::AtomicU64::new(0),
+            captured: AtomicU64::new(0),
         }
     }
 
@@ -77,27 +52,27 @@ impl SlowLog {
         service_us > self.threshold_us
     }
 
-    /// Deposit one capture (the caller checks [`SlowLog::qualifies`]; this
-    /// always stores). Evicts the oldest entry for the dataset when full.
-    pub fn capture(&self, entry: SlowEntry) {
+    /// Deposit one capture for `dataset` (the caller checks
+    /// [`SlowLog::qualifies`]; this always stores). Evicts the dataset's
+    /// oldest entry when full.
+    pub fn capture(&self, dataset: &str, entry: E) {
         let mut rings = self.rings.lock().unwrap();
-        let ring = rings.entry(entry.dataset.clone()).or_default();
+        let ring = rings.entry(dataset.to_string()).or_default();
         if ring.len() == self.capacity {
             ring.pop_front();
         }
         ring.push_back(entry);
-        self.captured
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.captured.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Total captures ever made (including since-evicted ones).
     pub fn captured(&self) -> u64 {
-        self.captured.load(std::sync::atomic::Ordering::Relaxed)
+        self.captured.load(Ordering::Relaxed)
     }
 
     /// All retained entries, grouped by dataset in name order, oldest
     /// first within a dataset.
-    pub fn entries(&self) -> Vec<(String, Vec<SlowEntry>)> {
+    pub fn entries(&self) -> Vec<(String, Vec<E>)> {
         let rings = self.rings.lock().unwrap();
         rings
             .iter()
@@ -106,7 +81,7 @@ impl SlowLog {
     }
 
     /// Retained entries for one dataset, oldest first.
-    pub fn entries_for(&self, dataset: &str) -> Vec<SlowEntry> {
+    pub fn entries_for(&self, dataset: &str) -> Vec<E> {
         let rings = self.rings.lock().unwrap();
         rings
             .get(dataset)
@@ -119,30 +94,28 @@ impl SlowLog {
 mod tests {
     use super::*;
 
-    fn entry(dataset: &str, id: u64) -> SlowEntry {
-        SlowEntry {
+    /// A stand-in for a caller's entry.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct Entry {
+        request_id: u64,
+        trip: Option<String>,
+    }
+
+    fn entry(id: u64) -> Entry {
+        Entry {
             request_id: id,
-            tenant: "t".into(),
-            dataset: dataset.into(),
-            surface: "query".into(),
-            query: format!("q{id}"),
-            outcome: "ok".into(),
-            service_us: 1000 + id,
-            eval_us: 900,
-            plan: "scan(n)".into(),
-            phases: vec![("eval".into(), 900)],
             trip: None,
         }
     }
 
     #[test]
     fn threshold_is_strictly_greater() {
-        let log = SlowLog::new(100, 4);
+        let log = SlowLog::<Entry>::new(100, 4);
         assert!(!log.qualifies(99));
         assert!(!log.qualifies(100));
         assert!(log.qualifies(101));
         // Zero threshold captures everything that took any time at all.
-        let zero = SlowLog::new(0, 4);
+        let zero = SlowLog::<Entry>::new(0, 4);
         assert!(zero.qualifies(1));
     }
 
@@ -150,9 +123,9 @@ mod tests {
     fn per_dataset_rings_evict_oldest() {
         let log = SlowLog::new(0, 2);
         for id in 0..5 {
-            log.capture(entry("a", id));
+            log.capture("a", entry(id));
         }
-        log.capture(entry("b", 100));
+        log.capture("b", entry(100));
         assert_eq!(log.captured(), 6);
         let a = log.entries_for("a");
         assert_eq!(
@@ -172,10 +145,9 @@ mod tests {
     #[test]
     fn captures_preserve_the_full_payload() {
         let log = SlowLog::new(0, 1);
-        let mut e = entry("d", 7);
+        let mut e = entry(7);
         e.trip = Some("phase=eval rounds=12 matches=3 nodes=20000".into());
-        e.outcome = "budget".into();
-        log.capture(e.clone());
+        log.capture("d", e.clone());
         assert_eq!(log.entries_for("d"), [e]);
     }
 }

@@ -22,7 +22,6 @@
 //! Fingerprint collisions therefore bound cache effectiveness, not
 //! correctness — the same stance the resident index takes.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use gql_infer::Inference;
@@ -142,81 +141,19 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Hits whose entry failed validation and were replanned.
     pub replans: u64,
-    /// Total probes (`get` calls). Maintained in the same atomic write
-    /// section as `hits`/`misses`, so every snapshot satisfies
-    /// `lookups == hits + misses` — the invariant the shared-engine
-    /// regression tests assert to prove snapshots are never torn.
+    /// Total probes (`get` calls). Counted with `hits`/`misses` under the
+    /// cache's lock, so every snapshot satisfies `lookups == hits +
+    /// misses` — the invariant the shared-engine regression tests assert
+    /// to prove snapshots are never torn.
     pub lookups: u64,
 }
 
 impl CacheStats {
     /// The snapshot-consistency invariant: a counter set read mid-update
-    /// (a torn read) would violate it; [`StatsCell::snapshot`] never does.
+    /// (a torn read) would violate it; [`PlanCache::stats`], read under the
+    /// lock that serializes every update, never does.
     pub fn is_consistent(&self) -> bool {
         self.lookups == self.hits + self.misses
-    }
-}
-
-/// Snapshot-consistent shared counters for the plan cache.
-///
-/// The cache itself lives behind the engine's mutex, so *writers* are
-/// already serialized — but `Engine::plan_cache_stats()` was designed
-/// single-caller and used to read the counters through that same lock,
-/// which both contends with concurrent planners and, if naively converted
-/// to independent atomics, lets a reader observe a half-applied update
-/// (hits from after a probe, misses from before — a *torn* total). This
-/// cell is a sequence lock: writers bump `version` to odd, apply every
-/// counter of one logical event, then bump back to even; readers retry
-/// until they see the same even version on both sides of the reads. Reads
-/// never take the cache mutex, and every returned [`CacheStats`] is a
-/// consistent point-in-time snapshot.
-#[derive(Debug, Default)]
-pub struct StatsCell {
-    version: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    replans: AtomicU64,
-    lookups: AtomicU64,
-}
-
-impl StatsCell {
-    /// Apply one logical cache event atomically with respect to readers.
-    /// Callers must be serialized (the plan cache is always behind a
-    /// mutex); the seqlock only protects readers from tearing.
-    fn record(&self, f: impl FnOnce(&StatsCell)) {
-        // Odd version = write in progress. SeqCst throughout: the cell is
-        // probed a handful of times per query, so the strongest ordering
-        // costs nothing and keeps the reader's version/counter/version
-        // sandwich valid on every architecture (and under miri).
-        let v = self.version.load(Ordering::SeqCst);
-        self.version.store(v.wrapping_add(1), Ordering::SeqCst);
-        f(self);
-        self.version.store(v.wrapping_add(2), Ordering::SeqCst);
-    }
-
-    /// A consistent snapshot: retries while a write is in flight. Writers
-    /// hold the cache mutex for well under a microsecond per event, so the
-    /// retry loop terminates promptly.
-    pub fn snapshot(&self) -> CacheStats {
-        loop {
-            let v1 = self.version.load(Ordering::SeqCst);
-            if !v1.is_multiple_of(2) {
-                std::hint::spin_loop();
-                continue;
-            }
-            let stats = CacheStats {
-                hits: self.hits.load(Ordering::SeqCst),
-                misses: self.misses.load(Ordering::SeqCst),
-                evictions: self.evictions.load(Ordering::SeqCst),
-                replans: self.replans.load(Ordering::SeqCst),
-                lookups: self.lookups.load(Ordering::SeqCst),
-            };
-            if self.version.load(Ordering::SeqCst) == v1 {
-                return stats;
-            }
-            std::hint::spin_loop();
-        }
     }
 }
 
@@ -230,9 +167,7 @@ pub struct PlanCache {
     entries: Vec<(PlanKey, Arc<CachedPlan>, u64)>,
     capacity: usize,
     clock: u64,
-    /// Shared so `Engine::plan_cache_stats()` can snapshot without taking
-    /// the cache mutex (see [`StatsCell`]).
-    stats: Arc<StatsCell>,
+    stats: CacheStats,
 }
 
 impl Default for PlanCache {
@@ -247,7 +182,7 @@ impl PlanCache {
             entries: Vec::new(),
             capacity: capacity.max(1),
             clock: 0,
-            stats: Arc::new(StatsCell::default()),
+            stats: CacheStats::default(),
         }
     }
 
@@ -264,14 +199,7 @@ impl PlanCache {
     }
 
     pub fn stats(&self) -> CacheStats {
-        self.stats.snapshot()
-    }
-
-    /// The shared stats cell, for readers that must not contend with the
-    /// cache mutex (the engine keeps a clone so `plan_cache_stats()` is a
-    /// lock-free snapshot).
-    pub fn stats_cell(&self) -> Arc<StatsCell> {
-        Arc::clone(&self.stats)
+        self.stats
     }
 
     /// Probe the cache. A hit refreshes the entry's LRU stamp and shares
@@ -279,20 +207,15 @@ impl PlanCache {
     pub fn get(&mut self, key: &PlanKey) -> Option<Arc<CachedPlan>> {
         self.clock += 1;
         let clock = self.clock;
+        self.stats.lookups += 1;
         match self.entries.iter_mut().find(|(k, _, _)| k == key) {
             Some((_, plan, stamp)) => {
                 *stamp = clock;
-                self.stats.record(|s| {
-                    s.hits.fetch_add(1, Ordering::SeqCst);
-                    s.lookups.fetch_add(1, Ordering::SeqCst);
-                });
+                self.stats.hits += 1;
                 Some(Arc::clone(plan))
             }
             None => {
-                self.stats.record(|s| {
-                    s.misses.fetch_add(1, Ordering::SeqCst);
-                    s.lookups.fetch_add(1, Ordering::SeqCst);
-                });
+                self.stats.misses += 1;
                 None
             }
         }
@@ -315,9 +238,7 @@ impl PlanCache {
                 .map(|(i, _)| i)
             {
                 self.entries.swap_remove(lru);
-                self.stats.record(|s| {
-                    s.evictions.fetch_add(1, Ordering::SeqCst);
-                });
+                self.stats.evictions += 1;
             }
         }
         self.entries.push((key, plan, self.clock));
@@ -325,9 +246,7 @@ impl PlanCache {
 
     /// Record that a hit entry failed validation and was replanned.
     pub fn note_replan(&mut self) {
-        self.stats.record(|s| {
-            s.replans.fetch_add(1, Ordering::SeqCst);
-        });
+        self.stats.replans += 1;
     }
 
     /// Drop the entry for a key (used after a failed validation so the
@@ -475,10 +394,9 @@ mod tests {
         assert!(s.is_consistent());
     }
 
-    /// Regression for the shared-use fix: concurrent readers snapshotting
-    /// while writers probe must never observe a torn counter set
-    /// (`lookups != hits + misses`). Before the seqlock, independent
-    /// atomics (or a racy read through the mutex'd struct) could tear.
+    /// Concurrent readers snapshotting while writers probe must never
+    /// observe a torn counter set (`lookups != hits + misses`): every read
+    /// takes the lock that serializes the updates.
     #[test]
     fn concurrent_snapshots_are_never_torn() {
         use std::sync::Mutex;
@@ -487,7 +405,7 @@ mod tests {
         // meaningful but bounded there.
         let iters: u64 = if cfg!(miri) { 200 } else { 20_000 };
         let cache = Arc::new(Mutex::new(PlanCache::new(4)));
-        let cell = cache.lock().unwrap().stats_cell();
+        let snapshot = || cache.lock().unwrap().stats();
         let writer = {
             let cache = Arc::clone(&cache);
             std::thread::spawn(move || {
@@ -502,7 +420,7 @@ mod tests {
         };
         let mut last = CacheStats::default();
         while !writer.is_finished() {
-            let s = cell.snapshot();
+            let s = snapshot();
             assert!(
                 s.is_consistent(),
                 "torn snapshot: hits={} misses={} lookups={}",
@@ -514,7 +432,7 @@ mod tests {
             last = s;
         }
         writer.join().unwrap();
-        let s = cell.snapshot();
+        let s = snapshot();
         assert!(s.is_consistent());
         assert_eq!(s.lookups, iters);
     }

@@ -35,9 +35,7 @@ pub mod explain;
 pub mod join_order;
 pub mod lower;
 
-pub use cache::{
-    CacheStats, CachedPlan, PlanCache, PlanKey, QueryKey, StatsCell, DEFAULT_CAPACITY,
-};
+pub use cache::{CacheStats, CachedPlan, PlanCache, PlanKey, QueryKey, DEFAULT_CAPACITY};
 pub use explain::PlanNode;
 pub use join_order::{plan_rule_order, JoinGraph, DP_LIMIT};
 pub use lower::{lower_join_plans, lower_wglog, lower_wglog_plan, lower_xmlgl, lower_xpath};

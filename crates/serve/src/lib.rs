@@ -66,5 +66,5 @@ pub use service::{
     ErrorCode, QueryErr, QueryOk, Request, Response, ServeHandle, Service, ServiceBuilder,
     ServiceMetrics,
 };
-pub use telemetry::{MetricsReport, Telemetry, TelemetryConfig};
+pub use telemetry::{MetricsReport, SlowEntry, Telemetry, TelemetryConfig};
 pub use tenant::{AdmitDenied, Envelope, Permit, Tenant, TenantMetrics, TenantRegistry};

@@ -436,17 +436,18 @@ fn encode_ok(ok: &QueryOk, answer: (&str, Value)) -> Value {
         ("epoch".into(), Value::count(ok.epoch)),
     ];
     if let Some(p) = &ok.profile {
-        // The profile is itself JSON; embed it structurally, not as a
-        // string (fall back to the raw string if it ever fails to parse).
-        match Value::parse(p) {
-            Ok(v) => pairs.push(("profile".into(), v)),
-            Err(_) => pairs.push(("profile".into(), Value::str(p.clone()))),
-        }
+        pairs.push(("profile".into(), embed_json(p)));
     }
     if let Some(s) = &ok.shape {
         pairs.push(("shape".into(), Value::str(s.clone())));
     }
     Value::Obj(pairs)
+}
+
+/// A text that is itself JSON (a profile), embedded structurally, not as a
+/// string; the raw string if it ever fails to parse.
+pub(crate) fn embed_json(text: &str) -> Value {
+    Value::parse(text).unwrap_or_else(|_| Value::str(text))
 }
 
 fn encode_err(err: &QueryErr) -> Value {

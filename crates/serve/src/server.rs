@@ -24,10 +24,11 @@
 //! that opens a socket and stalls mid-frame (a slow-loris writer) or stops
 //! draining its replies is reaped when the read or write deadline fires —
 //! the thread exits cleanly and every slot it held is released through the
-//! normal cancellation path. Chaos-enabled servers (`ServerConfig::chaos`)
-//! additionally honour the process-wide [`gql_guard::fault`] plan's
-//! `torn_replies` / `drop_replies` token budgets, cutting connections
-//! mid-frame so the resilient client's retry path can be stormed.
+//! normal cancellation path. A server over a chaos-enabled service
+//! (`ServiceBuilder::chaos`) additionally honours the process-wide
+//! [`gql_guard::fault`] plan's `torn_replies` / `drop_replies` token
+//! budgets, cutting connections mid-frame so the resilient client's retry
+//! path can be stormed.
 
 use std::io::{BufReader, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -52,10 +53,6 @@ pub struct ServerConfig {
     pub read_timeout: Option<Duration>,
     /// Reap a connection that stops draining replies for this long.
     pub write_timeout: Option<Duration>,
-    /// Honour the installed [`gql_guard::fault`] plan's reply seams
-    /// (`torn_replies`, `drop_replies`). Off by default so bystander
-    /// servers in the same process never steal another test's tokens.
-    pub chaos: bool,
 }
 
 impl Default for ServerConfig {
@@ -63,7 +60,6 @@ impl Default for ServerConfig {
         ServerConfig {
             read_timeout: Some(Duration::from_secs(30)),
             write_timeout: Some(Duration::from_secs(30)),
-            chaos: false,
         }
     }
 }
@@ -375,13 +371,13 @@ fn serve_connection(conn: &Conn, handle: ServeHandle, config: ServerConfig) {
                 Reply::Batch(&responses)
             }
         };
-        if send_reply(stream, &mut out, &reply, config.chaos).is_err() {
+        if send_reply(stream, &mut out, &reply, handle.chaos()).is_err() {
             return;
         }
     }
 }
 
-/// Write one reply, honouring the chaos seams when enabled: a
+/// Write one reply, honouring the chaos seams when the service opted in: a
 /// `drop_replies` token vanishes the reply entirely (the client sees a
 /// mid-stream disconnect), a `torn_replies` token writes the first half of
 /// the reply's bytes before cutting the socket (mid-frame EOF; inside the

@@ -151,6 +151,10 @@ impl ErrorCode {
 pub struct QueryOk {
     pub xml: String,
     pub result_count: u64,
+    /// Microseconds the run spent reaching its data and answering: its
+    /// `index` (XML-GL, XPath) or `load` (WG-Log), `eval` and `construct`
+    /// phases, read off the run's trace. One definition on every surface;
+    /// `analyze`, `plan` and XPath's `parse` are not in it.
     pub eval_us: u64,
     /// The EXPLAIN text of the plan that ran, shared with the plan cache.
     pub plan: Arc<str>,
@@ -244,8 +248,8 @@ pub struct ServiceMetrics {
     pub prepared_misses: u64,
     pub prepared_evictions: u64,
     pub tenants: Vec<(String, TenantMetrics)>,
-    /// Per-dataset plan-cache counter snapshots (always consistent: reads
-    /// the seqlock stats cell, see `gql_plan::StatsCell`).
+    /// Per-dataset plan-cache counter snapshots (always consistent: read
+    /// under the cache's lock, see `Engine::plan_cache_stats`).
     pub datasets: Vec<(String, CacheStats)>,
 }
 
@@ -623,9 +627,11 @@ impl ServiceBuilder {
         }
     }
 
-    /// Opt this service into the gql-guard chaos seams (`panic_jobs`
-    /// etc.). The fault plan is process-global; only opted-in services
-    /// consume its tokens, so chaos tests never poison bystanders.
+    /// Opt this service into the gql-guard chaos seams: `panic_jobs` in
+    /// its runs, and `torn_replies` / `drop_replies` in every
+    /// [`Server`](crate::Server) over its handles. The fault plan is
+    /// process-global; only opted-in services consume its tokens, so chaos
+    /// tests never poison bystanders.
     pub fn chaos(mut self, on: bool) -> ServiceBuilder {
         self.chaos = on;
         self
@@ -974,6 +980,11 @@ impl ServeHandle {
             .map_err(|e| Response::err(ErrorCode::BadRequest, e))
     }
 
+    /// Whether the service was built with [`ServiceBuilder::chaos`].
+    pub(crate) fn chaos(&self) -> bool {
+        self.inner.chaos
+    }
+
     /// The service's telemetry plane (histograms, windows, events, slow
     /// log). Shared by every handle of one service.
     pub fn telemetry(&self) -> &Arc<Telemetry> {
@@ -1018,15 +1029,14 @@ pub fn parse_query(kind: &str, query: &str) -> Result<QueryKind, String> {
 /// sequential resubmit can never race its own previous permit).
 fn run_job(inner: &Inner, job: Job, log: &mut TraceLog) -> Response {
     let Job {
-        run,
+        mut run,
         budget,
         cancel,
         dedup_key,
         permit,
         epoch,
     } = job;
-    let dequeued = inner.telemetry.on_dequeue(&run.meta);
-    inner.telemetry.on_start(&run.meta, dequeued);
+    inner.telemetry.on_run(&mut run.meta);
     let guard = Guard::with_cancel(budget, cancel);
     let response =
         match std::panic::catch_unwind(AssertUnwindSafe(|| execute(inner, &run, &guard, log))) {
@@ -1035,7 +1045,7 @@ fn run_job(inner: &Inner, job: Job, log: &mut TraceLog) -> Response {
                 inner.counters.failed.fetch_add(1, Ordering::SeqCst);
                 inner
                     .telemetry
-                    .on_reply(&run.meta, run.dataset.name(), "engine", 0, "", [], None);
+                    .on_reply(&run.meta, run.dataset.name(), "engine", None, None);
                 Response::err(ErrorCode::Engine, PANIC_REPLY)
             }
         };
@@ -1075,12 +1085,9 @@ fn execute(inner: &Inner, job: &Run, guard: &Guard, log: &mut TraceLog) -> Respo
     });
     let log = &*log;
     // Everything below reads the log in place; only a `profile: true` reply
-    // or a slow-log capture builds anything from it. The plan notes are
-    // written before evaluation starts, so they are present even when the
-    // run tripped a budget mid-eval.
-    let plan_span = log.find("plan");
+    // or a slow-log capture builds anything from it.
     let note = |span: Option<usize>, name| span.and_then(|s| log.note(s, name)).unwrap_or("");
-    let plan_cache = note(plan_span, "plan_cache");
+    let plan_cache = note(log.find("plan"), "plan_cache");
     // XML-GL/XPath report the index cache under `index`; WG-Log reports
     // its instance cache under `load`.
     let index_cache = note(log.find("index").or_else(|| log.find("load")), "cache");
@@ -1095,15 +1102,14 @@ fn execute(inner: &Inner, job: &Run, guard: &Guard, log: &mut TraceLog) -> Respo
         "miss" | "cold" => c.index_cold.fetch_add(1, Ordering::SeqCst),
         _ => 0,
     };
-    let (response, outcome_class, eval_us, trip) = match result {
+    let (response, outcome_class, trip) = match result {
         Ok(outcome) => {
             c.completed.fetch_add(1, Ordering::SeqCst);
-            let eval_us = outcome.eval_time.as_micros() as u64;
             let profile = job.want_profile.then(|| log.profile());
             let resp = Response::Ok(Box::new(QueryOk {
                 xml,
                 result_count: outcome.result_count as u64,
-                eval_us,
+                eval_us: eval_us(log),
                 plan: outcome.plan,
                 plan_cache: plan_cache.to_string(),
                 index_cache: index_cache.to_string(),
@@ -1111,7 +1117,7 @@ fn execute(inner: &Inner, job: &Run, guard: &Guard, log: &mut TraceLog) -> Respo
                 profile: profile.as_ref().map(ExecutionProfile::to_json),
                 shape: profile.as_ref().map(ExecutionProfile::shape),
             }));
-            (resp, "ok", eval_us, None)
+            (resp, "ok", None)
         }
         Err(CoreError::Budget(g)) => {
             let (code, class) = if g.kind == LimitKind::Cancelled {
@@ -1128,14 +1134,13 @@ fn execute(inner: &Inner, job: &Run, guard: &Guard, log: &mut TraceLog) -> Respo
                 report: Some(report.clone()),
                 retry_after_ms: None,
             });
-            (resp, class, 0, Some(report))
+            (resp, class, Some(report))
         }
         Err(e @ CoreError::Rejected { .. }) => {
             c.failed.fetch_add(1, Ordering::SeqCst);
             (
                 Response::err(ErrorCode::Rejected, e.to_string()),
                 "rejected",
-                0,
                 None,
             )
         }
@@ -1144,28 +1149,29 @@ fn execute(inner: &Inner, job: &Run, guard: &Guard, log: &mut TraceLog) -> Respo
             (
                 Response::err(ErrorCode::Engine, e.to_string()),
                 "engine",
-                0,
                 None,
             )
         }
     };
-    // Slow-log material, by reference: the compact plan, and the run root's
-    // children as phases.
-    let phases = log
-        .find("run")
-        .into_iter()
-        .flat_map(|run| log.children(run))
-        .map(|(name, nanos)| (name, nanos / 1_000));
     tele.on_reply(
         &job.meta,
         job.dataset.name(),
         outcome_class,
-        eval_us,
-        note(plan_span, "plan"),
-        phases,
+        Some(log),
         trip.as_deref(),
     );
     response
+}
+
+/// [`QueryOk::eval_us`]: the run's `index` / `load`, `eval` and
+/// `construct` phases, read off its trace.
+fn eval_us(log: &TraceLog) -> u64 {
+    let nanos: u64 = (log.find("run").into_iter())
+        .flat_map(|run| log.children(run))
+        .filter(|(name, _)| matches!(*name, "index" | "load" | "eval" | "construct"))
+        .map(|(_, nanos)| nanos)
+        .sum();
+    nanos / 1_000
 }
 
 #[cfg(test)]
@@ -1261,16 +1267,19 @@ mod tests {
         let entries = h.telemetry().slow_entries_for("bib");
         assert_eq!(entries.len(), 4);
         for entry in &entries {
-            let names: Vec<&str> = entry.phases.iter().map(|(n, _)| n.as_str()).collect();
+            let phases = &entry.profile.find("run").expect("the run's tree").children;
+            let names: Vec<&str> = phases.iter().map(|p| p.name.as_str()).collect();
             assert!(!names.contains(&"serialize"), "{names:?}");
-            // The phases are consecutive pieces of the time between submit
-            // and reply, each rounded down to a microsecond.
-            let sum: u64 = entry.phases.iter().map(|(_, us)| us).sum();
-            assert!(sum <= entry.service_us, "{sum} > {}", entry.service_us);
+            // The phases are consecutive pieces of the run, which follows
+            // the wait at the gate, between submit and reply; each is
+            // rounded down to a microsecond.
+            let sum: u64 = phases.iter().map(|p| (p.nanos / 1_000) as u64).sum();
+            let ran = entry.service_us - entry.gate_wait_us;
+            assert!(sum <= ran, "{sum} > {ran}");
         }
         let text = h.metrics_report().to_text();
         assert!(
-            text.contains(" construct=") && !text.contains("serialize"),
+            text.contains("  construct ") && !text.contains("serialize"),
             "{text}"
         );
         service.shutdown();
@@ -1901,10 +1910,11 @@ mod tests {
         service.shutdown();
     }
 
-    /// The telemetry plane's clock, counted: a hook reads it once, and
-    /// `on_start` shares `on_dequeue`'s reading. A warm admitted request
-    /// reads it four times (eight when each window took its own reading
-    /// and each hook its own).
+    /// The telemetry plane's clock and hooks, counted: a hook reads the
+    /// clock once, and one hook, `on_run`, records both the dequeue and the
+    /// start. A warm admitted request fires four hooks (five when those
+    /// were two) and reads the clock four times (eight when each window
+    /// took its own reading and each hook its own).
     #[test]
     fn a_warm_admitted_request_reads_the_telemetry_clock_four_times() {
         #[derive(Default)]
@@ -1933,9 +1943,11 @@ mod tests {
         let req = Request::new("public", "bib", "xpath", "//book");
         assert!(h.submit(&req).is_ok());
         let before = clock.readings.load(Ordering::SeqCst);
+        let probes = h.telemetry().probes();
         assert!(h.submit(&req).is_ok());
         let readings = clock.readings.load(Ordering::SeqCst) - before;
         assert!(readings <= 4, "{readings} telemetry clock readings");
+        assert_eq!(h.telemetry().probes() - probes, 4, "telemetry probes");
         service.shutdown();
     }
 }

@@ -4,19 +4,22 @@
 //! surface: per-`(tenant, dataset, surface, outcome)` latency histograms
 //! recorded at the run's reply site, per-tenant rolling rate windows
 //! (1 s / 10 s / 60 s), a bounded request-event ring keyed by the
-//! service-assigned `RequestId`, and a slow-query log capturing the plan,
-//! phase timings and trip report of any job whose service time exceeds the
-//! configured threshold.
+//! service-assigned `RequestId`, and a slow-query log. A slow entry keeps
+//! the request's gate wait and the run's own trace tree — the
+//! [`ExecutionProfile`] a `profile: true` reply carries, plan notes and
+//! phase spans included — built from the run's `TraceLog` only when a
+//! request is captured.
 //!
 //! Telemetry is always on and never perturbs answers: every hook is
 //! fire-and-forget on lock-free structures (the only mutexes guard the
 //! keyed-histogram lookup and the slow log, which is off the fast path by
 //! definition), and the concurrency differential oracle holds responses
 //! byte-identical to a fresh engine. [`Telemetry::probes`] counts hook
-//! firings: five per admitted request. A hook reads the clock once, and
-//! every window and event it records shares that reading; `on_start`
-//! reuses `on_dequeue`'s, which it directly follows. An admitted request
-//! costs four clock readings.
+//! firings: four per admitted request (`on_submitted`, `on_admitted`,
+//! `on_run`, `on_reply`). A hook reads the clock once, and every window
+//! and event it records shares that reading, so an admitted request costs
+//! four clock readings; `on_run` appends both the `Dequeue` and the `Start`
+//! event at its one.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,10 +27,12 @@ use std::sync::Arc;
 
 use gql_metrics::{
     Clock, Event, EventKind, EventRing, EventRingStats, HistoSnapshot, KeyedHistos, MonotonicClock,
-    SlowEntry, SlowLog, WindowSnapshot, Windows,
+    SlowLog, WindowSnapshot, Windows,
 };
+use gql_trace::{ExecutionProfile, TraceLog};
 
 use crate::json::Value;
+use crate::proto::embed_json;
 use crate::service::ServiceMetrics;
 
 /// Window lanes, service-wide and per tenant.
@@ -94,8 +99,39 @@ pub struct RequestMeta {
     pub surface: &'static str,
     /// Clock reading at admission, microseconds.
     pub submitted_us: u64,
+    /// Clock reading when the run took its slot (`on_run`), microseconds;
+    /// zero before.
+    pub started_us: u64,
     /// Query source text, kept for slow-log capture.
     pub query: Arc<str>,
+}
+
+/// One captured slow request (kept under its dataset's name): who asked
+/// what and how it ended, then where its time went — the wait at the gate,
+/// and the run's trace tree.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SlowEntry {
+    /// The service-assigned request id.
+    pub request_id: u64,
+    pub tenant: String,
+    /// Which protocol surface submitted it (e.g. "query", "batch").
+    pub surface: String,
+    /// The query text as submitted.
+    pub query: String,
+    /// Outcome class: "ok", "budget", "cancelled", "engine", ...
+    pub outcome: String,
+    /// Admission to reply, microseconds.
+    pub service_us: u64,
+    /// Admission to the run taking its slot, microseconds: the wait at the
+    /// gate.
+    pub gate_wait_us: u64,
+    /// The run's span tree, as a `profile: true` reply carries it: a `run`
+    /// root, its phases (the `plan` span noting the plan, present even
+    /// when a budget tripped mid-eval) and the engines' spans below. Empty
+    /// for a run that panicked.
+    pub profile: ExecutionProfile,
+    /// The guard's progress report when a budget/cancellation tripped.
+    pub trip: Option<String>,
 }
 
 /// Numeric outcome tags stored in event `code` fields.
@@ -120,7 +156,7 @@ pub struct Telemetry {
     /// Prebuilt at service build — the tenant registry is immutable.
     tenant_windows: BTreeMap<String, Windows>,
     events: EventRing,
-    slow: SlowLog,
+    slow: SlowLog<SlowEntry>,
 }
 
 impl std::fmt::Debug for Telemetry {
@@ -158,8 +194,20 @@ impl Telemetry {
         self.probes.load(Ordering::Relaxed)
     }
 
-    pub fn now_micros(&self) -> u64 {
+    /// A hook fires: count it, and take its one clock reading.
+    fn hook(&self) -> u64 {
+        self.probes.fetch_add(1, Ordering::Relaxed);
         self.clock.now_micros()
+    }
+
+    /// Append one lifecycle event of `request_id` at the hook's reading.
+    fn event(&self, request_id: u64, kind: EventKind, t_micros: u64, code: u32) {
+        self.events.record(Event {
+            request_id,
+            kind,
+            t_micros,
+            code,
+        });
     }
 
     /// Count one event on `lane`, service-wide and for `tenant`, at the
@@ -173,14 +221,12 @@ impl Telemetry {
 
     /// A request entered `submit` (tenant `None` until resolution).
     pub(crate) fn on_submitted(&self, tenant: Option<&str>) {
-        self.probes.fetch_add(1, Ordering::Relaxed);
-        self.lane(tenant, LANE_SUBMITTED, self.clock.now_micros());
+        self.lane(tenant, LANE_SUBMITTED, self.hook());
     }
 
     /// Admission control bounced the request.
     pub(crate) fn on_rejected(&self, tenant: &str) {
-        self.probes.fetch_add(1, Ordering::Relaxed);
-        self.lane(Some(tenant), LANE_REJECTED, self.clock.now_micros());
+        self.lane(Some(tenant), LANE_REJECTED, self.hook());
     }
 
     /// Admission granted: mint the request id and its reply-site context.
@@ -190,67 +236,42 @@ impl Telemetry {
         surface: &'static str,
         query: &Arc<str>,
     ) -> RequestMeta {
-        self.probes.fetch_add(1, Ordering::Relaxed);
+        let now = self.hook();
         let request_id = self.next_request_id.fetch_add(1, Ordering::Relaxed);
-        let now = self.clock.now_micros();
         self.lane(Some(tenant), LANE_ADMITTED, now);
-        self.events.record(Event {
-            request_id,
-            kind: EventKind::Admit,
-            t_micros: now,
-            code: 0,
-        });
+        self.event(request_id, EventKind::Admit, now, 0);
         RequestMeta {
             request_id,
             tenant: Arc::clone(tenant),
             surface,
             submitted_us: now,
+            started_us: 0,
             query: Arc::clone(query),
         }
     }
 
-    /// The job took its run slot at the gate, and its caller runs it.
-    /// Returns the hook's clock reading, for `on_start`.
-    pub(crate) fn on_dequeue(&self, meta: &RequestMeta) -> u64 {
-        self.probes.fetch_add(1, Ordering::Relaxed);
-        let now = self.clock.now_micros();
-        self.events.record(Event {
-            request_id: meta.request_id,
-            kind: EventKind::Dequeue,
-            t_micros: now,
-            code: 0,
-        });
-        now
-    }
-
-    /// The engine run began, straight after `on_dequeue` returned `now`.
-    pub(crate) fn on_start(&self, meta: &RequestMeta, now: u64) {
-        self.probes.fetch_add(1, Ordering::Relaxed);
-        self.events.record(Event {
-            request_id: meta.request_id,
-            kind: EventKind::Start,
-            t_micros: now,
-            code: 0,
-        });
+    /// The job took its run slot at the gate, and its caller runs it now:
+    /// the `Dequeue` and `Start` events, at one reading, kept in `meta`.
+    pub(crate) fn on_run(&self, meta: &mut RequestMeta) {
+        let now = self.hook();
+        meta.started_us = now;
+        self.event(meta.request_id, EventKind::Dequeue, now, 0);
+        self.event(meta.request_id, EventKind::Start, now, 0);
     }
 
     /// The reply site: one histogram record per admitted job, plus the
     /// trip/reply events, the cancelled-rate lane, and slow-query capture.
-    /// Everything arrives borrowed (`phases` unevaluated); only a slow
-    /// capture, or a key's first histogram, copies any of it.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn on_reply<'a>(
+    /// `log` is the run's trace (`None` for a run that panicked); only a
+    /// slow capture, or a key's first histogram, copies anything.
+    pub(crate) fn on_reply(
         &self,
         meta: &RequestMeta,
         dataset: &str,
         outcome: &str,
-        eval_us: u64,
-        plan: &str,
-        phases: impl IntoIterator<Item = (&'a str, u64)>,
+        log: Option<&TraceLog>,
         trip: Option<&str>,
     ) {
-        self.probes.fetch_add(1, Ordering::Relaxed);
-        let now = self.clock.now_micros();
+        let now = self.hook();
         let service_us = now.saturating_sub(meta.submitted_us);
         let key = (&*meta.tenant, dataset, meta.surface, outcome);
         self.histos
@@ -270,37 +291,24 @@ impl Telemetry {
         if outcome == "cancelled" {
             self.lane(Some(&meta.tenant), LANE_CANCELLED, now);
         }
+        let code = outcome_code(outcome);
         if trip.is_some() {
-            self.events.record(Event {
-                request_id: meta.request_id,
-                kind: EventKind::Trip,
-                t_micros: now,
-                code: outcome_code(outcome),
-            });
+            self.event(meta.request_id, EventKind::Trip, now, code);
         }
-        self.events.record(Event {
-            request_id: meta.request_id,
-            kind: EventKind::Reply,
-            t_micros: now,
-            code: outcome_code(outcome),
-        });
+        self.event(meta.request_id, EventKind::Reply, now, code);
         if self.slow.qualifies(service_us) {
-            self.slow.capture(SlowEntry {
+            let entry = SlowEntry {
                 request_id: meta.request_id,
                 tenant: meta.tenant.to_string(),
-                dataset: dataset.to_string(),
                 surface: meta.surface.to_string(),
                 query: meta.query.to_string(),
                 outcome: outcome.to_string(),
                 service_us,
-                eval_us,
-                plan: plan.to_string(),
-                phases: phases
-                    .into_iter()
-                    .map(|(name, us)| (name.to_string(), us))
-                    .collect(),
+                gate_wait_us: meta.started_us.saturating_sub(meta.submitted_us),
+                profile: log.map(TraceLog::profile).unwrap_or_default(),
                 trip: trip.map(str::to_string),
-            });
+            };
+            self.slow.capture(dataset, entry);
         }
     }
 
@@ -388,27 +396,13 @@ fn slow_entry_value(e: &SlowEntry) -> Value {
     let mut pairs = vec![
         ("request_id".into(), Value::count(e.request_id)),
         ("tenant".into(), Value::str(e.tenant.clone())),
-        ("dataset".into(), Value::str(e.dataset.clone())),
         ("surface".into(), Value::str(e.surface.clone())),
         ("query".into(), Value::str(e.query.clone())),
         ("outcome".into(), Value::str(e.outcome.clone())),
         ("service_us".into(), Value::count(e.service_us)),
-        ("eval_us".into(), Value::count(e.eval_us)),
-        ("plan".into(), Value::str(e.plan.clone())),
-        (
-            "phases".into(),
-            Value::Arr(
-                e.phases
-                    .iter()
-                    .map(|(name, us)| {
-                        Value::Obj(vec![
-                            ("phase".into(), Value::str(name.clone())),
-                            ("us".into(), Value::count(*us)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("gate_wait_us".into(), Value::count(e.gate_wait_us)),
+        // Embedded as a `profile: true` reply embeds it.
+        ("profile".into(), embed_json(&e.profile.to_json())),
     ];
     if let Some(t) = &e.trip {
         pairs.push(("trip".into(), Value::str(t.clone())));
@@ -573,26 +567,21 @@ impl MetricsReport {
             "  slow      captured={} (threshold {}us)\n",
             self.slow_captured, self.slow_threshold_us
         ));
+        // Each entry's story in order: admit, the wait at the gate, the
+        // run's span tree, the reply.
         for (dataset, entries) in &self.slow {
             for entry in entries {
+                let trip = (entry.trip.as_deref())
+                    .map(|t| format!(" trip[{t}]"))
+                    .unwrap_or_default();
                 out.push_str(&format!(
-                    "    #{} {dataset} {} {}us plan={}{}\n",
-                    entry.request_id,
-                    entry.outcome,
-                    entry.service_us,
-                    entry.plan,
-                    entry
-                        .trip
-                        .as_deref()
-                        .map(|t| format!(" trip[{t}]"))
-                        .unwrap_or_default()
+                    "    #{} {dataset} {} {}us{trip}\n      admit\n      gate wait {}us\n",
+                    entry.request_id, entry.outcome, entry.service_us, entry.gate_wait_us
                 ));
-                let phases: Vec<String> = entry
-                    .phases
-                    .iter()
-                    .map(|(name, us)| format!("{name}={us}us"))
-                    .collect();
-                out.push_str(&format!("      phases {}\n", phases.join(" ")));
+                for line in entry.profile.to_text().lines() {
+                    out.push_str(&format!("      {line}\n"));
+                }
+                out.push_str(&format!("      reply at {}us\n", entry.service_us));
             }
         }
         out
@@ -735,20 +724,24 @@ mod tests {
     fn full_lifecycle_records_histogram_events_and_slow_entry() {
         let (clock, t) = telemetry();
         t.on_submitted(Some("t"));
-        let meta = &t.on_admitted(&"t".into(), "query", &"//a".into());
-        let dequeued = t.on_dequeue(meta);
-        t.on_start(meta, dequeued);
+        let meta = &mut t.on_admitted(&"t".into(), "query", &"//a".into());
+        clock.advance_micros(20); // the wait at the gate
+        t.on_run(meta);
+        let mut log = TraceLog::new();
+        log.record(|trace| {
+            let _run = trace.span("run");
+            let _plan = trace.phase("plan");
+            trace.note("plan", "scan(n)");
+        });
         clock.advance_micros(250); // nonzero service time → slow at threshold 0
         t.on_reply(
             meta,
             "d",
             "budget",
-            42,
-            "scan(n)",
-            [("eval", 42)],
+            Some(&log),
             Some("phase=eval rounds=1 matches=0 nodes=5"),
         );
-        assert_eq!(t.probes(), 5);
+        assert_eq!(t.probes(), 4);
         let all = t.latency_all();
         assert_eq!(all.count, 1);
         let stats = t.event_stats();
@@ -757,9 +750,12 @@ mod tests {
         assert_eq!(stats.retained + stats.dropped, stats.appended);
         let slow = t.slow_entries_for("d");
         assert_eq!(slow.len(), 1);
-        assert_eq!(slow[0].service_us, 250);
+        assert_eq!(slow[0].service_us, 270);
+        assert_eq!(slow[0].gate_wait_us, 20);
         assert_eq!(slow[0].outcome, "budget");
-        assert_eq!(slow[0].plan, "scan(n)");
+        assert_eq!(slow[0].profile, log.profile());
+        let plan = slow[0].profile.find("run").unwrap().find("plan").unwrap();
+        assert_eq!(plan.note("plan"), Some("scan(n)"));
         assert!(slow[0].trip.as_deref().unwrap().starts_with("phase="));
     }
 
@@ -768,7 +764,7 @@ mod tests {
         let (clock, t) = telemetry();
         let meta = t.on_admitted(&"t".into(), "query", &"//a".into());
         clock.advance_micros(10);
-        t.on_reply(&meta, "d", "ok", 3, "p", [], None);
+        t.on_reply(&meta, "d", "ok", None, None);
         // One request run, its idempotent retry absorbed, one quota bounce.
         let service = ServiceMetrics {
             submitted: 3,

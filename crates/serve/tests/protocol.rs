@@ -374,7 +374,6 @@ fn slow_loris_connection_is_reaped_cleanly_without_pinning_the_server() {
         ServerConfig {
             read_timeout: Some(Duration::from_millis(100)),
             write_timeout: Some(Duration::from_millis(100)),
-            chaos: false,
         },
     )
     .expect("bind");

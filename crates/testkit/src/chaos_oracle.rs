@@ -424,15 +424,15 @@ pub fn check_cases(
         .chaos(true)
         .build();
     let handle = service.handle();
-    // The chaos-facing server: fault seams armed, generous timeouts (the
-    // reap scenario uses its own short-fused server below).
+    // The chaos-facing server: the service's `.chaos(true)` arms its reply
+    // seams; generous timeouts (the reap scenario uses its own short-fused
+    // server below).
     let server = Server::bind_with(
         "127.0.0.1:0",
         handle.clone(),
         ServerConfig {
             read_timeout: Some(Duration::from_secs(10)),
             write_timeout: Some(Duration::from_secs(10)),
-            chaos: true,
         },
     )
     .map_err(|e| format!("chaos oracle: cannot bind server: {e}"))?;
@@ -526,7 +526,6 @@ pub fn check_cases(
             ServerConfig {
                 read_timeout: Some(Duration::from_millis(100)),
                 write_timeout: Some(Duration::from_millis(100)),
-                chaos: false,
             },
         )
         .map_err(|e| format!("chaos oracle: cannot bind reaper server: {e}"))?;

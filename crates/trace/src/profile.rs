@@ -9,7 +9,7 @@ use crate::json::Writer;
 
 /// A finished trace: the forest of top-level spans recorded by a
 /// [`crate::TraceLog`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecutionProfile {
     pub roots: Vec<ProfileNode>,
 }

@@ -40,10 +40,13 @@ pub use join_plan::JoinPlan;
 pub use matcher::{match_rule, match_rule_in, match_rule_with, MatchMode};
 
 /// Evaluate a whole program: the outputs of all rules, in rule order, become
-/// the children of the result document's root. Builds one [`DocIndex`] for
-/// the document; callers holding a prebuilt index (e.g. `gql-core`'s
-/// `Engine`) use [`run_in`].
+/// the children of the result document's root. Checks the program first
+/// ([`check_program`](crate::check::check_program)) and builds one
+/// [`DocIndex`] for the document; callers holding a prebuilt index and a
+/// program that passed the check (e.g. `gql-core`'s `Engine`, whose gate
+/// decides once per query text) use [`run_in`].
 pub fn run(program: &Program, doc: &Document) -> Result<Document> {
+    crate::check::check_program(program)?;
     let idx = DocIndex::build(doc);
     let plans: Vec<JoinPlan> = (program.rules.iter())
         .map(|rule| JoinPlan::new(rule, None))
@@ -61,7 +64,9 @@ pub fn run(program: &Program, doc: &Document) -> Result<Document> {
 }
 
 /// The full form of [`run`]: the outputs of all rules go to `sink` as
-/// top-level elements, and their number is returned.
+/// top-level elements, and their number is returned. `program` has passed
+/// [`check_program`](crate::check::check_program) (or the engine's gate,
+/// which refuses every Error-level diagnostic): it is not checked again.
 ///
 /// * `idx`: the document's index, shared by every rule.
 /// * `plans`: one [`JoinPlan`] per rule, in rule order — declaration order,
@@ -86,7 +91,6 @@ pub fn run_in(
     sink: &mut impl Sink,
 ) -> Result<usize> {
     let RunCtx { trace, guard } = ctx;
-    crate::check::check_program(program)?;
     let mut instances = 0;
     assert_eq!(plans.len(), program.rules.len(), "one join plan per rule");
     for (i, (rule, plan)) in program.rules.iter().zip(plans).enumerate() {

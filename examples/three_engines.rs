@@ -10,6 +10,8 @@
 //! cargo run --release --example three_engines
 //! ```
 
+use std::time::Duration;
+
 use gql::core::{translate, Engine, Feature, LanguageProfile, QueryKind};
 use gql::ssdm::generator::{cityguide, CityConfig};
 use gql::wglog::dsl as wdsl;
@@ -68,7 +70,7 @@ fn main() {
     ];
     let mut selected_counts = Vec::new();
     for (name, q) in &queries {
-        let outcome = engine.run(q, &doc).expect("query runs");
+        let outcome = engine.run_profiled(q, &doc).expect("query runs");
         // Normalise the size metric to "restaurants selected".
         let selected = match q {
             QueryKind::XmlGl(_) | QueryKind::WgLog(_) => {
@@ -96,12 +98,26 @@ fn main() {
             QueryKind::XPath(_) => outcome.result_count,
         };
         selected_counts.push(selected);
+        // The engine reads no clock of its own: the timings are the
+        // profile's `eval` and `load` (WG-Log) or `index` phases.
+        let profile = outcome.profile.as_ref().expect("a profiled run");
+        let phase = |names: &[&str]| {
+            let run = profile.find("run").expect("a run span");
+            let node = run
+                .children
+                .iter()
+                .find(|c| names.contains(&c.name.as_str()));
+            format!(
+                "{:?}",
+                Duration::from_nanos(node.map_or(0, |n| n.nanos as u64))
+            )
+        };
         println!(
             "{:<8} {:>10} {:>12} {:>12}",
             name,
             selected,
-            format!("{:?}", outcome.eval_time),
-            format!("{:?}", outcome.load_time),
+            phase(&["eval"]),
+            phase(&["load", "index"]),
         );
     }
     assert!(
